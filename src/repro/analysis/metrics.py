@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Tuple
 
 from ..dsl.equation import Eq
-from ..dsl.symbols import Add, Call, Expr, Indexed, Mul, Number, Pow
+from ..dsl.symbols import S_NEG_ONE, Add, Call, Expr, Indexed, Mul, Number, Pow
 
 __all__ = [
     "flop_count",
@@ -23,14 +23,17 @@ _CALL_COST = 4.0
 def flop_count(expr: Expr) -> float:
     """Floating-point operations to evaluate *expr* once.
 
-    n-ary Add/Mul cost ``n-1``; integer powers cost ``|exp|-1`` multiplies
-    plus one division for negative exponents; elementary calls cost
-    ``_CALL_COST``.  Leaves are free.
+    n-ary Add/Mul cost ``n-1``, a factor of ``-1`` being a sign flip and free
+    (the kernels fold it into a subtract); integer powers cost ``|exp|-1``
+    multiplies plus one division for negative exponents; elementary calls
+    cost ``_CALL_COST``.  Leaves are free.
     """
     total = 0.0
     for node in expr.preorder():
         if isinstance(node, (Add, Mul)):
             total += len(node.args) - 1
+            if isinstance(node, Mul) and node.args[0] == S_NEG_ONE:
+                total -= 1
         elif isinstance(node, Pow):
             exp = node.exponent
             if isinstance(exp, Number) and float(exp.value) == int(exp.value):

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.metrics import flop_count
 from ..dsl.equation import Eq
 from ..dsl.functions import TimeFunction
 from ..dsl.grid import Grid
@@ -179,6 +180,9 @@ class BoundSweep:
         # execution vehicle for the non-fused ones.
         self.beqs = [BoundEq(e, grid, compiled=(engine == "kernel")) for e in self.eqs]
         self._kernel = None
+        #: the right-hand sides this sweep evaluates per point (the fused
+        #: engine swaps in the hoisted ones below); static costs count these
+        executed = [beq.rhs for beq in self.beqs]
         if engine == "fused":
             from ..ir.passes import hoist_invariants
             from ..ir.pycodegen import ScratchPool, compile_sweep
@@ -190,6 +194,7 @@ class BoundSweep:
             # per bind so model mutations between applies are observed
             try:
                 hoisted = hoist_invariants([beq.rhs for beq in self.beqs])
+                executed = hoisted.rhss
                 self.hoisted_fields = hoisted.fields
                 self._stale_invariants = bool(hoisted.fields)
                 read_set = set()
@@ -229,6 +234,10 @@ class BoundSweep:
             # kernel call, and gating them would cost the branch they save.
             self.view_hits = 0
             self.view_misses = 0
+        #: flops and array accesses (reads + the write, per equation) per
+        #: grid point, as bound -- after factorisation and hoisting
+        self.flops = float(sum(flop_count(r) for r in executed))
+        self.accesses = sum(len(r.atoms(Indexed)) + 1 for r in executed)
 
     def evaluate(self, t: int, box: Box) -> None:
         """Execute every equation of the sweep on *box* at timestep *t*."""

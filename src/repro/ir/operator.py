@@ -98,7 +98,6 @@ class Operator:
         # keyed (tile, height) -- the only schedule knobs geometry depends on
         # (grid and sweep radii are fixed per operator)
         self._step_cache: Dict = {}
-        self._static_costs = None  # telemetry: per-sweep (flops, accesses)
         # one scratch pool per operator, shared by all fused sweeps across
         # apply() calls -- buffers are keyed by (shape, dtype, slot) so reuse
         # is automatic and steady-state execution allocates nothing
@@ -244,6 +243,18 @@ class Operator:
         "interp": ("interp",),
     }
 
+    def bound_equations(self, dt: float) -> List[List[Eq]]:
+        """Per sweep, the equations every engine rung (and the linter) binds:
+        ``dt`` and the grid spacings substituted, then the
+        coefficient-collecting factorisation of
+        :func:`~repro.ir.passes.factorize_sweep`."""
+        from .passes import factorize_sweep
+
+        subs = {Symbol("dt"): Number(float(dt))}
+        for sym, val in self.grid.spacing_map().items():
+            subs[sym] = Number(float(val))
+        return [factorize_sweep([e.subs(subs) for e in s.eqs]) for s in self.sweeps]
+
     def _build_sweeps(
         self, dt: float, engine: str, strict: bool, telemetry=None, breaker=None
     ) -> Tuple[str, List[BoundSweep]]:
@@ -260,10 +271,7 @@ class Operator:
         the breaker can trip or recover.  The breaker must always allow the
         terminal ``interp`` rung (:class:`repro.jobs.CircuitBreaker` only
         ever tracks a compiled engine)."""
-        subs = {Symbol("dt"): Number(float(dt))}
-        for sym, val in self.grid.spacing_map().items():
-            subs[sym] = Number(float(val))
-        sweep_eqs = [[e.subs(subs) for e in s.eqs] for s in self.sweeps]
+        sweep_eqs = self.bound_equations(dt)
         rungs = self._ENGINE_LADDER[engine]
         for i, eng in enumerate(rungs):
             if breaker is not None and not breaker.allow(eng):
@@ -616,23 +624,16 @@ class Operator:
         return plan
 
     def _register_static_costs(self, tel, schedule: Schedule, plan: ExecutionPlan) -> None:
-        """Static per-sweep flop/access counts joined with measured counters
-        by :func:`repro.telemetry.derived_metrics` (achieved GPts/s, GFLOP/s,
-        arithmetic intensity)."""
-        from ..analysis.metrics import access_count, eq_flops
-
-        if self._static_costs is None:
-            # expression-tree walks; the sweeps are immutable, so pay once
-            self._static_costs = (
-                [float(sum(eq_flops(e) for e in s.eqs)) for s in self.sweeps],
-                [int(sum(access_count(e) for e in s.eqs)) for s in self.sweeps],
-            )
+        """Static per-sweep flop/access counts of the expressions actually
+        bound (factorised, and hoisted under the fused engine), joined with
+        measured counters by :func:`repro.telemetry.derived_metrics`
+        (achieved GPts/s, GFLOP/s, arithmetic intensity)."""
         tel.meta["operator"] = self.name
         tel.meta["schedule"] = schedule.describe()
         tel.meta["engine"] = plan.sweeps[0].engine
         tel.meta["grid_shape"] = list(self.grid.shape)
-        tel.meta["sweep_flops"] = list(self._static_costs[0])
-        tel.meta["sweep_accesses"] = list(self._static_costs[1])
+        tel.meta["sweep_flops"] = [sw.flops for sw in plan.sweeps]
+        tel.meta["sweep_accesses"] = [sw.accesses for sw in plan.sweeps]
         tel.meta["dtype_bytes"] = int(
             plan.sweeps[0].beqs[0].lhs.function.dtype.itemsize
         )

@@ -1,5 +1,6 @@
 """Loop-nest construction and transformation passes (Listings 1-6) plus the
-expression-level common-subexpression-elimination pass of the kernel engine.
+expression-level passes of the kernel engine: coefficient-collecting
+factorisation, time-invariant hoisting and common-subexpression elimination.
 
 Each loop pass builds the IR tree for one stage of the paper's pipeline:
 
@@ -14,6 +15,10 @@ Each loop pass builds the IR tree for one stage of the paper's pipeline:
 
 The trees are consumed by :mod:`repro.ir.codegen` (C emission) and by the
 structural unit tests.
+
+:func:`factorize_sweep` runs first, on the bound equations every engine
+shares; :func:`hoist_invariants` and :func:`cse_sweep` are the fused engine's
+lowering of its result.
 
 :func:`cse_sweep` operates one level below the loop nests, on *bound*
 right-hand sides (only :class:`~repro.dsl.symbols.Indexed` and numeric
@@ -32,8 +37,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.scheduler import WavefrontSchedule
+from ..dsl.equation import Eq
 from ..dsl.functions import TimeFunction
-from ..dsl.symbols import Add, Call, Expr, Indexed, Mul, Pow, Symbol
+from ..dsl.symbols import S_NEG_ONE, S_ONE, Add, Call, Expr, Indexed, Mul, Number, Pow, Symbol
 from .dependencies import Sweep
 from .nodes import Block, Comment, Iteration, Node, Pragma, Statement
 
@@ -45,6 +51,8 @@ __all__ = [
     "c_expr",
     "CSEResult",
     "cse_sweep",
+    "factorize",
+    "factorize_sweep",
     "HoistedField",
     "HoistResult",
     "hoist_invariants",
@@ -161,6 +169,10 @@ def cse_sweep(
             if hit is not None:
                 return hit
             rewritten = rebuild(node, [walk(c) for c in node.children()])
+            if isinstance(node, Mul) and node.args[0] == S_NEG_ONE:
+                # a negated term is free where it is used (the emitter turns
+                # acc + -1*x into a subtract); a shared temp would cost a pass
+                return rewritten
             if counts[node] >= min_uses and not is_protected(node):
                 return global_map.setdefault(node, fresh(rewritten, node, sink))
             if eq_counts[i].get(node, 0) >= min_uses and is_protected(node):
@@ -355,6 +367,211 @@ def hoist_invariants(rhss: Sequence[Expr], prefix: str = "__inv") -> HoistResult
         return Call(expr.name, walk(expr.argument))
 
     return HoistResult(rhss=[walk(r) for r in rhss], fields=fields)
+
+
+# -- coefficient-collecting factorisation ------------------------------------------
+#
+# Two phases.  ``_parse`` reads an expression into a linear normal form: a
+# ``_Sum`` of ``(coefficient, core)`` terms with like terms merged, where a
+# core is ``S_ONE`` (a constant), an opaque expression, or a ``_Product`` of
+# factors, each an opaque expression or again a ``_Sum``.  ``_emit_sum`` writes
+# the form back out, and only there, with every coefficient final, is it
+# decided where each scale and sign is cheapest.
+
+
+class _Sum(tuple):
+    """Terms ``(coefficient, core)``; hashable, so products of sums merge."""
+
+
+class _Product(tuple):
+    """Non-numeric factors, in order: expressions and ``_Sum``s."""
+
+
+def _invariant(x) -> bool:
+    """True if *x* reads the grid but no time field: :func:`hoist_invariants`
+    precomputes it, so a coefficient in front of it costs no kernel pass."""
+    if isinstance(x, Expr):
+        return _time_invariant(x) and bool(x.atoms(Indexed))
+    parts = [core for _, core in x] if isinstance(x, _Sum) else x
+    return all(p is S_ONE or _invariant(p) for p in parts) and any(
+        p is not S_ONE for p in parts
+    )
+
+
+def _absorbs_scale(core) -> bool:
+    """True if *core*'s coefficient rides on a hoisted leading factor."""
+    return _invariant(core[0] if isinstance(core, _Product) else core)
+
+
+def _is_bare(terms: _Sum) -> bool:
+    """True for a plain ``±a ± b ...`` sum: nothing in it can take up a scale."""
+    return all(abs(c) == 1 and not _absorbs_scale(t) for c, t in terms)
+
+
+def _split_coefficient(expr: Expr):
+    if isinstance(expr, Number):
+        return expr.value, S_ONE
+    if isinstance(expr, Mul) and isinstance(expr.args[0], Number):
+        return expr.args[0].value, Mul(*expr.args[1:])
+    return 1, expr
+
+
+def _merge_like(terms) -> _Sum:
+    totals: Dict[object, float] = {}
+    for coef, core in terms:
+        totals[core] = totals.get(core, 0) + coef
+    merged = []
+    cancelled = []
+    for coef, core in terms:
+        total = totals.pop(core, None)  # merged into the first occurrence
+        if total is None:
+            continue
+        if total == 0:
+            # an exact cancellation keeps one +- pair: x - x is nan for a
+            # non-finite x, and dropping it would shrink the read set
+            total = abs(coef)
+            cancelled.append((-total, core))
+        merged.append((total, core))
+    return _Sum(merged + cancelled)
+
+
+def _parse(expr: Expr) -> _Sum:
+    if isinstance(expr, Add):
+        return _merge_like([t for a in expr.args for t in _parse(a)])
+    if isinstance(expr, Mul):
+        return _parse_product(expr)
+    if isinstance(expr, Pow):
+        expr = Pow(factorize(expr.base), factorize(expr.exponent))
+    elif isinstance(expr, Call):
+        expr = Call(expr.name, factorize(expr.argument))
+    return _Sum([_split_coefficient(expr)])
+
+
+def _parse_product(expr: Mul) -> _Sum:
+    coef = 1
+    factors: list = []
+    for arg in expr.args:
+        terms = _parse(arg)
+        if len(terms) == 1:
+            ((c, core),) = terms
+            coef *= c
+            if isinstance(core, _Product):
+                factors.extend(core)
+            elif core is not S_ONE:
+                factors.append(core)
+            continue
+        if len({abs(c) for c, _ in terms}) == 1 and not any(
+            _absorbs_scale(t) for _, t in terms
+        ):
+            # a single-magnitude sum gives its magnitude to the product, and
+            # its sign too: oriented on one fixed term, so that f*(a - b) and
+            # f*(b - a) are like terms
+            lead = min(terms, key=lambda term: repr(term[1]))[0]
+            coef *= lead
+            terms = _Sum((1 if c == lead else -1, t) for c, t in terms)
+        factors.append(terms)
+    if not factors:
+        return _Sum([(coef, S_ONE)])
+    if len(factors) > 1:
+        return _Sum([(coef, _Product(factors))])
+    if isinstance(factors[0], _Sum):  # a scaled sum distributes into its parent
+        return _merge_like([(coef * c, t) for c, t in factors[0]])
+    return _Sum([(coef, factors[0])])
+
+
+def _emit_term(coef, core) -> Expr:
+    if not isinstance(core, _Product):
+        return Mul(coef, core)
+    factors = list(core)
+    sums = [i for i, f in enumerate(factors) if isinstance(f, _Sum)]
+    weighted = [i for i in sums if not _is_bare(factors[i])]
+    if coef != 1 and weighted:
+        # the constants of a weighted sum take the scale for free; only a
+        # unit-weight group in it pays a new multiply, which still beats a
+        # multiply in front unless that one rides on a hoisted leading factor
+        i = weighted[0]
+        has_unit = any(abs(c) == 1 and not _absorbs_scale(t) for c, t in factors[i])
+        if abs(coef) == 1 or not (has_unit and _invariant(factors[0])):
+            factors[i] = _Sum((coef * c, t) for c, t in factors[i])
+            coef = 1
+    if coef < 0:
+        # a weighted sum or a difference negates for free, and +-c*f*(a - b)
+        # then share one hoisted c*f (x - x is its own negation: no gain)
+        for i in sums:
+            plus = {t for c, t in factors[i] if c > 0}
+            minus = {t for c, t in factors[i] if c < 0}
+            if i in weighted or (plus and minus and not plus & minus):
+                factors[i] = _Sum((-c, t) for c, t in factors[i])
+                coef = -coef
+                break
+    return Mul(coef, *[_emit_sum(f) if isinstance(f, _Sum) else f for f in factors])
+
+
+def _emit_sum(terms: _Sum) -> Expr:
+    """Gather *terms* of equal coefficient magnitude into ``c*(a + b - d)``.
+
+    Unit-weight terms stay bare, constants and terms whose scale is hoisted
+    stay on their own, and negated bare terms go last so the left-associative
+    chain subtracts them instead of negating its head."""
+    gathers = [
+        abs(coef) != 1 and core is not S_ONE and not _absorbs_scale(core)
+        for coef, core in terms
+    ]
+    groups: Dict[object, list] = {}
+    for term, gather in zip(terms, gathers):
+        if gather:
+            groups.setdefault(abs(term[0]), []).append(term)
+    head: List[Expr] = []
+    tail: List[Expr] = []
+    for (coef, core), gather in zip(terms, gathers):
+        members = groups[abs(coef)] if gather else ()
+        if len(members) < 2:
+            (tail if coef == -1 else head).append(_emit_term(coef, core))
+        elif (coef, core) == members[0]:  # the group sits at its first member
+            pos = [_emit_term(1, t) for c, t in members if c > 0]
+            neg = [_emit_term(1, t) for c, t in members if c < 0]
+            if pos:
+                head.append(Mul(abs(coef), Add(*pos, *[Mul(-1, e) for e in neg])))
+            else:
+                head.append(Mul(coef, Add(*neg)))
+    return Add(*head, *tail)
+
+
+def factorize(expr: Expr) -> Expr:
+    """Collect numeric coefficients so the generated kernel spends one
+    whole-box multiply per *distinct* weight instead of one per term.
+
+    Inside every sum, numeric scales are distributed into nested sums
+    (``0.01*(c0*u0 + c1*u1)`` -> ``(0.01*c0)*u0 + (0.01*c1)*u1``), like terms
+    are merged, and the terms are regrouped by coefficient magnitude into
+    ``c*(a + b)`` / ``c*(a - b)``; signs end up in the constants or in a
+    subtraction, never in a separate negation.  A uniform-spacing Laplacian
+    becomes ``k0*u + k1*(six neighbours) + k2*(six neighbours)``.
+
+    Non-numeric factors stay opaque: a product ``f*(...)`` of fields and sums
+    is one term, and its scale is left in front when the leading factor is
+    time-invariant, where :func:`hoist_invariants` precomputes it.  The
+    rewrite is exact in real arithmetic, reassociates in floating point (a
+    few ulp per term), and preserves the set of grid reads.  The result is a
+    fixed point, so the pass is idempotent.  Fields are assumed floating:
+    collecting ``0.5*a + 0.5*a`` into ``a`` would not promote an integer ``a``.
+    """
+    while True:
+        out = _emit_sum(_parse(expr))
+        if out == expr:
+            return out
+        # placing a scale can make two products equal that were not before
+        # (2*f*(a + b/2) and f*(2*a + b)); the next round merges them, and
+        # every such round leaves fewer terms, so this ends
+        expr = out
+
+
+def factorize_sweep(eqs: Sequence[Eq]) -> List[Eq]:
+    """:func:`factorize` every right-hand side of a sweep's bound equations.
+
+    Runs once per bind, after the dt/spacing substitution and ahead of every
+    engine, so ``fused``, ``kernel`` and ``interp`` execute one tree."""
+    return [Eq(e.lhs, factorize(e.rhs)) for e in eqs]
 
 
 def c_expr(expr, time_index: str = "t", buffers: dict | None = None) -> str:

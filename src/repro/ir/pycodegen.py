@@ -254,7 +254,7 @@ class _Emitter:
         self.view_names = view_names
         self.view_specs = view_specs
         self.lines: List[str] = []
-        #: structured mirror of ``lines`` (same order, peepholes applied)
+        #: structured mirror of ``lines`` (same order)
         self.instrs: List[TAInstr] = []
         self.slots: Dict[str, np.dtype] = {}  # slot name -> dtype
         self.consts: Dict[str, np.ndarray] = {}  # const name -> 0-d array
@@ -298,42 +298,6 @@ class _Emitter:
 
     # -- instruction emission ---------------------------------------------------
     def _emit(self, ufunc: str, operands: List[_Operand]) -> _Operand:
-        # peephole: negating the result of the immediately preceding subtract
-        # reverses it instead: fl(-(a-b)) == fl(b-a) for every IEEE input
-        # (round-to-nearest is sign-symmetric; only zero signs can differ,
-        # which array equality treats as equal) — one whole-box op saved
-        if ufunc == "negative" and len(operands) == 1:
-            o = operands[0]
-            tail = f", {o.text})"
-            if (
-                o.kind == "slot"
-                and self._remaining.get(o.text, 0) == 1
-                and self.lines
-                and self.lines[-1].startswith("np.subtract(")
-                and self.lines[-1].endswith(tail)
-            ):
-                a, b, out = [
-                    p.strip()
-                    for p in self.lines[-1][len("np.subtract(") : -1].split(",")
-                ]
-                self.lines[-1] = f"np.subtract({b}, {a}, {out})"
-                prev = self.instrs[-1]
-                self.instrs[-1] = TAInstr(
-                    "subtract", (prev.args[1], prev.args[0]), prev.out
-                )
-                return o
-        # peephole: multiply by the literal -1 is an exact IEEE sign flip, so
-        # emit np.negative instead (guarded on identical result dtype, which
-        # rules out e.g. -1.0 * int_array promoting to float64)
-        if ufunc == "multiply" and len(operands) == 2:
-            for i, o in enumerate(operands):
-                if o.kind == "scalar" and eval(o.text) == -1:
-                    other = operands[1 - i]
-                    if other.spec is not None:
-                        mul = np.multiply(eval(o.text), other.spec)
-                        if np.negative(other.spec).dtype == mul.dtype:
-                            return self._emit("negative", [other])
-                    break
         spec = getattr(np, ufunc)(
             *[o.spec if o.spec is not None else eval(o.text) for o in operands]
         )

@@ -441,6 +441,7 @@ class JobPool:
         self.status_interval = float(status_interval)
         self._last_status = 0.0
         self._jobs_phase_added = 0.0
+        self._attempt_phase_folded = 0.0  # serial: attempt phase seconds folded in
         self._init_metrics()
         if self.breaker is not None and self.metrics is not None:
             self.breaker.bind_metrics(self.metrics)
@@ -940,6 +941,7 @@ class JobPool:
             # phase seconds into the pool buffer so batch coverage holds
             for ph_name, secs in (meta.get("phase_seconds") or {}).items():
                 self.telemetry.add_phase(ph_name, float(secs))
+                self._attempt_phase_folded += float(secs)
         self._count_warmth(record)
         self._breaker_feedback(job, meta)
         # make the result durable *before* journaling the outcome: the
@@ -1547,6 +1549,17 @@ class JobPool:
                     total = sum(
                         s for b, s in self._acct.seconds.items() if b != "execute"
                     )
+                    if self.workers == 0:
+                        # serial attempts run on this clock; what their engine
+                        # phases leave of the execute bucket (problem set-up,
+                        # result marshalling, failed attempts) is jobs time
+                        # too — a fixed cost per job that would otherwise
+                        # eat into coverage as the kernels get faster
+                        total += max(
+                            0.0,
+                            self._acct.seconds.get("execute", 0.0)
+                            - self._attempt_phase_folded,
+                        )
                     self.telemetry.add_phase("jobs", total - self._jobs_phase_added)
                     self._jobs_phase_added = total
             self._write_status(final=True)

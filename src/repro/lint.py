@@ -57,8 +57,9 @@ def make_schedule(kind: str):
     raise ValueError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULES}")
 
 
-def build_example(kind: str, nt: int = 16):
-    """A small (12^3, nbl=2, so=4) propagator with source + receivers."""
+def build_example(kind: str, nt: int = 16, so: int = 4):
+    """A small (12^3, nbl=2, space order *so*) propagator with source +
+    receivers."""
     import numpy as np
 
     from .propagators import (
@@ -71,7 +72,7 @@ def build_example(kind: str, nt: int = 16):
         receiver_line,
     )
 
-    shape, nbl, so = (12, 12, 12), 2, 4
+    shape, nbl = (12, 12, 12), 2
     vp = layered_velocity(shape, 1.5, 3.0, 3)
     kwargs = {}
     if kind == "tti":

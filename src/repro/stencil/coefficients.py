@@ -85,17 +85,29 @@ def central_offsets(space_order: int) -> Tuple[int, ...]:
     return tuple(range(-r, r + 1))
 
 
+def _symmetrised(w: np.ndarray, deriv: int) -> Tuple[float, ...]:
+    """Weights on nodes symmetric about the evaluation point, made exactly
+    symmetric (even *deriv*) or antisymmetric (odd *deriv*).
+
+    Fornberg's recurrence leaves mirrored weights one ulp apart
+    (``1.3333333333333333`` vs ``...335``); equal bit for bit, the
+    factorisation pass can collect them under one multiply.
+    """
+    sign = 1.0 if deriv % 2 == 0 else -1.0
+    w = 0.5 * (w + sign * w[::-1])
+    w[np.abs(w) < 1e-12] = 0.0
+    return tuple(float(x) for x in w)
+
+
 @lru_cache(maxsize=None)
 def central_weights(deriv: int, space_order: int) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
     """Centred weights of accuracy *space_order* for the *deriv*-th derivative.
 
-    Returns ``(offsets, weights)``; tiny round-off residues are snapped to 0 so
-    the symbolic layer drops them.
+    Returns ``(offsets, weights)``; the weights are exactly (anti)symmetric and
+    tiny round-off residues are snapped to 0 so the symbolic layer drops them.
     """
     offsets = central_offsets(space_order)
-    w = fornberg_weights(deriv, offsets, 0.0)
-    w[np.abs(w) < 1e-12] = 0.0
-    return offsets, tuple(float(x) for x in w)
+    return offsets, _symmetrised(fornberg_weights(deriv, offsets, 0.0), deriv)
 
 
 @lru_cache(maxsize=None)
@@ -118,9 +130,7 @@ def staggered_weights(deriv: int, space_order: int, side: int = 1) -> Tuple[Tupl
     else:
         offsets = tuple(range(-r, r))
         x0 = -0.5
-    w = fornberg_weights(deriv, offsets, x0)
-    w[np.abs(w) < 1e-12] = 0.0
-    return offsets, tuple(float(x) for x in w)
+    return offsets, _symmetrised(fornberg_weights(deriv, offsets, x0), deriv)
 
 
 def second_derivative_weights(space_order: int) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:

@@ -102,8 +102,6 @@ def _inexact(elem: str) -> str:
 
 def ufunc_result(op: str, elems: Sequence[str]) -> str:
     """The result lattice element of ``np.op(*elems)``."""
-    if op == "negative":
-        return elems[0]
     if op in _TRANSCENDENTAL:
         a = elems[0]
         if is_weak(a):

@@ -97,9 +97,6 @@ def interval_ufunc(op: str, args: Sequence[Interval]) -> Interval:
         return acc
     if op in ("divide", "true_divide"):
         return _div(args[0], args[1])
-    if op == "negative":
-        a = args[0]
-        return (-a[1], -a[0])
     if op == "power":
         a, b = args
         if b[0] == b[1] and float(b[0]).is_integer():

@@ -84,6 +84,9 @@ class LintReport:
     #: whole-program scratch analysis, when the fused kernels compiled
     #: (a :class:`repro.verify.absint.liveness.LivenessReport`)
     scratch: Optional[object] = None
+    #: fused-kernel instruction count per sweep index: one whole-box ufunc
+    #: pass each, the quantity the NumPy engine's speed is bound by
+    ninstr: Dict[int, int] = field(default_factory=dict)
 
     @property
     def errors(self) -> List[Diagnostic]:
@@ -105,6 +108,7 @@ class LintReport:
             "warnings": len(self.warnings),
             "diagnostics": [d.to_dict() for d in self.diagnostics],
             "scratch": self.scratch.to_dict() if self.scratch is not None else None,
+            "ninstr": {str(j): n for j, n in sorted(self.ninstr.items())},
         }
 
     def render(self) -> str:
@@ -318,7 +322,8 @@ def lint_equations(eqs, sweep: Optional[int] = None) -> List[Diagnostic]:
 
 
 def _scratch_analysis(report: LintReport, entries) -> None:
-    """Whole-program scratch analysis over ``(sweep, program, source)`` rows.
+    """Whole-program scratch analysis over ``(sweep, program, source)`` rows
+    (also records each compiled sweep's instruction count).
 
     Sweeps with a structured three-address program are analysed together by
     the cross-sweep liveness passes (sweep indices in the findings are
@@ -326,6 +331,7 @@ def _scratch_analysis(report: LintReport, entries) -> None:
     source fall back to the text-level :func:`analyse_kernel_source`.
     """
     compiled = [(j, p) for j, p, _ in entries if p is not None]
+    report.ninstr = {j: len(p.instrs) for j, p in compiled}
     if compiled:
         from .absint.liveness import analyse_programs
 
@@ -359,21 +365,16 @@ def lint_operator(op, dt: float = 1.0) -> LintReport:
     """Lint *op*: equation-level checks on every sweep, plus scratch-slot
     analysis of the fused kernels when the fused engine compiles.
 
-    Binds ``dt`` and the grid spacings exactly as
-    :meth:`~repro.ir.operator.Operator.apply` does, so the analysis sees the
-    very expressions the engines execute.
+    Lints :meth:`~repro.ir.operator.Operator.bound_equations` — ``dt`` and
+    the grid spacings substituted, coefficients factorised — so the analysis
+    sees the very expressions the engines execute.
     """
-    from ..dsl.symbols import Number, Symbol
     from ..errors import EngineCompilationError
     from ..execution.evalbox import BoundSweep
 
     report = LintReport(name=op.name)
-    subs = {Symbol("dt"): Number(float(dt))}
-    for sym, val in op.grid.spacing_map().items():
-        subs[sym] = Number(float(val))
     entries = []
-    for j, sweep in enumerate(op.sweeps):
-        eqs = [e.subs(subs) for e in sweep.eqs]
+    for j, eqs in enumerate(op.bound_equations(dt)):
         report.diagnostics.extend(lint_equations(eqs, sweep=j))
         try:
             sw = BoundSweep(eqs, op.grid, engine="fused")

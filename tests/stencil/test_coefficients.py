@@ -61,16 +61,41 @@ def test_second_derivative_weights_sum_zero(so):
     assert sum(w) == pytest.approx(0.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("so", [2, 4, 8, 12])
+# mirrored weights are equal bit for bit, not merely close: the factorisation
+# pass collects terms by exact coefficient magnitude
+@pytest.mark.parametrize("so", [2, 4, 8, 12, 16])
 def test_second_derivative_weights_symmetric(so):
     _, w = central_weights(2, so)
-    np.testing.assert_allclose(w, w[::-1], rtol=1e-9, atol=1e-12)
+    assert w == w[::-1]
 
 
-@pytest.mark.parametrize("so", [2, 4, 8])
+@pytest.mark.parametrize("so", [2, 4, 8, 12, 16])
 def test_first_derivative_weights_antisymmetric(so):
     _, w = central_weights(1, so)
-    np.testing.assert_allclose(w, [-x for x in w[::-1]], rtol=1e-9, atol=1e-12)
+    assert w == tuple(-x for x in w[::-1])
+    assert w[so // 2] == 0.0
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("so", [2, 4, 8, 12, 16])
+def test_staggered_weights_antisymmetric_pairs(so, side):
+    _, w = staggered_weights(1, so, side)
+    assert w == tuple(-x for x in w[::-1])
+
+
+@pytest.mark.parametrize("deriv", [1, 2])
+@pytest.mark.parametrize("so", [2, 4, 8, 12, 16])
+def test_symmetrised_weights_stay_consistent(deriv, so):
+    """Symmetrising must not cost accuracy: the weights still annihilate
+    constants and differentiate ``x**deriv`` exactly, and every polynomial
+    up to the stated order to round-off of its largest term."""
+    offs, w = central_weights(deriv, so)
+    assert sum(w) == pytest.approx(0.0, abs=1e-12)
+    for degree in range(so + deriv):
+        terms = [wi * float(o) ** degree for wi, o in zip(w, offs)]
+        expected = float(math.factorial(deriv)) if degree == deriv else 0.0
+        scale = max(abs(t) for t in terms) or 1.0
+        assert sum(terms) == pytest.approx(expected, abs=1e-12 * max(scale, 1.0))
 
 
 @pytest.mark.parametrize("deriv,so", [(1, 4), (2, 4), (1, 8), (2, 8)])

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.jobs.spec import AttemptRecord, BatchReport, JobResult, JobSpec
@@ -138,18 +138,31 @@ def test_validate_payload_rejects_malformations():
         min_size=4, max_size=4,
     ),
 )
+@example(
+    # programs 0 and 3 share worker track 1 in identical clock frames: the
+    # draw that overlapped two attempts on one track before the generator
+    # serialised them
+    programs=[[("begin", 1.0)] * 3, [("begin", 1.0)], [("begin", 1.0)], [("begin", 1.0)] * 2],
+    offsets=[0.0] * 4,
+    epochs=[0.0] * 4,
+)
 def test_merged_trace_preserves_nesting_and_monotonicity(programs, offsets, epochs):
     """The acceptance property: arbitrary well-nested per-attempt buffers,
-    each in its own clock frame with its own offset, merge into a trace
-    whose per-track B/E streams stay strictly LIFO with non-decreasing
-    timestamps (validate_chrome_trace checks exactly that)."""
+    each in its own clock frame with its own offset and sequential per
+    worker track, merge into a trace whose per-track B/E streams stay
+    strictly LIFO with non-decreasing timestamps (validate_chrome_trace
+    checks exactly that)."""
     payloads = []
+    track_end = {}  # per worker track: when its last attempt ended, batch clock
     for i, ops in enumerate(programs):
-        tel = drive_telemetry(ops, start=epochs[i % 4])
-        payload = telemetry_payload(
-            tel, job=f"j{i}", attempt=0, worker=(i % 3) + 1
-        )
-        payload["context"]["clock_offset_s"] = offsets[i % 4]
+        worker, offset = (i % 3) + 1, offsets[i % 4]
+        # a daemon runs its attempts one after another, so an attempt starts
+        # (in its own clock frame) after the previous one on its track ended
+        start = max(epochs[i % 4], track_end.get(worker, -math.inf) - offset)
+        tel = drive_telemetry(ops, start=start)
+        track_end[worker] = tel.now() + offset
+        payload = telemetry_payload(tel, job=f"j{i}", attempt=0, worker=worker)
+        payload["context"]["clock_offset_s"] = offset
         payloads.append(payload)
     report = make_report(payloads)
     sup = supervisor_with_lifecycle([f"j{i}" for i in range(len(payloads))])

@@ -144,6 +144,21 @@ def test_meta_static_costs_registered(grid3d):
     assert tel.meta["grid_shape"] == list(grid3d.shape)
 
 
+def test_static_flops_count_the_bound_kernel():
+    """sweep_flops is counted on the factorised, hoisted expressions the
+    engine runs: for acoustic so=4 it is exactly the number of arithmetic
+    instructions of the fused kernel, one ufunc pass each."""
+    from repro.lint import build_example
+
+    prop, dt = build_example("acoustic")
+    tel = Telemetry()
+    plan = prop.op.apply(time_M=2, dt=dt, telemetry=tel)
+    (program,) = [sw.kernel_program() for sw in plan.sweeps]
+    arithmetic = [i for i in program.instrs if i.op != "store"]
+    assert tel.meta["sweep_flops"] == [float(len(arithmetic))]
+    assert tel.meta["sweep_accesses"] == [len(program.views) + len(program.outs)]
+
+
 def test_pipeline_precompute_span(grid3d):
     from repro.core.pipeline import TemporalBlockingPipeline
 
