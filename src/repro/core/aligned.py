@@ -48,25 +48,27 @@ class AlignedInjection:
         # apply() path previously paid an astype per (t, box) instance
         self._amplitudes = np.ascontiguousarray(dsrc.data, dtype=field.dtype)
 
-    def apply(self, t: int, box: Optional[Box] = None) -> None:
-        """Add timestep *t*'s decomposed amplitudes into ``field[t + offset]``.
+    def apply(self, t: int, box: Optional[Box] = None) -> int:
+        """Add timestep *t*'s decomposed amplitudes into ``field[t + offset]``;
+        returns the number of grid points injected.
 
         With *box* given, only affected points inside the (half-open) box are
         injected — the form used inside space-time tiles.
         """
         if not 0 <= t < self.nt or self.masks.npts == 0:
-            return
+            return 0
         if box is None:
             buf = self.field.buffer(t + self.time_offset)
             np.add.at(buf, self._flat_idx, self._amplitudes[t])
-            return
+            return self.masks.npts
         ids = self.masks.points_in_box(box)
         if ids.size == 0:  # the common case inside small tiles: nothing to do
-            return
+            return 0
         buf = self.field.buffer(t + self.time_offset)
         idx = tuple(col[ids] for col in self._flat_idx)
         # each affected point appears exactly once: plain fancy add suffices
         buf[idx] += self._amplitudes[t][ids]
+        return ids.size
 
     def overhead_points(self) -> int:
         """Number of per-timestep extra updates the scheme performs."""
@@ -103,23 +105,25 @@ class AlignedReceiver:
             self._staging[row] = np.zeros(max(self.masks.npts, 1), dtype=np.float64)
         return self._staging[row]
 
-    def gather(self, t: int, box: Optional[Box] = None) -> None:
-        """Stage wavefield values at affected points (optionally box-local)."""
+    def gather(self, t: int, box: Optional[Box] = None) -> int:
+        """Stage wavefield values at affected points (optionally box-local);
+        returns the number of grid points staged."""
         if self.masks.npts == 0:
-            return
+            return 0
         if box is not None:
             ids = self.masks.points_in_box(box)
             if ids.size == 0:  # nothing of this receiver in the tile
-                return
+                return 0
         stage = self._row(t)
         if stage is None:
-            return
+            return 0
         buf = self.field.buffer(t + self.time_offset)
         if box is None:
             stage[: self.masks.npts] = buf[self._flat_idx]
-            return
+            return self.masks.npts
         idx = tuple(col[ids] for col in self._flat_idx)
         stage[ids] = buf[idx]
+        return ids.size
 
     def finalize(self, t: int) -> None:
         """Reconstruct receiver samples for iteration *t* (wavefield complete)."""

@@ -14,33 +14,53 @@ Three schedules, mirroring the paper's comparison:
   offsets (the wavefront).  ``block`` is the intra-tile space-block shape
   (performance-model granularity; results are schedule-independent).
 
-The same objects parameterise the NumPy executors (correctness), the memory
+The same objects parameterise the NumPy executor (correctness), the memory
 trace generator (cache simulation), and the analytical performance model, so
-one description drives every measurement plane.
+one description drives every measurement plane: :func:`lower` turns a
+schedule into the one step list all of them walk.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from dataclasses import dataclass
+from itertools import product
+from typing import Iterator, List, Tuple, Union
 
 __all__ = [
+    "SCHEDULES",
+    "NO_SPARSE",
     "Schedule",
     "NaiveSchedule",
     "SpatialBlockSchedule",
     "WavefrontSchedule",
+    "make_schedule",
     "time_tiles",
     "tile_origins",
     "instance_lags",
     "lag_span",
+    "lower",
 ]
+
+#: the schedule kinds swept by the lint/verify/profile CLIs and accepted by
+#: the job service — one source of truth, so static verification covers
+#: exactly the schedules that are profiled and served
+SCHEDULES = ("naive", "spatial", "wavefront")
+
+#: ``sparse_box`` of a :func:`lower` step after which no sparse operator runs
+NO_SPARSE = "no-sparse"
+
+Box = Tuple[Tuple[int, int], ...]
+#: ``(dt, j, box, sparse_box, tile, npoints)``, see :func:`lower`
+Step = Tuple[int, int, Box, Union[Box, None, str], int, int]
 
 
 class Schedule:
     """Base class; concrete schedules are plain frozen dataclasses."""
 
     kind = "abstract"
+    #: timesteps per containment unit (time tile); only wavefronts exceed 1
+    height = 1
 
     def describe(self) -> dict:
         """JSON-able description of the schedule: its kind plus every
@@ -99,18 +119,11 @@ class WavefrontSchedule(Schedule):
     height:
         Number of timesteps evaluated per space-time tile (the wavefront
         depth).  Must be >= 1; height 1 degenerates to spatial blocking.
-    precompute_steps:
-        When True (default) executors precompute the per-tile step list
-        (instance lags, shifted windows, clipped boxes) once per distinct
-        tile height and replay it for every congruent time tile.  False is
-        an ablation knob that recomputes the geometry for every time tile,
-        reproducing the cost structure of inline-geometry traversal.
     """
 
     tile: Tuple[int, ...] = (32, 32)
     block: Tuple[int, ...] = (8, 8)
     height: int = 4
-    precompute_steps: bool = True
     kind = "wavefront"
 
     def __post_init__(self):
@@ -122,6 +135,17 @@ class WavefrontSchedule(Schedule):
             raise ValueError(f"invalid block shape {self.block}")
         if self.height < 1:
             raise ValueError("wavefront height must be >= 1")
+
+
+def make_schedule(kind: str) -> Schedule:
+    """The concrete schedule each :data:`SCHEDULES` kind maps to."""
+    if kind == "naive":
+        return NaiveSchedule()
+    if kind == "spatial":
+        return SpatialBlockSchedule(block=(6, 6))
+    if kind == "wavefront":
+        return WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
+    raise ValueError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULES}")
 
 
 def time_tiles(time_m: int, time_M: int, height: int) -> Iterator[Tuple[int, int]]:
@@ -185,15 +209,77 @@ def tile_origins(extents: Tuple[int, ...], tile: Tuple[int, ...], max_lag: int) 
     order for skewed wavefront execution (all dependencies point to lower
     skewed coordinates).
     """
-    ranges: List[List[int]] = [
-        list(range(0, e + max_lag, t)) for e, t in zip(extents, tile)
-    ]
+    return product(*(range(0, e + max_lag, t) for e, t in zip(extents, tile)))
 
-    def rec(d: int, prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-        if d == len(ranges):
-            yield prefix
-            return
-        for o in ranges[d]:
-            yield from rec(d + 1, prefix + (o,))
 
-    yield from rec(0, ())
+def lower(
+    schedule: Schedule, shape: Tuple[int, ...], radii: Tuple[int, ...], height: int
+) -> List[Step]:
+    """The traversal of one *height*-step time tile of *schedule* over a grid
+    of *shape* whose sweeps read *radii*, in execution order.
+
+    Each step ``(dt, j, box, sparse_box, tile, npoints)`` evaluates sweep *j*
+    at timestep ``t0 + dt`` on the non-empty, grid-clipped half-open *box*
+    (``npoints`` grid points, block/space-tile number ``tile``) and then
+    runs sweep *j*'s sparse operators on ``sparse_box``: ``None`` = the whole
+    grid, a box = that box only, :data:`NO_SPARSE` = not after this step.
+
+    * naive (Listing 1): one whole-grid step per sweep;
+    * spatial (Fig. 4a): a sweep's blocks over the leading dims in
+      lexicographic order, trailing dims unblocked; the sparse operators
+      run on the whole grid after the sweep's last block, which is why space
+      blocking never conflicts with off-the-grid operators;
+    * wavefront (Listing 6): for every space-tile origin of the skewed domain
+      (ascending lexicographic), every instance ``(dt, j)`` on the tile
+      window shifted left by its cumulative lag, its grid-aligned sparse
+      operators restricted to the same window.
+
+    Naive and spatial are the height-1 members of the family.  The list
+    depends on a time tile only through its height, so callers lower once per
+    distinct height and replay the list for every congruent tile.
+    """
+    shape = tuple(int(n) for n in shape)
+    nsweeps = len(radii)
+
+    def step(dt: int, j: int, box: Box, sparse_box, tile: int) -> Step:
+        npoints = 1
+        for lo, hi in box:
+            npoints *= hi - lo
+        return (dt, j, box, sparse_box, tile, npoints)
+
+    if isinstance(schedule, NaiveSchedule):
+        full = tuple((0, n) for n in shape)
+        return [step(0, j, full, None, 0) for j in range(nsweeps)]
+
+    if isinstance(schedule, SpatialBlockSchedule):
+        blocked = list(zip(shape, schedule.block))
+        tail = tuple((0, n) for n in shape[len(blocked):])
+        boxes = [
+            tuple((lo, min(lo + b, n)) for lo, (n, b) in zip(los, blocked)) + tail
+            for los in product(*(range(0, n, b) for n, b in blocked))
+        ]
+        last = len(boxes) - 1
+        return [
+            step(0, j, box, None if b == last else NO_SPARSE, b)
+            for j in range(nsweeps)
+            for b, box in enumerate(boxes)
+        ]
+
+    if not isinstance(schedule, WavefrontSchedule):
+        raise TypeError(f"unknown schedule {schedule!r}")
+    skewed = list(zip(shape, schedule.tile))
+    tail = tuple((0, n) for n in shape[len(skewed):])
+    lags = instance_lags(tuple(radii), height)
+    instances = [(dt, j) for dt in range(height) for j in range(nsweeps)]
+    steps: List[Step] = []
+    origins = tile_origins(shape, schedule.tile, lags[-1])
+    for tile_id, origin in enumerate(origins):
+        for (dt, j), lag in zip(instances, lags):
+            box = tuple(
+                (max(o - lag, 0), min(o - lag + ext, n))
+                for o, (n, ext) in zip(origin, skewed)
+            )
+            if all(lo < hi for lo, hi in box):
+                box += tail
+                steps.append(step(dt, j, box, box, tile_id))
+    return steps

@@ -1,4 +1,4 @@
-"""Executors: run bound operators under the supported schedules."""
+"""The executor: run bound operators under the supported schedules."""
 from .evalbox import (
     ENGINES,
     BoundEq,
@@ -9,13 +9,7 @@ from .evalbox import (
     clip_box,
     full_box,
 )
-from .executors import (
-    ExecutionPlan,
-    run_naive,
-    run_schedule,
-    run_spatial,
-    run_wavefront,
-)
+from .executors import ExecutionPlan, run_schedule
 from .sparse import RawInjection, RawInterpolation, evaluate_point_scale
 from .trace import ChunkAddresser, TraceGeometry, schedule_trace, simulate_schedule
 
@@ -30,9 +24,6 @@ __all__ = [
     "box_is_empty",
     "ExecutionPlan",
     "run_schedule",
-    "run_naive",
-    "run_spatial",
-    "run_wavefront",
     "RawInjection",
     "RawInterpolation",
     "evaluate_point_scale",

@@ -58,10 +58,6 @@ def box_is_empty(box: Box) -> bool:
     return any(hi <= lo for lo, hi in box)
 
 
-def box_points(box: Box) -> int:
-    return int(np.prod([max(hi - lo, 0) for lo, hi in box]))
-
-
 def box_view(access: Indexed, t: int, box: Box, dim_names: Sequence[str]) -> np.ndarray:
     """The NumPy view of *access* on *box* at logical timestep *t*.
 

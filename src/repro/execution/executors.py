@@ -1,36 +1,37 @@
-"""Schedule executors: run a bound operator under naive, spatially blocked or
-wave-front temporally blocked traversal.
+"""The schedule executor: run a bound operator under naive, spatially blocked
+or wave-front temporally blocked traversal.
 
-All three produce identical results (to FP associativity) when the sparse
-operators are grid-aligned; the wavefront executor *requires* grid-aligned
-sparse operators — running it with raw off-the-grid injection
-(``unsafe_offgrid=True``) demonstrates the dependence violation of Fig. 4b
-and is provided exactly for that negative test.
+The three schedules are one loop over the step list
+:func:`repro.core.scheduler.lower` builds; they produce identical results (to
+FP associativity) when the sparse operators are grid-aligned.  A wavefront
+schedule *requires* grid-aligned sparse operators — running it with raw
+off-the-grid injection (``unsafe_offgrid=True``) demonstrates the dependence
+violation of Fig. 4b and is provided exactly for that negative test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.scheduler import (
+    NO_SPARSE,
     NaiveSchedule,
     Schedule,
     SpatialBlockSchedule,
     WavefrontSchedule,
-    instance_lags,
-    tile_origins,
+    lower,
     time_tiles,
 )
 from ..dsl.grid import Grid
 from ..errors import InvalidTimeRange, PlanValidationError, SilentCorruptionError
-from .evalbox import BoundSweep, Box, box_is_empty, box_points, clip_box, full_box
+from .evalbox import BoundSweep
 
-__all__ = ["ExecutionPlan", "run_schedule", "run_naive", "run_spatial", "run_wavefront"]
+__all__ = ["ExecutionPlan", "run_schedule"]
 
 
 def _check_entry(plan: "ExecutionPlan", time_m: int, time_M: int) -> None:
-    """Structured validation at every executor entry point.
+    """Structured validation at the executor entry point.
 
     Failing here — with the offending values in the message — beats failing
     thousands of instances deep inside a tile loop with an index error.
@@ -103,234 +104,6 @@ class ExecutionPlan:
         return self.injections.get(j, []), self.receivers.get(j, [])
 
 
-def _execute_instance(plan: ExecutionPlan, j: int, t: int, box: Optional[Box]) -> None:
-    """Run sweep *j* at timestep *t* on *box* (None = full grid), then its
-    attached sparse operators on the same box."""
-    use_box = box if box is not None else full_box(plan.grid)
-    if box_is_empty(use_box):
-        return
-    plan.sweeps[j].evaluate(t, use_box)
-    injections, receivers = plan._sparse_for(j)
-    for inj in injections:
-        inj.apply(t, box)
-    for rec in receivers:
-        rec.gather(t, box)
-
-
-def run_naive(
-    plan: ExecutionPlan, time_m: int, time_M: int, monitor=None, telemetry=None
-) -> None:
-    """Listing 1: whole-grid sweeps, sparse operators after each sweep."""
-    _check_entry(plan, time_m, time_M)
-    if telemetry is not None:
-        _instr_naive(plan, time_m, time_M, monitor, telemetry)
-        return
-    if monitor is not None:
-        time_m = monitor.begin(plan, time_m, time_M)
-    for t in range(time_m, time_M):
-        # containment unit = one timestep; the loop body runs once unless the
-        # ABFT check detects corruption and the monitor restores the entry
-        # micro-snapshot for re-execution
-        reexec = 0
-        while True:
-            if monitor is not None:
-                monitor.tile_entry(plan, t, t + 1)
-            try:
-                for j in range(plan.nsweeps):
-                    _execute_instance(plan, j, t, None)
-                    if monitor is not None:
-                        monitor.after_instance(plan, j, t, None)
-                for rec in plan.all_receivers():
-                    rec.finalize(t)
-                if monitor is not None:
-                    monitor.after_step(plan, t)
-                break
-            except SilentCorruptionError:
-                reexec += 1
-                if monitor is None or not monitor.contain(plan, t, reexec):
-                    raise
-
-
-def _blocked_boxes(grid: Grid, block: Tuple[int, ...]):
-    """Rectangular blocks over the leading dims; trailing dims unblocked."""
-    nb = len(block)
-    shape = grid.shape
-    ranges = [range(0, shape[d], block[d]) for d in range(nb)]
-
-    def rec(d: int, prefix: Tuple[Tuple[int, int], ...]):
-        if d == nb:
-            tail = tuple((0, shape[k]) for k in range(nb, len(shape)))
-            yield prefix + tail
-            return
-        for lo in ranges[d]:
-            yield from rec(d + 1, prefix + ((lo, min(lo + block[d], shape[d])),))
-
-    yield from rec(0, ())
-
-
-def run_spatial(
-    plan: ExecutionPlan,
-    time_m: int,
-    time_M: int,
-    schedule: SpatialBlockSchedule,
-    monitor=None,
-    telemetry=None,
-) -> None:
-    """Fig. 4a: space blocking inside each timestep.
-
-    A sweep's blocks may run in any order (no intra-sweep dependence), but a
-    barrier separates sweeps, and sparse operators run after the full sweep --
-    which is why space blocking never conflicts with off-the-grid operators.
-    """
-    _check_entry(plan, time_m, time_M)
-    _check_block_shape(plan, schedule.block, "space block")
-    if telemetry is not None:
-        _instr_spatial(plan, time_m, time_M, schedule, monitor, telemetry)
-        return
-    if monitor is not None:
-        time_m = monitor.begin(plan, time_m, time_M)
-    boxes = list(_blocked_boxes(plan.grid, schedule.block))
-    for t in range(time_m, time_M):
-        reexec = 0
-        while True:
-            if monitor is not None:
-                monitor.tile_entry(plan, t, t + 1)
-            try:
-                for j in range(plan.nsweeps):
-                    for box in boxes:
-                        plan.sweeps[j].evaluate(t, box)
-                        if monitor is not None:
-                            monitor.after_instance(plan, j, t, box)
-                    injections, receivers = plan._sparse_for(j)
-                    for inj in injections:
-                        inj.apply(t, None)
-                    for rec in receivers:
-                        rec.gather(t, None)
-                for rec in plan.all_receivers():
-                    rec.finalize(t)
-                if monitor is not None:
-                    monitor.after_step(plan, t)
-                break
-            except SilentCorruptionError:
-                reexec += 1
-                if monitor is None or not monitor.contain(plan, t, reexec):
-                    raise
-
-
-def _wavefront_steps(
-    plan: ExecutionPlan, schedule: WavefrontSchedule, height: int
-) -> List[Tuple[int, int, Box, int]]:
-    """The full traversal of one time tile of *height*, precomputed.
-
-    Returns ``(dt, j, box, tile)`` steps in execution order: for every space
-    tile origin (ascending lexicographic over the skewed domain, numbered by
-    ``tile``), every sweep instance ``(dt, j)`` with its lag-shifted,
-    grid-clipped, non-empty box.  The step list depends on the time tile only
-    through its height, so executors compute it once per distinct height and
-    replay it for every congruent tile.
-    """
-    grid = plan.grid
-    nskew = len(schedule.tile)
-    skew_extents = tuple(grid.shape[:nskew])
-    tail = tuple((0, s) for s in grid.shape[nskew:])
-    lags = instance_lags(tuple(plan.radii), height)
-    instances = [(dt, j) for dt in range(height) for j in range(plan.nsweeps)]
-    steps: List[Tuple[int, int, Box, int]] = []
-    for tile_id, origin in enumerate(tile_origins(skew_extents, schedule.tile, lags[-1])):
-        for (dt, j), lag in zip(instances, lags):
-            window = tuple(
-                (o - lag, o - lag + ext) for o, ext in zip(origin, schedule.tile)
-            )
-            box = clip_box(window + tail, grid)
-            if not box_is_empty(box):
-                steps.append((dt, j, box, tile_id))
-    return steps
-
-
-def run_wavefront(
-    plan: ExecutionPlan,
-    time_m: int,
-    time_M: int,
-    schedule: WavefrontSchedule,
-    step_cache: Optional[Dict] = None,
-    monitor=None,
-    telemetry=None,
-) -> None:
-    """Listing 6: wave-front temporal blocking over skewed space-time tiles.
-
-    For each time tile ``[t0, t1)``, space tiles traverse the *skewed*
-    domain in ascending lexicographic order; within each space tile every
-    sweep instance ``(t, j)`` executes on the tile window shifted left by its
-    cumulative lag, immediately followed by its grid-aligned sparse
-    operators restricted to the same window.
-
-    The per-tile geometry (instance list, lags, windows, clipped boxes) is
-    invariant across time tiles of equal height, so it is computed once per
-    height (:func:`_wavefront_steps`) and replayed — the inner loop does no
-    geometry work at all.  Passing *step_cache* (a dict owned by the caller,
-    e.g. :class:`~repro.ir.operator.Operator`) additionally persists the step
-    plans across applies, keyed by tile geometry and height; geometry depends
-    only on the grid, the sweep radii and the schedule, all fixed per
-    operator.
-    """
-    _check_entry(plan, time_m, time_M)
-    _check_block_shape(plan, schedule.tile, "space tile")
-    if telemetry is not None:
-        _instr_wavefront(
-            plan, time_m, time_M, schedule, step_cache, monitor, telemetry
-        )
-        return
-    if monitor is not None:
-        # snapshots are taken at tile boundaries, and resume points are tile
-        # boundaries of the original run, so the tiling below stays congruent
-        time_m = monitor.begin(plan, time_m, time_M)
-
-    step_plans: Dict = step_cache if step_cache is not None else {}
-    sweeps = plan.sweeps
-    sparse = [plan._sparse_for(j) for j in range(plan.nsweeps)]
-    for t0, t1 in time_tiles(time_m, time_M, schedule.height):
-        height = t1 - t0
-        if schedule.precompute_steps:
-            key = (tuple(schedule.tile), height)
-            steps = step_plans.get(key)
-            if steps is None:
-                steps = step_plans[key] = _wavefront_steps(plan, schedule, height)
-        else:  # ablation: rebuild the tile geometry for every time tile
-            steps = _wavefront_steps(plan, schedule, height)
-        # containment unit = the whole time tile: corruption detected at the
-        # tile exit rolls the live region back to the tile entry and replays
-        # just these steps — the tile-granular recovery the micro-snapshots
-        # exist for
-        reexec = 0
-        while True:
-            if monitor is not None:
-                monitor.tile_entry(plan, t0, t1)
-            try:
-                # steps hold only non-empty clipped boxes, so the hot loop
-                # skips the emptiness/full-grid handling of the generic
-                # _execute_instance path
-                for dt, j, box, _tile in steps:
-                    t = t0 + dt
-                    sweeps[j].evaluate(t, box)
-                    injections, receivers = sparse[j]
-                    for inj in injections:
-                        inj.apply(t, box)
-                    for rec in receivers:
-                        rec.gather(t, box)
-                    if monitor is not None:
-                        monitor.after_instance(plan, j, t, box)
-                for t in range(t0, t1):
-                    for rec in plan.all_receivers():
-                        rec.finalize(t)
-                if monitor is not None:
-                    monitor.after_tile(plan, t0, t1)
-                break
-            except SilentCorruptionError:
-                reexec += 1
-                if monitor is None or not monitor.contain(plan, t0, reexec):
-                    raise
-
-
 def run_schedule(
     plan: ExecutionPlan,
     time_m: int,
@@ -341,513 +114,214 @@ def run_schedule(
     checkpoint=None,
     faults=None,
     abft=None,
-    monitor=None,
     telemetry=None,
 ) -> None:
-    """Dispatch on schedule kind.  *step_cache* only affects wavefront runs.
+    """Run iterations ``[time_m, time_M)`` of *plan* under *schedule*.
+
+    *step_cache* (a dict owned by the caller, e.g.
+    :class:`~repro.ir.operator.Operator`) persists the lowered step lists
+    across runs, keyed by schedule and time-tile height; they depend only on
+    the grid, the sweep radii and the schedule, all fixed per operator.
 
     ``health`` (:class:`~repro.runtime.health.HealthGuard`), ``checkpoint``
     (:class:`~repro.runtime.checkpoint.CheckpointConfig`), ``faults``
     (:class:`~repro.runtime.faults.FaultInjector`) and ``abft``
     (:class:`~repro.runtime.abft.ABFTGuard`) attach the resilience layer;
-    they are bundled into a
-    :class:`~repro.runtime.monitor.RuntimeMonitor` (or pass *monitor*
-    directly).  ``telemetry`` (:class:`~repro.telemetry.Telemetry`) attaches
-    the tracing/counter layer.  All default to off and cost nothing when
-    absent.
+    they are bundled into a :class:`~repro.runtime.monitor.RuntimeMonitor`.
+    ``telemetry`` (:class:`~repro.telemetry.Telemetry`) attaches the
+    tracing/counter layer.  All default to off and cost nothing when absent.
     """
-    if monitor is None and (
-        health is not None
-        or checkpoint is not None
-        or faults is not None
-        or abft is not None
-    ):
+    _check_entry(plan, time_m, time_M)
+    if isinstance(schedule, SpatialBlockSchedule):
+        _check_block_shape(plan, schedule.block, "space block")
+    elif isinstance(schedule, WavefrontSchedule):
+        _check_block_shape(plan, schedule.tile, "space tile")
+    elif not isinstance(schedule, NaiveSchedule):
+        raise TypeError(f"unknown schedule {schedule!r}")
+    monitor = guard_base = abft_base = None
+    if not (health is None and checkpoint is None and faults is None and abft is None):
         from ..runtime.monitor import RuntimeMonitor
 
-        monitor = RuntimeMonitor(
-            health=health, checkpoint=checkpoint, faults=faults, abft=abft
-        )
-    guard_base = abft_base = None
-    if monitor is not None and telemetry is not None:
         # checkpoint saves / fired faults emit telemetry events through the
         # monitor; guard activity is folded in as a delta after the run
-        monitor.telemetry = telemetry
-        if monitor.health is not None:
-            guard_base = dict(monitor.health.stats)
-        if monitor.abft is not None:
-            abft_base = dict(monitor.abft.stats)
+        monitor = RuntimeMonitor(
+            health=health, checkpoint=checkpoint, faults=faults, abft=abft,
+            telemetry=telemetry,
+        )
+        if telemetry is not None and health is not None:
+            guard_base = dict(health.stats)
+        if telemetry is not None and abft is not None:
+            abft_base = dict(abft.stats)
     try:
-        if isinstance(schedule, NaiveSchedule):
-            run_naive(plan, time_m, time_M, monitor=monitor, telemetry=telemetry)
-        elif isinstance(schedule, SpatialBlockSchedule):
-            run_spatial(
-                plan, time_m, time_M, schedule, monitor=monitor, telemetry=telemetry
-            )
-        elif isinstance(schedule, WavefrontSchedule):
-            run_wavefront(
-                plan,
-                time_m,
-                time_M,
-                schedule,
-                step_cache=step_cache,
-                monitor=monitor,
-                telemetry=telemetry,
-            )
-        else:
-            raise TypeError(f"unknown schedule {schedule!r}")
+        _execute(plan, time_m, time_M, schedule, step_cache, monitor, telemetry)
     finally:
         # flush even when the run aborts (e.g. NumericalBlowup) — partial
         # telemetry of a crashed run is the postmortem
         if guard_base is not None:
-            stats = monitor.health.stats
-            telemetry.counters.add("guard_ticks", stats["ticks"] - guard_base["ticks"])
-            telemetry.counters.add(
-                "guard_checks", stats["checks"] - guard_base["checks"]
-            )
+            for key in ("ticks", "checks"):
+                telemetry.counters.add(f"guard_{key}", health.stats[key] - guard_base[key])
         if abft_base is not None:
-            stats = monitor.abft.stats
-            for key, counter in (
-                ("checks", "abft_checks"),
-                ("detections", "abft_detections"),
-                ("micro_snapshots", "abft_micro_snapshots"),
-                ("micro_snapshot_bytes", "abft_micro_snapshot_bytes"),
-            ):
-                telemetry.counters.add(counter, stats[key] - abft_base[key])
+            for key in ("checks", "detections", "micro_snapshots", "micro_snapshot_bytes"):
+                telemetry.counters.add(f"abft_{key}", abft.stats[key] - abft_base[key])
 
 
-# -- instrumented traversals ------------------------------------------------------
-#
-# Mirrors of the hot loops above with boundary-to-boundary phase timing: each
-# clock reading picks up from the previous one, so loop overhead is absorbed
-# into the adjacent phase and the per-phase sum covers the run wall-time
-# almost exactly.  Counters accumulate in locals and flush once per run.  At
-# ``detail="trace"`` one span per sweep instance is recorded from the same
-# clock readings (no extra clock calls on the instance path).
+def _execute(plan, time_m, time_M, schedule, step_cache, monitor, tel) -> None:
+    """The one traversal loop (Listing 1 = Listing 6 at height 1).
 
+    Walks containment units — the time tiles ``[t0, t1)`` of *schedule* — and
+    replays the :func:`~repro.core.scheduler.lower` step list of the unit's
+    height: sweep instance, then its sparse operators, then the monitor hook.
+    A unit is what ABFT contains: corruption detected at its exit rolls the
+    live region back to the micro-snapshot taken at its entry and replays just
+    these steps.  Snapshots are taken at unit boundaries and resume points
+    are unit boundaries of the original run, so a resumed tiling stays
+    congruent.
 
-def _sweep_names(plan: ExecutionPlan) -> List[str]:
-    return [
-        f"sweep{j}:{sw.beqs[0].lhs.function.name}" for j, sw in enumerate(plan.sweeps)
-    ]
-
-
-class _InstrCounts:
-    """Local tallies of one instrumented run, flushed to telemetry once."""
-
-    def __init__(self, plan: ExecutionPlan):
-        self.nsweeps = plan.nsweeps
-        self.neqs = [len(s) for s in plan.sweeps]
-        self.instances = [0] * plan.nsweeps
-        self.points = [0] * plan.nsweeps
-        self.inj_points = 0
-        self.rec_points = 0
-        self.rec_rows = 0
-
-    def flush(self, telemetry) -> None:
-        c = telemetry.counters
-        c.add("instances", sum(self.instances))
-        c.add(
-            "points_updated",
-            sum(p * n for p, n in zip(self.points, self.neqs)),
-        )
-        for j in range(self.nsweeps):
-            c.add(f"sweep{j}.instances", self.instances[j])
-            c.add(f"sweep{j}.points", self.points[j])
-        c.add("src_points_injected", self.inj_points)
-        c.add("rec_points_gathered", self.rec_points)
-        c.add("rec_rows_finalized", self.rec_rows)
-
-
-def _instr_naive(plan, time_m, time_M, monitor, tel) -> None:
-    from ..telemetry.counters import gathered_points, injected_points
-
-    clock, ph, trace = tel._clock, tel.phase_seconds, tel.trace
-    rspan = tel.begin("run", schedule="naive", time_m=time_m, time_M=time_M)
-    last = rspan.start
+    With telemetry attached, timing is boundary-to-boundary: each clock
+    reading picks up from the previous one, so loop overhead is absorbed into
+    the adjacent phase and the per-phase sum covers the run wall-time almost
+    exactly.  Seconds and counters accumulate in locals (string-keyed dict
+    writes per instance are slower and hash-seed-sensitive) and flush once;
+    the sparse counts are what the operators returned, i.e. what ran.  At
+    ``detail="trace"`` one span per sweep instance is recorded from the same
+    clock readings.
+    """
+    timed = tel is not None
+    trace = timed and tel.trace
+    last = 0.0
+    if timed:
+        clock = tel._clock
+        attrs = schedule.describe()
+        attrs["schedule"] = attrs.pop("kind")
+        rspan = tel.begin("run", time_m=time_m, time_M=time_M, **attrs)
+        last = rspan.start
+        unit_name = "tile" if isinstance(schedule, WavefrontSchedule) else "step"
+    if trace:
+        names = [
+            f"sweep{j}:{sw.beqs[0].lhs.function.name}" for j, sw in enumerate(plan.sweeps)
+        ]
+    pre_s = st_s = inj_s = rec_s = mon_s = 0.0
     if monitor is not None:
         time_m = monitor.begin(plan, time_m, time_M)
-        now = clock()
-        ph["checkpoint+guard"] += now - last
-        last = now
-    names = _sweep_names(plan)
-    counts = _InstrCounts(plan)
-    sparse = [plan._sparse_for(j) for j in range(plan.nsweeps)]
-    full = full_box(plan.grid)
-    gpts = box_points(full)
-    for t in range(time_m, time_M):
-        sspan = tel.begin("step", t=t)
-        last = sspan.start
-        depth = len(tel._stack)
-        reexec = 0
-        while True:
-            if monitor is not None:
-                monitor.tile_entry(plan, t, t + 1)
-                now = clock()
-                ph["checkpoint+guard"] += now - last
-                last = now
-            try:
-                for j in range(plan.nsweeps):
-                    inst_start = last
-                    plan.sweeps[j].evaluate(t, full)
-                    now = clock()
-                    ph["stencil"] += now - last
-                    last = now
-                    counts.instances[j] += 1
-                    counts.points[j] += gpts
-                    injections, receivers = sparse[j]
-                    if injections:
-                        for inj in injections:
-                            inj.apply(t, None)
-                            counts.inj_points += injected_points(inj, t, None)
-                        now = clock()
-                        ph["injection"] += now - last
-                        last = now
-                    if receivers:
-                        for rec in receivers:
-                            rec.gather(t, None)
-                            counts.rec_points += gathered_points(rec, t, None)
-                        now = clock()
-                        ph["receivers"] += now - last
-                        last = now
-                    if monitor is not None:
-                        monitor.after_instance(plan, j, t, None)
-                        now = clock()
-                        ph["checkpoint+guard"] += now - last
-                        last = now
-                    if trace:
-                        tel.record(
-                            names[j], "stencil", inst_start, last - inst_start,
-                            depth, {"t": t, "sweep": j},
-                        )
-                for rec in plan.all_receivers():
-                    rec.finalize(t)
-                    counts.rec_rows += 1
-                now = clock()
-                ph["receivers"] += now - last
-                last = now
-                if monitor is not None:
-                    monitor.after_step(plan, t)
-                    now = clock()
-                    ph["checkpoint+guard"] += now - last
-                    last = now
-                break
-            except SilentCorruptionError:
-                reexec += 1
-                if monitor is None or not monitor.contain(plan, t, reexec):
-                    raise
-                now = clock()
-                ph["checkpoint+guard"] += now - last
-                last = now
-        tel.end(sspan)
-        last = sspan.end
-    counts.flush(tel)
-    tel.end(rspan)
-
-
-def _instr_spatial(plan, time_m, time_M, schedule, monitor, tel) -> None:
-    from ..telemetry.counters import gathered_points, injected_points
-
-    clock, ph, trace = tel._clock, tel.phase_seconds, tel.trace
-    rspan = tel.begin(
-        "run", schedule="spatial", block=tuple(schedule.block),
-        time_m=time_m, time_M=time_M,
-    )
-    last = rspan.start
-    if monitor is not None:
-        time_m = monitor.begin(plan, time_m, time_M)
-        now = clock()
-        ph["checkpoint+guard"] += now - last
-        last = now
-    boxes = list(_blocked_boxes(plan.grid, schedule.block))
-    now = clock()
-    ph["precompute"] += now - last  # block geometry
-    last = now
-    names = _sweep_names(plan)
-    counts = _InstrCounts(plan)
-    sparse = [plan._sparse_for(j) for j in range(plan.nsweeps)]
-    bpts = [box_points(b) for b in boxes]
-    for t in range(time_m, time_M):
-        sspan = tel.begin("step", t=t)
-        last = sspan.start
-        depth = len(tel._stack)
-        reexec = 0
-        while True:
-            if monitor is not None:
-                monitor.tile_entry(plan, t, t + 1)
-                now = clock()
-                ph["checkpoint+guard"] += now - last
-                last = now
-            st_acc = mon_acc = 0.0  # local accumulators, folded in per step
-            try:
-                for j in range(plan.nsweeps):
-                    for b, box in enumerate(boxes):
-                        inst_start = last
-                        plan.sweeps[j].evaluate(t, box)
-                        now = clock()
-                        st_acc += now - last
-                        last = now
-                        counts.instances[j] += 1
-                        counts.points[j] += bpts[b]
-                        if monitor is not None:
-                            monitor.after_instance(plan, j, t, box)
-                            now = clock()
-                            mon_acc += now - last
-                            last = now
-                        if trace:
-                            tel.record(
-                                names[j], "stencil", inst_start,
-                                last - inst_start, depth,
-                                {"t": t, "sweep": j, "block": b, "box": box},
-                            )
-                    injections, receivers = sparse[j]
-                    if injections:
-                        for inj in injections:
-                            inj.apply(t, None)
-                            counts.inj_points += injected_points(inj, t, None)
-                        now = clock()
-                        ph["injection"] += now - last
-                        last = now
-                    if receivers:
-                        for rec in receivers:
-                            rec.gather(t, None)
-                            counts.rec_points += gathered_points(rec, t, None)
-                        now = clock()
-                        ph["receivers"] += now - last
-                        last = now
-                ph["stencil"] += st_acc
-                ph["checkpoint+guard"] += mon_acc
-                for rec in plan.all_receivers():
-                    rec.finalize(t)
-                    counts.rec_rows += 1
-                now = clock()
-                ph["receivers"] += now - last
-                last = now
-                if monitor is not None:
-                    monitor.after_step(plan, t)
-                    now = clock()
-                    ph["checkpoint+guard"] += now - last
-                    last = now
-                break
-            except SilentCorruptionError:
-                # raised by the boundary check in after_step, i.e. after the
-                # accumulators were already folded in above
-                reexec += 1
-                if monitor is None or not monitor.contain(plan, t, reexec):
-                    raise
-                now = clock()
-                ph["checkpoint+guard"] += now - last
-                last = now
-        tel.end(sspan)
-        last = sspan.end
-    counts.flush(tel)
-    tel.end(rspan)
-
-
-def _sparse_fingerprint(sparse) -> tuple:
-    """Identity of a plan's bound sparse operators, for reuse of the
-    persistent instrumentation counts across applies.  Masks objects are
-    cached per operator, so their ids are stable for the operator's
-    lifetime; a re-bind under a different sparse mode (raw vs precomputed)
-    or with different masks changes the fingerprint and invalidates the
-    cached counts."""
-    fp = []
-    for injections, receivers in sparse:
-        fp.append((
-            tuple(
-                (
-                    id(inj.masks) if getattr(inj, "masks", None) is not None else -1,
-                    getattr(inj, "nt", -1),
-                    inj.time_offset,
-                )
-                for inj in injections
-            ),
-            tuple(
-                (
-                    id(rec.masks) if getattr(rec, "masks", None) is not None else -1,
-                    rec.output.shape[0] if hasattr(rec, "output") else -1,
-                    rec.time_offset,
-                )
-                for rec in receivers
-            ),
-        ))
-    return tuple(fp)
-
-
-def _instr_wavefront(
-    plan, time_m, time_M, schedule, step_cache, monitor, tel
-) -> None:
-    from ..telemetry.counters import gathered_points, injected_points
-
-    clock, ph, trace = tel._clock, tel.phase_seconds, tel.trace
-    rspan = tel.begin(
-        "run", schedule="wavefront", tile=tuple(schedule.tile),
-        height=schedule.height, time_m=time_m, time_M=time_M,
-    )
-    last = rspan.start
-    if monitor is not None:
-        time_m = monitor.begin(plan, time_m, time_M)
-        now = clock()
-        ph["checkpoint+guard"] += now - last
-        last = now
-    step_plans: Dict = step_cache if step_cache is not None else {}
-    names = _sweep_names(plan)
-    counts = _InstrCounts(plan)
+        if timed:
+            now = clock()
+            mon_s += now - last
+            last = now
+    nsweeps = plan.nsweeps
+    instances = [0] * nsweeps
+    points = [0] * nsweeps
+    inj_points = rec_points = rec_rows = hits = misses = 0
     sweeps = plan.sweeps
-    sparse = [plan._sparse_for(j) for j in range(plan.nsweeps)]
-    # lazy per-(sweep, box) instrumentation entries: (box points, injection
-    # ops with points in the box, receiver ops with points in the box), each
-    # op as (op, n, tmin, tmax) with the t-bounds of its countable window
-    # precomputed — steady state costs one dict probe per instance, and
-    # sparse ops whose masks miss the box are skipped outright (their
-    # apply/gather is a no-op, so skipping is observation, not perturbation)
-    sp_cache: List[Dict[Box, tuple]] = [{} for _ in range(plan.nsweeps)]
-    # the counts themselves ((j, box) -> (points, per-slot sparse windows))
-    # depend only on the masks and the tile geometry, both stable across
-    # applies, so they persist in the caller's step cache — guarded by a
-    # fingerprint of the bound sparse ops so a re-bind with different masks
-    # or sparse mode rebuilds them
-    counts_map: Dict = {}
-    if step_cache is not None:
-        fp = _sparse_fingerprint(sparse)
-        persist = step_cache.get("instr-counts")
-        if persist is None or persist[0] != fp:
-            persist = (fp, {})
-            step_cache["instr-counts"] = persist
-        counts_map = persist[1]
-
-    def _entry(j: int, box) -> tuple:
-        injections, receivers = sparse[j]
-        cm = counts_map.get((j, box))
-        if cm is None:
-            pts = box_points(box)
-            inj_meta = []
-            rec_meta = []
-            for slot, inj in enumerate(injections):
-                if getattr(inj, "masks", None) is None:
-                    # raw off-the-grid op: apply() must still run so it
-                    # raises exactly as the uninstrumented path does;
-                    # never countable
-                    inj_meta.append((slot, -1, 0, 0))
-                else:
-                    n = injected_points(inj, 0, box)
-                    if n:
-                        inj_meta.append((slot, n, 0, inj.nt))
-            for slot, rec in enumerate(receivers):
-                if getattr(rec, "masks", None) is None:
-                    rec_meta.append((slot, -1, 0, 0))
-                else:
-                    n = gathered_points(rec, -rec.time_offset, box)
-                    if n:
-                        off = rec.time_offset
-                        rec_meta.append(
-                            (slot, n, -off, rec.output.shape[0] - off)
-                        )
-            cm = counts_map[(j, box)] = (pts, tuple(inj_meta), tuple(rec_meta))
-        pts, inj_meta, rec_meta = cm
-        entry = (
-            pts,
-            tuple((injections[s], n, ta, tb) for s, n, ta, tb in inj_meta),
-            tuple((receivers[s], n, ta, tb) for s, n, ta, tb in rec_meta),
-        )
-        sp_cache[j][box] = entry
-        return entry
+    sparse = [plan._sparse_for(j) for j in range(nsweeps)]
+    all_receivers = plan.all_receivers()
+    shape = tuple(plan.grid.shape)
+    lowered: Dict = step_cache if step_cache is not None else {}
+    schedule_key = schedule.key()
     for t0, t1 in time_tiles(time_m, time_M, schedule.height):
-        height = t1 - t0
-        if schedule.precompute_steps:
-            key = (tuple(schedule.tile), height)
-            steps = step_plans.get(key)
-            if steps is None:
-                steps = step_plans[key] = _wavefront_steps(plan, schedule, height)
-                tel.counters.add("step_cache_misses")
-            else:
-                # replayed geometry — a warm worker's persistent family
-                # cache makes even the run's first tile a hit
-                tel.counters.add("step_cache_hits")
+        key = (schedule_key, t1 - t0)
+        steps = lowered.get(key)
+        if steps is None:
+            steps = lowered[key] = lower(schedule, shape, plan.radii, t1 - t0)
+            misses += 1
         else:
-            steps = _wavefront_steps(plan, schedule, height)
-        now = clock()
-        ph["precompute"] += now - last  # step-plan geometry (cached after once)
-        last = now
-        tspan = tel.begin("tile", t0=t0, t1=t1)
-        last = tspan.start
-        depth = len(tel._stack)
+            # replayed geometry — a warm worker's persistent family cache
+            # makes even the run's first tile a hit
+            hits += 1
+        if timed:
+            uspan = tel.begin(unit_name, t0=t0, t1=t1)
+            pre_s += uspan.start - last
+            last = uspan.start
+            depth = len(tel._stack)
         reexec = 0
         while True:
             if monitor is not None:
                 monitor.tile_entry(plan, t0, t1)
-                now = clock()
-                ph["checkpoint+guard"] += now - last
-                last = now
-            # plain local accumulators in the hot loop — string-keyed dict
-            # writes per instance are both slower and hash-seed-sensitive
-            st_acc = inj_acc = rec_acc = mon_acc = 0.0
+                if timed:
+                    now = clock()
+                    mon_s += now - last
+                    last = now
             try:
-                for dt, j, box, tile_id in steps:
+                for dt, j, box, sparse_box, tile, npoints in steps:
                     t = t0 + dt
                     inst_start = last
                     sweeps[j].evaluate(t, box)
-                    now = clock()
-                    st_acc += now - last
-                    last = now
-                    entry = sp_cache[j].get(box)
-                    if entry is None:
-                        entry = _entry(j, box)
-                    pts, inj_ops, rec_ops = entry
-                    counts.instances[j] += 1
-                    counts.points[j] += pts
-                    if inj_ops:
-                        for inj, n, ta, tb in inj_ops:
-                            inj.apply(t, box)
-                            if ta <= t < tb:
-                                counts.inj_points += n
+                    if timed:
+                        instances[j] += 1
+                        points[j] += npoints
                         now = clock()
-                        inj_acc += now - last
+                        st_s += now - last
                         last = now
-                    if rec_ops:
-                        for rec, n, ta, tb in rec_ops:
-                            rec.gather(t, box)
-                            if ta <= t < tb:
-                                counts.rec_points += n
-                        now = clock()
-                        rec_acc += now - last
-                        last = now
+                    if sparse_box is not NO_SPARSE:
+                        injections, receivers = sparse[j]
+                        if injections:
+                            for inj in injections:
+                                inj_points += inj.apply(t, sparse_box) or 0
+                            if timed:
+                                now = clock()
+                                inj_s += now - last
+                                last = now
+                        if receivers:
+                            for rec in receivers:
+                                rec_points += rec.gather(t, sparse_box) or 0
+                            if timed:
+                                now = clock()
+                                rec_s += now - last
+                                last = now
                     if monitor is not None:
                         monitor.after_instance(plan, j, t, box)
-                        now = clock()
-                        mon_acc += now - last
-                        last = now
+                        if timed:
+                            now = clock()
+                            mon_s += now - last
+                            last = now
                     if trace:
                         tel.record(
                             names[j], "stencil", inst_start, last - inst_start,
-                            depth, {"t": t, "sweep": j, "tile": tile_id, "box": box},
+                            depth, {"t": t, "sweep": j, "tile": tile, "box": box},
                         )
                 for t in range(t0, t1):
-                    for rec in plan.all_receivers():
+                    for rec in all_receivers:
                         rec.finalize(t)
-                        counts.rec_rows += 1
-                now = clock()
-                rec_acc += now - last
-                last = now
-                ph["stencil"] += st_acc
-                ph["injection"] += inj_acc
-                ph["receivers"] += rec_acc
-                ph["checkpoint+guard"] += mon_acc
+                rec_rows += (t1 - t0) * len(all_receivers)
+                if timed:
+                    now = clock()
+                    rec_s += now - last
+                    last = now
                 if monitor is not None:
                     monitor.after_tile(plan, t0, t1)
-                    now = clock()
-                    ph["checkpoint+guard"] += now - last
-                    last = now
+                    if timed:
+                        now = clock()
+                        mon_s += now - last
+                        last = now
                 break
             except SilentCorruptionError:
-                # raised by the boundary check in after_tile, i.e. after the
-                # accumulators were already folded in above
                 reexec += 1
                 if monitor is None or not monitor.contain(plan, t0, reexec):
                     raise
-                now = clock()
-                ph["checkpoint+guard"] += now - last
-                last = now
-        tel.end(tspan)
-        last = tspan.end
-    counts.flush(tel)
-    tel.end(rspan)
+                if timed:
+                    now = clock()
+                    mon_s += now - last
+                    last = now
+        if timed:
+            tel.end(uspan)
+            last = uspan.end
+    if timed:
+        for phase, seconds in (
+            ("precompute", pre_s), ("stencil", st_s), ("injection", inj_s),
+            ("receivers", rec_s), ("checkpoint+guard", mon_s),
+        ):
+            tel.add_phase(phase, seconds)
+        c = tel.counters
+        c.add("step_cache_hits", hits)
+        c.add("step_cache_misses", misses)
+        c.add("instances", sum(instances))
+        c.add(
+            "points_updated",
+            sum(p * len(sw) for p, sw in zip(points, sweeps)),
+        )
+        for j in range(nsweeps):
+            c.add(f"sweep{j}.instances", instances[j])
+            c.add(f"sweep{j}.points", points[j])
+        c.add("src_points_injected", inj_points)
+        c.add("rec_points_gathered", rec_points)
+        c.add("rec_rows_finalized", rec_rows)
+        tel.end(rspan)

@@ -74,8 +74,9 @@ class RawInjection:
         self.scaled_weights = self.weights * scale.reshape(npoint, ncorner)
         self.data = sparse.data
 
-    def apply(self, t: int, box=None) -> None:
-        """Inject amplitudes of source sample *t* into ``field[t + offset]``.
+    def apply(self, t: int, box=None) -> int:
+        """Inject amplitudes of source sample *t* into ``field[t + offset]``;
+        returns the number of support corners scattered into.
 
         Raw off-the-grid injection is only legal on the *whole* grid (after a
         full sweep); a box-restricted request means a temporally blocked
@@ -87,13 +88,14 @@ class RawInjection:
                 "precompute it with repro.core (decompose_source) first"
             )
         if not 0 <= t < self.data.shape[0]:
-            return
+            return 0
         buf = self.field.buffer(t + self.time_offset)
         halo = self.field.halo
         npoint, ncorner, ndim = self.indices.shape
         flat_idx = tuple(self.indices[..., d].ravel() + halo for d in range(ndim))
         contributions = self.scaled_weights * self.data[t][:, None].astype(np.float64)
         np.add.at(buf, flat_idx, contributions.ravel().astype(buf.dtype))
+        return npoint * ncorner
 
     @property
     def support_indices(self) -> np.ndarray:
@@ -113,17 +115,17 @@ class UnsafeOffGridInjection(RawInjection):
     use it for real modelling.
     """
 
-    def apply(self, t: int, box=None) -> None:
+    def apply(self, t: int, box=None) -> int:
         if box is None:
             return super().apply(t)
         if not 0 <= t < self.data.shape[0]:
-            return
+            return 0
         base = self.indices[:, 0, :]  # min corner per source
         sel = np.ones(base.shape[0], dtype=bool)
         for d, (lo, hi) in enumerate(box):
             sel &= (base[:, d] >= lo) & (base[:, d] < hi)
         if not sel.any():
-            return
+            return 0
         buf = self.field.buffer(t + self.time_offset)
         halo = self.field.halo
         idx = self.indices[sel]
@@ -131,6 +133,7 @@ class UnsafeOffGridInjection(RawInjection):
         flat_idx = tuple(idx[..., d].ravel() + halo for d in range(ndim))
         contributions = self.scaled_weights[sel] * self.data[t][sel][:, None].astype(np.float64)
         np.add.at(buf, flat_idx, contributions.ravel().astype(buf.dtype))
+        return npoint * ncorner
 
 
 class RawInterpolation:
@@ -145,13 +148,15 @@ class RawInterpolation:
         self.indices, self.weights = support_points(sparse.coordinates, self.grid)
         self.data = sparse.data
 
-    def gather(self, t: int, box=None) -> None:
-        """Plan-interface shim: raw interpolation measures at :meth:`finalize`."""
+    def gather(self, t: int, box=None) -> int:
+        """Plan-interface shim: raw interpolation measures at :meth:`finalize`,
+        so nothing is staged here."""
         if box is not None:
             raise ValueError(
                 "off-the-grid interpolation cannot run inside a space-time "
                 "tile; precompute it with repro.core (decompose_receiver) first"
             )
+        return 0
 
     def finalize(self, t: int) -> None:
         self.apply(t)

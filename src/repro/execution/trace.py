@@ -6,28 +6,19 @@ natural granularity at which the layer conditions and temporal reuse act, and
 it keeps traces short enough to drive the Python cache simulator.
 
 The generator replays the *exact* traversal each schedule performs — the same
-instance/lag arithmetic as the NumPy executors — emitting, for every grid row
-``(x, y)`` visited by a sweep instance, the pencils of every slice the sweep
-reads (at all its x/y stencil offsets) and writes.  Circular time buffers are
+:func:`~repro.core.scheduler.lower` step list the NumPy executor walks —
+emitting, for every grid row ``(x, y)`` visited by a sweep instance, the
+pencils of every slice the sweep reads (at all its x/y stencil offsets) and
+writes.  Circular time buffers are
 honoured, so inter-timestep reuse (and its capacity limits) is visible to the
 simulator.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
-import numpy as np
-
-from ..core.scheduler import (
-    NaiveSchedule,
-    Schedule,
-    SpatialBlockSchedule,
-    WavefrontSchedule,
-    instance_lags,
-    tile_origins,
-    time_tiles,
-)
+from ..core.scheduler import Schedule, lower, time_tiles
 from ..machine.kernels import KernelSpec, SliceAccess
 
 __all__ = ["TraceGeometry", "ChunkAddresser", "schedule_trace", "simulate_schedule"]
@@ -100,14 +91,6 @@ def _row_chunks(
         yield addresser.pencil(sl, t, x, y)
 
 
-def _boxes(geom: TraceGeometry, block: Tuple[int, ...]) -> Iterator[Tuple[int, int, int, int]]:
-    bx = block[0] if block else geom.nx
-    by = block[1] if len(block) > 1 else geom.ny
-    for x0 in range(0, geom.nx, bx):
-        for y0 in range(0, geom.ny, by):
-            yield (x0, min(x0 + bx, geom.nx), y0, min(y0 + by, geom.ny))
-
-
 def schedule_trace(
     spec: KernelSpec,
     geom: TraceGeometry,
@@ -117,39 +100,17 @@ def schedule_trace(
     addresser: Optional[ChunkAddresser] = None,
 ) -> Iterator[int]:
     """Yield the pencil-chunk access stream of a schedule."""
-    addresser = addresser or ChunkAddresser(spec, geom)
-
-    if isinstance(schedule, (NaiveSchedule, SpatialBlockSchedule)):
-        block = schedule.block if isinstance(schedule, SpatialBlockSchedule) else ()
-        for t in range(time_m, time_M):
-            for sweep in spec.sweeps:
-                for (x0, x1, y0, y1) in _boxes(geom, block):
-                    for x in range(x0, x1):
-                        for y in range(y0, y1):
-                            yield from _row_chunks(addresser, sweep, t, x, y, geom)
-        return
-
-    if not isinstance(schedule, WavefrontSchedule):
+    if not isinstance(schedule, Schedule):
         raise TypeError(f"cannot trace schedule {schedule!r}")
-
+    addresser = addresser or ChunkAddresser(spec, geom)
     radii = tuple(s.radius for s in spec.sweeps)
-    tile = schedule.tile
-    tx = tile[0]
-    ty = tile[1] if len(tile) > 1 else geom.ny
     for t0, t1 in time_tiles(time_m, time_M, schedule.height):
-        lags = instance_lags(radii, t1 - t0)
-        max_lag = lags[-1]
-        instances = [(t, j) for t in range(t0, t1) for j in range(len(spec.sweeps))]
-        for (ox, oy) in tile_origins((geom.nx, geom.ny), (tx, ty), max_lag):
-            for (t, j), lag in zip(instances, lags):
-                x_lo, x_hi = max(ox - lag, 0), min(ox - lag + tx, geom.nx)
-                y_lo, y_hi = max(oy - lag, 0), min(oy - lag + ty, geom.ny)
-                if x_lo >= x_hi or y_lo >= y_hi:
-                    continue
-                sweep = spec.sweeps[j]
-                for x in range(x_lo, x_hi):
-                    for y in range(y_lo, y_hi):
-                        yield from _row_chunks(addresser, sweep, t, x, y, geom)
+        steps = lower(schedule, (geom.nx, geom.ny), radii, t1 - t0)
+        for dt, j, ((x0, x1), (y0, y1)), _sparse_box, _tile, _npoints in steps:
+            sweep = spec.sweeps[j]
+            for x in range(x0, x1):
+                for y in range(y0, y1):
+                    yield from _row_chunks(addresser, sweep, t0 + dt, x, y, geom)
 
 
 def simulate_schedule(

@@ -21,6 +21,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..core.scheduler import SCHEDULES
+
 __all__ = [
     "EXAMPLES",
     "SCHEDULES",
@@ -35,7 +37,6 @@ __all__ = [
 ]
 
 EXAMPLES = ("acoustic", "tti", "elastic")
-SCHEDULES = ("naive", "spatial", "wavefront")
 JOB_ENGINES = ("fused", "kernel", "interp")
 
 #: priority lanes of the streaming admission front-end, best first: within

@@ -76,15 +76,10 @@ class WarmState:
         self._step_caches: Dict[tuple, dict] = {}
 
     def step_cache(self, spec: JobSpec) -> dict:
-        """The family step cache for *spec* — instrumentation counts are
-        evicted first: they are fingerprinted by mask object ids, which a
-        long-lived process may recycle across operators, and they are cheap
-        to rebuild (the expensive `(tile, height)` step plans stay)."""
-        cache = self._step_caches.setdefault(
+        """The family step cache for *spec*."""
+        return self._step_caches.setdefault(
             (spec.example, spec.schedule, spec.engine), {}
         )
-        cache.pop("instr-counts", None)
-        return cache
 
 
 def _safe_exception(exc: BaseException) -> BaseException:

@@ -34,6 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..core.scheduler import make_schedule
 from ..errors import CheckpointCorruptError
 from ..runtime.abft import ABFTGuard
 from ..runtime.checkpoint import CheckpointConfig, FileCheckpointStore
@@ -44,7 +45,6 @@ from .spec import JobSpec
 
 __all__ = [
     "build_problem",
-    "make_schedule",
     "execute_attempt",
     "run_job_inline",
     "child_main",
@@ -70,16 +70,6 @@ def model_arrays() -> dict:
     from ..propagators import layered_velocity
 
     return {VP_KEY: layered_velocity(SHAPE, 1.5, 3.0, 3)}
-
-
-def make_schedule(kind: str):
-    from ..core.scheduler import NaiveSchedule, SpatialBlockSchedule, WavefrontSchedule
-
-    if kind == "naive":
-        return NaiveSchedule()
-    if kind == "spatial":
-        return SpatialBlockSchedule(block=(6, 6))
-    return WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
 
 
 def build_problem(spec: JobSpec, shared=None):

@@ -28,33 +28,14 @@ import json
 import sys
 from typing import List
 
-from .core.scheduler import (
-    NaiveSchedule,
-    SpatialBlockSchedule,
-    WavefrontSchedule,
-)
+from .core.scheduler import SCHEDULES, make_schedule
 from .errors import ScheduleLegalityError
 from .verify import lint_operator, prove_schedule
 
 EXAMPLES = ("acoustic", "tti", "elastic")
 
-#: the schedule sweep shared by the lint/verify/profile CLIs — one source of
-#: truth so static verification covers exactly the schedules profiled
-SCHEDULES = ("naive", "spatial", "wavefront")
-
 #: JSON envelope version of ``--json`` output (bump on schema changes)
 JSON_SCHEMA_VERSION = 1
-
-
-def make_schedule(kind: str):
-    """The concrete schedule each CLI kind maps to (shared with profile)."""
-    if kind == "naive":
-        return NaiveSchedule()
-    if kind == "spatial":
-        return SpatialBlockSchedule(block=(6, 6))
-    if kind == "wavefront":
-        return WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
-    raise ValueError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULES}")
 
 
 def build_example(kind: str, nt: int = 16, so: int = 4):

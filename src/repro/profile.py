@@ -24,9 +24,7 @@ import json
 import sys
 from typing import List
 
-# the schedule sweep is shared with the lint/verify CLIs (one source of
-# truth: static verification covers exactly the schedules profiled)
-from .lint import SCHEDULES, make_schedule as _make_schedule
+from .core.scheduler import SCHEDULES, make_schedule
 from .telemetry import Telemetry, telemetry_to_json, render_phase_table, write_chrome_trace
 
 EXAMPLES = ("quickstart", "acoustic", "tti", "elastic")
@@ -45,7 +43,7 @@ def profile_example(
     prop, dt = build_example("acoustic" if kind == "quickstart" else kind, nt=nt)
     telemetry = Telemetry(detail=detail)
     prop.forward(
-        nt=nt, dt=dt, schedule=_make_schedule(schedule),
+        nt=nt, dt=dt, schedule=make_schedule(schedule),
         engine=engine, telemetry=telemetry,
     )
     return telemetry

@@ -1,8 +1,8 @@
 """The runtime monitor: one object the executors consult during a run.
 
 Bundles the three optional resilience facilities — health guards, checkpoint
-/restart and fault injection — behind the narrow hook surface the executors
-call:
+/restart and fault injection — behind the narrow hook surface the executor
+calls:
 
 * :meth:`begin` — once per run, before the first instance; restores the
   latest snapshot when the checkpoint config asks to resume and returns the
@@ -10,16 +10,15 @@ call:
 * :meth:`after_instance` — after every executed sweep instance ``(j, t,
   box)``: fires due faults first (so a cadence-1 guard attributes the
   corruption to the exact instance), then ticks the health guard.
-* :meth:`after_step` — naive/spatial schedules, after timestep ``t``
-  completed (stencil + sparse + receiver finalize): ABFT invariant check,
-  then checkpoint cadence (never snapshot unverified state).
-* :meth:`after_tile` — wavefront schedules, after a full time tile
-  ``[t0, t1)``: the only consistent snapshot points of a tiled run.
+* :meth:`after_tile` — after a full time tile ``[t0, t1)`` (one timestep
+  under naive/spatial schedules) completed (stencil + sparse + receiver
+  finalize), the only consistent snapshot points of a run: ABFT invariant
+  check, then checkpoint cadence (never snapshot unverified state).
 * :meth:`tile_entry` / :meth:`contain` — the ABFT containment pair: record
   entry state before a containment unit, and on a detected corruption
   restore its micro-snapshot so the executor re-executes just that unit.
 
-Executors keep a single ``monitor is not None`` branch on their hot paths;
+The executor keeps a single ``monitor is not None`` branch per hook site;
 with no facility configured no monitor is built at all.
 
 A checkpoint save that hits storage exhaustion (ENOSPC) does not kill the
@@ -58,8 +57,7 @@ class RuntimeMonitor:
         #: checkpointing, or None while storage is healthy
         self.storage_degraded: Optional[StorageExhaustedError] = None
         #: optional :class:`~repro.telemetry.Telemetry` buffer; checkpoint
-        #: saves and restores emit events/counters into it.  Assigned by
-        #: ``run_schedule`` when both layers are attached to the same run.
+        #: saves and restores emit events/counters into it
         self.telemetry = telemetry
         self._last_saved: Optional[int] = None
 
@@ -103,11 +101,6 @@ class RuntimeMonitor:
                         )
         if self.health is not None:
             self.health.on_instance(plan.sweeps[j], t, box)
-
-    def after_step(self, plan, t: int) -> None:
-        if self.abft is not None:
-            self.abft.tile_check(plan, t, t + 1)
-        self._maybe_save(plan, t + 1)
 
     def after_tile(self, plan, t0: int, t1: int) -> None:
         if self.abft is not None:

@@ -15,7 +15,7 @@ per loop and record nothing.  See ``python -m repro.profile --help`` for the
 command-line front-end.
 """
 
-from .counters import Counters, derived_metrics, gathered_points, injected_points
+from .counters import Counters, derived_metrics
 from .export import (
     render_phase_table,
     telemetry_to_json,
@@ -43,8 +43,6 @@ __all__ = [
     "PHASES",
     "DETAIL_LEVELS",
     "Counters",
-    "injected_points",
-    "gathered_points",
     "derived_metrics",
     "telemetry_to_json",
     "render_phase_table",

@@ -1,8 +1,8 @@
 """Per-phase counters and the derived achieved-performance metrics.
 
 :class:`Counters` is a plain ``dict`` of integer tallies with an ``add``
-helper; the executors flush locally-accumulated tallies into it once per run
-so the hot loops pay Python-int additions only.
+helper; the executor flushes locally-accumulated tallies into it once per run
+so the hot loop pays Python-int additions only.
 
 Counter taxonomy (all optional — absent means the producer never ran):
 
@@ -11,18 +11,20 @@ Counter taxonomy (all optional — absent means the producer never ran):
   sweep); ``sweep{j}.points`` — box points per sweep (once per instance,
   not per equation) — the quantity flop/traffic models scale with.
 * ``src_points_injected`` / ``rec_points_gathered`` / ``rec_rows_finalized``
-  — sparse-operator work items (grid-aligned points for the precomputed
-  path, support corners for the raw off-the-grid path).
+  — sparse-operator work items: the sums of what ``apply``/``gather``
+  returned (grid-aligned points for the precomputed path, support corners
+  for the raw off-the-grid injection, 0 for the raw receiver, which
+  measures only at ``finalize``) and the ``finalize`` calls made.
 * ``view_cache_hits`` / ``view_cache_misses`` — the fused engine's memoised
   ``(t, box)`` view bindings (:class:`~repro.execution.evalbox.BoundSweep`).
 * ``kernel_cache_hits`` / ``kernel_cache_misses`` — process-wide compiled
   RHS/sweep kernel lookups during operator binding
   (:func:`repro.ir.pycodegen.kernel_cache_stats`); a warm worker's second
   job of a family is all hits, which is the whole point of keeping it alive.
-* ``step_cache_hits`` / ``step_cache_misses`` — wavefront ``(tile, height)``
-  step-plan lookups per time tile (:mod:`repro.execution.executors`); hits
-  mean the tile geometry was replayed from a prior run (or a warm worker's
-  persistent family cache) instead of recomputed.
+* ``step_cache_hits`` / ``step_cache_misses`` — ``(schedule, height)``
+  step-list lookups per time tile (:mod:`repro.execution.executors`); hits
+  mean the lowered geometry was replayed from an earlier tile or run (or a
+  warm worker's persistent family cache) instead of recomputed.
 * ``checkpoint_saves``, ``guard_ticks``, ``guard_checks``, ``faults_fired``
   — runtime-monitor activity (:mod:`repro.runtime`).
 * ``engine_fallbacks`` — fused→kernel→interp ladder transitions during
@@ -56,8 +58,6 @@ from typing import Dict, Optional
 
 __all__ = [
     "Counters",
-    "injected_points",
-    "gathered_points",
     "derived_metrics",
 ]
 
@@ -73,43 +73,6 @@ class Counters(dict):
 
     def to_dict(self) -> Dict[str, int]:
         return {k: int(v) for k, v in sorted(self.items())}
-
-
-def injected_points(inj, t: int, box) -> int:
-    """Grid points the injection executor touches at ``(t, box)``.
-
-    Duck-typed over both executor families: the grid-aligned
-    :class:`~repro.core.aligned.AlignedInjection` (its memoised
-    ``points_in_box`` makes the second lookup a cache hit, so counting costs
-    a dict probe) and the raw off-the-grid
-    :class:`~repro.execution.sparse.RawInjection` (``npoint × 2^d`` support
-    corners, whole-grid only).
-    """
-    masks = getattr(inj, "masks", None)
-    if masks is not None:  # grid-aligned path
-        if not 0 <= t < inj.nt or masks.npts == 0:
-            return 0
-        if box is None:
-            return int(masks.npts)
-        return int(masks.points_in_box(box).size)
-    indices = getattr(inj, "indices", None)
-    if indices is None or not 0 <= t < inj.data.shape[0]:
-        return 0
-    return int(indices.shape[0] * indices.shape[1])
-
-
-def gathered_points(rec, t: int, box) -> int:
-    """Grid points the receiver executor stages at ``(t, box)`` (0 for the
-    raw off-the-grid path, which measures only at ``finalize``)."""
-    masks = getattr(rec, "masks", None)
-    if masks is None or masks.npts == 0:
-        return 0
-    row = t + rec.time_offset
-    if not 0 <= row < rec.output.shape[0]:
-        return 0
-    if box is None:
-        return int(masks.npts)
-    return int(masks.points_in_box(box).size)
 
 
 def derived_metrics(telemetry) -> Dict[str, Optional[float]]:

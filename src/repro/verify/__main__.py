@@ -53,7 +53,8 @@ def _warning_keys(payload: dict) -> set:
 
 def verify_example(kind: str) -> dict:
     """Run every analysis on one example; returns the JSON entry."""
-    from ..lint import SCHEDULES, build_example, make_schedule
+    from ..core.scheduler import SCHEDULES, make_schedule
+    from ..lint import build_example
     from .linter import lint_operator
 
     prop, dt = build_example(kind)

@@ -94,27 +94,6 @@ def test_engines_bit_identical_precomputed_sparse_naive():
         np.testing.assert_array_equal(rec_got, rec_ref)
 
 
-def test_wavefront_step_precompute_ablation_bit_identical():
-    """``precompute_steps=False`` (inline-geometry ablation, the seed's cost
-    structure) must traverse the exact same steps: same bits out, and the
-    operator's cross-apply step-plan cache must stay unused."""
-    import dataclasses
-
-    sched = SCHEDULES["wavefront"]
-    prop, dt = build("acoustic")
-    rec_ref, _ = prop.forward(nt=NT, dt=dt, schedule=sched, engine="fused")
-    ref = state_of(prop)
-    op = prop.op
-    assert op._step_cache, "default path should populate the step cache"
-    op._step_cache.clear()
-    ablated = dataclasses.replace(sched, precompute_steps=False)
-    rec_got, _ = prop.forward(nt=NT, dt=dt, schedule=ablated, engine="fused")
-    for f_got, f_ref in zip(state_of(prop), ref):
-        np.testing.assert_array_equal(f_got, f_ref)
-    np.testing.assert_array_equal(rec_got, rec_ref)
-    assert not op._step_cache, "ablated path must not populate the cache"
-
-
 def test_compiled_false_maps_to_interpreter():
     prop, dt = build("acoustic")
     plan = prop.op.apply(time_M=2, dt=dt, compiled=False)

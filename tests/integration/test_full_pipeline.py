@@ -73,7 +73,7 @@ def test_unsafe_offgrid_injection_is_wrong():
     injection inside space-time tiles violates flow dependencies and corrupts
     the wavefield."""
     from repro.core.scheduler import WavefrontSchedule
-    from repro.execution.executors import run_wavefront
+    from repro.execution.executors import run_schedule
     from repro.execution.sparse import UnsafeOffGridInjection
 
     prop, dt, nt = build("acoustic", so=4)
@@ -90,7 +90,7 @@ def test_unsafe_offgrid_injection_is_wrong():
     for j in plan.injections:
         plan.injections[j] = [unsafe]
     prop.zero_fields()
-    run_wavefront(plan, 0, nt, sched)
+    run_schedule(plan, 0, nt, sched)
     got = prop.u.interior(nt).copy()
 
     scale = np.abs(ref).max()

@@ -130,13 +130,13 @@ def test_apply_rejects_reversed_time_range(grid2d):
 
 
 def test_executor_rejects_reversed_range(grid2d):
-    from repro.execution.executors import run_naive
+    from repro.execution.executors import run_schedule
 
     op, u, m, src, rec = make_acoustic_operator(grid2d, nt=6)
     plan = op._bind(0.5, NaiveSchedule(), "offgrid")
     with pytest.raises(InvalidTimeRange, match="reversed"):
-        run_naive(plan, 5, 2)
-    run_naive(plan, 3, 3)  # empty range is a legal no-op at this level
+        run_schedule(plan, 5, 2, NaiveSchedule())
+    run_schedule(plan, 3, 3, NaiveSchedule())  # empty range is a legal no-op at this level
 
 
 def test_block_rank_exceeding_grid_rank(grid2d):
@@ -157,13 +157,13 @@ def test_empty_grid_extent_rejected():
     op, u, m, src, rec = make_acoustic_operator(
         grid, nt=4, src_coords=False, rec_coords=False
     )
-    from repro.execution.executors import run_naive
+    from repro.execution.executors import run_schedule
 
     plan = op._bind(0.5, NaiveSchedule(), "offgrid")
     grid.shape = (8, 0)  # simulate a degenerate extent slipping through
     try:
         with pytest.raises(PlanValidationError, match="empty extent"):
-            run_naive(plan, 0, 2)
+            run_schedule(plan, 0, 2, NaiveSchedule())
     finally:
         grid.shape = (8, 4)
 
