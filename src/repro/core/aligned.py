@@ -21,6 +21,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..dsl.functions import TimeFunction
+from ..dsl.interpolation import linear_index
 from .decompose import DecomposedReceiver, DecomposedSource
 
 __all__ = ["AlignedInjection", "AlignedReceiver"]
@@ -29,9 +30,14 @@ Box = Tuple[Tuple[int, int], ...]
 
 
 class AlignedInjection:
-    """Executable grid-aligned injection over boxes."""
+    """Executable grid-aligned injection over boxes.
 
-    def __init__(self, dsrc: DecomposedSource, field: TimeFunction, receivers_nt: Optional[int] = None):
+    Holds one linear index per affected point into the flat view of a padded
+    time buffer and gathers a box's slice of it per call: memoising that per
+    box costs more resident memory than the gather saves (DESIGN.md §2).
+    """
+
+    def __init__(self, dsrc: DecomposedSource, field: TimeFunction):
         if field.name != dsrc.field_name:
             raise ValueError(
                 f"decomposition targets field {dsrc.field_name!r}, got {field.name!r}"
@@ -41,9 +47,7 @@ class AlignedInjection:
         self.masks = dsrc.masks
         self.time_offset = dsrc.time_offset
         self.nt = dsrc.data.shape[0]
-        pts = self.masks.points
-        self._flat_idx = tuple(pts[:, d] + field.halo for d in range(pts.shape[1]))
-        self._points = pts
+        self._lin = linear_index(self.masks.points, field.halo, field.buffer(0))
         # convert the decomposed amplitudes to the field dtype once -- the hot
         # apply() path previously paid an astype per (t, box) instance
         self._amplitudes = np.ascontiguousarray(dsrc.data, dtype=field.dtype)
@@ -57,17 +61,16 @@ class AlignedInjection:
         """
         if not 0 <= t < self.nt or self.masks.npts == 0:
             return 0
+        # each affected point appears exactly once: plain fancy add suffices
         if box is None:
-            buf = self.field.buffer(t + self.time_offset)
-            np.add.at(buf, self._flat_idx, self._amplitudes[t])
+            flat = self.field.buffer(t + self.time_offset).reshape(-1)
+            flat[self._lin] += self._amplitudes[t]
             return self.masks.npts
         ids = self.masks.points_in_box(box)
         if ids.size == 0:  # the common case inside small tiles: nothing to do
             return 0
-        buf = self.field.buffer(t + self.time_offset)
-        idx = tuple(col[ids] for col in self._flat_idx)
-        # each affected point appears exactly once: plain fancy add suffices
-        buf[idx] += self._amplitudes[t][ids]
+        flat = self.field.buffer(t + self.time_offset).reshape(-1)
+        flat[self._lin.take(ids)] += self._amplitudes[t].take(ids)
         return ids.size
 
     def overhead_points(self) -> int:
@@ -93,8 +96,7 @@ class AlignedReceiver:
         self.masks = drec.masks
         self.time_offset = drec.time_offset
         self.output = output  # (nt, npoint) receiver traces
-        pts = self.masks.points
-        self._flat_idx = tuple(pts[:, d] + field.halo for d in range(pts.shape[1]))
+        self._lin = linear_index(self.masks.points, field.halo, field.buffer(0))
         self._staging: Dict[int, np.ndarray] = {}
 
     def _row(self, t: int) -> Optional[np.ndarray]:
@@ -117,12 +119,11 @@ class AlignedReceiver:
         stage = self._row(t)
         if stage is None:
             return 0
-        buf = self.field.buffer(t + self.time_offset)
+        flat = self.field.buffer(t + self.time_offset).reshape(-1)
         if box is None:
-            stage[: self.masks.npts] = buf[self._flat_idx]
+            stage[: self.masks.npts] = flat.take(self._lin)
             return self.masks.npts
-        idx = tuple(col[ids] for col in self._flat_idx)
-        stage[ids] = buf[idx]
+        stage[ids] = flat.take(self._lin.take(ids))
         return ids.size
 
     def finalize(self, t: int) -> None:

@@ -22,7 +22,6 @@ import numpy as np
 from scipy import sparse as sp
 
 from ..dsl.functions import Injection, Interpolation
-from ..dsl.interpolation import support_points
 from .masks import SourceMasks, build_masks
 
 __all__ = ["DecomposedSource", "DecomposedReceiver", "decompose_source", "decompose_receiver"]
@@ -79,40 +78,28 @@ def decompose_source(
     from ..execution.sparse import evaluate_point_scale
 
     sparse_fn = injection.sparse
-    grid = sparse_fn.grid
     if masks is None:
         masks = build_masks(sparse_fn, method=method)
-
-    indices, weights = support_points(sparse_fn.coordinates, grid)
-    npoint, ncorner, ndim = indices.shape
-    flat_points = indices.reshape(-1, ndim)
-    scale = evaluate_point_scale(injection.expr, flat_points, grid, dt)
-    scaled_w = (weights.reshape(-1) * scale).reshape(npoint, ncorner)
-
-    # corner -> affected-point id; corners with zero weight may be absent from
-    # the mask (never affected), so route them to a dummy slot
-    idx = tuple(flat_points[:, d] for d in range(ndim))
-    corner_ids = masks.sid[idx].astype(np.int64)
-    missing = corner_ids < 0
-    if np.any(missing & (np.abs(scaled_w.reshape(-1)) > 0)):
-        raise RuntimeError(
-            "affected-point discovery missed a nonzero-weight support point"
-        )
-
-    nt = sparse_fn.nt
+    npoint, ncorner = masks.weights.shape
     npts = masks.npts
-    cid = np.where(missing, npts, corner_ids).reshape(npoint, ncorner)
+
+    # the scale is a function of the grid point alone: evaluate it once per
+    # affected point and look it up per corner (the dummy slot scales by 0)
+    scale = evaluate_point_scale(injection.expr, masks.points, sparse_fn.grid, dt)
+    rows = masks.corner_ids.reshape(-1)
+    vals = masks.weights.reshape(-1) * np.append(scale, 0.0).take(rows)
+
     # src_dcmp[t, id] += w * src[t, s] for every (source, corner); accumulate
-    # through a sparse scatter matrix so memory stays O(nt*npts + npoint)
-    src = np.asarray(sparse_fn.data, dtype=np.float64)  # (nt, npoint)
-    rows = cid.reshape(-1)
+    # through a sparse scatter matrix, one timestep at a time, so memory
+    # stays O(nt*npts + npoint) in the field dtype
     cols = np.repeat(np.arange(npoint), ncorner)
-    vals = scaled_w.reshape(-1)
     scatter = sp.csr_matrix(
         (vals, (rows, cols)), shape=(npts + 1, npoint)
     )  # +1 dummy row absorbs zero-weight corners outside the mask
-    data = scatter.dot(src.T).T  # (nt, npts+1)
-    out = np.ascontiguousarray(data[:, :npts]).astype(grid.dtype)
+    src = np.asarray(sparse_fn.data, dtype=np.float64)  # (nt, npoint)
+    out = np.empty((sparse_fn.nt, npts), dtype=sparse_fn.grid.dtype)
+    for t in range(sparse_fn.nt):
+        out[t] = scatter.dot(src[t])[:npts]
     return DecomposedSource(
         masks=masks,
         data=out,
@@ -127,28 +114,14 @@ def decompose_receiver(
     method: str = "analytic",
 ) -> DecomposedReceiver:
     """Grid-align a measurement interpolation (the receiver dual of Listing 3)."""
-    sparse_fn = interpolation.sparse
-    grid = sparse_fn.grid
     if masks is None:
-        masks = build_masks(sparse_fn, method=method)
-
-    indices, weights = support_points(sparse_fn.coordinates, grid)
-    npoint, ncorner, ndim = indices.shape
-    flat_points = indices.reshape(-1, ndim)
-    idx = tuple(flat_points[:, d] for d in range(ndim))
-    corner_ids = masks.sid[idx].astype(np.int64).reshape(npoint, ncorner)
-    w = weights.copy()
-    valid = corner_ids >= 0
-    if np.any(~valid & (np.abs(w) > 0)):
-        raise RuntimeError(
-            "affected-point discovery missed a nonzero-weight support point"
-        )
-    w[~valid] = 0.0
-    corner_ids[~valid] = 0
+        masks = build_masks(interpolation.sparse, method=method)
+    npoint, ncorner = masks.weights.shape
+    valid = (masks.corner_ids < masks.npts).reshape(-1)
 
     rows = np.repeat(np.arange(npoint), ncorner)
-    cols = corner_ids.reshape(-1)
-    vals = w.reshape(-1)
+    cols = np.where(valid, masks.corner_ids.reshape(-1), 0)
+    vals = np.where(valid, masks.weights.reshape(-1), 0.0)
     matrix = sp.csr_matrix(
         (vals, (rows, cols)), shape=(npoint, max(masks.npts, 1))
     )

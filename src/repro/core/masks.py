@@ -24,7 +24,7 @@ import numpy as np
 
 from ..dsl.functions import SparseTimeFunction
 from ..dsl.grid import Grid
-from .precompute import affected_points
+from .precompute import affected_keys, key_points, support_keys
 
 __all__ = ["SourceMasks", "build_masks"]
 
@@ -44,6 +44,11 @@ class SourceMasks:
     nnz: np.ndarray
     #: compacted innermost indices, int32, shape grid.shape[:-1] + (max_nnz,)
     sp_sid: np.ndarray
+    #: the support every decomposition reads, both (npoint, 2^ndim): per
+    #: corner its multilinear weight and ``SID`` at its grid point — ``npts``
+    #: (a dummy slot) for a zero-weight corner no source affects
+    weights: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    corner_ids: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     #: leading-dim bucket index: ``_starts[x] .. _starts[x+1]`` is the id range
     #: of points with leading coordinate ``x`` (built lazily; points are in
     #: canonical lexicographic order so ids within a slab are contiguous)
@@ -54,10 +59,6 @@ class SourceMasks:
     #: (versus ``queries * npts`` for the brute-force scan); cache hits listed
     #: separately so op-count tests can reason about cold lookups
     stats: Dict[str, int] = field(default_factory=lambda: {"queries": 0, "scanned": 0, "cache_hits": 0}, init=False, repr=False, compare=False)
-    #: ablation knob: False routes :meth:`points_in_box` through the
-    #: unmemoised brute-force scan — the seed's lookup path, kept for A/B
-    #: benchmarks and the randomized equivalence test
-    indexed: bool = field(default=True, init=False, repr=False, compare=False)
 
     @property
     def npts(self) -> int:
@@ -117,21 +118,14 @@ class SourceMasks:
         per query (the executable analogue of the Listing-5 compression).
         Results are memoised per box; tile geometry repeats every time tile.
         """
-        if self.indexed:
-            # probe with the raw box first: int-valued tuples hash equal to
-            # their canonical form, so repeated hot-loop queries skip the
-            # per-element int() conversion below entirely
-            hit = self._box_cache.get(box)
-            if hit is not None:
-                self.stats["queries"] += 1
-                self.stats["cache_hits"] += 1
-                return hit
-        box = tuple((int(lo), int(hi)) for lo, hi in box)
         self.stats["queries"] += 1
-        if not self.indexed:  # seed-path ablation: O(npts) scan, no memo
-            self.stats["scanned"] += self.npts
-            return self._points_in_box_scan(box)
+        # probe with the raw box first: int-valued tuples hash equal to
+        # their canonical form, so repeated hot-loop queries skip the
+        # per-element int() conversion below entirely
         hit = self._box_cache.get(box)
+        if hit is None:
+            box = tuple((int(lo), int(hi)) for lo, hi in box)
+            hit = self._box_cache.get(box)
         if hit is not None:
             self.stats["cache_hits"] += 1
             return hit
@@ -162,34 +156,38 @@ class SourceMasks:
 def build_masks(sparse: SparseTimeFunction, method: str = "analytic") -> SourceMasks:
     """Build all mask structures for a sparse point set (Fig. 5b/5c + Fig. 6)."""
     grid = sparse.grid
-    points = affected_points(sparse, method=method)
-    npts = points.shape[0]
+    keys, weights = support_keys(sparse)
+    point_keys = affected_keys(sparse, keys, weights, method)
+    npts = point_keys.size
 
     sm = np.zeros(grid.shape, dtype=np.uint8)
     sid = np.full(grid.shape, -1, dtype=np.int32)
-    if npts:
-        idx = tuple(points[:, d] for d in range(grid.ndim))
-        sm[idx] = 1
-        sid[idx] = np.arange(npts, dtype=np.int32)
+    sm.reshape(-1)[point_keys] = 1
+    sid.reshape(-1)[point_keys] = np.arange(npts, dtype=np.int32)
 
-    # compress along the innermost dimension (z for 3-D grids)
-    nnz = np.count_nonzero(sm, axis=-1).astype(np.int32)
-    max_nnz = int(nnz.max()) if nnz.size else 0
-    pencil_shape = grid.shape[:-1]
-    sp_sid = np.full(pencil_shape + (max(max_nnz, 1),), -1, dtype=np.int32)
-    if npts:
-        # vectorised CSR-style fill: rank affected z's within each pencil
-        mask_flat = sm.reshape(-1, grid.shape[-1]).astype(bool)
-        rows, zs = np.nonzero(mask_flat)
-        # position of each nonzero within its row
-        slot = np.zeros_like(rows)
-        if rows.size:
-            first = np.ones(rows.size, dtype=bool)
-            first[1:] = rows[1:] != rows[:-1]
-            starts = np.flatnonzero(first)
-            counts_idx = np.arange(rows.size)
-            slot = counts_idx - np.repeat(counts_idx[starts], np.diff(np.append(starts, rows.size)))
-        sp_flat = sp_sid.reshape(-1, sp_sid.shape[-1])
-        sp_flat[rows, slot] = zs.astype(np.int32)
+    corner_ids = sid.reshape(-1).take(keys)
+    unaffected = corner_ids < 0
+    if np.any(unaffected & (np.abs(weights) > 0)):
+        raise RuntimeError("affected-point discovery missed a nonzero-weight support point")
+    corner_ids[unaffected] = npts
 
-    return SourceMasks(grid=grid, points=points, sm=sm, sid=sid, nnz=nnz, sp_sid=sp_sid)
+    # compress along the innermost dimension (z for 3-D grids): keys are
+    # sorted, so a pencil's points are consecutive and a point's slot is its
+    # id minus the id of its pencil's first point
+    pencils, zs = np.divmod(point_keys, grid.shape[-1])
+    counts = np.bincount(pencils, minlength=grid.npoints // grid.shape[-1])
+    nnz = counts.reshape(grid.shape[:-1]).astype(np.int32)
+    sp_sid = np.full(grid.shape[:-1] + (max(int(counts.max()), 1),), -1, dtype=np.int32)
+    slots = np.arange(npts) - (np.cumsum(counts) - counts)[pencils]
+    sp_sid.reshape(-1, sp_sid.shape[-1])[pencils, slots] = zs
+
+    return SourceMasks(
+        grid=grid,
+        points=key_points(grid, point_keys),
+        sm=sm,
+        sid=sid,
+        nnz=nnz,
+        sp_sid=sp_sid,
+        weights=weights,
+        corner_ids=corner_ids,
+    )

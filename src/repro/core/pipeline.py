@@ -10,19 +10,15 @@ overhead reporting the paper's §IV-E relies on.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..dsl.functions import Injection, Interpolation
-from .decompose import (
-    DecomposedReceiver,
-    DecomposedSource,
-    decompose_receiver,
-    decompose_source,
-)
-from .masks import SourceMasks, build_masks
+from ..dsl.functions import Injection, Interpolation, SparseTimeFunction
+from .decompose import DecomposedReceiver, DecomposedSource
+from .masks import SourceMasks
 from .scheduler import WavefrontSchedule, instance_lags
 
 __all__ = ["TemporalBlockingPipeline", "PipelineReport"]
@@ -73,9 +69,11 @@ class TemporalBlockingPipeline:
         self.dt = float(dt)
         self.model = model
         self.kind = kind
-        self.masks: Dict[str, SourceMasks] = {}
-        self.sources: Dict[int, DecomposedSource] = {}
-        self.receivers: Dict[int, DecomposedReceiver] = {}
+        # keyed like (and filled through) the operator's own caches: by the
+        # sparse function / sparse operator object
+        self.masks: Dict[SparseTimeFunction, SourceMasks] = {}
+        self.sources: Dict[Injection, DecomposedSource] = {}
+        self.receivers: Dict[Interpolation, DecomposedReceiver] = {}
         self._done = False
 
     # -- pre-flight ----------------------------------------------------------------
@@ -93,11 +91,8 @@ class TemporalBlockingPipeline:
 
         if self.model is not None:
             check_cfl(self.dt, self.model, kind=self.kind, policy=cfl_policy)
-        seen = set()
-        for sp_op in (*self.operator.injections(), *self.operator.interpolations()):
-            if id(sp_op.sparse) not in seen:
-                seen.add(id(sp_op.sparse))
-                check_coordinates(sp_op.sparse)
+        for sparse_fn in dict.fromkeys(sp_op.sparse for sp_op in self.operator.sparse_ops):
+            check_coordinates(sparse_fn)
         if self._done:
             for masks in self.masks.values():
                 check_masks(masks)
@@ -122,47 +117,31 @@ class TemporalBlockingPipeline:
                 "pipeline.precompute", phase="precompute", method=method
             )
         self.preflight()
-        for inj in self.operator.injections():
-            if telemetry is not None:
-                with telemetry.span(
-                    "decompose.source", phase="precompute", sparse=inj.sparse.name
-                ):
-                    masks = self._masks_for(inj.sparse, method)
-                    self.sources[id(inj)] = decompose_source(inj, self.dt, masks=masks)
-            else:
-                masks = self._masks_for(inj.sparse, method)
-                self.sources[id(inj)] = decompose_source(inj, self.dt, masks=masks)
-        for itp in self.operator.interpolations():
-            if telemetry is not None:
-                with telemetry.span(
-                    "decompose.receiver", phase="precompute", sparse=itp.sparse.name
-                ):
-                    masks = self._masks_for(itp.sparse, method)
-                    self.receivers[id(itp)] = decompose_receiver(itp, masks=masks)
-            else:
-                masks = self._masks_for(itp.sparse, method)
-                self.receivers[id(itp)] = decompose_receiver(itp, masks=masks)
+        op = self.operator
+
+        def step(name, sp_op):
+            if telemetry is None:
+                return nullcontext()
+            return telemetry.span(name, phase="precompute", sparse=sp_op.sparse.name)
+
+        # through the operator's caches, so apply() reuses this work
+        for inj in op.injections():
+            with step("decompose.source", inj):
+                self.sources[inj] = op._decomposed(inj, self.dt, method)
+        for itp in op.interpolations():
+            with step("decompose.receiver", itp):
+                self.receivers[itp] = op._decomposed(itp, self.dt, method)
+        for sp_op in op.sparse_ops:
+            self.masks[sp_op.sparse] = op._masks_for(sp_op.sparse)
         self._done = True
         from ..runtime.preflight import check_masks
 
         for masks in self.masks.values():
             check_masks(masks)
-        # prime the operator's caches so apply() reuses this work
-        for inj in self.operator.injections():
-            self.operator._decomp_cache[(id(inj), self.dt)] = self.sources[id(inj)]
-        for itp in self.operator.interpolations():
-            self.operator._decomp_cache[(id(itp), 0.0)] = self.receivers[id(itp)]
         if pspan is not None:
             telemetry.end(pspan)
             telemetry.add_phase("precompute", pspan.dur)
         return self
-
-    def _masks_for(self, sparse_fn, method: str) -> SourceMasks:
-        key = sparse_fn.name
-        if key not in self.masks:
-            self.masks[key] = build_masks(sparse_fn, method=method)
-            self.operator._mask_cache[id(sparse_fn)] = self.masks[key]
-        return self.masks[key]
 
     # -- accounting ---------------------------------------------------------------------
     def report(self, example_height: int = 4) -> PipelineReport:

@@ -17,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..errors import CoordinateOutOfDomain
+from ..errors import CoordinateOutOfDomain, PlanValidationError
 from .grid import Grid
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "corner_offsets",
     "multilinear_coefficients",
     "support_points",
+    "linear_index",
     "inject_values",
     "interpolate_values",
 ]
@@ -122,6 +123,23 @@ def support_points(coords: np.ndarray, grid: Grid) -> Tuple[np.ndarray, np.ndarr
     return indices, weights
 
 
+def linear_index(indices: np.ndarray, halo: int, buffer: np.ndarray) -> np.ndarray:
+    """Position of each interior grid index in ``buffer.reshape(-1)``.
+
+    ``indices`` has shape ``(..., ndim)``; the result drops the last axis.
+    Sparse operators compute this once and then scatter/gather through the
+    flat view of a *padded* buffer, which is only a view of a C-contiguous
+    buffer — on any other layout ``reshape`` copies and an injection into it
+    is silently lost, hence the check here, at construction, not per call.
+    """
+    if not buffer.flags.c_contiguous:
+        raise PlanValidationError(
+            f"sparse operators need a C-contiguous field buffer, got strides "
+            f"{buffer.strides} for shape {buffer.shape}"
+        )
+    return np.ravel_multi_index(tuple(np.moveaxis(indices, -1, 0) + halo), buffer.shape)
+
+
 def inject_values(
     buffer: np.ndarray,
     halo: int,
@@ -135,11 +153,9 @@ def inject_values(
     interior grid indices as returned by :func:`support_points`.  Uses
     ``np.add.at`` so points sharing support accumulate correctly.
     """
-    amplitudes = np.asarray(amplitudes)
-    npoint, ncorner, ndim = indices.shape
-    flat_idx = tuple(indices[..., d].ravel() + halo for d in range(ndim))
-    contributions = (weights * amplitudes[:, None]).astype(buffer.dtype, copy=False)
-    np.add.at(buffer, flat_idx, contributions.ravel())
+    lin = linear_index(indices, halo, buffer)
+    contributions = (weights * np.asarray(amplitudes)[:, None]).astype(buffer.dtype, copy=False)
+    np.add.at(buffer.reshape(-1), lin.ravel(), contributions.ravel())
 
 
 def interpolate_values(
@@ -149,7 +165,5 @@ def interpolate_values(
     weights: np.ndarray,
 ) -> np.ndarray:
     """Gather field values at the support points, returning one value per point."""
-    npoint, ncorner, ndim = indices.shape
-    flat_idx = tuple(indices[..., d].ravel() + halo for d in range(ndim))
-    sampled = buffer[flat_idx].reshape(npoint, ncorner)
+    sampled = buffer.reshape(-1).take(linear_index(indices, halo, buffer))
     return (sampled * weights).sum(axis=1)

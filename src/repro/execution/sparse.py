@@ -16,7 +16,7 @@ import numpy as np
 
 from ..dsl.functions import Function, Injection, Interpolation, TimeFunction
 from ..dsl.grid import Grid
-from ..dsl.interpolation import support_points
+from ..dsl.interpolation import linear_index, locate_points, support_points
 from ..dsl.symbols import Expr, Indexed, Number, Symbol
 
 __all__ = [
@@ -66,13 +66,15 @@ class RawInjection:
         self.field = injection.field
         self.grid = sparse.grid
         self.time_offset = injection.time_offset
-        self.indices, self.weights = support_points(sparse.coordinates, self.grid)
-        npoint, ncorner, ndim = self.indices.shape
-        flat_points = self.indices.reshape(-1, ndim)
-        scale = evaluate_point_scale(injection.expr, flat_points, self.grid, dt)
+        indices, weights = support_points(sparse.coordinates, self.grid)
+        scale = evaluate_point_scale(
+            injection.expr, indices.reshape(-1, self.grid.ndim), self.grid, dt
+        )
         # fold the per-corner scale into the interpolation weights
-        self.scaled_weights = self.weights * scale.reshape(npoint, ncorner)
+        self.scaled_weights = weights * scale.reshape(weights.shape)
         self.data = sparse.data
+        #: per-corner position in the flat view of a padded time buffer
+        self._lin = linear_index(indices, self.field.halo, self.field.buffer(0))
 
     def apply(self, t: int, box=None) -> int:
         """Inject amplitudes of source sample *t* into ``field[t + offset]``;
@@ -90,16 +92,10 @@ class RawInjection:
         if not 0 <= t < self.data.shape[0]:
             return 0
         buf = self.field.buffer(t + self.time_offset)
-        halo = self.field.halo
-        npoint, ncorner, ndim = self.indices.shape
-        flat_idx = tuple(self.indices[..., d].ravel() + halo for d in range(ndim))
         contributions = self.scaled_weights * self.data[t][:, None].astype(np.float64)
-        np.add.at(buf, flat_idx, contributions.ravel().astype(buf.dtype))
-        return npoint * ncorner
-
-    @property
-    def support_indices(self) -> np.ndarray:
-        return self.indices
+        # sources may share corners: np.add.at, in (source, corner) order
+        np.add.at(buf.reshape(-1), self._lin.ravel(), contributions.ravel().astype(buf.dtype))
+        return self._lin.size
 
 
 class UnsafeOffGridInjection(RawInjection):
@@ -115,25 +111,26 @@ class UnsafeOffGridInjection(RawInjection):
     use it for real modelling.
     """
 
+    def __init__(self, injection: Injection, dt: float):
+        super().__init__(injection, dt)
+        # min corner per source
+        self._base, _ = locate_points(injection.sparse.coordinates, self.grid)
+
     def apply(self, t: int, box=None) -> int:
         if box is None:
             return super().apply(t)
         if not 0 <= t < self.data.shape[0]:
             return 0
-        base = self.indices[:, 0, :]  # min corner per source
-        sel = np.ones(base.shape[0], dtype=bool)
+        sel = np.ones(self._base.shape[0], dtype=bool)
         for d, (lo, hi) in enumerate(box):
-            sel &= (base[:, d] >= lo) & (base[:, d] < hi)
+            sel &= (self._base[:, d] >= lo) & (self._base[:, d] < hi)
         if not sel.any():
             return 0
         buf = self.field.buffer(t + self.time_offset)
-        halo = self.field.halo
-        idx = self.indices[sel]
-        npoint, ncorner, ndim = idx.shape
-        flat_idx = tuple(idx[..., d].ravel() + halo for d in range(ndim))
+        lin = self._lin[sel]
         contributions = self.scaled_weights[sel] * self.data[t][sel][:, None].astype(np.float64)
-        np.add.at(buf, flat_idx, contributions.ravel().astype(buf.dtype))
-        return npoint * ncorner
+        np.add.at(buf.reshape(-1), lin.ravel(), contributions.ravel().astype(buf.dtype))
+        return lin.size
 
 
 class RawInterpolation:
@@ -145,8 +142,9 @@ class RawInterpolation:
         self.field = interpolation.field
         self.grid = sparse.grid
         self.time_offset = interpolation.time_offset
-        self.indices, self.weights = support_points(sparse.coordinates, self.grid)
+        indices, self.weights = support_points(sparse.coordinates, self.grid)
         self.data = sparse.data
+        self._lin = linear_index(indices, self.field.halo, self.field.buffer(0))
 
     def gather(self, t: int, box=None) -> int:
         """Plan-interface shim: raw interpolation measures at :meth:`finalize`,
@@ -167,8 +165,5 @@ class RawInterpolation:
         if not 0 <= row < self.data.shape[0]:
             return
         buf = self.field.buffer(t + self.time_offset)
-        halo = self.field.halo
-        npoint, ncorner, ndim = self.indices.shape
-        flat_idx = tuple(self.indices[..., d].ravel() + halo for d in range(ndim))
-        sampled = buf[flat_idx].reshape(npoint, ncorner).astype(np.float64)
+        sampled = buf.reshape(-1).take(self._lin).astype(np.float64)
         self.data[row] = (sampled * self.weights).sum(axis=1).astype(self.data.dtype)

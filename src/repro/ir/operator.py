@@ -72,8 +72,11 @@ class Operator:
         self.sparse_ops: List[SparseOp] = list(sparse)
         self.grid = self._infer_grid()
         self.sweeps: List[Sweep] = build_sweeps(eqs)
-        self._mask_cache: Dict[int, object] = {}
-        self._decomp_cache: Dict[Tuple[int, float], object] = {}
+        # precomputation caches (shared with TemporalBlockingPipeline), keyed
+        # by the sparse function / operator *object*: unlike a name, it is
+        # unique, and unlike an id() it cannot be recycled while cached
+        self._mask_cache: Dict[object, object] = {}
+        self._decomp_cache: Dict[Tuple[SparseOp, float], object] = {}
         # fused bound sweeps depend only on dt: equations are immutable and
         # Function buffers are written in place, never reallocated, so the
         # sweeps -- and with them the fused engine's per-(t, box) view
@@ -215,24 +218,29 @@ class Operator:
 
     # -- precomputation (the paper's pipeline, cached) -------------------------------
     def _masks_for(self, sparse_fn, method: str = "analytic"):
-        key = id(sparse_fn)
-        if key not in self._mask_cache:
-            self._mask_cache[key] = build_masks(sparse_fn, method=method)
-        return self._mask_cache[key]
+        if sparse_fn not in self._mask_cache:
+            self._mask_cache[sparse_fn] = build_masks(sparse_fn, method=method)
+        return self._mask_cache[sparse_fn]
+
+    def _decomposed(self, sparse_op: SparseOp, dt: float, method: str = "analytic"):
+        """The grid-aligned form of *sparse_op* (receivers do not depend on
+        *dt* and are keyed at 0.0)."""
+        is_source = isinstance(sparse_op, Injection)
+        key = (sparse_op, float(dt) if is_source else 0.0)
+        if key not in self._decomp_cache:
+            masks = self._masks_for(sparse_op.sparse, method)
+            self._decomp_cache[key] = (
+                decompose_source(sparse_op, dt, masks=masks)
+                if is_source
+                else decompose_receiver(sparse_op, masks=masks)
+            )
+        return self._decomp_cache[key]
 
     def _aligned_injection(self, inj: Injection, dt: float) -> AlignedInjection:
-        key = (id(inj), float(dt))
-        if key not in self._decomp_cache:
-            masks = self._masks_for(inj.sparse)
-            self._decomp_cache[key] = decompose_source(inj, dt, masks=masks)
-        return AlignedInjection(self._decomp_cache[key], inj.field)
+        return AlignedInjection(self._decomposed(inj, dt), inj.field)
 
     def _aligned_receiver(self, itp: Interpolation) -> AlignedReceiver:
-        key = (id(itp), 0.0)
-        if key not in self._decomp_cache:
-            masks = self._masks_for(itp.sparse)
-            self._decomp_cache[key] = decompose_receiver(itp, masks=masks)
-        return AlignedReceiver(self._decomp_cache[key], itp.field, itp.sparse.data)
+        return AlignedReceiver(self._decomposed(itp, 0.0), itp.field, itp.sparse.data)
 
     # -- binding ------------------------------------------------------------------
     #: graceful-degradation ladder: when an engine's codegen fails, execution

@@ -96,26 +96,6 @@ def test_small_boxes_do_not_scan_all_points():
     assert masks.stats["scanned"] > 0
 
 
-def test_unindexed_ablation_routes_through_scan():
-    """``indexed = False`` (the seed-path A/B knob) must bypass both the
-    bucketed index and the memo cache yet return identical ids."""
-    masks = synthetic_masks(5000, shape=(32, 32, 32), seed=5)
-    box = ((3, 20), (0, 32), (7, 19))
-    ref = masks.points_in_box(box)
-    masks.indexed = False
-    before = masks.stats["scanned"]
-    got = masks.points_in_box(box)
-    np.testing.assert_array_equal(got, ref)
-    assert masks.stats["scanned"] == before + masks.npts  # brute-force cost
-    assert masks.stats["cache_hits"] == 0
-    # repeated queries are *not* memoised on the ablation path
-    masks.points_in_box(box)
-    assert masks.stats["cache_hits"] == 0
-    masks.indexed = True
-    masks.points_in_box(box)
-    assert masks.stats["cache_hits"] == 1
-
-
 def test_box_cache_hits():
     masks = make_masks([[35.5, 45.5, 55.5]])
     box = ((0, 11), (0, 11), (0, 11))

@@ -16,9 +16,9 @@ def setup(grid3d):
 def test_precompute_populates_artifacts(setup):
     op, u, m, src, rec = setup
     pipe = TemporalBlockingPipeline(op, dt=1.0).precompute()
-    assert set(pipe.masks) == {"src", "rec"}
+    assert {s.name for s in pipe.masks} == {"src", "rec"}
     assert len(pipe.sources) == 1 and len(pipe.receivers) == 1
-    assert pipe.sources[id(op.injections()[0])].npts >= 1
+    assert pipe.sources[op.injections()[0]].npts >= 1
 
 
 def test_report_contents(setup):
@@ -58,7 +58,7 @@ def test_pipeline_primes_operator_cache(setup):
     pipe = TemporalBlockingPipeline(op, dt=1.0).precompute()
     inj = op.injections()[0]
     # the operator must reuse the pipeline's decomposition, not rebuild
-    assert op._decomp_cache[(id(inj), 1.0)] is pipe.sources[id(inj)]
+    assert op._decomp_cache[(inj, 1.0)] is pipe.sources[inj]
 
 
 def test_run_without_explicit_precompute(setup):
@@ -66,3 +66,30 @@ def test_run_without_explicit_precompute(setup):
     pipe = TemporalBlockingPipeline(op, dt=1.0)
     pipe.run(time_M=4)  # auto-precomputes
     assert pipe._done
+
+
+def test_same_named_sparse_functions_do_not_collide(grid3d):
+    """Caches are keyed by the sparse function object, not its name: two
+    receiver sets that share a name keep their own masks."""
+    from repro.dsl import SparseTimeFunction
+    from repro.ir import Operator
+
+    op, u, m, src, rec = make_acoustic_operator(grid3d, nt=8)
+    twin = SparseTimeFunction(
+        rec.name, grid3d, npoint=2, nt=rec.nt,
+        coordinates=np.array([[12.5, 81.0, 33.3], [97.1, 14.2, 60.6]]),
+    )
+    op = Operator(op.eqs, sparse=[*op.sparse_ops, twin.interpolate(u)])
+
+    pipe = TemporalBlockingPipeline(op, dt=1.0).precompute()
+    assert len(pipe.masks) == 3 and len(op._mask_cache) == 3
+    assert pipe.masks[twin] is not pipe.masks[rec]
+    assert pipe.report().affected_points == sum(m.npts for m in pipe.masks.values())
+    pipe.run(time_M=8, schedule=WavefrontSchedule(tile=(5, 5), block=(5, 5), height=4))
+    got = rec.data.copy(), twin.data.copy()
+
+    u.data_with_halo[...] = 0.0
+    op.apply(time_M=8, dt=1.0, schedule=NaiveSchedule(), sparse_mode="offgrid")
+    np.testing.assert_allclose(got[0], rec.data, rtol=1e-5, atol=1e-7)
+    np.testing.assert_allclose(got[1], twin.data, rtol=1e-5, atol=1e-7)
+    assert twin.data.any()
