@@ -37,7 +37,6 @@ __all__ = [
     "WorkerCrashError",
     "RetryExhaustedError",
     "JournalCorruptError",
-    "JournalSchemaError",
     "PoisonJobError",
     "StreamAdmissionError",
     "StabilityWarning",
@@ -279,20 +278,6 @@ class JournalCorruptError(JobError, RuntimeError):
     longest verified prefix instead of trusting a torn tail — this error is
     only *fatal* when no usable prefix exists (e.g. the batch header itself
     is corrupt).
-    """
-
-
-class JournalSchemaError(JobError, RuntimeError):
-    """The journal record-kind tables have drifted out of sync.
-
-    Raised by :func:`repro.jobs.journal.verify_journal_schema` when a record
-    ``kind`` emitted by :mod:`repro.jobs.pool` is missing from the declared
-    :data:`~repro.jobs.journal.JOURNAL_KINDS` table, a declared kind is
-    never emitted, or the set of kinds the resume replay consumes disagrees
-    with the kinds declared ``replayed``.  This is a static self-check over
-    the *source* of ``pool.py`` — it fires at pool construction in the
-    development tree, before any batch runs against a skewed schema.
-    Carries ``missing`` / ``unused`` / ``detail`` naming the drifted kinds.
     """
 
 

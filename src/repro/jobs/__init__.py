@@ -73,7 +73,7 @@ from .spec import (
     JobResult,
     JobSpec,
 )
-from .warm import WarmState, WarmWorker
+from .warm import WarmFleet, WarmState, WarmWorker
 from .worker import build_problem, execute_attempt, model_arrays, run_job_inline
 
 __all__ = [
@@ -95,6 +95,7 @@ __all__ = [
     "JournalReplay",
     "load_journal",
     "JOURNAL_NAME",
+    "WarmFleet",
     "WarmState",
     "WarmWorker",
     "build_problem",

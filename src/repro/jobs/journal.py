@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, List, Optional
 
-from ..errors import JournalCorruptError, JournalSchemaError, StorageExhaustedError
+from ..errors import JournalCorruptError, StorageExhaustedError
 
 __all__ = [
     "JOURNAL_NAME",
@@ -70,18 +70,18 @@ __all__ = [
     "BatchJournal",
     "JournalReplay",
     "load_journal",
-    "verify_journal_schema",
 ]
 
 JOURNAL_NAME = "journal.jsonl"
 JOURNAL_VERSION = 1
 
-#: every record ``kind`` the supervisor may emit, mapped to its replay role:
-#: ``"replayed"`` kinds are consumed by :meth:`JobPool.resume` to rebuild
-#: batch state; ``"audit"`` kinds are forensic markers replay ignores.
-#: :func:`verify_journal_schema` checks this table against ``pool.py``'s
-#: source in both directions, so schema drift fails fast in development
-#: instead of silently dropping state on the next crash recovery.
+#: every record ``kind`` the supervisor may emit.  All of them are handled by
+#: :func:`repro.jobs.transitions.apply` — the one table the live supervisor
+#: and :meth:`JobPool.resume`'s replay both drive — and the role says what the
+#: handler does: a ``"replayed"`` kind changes batch state; an ``"audit"`` kind
+#: is a forensic marker whose handler only returns events and counters.
+#: A kind without a handler (or a handler without a kind) is a ``KeyError``
+#: when :mod:`repro.jobs.transitions` is imported.
 JOURNAL_KINDS = {
     "batch": "replayed",
     "shm": "replayed",
@@ -92,63 +92,10 @@ JOURNAL_KINDS = {
     "stream_failed": "audit",
     "sdc": "audit",
     "storage_degraded": "audit",
-    "drain": "audit",
-    "resume": "audit",
+    "drain": "replayed",
+    "resume": "replayed",
     "batch_end": "audit",
 }
-
-_EMIT_RE = r"_journal_append\(\s*['\"](\w+)['\"]"
-_CONSUME_RE = r"(?:for_kind|by_job)\(\s*['\"](\w+)['\"]"
-
-_schema_checked = False
-
-
-def verify_journal_schema() -> dict:
-    """Static self-check: :data:`JOURNAL_KINDS` vs the ``pool.py`` source.
-
-    Scans the supervisor's source text for every ``_journal_append("kind",
-    ...)`` emission and every ``for_kind("kind")`` / ``by_job("kind")``
-    replay consumption (plus the ``replay.header`` access, which consumes
-    the ``batch`` record) and asserts, in both directions, that
-
-    * every emitted kind is declared in :data:`JOURNAL_KINDS` and every
-      declared kind is emitted somewhere, and
-    * the kinds replay consumes are exactly the kinds declared
-      ``"replayed"``.
-
-    Raises :class:`~repro.errors.JournalSchemaError` on any drift; returns
-    ``{"emitted": ..., "consumed": ...}`` (sorted lists) when consistent.
-    The check is cached per process — :class:`repro.jobs.pool.JobPool`
-    construction runs it once, for free thereafter.
-    """
-    import re
-
-    global _schema_checked
-    source = Path(__file__).with_name("pool.py").read_text()
-    emitted = set(re.findall(_EMIT_RE, source))
-    consumed = set(re.findall(_CONSUME_RE, source))
-    if re.search(r"replay\.header", source):
-        consumed.add("batch")  # .header property reads the "batch" record
-
-    declared = set(JOURNAL_KINDS)
-    if emitted != declared:
-        raise JournalSchemaError(
-            "journal schema drift: emitted kinds disagree with JOURNAL_KINDS",
-            missing=sorted(emitted - declared),
-            unused=sorted(declared - emitted),
-            detail="pool.py _journal_append() calls vs JOURNAL_KINDS table",
-        )
-    replayed = {k for k, role in JOURNAL_KINDS.items() if role == "replayed"}
-    if consumed != replayed:
-        raise JournalSchemaError(
-            "journal schema drift: replay consumes different kinds than "
-            "JOURNAL_KINDS declares 'replayed'",
-            missing=sorted(consumed - replayed),
-            unused=sorted(replayed - consumed),
-            detail="pool.py resume dispatch vs JOURNAL_KINDS 'replayed' roles",
-        )
-    _schema_checked = True
-    return {"emitted": sorted(emitted), "consumed": sorted(consumed)}
 
 
 def _canonical(payload: dict) -> bytes:

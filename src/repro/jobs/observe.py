@@ -1,0 +1,271 @@
+"""The observability half of :class:`~repro.jobs.pool.JobPool`: metric
+instruments, exclusive supervisor phase accounting, the live ``metrics.json``
+status snapshot, and the stamping of per-attempt trace payloads.
+
+:class:`PoolObservability` is a base class, not a component: it reads the
+pool's own attributes (``state``, ``fleet``, ``workers``, ``breaker``,
+``telemetry``, ``workdir``, ``batch_id``, ``resumed``, ``storage_degraded``,
+``_streams``, ``_epoch``) and nothing here changes batch state.
+"""
+
+from __future__ import annotations
+
+import os
+import time
+from contextlib import nullcontext
+from typing import Optional
+
+from ..telemetry.metrics import MetricsRegistry, PhaseAccountant
+from .spec import LANES, AttemptRecord
+
+__all__ = ["METRICS_NAME", "PROM_NAME", "PoolObservability"]
+
+#: live metrics snapshot, atomically refreshed in the batch workdir on the
+#: ``status_interval`` cadence (what ``python -m repro.jobs.status`` reads)
+METRICS_NAME = "metrics.json"
+
+#: final Prometheus text exposition, written once at batch end
+PROM_NAME = "metrics.prom"
+
+#: every instrument the supervisor records into: (kind, family, help, labels)
+_INSTRUMENTS = (
+    ("counter", "jobs_admitted_total", "jobs admitted into the batch",
+     ("lane", "tenant")),
+    ("counter", "jobs_completed_total", "jobs that reached completed", ()),
+    ("counter", "jobs_terminal_total", "jobs per terminal status", ("status",)),
+    ("counter", "jobs_retried_total", "attempt retries scheduled", ()),
+    ("counter", "retries_total", "retry attempts scheduled", ()),
+    ("histogram", "retry_backoff_seconds", "decided backoff delay per retry", ()),
+    ("gauge", "queue_depth", "ready-to-dispatch jobs per priority lane",
+     ("lane",)),
+    ("gauge", "tenant_active_jobs", "admitted-but-unfinished jobs per tenant",
+     ("tenant",)),
+    ("gauge", "tenant_quota", "per-tenant admission quota (0 = unlimited)", ()),
+    ("histogram", "admission_wait_seconds",
+     "queue-entry to first dispatch, per lane", ("lane",)),
+    ("histogram", "attempt_seconds", "attempt latency per outcome", ("outcome",)),
+    ("gauge", "workers_alive", "live warm daemons", ()),
+    ("gauge", "workers_busy", "daemons with a job in flight", ()),
+    ("counter", "workers_spawned_total",
+     "daemons preforked (initial + replacements)", ()),
+    ("gauge", "worker_heartbeat_age_seconds",
+     "seconds since a busy daemon's last liveness beat", ("worker",)),
+    ("counter", "shm_bytes_published_total",
+     "shared-memory bytes published per batch", ()),
+    ("gauge", "supervisor_seconds",
+     "exclusive supervisor wall-time per bucket", ("bucket",)),
+    ("counter", "sdc_detections_total", "silent-data-corruption detections",
+     ("detector",)),
+    ("counter", "sdc_recoveries_total",
+     "attempts that recovered in-run from silent corruption", ()),
+    ("counter", "sdc_tiles_reexecuted_total",
+     "containment units re-executed after an ABFT violation", ()),
+    ("counter", "storage_degraded_total",
+     "batches degraded by ENOSPC on the journal/checkpoint path", ()),
+    ("counter", "jobs_points_updated_total",
+     "grid points updated by completed attempts", ()),
+    ("counter", "jobs_stencil_seconds_total",
+     "stencil seconds of completed attempts", ()),
+)
+
+
+class PoolObservability:
+    """Metrics, status and trace plumbing of a :class:`JobPool`."""
+
+    def _init_observability(
+        self, metrics, status_interval: float, tenant_quota: Optional[int]
+    ) -> None:
+        """``metrics=False`` turns the whole layer off — registry, phase
+        accounting and status file (the overhead benchmark's baseline
+        path); ``None`` creates a private registry."""
+        self.status_interval = float(status_interval)
+        self._last_status = 0.0
+        self._jobs_phase_added = 0.0
+        self._attempt_phase_folded = 0.0  # serial: attempt phase seconds folded in
+        self.metrics: Optional[MetricsRegistry] = None
+        self._acct: Optional[PhaseAccountant] = None
+        #: family -> instrument (None with metrics off)
+        self._m: Optional[dict] = None
+        if metrics is False:
+            return
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._acct = PhaseAccountant()
+        # get-or-create (registries are shareable) every instrument once, so
+        # the hot paths pay a dict lookup instead of a registry one
+        self._m = {
+            family: getattr(self.metrics, kind)(family, doc, labels)
+            for kind, family, doc, labels in _INSTRUMENTS
+        }
+        for lane in LANES:
+            self._m["queue_depth"].set(0, lane=lane)
+        self._m["tenant_quota"].set(tenant_quota or 0)
+        if self.breaker is not None:
+            self.breaker.bind_metrics(self.metrics)
+
+    def _phase(self, name: str):
+        """Exclusive supervisor wall-time bucket (no-op with metrics off)."""
+        return self._acct.phase(name) if self._acct is not None else nullcontext()
+
+    def _measure(self, op: str, family: str, value: float, labels: dict) -> None:
+        """Perform one ``count`` / ``observe`` effect of a transition."""
+        if self._m is not None:
+            instrument = self._m[family]
+            (instrument.inc if op == "count" else instrument.observe)(value, **labels)
+
+    def _refresh_gauges(self) -> None:
+        """Recompute every level-style gauge from supervisor state (cheap:
+        admitted jobs are bounded by ``capacity``)."""
+        depth = {lane: 0 for lane in LANES}
+        for priority, _, _job in self.state.ready:
+            depth[LANES[priority]] += 1
+        for lane, n in depth.items():
+            self._m["queue_depth"].set(n, lane=lane)
+        for tenant, n in self.state.tenant_active.items():
+            self._m["tenant_active_jobs"].set(n, tenant=tenant)
+        daemons = self.fleet.workers
+        self._m["workers_alive"].set(sum(1 for w in daemons if w.alive))
+        self._m["workers_busy"].set(len(self.fleet.busy))
+        now_mono = time.monotonic()
+        for w in self.fleet.busy:
+            self._m["worker_heartbeat_age_seconds"].set(
+                max(0.0, now_mono - w.last_beat), worker=w.worker_id
+            )
+        for bucket, secs in self._acct.flush().items():
+            self._m["supervisor_seconds"].set(secs, bucket=bucket)
+
+    def _status_summary(self) -> dict:
+        state, fleet = self.state, self.fleet
+        summary = {
+            "jobs": len(state.jobs),
+            "terminal": state.terminals,
+            "completed": sum(1 for j in state.jobs if j.status == "completed"),
+            "active": state.active,
+            "ready": len(state.ready),
+            "delayed": len(state.delayed),
+            "streams_open": len(self._streams),
+            "workers": {
+                "configured": self.workers,
+                "alive": sum(1 for w in fleet.workers if w.alive),
+                "busy": len(fleet.busy),
+                "spawned": fleet.spawned,
+                "hung": fleet.hung,
+            },
+            "draining": state.draining,
+            "resumed": self.resumed,
+            "storage_degraded": self.storage_degraded is not None,
+            "elapsed_seconds": time.perf_counter() - self._epoch,
+        }
+        if self.breaker is not None:
+            summary["breaker"] = {
+                "engine": self.breaker.engine,
+                "state": self.breaker.state,
+                "transitions": len(self.breaker.transitions),
+            }
+        return summary
+
+    def _write_status(self, final: bool = False) -> None:
+        """Atomically refresh ``metrics.json`` in the batch dir (and, at
+        batch end, the Prometheus exposition next to it).  Best-effort: a
+        full disk must not take the batch down."""
+        if self.metrics is None:
+            return
+        self._refresh_gauges()
+        try:
+            self.metrics.write_json(
+                self.workdir / METRICS_NAME,
+                extra={
+                    "batch_id": self.batch_id,
+                    "final": final,
+                    "status": self._status_summary(),
+                },
+            )
+            if final:
+                # prom is text, not JSON — same tmp+replace idiom by hand
+                tmp = self.workdir / (PROM_NAME + ".tmp")
+                tmp.write_text(self.metrics.exposition())
+                os.replace(tmp, self.workdir / PROM_NAME)
+        except OSError:
+            pass
+
+    def _maybe_status(self) -> None:
+        """Refresh the live ``metrics.json`` when the cadence is due."""
+        if self.metrics is None or self.status_interval <= 0:
+            return
+        now = time.perf_counter()
+        if now - self._last_status >= self.status_interval:
+            self._last_status = now
+            self._write_status()
+
+    def _attach_trace(self, record: AttemptRecord, meta: dict) -> None:
+        """Pop the attempt's serialized span payload out of *meta* (it must
+        not bloat ``result.npz``), stamp it with the handshake clock
+        offset, and hang it on the attempt record for the merger."""
+        if not isinstance(meta, dict):
+            return
+        payload = meta.pop("telemetry", None)
+        if payload is None:
+            return
+        # the batch-relative zero every merged span is measured from
+        epoch = self._epoch
+        if self.telemetry is not None and self.telemetry.epoch is not None:
+            epoch = self.telemetry.epoch
+        ctx = payload.setdefault("context", {})
+        dispatch = ctx.get("dispatch_perf")
+        recv = ctx.get("recv_perf")
+        if isinstance(dispatch, float) and isinstance(recv, float):
+            # equate the pipe-write and pipe-read instants: child time t is
+            # batch-relative t + offset, error bounded by the pipe latency
+            ctx["clock_offset_s"] = (dispatch - epoch) - recv
+        else:
+            # serial mode: recorder and supervisor share one clock
+            ctx["clock_offset_s"] = -epoch
+        record.trace = payload
+
+    def _observe_completion(self, record: AttemptRecord, meta: dict) -> None:
+        """Work counters, per-worker warm/cold attempt counters and
+        aggregated cache tallies of one completed attempt."""
+        if self._m is not None:
+            work = meta.get("work") or {}
+            if work.get("points_updated"):
+                self._m["jobs_points_updated_total"].inc(float(work["points_updated"]))
+            if work.get("stencil_seconds"):
+                self._m["jobs_stencil_seconds_total"].inc(
+                    float(work["stencil_seconds"])
+                )
+        if self.telemetry is None:
+            return
+        if self.workers == 0:
+            # serial mode: the attempt ran on this process's clock — fold its
+            # phase seconds into the pool buffer so batch coverage holds
+            for ph_name, secs in (meta.get("phase_seconds") or {}).items():
+                self.telemetry.add_phase(ph_name, float(secs))
+                self._attempt_phase_folded += float(secs)
+        counters = self.telemetry.counters
+        kind = "warm" if record.warm else "cold"
+        counters.add(f"jobs_{kind}_attempts")
+        if record.worker is not None:
+            counters.add(f"worker{record.worker}.jobs")
+            counters.add(f"worker{record.worker}.{kind}_attempts")
+        for key, n in record.caches.items():
+            counters.add(f"jobs_{key}", n)
+
+    def _charge_jobs_phase(self) -> None:
+        """Charge the supervisor's own exclusive time (everything but the
+        attempts' execute bucket, which the attempt phases already cover) to
+        the telemetry buffer's ``jobs`` cost centre — as a delta, so repeated
+        ``run()`` calls never double-charge."""
+        if self._acct is None or self.telemetry is None:
+            return
+        total = sum(s for b, s in self._acct.seconds.items() if b != "execute")
+        if self.workers == 0:
+            # serial attempts run on this clock; what their engine phases
+            # leave of the execute bucket (problem set-up, result
+            # marshalling, failed attempts) is jobs time too — a fixed cost
+            # per job that would otherwise eat into coverage as the kernels
+            # get faster
+            total += max(
+                0.0,
+                self._acct.seconds.get("execute", 0.0) - self._attempt_phase_folded,
+            )
+        self.telemetry.add_phase("jobs", total - self._jobs_phase_added)
+        self._jobs_phase_added = total

@@ -54,7 +54,6 @@ class RetryPolicy:
         attempt: int,
         rng: np.random.Generator,
         budget: Optional[float] = None,
-        metrics=None,
         outcome: Optional[str] = None,
     ) -> float:
         """Backoff before retry *attempt* (>= 1), consuming one jitter draw.
@@ -74,11 +73,6 @@ class RetryPolicy:
         timeout.  The jitter draw is consumed *before* capping, so the
         deterministic per-job backoff stream stays aligned whether or not a
         deadline intervened.
-
-        *metrics* (a :class:`~repro.telemetry.metrics.MetricsRegistry`)
-        records the decided delay: ``retries_total`` and the
-        ``retry_backoff_seconds`` histogram.  Observation never changes
-        the returned value — the backoff stream stays deterministic.
         """
         if attempt < 1:
             raise ValueError("attempt must be >= 1 (the first retry)")
@@ -89,11 +83,6 @@ class RetryPolicy:
         delay = raw * (1.0 + self.jitter * float(rng.random()))
         if budget is not None:
             delay = min(delay, max(0.0, float(budget)))
-        if metrics is not None:
-            metrics.counter("retries_total", "retry attempts scheduled").inc()
-            metrics.histogram(
-                "retry_backoff_seconds", "decided backoff delay per retry"
-            ).observe(delay)
         return delay
 
     def schedule(self, batch_seed: int, job_index: int, retries: int) -> List[float]:

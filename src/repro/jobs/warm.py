@@ -37,14 +37,18 @@ never a stalled lane.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import threading
 import time
-from typing import Dict, Mapping, Optional
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
+from ..errors import WorkerCrashError
 from .spec import JobSpec
 
-__all__ = ["WarmState", "WarmWorker", "warm_main", "SHUTDOWN", "HEARTBEAT"]
+__all__ = [
+    "WarmState", "WarmWorker", "WarmFleet", "warm_main", "SHUTDOWN", "HEARTBEAT",
+]
 
 #: parent -> worker sentinel asking the daemon loop to exit cleanly
 SHUTDOWN = "shutdown"
@@ -363,3 +367,191 @@ class WarmWorker:
             self.conn.close()
         except OSError:
             pass
+
+
+class WarmFleet:
+    """The live daemons of one batch and the shared segments they map.
+
+    Owns every process, pipe and ``/dev/shm`` segment.  The pool hands it job
+    messages (:meth:`send`) and reads attempt *reports* back (:meth:`sweep`):
+    what the pipes and the process table say — a result, a daemon-reported
+    error, a dead daemon, a heartbeat-silent one, a job past its deadline —
+    becomes ``(job, verdict, payload)``, with the killing, reaping, retiring
+    and replacing of daemons handled here.  *emit* receives the
+    ``worker_*`` lifecycle events; *instruments* (family → instrument, or
+    None) the spawn counter and the heartbeat-age gauge.
+    """
+
+    def __init__(
+        self,
+        slots: int,
+        heartbeat_interval: float,
+        heartbeat_timeout: Optional[float],
+        emit: Callable[..., None],
+        instruments: Optional[dict] = None,
+    ):
+        self.slots = int(slots)
+        self.heartbeat_interval = float(heartbeat_interval)
+        self.heartbeat_timeout = heartbeat_timeout
+        self._emit = emit
+        self._instruments = instruments
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        )
+        self.workers: List[WarmWorker] = []
+        #: daemons preforked over the batch (initial + replacements); the
+        #: newest one's id
+        self.spawned = 0
+        #: daemons killed for heartbeat silence
+        self.hung = 0
+        self._registry = None  # SharedArrayRegistry, once published
+
+    # -- shared memory -----------------------------------------------------------------
+    def publish(self, arrays: Mapping[str, object]) -> Optional[List[str]]:
+        """Publish the batch's read-only model *arrays* into shared memory
+        once (every daemon attaches them zero-copy at prefork); returns the
+        segment names, or None when they are already published."""
+        from .shm import SharedArrayRegistry
+
+        if self._registry is not None:
+            return None
+        self._registry = SharedArrayRegistry()
+        for key, array in arrays.items():
+            self._registry.publish(key, array)
+        return list(self._registry.segment_names())
+
+    # -- daemons -----------------------------------------------------------------------
+    @property
+    def busy(self) -> List[WarmWorker]:
+        return [w for w in self.workers if w.busy]
+
+    def _spawn(self) -> WarmWorker:
+        self.spawned += 1
+        handles = self._registry.handles() if self._registry is not None else {}
+        worker = WarmWorker(
+            self._ctx, self.spawned, handles,
+            heartbeat_interval=self.heartbeat_interval,
+        )
+        self.workers.append(worker)
+        if self._instruments is not None:
+            self._instruments["workers_spawned_total"].inc()
+        self._emit("worker_spawned", worker=worker.worker_id, pid=worker.proc.pid)
+        return worker
+
+    def retire(self, worker: WarmWorker, crashed: bool = False) -> None:
+        """Drop *worker* from the fleet (its process already dead or being
+        killed); shared segments stay valid — only the mapping died."""
+        if worker in self.workers:
+            self.workers.remove(worker)
+        if self._instruments is not None:
+            self._instruments["worker_heartbeat_age_seconds"].remove(
+                worker=worker.worker_id
+            )
+        worker.kill()  # no-op if already dead; reaps the process either way
+        self._emit(
+            "worker_crashed" if crashed else "worker_retired",
+            worker=worker.worker_id,
+            exitcode=worker.exitcode,
+            jobs=worker.jobs_dispatched,
+        )
+
+    def idle(self) -> Optional[WarmWorker]:
+        """A daemon free to take a job — preforked into a free slot when
+        every live one is busy — or None."""
+        for worker in self.workers:
+            if not worker.busy and worker.alive:
+                return worker
+        return self._spawn() if len(self.workers) < self.slots else None
+
+    def replenish(self, outstanding: int) -> None:
+        """Prefork replacements for crashed/retired daemons while there is
+        work (*outstanding* jobs still needing a daemon) left for them."""
+        want = min(self.slots, outstanding + len(self.busy))
+        while len(self.workers) < want:
+            self._spawn()
+
+    def send(self, worker: WarmWorker, job, *message) -> WarmWorker:
+        """Write one job message down *worker*'s pipe and mark it busy with
+        *job*.  A daemon found dead at the write is retired and nothing else
+        changes: the same message goes to the next one (retiring freed a
+        slot, so :meth:`idle` always has one).  Returns the daemon that took
+        it."""
+        while True:
+            try:
+                worker.dispatch(*message)
+                break
+            except (BrokenPipeError, OSError):
+                self.retire(worker, crashed=True)
+                worker = self.idle()
+        worker.job = job
+        return worker
+
+    def sweep(self, now: float) -> Iterator[Tuple[object, str, object]]:
+        """One pass over the daemons: yield ``(job, verdict, payload)`` for
+        every attempt that ended — ``"ok"`` with ``(receivers, meta)``,
+        ``"err"`` with the daemon-reported exception, ``"crash"`` / ``"hang"``
+        with a :class:`~repro.errors.WorkerCrashError`, ``"timeout"`` with
+        None.  A result that raced a kill (or a death) into the pipe still
+        counts; the daemon behind a crash, hang or timeout is retired once
+        the caller has taken the report."""
+        for worker in list(self.workers):
+            job = worker.job
+            if job is None:
+                if not worker.alive:  # spontaneous death of an idle daemon
+                    self.retire(worker, crashed=True)
+                continue
+            verdict = silent = None
+            msg = worker.recv_nowait()
+            if msg is None and not worker.alive:
+                worker.proc.join()
+                verdict = "crash"
+            elif msg is None and job.over_deadline(now):
+                verdict = "timeout"
+            elif msg is None and worker.stalled(self.heartbeat_timeout):
+                # alive to the OS, wedged in practice
+                verdict, silent = "hang", time.monotonic() - worker.last_beat
+            elif msg is None:
+                continue
+            if verdict is not None:
+                worker.kill()
+                msg = worker.recv_nowait()  # a result may have raced the kill
+            worker.job = None
+            if verdict == "hang":
+                self.hung += 1
+                self._emit(
+                    "worker_hung", worker=worker.worker_id, job=job.spec.job_id,
+                    silent=round(silent, 3),
+                )
+            if msg is not None and msg[0] == "ok":
+                yield job, "ok", (msg[3], msg[4])
+            elif msg is not None and verdict in (None, "crash"):
+                yield job, "err", msg[3]
+            elif verdict == "timeout":
+                yield job, "timeout", None
+            else:
+                what = (
+                    f"worker for job {job.spec.job_id} died without reporting "
+                    f"(exitcode {worker.exitcode})"
+                    if verdict == "crash"
+                    else f"worker {worker.worker_id} serving job "
+                    f"{job.spec.job_id} went heartbeat-silent for {silent:.2f}s "
+                    f"(> {self.heartbeat_timeout}s): livelocked, killed"
+                )
+                yield job, verdict, WorkerCrashError(
+                    what,
+                    job_id=job.spec.job_id,
+                    exitcode=worker.exitcode,
+                    attempt=job.attempts[-1].attempt,
+                )
+            if verdict is not None:
+                self.retire(worker, crashed=verdict == "crash")
+
+    def shutdown(self) -> None:
+        """Stop every daemon and unlink every segment (idempotent) — never
+        leak a process or a ``/dev/shm`` entry, however the batch ended."""
+        for worker in self.workers:
+            worker.shutdown()
+        self.workers.clear()
+        if self._registry is not None:
+            self._registry.close()
+            self._registry = None

@@ -14,12 +14,11 @@ entry's fault injector / broken compiler on attempt 0, and runs
 ``Propagator.forward`` under telemetry so the attempt can report which
 engine actually executed and what fell back.
 
-:func:`child_main` wraps that core for a worker *process*: the result is
-written as ``result.npz`` and failures as pickled exceptions — both via
-atomic temp-file + ``os.replace`` so a SIGKILL can never leave a partial
-file for the supervisor to misread.  A dead-silent worker (no result, no
-error file) is the supervisor's cue to synthesise
-:class:`~repro.errors.WorkerCrashError`.
+The job directory's file protocol lives here too: ``result.npz`` (written
+by the supervisor, trusted on resume only through :func:`durable_result`),
+pickled failure forensics, and the checkpoint snapshots — all via atomic
+temp-file + ``os.replace``, so a SIGKILL can never leave a partial file
+for anyone to misread.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import sys
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Tuple
@@ -40,6 +38,7 @@ from ..runtime.abft import ABFTGuard
 from ..runtime.checkpoint import CheckpointConfig, FileCheckpointStore
 from ..runtime.faults import Fault, FaultInjector, break_engine
 from ..runtime.health import HealthGuard
+from ..runtime.integrity import file_digest, verify_digest
 from .chaos import ChaosEntry
 from .spec import JobSpec
 
@@ -47,9 +46,9 @@ __all__ = [
     "build_problem",
     "execute_attempt",
     "run_job_inline",
-    "child_main",
     "read_result",
-    "read_error",
+    "durable_result",
+    "newest_checkpoint_step",
     "write_error",
     "model_arrays",
 ]
@@ -120,6 +119,13 @@ def build_problem(spec: JobSpec, shared=None):
 
 def _checkpoint_dir(job_dir: Path) -> Path:
     return Path(job_dir) / "ckpt"
+
+
+def newest_checkpoint_step(job_dir) -> Optional[int]:
+    """Newest persisted snapshot step, parsed from the filename (the store's
+    atomic writes mean a visible file is a complete file)."""
+    paths = sorted(_checkpoint_dir(job_dir).glob("ckpt_*.npz"))
+    return int(paths[-1].stem[len("ckpt_"):]) if paths else None
 
 
 def execute_attempt(
@@ -335,6 +341,24 @@ def read_result(job_dir) -> Optional[Tuple[Optional[np.ndarray], dict]]:
     return rec, meta
 
 
+def durable_result(job_dir, digest: Optional[str]):
+    """The journal-verified durable result of *job_dir*, or None.
+
+    Trusted only when ``result.npz`` exists, matches its ``.sha256``
+    sidecar, *and* matches the digest the journal's completion outcome
+    recorded — a torn write, on-disk damage, or a file from some other run
+    all fail the cross-check and send the job back to execution."""
+    path = _result_path(job_dir)
+    if not path.exists() or not verify_digest(path, require=True):
+        return None
+    if digest is not None and file_digest(path) != digest:
+        return None
+    try:
+        return read_result(job_dir)
+    except Exception:
+        return None
+
+
 def write_error(job_dir, attempt: int, exc: BaseException) -> None:
     """Pickle *exc* to the attempt's forensics file (atomic, SIGKILL-safe).
 
@@ -348,26 +372,3 @@ def write_error(job_dir, attempt: int, exc: BaseException) -> None:
     except Exception:
         payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
     _atomic_write(_error_path(job_dir, attempt), lambda fh: fh.write(payload))
-
-
-def read_error(job_dir, attempt: int) -> Optional[BaseException]:
-    """The worker's pickled exception for *attempt*, or None."""
-    path = _error_path(job_dir, attempt)
-    if not path.exists():
-        return None
-    try:
-        return pickle.loads(path.read_bytes())
-    except Exception as exc:  # undecodable error file: keep the evidence
-        return RuntimeError(f"worker error report unreadable: {exc}")
-
-
-def child_main(spec: JobSpec, job_dir, attempt: int, resume: bool, chaos) -> None:
-    """Worker-process entry point: run the attempt, report via files."""
-    try:
-        rec, meta = execute_attempt(
-            spec, job_dir, attempt=attempt, resume=resume, chaos=chaos
-        )
-        write_result(job_dir, rec, meta)
-    except BaseException as exc:  # noqa: BLE001 — everything crosses as a pickle
-        write_error(job_dir, attempt, exc)
-        sys.exit(1)

@@ -51,9 +51,7 @@ def test_streamed_jobs_run_in_lane_priority_order(tmp_path):
     report = pool.run()
     assert report.ok
     started = [e for e in report.events if e["kind"] == "started"]
-    started_lanes = [
-        pool._by_id[e["job"]].spec.lane for e in started
-    ]
+    started_lanes = [report.result_for(e["job"]).spec.lane for e in started]
     assert started_lanes == ["interactive", "interactive", "batch", "bulk", "bulk"]
 
 

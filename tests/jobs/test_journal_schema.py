@@ -1,19 +1,22 @@
-"""Static journal-schema self-check: emitted kinds vs declared vs replayed."""
+"""Journal schema: every declared record kind has exactly one transition
+handler, shared by the live supervisor and the resume replay — checked
+against the handler table itself, not against anyone's source text."""
 
 import pytest
 
-from repro.errors import JournalSchemaError
 from repro.jobs import journal as journal_mod
-from repro.jobs.journal import JOURNAL_KINDS, verify_journal_schema
+from repro.jobs import transitions
+from repro.jobs.journal import JOURNAL_KINDS
+from repro.jobs.transitions import BatchState, apply, check_handlers
+
+from .test_transitions import summary
 
 
 def test_schema_is_consistent():
-    result = verify_journal_schema()
-    assert set(result["emitted"]) == set(JOURNAL_KINDS)
-    replayed = {k for k, role in JOURNAL_KINDS.items() if role == "replayed"}
-    assert set(result["consumed"]) == replayed
-    # the batch header is consumed via replay.header, not for_kind()
-    assert "batch" in result["consumed"]
+    assert set(transitions.HANDLERS) == set(JOURNAL_KINDS)
+    check_handlers(transitions.HANDLERS, JOURNAL_KINDS)  # what import ran
+    # one function per kind: no two kinds share a handler by accident
+    assert len(set(transitions.HANDLERS.values())) == len(JOURNAL_KINDS)
 
 
 def test_declared_roles_are_valid():
@@ -23,32 +26,38 @@ def test_declared_roles_are_valid():
         assert f"``{kind}``" in journal_mod.__doc__
 
 
-def test_undeclared_emitted_kind_raises(monkeypatch):
-    monkeypatch.delitem(JOURNAL_KINDS, "drain")
-    with pytest.raises(JournalSchemaError) as err:
-        verify_journal_schema()
-    assert "drain" in err.value.missing
-    assert err.value.unused == []
+def test_undeclared_emitted_kind_raises():
+    # the live path and the replay path enter through the same apply(): a
+    # record of a kind nobody declared cannot be emitted or folded
+    with pytest.raises(KeyError, match="phantom"):
+        apply(BatchState(), {"kind": "phantom"}, 0.0)
 
 
-def test_declared_but_never_emitted_kind_raises(monkeypatch):
-    monkeypatch.setitem(JOURNAL_KINDS, "phantom", "audit")
-    with pytest.raises(JournalSchemaError) as err:
-        verify_journal_schema()
-    assert "phantom" in err.value.unused
+def test_declared_but_unhandled_kind_raises():
+    kinds = dict(JOURNAL_KINDS, phantom="audit")
+    with pytest.raises(KeyError, match="phantom"):
+        check_handlers(transitions.HANDLERS, kinds)
+    # ...and the reverse drift: a handler whose kind was dropped from the table
+    kinds = {k: v for k, v in JOURNAL_KINDS.items() if k != "drain"}
+    with pytest.raises(KeyError, match="drain"):
+        check_handlers(transitions.HANDLERS, kinds)
 
 
-def test_misdeclared_replay_role_raises(monkeypatch):
-    # claiming an audit-only kind is replayed must fail the reverse check
-    monkeypatch.setitem(JOURNAL_KINDS, "drain", "replayed")
-    with pytest.raises(JournalSchemaError) as err:
-        verify_journal_schema()
-    assert "drain" in err.value.unused
-
-
-def test_pool_construction_runs_cached_check(monkeypatch, tmp_path):
-    from repro.jobs.pool import JobPool
-
-    monkeypatch.setattr(journal_mod, "_schema_checked", False)
-    JobPool(workers=0, workdir=tmp_path, journal=False)
-    assert journal_mod._schema_checked
+def test_audit_handlers_leave_state_untouched():
+    samples = {
+        "stream_failed": {"admitted": 1, "reason": "ValueError: x"},
+        "sdc": {"job": "a", "attempt": 0, "recovered": True, "detector": "growth",
+                "detections": 2, "tiles_reexecuted": 1, "micro_snapshot_bytes": 8},
+        "storage_degraded": {"op": "journal_append", "path": "p", "error": "full"},
+        "batch_end": {"drained": False, "completed": 0, "terminals": 0},
+    }
+    audit = {k for k, role in JOURNAL_KINDS.items() if role == "audit"}
+    assert set(samples) == audit
+    state = BatchState()
+    spec = {"job_id": "a", "nt": 8}
+    apply(state, {"kind": "admit", "job": "a", "index": 0, "spec": spec}, 0.0)
+    before = summary(state)
+    for kind, payload in samples.items():
+        effects = apply(state, {"kind": kind, **payload}, 1.0)
+        assert all(op in ("event", "count", "observe") for op, *_ in effects)
+        assert summary(state) == before, kind

@@ -146,6 +146,51 @@ def test_supervisor_sigkill_then_resume_is_bit_identical(tmp_path):
     assert not any(segment_exists(n) for n in shm_names)
 
 
+def test_resumed_jobs_keep_their_pre_crash_attempt_history(tmp_path):
+    """Every job faults once on attempt 0 and the supervisor is SIGKILLed at
+    the first terminal job.  One daemon serialises the batch — job 0 fails,
+    job 1 fails while job 0 backs off, job 0's retry completes, kill — so
+    job 1 resumes with one journaled failure behind it.  The fold restores
+    that history: both jobs end with attempts 0 (fault) and 1 (completed),
+    whichever side of the crash each attempt ran on."""
+    child = (
+        "import sys\n"
+        "from repro.jobs import ChaosConfig, JobPool, JobSpec\n"
+        "chaos = ChaosConfig(fault_rate=1.0, kinds=('raise',),\n"
+        "                    kill_supervisor_after=1)\n"
+        "pool = JobPool(workers=1, workdir=sys.argv[1], batch_seed=5, chaos=chaos)\n"
+        "for i in range(2):\n"
+        "    pool.submit(JobSpec(f'shot-{i:02d}', nt=48, seed=i,\n"
+        "                        checkpoint_every=8, max_attempts=3))\n"
+        "pool.run()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=180,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    replay = load_journal(tmp_path / JOURNAL_NAME)
+    before = [(r["job"], r["outcome"]) for r in replay.for_kind("outcome")]
+    assert before == [
+        ("shot-00", "fault"), ("shot-01", "fault"), ("shot-00", "completed"),
+    ]
+    report = JobPool.resume(tmp_path).run()
+    assert report.ok and report.resumed
+    for i in range(2):
+        result = report.result_for(f"shot-{i:02d}")
+        assert [(a.attempt, a.outcome) for a in result.attempts] == [
+            (0, "fault"), (1, "completed"),
+        ]
+        assert "InjectedFault" in result.attempts[0].error
+    assert report.retries == 2
+    # job 0 was preloaded, job 1 re-queued with its budget and ran once more
+    kinds = [(e["kind"], e["job"]) for e in report.events]
+    assert ("preloaded", "shot-00") in kinds and ("readmitted", "shot-01") in kinds
+    assert [k for k in kinds if k[0] == "started"] == [("started", "shot-01")]
+    _assert_oracle(report, [_spec(i, nt=48, max_attempts=3) for i in range(2)])
+
+
 def test_sigterm_drains_gracefully_and_resume_completes(tmp_path):
     """SIGTERM mid-batch: dispatch stops, un-run jobs become resumable
     ``interrupted`` terminals, and the drained report says so — then a

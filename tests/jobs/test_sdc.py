@@ -138,29 +138,34 @@ def test_shm_checksum_catches_a_corrupted_segment():
 # -- pool-level ENOSPC degradation ---------------------------------------------------
 
 
-def test_pool_degrades_and_drains_on_journal_enospc(tmp_path):
+def test_pool_degrades_and_drains_on_journal_enospc(tmp_path, monkeypatch):
+    from repro.jobs import BatchJournal
+
     pool = JobPool(workers=0, workdir=tmp_path)
-    exc = StorageExhaustedError("disk full", path=str(tmp_path), op="journal_append")
+    pool.submit(JobSpec("never-runs", nt=8, checkpoint_every=4))
 
-    class FullJournal:
-        def append(self, kind, **payload):
-            raise StorageExhaustedError(
-                "disk full", path=str(tmp_path), op="journal_append"
-            )
+    def full_disk(self, kind, **payload):
+        raise StorageExhaustedError(
+            "disk full", path=str(tmp_path), op="journal_append"
+        )
 
-        def close(self):
-            pass
-
-    pool._journal.close()
-    pool._journal = FullJournal()
-    pool._journal_append("drain", signal=None)
-    assert pool.storage_degraded is not None
-    assert pool._journal is None  # journaling off: no append loops
-    assert pool._draining  # batch winds down cleanly
-    assert pool._status_summary()["storage_degraded"] is True
-    # further appends are silent no-ops, not crashes
-    pool._journal_append("drain", signal=None)
-    assert isinstance(pool.storage_degraded, type(exc))
+    monkeypatch.setattr(BatchJournal, "append", full_disk)
+    pool.request_drain()  # the first append to hit the full disk
+    assert isinstance(pool.storage_degraded, StorageExhaustedError)
+    kinds = [e["kind"] for e in pool.events]
+    assert kinds.count("storage_degraded") == 1 and kinds.count("drain") == 1
+    # journaling is off: further transitions are silent no-ops on disk, not
+    # crashes or append loops, and the batch winds down cleanly
+    report = pool.run()
+    assert report.drained and report.interrupted == 1
+    assert [e["kind"] for e in report.events].count("storage_degraded") == 1
+    monkeypatch.undo()
+    status = json.loads((tmp_path / METRICS_NAME).read_text())["status"]
+    assert status["storage_degraded"] is True and status["draining"] is True
+    series = report.metrics["metrics"]["repro_storage_degraded_total"]["series"]
+    assert sum(s["value"] for s in series) == 1
+    # nothing after the failure reached the journal: admit is its last record
+    assert load_journal(tmp_path / "journal.jsonl").records[-1]["kind"] == "admit"
 
 
 # -- the end-to-end gate -------------------------------------------------------------

@@ -7,11 +7,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.jobs import ChaosConfig, JobPool, JobSpec, run_batch, run_job_inline
+from repro.jobs import (
+    JOURNAL_NAME, ChaosConfig, JobPool, JobSpec, load_journal, run_batch,
+    run_job_inline,
+)
 from repro.jobs.spec import PHASE_KEYS
 from repro.jobs.shm import segment_exists
+from repro.telemetry import Telemetry
 
 pytestmark = pytest.mark.faults
+
+
+def _observing_stream(pool, specs, names):
+    """Submit *specs* as a stream that, when first pulled — mid-``run()``,
+    after the model arrays were published — reads the published segment
+    names back from the journal's ``shm`` record and checks they exist."""
+
+    def stream():
+        for rec in load_journal(pool.workdir / JOURNAL_NAME).for_kind("shm"):
+            names.extend(rec["names"])
+        assert names and all(segment_exists(n) for n in names)
+        yield from specs
+
+    pool.submit(stream())
 
 
 def _specs(n, nt=48, **kwargs):
@@ -58,13 +76,10 @@ def test_sigkilled_daemon_is_replaced_and_batch_is_bit_identical(tmp_path):
     pool = JobPool(
         workers=2, workdir=tmp_path, chaos=ChaosConfig(kill_workers=1), batch_seed=21
     )
-    for spec in specs:
-        pool.submit(spec)
-    pool._publish_shared()  # early, so the segment names can be observed
-    names = pool._registry.segment_names()
-    assert names and all(segment_exists(n) for n in names)
+    names = []
+    _observing_stream(pool, specs, names)
     report = pool.run()
-    assert report.ok
+    assert report.ok and names
     assert report.kills == 1
     # the dead daemon was retired and a fresh one preforked in its place
     assert report.workers_spawned > 2
@@ -85,11 +100,10 @@ def test_sigkilled_daemon_is_replaced_and_batch_is_bit_identical(tmp_path):
 
 def test_shared_segments_reclaimed_on_clean_runs(tmp_path):
     pool = JobPool(workers=1, workdir=tmp_path)
-    pool.submit(_specs(1)[0])
-    pool._publish_shared()
-    names = pool._registry.segment_names()
+    names = []
+    _observing_stream(pool, _specs(1), names)
     report = pool.run()
-    assert report.ok
+    assert report.ok and names
     assert not any(segment_exists(n) for n in names)
 
 
@@ -118,3 +132,58 @@ def test_serial_executor_also_warms_across_jobs(tmp_path):
     assert [a.warm for a in attempts] == [False, True, True]
     assert all(a.worker is None for a in attempts)
     assert report.workers_spawned == 0
+
+
+def test_dead_pipe_at_dispatch_retires_the_daemon_and_changes_nothing_else(
+    tmp_path, monkeypatch
+):
+    """A daemon that died between polls surfaces as ``BrokenPipeError`` on
+    the dispatch write.  The write-ahead ``attempt`` record is already
+    journaled, so the same attempt must go to the next daemon: one
+    ``worker_crashed``, and exactly one ``resumed`` / ``started`` event and
+    one ``attempt`` record for that attempt number — nothing doubled."""
+    from repro.jobs import ChaosPlan, WarmWorker
+
+    chaos = ChaosConfig(fault_rate=1.0, kinds=("raise",))
+    spec = JobSpec("victim", nt=64, seed=3, checkpoint_every=4, max_attempts=3)
+    # the injected fault fires late enough for a checkpoint to land first,
+    # so the retry is a genuine resume
+    assert ChaosPlan(chaos, 5).entry(0, spec.nt).fault["t"] > 2 * spec.checkpoint_every
+    real_dispatch = WarmWorker.dispatch
+    broken = []
+
+    def dispatch(self, spec, job_dir, attempt, *rest):
+        if attempt == 1 and not broken:
+            broken.append(self.worker_id)
+            raise BrokenPipeError("daemon died between polls")
+        return real_dispatch(self, spec, job_dir, attempt, *rest)
+
+    monkeypatch.setattr(WarmWorker, "dispatch", dispatch)
+    tel = Telemetry()
+    pool = JobPool(
+        workers=1, workdir=tmp_path, chaos=chaos, batch_seed=5, telemetry=tel
+    )
+    pool.submit(spec)
+    report = pool.run()
+    assert report.ok and len(broken) == 1
+    result = report.result_for("victim")
+    assert [(a.attempt, a.outcome) for a in result.attempts] == [
+        (0, "fault"), (1, "completed"),
+    ]
+    assert result.attempts[1].resumed_from is not None
+    np.testing.assert_array_equal(result.receivers, run_job_inline(spec))
+    crashed = [e for e in report.events if e["kind"] == "worker_crashed"]
+    assert [e["worker"] for e in crashed] == broken
+    retry_events = [
+        e["kind"] for e in report.events
+        if e["job"] == "victim" and e.get("attempt") == 1
+        and e["kind"] in ("resumed", "started")
+    ]
+    assert retry_events == ["resumed", "started"]
+    # the daemon that took the attempt is the replacement, not the dead one
+    started = [e for e in report.events if e["kind"] == "started"][-1]
+    assert started["worker"] not in broken
+    assert report.workers_spawned == 2
+    attempts = load_journal(tmp_path / JOURNAL_NAME).for_kind("attempt")
+    assert [r["attempt"] for r in attempts] == [0, 1]
+    assert tel.counters["jobs_resumed"] == 1 and tel.counters["jobs_started"] == 2
