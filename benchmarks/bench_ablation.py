@@ -46,7 +46,7 @@ def test_compiled_kernels(benchmark, small_prop):
 
     def run():
         prop.zero_fields()
-        prop.op.apply(time_M=6, dt=dt, schedule=_SCHED, compiled=True)
+        prop.op.apply(time_M=6, dt=dt, schedule=_SCHED, engine="fused")
 
     benchmark(run)
 
@@ -57,7 +57,7 @@ def test_interpreted_kernels(benchmark, small_prop):
 
     def run():
         prop.zero_fields()
-        prop.op.apply(time_M=6, dt=dt, schedule=_SCHED, compiled=False)
+        prop.op.apply(time_M=6, dt=dt, schedule=_SCHED, engine="interp")
 
     benchmark(run)
 
@@ -71,7 +71,7 @@ def test_compiled_equals_interpreted(benchmark, small_prop):
         a = prop.u.interior(6).copy()
         prop.zero_fields()
         prop.op.apply(time_M=6, dt=dt, schedule=NaiveSchedule(), sparse_mode="offgrid",
-                      compiled=False)
+                      engine="interp")
         return a, prop.u.interior(6).copy()
 
     a, b = benchmark.pedantic(check, rounds=1, iterations=1)

@@ -1,5 +1,5 @@
 """Kernel-engine trajectory bench: fused three-address engine vs the
-per-equation kernels vs the tree-walking interpreter.
+tree-walking interpreter.
 
 Times the small-grid acoustic workload (the wall-clock corroboration setup of
 ``bench_realexec_smallgrid``) under naive / spatially blocked / wavefront
@@ -7,9 +7,10 @@ schedules with each execution engine, prints a table, and writes the
 machine-readable ``BENCH_engine.json`` at the repo root so later PRs can
 track the perf trajectory.
 
-The ``kernel`` series is the per-equation kernel engine *at HEAD*: an
-engine-only ablation that shares every other fast path (indexed+memoised
-sparse lookups, process-wide kernel caches, cached step lists).
+The ``interp`` series is an engine-only ablation: it shares every other fast
+path (indexed+memoised sparse lookups, memoised step lists).  (The seed's
+per-equation ``kernel`` engine was removed in PR 17; EXPERIMENTS.md keeps its
+last measurement.)
 
 Run directly::
 
@@ -52,6 +53,7 @@ import numpy as np
 import pytest
 
 from repro.core import NaiveSchedule, SpatialBlockSchedule, WavefrontSchedule
+from repro.execution.evalbox import ENGINES
 from repro.propagators import point_source, receiver_line
 
 from paper_setup import build_propagator
@@ -59,7 +61,6 @@ from paper_setup import build_propagator
 NT = 16
 SHAPE = (36, 36, 36)
 SPACE_ORDER = 8
-ENGINES = ("fused", "kernel", "interp")
 REPEATS = 15
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
@@ -126,9 +127,6 @@ def run_bench(repeats=REPEATS):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "seconds": results,
-        "speedup_fused_over_kernel": {
-            s: results[s]["kernel"] / results[s]["fused"] for s in results
-        },
         "speedup_fused_over_interp": {
             s: results[s]["interp"] / results[s]["fused"] for s in results
         },
@@ -143,15 +141,12 @@ def write_report(report, path=RESULT_PATH):
 
 def print_report(report):
     print(f"# engine bench — acoustic so={SPACE_ORDER} {SHAPE}, nt={NT}")
-    print(
-        f"{'schedule':<12} {'fused':>10} {'kernel':>10} {'interp':>10} "
-        f"{'kernel/fused':>13}"
-    )
+    print(f"{'schedule':<12} {'fused':>10} {'interp':>10} {'interp/fused':>13}")
     for sched, row in report["seconds"].items():
-        sp = report["speedup_fused_over_kernel"][sched]
+        sp = report["speedup_fused_over_interp"][sched]
         print(
-            f"{sched:<12} {row['fused']*1e3:>8.2f}ms {row['kernel']*1e3:>8.2f}ms "
-            f"{row['interp']*1e3:>8.2f}ms {sp:>12.2f}x"
+            f"{sched:<12} {row['fused']*1e3:>8.2f}ms {row['interp']*1e3:>8.2f}ms "
+            f"{sp:>12.2f}x"
         )
 
 
@@ -290,8 +285,8 @@ def run_verify_bench(repeats=REPEATS):
     abstract-interpretation analyzer alongside it: a cold
     :func:`repro.verify.prove_bounds` (parametric halo-safety proof) and the
     cached :meth:`Operator.bounds_certificate_for` replay.  A one-shot
-    ``scratch`` section records the whole-program liveness/coloring verdict
-    and the pool shrink it licenses (slots -> slabs).
+    ``scratch`` section records the whole-program liveness verdict and the
+    slot count.
     """
     from repro.verify import lint_operator, prove_bounds, prove_schedule
 
@@ -337,7 +332,6 @@ def run_verify_bench(repeats=REPEATS):
         "analyzer_seconds": lint_seconds,
         "safe_for_slab": bool(live.safe_for_slab) if live is not None else None,
         "slots": live.total_slots if live is not None else None,
-        "slabs": live.total_colors if live is not None else None,
     }
     return {
         "timing": (
@@ -372,8 +366,7 @@ def print_verify_report(verify):
     if scratch:
         print(
             f"scratch: lint+liveness {scratch['analyzer_seconds']*1e3:.2f}ms, "
-            f"slab-safe={scratch['safe_for_slab']}, "
-            f"{scratch['slots']} slots -> {scratch['slabs']} slabs"
+            f"slab-safe={scratch['safe_for_slab']}, {scratch['slots']} slots"
         )
 
 
@@ -519,14 +512,13 @@ def test_telemetry_overhead_and_coverage():
 
 @pytest.mark.slow
 def test_fused_engine_speedup_and_report():
-    """Acceptance: the fused engine beats both other engines under every
+    """Acceptance: the fused engine beats the interpreter under every
     schedule, and the JSON trajectory artefact lands at the repo root."""
     report = run_bench()
     path = write_report(report)
     assert path.exists()
     for sched, row in report["seconds"].items():
         assert row["fused"] < row["interp"]
-        assert row["fused"] < row["kernel"]
 
 
 if __name__ == "__main__":

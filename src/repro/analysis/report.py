@@ -14,7 +14,6 @@ __all__ = [
     "render_speedup_bars",
     "render_certificate",
     "render_bounds_certificate",
-    "render_coloring",
 ]
 
 
@@ -119,35 +118,6 @@ def render_bounds_certificate(cert, title: str = "") -> str:
                 f"\n  sweep {c.sweep}: {c.function}[{c.dim}{c.offset:+d}] "
                 f"(halo {c.halo}) margin_lo={c.margin_lo} margin_hi={c.margin_hi}"
             )
-    return out
-
-
-def render_coloring(report, title: str = "") -> str:
-    """Human-readable summary of the scratch-slot liveness/coloring report
-    (:class:`repro.verify.absint.liveness.LivenessReport`).
-
-    Shows, per sweep, the slot live ranges and assigned slab colors, the
-    interference edge count, and the pool shrink the coloring licenses
-    (``total slots -> total colors``).
-    """
-    rows = []
-    for j, colors in enumerate(report.colors):
-        ranges = report.ranges[j]
-        names = sorted(ranges, key=lambda n: ranges[n][0])
-        span = " ".join(f"{n}[{ranges[n][0]},{ranges[n][1]}]" for n in names)
-        rows.append([j, len(colors), " ".join(str(c) for c in colors), span])
-    out = render_table(
-        ["sweep", "slots", "colors", "live ranges [def,last-use]"],
-        rows,
-        title=title or "Scratch-slot coloring",
-    )
-    out += (
-        f"\nslab-safe: {report.safe_for_slab}; interference edges: "
-        f"{len(report.edges)}; pool: {report.total_slots} slots -> "
-        f"{report.total_colors} slabs ("
-        + ", ".join(f"{k}:{v}" for k, v in sorted(report.colors_per_dtype.items()))
-        + ")"
-    )
     return out
 
 

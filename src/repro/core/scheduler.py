@@ -23,6 +23,7 @@ schedule into the one step list all of them walk.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, List, Tuple, Union
@@ -212,11 +213,18 @@ def tile_origins(extents: Tuple[int, ...], tile: Tuple[int, ...], max_lag: int) 
     return product(*(range(0, e + max_lag, t) for e, t in zip(extents, tile)))
 
 
+@functools.lru_cache(maxsize=64)
 def lower(
     schedule: Schedule, shape: Tuple[int, ...], radii: Tuple[int, ...], height: int
-) -> List[Step]:
+) -> Tuple[Step, ...]:
     """The traversal of one *height*-step time tile of *schedule* over a grid
     of *shape* whose sweeps read *radii*, in execution order.
+
+    A pure function of its four (hashable: schedules are frozen dataclasses,
+    *shape* and *radii* tuples) arguments, memoised on all of them — a step
+    list is replayed for every congruent time tile of every run in the
+    process, and two grids or operators can never be handed each other's
+    boxes.
 
     Each step ``(dt, j, box, sparse_box, tile, npoints)`` evaluates sweep *j*
     at timestep ``t0 + dt`` on the non-empty, grid-clipped half-open *box*
@@ -235,10 +243,8 @@ def lower(
       operators restricted to the same window.
 
     Naive and spatial are the height-1 members of the family.  The list
-    depends on a time tile only through its height, so callers lower once per
-    distinct height and replay the list for every congruent tile.
+    depends on a time tile only through its height.
     """
-    shape = tuple(int(n) for n in shape)
     nsweeps = len(radii)
 
     def step(dt: int, j: int, box: Box, sparse_box, tile: int) -> Step:
@@ -249,7 +255,7 @@ def lower(
 
     if isinstance(schedule, NaiveSchedule):
         full = tuple((0, n) for n in shape)
-        return [step(0, j, full, None, 0) for j in range(nsweeps)]
+        return tuple(step(0, j, full, None, 0) for j in range(nsweeps))
 
     if isinstance(schedule, SpatialBlockSchedule):
         blocked = list(zip(shape, schedule.block))
@@ -259,17 +265,17 @@ def lower(
             for los in product(*(range(0, n, b) for n, b in blocked))
         ]
         last = len(boxes) - 1
-        return [
+        return tuple(
             step(0, j, box, None if b == last else NO_SPARSE, b)
             for j in range(nsweeps)
             for b, box in enumerate(boxes)
-        ]
+        )
 
     if not isinstance(schedule, WavefrontSchedule):
         raise TypeError(f"unknown schedule {schedule!r}")
     skewed = list(zip(shape, schedule.tile))
     tail = tuple((0, n) for n in shape[len(skewed):])
-    lags = instance_lags(tuple(radii), height)
+    lags = instance_lags(radii, height)
     instances = [(dt, j) for dt in range(height) for j in range(nsweeps)]
     steps: List[Step] = []
     origins = tile_origins(shape, schedule.tile, lags[-1])
@@ -282,4 +288,4 @@ def lower(
             if all(lo < hi for lo, hi in box):
                 box += tail
                 steps.append(step(dt, j, box, box, tile_id))
-    return steps
+    return tuple(steps)

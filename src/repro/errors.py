@@ -129,7 +129,7 @@ class EngineCompilationError(ReproError, RuntimeError):
     """An execution engine failed to compile its kernels.
 
     Carries ``engine`` (the rung that failed).  The engine-selection ladder
-    catches this to degrade fused -> kernel -> interp; in strict mode it
+    catches this to degrade fused -> interp; in strict mode it
     propagates to the caller.
     """
 

@@ -3,7 +3,6 @@ from .evalbox import (
     ENGINES,
     BoundEq,
     BoundSweep,
-    bind_equations,
     box_is_empty,
     box_view,
     clip_box,
@@ -18,7 +17,6 @@ __all__ = [
     "BoundSweep",
     "ENGINES",
     "box_view",
-    "bind_equations",
     "full_box",
     "clip_box",
     "box_is_empty",

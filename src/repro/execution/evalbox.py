@@ -11,7 +11,7 @@ vectorised arithmetic.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,14 +30,13 @@ __all__ = [
     "box_view",
     "BoundEq",
     "BoundSweep",
-    "bind_equations",
     "ENGINES",
 ]
 
-#: execution engines: "fused" = one three-address kernel per sweep (default),
-#: "kernel" = one compiled expression kernel per equation, "interp" = the
-#: tree-walking interpreter.  All three are bit-identical.
-ENGINES = ("fused", "kernel", "interp")
+#: execution engines, in ladder order: "fused" = one three-address kernel per
+#: sweep (default), "interp" = the tree-walking interpreter (the oracle and
+#: terminal rung).  They are bit-identical.
+ENGINES = ("fused", "interp")
 
 Box = Tuple[Tuple[int, int], ...]  # ((lo, hi) per spatial dimension), hi exclusive
 
@@ -84,15 +83,12 @@ class BoundEq:
     Numeric values for ``dt`` and the spacing symbols must already have been
     substituted into the equation (see
     :meth:`repro.ir.operator.Operator._bind`), leaving only Indexed leaves and
-    numbers in the expression tree.
-
-    With ``compiled=True`` (the default) the right-hand side is rendered to
-    Python/NumPy source and compiled once (see :mod:`repro.ir.pycodegen`);
-    ``compiled=False`` keeps the tree-walking interpreter — both produce
-    bit-identical results.
+    numbers in the expression tree.  Evaluation walks that tree (the
+    ``interp`` engine); :class:`BoundSweep` compiles the fused kernel over
+    the same bound equations.
     """
 
-    def __init__(self, eq: Eq, grid: Grid, compiled: bool = True):
+    def __init__(self, eq: Eq, grid: Grid):
         self.eq = eq
         self.grid = grid
         self.lhs = eq.lhs
@@ -108,20 +104,6 @@ class BoundEq:
         self.reads: List[Indexed] = sorted(self.rhs.atoms(Indexed), key=str)
         self.dim_names = [d.name for d in grid.dimensions]
         self.write_time_offset = self.lhs.offset_map().get("t", 0)
-        self._kernel = None
-        if compiled:
-            from ..ir.pycodegen import compile_rhs
-
-            # equation validation above is engine-independent and raises raw;
-            # failures from here on are *engine* failures the selection
-            # ladder may recover from by degrading to the interpreter
-            try:
-                self._kernel, self.reads = compile_rhs(self.rhs, self.reads)
-            except Exception as exc:
-                raise EngineCompilationError(
-                    f"per-equation kernel compilation failed for {eq}: {exc}",
-                    engine="kernel",
-                ) from exc
 
     # -- view construction -------------------------------------------------------
     def _view(self, access: Indexed, t: int, box: Box) -> np.ndarray:
@@ -132,9 +114,6 @@ class BoundEq:
         if box_is_empty(box):
             return
         out = self._view(self.lhs, t, box)
-        if self._kernel is not None:
-            self._kernel(out, *(self._view(a, t, box) for a in self.reads))
-            return
         env: Dict[Expr, np.ndarray] = {a: self._view(a, t, box) for a in self.reads}
         result = self.rhs.evaluate(env)
         out[...] = result
@@ -157,11 +136,10 @@ class BoundSweep:
       views only depend on ``t`` modulo the time-buffer period, so wavefront
       execution revisiting the same box at a congruent timestep pays zero
       view-construction cost.
-    * ``engine="kernel"``: the per-equation compiled kernels (the previous
-      generation of the engine, kept as the honest benchmark baseline).
-    * ``engine="interp"``: the tree-walking interpreter.
+    * ``engine="interp"``: the tree-walking interpreter, equation by
+      equation.
 
-    All three engines produce bit-identical results; the equivalence suite
+    Both engines produce bit-identical results; the equivalence suite
     asserts this across every physics × schedule combination.
     """
 
@@ -172,9 +150,10 @@ class BoundSweep:
         self.engine = engine
         self.eqs = list(eqs)
         self.dim_names = [d.name for d in grid.dimensions]
-        # BoundEq validates unbound symbols for every engine and is the
-        # execution vehicle for the non-fused ones.
-        self.beqs = [BoundEq(e, grid, compiled=(engine == "kernel")) for e in self.eqs]
+        # BoundEq validates unbound symbols for both engines (raising raw:
+        # an invalid equation is not an engine failure the ladder could
+        # recover from) and is the interpreter's execution vehicle
+        self.beqs = [BoundEq(e, grid) for e in self.eqs]
         self._kernel = None
         #: the right-hand sides this sweep evaluates per point (the fused
         #: engine swaps in the hoisted ones below); static costs count these
@@ -220,10 +199,6 @@ class BoundSweep:
                 1,
             )
             self._view_cache: Dict[Tuple, Tuple[tuple, tuple]] = {}
-            # slab coloring from the scratch-liveness proof: when set (via
-            # apply_slot_plan), slot i checks out the pooled slab of color
-            # _slot_colors[i] instead of a per-(shape, dtype, slot) buffer
-            self._slot_colors: Optional[Tuple[int, ...]] = None
             # plain-int tallies of the memoised (t, box) bindings; read by
             # the telemetry layer as per-run deltas (Operator.apply).  Kept
             # unconditional: two int adds per evaluate are noise next to the
@@ -257,19 +232,10 @@ class BoundSweep:
                 return
             outs = tuple(box_view(l, t, box, self.dim_names) for l in self.writes)
             views = tuple(box_view(a, t, box, self.dim_names) for a in self.reads)
-            colors = self._slot_colors
-            if colors is not None:
-                # slab mode, licensed by the cross-sweep liveness proof: all
-                # box shapes and same-colored slots share one growable slab
-                slots = tuple(
-                    self.pool.slab_view(outs[0].shape, dt, colors[i])
-                    for i, (dt, _) in enumerate(self._kernel.__slotspec__)
-                )
-            else:
-                slots = tuple(
-                    self.pool.get(outs[0].shape, dt, i)
-                    for dt, i in self._kernel.__slotspec__
-                )
+            slots = tuple(
+                self.pool.slab_view(outs[0].shape, dt, i)
+                for dt, i in self._kernel.__slotspec__
+            )
             if len(self._view_cache) >= 4096:  # safety valve, never hit in practice
                 self._view_cache.clear()
             bound = self._view_cache[key] = (slots, outs, views)
@@ -277,45 +243,14 @@ class BoundSweep:
             self.view_hits += 1
         self._kernel(*bound)
 
-    def kernel_source(self):
-        """The generated three-address source of the fused kernel, or ``None``
-        for the non-fused engines (kernel-IR linter entry point)."""
-        if self._kernel is None:
-            return None
-        return getattr(self._kernel, "__source__", None)
-
     def kernel_program(self):
         """The structured three-address program
         (:class:`~repro.ir.nodes.TAProgram`) of the fused kernel, or ``None``
-        for the non-fused engines — the input of the abstract-interpretation
+        under the interpreter — the input of the abstract-interpretation
         passes (:mod:`repro.verify.absint`)."""
         if self._kernel is None:
             return None
         return getattr(self._kernel, "__program__", None)
-
-    def apply_slot_plan(self, colors: Optional[Sequence[int]]) -> None:
-        """Switch scratch checkout to slab mode under the given coloring.
-
-        *colors* assigns each slot of ``__slotspec__`` (in order) a slab
-        color; equal ``(dtype, color)`` pairs share one growable pooled slab
-        across all box shapes and sweeps.  Only sound when the cross-sweep
-        liveness proof holds (every kernel writes every slot before reading
-        it) — :meth:`Operator._build_sweeps` applies the plan exactly when
-        :attr:`LivenessReport.safe_for_slab`.  ``None`` reverts to the
-        conservative per-``(shape, dtype, slot)`` pool.  Cached view bindings
-        are dropped either way: they embed the old checkout.
-        """
-        if self._kernel is None:
-            return
-        if colors is not None:
-            colors = tuple(int(c) for c in colors)
-            if len(colors) != len(self._kernel.__slotspec__):
-                raise ValueError(
-                    f"slot plan rank {len(colors)} != "
-                    f"{len(self._kernel.__slotspec__)} kernel slots"
-                )
-        self._slot_colors = colors
-        self._view_cache.clear()
 
     def invalidate_invariants(self) -> None:
         """Force hoisted model-term buffers to re-materialise on next use.
@@ -335,7 +270,3 @@ class BoundSweep:
 
     def __repr__(self) -> str:
         return f"BoundSweep({len(self.beqs)} eqs, engine={self.engine!r})"
-
-
-def bind_equations(eqs: Sequence[Eq], grid: Grid, compiled: bool = True) -> List[BoundEq]:
-    return [BoundEq(e, grid, compiled=compiled) for e in eqs]

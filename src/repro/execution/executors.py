@@ -12,7 +12,7 @@ violation of Fig. 4b and is provided exactly for that negative test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.scheduler import (
     NO_SPARSE,
@@ -109,7 +109,6 @@ def run_schedule(
     time_m: int,
     time_M: int,
     schedule: Schedule,
-    step_cache: Optional[Dict] = None,
     health=None,
     checkpoint=None,
     faults=None,
@@ -117,11 +116,6 @@ def run_schedule(
     telemetry=None,
 ) -> None:
     """Run iterations ``[time_m, time_M)`` of *plan* under *schedule*.
-
-    *step_cache* (a dict owned by the caller, e.g.
-    :class:`~repro.ir.operator.Operator`) persists the lowered step lists
-    across runs, keyed by schedule and time-tile height; they depend only on
-    the grid, the sweep radii and the schedule, all fixed per operator.
 
     ``health`` (:class:`~repro.runtime.health.HealthGuard`), ``checkpoint``
     (:class:`~repro.runtime.checkpoint.CheckpointConfig`), ``faults``
@@ -153,7 +147,7 @@ def run_schedule(
         if telemetry is not None and abft is not None:
             abft_base = dict(abft.stats)
     try:
-        _execute(plan, time_m, time_M, schedule, step_cache, monitor, telemetry)
+        _execute(plan, time_m, time_M, schedule, monitor, telemetry)
     finally:
         # flush even when the run aborts (e.g. NumericalBlowup) — partial
         # telemetry of a crashed run is the postmortem
@@ -165,7 +159,7 @@ def run_schedule(
                 telemetry.counters.add(f"abft_{key}", abft.stats[key] - abft_base[key])
 
 
-def _execute(plan, time_m, time_M, schedule, step_cache, monitor, tel) -> None:
+def _execute(plan, time_m, time_M, schedule, monitor, tel) -> None:
     """The one traversal loop (Listing 1 = Listing 6 at height 1).
 
     Walks containment units — the time tiles ``[t0, t1)`` of *schedule* — and
@@ -215,18 +209,16 @@ def _execute(plan, time_m, time_M, schedule, step_cache, monitor, tel) -> None:
     sparse = [plan._sparse_for(j) for j in range(nsweeps)]
     all_receivers = plan.all_receivers()
     shape = tuple(plan.grid.shape)
-    lowered: Dict = step_cache if step_cache is not None else {}
-    schedule_key = schedule.key()
+    radii = tuple(plan.radii)
     for t0, t1 in time_tiles(time_m, time_M, schedule.height):
-        key = (schedule_key, t1 - t0)
-        steps = lowered.get(key)
-        if steps is None:
-            steps = lowered[key] = lower(schedule, shape, plan.radii, t1 - t0)
-            misses += 1
-        else:
-            # replayed geometry — a warm worker's persistent family cache
-            # makes even the run's first tile a hit
+        lowered_before = lower.cache_info().misses
+        steps = lower(schedule, shape, radii, t1 - t0)
+        if lower.cache_info().misses == lowered_before:
+            # replayed geometry — lowered earlier in this process, so in a
+            # warm worker even a run's first tile is a hit
             hits += 1
+        else:
+            misses += 1
         if timed:
             uspan = tel.begin(unit_name, t0=t0, t1=t1)
             pre_s += uspan.start - last

@@ -5,10 +5,7 @@ from .dependencies import (
     Sweep,
     build_sweeps,
     read_accesses,
-    spatial_read_radius,
-    validate_wavefront,
     wavefront_angle,
-    wavefront_lags,
     written_access,
 )
 from .operator import Operator
@@ -16,7 +13,6 @@ from .passes import CSEResult, cse_sweep
 from .pycodegen import (
     ScratchPool,
     clear_kernel_caches,
-    compile_rhs,
     compile_sweep,
     kernel_cache_stats,
 )
@@ -26,7 +22,6 @@ __all__ = [
     "CSEResult",
     "cse_sweep",
     "ScratchPool",
-    "compile_rhs",
     "compile_sweep",
     "kernel_cache_stats",
     "clear_kernel_caches",
@@ -35,8 +30,5 @@ __all__ = [
     "build_sweeps",
     "read_accesses",
     "written_access",
-    "spatial_read_radius",
     "wavefront_angle",
-    "wavefront_lags",
-    "validate_wavefront",
 ]

@@ -11,22 +11,23 @@ extracts, from a list of symbolic update equations:
   any time-stepped field), which determines the extra wavefront *lag* the
   sweep contributes (Fig. 7/8 of the paper: the wavefront angle is the sum of
   the per-sweep radii, and steepens with the stencil radius),
-* the cumulative lag table for a sequence of timesteps, used by both the
-  wavefront executor and the performance model.
+  which :func:`repro.core.scheduler.instance_lags` accumulates into the lag
+  table the wavefront executor and the performance model share.
 
-The legality argument implemented by :func:`validate_wavefront` is: order the
-sweep *instances* of a time tile lexicographically by (timestep, sweep); give
-instance ``i`` the lag ``L[i] = L[i-1] + read_radius(i)``.  Then for any
-instance ``A`` reading data written by an earlier instance ``B``,
-``L[A] - L[B] >= read_radius(A)``, hence executing each instance on the
-window ``[X0 - L, X1 - L)`` of a tile ``[X0, X1)``, tiles ascending, never
-reads a point that has not yet been written.
+The legality argument (checked per schedule by :mod:`repro.verify.prover`)
+is: order the sweep *instances* of a time tile lexicographically by
+(timestep, sweep); give instance ``i`` the lag
+``L[i] = L[i-1] + read_radius(i)``.  Then for any instance ``A`` reading data
+written by an earlier instance ``B``, ``L[A] - L[B] >= read_radius(A)``,
+hence executing each instance on the window ``[X0 - L, X1 - L)`` of a tile
+``[X0, X1)``, tiles ascending, never reads a point that has not yet been
+written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..dsl.equation import Eq
 from ..dsl.functions import TimeFunction
@@ -38,11 +39,7 @@ __all__ = [
     "read_accesses",
     "written_access",
     "build_sweeps",
-    "sweep_read_radius",
-    "wavefront_lags",
     "wavefront_angle",
-    "validate_wavefront",
-    "spatial_read_radius",
 ]
 
 
@@ -87,12 +84,6 @@ def written_access(eq: Eq) -> Access:
 
 def read_accesses(eq: Eq) -> List[Access]:
     return [_classify(ix) for ix in eq.rhs.atoms(Indexed)]
-
-
-def spatial_read_radius(eq: Eq) -> int:
-    """Largest spatial offset among the equation's reads."""
-    reads = read_accesses(eq)
-    return max((a.radius for a in reads), default=0)
 
 
 @dataclass
@@ -170,19 +161,6 @@ def build_sweeps(eqs: Sequence[Eq]) -> List[Sweep]:
     return sweeps
 
 
-def sweep_read_radius(sweep: Sweep) -> int:
-    """Module-level form of :meth:`Sweep.read_radius`: the largest spatial
-    radius at which *sweep* reads time-stepped data it does not itself
-    produce — i.e. the wavefront lag the sweep contributes.
-
-    Zero-radius sweeps (pointwise updates, e.g. damping-only corrections) and
-    multi-field sweeps (elastic: one sweep reads several staggered fields)
-    are both covered: the maximum runs over every external time-field read,
-    and an empty read set yields 0.
-    """
-    return sweep.read_radius()
-
-
 def wavefront_angle(sweeps: Sequence[Sweep]) -> int:
     """Wavefront skew per timestep: the sum of the per-sweep read radii.
 
@@ -190,51 +168,3 @@ def wavefront_angle(sweeps: Sequence[Sweep]) -> int:
     staggered/coupled kernels it is the sum over the sweeps (Fig. 8b).
     """
     return sum(s.read_radius() for s in sweeps)
-
-
-def wavefront_lags(sweeps: Sequence[Sweep], nsteps: int) -> List[int]:
-    """Cumulative lag for each sweep instance of an *nsteps*-high time tile.
-
-    Instance order is ``(t0, sweep0), (t0, sweep1), ..., (t1, sweep0), ...``;
-    ``lags[i]`` is subtracted from the tile window when executing instance i.
-    """
-    from ..core.scheduler import instance_lags
-
-    return instance_lags(tuple(s.read_radius() for s in sweeps), nsteps)
-
-
-def validate_wavefront(sweeps: Sequence[Sweep], nsteps: int) -> None:
-    """Check the pairwise lag condition ``L[A] - L[B] >= read_radius(A)``.
-
-    With lags built by :func:`wavefront_lags` the condition holds by
-    construction whenever every external read refers to data written by an
-    earlier instance; this routine verifies that assumption by locating, for
-    every read, the most recent producing instance, and raises ``ValueError``
-    on violation (e.g. an equation reading a future timestep).
-    """
-    lags = wavefront_lags(sweeps, nsteps)
-    k = len(sweeps)
-    # Reads of data produced *before* the tile are always legal (earlier tiles
-    # complete fully); intra-tile producers are covered by the constructive
-    # lag property.  What remains to reject is a read of the future relative
-    # to the write -- a system no causal schedule can execute:
-    for sweep in sweeps:
-        for eq in sweep.eqs:
-            w = written_access(eq)
-            for a in read_accesses(eq):
-                if not isinstance(a.function, TimeFunction):
-                    continue
-                if (a.function.name, a.time_offset) in sweep.written_keys and a.radius == 0:
-                    continue  # intra-sweep pointwise read, executes in order
-                if a.time_offset > w.time_offset:
-                    raise ValueError(
-                        f"equation {eq} reads future time offset {a.time_offset} "
-                        f"while writing offset {w.time_offset}; wavefront "
-                        "blocking is not legal for this system"
-                    )
-    # the constructive property: each instance's lag increment equals its
-    # read radius, so L[A] - L[B] >= read_radius(A) for every earlier B
-    for i in range(1, len(lags)):
-        j = i % k
-        if lags[i] - lags[i - 1] != sweeps[j].read_radius():
-            raise AssertionError("lag table violates constructive property")

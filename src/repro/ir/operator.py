@@ -80,9 +80,8 @@ class Operator:
         # fused bound sweeps depend only on dt: equations are immutable and
         # Function buffers are written in place, never reallocated, so the
         # sweeps -- and with them the fused engine's per-(t, box) view
-        # caches -- are safely reusable across apply() calls.  The kernel and
-        # interp engines bind per apply, exactly as the seed engine did: they
-        # exist as ablation baselines and carry no reusable state.
+        # caches -- are safely reusable across apply() calls.  The interpreter
+        # binds per apply: it carries no reusable state.
         self._sweep_cache: Dict[float, List[BoundSweep]] = {}
         # legality certificates from the schedule prover, keyed by
         # (schedule.key(), resolved sparse mode); apply() proves each
@@ -97,13 +96,9 @@ class Operator:
         # cumulative wall-time of the abstract-interpretation analyses
         # (bounds proofs + scratch liveness), reported by the verify bench
         self.analyzer_seconds = 0.0
-        # precomputed wavefront step plans, persisted across apply() calls;
-        # keyed (tile, height) -- the only schedule knobs geometry depends on
-        # (grid and sweep radii are fixed per operator)
-        self._step_cache: Dict = {}
         # one scratch pool per operator, shared by all fused sweeps across
-        # apply() calls -- buffers are keyed by (shape, dtype, slot) so reuse
-        # is automatic and steady-state execution allocates nothing
+        # apply() calls -- slabs are keyed by (dtype, slot) so reuse is
+        # automatic and steady-state execution allocates nothing
         from ..ir.pycodegen import ScratchPool
 
         self._pool = ScratchPool()
@@ -243,14 +238,6 @@ class Operator:
         return AlignedReceiver(self._decomposed(itp, 0.0), itp.field, itp.sparse.data)
 
     # -- binding ------------------------------------------------------------------
-    #: graceful-degradation ladder: when an engine's codegen fails, execution
-    #: falls to the next rung (structured warning) instead of aborting
-    _ENGINE_LADDER = {
-        "fused": ("fused", "kernel", "interp"),
-        "kernel": ("kernel", "interp"),
-        "interp": ("interp",),
-    }
-
     def bound_equations(self, dt: float) -> List[List[Eq]]:
         """Per sweep, the equations every engine rung (and the linter) binds:
         ``dt`` and the grid spacings substituted, then the
@@ -266,7 +253,9 @@ class Operator:
     def _build_sweeps(
         self, dt: float, engine: str, strict: bool, telemetry=None, breaker=None
     ) -> Tuple[str, List[BoundSweep]]:
-        """Bind sweeps under *engine*, degrading down the ladder on
+        """Bind sweeps under *engine*, degrading down the ladder — ``ENGINES``
+        from *engine* on: when a rung's codegen fails, execution falls to the
+        next one with a structured warning instead of aborting — on
         :class:`EngineCompilationError` unless *strict*.  Returns the engine
         that actually compiled plus its bound sweeps.
 
@@ -280,7 +269,7 @@ class Operator:
         terminal ``interp`` rung (:class:`repro.jobs.CircuitBreaker` only
         ever tracks a compiled engine)."""
         sweep_eqs = self.bound_equations(dt)
-        rungs = self._ENGINE_LADDER[engine]
+        rungs = ENGINES[ENGINES.index(engine):]
         for i, eng in enumerate(rungs):
             if breaker is not None and not breaker.allow(eng):
                 if telemetry is not None:
@@ -334,18 +323,6 @@ class Operator:
                             counterexample=ce,
                             certificate=cert,
                         )
-                    # scratch-pool slab plan: the whole-program liveness
-                    # proof (already computed by the lint gate) licenses
-                    # collapsing the per-(shape, dtype, slot) pool into
-                    # per-(dtype, color) slabs, bit-identically
-                    live = report.scratch
-                    if (
-                        live is not None
-                        and live.safe_for_slab
-                        and len(live.colors) == len(bound)
-                    ):
-                        for sw, colors in zip(bound, live.colors):
-                            sw.apply_slot_plan(colors)
                 if breaker is not None:
                     breaker.record_success(eng)
                 return eng, bound
@@ -376,14 +353,13 @@ class Operator:
         dt: float,
         schedule: Schedule,
         sparse_mode: str,
-        compiled: bool = True,
         engine: Optional[str] = None,
         strict_engine: bool = False,
         telemetry=None,
         breaker=None,
     ) -> ExecutionPlan:
         if engine is None:
-            engine = "fused" if compiled else "interp"
+            engine = "fused"
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         # a cached fused bind is a known-good compile: reusing it costs (and
@@ -455,7 +431,6 @@ class Operator:
         dt: float = 1.0,
         schedule: Optional[Schedule] = None,
         sparse_mode: str = "auto",
-        compiled: bool = True,
         engine: Optional[str] = None,
         health=None,
         checkpoint=None,
@@ -465,20 +440,17 @@ class Operator:
         strict_engine: bool = False,
         telemetry=None,
         breaker=None,
-        step_cache=None,
     ) -> ExecutionPlan:
         """Run iterations ``t in [time_m, time_M)`` under *schedule*.
 
-        ``engine`` selects how sweeps execute: ``"fused"`` (default when
-        compiled) runs each sweep as one fused three-address kernel fed from
-        a scratch pool, ``"kernel"`` uses one compiled expression kernel per
-        equation, ``"interp"`` the tree-walking interpreter.  All three are
-        bit-identical.  ``compiled=False`` is shorthand for
-        ``engine="interp"`` (kept for the ablation bench and as a debugging
-        aid).  Returns the execution plan (useful for inspection in tests).
+        ``engine`` selects how sweeps execute: ``"fused"`` (the default) runs
+        each sweep as one fused three-address kernel fed from a scratch pool,
+        ``"interp"`` the tree-walking interpreter (the oracle; also the
+        ablation baseline and a debugging aid).  They are bit-identical.
+        Returns the execution plan (useful for inspection in tests).
 
         Resilience (all optional, all off by default): a failing engine
-        degrades down the fused -> kernel -> interp ladder with an
+        degrades down the fused -> interp ladder with an
         :class:`~repro.errors.EngineFallbackWarning` unless ``strict_engine``;
         ``preflight`` validates the precomputed sparse structures before
         timestep 0; ``health``/``checkpoint``/``faults`` attach a
@@ -506,13 +478,6 @@ class Operator:
         arithmetic intensity can be derived from measured sweep time.
         Telemetry never changes numerics — a telemetry-on run is
         bit-identical to a telemetry-off run.
-
-        ``step_cache`` substitutes a caller-owned dict for the operator's
-        private step-plan cache, letting wavefront tile geometry persist
-        beyond this operator's lifetime (the warm-worker pool shares one
-        per problem family).  Step plans depend only on grid, sweep radii
-        and schedule, so sharing across identically-shaped operators is
-        sound — numerics are untouched either way.
         """
         if time_M <= time_m:
             raise InvalidTimeRange(
@@ -560,7 +525,6 @@ class Operator:
             dt,
             schedule,
             sparse_mode,
-            compiled=compiled,
             engine=engine,
             strict_engine=strict_engine,
             telemetry=tel,
@@ -578,14 +542,10 @@ class Operator:
             # the warm-worker pool's per-worker counters aggregate
             kc = kernel_cache_stats()
             tel.counters.add(
-                "kernel_cache_hits",
-                (kc["rhs_hits"] - kc_base["rhs_hits"])
-                + (kc["sweep_hits"] - kc_base["sweep_hits"]),
+                "kernel_cache_hits", kc["sweep_hits"] - kc_base["sweep_hits"]
             )
             tel.counters.add(
-                "kernel_cache_misses",
-                (kc["rhs_misses"] - kc_base["rhs_misses"])
-                + (kc["sweep_misses"] - kc_base["sweep_misses"]),
+                "kernel_cache_misses", kc["sweep_misses"] - kc_base["sweep_misses"]
             )
         if preflight:
             plan.validate()
@@ -617,7 +577,6 @@ class Operator:
             time_m,
             time_M,
             schedule,
-            step_cache=step_cache if step_cache is not None else self._step_cache,
             health=health,
             checkpoint=checkpoint,
             faults=faults,

@@ -56,7 +56,6 @@ __all__ = [
     "HoistedField",
     "HoistResult",
     "hoist_invariants",
-    "plan_scratch_slots",
 ]
 
 
@@ -199,7 +198,7 @@ class HoistedField:
     per box, so the values read back are bit-identical to inline evaluation.
     """
 
-    __slots__ = ("name", "expr", "halo", "dtype", "_data", "_reads", "_kernel", "_snap")
+    __slots__ = ("name", "expr", "halo", "dtype", "_data", "_reads", "_snap")
 
     def __init__(self, name: str, expr: Expr, halo: int):
         self.name = name
@@ -215,12 +214,7 @@ class HoistedField:
             self.dtype = np.asarray(expr.evaluate(specimens)).dtype
         self._data = None
         self._snap = None
-        # per-apply refreshes run a compiled whole-buffer kernel (bit-identical
-        # to the interpreter) instead of walking the tree each time
-        from .pycodegen import compile_rhs
-
         self._reads = sorted(expr.atoms(Indexed), key=str)
-        self._kernel, self._reads = compile_rhs(expr, self._reads)
 
     @property
     def data_with_halo(self) -> np.ndarray:
@@ -255,7 +249,7 @@ class HoistedField:
         if self._data is None:
             self._data = np.empty(shapes.pop(), dtype=self.dtype)
         with np.errstate(all="ignore"):
-            self._kernel(self._data, *views)
+            self._data[...] = self.expr.evaluate(dict(zip(self._reads, views)))
         if self._snap is None or any(
             s.shape != v.shape for s, v in zip(self._snap, views)
         ):
@@ -806,36 +800,3 @@ def build_wavefront(op, schedule: Optional[WavefrontSchedule] = None) -> Node:
         ]
     return Iteration("tt", "time_m", "time_M", tile_nest, step="tile_t",
                      properties=("time", "tile"))
-
-
-# -- scratch-pool planning (abstract-interpretation backed) ----------------------
-
-
-def plan_scratch_slots(programs):
-    """Shrink the shared scratch pool via the cross-sweep liveness proof.
-
-    Runs the whole-program scratch analysis of
-    :mod:`repro.verify.absint.liveness` over the sweeps' three-address
-    programs and returns ``(report, plan)``:
-
-    * ``report`` — the full :class:`~repro.verify.absint.liveness.LivenessReport`
-      (findings, live ranges, interference edges, coloring);
-    * ``plan`` — per sweep, the tuple of slab colors to feed
-      :meth:`~repro.execution.evalbox.BoundSweep.apply_slot_plan`, or ``None``
-      when the proof does not license slab sharing
-      (:attr:`~repro.verify.absint.liveness.LivenessReport.safe_for_slab` is
-      False) — the conservative per-``(shape, dtype, slot)`` pool keying then
-      stays in force.
-
-    The optimisation this licenses: legacy pool keying allocates one buffer
-    per ``(box shape, dtype, slot)`` triple, so wavefront execution with its
-    many clipped box shapes multiplies buffers; under the proof, every
-    kernel writes each slot before reading it, so same-dtype slots can share
-    ``ncolors`` growable slabs across *all* shapes and sweeps, bit-identically.
-    """
-    from ..verify.absint.liveness import analyse_programs
-
-    report = analyse_programs(list(programs))
-    if not report.safe_for_slab:
-        return report, None
-    return report, [tuple(c) for c in report.colors]

@@ -1,26 +1,18 @@
-"""NumPy kernel generation: compile symbolic expressions to Python closures.
+"""NumPy kernel generation: compile the symbolic sweeps to Python closures.
 
 Devito's key trick is generating low-level code from the symbolic problem
-definition; our executor applies the same idea at the NumPy level.  Two
-generations of kernel live here:
+definition; our executor applies the same idea at the NumPy level.
+:func:`compile_sweep` is the fused three-address engine (``engine="fused"``,
+the default): all equations of a sweep are lowered, after the
+common-subexpression-elimination pass of :func:`repro.ir.passes.cse_sweep`,
+into a single linear program of ``np.add(a, b, s)``-style instructions
+writing into slots checked out of a :class:`ScratchPool` — no temporaries are
+allocated on the hot path, repeated subexpressions are evaluated once, and
+scratch slots are recycled by liveness so the pool stays small.
 
-* :func:`compile_rhs` — the original per-equation kernel: each equation's
-  right-hand side is rendered once into a single Python/NumPy expression over
-  named array views and compiled; every binary operation materialises a full
-  temporary (NumPy's normal evaluation).  Kept as the ``engine="kernel"``
-  execution mode and as the reference the fused engine is measured against.
-
-* :func:`compile_sweep` — the fused three-address engine (``engine="fused"``,
-  the default): all equations of a sweep are lowered, after the
-  common-subexpression-elimination pass of :func:`repro.ir.passes.cse_sweep`,
-  into a single linear program of ``np.add(a, b, out=s)``-style instructions
-  writing into a shape/dtype-keyed :class:`ScratchPool` — no temporaries are
-  allocated on the hot path, repeated subexpressions are evaluated once, and
-  scratch slots are recycled by liveness so the pool stays small.
-
-Both paths are bit-identical to the tree-walking interpreter (the tests
-assert this; the interpreter remains available as ``engine="interp"`` /
-``BoundEq(..., compiled=False)``): instruction order follows the
+The kernels are bit-identical to the tree-walking interpreter (the tests
+assert this; the interpreter remains available as ``engine="interp"``, the
+oracle and the ladder's terminal rung): instruction order follows the
 interpreter's left-associative evaluation exactly, and every intermediate is
 computed in the dtype NumPy promotion would naturally give (determined at
 compile time by probing the ufuncs with zero-size specimen arrays).
@@ -40,8 +32,6 @@ from ..dsl.symbols import Add, Call, Expr, Indexed, Mul, Number, Pow, Symbol
 from .nodes import TAInstr, TAOperand, TAProgram
 
 __all__ = [
-    "render_numpy_expression",
-    "compile_rhs",
     "compile_sweep",
     "ScratchPool",
     "kernel_cache_stats",
@@ -50,151 +40,62 @@ __all__ = [
 
 _ALLOWED_CALLS = {"sin", "cos", "tan", "sqrt", "exp"}
 
+# -- kernel cache ----------------------------------------------------------------
 
-def render_numpy_expression(expr: Expr, names: Dict[Indexed, str]) -> str:
-    """Render *expr* as a Python/NumPy source expression.
-
-    ``names`` maps every Indexed access to the local variable holding its
-    array view.  Raises on unbound symbols (the caller must substitute dt and
-    spacings first).
-    """
-
-    def rec(e: Expr) -> str:
-        if isinstance(e, Number):
-            return repr(float(e.value)) if isinstance(e.value, float) else repr(e.value)
-        if isinstance(e, Indexed):
-            return names[e]
-        if isinstance(e, Symbol):
-            raise ValueError(f"unbound symbol {e.name!r} in expression")
-        if isinstance(e, Add):
-            return "(" + " + ".join(rec(a) for a in e.args) + ")"
-        if isinstance(e, Mul):
-            return "(" + "*".join(rec(a) for a in e.args) + ")"
-        if isinstance(e, Pow):
-            exp = e.exponent
-            if isinstance(exp, Number):
-                v = exp.value
-                if v == -1:
-                    return f"(1.0/{rec(e.base)})"
-                if isinstance(v, int) and 0 < v <= 4:
-                    return "(" + "*".join([rec(e.base)] * v) + ")"
-                return f"({rec(e.base)}**{v!r})"
-            return f"({rec(e.base)}**{rec(exp)})"
-        if isinstance(e, Call):
-            if e.name not in _ALLOWED_CALLS:
-                raise ValueError(f"unsupported call {e.name!r} in generated kernel")
-            return f"np.{e.name}({rec(e.argument)})"
-        raise TypeError(f"cannot render node {type(e).__name__}")
-
-    return rec(expr)
-
-
-# -- kernel caches ---------------------------------------------------------------
-
-_RHS_CACHE: Dict[object, Tuple[Callable, List[Indexed]]] = {}
 _SWEEP_CACHE: Dict[object, Callable] = {}
-_CACHE_STATS = {"rhs_hits": 0, "rhs_misses": 0, "sweep_hits": 0, "sweep_misses": 0}
+_CACHE_STATS = {"sweep_hits": 0, "sweep_misses": 0}
 
 
 def kernel_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of the process-wide kernel caches (for tests/benches)."""
+    """Hit/miss counters of the process-wide kernel cache (for tests/benches)."""
     stats = dict(_CACHE_STATS)
-    stats["rhs_entries"] = len(_RHS_CACHE)
     stats["sweep_entries"] = len(_SWEEP_CACHE)
     return stats
 
 
 def clear_kernel_caches() -> None:
-    _RHS_CACHE.clear()
     _SWEEP_CACHE.clear()
     for k in _CACHE_STATS:
         _CACHE_STATS[k] = 0
-
-
-def compile_rhs(rhs: Expr, reads: Sequence[Indexed]) -> Tuple[Callable, List[Indexed]]:
-    """Compile ``rhs`` into ``kernel(out, v0, v1, ...)`` writing in place.
-
-    Returns the compiled callable and the read order its positional view
-    arguments follow.  The store uses ``out[...] = expr`` so dtype and layout
-    follow the output view exactly as the interpreter's assignment does.
-    Kernels are cached by canonical expression structure: compiling the same
-    bound equation twice returns the same callable.
-    """
-    reads = list(reads)
-    key = (rhs, tuple(reads))
-    hit = _RHS_CACHE.get(key)
-    if hit is not None:
-        _CACHE_STATS["rhs_hits"] += 1
-        # return the *caller's* reads, not the cached ones: Indexed equality
-        # is structural, so a hit may come from an equation over different
-        # (same-named) Function objects and the cached accesses would bind
-        # views to stale arrays
-        return hit[0], reads
-    _CACHE_STATS["rhs_misses"] += 1
-    names = {access: f"v{i}" for i, access in enumerate(reads)}
-    body = render_numpy_expression(rhs, names)
-    args = ", ".join(["out"] + [names[a] for a in reads])
-    source = f"def _kernel({args}):\n    out[...] = {body}\n"
-    namespace: Dict[str, object] = {"np": np}
-    code = compile(source, filename="<repro-kernel>", mode="exec")
-    exec(code, namespace)
-    kernel = namespace["_kernel"]
-    kernel.__source__ = source  # for inspection/tests
-    _RHS_CACHE[key] = (kernel, list(reads))
-    return kernel, reads
 
 
 # -- the fused three-address engine ----------------------------------------------
 
 
 class ScratchPool:
-    """Shape/dtype-keyed pool of scratch buffers for generated kernels.
+    """Growable scratch slabs for generated kernels, one per ``(dtype, slot)``.
 
     A fused kernel's scratch slots are checked out with
-    ``pool.get(shape, dtype, slot)`` when a ``(t, box)`` instance is first
-    bound (the kernel's ``__slotspec__`` lists the required dtypes); the
-    arrays persist on the pool, so steady-state execution performs **zero**
-    allocations.  Distinct slot
-    indices of equal shape and dtype map to distinct arrays (a kernel may
-    need several same-typed scratch registers live at once), and the pool is
-    shared freely across sweeps and operator rebuilds — buffers are keyed
-    only by what they are, not by who uses them.
+    ``pool.slab_view(shape, dtype, slot)`` when a ``(t, box)`` instance is
+    first bound (the kernel's ``__slotspec__`` lists each slot's dtype and
+    per-dtype index, as assigned by the emitter's refcounting allocator); the
+    slabs persist on the pool, so steady-state execution performs **zero**
+    allocations.  One 1-D slab backs every box shape via reshaped prefix
+    views — wavefront execution touches many distinct clipped box shapes, and
+    a per-shape pool would multiply buffers by that count — and the pool is
+    shared freely across sweeps and operator rebuilds: a slab is keyed only
+    by what it is, not by who uses it.
 
-    **Slab mode** (``slab_view``): when the whole-program scratch-liveness
-    proof holds (every slot written before read in every kernel — see
-    :mod:`repro.verify.absint.liveness`), slots no longer need per-*shape*
-    buffers: one growable 1-D slab per ``(dtype, color)`` backs every box
-    shape via reshaped prefix views.  Wavefront execution touches many
-    distinct clipped box shapes, so this collapses ``shapes x slots``
-    buffers into ``ncolors`` slabs; the coloring plan is computed by
-    :func:`repro.ir.passes.plan_scratch_slots` and applied per sweep.
+    Sharing is sound because every kernel writes each slot before reading it
+    (the fused bind is rejected otherwise — E301 of
+    :mod:`repro.verify.absint.liveness`), so a slab's prior contents never
+    matter.
     """
 
-    __slots__ = ("_bufs", "_slabs")
+    __slots__ = ("_slabs",)
 
     def __init__(self) -> None:
-        self._bufs: Dict[Tuple, np.ndarray] = {}
-        self._slabs: Dict[Tuple, np.ndarray] = {}
+        self._slabs: Dict[Tuple[str, int], np.ndarray] = {}
 
-    def get(self, shape: Tuple[int, ...], dtype: np.dtype, slot: int) -> np.ndarray:
-        key = (shape, dtype, slot)
-        buf = self._bufs.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._bufs[key] = buf
-        return buf
+    def slab_view(self, shape: Tuple[int, ...], dtype: np.dtype, slot: int) -> np.ndarray:
+        """A *shape*-shaped scratch view backed by the ``(dtype, slot)`` slab.
 
-    def slab_view(self, shape: Tuple[int, ...], dtype: np.dtype, color: int) -> np.ndarray:
-        """A *shape*-shaped scratch view backed by the ``(dtype, color)`` slab.
-
-        Sound only for slots proven write-before-read (the slab is shared
-        across every sweep and box shape, so its prior contents are
-        arbitrary).  A slab grows geometrically when a larger box arrives;
-        earlier views keep the old storage, which is harmless — aliasing
-        between *distinct* colors (the only aliasing that could corrupt a
-        kernel call) never occurs, as each color owns its own slab.
+        A slab grows geometrically when a larger box arrives; earlier views
+        keep the old storage, which is harmless — aliasing between *distinct*
+        slots (the only aliasing that could corrupt a kernel call) never
+        occurs, as each slot owns its own slab.
         """
-        key = (np.dtype(dtype).str, int(color))
+        key = (np.dtype(dtype).str, int(slot))
         n = 1
         for s in shape:
             n *= int(s)
@@ -205,26 +106,14 @@ class ScratchPool:
             self._slabs[key] = slab
         return slab[:n].reshape(shape)
 
-    @property
-    def buffer_count(self) -> int:
-        """Legacy per-(shape, dtype, slot) buffers currently allocated."""
-        return len(self._bufs)
-
-    @property
-    def slab_count(self) -> int:
-        """(dtype, color) slabs currently allocated."""
+    def __len__(self) -> int:
+        """(dtype, slot) slabs currently allocated."""
         return len(self._slabs)
 
-    def __len__(self) -> int:
-        return len(self._bufs) + len(self._slabs)
-
     def nbytes(self) -> int:
-        return sum(b.nbytes for b in self._bufs.values()) + sum(
-            b.nbytes for b in self._slabs.values()
-        )
+        return sum(b.nbytes for b in self._slabs.values())
 
     def clear(self) -> None:
-        self._bufs.clear()
         self._slabs.clear()
 
 
@@ -435,7 +324,7 @@ class _Emitter:
             if v == -1:
                 return self._emit("divide", [_Operand("scalar", "1.0", None), self.lower(e.base)])
             if isinstance(v, int) and 0 < v <= 4:
-                # repeated multiply, exactly as the single-expression kernels
+                # small integer powers lower to repeated multiplies
                 base = self.lower(e.base)
                 self._retain(base, v - 1)
                 acc = base
@@ -465,12 +354,13 @@ def compile_sweep(
 ) -> Callable:
     """Compile all equations of a sweep into one fused three-address kernel.
 
-    The kernel has signature ``kernel(pool, outs, views)`` where *outs* and
+    The kernel has signature ``kernel(slots, outs, views)`` where *outs* and
     *views* are tuples of box-shaped array views in the order of *lhss* and
-    *reads*, and *pool* is a :class:`ScratchPool`.  Equations execute in
-    order, each ending in a plain ``out[...] = value`` store, so intra-sweep
-    radius-0 reads of earlier writes observe updated data exactly as the
-    sequential per-equation paths do.
+    *reads*, and *slots* the scratch views checked out of a
+    :class:`ScratchPool` per ``__slotspec__``.  Equations execute in order,
+    each ending in a store to its output view, so intra-sweep radius-0 reads
+    of earlier writes observe updated data exactly as the interpreter's
+    sequential per-equation evaluation does.
 
     Kernels are cached by the canonical expression structure of the whole
     sweep plus every operand dtype; the generated source is shape-agnostic.

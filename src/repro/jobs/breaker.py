@@ -6,7 +6,7 @@ compilation-failure cost (attempt compile, catch
 degrade) even when the last ten jobs already proved the fused compiler is
 broken.  The breaker remembers: after ``threshold`` consecutive failures it
 *opens* and subsequent work is routed straight down the existing
-fused→kernel→interp ladder; after ``cooldown`` seconds it goes *half-open*
+fused→interp ladder; after ``cooldown`` seconds it goes *half-open*
 and lets exactly one probe through — success closes it again, failure
 re-opens it.
 

@@ -395,8 +395,9 @@ class JobPool(PoolObservability):
             and spec.engine == self.breaker.engine == "fused"
             and not self.breaker.allow("fused")
         ):
-            spec = replace(spec, engine="kernel")
-            self._emit("rerouted", job.spec.job_id, engine="kernel")
+            # the oracle and terminal rung, which the breaker never blocks
+            spec = replace(spec, engine="interp")
+            self._emit("rerouted", job.spec.job_id, engine="interp")
         resume = job.attempt_no > 0 or job.force_resume
         step = worker_mod.newest_checkpoint_step(self._job_dir(job)) if resume else None
         entry = self.chaos_plan.entry(job.index, spec.nt) if self.chaos_plan else None

@@ -22,6 +22,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.scheduler import SCHEDULES
+from ..execution.evalbox import ENGINES as JOB_ENGINES
+from ..propagators.examples import EXAMPLES
 
 __all__ = [
     "EXAMPLES",
@@ -35,9 +37,6 @@ __all__ = [
     "JobResult",
     "BatchReport",
 ]
-
-EXAMPLES = ("acoustic", "tti", "elastic")
-JOB_ENGINES = ("fused", "kernel", "interp")
 
 #: priority lanes of the streaming admission front-end, best first: within
 #: the ready queue every ``interactive`` job dispatches before any ``batch``
@@ -232,7 +231,7 @@ class JobResult:
     engine: str = ""
     #: wall-clock seconds from first dispatch to terminal state
     elapsed: float = 0.0
-    #: fused→kernel→interp fallbacks the successful attempt reported
+    #: fused→interp fallbacks the successful attempt reported
     fallbacks: List[dict] = dc_field(default_factory=list)
 
     @property

@@ -7,11 +7,11 @@ the paper says to amortise across time iterations, thrown away per job.  A
 dispatched jobs over a private duplex pipe, returning results over the same
 pipe.  Because the process survives from job to job:
 
-* the process-wide fused/RHS kernel caches
-  (:func:`repro.ir.pycodegen.kernel_cache_stats`) stay warm — every job
+* the process-wide fused kernel cache
+  (:func:`repro.ir.pycodegen.kernel_cache_stats`) stays warm — every job
   after the first binds its sweeps by cache hit instead of compilation;
-* the ``(tile, height)`` wavefront step plans persist in the worker's
-  :class:`WarmState` per problem family and are replayed, not recomputed;
+* the lowered step lists (:func:`repro.core.scheduler.lower`, memoised per
+  process) are replayed, not recomputed;
 * the model/geometry arrays arrive once, as
   :class:`~repro.jobs.shm.SharedArrayHandle` attachments, zero-copy.
 
@@ -62,11 +62,8 @@ class WarmState:
 
     ``shared`` maps registry keys to the read-only shared-memory arrays the
     worker attached at startup (empty for the serial executor, which reads
-    nothing remote).  ``step_cache`` hands out one persistent step-plan dict
-    per *problem family* — (example, schedule, engine) — so wavefront tile
-    geometry computed for one shot is replayed for every later shot of the
-    same family.  ``jobs_done`` drives the warm/cold attribution: an attempt
-    is *warm* iff its daemon had already completed at least one job.
+    nothing remote).  ``jobs_done`` drives the warm/cold attribution: an
+    attempt is *warm* iff its daemon had already completed at least one job.
     """
 
     def __init__(
@@ -77,13 +74,6 @@ class WarmState:
         self.shared: Dict[str, object] = dict(shared or {})
         self.worker_id = worker_id
         self.jobs_done = 0
-        self._step_caches: Dict[tuple, dict] = {}
-
-    def step_cache(self, spec: JobSpec) -> dict:
-        """The family step cache for *spec*."""
-        return self._step_caches.setdefault(
-            (spec.example, spec.schedule, spec.engine), {}
-        )
 
 
 def _safe_exception(exc: BaseException) -> BaseException:

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..core.scheduler import make_schedule
 from ..errors import CheckpointCorruptError
+from ..propagators.examples import SHAPE, build_example, example_velocity
 from ..runtime.abft import ABFTGuard
 from ..runtime.checkpoint import CheckpointConfig, FileCheckpointStore
 from ..runtime.faults import Fault, FaultInjector, break_engine
@@ -53,10 +54,6 @@ __all__ = [
     "model_arrays",
 ]
 
-#: the small verification grid every job runs on (mirrors repro.lint)
-SHAPE, NBL, SPACE_ORDER = (12, 12, 12), 2, 4
-NRECEIVERS = 4
-
 #: registry key of the shared velocity model (see :func:`model_arrays`)
 VP_KEY = "model/vp"
 
@@ -66,55 +63,25 @@ def model_arrays() -> dict:
     key.  The pool publishes these into shared memory once per batch;
     :func:`build_problem` falls back to computing them locally (bit-identical
     by construction) when no shared registry is attached."""
-    from ..propagators import layered_velocity
-
-    return {VP_KEY: layered_velocity(SHAPE, 1.5, 3.0, 3)}
+    return {VP_KEY: example_velocity()}
 
 
 def build_problem(spec: JobSpec, shared=None):
-    """(propagator, dt) for *spec* — deterministic in the spec alone.
+    """(propagator, dt) for *spec* — deterministic in the spec alone: the
+    shared example builder, with the seed shifting the shot within the
+    middle [0.3, 0.7] of the domain.
 
     *shared* optionally maps registry keys to zero-copy read-only arrays
     (a warm worker's shared-memory attachments); absent keys are computed
     locally, producing bit-identical values by construction.
     """
-    from ..propagators import (
-        AcousticPropagator,
-        ElasticPropagator,
-        SeismicModel,
-        TTIPropagator,
-        layered_velocity,
-        point_source,
-        receiver_line,
-    )
-
-    vp = shared.get(VP_KEY) if shared else None
-    if vp is None:
-        vp = layered_velocity(SHAPE, 1.5, 3.0, 3)
-    kwargs = {}
-    if spec.example == "tti":
-        kwargs = dict(epsilon=0.12, delta=0.05, theta=0.35, phi=0.4)
-    elif spec.example == "elastic":
-        kwargs = dict(rho=1.8, vs=vp / 1.8)
-    spacing = 20.0 if spec.example == "tti" else 10.0
-    model = SeismicModel(
-        SHAPE, (spacing,) * 3, vp, nbl=NBL, space_order=SPACE_ORDER, **kwargs
-    )
-    cls = {
-        "acoustic": AcousticPropagator,
-        "tti": TTIPropagator,
-        "elastic": ElasticPropagator,
-    }[spec.example]
-    dt = model.critical_dt(spec.example)
-    center = np.asarray(model.domain_center, dtype=float)
-    extent = np.asarray(model.grid.extent, dtype=float)
-    # the seed shifts the shot within the middle [0.3, 0.7] of the domain
     rng = np.random.default_rng(spec.seed)
-    coords = center + rng.uniform(-0.2, 0.2, size=len(extent)) * extent
-    src = point_source("src", model.grid, spec.nt, coords, f0=0.015, dt=dt)
-    rec = receiver_line("rec", model.grid, spec.nt, npoint=NRECEIVERS, depth=center[-1])
-    prop = cls(model, space_order=SPACE_ORDER, source=src, receivers=rec)
-    return prop, dt
+    return build_example(
+        spec.example,
+        nt=spec.nt,
+        vp=shared.get(VP_KEY) if shared else None,
+        shift=rng.uniform(-0.2, 0.2, size=len(SHAPE)),
+    )
 
 
 def _checkpoint_dir(job_dir: Path) -> Path:
@@ -154,8 +121,7 @@ def execute_attempt(
     costs one attempt, not the job.
 
     *warm* is an optional :class:`~repro.jobs.warm.WarmState`: its shared
-    arrays feed :func:`build_problem` zero-copy, its family step cache lets
-    the wavefront tile geometry persist across jobs, and the meta gains the
+    arrays feed the example builder zero-copy and the meta gains the
     warm/cold attribution (worker id, warmth flag, per-phase seconds, cache
     hit/miss tallies) the pool's benchmark and telemetry report.
 
@@ -212,7 +178,6 @@ def execute_attempt(
             abft=abft,
             telemetry=telemetry,
             breaker=breaker,
-            step_cache=warm.step_cache(spec) if warm else None,
         )
     t_after = _time.perf_counter()
     fallbacks = [

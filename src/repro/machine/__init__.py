@@ -1,6 +1,6 @@
 """Machine models: specs, cache simulation, traffic analysis, roofline."""
 from .cache import CacheHierarchy, HierarchyStats, LRUCache, SetAssociativeCache
-from .kernels import KernelSpec, SliceAccess, SliceRead, SweepSpec
+from .kernels import KernelSpec, SliceAccess, SweepSpec
 from .perfmodel import GridGeometry, PerfResult, PerformanceModel, SourceLoad
 from .roofline import RooflinePoint, render_roofline, roofline_points
 from .spec import BROADWELL, MACHINES, SKYLAKE, CacheLevel, MachineSpec
@@ -14,7 +14,6 @@ __all__ = [
     "KernelSpec",
     "SweepSpec",
     "SliceAccess",
-    "SliceRead",
     "GridGeometry",
     "SourceLoad",
     "PerformanceModel",

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.metrics import eq_flops
+from ..core.scheduler import instance_lags
 from ..dsl.functions import Function, TimeFunction
 from ..dsl.symbols import Indexed
 from ..ir.dependencies import Sweep, read_accesses, written_access
@@ -41,10 +42,6 @@ class SliceAccess:
     @property
     def is_time_slice(self) -> bool:
         return self.time_offset is not None
-
-
-#: backwards-compatible alias (earlier revisions called this SliceRead)
-SliceRead = SliceAccess
 
 
 @dataclass(frozen=True)
@@ -89,15 +86,13 @@ class KernelSpec:
         return sum(s.radius for s in self.sweeps)
 
     def lag_span(self, height: int) -> int:
-        """Maximal wavefront lag across a tile of *height* timesteps.
-
-        Equals the sum of the lag increments of all sweep instances after the
-        first: ``angle*height - radius(first sweep)`` (multi-sweep kernels
-        skew *within* a timestep too, Fig. 8b).
-        """
+        """Maximal wavefront lag across a tile of *height* timesteps: the
+        last entry of the executor's own lag table, i.e. ``angle*height -
+        radius(first sweep)`` (multi-sweep kernels skew *within* a timestep
+        too, Fig. 8b)."""
         if not self.sweeps:
             return 0
-        return max(self.angle * height - self.sweeps[0].radius, 0)
+        return instance_lags(tuple(s.radius for s in self.sweeps), height)[-1]
 
     @property
     def flops_per_point_step(self) -> float:

@@ -8,9 +8,9 @@ Usage::
     python -m repro.profile elastic --json                 # machine-readable (CI)
 
 Each example is the corresponding paper propagator on the same small grid
-the linter uses (:func:`repro.lint.build_example`); ``quickstart`` is an
-alias for the acoustic example so the README one-liner works verbatim.  The
-run is instrumented with a :class:`~repro.telemetry.Telemetry` buffer: the
+``repro.verify`` certifies (:func:`repro.propagators.examples.build_example`);
+``quickstart`` is an alias for the acoustic example so the README one-liner
+works verbatim.  The run is instrumented with a :class:`~repro.telemetry.Telemetry` buffer: the
 default output is the per-phase wall-time table with the achieved-throughput
 lines; ``--trace`` additionally records one span per sweep instance and
 writes a Chrome ``trace_event`` file — open it at https://ui.perfetto.dev
@@ -25,9 +25,11 @@ import sys
 from typing import List
 
 from .core.scheduler import SCHEDULES, make_schedule
+from .execution.evalbox import ENGINES
+from .propagators.examples import EXAMPLES as _EXAMPLES, build_example
 from .telemetry import Telemetry, telemetry_to_json, render_phase_table, write_chrome_trace
 
-EXAMPLES = ("quickstart", "acoustic", "tti", "elastic")
+EXAMPLES = ("quickstart",) + _EXAMPLES
 
 
 def profile_example(
@@ -38,8 +40,6 @@ def profile_example(
     detail: str = "phase",
 ) -> Telemetry:
     """Run one example propagator under telemetry and return the buffer."""
-    from .lint import build_example
-
     prop, dt = build_example("acoustic" if kind == "quickstart" else kind, nt=nt)
     telemetry = Telemetry(detail=detail)
     prop.forward(
@@ -60,8 +60,8 @@ def main(argv: List[str] = None) -> int:
         help="execution schedule (default: wavefront)",
     )
     parser.add_argument(
-        "--engine", choices=("fused", "kernel", "interp"), default=None,
-        help="force a sweep engine (default: the fused/kernel/interp ladder)",
+        "--engine", choices=ENGINES, default=None,
+        help="force a sweep engine (default: the fused -> interp ladder)",
     )
     parser.add_argument(
         "--nt", type=int, default=16, help="number of timesteps (default: 16)"

@@ -74,12 +74,11 @@ class Propagator:
         strict_engine: bool = False,
         telemetry=None,
         breaker=None,
-        step_cache=None,
     ):
         """Run the forward model for *nt* steps (or *tn* ms) under *schedule*.
 
-        ``engine`` selects the sweep execution engine ("fused"/"kernel"/
-        "interp", see :meth:`repro.ir.operator.Operator.apply`).
+        ``engine`` selects the sweep execution engine ("fused"/"interp", see
+        :meth:`repro.ir.operator.Operator.apply`).
         Returns ``(receiver_data, plan)``; wavefields stay on the propagator's
         :class:`TimeFunction` objects for inspection.
 
@@ -97,9 +96,6 @@ class Propagator:
         *not* reset — the run continues from the restored state.
         ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry` buffer
         (phase-level timing, counters, optional per-instance trace spans).
-        ``step_cache`` overrides the operator's private step-plan cache with
-        a caller-owned dict — how warm workers persist wavefront tile
-        geometry across jobs whose operators are rebuilt per shot.
         """
         if dt is None:
             dt = self.critical_dt()
@@ -138,7 +134,6 @@ class Propagator:
             strict_engine=strict_engine,
             telemetry=telemetry,
             breaker=breaker,
-            step_cache=step_cache,
         )
         rec = self.receivers.data.copy() if self.receivers is not None else None
         return rec, plan

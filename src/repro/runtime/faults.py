@@ -14,7 +14,7 @@ positions are drawn from the injector's seeded RNG, so a given
 ``(faults, seed)`` pair replays identically.
 
 :func:`break_engine` is the codegen counterpart: a context manager that makes
-the fused (or per-equation kernel) compiler raise, exercising the
+the fused compiler raise, exercising the
 engine-degradation ladder in :meth:`repro.ir.operator.Operator._bind`.
 """
 
@@ -208,25 +208,24 @@ class FaultInjector:
 def break_engine(engine: str = "fused", exc: Optional[Exception] = None):
     """Force the named engine's compiler to raise inside the ``with`` block.
 
-    Patches :func:`repro.ir.pycodegen.compile_sweep` (fused) or
-    :func:`~repro.ir.pycodegen.compile_rhs` (per-equation kernels); both are
+    Patches :func:`repro.ir.pycodegen.compile_sweep`, the one compiler there
+    is (the interpreter compiles nothing, so it cannot be broken); it is
     looked up at call time by the execution layer, so the patch takes effect
     for every sweep bound while the context is active.
     """
     from ..ir import pycodegen
 
-    target = {"fused": "compile_sweep", "kernel": "compile_rhs"}.get(engine)
-    if target is None:
-        raise ValueError(f"break_engine supports 'fused' or 'kernel', got {engine!r}")
-    original = getattr(pycodegen, target)
+    if engine != "fused":
+        raise ValueError(f"break_engine supports 'fused', got {engine!r}")
+    original = pycodegen.compile_sweep
 
     def broken(*args, **kwargs):
         raise exc if exc is not None else RuntimeError(
             f"injected {engine} codegen failure"
         )
 
-    setattr(pycodegen, target, broken)
+    pycodegen.compile_sweep = broken
     try:
         yield
     finally:
-        setattr(pycodegen, target, original)
+        pycodegen.compile_sweep = original

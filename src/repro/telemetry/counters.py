@@ -18,16 +18,17 @@ Counter taxonomy (all optional — absent means the producer never ran):
 * ``view_cache_hits`` / ``view_cache_misses`` — the fused engine's memoised
   ``(t, box)`` view bindings (:class:`~repro.execution.evalbox.BoundSweep`).
 * ``kernel_cache_hits`` / ``kernel_cache_misses`` — process-wide compiled
-  RHS/sweep kernel lookups during operator binding
+  sweep kernel lookups during operator binding
   (:func:`repro.ir.pycodegen.kernel_cache_stats`); a warm worker's second
   job of a family is all hits, which is the whole point of keeping it alive.
-* ``step_cache_hits`` / ``step_cache_misses`` — ``(schedule, height)``
-  step-list lookups per time tile (:mod:`repro.execution.executors`); hits
-  mean the lowered geometry was replayed from an earlier tile or run (or a
-  warm worker's persistent family cache) instead of recomputed.
+* ``step_cache_hits`` / ``step_cache_misses`` — step-list lookups per time
+  tile (:mod:`repro.execution.executors`); a hit means the geometry was
+  replayed from a list :func:`repro.core.scheduler.lower` built earlier in
+  this process (an earlier tile, run or — in a warm worker — job) instead
+  of recomputed.
 * ``checkpoint_saves``, ``guard_ticks``, ``guard_checks``, ``faults_fired``
   — runtime-monitor activity (:mod:`repro.runtime`).
-* ``engine_fallbacks`` — fused→kernel→interp ladder transitions during
+* ``engine_fallbacks`` — fused→interp ladder transitions during
   binding (:meth:`repro.ir.operator.Operator._build_sweeps`).
 * ``jobs_{kind}`` — one per pool lifecycle event kind
   (:class:`repro.jobs.pool.JobPool`): ``queued``/``started``/``retried``/

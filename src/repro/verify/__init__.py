@@ -13,17 +13,18 @@ Layers (each usable standalone):
   :class:`~repro.errors.ScheduleLegalityError` carrying a concrete
   :class:`~repro.verify.certificate.Counterexample` naming two conflicting
   statement instances ``(t, tile, point)``.
-* :mod:`repro.verify.linter` — static checks over compiled sweeps
-  (``python -m repro.lint`` is the CLI front-end); error findings reject the
-  fused bind via :class:`~repro.errors.KernelLintError`.
+* :mod:`repro.verify.linter` — static checks over compiled sweeps; error
+  findings reject the fused bind via
+  :class:`~repro.errors.KernelLintError`.
 * :mod:`repro.verify.oracle` — shadow-memory replay of real executions on
   small grids, confirming certified schedules race-free and counterexamples
   real.
 * :mod:`repro.verify.absint` — the abstract-interpretation pass framework:
   parametric bounds proofs (:func:`prove_bounds` →
   :class:`~repro.verify.certificate.BoundsCertificate`), the NEP 50 dtype
-  lattice behind W201, and whole-program scratch-slot liveness/coloring
-  (``python -m repro.verify`` is the CLI front-end).
+  lattice behind W201, and the whole-program scratch-slot liveness check.
+
+``python -m repro.verify`` is the one CLI front-end over all of them.
 """
 
 from .absint import (
@@ -52,13 +53,11 @@ from .dependence import (
     Statement,
     classify_indexed,
     compute_dependences,
-    fused_statements,
     statements_for,
 )
 from .linter import (
     Diagnostic,
     LintReport,
-    analyse_kernel_source,
     lint_bound_sweeps,
     lint_equations,
     lint_operator,
@@ -72,7 +71,6 @@ __all__ = [
     "Dependence",
     "classify_indexed",
     "statements_for",
-    "fused_statements",
     "compute_dependences",
     "InstanceRef",
     "Counterexample",
@@ -95,7 +93,6 @@ __all__ = [
     "resolve_sparse_mode",
     "Diagnostic",
     "LintReport",
-    "analyse_kernel_source",
     "lint_equations",
     "lint_bound_sweeps",
     "lint_operator",

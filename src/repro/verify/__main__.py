@@ -1,4 +1,4 @@
-"""Command-line front-end of the abstract-interpretation analyses.
+"""Command-line front-end of the static verification subsystem.
 
 Usage::
 
@@ -7,16 +7,23 @@ Usage::
     python -m repro.verify --all --json        # machine-readable output (CI)
     python -m repro.verify --all --json --baseline verify_baseline.json
 
-Per example, the tool
+Each example is the corresponding paper propagator on a small grid with one
+off-the-grid Ricker source and a receiver line
+(:func:`repro.propagators.examples.build_example`) — the same operators the
+benchmarks scale up.  Per example, the tool
 
-* proves **parametric halo safety** for every schedule of the shared CLI
-  sweep (naive, spatial, wavefront — the same set ``repro.profile`` times)
-  plus the schedule-free "any" family, printing the
+* proves **schedule legality** for every schedule of the shared CLI sweep
+  (naive, spatial, wavefront — the same set ``repro.profile`` times; the
+  result is trivial for the untiled kinds but recorded so the JSON is
+  uniform), recording the
+  :class:`~repro.verify.certificate.LegalityCertificate` or the error,
+* proves **parametric halo safety** for the same schedules plus the
+  schedule-free "any" family, printing the
   :class:`~repro.verify.certificate.BoundsCertificate` (or the concrete
   ``(schedule, t, tile, index)`` counterexample),
-* runs the kernel-IR linter (lattice-backed W201, whole-program E301/W302),
-* reports the scratch-slot liveness/coloring and the pool shrink it
-  licenses, and
+* runs the kernel-IR linter (lattice-backed W201, whole-program scratch
+  liveness E301/W302) and reports ``ninstr``, the fused-kernel instruction
+  count per sweep, and
 * records the analyzer wall-time.
 
 Exit code 1 iff any certificate is refuted or any error-severity lint
@@ -37,7 +44,13 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-JSON_SCHEMA_VERSION = 1
+from ..core.scheduler import SCHEDULES, make_schedule
+from ..errors import ScheduleLegalityError
+from ..propagators.examples import EXAMPLES, build_example
+from .linter import lint_operator
+
+#: JSON envelope version of ``--json`` output (bump on schema changes)
+JSON_SCHEMA_VERSION = 2
 
 
 def _warning_keys(payload: dict) -> set:
@@ -53,35 +66,39 @@ def _warning_keys(payload: dict) -> set:
 
 def verify_example(kind: str) -> dict:
     """Run every analysis on one example; returns the JSON entry."""
-    from ..core.scheduler import SCHEDULES, make_schedule
-    from ..lint import build_example
-    from .linter import lint_operator
-
     prop, dt = build_example(kind)
     op = prop.op
     t0 = time.perf_counter()
     report = lint_operator(op, dt=dt)
     lint_seconds = time.perf_counter() - t0
 
-    certs = {"any": op.bounds_certificate_for(None)}
+    certificates = {}
+    bounds = {"any": op.bounds_certificate_for(None)}
     for sched_kind in SCHEDULES:
-        certs[sched_kind] = op.bounds_certificate_for(make_schedule(sched_kind))
+        schedule = make_schedule(sched_kind)
+        try:
+            certificates[sched_kind] = op.certificate_for(schedule).to_dict()
+        except ScheduleLegalityError as exc:
+            certificates[sched_kind] = {"legal": False, "error": str(exc)}
+        bounds[sched_kind] = op.bounds_certificate_for(schedule)
 
-    entry = {
+    return {
         "lint": report.to_dict(),
-        "bounds": {k: c.to_dict() for k, c in certs.items()},
+        "certificates": certificates,
+        "bounds": {k: c.to_dict() for k, c in bounds.items()},
         "analyzer_seconds": op.analyzer_seconds + lint_seconds,
-        "ok": report.ok and all(c.check() for c in certs.values()),
+        "ok": (
+            report.ok
+            and all(c["legal"] for c in certificates.values())
+            and all(c.check() for c in bounds.values())
+        ),
     }
-    return entry
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from ..lint import EXAMPLES
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
-        description="Abstract-interpretation verification of the example operators.",
+        description="Statically verify the paper's example operators.",
     )
     parser.add_argument(
         "example",
@@ -134,7 +151,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         from ..analysis.report import render_bounds_certificate
-        from .certificate import BoundsCertificate
+        from .certificate import BoundsCertificate, LegalityCertificate
 
         for kind, entry in payload["results"].items():
             lint = entry["lint"]
@@ -147,14 +164,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             for d in lint["diagnostics"]:
                 where = f"sweep {d['sweep']}: " if d["sweep"] is not None else ""
                 print(f"  {d['code']} [{d['severity']}] {where}{d['message']}")
+            for sched_kind, cert in entry.get("certificates", {}).items():
+                verdict = (
+                    f"ILLEGAL — {cert['error']}"
+                    if "error" in cert
+                    else LegalityCertificate.from_dict(cert).summary()
+                )
+                print(f"  certificate[{sched_kind}]: {verdict}")
             cert = BoundsCertificate.from_dict(entry["bounds"]["any"])
             print(render_bounds_certificate(cert, title=f"  bounds [{kind}, any]"))
             scratch = lint.get("scratch")
             if scratch is not None:
+                ninstr = ", ".join(f"sweep {j}: {n}" for j, n in lint["ninstr"].items())
                 print(
                     f"  scratch: slab-safe={scratch['safe_for_slab']}, "
-                    f"{scratch['total_slots']} slots -> "
-                    f"{scratch['total_colors']} slabs"
+                    f"{scratch['total_slots']} slots; ninstr {ninstr}"
                 )
             print()
     for key in new_warnings:

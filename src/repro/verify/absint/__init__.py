@@ -18,9 +18,8 @@ Layered like a small compiler-analysis toolkit:
 * :mod:`repro.verify.absint.dtypes` — the NEP 50 promotion lattice,
   :func:`expr_dtype` promotion chains (powering the linter's W201) and the
   :class:`DtypePass` slot-typing consistency check.
-* :mod:`repro.verify.absint.liveness` — whole-program scratch-slot liveness,
-  interference and the slab coloring that shrinks the shared scratch pool
-  (consumed by :func:`repro.ir.passes.plan_scratch_slots`).
+* :mod:`repro.verify.absint.liveness` — whole-program scratch-slot liveness:
+  the E301/W302 check that licenses sharing the scratch slabs across sweeps.
 """
 
 from .bounds import build_param_space, prove_bounds

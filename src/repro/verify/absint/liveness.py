@@ -1,38 +1,34 @@
-"""Whole-program scratch-slot liveness, interference and slab coloring.
+"""Whole-program scratch-slot liveness: the check that licenses slab sharing.
 
-The per-kernel scratch analysis (linter codes E301/W302) asked one question:
-does any instruction read a slot this kernel never wrote?  This module
-extends it to the **whole program** — the cyclic sequence of fused kernels
-one timestep executes, all drawing slots from one shared
-:class:`~repro.ir.pycodegen.ScratchPool` — by running a backward liveness
-pass around the kernel cycle with the framework's :func:`fixpoint` driver.
-Pool buffers are identified by ``(dtype, per-dtype index)``, exactly the
-``__slotspec__`` identity under which sweeps share them.
+Every fused kernel one timestep executes draws its scratch slots from one
+shared :class:`~repro.ir.pycodegen.ScratchPool`, whose slabs are reused
+across sweeps and box shapes without ever being cleared.  That is sound iff
+no kernel observes a slab's prior contents, which this module checks on the
+typed three-address IR — per kernel with a forward def/use scan, and around
+the cyclic kernel sequence with a backward liveness pass under the
+framework's :func:`fixpoint` driver.  Pool buffers are identified by
+``(dtype, per-dtype index)``, exactly the ``__slotspec__`` identity under
+which sweeps share them.
 
-Deliverables:
+* **E301** — an instruction reads a slot this kernel never wrote: it would
+  observe stale pooled memory (the finding names the *producing sweep* whose
+  leftover value that is).  An error: it rejects the fused bind.
+* **W302** — a value stored to a slot and never consumed: a dead statement.
+* **live-in** — the fixpoint's pool buffers live at each kernel's entry;
+  must all be empty.
 
-* **Findings** — E301 escalated to whole-program form (a stale read names
-  the *producing sweep* whose leftover value would be observed) and W302
-  dead stores, now derived from the typed IR instead of re-parsed source.
-* **Interference graph** — edges between same-dtype slots of one kernel
-  whose live ranges overlap (slots of different kernels never interfere:
-  kernels run to completion, and the liveness proof shows no value crosses
-  the boundary).
-* **Coloring** — a greedy (optimal for interval graphs) per-dtype coloring
-  that :func:`repro.ir.passes.plan_scratch_slots` turns into the slab plan
-  shrinking the pool from ``shapes x slots`` buffers to ``ncolors`` slabs.
-  The plan is only emitted when :attr:`LivenessReport.safe_for_slab` — the
-  proof *licenses* the optimisation; an unproven program keeps the
-  conservative per-shape pool.
+The analysis is a check, not a planner: slot assignment is the emitter's
+refcounting allocator (:class:`repro.ir.pycodegen._Emitter`), which already
+reuses a slot the moment its last consumer has run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ...ir.nodes import TAProgram
-from .framework import DataflowPass, Finding, fixpoint, run_pass
+from .framework import DataflowPass, Finding, fixpoint
 
 __all__ = ["PoolLivenessPass", "LivenessReport", "analyse_programs"]
 
@@ -86,16 +82,10 @@ class LivenessReport:
 
     #: E301/W302 findings over the typed IR
     findings: List[Finding] = field(default_factory=list)
-    #: per sweep: slot name -> (first def index, last use index) in the kernel
-    ranges: List[Dict[str, Tuple[int, int]]] = field(default_factory=list)
-    #: interference edges (sweep, slot, slot), lexicographic slot order
-    edges: List[Tuple[int, str, str]] = field(default_factory=list)
-    #: per sweep, per slot (declaration order): the slab color
-    colors: List[Tuple[int, ...]] = field(default_factory=list)
-    #: dtype name -> number of slabs needed
-    colors_per_dtype: Dict[str, int] = field(default_factory=dict)
     #: live-in pool buffers per sweep from the fixpoint (must all be empty)
     live_in: List[FrozenSet[PoolId]] = field(default_factory=list)
+    #: scratch slots declared over all kernels
+    total_slots: int = 0
 
     @property
     def safe_for_slab(self) -> bool:
@@ -105,48 +95,30 @@ class LivenessReport:
             self.live_in
         )
 
-    @property
-    def total_slots(self) -> int:
-        return sum(len(c) for c in self.colors)
-
-    @property
-    def total_colors(self) -> int:
-        return sum(self.colors_per_dtype.values())
-
     def to_dict(self) -> dict:
         return {
             "safe_for_slab": self.safe_for_slab,
             "total_slots": self.total_slots,
-            "total_colors": self.total_colors,
-            "colors_per_dtype": dict(sorted(self.colors_per_dtype.items())),
-            "colors": [list(c) for c in self.colors],
-            "edges": [[s, a, b] for s, a, b in self.edges],
-            "ranges": [
-                {name: list(r) for name, r in sorted(ranges.items())}
-                for ranges in self.ranges
-            ],
             "findings": [f.to_diagnostic().to_dict() for f in self.findings],
         }
 
 
 def _kernel_scan(
     program: TAProgram, sweep: int, producers: Dict[PoolId, int]
-) -> Tuple[Dict[str, Tuple[int, int]], List[Finding]]:
-    """Forward def/use scan of one kernel: live ranges plus E301/W302."""
+) -> List[Finding]:
+    """Forward def/use scan of one kernel: its E301/W302 findings."""
     findings: List[Finding] = []
     ids = slot_pool_ids(program)
-    first_def: Dict[str, int] = {}
-    last_use: Dict[str, int] = {}
+    written: set = set()  # slots written (or already reported stale) so far
     pending: Dict[str, str] = {}  # slot -> rendered instr of unread write
-    stale_reported: set = set()
 
-    for i, instr in enumerate(program.instrs):
+    for instr in program.instrs:
         line = instr.render()
         for arg in instr.args:
             if arg.kind != "slot":
                 continue
             name = arg.name
-            if name not in first_def and name not in stale_reported:
+            if name not in written:
                 producer = producers.get(ids[name])
                 origin = (
                     f" (last written by sweep {producer}'s kernel)"
@@ -164,8 +136,7 @@ def _kernel_scan(
                         statement=line,
                     )
                 )
-                stale_reported.add(name)
-            last_use[name] = i
+                written.add(name)  # report each stale slot once
             pending.pop(name, None)
         if instr.op != "store" and instr.out.kind == "slot":
             name = instr.out.name
@@ -181,7 +152,7 @@ def _kernel_scan(
                         statement=prev,
                     )
                 )
-            first_def.setdefault(name, i)
+            written.add(name)
             pending[name] = line
     for name, line in pending.items():
         findings.append(
@@ -194,19 +165,12 @@ def _kernel_scan(
                 statement=line,
             )
         )
-    ranges = {
-        name: (d, max(last_use.get(name, d), d)) for name, d in first_def.items()
-    }
-    for name in last_use:
-        # stale-read slots have uses but no def; range starts at first use
-        if name not in ranges:
-            ranges[name] = (0, last_use[name])
-    return ranges, findings
+    return findings
 
 
 def analyse_programs(programs: Sequence[TAProgram]) -> LivenessReport:
     """Run the whole-program scratch analysis over one timestep's kernels."""
-    report = LivenessReport()
+    report = LivenessReport(total_slots=sum(len(p.slots) for p in programs))
 
     # which sweep's kernel last writes each pooled buffer, in cycle order —
     # the "producer" a stale read would observe
@@ -218,9 +182,7 @@ def analyse_programs(programs: Sequence[TAProgram]) -> LivenessReport:
                 producers[ids[instr.out.name]] = j
 
     for j, program in enumerate(programs):
-        ranges, findings = _kernel_scan(program, j, producers)
-        report.ranges.append(ranges)
-        report.findings.extend(findings)
+        report.findings.extend(_kernel_scan(program, j, producers))
 
     # cross-sweep fixpoint: live-in buffers at each kernel entry must be empty
     if programs:
@@ -230,51 +192,4 @@ def analyse_programs(programs: Sequence[TAProgram]) -> LivenessReport:
         report.live_in = [
             r.pre[0] if r.pre else frozenset() for r in results
         ]
-
-    # interference graph: same kernel, same dtype, overlapping live ranges
-    for j, program in enumerate(programs):
-        dtypes = dict(program.slots)
-        names = [n for n, _ in program.slots]
-        ranges = report.ranges[j]
-        for x in range(len(names)):
-            for y in range(x + 1, len(names)):
-                a, b = names[x], names[y]
-                if dtypes[a] != dtypes[b]:
-                    continue
-                if a not in ranges or b not in ranges:
-                    continue
-                (alo, ahi), (blo, bhi) = ranges[a], ranges[b]
-                if alo <= bhi and blo <= ahi:
-                    report.edges.append((j, a, b))
-
-    # greedy coloring per dtype (optimal on interval graphs), in first-def
-    # order; colors are global across sweeps so equal colors share one slab
-    adjacency: Dict[Tuple[int, str], set] = {}
-    for j, a, b in report.edges:
-        adjacency.setdefault((j, a), set()).add(b)
-        adjacency.setdefault((j, b), set()).add(a)
-    colors_per_dtype: Dict[str, int] = {}
-    for j, program in enumerate(programs):
-        assignment: Dict[str, int] = {}
-        ranges = report.ranges[j]
-        order = sorted(
-            (n for n, _ in program.slots),
-            key=lambda n: ranges.get(n, (len(program.instrs), 0))[0],
-        )
-        dtypes = dict(program.slots)
-        for name in order:
-            taken = {
-                assignment[n]
-                for n in adjacency.get((j, name), ())
-                if n in assignment
-            }
-            color = 0
-            while color in taken:
-                color += 1
-            assignment[name] = color
-            colors_per_dtype[dtypes[name]] = max(
-                colors_per_dtype.get(dtypes[name], 0), color + 1
-            )
-        report.colors.append(tuple(assignment[n] for n, _ in program.slots))
-    report.colors_per_dtype = colors_per_dtype
     return report

@@ -1,9 +1,9 @@
 """Statement-level dependence analysis with per-dimension distance vectors.
 
 This supersedes the radius-only summary of :mod:`repro.ir.dependencies`: every
-statement of an operator — stencil equations, injection nests, interpolation
-nests, and (optionally) the three-address CSE'd statements the fused engine
-compiles — is reduced to explicit read/write :class:`AccessInfo` sets, and all
+statement of an operator — stencil equations, injection nests and
+interpolation nests — is reduced to explicit read/write :class:`AccessInfo`
+sets, and all
 pairwise flow / anti / output dependences between statements are enumerated
 with their per-dimension distance vectors.
 
@@ -44,7 +44,6 @@ __all__ = [
     "Dependence",
     "classify_indexed",
     "statements_for",
-    "fused_statements",
     "compute_dependences",
 ]
 
@@ -54,7 +53,7 @@ class AccessInfo:
     """One access of a statement: field, time offset, spatial offsets."""
 
     function: str
-    kind: str = "grid"  # "grid" | "sparse" | "scratch"
+    kind: str = "grid"  # "grid" | "sparse"
     is_time: bool = False  # accesses a circular time buffer
     time_offset: int = 0
     offsets: Tuple[Tuple[str, int], ...] = ()  # spatial (dim, shift) pairs
@@ -88,7 +87,7 @@ class Statement:
 
     sweep: int  # owning sweep index
     index: int  # statement index within the sweep
-    role: str  # "stencil" | "injection" | "interpolation" | "cse"
+    role: str  # "stencil" | "injection" | "interpolation"
     text: str
     writes: Tuple[AccessInfo, ...]
     reads: Tuple[AccessInfo, ...]
@@ -247,64 +246,6 @@ def statements_for(
     return stmts
 
 
-def fused_statements(sweep: Sweep, sweep_index: int = 0) -> List[Statement]:
-    """Three-address statement view of one sweep as the fused engine compiles
-    it: CSE temporaries become ``scratch`` writes/reads, stores keep their
-    grid access sets.  Used by the linter and by introspection; dependence
-    *legality* is computed on the grid accesses, which are identical between
-    this view and :func:`statements_for` (CSE neither adds nor removes grid
-    accesses)."""
-    from ..ir.passes import cse_sweep
-
-    rhss = [eq.rhs for eq in sweep.eqs]
-    written = frozenset(
-        (eq.lhs.function.name, eq.lhs.offset_map().get("t", 0)) for eq in sweep.eqs
-    )
-    cse = cse_sweep(rhss, protected_keys=written)
-    stmts: List[Statement] = []
-    idx = 0
-    for i, rhs in enumerate(cse.rhss):
-        for sym, expr in cse.assignments[i]:
-            reads = tuple(
-                classify_indexed(ix) for ix in sorted(expr.atoms(Indexed), key=str)
-            ) + tuple(
-                AccessInfo(function=s.name, kind="scratch")
-                for s in sorted(expr.free_symbols(), key=str)
-                if s.name.startswith("cse")
-            )
-            stmts.append(
-                Statement(
-                    sweep_index,
-                    idx,
-                    "cse",
-                    f"{sym.name} = {expr}",
-                    (AccessInfo(function=sym.name, kind="scratch"),),
-                    reads,
-                )
-            )
-            idx += 1
-        eq = sweep.eqs[i]
-        reads = tuple(
-            classify_indexed(ix) for ix in sorted(rhs.atoms(Indexed), key=str)
-        ) + tuple(
-            AccessInfo(function=s.name, kind="scratch")
-            for s in sorted(rhs.free_symbols(), key=str)
-            if s.name.startswith("cse")
-        )
-        stmts.append(
-            Statement(
-                sweep_index,
-                idx,
-                "stencil",
-                f"{eq.lhs} = {rhs}",
-                (classify_indexed(eq.lhs),),
-                reads,
-            )
-        )
-        idx += 1
-    return stmts
-
-
 def compute_dependences(
     stmts: Sequence[Statement],
     buffers: Dict[str, int],
@@ -312,20 +253,13 @@ def compute_dependences(
     """All flow/anti/output dependences between *stmts*.
 
     *buffers* maps field name -> number of circular time buffers (used for
-    the slot-reuse anti/output dependences).  Scratch accesses are excluded:
-    scratch is private to one (t, box) instance and its hazards are the
-    linter's domain, not schedule legality.
+    the slot-reuse anti/output dependences).  Kernel scratch slots never
+    appear here: they are private to one (t, box) instance and their hazards
+    are the linter's domain, not schedule legality.
     """
     deps: List[Dependence] = []
-    writes: List[Tuple[Statement, AccessInfo]] = []
-    reads: List[Tuple[Statement, AccessInfo]] = []
-    for st in stmts:
-        for a in st.writes:
-            if a.kind != "scratch":
-                writes.append((st, a))
-        for a in st.reads:
-            if a.kind != "scratch":
-                reads.append((st, a))
+    writes = [(st, a) for st in stmts for a in st.writes]
+    reads = [(st, a) for st in stmts for a in st.reads]
 
     def order(a: Statement, b: Statement) -> int:
         """-1: a before b in sequential same-timestep order, +1 after, 0 same."""

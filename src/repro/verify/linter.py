@@ -14,24 +14,21 @@ Static checks at two levels:
   :mod:`repro.verify.absint.liveness` — a read of a slot never written in
   this kernel observes stale pooled memory from some earlier sweep
   (``E301``, naming the producing sweep); a value stored to a slot and never
-  consumed is a dead statement (``W302``).  :func:`analyse_kernel_source`
-  remains as the text-level fallback (and keeps synthetic kernel sources
-  testable without compiling one).
+  consumed is a dead statement (``W302``).
 
 Error-severity findings reject the fused bind: :meth:`Operator._build_sweeps`
 raises :class:`~repro.errors.KernelLintError` (an
 :class:`~repro.errors.EngineCompilationError`), so the engine ladder degrades
-fused -> kernel -> interp exactly as for any compilation failure, and strict
-mode surfaces the diagnostics.
+fused -> interp exactly as for any compilation failure, and strict mode
+surfaces the diagnostics.
 
-Run from the command line as ``python -m repro.lint <example|--all> [--json]``
-(see :mod:`repro.lint`).
+Run from the command line as ``python -m repro.verify <example|--all>
+[--json]`` (see :mod:`repro.verify.__main__`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -42,7 +39,6 @@ from ..ir.dependencies import read_accesses, written_access
 __all__ = [
     "Diagnostic",
     "LintReport",
-    "analyse_kernel_source",
     "lint_equations",
     "lint_bound_sweeps",
     "lint_operator",
@@ -119,99 +115,6 @@ class LintReport:
         ]
         lines.extend("  " + d.render() for d in self.diagnostics)
         return "\n".join(lines)
-
-
-# -- kernel-source analysis -----------------------------------------------------
-
-_CALL_RE = re.compile(r"^np\.(\w+)\((.*)\)$")
-_STORE_RE = re.compile(r"^(\w+)\[\.\.\.\] = (\w+)$")
-_SLOT_RE = re.compile(r"^s\d+$")
-_OUT_RE = re.compile(r"^o\d+$")
-
-
-def analyse_kernel_source(source: str, sweep: Optional[int] = None) -> List[Diagnostic]:
-    """Scratch-slot liveness analysis of a fused three-address kernel.
-
-    Parses the generated ``kernel.__source__`` (``np.ufunc(a, b, out)``
-    instructions and ``oN[...] = sK`` stores) and tracks every ``sN`` scratch
-    slot: reads before any write in this kernel observe *stale pooled
-    memory* (the pool hands out buffers shared across sweeps) -> ``E301``;
-    writes whose value is never consumed are dead statements -> ``W302``.
-    """
-    diags: List[Diagnostic] = []
-    written: set = set()
-    pending: Dict[str, str] = {}  # slot -> instruction that last wrote it
-
-    def read_of(tok: str, line: str) -> None:
-        if not _SLOT_RE.match(tok):
-            return
-        if tok not in written:
-            diags.append(
-                Diagnostic(
-                    "E301",
-                    "error",
-                    f"instruction {line!r} reads scratch slot {tok} before "
-                    "any write in this kernel: the pooled buffer holds stale "
-                    "data from another sweep",
-                    sweep=sweep,
-                    statement=line,
-                )
-            )
-            written.add(tok)  # report each stale slot once
-        pending.pop(tok, None)
-
-    def write_of(tok: str, line: str) -> None:
-        if not _SLOT_RE.match(tok):
-            return
-        prev = pending.get(tok)
-        if prev is not None:
-            diags.append(
-                Diagnostic(
-                    "W302",
-                    "warning",
-                    f"dead statement: {prev!r} writes scratch slot {tok} "
-                    f"but {line!r} overwrites it before any read",
-                    sweep=sweep,
-                    statement=prev,
-                )
-            )
-        written.add(tok)
-        pending[tok] = line
-
-    for raw in source.splitlines():
-        line = raw.strip()
-        if (
-            not line
-            or line.startswith("def ")
-            or line.endswith("= slots")
-            or line.endswith("= outs")
-            or line.endswith("= views")
-        ):
-            continue
-        m = _STORE_RE.match(line)
-        if m:
-            read_of(m.group(2), line)
-            continue
-        m = _CALL_RE.match(line)
-        if m:
-            args = [a.strip() for a in m.group(2).split(",")]
-            out = args[-1]
-            for a in args[:-1]:
-                read_of(a, line)
-            write_of(out, line)
-            continue
-    for slot, line in pending.items():
-        diags.append(
-            Diagnostic(
-                "W302",
-                "warning",
-                f"dead statement: {line!r} writes scratch slot {slot} "
-                "whose value is never read",
-                sweep=sweep,
-                statement=line,
-            )
-        )
-    return diags
 
 
 # -- equation-level checks ------------------------------------------------------
@@ -321,43 +224,41 @@ def lint_equations(eqs, sweep: Optional[int] = None) -> List[Diagnostic]:
 # -- entry points ----------------------------------------------------------------
 
 
-def _scratch_analysis(report: LintReport, entries) -> None:
-    """Whole-program scratch analysis over ``(sweep, program, source)`` rows
-    (also records each compiled sweep's instruction count).
+def _scratch_analysis(report: LintReport, programs) -> None:
+    """Whole-program scratch analysis over ``(sweep, program)`` rows (also
+    records each compiled sweep's instruction count).
 
-    Sweeps with a structured three-address program are analysed together by
-    the cross-sweep liveness passes (sweep indices in the findings are
-    remapped back to the caller's numbering); sweeps that only expose rendered
-    source fall back to the text-level :func:`analyse_kernel_source`.
+    The programs (``None`` for a sweep bound under the interpreter, which
+    has no scratch) are analysed together by the cross-sweep liveness
+    passes; sweep indices in the findings are remapped back to the caller's
+    numbering.
     """
-    compiled = [(j, p) for j, p, _ in entries if p is not None]
+    compiled = [(j, p) for j, p in programs if p is not None]
     report.ninstr = {j: len(p.instrs) for j, p in compiled}
-    if compiled:
-        from .absint.liveness import analyse_programs
+    if not compiled:
+        return
+    from .absint.liveness import analyse_programs
 
-        live = analyse_programs([p for _, p in compiled])
-        remap = {i: j for i, (j, _) in enumerate(compiled)}
-        live.findings = [
-            dataclasses.replace(
-                f, sweep=remap.get(f.sweep, f.sweep) if f.sweep is not None else None
-            )
-            for f in live.findings
-        ]
-        report.diagnostics.extend(f.to_diagnostic() for f in live.findings)
-        report.scratch = live
-    for j, p, source in entries:
-        if p is None and source is not None:
-            report.diagnostics.extend(analyse_kernel_source(source, sweep=j))
+    live = analyse_programs([p for _, p in compiled])
+    remap = {i: j for i, (j, _) in enumerate(compiled)}
+    live.findings = [
+        dataclasses.replace(
+            f, sweep=remap.get(f.sweep, f.sweep) if f.sweep is not None else None
+        )
+        for f in live.findings
+    ]
+    report.diagnostics.extend(f.to_diagnostic() for f in live.findings)
+    report.scratch = live
 
 
 def lint_bound_sweeps(bound_sweeps, name: str = "Kernel") -> LintReport:
     """Lint already-bound sweeps (the fused rung of the engine ladder)."""
     report = LintReport(name=name)
-    entries = []
+    programs = []
     for j, sw in enumerate(bound_sweeps):
         report.diagnostics.extend(lint_equations(sw.eqs, sweep=j))
-        entries.append((j, sw.kernel_program(), sw.kernel_source()))
-    _scratch_analysis(report, entries)
+        programs.append((j, sw.kernel_program()))
+    _scratch_analysis(report, programs)
     return report
 
 
@@ -373,7 +274,7 @@ def lint_operator(op, dt: float = 1.0) -> LintReport:
     from ..execution.evalbox import BoundSweep
 
     report = LintReport(name=op.name)
-    entries = []
+    programs = []
     for j, eqs in enumerate(op.bound_equations(dt)):
         report.diagnostics.extend(lint_equations(eqs, sweep=j))
         try:
@@ -400,6 +301,6 @@ def lint_operator(op, dt: float = 1.0) -> LintReport:
                 )
             )
             continue
-        entries.append((j, sw.kernel_program(), sw.kernel_source()))
-    _scratch_analysis(report, entries)
+        programs.append((j, sw.kernel_program()))
+    _scratch_analysis(report, programs)
     return report

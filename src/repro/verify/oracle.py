@@ -490,7 +490,7 @@ def run_oracle(
             shadow = _ShadowRawInterpolation(state, itp)
         plan.receivers.setdefault(j, []).append(shadow)
 
-    run_schedule(plan, time_m, time_M, schedule, step_cache={})
+    run_schedule(plan, time_m, time_M, schedule)
     return OracleReport(
         operator=op.name,
         schedule=schedule.describe(),

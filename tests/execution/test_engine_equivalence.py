@@ -61,20 +61,19 @@ SCHEDULES = {
 def test_engines_bit_identical(kind, sched_name):
     sched = SCHEDULES[sched_name]
     prop, dt = build(kind)
-    rec_ref, _ = prop.forward(nt=NT, dt=dt, schedule=sched, engine="interp")
+    rec_ref, plan = prop.forward(nt=NT, dt=dt, schedule=sched, engine="interp")
+    assert all(s.engine == "interp" for s in plan.sweeps)
     ref = state_of(prop)
     assert max(np.abs(f).max() for f in ref) > 0, "must produce a wavefield"
 
-    for engine in ("fused", "kernel"):
-        rec_got, _ = prop.forward(nt=NT, dt=dt, schedule=sched, engine=engine)
-        got = state_of(prop)
-        for f_got, f_ref in zip(got, ref):
-            assert f_got.dtype == f_ref.dtype
-            np.testing.assert_array_equal(
-                f_got, f_ref, err_msg=f"{kind}/{sched_name}/{engine}"
-            )
-        assert rec_got.dtype == rec_ref.dtype
-        np.testing.assert_array_equal(rec_got, rec_ref)
+    rec_got, plan = prop.forward(nt=NT, dt=dt, schedule=sched, engine="fused")
+    assert all(s.engine == "fused" for s in plan.sweeps)
+    got = state_of(prop)
+    for f_got, f_ref in zip(got, ref):
+        assert f_got.dtype == f_ref.dtype
+        np.testing.assert_array_equal(f_got, f_ref, err_msg=f"{kind}/{sched_name}")
+    assert rec_got.dtype == rec_ref.dtype
+    np.testing.assert_array_equal(rec_got, rec_ref)
 
 
 def test_engines_bit_identical_precomputed_sparse_naive():
@@ -85,21 +84,12 @@ def test_engines_bit_identical_precomputed_sparse_naive():
         nt=NT, dt=dt, schedule=NaiveSchedule(), sparse_mode="precomputed", engine="interp"
     )
     ref = state_of(prop)
-    for engine in ("fused", "kernel"):
-        rec_got, _ = prop.forward(
-            nt=NT, dt=dt, schedule=NaiveSchedule(), sparse_mode="precomputed", engine=engine
-        )
-        for f_got, f_ref in zip(state_of(prop), ref):
-            np.testing.assert_array_equal(f_got, f_ref)
-        np.testing.assert_array_equal(rec_got, rec_ref)
-
-
-def test_compiled_false_maps_to_interpreter():
-    prop, dt = build("acoustic")
-    plan = prop.op.apply(time_M=2, dt=dt, compiled=False)
-    assert all(s.engine == "interp" for s in plan.sweeps)
-    plan = prop.op.apply(time_M=2, dt=dt)
-    assert all(s.engine == "fused" for s in plan.sweeps)
+    rec_got, _ = prop.forward(
+        nt=NT, dt=dt, schedule=NaiveSchedule(), sparse_mode="precomputed", engine="fused"
+    )
+    for f_got, f_ref in zip(state_of(prop), ref):
+        np.testing.assert_array_equal(f_got, f_ref)
+    np.testing.assert_array_equal(rec_got, rec_ref)
 
 
 def test_elastic_sweep_shares_divergence_terms():
@@ -108,6 +98,7 @@ def test_elastic_sweep_shares_divergence_terms():
     per-equation renderings would."""
     prop, dt = build("elastic")
     plan = prop.op.apply(time_M=1, dt=dt)
+    assert all(s.engine == "fused" for s in plan.sweeps)  # the default engine
     stress = max(plan.sweeps, key=len)
     assert len(stress) > 1
     assert stress._kernel.__ntemps__ > 0

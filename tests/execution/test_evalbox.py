@@ -7,7 +7,7 @@ from repro.dsl import Eq, Function, Grid, TimeFunction
 from repro.dsl.symbols import Number, Symbol
 from repro.execution.evalbox import (
     BoundEq,
-    bind_equations,
+    BoundSweep,
     box_is_empty,
     clip_box,
     full_box,
@@ -98,8 +98,8 @@ def test_scalar_rhs_broadcasts(grid):
 
 def test_bind_equations_list(grid):
     u = TimeFunction("u", grid, time_order=1, space_order=2)
-    eqs = bind_equations([Eq(u.forward, u.indexify())], grid)
-    assert len(eqs) == 1 and isinstance(eqs[0], BoundEq)
+    sweep = BoundSweep([Eq(u.forward, u.indexify())], grid, engine="interp")
+    assert len(sweep) == 1 and all(isinstance(beq, BoundEq) for beq in sweep)
 
 
 def test_float32_preserved(grid):

@@ -190,3 +190,30 @@ def test_trace_visits_the_rows_the_executor_runs(name):
     ]
     assert recorder.rows == _rows(lowered)
     assert recorder.rows == _rows([(t, j, box) for k, t, j, box in log if k == "sweep"])
+
+
+def test_step_lists_never_cross_grids():
+    """The lowered lists are memoised process-wide on the full ``(schedule,
+    shape, radii, height)`` tuple, so two grids under one wavefront schedule
+    in one process each replay their *own* boxes: both runs stay
+    bit-identical to naive, the second shape lowers afresh, and a rebuilt
+    operator of an already-seen shape replays without lowering at all."""
+    from ..conftest import make_acoustic_operator, run_and_capture
+
+    nt, dt = 6, 1.0
+    wf = WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
+    lower.cache_clear()
+    misses = []
+    for n in (12, 20, 12):
+        grid = Grid(shape=(n, n, n), extent=(10.0 * (n - 1),) * 3)
+        op, u, m, src, rec = make_acoustic_operator(grid, nt=nt)
+        ref_u, ref_rec = run_and_capture(op, u, rec, nt, dt, NaiveSchedule(), "precomputed")
+        tel = Telemetry()
+        u.data_with_halo[...] = 0.0
+        rec.data[...] = 0.0
+        op.apply(time_M=nt, dt=dt, schedule=wf, telemetry=tel)
+        np.testing.assert_array_equal(u.interior(nt), ref_u)
+        np.testing.assert_array_equal(rec.data, ref_rec)
+        misses.append(tel.counters["step_cache_misses"])
+        assert tel.counters["step_cache_hits"] + misses[-1] == nt // wf.height
+    assert misses == [1, 1, 0]

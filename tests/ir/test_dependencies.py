@@ -2,16 +2,19 @@
 
 import pytest
 
+from repro.core.scheduler import instance_lags
 from repro.dsl import Eq, Function, Grid, TimeFunction, solve
 from repro.ir.dependencies import (
     build_sweeps,
     read_accesses,
-    spatial_read_radius,
-    validate_wavefront,
     wavefront_angle,
-    wavefront_lags,
     written_access,
 )
+
+
+def wavefront_lags(sweeps, nsteps):
+    """The executor's lag table for *sweeps*' read radii."""
+    return instance_lags(tuple(s.read_radius() for s in sweeps), nsteps)
 
 
 @pytest.fixture
@@ -43,7 +46,6 @@ def test_read_accesses_radii(grid):
     eq, u, m = acoustic_eq(grid, so=8)
     radii = {a.radius for a in read_accesses(eq) if a.function is u}
     assert max(radii) == 4
-    assert spatial_read_radius(eq) == 4
 
 
 def test_radius_along(grid):
@@ -121,20 +123,6 @@ def test_lags_invalid_height(grid):
         wavefront_lags(build_sweeps([eq]), 0)
 
 
-def test_validate_passes_for_propagators(grid):
-    eq, u, m = acoustic_eq(grid)
-    validate_wavefront(build_sweeps([eq]), 4)  # must not raise
-
-
-def test_validate_rejects_future_read(grid):
-    a = TimeFunction("a", grid, time_order=1, space_order=4)
-    b = TimeFunction("b", grid, time_order=1, space_order=4)
-    da = _forward_in_time(a.dx, grid)
-    bad = Eq(b.indexify(), da)  # writes b@0 but reads a@+1 at radius > 0
-    with pytest.raises(ValueError, match="future"):
-        validate_wavefront(build_sweeps([bad]), 2)
-
-
 def test_sweep_time_reads_exclude_own_writes(grid):
     a = TimeFunction("a", grid, time_order=1, space_order=4)
     b = TimeFunction("b", grid, time_order=1, space_order=4)
@@ -154,35 +142,22 @@ def test_model_fields_do_not_add_lag(grid):
     assert sweep.read_radius() == 0
 
 
-# -- sweep_read_radius (module-level form) ------------------------------------------
-def test_sweep_read_radius_exported():
-    import repro.ir.dependencies as dep
-
-    assert "sweep_read_radius" in dep.__all__
-    from repro.ir.dependencies import sweep_read_radius  # noqa: F401
-
-
+# -- Sweep.read_radius ---------------------------------------------------------------
 def test_sweep_read_radius_matches_method(grid):
-    from repro.ir.dependencies import sweep_read_radius
-
     eq, u, m = acoustic_eq(grid, so=8)
     (sweep,) = build_sweeps([eq])
-    assert sweep_read_radius(sweep) == sweep.read_radius() == 4
+    assert sweep.read_radius() == max(a.radius for a in sweep.time_reads()) == 4
 
 
 def test_sweep_read_radius_zero_radius_sweep(grid):
-    from repro.ir.dependencies import sweep_read_radius
-
     u = TimeFunction("u", grid, time_order=1, space_order=4)
     # pointwise damping update: no spatial reach, no wavefront lag
     (sweep,) = build_sweeps([Eq(u.forward, 0.9 * u.indexify())])
-    assert sweep_read_radius(sweep) == 0
+    assert sweep.read_radius() == 0
     assert wavefront_angle([sweep]) == 0
 
 
 def test_sweep_read_radius_multi_field_sweep(grid):
-    from repro.ir.dependencies import sweep_read_radius
-
     # one sweep reading several time fields at different radii (the elastic
     # pattern): the lag is the maximum over all external time-field reads
     a = TimeFunction("a", grid, time_order=1, space_order=4)
@@ -190,15 +165,13 @@ def test_sweep_read_radius_multi_field_sweep(grid):
     c = TimeFunction("c", grid, time_order=1, space_order=4)
     eqs = [Eq(a.forward, b.dx2 + c.dy)]
     (sweep,) = build_sweeps(eqs)
-    assert sweep_read_radius(sweep) == 4  # b.dx2 at so=8 dominates c.dy
+    assert sweep.read_radius() == 4  # b.dx2 at so=8 dominates c.dy
 
 
 def test_sweep_read_radius_ignores_in_sweep_pointwise_products(grid):
-    from repro.ir.dependencies import sweep_read_radius
-
     a = TimeFunction("a", grid, time_order=1, space_order=4)
     b = TimeFunction("b", grid, time_order=1, space_order=4)
     eqs = [Eq(a.forward, a.dx), Eq(b.forward, a.forward * 2)]
     (sweep,) = build_sweeps(eqs)
     # the in-sweep pointwise consumption of a.forward adds no radius
-    assert sweep_read_radius(sweep) == 2
+    assert sweep.read_radius() == 2

@@ -19,7 +19,7 @@ from repro.dsl import Eq, Function, Grid, TimeFunction
 from repro.dsl.symbols import Add, Indexed, Mul, Number
 from repro.execution.evalbox import BoundSweep
 from repro.ir.passes import factorize, factorize_sweep
-from repro.lint import build_example
+from repro.propagators.examples import build_example
 
 GRID = Grid(shape=(6, 5), extent=(50.0, 40.0))
 U = TimeFunction("u", GRID, time_order=2, space_order=4)
@@ -190,6 +190,27 @@ PASS_BUDGET = {
 }
 
 
+def _peak_live_scratch(program):
+    """Per dtype, the peak number of scratch values alive at once: a value
+    lives from the instruction that writes its slot up to (not including)
+    its last reader, whose own output may take over the slot in place."""
+    values = []  # [dtype, def index, last-use index]
+    current = {}  # slot name -> its live value
+    for i, instr in enumerate(program.instrs):
+        for arg in instr.args:
+            if arg.kind == "slot":
+                current[arg.name][2] = i
+        if instr.out.kind == "slot":
+            current[instr.out.name] = [instr.out.dtype, i, i + 1]
+            values.append(current[instr.out.name])
+    peak = {}
+    for k in range(len(program.instrs)):
+        live = [dtype for dtype, born, last in values if born <= k < last]
+        for dtype in set(live):
+            peak[dtype] = max(peak.get(dtype, 0), live.count(dtype))
+    return peak
+
+
 @pytest.mark.parametrize("kind,so", sorted(PASS_BUDGET))
 def test_pass_budget(kind, so):
     budget, before = PASS_BUDGET[(kind, so)]
@@ -198,6 +219,13 @@ def test_pass_budget(kind, so):
     passes = [len(sw.kernel_program().instrs) for sw in bound]
     assert all(p <= b for p, b in zip(passes, budget)), (passes, budget)
     assert all(b <= old for b, old in zip(budget, before))
+    # the emitter's refcounting allocator is already minimal: as many slots
+    # per dtype as scratch values are ever alive at once, so no liveness
+    # re-colouring of its assignment could shrink the pool
+    for sw in bound:
+        program = sw.kernel_program()
+        declared = [dtype for _name, dtype in program.slots]
+        assert _peak_live_scratch(program) == {d: declared.count(d) for d in set(declared)}
     # the rewrite touches arithmetic only: same reads, same sweep radii
     for raw, eqs in zip(prop.op.sweeps, prop.op.bound_equations(dt)):
         for e0, e1 in zip(raw.eqs, eqs):

@@ -6,8 +6,8 @@ import pytest
 from repro.core import NaiveSchedule, WavefrontSchedule
 from repro.dsl import Eq, Function, Grid, TimeFunction, solve
 from repro.dsl.symbols import Call, Indexed, Number, Pow, Symbol
-from repro.execution.evalbox import BoundEq, full_box
-from repro.ir.pycodegen import compile_rhs, render_numpy_expression
+from repro.execution.evalbox import BoundEq, BoundSweep, full_box
+from repro.ir.pycodegen import ScratchPool, compile_sweep
 
 from ..conftest import make_acoustic_operator, run_and_capture
 
@@ -17,40 +17,50 @@ class DummyFunc:
         self.name = name
 
 
+def _access(name, shift=0):
+    return Indexed(DummyFunc(name), {Symbol("x"): shift})
+
+
+def _compile(expr, reads):
+    """One-equation fused kernel ``o[x] = expr`` over float64 operands."""
+    dtypes = [np.float64] * len(reads)
+    return compile_sweep([_access("o")], [expr], reads, dtypes, [np.float64])
+
+
+def _run(kernel, *views):
+    out = np.zeros_like(views[0])
+    slots = tuple(np.empty_like(out, dtype=dt) for dt, _ in kernel.__slotspec__)
+    kernel(slots, (out,), views)
+    return out
+
+
 def test_render_basic():
-    a = Indexed(DummyFunc("a"), {Symbol("x"): 0})
-    b = Indexed(DummyFunc("b"), {Symbol("x"): 1})
-    expr = a * 2 + b
-    src = render_numpy_expression(expr, {a: "v0", b: "v1"})
-    v0, v1 = 3.0, 4.0
-    assert eval(src, {"np": np, "v0": v0, "v1": v1}) == 10.0
+    a, b = _access("a"), _access("b", 1)
+    kernel = _compile(a * 2 + b, [a, b])
+    assert "def _kernel" in kernel.__source__
+    np.testing.assert_array_equal(
+        _run(kernel, np.full(4, 3.0), np.full(4, 4.0)), np.full(4, 10.0)
+    )
 
 
 def test_render_pow_and_div():
-    a = Indexed(DummyFunc("a"), {Symbol("x"): 0})
-    assert "1.0/" in render_numpy_expression(Pow(a, Number(-1)), {a: "v"})
-    assert render_numpy_expression(Pow(a, Number(3)), {a: "v"}) == "(v*v*v)"
+    a = _access("a")
+    assert "np.divide(_c0, v0" in _compile(Pow(a, Number(-1)), [a]).__source__
+    cube = _compile(Pow(a, Number(3)), [a])
+    assert cube.__source__.count("np.multiply(") == 2 and "power" not in cube.__source__
+    np.testing.assert_array_equal(_run(cube, np.arange(4.0)), [0, 1, 8, 27])
 
 
 def test_render_calls():
-    a = Indexed(DummyFunc("a"), {Symbol("x"): 0})
-    assert render_numpy_expression(Call("cos", a), {a: "v"}) == "np.cos(v)"
+    a = _access("a")
+    assert "np.cos(v0, " in _compile(Call("cos", a), [a]).__source__
     with pytest.raises(ValueError, match="unsupported call"):
-        render_numpy_expression(Call("erf", a), {a: "v"})
+        _compile(Call("erf", a), [a])
 
 
 def test_render_rejects_unbound_symbol():
     with pytest.raises(ValueError, match="unbound"):
-        render_numpy_expression(Symbol("dt"), {})
-
-
-def test_compile_rhs_executes():
-    a = Indexed(DummyFunc("a"), {Symbol("x"): 0})
-    kernel, reads = compile_rhs(a * 2 + 1, [a])
-    out = np.zeros(4)
-    kernel(out, np.arange(4.0))
-    np.testing.assert_array_equal(out, [1, 3, 5, 7])
-    assert "def _kernel" in kernel.__source__
+        _compile(Symbol("dt") * _access("a"), [_access("a")])
 
 
 def test_compiled_matches_interpreted_boundeq(grid3d):
@@ -67,16 +77,17 @@ def test_compiled_matches_interpreted_boundeq(grid3d):
 
     init = rng.normal(size=grid3d.shape).astype(np.float32)
     u.interior(0)[...] = init
-    BoundEq(eq, grid3d, compiled=True).evaluate(0, full_box(grid3d))
+    BoundSweep([eq], grid3d, engine="fused").evaluate(0, full_box(grid3d))
     compiled = u.interior(1).copy()
 
     u.data_with_halo[...] = 0
     u.interior(0)[...] = init
-    BoundEq(eq, grid3d, compiled=False).evaluate(0, full_box(grid3d))
+    BoundEq(eq, grid3d).evaluate(0, full_box(grid3d))
     np.testing.assert_array_equal(u.interior(1), compiled)
 
 
 def test_operator_compiled_flag_end_to_end(grid3d):
+    """The compiled (fused, default) engine against ``engine="interp"``."""
     op, u, m, src, rec = make_acoustic_operator(grid3d, nt=8)
     sched = WavefrontSchedule(tile=(5, 5), block=(5, 5), height=4)
     a = run_and_capture(op, u, rec, 8, 1.0, sched)
@@ -85,7 +96,7 @@ def test_operator_compiled_flag_end_to_end(grid3d):
     def run_interp():
         u2.data_with_halo[...] = 0
         rec2.data[...] = 0
-        op2.apply(time_M=8, dt=1.0, schedule=sched, compiled=False)
+        op2.apply(time_M=8, dt=1.0, schedule=sched, engine="interp")
         return u2.interior(8).copy(), rec2.data.copy()
 
     b = run_interp()
@@ -96,13 +107,13 @@ def test_operator_compiled_flag_end_to_end(grid3d):
 def test_float32_output_preserved(grid3d):
     u = TimeFunction("u", grid3d, time_order=1, space_order=2)
     eq = Eq(u.forward, u.indexify() * 0.123456789)
-    beq = BoundEq(eq, grid3d, compiled=True)
-    u.interior(0)[...] = 1.0
-    beq.evaluate(0, full_box(grid3d))
-    assert u.interior(1).dtype == np.float32
+    for engine in ("fused", "interp"):
+        u.interior(0)[...] = 1.0
+        BoundSweep([eq], grid3d, engine=engine).evaluate(0, full_box(grid3d))
+        assert u.interior(1).dtype == np.float32
 
 
-# -- golden source / caches / the fused sweep engine -----------------------------
+# -- caches / the fused sweep engine ---------------------------------------------
 
 
 def _bound_acoustic_eq(grid, dt=0.5, so=2):
@@ -114,59 +125,70 @@ def _bound_acoustic_eq(grid, dt=0.5, so=2):
     return eq.subs(subs), u, m
 
 
-def test_compile_rhs_golden_source(grid1d):
-    """The exact source of a representative (1-D acoustic so=2) update."""
+def test_compile_sweep_golden_source(grid1d):
+    """The exact source of a representative (1-D acoustic so=2) update:
+    prebound constants, in-place slot reuse, the last instruction stored
+    straight into the output view."""
     eq, _, _ = _bound_acoustic_eq(grid1d)
-    beq = BoundEq(eq, grid1d, compiled=True)
-    assert beq._kernel.__source__ == (
-        "def _kernel(out, v0, v1, v2, v3, v4):\n"
-        "    out[...] = (-1*((4*v0*((-2*v3) + v4)) + (-0.01*(v2 + (-2*v3) + v1)))"
-        "*(1.0/(4*v0)))\n"
+    sweep = BoundSweep([eq], grid1d, engine="fused")
+    assert sweep._kernel.__source__ == (
+        "def _kernel(slots, outs, views):\n"
+        "    (s0, s1,) = slots\n"
+        "    (o0,) = outs\n"
+        "    (v0, v1, v2, v3, v4, v5,) = views\n"
+        "    np.multiply(_c0, v4, s0)\n"
+        "    np.add(s0, v5, s1)\n"
+        "    np.multiply(v0, s1, s1)\n"
+        "    np.add(v3, s0, s0)\n"
+        "    np.add(s0, v2, s0)\n"
+        "    np.multiply(_c1, s0, s0)\n"
+        "    np.add(s1, s0, s0)\n"
+        "    np.multiply(_c2, s0, s0)\n"
+        "    np.multiply(s0, v1, o0)\n"
     )
-    assert [str(r) for r in beq.reads] == [
-        "m[x]", "u[t, x+1]", "u[t, x-1]", "u[t, x]", "u[t-1, x]",
+    assert [str(r) for r in sweep.reads] == [
+        "__inv0[x]", "__inv1[x]", "u[t, x+1]", "u[t, x-1]", "u[t, x]", "u[t-1, x]",
     ]
+    assert [str(hf.expr) for hf in sweep.hoisted_fields] == ["4*m[x]", "(4*m[x])**(-1)"]
     # the compile() filename is the plain string, not an f-string artefact
-    assert beq._kernel.__code__.co_filename == "<repro-kernel>"
-
-
-def test_rhs_kernel_cache_hits(grid1d):
-    from repro.ir.pycodegen import kernel_cache_stats
-
-    eq, _, _ = _bound_acoustic_eq(grid1d)
-    k1 = BoundEq(eq, grid1d, compiled=True)._kernel
-    before = kernel_cache_stats()
-    k2 = BoundEq(eq, grid1d, compiled=True)._kernel
-    after = kernel_cache_stats()
-    assert k1 is k2
-    assert after["rhs_hits"] == before["rhs_hits"] + 1
+    assert sweep._kernel.__code__.co_filename == "<repro-fused-kernel>"
 
 
 def test_rhs_cache_hit_rebinds_fresh_reads(grid1d):
-    """A cache hit must return the caller's accesses, not the cached ones.
+    """A kernel-cache hit must bind the caller's accesses, not the cached ones.
 
     Indexed equality is structural, so a hit can come from an equation over
-    different (same-named) Function objects; returning the cached reads would
-    silently bind views to the stale arrays.
+    different (same-named) Function objects; binding the cached accesses
+    would silently point the views at the stale arrays.
     """
     eq, u, _ = _bound_acoustic_eq(grid1d)
-    BoundEq(eq, grid1d, compiled=True)
-    eq2, u2, _ = _bound_acoustic_eq(grid1d)
-    beq2 = BoundEq(eq2, grid1d, compiled=True)
-    funcs = {r.function.name: r.function for r in beq2.reads}
+    first = BoundSweep([eq], grid1d, engine="fused")
+    eq2, u2, m2 = _bound_acoustic_eq(grid1d)
+    second = BoundSweep([eq2], grid1d, engine="fused")
+    assert second._kernel is first._kernel  # same structure: one compiled kernel
+    funcs = {a.function.name: a.function for a in (*second.reads, *second.writes)}
     assert funcs["u"] is u2 and funcs["u"] is not u
+    m2.data = 0.5
+    u2.interior(0)[...] = 1.0
+    second.evaluate(0, full_box(grid1d))
+    assert u2.interior(1).any() and not u.interior(1).any()
 
 
 def test_scratch_pool_reuse_and_identity():
-    from repro.ir.pycodegen import ScratchPool
-
     pool = ScratchPool()
-    a = pool.get((4, 3), np.dtype(np.float32), 0)
-    b = pool.get((4, 3), np.dtype(np.float32), 1)
-    assert a is not b and a.shape == (4, 3) and a.dtype == np.float32
-    assert pool.get((4, 3), np.dtype(np.float32), 0) is a  # stable across calls
-    assert pool.get((4, 3), np.dtype(np.float64), 0) is not a
+    f32 = np.dtype(np.float32)
+    a = pool.slab_view((4, 3), f32, 0)
+    b = pool.slab_view((4, 3), f32, 1)
+    assert a.shape == (4, 3) and a.dtype == np.float32
+    assert not np.shares_memory(a, b)  # distinct slots never alias
+    # stable across calls, and every smaller shape is a prefix of the same slab
+    assert np.shares_memory(pool.slab_view((4, 3), f32, 0), a)
+    assert np.shares_memory(pool.slab_view((2, 5), f32, 0), a)
+    assert not np.shares_memory(pool.slab_view((4, 3), np.dtype(np.float64), 0), a)
     assert len(pool) == 3 and pool.nbytes() == 2 * 48 + 96
+    # a larger box grows the slab geometrically; no new slab appears
+    assert pool.slab_view((5, 3), f32, 0).shape == (5, 3)
+    assert len(pool) == 3 and pool.nbytes() == 24 * 4 + 48 + 96
     pool.clear()
     assert len(pool) == 0
 
@@ -174,8 +196,6 @@ def test_scratch_pool_reuse_and_identity():
 def test_fused_sweep_kernel_structure(grid3d):
     """The fused kernel is three-address: every op writes into out= and the
     final instruction stores directly into the output view."""
-    from repro.execution.evalbox import BoundSweep
-
     eq, u, m = _bound_acoustic_eq(grid3d, so=4)
     sweep = BoundSweep([eq], grid3d, engine="fused")
     src = sweep._kernel.__source__
@@ -199,7 +219,6 @@ def test_fused_sweep_kernel_structure(grid3d):
 
 
 def test_fused_sweep_cache_and_view_cache(grid3d):
-    from repro.execution.evalbox import BoundSweep
     from repro.ir.pycodegen import kernel_cache_stats
 
     eq, u, m = _bound_acoustic_eq(grid3d)
@@ -224,8 +243,6 @@ def test_fused_sweep_cache_and_view_cache(grid3d):
 
 def test_fused_sweep_intra_sweep_dependency(grid1d):
     """Equation 2 of a sweep reads what equation 1 just wrote (radius 0)."""
-    from repro.execution.evalbox import BoundSweep
-
     u = TimeFunction("u", grid1d, time_order=1, space_order=2)
     w = TimeFunction("w", grid1d, time_order=1, space_order=2)
     e1 = Eq(u.forward, u.indexify() * 2.0)
@@ -240,8 +257,6 @@ def test_fused_sweep_intra_sweep_dependency(grid1d):
 
 
 def test_engine_rejects_unknown(grid1d):
-    from repro.execution.evalbox import BoundSweep
-
     u = TimeFunction("u", grid1d, time_order=1, space_order=2)
     with pytest.raises(ValueError, match="unknown engine"):
         BoundSweep([Eq(u.forward, u.indexify())], grid1d, engine="jit")
@@ -249,8 +264,6 @@ def test_engine_rejects_unknown(grid1d):
 
 def test_fused_kernel_hoists_model_division(grid3d):
     """dt^2/m is precomputed once per bind: the hot kernel has no divide."""
-    from repro.execution.evalbox import BoundSweep
-
     eq, u, m = _bound_acoustic_eq(grid3d, so=4)
     sweep = BoundSweep([eq], grid3d, engine="fused")
     src = sweep._kernel.__source__
@@ -262,8 +275,6 @@ def test_fused_kernel_hoists_model_division(grid3d):
 
 def test_negation_folds_into_subtract(grid1d):
     """a + (-1)*b compiles to np.subtract (bit-identical, one op cheaper)."""
-    from repro.execution.evalbox import BoundSweep
-
     u = TimeFunction("u", grid1d, time_order=1, space_order=2)
     w = TimeFunction("w", grid1d, time_order=1, space_order=2)
     eq = Eq(u.forward, w.indexify() + Number(-1) * u.indexify())

@@ -91,9 +91,9 @@ def test_untracked_engines_are_always_allowed():
     br, _ = make_breaker(threshold=1)
     br.record_failure("fused")
     assert not br.allow("fused")
-    assert br.allow("kernel") and br.allow("interp")  # terminal rung unblockable
-    br.record_failure("kernel")  # ignored
-    br.record_success("kernel")  # ignored
+    assert br.allow("interp")  # terminal rung unblockable
+    br.record_failure("interp")  # ignored
+    br.record_success("interp")  # ignored
     assert br.state == "open"
 
 
@@ -125,25 +125,25 @@ def test_ladder_feeds_breaker_and_open_breaker_skips_fused(grid2d):
     with break_engine("fused"):
         with pytest.warns(EngineFallbackWarning):
             plan = op.apply(time_M=NT, dt=DT, engine="fused", breaker=br)
-    assert plan.sweeps[0].engine == "kernel"
+    assert plan.sweeps[0].engine == "interp"
     assert br.state == "open"  # the ladder reported the compile failure
 
     # fused codegen is healthy again, but the open breaker skips the rung
-    # outright: no compile attempt, no fallback warning, straight to kernel
+    # outright: no compile attempt, no fallback warning, straight to interp
     op2, u2, m2, src2, rec2 = make_acoustic_operator(grid2d, nt=NT)
     tel = Telemetry()
     with warnings.catch_warnings():
         warnings.simplefilter("error", EngineFallbackWarning)
         plan2 = op2.apply(time_M=NT, dt=DT, engine="fused", breaker=br, telemetry=tel)
-    assert plan2.sweeps[0].engine == "kernel"
+    assert plan2.sweeps[0].engine == "interp"
     assert tel.counters["engine_breaker_skips"] == 1
-    br.record_success("kernel")  # untracked: state unchanged
+    br.record_success("interp")  # untracked: state unchanged
     assert br.state == "open"
 
 
 def test_ladder_under_breaker_is_bit_identical(grid2d):
     op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
-    ref_u, ref_rec = run_and_capture(op, u, rec, NT, DT, NaiveSchedule(), engine="kernel")
+    ref_u, ref_rec = run_and_capture(op, u, rec, NT, DT, NaiveSchedule(), engine="interp")
 
     br, _ = make_breaker(threshold=1, cooldown=1e9)
     br.record_failure("fused")  # pre-tripped

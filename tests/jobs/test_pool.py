@@ -10,9 +10,11 @@ import pytest
 
 from repro.errors import InjectedFault, JobTimeoutError, RetryExhaustedError
 from repro.jobs import (
+    JOURNAL_NAME,
     ChaosConfig,
     CircuitBreaker,
     JobSpec,
+    load_journal,
     run_batch,
     run_job_inline,
 )
@@ -124,7 +126,7 @@ def test_serial_deadline_is_enforced_post_hoc(tmp_path):
 def test_open_breaker_reroutes_dispatch_across_the_batch(tmp_path):
     # every job's attempt 0 runs with a broken fused compiler; after
     # `threshold` worker-reported failures the parent's breaker opens and the
-    # remaining jobs are dispatched straight at the kernel rung
+    # remaining jobs are dispatched straight at the interp rung
     breaker = CircuitBreaker(threshold=2, cooldown=3600.0)
     specs = [JobSpec(f"b{i}", nt=8, seed=i) for i in range(6)]
     report = run_batch(
@@ -140,9 +142,12 @@ def test_open_breaker_reroutes_dispatch_across_the_batch(tmp_path):
     fallback_counts = [len(report.result_for(f"b{i}").fallbacks) for i in range(6)]
     assert fallback_counts == [1, 1, 0, 0, 0, 0]
     engines = [report.result_for(f"b{i}").engine for i in range(6)]
-    assert engines == ["kernel"] * 6
+    assert engines == ["interp"] * 6
     rerouted = [e["job"] for e in report.events if e["kind"] == "rerouted"]
     assert rerouted == [f"b{i}" for i in range(2, 6)]
+    # with the breaker open the write-ahead journal names the rerouted rung
+    attempts = load_journal(tmp_path / JOURNAL_NAME).for_kind("attempt")
+    assert [r["engine"] for r in attempts] == ["fused"] * 2 + ["interp"] * 4
     for spec in specs:  # engine reroute never changes numerics
         np.testing.assert_array_equal(
             report.result_for(spec.job_id).receivers, run_job_inline(spec)

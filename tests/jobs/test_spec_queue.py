@@ -29,6 +29,9 @@ def test_spec_defaults_are_valid():
         (dict(checkpoint_every=0), "checkpoint_every"),
         (dict(deadline=0.0), "deadline"),
         (dict(deadline=-1.0), "deadline"),
+        # the removed per-equation rung: an old journal or spec naming it
+        # fails validation with the error naming the engine
+        (dict(engine="kernel"), "unknown engine 'kernel'"),
     ],
 )
 def test_spec_rejects_invalid_fields(kwargs, match):
@@ -39,7 +42,7 @@ def test_spec_rejects_invalid_fields(kwargs, match):
 def test_spec_pickles_unchanged():
     # a spec must cross into worker processes losslessly
     spec = JobSpec(
-        "j1", example="tti", nt=32, schedule="spatial", engine="kernel",
+        "j1", example="tti", nt=32, schedule="spatial", engine="interp",
         seed=7, deadline=1.5, max_attempts=4, checkpoint_every=8,
     )
     assert pickle.loads(pickle.dumps(spec)) == spec

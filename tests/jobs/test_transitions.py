@@ -208,8 +208,8 @@ def test_deadline_pressure_degrades_the_schedule_on_retries_only():
     assert [a.degraded for a in job.attempts] == [False, True]
     # a breaker reroute is visible in the record itself
     other = s.admit("b")
-    s.attempt(other, 0.0, engine="kernel")
-    assert other.attempts[0].degraded and other.dispatched_engine == "kernel"
+    s.attempt(other, 0.0, engine="interp")
+    assert other.attempts[0].degraded and other.dispatched_engine == "interp"
 
 
 def test_drain_interrupts_everything_unfinished_and_tenants_return_to_zero():

@@ -148,7 +148,7 @@ def test_static_flops_count_the_bound_kernel():
     """sweep_flops is counted on the factorised, hoisted expressions the
     engine runs: for acoustic so=4 it is exactly the number of arithmetic
     instructions of the fused kernel, one ufunc pass each."""
-    from repro.lint import build_example
+    from repro.propagators.examples import build_example
 
     prop, dt = build_example("acoustic")
     tel = Telemetry()

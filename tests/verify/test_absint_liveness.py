@@ -1,4 +1,4 @@
-"""Whole-program scratch liveness: findings, interference, slab coloring."""
+"""Whole-program scratch liveness: the E301/W302 check behind the slab pool."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from repro.core import NaiveSchedule, WavefrontSchedule
 from repro.dsl import Grid
 from repro.ir.nodes import TAInstr, TAOperand, TAProgram
-from repro.ir.passes import plan_scratch_slots
 from repro.verify import analyse_programs
-from repro.verify.absint import LivenessReport
 from ..conftest import make_acoustic_operator, run_and_capture
 
 
@@ -30,61 +28,70 @@ def prog(instrs, slots, views=(("v0", "float32"),), outs=(("o0", "float32"),)):
     )
 
 
-# -- coloring: non-overlapping lifetimes share a slab ----------------------------
+# -- the emitter is the allocator: its slot index is the slab "colour" -------------
+
+
+def _emit(rhss):
+    """The fused program of a synthetic one-view sweep ``o_i = rhss[i](a)``."""
+    from repro.dsl.symbols import Indexed, Symbol
+    from repro.ir.pycodegen import compile_sweep
+
+    class Field:
+        def __init__(self, name):
+            self.name = name
+
+    x = Symbol("x")
+    a = Indexed(Field("a"), {x: 0})
+    lhss = [Indexed(Field(f"o{i}"), {x: 0}) for i in range(len(rhss))]
+    f32 = [np.float32]
+    kernel = compile_sweep(lhss, [rhs(a) for rhs in rhss], [a], f32, f32 * len(rhss))
+    return kernel.__program__
 
 
 def test_sequential_slots_share_one_color():
-    """s1's lifetime starts after s0's ends: the coloring folds two slots
-    into one slab — the pool shrink the slab plan licenses."""
-    p = prog(
-        [
-            TAInstr("multiply", (V("v0"), V("v0")), S("s0")),
-            TAInstr("add", (S("s0"), V("v0")), O("o0")),
-            TAInstr("multiply", (V("v0"), V("v0")), S("s1")),
-            TAInstr("add", (S("s1"), V("v0")), O("o0")),
-        ],
-        slots=[("s0", "float32"), ("s1", "float32")],
-    )
+    """A scratch value whose last reader has run frees its slot at once, so
+    two equations' temporaries — lifetimes end to end — share one slab, and
+    the liveness check has nothing to report about the reuse."""
+    from repro.dsl.symbols import Call
+
+    p = _emit([lambda a: Call("cos", a * a) + a, lambda a: Call("sin", a * a * a) + a])
+    assert [i.out.name for i in p.instrs] == ["s0", "s0", "o0", "s0", "s0", "s0", "o1"]
+    assert p.slots == (("s0", "float32"),)
     report = analyse_programs([p])
-    assert not report.findings
-    assert report.safe_for_slab
-    assert report.ranges[0] == {"s0": (0, 1), "s1": (2, 3)}
-    assert report.edges == []
-    assert report.colors == [(0, 0)]
-    assert report.total_slots == 2 and report.total_colors == 1
-    live, plan = plan_scratch_slots([p])
-    assert plan == [(0, 0)]
+    assert not report.findings and report.safe_for_slab and report.total_slots == 1
 
 
 def test_overlapping_slots_interfere_and_get_distinct_colors():
-    p = prog(
-        [
-            TAInstr("multiply", (V("v0"), V("v0")), S("s0")),
-            TAInstr("multiply", (V("v0"), V("v0")), S("s1")),
-            TAInstr("add", (S("s0"), S("s1")), O("o0")),
-        ],
-        slots=[("s0", "float32"), ("s1", "float32")],
-    )
-    report = analyse_programs([p])
-    assert report.safe_for_slab
-    assert report.edges == [(0, "s0", "s1")]
-    assert sorted(report.colors[0]) == [0, 1]
-    assert report.colors_per_dtype == {"float32": 2}
+    """Two values alive at once get distinct slots (hence distinct slabs)."""
+    from repro.dsl.symbols import Call
+
+    p = _emit([lambda a: Call("cos", a) * Call("sin", a)])
+    assert [i.out.name for i in p.instrs] == ["s0", "s1", "o0"]
+    assert p.slots == (("s0", "float32"), ("s1", "float32"))
+    assert not analyse_programs([p]).findings
+
+
+# -- pool identity: slots are shared per (dtype, per-dtype index) -----------------
 
 
 def test_different_dtypes_never_interfere():
-    p = prog(
+    """Sweep 0 writes the float32 slab 0; sweep 1's stale read is of the
+    *float64* slab 0 — a different pooled buffer, so no producer is blamed
+    and only the float64 identity is live into the reader."""
+    writer = prog(
         [
             TAInstr("multiply", (V("v0"), V("v0")), S("s0")),
-            TAInstr("multiply", (V("v0"), V("v0")), TAOperand("slot", "s1", "float64")),
-            TAInstr("add", (S("s0"), TAOperand("slot", "s1", "float64")), O("o0")),
+            TAInstr("add", (S("s0"), V("v0")), O("o0")),
         ],
-        slots=[("s0", "float32"), ("s1", "float64")],
+        slots=[("s0", "float32")],
     )
-    report = analyse_programs([p])
-    assert report.edges == []
-    # one slab per dtype: slabs are keyed (dtype, color)
-    assert report.colors_per_dtype == {"float32": 1, "float64": 1}
+    wide = TAOperand("slot", "s0", "float64")
+    reader = prog([TAInstr("add", (wide, V("v0")), O("o0"))], slots=[("s0", "float64")])
+    report = analyse_programs([writer, reader])
+    (stale,) = [f for f in report.findings if f.code == "E301"]
+    assert stale.sweep == 1 and "last written by" not in stale.message
+    assert report.live_in[1] == frozenset({("float64", 0)})
+    assert report.total_slots == 2
 
 
 # -- findings: stale reads and dead stores ---------------------------------------
@@ -111,9 +118,6 @@ def test_e301_stale_read_names_producing_sweep():
     assert not report.safe_for_slab
     # the cross-sweep fixpoint sees the buffer live into the reader's kernel
     assert ("float32", 0) in report.live_in[1]
-    # no slab plan is licensed for an unproven program
-    _, plan = plan_scratch_slots([writer, reader])
-    assert plan is None
 
 
 def test_w302_overwrite_before_read():
@@ -155,13 +159,10 @@ def test_report_serialises():
         slots=[("s0", "float32")],
     )
     d = analyse_programs([p]).to_dict()
-    assert d["safe_for_slab"] is True
-    assert d["total_slots"] == 1 and d["total_colors"] == 1
-    assert d["ranges"] == [{"s0": [0, 1]}]
-    assert d["findings"] == []
+    assert d == {"safe_for_slab": True, "total_slots": 1, "findings": []}
 
 
-# -- the slab plan on a real operator: pool shrink, bit-identical ----------------
+# -- the slab pool on real operators: bounded by slots, bit-identical -------------
 
 
 @pytest.fixture
@@ -170,9 +171,9 @@ def grid24():
 
 
 def test_slab_plan_shrinks_pool_bit_identically(grid24):
-    """Acceptance: the liveness proof licenses slab sharing on the fused
-    acoustic operator — one slab per (dtype, color) instead of one buffer
-    per (tile shape, dtype, slot) — and results are bit-identical."""
+    """The liveness check licenses slab sharing on the fused acoustic
+    operator — one slab per (dtype, slot) however many tile shapes the
+    wavefront visits — and results are bit-identical to the interpreter."""
     nt, dt = 6, 1.0
     wf = WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
 
@@ -184,33 +185,29 @@ def test_slab_plan_shrinks_pool_bit_identically(grid24):
     np.testing.assert_array_equal(got_u, ref_u)
     np.testing.assert_array_equal(got_rec, ref_rec)
 
-    # slab mode engaged: every checkout went through a slab, none through
-    # the legacy per-(shape, dtype, slot) path
-    assert op._pool.slab_count > 0
-    assert op._pool.buffer_count == 0
-    bound = next(iter(op._sweep_cache.values()))
-    assert all(sw._slot_colors is not None for sw in bound)
+    (sweep,) = next(iter(op._sweep_cache.values()))
+    shapes = {outs[0].shape for _slots, outs, _views in sweep._view_cache.values()}
+    assert len(shapes) > 1  # the clipped wavefront windows differ in shape
+    assert len(op._pool) == sweep._kernel.__nslots__
 
 
-def test_unproven_program_keeps_legacy_pool(grid24, monkeypatch):
-    """With the proof withheld the executor falls back to the conservative
-    per-shape pool — more buffers than slabs, same numbers."""
-    nt, dt = 6, 1.0
-    wf = WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
+def test_pool_holds_one_slab_per_slot_after_tti_wavefront():
+    """After a TTI so=4 wavefront run the operator's pool holds exactly
+    ``max over sweeps of slots per dtype`` slabs — sweeps share them — and
+    no more bytes than the (dtype, colour) pool the parent commit allocated
+    for the same run (6 slabs, 26 624 bytes)."""
+    from repro.core.scheduler import make_schedule
+    from repro.propagators.examples import build_example
 
-    monkeypatch.setattr(
-        LivenessReport, "safe_for_slab", property(lambda self: False)
-    )
-    op, u, m, src, rec = make_acoustic_operator(grid24, nt=nt)
-    legacy_u, legacy_rec = run_and_capture(op, u, rec, nt, dt, wf, "precomputed")
-    assert op._pool.slab_count == 0
-    assert op._pool.buffer_count > 0
-
-    monkeypatch.undo()
-    op2, u2, m2, src2, rec2 = make_acoustic_operator(grid24, nt=nt)
-    slab_u, slab_rec = run_and_capture(op2, u2, rec2, nt, dt, wf, "precomputed")
-    # the wavefront's many tile shapes each cost legacy buffers; slabs are
-    # bounded by the number of colors — a strict shrink
-    assert op2._pool.slab_count < op._pool.buffer_count
-    np.testing.assert_array_equal(slab_u, legacy_u)
-    np.testing.assert_array_equal(slab_rec, legacy_rec)
+    prop, dt = build_example("tti")
+    prop.forward(nt=16, dt=dt, schedule=make_schedule("wavefront"))
+    sweeps = next(iter(prop.op._sweep_cache.values()))
+    per_sweep = [[d.name for d, _ in sw._kernel.__slotspec__] for sw in sweeps]
+    assert [len(s) for s in per_sweep] == [2, 6] and set(sum(per_sweep, [])) == {"float32"}
+    shapes = {
+        outs[0].shape for sw in sweeps for _slots, outs, _views in sw._view_cache.values()
+    }
+    assert len(shapes) > 6  # many more box shapes than slabs
+    pool = prop.op._pool
+    assert sorted(pool._slabs) == [("<f4", i) for i in range(6)]
+    assert pool.nbytes() <= 26624

@@ -7,7 +7,6 @@ from repro.ir.dependencies import build_sweeps
 from repro.verify import (
     classify_indexed,
     compute_dependences,
-    fused_statements,
     statements_for,
 )
 from ..conftest import make_acoustic_operator
@@ -88,28 +87,6 @@ def test_statements_for_offgrid_nonaffine(grid3d):
     assert inj and all(not a.affine for s in inj for a in s.writes)
 
 
-def test_fused_statements_scratch(grid):
-    # a sweep with a repeated subexpression: CSE introduces scratch statements
-    u = TimeFunction("u", grid, time_order=2, space_order=4)
-    v = TimeFunction("v", grid, time_order=2, space_order=4)
-    eqs = [Eq(u.forward, u.dx2 + u.dy2), Eq(v.forward, u.dx2 - u.dy2)]
-    sweep = build_sweeps(eqs)[0]
-    stmts = fused_statements(sweep)
-    assert [s.role for s in stmts if s.role == "stencil"] == ["stencil"] * 2
-    cse = [s for s in stmts if s.role == "cse"]
-    assert cse, "shared u.dx2/u.dy2 must become scratch statements"
-    assert all(w.kind == "scratch" for s in cse for w in s.writes)
-    # grid accesses are preserved: the union of grid reads equals the plain view
-    plain = statements_for([sweep])
-    grid_reads = lambda ss: {  # noqa: E731
-        (a.function, a.time_offset, a.offsets)
-        for s in ss
-        for a in s.reads
-        if a.kind == "grid"
-    }
-    assert grid_reads(stmts) == grid_reads(plain)
-
-
 # -- dependence enumeration ------------------------------------------------------
 
 
@@ -186,15 +163,6 @@ def test_cross_sweep_flow(grid):
     # per read offset, the widest at the derivative's radius
     assert same_t and all(d.source.sweep == 0 and d.sink.sweep == 1 for d in same_t)
     assert max(abs(d.distance_along("x")) for d in same_t) == 2
-
-
-def test_scratch_excluded_from_dependences(grid):
-    u = TimeFunction("u", grid, time_order=2, space_order=4)
-    v = TimeFunction("v", grid, time_order=2, space_order=4)
-    eqs = [Eq(u.forward, u.dx2 + u.dy2), Eq(v.forward, u.dx2 - u.dy2)]
-    sweep = build_sweeps(eqs)[0]
-    deps = compute_dependences(fused_statements(sweep), {"u": 3, "v": 3})
-    assert all(not d.function.startswith("cse") for d in deps)
 
 
 def test_to_dict_shapes(grid):

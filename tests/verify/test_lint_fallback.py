@@ -40,11 +40,11 @@ def reject_all_kernels(monkeypatch):
 
 def test_lint_rejected_bind_degrades_with_identical_numerics(grid2d, monkeypatch):
     op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
-    ref_u, ref_rec = run_and_capture(op, u, rec, NT, DT, NaiveSchedule(), engine="kernel")
+    ref_u, ref_rec = run_and_capture(op, u, rec, NT, DT, NaiveSchedule(), engine="interp")
 
     op2, u2, m2, src2, rec2 = make_acoustic_operator(grid2d, nt=NT)
     with reject_all_kernels(monkeypatch):
-        with pytest.warns(EngineFallbackWarning, match="'fused'.*degrading to 'kernel'"):
+        with pytest.warns(EngineFallbackWarning, match="'fused'.*degrading to 'interp'"):
             deg_u, deg_rec = run_and_capture(
                 op2, u2, rec2, NT, DT, NaiveSchedule(), engine="fused"
             )

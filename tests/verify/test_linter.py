@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.dsl import Eq, Grid, TimeFunction
-from repro.verify import analyse_kernel_source, lint_equations, lint_operator
+from repro.ir.nodes import TAInstr, TAOperand, TAProgram
+from repro.verify import lint_bound_sweeps, lint_equations, lint_operator
+from repro.verify.__main__ import JSON_SCHEMA_VERSION, main
 from ..conftest import make_acoustic_operator
 
 
@@ -91,57 +93,86 @@ def test_matching_dtypes_no_w201(grid):
 
 # -- fused-kernel scratch-slot analysis ------------------------------------------
 
-HEADER = "def _kernel(slots, outs, views):\n    s0, s1, s2 = slots\n    o0, = outs\n    v0, v1 = views\n"
+
+
+class _Sweep:
+    """What the linter reads off a bound sweep: equations and the program."""
+
+    eqs = ()
+
+    def __init__(self, program=None):
+        self._program = program
+
+    def kernel_program(self):
+        return self._program
+
+
+def _operand(name):
+    kind = {"s": "slot", "v": "view", "o": "out"}[name[0]]
+    return TAOperand(kind, name, "float32")
+
+
+def _lint_kernel(*rows):
+    """Diagnostics for a synthetic three-address kernel over slots s0-s2,
+    views v0-v1 and output o0, one ``(op, *args, out)`` row per instruction,
+    bound as sweep 1 behind an interpreted (program-less) sweep 0."""
+    program = TAProgram(
+        instrs=tuple(
+            TAInstr(op, tuple(_operand(a) for a in names[:-1]), _operand(names[-1]))
+            for op, *names in rows
+        ),
+        slots=tuple((f"s{i}", "float32") for i in range(3)),
+        views=(("v0", "float32"), ("v1", "float32")),
+        outs=(("o0", "float32"),),
+    )
+    return lint_bound_sweeps([_Sweep(), _Sweep(program)]).diagnostics
 
 
 def test_e301_read_before_write():
-    source = HEADER + "    np.add(v0, s1, s0)\n    o0[...] = s0\n"
-    diags = analyse_kernel_source(source, sweep=0)
+    diags = _lint_kernel(("add", "v0", "s1", "s0"), ("store", "s0", "o0"))
     assert _codes(diags) == ["E301"]
     d = diags[0]
-    assert d.severity == "error" and "s1" in d.message and d.sweep == 0
+    # the finding keeps the caller's sweep numbering, not the program index
+    assert d.severity == "error" and "s1" in d.message and d.sweep == 1
 
 
 def test_e301_reported_once_per_slot():
-    source = HEADER + (
-        "    np.add(v0, s1, s0)\n"
-        "    np.multiply(s1, v1, s2)\n"
-        "    np.add(s0, s2, s0)\n"
-        "    o0[...] = s0\n"
+    diags = _lint_kernel(
+        ("add", "v0", "s1", "s0"),
+        ("multiply", "s1", "v1", "s2"),
+        ("add", "s0", "s2", "s0"),
+        ("store", "s0", "o0"),
     )
-    diags = analyse_kernel_source(source)
     assert _codes(diags) == ["E301"]
 
 
 def test_w302_overwritten_before_read():
-    source = HEADER + (
-        "    np.add(v0, v1, s0)\n"
-        "    np.multiply(v0, v1, s0)\n"
-        "    o0[...] = s0\n"
+    diags = _lint_kernel(
+        ("add", "v0", "v1", "s0"),
+        ("multiply", "v0", "v1", "s0"),
+        ("store", "s0", "o0"),
     )
-    diags = analyse_kernel_source(source)
     assert _codes(diags) == ["W302"]
     assert "np.add" in diags[0].message
 
 
 def test_w302_never_read():
-    source = HEADER + (
-        "    np.add(v0, v1, s0)\n"
-        "    np.multiply(v0, v1, s1)\n"
-        "    o0[...] = s0\n"
+    diags = _lint_kernel(
+        ("add", "v0", "v1", "s0"),
+        ("multiply", "v0", "v1", "s1"),
+        ("store", "s0", "o0"),
     )
-    diags = analyse_kernel_source(source)
     assert _codes(diags) == ["W302"]
     assert "s1" in diags[0].message
 
 
 def test_clean_kernel_source():
-    source = HEADER + (
-        "    np.add(v0, v1, s0)\n"
-        "    np.multiply(s0, v0, s1)\n"
-        "    o0[...] = s1\n"
+    diags = _lint_kernel(
+        ("add", "v0", "v1", "s0"),
+        ("multiply", "s0", "v0", "s1"),
+        ("store", "s1", "o0"),
     )
-    assert analyse_kernel_source(source) == []
+    assert diags == []
 
 
 def test_real_fused_kernels_are_clean(grid3d):
@@ -170,43 +201,41 @@ def test_report_render_and_dict(grid):
 
 
 def test_cli_single_example(capsys):
-    from repro.lint import main
-
     assert main(["acoustic"]) == 0
     out = capsys.readouterr().out
     assert "acoustic" in out and "OK" in out
     # one certificate line per schedule of the shared CLI sweep
-    from repro.lint import SCHEDULES
+    from repro.core.scheduler import SCHEDULES
 
     for kind in SCHEDULES:
-        assert f"certificate[{kind}]: legal" in out
+        (line,) = [l for l in out.splitlines() if l.startswith(f"  certificate[{kind}]:")]
+        assert f"schedule={kind}" in line and line.endswith("legal=True)")
 
 
 def test_cli_json_output(capsys):
-    from repro.lint import JSON_SCHEMA_VERSION, main
-
-    assert main(["tti", "--json", "--no-prove"]) == 0
+    assert main(["tti", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["version"] == JSON_SCHEMA_VERSION
-    assert data["tool"] == "repro.lint"
-    assert data["results"]["tti"]["ok"] is True
-    assert "certificate" not in data["results"]["tti"]
+    assert data["version"] == JSON_SCHEMA_VERSION == 2
+    assert data["tool"] == "repro.verify"
+    entry = data["results"]["tti"]
+    assert entry["ok"] is True and entry["lint"]["ok"] is True
+    # passes per point: fused-kernel instructions of each of the two sweeps
+    assert set(entry["lint"]["ninstr"]) == {"0", "1"}
+    # the scratch block is the liveness verdict alone: no colouring plan
+    assert set(entry["lint"]["scratch"]) == {"safe_for_slab", "total_slots", "findings"}
 
 
 def test_cli_json_schedules_and_stability(capsys):
-    """--json proves every schedule of the shared set and the envelope is
-    byte-stable across runs (sorted keys, versioned)."""
-    from repro.lint import SCHEDULES, main
+    """--json proves every schedule of the shared set and the certificates
+    are byte-stable across runs (sorted keys, versioned envelope)."""
+    from repro.core.scheduler import SCHEDULES
 
     assert main(["acoustic", "--json"]) == 0
-    first = capsys.readouterr().out
-    data = json.loads(first)
-    assert data["schedules"] == list(SCHEDULES)
-    certs = data["results"]["acoustic"]["certificates"]
-    assert set(certs) == set(SCHEDULES)
-    for cert in certs.values():
+    first = json.loads(capsys.readouterr().out)["results"]["acoustic"]
+    assert set(first["certificates"]) == set(first["bounds"]) - {"any"} == set(SCHEDULES)
+    for cert in first["certificates"].values():
         assert cert["legal"] is True
-    # legacy key still points at the wavefront certificate
-    assert data["results"]["acoustic"]["certificate"] == certs["wavefront"]
     assert main(["acoustic", "--json"]) == 0
-    assert capsys.readouterr().out == first
+    again = json.loads(capsys.readouterr().out)["results"]["acoustic"]
+    first.pop("analyzer_seconds"), again.pop("analyzer_seconds")
+    assert json.dumps(again, sort_keys=True) == json.dumps(first, sort_keys=True)

@@ -252,7 +252,7 @@ def test_paper_propagators_certified(kind, schedule):
     # acceptance: the prover certifies every shipped schedule on the three
     # paper propagators (precomputed masks under wavefront), and the dynamic
     # oracle confirms each certificate race-free on a small grid
-    from repro.lint import build_example
+    from repro.propagators.examples import build_example
     from repro.verify import run_oracle
 
     prop, dt = build_example(kind)
@@ -264,7 +264,7 @@ def test_paper_propagators_certified(kind, schedule):
 
 @pytest.mark.parametrize("kind", ["tti", "elastic"])
 def test_paper_propagators_reject_offgrid_wavefront(kind):
-    from repro.lint import build_example
+    from repro.propagators.examples import build_example
 
     prop, dt = build_example(kind)
     with pytest.raises(ScheduleLegalityError, match="precompute") as ei:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import repro.verify.__main__ as cli
-from repro.lint import SCHEDULES
+from repro.core.scheduler import SCHEDULES
 
 
 def test_single_example_human_output(capsys):
@@ -33,6 +33,8 @@ def test_json_envelope_schema(capsys):
     assert set(entry["bounds"]) == {"any", *SCHEDULES}
     for cert in entry["bounds"].values():
         assert cert["safe"] is True
+    # the legality certificates of the same schedules ride beside the bounds
+    assert set(entry["certificates"]) == set(SCHEDULES)
     assert entry["lint"]["errors"] == 0
     # scratch analysis travels with the lint report
     assert entry["lint"]["scratch"]["safe_for_slab"] is True
@@ -100,7 +102,7 @@ def test_new_warning_vs_baseline_fails(tmp_path, capsys, monkeypatch):
         return entry
 
     monkeypatch.setattr(cli, "verify_example", fake_verify)
-    monkeypatch.setattr("repro.lint.EXAMPLES", ("demo",))
+    monkeypatch.setattr(cli, "EXAMPLES", ("demo",))
     assert cli.main(["--all", "--json", "--baseline", str(baseline)]) == 1
     captured = capsys.readouterr()
     assert "new warning vs baseline" in captured.err
@@ -116,7 +118,7 @@ def test_known_warning_in_baseline_passes(tmp_path, capsys, monkeypatch):
         return entry
 
     monkeypatch.setattr(cli, "verify_example", fake_verify)
-    monkeypatch.setattr("repro.lint.EXAMPLES", ("demo",))
+    monkeypatch.setattr(cli, "EXAMPLES", ("demo",))
     assert cli.main(["--all", "--json", "--baseline", str(baseline)]) == 0
     # a *fixed* warning must not fail either: the baseline is an upper bound
     baseline.write_text(
@@ -137,3 +139,27 @@ def test_committed_baseline_matches_current_tree(capsys):
     assert set(data["results"]) == {"acoustic", "tti", "elastic"}
     for entry in data["results"].values():
         assert entry["ok"] is True
+
+
+def test_illegal_schedule_fails_and_is_reported(capsys, monkeypatch):
+    """A refuted legality proof is a finding like any other: recorded in the
+    example's ``certificates`` entry, printed, exit code 1."""
+    from repro.errors import ScheduleLegalityError
+    from repro.ir.operator import Operator
+
+    proved = Operator.certificate_for
+
+    def refuse_wavefront(self, schedule=None, sparse_mode="auto"):
+        if schedule.kind == "wavefront":
+            raise ScheduleLegalityError("synthetic: edge violates the skew")
+        return proved(self, schedule, sparse_mode)
+
+    monkeypatch.setattr(Operator, "certificate_for", refuse_wavefront)
+    entry = cli.verify_example("acoustic")
+    assert entry["ok"] is False
+    assert entry["certificates"]["wavefront"] == {
+        "legal": False, "error": "synthetic: edge violates the skew",
+    }
+    assert entry["certificates"]["naive"]["legal"] is True
+    assert cli.main(["acoustic"]) == 1
+    assert "certificate[wavefront]: ILLEGAL — synthetic" in capsys.readouterr().out
