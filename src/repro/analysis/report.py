@@ -78,36 +78,21 @@ def render_certificate(cert, title: str = "") -> str:
 
 
 def render_bounds_certificate(cert, title: str = "") -> str:
-    """Human-readable summary of a parametric bounds certificate
+    """Human-readable summary of a halo certificate
     (:class:`repro.verify.certificate.BoundsCertificate`).
 
-    Shows the admissible parameter family the proof quantifies over, the
-    per-kind check tally, the tightest halo margin, and — when the verdict is
-    negative — the concrete ``(schedule, t, tile, index)`` counterexample
-    plus every violated margin.
+    Shows the check tally, the tightest halo margin, and — when the verdict
+    is negative — the concrete ``(t, tile, index)`` counterexample plus every
+    violated margin.
     """
-    kinds: Dict[str, int] = {}
-    for c in cert.checks:
-        kinds[c.kind] = kinds.get(c.kind, 0) + 1
-    tally = ", ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
-    family = "; ".join(
-        f"{name} in [{entry['range'][0]}, "
-        f"{'inf' if entry['range'][1] is None else entry['range'][1]}]"
-        for name, entry in cert.params.items()
-    )
     rows = [
         ["operator", cert.operator],
-        ["schedule family", cert.schedule.get("kind", "?")],
-        ["sparse mode", cert.sparse_mode],
         ["safe", cert.check()],
-        ["checks", f"{len(cert.checks)} ({tally})"],
+        ["checks", len(cert.checks)],
         ["min halo margin", cert.min_margin if cert.min_margin is not None else "-"],
         ["halos", " ".join(f"{k}={v}" for k, v in cert.halos.items())],
-        ["parameters", family],
     ]
-    out = render_table(
-        ["quantity", "value"], rows, title=title or "Parametric bounds certificate"
-    )
+    out = render_table(["quantity", "value"], rows, title=title or "Halo certificate")
     if cert.counterexample is not None:
         out += "\ncounterexample: " + cert.counterexample.describe()
     violated = cert.violations()

@@ -157,7 +157,8 @@ class TemporalBlockingPipeline:
             density = float(np.mean([m.density() for m in all_masks]))
             occupancy = float(np.mean([m.pencil_occupancy() for m in all_masks]))
             aux = sum(m.memory_bytes() for m in all_masks)
-        aux += sum(int(d.data.nbytes) for d in self.sources.values())
+        # injections of one source with one scale share one src_dcmp array
+        aux += sum({id(d.data): int(d.data.nbytes) for d in self.sources.values()}.values())
         radii = self.operator.sweep_radii
         return PipelineReport(
             nsources=len(self.sources),

@@ -138,25 +138,26 @@ class KernelLintError(EngineCompilationError):
     """The kernel-IR linter rejected a compiled sweep.
 
     Raised on the fused rung of the engine ladder when static analysis of the
-    bound sweeps finds an error-severity defect (out-of-halo footprint, stale
-    scratch read, aliasing write, ...).  Carries ``diagnostics`` (the list of
-    :class:`repro.verify.linter.Diagnostic` that failed the bind) so strict
+    bound sweeps finds an error-severity defect (stale scratch read, aliasing
+    write, ...).  Carries ``diagnostics`` (the list of
+    :class:`repro.verify.certificate.Diagnostic` that failed the bind) so strict
     mode surfaces the exact lint findings; non-strict mode degrades down the
     ladder like any other compilation failure.
     """
 
 
 class BoundsProofError(KernelLintError):
-    """The parametric bounds analysis refuted halo safety.
+    """A stencil access reaches past its field's halo (lint code ``E101``).
 
-    Raised when :func:`repro.verify.absint.prove_bounds` finds an access that
-    escapes its field's padded storage for some member of the admissible
-    parameter family.  Carries ``counterexample`` (a concrete
+    Raised at the top of ``Operator.apply`` — before any engine binds, on
+    every engine and schedule, never degrading down the ladder — when
+    :func:`repro.verify.absint.prove_bounds` finds an access that escapes its
+    field's padded storage.  Carries ``counterexample`` (a concrete
     :class:`repro.verify.certificate.BoundsCounterexample` naming the exact
-    ``(schedule, t, tile, index)`` instance) and ``certificate`` (the full
+    ``(t, tile, index)`` instance) and ``certificate`` (the full
     :class:`repro.verify.certificate.BoundsCertificate` with every violated
-    margin).  Subclasses :class:`KernelLintError` so the fused-rung gate
-    rides the same engine-degradation ladder as any lint rejection.
+    margin).  Still a :class:`KernelLintError`: it is the linter's ``E101``
+    finding, made a precondition of execution.
     """
 
 

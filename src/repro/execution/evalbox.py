@@ -246,8 +246,8 @@ class BoundSweep:
     def kernel_program(self):
         """The structured three-address program
         (:class:`~repro.ir.nodes.TAProgram`) of the fused kernel, or ``None``
-        under the interpreter — the input of the abstract-interpretation
-        passes (:mod:`repro.verify.absint`)."""
+        under the interpreter — the input of the kernel-level static
+        analyses (:mod:`repro.verify.absint`)."""
         if self._kernel is None:
             return None
         return getattr(self._kernel, "__program__", None)

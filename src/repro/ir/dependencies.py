@@ -36,6 +36,7 @@ from ..dsl.symbols import Indexed
 __all__ = [
     "Access",
     "Sweep",
+    "access_of",
     "read_accesses",
     "written_access",
     "build_sweeps",
@@ -65,7 +66,8 @@ class Access:
         return 0
 
 
-def _classify(indexed: Indexed) -> Access:
+def access_of(indexed: Indexed) -> Access:
+    """Reduce one :class:`Indexed` leaf to its :class:`Access`."""
     func = indexed.function
     offsets = indexed.offset_map()
     t_off = 0
@@ -79,11 +81,11 @@ def _classify(indexed: Indexed) -> Access:
 
 
 def written_access(eq: Eq) -> Access:
-    return _classify(eq.lhs)
+    return access_of(eq.lhs)
 
 
 def read_accesses(eq: Eq) -> List[Access]:
-    return [_classify(ix) for ix in eq.rhs.atoms(Indexed)]
+    return [access_of(ix) for ix in eq.rhs.atoms(Indexed)]
 
 
 @dataclass

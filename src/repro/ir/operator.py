@@ -16,6 +16,8 @@ for inspection.
 
 from __future__ import annotations
 
+import dataclasses
+import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -33,9 +35,11 @@ from ..dsl.functions import Injection, Interpolation
 from ..dsl.grid import Grid
 from ..dsl.symbols import Number, Symbol
 from ..errors import (
+    BoundsProofError,
     EngineCompilationError,
     EngineFallbackWarning,
     InvalidTimeRange,
+    KernelLintError,
 )
 from ..execution.evalbox import ENGINES, BoundSweep
 from ..execution.executors import ExecutionPlan, run_schedule
@@ -76,25 +80,20 @@ class Operator:
         # by the sparse function / operator *object*: unlike a name, it is
         # unique, and unlike an id() it cannot be recycled while cached
         self._mask_cache: Dict[object, object] = {}
-        self._decomp_cache: Dict[Tuple[SparseOp, float], object] = {}
+        self._decomp_cache: Dict[tuple, object] = {}
         # fused bound sweeps depend only on dt: equations are immutable and
         # Function buffers are written in place, never reallocated, so the
         # sweeps -- and with them the fused engine's per-(t, box) view
         # caches -- are safely reusable across apply() calls.  The interpreter
         # binds per apply: it carries no reusable state.
         self._sweep_cache: Dict[float, List[BoundSweep]] = {}
-        # legality certificates from the schedule prover, keyed by
-        # (schedule.key(), resolved sparse mode); apply() proves each
-        # wavefront schedule once and replays the cached verdict after
-        self.certificates: Dict = {}
-        # parametric bounds certificates (halo safety for whole schedule
-        # families), keyed like legality certificates; the schedule-free
-        # "any" family proved on the fused bind is cached separately since
-        # equations are immutable
-        self.bounds_certificates: Dict = {}
-        self._bounds_cert = None
-        # cumulative wall-time of the abstract-interpretation analyses
-        # (bounds proofs + scratch liveness), reported by the verify bench
+        # every cached verdict, keyed (kind, key): ("legality",
+        # (schedule.key(), resolved sparse mode)) per schedule apply() has
+        # proved, and the one ("bounds", None) halo certificate — equations
+        # are immutable, so neither can go stale
+        self._certificates: Dict[tuple, object] = {}
+        # cumulative wall-time of the static analyses run on this operator's
+        # behalf (legality, halo and growth proofs, fused-bind lint)
         self.analyzer_seconds = 0.0
         # one scratch pool per operator, shared by all fused sweeps across
         # apply() calls -- slabs are keyed by (dtype, slot) so reuse is
@@ -127,7 +126,21 @@ class Operator:
     def interpolations(self) -> List[Interpolation]:
         return [s for s in self.sparse_ops if isinstance(s, Interpolation)]
 
-    # -- legality --------------------------------------------------------------------
+    # -- certificates ----------------------------------------------------------------
+    def _analysed(self, analysis, *args, **kwargs):
+        """Run one static analysis, charging it to :attr:`analyzer_seconds`."""
+        t0 = time.perf_counter()
+        try:
+            return analysis(*args, **kwargs)
+        finally:
+            self.analyzer_seconds += time.perf_counter() - t0
+
+    def _certificate(self, kind: str, key, prove, *args, **kwargs):
+        """The cached ``(kind, key)`` certificate, proved on first request."""
+        if (kind, key) not in self._certificates:
+            self._certificates[kind, key] = self._analysed(prove, *args, **kwargs)
+        return self._certificates[kind, key]
+
     def certificate_for(
         self, schedule: Optional[Schedule] = None, sparse_mode: str = "auto"
     ):
@@ -141,65 +154,36 @@ class Operator:
 
         schedule = schedule or NaiveSchedule()
         key = (schedule.key(), resolve_sparse_mode(sparse_mode, schedule))
-        cert = self.certificates.get(key)
-        if cert is None:
-            cert = prove_schedule(self, schedule, sparse_mode=sparse_mode)
-            self.certificates[key] = cert
-        return cert
+        return self._certificate(
+            "legality", key, prove_schedule, self, schedule, sparse_mode=sparse_mode
+        )
 
     def bounds_certificate_for(
         self, schedule: Optional[Schedule] = None, sparse_mode: str = "auto"
     ):
-        """Prove (once, then cache) parametric halo safety of every access
-        under *schedule*'s parameter family, returning the
+        """Prove (once, then cache) that every stencil access stays inside
+        its field's halo, returning the
         :class:`~repro.verify.certificate.BoundsCertificate`.  Unlike
         :meth:`certificate_for` this never raises — callers inspect
-        ``cert.check()`` / ``cert.counterexample`` and decide (the fused bind
-        gate and the wavefront preflight raise
-        :class:`~repro.errors.BoundsProofError`)."""
-        import time as _time
+        ``cert.check()`` / ``cert.counterexample`` (``apply`` raises
+        :class:`~repro.errors.BoundsProofError` on a refuted one).
 
-        from ..verify.absint import prove_bounds
-        from ..verify.prover import resolve_sparse_mode
+        The verdict depends on neither argument: *schedule* and *sparse_mode*
+        are accepted and ignored only because ``benchmarks/stack/workloads.py``
+        passes them and that file is frozen."""
+        from ..verify.absint.bounds import prove_bounds
 
-        if schedule is None:
-            # the schedule-free "any" family: one proof covers every
-            # schedule kind (executors clip all windows to the interior)
-            if self._bounds_cert is None:
-                t0 = _time.perf_counter()
-                self._bounds_cert = prove_bounds(self)
-                self.analyzer_seconds += _time.perf_counter() - t0
-            return self._bounds_cert
-        key = (schedule.key(), resolve_sparse_mode(sparse_mode, schedule))
-        cert = self.bounds_certificates.get(key)
-        if cert is None:
-            t0 = _time.perf_counter()
-            cert = prove_bounds(self, schedule, sparse_mode=sparse_mode)
-            self.analyzer_seconds += _time.perf_counter() - t0
-            self.bounds_certificates[key] = cert
-        return cert
+        return self._certificate("bounds", None, prove_bounds, self)
 
     def growth_certificate_for(self, plan, dt: float = 1.0):
-        """Prove (once per *dt*, then cache) the per-step amplitude-growth
-        bound of this operator's bound sweeps, returning the
-        :class:`~repro.verify.certificate.GrowthCertificate` the ABFT guard
-        and the derived :class:`~repro.runtime.health.HealthGuard` ceiling
-        share.  The bound depends on the model data and the hoisted *dt*
-        constants, both fixed per (operator, dt), so caching by dt is sound."""
-        import time as _time
+        """Prove the per-step amplitude-growth bound of *plan*'s bound sweeps,
+        returning the :class:`~repro.verify.certificate.GrowthCertificate` the
+        ABFT guard and the derived :class:`~repro.runtime.health.HealthGuard`
+        ceiling share.  Never cached: the bound reads the *current* model
+        ranges, and models may be updated in place between applies."""
+        from ..verify.absint.growth import prove_growth
 
-        certs = self.__dict__.setdefault("_growth_certs", {})
-        key = float(dt)
-        cert = certs.get(key)
-        if cert is None:
-            from ..verify.absint.growth import prove_growth
-
-            t0 = _time.perf_counter()
-            cert = certs[key] = prove_growth(
-                plan.sweeps, operator=self.name, dt=dt
-            )
-            self.analyzer_seconds += _time.perf_counter() - t0
-        return cert
+        return self._analysed(prove_growth, plan.sweeps, operator=self.name, dt=dt)
 
     # -- sweep attachment ------------------------------------------------------------
     def _sweep_index_for(self, field_name: str, time_offset: int) -> int:
@@ -221,15 +205,25 @@ class Operator:
         """The grid-aligned form of *sparse_op* (receivers do not depend on
         *dt* and are keyed at 0.0)."""
         is_source = isinstance(sparse_op, Injection)
+        cache = self._decomp_cache
         key = (sparse_op, float(dt) if is_source else 0.0)
-        if key not in self._decomp_cache:
+        if key not in cache:
             masks = self._masks_for(sparse_op.sparse, method)
-            self._decomp_cache[key] = (
-                decompose_source(sparse_op, dt, masks=masks)
-                if is_source
-                else decompose_receiver(sparse_op, masks=masks)
-            )
-        return self._decomp_cache[key]
+            if is_source:
+                # one src_dcmp per (source, scale, dt), not per injection: TTI
+                # injects one source into p and q with the same dt**2/m, and
+                # the second injection shares the first's array
+                shared = (sparse_op.sparse, sparse_op.expr, key[1])
+                if shared not in cache:
+                    cache[shared] = decompose_source(sparse_op, dt, masks=masks)
+                cache[key] = dataclasses.replace(
+                    cache[shared],
+                    time_offset=sparse_op.time_offset,
+                    field_name=sparse_op.field.name,
+                )
+            else:
+                cache[key] = decompose_receiver(sparse_op, masks=masks)
+        return cache[key]
 
     def _aligned_injection(self, inj: Injection, dt: float) -> AlignedInjection:
         return AlignedInjection(self._decomposed(inj, dt), inj.field)
@@ -287,14 +281,9 @@ class Operator:
                     # kernel-IR lint gate: error findings reject the fused
                     # bind; the KernelLintError rides the same ladder as any
                     # compilation failure (degrade unless strict)
-                    import time as _time
-
-                    from ..errors import BoundsProofError, KernelLintError
                     from ..verify.linter import lint_bound_sweeps
 
-                    t0 = _time.perf_counter()
-                    report = lint_bound_sweeps(bound, name=self.name)
-                    self.analyzer_seconds += _time.perf_counter() - t0
+                    report = self._analysed(lint_bound_sweeps, bound, name=self.name)
                     if not report.ok:
                         raise KernelLintError(
                             f"{self.name}: kernel-IR linter rejected the "
@@ -302,26 +291,6 @@ class Operator:
                             + "; ".join(d.render() for d in report.errors),
                             engine="fused",
                             diagnostics=report.diagnostics,
-                        )
-                    # parametric bounds gate: every access must be proven
-                    # in-bounds for the whole schedule family before any
-                    # timestep runs; a violation carries the concrete
-                    # (schedule, t, tile, index) counterexample and rides
-                    # the same ladder
-                    cert = self.bounds_certificate_for(None)
-                    if not cert.check():
-                        ce = cert.counterexample
-                        raise BoundsProofError(
-                            f"{self.name}: parametric bounds analysis "
-                            "refuted halo safety: "
-                            + (ce.describe() if ce is not None else
-                               "; ".join(
-                                   c.vc for c in cert.violations()[:3]
-                               )),
-                            engine="fused",
-                            diagnostics=[],
-                            counterexample=ce,
-                            certificate=cert,
                         )
                 if breaker is not None:
                     breaker.record_success(eng)
@@ -379,28 +348,14 @@ class Operator:
                     self._sweep_cache.clear()
                 self._sweep_cache[float(dt)] = bound_sweeps
 
-        if sparse_mode == "auto":
-            sparse_mode = (
-                "precomputed" if isinstance(schedule, WavefrontSchedule) else "offgrid"
-            )
-        if sparse_mode not in ("offgrid", "precomputed"):
-            raise ValueError(f"unknown sparse mode {sparse_mode!r}")
-        if sparse_mode == "offgrid" and isinstance(schedule, WavefrontSchedule):
-            # backstop for callers that bind without the apply() preflight;
-            # carries the same concrete counterexample the prover builds
-            from ..errors import ScheduleLegalityError
-            from ..verify.prover import offgrid_counterexample
+        from ..verify.prover import resolve_sparse_mode
 
-            sparse = self.sparse_ops
-            ce = offgrid_counterexample(self, schedule, sparse[0]) if sparse else None
-            raise ScheduleLegalityError(
-                "wavefront temporal blocking requires grid-aligned sparse "
-                "operators (sparse_mode='precomputed'): off-the-grid "
-                "injection inside space-time tiles violates data dependencies"
-                + (f" — {ce.describe()}" if ce is not None else ""),
-                counterexample=ce,
-                schedule=schedule.describe(),
-            )
+        sparse_mode = resolve_sparse_mode(sparse_mode, schedule)
+        if isinstance(schedule, WavefrontSchedule):
+            # a cache hit after apply()'s preflight; for callers that bind
+            # without it, the same proof (and the same rejection of off-grid
+            # operators inside tiles, counterexample included)
+            self.certificate_for(schedule, sparse_mode)
 
         plan = ExecutionPlan(
             grid=self.grid,
@@ -449,6 +404,14 @@ class Operator:
         ablation baseline and a debugging aid).  They are bit-identical.
         Returns the execution plan (useful for inspection in tests).
 
+        Static gates, in this order and all before timestep 0: the halo
+        certificate (:meth:`bounds_certificate_for`; a stencil reaching past
+        its halo is a :class:`~repro.errors.BoundsProofError` on every engine
+        and schedule — it never degrades), the legality certificate of a
+        wavefront schedule (:meth:`certificate_for`), the fused rung's kernel
+        lint (degrades to ``interp`` unless ``strict_engine``), and
+        ``plan.validate()`` when ``preflight``.
+
         Resilience (all optional, all off by default): a failing engine
         degrades down the fused -> interp ladder with an
         :class:`~repro.errors.EngineFallbackWarning` unless ``strict_engine``;
@@ -494,29 +457,25 @@ class Operator:
                 time_M=time_M,
             )
             last = aspan.start
+        # halo gate, before the engine ladder: no rung is sound on an
+        # out-of-halo read, so a refuted certificate never degrades — it is
+        # a hard error before any buffer is touched
+        bounds = self.bounds_certificate_for()
+        if not bounds.check():
+            ce = bounds.counterexample
+            raise BoundsProofError(
+                f"{self.name}: E101 stencil footprint exceeds the declared "
+                f"halo: {ce.describe()}",
+                engine=engine or ENGINES[0],
+                diagnostics=[],
+                counterexample=ce,
+                certificate=bounds,
+            )
         if isinstance(schedule, WavefrontSchedule):
             # dependence-legality preflight: a certificate per (schedule,
             # sparse-mode) pair, or a ScheduleLegalityError naming two
             # conflicting statement instances
             self.certificate_for(schedule, sparse_mode)
-            # parametric bounds preflight: under wavefront blocking every
-            # engine executes the same clipped windows, so a refuted halo
-            # proof is a hard error before timestep 0 — unlike the fused
-            # bind gate there is no sound rung to degrade to
-            bcert = self.bounds_certificate_for(schedule, sparse_mode)
-            if not bcert.check():
-                from ..errors import BoundsProofError
-
-                ce = bcert.counterexample
-                raise BoundsProofError(
-                    f"{self.name}: parametric bounds analysis refuted halo "
-                    "safety under the wavefront schedule: "
-                    + (ce.describe() if ce is not None else "margin violated"),
-                    engine="fused",
-                    diagnostics=[],
-                    counterexample=ce,
-                    certificate=bcert,
-                )
         if tel is not None:
             from .pycodegen import kernel_cache_stats
 

@@ -424,7 +424,7 @@ def compile_sweep(
     kernel.__nslots__ = len(em.slots)
     kernel.__ntemps__ = cse.ntemps
     # structured three-address program: the typed mirror of __source__ the
-    # abstract-interpretation passes (repro.verify.absint) operate on
+    # kernel-level static analyses (repro.verify.absint) operate on
     kernel.__program__ = TAProgram(
         instrs=tuple(em.instrs),
         slots=tuple((n, d.name) for n, d in em.slots.items()),

@@ -96,7 +96,7 @@ class SharedArrayHandle:
         (vacuously true for handles that never carried one)."""
         if self.checksum is None:
             return True
-        from ..runtime.abft import array_checksum
+        from ..runtime.integrity import array_checksum
 
         return array_checksum(array) == self.checksum
 
@@ -174,7 +174,7 @@ class SharedArrayRegistry:
     def publish(self, key: str, array: np.ndarray) -> SharedArrayHandle:
         if key in self._handles:
             raise ValueError(f"duplicate shared-array key {key!r}")
-        from ..runtime.abft import array_checksum
+        from ..runtime.integrity import array_checksum
 
         arr = np.ascontiguousarray(array)
         shm = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))

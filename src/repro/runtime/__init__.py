@@ -17,7 +17,7 @@ See also :mod:`repro.errors` for the structured error taxonomy and
 timestep 0.
 """
 
-from .abft import ABFTGuard, amplitude_ceiling, array_checksum
+from .abft import ABFTGuard, amplitude_ceiling
 from .checkpoint import (
     CheckpointConfig,
     CheckpointStore,
@@ -32,6 +32,7 @@ from .checkpoint import (
 )
 from .faults import Fault, FaultInjector, break_engine, flip_finite, split_seed
 from .health import DEFAULT_CHECK_EVERY, HealthGuard
+from .integrity import array_checksum
 from .monitor import RuntimeMonitor
 from .preflight import (
     check_cfl,

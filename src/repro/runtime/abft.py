@@ -20,23 +20,20 @@ only the affected tile instead of restarting the job.
 
 :class:`ABFTGuard` is threaded through ``Operator.apply(abft=...)`` /
 ``Propagator.forward(abft=...)`` exactly like the other resilience
-facilities, and :func:`array_checksum` is the block-checksum primitive the
-shared-memory registry (:mod:`repro.jobs.shm`) uses so warm daemons can
-verify model arrays at attempt start.
+facilities.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import zlib
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..errors import SilentCorruptionError
 
-__all__ = ["ABFTGuard", "array_checksum", "amplitude_ceiling", "DEFAULT_SLACK"]
+__all__ = ["ABFTGuard", "amplitude_ceiling", "DEFAULT_SLACK"]
 
 #: multiplicative headroom on the certified bound: absorbs the gap between
 #: the interval bound (worst-case sign alignment) and FP rounding — real
@@ -47,12 +44,6 @@ DEFAULT_SLACK = 8.0
 #: absolute amplitude floor: exits below this are never flagged (an
 #: all-zero tile must not trip on rounding noise)
 DEFAULT_FLOOR = 1e-18
-
-
-def array_checksum(arr: np.ndarray) -> int:
-    """CRC-32 block checksum of an array's raw bytes (shm integrity)."""
-    data = np.ascontiguousarray(arr)
-    return zlib.crc32(data.view(np.uint8).reshape(-1)) & 0xFFFFFFFF
 
 
 def _per_step_source_amplitude(plan) -> float:

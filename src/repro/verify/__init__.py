@@ -19,19 +19,17 @@ Layers (each usable standalone):
 * :mod:`repro.verify.oracle` — shadow-memory replay of real executions on
   small grids, confirming certified schedules race-free and counterexamples
   real.
-* :mod:`repro.verify.absint` — the abstract-interpretation pass framework:
-  parametric bounds proofs (:func:`prove_bounds` →
-  :class:`~repro.verify.certificate.BoundsCertificate`), the NEP 50 dtype
-  lattice behind W201, and the whole-program scratch-slot liveness check.
+* :mod:`repro.verify.absint` — the four static analyses: halo safety
+  (:func:`prove_bounds` → :class:`~repro.verify.certificate.BoundsCertificate`,
+  the gate at the top of every ``Operator.apply``), the whole-program
+  scratch-slot liveness check, the NEP 50 dtype lattice behind W201, and the
+  per-step amplitude-growth bound (:func:`prove_growth`).
 
 ``python -m repro.verify`` is the one CLI front-end over all of them.
 """
 
 from .absint import (
-    AffineForm,
-    Interval,
     LivenessReport,
-    ParamSpace,
     analyse_programs,
     prove_bounds,
     prove_growth,
@@ -43,6 +41,7 @@ from .certificate import (
     CheckedDependence,
     CheckedGrowth,
     Counterexample,
+    Diagnostic,
     GrowthCertificate,
     InstanceRef,
     LegalityCertificate,
@@ -56,7 +55,6 @@ from .dependence import (
     statements_for,
 )
 from .linter import (
-    Diagnostic,
     LintReport,
     lint_bound_sweeps,
     lint_equations,
@@ -81,9 +79,6 @@ __all__ = [
     "BoundsCertificate",
     "CheckedGrowth",
     "GrowthCertificate",
-    "AffineForm",
-    "Interval",
-    "ParamSpace",
     "prove_bounds",
     "prove_growth",
     "LivenessReport",

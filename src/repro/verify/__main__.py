@@ -17,10 +17,9 @@ benchmarks scale up.  Per example, the tool
   result is trivial for the untiled kinds but recorded so the JSON is
   uniform), recording the
   :class:`~repro.verify.certificate.LegalityCertificate` or the error,
-* proves **parametric halo safety** for the same schedules plus the
-  schedule-free "any" family, printing the
-  :class:`~repro.verify.certificate.BoundsCertificate` (or the concrete
-  ``(schedule, t, tile, index)`` counterexample),
+* proves **halo safety** once — the verdict holds under every schedule —
+  printing the :class:`~repro.verify.certificate.BoundsCertificate` (or the
+  concrete ``(t, tile, index)`` counterexample),
 * runs the kernel-IR linter (lattice-backed W201, whole-program scratch
   liveness E301/W302) and reports ``ninstr``, the fused-kernel instruction
   count per sweep, and
@@ -41,16 +40,19 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Union
 
+from ..analysis.report import render_bounds_certificate
 from ..core.scheduler import SCHEDULES, make_schedule
 from ..errors import ScheduleLegalityError
 from ..propagators.examples import EXAMPLES, build_example
-from .linter import lint_operator
+from .certificate import BoundsCertificate, LegalityCertificate
+from .linter import LintReport, lint_operator
 
 #: JSON envelope version of ``--json`` output (bump on schema changes)
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 
 def _warning_keys(payload: dict) -> set:
@@ -64,8 +66,67 @@ def _warning_keys(payload: dict) -> set:
     return keys
 
 
-def verify_example(kind: str) -> dict:
-    """Run every analysis on one example; returns the JSON entry."""
+@dataclass
+class ExampleVerdict:
+    """Every analysis' verdict on one example operator."""
+
+    lint: LintReport
+    #: per schedule kind: the legality certificate, or the refuting error
+    certificates: Dict[str, Union[LegalityCertificate, ScheduleLegalityError]]
+    bounds: BoundsCertificate
+    analyzer_seconds: float
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.lint.ok
+            and all(isinstance(c, LegalityCertificate) for c in self.certificates.values())
+            and self.bounds.check()
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "lint": self.lint.to_dict(),
+            "certificates": {
+                kind: (
+                    cert.to_dict()
+                    if isinstance(cert, LegalityCertificate)
+                    else {"legal": False, "error": str(cert)}
+                )
+                for kind, cert in self.certificates.items()
+            },
+            "bounds": self.bounds.to_dict(),
+            "analyzer_seconds": self.analyzer_seconds,
+            "ok": self.ok,
+        }
+
+    def render(self, example: str) -> str:
+        lint = self.lint
+        lines = [
+            f"{example}: {'OK' if self.ok else 'FAIL'} ({len(lint.errors)} errors, "
+            f"{len(lint.warnings)} warnings, "
+            f"analyzer {self.analyzer_seconds*1e3:.1f}ms)"
+        ]
+        lines += [f"  {d.render()}" for d in lint.diagnostics]
+        for kind, cert in self.certificates.items():
+            verdict = (
+                cert.summary()
+                if isinstance(cert, LegalityCertificate)
+                else f"ILLEGAL — {cert}"
+            )
+            lines.append(f"  certificate[{kind}]: {verdict}")
+        lines.append(render_bounds_certificate(self.bounds, title=f"  bounds [{example}]"))
+        if lint.scratch is not None:
+            ninstr = ", ".join(f"sweep {j}: {n}" for j, n in sorted(lint.ninstr.items()))
+            lines.append(
+                f"  scratch: slab-safe={lint.scratch.safe_for_slab}, "
+                f"{lint.scratch.total_slots} slots; ninstr {ninstr}"
+            )
+        return "\n".join(lines) + "\n"
+
+
+def verify_example(kind: str) -> ExampleVerdict:
+    """Run every analysis on one example."""
     prop, dt = build_example(kind)
     op = prop.op
     t0 = time.perf_counter()
@@ -73,26 +134,15 @@ def verify_example(kind: str) -> dict:
     lint_seconds = time.perf_counter() - t0
 
     certificates = {}
-    bounds = {"any": op.bounds_certificate_for(None)}
     for sched_kind in SCHEDULES:
-        schedule = make_schedule(sched_kind)
         try:
-            certificates[sched_kind] = op.certificate_for(schedule).to_dict()
+            certificates[sched_kind] = op.certificate_for(make_schedule(sched_kind))
         except ScheduleLegalityError as exc:
-            certificates[sched_kind] = {"legal": False, "error": str(exc)}
-        bounds[sched_kind] = op.bounds_certificate_for(schedule)
-
-    return {
-        "lint": report.to_dict(),
-        "certificates": certificates,
-        "bounds": {k: c.to_dict() for k, c in bounds.items()},
-        "analyzer_seconds": op.analyzer_seconds + lint_seconds,
-        "ok": (
-            report.ok
-            and all(c["legal"] for c in certificates.values())
-            and all(c.check() for c in bounds.values())
-        ),
-    }
+            certificates[sched_kind] = exc
+    bounds = op.bounds_certificate_for()
+    return ExampleVerdict(
+        report, certificates, bounds, op.analyzer_seconds + lint_seconds
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -118,17 +168,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("give an example name or --all")
     kinds = EXAMPLES if args.all else (args.example,)
 
+    verdicts = {kind: verify_example(kind) for kind in kinds}
     payload = {
         "version": JSON_SCHEMA_VERSION,
         "tool": "repro.verify",
-        "results": {},
+        "results": {kind: v.to_dict() for kind, v in verdicts.items()},
     }
-    failed = False
-    for kind in kinds:
-        entry = verify_example(kind)
-        payload["results"][kind] = entry
-        if not entry["ok"]:
-            failed = True
+    failed = not all(v.ok for v in verdicts.values())
 
     new_warnings: List[tuple] = []
     if args.baseline:
@@ -150,37 +196,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        from ..analysis.report import render_bounds_certificate
-        from .certificate import BoundsCertificate, LegalityCertificate
-
-        for kind, entry in payload["results"].items():
-            lint = entry["lint"]
-            status = "OK" if entry["ok"] else "FAIL"
-            print(
-                f"{kind}: {status} ({lint['errors']} errors, "
-                f"{lint['warnings']} warnings, "
-                f"analyzer {entry['analyzer_seconds']*1e3:.1f}ms)"
-            )
-            for d in lint["diagnostics"]:
-                where = f"sweep {d['sweep']}: " if d["sweep"] is not None else ""
-                print(f"  {d['code']} [{d['severity']}] {where}{d['message']}")
-            for sched_kind, cert in entry.get("certificates", {}).items():
-                verdict = (
-                    f"ILLEGAL — {cert['error']}"
-                    if "error" in cert
-                    else LegalityCertificate.from_dict(cert).summary()
-                )
-                print(f"  certificate[{sched_kind}]: {verdict}")
-            cert = BoundsCertificate.from_dict(entry["bounds"]["any"])
-            print(render_bounds_certificate(cert, title=f"  bounds [{kind}, any]"))
-            scratch = lint.get("scratch")
-            if scratch is not None:
-                ninstr = ", ".join(f"sweep {j}: {n}" for j, n in lint["ninstr"].items())
-                print(
-                    f"  scratch: slab-safe={scratch['safe_for_slab']}, "
-                    f"{scratch['total_slots']} slots; ninstr {ninstr}"
-                )
-            print()
+        for kind, verdict in verdicts.items():
+            print(verdict.render(kind))
     for key in new_warnings:
         print(f"new warning vs baseline: {key}", file=sys.stderr)
     return 1 if failed else 0

@@ -1,54 +1,38 @@
-"""Abstract-interpretation pass framework over the kernel IR.
+"""Static analyses over the equations and the kernel IR.
 
-Layered like a small compiler-analysis toolkit:
+Four questions, one module each, none needing a lattice framework — fused
+kernels are straight-line programs and halo margins are integers:
 
-* :mod:`repro.verify.absint.domain` — the abstract domains: integer
-  :class:`~repro.verify.absint.domain.Interval`\\ s (with widening),
-  :class:`~repro.verify.absint.domain.AffineForm`\\ s over named symbolic
-  parameters (exact interval images — the source of the bounds analysis'
-  zero-false-positive guarantee) and the admissible
-  :class:`~repro.verify.absint.domain.ParamSpace` a proof quantifies over.
-* :mod:`repro.verify.absint.framework` — :class:`DataflowPass` /
-  :func:`run_pass` / :func:`fixpoint`: directional dataflow over the
-  three-address :class:`~repro.ir.nodes.TAProgram`, including cyclic
-  whole-program iteration around one timestep's kernel sequence.
-* :mod:`repro.verify.absint.bounds` — :func:`prove_bounds`: parametric
-  halo-safety certificates (or concrete counterexamples) for whole schedule
-  families.
-* :mod:`repro.verify.absint.dtypes` — the NEP 50 promotion lattice,
-  :func:`expr_dtype` promotion chains (powering the linter's W201) and the
-  :class:`DtypePass` slot-typing consistency check.
-* :mod:`repro.verify.absint.liveness` — whole-program scratch-slot liveness:
-  the E301/W302 check that licenses sharing the scratch slabs across sweeps.
+* :mod:`repro.verify.absint.bounds` — :func:`prove_bounds`: does every
+  stencil access stay inside its field's halo?  (One
+  :class:`~repro.verify.certificate.BoundsCertificate` per operator, or a
+  concrete counterexample; gates every ``Operator.apply``.)
+* :mod:`repro.verify.absint.liveness` — :func:`analyse_programs`: does any
+  kernel read a scratch slot before writing it?  (The E301/W302 check that
+  licenses sharing the scratch slabs across sweeps.)
+* :mod:`repro.verify.absint.dtypes` — the NEP 50 promotion lattice:
+  :func:`expr_dtype` promotion chains (the linter's W201) and
+  :func:`audit_slot_dtypes`, the lattice-vs-emitter consistency check.
+* :mod:`repro.verify.absint.growth` — :func:`prove_growth`: how much can
+  one timestep amplify the state?  (Interval arithmetic over the bound
+  equations; the ABFT guard's amplitude invariant.)
 """
 
-from .bounds import build_param_space, prove_bounds
-from .domain import AffineForm, Interval, ParamSpace
-from .dtypes import DtypePass, expr_dtype, promote, ufunc_result
-from .framework import DataflowPass, Finding, PassResult, fixpoint, run_pass
-from .growth import GrowthPass, interval_ufunc, prove_growth, read_interval
-from .liveness import LivenessReport, PoolLivenessPass, analyse_programs
+from .bounds import halo_margins, prove_bounds
+from .dtypes import audit_slot_dtypes, expr_dtype, promote, ufunc_result
+from .growth import interval_ufunc, prove_growth, read_interval
+from .liveness import LivenessReport, analyse_programs
 
 __all__ = [
-    "AffineForm",
-    "Interval",
-    "ParamSpace",
-    "DataflowPass",
-    "Finding",
-    "PassResult",
-    "run_pass",
-    "fixpoint",
-    "build_param_space",
+    "halo_margins",
     "prove_bounds",
-    "DtypePass",
+    "audit_slot_dtypes",
     "expr_dtype",
     "promote",
     "ufunc_result",
-    "GrowthPass",
     "prove_growth",
     "interval_ufunc",
     "read_interval",
     "LivenessReport",
-    "PoolLivenessPass",
     "analyse_programs",
 ]

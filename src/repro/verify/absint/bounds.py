@@ -1,44 +1,28 @@
-"""Parametric in-bounds analysis: halo-safety proofs for schedule families.
+"""Halo safety: every stencil access stays inside its field's padded storage.
 
-For every read and write of every sweep, this module proves that the access
-stays inside the padded storage of its field — not for one concrete grid, but
-for the **whole admissible parameter family**: every interior extent
-``N_d >= 1``, every tile shape, every wavefront height, every cumulative lag
-the executors can produce.  The proof exploits two structural facts:
+Every executor (naive, spatially blocked, wavefront) clips each iteration
+window to the interior ``[0, N_d)`` and skips empty windows, so the executed
+window is a subset of the interior for every tile origin, tile extent,
+height and lag.  An access at constant spatial offset ``s`` into a field
+padded by ``halo`` therefore touches padded-buffer indices
+``[halo + lo + s, halo + hi + s)`` with ``[lo, hi) ⊆ [0, N_d)``, and staying
+inside the padded extent ``N_d + 2*halo`` reduces — for every grid, schedule
+and engine at once — to two integer margins per (access, dimension):
+``halo + s >= 0`` and ``halo - s >= 0`` (:func:`halo_margins`, which the
+linter's E101 renders from as well).
 
-1. Every executor (naive, spatially blocked, wavefront) clips each iteration
-   window to the interior ``[0, N_d)`` and skips empty windows, so the
-   executed window is a subset of the interior *for every* tile origin, tile
-   extent and lag — the window parameters drop out of the verification
-   conditions symbolically, they are recorded in the certificate's
-   :class:`~repro.verify.absint.domain.ParamSpace` only to state what the
-   proof quantifies over.
-2. An access at constant spatial offset ``s`` into a field padded by
-   ``halo`` therefore touches padded-buffer indices
-   ``[halo + lo + s, halo + hi + s)`` with ``[lo, hi) ⊆ [0, N_d)``; staying
-   inside the padded extent ``N_d + 2*halo`` for the whole family reduces to
-   the affine margins ``halo + s >= 0`` and ``halo - s >= 0``.
-
-The margins are evaluated as :class:`~repro.verify.absint.domain.AffineForm`
-images over the parameter box; every parameter occurs at most once in each
-form, so interval evaluation is exact and the analysis has **zero false
-positives** — a rejected access really escapes for some family member, and
-:func:`prove_bounds` constructs that member as a concrete
-:class:`~repro.verify.certificate.BoundsCounterexample` ``(schedule, t, tile,
-index)``.
+The margins are exact, so the analysis has no false positives: a rejected
+access really escapes on the operator's own grid, and :func:`prove_bounds`
+names where as a concrete
+:class:`~repro.verify.certificate.BoundsCounterexample` ``(t, tile, index)``.
+Sparse operators need no row: raw coordinates are validated in-domain and
+precomputed masks are built over interior points only.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ...core.scheduler import (
-    NaiveSchedule,
-    Schedule,
-    SpatialBlockSchedule,
-    WavefrontSchedule,
-)
-from ...dsl.functions import TimeFunction
 from ...ir.dependencies import Access, read_accesses, written_access
 from ..certificate import (
     BoundsCertificate,
@@ -46,146 +30,30 @@ from ..certificate import (
     CheckedBound,
     InstanceRef,
 )
-from .domain import AffineForm, ParamSpace
 
-__all__ = ["build_param_space", "prove_bounds"]
-
-
-def build_param_space(
-    op, schedule: Optional[Schedule] = None, halos: Optional[Dict[str, int]] = None
-) -> ParamSpace:
-    """The admissible family a bounds certificate quantifies over.
-
-    With ``schedule=None`` the family covers *every* schedule kind at once
-    (tile extents, block extents, heights and lags all unbounded): the
-    executors clip every window to the interior, so one proof covers the
-    whole schedule zoo.  With a concrete schedule only that schedule's knobs
-    are declared — the proof is identical, the certificate merely states a
-    smaller quantification.
-    """
-    space = ParamSpace()
-    dims = tuple(d.name for d in op.grid.dimensions)
-    for d in dims:
-        space.declare(f"N_{d}", 1, None, f"interior extent along {d} (any grid size)")
-    for fname, h in sorted((halos or {}).items()):
-        space.declare(
-            f"halo_{fname}",
-            h,
-            h,
-            f"halo padding of field {fname!r} (from its space order)",
-        )
-    angle = op.wavefront_angle
-    if schedule is None or isinstance(schedule, WavefrontSchedule):
-        rank = len(schedule.tile) if isinstance(schedule, WavefrontSchedule) else len(dims)
-        for i in range(rank):
-            space.declare(f"T_{i}", 1, None, "wavefront space-tile extent (any)")
-        space.declare("H", 1, None, "time-tile height (any)")
-        space.declare(
-            "lag",
-            0,
-            None,
-            f"cumulative wavefront lag; bounded by angle*(H-1)*nsweeps with "
-            f"angle={angle}, but the clipped-window argument needs no bound",
-        )
-    if schedule is None or isinstance(schedule, SpatialBlockSchedule):
-        rank = (
-            len(schedule.block) if isinstance(schedule, SpatialBlockSchedule) else len(dims)
-        )
-        for i in range(rank):
-            space.declare(f"B_{i}", 1, None, "spatial block extent (any)")
-    return space
+__all__ = ["halo_margins", "prove_bounds"]
 
 
-def _collect_halos(op) -> Dict[str, int]:
-    halos: Dict[str, int] = {}
-    for sweep in op.sweeps:
-        for eq in sweep.eqs:
-            for a in [written_access(eq)] + read_accesses(eq):
-                halos[a.function.name] = getattr(a.function, "halo", 0)
-    for s in op.sparse_ops:
-        halos[s.field.name] = getattr(s.field, "halo", 0)
-    return halos
-
-
-def _space_checks(
-    space: ParamSpace,
-    sweep: int,
-    statement: str,
-    access: Access,
-    role: str,
-) -> List[CheckedBound]:
-    """One :class:`CheckedBound` per spatial dimension of *access*."""
-    fname = access.function.name
+def halo_margins(access: Access) -> List[Tuple[str, int, int, int]]:
+    """``(dim, offset, margin_lo, margin_hi)`` per spatial dimension of
+    *access*; a negative margin means the access escapes that padded edge."""
     halo = getattr(access.function, "halo", 0)
-    out: List[CheckedBound] = []
-    for dim, off in access.space_offsets:
-        lo_form = AffineForm.param(f"halo_{fname}").shift(off)
-        hi_form = AffineForm.param(f"halo_{fname}").shift(-off)
-        lo_iv = lo_form.range_over(space)
-        hi_iv = hi_form.range_over(space)
-        out.append(
-            CheckedBound(
-                sweep=sweep,
-                statement=statement,
-                function=fname,
-                role=role,
-                dim=dim,
-                offset=off,
-                halo=halo,
-                margin_lo=lo_iv.lo,
-                margin_hi=hi_iv.lo,
-                vc=(
-                    f"0 <= {lo_form.describe()} and 0 <= {hi_form.describe()} "
-                    f"for every executed window [lo, hi) ⊆ [0, N_{dim}) "
-                    "(all tiles, heights, lags: executors clip to the interior)"
-                ),
-            )
-        )
-    return out
-
-
-def _time_check(sweep: int, statement: str, access: Access, role: str) -> CheckedBound:
-    fname = access.function.name
-    off = access.time_offset
-    return CheckedBound(
-        sweep=sweep,
-        statement=statement,
-        function=fname,
-        role=role,
-        dim="t",
-        offset=off,
-        halo=0,
-        margin_lo=0,
-        margin_hi=0,
-        vc=(
-            f"(t {off:+d}) mod nbuf({fname}) ∈ [0, nbuf) — the circular "
-            "time buffer makes every timestep index total"
-        ),
-        kind="time",
-    )
+    return [(dim, off, halo + off, halo - off) for dim, off in access.space_offsets]
 
 
 def _counterexample(
-    op,
-    schedule: Optional[Schedule],
-    sweep: int,
-    access: Access,
-    role: str,
-    dim: str,
-    offset: int,
+    op, sweep: int, access: Access, role: str, dim: str, offset: int
 ) -> BoundsCounterexample:
-    """Instantiate the family member on which the violating access escapes.
+    """The instance of *op*'s own grid on which the violating access escapes.
 
-    Uses the operator's own grid (so the instance is directly runnable),
-    timestep 0 and the first full interior box as the tile.  The escaping
-    point sits on the violated side: the window's last interior point for an
-    upper escape (``offset > halo`` — NumPy surfaces this as a clipped view /
-    shape mismatch, a native backend as a read past the allocation), the
-    first for a lower escape (``offset < -halo`` — NumPy *wraps silently* to
-    the opposite end of the padded buffer, which is worse: wrong numerics
-    with no exception).
+    Timestep 0 and the full interior box as the tile.  The escaping point
+    sits on the violated side: the last interior point for an upper escape
+    (``offset > halo`` — NumPy surfaces this as a clipped view / shape
+    mismatch, a native backend as a read past the allocation), the first for
+    a lower escape (``offset < -halo`` — NumPy *wraps silently* to the
+    opposite end of the padded buffer, which is worse: wrong numerics with
+    no exception).
     """
-    fname = access.function.name
     halo = getattr(access.function, "halo", 0)
     dims = tuple(d.name for d in op.grid.dimensions)
     shape = tuple(int(n) for n in op.grid.shape)
@@ -196,25 +64,24 @@ def _counterexample(
     )
     index = tuple(halo + p + offs.get(d, 0) for d, p in zip(dims, point))
     extent = tuple(n + 2 * halo for n in shape)
-    tile = tuple((0, n) for n in shape)
+    i = dims.index(dim)
     if upper:
-        i = dims.index(dim)
         reason = (
             f"margin_hi = halo - offset = {halo - offset} < 0: the window's "
             f"last point {dim}={point[i]} resolves to padded index "
             f"{index[i]} >= extent {extent[i]}"
         )
     else:
-        i = dims.index(dim)
         reason = (
             f"margin_lo = halo + offset = {halo + offset} < 0: the window's "
             f"first point {dim}=0 resolves to negative padded index "
             f"{index[i]}"
         )
     return BoundsCounterexample(
-        schedule=(schedule or NaiveSchedule()).describe(),
-        instance=InstanceRef(t=0, sweep=sweep, tile=tile, point=point, role=role),
-        function=fname,
+        instance=InstanceRef(
+            t=0, sweep=sweep, tile=tuple((0, n) for n in shape), point=point, role=role
+        ),
+        function=access.function.name,
         dim=dim,
         offset=offset,
         halo=halo,
@@ -224,96 +91,35 @@ def _counterexample(
     )
 
 
-def prove_bounds(
-    op, schedule: Optional[Schedule] = None, sparse_mode: str = "auto"
-) -> BoundsCertificate:
-    """Prove every access of *op* in-bounds for the whole parameter family.
+def prove_bounds(op) -> BoundsCertificate:
+    """Check every stencil access of *op* against its field's halo.
 
     Returns a :class:`~repro.verify.certificate.BoundsCertificate`; when some
     access escapes, the certificate carries the first violation's concrete
     :class:`~repro.verify.certificate.BoundsCounterexample` alongside the
-    full table of checked (and violated) margins.  The caller decides whether
-    a violation raises (:meth:`Operator._build_sweeps` wraps it in
-    :class:`~repro.errors.BoundsProofError` on the fused rung).
+    full table of checked (and violated) margins.  ``Operator.apply`` raises
+    :class:`~repro.errors.BoundsProofError` on a refuted certificate.
     """
-    from ..prover import resolve_sparse_mode
-
-    halos = _collect_halos(op)
-    space = build_param_space(op, schedule, halos=halos)
-    dims = tuple(d.name for d in op.grid.dimensions)
-
-    checks: Dict[Tuple, CheckedBound] = {}
+    halos: Dict[str, int] = {}
+    checks: Dict[CheckedBound, None] = {}  # insertion-ordered, deduplicated
     counterexample: Optional[BoundsCounterexample] = None
-
-    def record(bound: CheckedBound, access: Access) -> None:
-        nonlocal counterexample
-        key = (
-            bound.sweep,
-            bound.statement,
-            bound.function,
-            bound.role,
-            bound.dim,
-            bound.offset,
-            bound.kind,
-        )
-        checks.setdefault(key, bound)
-        if not bound.satisfied and counterexample is None:
-            counterexample = _counterexample(
-                op, schedule, bound.sweep, access, bound.role, bound.dim, bound.offset
-            )
-
     for j, sweep in enumerate(op.sweeps):
         for eq in sweep.eqs:
             statement = str(eq)
             accesses = [(written_access(eq), "write")]
             accesses += [(a, "read") for a in read_accesses(eq)]
             for access, role in accesses:
-                if isinstance(access.function, TimeFunction):
-                    record(_time_check(j, statement, access, role), access)
-                for bound in _space_checks(space, j, statement, access, role):
-                    record(bound, access)
-
-    # sparse operators: grid-aligned (precomputed masks are built inside the
-    # domain) or raw off-the-grid (coordinates validated in-domain, linear
-    # support reaches at most the interior neighbours) — either way every
-    # touched point is an interior point, i.e. an offset-0 access
-    for sop, role in [(i, "inject") for i in op.injections()] + [
-        (i, "receive") for i in op.interpolations()
-    ]:
-        j = op._sweep_index_for(sop.field.name, sop.time_offset)
-        statement = repr(sop)
-        fname = sop.field.name
-        halo = halos.get(fname, 0)
-        for dim in dims:
-            record(
-                CheckedBound(
-                    sweep=j,
-                    statement=statement,
-                    function=fname,
-                    role=role,
-                    dim=dim,
-                    offset=0,
-                    halo=halo,
-                    margin_lo=halo,
-                    margin_hi=halo,
-                    vc=(
-                        "support points ⊆ interior (masks/coordinates are "
-                        "validated in-domain), offset 0 relative to each "
-                        "support point"
-                    ),
-                    kind="sparse",
-                ),
-                Access(sop.field, sop.time_offset, tuple((d, 0) for d in dims)),
-            )
-
-    resolved = resolve_sparse_mode(sparse_mode, schedule or NaiveSchedule())
+                fname = access.function.name
+                halo = halos[fname] = getattr(access.function, "halo", 0)
+                for dim, off, lo, hi in halo_margins(access):
+                    bound = CheckedBound(j, statement, fname, role, dim, off, halo, lo, hi)
+                    checks[bound] = None
+                    if not bound.satisfied and counterexample is None:
+                        counterexample = _counterexample(op, j, access, role, dim, off)
     return BoundsCertificate(
         operator=op.name,
-        schedule=schedule.describe() if schedule is not None else {"kind": "any"},
-        sparse_mode=resolved,
-        dims=dims,
+        dims=tuple(d.name for d in op.grid.dimensions),
         halos=dict(sorted(halos.items())),
-        params=space.to_dict(),
-        checks=tuple(checks.values()),
+        checks=tuple(checks),
         counterexample=counterexample,
     )

@@ -17,20 +17,20 @@ Two consumers:
 * :func:`expr_dtype` — bottom-up propagation over a symbolic expression tree,
   recording the **promotion chain** (every step where the accumulated dtype
   changed), which the linter's W201 message now names verbatim.
-* :class:`DtypePass` — a forward dataflow pass over the three-address
-  program, typing every scratch slot; disagreement with the dtype the
+* :func:`audit_slot_dtypes` — one loop over a three-address program,
+  re-deriving every scratch slot's dtype; disagreement with the dtype the
   emitter actually assigned (``kernel.__slotspec__``) is an internal
   inconsistency reported as ``E203`` (and tested never to fire).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...dsl.symbols import Add, Call, Expr, Indexed, Mul, Number, Pow, Symbol
-from .framework import DataflowPass, Finding
+from ..certificate import Diagnostic
 
 __all__ = [
     "WEAK_INT",
@@ -39,7 +39,7 @@ __all__ = [
     "promote",
     "ufunc_result",
     "expr_dtype",
-    "DtypePass",
+    "audit_slot_dtypes",
 ]
 
 WEAK_INT = "weak_int"
@@ -196,80 +196,46 @@ def expr_dtype(
     return result, seed + chain
 
 
-class DtypePass(DataflowPass):
-    """Forward slot-typing pass over one three-address program.
-
-    The state maps every scratch slot to its inferred lattice element; at
-    each instruction the result element is computed from the operand
-    elements by :func:`ufunc_result`.  A concrete inferred dtype that
-    disagrees with the dtype the emitter assigned the slot (the specimen
-    result recorded in the program's slot table) is an ``E203`` internal
-    inconsistency — the lattice and the emitter must agree, or the
-    specimen-free W201 check would be unsound.  Store narrowing events are
-    recorded on :attr:`narrowed` for the analysis report.
-    """
-
-    direction = "forward"
-    name = "dtypes"
-
-    def __init__(self, sweep: Optional[int] = None):
-        self.sweep = sweep
-        self.findings: List[Finding] = []
-        self.narrowed: List[Tuple[int, str, str]] = []
-
-    def initial(self, program) -> Dict[str, str]:
-        return {}
-
-    def join(self, a: Dict[str, str], b: Dict[str, str]) -> Dict[str, str]:
-        out = dict(a)
-        for name, elem in b.items():
-            out[name] = promote(elem, out[name]) if name in out else elem
-        return out
-
-    def _elem(self, operand, state: Dict[str, str], program) -> str:
-        if operand.kind == "scalar":
-            try:
-                value = int(operand.name)
-            except ValueError:
-                value = float(operand.name)
-            return weak_of(value)
-        if operand.kind == "slot":
-            return state.get(operand.name) or operand.dtype
+def _operand_elem(operand) -> str:
+    if operand.kind != "scalar":
         return operand.dtype
+    try:
+        return weak_of(int(operand.name))
+    except ValueError:
+        return weak_of(float(operand.name))
 
-    def transfer(self, state: Dict[str, str], instr, index: int, program):
-        elems = [self._elem(a, state, program) for a in instr.args]
-        if instr.op == "store":
-            value = elems[0]
-            out = instr.out.dtype
-            if out is not None and not is_weak(value) and value != out:
-                self.narrowed.append((index, value, out))
-            return state
-        result = ufunc_result(instr.op, elems)
-        if instr.out.kind == "slot":
-            declared = instr.out.dtype
-            if is_weak(result):
-                # an all-scalar instruction: the emitter concretised it via
-                # the specimen; adopt its choice (execution ground truth)
-                result = declared
-            elif declared is not None and result != declared:
-                self.findings.append(
-                    Finding(
-                        "E203",
-                        "error",
-                        f"abstract dtype {result} disagrees with the "
-                        f"emitter's slot dtype {declared} at {instr.render()!r}: "
-                        "the promotion lattice and the specimen evaluation "
-                        "diverged",
-                        sweep=self.sweep,
-                        statement=instr.render(),
-                    )
+
+def audit_slot_dtypes(program, sweep: Optional[int] = None) -> List[Diagnostic]:
+    """Re-derive every scratch slot's dtype of one three-address *program*
+    with the lattice and compare with the emitter's slot table.
+
+    At each instruction writing a slot the result element is computed from
+    the operand elements by :func:`ufunc_result` (a slot operand carries the
+    dtype the emitter declared for it).  A concrete inferred dtype that
+    disagrees with the declared one (the specimen result recorded in the
+    program's slot table) is an ``E203`` internal inconsistency — the
+    lattice and the emitter must agree, or the specimen-free W201 check
+    would be unsound.
+    """
+    findings: List[Diagnostic] = []
+    for instr in program.instrs:
+        if instr.op == "store" or instr.out.kind != "slot":
+            continue
+        result = ufunc_result(instr.op, [_operand_elem(a) for a in instr.args])
+        declared = instr.out.dtype
+        # an all-scalar instruction stays weak: the emitter concretised it
+        # via the specimen, which is execution ground truth
+        if not is_weak(result) and result != declared:
+            findings.append(
+                Diagnostic(
+                    "E203",
+                    "error",
+                    f"abstract dtype {result} disagrees with the "
+                    f"emitter's slot dtype {declared} at {instr.render()!r}: "
+                    "the promotion lattice and the specimen evaluation "
+                    "diverged",
+                    sweep=sweep,
+                    statement=instr.render(),
                 )
-                result = declared
-            state = dict(state)
-            state[instr.out.name] = result
-        elif instr.out.kind == "out":
-            out = instr.out.dtype
-            if out is not None and not is_weak(result) and result != out:
-                self.narrowed.append((index, result, out))
-        return state
+            )
+    return findings

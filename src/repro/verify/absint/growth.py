@@ -1,4 +1,4 @@
-"""Per-step amplitude-growth bounds via interval abstract interpretation.
+"""Per-step amplitude-growth bounds via interval arithmetic.
 
 The ABFT guard (:mod:`repro.runtime.abft`) needs one number per operator: a
 bound ``G`` on how much a single timestep can amplify the state's max-norm,
@@ -7,41 +7,30 @@ so that at a time-tile boundary the runtime can assert
 violation to silent data corruption.  Because every update is *linear* in
 the wavefields, that bound is the image of the update expression under
 interval arithmetic with the wavefield reads set to the unit interval
-``[-1, 1]`` and the model reads set to their actual data range — exactly
-the kind of question the absint framework answers.
+``[-1, 1]`` and the model reads set to their actual data range.
 
-Two evaluation vehicles, bit-aligned with the execution engines:
-
-* :class:`GrowthPass` — a forward :class:`~repro.verify.absint.framework.
-  DataflowPass` over the fused three-address program
-  (:meth:`~repro.execution.evalbox.BoundSweep.kernel_program`), propagating
-  one interval per scratch slot exactly as :class:`~repro.verify.absint.
-  dtypes.DtypePass` propagates dtypes.
-* an expression-tree interval evaluator for the non-fused engines (and as
-  the fallback when no program is available), walking the bound equation's
-  right-hand side directly.
-
-:func:`prove_growth` runs whichever applies per sweep and assembles a
-:class:`~repro.verify.certificate.GrowthCertificate` — the peer of
+:func:`prove_growth` evaluates each bound equation's right-hand side that
+way — the expression every engine rung binds, so the
+:class:`~repro.verify.certificate.GrowthCertificate` (the peer of
 :class:`~repro.verify.certificate.BoundsCertificate` for the amplitude
-invariant.  A division whose abstract denominator straddles zero yields an
-infinite gain and an unsatisfied check: the certificate then cannot support
-a runtime amplitude bound and the guard degrades to checksum-only mode.
+invariant) does not depend on the engine.  A division whose denominator
+interval straddles zero yields an infinite gain and an unsatisfied check:
+the certificate then cannot support a runtime amplitude bound and the guard
+degrades to checksum-only mode.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ...dsl.functions import TimeFunction
-from ...dsl.symbols import Add, Call, Indexed, Mul, Number, Pow, Symbol
+from ...dsl.symbols import Add, Call, Indexed, Mul, Number, Pow
 from ..certificate import CheckedGrowth, GrowthCertificate
-from .framework import DataflowPass, run_pass
 
-__all__ = ["GrowthPass", "prove_growth", "interval_ufunc", "read_interval"]
+__all__ = ["prove_growth", "interval_ufunc", "read_interval"]
 
 Interval = Tuple[float, float]
 
@@ -118,20 +107,13 @@ def interval_ufunc(op: str, args: Sequence[Interval]) -> Interval:
 
 
 def read_interval(access: Indexed) -> Interval:
-    """The abstract value of one read: unit amplitude for wavefields, the
-    actual data range for model/hoisted arrays (interior only — halo points
-    of hoisted invariants may legitimately hold inf, and boxes never read
-    them)."""
+    """The interval of one read: unit amplitude for wavefields, the actual
+    (current — models may be updated in place between applies) interior data
+    range for model arrays."""
     func = access.function
     if isinstance(func, TimeFunction):
         return UNIT
-    if hasattr(func, "materialise"):  # HoistedField: lazily computed buffer
-        func.materialise()
-        buf = func.data_with_halo
-        h = func.halo
-        arr = buf[tuple(slice(h, s - h) for s in buf.shape)]
-    else:
-        arr = func.data
+    arr = func.data
     if arr.size == 0:
         return (0.0, 0.0)
     lo, hi = float(np.min(arr)), float(np.max(arr))
@@ -140,68 +122,8 @@ def read_interval(access: Indexed) -> Interval:
     return (lo, hi)
 
 
-class GrowthPass(DataflowPass):
-    """Forward interval propagation over one fused three-address program.
-
-    The state maps every scratch slot to its value interval; ``views`` binds
-    the program's read operands (``v0, v1, ...``, in the sweep's read order)
-    to their abstract values and ``consts`` binds the hoisted numeric
-    constants (``_c0, ...``) from the kernel namespace.  Bounds of values
-    stored to the output operands accumulate on :attr:`out_bounds`.
-    """
-
-    direction = "forward"
-    name = "growth"
-
-    def __init__(self, views: Dict[str, Interval], consts: Dict[str, float]):
-        self.views = dict(views)
-        self.consts = dict(consts)
-        self.out_bounds: Dict[str, Interval] = {}
-
-    def initial(self, program) -> Dict[str, Interval]:
-        return {}
-
-    def join(
-        self, a: Dict[str, Interval], b: Dict[str, Interval]
-    ) -> Dict[str, Interval]:
-        out = dict(a)
-        for name, iv in b.items():
-            if name in out:
-                out[name] = (min(out[name][0], iv[0]), max(out[name][1], iv[1]))
-            else:
-                out[name] = iv
-        return out
-
-    def _elem(self, operand, state: Dict[str, Interval]) -> Interval:
-        if operand.kind == "view":
-            return self.views.get(operand.name, FULL)
-        if operand.kind == "scalar":
-            v = float(operand.name)
-            return (v, v)
-        if operand.kind == "const":
-            v = self.consts.get(operand.name)
-            return (v, v) if v is not None else FULL
-        return state.get(operand.name, FULL)
-
-    def transfer(self, state: Dict[str, Interval], instr, index: int, program):
-        if instr.op == "store":
-            value = self._elem(instr.args[0], state)
-        else:
-            value = interval_ufunc(
-                instr.op, [self._elem(a, state) for a in instr.args]
-            )
-        state = dict(state)
-        state[instr.out.name] = value
-        if instr.out.kind == "out":
-            prev = self.out_bounds.get(instr.out.name)
-            if prev is not None:
-                value = (min(prev[0], value[0]), max(prev[1], value[1]))
-            self.out_bounds[instr.out.name] = value
-        return state
-
-
 def _expr_interval(expr) -> Interval:
-    """Interval image of a bound equation's rhs tree (non-fused engines)."""
+    """Interval image of a bound equation's rhs tree."""
     if isinstance(expr, Number):
         v = float(expr.value)
         return (v, v)
@@ -220,53 +142,16 @@ def _expr_interval(expr) -> Interval:
         )
     if isinstance(expr, Call):
         return interval_ufunc(expr.name, [_expr_interval(expr.argument)])
-    if isinstance(expr, Symbol):
-        return FULL
-    return FULL
+    return FULL  # an unbound symbol: nothing is known about its value
 
 
 def prove_growth(sweeps: Sequence, operator: str = "operator", dt: float = 1.0) -> GrowthCertificate:
-    """Build a :class:`GrowthCertificate` for the bound *sweeps* of a plan.
-
-    Fused sweeps are analysed through their three-address program with
-    :class:`GrowthPass`; non-fused ones through direct interval evaluation
-    of each bound equation's rhs.  Both see identical abstract inputs, so
-    the certificate does not depend on the engine the run selects.
-    """
-    checks: List[CheckedGrowth] = []
-    for j, sweep in enumerate(sweeps):
-        program = sweep.kernel_program() if hasattr(sweep, "kernel_program") else None
-        if program is not None:
-            views = {
-                f"v{i}": read_interval(a) for i, a in enumerate(sweep.reads)
-            }
-            consts = {
-                name: float(np.asarray(sweep._kernel.__globals__[name]))
-                for name, _dtype in program.consts
-            }
-            pass_ = GrowthPass(views, consts)
-            run_pass(pass_, program)
-            for i, lhs in enumerate(sweep.writes):
-                lo, hi = pass_.out_bounds.get(f"o{i}", FULL)
-                checks.append(
-                    CheckedGrowth(
-                        sweep=j,
-                        field=lhs.function.name,
-                        lo=lo,
-                        hi=hi,
-                        engine="absint",
-                    )
-                )
-        else:
-            for beq in sweep.beqs:
-                lo, hi = _expr_interval(beq.rhs)
-                checks.append(
-                    CheckedGrowth(
-                        sweep=j,
-                        field=beq.lhs.function.name,
-                        lo=lo,
-                        hi=hi,
-                        engine="interval",
-                    )
-                )
-    return GrowthCertificate(operator=operator, dt=float(dt), checks=tuple(checks))
+    """Build a :class:`GrowthCertificate` for the bound *sweeps* of a plan:
+    one :class:`CheckedGrowth` per bound equation, from the interval image
+    of its right-hand side."""
+    checks = tuple(
+        CheckedGrowth(j, beq.lhs.function.name, *_expr_interval(beq.rhs))
+        for j, sweep in enumerate(sweeps)
+        for beq in sweep.beqs
+    )
+    return GrowthCertificate(operator=operator, dt=float(dt), checks=checks)

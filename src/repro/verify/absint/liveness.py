@@ -3,19 +3,17 @@
 Every fused kernel one timestep executes draws its scratch slots from one
 shared :class:`~repro.ir.pycodegen.ScratchPool`, whose slabs are reused
 across sweeps and box shapes without ever being cleared.  That is sound iff
-no kernel observes a slab's prior contents, which this module checks on the
-typed three-address IR — per kernel with a forward def/use scan, and around
-the cyclic kernel sequence with a backward liveness pass under the
-framework's :func:`fixpoint` driver.  Pool buffers are identified by
-``(dtype, per-dtype index)``, exactly the ``__slotspec__`` identity under
+no kernel observes a slab's prior contents, which a forward def/use scan of
+each kernel's typed three-address program decides: kernels are straight-line
+code, so a pooled buffer is live into a kernel exactly when the scan meets a
+read of a slot the kernel has not written yet.  Pool buffers are identified
+by ``(dtype, per-dtype index)``, exactly the ``__slotspec__`` identity under
 which sweeps share them.
 
 * **E301** — an instruction reads a slot this kernel never wrote: it would
   observe stale pooled memory (the finding names the *producing sweep* whose
   leftover value that is).  An error: it rejects the fused bind.
 * **W302** — a value stored to a slot and never consumed: a dead statement.
-* **live-in** — the fixpoint's pool buffers live at each kernel's entry;
-  must all be empty.
 
 The analysis is a check, not a planner: slot assignment is the emitter's
 refcounting allocator (:class:`repro.ir.pycodegen._Emitter`), which already
@@ -25,12 +23,12 @@ reuses a slot the moment its last consumer has run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...ir.nodes import TAProgram
-from .framework import DataflowPass, Finding, fixpoint
+from ..certificate import Diagnostic
 
-__all__ = ["PoolLivenessPass", "LivenessReport", "analyse_programs"]
+__all__ = ["LivenessReport", "analyse_programs"]
 
 PoolId = Tuple[str, int]  # (dtype name, per-dtype slot index)
 
@@ -47,43 +45,12 @@ def slot_pool_ids(program: TAProgram) -> Dict[str, PoolId]:
     return out
 
 
-class PoolLivenessPass(DataflowPass):
-    """Backward liveness of shared pool buffers across the kernel cycle.
-
-    The state is the set of pool identities whose *current content* will be
-    read before being overwritten.  A non-empty live-in at some kernel's
-    entry is precisely a cross-sweep stale read: the kernel consumes
-    whatever the previous writer of that pooled buffer left behind.
-    """
-
-    direction = "backward"
-    name = "pool-liveness"
-
-    def initial(self, program: TAProgram) -> FrozenSet[PoolId]:
-        return frozenset()
-
-    def join(self, a: FrozenSet[PoolId], b: FrozenSet[PoolId]) -> FrozenSet[PoolId]:
-        return a | b
-
-    def transfer(self, state, instr, index, program) -> FrozenSet[PoolId]:
-        ids = slot_pool_ids(program)
-        live = set(state)
-        if instr.op != "store" and instr.out.kind == "slot":
-            live.discard(ids[instr.out.name])
-        for arg in instr.args:
-            if arg.kind == "slot":
-                live.add(ids[arg.name])
-        return frozenset(live)
-
-
 @dataclass
 class LivenessReport:
     """Everything the whole-program scratch analysis proved."""
 
     #: E301/W302 findings over the typed IR
-    findings: List[Finding] = field(default_factory=list)
-    #: live-in pool buffers per sweep from the fixpoint (must all be empty)
-    live_in: List[FrozenSet[PoolId]] = field(default_factory=list)
+    findings: List[Diagnostic] = field(default_factory=list)
     #: scratch slots declared over all kernels
     total_slots: int = 0
 
@@ -91,23 +58,21 @@ class LivenessReport:
     def safe_for_slab(self) -> bool:
         """True iff every kernel writes every slot before reading it — the
         proof obligation that makes slab sharing bit-identical."""
-        return not any(f.code == "E301" for f in self.findings) and not any(
-            self.live_in
-        )
+        return not any(f.code == "E301" for f in self.findings)
 
     def to_dict(self) -> dict:
         return {
             "safe_for_slab": self.safe_for_slab,
             "total_slots": self.total_slots,
-            "findings": [f.to_diagnostic().to_dict() for f in self.findings],
+            "findings": [f.to_dict() for f in self.findings],
         }
 
 
 def _kernel_scan(
     program: TAProgram, sweep: int, producers: Dict[PoolId, int]
-) -> List[Finding]:
+) -> List[Diagnostic]:
     """Forward def/use scan of one kernel: its E301/W302 findings."""
-    findings: List[Finding] = []
+    findings: List[Diagnostic] = []
     ids = slot_pool_ids(program)
     written: set = set()  # slots written (or already reported stale) so far
     pending: Dict[str, str] = {}  # slot -> rendered instr of unread write
@@ -126,7 +91,7 @@ def _kernel_scan(
                     else ""
                 )
                 findings.append(
-                    Finding(
+                    Diagnostic(
                         "E301",
                         "error",
                         f"instruction {line!r} reads scratch slot {name} "
@@ -143,7 +108,7 @@ def _kernel_scan(
             prev = pending.get(name)
             if prev is not None:
                 findings.append(
-                    Finding(
+                    Diagnostic(
                         "W302",
                         "warning",
                         f"dead statement: {prev!r} writes scratch slot {name} "
@@ -156,7 +121,7 @@ def _kernel_scan(
             pending[name] = line
     for name, line in pending.items():
         findings.append(
-            Finding(
+            Diagnostic(
                 "W302",
                 "warning",
                 f"dead statement: {line!r} writes scratch slot {name} "
@@ -168,28 +133,22 @@ def _kernel_scan(
     return findings
 
 
-def analyse_programs(programs: Sequence[TAProgram]) -> LivenessReport:
-    """Run the whole-program scratch analysis over one timestep's kernels."""
-    report = LivenessReport(total_slots=sum(len(p.slots) for p in programs))
+def analyse_programs(programs: Sequence[Optional[TAProgram]]) -> LivenessReport:
+    """Run the scratch analysis over one timestep's kernels, indexed by
+    sweep; ``None`` marks a sweep without a kernel (bound under the
+    interpreter, which has no scratch)."""
+    kernels = [(j, p) for j, p in enumerate(programs) if p is not None]
+    report = LivenessReport(total_slots=sum(len(p.slots) for _, p in kernels))
 
     # which sweep's kernel last writes each pooled buffer, in cycle order —
     # the "producer" a stale read would observe
     producers: Dict[PoolId, int] = {}
-    for j, program in enumerate(programs):
+    for j, program in kernels:
         ids = slot_pool_ids(program)
         for instr in program.instrs:
             if instr.op != "store" and instr.out.kind == "slot":
                 producers[ids[instr.out.name]] = j
 
-    for j, program in enumerate(programs):
+    for j, program in kernels:
         report.findings.extend(_kernel_scan(program, j, producers))
-
-    # cross-sweep fixpoint: live-in buffers at each kernel entry must be empty
-    if programs:
-        results = fixpoint(PoolLivenessPass(), programs)
-        # a backward pass's state at the *start* of the program (program
-        # order) is pre[0]: what must be live when the kernel begins
-        report.live_in = [
-            r.pre[0] if r.pre else frozenset() for r in results
-        ]
     return report

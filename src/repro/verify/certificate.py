@@ -14,13 +14,15 @@ instances, each named ``(t, tile, point)``, plus the dependence they violate.
 The shadow-memory oracle (:mod:`repro.verify.oracle`) replays counterexamples
 on small grids to confirm they manifest as real races.
 
-A :class:`BoundsCertificate` is the parametric-bounds analysis' peer verdict
-(:mod:`repro.verify.absint.bounds`): for every access of every sweep it
-records the verified in-bounds inequality — symbolic in grid extent, halo,
-tile extents, wavefront height and lag — together with the admissible
-parameter family it quantifies over.  The negative verdict is a
-:class:`BoundsCounterexample`: one concrete ``(schedule, t, tile, index)``
-instance whose access escapes the padded buffer.
+A :class:`BoundsCertificate` is the halo analysis' peer verdict
+(:mod:`repro.verify.absint.bounds`): per (access, dimension) the two integer
+margins ``halo ± offset``, both non-negative iff the access stays inside its
+field's padded storage under every schedule.  The negative verdict is a
+:class:`BoundsCounterexample`: one concrete ``(t, tile, index)`` instance
+whose access escapes the padded buffer.
+
+:class:`Diagnostic` is the one finding record of every lint-style analysis
+(equation checks, scratch liveness, slot dtypes).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
+    "Diagnostic",
     "InstanceRef",
     "Counterexample",
     "CheckedDependence",
@@ -42,6 +45,32 @@ __all__ = [
 ]
 
 Box = Tuple[Tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    """One finding of a static analysis."""
+
+    code: str  # "E101", "W302", ...
+    severity: str  # "error" | "warning"
+    message: str
+    sweep: Optional[int] = None
+    statement: Optional[str] = None
+    field: Optional[str] = None
+
+    def to_dict(self) -> dict:
+        return {
+            "code": self.code,
+            "severity": self.severity,
+            "message": self.message,
+            "sweep": self.sweep,
+            "statement": self.statement,
+            "field": self.field,
+        }
+
+    def render(self) -> str:
+        where = f"sweep {self.sweep}: " if self.sweep is not None else ""
+        return f"{self.code} [{self.severity}] {where}{self.message}"
 
 
 @dataclass(frozen=True)
@@ -275,38 +304,32 @@ class LegalityCertificate:
         return self.summary()
 
 
-# -- parametric bounds certificates ----------------------------------------------
+# -- halo (bounds) certificates ----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CheckedBound:
-    """One access with its in-bounds verification condition evaluated.
+    """One access along one dimension with its two halo margins.
 
-    For a spatial access at *offset* into a field with *halo*, the executed
-    window along *dim* is ``[lo, hi) ⊆ [0, N)`` (executors clip every box to
-    the interior and skip empty ones), so the padded-buffer index range is
-    ``[halo + lo + offset, halo + hi + offset) ⊆ [offset, N + halo + offset)
-    + halo``; staying inside the padded extent ``N + 2*halo`` for **every**
-    extent, tile shape, height and lag reduces to the two margins
+    Every executor clips each box to the interior ``[0, N)`` and skips empty
+    ones, so an access at *offset* into a field padded by *halo* touches
+    padded-buffer indices ``[halo + lo + offset, halo + hi + offset)`` with
+    ``[lo, hi) ⊆ [0, N)``; that stays inside the padded extent ``N + 2*halo``
+    for every extent, tile shape, height and lag iff
 
     * ``margin_lo = halo + offset >= 0`` (lower padded edge), and
     * ``margin_hi = halo - offset >= 0`` (upper padded edge).
-
-    ``kind="time"`` entries record circular time-buffer accesses, in-bounds
-    for every timestep by the modulus (``margin``\\ s hold vacuously).
     """
 
     sweep: int
     statement: str
     function: str
-    role: str  # "read" | "write" | "inject" | "receive"
+    role: str  # "read" | "write"
     dim: str
     offset: int
     halo: int
     margin_lo: int
     margin_hi: int
-    vc: str  # the symbolic condition, rendered over the parameter family
-    kind: str = "space"
 
     @property
     def satisfied(self) -> bool:
@@ -323,8 +346,6 @@ class CheckedBound:
             "halo": self.halo,
             "margin_lo": self.margin_lo,
             "margin_hi": self.margin_hi,
-            "vc": self.vc,
-            "kind": self.kind,
             "satisfied": self.satisfied,
         }
 
@@ -340,25 +361,22 @@ class CheckedBound:
             halo=int(d["halo"]),
             margin_lo=int(d["margin_lo"]),
             margin_hi=int(d["margin_hi"]),
-            vc=d["vc"],
-            kind=d.get("kind", "space"),
         )
 
 
 @dataclass(frozen=True)
 class BoundsCounterexample:
-    """A concrete out-of-bounds instance: (schedule, t, tile, index).
+    """A concrete out-of-bounds instance: (t, tile, index).
 
     ``index`` is the padded-buffer index the access resolves to at
     ``instance.point`` — provably outside ``[0, extent)`` along ``dim``.
     NumPy note: a negative index *wraps silently* (reading the wrong end of
     the buffer, no exception), an index past the end clips the view and
-    surfaces as a shape-mismatch error — and the upcoming native backend
-    would segfault; either way execution is wrong, which is why the gate
-    rejects the bind before any timestep runs.
+    surfaces as a shape-mismatch error — and a native backend would
+    segfault; either way execution is wrong on every engine and schedule,
+    which is why ``Operator.apply`` rejects before any timestep runs.
     """
 
-    schedule: Dict
     instance: InstanceRef
     function: str
     dim: str
@@ -379,7 +397,6 @@ class BoundsCounterexample:
 
     def to_dict(self) -> dict:
         return {
-            "schedule": dict(self.schedule),
             "instance": self.instance.to_dict(),
             "function": self.function,
             "dim": self.dim,
@@ -393,7 +410,6 @@ class BoundsCounterexample:
     @classmethod
     def from_dict(cls, d: dict) -> "BoundsCounterexample":
         return cls(
-            schedule=dict(d["schedule"]),
             instance=InstanceRef.from_dict(d["instance"]),
             function=d["function"],
             dim=d["dim"],
@@ -410,7 +426,7 @@ class CheckedGrowth:
     """One written field's per-step amplitude amplification bound.
 
     The interval ``[lo, hi]`` is the image of the field's update expression
-    under interval abstract interpretation with every wavefield read set to
+    under interval arithmetic with every wavefield read set to
     the unit interval ``[-1, 1]`` and every model read set to its actual
     data range (see :mod:`repro.verify.absint.growth`).  By linearity of the
     update in the wavefields, ``gain = max(|lo|, |hi|)`` bounds the factor
@@ -424,7 +440,6 @@ class CheckedGrowth:
     field: str
     lo: float
     hi: float
-    engine: str  # "absint" (fused TAProgram pass) | "interval" (expr tree)
 
     @property
     def gain(self) -> float:
@@ -440,7 +455,6 @@ class CheckedGrowth:
             "field": self.field,
             "lo": self.lo,
             "hi": self.hi,
-            "engine": self.engine,
             "gain": self.gain,
             "satisfied": self.satisfied,
         }
@@ -452,7 +466,6 @@ class CheckedGrowth:
             field=d["field"],
             lo=float(d["lo"]),
             hi=float(d["hi"]),
-            engine=d["engine"],
         )
 
 
@@ -533,22 +546,17 @@ class GrowthCertificate:
 
 @dataclass
 class BoundsCertificate:
-    """The parametric bounds analysis' verdict for (operator, schedule family).
+    """The halo analysis' verdict for one operator, valid under every
+    schedule and engine (the margins do not depend on either).
 
-    ``params`` records the admissible family quantified over (each parameter
-    with its interval and meaning — see
-    :class:`repro.verify.absint.domain.ParamSpace`); ``checks`` holds one
-    :class:`CheckedBound` per (access, dimension).  Like
+    ``checks`` holds one :class:`CheckedBound` per (access, dimension).  Like
     :class:`LegalityCertificate`, the certificate re-verifies from its own
     recorded data (:meth:`check`) after a serialisation round-trip.
     """
 
     operator: str
-    schedule: Dict
-    sparse_mode: str
     dims: Tuple[str, ...]
     halos: Dict[str, int]
-    params: Dict
     checks: Tuple[CheckedBound, ...] = ()
     counterexample: Optional[BoundsCounterexample] = None
 
@@ -560,21 +568,16 @@ class BoundsCertificate:
 
     @property
     def min_margin(self) -> Optional[int]:
-        """The tightest halo margin over all spatial checks (0 means some
-        access touches the outermost halo layer — still safe, no slack)."""
-        margins = [
-            min(c.margin_lo, c.margin_hi) for c in self.checks if c.kind == "space"
-        ]
+        """The tightest halo margin over all checks (0 means some access
+        touches the outermost halo layer — still safe, no slack)."""
+        margins = [min(c.margin_lo, c.margin_hi) for c in self.checks]
         return min(margins) if margins else None
 
     def to_dict(self) -> dict:
         return {
             "operator": self.operator,
-            "schedule": dict(self.schedule),
-            "sparse_mode": self.sparse_mode,
             "dims": list(self.dims),
             "halos": dict(sorted(self.halos.items())),
-            "params": dict(self.params),
             "checks": [c.to_dict() for c in self.checks],
             "counterexample": (
                 self.counterexample.to_dict() if self.counterexample else None
@@ -588,11 +591,8 @@ class BoundsCertificate:
         ce = d.get("counterexample")
         return cls(
             operator=d["operator"],
-            schedule=dict(d["schedule"]),
-            sparse_mode=d["sparse_mode"],
             dims=tuple(d["dims"]),
             halos={k: int(v) for k, v in d["halos"].items()},
-            params=dict(d["params"]),
             checks=tuple(CheckedBound.from_dict(x) for x in d["checks"]),
             counterexample=BoundsCounterexample.from_dict(ce) if ce else None,
         )
@@ -600,7 +600,6 @@ class BoundsCertificate:
     def summary(self) -> str:
         return (
             f"BoundsCertificate({self.operator}, "
-            f"schedule={self.schedule.get('kind')}, sparse={self.sparse_mode}, "
             f"checks={len(self.checks)}, min_margin={self.min_margin}, "
             f"safe={self.check()})"
         )

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dsl.functions import Injection, Interpolation, TimeFunction
 from ..dsl.symbols import Indexed
-from ..ir.dependencies import Sweep
+from ..ir.dependencies import Sweep, access_of
 
 __all__ = [
     "AccessInfo",
@@ -147,20 +147,13 @@ class Dependence:
 
 def classify_indexed(indexed: Indexed) -> AccessInfo:
     """Reduce one :class:`Indexed` leaf to an :class:`AccessInfo`."""
-    func = indexed.function
-    t_off = 0
-    space: List[Tuple[str, int]] = []
-    for name, shift in indexed.offset_map().items():
-        if name == "t":
-            t_off = shift
-        else:
-            space.append((name, shift))
+    access = access_of(indexed)
     return AccessInfo(
-        function=func.name,
+        function=access.function.name,
         kind="grid",
-        is_time=isinstance(func, TimeFunction),
-        time_offset=t_off,
-        offsets=tuple(sorted(space)),
+        is_time=isinstance(access.function, TimeFunction),
+        time_offset=access.time_offset,
+        offsets=access.space_offsets,
     )
 
 
@@ -179,12 +172,12 @@ def statements_for(
     sweeps: Sequence[Sweep],
     injections: Sequence[Injection] = (),
     interpolations: Sequence[Interpolation] = (),
-    sweep_of: Optional[Dict[int, int]] = None,
+    sweep_of: Optional[Dict[object, int]] = None,
     aligned: bool = True,
 ) -> List[Statement]:
     """Program-order statement list of an operator.
 
-    *sweep_of* maps ``id(sparse_op) -> sweep index`` (as computed by
+    *sweep_of* maps sparse operator (the object) -> sweep index (as computed by
     :meth:`repro.ir.operator.Operator._sweep_index_for`); without it sparse
     statements attach to the sweep writing/reading their field's time slot,
     falling back to the last sweep.  *aligned* states whether the sparse
@@ -204,9 +197,9 @@ def statements_for(
             )
             counters[j] += 1
 
-    def _sweep_for(op, writing: bool) -> int:
-        if sweep_of is not None and id(op) in sweep_of:
-            return sweep_of[id(op)]
+    def _sweep_for(op) -> int:
+        if sweep_of is not None and op in sweep_of:
+            return sweep_of[op]
         key = (op.field.name, op.time_offset)
         for j, sweep in enumerate(sweeps):
             if key in sweep.written_keys:
@@ -214,7 +207,7 @@ def statements_for(
         return len(sweeps) - 1
 
     for inj in injections:
-        j = _sweep_for(inj, writing=True)
+        j = _sweep_for(inj)
         acc = _sparse_access(inj.field, inj.time_offset, affine=aligned)
         stmts.append(
             Statement(
@@ -229,7 +222,7 @@ def statements_for(
         )
         counters[j] += 1
     for itp in interpolations:
-        j = _sweep_for(itp, writing=False)
+        j = _sweep_for(itp)
         acc = _sparse_access(itp.field, itp.time_offset, affine=aligned)
         stmts.append(
             Statement(

@@ -10,7 +10,7 @@ Static checks at two levels:
   :mod:`repro.verify.absint.dtypes` — the message names the statement and the
   exact promotion chain that produced the wider dtype).
 * **kernel level** (fused engine): the structured three-address program
-  (``kernel.__program__``) is analysed by the whole-program scratch passes of
+  (``kernel.__program__``) is analysed by the whole-program scratch scan of
   :mod:`repro.verify.absint.liveness` — a read of a slot never written in
   this kernel observes stale pooled memory from some earlier sweep
   (``E301``, naming the producing sweep); a value stored to a slot and never
@@ -20,7 +20,10 @@ Error-severity findings reject the fused bind: :meth:`Operator._build_sweeps`
 raises :class:`~repro.errors.KernelLintError` (an
 :class:`~repro.errors.EngineCompilationError`), so the engine ladder degrades
 fused -> interp exactly as for any compilation failure, and strict mode
-surfaces the diagnostics.
+surfaces the diagnostics.  (``E101`` never gets that far at run time: it
+renders the same :func:`~repro.verify.absint.bounds.halo_margins` the halo
+certificate checks, and ``Operator.apply`` rejects on that certificate before
+any engine binds.)
 
 Run from the command line as ``python -m repro.verify <example|--all>
 [--json]`` (see :mod:`repro.verify.__main__`).
@@ -28,13 +31,16 @@ Run from the command line as ``python -m repro.verify <example|--all>
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..ir.dependencies import read_accesses, written_access
+from .absint.bounds import halo_margins
+from .absint.dtypes import expr_dtype, is_weak
+from .absint.liveness import LivenessReport, analyse_programs
+from .certificate import Diagnostic
 
 __all__ = [
     "Diagnostic",
@@ -45,32 +51,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One linter finding."""
-
-    code: str  # "E101", "W302", ...
-    severity: str  # "error" | "warning"
-    message: str
-    sweep: Optional[int] = None
-    statement: Optional[str] = None
-    field: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "message": self.message,
-            "sweep": self.sweep,
-            "statement": self.statement,
-            "field": self.field,
-        }
-
-    def render(self) -> str:
-        where = f"sweep {self.sweep}: " if self.sweep is not None else ""
-        return f"{self.code} [{self.severity}] {where}{self.message}"
-
-
 @dataclass
 class LintReport:
     """All findings for one operator."""
@@ -78,8 +58,7 @@ class LintReport:
     name: str
     diagnostics: List[Diagnostic] = field(default_factory=list)
     #: whole-program scratch analysis, when the fused kernels compiled
-    #: (a :class:`repro.verify.absint.liveness.LivenessReport`)
-    scratch: Optional[object] = None
+    scratch: Optional[LivenessReport] = None
     #: fused-kernel instruction count per sweep index: one whole-box ufunc
     #: pass each, the quantity the NumPy engine's speed is bound by
     ninstr: Dict[int, int] = field(default_factory=dict)
@@ -123,8 +102,6 @@ class LintReport:
 def _abstract_dtype(rhs) -> "tuple[Optional[str], List[str]]":
     """The dtype of *rhs* under the abstract NEP 50 promotion lattice, plus
     the promotion chain (every step where the accumulated dtype widened)."""
-    from .absint.dtypes import expr_dtype
-
     try:
         return expr_dtype(rhs, lambda a: a.function.dtype)
     except (TypeError, ValueError):
@@ -141,7 +118,7 @@ def lint_equations(eqs, sweep: Optional[int] = None) -> List[Diagnostic]:
         reads = read_accesses(eq)
         for a in reads:
             halo = getattr(a.function, "halo", 0)
-            bad = [(d, s) for d, s in a.space_offsets if abs(s) > halo]
+            bad = [(d, s) for d, s, lo, hi in halo_margins(a) if lo < 0 or hi < 0]
             if bad:
                 dims = ", ".join(f"{d}{s:+d}" for d, s in bad)
                 diags.append(
@@ -199,8 +176,6 @@ def lint_equations(eqs, sweep: Optional[int] = None) -> List[Diagnostic]:
                 )
             )
         produced.add(wkey)
-        from .absint.dtypes import is_weak
-
         elem, chain = _abstract_dtype(eq.rhs)
         out_dtype = np.dtype(eq.lhs.function.dtype).name
         # weak scalars adapt to the stored dtype under NEP 50: no narrowing
@@ -225,30 +200,14 @@ def lint_equations(eqs, sweep: Optional[int] = None) -> List[Diagnostic]:
 
 
 def _scratch_analysis(report: LintReport, programs) -> None:
-    """Whole-program scratch analysis over ``(sweep, program)`` rows (also
-    records each compiled sweep's instruction count).
-
-    The programs (``None`` for a sweep bound under the interpreter, which
-    has no scratch) are analysed together by the cross-sweep liveness
-    passes; sweep indices in the findings are remapped back to the caller's
-    numbering.
-    """
-    compiled = [(j, p) for j, p in programs if p is not None]
-    report.ninstr = {j: len(p.instrs) for j, p in compiled}
-    if not compiled:
+    """Whole-program scratch analysis over the per-sweep kernel programs
+    (``None`` for a sweep without one); also records each compiled sweep's
+    instruction count."""
+    report.ninstr = {j: len(p.instrs) for j, p in enumerate(programs) if p is not None}
+    if not report.ninstr:
         return
-    from .absint.liveness import analyse_programs
-
-    live = analyse_programs([p for _, p in compiled])
-    remap = {i: j for i, (j, _) in enumerate(compiled)}
-    live.findings = [
-        dataclasses.replace(
-            f, sweep=remap.get(f.sweep, f.sweep) if f.sweep is not None else None
-        )
-        for f in live.findings
-    ]
-    report.diagnostics.extend(f.to_diagnostic() for f in live.findings)
-    report.scratch = live
+    report.scratch = analyse_programs(programs)
+    report.diagnostics.extend(report.scratch.findings)
 
 
 def lint_bound_sweeps(bound_sweeps, name: str = "Kernel") -> LintReport:
@@ -257,7 +216,7 @@ def lint_bound_sweeps(bound_sweeps, name: str = "Kernel") -> LintReport:
     programs = []
     for j, sw in enumerate(bound_sweeps):
         report.diagnostics.extend(lint_equations(sw.eqs, sweep=j))
-        programs.append((j, sw.kernel_program()))
+        programs.append(sw.kernel_program())
     _scratch_analysis(report, programs)
     return report
 
@@ -277,8 +236,9 @@ def lint_operator(op, dt: float = 1.0) -> LintReport:
     programs = []
     for j, eqs in enumerate(op.bound_equations(dt)):
         report.diagnostics.extend(lint_equations(eqs, sweep=j))
+        program = None
         try:
-            sw = BoundSweep(eqs, op.grid, engine="fused")
+            program = BoundSweep(eqs, op.grid, engine="fused").kernel_program()
         except EngineCompilationError as exc:
             report.diagnostics.append(
                 Diagnostic(
@@ -290,7 +250,6 @@ def lint_operator(op, dt: float = 1.0) -> LintReport:
                     sweep=j,
                 )
             )
-            continue
         except ValueError as exc:
             report.diagnostics.append(
                 Diagnostic(
@@ -300,7 +259,6 @@ def lint_operator(op, dt: float = 1.0) -> LintReport:
                     sweep=j,
                 )
             )
-            continue
-        programs.append((j, sw.kernel_program()))
+        programs.append(program)
     _scratch_analysis(report, programs)
     return report

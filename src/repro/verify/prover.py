@@ -33,9 +33,10 @@ Off-the-grid sparse operators have *non-affine* footprints — the support
 corners of a source are not a function of the iteration point — so no finite
 lag gap covers them: the paper's Fig. 4b illegality.  The prover rejects them
 statically under :class:`~repro.core.scheduler.WavefrontSchedule` and builds
-the counterexample from the actual source support and tile geometry: a
-source whose support straddles a tile-window boundary is injected by the
-earlier tile's instance, then the later tile's stencil assignment to the same
+the counterexample from the actual source support and the boxes of
+:func:`repro.core.scheduler.lower` — the step list the executor walks: a
+source whose support straddles two boxes of one sweep instance is injected
+from the earlier box, then the later box's stencil assignment to the same
 ``(t, point)`` destroys the contribution (a lost update).
 """
 
@@ -49,6 +50,7 @@ from ..core.scheduler import (
     WavefrontSchedule,
     instance_lags,
     lag_span,
+    lower,
 )
 from ..dsl.functions import Injection
 from ..dsl.interpolation import support_points
@@ -56,6 +58,7 @@ from ..dsl.symbols import Indexed
 from ..errors import ScheduleLegalityError
 from ..ir.dependencies import wavefront_angle
 from .certificate import (
+    Box,
     CheckedDependence,
     Counterexample,
     InstanceRef,
@@ -67,8 +70,8 @@ __all__ = ["prove_schedule", "resolve_sparse_mode", "offgrid_counterexample"]
 
 
 def resolve_sparse_mode(sparse_mode: str, schedule: Schedule) -> str:
-    """The operator's sparse-mode policy: 'auto' precomputes exactly when the
-    schedule tiles time (mirrors :meth:`repro.ir.operator.Operator._bind`)."""
+    """The operator's sparse-mode policy (``Operator._bind`` resolves through
+    here): 'auto' precomputes exactly when the schedule tiles time."""
     if sparse_mode == "auto":
         return "precomputed" if isinstance(schedule, WavefrontSchedule) else "offgrid"
     if sparse_mode not in ("offgrid", "precomputed"):
@@ -84,15 +87,6 @@ def _full_tile(grid) -> Tuple[Tuple[int, int], ...]:
     return tuple((0, s) for s in grid.shape)
 
 
-def _instance_positions(
-    dep: Dependence, nsweeps: int
-) -> Tuple[int, int]:
-    """(sweep of source, instance-position gap sink - source) for *dep*."""
-    j_src = dep.source.sweep
-    j_snk = dep.sink.sweep
-    return j_src, dep.time_distance * nsweeps + (j_snk - j_src)
-
-
 def _check_edge(
     dep: Dependence,
     radii: Tuple[int, ...],
@@ -100,88 +94,52 @@ def _check_edge(
     height: int,
     wavefront: bool,
 ) -> CheckedDependence:
-    src = (dep.source.sweep, dep.source.index, dep.source.role)
-    snk = (dep.sink.sweep, dep.sink.index, dep.sink.role)
+    time_distance, affine = dep.time_distance, dep.affine
+    required = available = 0
+    cross_tile = False
+    # instance-position gap sink - source within one time tile
+    gap_count = dep.time_distance * len(radii) + (dep.sink.sweep - dep.source.sweep)
     if not wavefront:
         # sequential schedules execute instances in exactly the dependence
         # order; the only inconsistency a statement system can carry is a
         # same-timestep edge pointing against program order (time_distance<0
         # edges model reads of genuinely future steps, which sequential
-        # buffers resolve to stale data exactly as the seed semantics did)
-        return CheckedDependence(
-            kind=dep.kind,
-            function=dep.function,
-            source=src,
-            sink=snk,
-            time_distance=max(dep.time_distance, 0),
-            distance=dep.distance,
-            required=0,
-            available=0,
-            cross_tile=True,
-            affine=True,  # off-grid ops run after full sweeps: always legal
-        )
-    if dep.time_distance < 0:
-        return CheckedDependence(
-            kind=dep.kind,
-            function=dep.function,
-            source=src,
-            sink=snk,
-            time_distance=dep.time_distance,
-            distance=dep.distance,
-            required=0,
-            available=0,
-            affine=dep.affine,
-        )
-    j_src, gap_count = _instance_positions(dep, len(radii))
-    if dep.time_distance >= height:
+        # buffers resolve to stale data exactly as the seed semantics did).
+        # Off-grid ops run after full sweeps: always legal, hence affine.
+        time_distance, cross_tile, affine = max(dep.time_distance, 0), True, True
+    elif dep.time_distance < 0:
+        pass  # a future read: unsatisfied whatever the lags
+    elif dep.time_distance >= height:
         # the two instances always land in different time tiles; a full
         # barrier separates them
-        return CheckedDependence(
-            kind=dep.kind,
-            function=dep.function,
-            source=src,
-            sink=snk,
-            time_distance=dep.time_distance,
-            distance=dep.distance,
-            required=0,
-            available=0,
-            cross_tile=True,
-            affine=dep.affine,
-        )
-    if gap_count < 0 or (
-        gap_count == 0 and dep.source.index >= dep.sink.index
-    ):
+        cross_tile = True
+    elif gap_count < 0 or (gap_count == 0 and dep.source.index >= dep.sink.index):
         # the sink instance runs before (or is) the source instance under any
         # lag assignment: a future read
         required = 1
-        available = 0
     else:
         # gap_count == 0 is the same instance: statements execute in program
         # order within it, so pointwise edges (required 0) are satisfied and
         # any nonzero skewed reach crosses the window boundary (violation)
         if dep.kind == "flow":
-            required = max(
-                (dep.distance_along(d) for d in skewed), default=0
-            )
-            required = max(required, 0)
+            reach = [dep.distance_along(d) for d in skewed]
         elif dep.kind == "anti":
-            required = max(
-                (-dep.distance_along(d) for d in skewed), default=0
-            )
-            required = max(required, 0)
+            reach = [-dep.distance_along(d) for d in skewed]
         else:  # output: pointwise slot reuse
-            required = 0
-        available = lag_span(radii, j_src, gap_count)
+            reach = []
+        required = max(reach + [0])
+        available = lag_span(radii, dep.source.sweep, gap_count)
     return CheckedDependence(
         kind=dep.kind,
         function=dep.function,
-        source=src,
-        sink=snk,
-        time_distance=dep.time_distance,
+        source=(dep.source.sweep, dep.source.index, dep.source.role),
+        sink=(dep.sink.sweep, dep.sink.index, dep.sink.role),
+        time_distance=time_distance,
         distance=dep.distance,
         required=required,
         available=available,
-        affine=dep.affine,
+        cross_tile=cross_tile,
+        affine=affine,
     )
 
 
@@ -221,118 +179,108 @@ def _violation_counterexample(
     return Counterexample(dep.kind, dep.function, writer, reader, reason)
 
 
+def _box_of(boxes: List[Box], point) -> Optional[Box]:
+    """The box of one sweep instance that executes *point* (an instance's
+    boxes partition the grid; ``None`` for a point outside it)."""
+    return next(
+        (b for b in boxes if all(lo <= p < hi for p, (lo, hi) in zip(point, b))),
+        None,
+    )
+
+
 def offgrid_counterexample(
     op, schedule: WavefrontSchedule, sparse_op
 ) -> Counterexample:
     """The paper's Fig. 4b conflict, made concrete for *sparse_op*.
 
-    Searches the actual source support corners against the lag-shifted tile
-    windows of every instance of the owning sweep: a support straddling a
-    window boundary along a skewed dimension yields a manifest lost-update —
-    the off-the-grid scatter fired by the window containing the source's base
-    corner writes a corner point in the *next* window, whose stencil
-    assignment (executed later, same timestep) then overwrites it.  When the
-    given placement straddles no boundary, the nearest would-be conflict is
-    returned with ``manifest=False``.
+    Searches the actual source support corners against the boxes the
+    executor will run for every instance of the owning sweep
+    (:func:`repro.core.scheduler.lower`): a support straddling two boxes
+    yields a manifest lost-update — the off-the-grid scatter fired by the
+    box containing the source's base corner writes a corner point in a
+    *later* box, whose stencil assignment (same timestep) then overwrites it.
+    When the given placement straddles no boundary, the nearest would-be
+    conflict — across a boundary of the base corner's box at the tile's
+    first timestep — is returned with ``manifest=False``.
     """
     grid = op.grid
-    sparse = sparse_op.sparse
-    indices, _weights = support_points(sparse.coordinates, grid)
+    indices, _weights = support_points(sparse_op.sparse.coordinates, grid)
     j = op._sweep_index_for(sparse_op.field.name, sparse_op.time_offset)
-    radii = tuple(op.sweep_radii)
-    lags = instance_lags(radii, schedule.height)
-    nsweeps = len(radii)
-    nskew = len(schedule.tile)
-    role_first = (
-        "injection" if isinstance(sparse_op, Injection) else "interpolation"
-    )
+    steps = lower(schedule, tuple(grid.shape), tuple(op.sweep_radii), schedule.height)
+    injection = isinstance(sparse_op, Injection)
+    role_first = "injection" if injection else "interpolation"
+    kind = "output" if injection else "flow"
 
-    def window(coord: int, extent: int, lag: int) -> Tuple[int, int]:
-        # windows along a skewed dim are [k*T - lag, k*T - lag + T)
-        k = (coord + lag) // extent
-        return (k * extent - lag, k * extent - lag + extent)
-
-    def tile_of(point, lag) -> Tuple[Tuple[int, int], ...]:
-        box = tuple(
-            window(point[d], schedule.tile[d], lag) for d in range(nskew)
+    def conflict(dt, first_tile, second_tile, point, reason, manifest):
+        return Counterexample(
+            kind,
+            sparse_op.field.name,
+            InstanceRef(dt, j, first_tile, point, role_first),
+            InstanceRef(dt, j, second_tile, point, "stencil"),
+            reason,
+            manifest=manifest,
         )
-        return box + tuple((0, s) for s in grid.shape[nskew:])
 
-    best: Optional[Counterexample] = None
+    def boxes_of(dt: int) -> List[Box]:
+        return [box for sdt, sj, box, *_ in steps if (sdt, sj) == (dt, j)]
+
     for dt in range(schedule.height):
-        lag = lags[dt * nsweeps + j]
-        for s in range(indices.shape[0]):
-            corners = indices[s]
-            base = corners[0]
-            for d in range(nskew):
-                extent = schedule.tile[d]
-                lo_w = window(int(base[d]), extent, lag)
-                spread = corners[:, d].max() - base[d]
-                if spread <= 0:
+        boxes = boxes_of(dt)
+        for s, corners in enumerate(indices):
+            home = _box_of(boxes, corners[0])
+            for corner in corners[1:]:
+                point = tuple(int(v) for v in corner)
+                later = _box_of(boxes, point)
+                if later in (home, None):
                     continue
-                if int(base[d]) + int(spread) < lo_w[1]:
-                    continue  # whole support inside one window along d
-                # pick the corner that crossed into the next window
-                over = corners[corners[:, d] >= lo_w[1]]
-                point = tuple(int(v) for v in over[0])
-                first = InstanceRef(
-                    t=dt,
-                    sweep=j,
-                    tile=tile_of(tuple(int(v) for v in base), lag),
-                    point=point,
-                    role=role_first,
-                )
-                second = InstanceRef(
-                    t=dt,
-                    sweep=j,
-                    tile=tile_of(point, lag),
-                    point=point,
-                    role="stencil",
-                )
-                if isinstance(sparse_op, Injection):
+                if injection:
                     reason = (
-                        f"source {s} has support corners on both sides of the "
-                        f"tile-window boundary at x{d}={lo_w[1]}: the "
-                        "off-the-grid scatter fired from "
+                        f"source {s} has support corners in two tile windows: "
+                        "the off-the-grid scatter fired from "
                         "the earlier window injects the corner, then the "
                         "later window's stencil assignment to the same "
                         "(t, point) destroys the contribution; precompute "
                         "the injection (sparse_mode='precomputed') to make "
                         "it grid-aligned and window-local"
                     )
-                    kind = "output"
                 else:
                     reason = (
-                        f"receiver {s} gathers corners on both sides of the "
-                        f"tile-window boundary at x{d}={lo_w[1]}: the corner "
-                        "in the later window has not been written for this "
-                        "timestep when the earlier window gathers; "
+                        f"receiver {s} gathers corners in two tile windows: "
+                        "the corner in the later window has not been written "
+                        "for this timestep when the earlier window gathers; "
                         "precompute the interpolation "
                         "(sparse_mode='precomputed')"
                     )
-                    kind = "flow"
-                return Counterexample(
-                    kind, sparse_op.field.name, first, second, reason
-                )
+                return conflict(dt, home, later, point, reason, True)
+
     # no straddle with this exact placement: report the nearest would-be
     # conflict (the class of schedules is still illegal — a legal schedule
     # may not depend on where the user happens to put the sources)
+    boxes = boxes_of(0)
     base = tuple(int(v) for v in indices[0, 0])
-    lag = lags[j]
-    boundary = window(base[0], schedule.tile[0], lag)[1]
-    point = (boundary,) + base[1:]
-    first = InstanceRef(0, j, tile_of(base, lag), point, role_first)
-    second = InstanceRef(0, j, tile_of(point, lag), point, "stencil")
-    return Counterexample(
-        "output" if isinstance(sparse_op, Injection) else "flow",
-        sparse_op.field.name,
+    home = _box_of(boxes, base)
+    first = second = home
+    point = base
+    for d in range(len(schedule.tile)):
+        lo, hi = home[d]
+        if hi < grid.shape[d]:  # a later window along d: its first point
+            point = base[:d] + (hi,) + base[d + 1:]
+            second = _box_of(boxes, point)
+            break
+        if lo > 0:  # only an earlier one: home's first point, seen from it
+            point = base[:d] + (lo,) + base[d + 1:]
+            first = _box_of(boxes, base[:d] + (lo - 1,) + base[d + 1:])
+            break
+    return conflict(
+        0,
         first,
         second,
-        "off-the-grid support is not a function of the iteration point: a "
-        "source placed one point further would straddle the window boundary "
-        f"at x0={boundary}; precompute the sparse operator "
+        point,
+        "off-the-grid support is not a function of the iteration point, so "
+        "no lag gap covers it: this placement straddles no tile window, one "
+        f"next to {point} would; precompute the sparse operator "
         "(sparse_mode='precomputed') to make it grid-aligned",
-        manifest=False,
+        False,
     )
 
 
@@ -379,7 +327,7 @@ def prove_schedule(
     sweep_of = {}
     for sp in op.sparse_ops:
         try:
-            sweep_of[id(sp)] = op._sweep_index_for(sp.field.name, sp.time_offset)
+            sweep_of[sp] = op._sweep_index_for(sp.field.name, sp.time_offset)
         except ValueError:
             pass  # unattachable sparse op: Operator.apply raises its own error
     stmts = statements_for(

@@ -93,3 +93,34 @@ def test_same_named_sparse_functions_do_not_collide(grid3d):
     np.testing.assert_allclose(got[0], rec.data, rtol=1e-5, atol=1e-7)
     np.testing.assert_allclose(got[1], twin.data, rtol=1e-5, atol=1e-7)
     assert twin.data.any()
+
+
+def test_tti_injections_share_one_decomposed_source():
+    """TTI injects one source into p and q with the same dt**2/m: one
+    src_dcmp per (source, scale, dt), not per injection — shared down to the
+    aligned operators' amplitude tables, counted once in the report, and
+    still bit-identical to the raw off-the-grid injection."""
+    from repro.core.scheduler import make_schedule
+    from repro.propagators.examples import build_example
+
+    prop, dt = build_example("tti")
+    op = prop.op
+    p_inj, q_inj = op.injections()
+    assert p_inj.field is not q_inj.field and p_inj.expr == q_inj.expr
+    pipe = TemporalBlockingPipeline(op, dt).precompute()
+    d_p, d_q = pipe.sources[p_inj], pipe.sources[q_inj]
+    assert d_p.data is d_q.data and d_p.masks is d_q.masks
+    assert (d_p.field_name, d_q.field_name) == (p_inj.field.name, q_inj.field.name)
+    masks = sum(m.memory_bytes() for m in pipe.masks.values())
+    assert pipe.report().aux_bytes == masks + d_p.data.nbytes
+
+    ref, _ = prop.forward(nt=16, dt=dt, schedule=make_schedule("naive"), sparse_mode="offgrid")
+    ref = ref.copy()
+    for kind in ("naive", "spatial", "wavefront"):
+        rec, _ = prop.forward(
+            nt=16, dt=dt, schedule=make_schedule(kind), sparse_mode="precomputed"
+        )
+        np.testing.assert_array_equal(rec, ref)
+    plan = op._bind(dt, make_schedule("wavefront"), "precomputed")
+    a_p, a_q = (inj for injs in plan.injections.values() for inj in injs)
+    assert np.shares_memory(a_p._amplitudes, a_q._amplitudes)

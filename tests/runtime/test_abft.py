@@ -25,7 +25,6 @@ from repro.runtime import (
     FaultInjector,
     HealthGuard,
     amplitude_ceiling,
-    array_checksum,
     flip_finite,
 )
 from repro.runtime.checkpoint import (
@@ -65,19 +64,6 @@ def _run(op, u, rec, schedule, **kw):
 def _apply(op, schedule, **kw):
     mode = "precomputed" if isinstance(schedule, WavefrontSchedule) else "auto"
     return op.apply(time_M=NT, dt=DT, schedule=schedule, sparse_mode=mode, **kw)
-
-
-# -- the block-checksum primitive ----------------------------------------------------
-
-
-def test_array_checksum_is_content_addressed_and_flip_sensitive():
-    rng = np.random.default_rng(0)
-    a = rng.random((7, 9)).astype(np.float64)
-    assert array_checksum(a) == array_checksum(a.copy())
-    assert array_checksum(a) == array_checksum(np.asfortranarray(a))
-    flipped = a.copy()
-    flipped.view(np.uint8).reshape(-1)[13] ^= 0x10  # one-bit upset in the bytes
-    assert array_checksum(flipped) != array_checksum(a)
 
 
 # -- flip_finite: the injected corruption model --------------------------------------

@@ -1,14 +1,17 @@
-"""Parametric bounds analysis: certificates, counterexamples, runtime match."""
+"""Halo analysis: certificates, counterexamples, the apply-time gate."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.core import NaiveSchedule, WavefrontSchedule
+from repro.core import NaiveSchedule, SpatialBlockSchedule, WavefrontSchedule
 from repro.dsl import Eq, Grid, TimeFunction
-from repro.errors import BoundsProofError, EngineCompilationError
+from repro.errors import BoundsProofError, EngineFallbackWarning, KernelLintError
+from repro.execution.evalbox import ENGINES
+from repro.execution.executors import run_schedule
 from repro.ir import Operator
 from repro.verify import BoundsCertificate, prove_bounds
-from repro.verify.absint import build_param_space
 from ..conftest import make_acoustic_operator
 
 
@@ -27,13 +30,13 @@ def _bad_operator(shape=(8, 8), so=2, reach=3, name="Bad"):
 @pytest.mark.parametrize("so", [2, 4, 8])
 @pytest.mark.parametrize("tile", [(4, 4), (8, 8), (8, 4)])
 def test_certificate_holds_wherever_execution_succeeds(so, tile):
-    """Property sweep over space order x tile shape: the parametric proof
-    covers every member of the family, so any concrete run that the
-    executor accepts must also be a run the certificate admits."""
+    """Property sweep over space order x tile shape: the proof covers every
+    schedule, so any concrete run that the executor accepts must also be a
+    run the certificate admits."""
     grid = Grid(shape=(14, 12), extent=(130.0, 110.0))
     op, u, *_ = make_acoustic_operator(grid, so=so, src_coords=False, rec_coords=False)
     schedule = WavefrontSchedule(tile=tile, block=tile, height=2)
-    cert = prove_bounds(op, schedule)
+    cert = prove_bounds(op)
     assert cert.check(), cert.summary()
     assert cert.counterexample is None and not cert.violations()
     assert cert.min_margin is not None and cert.min_margin >= 0
@@ -49,52 +52,41 @@ def test_space_margins_are_halo_vs_offset(grid2d):
     dimension reduces to halo +/- offset — independent of tile parameters."""
     op, *_ = make_acoustic_operator(grid2d, so=4)
     cert = prove_bounds(op)
-    space_checks = [c for c in cert.checks if c.kind == "space"]
-    assert space_checks
-    for c in space_checks:
+    assert cert.checks
+    for c in cert.checks:
         assert c.margin_lo == c.halo + c.offset
         assert c.margin_hi == c.halo - c.offset
         assert abs(c.offset) <= c.halo
     # the tightest margin comes from the widest stencil reach
-    assert cert.min_margin == min(
-        min(c.margin_lo, c.margin_hi) for c in space_checks
-    )
-
-
-def test_family_covers_all_schedules(grid2d):
-    """The schedule-free proof quantifies over every schedule knob at once."""
-    op, *_ = make_acoustic_operator(grid2d, so=4)
-    space = build_param_space(op, halos={"u": 4})
-    for d in op.grid.dimensions:
-        assert f"N_{d.name}" in space
-        assert space.interval(f"N_{d.name}").lo == 1
-        assert space.interval(f"N_{d.name}").hi is None
-    assert "H" in space and "lag" in space and "T_0" in space and "B_0" in space
-    assert space.interval("halo_u").lo == space.interval("halo_u").hi == 4
+    assert cert.min_margin == min(min(c.margin_lo, c.margin_hi) for c in cert.checks)
 
 
 def test_certificate_roundtrip_and_tamper(grid2d):
     op, *_ = make_acoustic_operator(grid2d)
-    cert = prove_bounds(op, WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2))
+    cert = prove_bounds(op)
     d = cert.to_dict()
     assert d["safe"] is True
     back = BoundsCertificate.from_dict(d)
     assert back.check() and back.to_dict() == d
     # a tampered margin must fail re-validation without re-running analysis
-    rows = [r for r in d["checks"] if r["kind"] == "space"]
-    rows[0]["margin_hi"] = -1
+    d["checks"][0]["margin_hi"] = -1
     assert not BoundsCertificate.from_dict(d).check()
 
 
 def test_certificates_cached_per_schedule_family(grid2d):
+    """One family — every schedule — so one certificate per operator,
+    whatever arguments the (frozen) stack benchmark passes."""
     op, *_ = make_acoustic_operator(grid2d)
-    any_cert = op.bounds_certificate_for(None)
-    assert op.bounds_certificate_for(None) is any_cert
+    cert = op.bounds_certificate_for()
     wf = WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
-    wf_cert = op.bounds_certificate_for(wf)
-    assert op.bounds_certificate_for(wf) is wf_cert
-    assert wf_cert is not any_cert
+    assert op.bounds_certificate_for(wf, "precomputed") is cert
+    assert op.bounds_certificate_for(NaiveSchedule()) is cert
     assert op.analyzer_seconds > 0.0
+    # legality certificates share the cache without colliding with it
+    assert op.certificate_for(wf) is op.certificate_for(wf) is not cert
+    assert set(op._certificates) == {
+        ("bounds", None), ("legality", (wf.key(), "precomputed"))
+    }
 
 
 # -- negative verdicts: counterexample matches the runtime error -----------------
@@ -123,56 +115,74 @@ def test_refuted_family_names_concrete_counterexample():
 
 
 def test_counterexample_matches_runtime_failure():
-    """The statically predicted out-of-bounds access is the real one: the
-    interp engine (no bounds gate) fails on exactly that access."""
+    """The statically predicted out-of-bounds access is the real one: with
+    apply's gate bypassed (a bare bind), execution fails on that access."""
     op, _ = _bad_operator()
     cert = prove_bounds(op)
     assert not cert.check()
+    plan = op._bind(0.1, NaiveSchedule(), "auto", engine="interp")
     with pytest.raises(ValueError, match="broadcast"):
-        op.apply(time_M=1, dt=0.1, engine="interp")
+        run_schedule(plan, 0, 1, NaiveSchedule())
 
 
-def test_fused_bind_rejects_before_execution_and_degrades(monkeypatch):
-    """The bounds gate is the fused bind's second line of defence: even with
-    the equation-level linter blinded (its E101 covers the same halo
-    condition and fires first), a refuted certificate raises
-    BoundsProofError — which rides the ladder as a compilation failure."""
-    import repro.verify.linter as linter_mod
-    from repro.verify import LintReport
+SCHEDULES = {
+    "naive": NaiveSchedule(),
+    "spatial": SpatialBlockSchedule(block=(4, 4)),
+    "wavefront": WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2),
+}
 
-    monkeypatch.setattr(
-        linter_mod,
-        "lint_bound_sweeps",
-        lambda bound, name="": LintReport(name=name, diagnostics=[]),
-    )
-    op, u = _bad_operator(so=4, reach=5, name="BadStrict")
-    with pytest.raises(BoundsProofError) as err:
-        op.apply(time_M=1, dt=0.1, strict_engine=True)
-    assert err.value.counterexample is not None
+
+def _randomised(u):
+    u.data_with_halo[...] = np.random.default_rng(0).normal(size=u.data_with_halo.shape)
+    return u.data_with_halo.tobytes()
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("schedule", list(SCHEDULES))
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("reach", [3, -3], ids=["past-upper", "past-lower"])
+def test_halo_gate_rejects_on_every_engine_and_schedule(reach, engine, schedule, strict):
+    """reach = ±(halo + 1): a structured error before timestep 0 on the whole
+    matrix — no rung is tried (no fallback warning), no cell is written."""
+    op, u = _bad_operator(shape=(16, 16), so=2, reach=reach)
+    before = _randomised(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EngineFallbackWarning)
+        with pytest.raises(BoundsProofError, match="E101") as err:
+            op.apply(
+                time_M=2, dt=0.1, engine=engine,
+                schedule=SCHEDULES[schedule], strict_engine=strict,
+            )
+    assert isinstance(err.value, KernelLintError)
+    ce = err.value.counterexample
+    assert (ce.function, ce.dim, ce.offset) == ("u", "x", reach)
     assert not err.value.certificate.check()
-    assert isinstance(err.value, EngineCompilationError)
-    assert not np.any(u.data)  # rejected before any timestep ran
+    assert u.data_with_halo.tobytes() == before
+    assert not op._sweep_cache  # nothing was bound
 
 
-def test_lint_gate_fires_first_on_halo_violation():
-    """Unblinded, the same operator is rejected by E101 before the bounds
-    gate even runs — the two gates agree on halo violations."""
-    from repro.errors import KernelLintError
-
-    op, _ = _bad_operator(so=4, reach=5, name="BadLintFirst")
-    with pytest.raises(KernelLintError, match="E101"):
-        op.apply(time_M=1, dt=0.1, strict_engine=True)
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("schedule", list(SCHEDULES))
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("reach", [1, 2], ids=["inside", "at-halo"])
+def test_halo_gate_admits_reach_up_to_the_halo(reach, engine, schedule, strict):
+    op, u = _bad_operator(shape=(16, 16), so=2, reach=reach)
+    _randomised(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EngineFallbackWarning)
+        op.apply(
+            time_M=2, dt=0.1, engine=engine,
+            schedule=SCHEDULES[schedule], strict_engine=strict,
+        )
+    assert op.bounds_certificate_for().min_margin == 2 - reach
 
 
 def test_wavefront_apply_rejects_hard_before_execution():
-    """Under a wavefront schedule the preflight re-proves with the *actual*
-    schedule and rejects hard — no sound rung to degrade to."""
     op, u = _bad_operator(shape=(16, 16))
     wf = WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
     with pytest.raises(BoundsProofError) as err:
         op.apply(time_M=2, dt=0.1, schedule=wf)
-    ce = err.value.counterexample
-    assert ce is not None and ce.schedule.get("kind") == "wavefront"
+    assert err.value.counterexample is not None
     assert not np.any(u.data)
 
 
@@ -184,24 +194,21 @@ def test_injected_off_by_one_margin_is_minus_one():
         cert = prove_bounds(op)
         assert not cert.check()
         assert min(c.margin_hi for c in cert.violations()) == -1
-        with pytest.raises(ValueError):
+        with pytest.raises(BoundsProofError):
             op.apply(time_M=1, dt=0.1, engine="interp")
 
 
 # -- golden rendering ------------------------------------------------------------
 
 GOLDEN_RENDER = """\
-Parametric bounds certificate
+Halo certificate
 quantity         value
----------------  ---------------------------------------------------------------------------------------------------
+---------------  ------
 operator         Golden
-schedule family  any
-sparse mode      offgrid
 safe             True
-checks           5 (space=3, time=2)
+checks           3
 min halo margin  1
-halos            u=2
-parameters       B_0 in [1, inf]; H in [1, inf]; N_x in [1, inf]; T_0 in [1, inf]; halo_u in [2, 2]; lag in [0, inf]"""
+halos            u=2"""
 
 
 def test_golden_certificate_rendering():
@@ -210,7 +217,7 @@ def test_golden_certificate_rendering():
     grid = Grid(shape=(8,), extent=(70.0,))
     u = TimeFunction("u", grid, time_order=1, space_order=2)
     op = Operator([Eq(u.forward, 0.5 * u.dx)], name="Golden")
-    cert = op.bounds_certificate_for(None)
+    cert = op.bounds_certificate_for()
     got = [line.rstrip() for line in render_bounds_certificate(cert).splitlines()]
     assert got == GOLDEN_RENDER.splitlines()
 
@@ -223,12 +230,3 @@ def test_refuted_rendering_shows_counterexample_and_margins():
     assert "counterexample:" in out
     assert "violated margins:" in out
     assert "u[x+3]" in out and "margin_hi=-1" in out
-
-
-def test_naive_schedule_family_proves_same_margins(grid2d):
-    op, *_ = make_acoustic_operator(grid2d)
-    any_cert = prove_bounds(op)
-    naive_cert = prove_bounds(op, NaiveSchedule())
-    assert naive_cert.check()
-    assert naive_cert.min_margin == any_cert.min_margin
-    assert naive_cert.schedule.get("kind") == "naive"

@@ -1,11 +1,11 @@
-"""Dtype lattice: NEP 50 promotion vs NumPy ground truth, chains, DtypePass."""
+"""Dtype lattice: NEP 50 promotion vs NumPy ground truth, chains, slot audit."""
 
 import numpy as np
 import pytest
 
 from repro.dsl import Eq, Grid, TimeFunction
 from repro.verify import lint_equations
-from repro.verify.absint import DtypePass, expr_dtype, promote, run_pass, ufunc_result
+from repro.verify.absint import audit_slot_dtypes, expr_dtype, promote, ufunc_result
 from repro.verify.absint.dtypes import (
     WEAK_FLOAT,
     WEAK_INT,
@@ -13,7 +13,6 @@ from repro.verify.absint.dtypes import (
     is_weak,
     weak_of,
 )
-from ..conftest import make_acoustic_operator
 
 CONCRETE = ["int16", "int32", "int64", "float16", "float32", "float64", "complex64"]
 
@@ -131,27 +130,41 @@ def test_w201_no_arrays_materialised(grid, monkeypatch):
     assert any(d.code == "W201" for d in diags)
 
 
-# -- DtypePass: the lattice and the emitter must agree ---------------------------
+# -- audit_slot_dtypes: the lattice and the emitter must agree -------------------
 
 
-def test_dtype_pass_consistent_on_real_kernel(grid2d):
-    """E203 (lattice vs emitter slotspec disagreement) never fires on a real
-    fused kernel, and every typed slot matches its declared dtype."""
-    op, *_ = make_acoustic_operator(grid2d, src_coords=False, rec_coords=False)
-    eng, bound = op._build_sweeps(1.0, "fused", True)
-    assert eng == "fused"
-    for j, sw in enumerate(bound):
-        program = sw.kernel_program()
-        assert program is not None
-        pass_ = DtypePass(sweep=j)
-        result = run_pass(pass_, program)
-        assert not pass_.findings, [f.message for f in pass_.findings]
-        # the final state types every slot with its emitter-declared dtype
-        declared = dict(program.slots)
-        assert declared, "a real fused kernel uses scratch slots"
-        for name, elem in result.exit.items():
-            assert elem == declared[name]
-        # the structured slot table mirrors the kernel's slotspec
-        assert [dt for _, dt in program.slots] == [
-            np.dtype(dt).name for dt, _ in sw._kernel.__slotspec__
-        ]
+def test_dtype_pass_consistent_on_real_kernel():
+    """E203 (lattice vs emitter slotspec disagreement) never fires on a
+    shipped fused kernel (acoustic / TTI / elastic x so 4 / 8 / 12), and the
+    structured slot table the audit reads mirrors the kernel's slotspec."""
+    from repro.propagators.examples import EXAMPLES, build_example
+
+    for kind in EXAMPLES:
+        for so in (4, 8, 12):
+            prop, dt = build_example(kind, so=so)
+            eng, bound = prop.op._build_sweeps(dt, "fused", True)
+            assert eng == "fused"
+            for j, sw in enumerate(bound):
+                program = sw.kernel_program()
+                assert program.slots, "a real fused kernel uses scratch slots"
+                findings = audit_slot_dtypes(program, sweep=j)
+                assert not findings, (kind, so, [f.message for f in findings])
+                assert [d for _, d in program.slots] == [
+                    np.dtype(d).name for d, _ in sw._kernel.__slotspec__
+                ]
+
+
+def test_dtype_audit_flags_a_slot_the_lattice_types_differently():
+    from repro.ir.nodes import TAInstr, TAOperand, TAProgram
+
+    v64 = TAOperand("view", "v0", "float64")
+    narrow = TAOperand("slot", "s0", "float32")
+    program = TAProgram(
+        instrs=(TAInstr("add", (v64, v64), narrow),),
+        slots=(("s0", "float32"),),
+        views=(("v0", "float64"),),
+        outs=(),
+    )
+    (finding,) = audit_slot_dtypes(program, sweep=3)
+    assert (finding.code, finding.severity, finding.sweep) == ("E203", "error", 3)
+    assert "float64" in finding.message and "float32" in finding.message

@@ -215,7 +215,7 @@ def test_cli_single_example(capsys):
 def test_cli_json_output(capsys):
     assert main(["tti", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["version"] == JSON_SCHEMA_VERSION == 2
+    assert data["version"] == JSON_SCHEMA_VERSION == 3
     assert data["tool"] == "repro.verify"
     entry = data["results"]["tti"]
     assert entry["ok"] is True and entry["lint"]["ok"] is True
@@ -232,7 +232,8 @@ def test_cli_json_schedules_and_stability(capsys):
 
     assert main(["acoustic", "--json"]) == 0
     first = json.loads(capsys.readouterr().out)["results"]["acoustic"]
-    assert set(first["certificates"]) == set(first["bounds"]) - {"any"} == set(SCHEDULES)
+    assert set(first["certificates"]) == set(SCHEDULES)
+    assert first["bounds"]["safe"] is True
     for cert in first["certificates"].values():
         assert cert["legal"] is True
     assert main(["acoustic", "--json"]) == 0

@@ -7,6 +7,7 @@ from repro.core.scheduler import (
     SpatialBlockSchedule,
     WavefrontSchedule,
     instance_lags,
+    lower,
 )
 from repro.dsl import Eq, Grid, TimeFunction
 from repro.errors import ScheduleLegalityError
@@ -147,6 +148,52 @@ def test_offgrid_counterexample_dodging_placement(grid3d):
     assert not ce.manifest
     with pytest.raises(ScheduleLegalityError, match="precompute"):
         prove_schedule(op, WF, sparse_mode="offgrid")
+
+
+@pytest.mark.parametrize(
+    "coords, manifest",
+    [([[20.0, 20.0, 45.0]], False), ([[180.0, 20.0, 45.0]], False), (None, True)],
+    ids=["dodging", "last-window", "straddling"],
+)
+def test_offgrid_counterexample_names_boxes_the_executor_runs(coords, manifest):
+    """Both tiles are boxes of ``lower()`` for the named (t, sweep) instance,
+    the second one later in step order; every point is a grid point (a source
+    in the last window used to name x=24 on a 20-wide grid); and a manifest
+    conflict is a lost update the shadow oracle observes at that very point."""
+    from repro.verify import run_oracle
+
+    grid = Grid(shape=(20, 18, 16), extent=(190.0, 170.0, 150.0))
+    kw = {} if coords is None else dict(src_coords=coords, rec_coords=False)
+    op, *_ = make_acoustic_operator(grid, **kw)
+    ce = offgrid_counterexample(op, WF, op.injections()[0])
+    assert ce.manifest is manifest
+    assert ce.first.t == ce.second.t and ce.first.sweep == ce.second.sweep == 0
+    steps = lower(WF, grid.shape, tuple(op.sweep_radii), WF.height)
+    boxes = [box for dt, j, box, *_ in steps if (dt, j) == (ce.first.t, 0)]
+    assert boxes.index(ce.first.tile) < boxes.index(ce.second.tile)
+    for ref in (ce.first, ce.second):
+        assert all(0 <= p < n for p, n in zip(ref.point, grid.shape))
+    # the contested point is the later box's to assign
+    assert all(lo <= p < hi for p, (lo, hi) in zip(ce.second.point, ce.second.tile))
+    report = run_oracle(op, WF, time_M=6, unsafe_offgrid=True, max_records=10**6)
+    lost = {r.point for r in report.races if r.kind == "lost-update"}
+    assert (ce.first.point in lost) is manifest
+
+
+def test_apply_and_bare_bind_reject_offgrid_wavefront_like_the_prover(grid3d, grid2d):
+    """One rejection, the prover's, from both entry points — so they also
+    agree on the operator with nothing off-grid to reject (``_bind`` used to
+    keep a private copy that refused it although the prover certified it)."""
+    op, *_ = make_acoustic_operator(grid3d)
+    with pytest.raises(ScheduleLegalityError, match="precompute") as via_apply:
+        op.apply(time_M=2, dt=1.0, schedule=WF, sparse_mode="offgrid")
+    with pytest.raises(ScheduleLegalityError, match="precompute") as via_bind:
+        op._bind(1.0, WF, "offgrid")
+    assert via_apply.value.counterexample == via_bind.value.counterexample is not None
+
+    bare, *_ = make_acoustic_operator(grid2d, src_coords=False, rec_coords=False)
+    assert prove_schedule(bare, WF, sparse_mode="offgrid").check()
+    bare.apply(time_M=2, dt=1.0, schedule=WF, sparse_mode="offgrid")
 
 
 def test_future_read_rejected_under_wavefront():
