@@ -141,13 +141,11 @@ def write_report(report, path=RESULT_PATH):
 
 def print_report(report):
     print(f"# engine bench — acoustic so={SPACE_ORDER} {SHAPE}, nt={NT}")
-    print(f"{'schedule':<12} {'fused':>10} {'interp':>10} {'interp/fused':>13}")
+    print(f"{'schedule':<12} " + " ".join(f"{e:>10}" for e in ENGINES) + f" {'interp/fused':>13}")
     for sched, row in report["seconds"].items():
         sp = report["speedup_fused_over_interp"][sched]
-        print(
-            f"{sched:<12} {row['fused']*1e3:>8.2f}ms {row['interp']*1e3:>8.2f}ms "
-            f"{sp:>12.2f}x"
-        )
+        cells = " ".join(f"{row[e]*1e3:>8.2f}ms" for e in ENGINES)
+        print(f"{sched:<12} {cells} {sp:>12.2f}x")
 
 
 def time_guards(prop, dt, schedule, repeats=REPEATS):

@@ -35,9 +35,13 @@ class AlignedInjection:
     Holds one linear index per affected point into the flat view of a padded
     time buffer and gathers a box's slice of it per call: memoising that per
     box costs more resident memory than the gather saves (DESIGN.md §2).
+
+    *c* (a :class:`repro.ir.cgen.SparseKernels`, passed when the plan bound
+    the C engine) replaces that body with the compiled Listing-5 loop over
+    ``nnz`` / ``Sp_SID`` / ``SID``; same additions, same returned count.
     """
 
-    def __init__(self, dsrc: DecomposedSource, field: TimeFunction):
+    def __init__(self, dsrc: DecomposedSource, field: TimeFunction, c=None):
         if field.name != dsrc.field_name:
             raise ValueError(
                 f"decomposition targets field {dsrc.field_name!r}, got {field.name!r}"
@@ -51,6 +55,8 @@ class AlignedInjection:
         # convert the decomposed amplitudes to the field dtype once -- the hot
         # apply() path previously paid an astype per (t, box) instance
         self._amplitudes = np.ascontiguousarray(dsrc.data, dtype=field.dtype)
+        self._c = c
+        self._rows = self._amplitudes.ctypes.data, self._amplitudes.strides[0]
 
     def apply(self, t: int, box: Optional[Box] = None) -> int:
         """Add timestep *t*'s decomposed amplitudes into ``field[t + offset]``;
@@ -61,6 +67,9 @@ class AlignedInjection:
         """
         if not 0 <= t < self.nt or self.masks.npts == 0:
             return 0
+        if self._c is not None:
+            base, stride = self._rows
+            return self._c.inject(t + self.time_offset, box, base + t * stride)
         # each affected point appears exactly once: plain fancy add suffices
         if box is None:
             flat = self.field.buffer(t + self.time_offset).reshape(-1)
@@ -83,10 +92,13 @@ class AlignedReceiver:
 
     ``gather(t, box)`` stages field values of affected points in the box for
     timestep ``t + offset``; ``finalize(rows)`` reconstructs the receiver
-    samples for completed timesteps and clears the staging storage.
+    samples for completed timesteps and clears the staging storage.  *c* as
+    for :class:`AlignedInjection`: ``stage[SID[p]] = (double)u[p]`` in C.
     """
 
-    def __init__(self, drec: DecomposedReceiver, field: TimeFunction, output: np.ndarray):
+    def __init__(
+        self, drec: DecomposedReceiver, field: TimeFunction, output: np.ndarray, c=None
+    ):
         if field.name != drec.field_name:
             raise ValueError(
                 f"decomposition targets field {drec.field_name!r}, got {field.name!r}"
@@ -98,6 +110,8 @@ class AlignedReceiver:
         self.output = output  # (nt, npoint) receiver traces
         self._lin = linear_index(self.masks.points, field.halo, field.buffer(0))
         self._staging: Dict[int, np.ndarray] = {}
+        self._c = c
+        self._stage_addr: Dict[int, int] = {}  # row -> staging address, for C
 
     def _row(self, t: int) -> Optional[np.ndarray]:
         row = t + self.time_offset
@@ -105,6 +119,7 @@ class AlignedReceiver:
             return None
         if row not in self._staging:
             self._staging[row] = np.zeros(max(self.masks.npts, 1), dtype=np.float64)
+            self._stage_addr[row] = self._staging[row].ctypes.data
         return self._staging[row]
 
     def gather(self, t: int, box: Optional[Box] = None) -> int:
@@ -112,6 +127,11 @@ class AlignedReceiver:
         returns the number of grid points staged."""
         if self.masks.npts == 0:
             return 0
+        if self._c is not None:
+            if self._row(t) is None:
+                return 0
+            row = t + self.time_offset
+            return self._c.gather(row, box, self._stage_addr[row])
         if box is not None:
             ids = self.masks.points_in_box(box)
             if ids.size == 0:  # nothing of this receiver in the tile
@@ -130,6 +150,7 @@ class AlignedReceiver:
         """Reconstruct receiver samples for iteration *t* (wavefield complete)."""
         row = t + self.time_offset
         stage = self._staging.pop(row, None)
+        self._stage_addr.pop(row, None)
         if stage is None:
             if 0 <= row < self.output.shape[0] and self.masks.npts == 0:
                 self.output[row] = 0.0

@@ -128,8 +128,10 @@ class StabilityViolation(ReproError, ValueError):
 class EngineCompilationError(ReproError, RuntimeError):
     """An execution engine failed to compile its kernels.
 
-    Carries ``engine`` (the rung that failed).  The engine-selection ladder
-    catches this to degrade fused -> interp; in strict mode it
+    Carries ``engine`` (the rung that failed) and, from the C rung, ``reason``
+    (``no-compiler`` / ``build-failed`` / ``ineligible:<op>`` /
+    ``cache-unwritable`` / ``load-failed``).  The engine-selection ladder
+    catches this to degrade c -> fused -> interp; in strict mode it
     propagates to the caller.
     """
 
@@ -137,7 +139,7 @@ class EngineCompilationError(ReproError, RuntimeError):
 class KernelLintError(EngineCompilationError):
     """The kernel-IR linter rejected a compiled sweep.
 
-    Raised on the fused rung of the engine ladder when static analysis of the
+    Raised on a compiled rung of the engine ladder when static analysis of the
     bound sweeps finds an error-severity defect (stale scratch read, aliasing
     write, ...).  Carries ``diagnostics`` (the list of
     :class:`repro.verify.certificate.Diagnostic` that failed the bind) so strict

@@ -33,10 +33,11 @@ __all__ = [
     "ENGINES",
 ]
 
-#: execution engines, in ladder order: "fused" = one three-address kernel per
-#: sweep (default), "interp" = the tree-walking interpreter (the oracle and
-#: terminal rung).  They are bit-identical.
-ENGINES = ("fused", "interp")
+#: execution engines, in ladder order: "c" = one compiled C loop nest per
+#: sweep (default), "fused" = the same three-address program as NumPy ufunc
+#: passes, "interp" = the tree-walking interpreter (the oracle and terminal
+#: rung).  They are bit-identical.
+ENGINES = ("c", "fused", "interp")
 
 Box = Tuple[Tuple[int, int], ...]  # ((lo, hi) per spatial dimension), hi exclusive
 
@@ -129,17 +130,22 @@ class BoundSweep:
     :meth:`evaluate` once per ``(t, box)`` instance and the sweep runs all of
     its equations in order.
 
-    * ``engine="fused"`` (default): all equations are compiled into a single
+    * ``engine="fused"``: all equations are compiled into a single
       three-address kernel (:func:`repro.ir.pycodegen.compile_sweep`) fed from
       a :class:`~repro.ir.pycodegen.ScratchPool`.  The array views for a
       ``(t, box)`` instance are built once per instance and memoised — the
       views only depend on ``t`` modulo the time-buffer period, so wavefront
       execution revisiting the same box at a congruent timestep pays zero
       view-construction cost.
+    * ``engine="c"`` (the ladder's head): the same front half and the same
+      three-address program, emitted as one C loop nest
+      (:func:`repro.ir.cgen.sweep_function`); the memo holds a pointer /
+      stride / extent table instead of views and an instance is one
+      ``ctypes`` call.
     * ``engine="interp"``: the tree-walking interpreter, equation by
       equation.
 
-    Both engines produce bit-identical results; the equivalence suite
+    All engines produce bit-identical results; the equivalence suite
     asserts this across every physics × schedule combination.
     """
 
@@ -154,11 +160,12 @@ class BoundSweep:
         # an invalid equation is not an engine failure the ladder could
         # recover from) and is the interpreter's execution vehicle
         self.beqs = [BoundEq(e, grid) for e in self.eqs]
-        self._kernel = None
-        #: the right-hand sides this sweep evaluates per point (the fused
-        #: engine swaps in the hoisted ones below); static costs count these
+        self._kernel = self._cfunc = None
+        #: the right-hand sides this sweep evaluates per point (the compiled
+        #: engines swap in the hoisted ones below); static costs count these
         executed = [beq.rhs for beq in self.beqs]
-        if engine == "fused":
+        if engine != "interp":
+            from ..ir.cgen import sweep_function
             from ..ir.passes import hoist_invariants
             from ..ir.pycodegen import ScratchPool, compile_sweep
 
@@ -183,11 +190,15 @@ class BoundSweep:
                     [a.function.dtype for a in self.reads],
                     [l.function.dtype for l in self.writes],
                 )
+                if engine == "c":
+                    self._cfunc = sweep_function(self._kernel.__program__, self.dim_names)
+                    self._ctab = np.array(self._kernel.__constvals__, dtype=np.float64)
+                    self._ctab_addr = self._ctab.ctypes.data
             except EngineCompilationError:
                 raise
             except Exception as exc:
                 raise EngineCompilationError(
-                    f"fused sweep compilation failed: {exc}", engine="fused"
+                    f"{engine} sweep compilation failed: {exc}", engine=engine
                 ) from exc
             self.pool = pool if pool is not None else ScratchPool()
             self._period = math.lcm(
@@ -198,7 +209,7 @@ class BoundSweep:
                 ],
                 1,
             )
-            self._view_cache: Dict[Tuple, Tuple[tuple, tuple]] = {}
+            self._view_cache: Dict[Tuple, tuple] = {}
             # plain-int tallies of the memoised (t, box) bindings; read by
             # the telemetry layer as per-run deltas (Operator.apply).  Kept
             # unconditional: two int adds per evaluate are noise next to the
@@ -230,18 +241,45 @@ class BoundSweep:
             self.view_misses += 1
             if box_is_empty(box):
                 return
-            outs = tuple(box_view(l, t, box, self.dim_names) for l in self.writes)
-            views = tuple(box_view(a, t, box, self.dim_names) for a in self.reads)
+            if len(self._view_cache) >= 4096:  # safety valve, never hit in practice
+                self._view_cache.clear()
+            bound = self._view_cache[key] = self._bind_box(t, box)
+        else:
+            self.view_hits += 1
+        if self._cfunc is None:
+            self._kernel(*bound)
+        else:
+            self._cfunc(bound[0], self._ctab_addr)
+
+    def _bind_box(self, t: int, box: Box) -> tuple:
+        """What one ``(t % period, box)`` instance hands its kernel: scratch
+        slots and array views (fused), or the address of an extent / pointer /
+        stride table (C; the layout :func:`repro.ir.cgen.emit_sweep` reads)."""
+        outs = tuple(box_view(l, t, box, self.dim_names) for l in self.writes)
+        views = tuple(box_view(a, t, box, self.dim_names) for a in self.reads)
+        if self._cfunc is None:
             slots = tuple(
                 self.pool.slab_view(outs[0].shape, dt, i)
                 for dt, i in self._kernel.__slotspec__
             )
-            if len(self._view_cache) >= 4096:  # safety valve, never hit in practice
-                self._view_cache.clear()
-            bound = self._view_cache[key] = (slots, outs, views)
-        else:
-            self.view_hits += 1
-        self._kernel(*bound)
+            return (slots, outs, views)
+        arrays = outs + views
+        if any(a.strides[-1] != a.itemsize for a in arrays):
+            raise ValueError("C engine needs fields contiguous along the innermost dimension")
+        tab = np.array(
+            [
+                *outs[0].shape,
+                *(a.ctypes.data for a in arrays),
+                *(s for a in arrays for s in a.strides[:-1]),
+            ],
+            dtype=np.int64,
+        )
+        # raw addresses outlive this call only because field storage (time
+        # buffers, model arrays, hoisted invariants) is rewritten in place,
+        # never reallocated -- model updates, checkpoint restores and ABFT
+        # rollbacks all go through ``buf[...] = ``; the views ride along to
+        # keep that storage alive for as long as the table is
+        return (tab.ctypes.data, tab, arrays)
 
     def kernel_program(self):
         """The structured three-address program

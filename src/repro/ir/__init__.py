@@ -1,5 +1,5 @@
-"""Compiler intermediate representation: dependence analysis, loop-nest IR,
-transformation passes and code generation."""
+"""Compiler intermediate representation: dependence analysis, the
+three-address kernel IR, expression passes and the NumPy and C back ends."""
 from .dependencies import (
     Access,
     Sweep,

@@ -1,0 +1,429 @@
+"""The C back end: the ``"c"`` rung of the engine ladder.
+
+:func:`emit_sweep` turns the typed three-address program
+:func:`repro.ir.pycodegen.compile_sweep` already produced (post-factorise,
+post-CSE, invariants hoisted) into one C function per sweep — the paper's
+loop nest (Listings 1/4): outer loops over the leading dimensions, one row
+pointer per operand, the innermost loop vectorised, scratch slots as scalar
+locals.  There is no second front end: the lint, the dtype audit and the
+liveness check read the very program this emitter consumes.
+:data:`SPARSE_SOURCE` holds the static (not generated) Listing-5 kernels of
+the grid-aligned injection and receiver gather.
+
+**FP contract.**  C and the fused NumPy kernel agree at 0 ulp because only
+IEEE correctly-rounded operations are eligible (:data:`ELIGIBLE_OPS`, operand
+dtype = result dtype, float32 or float64), the statement order per point is
+the program's, contraction is off and ``-ffast-math`` is never passed
+(:data:`FLAGS` is a constant, not an option).  ``#pragma GCC ivdep`` on the
+innermost loop is sound because a sweep reads what it writes only at radius
+0 (lint E401 rejects anything else): no dependence is carried between
+iterations.  Constants arrive in an argument table, so the source depends
+on program structure alone and one ``.so`` serves every ``dt``, spacing and
+model of a physics x space order x dtype x rank.
+
+**Cache.**  :func:`build` keeps one shared object per ``sha256(source, flags,
+compiler identity, host ISA flags)`` under ``${XDG_CACHE_HOME:-~/.cache}/
+repro/kernels`` (falling back to ``<tmp>/repro-kernels-<uid>``); a directory
+is used only when this user owns it and nobody else can write to it, objects
+are sealed with a SHA-256 trailer and published with temp-sibling +
+``os.replace`` so concurrent builders race safely, and an object that is not
+whole or will not load is rebuilt once.  Every
+failure is an :class:`~repro.errors.EngineCompilationError` with ``engine="c"``
+and a ``reason`` class, which the ladder turns into one fall to ``fused``.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import time
+from pathlib import Path
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
+
+from ..errors import EngineCompilationError
+from .nodes import TAProgram
+
+__all__ = [
+    "FLAGS",
+    "ELIGIBLE_OPS",
+    "SPARSE_SOURCE",
+    "emit_sweep",
+    "sweep_function",
+    "SparseKernels",
+    "build",
+    "cache_dirs",
+    "clear_disk_cache",
+]
+
+#: never ``-ffast-math``; ``-O3`` because gcc 12's ``-O2`` vectoriser uses
+#: the very-cheap cost model and leaves the innermost loop scalar
+FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+
+#: instruction -> C operator (``None``: spelled out in :func:`emit_sweep`)
+ELIGIBLE_OPS = {
+    "add": "+", "subtract": "-", "multiply": "*", "divide": "/", "sqrt": None, "store": None,
+}
+_CTYPE = {"float32": "float", "float64": "double"}
+
+_LIBS: Dict[str, ctypes.CDLL] = {}
+STATS = {"c_cache_hits": 0, "c_cache_misses": 0, "c_compile_s": 0.0}
+
+
+def reset() -> None:
+    """Forget the loaded libraries and zero the counters (the C half of
+    :func:`repro.ir.pycodegen.clear_kernel_caches`).  The disk cache stays:
+    it is cross-process state, like every JIT cache."""
+    _LIBS.clear()
+    STATS.update(c_cache_hits=0, c_cache_misses=0, c_compile_s=0.0)
+
+
+def _fail(reason: str, message: str) -> EngineCompilationError:
+    return EngineCompilationError(f"C engine: {message}", engine="c", reason=reason)
+
+
+# -- emission ----------------------------------------------------------------------
+
+
+def emit_sweep(program: TAProgram, dims: Sequence[str], name: str = "sweep") -> str:
+    """The C function of one sweep over a ``len(dims)``-dimensional box.
+
+    ``tab`` holds the box extents, then one base pointer per operand (outs,
+    then views) at the box origin, then each operand's byte strides over the
+    leading dimensions (the innermost is contiguous, checked where the table
+    is built); ``ctab`` holds the program's constants as doubles (exact for a
+    float32 constant)."""
+    for ins in program.instrs:
+        nargs = 2 if ELIGIBLE_OPS.get(ins.op) else 1
+        if (
+            ins.op not in ELIGIBLE_OPS
+            or len(ins.args) != nargs
+            or ins.out.dtype not in _CTYPE
+            or any(a.kind == "scalar" or a.dtype != ins.out.dtype for a in ins.args)
+        ):
+            raise _fail(
+                f"ineligible:{ins.op}",
+                f"`{ins.render()}` is not a same-dtype float32/float64 "
+                f"{'/'.join(ELIGIBLE_OPS)}",
+            )
+    *outer, inner = dims
+    nd, nouter = len(dims), len(outer)
+    operands = [(n, dt, "") for n, dt in program.outs] + [
+        (n, dt, "const ") for n, dt in program.views
+    ]
+    lines = [
+        f"void {name}(const int64_t *tab, const double *ctab)",
+        "{",
+        "  const int64_t " + ", ".join(f"n{d} = tab[{i}]" for i, d in enumerate(dims)) + ";",
+    ]
+    for i, (cname, dt) in enumerate(program.consts):
+        lines.append(f"  const {_CTYPE[dt]} {cname} = ({_CTYPE[dt]})ctab[{i}];")
+    pad = "  "
+    for d in outer:
+        lines.append(f"{pad}for (int64_t {d} = 0; {d} < n{d}; ++{d}) {{")
+        pad += "  "
+    for k, (oname, dt, const) in enumerate(operands):
+        row = f"(char *)(intptr_t)tab[{nd + k}]" + "".join(
+            f" + {d} * tab[{nd + len(operands) + k * nouter + i}]" for i, d in enumerate(outer)
+        )
+        lines.append(f"{pad}{const}{_CTYPE[dt]} *const {oname} = ({const}{_CTYPE[dt]} *)({row});")
+    lines.append("#pragma GCC ivdep")
+    lines.append(f"{pad}for (int64_t {inner} = 0; {inner} < n{inner}; ++{inner}) {{")
+    body = pad + "  "
+    by_type: Dict[str, List[str]] = {}
+    for sname, dt in program.slots:
+        by_type.setdefault(_CTYPE[dt], []).append(sname)
+    for ctype, names in by_type.items():
+        lines.append(f"{body}{ctype} {', '.join(names)};")
+
+    def ref(operand) -> str:
+        return operand.name if operand.kind in ("slot", "const") else f"{operand.name}[{inner}]"
+
+    for ins in program.instrs:
+        args = [ref(a) for a in ins.args]
+        if ins.op == "store":
+            rhs = args[0]
+        elif ins.op == "sqrt":
+            rhs = f"{'sqrtf' if ins.out.dtype == 'float32' else 'sqrt'}({args[0]})"
+        else:
+            rhs = f"{args[0]} {ELIGIBLE_OPS[ins.op]} {args[1]}"
+        lines.append(f"{body}{ref(ins.out)} = {rhs};")
+    for depth in range(nouter + 1, 0, -1):
+        lines.append("  " * depth + "}")
+    lines.append("}")
+    return "#include <stdint.h>\n#include <math.h>\n\n" + "\n".join(lines) + "\n"
+
+
+_SPARSE_TEMPLATE = """
+/* Listing 5: u[t+k][x][y][zind] += src_dcmp[t][SID[x][y][zind]] over the
+   affected points of box = {x0, x1, y0, y1, z0, z1}; returns how many */
+int64_t aligned_inject_SFX(const masks_t *m, const int64_t *box, char *u, const REAL *src_dcmp_t)
+{
+  int64_t count = 0;
+  for (int64_t x = box[0]; x < box[1]; ++x)
+    for (int64_t y = box[2]; y < box[3]; ++y) {
+      const int64_t p = x * m->ny + y;
+      REAL *const row = (REAL *)(u + x * m->sx + y * m->sy);
+      for (int32_t z2 = 0; z2 < m->nnz[p]; ++z2) {
+        const int64_t zind = m->Sp_SID[p * m->max_nnz + z2];
+        if (zind < box[4] || zind >= box[5]) continue;
+        row[zind] += src_dcmp_t[m->SID[p * m->nz + zind]];
+        ++count;
+      }
+    }
+  return count;
+}
+
+/* the receiver side: stage[SID[x][y][zind]] = u[t+k][x][y][zind] */
+int64_t aligned_gather_SFX(const masks_t *m, const int64_t *box, const char *u, double *stage)
+{
+  int64_t count = 0;
+  for (int64_t x = box[0]; x < box[1]; ++x)
+    for (int64_t y = box[2]; y < box[3]; ++y) {
+      const int64_t p = x * m->ny + y;
+      const REAL *const row = (const REAL *)(u + x * m->sx + y * m->sy);
+      for (int32_t z2 = 0; z2 < m->nnz[p]; ++z2) {
+        const int64_t zind = m->Sp_SID[p * m->max_nnz + z2];
+        if (zind < box[4] || zind >= box[5]) continue;
+        stage[m->SID[p * m->nz + zind]] = (double)row[zind];
+        ++count;
+      }
+    }
+  return count;
+}
+"""
+
+#: the static sparse unit: grid-aligned injection and gather over the pencils
+#: of a box, per field dtype.  Grids of rank < 3 pad leading extents to 1.
+SPARSE_SOURCE = (
+    "#include <stdint.h>\n\n"
+    "typedef struct {\n"
+    "  const int32_t *nnz, *Sp_SID, *SID; /* nnz[x][y], Sp_SID[x][y][z2], SID[x][y][z] */\n"
+    "  int64_t ny, nz, max_nnz;           /* mask extents */\n"
+    "  int64_t sx, sy;                    /* field byte strides; z is contiguous */\n"
+    "} masks_t;\n"
+    + "".join(
+        _SPARSE_TEMPLATE.replace("REAL", ctype).replace("SFX", dt)
+        for dt, ctype in _CTYPE.items()
+    )
+)
+
+
+# -- build, cache, load ------------------------------------------------------------
+
+
+def cache_dirs() -> List[Path]:
+    """Candidate cache directories, most preferred first."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # the XDG spec: a relative value is ignored
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return [
+        Path(base) / "repro" / "kernels",
+        Path(tempfile.gettempdir()) / f"repro-kernels-{os.getuid()}",
+    ]
+
+
+def _trusted(directory: Path) -> bool:
+    """Ours alone: a ``.so`` anyone else could replace is code execution."""
+    try:
+        st = os.stat(directory)
+    except OSError:
+        return False
+    return (
+        st.st_uid == os.getuid()
+        and not st.st_mode & 0o022
+        and os.access(directory, os.W_OK | os.X_OK)
+    )
+
+
+def _cache_dir() -> Path:
+    for candidate in cache_dirs():
+        try:
+            os.makedirs(candidate, mode=0o700, exist_ok=True)
+        except OSError:
+            continue
+        if _trusted(candidate):
+            return candidate
+    raise _fail(
+        "cache-unwritable",
+        "no kernel cache directory owned by this user and closed to others among "
+        + ", ".join(map(str, cache_dirs())),
+    )
+
+
+def clear_disk_cache() -> None:
+    """Delete every cached object (tests; :func:`reset` never does)."""
+    for directory in cache_dirs():
+        if _trusted(directory):
+            for path in directory.glob("*.so"):
+                path.unlink(missing_ok=True)
+
+
+@functools.lru_cache(maxsize=1)
+def _host_isa() -> str:
+    """What ``-march=native`` resolves to: a shared cache must not hand one
+    host's object to another."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = next((line for line in fh if line.startswith(("flags", "Features"))), "")
+    except OSError:
+        flags = ""
+    return f"{platform.machine()} {flags.strip()}"
+
+
+def _compile(cc: str, source: str, path: Path) -> None:
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem[:16] + ".", suffix=".tmp")
+    except OSError as exc:
+        raise _fail("cache-unwritable", f"cannot write to {path.parent}: {exc}") from exc
+    os.close(fd)
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            [cc, *FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+            input=source, text=True, capture_output=True,
+        )
+        if proc.returncode != 0:
+            raise _fail("build-failed", f"{cc} exited {proc.returncode}: {proc.stderr.strip()}")
+        with open(tmp, "rb+") as fh:  # seal: loaders ignore bytes past the image
+            fh.write(hashlib.sha256(fh.read()).digest())
+        os.replace(tmp, path)  # readers see the old object, none, or a whole new one
+    except OSError as exc:
+        raise _fail("build-failed", f"building with {cc} failed: {exc}") from exc
+    finally:
+        STATS["c_cache_misses"] += 1
+        STATS["c_compile_s"] += time.perf_counter() - start
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _intact(path: Path) -> bool:
+    """Present and whole, as :func:`_compile` sealed it.  Checked before every
+    load because ``dlopen`` answers a truncated image with SIGBUS, not an
+    error."""
+    try:
+        blob = path.read_bytes()
+    except OSError:
+        return False
+    return len(blob) > 32 and hashlib.sha256(blob[:-32]).digest() == blob[-32:]
+
+
+def build(source: str) -> ctypes.CDLL:
+    """The loaded shared object of *source*: from this process's table, the
+    disk cache, or a fresh compile, in that order."""
+    cc = shutil.which("gcc") or shutil.which("cc")
+    if cc is None:
+        raise _fail("no-compiler", "no C compiler (gcc, cc) on PATH")
+    real = os.path.realpath(cc)
+    st = os.stat(real)
+    key = hashlib.sha256(
+        "\0".join(
+            (source, " ".join(FLAGS), f"{real}:{st.st_size}:{st.st_mtime_ns}", _host_isa())
+        ).encode()
+    ).hexdigest()
+    lib = _LIBS.get(key)
+    if lib is None:
+        path = _cache_dir() / f"{key}.so"
+        compiled = False
+        for _attempt in range(2):
+            if not _intact(path):
+                _compile(cc, source, path)
+                compiled = True
+            try:
+                lib = _LIBS[key] = ctypes.CDLL(str(path))
+                break
+            except OSError as exc:
+                # sealed yet unloadable (a foreign or broken toolchain): rebuild once
+                error = exc
+                path.unlink(missing_ok=True)
+        else:
+            raise _fail("load-failed", f"{path.name} will not load: {error}")
+        if compiled:
+            return lib
+    STATS["c_cache_hits"] += 1
+    return lib
+
+
+def sweep_function(program: TAProgram, dims: Sequence[str]):
+    """``fn(tab_address, ctab_address)`` for *program* (see :func:`emit_sweep`)."""
+    fn = build(emit_sweep(program, dims)).sweep
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p)
+    fn.restype = None
+    return fn
+
+
+class _Masks(ctypes.Structure):
+    _fields_ = [(n, ctypes.c_void_p) for n in ("nnz", "Sp_SID", "SID")] + [
+        (n, ctypes.c_int64) for n in ("ny", "nz", "max_nnz", "sx", "sy")
+    ]
+
+
+class SparseKernels:
+    """The static sparse unit bound to one ``(masks, field)`` pair:
+    ``inject(t_buffer, box, src_dcmp_row_address)`` and
+    ``gather(t_buffer, box, stage_address)`` run Listing 5 over *box* (a
+    tuple of ``(lo, hi)`` per dimension, ``None`` = the whole grid) and
+    return the number of affected points visited."""
+
+    def __init__(self, masks, field):
+        buf = field.buffer(0)
+        ndim = buf.ndim
+        if ndim > 3 or field.dtype.name not in _CTYPE or buf.strides[-1] != buf.itemsize:
+            raise _fail("ineligible:sparse", f"field {field.name!r}: rank {ndim} {field.dtype}")
+        lib = build(SPARSE_SOURCE)
+        self._inject = getattr(lib, f"aligned_inject_{field.dtype.name}")
+        self._gather = getattr(lib, f"aligned_gather_{field.dtype.name}")
+        for fn in (self._inject, self._gather):
+            fn.argtypes = (ctypes.c_void_p,) * 4
+            fn.restype = ctypes.c_int64
+        # the tables are read through raw pointers: keep them alive here
+        self._tables = tuple(
+            np.ascontiguousarray(a, dtype=np.int32) for a in (masks.nnz, masks.sp_sid, masks.sid)
+        )
+        shape = (1,) * (3 - ndim) + tuple(masks.grid.shape)
+        strides = (0,) * (3 - ndim) + buf.strides
+        self._masks = _Masks(
+            *(a.ctypes.data for a in self._tables),
+            shape[1], shape[2], masks.max_nnz, strides[0], strides[1],
+        )
+        self._maddr = ctypes.addressof(self._masks)
+        # interior origin of each time buffer: Function storage is written in
+        # place, never reallocated, so the addresses hold across applies
+        self._field = field
+        origin = field.halo * sum(buf.strides)
+        self._origins = [
+            field.buffer(k).ctypes.data + origin for k in range(field.buffers)
+        ]
+        self._full = tuple((0, n) for n in masks.grid.shape)
+        #: box -> [address of its int64[6], affected points inside (``None``
+        #: until a kernel has counted them), the array itself]
+        self._boxes: Dict[Tuple, list] = {}
+
+    def _run(self, kernel, t: int, box, data_address: int) -> int:
+        entry = self._boxes.get(box)
+        if entry is None:
+            flat = [v for pair in ((0, 1),) * (3 - len(self._full)) + (box or self._full)
+                    for v in pair]
+            arr = (ctypes.c_int64 * 6)(*flat)
+            if len(self._boxes) >= 4096:
+                self._boxes.clear()
+            entry = self._boxes[box] = [ctypes.addressof(arr), None, arr]
+        if entry[1] == 0:  # most tiles hold no point: skip the pencil walk
+            return 0
+        entry[1] = kernel(
+            self._maddr, entry[0], self._origins[t % len(self._origins)], data_address
+        )
+        return entry[1]
+
+    def inject(self, t: int, box, row_address: int) -> int:
+        return self._run(self._inject, t, box, row_address)
+
+    def gather(self, t: int, box, stage_address: int) -> int:
+        return self._run(self._gather, t, box, stage_address)

@@ -1,129 +1,20 @@
-"""Loop-nest intermediate representation.
+"""The three-address kernel IR.
 
-A small tree IR used for code generation and for structural tests on the
-transformed loop nests (the paper presents its scheme as loop-nest
-transformations, Listings 1-6).  The NumPy executors do not interpret this
-tree (they use the schedule descriptions directly, for speed); the IR exists
-so the *generated code* can be inspected, compared against the paper's
-listings, and exported as C.
+:func:`repro.ir.pycodegen.compile_sweep` lowers every sweep into a linear
+program of ``np.ufunc(a, b, out)`` instructions.  Besides the executable
+source text (``kernel.__source__``), the compiler attaches the same program
+in structured form (``kernel.__program__``): the static analyses
+(:mod:`repro.verify.absint`) operate on typed operands instead of re-parsing
+generated text, and the C back end (:mod:`repro.ir.cgen`) emits its loop nest
+from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-__all__ = [
-    "Node",
-    "Block",
-    "Iteration",
-    "Statement",
-    "Comment",
-    "Pragma",
-    "FindResult",
-    "TAOperand",
-    "TAInstr",
-    "TAProgram",
-]
-
-
-class Node:
-    """Base IR node."""
-
-    def children(self) -> Tuple["Node", ...]:
-        return ()
-
-    def walk(self) -> Iterator["Node"]:
-        yield self
-        for c in self.children():
-            yield from c.walk()
-
-    def find(self, cls) -> List["Node"]:
-        return [n for n in self.walk() if isinstance(n, cls)]
-
-
-class Block(Node):
-    """A sequence of nodes."""
-
-    def __init__(self, *body: Node):
-        self.body: Tuple[Node, ...] = tuple(body)
-
-    def children(self) -> Tuple[Node, ...]:
-        return self.body
-
-
-class Iteration(Node):
-    """``for index = lo to hi step s`` over *body*.
-
-    ``lo``/``hi`` are strings (symbolic bounds like ``"nx"`` or
-    ``"t0 + tile_t"``); ``properties`` tags the loop's role
-    (``"time"``, ``"tile"``, ``"block"``, ``"space"``, ``"sparse"``,
-    ``"vectorized"``) so tests can assert the structure of a transformed
-    nest without string-matching generated code.
-    """
-
-    def __init__(
-        self,
-        index: str,
-        lo: str,
-        hi: str,
-        body: Sequence[Node],
-        step: str = "1",
-        properties: Tuple[str, ...] = (),
-    ):
-        self.index = index
-        self.lo = str(lo)
-        self.hi = str(hi)
-        self.step = str(step)
-        self.body: Tuple[Node, ...] = tuple(body)
-        self.properties = tuple(properties)
-
-    def children(self) -> Tuple[Node, ...]:
-        return self.body
-
-    def is_(self, prop: str) -> bool:
-        return prop in self.properties
-
-    def __repr__(self) -> str:
-        return f"Iteration({self.index}: {self.lo}..{self.hi} {self.properties})"
-
-
-class Statement(Node):
-    """A C statement, plus an optional role tag ("stencil", "injection",
-    "interpolation", "indirection")."""
-
-    def __init__(self, text: str, role: str = "stencil"):
-        self.text = str(text)
-        self.role = role
-
-    def __repr__(self) -> str:
-        return f"Statement[{self.role}]({self.text[:40]}...)"
-
-
-class Comment(Node):
-    def __init__(self, text: str):
-        self.text = str(text)
-
-
-class Pragma(Node):
-    """e.g. ``#pragma omp parallel for`` or ``#pragma omp simd``."""
-
-    def __init__(self, text: str):
-        self.text = str(text)
-
-
-class FindResult(Node):
-    pass
-
-
-# -- three-address kernel IR ------------------------------------------------------
-#
-# The fused engine (ir/pycodegen.compile_sweep) lowers every sweep into a
-# linear program of ``np.ufunc(a, b, out)`` instructions.  Besides the
-# executable source text (``kernel.__source__``), the compiler attaches the
-# same program in structured form (``kernel.__program__``) so static analyses
-# (repro.verify.absint) operate on typed operands instead of re-parsing
-# generated text.
+__all__ = ["TAOperand", "TAInstr", "TAProgram"]
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ This is the user-facing entry point, mirroring Devito's ``Operator``::
 ``apply`` binds numeric ``dt``/spacings into the equations, attaches the
 sparse operators (raw off-the-grid for untiled schedules; precomputed
 grid-aligned -- the paper's scheme -- for wavefront schedules), and runs the
-requested traversal.  ``ccode`` emits the C-like loop nests of Listings 1-6
-for inspection.
+requested traversal.  ``ccode`` returns the C translation unit the ``"c"``
+engine runs.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ SparseOp = Union[Injection, Interpolation]
 
 
 def _view_cache_totals(plan: ExecutionPlan) -> Tuple[int, int]:
-    """Summed (hits, misses) of the fused sweeps' memoised view bindings;
-    (0, 0) for engines without a view cache."""
+    """Summed (hits, misses) of the compiled sweeps' memoised ``(t, box)``
+    bindings (views under fused, pointer tables under C); (0, 0) for the
+    interpreter, which has none."""
     hits = sum(getattr(s, "view_hits", 0) for s in plan.sweeps)
     misses = sum(getattr(s, "view_misses", 0) for s in plan.sweeps)
     return hits, misses
@@ -81,19 +82,22 @@ class Operator:
         # unique, and unlike an id() it cannot be recycled while cached
         self._mask_cache: Dict[object, object] = {}
         self._decomp_cache: Dict[tuple, object] = {}
-        # fused bound sweeps depend only on dt: equations are immutable and
+        self._c_sparse_cache: Dict[SparseOp, object] = {}
+        # compiled bound sweeps depend only on dt: equations are immutable and
         # Function buffers are written in place, never reallocated, so the
-        # sweeps -- and with them the fused engine's per-(t, box) view
-        # caches -- are safely reusable across apply() calls.  The interpreter
-        # binds per apply: it carries no reusable state.
-        self._sweep_cache: Dict[float, List[BoundSweep]] = {}
+        # sweeps -- and with them the per-(t, box) view / pointer-table
+        # caches -- are safely reusable across apply() calls.  Keyed by the
+        # *requested* engine too, so an explicit engine="fused" after a cached
+        # C bind really binds fused.  The interpreter binds per apply: it
+        # carries no reusable state.
+        self._sweep_cache: Dict[Tuple[float, str], List[BoundSweep]] = {}
         # every cached verdict, keyed (kind, key): ("legality",
         # (schedule.key(), resolved sparse mode)) per schedule apply() has
         # proved, and the one ("bounds", None) halo certificate — equations
         # are immutable, so neither can go stale
         self._certificates: Dict[tuple, object] = {}
         # cumulative wall-time of the static analyses run on this operator's
-        # behalf (legality, halo and growth proofs, fused-bind lint)
+        # behalf (legality, halo and growth proofs, compiled-bind lint)
         self.analyzer_seconds = 0.0
         # one scratch pool per operator, shared by all fused sweeps across
         # apply() calls -- slabs are keyed by (dtype, slot) so reuse is
@@ -225,11 +229,33 @@ class Operator:
                 cache[key] = decompose_receiver(sparse_op, masks=masks)
         return cache[key]
 
-    def _aligned_injection(self, inj: Injection, dt: float) -> AlignedInjection:
-        return AlignedInjection(self._decomposed(inj, dt), inj.field)
+    def _c_sparse(self, sparse_op: SparseOp):
+        """The C sparse kernels bound to *sparse_op*'s masks and field, or
+        ``None`` (the bit-identical Python bodies) when they cannot be had —
+        after a C sweep bind that only happens if the cache or the compiler
+        went away in between."""
+        from .cgen import SparseKernels
 
-    def _aligned_receiver(self, itp: Interpolation) -> AlignedReceiver:
-        return AlignedReceiver(self._decomposed(itp, 0.0), itp.field, itp.sparse.data)
+        cache = self._c_sparse_cache
+        if sparse_op not in cache:
+            try:
+                cache[sparse_op] = SparseKernels(
+                    self._masks_for(sparse_op.sparse), sparse_op.field
+                )
+            except EngineCompilationError:
+                return None
+        return cache[sparse_op]
+
+    def _aligned_injection(self, inj: Injection, dt: float, c: bool = False) -> AlignedInjection:
+        return AlignedInjection(
+            self._decomposed(inj, dt), inj.field, self._c_sparse(inj) if c else None
+        )
+
+    def _aligned_receiver(self, itp: Interpolation, c: bool = False) -> AlignedReceiver:
+        return AlignedReceiver(
+            self._decomposed(itp, 0.0), itp.field, itp.sparse.data,
+            self._c_sparse(itp) if c else None,
+        )
 
     # -- binding ------------------------------------------------------------------
     def bound_equations(self, dt: float) -> List[List[Eq]]:
@@ -277,8 +303,13 @@ class Operator:
                     BoundSweep(eqs, self.grid, engine=eng, pool=self._pool)
                     for eqs in sweep_eqs
                 ]
-                if eng == "fused":
-                    # kernel-IR lint gate: error findings reject the fused
+                if eng == "c" and self.sparse_ops:
+                    # a rung binds its whole translation unit or degrades
+                    from .cgen import SPARSE_SOURCE, build
+
+                    build(SPARSE_SOURCE)
+                if eng != "interp":
+                    # kernel-IR lint gate: error findings reject a compiled
                     # bind; the KernelLintError rides the same ladder as any
                     # compilation failure (degrade unless strict)
                     from ..verify.linter import lint_bound_sweeps
@@ -287,9 +318,10 @@ class Operator:
                     if not report.ok:
                         raise KernelLintError(
                             f"{self.name}: kernel-IR linter rejected the "
-                            "fused bind: "
+                            f"{eng} bind: "
                             + "; ".join(d.render() for d in report.errors),
-                            engine="fused",
+                            engine=eng,
+                            reason="lint",
                             diagnostics=report.diagnostics,
                         )
                 if breaker is not None:
@@ -307,6 +339,7 @@ class Operator:
                         phase="precompute",
                         failed=eng,
                         degraded_to=rungs[i + 1],
+                        reason=getattr(exc, "reason", "build-failed"),
                     )
                 warnings.warn(
                     EngineFallbackWarning(
@@ -328,12 +361,12 @@ class Operator:
         breaker=None,
     ) -> ExecutionPlan:
         if engine is None:
-            engine = "fused"
+            engine = ENGINES[0]
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        # a cached fused bind is a known-good compile: reusing it costs (and
-        # risks) nothing, so it bypasses any open circuit breaker
-        bound_sweeps = self._sweep_cache.get(float(dt)) if engine == "fused" else None
+        # a cached compiled bind is a known-good compile: reusing it costs
+        # (and risks) nothing, so it bypasses any open circuit breaker
+        bound_sweeps = self._sweep_cache.get((float(dt), engine))
         if bound_sweeps is not None:
             for sw in bound_sweeps:
                 sw.invalidate_invariants()
@@ -341,12 +374,14 @@ class Operator:
             effective, bound_sweeps = self._build_sweeps(
                 dt, engine, strict_engine, telemetry=telemetry, breaker=breaker
             )
-            # only a successful *fused* bind is reusable across applies; a
+            # only the rung that was asked for is reusable across applies; a
             # degraded bind must retry the full ladder next time
-            if effective == "fused":
+            if effective == engine and engine != "interp":
                 if len(self._sweep_cache) >= 8:  # many distinct dt values: bound
                     self._sweep_cache.clear()
-                self._sweep_cache[float(dt)] = bound_sweeps
+                self._sweep_cache[float(dt), engine] = bound_sweeps
+        # the paper's sparse layer follows the sweeps onto the C rung
+        c_sparse = bound_sweeps[0].engine == "c"
 
         from ..verify.prover import resolve_sparse_mode
 
@@ -365,14 +400,14 @@ class Operator:
         for inj in self.injections():
             j = self._sweep_index_for(inj.field.name, inj.time_offset)
             if sparse_mode == "precomputed":
-                executor = self._aligned_injection(inj, dt)
+                executor = self._aligned_injection(inj, dt, c_sparse)
             else:
                 executor = RawInjection(inj, dt)
             plan.injections.setdefault(j, []).append(executor)
         for itp in self.interpolations():
             j = self._sweep_index_for(itp.field.name, itp.time_offset)
             if sparse_mode == "precomputed":
-                executor = self._aligned_receiver(itp)
+                executor = self._aligned_receiver(itp, c_sparse)
             else:
                 executor = RawInterpolation(itp)
             plan.receivers.setdefault(j, []).append(executor)
@@ -398,22 +433,25 @@ class Operator:
     ) -> ExecutionPlan:
         """Run iterations ``t in [time_m, time_M)`` under *schedule*.
 
-        ``engine`` selects how sweeps execute: ``"fused"`` (the default) runs
-        each sweep as one fused three-address kernel fed from a scratch pool,
-        ``"interp"`` the tree-walking interpreter (the oracle; also the
-        ablation baseline and a debugging aid).  They are bit-identical.
+        ``engine`` selects how sweeps execute: ``"c"`` (the default, the head
+        of :data:`~repro.execution.evalbox.ENGINES`) runs each sweep as one
+        compiled C loop nest, ``"fused"`` as the same three-address program
+        in NumPy ufunc passes fed from a scratch pool, ``"interp"`` through
+        the tree-walking interpreter (the oracle; also the ablation baseline
+        and a debugging aid).  They are bit-identical.
         Returns the execution plan (useful for inspection in tests).
 
         Static gates, in this order and all before timestep 0: the halo
         certificate (:meth:`bounds_certificate_for`; a stencil reaching past
         its halo is a :class:`~repro.errors.BoundsProofError` on every engine
         and schedule — it never degrades), the legality certificate of a
-        wavefront schedule (:meth:`certificate_for`), the fused rung's kernel
-        lint (degrades to ``interp`` unless ``strict_engine``), and
+        wavefront schedule (:meth:`certificate_for`), a compiled rung's kernel
+        lint (degrades down the ladder unless ``strict_engine``), and
         ``plan.validate()`` when ``preflight``.
 
         Resilience (all optional, all off by default): a failing engine
-        degrades down the fused -> interp ladder with an
+        degrades down the c -> fused -> interp ladder (no C compiler, a failed
+        build, an operation C cannot express bit-identically...) with an
         :class:`~repro.errors.EngineFallbackWarning` unless ``strict_engine``;
         ``preflight`` validates the precomputed sparse structures before
         timestep 0; ``health``/``checkpoint``/``faults`` attach a
@@ -506,6 +544,14 @@ class Operator:
             tel.counters.add(
                 "kernel_cache_misses", kc["sweep_misses"] - kc_base["sweep_misses"]
             )
+            # the C rung's shared objects: served from memory or disk (hit)
+            # or compiled (miss); compile seconds are part of the precompute
+            # phase just closed
+            tel.counters.add("c_cache_hits", kc["c_cache_hits"] - kc_base["c_cache_hits"])
+            tel.counters.add("c_cache_misses", kc["c_cache_misses"] - kc_base["c_cache_misses"])
+            tel.meta["c_compile_s"] = (
+                tel.meta.get("c_compile_s", 0.0) + kc["c_compile_s"] - kc_base["c_compile_s"]
+            )
         if preflight:
             plan.validate()
             if tel is not None:
@@ -551,7 +597,7 @@ class Operator:
 
     def _register_static_costs(self, tel, schedule: Schedule, plan: ExecutionPlan) -> None:
         """Static per-sweep flop/access counts of the expressions actually
-        bound (factorised, and hoisted under the fused engine), joined with
+        bound (factorised, and hoisted under a compiled engine), joined with
         measured counters by :func:`repro.telemetry.derived_metrics`
         (achieved GPts/s, GFLOP/s, arithmetic intensity)."""
         tel.meta["operator"] = self.name
@@ -565,12 +611,26 @@ class Operator:
         )
 
     # -- code generation ------------------------------------------------------------
-    def ccode(self, mode: str = "naive", schedule: Optional[Schedule] = None) -> str:
-        """Emit C-like loop nests: 'naive' (Listing 1), 'fused' (Listing 4),
-        'compressed' (Listing 5) or 'wavefront' (Listing 6)."""
-        from .codegen import generate_code
+    def ccode(self, dt: float = 1.0) -> str:
+        """The C translation unit the ``"c"`` engine runs at timestep *dt*:
+        one function per sweep (the paper's stencil nest, Listings 1/4) and,
+        for an operator with sparse operators, the static grid-aligned
+        injection / gather kernels (Listing 5).  The time and tile loops of
+        Listing 6 are :func:`repro.core.scheduler.lower`'s step list.  Raises
+        :class:`~repro.errors.EngineCompilationError` for a sweep the C rung
+        cannot express."""
+        from .cgen import SPARSE_SOURCE, emit_sweep
 
-        return generate_code(self, mode=mode, schedule=schedule)
+        units = [
+            f"/* {self.name}: sweep {j} of {len(self.sweeps)} */\n"
+            + emit_sweep(sw.kernel_program(), sw.dim_names, name=f"sweep{j}")
+            for j, sw in enumerate(
+                BoundSweep(eqs, self.grid, engine="fused") for eqs in self.bound_equations(dt)
+            )
+        ]
+        if self.sparse_ops:
+            units.append(f"/* {self.name}: grid-aligned sparse operators */\n" + SPARSE_SOURCE)
+        return "\n".join(units)
 
     def __repr__(self) -> str:
         return (

@@ -1,28 +1,12 @@
-"""Loop-nest construction and transformation passes (Listings 1-6) plus the
-expression-level passes of the kernel engine: coefficient-collecting
+"""The expression-level passes of the kernel engines: coefficient-collecting
 factorisation, time-invariant hoisting and common-subexpression elimination.
 
-Each loop pass builds the IR tree for one stage of the paper's pipeline:
-
-* :func:`build_naive`        — Listing 1: stencil nest + off-the-grid source
-  loop with non-affine indirection.
-* :func:`build_fused`        — Listing 4: grid-aligned injection fused at the
-  ``z``-loop level through the ``SM``/``SID`` masks.
-* :func:`build_compressed`   — Listing 5: iteration-space reduction with
-  ``nnz_mask``/``Sp_SID``.
-* :func:`build_wavefront`    — Listing 6: skewed space-time tiles + blocks
-  around the compressed fused nest.
-
-The trees are consumed by :mod:`repro.ir.codegen` (C emission) and by the
-structural unit tests.
-
 :func:`factorize_sweep` runs first, on the bound equations every engine
-shares; :func:`hoist_invariants` and :func:`cse_sweep` are the fused engine's
-lowering of its result.
+shares; :func:`hoist_invariants` and :func:`cse_sweep` are the compiled
+engines' (``c`` and ``fused``) lowering of its result.
 
-:func:`cse_sweep` operates one level below the loop nests, on *bound*
-right-hand sides (only :class:`~repro.dsl.symbols.Indexed` and numeric
-leaves): it names every composite subexpression that occurs more than once
+:func:`cse_sweep` operates on *bound* right-hand sides (only
+:class:`~repro.dsl.symbols.Indexed` and numeric leaves): it names every composite subexpression that occurs more than once
 across the equations of a sweep, so the generated three-address kernels of
 :mod:`repro.ir.pycodegen` evaluate it exactly once.  Because the expression
 substrate canonicalises on construction, structural equality is hash
@@ -32,23 +16,15 @@ equality and the pass is a single counting walk plus a rebuilding walk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.scheduler import WavefrontSchedule
 from ..dsl.equation import Eq
 from ..dsl.functions import TimeFunction
 from ..dsl.symbols import S_NEG_ONE, S_ONE, Add, Call, Expr, Indexed, Mul, Number, Pow, Symbol
-from .dependencies import Sweep
-from .nodes import Block, Comment, Iteration, Node, Pragma, Statement
 
 __all__ = [
-    "build_naive",
-    "build_fused",
-    "build_compressed",
-    "build_wavefront",
-    "c_expr",
     "CSEResult",
     "cse_sweep",
     "factorize",
@@ -564,239 +540,5 @@ def factorize_sweep(eqs: Sequence[Eq]) -> List[Eq]:
     """:func:`factorize` every right-hand side of a sweep's bound equations.
 
     Runs once per bind, after the dt/spacing substitution and ahead of every
-    engine, so ``fused``, ``kernel`` and ``interp`` execute one tree."""
+    engine, so ``c``, ``fused`` and ``interp`` execute one tree."""
     return [Eq(e.lhs, factorize(e.rhs)) for e in eqs]
-
-
-def c_expr(expr, time_index: str = "t", buffers: dict | None = None) -> str:
-    """Render a symbolic expression as C."""
-    from ..dsl.symbols import Add, Call, Mul, Number, Pow, Symbol
-
-    buffers = buffers or {}
-
-    def idx(access: Indexed) -> str:
-        func = access.function
-        offs = access.offset_map()
-        parts = []
-        t_off = offs.pop("t", None)
-        if t_off is not None:
-            nb = buffers.get(func.name, getattr(func, "buffers", 1))
-            t_expr = time_index if t_off == 0 else f"{time_index}{t_off:+d}"
-            parts.append(f"({t_expr})%{nb}" if nb > 1 else t_expr)
-        for name in sorted(offs):
-            o = offs[name]
-            parts.append(name if o == 0 else f"{name}{o:+d}")
-        return f"{func.name}[" + "][".join(parts) + "]"
-
-    def rec(e) -> str:
-        if isinstance(e, Number):
-            v = e.value
-            if isinstance(v, float):
-                return f"{v!r}F"
-            return str(v)
-        if isinstance(e, Symbol):
-            return e.name
-        if isinstance(e, Indexed):
-            return idx(e)
-        if isinstance(e, Add):
-            return "(" + " + ".join(rec(a) for a in e.args) + ")"
-        if isinstance(e, Mul):
-            return "*".join(rec(a) for a in e.args)
-        if isinstance(e, Pow):
-            exp = e.exponent
-            if isinstance(exp, Number) and exp.value == -1:
-                return f"(1.0F/{rec(e.base)})"
-            if isinstance(exp, Number) and isinstance(exp.value, int) and exp.value > 0:
-                return "(" + "*".join([rec(e.base)] * exp.value) + ")"
-            return f"powf({rec(e.base)}, {rec(exp)})"
-        if isinstance(e, Call):
-            return f"{e.name}f({rec(e.argument)})"
-        raise TypeError(f"cannot render {type(e).__name__}")
-
-    return rec(expr)
-
-
-def _stencil_statements(sweep: Sweep) -> List[Statement]:
-    out = []
-    for eq in sweep.eqs:
-        out.append(Statement(f"{c_expr(eq.lhs)} = {c_expr(eq.rhs)};", role="stencil"))
-    return out
-
-
-def _space_nest(dims: Sequence[str], inner: Sequence[Node], blocked: bool = False) -> Node:
-    """Build x(y(z(...))) with the innermost loop tagged vectorised."""
-    node: Sequence[Node] = list(inner)
-    for i, d in enumerate(reversed(dims)):
-        props: Tuple[str, ...] = ("space",)
-        if i == 0:
-            props = ("space", "vectorized")
-            node = [Pragma("#pragma omp simd"), Iteration(d, "0", f"n{d}", node, properties=props)]
-        else:
-            node = [Iteration(d, "0", f"n{d}", node, properties=props)]
-    return Block(*node) if len(node) > 1 else node[0]
-
-
-def _offgrid_injection_nest(inj, ndim: int) -> Node:
-    """Listing 1 lines 6-9: the non-affine sparse scatter."""
-    coords = ", ".join(f"{d}s" for d in "xyz"[:ndim])
-    body = [
-        Statement(f"{coords} = map(s, i);", role="indirection"),
-        Statement(
-            f"{inj.field.name}[(t+{inj.time_offset})%{inj.field.buffers}]"
-            f"[{coords.replace(', ', '][')}] += f({inj.sparse.name}[t][s]);",
-            role="injection",
-        ),
-    ]
-    loop_i = Iteration("i", "0", "np", body, properties=("sparse",))
-    return Iteration("s", "0", f"len({inj.sparse.name}_points)", [loop_i], properties=("sparse",))
-
-
-def _offgrid_interp_nest(itp, ndim: int) -> Node:
-    coords = ", ".join(f"{d}r" for d in "xyz"[:ndim])
-    body = [
-        Statement(f"{coords} = map(r, i);", role="indirection"),
-        Statement(
-            f"{itp.sparse.name}[t+{itp.time_offset}][r] += "
-            f"w(r, i) * {itp.field.name}[(t+{itp.time_offset})%{itp.field.buffers}]"
-            f"[{coords.replace(', ', '][')}];",
-            role="interpolation",
-        ),
-    ]
-    loop_i = Iteration("i", "0", "np", body, properties=("sparse",))
-    return Iteration("r", "0", f"len({itp.sparse.name}_points)", [loop_i], properties=("sparse",))
-
-
-def build_naive(op) -> Node:
-    """Listing 1: time loop { stencil nest; off-the-grid sparse loops }."""
-    dims = [d.name for d in op.grid.dimensions]
-    body: List[Node] = []
-    for sweep in op.sweeps:
-        body.append(Pragma("#pragma omp parallel for schedule(dynamic)"))
-        body.append(_space_nest(dims, _stencil_statements(sweep)))
-    for inj in op.injections():
-        body.append(Comment("off-the-grid source injection (non-affine)"))
-        body.append(_offgrid_injection_nest(inj, op.grid.ndim))
-    for itp in op.interpolations():
-        body.append(Comment("off-the-grid receiver interpolation (non-affine)"))
-        body.append(_offgrid_interp_nest(itp, op.grid.ndim))
-    return Iteration("t", "time_m", "time_M", body, properties=("time",))
-
-
-def _fused_injection(inj, compressed: bool, tagged_dims: Sequence[str]) -> List[Node]:
-    """The grid-aligned injection loop fused at the innermost-loop level.
-
-    ``tagged_dims`` are the operator's spatial dimensions; the innermost one
-    is replaced by the ``z2`` (or ``zind``) index of Listings 4/5.
-    """
-    f = inj.field.name
-    nb = inj.field.buffers
-    outer = list(tagged_dims)[:-1] or [tagged_dims[0]]
-    pencil = "][".join(outer)  # e.g. "x][y"
-    if compressed:
-        body = [
-            Statement(f"zind = Sp_SID[{pencil}][z2];", role="indirection"),
-            Statement(
-                f"{f}[(t+{inj.time_offset})%{nb}][{pencil}][zind] += "
-                f"src_dcmp[t][SID[{pencil}][zind]];",
-                role="injection",
-            ),
-        ]
-        return [
-            Iteration("z2", "0", f"nnz_mask[{pencil}]", body, properties=("sparse", "compressed")),
-        ]
-    body = [
-        Statement(
-            f"{f}[(t+{inj.time_offset})%{nb}][{pencil}][z2] += "
-            f"SM[{pencil}][z2] * src_dcmp[t][SID[{pencil}][z2]];",
-            role="injection",
-        ),
-    ]
-    return [Pragma("#pragma omp simd"), Iteration("z2", "0", "nz", body, properties=("sparse", "fused"))]
-
-
-def _fused_space_nest(op, compressed: bool, x: str = "x", y: str = "y") -> List[Node]:
-    """x { y { z stencil; z2 injection } } for every sweep (Listings 4/5)."""
-    dims = [d.name for d in op.grid.dimensions]
-    nests: List[Node] = []
-    for j, sweep in enumerate(op.sweeps):
-        inner: List[Node] = [
-            Pragma("#pragma omp simd"),
-            Iteration(dims[-1], "0", f"n{dims[-1]}", _stencil_statements(sweep),
-                      properties=("space", "vectorized")),
-        ]
-        for inj in op.injections():
-            if (inj.field.name, inj.time_offset) in sweep.written_keys:
-                inner.extend(_fused_injection(inj, compressed, dims))
-        node: List[Node] = inner
-        for d in reversed(dims[:-1]):
-            node = [Iteration(d, "0", f"n{d}", node, properties=("space",))]
-        nests.append(Pragma("#pragma omp parallel for schedule(dynamic)"))
-        nests.append(node[0])
-    return nests
-
-
-def build_fused(op) -> Node:
-    """Listing 4: grid-aligned injection fused at the z-loop level (SM/SID)."""
-    if not op.injections():
-        raise ValueError("nothing to fuse: the operator has no injections")
-    return Iteration("t", "time_m", "time_M", _fused_space_nest(op, compressed=False),
-                     properties=("time",))
-
-
-def build_compressed(op) -> Node:
-    """Listing 5: fused injection with the reduced (nnz_mask/Sp_SID) space."""
-    if not op.injections():
-        raise ValueError("nothing to compress: the operator has no injections")
-    return Iteration("t", "time_m", "time_M", _fused_space_nest(op, compressed=True),
-                     properties=("time",))
-
-
-def build_wavefront(op, schedule: Optional[WavefrontSchedule] = None) -> Node:
-    """Listing 6: wave-front temporal blocking around the fused/compressed nest.
-
-    Structure: time tiles { skewed space tiles { sweep instances at
-    decreasing offsets { space blocks { vectorised z + fused injection } } } }.
-    """
-    schedule = schedule or WavefrontSchedule()
-    dims = [d.name for d in op.grid.dimensions]
-    skewed = dims[: len(schedule.tile)]
-    angle = op.wavefront_angle
-
-    # innermost: blocked traversal of the instance window
-    inner: List[Node] = []
-    for j, sweep in enumerate(op.sweeps):
-        z_nest: List[Node] = [
-            Pragma("#pragma omp simd"),
-            Iteration(dims[-1], "0", f"n{dims[-1]}", _stencil_statements(sweep),
-                      properties=("space", "vectorized")),
-        ]
-        for inj in op.injections():
-            if (inj.field.name, inj.time_offset) in sweep.written_keys:
-                z_nest.extend(_fused_injection(inj, compressed=True, tagged_dims=skewed))
-        node: List[Node] = z_nest
-        for d in reversed(skewed):
-            node = [
-                Iteration(d, f"max(0, {d}b)", f"min(n{d}, {d}b + block_{d})",
-                          node, properties=("space", "block-inner"))
-            ]
-        for d in reversed(skewed):
-            node = [
-                Iteration(f"{d}b", f"{d}t - lag", f"{d}t - lag + tile_{d}",
-                          node, step=f"block_{d}", properties=("block",))
-            ]
-        inner.append(Comment(f"sweep {j}: lag advances by {sweep.read_radius()} per instance"))
-        inner.extend(node)
-
-    instance_loop = Iteration(
-        "t", "tt", "min(tt + tile_t, time_M)",
-        [Statement("lag = lag_table[t - tt];", role="indirection")] + inner,
-        properties=("time", "instance"),
-    )
-    tile_nest: List[Node] = [instance_loop]
-    for d in reversed(skewed):
-        tile_nest = [
-            Iteration(f"{d}t", "0", f"n{d} + max_lag", tile_nest,
-                      step=f"tile_{d}", properties=("tile", "skewed"))
-        ]
-    return Iteration("tt", "time_m", "time_M", tile_nest, step="tile_t",
-                     properties=("time", "tile"))

@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..dsl.symbols import Add, Call, Expr, Indexed, Mul, Number, Pow, Symbol
+from . import cgen
 from .nodes import TAInstr, TAOperand, TAProgram
 
 __all__ = [
@@ -46,17 +47,23 @@ _SWEEP_CACHE: Dict[object, Callable] = {}
 _CACHE_STATS = {"sweep_hits": 0, "sweep_misses": 0}
 
 
-def kernel_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of the process-wide kernel cache (for tests/benches)."""
-    stats = dict(_CACHE_STATS)
+def kernel_cache_stats() -> Dict[str, float]:
+    """Hit/miss counters of the process-wide kernel cache and of the C rung's
+    shared objects (``c_cache_hits``: served without compiling,
+    ``c_cache_misses``: compiler runs, ``c_compile_s``: their seconds)."""
+    stats = {**_CACHE_STATS, **cgen.STATS}
     stats["sweep_entries"] = len(_SWEEP_CACHE)
     return stats
 
 
 def clear_kernel_caches() -> None:
+    """Reset every in-process table: compiled sweeps, loaded C libraries,
+    counters.  The on-disk ``.so`` cache is cross-process state and stays
+    (:func:`repro.ir.cgen.clear_disk_cache` empties it)."""
     _SWEEP_CACHE.clear()
     for k in _CACHE_STATS:
         _CACHE_STATS[k] = 0
+    cgen.reset()
 
 
 # -- the fused three-address engine ----------------------------------------------
@@ -432,6 +439,9 @@ def compile_sweep(
         outs=tuple((f"o{i}", d.name) for i, d in enumerate(out_dtypes)),
         consts=tuple((n, a.dtype.name) for n, a in em.consts.items()),
     )
+    # the constants' values, in ``__program__.consts`` order: the C rung
+    # passes them in a table so its source depends on structure alone
+    kernel.__constvals__ = tuple(float(a) for a in em.consts.values())
     # (dtype, per-dtype index) per slot, in s0..sN order: the caller checks
     # the actual buffers out of its ScratchPool with this spec
     per_dtype_index: Dict[np.dtype, int] = {}

@@ -61,7 +61,7 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--engine", choices=ENGINES, default=None,
-        help="force a sweep engine (default: the fused -> interp ladder)",
+        help="force a sweep engine (default: the c -> fused -> interp ladder)",
     )
     parser.add_argument(
         "--nt", type=int, default=16, help="number of timesteps (default: 16)"

@@ -77,7 +77,8 @@ class Propagator:
     ):
         """Run the forward model for *nt* steps (or *tn* ms) under *schedule*.
 
-        ``engine`` selects the sweep execution engine ("fused"/"interp", see
+        ``engine`` selects the sweep execution engine ("c"/"fused"/"interp",
+        default the head of the ladder; see
         :meth:`repro.ir.operator.Operator.apply`).
         Returns ``(receiver_data, plan)``; wavefields stay on the propagator's
         :class:`TimeFunction` objects for inspection.

@@ -14,7 +14,7 @@ positions are drawn from the injector's seeded RNG, so a given
 ``(faults, seed)`` pair replays identically.
 
 :func:`break_engine` is the codegen counterpart: a context manager that makes
-the fused compiler raise, exercising the
+a compiled rung's compiler raise, exercising the
 engine-degradation ladder in :meth:`repro.ir.operator.Operator._bind`.
 """
 
@@ -206,26 +206,31 @@ class FaultInjector:
 
 @contextmanager
 def break_engine(engine: str = "fused", exc: Optional[Exception] = None):
-    """Force the named engine's compiler to raise inside the ``with`` block.
+    """Force the named compiled rung's compiler to raise inside the ``with``
+    block.
 
-    Patches :func:`repro.ir.pycodegen.compile_sweep`, the one compiler there
-    is (the interpreter compiles nothing, so it cannot be broken); it is
+    ``"fused"`` patches :func:`repro.ir.pycodegen.compile_sweep` — the front
+    half the C rung shares, so ``c`` falls with it — and ``"c"`` patches
+    :func:`repro.ir.cgen.build`, the C rung's find-or-compile-and-load step
+    (the interpreter compiles nothing, so it cannot be broken).  Both are
     looked up at call time by the execution layer, so the patch takes effect
     for every sweep bound while the context is active.
     """
-    from ..ir import pycodegen
+    from ..ir import cgen, pycodegen
 
-    if engine != "fused":
-        raise ValueError(f"break_engine supports 'fused', got {engine!r}")
-    original = pycodegen.compile_sweep
+    targets = {"fused": (pycodegen, "compile_sweep"), "c": (cgen, "build")}
+    if engine not in targets:
+        raise ValueError(f"break_engine supports {sorted(targets)}, got {engine!r}")
+    module, name = targets[engine]
+    original = getattr(module, name)
 
     def broken(*args, **kwargs):
         raise exc if exc is not None else RuntimeError(
             f"injected {engine} codegen failure"
         )
 
-    pycodegen.compile_sweep = broken
+    setattr(module, name, broken)
     try:
         yield
     finally:
-        pycodegen.compile_sweep = original
+        setattr(module, name, original)

@@ -15,12 +15,16 @@ Counter taxonomy (all optional — absent means the producer never ran):
   returned (grid-aligned points for the precomputed path, support corners
   for the raw off-the-grid injection, 0 for the raw receiver, which
   measures only at ``finalize``) and the ``finalize`` calls made.
-* ``view_cache_hits`` / ``view_cache_misses`` — the fused engine's memoised
-  ``(t, box)`` view bindings (:class:`~repro.execution.evalbox.BoundSweep`).
+* ``view_cache_hits`` / ``view_cache_misses`` — the compiled engines'
+  memoised ``(t, box)`` bindings (:class:`~repro.execution.evalbox.BoundSweep`:
+  array views under ``fused``, pointer tables under ``c``).
 * ``kernel_cache_hits`` / ``kernel_cache_misses`` — process-wide compiled
   sweep kernel lookups during operator binding
   (:func:`repro.ir.pycodegen.kernel_cache_stats`); a warm worker's second
   job of a family is all hits, which is the whole point of keeping it alive.
+* ``c_cache_hits`` / ``c_cache_misses`` — the C rung's shared objects per
+  bind: served from this process or the on-disk cache (hit), or compiled
+  (miss; the seconds are ``meta["c_compile_s"]``, inside ``precompute``).
 * ``step_cache_hits`` / ``step_cache_misses`` — step-list lookups per time
   tile (:mod:`repro.execution.executors`); a hit means the geometry was
   replayed from a list :func:`repro.core.scheduler.lower` built earlier in
@@ -28,7 +32,7 @@ Counter taxonomy (all optional — absent means the producer never ran):
   of recomputed.
 * ``checkpoint_saves``, ``guard_ticks``, ``guard_checks``, ``faults_fired``
   — runtime-monitor activity (:mod:`repro.runtime`).
-* ``engine_fallbacks`` — fused→interp ladder transitions during
+* ``engine_fallbacks`` — c→fused→interp ladder transitions during
   binding (:meth:`repro.ir.operator.Operator._build_sweeps`).
 * ``jobs_{kind}`` — one per pool lifecycle event kind
   (:class:`repro.jobs.pool.JobPool`): ``queued``/``started``/``retried``/

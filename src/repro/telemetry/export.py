@@ -79,6 +79,8 @@ def render_phase_table(tel: Telemetry, title: str = "") -> str:
     table = render_table(["phase", "ms", "share"], rows,
                          title=title or "phase breakdown")
     lines = [table]
+    if "engine" in tel.meta:
+        lines.append(f"engine rung         : {tel.meta['engine']}")
     gpts = achieved_gpoints_per_s(tel)
     if gpts is not None:
         lines.append(f"achieved throughput : {gpts:.4f} GPts/s (measured stencil time)")
@@ -92,7 +94,8 @@ def render_phase_table(tel: Telemetry, title: str = "") -> str:
         )
     caches = []
     for label, key in (
-        ("kernel", "kernel_cache"), ("step", "step_cache"), ("view", "view_cache")
+        ("kernel", "kernel_cache"), ("c", "c_cache"), ("step", "step_cache"),
+        ("view", "view_cache"),
     ):
         hits = int(tel.counters.get(f"{key}_hits", 0))
         misses = int(tel.counters.get(f"{key}_misses", 0))

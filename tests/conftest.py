@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from repro.dsl import Eq, Function, Grid, SparseTimeFunction, TimeFunction, solve
+from repro.execution.evalbox import ENGINES
 from repro.ir import Operator
 
 
@@ -14,6 +17,27 @@ from repro.ir import Operator
 # examples each time, and none are replayed from a local example database
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """One temporary ``.so`` cache for the whole session: tier-1 neither reads
+    nor pollutes ``~/.cache``, and each distinct kernel is compiled once.  Set
+    through the platform's own variable so spawned workers inherit it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
+HAVE_CC = bool(shutil.which("gcc") or shutil.which("cc"))
+#: for tests that need the compiled C rung itself (fallback tests do not)
+needs_cc = pytest.mark.skipif(
+    not HAVE_CC, reason="no C compiler on PATH: the C rung degrades to fused"
+)
+#: the ladder as parametrize values: the C case skips without a compiler
+ENGINE_PARAMS = [pytest.param(e, marks=needs_cc) if e == "c" else e for e in ENGINES]
+#: the rungs that can bind on this host, for loops inside a test
+AVAILABLE_ENGINES = tuple(e for e in ENGINES if e != "c" or HAVE_CC)
 
 
 @pytest.fixture

@@ -1,15 +1,21 @@
-"""Bit-identical equivalence of the three execution engines.
+"""Bit-identical equivalence of the execution engines (``ENGINES``).
 
-The fused three-address engine, the per-equation compiled kernels and the
+The compiled C loop nest, the fused three-address NumPy kernel and the
 tree-walking interpreter must produce *exactly* the same wavefields and
 receiver traces — same bits, same dtype — for every physics under every
-schedule, with off-the-grid sources and receivers attached.
+schedule, with off-the-grid sources and receivers attached.  It is the
+invariant everything else hangs from: every schedule is bit-identical to
+naive *within* a rung, and the rungs are bit-identical to each other.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import NaiveSchedule, SpatialBlockSchedule, WavefrontSchedule
+from repro.dsl import Eq, Grid, TimeFunction
+from repro.dsl.symbols import Add, Call, Mul, Number, Pow
+from repro.execution.evalbox import ENGINES, BoundSweep, full_box
 from repro.propagators import (
     AcousticPropagator,
     ElasticPropagator,
@@ -20,8 +26,15 @@ from repro.propagators import (
     receiver_line,
 )
 
+from ..conftest import AVAILABLE_ENGINES, make_acoustic_operator, needs_cc
+
 SHAPE = (16, 14, 12)
 NT = 10
+KINDS = ("acoustic", "tti", "elastic")
+ORDERS = (4, 8, 12)
+
+#: every compiled rung that can bind here, each compared against the interpreter
+COMPILED = AVAILABLE_ENGINES[:-1]
 
 
 def build(kind, so=4):
@@ -49,6 +62,18 @@ def state_of(prop):
     return [f.interior(NT).copy() for f in prop.fields]
 
 
+def buffers_of(prop):
+    return [f.data_with_halo.copy() for f in prop.fields]
+
+
+def assert_same_bits(got, ref, what=""):
+    assert got.dtype == ref.dtype, what
+    assert got.shape == ref.shape, what
+    np.testing.assert_array_equal(
+        got.view(f"u{got.itemsize}"), ref.view(f"u{ref.itemsize}"), err_msg=what
+    )
+
+
 SCHEDULES = {
     "naive": NaiveSchedule(),
     "spatial": SpatialBlockSchedule(block=(6, 5)),
@@ -56,7 +81,11 @@ SCHEDULES = {
 }
 
 
-@pytest.mark.parametrize("kind", ["acoustic", "tti", "elastic"])
+def test_ladder_is_spelled_once():
+    assert ENGINES == ("c", "fused", "interp")
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("sched_name", list(SCHEDULES))
 def test_engines_bit_identical(kind, sched_name):
     sched = SCHEDULES[sched_name]
@@ -66,14 +95,15 @@ def test_engines_bit_identical(kind, sched_name):
     ref = state_of(prop)
     assert max(np.abs(f).max() for f in ref) > 0, "must produce a wavefield"
 
-    rec_got, plan = prop.forward(nt=NT, dt=dt, schedule=sched, engine="fused")
-    assert all(s.engine == "fused" for s in plan.sweeps)
-    got = state_of(prop)
-    for f_got, f_ref in zip(got, ref):
-        assert f_got.dtype == f_ref.dtype
-        np.testing.assert_array_equal(f_got, f_ref, err_msg=f"{kind}/{sched_name}")
-    assert rec_got.dtype == rec_ref.dtype
-    np.testing.assert_array_equal(rec_got, rec_ref)
+    for engine in COMPILED:
+        rec_got, plan = prop.forward(nt=NT, dt=dt, schedule=sched, engine=engine)
+        assert all(s.engine == engine for s in plan.sweeps)
+        got = state_of(prop)
+        for f_got, f_ref in zip(got, ref):
+            assert f_got.dtype == f_ref.dtype
+            np.testing.assert_array_equal(f_got, f_ref, err_msg=f"{kind}/{sched_name}/{engine}")
+        assert rec_got.dtype == rec_ref.dtype
+        np.testing.assert_array_equal(rec_got, rec_ref, err_msg=engine)
 
 
 def test_engines_bit_identical_precomputed_sparse_naive():
@@ -84,12 +114,13 @@ def test_engines_bit_identical_precomputed_sparse_naive():
         nt=NT, dt=dt, schedule=NaiveSchedule(), sparse_mode="precomputed", engine="interp"
     )
     ref = state_of(prop)
-    rec_got, _ = prop.forward(
-        nt=NT, dt=dt, schedule=NaiveSchedule(), sparse_mode="precomputed", engine="fused"
-    )
-    for f_got, f_ref in zip(state_of(prop), ref):
-        np.testing.assert_array_equal(f_got, f_ref)
-    np.testing.assert_array_equal(rec_got, rec_ref)
+    for engine in COMPILED:
+        rec_got, _ = prop.forward(
+            nt=NT, dt=dt, schedule=NaiveSchedule(), sparse_mode="precomputed", engine=engine
+        )
+        for f_got, f_ref in zip(state_of(prop), ref):
+            np.testing.assert_array_equal(f_got, f_ref, err_msg=engine)
+        np.testing.assert_array_equal(rec_got, rec_ref, err_msg=engine)
 
 
 def test_elastic_sweep_shares_divergence_terms():
@@ -97,8 +128,218 @@ def test_elastic_sweep_shares_divergence_terms():
     elastic kernel evaluates fewer instructions than the sum of its
     per-equation renderings would."""
     prop, dt = build("elastic")
-    plan = prop.op.apply(time_M=1, dt=dt)
-    assert all(s.engine == "fused" for s in plan.sweeps)  # the default engine
+    plan = prop.op.apply(time_M=1, dt=dt, engine="fused")
+    assert all(s.engine == "fused" for s in plan.sweeps)
     stress = max(plan.sweeps, key=len)
     assert len(stress) > 1
     assert stress._kernel.__ntemps__ > 0
+
+
+# -- the nine shipped operators on the C rung -----------------------------------------
+
+
+@needs_cc
+@pytest.mark.parametrize("so", ORDERS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_c_schedules_bit_identical_to_naive(kind, so):
+    """Within the C rung every schedule equals naive in the same sparse mode
+    (same statement order per point => same IEEE results whatever the box):
+    wavefields, halos included, and off-the-grid receiver traces."""
+    prop, dt = build(kind, so)
+    for mode, names in (("precomputed", ("spatial", "wavefront")), ("offgrid", ("spatial",))):
+        rec_ref, plan = prop.forward(
+            nt=NT, dt=dt, schedule=SCHEDULES["naive"], sparse_mode=mode, engine="c"
+        )
+        assert all(s.engine == "c" for s in plan.sweeps)
+        ref = buffers_of(prop)
+        assert max(np.abs(f).max() for f in ref) > 0
+        for name in names:
+            rec_got, plan = prop.forward(
+                nt=NT, dt=dt, schedule=SCHEDULES[name], sparse_mode=mode, engine="c"
+            )
+            assert all(s.engine == "c" for s in plan.sweeps)
+            for f_got, f_ref in zip(buffers_of(prop), ref):
+                assert_same_bits(f_got, f_ref, f"{kind} so={so} {name}/{mode}")
+            assert_same_bits(rec_got, rec_ref, f"{kind} so={so} {name}/{mode} receivers")
+
+
+@needs_cc
+@pytest.mark.parametrize("so", ORDERS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_c_matches_fused_after_every_step(kind, so):
+    """0 ulp, per sweep output, after every step of a short run: two
+    propagators advanced in lock-step, every buffer of every field compared
+    (a tolerance here would hide a contracted multiply-add)."""
+    (a, dt), (b, _) = build(kind, so), build(kind, so)
+    for t in range(6):
+        for prop, engine in ((a, "c"), (b, "fused")):
+            plan = prop.op.apply(time_M=t + 1, time_m=t, dt=dt, engine=engine)
+            assert all(s.engine == engine for s in plan.sweeps)
+        for fa, fb in zip(a.fields, b.fields):
+            assert_same_bits(fa.data_with_halo, fb.data_with_halo, f"{kind} so={so} t={t} {fa.name}")
+        assert_same_bits(a.receivers.data, b.receivers.data, f"{kind} so={so} t={t} receivers")
+    assert max(np.abs(f.data_with_halo).max() for f in a.fields) > 0
+
+
+# -- degenerate shapes ----------------------------------------------------------------
+
+
+def _c_vs_fused(grid, schedule, mode="auto", nt=8, dt=0.5, **opargs):
+    out = {}
+    for engine in ("c", "fused"):
+        op, u, m, src, rec = make_acoustic_operator(grid, nt=nt, **opargs)
+        u.data_with_halo[...] = 0.0
+        plan = op.apply(time_M=nt, dt=dt, schedule=schedule, sparse_mode=mode, engine=engine)
+        assert plan.sweeps[0].engine == engine
+        out[engine] = (u.data_with_halo.copy(), rec.data.copy() if rec is not None else None)
+    assert_same_bits(out["c"][0], out["fused"][0])
+    if out["c"][1] is not None:
+        assert_same_bits(out["c"][1], out["fused"][1])
+    return out["c"][0]
+
+
+@needs_cc
+@pytest.mark.parametrize("sched_name", list(SCHEDULES))
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_c_low_rank_grids(ndim, sched_name, grid1d, grid2d):
+    grid = {1: grid1d, 2: grid2d}[ndim]
+    sched = SCHEDULES[sched_name]
+    if ndim == 1:
+        sched = {
+            "naive": sched,
+            "spatial": SpatialBlockSchedule(block=(5,)),
+            "wavefront": WavefrontSchedule(tile=(7,), block=(7,), height=3),
+        }[sched_name]
+    field = _c_vs_fused(grid, sched)
+    assert np.abs(field).max() > 0
+
+
+@needs_cc
+@pytest.mark.parametrize("sched_name", list(SCHEDULES))
+def test_c_float64(sched_name):
+    grid = Grid(shape=(10, 9, 8), extent=(90.0, 80.0, 70.0), dtype=np.float64)
+    field = _c_vs_fused(grid, SCHEDULES[sched_name])
+    assert field.dtype == np.float64 and np.abs(field).max() > 0
+
+
+@needs_cc
+def test_c_tile_larger_than_grid(grid3d):
+    _c_vs_fused(grid3d, WavefrontSchedule(tile=(64, 64), height=5))
+    _c_vs_fused(grid3d, SpatialBlockSchedule(block=(64, 64)))
+
+
+@needs_cc
+def test_c_zero_sources(grid3d):
+    """No sparse operators at all: the field stays what the stencil makes it."""
+    out = {}
+    for engine in ("c", "fused"):
+        op, u, *_ = make_acoustic_operator(grid3d, src_coords=False, rec_coords=False)
+        u.data_with_halo[...] = 0.0
+        u.interior(0)[...] = np.random.default_rng(3).normal(size=grid3d.shape).astype(np.float32)
+        start = u.data_with_halo.copy()
+        plan = op.apply(time_M=6, dt=0.5, schedule=SCHEDULES["wavefront"], engine=engine)
+        assert plan.sweeps[0].engine == engine and not plan.injections
+        out[engine] = u.data_with_halo.copy()
+        assert not np.array_equal(out[engine], start)
+    assert_same_bits(out["c"], out["fused"])
+
+
+@needs_cc
+def test_c_box_clipped_to_one_point(grid3d):
+    out = {}
+    for engine in ("c", "fused"):
+        op, u, *_ = make_acoustic_operator(grid3d)
+        rng = np.random.default_rng(11)
+        u.data_with_halo[...] = rng.normal(size=u.data_with_halo.shape).astype(np.float32)
+        (sweep,) = (BoundSweep(eqs, grid3d, engine=engine) for eqs in op.bound_equations(0.5))
+        for box in (((3, 4), (5, 6), (7, 8)), ((0, 1), (0, 11), (9, 10)), ((11, 12), (10, 11), (0, 10))):
+            sweep.evaluate(1, box)
+        sweep.evaluate(1, ((4, 4), (0, 11), (0, 10)))  # empty: a no-op on every rung
+        out[engine] = u.data_with_halo.copy()
+    assert_same_bits(out["c"], out["fused"])
+
+
+@needs_cc
+def test_c_intra_sweep_read_of_an_earlier_write(grid1d):
+    """Equation 2 reads what equation 1 just wrote, at radius 0 — the one
+    self-dependence a sweep may have, and what makes ``ivdep`` sound."""
+    u = TimeFunction("u", grid1d, time_order=1, space_order=2)
+    w = TimeFunction("w", grid1d, time_order=1, space_order=2)
+    x = grid1d.dimensions[0]
+    eqs = [
+        Eq(u.forward, u.indexify() * 2.0 + u.indexify().shift(x, 1)),
+        Eq(w.forward, u.forward * 3.0 + w.indexify().shift(x, -1)),
+    ]
+    out = {}
+    for engine in ("c", "fused", "interp"):
+        rng = np.random.default_rng(2)
+        for f in (u, w):
+            f.data_with_halo[...] = rng.normal(size=f.data_with_halo.shape).astype(np.float32)
+        BoundSweep(eqs, grid1d, engine=engine).evaluate(0, full_box(grid1d))
+        out[engine] = np.concatenate([u.data_with_halo.ravel(), w.data_with_halo.ravel()])
+    assert_same_bits(out["c"], out["fused"])
+    assert_same_bits(out["c"], out["interp"])
+
+
+# -- random eligible programs: the C function against the fused kernel ----------------
+
+_GRID = Grid(shape=(37,), extent=(36.0,))
+_FIELDS = [TimeFunction(n, _GRID, time_order=1, space_order=4) for n in "abc"]
+_LEAVES = [f.indexify() for f in _FIELDS] + [
+    _FIELDS[0].indexify().shift(_GRID.dimensions[0], k) for k in (-2, -1, 1, 2)
+]
+
+
+def _exprs(depth):
+    leaf = st.sampled_from(_LEAVES) | st.floats(
+        min_value=-4.0, max_value=4.0, allow_nan=False, width=32
+    ).map(Number)
+    if depth == 0:
+        return leaf
+    sub = _exprs(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(sub, sub).map(lambda p: Add(*p)),
+        st.tuples(sub, sub).map(lambda p: Mul(*p)),
+        st.tuples(sub, sub).map(lambda p: Add(p[0], Mul(Number(-1), p[1]))),
+        # constants fold on construction: keep 1/0 and sqrt(-1) out of it
+        st.tuples(sub, sub.filter(lambda e: not isinstance(e, Number))).map(
+            lambda p: Mul(p[0], Pow(p[1], Number(-1)))
+        ),
+        sub.filter(lambda e: not isinstance(e, Number)).map(lambda e: Call("sqrt", e)),
+    )
+
+
+#: finite float32 bit patterns that stress rounding: subnormals, signed zeros,
+#: the extremes, and ordinary values
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, 3.4028235e38, -3.4028235e38, 1.0]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-8.0, max_value=8.0, width=32),
+)
+
+
+@needs_cc
+@settings(max_examples=40, deadline=None)
+@given(expr=_exprs(4), data=st.lists(_VALUES, min_size=8, max_size=8), seed=st.integers(0, 2**31))
+def test_c_function_matches_fused_kernel_on_random_programs(expr, data, seed):
+    if not expr.atoms(type(_LEAVES[0])):
+        return  # a constant: nothing to compile
+    eq = Eq(_FIELDS[2].forward, expr)
+    sweeps = {}
+    try:
+        for engine in ("c", "fused"):
+            sweeps[engine] = BoundSweep([eq], _GRID, engine=engine)
+    except Exception as exc:  # an ineligible draw (e.g. a weakly promoted scalar)
+        assert getattr(exc, "engine", None) == "c", exc
+        return
+    out = {}
+    with np.errstate(all="ignore"):
+        for engine, sweep in sweeps.items():
+            rng = np.random.default_rng(seed)
+            for f in _FIELDS:
+                buf = f.data_with_halo
+                buf[...] = rng.choice(np.asarray(data, dtype=np.float32), size=buf.shape)
+            sweep.evaluate(0, full_box(_GRID))
+            out[engine] = _FIELDS[2].data_with_halo.copy()
+    assert_same_bits(out["c"], out["fused"], str(expr))

@@ -1,13 +1,20 @@
-"""Structural tests on the generated loop nests (Listings 1-6)."""
+"""Golden tests on the C translation unit the ``"c"`` engine runs
+(:meth:`Operator.ccode`): the stencil nest of Listings 1/4 per sweep and the
+static Listing-5 sparse kernels.  Pure emission — no compiler needed."""
 
+import re
+
+import numpy as np
 import pytest
 
-from repro.core import WavefrontSchedule
-from repro.ir.codegen import MODES, generate_code, render
-from repro.ir.nodes import Comment, Iteration, Pragma, Statement
-from repro.ir.passes import build_compressed, build_fused, build_naive, build_wavefront
+from repro.dsl import Eq, Grid, TimeFunction
+from repro.errors import EngineCompilationError
+from repro.ir import Operator, cgen
+from repro.ir.nodes import TAInstr, TAOperand, TAProgram
 
 from ..conftest import make_acoustic_operator
+
+DT = 0.5
 
 
 @pytest.fixture
@@ -16,105 +23,128 @@ def op(grid3d):
     return op
 
 
-# -- Listing 1: naive -------------------------------------------------------------
+def _sweep(code: str) -> str:
+    return code[code.index("void sweep0("):code.index("grid-aligned sparse")]
+
+
+def _function(code: str, name: str) -> str:
+    start = code.index(f" {name}(")
+    return code[start:code.index("\n}\n", start)]
+
+
+# -- the sweep function ------------------------------------------------------------
 def test_naive_structure(op):
-    tree = build_naive(op)
-    assert tree.is_("time") and tree.index == "t"
-    space = [n for n in tree.find(Iteration) if n.is_("space")]
-    assert [n.index for n in space] == ["x", "y", "z"]
-    sparse = [n for n in tree.find(Iteration) if n.is_("sparse")]
-    assert len(sparse) == 4  # src (s, i) + rec (r, i)
-
-
-def test_naive_sparse_is_nonaffine(op):
-    code = generate_code(op, "naive")
-    assert "map(s, i)" in code  # the indirection of Listing 1
-    assert "src[t][s]" in code
+    """One x / y / z nest per sweep, ``z`` innermost and vectorisable: directly
+    under ``ivdep``, unit stride, no scratch arrays."""
+    sweep = _sweep(op.ccode(DT))
+    loops = re.findall(r"for \(int64_t (\w+) = 0; \1 < n\1; \+\+\1\)", sweep)
+    assert loops == ["x", "y", "z"]
+    assert re.search(r"#pragma GCC ivdep\n\s*for \(int64_t z = 0;", sweep)
+    assert sweep.count("#pragma") == 1
+    # scratch slots are scalar locals of the loop body, never arrays
+    assert re.search(r"for \(int64_t z[^\n]*\n\s*float s0, s1;", sweep)
+    assert not re.search(r"\bs\d+\[", sweep)
+    # every array access is the contiguous innermost index
+    assert set(re.findall(r"\b[ov]\d+\[(\w+)\]", sweep)) == {"z"}
 
 
 def test_naive_statement_roles(op):
-    tree = build_naive(op)
-    roles = {s.role for s in tree.find(Statement)}
-    assert {"stencil", "injection", "interpolation", "indirection"} <= roles
+    """The unit holds one statement of each role: the stencil store, the
+    aligned injection, the receiver gather, and the ``Sp_SID`` indirection."""
+    code = op.ccode(DT)
+    assert re.search(r"\bo0\[z\] = ", _sweep(code))
+    assert "row[zind] += src_dcmp_t[m->SID[p * m->nz + zind]];" in code
+    assert "stage[m->SID[p * m->nz + zind]] = (double)row[zind];" in code
+    assert "zind = m->Sp_SID[p * m->max_nnz + z2];" in code
 
 
-# -- Listing 4: fused -------------------------------------------------------------
+def test_constants_come_from_the_table(op):
+    """No numeric literal of the model reaches the source: one ``.so`` serves
+    every dt, spacing and model of a physics x order x dtype x rank."""
+    sweep = _sweep(op.ccode(DT))
+    assert "const float _c0 = (float)ctab[0];" in sweep
+    assert not re.search(r"\d\.\d", sweep)
+    assert _sweep(op.ccode(DT)) == _sweep(op.ccode(0.25))
+
+
+def test_source_depends_on_structure_only(grid3d):
+    other = Grid(shape=(9, 8, 7), extent=(40.0, 35.0, 30.0))  # uniform spacing, like grid3d
+    a, *_ = make_acoustic_operator(grid3d, so=4)
+    b, *_ = make_acoustic_operator(other, so=4, seed=3)
+    assert _sweep(a.ccode(DT)) == _sweep(b.ccode(0.1))
+    c, *_ = make_acoustic_operator(grid3d, so=8)
+    assert _sweep(a.ccode(DT)) != _sweep(c.ccode(DT))
+
+
+# -- Listing 4/5: the grid-aligned sparse kernels ----------------------------------
 def test_fused_structure(op):
-    tree = build_fused(op)
-    z2 = [n for n in tree.find(Iteration) if n.index == "z2"]
-    assert len(z2) == 1
-    assert z2[0].is_("fused")
-    code = generate_code(op, "fused")
-    assert "SM[x][y][z2]" in code and "SID[x][y][z2]" in code
-    assert "src_dcmp[t]" in code
+    code = op.ccode(DT)
+    for dtype in ("float32", "float64"):
+        assert f"aligned_inject_{dtype}(" in code and f"aligned_gather_{dtype}(" in code
+    assert "src_dcmp_t[m->SID[" in code
     assert "map(" not in code  # indirection through coordinates is gone
 
 
 def test_fused_injection_at_z_level(op):
-    """The z2 loop must sit inside the y loop, beside the z loop (Listing 4)."""
-    tree = build_fused(op)
-    y_loops = [n for n in tree.find(Iteration) if n.index == "y"]
-    (y,) = y_loops
-    inner_indices = [n.index for n in y.body if isinstance(n, Iteration)]
-    assert inner_indices == ["z", "z2"]
+    """The ``z2`` loop sits inside the ``y`` loop of the pencil walk, where
+    Listing 4 puts it: beside the ``z`` loop, not after the grid sweep."""
+    inject = _function(op.ccode(DT), "aligned_inject_float32")
+    loops = re.findall(r"for \(int\d+_t (\w+) = ", inject)
+    assert loops == ["x", "y", "z2"]
 
 
-# -- Listing 5: compressed ---------------------------------------------------------
 def test_compressed_structure(op):
-    code = generate_code(op, "compressed")
-    assert "nnz_mask[x][y]" in code
-    assert "Sp_SID[x][y][z2]" in code
-    assert "zind" in code
-    tree = build_compressed(op)
-    z2 = [n for n in tree.find(Iteration) if n.index == "z2"]
-    assert z2[0].hi == "nnz_mask[x][y]"
-    assert z2[0].is_("compressed")
-
-
-# -- Listing 6: wavefront ------------------------------------------------------------
-def test_wavefront_structure(op):
-    sched = WavefrontSchedule(tile=(16, 16), block=(8, 8), height=4)
-    tree = build_wavefront(op, sched)
-    assert tree.is_("tile") and tree.step == "tile_t"
-    skewed = [n for n in tree.find(Iteration) if n.is_("skewed")]
-    assert [n.index for n in skewed] == ["xt", "yt"]
-    assert all("max_lag" in n.hi for n in skewed)
-    blocks = [n for n in tree.find(Iteration) if n.is_("block")]
-    assert {n.index for n in blocks} == {"xb", "yb"}
-    # the compressed injection survives inside the tile
-    code = generate_code(op, "wavefront", schedule=sched)
-    assert "nnz_mask" in code
-    assert "lag_table" in code
-
-
-def test_wavefront_lag_comment(op):
-    code = generate_code(op, "wavefront")
-    assert "lag advances by 2" in code  # so=4 -> radius 2
-
-
-# -- generic -----------------------------------------------------------------------------
-def test_all_modes_render(op):
-    for mode in MODES:
-        code = generate_code(op, mode)
-        assert code.count("{") == code.count("}")
-        assert code.startswith("/*")
-
-
-def test_unknown_mode(op):
-    with pytest.raises(ValueError):
-        generate_code(op, "bogus")
+    """Listing 5: the ``z2`` loop runs to ``nnz[x][y]`` and reads ``Sp_SID``."""
+    inject = _function(op.ccode(DT), "aligned_inject_float32")
+    assert "z2 < m->nnz[p]" in inject
+    assert "const int64_t p = x * m->ny + y;" in inject
+    assert "m->Sp_SID[p * m->max_nnz + z2]" in inject
+    assert "zind" in inject
 
 
 def test_fuse_requires_injections(grid3d):
+    """The sparse unit is emitted only for an operator with sparse operators."""
     op, *_ = make_acoustic_operator(grid3d, src_coords=False, rec_coords=False)
-    with pytest.raises(ValueError, match="no injections"):
-        generate_code(op, "fused")
+    code = op.ccode(DT)
+    assert "void sweep0(" in code
+    assert "aligned_inject" not in code and "masks_t" not in code
+
+
+# -- generic -------------------------------------------------------------------------
+def test_all_modes_render(grid3d, grid2d, grid1d):
+    """Every rank and dtype renders a balanced unit with its header."""
+    for grid in (grid3d, grid2d, grid1d):
+        op, *_ = make_acoustic_operator(grid, so=4)
+        code = op.ccode(DT)
+        assert code.count("{") == code.count("}")
+        assert code.startswith("/*")
+        dims = [d.name for d in grid.dimensions]
+        loops = re.findall(r"for \(int64_t (\w+) = 0; \1 < n", _sweep(code))
+        assert loops == dims
+    v = TimeFunction("v", grid2d, time_order=1, space_order=2, dtype=np.float64)
+    code = Operator([Eq(v.forward, 0.5 * v + v.dx)]).ccode(DT)
+    assert "double *const o0" in code and "float" not in code
 
 
 def test_render_rejects_unknown_node():
-    with pytest.raises(TypeError):
-        render(object())
+    """An instruction C cannot reproduce bit for bit is refused by name."""
+    v, o = TAOperand("view", "v0", "float32"), TAOperand("out", "o0", "float32")
+
+    def program(instr):
+        return TAProgram((instr,), (), (("v0", "float32"),), (("o0", "float32"),))
+
+    with pytest.raises(EngineCompilationError) as excinfo:
+        cgen.emit_sweep(program(TAInstr("sin", (v,), o)), ("x",))
+    assert excinfo.value.engine == "c" and excinfo.value.reason == "ineligible:sin"
+    raw = TAOperand("scalar", "2.0", None)
+    with pytest.raises(EngineCompilationError, match="multiply"):
+        cgen.emit_sweep(program(TAInstr("multiply", (raw, v), o)), ("x",))
+    wide = TAOperand("view", "v0", "float64")
+    with pytest.raises(EngineCompilationError, match="ineligible|same-dtype"):
+        cgen.emit_sweep(program(TAInstr("store", (wide,), o)), ("x",))
 
 
 def test_ccode_entrypoint(op):
-    assert "for (int t" in op.ccode("naive")
+    code = op.ccode(dt=DT)
+    assert "void sweep0(const int64_t *tab, const double *ctab)" in code
+    assert code == op.ccode(dt=DT)

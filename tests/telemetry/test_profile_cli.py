@@ -24,6 +24,16 @@ def test_naive_schedule_flag(capsys):
     assert "acoustic (naive, nt=4)" in out
 
 
+def test_bound_rung_is_printed(capsys):
+    """The rung decision is the system's, so the profile says which bound."""
+    assert main(["quickstart", "--nt", "4", "--engine", "fused"]) == 0
+    assert "engine rung         : fused" in capsys.readouterr().out
+    assert main(["quickstart", "--nt", "4", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["meta"]["engine"] in ("c", "fused")  # fused: no compiler on PATH
+    assert "c_cache_hits" in doc["counters"] and "c_compile_s" in doc["meta"]
+
+
 def test_json_output_parses(capsys):
     assert main(["quickstart", "--nt", "4", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -12,7 +12,7 @@ from repro.execution.evalbox import ENGINES
 from repro.execution.executors import run_schedule
 from repro.ir import Operator
 from repro.verify import BoundsCertificate, prove_bounds
-from ..conftest import make_acoustic_operator
+from ..conftest import ENGINE_PARAMS, make_acoustic_operator
 
 
 def _bad_operator(shape=(8, 8), so=2, reach=3, name="Bad"):
@@ -163,7 +163,7 @@ def test_halo_gate_rejects_on_every_engine_and_schedule(reach, engine, schedule,
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
 @pytest.mark.parametrize("schedule", list(SCHEDULES))
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINE_PARAMS)
 @pytest.mark.parametrize("reach", [1, 2], ids=["inside", "at-halo"])
 def test_halo_gate_admits_reach_up_to_the_halo(reach, engine, schedule, strict):
     op, u = _bad_operator(shape=(16, 16), so=2, reach=reach)

@@ -235,7 +235,7 @@ def test_slab_plan_shrinks_pool_bit_identically(grid24):
     ref_u, ref_rec = run_and_capture(
         op, u, rec, nt, dt, NaiveSchedule(), "precomputed", engine="interp"
     )
-    got_u, got_rec = run_and_capture(op, u, rec, nt, dt, wf, "precomputed")
+    got_u, got_rec = run_and_capture(op, u, rec, nt, dt, wf, "precomputed", engine="fused")
     np.testing.assert_array_equal(got_u, ref_u)
     np.testing.assert_array_equal(got_rec, ref_rec)
 
@@ -254,7 +254,7 @@ def test_pool_holds_one_slab_per_slot_after_tti_wavefront():
     from repro.propagators.examples import build_example
 
     prop, dt = build_example("tti")
-    prop.forward(nt=16, dt=dt, schedule=make_schedule("wavefront"))
+    prop.forward(nt=16, dt=dt, schedule=make_schedule("wavefront"), engine="fused")
     sweeps = next(iter(prop.op._sweep_cache.values()))
     per_sweep = [[d.name for d, _ in sw._kernel.__slotspec__] for sw in sweeps]
     assert [len(s) for s in per_sweep] == [2, 6] and set(sum(per_sweep, [])) == {"float32"}

@@ -1,4 +1,4 @@
-"""The lint gate on the fused bind rides the engine-degradation ladder."""
+"""The lint gate on a compiled bind rides the engine-degradation ladder."""
 
 import contextlib
 
@@ -10,7 +10,7 @@ from repro.core import NaiveSchedule
 from repro.errors import EngineFallbackWarning, KernelLintError
 from repro.verify import Diagnostic, LintReport
 
-from ..conftest import make_acoustic_operator, run_and_capture
+from ..conftest import AVAILABLE_ENGINES, make_acoustic_operator, run_and_capture
 
 NT = 8
 DT = 0.5
@@ -18,7 +18,7 @@ DT = 0.5
 
 @contextlib.contextmanager
 def reject_all_kernels(monkeypatch):
-    """Make the linter flag every fused bind with a synthetic error finding."""
+    """Make the linter flag every compiled bind with a synthetic error finding."""
 
     def failing(bound_sweeps, name="Kernel"):
         return LintReport(
@@ -61,29 +61,32 @@ def test_lint_rejected_bind_is_never_cached(grid2d, monkeypatch):
         with pytest.warns(EngineFallbackWarning):
             op.apply(time_M=NT, dt=DT)
         assert not op._sweep_cache
-    # the lint gate lifted: the next apply binds fused again and caches it
-    op.apply(time_M=NT, dt=DT)
-    assert float(DT) in op._sweep_cache
+    # the lint gate lifted: the next apply binds the rung it asks for and caches it
+    plan = op.apply(time_M=NT, dt=DT, engine="fused")
+    assert plan.sweeps[0].engine == "fused"
+    assert (float(DT), "fused") in op._sweep_cache
 
 
 def test_strict_engine_surfaces_lint_diagnostics(grid2d, monkeypatch):
-    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
-    with reject_all_kernels(monkeypatch):
-        with pytest.raises(KernelLintError) as excinfo:
-            op.apply(time_M=NT, dt=DT, strict_engine=True)
-    exc = excinfo.value
-    assert exc.engine == "fused"
-    assert exc.diagnostics and exc.diagnostics[0].code == "E301"
-    assert "E301" in str(exc)
+    """The gate sits on every compiled rung: the one asked for is rejected."""
+    for engine in AVAILABLE_ENGINES[:-1]:
+        op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
+        with reject_all_kernels(monkeypatch):
+            with pytest.raises(KernelLintError) as excinfo:
+                op.apply(time_M=NT, dt=DT, engine=engine, strict_engine=True)
+        exc = excinfo.value
+        assert exc.engine == engine
+        assert exc.diagnostics and exc.diagnostics[0].code == "E301"
+        assert "E301" in str(exc)
 
 
 def test_clean_operator_passes_the_gate(grid2d):
-    # the real linter runs on every fused bind: a clean operator binds fused,
-    # caches, and emits no fallback warning
+    # the real linter runs on every compiled bind: a clean operator binds the
+    # rung it asked for, caches it, and emits no fallback warning
     import warnings
 
     op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
     with warnings.catch_warnings():
         warnings.simplefilter("error", EngineFallbackWarning)
-        op.apply(time_M=NT, dt=DT)
-    assert float(DT) in op._sweep_cache
+        op.apply(time_M=NT, dt=DT, engine="fused")
+    assert (float(DT), "fused") in op._sweep_cache
