@@ -124,9 +124,6 @@ class Sweep:
         sweep adds to the wavefront."""
         return max((a.radius for a in self.time_reads()), default=0)
 
-    def write_radius(self) -> int:
-        return 0  # all writes are pointwise in explicit FD schemes
-
     def __repr__(self) -> str:
         names = ",".join(e.write_function.name for e in self.eqs)
         return f"Sweep([{names}], r={self.read_radius()})"

@@ -271,33 +271,16 @@ class Operator:
         return [factorize_sweep([e.subs(subs) for e in s.eqs]) for s in self.sweeps]
 
     def _build_sweeps(
-        self, dt: float, engine: str, strict: bool, telemetry=None, breaker=None
+        self, dt: float, engine: str, strict: bool, telemetry=None
     ) -> Tuple[str, List[BoundSweep]]:
         """Bind sweeps under *engine*, degrading down the ladder — ``ENGINES``
         from *engine* on: when a rung's codegen fails, execution falls to the
         next one with a structured warning instead of aborting — on
         :class:`EngineCompilationError` unless *strict*.  Returns the engine
-        that actually compiled plus its bound sweeps.
-
-        *breaker* is an optional circuit breaker (an object with
-        ``allow(engine)`` / ``record_success(engine)`` /
-        ``record_failure(engine, exc)``, e.g.
-        :class:`repro.jobs.CircuitBreaker`): a rung the breaker holds open is
-        skipped outright — the ladder degrades without paying the failure
-        cost again — and every attempted rung reports its outcome back so
-        the breaker can trip or recover.  The breaker must always allow the
-        terminal ``interp`` rung (:class:`repro.jobs.CircuitBreaker` only
-        ever tracks a compiled engine)."""
+        that actually compiled plus its bound sweeps."""
         sweep_eqs = self.bound_equations(dt)
         rungs = ENGINES[ENGINES.index(engine):]
         for i, eng in enumerate(rungs):
-            if breaker is not None and not breaker.allow(eng):
-                if telemetry is not None:
-                    telemetry.counters.add("engine_breaker_skips")
-                    telemetry.event(
-                        "engine.breaker_skip", phase="precompute", skipped=eng
-                    )
-                continue
             try:
                 bound = [
                     BoundSweep(eqs, self.grid, engine=eng, pool=self._pool)
@@ -324,12 +307,8 @@ class Operator:
                             reason="lint",
                             diagnostics=report.diagnostics,
                         )
-                if breaker is not None:
-                    breaker.record_success(eng)
                 return eng, bound
             except EngineCompilationError as exc:
-                if breaker is not None:
-                    breaker.record_failure(eng, exc)
                 if strict or i == len(rungs) - 1:
                     raise
                 if telemetry is not None:
@@ -358,21 +337,18 @@ class Operator:
         engine: Optional[str] = None,
         strict_engine: bool = False,
         telemetry=None,
-        breaker=None,
     ) -> ExecutionPlan:
         if engine is None:
             engine = ENGINES[0]
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        # a cached compiled bind is a known-good compile: reusing it costs
-        # (and risks) nothing, so it bypasses any open circuit breaker
         bound_sweeps = self._sweep_cache.get((float(dt), engine))
         if bound_sweeps is not None:
             for sw in bound_sweeps:
                 sw.invalidate_invariants()
         else:
             effective, bound_sweeps = self._build_sweeps(
-                dt, engine, strict_engine, telemetry=telemetry, breaker=breaker
+                dt, engine, strict_engine, telemetry=telemetry
             )
             # only the rung that was asked for is reusable across applies; a
             # degraded bind must retry the full ladder next time
@@ -429,7 +405,6 @@ class Operator:
         preflight: bool = True,
         strict_engine: bool = False,
         telemetry=None,
-        breaker=None,
     ) -> ExecutionPlan:
         """Run iterations ``t in [time_m, time_M)`` under *schedule*.
 
@@ -462,9 +437,7 @@ class Operator:
         :class:`~repro.runtime.abft.ABFTGuard` (silent-corruption detection
         at containment-unit boundaries with tile-granular micro-snapshot
         recovery; configured here against the bound plan unless it already
-        carries a growth certificate); ``breaker`` hooks a
-        :class:`~repro.jobs.CircuitBreaker` onto the engine ladder so
-        repeatedly failing rungs are skipped instead of re-attempted.
+        carries a growth certificate).
 
         A :class:`~repro.runtime.health.HealthGuard` passed without an
         explicit ``max_abs`` gets one derived from the operator's certified
@@ -525,7 +498,6 @@ class Operator:
             engine=engine,
             strict_engine=strict_engine,
             telemetry=tel,
-            breaker=breaker,
         )
         if tel is not None:
             # prove + bind (mask/decompose precomputation included) so far

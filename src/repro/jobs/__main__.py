@@ -87,7 +87,7 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--nt", type=int, default=64, help="timesteps per job (default: 64)")
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes; 0 = serial in-process "
+        help="worker processes; 0 = attempts run in this process "
         "(default: 4, or the journaled batch header with --resume)",
     )
     parser.add_argument("--seed", type=int, default=0, help="batch master seed")
@@ -125,7 +125,7 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--break-rate", type=float, default=0.0,
-        help="fraction of jobs whose fused compiler is broken on attempt 0",
+        help="fraction of jobs whose --engine compiler is broken on attempt 0",
     )
     parser.add_argument(
         "--kill-workers", type=int, default=0,
@@ -169,7 +169,8 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--breaker-threshold", type=int, default=0,
-        help="attach a fused-engine circuit breaker with this trip threshold (0 = off)",
+        help="attach a circuit breaker on the --engine rung with this trip "
+        "threshold (0 = off)",
     )
     parser.add_argument(
         "--workdir", default=None,
@@ -212,29 +213,20 @@ def main(argv: List[str] = None) -> int:
             status_interval=args.status_interval,
         )
     else:
-        chaos = None
-        if (
-            args.fault_rate
-            or args.sdc_rate
-            or args.break_rate
-            or args.kill_workers
-            or args.hang_workers
-            or args.poison_jobs
-            or args.kill_supervisor_after is not None
-        ):
-            chaos = ChaosConfig(
-                fault_rate=args.fault_rate,
-                sdc_rate=args.sdc_rate,
-                break_rate=args.break_rate,
-                kill_workers=args.kill_workers,
-                hang_workers=args.hang_workers,
-                hang_seconds=args.hang_seconds,
-                poison_jobs=args.poison_jobs,
-                kill_supervisor_after=args.kill_supervisor_after,
-            )
+        chaos = ChaosConfig(  # inert unless a rate or a budget is set
+            fault_rate=args.fault_rate,
+            sdc_rate=args.sdc_rate,
+            break_rate=args.break_rate,
+            kill_workers=args.kill_workers,
+            hang_workers=args.hang_workers,
+            hang_seconds=args.hang_seconds,
+            poison_jobs=args.poison_jobs,
+            kill_supervisor_after=args.kill_supervisor_after,
+        )
         breaker = (
-            CircuitBreaker(threshold=args.breaker_threshold)
-            if args.breaker_threshold > 0
+            CircuitBreaker(threshold=args.breaker_threshold, engine=args.engine)
+            # the interpreter compiles nothing: there is no rung to guard
+            if args.breaker_threshold > 0 and args.engine != JOB_ENGINES[-1]
             else None
         )
         pool = JobPool(

@@ -1,26 +1,23 @@
 """Circuit breaker around a failing execution engine.
 
-Without it, every job that requests the fused engine pays the full
+Without it, every job that requests a compiled rung pays the full
 compilation-failure cost (attempt compile, catch
 :class:`~repro.errors.EngineCompilationError` / ``KernelLintError``, warn,
-degrade) even when the last ten jobs already proved the fused compiler is
+degrade) even when the last ten jobs already proved that rung's compiler is
 broken.  The breaker remembers: after ``threshold`` consecutive failures it
-*opens* and subsequent work is routed straight down the existing
-fused→interp ladder; after ``cooldown`` seconds it goes *half-open*
-and lets exactly one probe through — success closes it again, failure
-re-opens it.
+*opens* and subsequent jobs are dispatched straight at the next rung of the
+ladder (:attr:`CircuitBreaker.fallback`); after ``cooldown`` seconds it goes
+*half-open* and lets exactly one probe through — success closes it again,
+failure re-opens it.
 
-Two attachment points, same object:
-
-* **in-process** — ``Operator.apply(..., breaker=br)`` /
-  ``Propagator.forward(..., breaker=br)``: the engine ladder consults
-  ``allow(rung)`` before attempting a rung and reports
-  ``record_success``/``record_failure`` per rung (see
-  :meth:`repro.ir.operator.Operator._build_sweeps`).
-* **cross-process** — the :class:`~repro.jobs.pool.JobPool` supervisor keeps
-  the breaker in the parent: ``allow("fused")`` decides the engine a job is
-  dispatched with, and the worker's reported fallbacks feed
-  ``record_failure``/``record_success`` when the result comes back.
+One attachment point: the :class:`~repro.jobs.pool.JobPool` supervisor owns
+the breaker.  At dispatch ``allow`` decides whether a job asking for the
+tracked rung runs on it or on :attr:`~CircuitBreaker.fallback` (journaled in
+the ``attempt`` record, flagged ``degraded``); the attempt's report feeds
+``record_failure`` / ``record_success`` from the fallbacks it saw, or
+``record_inconclusive`` when it ended without a result — whichever fleet ran
+it.  The engine ladder (:meth:`repro.ir.operator.Operator.apply`) knows
+nothing of it.
 
 The clock is injectable so tests drive the cooldown deterministically.
 """
@@ -29,6 +26,8 @@ from __future__ import annotations
 
 import time
 from typing import Callable, List, Optional
+
+from ..execution.evalbox import ENGINES
 
 __all__ = ["CircuitBreaker"]
 
@@ -49,9 +48,9 @@ class CircuitBreaker:
     cooldown:
         Seconds an open breaker waits before allowing a half-open probe.
     engine:
-        The rung being tracked (default ``"fused"``); every other engine is
-        always allowed, which guarantees the ladder's terminal ``interp``
-        rung can never be blocked.
+        The compiled rung being tracked (default ``"fused"``); every other
+        engine is always allowed, and the terminal interpreter rung cannot be
+        tracked — so :attr:`fallback` always exists and is never blocked.
     clock:
         Monotonic float-second clock, injectable for tests.
     """
@@ -67,6 +66,10 @@ class CircuitBreaker:
             raise ValueError("threshold must be >= 1")
         if cooldown < 0:
             raise ValueError("cooldown must be non-negative")
+        if engine not in ENGINES[:-1]:
+            raise ValueError(
+                f"engine must be a compiled rung, one of {ENGINES[:-1]}, got {engine!r}"
+            )
         self.threshold = int(threshold)
         self.cooldown = float(cooldown)
         self.engine = engine
@@ -81,6 +84,12 @@ class CircuitBreaker:
         self._m_transitions = None
 
     # -- state -------------------------------------------------------------------
+    @property
+    def fallback(self) -> str:
+        """The rung a job is rerouted to while the breaker is open: the one
+        after :attr:`engine` in :data:`~repro.execution.evalbox.ENGINES`."""
+        return ENGINES[ENGINES.index(self.engine) + 1]
+
     @property
     def state(self) -> str:
         """Current state, advancing ``open`` → ``half_open`` when the
@@ -116,7 +125,7 @@ class CircuitBreaker:
         )
         self._m_state.set(STATE_CODES[self._state], engine=self.engine)
 
-    # -- ladder hooks ------------------------------------------------------------
+    # -- supervisor hooks --------------------------------------------------------
     def allow(self, engine: str) -> bool:
         """May *engine* be attempted right now?
 
@@ -142,7 +151,7 @@ class CircuitBreaker:
         if self._state != CLOSED:
             self._transition(CLOSED)
 
-    def record_failure(self, engine: str, exc: Optional[BaseException] = None) -> None:
+    def record_failure(self, engine: str) -> None:
         if engine != self.engine:
             return
         self._failures += 1
@@ -154,8 +163,8 @@ class CircuitBreaker:
             self._opened_at = self._clock()
 
     def record_inconclusive(self, engine: str) -> None:
-        """The attempt died before the engine outcome was knowable (worker
-        crash/timeout): release a half-open probe slot without judging."""
+        """The attempt ended before the engine outcome was knowable (fault,
+        crash, hang, timeout): release a half-open probe slot without judging."""
         if engine != self.engine:
             return
         self._probe_inflight = False

@@ -25,9 +25,10 @@ Three kinds of injected trouble:
   the violated amplitude invariant at the next containment-unit boundary
   and re-executes just that tile from its entry micro-snapshot — the batch
   completes bit-identical to a fault-free run.
-* **engine breakage** (``break_rate``) — the worker runs under
-  :func:`~repro.runtime.faults.break_engine`, making the fused compiler
-  raise; exercises the engine ladder and feeds the pool's circuit breaker.
+* **engine breakage** (``break_rate``) — the attempt runs under
+  :func:`~repro.runtime.faults.break_engine`, making the compiler of the rung
+  the spec asks for raise; exercises the engine ladder and feeds the pool's
+  circuit breaker.
 * **worker kills** (``kill_workers``) — the pool supervisor SIGKILLs up to
   that many attempt-0 workers, each as soon as its job has persisted its
   first checkpoint (guaranteeing the kill lands mid-run *and* that the
@@ -83,7 +84,7 @@ class ChaosConfig:
     #: fraction of jobs that get one injected finite bit-flip (silent data
     #: corruption) on attempt 0; detected by the auto-attached ABFT guard
     sdc_rate: float = 0.0
-    #: fraction of jobs whose attempt 0 runs with a broken fused compiler
+    #: fraction of jobs whose attempt 0 runs with their rung's compiler broken
     break_rate: float = 0.0
     #: number of attempt-0 workers the supervisor SIGKILLs (after their
     #: first checkpoint lands on disk)
@@ -144,11 +145,12 @@ class ChaosEntry:
     fault: Optional[dict] = None
     #: seed of the injector's corruption stream
     fault_seed: int = 0
-    break_fused: bool = False
+    break_fused: bool = False  # of the rung the spec asks for, fused or c
     #: > 0 ⇒ the attempt-0 daemon wedges (heartbeats stop) for this long
     hang_seconds: float = 0.0
     #: True ⇒ the job hard-exits its daemon on every attempt (quarantine
-    #: fodder; daemon-only — the serial executor ignores it)
+    #: fodder; daemon-only — an in-process attempt cannot be killed, so the
+    #: inline fleet ignores it, as it does ``hang_seconds``)
     poison: bool = False
 
     @property

@@ -10,11 +10,11 @@ pool's own attributes (``state``, ``fleet``, ``workers``, ``breaker``,
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import nullcontext
 from typing import Optional
 
+from ..runtime.integrity import atomic_write
 from ..telemetry.metrics import MetricsRegistry, PhaseAccountant
 from .spec import LANES, AttemptRecord
 
@@ -81,7 +81,7 @@ class PoolObservability:
         self.status_interval = float(status_interval)
         self._last_status = 0.0
         self._jobs_phase_added = 0.0
-        self._attempt_phase_folded = 0.0  # serial: attempt phase seconds folded in
+        self._attempt_phase_folded = 0.0  # in-process attempts' phase seconds
         self.metrics: Optional[MetricsRegistry] = None
         self._acct: Optional[PhaseAccountant] = None
         #: family -> instrument (None with metrics off)
@@ -122,11 +122,11 @@ class PoolObservability:
             self._m["queue_depth"].set(n, lane=lane)
         for tenant, n in self.state.tenant_active.items():
             self._m["tenant_active_jobs"].set(n, tenant=tenant)
-        daemons = self.fleet.workers
-        self._m["workers_alive"].set(sum(1 for w in daemons if w.alive))
-        self._m["workers_busy"].set(len(self.fleet.busy))
+        busy = [w for w in self.fleet.workers if w.busy]
+        self._m["workers_alive"].set(sum(1 for w in self.fleet.workers if w.alive))
+        self._m["workers_busy"].set(len(busy))
         now_mono = time.monotonic()
-        for w in self.fleet.busy:
+        for w in busy:
             self._m["worker_heartbeat_age_seconds"].set(
                 max(0.0, now_mono - w.last_beat), worker=w.worker_id
             )
@@ -146,7 +146,7 @@ class PoolObservability:
             "workers": {
                 "configured": self.workers,
                 "alive": sum(1 for w in fleet.workers if w.alive),
-                "busy": len(fleet.busy),
+                "busy": sum(1 for w in fleet.workers if w.busy),
                 "spawned": fleet.spawned,
                 "hung": fleet.hung,
             },
@@ -180,10 +180,11 @@ class PoolObservability:
                 },
             )
             if final:
-                # prom is text, not JSON — same tmp+replace idiom by hand
-                tmp = self.workdir / (PROM_NAME + ".tmp")
-                tmp.write_text(self.metrics.exposition())
-                os.replace(tmp, self.workdir / PROM_NAME)
+                text = self.metrics.exposition()
+                atomic_write(
+                    self.workdir / PROM_NAME, lambda fh: fh.write(text.encode()),
+                    fsync=False,
+                )
         except OSError:
             pass
 
@@ -200,8 +201,6 @@ class PoolObservability:
         """Pop the attempt's serialized span payload out of *meta* (it must
         not bloat ``result.npz``), stamp it with the handshake clock
         offset, and hang it on the attempt record for the merger."""
-        if not isinstance(meta, dict):
-            return
         payload = meta.pop("telemetry", None)
         if payload is None:
             return
@@ -217,7 +216,7 @@ class PoolObservability:
             # batch-relative t + offset, error bounded by the pipe latency
             ctx["clock_offset_s"] = (dispatch - epoch) - recv
         else:
-            # serial mode: recorder and supervisor share one clock
+            # an in-process attempt: recorder and supervisor share one clock
             ctx["clock_offset_s"] = -epoch
         record.trace = payload
 
@@ -234,9 +233,9 @@ class PoolObservability:
                 )
         if self.telemetry is None:
             return
-        if self.workers == 0:
-            # serial mode: the attempt ran on this process's clock — fold its
-            # phase seconds into the pool buffer so batch coverage holds
+        if self.fleet.in_process:
+            # the attempt ran on this process's clock — fold its phase
+            # seconds into the pool buffer so batch coverage holds
             for ph_name, secs in (meta.get("phase_seconds") or {}).items():
                 self.telemetry.add_phase(ph_name, float(secs))
                 self._attempt_phase_folded += float(secs)
@@ -257,8 +256,8 @@ class PoolObservability:
         if self._acct is None or self.telemetry is None:
             return
         total = sum(s for b, s in self._acct.seconds.items() if b != "execute")
-        if self.workers == 0:
-            # serial attempts run on this clock; what their engine phases
+        if self.fleet.in_process:
+            # the attempts ran on this clock; what their engine phases
             # leave of the execute bucket (problem set-up, result
             # marshalling, failed attempts) is jobs time too — a fixed cost
             # per job that would otherwise eat into coverage as the kernels

@@ -7,12 +7,13 @@ through* :func:`~repro.jobs.transitions.apply` *→ perform the returned
 effects*; :meth:`JobPool.resume` folds a dead supervisor's journal through
 the same handlers and reconciles the result with disk.  What is left to the
 shell is what a pure function cannot own: the fsynced journal file, signals,
-durable ``result.npz`` writes, chaos kills and the drive loop here; daemons,
-pipes and shared-memory segments in :class:`~repro.jobs.warm.WarmFleet`;
-metrics, status and trace plumbing in :mod:`repro.jobs.observe`.  DESIGN.md
-§8 has the transition table and the fault-domain table; ``workers=0`` runs
-the same state machine serially in this process (no kills, post-hoc
-deadlines).
+durable ``result.npz`` writes, chaos kills and the one drive loop here;
+where attempts run behind the fleet surface of :mod:`repro.jobs.warm` —
+daemons, pipes and shared-memory segments in
+:class:`~repro.jobs.warm.WarmFleet`, or this very process in
+:class:`~repro.jobs.warm.InlineFleet` (``workers=0``: no kills, post-hoc
+deadlines); metrics, status and trace plumbing in :mod:`repro.jobs.observe`.
+DESIGN.md §8 has the transition table and the fault-domain table.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ import signal
 import time
 from collections import deque
 from dataclasses import asdict, replace
-from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..errors import SilentCorruptionError, StorageExhaustedError, StreamAdmissionError
-from ..runtime.integrity import write_digest
 from .breaker import CircuitBreaker
 from .chaos import ChaosConfig, ChaosPlan
 from .journal import JOURNAL_NAME, JOURNAL_VERSION, BatchJournal, load_journal
@@ -45,12 +44,12 @@ from .transitions import (
     promote,
     reopen,
 )
-from .warm import WarmFleet, WarmState
+from .warm import InlineFleet, WarmFleet
 from . import worker as worker_mod
 
 __all__ = ["JobPool", "run_batch", "DEFAULT_CAPACITY", "METRICS_NAME", "PROM_NAME"]
 
-#: supervision sweep cadence (seconds) when no daemon report wakes the loop
+#: supervision sweep cadence (seconds) when no fleet report wakes the loop
 POLL_INTERVAL = 0.02
 
 
@@ -88,7 +87,8 @@ class JobPool(PoolObservability):
     Parameters
     ----------
     workers:
-        Warm daemon slots; ``0`` executes serially in-process.
+        Warm daemon slots; ``0`` runs attempts in this process, one at a
+        time, behind the same drive loop.
     capacity:
         Bound on admitted-but-unfinished jobs; a direct :meth:`submit`
         raises :class:`~repro.errors.QueueSaturatedError` beyond it, and
@@ -96,8 +96,8 @@ class JobPool(PoolObservability):
     retry:
         Backoff policy (default :class:`~repro.jobs.retry.RetryPolicy`).
     breaker:
-        Optional :class:`~repro.jobs.breaker.CircuitBreaker` guarding the
-        fused engine across the batch.
+        Optional :class:`~repro.jobs.breaker.CircuitBreaker` guarding its
+        engine rung across the batch.
     chaos:
         Optional :class:`~repro.jobs.chaos.ChaosConfig`; resolved per job
         from *batch_seed* (scheduling-order independent).
@@ -166,7 +166,7 @@ class JobPool(PoolObservability):
         status_interval: float = 0.5,
     ):
         if workers < 0:
-            raise ValueError("workers must be >= 0 (0 = serial in-process)")
+            raise ValueError("workers must be >= 0 (0 = attempts run in-process)")
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if tenant_quota is not None and tenant_quota < 1:
@@ -209,13 +209,14 @@ class JobPool(PoolObservability):
         #: the StorageExhaustedError that degraded this batch (None = healthy)
         self.storage_degraded: Optional[StorageExhaustedError] = None
         self._init_observability(metrics, status_interval, tenant_quota)
-        #: daemons, pipes and shared segments (idle when ``workers == 0``)
-        self.fleet = WarmFleet(
-            self.workers,
-            heartbeat_interval,
-            None if heartbeat_timeout is None else float(heartbeat_timeout),
-            self._emit,
-            self._m,
+        heartbeat_timeout = None if heartbeat_timeout is None else float(heartbeat_timeout)
+        #: where attempts run: this process, or daemons + pipes + shared segments
+        self.fleet = (
+            InlineFleet(self._phase)
+            if self.workers == 0
+            else WarmFleet(
+                self.workers, heartbeat_interval, heartbeat_timeout, self._emit, self._m
+            )
         )
         self._journal: Optional[BatchJournal] = None
         if journal:
@@ -233,8 +234,8 @@ class JobPool(PoolObservability):
             capacity=int(capacity),
             tenant_quota=tenant_quota,
             retry=asdict(retry or RetryPolicy()),
-            heartbeat_interval=self.fleet.heartbeat_interval,
-            heartbeat_timeout=self.fleet.heartbeat_timeout,
+            heartbeat_interval=float(heartbeat_interval),
+            heartbeat_timeout=heartbeat_timeout,
             poison_threshold=int(poison_threshold),
             chaos_active=self.chaos_plan is not None,
         )
@@ -381,41 +382,6 @@ class JobPool(PoolObservability):
     def _job_dir(self, job: JobState) -> Path:
         return self.workdir / job.spec.job_id
 
-    def _start_attempt(self, job: JobState, now: float, reroute: bool):
-        """Decide the spec *job*'s next attempt runs with, then journal and
-        apply the ``attempt`` record — write-ahead: the attempt is durable
-        before it crosses the pipe, so a supervisor crash can never lose
-        track of an in-flight job.  Returns ``(spec, resume, step, chaos)``."""
-        spec = pressured_spec(job, now)
-        if spec is not job.spec:
-            self._emit("degraded", job.spec.job_id, schedule=spec.schedule)
-        if (
-            reroute
-            and self.breaker is not None
-            and spec.engine == self.breaker.engine == "fused"
-            and not self.breaker.allow("fused")
-        ):
-            # the oracle and terminal rung, which the breaker never blocks
-            spec = replace(spec, engine="interp")
-            self._emit("rerouted", job.spec.job_id, engine="interp")
-        resume = job.attempt_no > 0 or job.force_resume
-        step = worker_mod.newest_checkpoint_step(self._job_dir(job)) if resume else None
-        entry = self.chaos_plan.entry(job.index, spec.nt) if self.chaos_plan else None
-        self._record(
-            "attempt", now, job=job.spec.job_id, attempt=job.attempt_no,
-            engine=spec.engine, resume=resume, step=step,
-        )
-        return spec, resume, step, entry
-
-    def _announce(self, job: JobState, spec: JobSpec, step: Optional[int], **info):
-        """``resumed`` / ``started`` events of an attempt that is now running."""
-        if step is not None:
-            self._emit("resumed", job.spec.job_id, step=step, attempt=job.attempt_no)
-        self._emit(
-            "started", job.spec.job_id, attempt=job.attempt_no, engine=spec.engine,
-            **info,
-        )
-
     def _finish(self, job: JobState, status: str, now: float, **result) -> None:
         """Journal and apply *job*'s ``terminal`` record and file its result."""
         self._record(
@@ -450,13 +416,10 @@ class JobPool(PoolObservability):
         # are trace-file material, not result.npz material
         self._attach_trace(record, meta)
         self._observe_completion(record, meta)
-        self._breaker_feedback(job, meta)
         # make the result durable *before* journaling the outcome: the
         # outcome record carries the file digest, so a resume trusts
         # result.npz only when both the sidecar and the journal agree
-        job_dir = self._job_dir(job)
-        worker_mod.write_result(job_dir, rec, meta)
-        digest = write_digest(worker_mod._result_path(job_dir))
+        digest = worker_mod.write_result(self._job_dir(job), rec, meta)
         engine = meta.get("engine", "")
         self._record(
             "outcome", now, job=job.spec.job_id, attempt=record.attempt,
@@ -491,8 +454,6 @@ class JobPool(PoolObservability):
             attempt=job.attempts[-1].attempt if job.attempts else 0,
             outcome="timeout",
         )
-        if self.breaker is not None and job.dispatched_engine == self.breaker.engine:
-            self.breaker.record_inconclusive(job.dispatched_engine)
         self._finish(job, "timeout", now)
 
     def _fail_attempt(
@@ -513,47 +474,64 @@ class JobPool(PoolObservability):
                 "sdc", now, job=job.spec.job_id, attempt=attempt, recovered=False,
                 detector=detector, error=summary,
             )
-        if (
-            outcome == "crash"
-            and self.breaker is not None
-            and job.dispatched_engine == self.breaker.engine
-        ):
-            self.breaker.record_inconclusive(job.dispatched_engine)
         if job.terminal:
             job.error.__cause__ = error
             self._finish(job, job.status, now)
 
-    def _breaker_feedback(self, job: JobState, meta: dict) -> None:
-        """Feed daemon-reported engine outcomes into the parent's breaker.
-
-        Multiprocess mode only: in serial mode the breaker rides the engine
-        ladder in-process and has already recorded the outcome itself.
-        """
+    def _breaker_feedback(self, job: JobState, verdict: str, payload) -> None:
+        """Tell the breaker what an attempt's report says about its rung: it
+        fell, it held, or — the attempt ended without a result — nobody
+        knows, which only releases a half-open probe slot."""
         br = self.breaker
-        if br is None or self.workers == 0 or job.dispatched_engine != br.engine:
+        if br is None or job.dispatched_engine != br.engine:
             return
-        failed = any(f.get("failed") == br.engine for f in meta.get("fallbacks", ()))
-        if failed:
+        if verdict != "ok":
+            br.record_inconclusive(br.engine)
+        elif any(f.get("failed") == br.engine for f in payload[1].get("fallbacks", ())):
             br.record_failure(br.engine)
         else:
             br.record_success(br.engine)
 
     # -- supervision -------------------------------------------------------------------
     def _dispatch(self, job: JobState, now: float) -> bool:
-        """Hand *job* to an idle warm daemon; False when none is available."""
+        """Start *job*'s next attempt on an idle fleet slot; False when there
+        is none.  Decides the spec the attempt runs with, then journals and
+        applies the ``attempt`` record — write-ahead: the attempt is durable
+        before it reaches the fleet, so a supervisor crash can never lose
+        track of an in-flight job."""
         worker = self.fleet.idle()
         if worker is None:
             return False
-        spec, resume, step, entry = self._start_attempt(job, now, reroute=True)
-        ctx = {"batch": self.batch_id, "trace": True} if self.trace else None
-        if job.distrust_shm:
-            ctx = {**(ctx or {}), "distrust_shm": True}
-        worker = self.fleet.send(
-            worker, job, spec, str(self._job_dir(job)), job.attempt_no, resume,
-            entry, ctx,
+        job_id, br = job.spec.job_id, self.breaker
+        spec = pressured_spec(job, now)
+        if spec is not job.spec:
+            self._emit("degraded", job_id, schedule=spec.schedule)
+        if br is not None and spec.engine == br.engine and not br.allow(br.engine):
+            spec = replace(spec, engine=br.fallback)
+            self._emit("rerouted", job_id, engine=spec.engine)
+        attempt = job.attempt_no
+        resume = attempt > 0 or job.force_resume
+        step = worker_mod.newest_checkpoint_step(self._job_dir(job)) if resume else None
+        entry = self.chaos_plan.entry(job.index, spec.nt) if self.chaos_plan else None
+        self._record(
+            "attempt", now, job=job_id, attempt=attempt, engine=spec.engine,
+            resume=resume, step=step,
         )
-        # announced only once the send succeeded, naming the daemon that took it
-        self._announce(job, spec, step, worker=worker.worker_id)
+        trace = {"batch": self.batch_id} if self.trace else None
+
+        def started(worker) -> None:
+            # the fleet calls this once the attempt is really under way
+            if step is not None:
+                self._emit("resumed", job_id, step=step, attempt=attempt)
+            self._emit(
+                "started", job_id, attempt=attempt, engine=spec.engine,
+                worker=worker.worker_id,
+            )
+
+        self.fleet.send(
+            worker, job, started, spec, str(self._job_dir(job)), attempt, resume,
+            entry, trace, job.distrust_shm,
+        )
         return True
 
     def _chaos_kill(self) -> None:
@@ -579,14 +557,15 @@ class JobPool(PoolObservability):
         changed = False
         if not state.draining:
             changed = self._pump_streams()
-        if self.chaos_plan is not None:
+        if self.chaos_plan is not None and not self.fleet.in_process:
             self._chaos_kill()
         for job, verdict, payload in self.fleet.sweep(now):
+            self._breaker_feedback(job, verdict, payload)
             if verdict == "ok":
                 self._complete(job, *payload, now)
             elif verdict == "timeout":
                 self._timeout(job, now)
-            else:  # a daemon-reported error, or the crash / hang of the daemon
+            else:  # a reported error, or the crash / hang of the daemon
                 outcome = _classify_failure(payload) if verdict == "err" else verdict
                 self._fail_attempt(job, payload, outcome, now)
             changed = True
@@ -650,10 +629,7 @@ class JobPool(PoolObservability):
             else None
         )
         try:
-            if self.workers == 0:
-                self._run_serial()
-            else:
-                self._run_daemons()
+            self._drive()
             # whatever a drain left unfinished is ``interrupted`` — resumable:
             # the journal has the admission, the checkpoints have the progress
             now = time.perf_counter()
@@ -702,13 +678,10 @@ class JobPool(PoolObservability):
             metrics=self.metrics.snapshot() if self.metrics is not None else None,
         )
 
-    def _run_daemons(self) -> None:
-        """The multi-process drive loop: publish the shared model arrays,
-        prefork the fleet once, then sweep until nothing is left to do (or,
-        draining, until the in-flight attempts have finished)."""
-        state, fleet = self.state, self.fleet
+    def _publish(self) -> None:
+        """Hand the batch's shared model arrays to the fleet, once."""
         arrays = worker_mod.model_arrays()
-        names = fleet.publish(arrays)
+        names = self.fleet.publish(arrays)
         if names is not None:
             self._measure(
                 "count", "shm_bytes_published_total",
@@ -717,73 +690,24 @@ class JobPool(PoolObservability):
             # journaled so a resumed supervisor can unlink what a SIGKILLed
             # predecessor (whose ``finally`` never ran) leaked
             self._record("shm", names=names)
+
+    def _drive(self) -> None:
+        """The drive loop: poll until nothing is left to do (or, draining,
+        until the in-flight attempts have finished).  It sleeps only when a
+        poll changed nothing — until the fleet has a report, and no longer
+        than the earliest backoff expiry."""
+        state, fleet = self.state, self.fleet
+        self._publish()
         while fleet.busy or not state.draining:
             if not (fleet.busy or state.ready or state.delayed or self._streams):
                 break
             if not self._poll(time.perf_counter()):
-                conns = [w.conn for w in fleet.busy if w.alive]
+                timeout = POLL_INTERVAL
+                if state.delayed:
+                    expiry = state.delayed[0][0] - time.perf_counter()
+                    timeout = min(timeout, max(0.0, expiry))
                 with self._phase("idle"):
-                    if conns:  # wake on the first daemon report
-                        mp_connection.wait(conns, timeout=POLL_INTERVAL)
-                    else:
-                        time.sleep(POLL_INTERVAL)
-
-    # -- serial (workers=0) ------------------------------------------------------------
-    def _run_serial(self) -> None:
-        """Same state machine, one job at a time in this process: no kills,
-        deadlines enforced post-hoc (an in-process attempt cannot be
-        preempted), and the breaker rides the engine ladder directly.  The
-        in-process :class:`WarmState` gives the serial executor the same
-        cross-job cache warmth a daemon enjoys."""
-        state = self.state
-        warm = WarmState()
-        self._pump_streams()
-        while state.ready and not state.draining:
-            job = state.ready[0][2]
-            while not job.terminal and not state.draining:
-                now = time.perf_counter()
-                if job.over_deadline(now):
-                    self._timeout(job, now)
-                    break
-                # no breaker reroute here: the in-process engine ladder
-                # consults the breaker itself (Operator._build_sweeps)
-                spec, resume, step, entry = self._start_attempt(
-                    job, now, reroute=False
-                )
-                self._announce(job, spec, step)
-                try:
-                    with self._phase("execute"):
-                        rec, meta = worker_mod.execute_attempt(
-                            spec,
-                            self._job_dir(job),
-                            attempt=job.attempt_no,
-                            resume=resume,
-                            chaos=entry,
-                            breaker=self.breaker,
-                            warm=warm,
-                            trace=self.trace,
-                            ctx={"batch": self.batch_id} if self.trace else None,
-                        )
-                except Exception as exc:
-                    now = time.perf_counter()
-                    if job.over_deadline(now):
-                        self._timeout(job, now)
-                        break
-                    self._fail_attempt(job, exc, _classify_failure(exc), now)
-                    if not job.terminal:  # sit out the backoff the handler set
-                        with self._phase("idle"):
-                            time.sleep(
-                                max(0.0, state.delayed[0][0] - time.perf_counter())
-                            )
-                    continue
-                now = time.perf_counter()
-                if job.over_deadline(now):
-                    self._timeout(job, now)
-                else:
-                    self._complete(job, rec, meta, now)
-                self._maybe_status()
-            if not state.draining:
-                self._pump_streams()
+                    fleet.wait(timeout)
 
     # -- crash-safe resume -------------------------------------------------------------
     @classmethod

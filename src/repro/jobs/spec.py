@@ -178,7 +178,7 @@ class AttemptRecord:
     #: True when the dispatcher downgraded schedule/engine under deadline
     #: pressure or a tripped circuit breaker
     degraded: bool = False
-    #: warm-worker id the attempt ran on (None = serial in-process)
+    #: warm-worker id the attempt ran on (None = the in-process fleet)
     worker: Optional[int] = None
     #: True when the attempt ran on a worker whose caches were already warm
     #: (it had completed at least one prior job)
@@ -267,7 +267,7 @@ class BatchReport:
     workers: int = 0
     kills: int = 0
     #: worker processes spawned over the batch (initial prefork + crash
-    #: replacements); 0 in serial mode
+    #: replacements); 0 with ``workers=0``
     workers_spawned: int = 0
     #: True when the batch was gracefully drained (SIGTERM/SIGINT) before
     #: every job finished — the journal + checkpoints make it resumable
@@ -352,9 +352,9 @@ class BatchReport:
         by :data:`PHASE_KEYS` (zeros where workers never reported), plus
         the supervisor-side buckets as ``supervisor.<bucket>`` keys.
 
-        The supervisor's ``execute`` bucket (serial in-process attempt
+        The supervisor's ``execute`` bucket (the in-process fleet's attempt
         time) is excluded — it is the same wall-time the attempt phases
-        already account for.  In serial mode the sum reconciles the batch
+        already account for.  With ``workers=0`` the sum reconciles the batch
         wall to ≥95%; with parallel daemons it may legitimately exceed the
         wall (attempt seconds accrue concurrently)."""
         totals = {k: 0.0 for k in PHASE_KEYS}

@@ -1,11 +1,15 @@
-"""Warm-worker daemons: long-lived processes that keep kernel caches hot.
+"""Where attempts run: the fleet surface, over warm daemons or in-process.
 
-The process-per-attempt pool paid fork + IR re-derivation + kernel
-re-compilation + step-plan geometry for *every* attempt — exactly the work
-the paper says to amortise across time iterations, thrown away per job.  A
-:class:`WarmWorker` is the fix: one daemon process preforked per pool slot,
-dispatched jobs over a private duplex pipe, returning results over the same
-pipe.  Because the process survives from job to job:
+:class:`~repro.jobs.pool.JobPool`'s one drive loop talks to a *fleet* —
+``publish`` / ``idle`` / ``send`` / ``sweep`` / ``replenish`` / ``busy`` /
+``wait`` / ``shutdown`` and the ``in_process`` flag.  :class:`WarmFleet`
+implements it over long-lived daemons, :class:`InlineFleet` (``workers=0``)
+by running the same :func:`~repro.jobs.worker.execute_attempt` in the
+supervisor's own process and reporting through ``sweep`` as a daemon would.
+
+A :class:`WarmWorker` is one daemon process preforked per pool slot, sent jobs
+over a private duplex pipe and returning results over the same pipe.  Because
+the process survives from job to job — the amortisation the paper asks for —
 
 * the process-wide fused kernel cache
   (:func:`repro.ir.pycodegen.kernel_cache_stats`) stays warm — every job
@@ -15,13 +19,10 @@ pipe.  Because the process survives from job to job:
 * the model/geometry arrays arrive once, as
   :class:`~repro.jobs.shm.SharedArrayHandle` attachments, zero-copy.
 
-Fault domains are unchanged from the process-per-attempt design: the pipe
-is private per worker, so a SIGKILL mid-write corrupts nothing shared; a
-dead-silent worker is detected by the supervisor, its in-flight job retried
-(resuming bit-identically from its ``FileCheckpointStore``), and a fresh
-daemon preforked in its place.  Worker-side failures are still pickled to
-the job's ``error-NN.pkl`` forensics file *before* crossing the pipe, so a
-crash between write and send loses no evidence.
+Fault domains (DESIGN.md §8): the pipe is private per worker, so a SIGKILL
+mid-write corrupts nothing shared; a dead-silent worker is detected, its job
+retried bit-identically from its checkpoints, and a fresh daemon preforked;
+failures are pickled to the job's ``error-NN.pkl`` *before* crossing the pipe.
 
 **Liveness**: a busy daemon also *heartbeats* — a background thread sends
 ``("hb", worker_id)`` over the pipe every ``heartbeat_interval`` seconds
@@ -41,13 +42,15 @@ import multiprocessing
 import pickle
 import threading
 import time
+from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import WorkerCrashError
 from .spec import JobSpec
 
 __all__ = [
-    "WarmState", "WarmWorker", "WarmFleet", "warm_main", "SHUTDOWN", "HEARTBEAT",
+    "WarmState", "WarmWorker", "WarmFleet", "InlineFleet", "warm_main", "SHUTDOWN",
+    "HEARTBEAT",
 ]
 
 #: parent -> worker sentinel asking the daemon loop to exit cleanly
@@ -61,7 +64,7 @@ class WarmState:
     """Per-daemon caches that survive across jobs.
 
     ``shared`` maps registry keys to the read-only shared-memory arrays the
-    worker attached at startup (empty for the serial executor, which reads
+    worker attached at startup (empty for the in-process fleet, which reads
     nothing remote).  ``jobs_done`` drives the warm/cold attribution: an
     attempt is *warm* iff its daemon had already completed at least one job.
     """
@@ -137,8 +140,8 @@ def warm_main(
     a :data:`SHUTDOWN` sentinel (or pipe EOF) arrives.
 
     Messages in: ``("job", spec, job_dir, attempt, resume, chaos_entry,
-    dispatch_ts, ctx)`` — *ctx* is ``None`` or a trace context (batch id,
-    ``trace`` flag, worker id, and the parent's ``perf_counter`` reading at
+    dispatch_ts, trace, distrust_shm)`` — *trace* is ``None`` or a trace
+    context (batch id, worker id, and the parent's ``perf_counter`` reading at
     dispatch); the daemon stamps its own clock at receipt (``recv_perf``)
     and echoes both back inside the attempt's telemetry payload, which is
     how the supervisor computes the per-attempt clock offset
@@ -186,16 +189,12 @@ def warm_main(
                 break
             if msg[0] == SHUTDOWN:
                 break
-            _, spec, job_dir, attempt, resume, chaos, dispatch_ts, ctx = msg
+            _, spec, job_dir, attempt, resume, chaos, dispatch_ts, trace, distrust = msg
             recv_ts = time.monotonic()
             recv_perf = time.perf_counter()  # clock-offset handshake stamp
-            if chaos is not None and getattr(chaos, "poison", False):
+            if chaos is not None and chaos.poison:
                 os._exit(66)  # hard crash: no report, no cleanup — poison
-            if (
-                chaos is not None
-                and attempt == 0
-                and getattr(chaos, "hang_seconds", 0.0) > 0
-            ):
+            if chaos is not None and attempt == 0 and chaos.hang_seconds > 0:
                 # wedged, not dead: alive to the OS, silent on the pipe
                 time.sleep(chaos.hang_seconds)
             beat.begin()
@@ -203,7 +202,6 @@ def warm_main(
                 # the pool marks retries after an sdc outcome: stop trusting
                 # the (possibly corrupted) shared segments and recompute the
                 # model arrays locally — bit-identical by construction
-                distrust = bool(ctx and ctx.get("distrust_shm"))
                 if not distrust:
                     # block-checksum gate: a flipped bit in /dev/shm poisons
                     # one attempt (classified sdc by the pool), not the batch
@@ -216,13 +214,11 @@ def warm_main(
                             detector="checksum",
                             keys=sorted(bad),
                         )
-                trace_ctx = None
-                if ctx is not None and ctx.get("trace"):
-                    trace_ctx = {**ctx, "recv_perf": recv_perf}
-                    trace_ctx.pop("trace", None)
+                if trace is not None:
+                    trace["recv_perf"] = recv_perf
                 rec, meta = worker_mod.execute_attempt(
                     spec, job_dir, attempt=attempt, resume=resume, chaos=chaos,
-                    warm=warm, trace=trace_ctx is not None, ctx=trace_ctx,
+                    warm=warm, trace=trace is not None, ctx=trace,
                     distrust_shm=distrust,
                 )
                 meta.setdefault("phases", {})["spawn"] = max(
@@ -290,25 +286,21 @@ class WarmWorker:
     def alive(self) -> bool:
         return self.proc.is_alive()
 
-    @property
-    def exitcode(self) -> Optional[int]:
-        return self.proc.exitcode
-
     # -- dispatch / results ----------------------------------------------------------
-    def dispatch(self, spec: JobSpec, job_dir: str, attempt: int,
-                 resume: bool, chaos, ctx: Optional[dict] = None) -> None:
+    def dispatch(self, spec: JobSpec, job_dir: str, attempt: int, resume: bool,
+                 chaos, trace: Optional[dict] = None, distrust: bool = False) -> None:
         """Send one job at the daemon; raises ``BrokenPipeError``/``OSError``
         when the daemon is already dead (the pool treats that as a crash).
 
-        *ctx* (tracing on) is stamped with this worker's id and the parent's
+        *trace* (tracing on) is stamped with this worker's id and the parent's
         ``perf_counter`` reading immediately before the pipe write — the
         parent half of the clock-offset handshake."""
-        if ctx is not None:
-            ctx = {**ctx, "worker": self.worker_id,
-                   "dispatch_perf": time.perf_counter()}
+        if trace is not None:
+            trace = {**trace, "worker": self.worker_id,
+                     "dispatch_perf": time.perf_counter()}
         self.conn.send(
             ("job", spec, str(job_dir), attempt, resume, chaos,
-             time.monotonic(), ctx)
+             time.monotonic(), trace, distrust)
         )
         self.jobs_dispatched += 1
         self.last_beat = time.monotonic()
@@ -371,6 +363,9 @@ class WarmFleet:
     ``worker_*`` lifecycle events; *instruments* (family → instrument, or
     None) the spawn counter and the heartbeat-age gauge.
     """
+
+    #: attempts run in other processes: on their own clocks, and killable
+    in_process = False
 
     def __init__(
         self,
@@ -441,7 +436,7 @@ class WarmFleet:
         self._emit(
             "worker_crashed" if crashed else "worker_retired",
             worker=worker.worker_id,
-            exitcode=worker.exitcode,
+            exitcode=worker.proc.exitcode,
             jobs=worker.jobs_dispatched,
         )
 
@@ -460,12 +455,12 @@ class WarmFleet:
         while len(self.workers) < want:
             self._spawn()
 
-    def send(self, worker: WarmWorker, job, *message) -> WarmWorker:
+    def send(self, worker: WarmWorker, job, started, *message) -> WarmWorker:
         """Write one job message down *worker*'s pipe and mark it busy with
         *job*.  A daemon found dead at the write is retired and nothing else
         changes: the same message goes to the next one (retiring freed a
-        slot, so :meth:`idle` always has one).  Returns the daemon that took
-        it."""
+        slot, so :meth:`idle` always has one).  ``started(worker)`` is called
+        once the write succeeded, naming the daemon that took it."""
         while True:
             try:
                 worker.dispatch(*message)
@@ -474,7 +469,17 @@ class WarmFleet:
                 self.retire(worker, crashed=True)
                 worker = self.idle()
         worker.job = job
+        started(worker)
         return worker
+
+    def wait(self, timeout: float) -> None:
+        """Block until a busy daemon's pipe has something to read, at most
+        *timeout* seconds."""
+        conns = [w.conn for w in self.busy if w.alive]
+        if conns:
+            mp_connection.wait(conns, timeout=timeout)
+        else:
+            time.sleep(timeout)
 
     def sweep(self, now: float) -> Iterator[Tuple[object, str, object]]:
         """One pass over the daemons: yield ``(job, verdict, payload)`` for
@@ -521,7 +526,7 @@ class WarmFleet:
             else:
                 what = (
                     f"worker for job {job.spec.job_id} died without reporting "
-                    f"(exitcode {worker.exitcode})"
+                    f"(exitcode {worker.proc.exitcode})"
                     if verdict == "crash"
                     else f"worker {worker.worker_id} serving job "
                     f"{job.spec.job_id} went heartbeat-silent for {silent:.2f}s "
@@ -530,7 +535,7 @@ class WarmFleet:
                 yield job, verdict, WorkerCrashError(
                     what,
                     job_id=job.spec.job_id,
-                    exitcode=worker.exitcode,
+                    exitcode=worker.proc.exitcode,
                     attempt=job.attempts[-1].attempt,
                 )
             if verdict is not None:
@@ -545,3 +550,70 @@ class WarmFleet:
         if self._registry is not None:
             self._registry.close()
             self._registry = None
+
+
+class InlineFleet:
+    """The fleet surface without processes (``workers=0``): :meth:`send` runs
+    the attempt here — the same :func:`~repro.jobs.worker.execute_attempt` a
+    daemon calls, one :class:`WarmState` for the batch — and :meth:`sweep`
+    reports it, ``ok`` / ``err`` / ``timeout``, as a daemon's pipe would.  One
+    attempt at a time; the fleet is its own only slot.
+
+    An in-process attempt cannot be pre-empted (its deadline is judged
+    post-hoc, at the sweep), killed, or hang and be detected: chaos kills,
+    hangs and poison exits stay daemon-only, and no ``crash`` / ``hang``
+    verdict comes from here.  *phase* is the pool's phase accountant: the
+    attempt is charged to its ``execute`` bucket.
+    """
+
+    #: attempts run on the supervisor's clock and cannot be pre-empted
+    in_process = True
+    workers = ()  # no daemons to count, gauge or kill
+    spawned = hung = 0
+    worker_id = None
+
+    def __init__(self, phase: Callable[[str], object]):
+        self._phase = phase
+        self._warm = WarmState()
+        #: ``(job, verdict, payload)`` waiting for the next :meth:`sweep`
+        self._report: Optional[tuple] = None
+
+    @property
+    def busy(self) -> list:
+        return [] if self._report is None else [self]
+
+    def idle(self) -> Optional["InlineFleet"]:
+        return self if self._report is None else None
+
+    def send(self, worker, job, started, spec, job_dir, attempt, resume, chaos,
+             trace=None, distrust=False):
+        from . import worker as worker_mod
+
+        started(self)
+        try:
+            with self._phase("execute"):
+                self._report = job, "ok", worker_mod.execute_attempt(
+                    spec, job_dir, attempt=attempt, resume=resume, chaos=chaos,
+                    warm=self._warm, trace=trace is not None, ctx=trace,
+                )
+        except Exception as exc:  # noqa: BLE001 — reported, like a daemon's "err"
+            self._report = job, "err", exc
+        return self
+
+    def sweep(self, now: float) -> Iterator[Tuple[object, str, object]]:
+        report, self._report = self._report, None
+        if report is not None:
+            job = report[0]
+            yield (job, "timeout", None) if job.over_deadline(now) else report
+
+    def wait(self, timeout: float) -> None:
+        time.sleep(timeout)
+
+    def publish(self, arrays) -> None:
+        return None  # nothing remote reads them
+
+    def replenish(self, outstanding: int) -> None:
+        pass
+
+    def shutdown(self) -> None:
+        pass

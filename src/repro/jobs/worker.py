@@ -6,25 +6,24 @@ perturbing the source position, so a batch is a survey of distinct shots
 and every attempt (or fault-free re-run) of the same spec rebuilds the
 identical problem.
 
-:func:`execute_attempt` is the in-process core shared by pool workers and
-the serial (``workers=0``) executor: it wires the job's private
-:class:`~repro.runtime.checkpoint.FileCheckpointStore` under the job
-directory (resuming from the newest snapshot on retries), arms the chaos
-entry's fault injector / broken compiler on attempt 0, and runs
-``Propagator.forward`` under telemetry so the attempt can report which
-engine actually executed and what fell back.
+:func:`execute_attempt` is the one attempt path — a warm daemon calls it per
+job message, the in-process fleet (``workers=0``) on ``send``: it wires the
+job's private :class:`~repro.runtime.checkpoint.FileCheckpointStore` under the
+job directory (resuming from the newest snapshot on retries), arms the chaos
+entry's fault injector / broken compiler (of the rung the spec asks for) on
+attempt 0, and runs ``Propagator.forward`` under telemetry so the attempt can
+report which engine actually executed and what fell back.
 
 The job directory's file protocol lives here too: ``result.npz`` (written
 by the supervisor, trusted on resume only through :func:`durable_result`),
-pickled failure forensics, and the checkpoint snapshots — all via atomic
-temp-file + ``os.replace``, so a SIGKILL can never leave a partial file
-for anyone to misread.
+pickled failure forensics, and the checkpoint snapshots — all through
+:func:`repro.runtime.integrity.atomic_write`, so a SIGKILL can never leave a
+partial file for anyone to misread.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pickle
 from contextlib import nullcontext
 from pathlib import Path
@@ -34,12 +33,13 @@ import numpy as np
 
 from ..core.scheduler import make_schedule
 from ..errors import CheckpointCorruptError
+from ..execution.evalbox import ENGINES
 from ..propagators.examples import SHAPE, build_example, example_velocity
 from ..runtime.abft import ABFTGuard
 from ..runtime.checkpoint import CheckpointConfig, FileCheckpointStore
 from ..runtime.faults import Fault, FaultInjector, break_engine
 from ..runtime.health import HealthGuard
-from ..runtime.integrity import file_digest, verify_digest
+from ..runtime.integrity import atomic_write, file_digest, verify_digest, write_digest
 from .chaos import ChaosEntry
 from .spec import JobSpec
 
@@ -47,7 +47,6 @@ __all__ = [
     "build_problem",
     "execute_attempt",
     "run_job_inline",
-    "read_result",
     "durable_result",
     "newest_checkpoint_step",
     "write_error",
@@ -101,7 +100,6 @@ def execute_attempt(
     attempt: int = 0,
     resume: bool = False,
     chaos: Optional[ChaosEntry] = None,
-    breaker=None,
     warm=None,
     trace: bool = False,
     ctx: Optional[dict] = None,
@@ -161,8 +159,10 @@ def execute_attempt(
                 # blow-up): only the ABFT amplitude invariant catches it, and
                 # its micro-snapshots recover the tile in-run
                 abft = ABFTGuard()
-        if chaos.break_fused and spec.engine == "fused":
-            engine_ctx = break_engine("fused")
+        if chaos.break_fused and spec.engine != ENGINES[-1]:
+            # the compiler of the rung this attempt asks for (the
+            # interpreter compiles nothing and cannot be broken)
+            engine_ctx = break_engine(spec.engine)
     from ..telemetry import Telemetry
 
     telemetry = Telemetry()
@@ -177,7 +177,6 @@ def execute_attempt(
             health=health,
             abft=abft,
             telemetry=telemetry,
-            breaker=breaker,
         )
     t_after = _time.perf_counter()
     fallbacks = [
@@ -267,15 +266,6 @@ def run_job_inline(spec: JobSpec):
 
 # -- crash-safe result/error files ----------------------------------------------------
 
-def _atomic_write(path: Path, writer) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        writer(fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 def _result_path(job_dir) -> Path:
     return Path(job_dir) / "result.npz"
 
@@ -284,30 +274,18 @@ def _error_path(job_dir, attempt: int) -> Path:
     return Path(job_dir) / f"error-{attempt:02d}.pkl"
 
 
-def write_result(job_dir, rec: Optional[np.ndarray], meta: dict) -> None:
+def write_result(job_dir, rec: Optional[np.ndarray], meta: dict) -> str:
+    """Make the job's result durable — ``result.npz``, then its digest
+    sidecar — and return the digest the ``outcome`` record journals."""
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     if rec is not None:
         arrays["rec"] = rec
-
-    def writer(fh):
-        np.savez(fh, **arrays)
-
-    _atomic_write(_result_path(job_dir), writer)
-
-
-def read_result(job_dir) -> Optional[Tuple[Optional[np.ndarray], dict]]:
-    """The worker's reported result, or None if it never reported one."""
-    path = _result_path(job_dir)
-    if not path.exists():
-        return None
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        rec = data["rec"].copy() if "rec" in data.files else None
-    return rec, meta
+    atomic_write(_result_path(job_dir), lambda fh: np.savez(fh, **arrays))
+    return write_digest(_result_path(job_dir))
 
 
 def durable_result(job_dir, digest: Optional[str]):
-    """The journal-verified durable result of *job_dir*, or None.
+    """The journal-verified durable ``(receivers, meta)`` of *job_dir*, or None.
 
     Trusted only when ``result.npz`` exists, matches its ``.sha256``
     sidecar, *and* matches the digest the journal's completion outcome
@@ -319,21 +297,23 @@ def durable_result(job_dir, digest: Optional[str]):
     if digest is not None and file_digest(path) != digest:
         return None
     try:
-        return read_result(job_dir)
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            rec = data["rec"].copy() if "rec" in data.files else None
     except Exception:
         return None
+    return rec, meta
 
 
 def write_error(job_dir, attempt: int, exc: BaseException) -> None:
     """Pickle *exc* to the attempt's forensics file (atomic, SIGKILL-safe).
 
-    Warm daemons write this *before* reporting over their pipe, one-shot
-    workers before exiting nonzero — either way a visible file is a complete
-    file, and a worker that dies between write and report still leaves the
-    supervisor the evidence.
+    A warm daemon writes this *before* reporting over its pipe: a visible
+    file is a complete file, and a daemon that dies between write and report
+    still leaves the supervisor the evidence.
     """
     try:
         payload = pickle.dumps(exc)
     except Exception:
         payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-    _atomic_write(_error_path(job_dir, attempt), lambda fh: fh.write(payload))
+    atomic_write(_error_path(job_dir, attempt), lambda fh: fh.write(payload))

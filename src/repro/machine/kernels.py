@@ -39,10 +39,6 @@ class SliceAccess:
     time_offset: Optional[int] = None
     buffers: int = 1
 
-    @property
-    def is_time_slice(self) -> bool:
-        return self.time_offset is not None
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -97,14 +93,6 @@ class KernelSpec:
     @property
     def flops_per_point_step(self) -> float:
         return sum(s.flops for s in self.sweeps)
-
-    @property
-    def read_slices_per_step(self) -> int:
-        return sum(s.read_count for s in self.sweeps)
-
-    @property
-    def write_slices_per_step(self) -> int:
-        return sum(s.writes for s in self.sweeps)
 
     @property
     def accesses_per_step(self) -> int:

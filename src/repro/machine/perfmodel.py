@@ -64,15 +64,6 @@ class SourceLoad:
     corners: int = 8  # support size per source (2^d)
     occupied_pencils: int = 4  # innermost pencils with nnz > 0
 
-    @classmethod
-    def from_masks(cls, masks, nsources: int) -> "SourceLoad":
-        return cls(
-            nsources=nsources,
-            npts=masks.npts,
-            corners=2 ** masks.grid.ndim,
-            occupied_pencils=int(np.count_nonzero(masks.nnz)),
-        )
-
 
 @dataclass
 class PerfResult:

@@ -73,7 +73,6 @@ class Propagator:
         cfl: str = "warn",
         strict_engine: bool = False,
         telemetry=None,
-        breaker=None,
     ):
         """Run the forward model for *nt* steps (or *tn* ms) under *schedule*.
 
@@ -90,9 +89,7 @@ class Propagator:
         a :class:`~repro.errors.StabilityViolation`, ``"ignore"`` skips the
         check.  ``health``/``checkpoint``/``faults``/``abft`` attach the
         runtime resilience layer (see :mod:`repro.runtime`; ``abft`` is the
-        silent-corruption guard with tile-granular micro-snapshot recovery)
-        and ``breaker`` hooks a
-        :class:`~repro.jobs.CircuitBreaker` onto the engine ladder; with
+        silent-corruption guard with tile-granular micro-snapshot recovery); with
         ``checkpoint.resume`` set and a snapshot available the wavefields are
         *not* reset — the run continues from the restored state.
         ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry` buffer
@@ -134,14 +131,9 @@ class Propagator:
             abft=abft,
             strict_engine=strict_engine,
             telemetry=telemetry,
-            breaker=breaker,
         )
         rec = self.receivers.data.copy() if self.receivers is not None else None
         return rec, plan
-
-    # -- accounting used by the performance model -------------------------------------
-    def time_stepped_state(self) -> List[TimeFunction]:
-        return list(self.fields)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(so={self.space_order}, model={self.model!r})"

@@ -22,7 +22,6 @@ and :class:`FileCheckpointStore` (``.npz`` files, survives the process).
 from __future__ import annotations
 
 import errno
-import os
 import zipfile
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -32,7 +31,13 @@ import numpy as np
 
 from ..dsl.functions import TimeFunction
 from ..errors import CheckpointCorruptError, StorageExhaustedError
-from .integrity import digest_path, file_digest, read_digest, write_digest
+from .integrity import (
+    atomic_write,
+    digest_path,
+    file_digest,
+    read_digest,
+    write_digest,
+)
 
 __all__ = [
     "Snapshot",
@@ -108,8 +113,8 @@ class FileCheckpointStore(CheckpointStore):
     Array keys are flattened as ``field.<name>``, ``rec<i>.output`` and
     ``rec<i>.staging.<row>``; ``step`` rides along as a 0-d array.
 
-    Writes are crash-safe: the archive is written to a ``.tmp`` sibling,
-    fsynced and :func:`os.replace`-d into place, so a snapshot file either
+    Writes are crash-safe (:func:`~repro.runtime.integrity.atomic_write`:
+    ``.tmp`` sibling, fsync, rename), so a snapshot file either
     exists complete or not at all — a worker SIGKILLed mid-save can never
     leave a truncated ``ckpt_*.npz`` behind (external observers, like the
     batch-pool supervisor polling for the first checkpoint, see only
@@ -147,13 +152,8 @@ class FileCheckpointStore(CheckpointStore):
             for row, stage in rec["staging"].items():
                 arrays[f"rec{i}.staging.{row}"] = stage
         path = self.directory / f"ckpt_{snapshot.step:010d}.npz"
-        tmp = path.with_name(path.name + ".tmp")
         try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **arrays)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            atomic_write(path, lambda fh: np.savez(fh, **arrays))
             write_digest(path)
         except OSError as exc:
             if exc.errno != errno.ENOSPC:
@@ -161,7 +161,6 @@ class FileCheckpointStore(CheckpointStore):
             # the disk is full, not the snapshot corrupt: surface a
             # structured error the monitor can react to (suspend the
             # cadence) instead of crashing the run mid-timestep
-            tmp.unlink(missing_ok=True)
             raise StorageExhaustedError(
                 f"no space left on device while saving checkpoint {path.name}",
                 path=str(path),

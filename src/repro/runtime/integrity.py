@@ -36,6 +36,7 @@ import numpy as np
 
 __all__ = [
     "array_checksum",
+    "atomic_write",
     "DIGEST_SUFFIX",
     "file_digest",
     "digest_path",
@@ -53,6 +54,26 @@ def array_checksum(arr: np.ndarray) -> int:
     """CRC-32 block checksum of an array's raw bytes (shm integrity)."""
     data = np.ascontiguousarray(arr)
     return zlib.crc32(data.view(np.uint8).reshape(-1)) & 0xFFFFFFFF
+
+
+def atomic_write(path, write, fsync: bool = True) -> None:
+    """Publish *path* whole or not at all: ``write(fh)`` fills a binary
+    ``.tmp`` sibling, which is flushed, fsynced and :func:`os.replace`-d over
+    *path*; a failed write leaves no sibling behind.  ``fsync=False`` is for
+    files that must never be *seen* torn but are not recovery state (the live
+    status snapshots, rewritten twice a second)."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+            fh.flush()
+            if fsync:
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def file_digest(path) -> str:
@@ -76,18 +97,12 @@ def digest_path(path) -> Path:
 def write_digest(path) -> str:
     """Compute and persist the sidecar digest of *path* (atomic, fsynced).
 
-    Returns the hex digest.  Written via temp sibling + :func:`os.replace`
-    so a crash mid-write can never leave a torn sidecar — only a missing
-    one, which verification treats as "not durable", never as "valid".
+    Returns the hex digest.  A crash mid-write can never leave a torn
+    sidecar (:func:`atomic_write`) — only a missing one, which verification
+    treats as "not durable", never as "valid".
     """
     digest = file_digest(path)
-    sidecar = digest_path(path)
-    tmp = sidecar.with_name(sidecar.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(digest + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, sidecar)
+    atomic_write(digest_path(path), lambda fh: fh.write(f"{digest}\n".encode()))
     return digest
 
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import threading
 import time
@@ -58,7 +57,6 @@ __all__ = [
     "MetricsServer",
     "PhaseAccountant",
     "validate_exposition",
-    "write_json_atomic",
 ]
 
 #: version stamp of the JSON snapshot schema (bump on breaking change)
@@ -365,11 +363,15 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
     def write_json(self, path, extra: Optional[dict] = None) -> None:
-        """Atomically write the snapshot (plus *extra* top-level keys)."""
+        """Atomically write the snapshot (plus *extra* top-level keys) — a
+        reader never sees a torn one; not fsynced, it is not recovery state."""
+        from ..runtime.integrity import atomic_write
+
         payload = self.snapshot()
         if extra:
             payload.update(extra)
-        write_json_atomic(path, payload)
+        text = json.dumps(payload, sort_keys=True) + "\n"
+        atomic_write(path, lambda fh: fh.write(text.encode()), fsync=False)
 
 
 def _render_labels(labels: Dict[str, str]) -> str:
@@ -377,16 +379,6 @@ def _render_labels(labels: Dict[str, str]) -> str:
         return ""
     inner = ",".join(f'{k}="{_escape_label(v)}"' for k, v in sorted(labels.items()))
     return "{" + inner + "}"
-
-
-def write_json_atomic(path, payload: dict) -> None:
-    """Temp-file + ``os.replace`` so a reader never sees a torn snapshot."""
-    from pathlib import Path
-
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-    os.replace(tmp, path)
 
 
 # -- exposition validation --------------------------------------------------------------

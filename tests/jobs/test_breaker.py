@@ -1,20 +1,28 @@
-"""Circuit-breaker state machine (injectable clock) and its in-process
-attachment to the engine degradation ladder."""
+"""Circuit-breaker state machine (injectable clock) and its one attachment
+point: the pool supervisor reroutes at dispatch and feeds the breaker from
+what attempts report — the same under the inline fleet and the daemons."""
 
 from __future__ import annotations
 
-import warnings
+import json
 
 import numpy as np
 import pytest
 
-from repro.core import NaiveSchedule
-from repro.errors import EngineFallbackWarning
-from repro.jobs import CircuitBreaker
-from repro.runtime import break_engine
-from repro.telemetry import Telemetry
+from repro.jobs import (
+    JOURNAL_NAME,
+    METRICS_NAME,
+    ChaosConfig,
+    CircuitBreaker,
+    JobSpec,
+    load_journal,
+    run_batch,
+    run_job_inline,
+)
+from repro.jobs.__main__ import main as jobs_main
 
-from ..conftest import make_acoustic_operator, run_and_capture
+from ..conftest import needs_cc
+from .fleets import FLEETS
 
 
 class FakeClock:
@@ -111,53 +119,139 @@ def test_breaker_rejects_bad_parameters():
         CircuitBreaker(threshold=0)
     with pytest.raises(ValueError, match="cooldown"):
         CircuitBreaker(cooldown=-1.0)
+    # only a compiled rung can be guarded: the interpreter is where a
+    # rerouted job must always be able to land
+    with pytest.raises(ValueError, match="compiled rung"):
+        CircuitBreaker(engine="interp")
 
 
-# -- attachment to the engine ladder --------------------------------------------------
-
-NT = 8
-DT = 0.5
-
-
-def test_ladder_feeds_breaker_and_open_breaker_skips_fused(grid2d):
-    br, _ = make_breaker(threshold=1, cooldown=1e9)
-    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
-    with break_engine("fused"):
-        with pytest.warns(EngineFallbackWarning):
-            plan = op.apply(time_M=NT, dt=DT, engine="fused", breaker=br)
-    assert plan.sweeps[0].engine == "interp"
-    assert br.state == "open"  # the ladder reported the compile failure
-
-    # fused codegen is healthy again, but the open breaker skips the rung
-    # outright: no compile attempt, no fallback warning, straight to interp
-    op2, u2, m2, src2, rec2 = make_acoustic_operator(grid2d, nt=NT)
-    tel = Telemetry()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", EngineFallbackWarning)
-        plan2 = op2.apply(time_M=NT, dt=DT, engine="fused", breaker=br, telemetry=tel)
-    assert plan2.sweeps[0].engine == "interp"
-    assert tel.counters["engine_breaker_skips"] == 1
-    br.record_success("interp")  # untracked: state unchanged
-    assert br.state == "open"
+def test_fallback_is_the_next_rung_of_the_ladder():
+    assert CircuitBreaker(engine="c").fallback == "fused"
+    assert CircuitBreaker(engine="fused").fallback == "interp"
 
 
-def test_ladder_under_breaker_is_bit_identical(grid2d):
-    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
-    ref_u, ref_rec = run_and_capture(op, u, rec, NT, DT, NaiveSchedule(), engine="interp")
-
-    br, _ = make_breaker(threshold=1, cooldown=1e9)
-    br.record_failure("fused")  # pre-tripped
-    op2, u2, m2, src2, rec2 = make_acoustic_operator(grid2d, nt=NT)
-    u2.data_with_halo[...] = 0.0
-    rec2.data[...] = 0.0
-    op2.apply(time_M=NT, dt=DT, schedule=NaiveSchedule(), engine="fused", breaker=br)
-    np.testing.assert_array_equal(u2.interior(NT), ref_u)
-    np.testing.assert_array_equal(rec2.data, ref_rec)
+# -- attachment to the supervisor (both fleets) ---------------------------------------
 
 
-def test_closed_breaker_records_fused_success(grid2d):
-    br, _ = make_breaker(threshold=1)
-    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
-    op.apply(time_M=NT, dt=DT, engine="fused", breaker=br)
-    assert br.state == "closed"
-    assert br._failures == 0
+def _attempt_engines(workdir):
+    return [r["engine"] for r in load_journal(workdir / JOURNAL_NAME).for_kind("attempt")]
+
+
+@pytest.mark.faults
+def test_ladder_feeds_breaker_and_open_breaker_skips_fused(tmp_path):
+    for workers in FLEETS:
+        br, _ = make_breaker(threshold=1, cooldown=1e9)
+        first = run_batch(
+            [JobSpec("broken", nt=8)], workers=workers, breaker=br,
+            workdir=tmp_path / f"w{workers}-broken", chaos=ChaosConfig(break_rate=1.0),
+        )
+        result = first.result_for("broken")
+        assert result.engine == "interp" and len(result.fallbacks) == 1, workers
+        assert br.state == "open"  # the attempt reported the compile failure
+
+        # fused codegen is healthy again, but the open breaker sends the job
+        # past the rung outright: no compile attempt, so no fallback either
+        healthy = tmp_path / f"w{workers}-healthy"
+        second = run_batch(
+            [JobSpec("healthy", nt=8)], workers=workers, breaker=br, workdir=healthy
+        )
+        result = second.result_for("healthy")
+        assert result.engine == "interp" and result.fallbacks == [], workers
+        assert result.attempts[0].degraded
+        assert _attempt_engines(healthy) == ["interp"]
+        assert [e["job"] for e in second.events if e["kind"] == "rerouted"] == ["healthy"]
+        assert br.state == "open"  # a run on an untracked rung judges nothing
+
+
+def test_ladder_under_breaker_is_bit_identical(tmp_path):
+    spec = JobSpec("tripped", nt=8, seed=3)
+    for workers in FLEETS:
+        br, _ = make_breaker(threshold=1, cooldown=1e9)
+        br.record_failure("fused")  # pre-tripped
+        report = run_batch(
+            [spec], workers=workers, breaker=br, workdir=tmp_path / f"w{workers}"
+        )
+        assert report.result_for("tripped").engine == "interp", workers
+        np.testing.assert_array_equal(
+            report.result_for("tripped").receivers, run_job_inline(spec)
+        )
+
+
+def test_closed_breaker_records_fused_success(tmp_path):
+    for workers in FLEETS:
+        br, _ = make_breaker(threshold=2)
+        br.record_failure("fused")  # one strike: a success must wipe it
+        report = run_batch(
+            [JobSpec("clean", nt=8)], workers=workers, breaker=br,
+            workdir=tmp_path / f"w{workers}",
+        )
+        assert report.result_for("clean").engine == "fused", workers
+        assert br.state == "closed"
+        assert br._failures == 0
+
+
+@pytest.mark.faults
+def test_an_attempt_without_a_result_releases_the_half_open_probe(tmp_path):
+    """The probe attempt faults before it can say anything about the engine:
+    that is inconclusive, not a verdict — the slot is freed, the retry probes
+    again on the tracked rung, and its success closes the breaker."""
+    for workers in FLEETS:
+        br, clock = make_breaker(threshold=1, cooldown=10.0)
+        br.record_failure("fused")
+        clock.advance(10.0)
+        assert br.state == "half_open"
+        workdir = tmp_path / f"w{workers}"
+        report = run_batch(
+            [JobSpec("probe", nt=16, checkpoint_every=4)], workers=workers,
+            breaker=br, workdir=workdir, batch_seed=5,
+            chaos=ChaosConfig(fault_rate=1.0, kinds=("raise",)),
+        )
+        result = report.result_for("probe")
+        assert [a.outcome for a in result.attempts] == ["fault", "completed"], workers
+        assert _attempt_engines(workdir) == ["fused", "fused"]
+        assert br.state == "closed"
+
+
+@needs_cc
+def test_open_fused_breaker_lets_a_c_bind_through(tmp_path):
+    for workers in FLEETS:
+        br, _ = make_breaker(threshold=1, cooldown=1e9)
+        br.record_failure("fused")
+        assert not br.allow("fused")
+        workdir = tmp_path / f"w{workers}"
+        report = run_batch(
+            [JobSpec("on-c", nt=8, engine="c")], workers=workers, breaker=br,
+            workdir=workdir,
+        )
+        result = report.result_for("on-c")
+        assert result.engine == "c" and result.fallbacks == [], workers
+        assert _attempt_engines(workdir) == ["c"]
+        assert not result.attempts[0].degraded
+
+
+@needs_cc
+@pytest.mark.faults
+def test_cli_chaos_and_breaker_follow_the_requested_rung(tmp_path, capsys):
+    """``--engine c --break-rate 1 --breaker-threshold 1``: chaos breaks the
+    C build step (not the literal ``fused``), the breaker guards ``c`` and
+    opens on the first reported fallback, and later jobs are journaled on the
+    next rung down — with ``--verify`` holding every receiver to the oracle."""
+    for workers in FLEETS:
+        workdir = tmp_path / f"w{workers}"
+        argv = [
+            "--jobs", "5", "--nt", "16", "--engine", "c", "--break-rate", "1",
+            "--breaker-threshold", "1", "--workers", str(workers), "--verify",
+            "--workdir", str(workdir), "--json",
+        ]
+        assert jobs_main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(payload["verified"].values())
+        engines = _attempt_engines(workdir)
+        # every job in flight before the first report ran on c, the rest moved
+        first_wave = max(1, workers)
+        assert engines == ["c"] * first_wave + ["fused"] * (5 - first_wave), workers
+        first = payload["jobs"][0]
+        assert first["fallbacks"] == [{"failed": "c", "degraded_to": "fused"}]
+        status = json.loads((workdir / METRICS_NAME).read_text())["status"]
+        assert status["breaker"]["engine"] == "c"
+        assert status["breaker"]["state"] == "open"

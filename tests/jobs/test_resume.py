@@ -19,6 +19,8 @@ import repro
 from repro.jobs import JOURNAL_NAME, JobPool, JobSpec, load_journal, run_job_inline
 from repro.jobs.shm import segment_exists
 
+from .fleets import FLEETS
+
 pytestmark = pytest.mark.faults
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -37,74 +39,84 @@ def _assert_oracle(report, specs):
 
 
 def test_every_transition_is_journaled(tmp_path):
-    pool = JobPool(workers=0, workdir=tmp_path, batch_seed=3)
-    specs = [_spec(i) for i in range(3)]
-    for spec in specs:
-        pool.submit(spec)
-    report = pool.run()
-    assert report.ok and not report.resumed
-    replay = load_journal(tmp_path / JOURNAL_NAME)
-    assert replay.corruption is None
-    assert replay.header["batch_seed"] == 3
-    assert len(replay.for_kind("admit")) == 3
-    assert len(replay.for_kind("attempt")) == 3
-    assert len(replay.for_kind("outcome")) == 3
-    assert len(replay.for_kind("terminal")) == 3
-    assert len(replay.for_kind("batch_end")) == 1
-    # outcomes carry the durable-result digest resume will verify against
-    for out in replay.for_kind("outcome"):
-        assert out["outcome"] == "completed" and len(out["digest"]) == 64
+    for workers in FLEETS:
+        workdir = tmp_path / f"w{workers}"
+        pool = JobPool(workers=workers, workdir=workdir, batch_seed=3)
+        specs = [_spec(i) for i in range(3)]
+        for spec in specs:
+            pool.submit(spec)
+        report = pool.run()
+        assert report.ok and not report.resumed
+        replay = load_journal(workdir / JOURNAL_NAME)
+        assert replay.corruption is None
+        assert replay.header["batch_seed"] == 3
+        assert len(replay.for_kind("admit")) == 3
+        assert len(replay.for_kind("attempt")) == 3
+        assert len(replay.for_kind("outcome")) == 3
+        assert len(replay.for_kind("terminal")) == 3
+        assert len(replay.for_kind("batch_end")) == 1
+        # only daemons map shared segments: the inline fleet publishes nothing
+        assert len(replay.for_kind("shm")) == (1 if workers else 0)
+        # outcomes carry the durable-result digest resume will verify against
+        for out in replay.for_kind("outcome"):
+            assert out["outcome"] == "completed" and len(out["digest"]) == 64
 
 
 def test_journal_stays_open_across_run_cycles(tmp_path):
-    # finished jobs free admission capacity, so submitting into the same
-    # pool after run() is supported — the journal must keep recording
-    pool = JobPool(workers=0, capacity=2, workdir=tmp_path, batch_seed=3)
-    pool.submit(_spec(0))
-    pool.submit(_spec(1))
-    assert pool.run().ok
-    pool.submit(_spec(2))
-    report = pool.run()
-    assert report.ok and len(report.results) == 3
-    replay = load_journal(tmp_path / JOURNAL_NAME)
-    assert replay.corruption is None
-    assert len(replay.for_kind("admit")) == 3
-    assert len(replay.for_kind("batch_end")) == 2
+    for workers in FLEETS:
+        workdir = tmp_path / f"w{workers}"
+        # finished jobs free admission capacity, so submitting into the same
+        # pool after run() is supported — the journal must keep recording
+        pool = JobPool(workers=workers, capacity=2, workdir=workdir, batch_seed=3)
+        pool.submit(_spec(0))
+        pool.submit(_spec(1))
+        assert pool.run().ok
+        pool.submit(_spec(2))
+        report = pool.run()
+        assert report.ok and len(report.results) == 3
+        replay = load_journal(workdir / JOURNAL_NAME)
+        assert replay.corruption is None
+        assert len(replay.for_kind("admit")) == 3
+        assert len(replay.for_kind("batch_end")) == 2
 
 
 def test_resume_of_a_finished_batch_preloads_everything(tmp_path):
-    specs = [_spec(i) for i in range(3)]
-    pool = JobPool(workers=0, workdir=tmp_path, batch_seed=3)
-    for spec in specs:
-        pool.submit(spec)
-    first = pool.run()
-    assert first.ok
-    resumed = JobPool.resume(tmp_path, workers=0)
-    report = resumed.run()
-    assert report.ok and report.resumed
-    # nothing re-ran: every job was preloaded from its verified result.npz
-    kinds = [e["kind"] for e in report.events]
-    assert kinds.count("preloaded") == 3
-    assert "started" not in kinds
-    _assert_oracle(report, specs)
+    for workers in FLEETS:
+        workdir = tmp_path / f"w{workers}"
+        specs = [_spec(i) for i in range(3)]
+        pool = JobPool(workers=workers, workdir=workdir, batch_seed=3)
+        for spec in specs:
+            pool.submit(spec)
+        first = pool.run()
+        assert first.ok
+        resumed = JobPool.resume(workdir, workers=workers)
+        report = resumed.run()
+        assert report.ok and report.resumed
+        # nothing re-ran: every job was preloaded from its verified result.npz
+        kinds = [e["kind"] for e in report.events]
+        assert kinds.count("preloaded") == 3
+        assert "started" not in kinds
+        _assert_oracle(report, specs)
 
 
 def test_resume_redoes_a_job_whose_result_was_torn(tmp_path):
-    specs = [_spec(i) for i in range(2)]
-    pool = JobPool(workers=0, workdir=tmp_path, batch_seed=3)
-    for spec in specs:
-        pool.submit(spec)
-    assert pool.run().ok
-    # tear the durable artifact of job 0 the way a dying disk would
-    result = tmp_path / specs[0].job_id / "result.npz"
-    result.write_bytes(result.read_bytes()[:-16])
-    resumed = JobPool.resume(tmp_path, workers=0)
-    report = resumed.run()
-    assert report.ok and report.resumed
-    kinds = [e["kind"] for e in report.events]
-    assert kinds.count("preloaded") == 1  # the intact job
-    assert kinds.count("readmitted") == 1  # the torn one, recomputed
-    _assert_oracle(report, specs)
+    for workers in FLEETS:
+        workdir = tmp_path / f"w{workers}"
+        specs = [_spec(i) for i in range(2)]
+        pool = JobPool(workers=workers, workdir=workdir, batch_seed=3)
+        for spec in specs:
+            pool.submit(spec)
+        assert pool.run().ok
+        # tear the durable artifact of job 0 the way a dying disk would
+        result = workdir / specs[0].job_id / "result.npz"
+        result.write_bytes(result.read_bytes()[:-16])
+        resumed = JobPool.resume(workdir, workers=workers)
+        report = resumed.run()
+        assert report.ok and report.resumed
+        kinds = [e["kind"] for e in report.events]
+        assert kinds.count("preloaded") == 1  # the intact job
+        assert kinds.count("readmitted") == 1  # the torn one, recomputed
+        _assert_oracle(report, specs)
 
 
 def test_supervisor_sigkill_then_resume_is_bit_identical(tmp_path):
@@ -205,33 +217,37 @@ def test_sigterm_drains_gracefully_and_resume_completes(tmp_path):
         os.kill(os.getpid(), signal.SIGTERM)
         yield specs[2]
 
-    pool = JobPool(workers=0, capacity=1, workdir=tmp_path, batch_seed=5)
-    pool.submit(stream())
-    report = pool.run()
-    assert report.drained and not report.ok
-    assert report.completed == 2 and report.interrupted == 1
-    assert any(e["kind"] == "drain" for e in report.events)
-    # the handler was restored once run() returned
-    assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
-    resumed = JobPool.resume(tmp_path, workers=0).run()
-    assert resumed.ok and resumed.resumed
-    assert resumed.completed == 3 and not resumed.drained
-    _assert_oracle(resumed, specs)
+    for workers in FLEETS:
+        workdir = tmp_path / f"w{workers}"
+        pool = JobPool(workers=workers, capacity=1, workdir=workdir, batch_seed=5)
+        pool.submit(stream())
+        report = pool.run()
+        assert report.drained and not report.ok
+        assert report.completed == 2 and report.interrupted == 1
+        assert any(e["kind"] == "drain" for e in report.events)
+        # the handler was restored once run() returned
+        assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+        resumed = JobPool.resume(workdir, workers=workers).run()
+        assert resumed.ok and resumed.resumed
+        assert resumed.completed == 3 and not resumed.drained
+        _assert_oracle(resumed, specs)
 
 
 def test_resume_survives_a_torn_journal_tail(tmp_path):
-    specs = [_spec(i) for i in range(2)]
-    pool = JobPool(workers=0, workdir=tmp_path, batch_seed=3)
-    for spec in specs:
-        pool.submit(spec)
-    assert pool.run().ok
-    journal = tmp_path / JOURNAL_NAME
-    journal.write_bytes(journal.read_bytes()[:-9])  # writer died mid-append
-    report = JobPool.resume(tmp_path, workers=0).run()
-    assert report.ok and report.resumed
-    _assert_oracle(report, specs)
-    # the resumed supervisor truncated the tear and appended cleanly
-    assert load_journal(journal).corruption is None
+    for workers in FLEETS:
+        workdir = tmp_path / f"w{workers}"
+        specs = [_spec(i) for i in range(2)]
+        pool = JobPool(workers=workers, workdir=workdir, batch_seed=3)
+        for spec in specs:
+            pool.submit(spec)
+        assert pool.run().ok
+        journal = workdir / JOURNAL_NAME
+        journal.write_bytes(journal.read_bytes()[:-9])  # writer died mid-append
+        report = JobPool.resume(workdir, workers=workers).run()
+        assert report.ok and report.resumed
+        _assert_oracle(report, specs)
+        # the resumed supervisor truncated the tear and appended cleanly
+        assert load_journal(journal).corruption is None
 
 
 def test_resume_without_a_journal_is_a_structured_error(tmp_path):

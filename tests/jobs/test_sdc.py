@@ -31,6 +31,8 @@ from repro.jobs.pool import _classify_failure
 from repro.jobs.shm import AttachedArrays, SharedArrayRegistry, verify_handles
 from repro.jobs.status import journal_stats
 
+from .fleets import FLEETS
+
 pytestmark = pytest.mark.faults
 
 
@@ -141,31 +143,32 @@ def test_shm_checksum_catches_a_corrupted_segment():
 def test_pool_degrades_and_drains_on_journal_enospc(tmp_path, monkeypatch):
     from repro.jobs import BatchJournal
 
-    pool = JobPool(workers=0, workdir=tmp_path)
-    pool.submit(JobSpec("never-runs", nt=8, checkpoint_every=4))
-
     def full_disk(self, kind, **payload):
         raise StorageExhaustedError(
             "disk full", path=str(tmp_path), op="journal_append"
         )
 
-    monkeypatch.setattr(BatchJournal, "append", full_disk)
-    pool.request_drain()  # the first append to hit the full disk
-    assert isinstance(pool.storage_degraded, StorageExhaustedError)
-    kinds = [e["kind"] for e in pool.events]
-    assert kinds.count("storage_degraded") == 1 and kinds.count("drain") == 1
-    # journaling is off: further transitions are silent no-ops on disk, not
-    # crashes or append loops, and the batch winds down cleanly
-    report = pool.run()
-    assert report.drained and report.interrupted == 1
-    assert [e["kind"] for e in report.events].count("storage_degraded") == 1
-    monkeypatch.undo()
-    status = json.loads((tmp_path / METRICS_NAME).read_text())["status"]
-    assert status["storage_degraded"] is True and status["draining"] is True
-    series = report.metrics["metrics"]["repro_storage_degraded_total"]["series"]
-    assert sum(s["value"] for s in series) == 1
-    # nothing after the failure reached the journal: admit is its last record
-    assert load_journal(tmp_path / "journal.jsonl").records[-1]["kind"] == "admit"
+    for workers in FLEETS:
+        workdir = tmp_path / f"w{workers}"
+        pool = JobPool(workers=workers, workdir=workdir)
+        pool.submit(JobSpec("never-runs", nt=8, checkpoint_every=4))
+        monkeypatch.setattr(BatchJournal, "append", full_disk)
+        pool.request_drain()  # the first append to hit the full disk
+        assert isinstance(pool.storage_degraded, StorageExhaustedError)
+        kinds = [e["kind"] for e in pool.events]
+        assert kinds.count("storage_degraded") == 1 and kinds.count("drain") == 1
+        # journaling is off: further transitions are silent no-ops on disk, not
+        # crashes or append loops, and the batch winds down cleanly
+        report = pool.run()
+        assert report.drained and report.interrupted == 1
+        assert [e["kind"] for e in report.events].count("storage_degraded") == 1
+        monkeypatch.undo()
+        status = json.loads((workdir / METRICS_NAME).read_text())["status"]
+        assert status["storage_degraded"] is True and status["draining"] is True
+        series = report.metrics["metrics"]["repro_storage_degraded_total"]["series"]
+        assert sum(s["value"] for s in series) == 1
+        # nothing after the failure reached the journal: admit is its last record
+        assert load_journal(workdir / "journal.jsonl").records[-1]["kind"] == "admit"
 
 
 # -- the end-to-end gate -------------------------------------------------------------

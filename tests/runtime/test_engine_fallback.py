@@ -229,20 +229,6 @@ def test_broken_c_build_step_degrades_to_fused(grid2d):
 
 
 @needs_cc
-def test_open_fused_breaker_lets_a_c_bind_through(grid2d):
-    from repro.jobs import CircuitBreaker
-
-    br = CircuitBreaker(threshold=1, cooldown=1e9)
-    br.record_failure("fused")
-    assert not br.allow("fused")
-    op, *_ = make_acoustic_operator(grid2d, nt=NT)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", EngineFallbackWarning)
-        plan = op.apply(time_M=NT, dt=DT, breaker=br)
-    assert plan.sweeps[0].engine == "c"
-
-
-@needs_cc
 def test_explicit_fused_after_a_cached_c_bind_binds_fused(grid2d):
     op, *_ = make_acoustic_operator(grid2d, nt=NT)
     assert op.apply(time_M=NT, dt=DT).sweeps[0].engine == "c"

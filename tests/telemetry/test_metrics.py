@@ -17,7 +17,6 @@ from repro.telemetry.metrics import (
     MetricsServer,
     PhaseAccountant,
     validate_exposition,
-    write_json_atomic,
 )
 
 
@@ -150,9 +149,14 @@ def test_exposition_escapes_label_values():
 
 
 def test_write_json_atomic(tmp_path):
+    reg = MetricsRegistry()
+    reg.counter("hits_total", "hits").inc()
     path = tmp_path / "m.json"
-    write_json_atomic(path, {"a": 1})
-    assert json.loads(path.read_text()) == {"a": 1}
+    path.write_text("an older snapshot")
+    reg.write_json(path, extra={"a": 1})
+    snap = json.loads(path.read_text())
+    assert snap["a"] == 1 and snap["version"] == SNAPSHOT_VERSION
+    assert "repro_hits_total" in snap["metrics"]
     assert not (tmp_path / "m.json.tmp").exists()
 
 
