@@ -1,7 +1,6 @@
 """Metrics and reporting utilities for the evaluation harness."""
 from .metrics import (
     access_count,
-    achieved_gpoints_per_s,
     arithmetic_intensity,
     eq_flops,
     flop_count,
@@ -19,7 +18,6 @@ __all__ = [
     "eq_flops",
     "access_count",
     "gpoints_per_s",
-    "achieved_gpoints_per_s",
     "arithmetic_intensity",
     "render_table",
     "render_series",

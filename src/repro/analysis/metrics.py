@@ -13,7 +13,6 @@ __all__ = [
     "access_count",
     "gpoints_per_s",
     "arithmetic_intensity",
-    "achieved_gpoints_per_s",
 ]
 
 #: cost charged per elementary call (divisions via Pow(-1) count as one)
@@ -68,21 +67,3 @@ def arithmetic_intensity(flops: float, bytes_moved: float) -> float:
     if bytes_moved <= 0:
         raise ValueError("traffic must be positive")
     return flops / bytes_moved
-
-
-def achieved_gpoints_per_s(telemetry) -> float:
-    """Measured throughput of a telemetry-instrumented run, in GPts/s.
-
-    Unlike :func:`gpoints_per_s` — which divides by whatever wall-time the
-    caller measured from the outside, precomputation and sparse work
-    included — this joins the ``points_updated`` counter with the measured
-    ``stencil`` phase seconds, so the reported number is the throughput of
-    the sweeps themselves (the paper's Fig. 9-11 metric).  Duck-typed over
-    :class:`~repro.telemetry.Telemetry`; returns ``None`` when the run
-    recorded no stencil time or no point updates.
-    """
-    stencil = telemetry.phase_seconds.get("stencil", 0.0)
-    points = telemetry.counters.get("points_updated", 0)
-    if stencil <= 0 or not points:
-        return None
-    return points / stencil / 1e9

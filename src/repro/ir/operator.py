@@ -402,7 +402,6 @@ class Operator:
         checkpoint=None,
         faults=None,
         abft=None,
-        preflight: bool = True,
         strict_engine: bool = False,
         telemetry=None,
     ) -> ExecutionPlan:
@@ -422,14 +421,13 @@ class Operator:
         and schedule — it never degrades), the legality certificate of a
         wavefront schedule (:meth:`certificate_for`), a compiled rung's kernel
         lint (degrades down the ladder unless ``strict_engine``), and
-        ``plan.validate()`` when ``preflight``.
+        ``plan.validate()`` over the precomputed sparse structures.
 
         Resilience (all optional, all off by default): a failing engine
         degrades down the c -> fused -> interp ladder (no C compiler, a failed
         build, an operation C cannot express bit-identically...) with an
         :class:`~repro.errors.EngineFallbackWarning` unless ``strict_engine``;
-        ``preflight`` validates the precomputed sparse structures before
-        timestep 0; ``health``/``checkpoint``/``faults`` attach a
+        ``health``/``checkpoint``/``faults`` attach a
         :class:`~repro.runtime.health.HealthGuard`, a
         :class:`~repro.runtime.checkpoint.CheckpointConfig` (periodic
         snapshots, bit-identical resume) and a
@@ -524,12 +522,11 @@ class Operator:
             tel.meta["c_compile_s"] = (
                 tel.meta.get("c_compile_s", 0.0) + kc["c_compile_s"] - kc_base["c_compile_s"]
             )
-        if preflight:
-            plan.validate()
-            if tel is not None:
-                now = tel.now()
-                tel.add_phase("precompute", now - last)
-                last = now
+        plan.validate()
+        if tel is not None:
+            now = tel.now()
+            tel.add_phase("precompute", now - last)
+            last = now
         if abft is not None or (
             health is not None and getattr(health, "max_abs_derived", False)
         ):

@@ -42,9 +42,10 @@ by heartbeat silence and replaced; poison jobs that crash every daemon are
 quarantined with forensics instead of retried forever.
 
 The whole service is observable end to end: the supervisor records into a
-:class:`~repro.telemetry.metrics.MetricsRegistry` (queue depths per lane,
-admission waits, attempt latencies, breaker state, journal fsync cost —
-snapshottable as JSON or Prometheus text, servable with ``--metrics-port``),
+:class:`~repro.telemetry.metrics.MetricsRegistry` (the families of its
+:data:`~repro.telemetry.metrics.CATALOGUE`: queue depths per lane, attempt
+latencies, breaker state, … — snapshottable as JSON or Prometheus text,
+servable with ``--metrics-port``),
 atomically refreshes a live ``metrics.json`` in the batch dir that
 ``python -m repro.jobs.status BATCH_DIR`` renders, and with ``trace=True``
 propagates a trace context to every attempt so the per-attempt span trees

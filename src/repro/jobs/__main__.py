@@ -252,7 +252,7 @@ def main(argv: List[str] = None) -> int:
                 pool.submit(spec)
 
     server = None
-    if args.metrics_port is not None and pool.metrics is not None:
+    if args.metrics_port is not None:
         from ..telemetry.metrics import MetricsServer
 
         server = MetricsServer(pool.metrics, port=args.metrics_port)

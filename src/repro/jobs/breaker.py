@@ -113,16 +113,8 @@ class CircuitBreaker:
         live state, ``breaker_transitions_total{engine,state}`` counts
         every transition — together they are the Prometheus view of the
         :attr:`transitions` log."""
-        self._m_state = registry.gauge(
-            "breaker_state",
-            "circuit-breaker state: 0=closed, 1=open, 2=half_open",
-            ("engine",),
-        )
-        self._m_transitions = registry.counter(
-            "breaker_transitions_total",
-            "circuit-breaker state transitions",
-            ("engine", "state"),
-        )
+        self._m_state = registry.instrument("breaker_state")
+        self._m_transitions = registry.instrument("breaker_transitions_total")
         self._m_state.set(STATE_CODES[self._state], engine=self.engine)
 
     # -- supervisor hooks --------------------------------------------------------

@@ -204,11 +204,6 @@ class BatchJournal:
     journaled before it is performed is recoverable after SIGKILL.  Opening
     with ``truncate_to`` (resume) cuts a torn tail back to the last
     verified record before the first append lands.
-
-    *metrics* (a :class:`~repro.telemetry.metrics.MetricsRegistry`)
-    instruments the durability cost: the ``journal_append_seconds``
-    histogram times each append inclusive of flush+fsync, and
-    ``journal_records_total{kind}`` counts what was written.
     """
 
     def __init__(
@@ -217,22 +212,12 @@ class BatchJournal:
         fsync: bool = True,
         seq_start: int = 0,
         truncate_to: Optional[int] = None,
-        metrics=None,
     ):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.fsync = bool(fsync)
         self._seq = int(seq_start)
         self.records_written = 0
-        self._m_append = self._m_records = None
-        if metrics is not None:
-            self._m_append = metrics.histogram(
-                "journal_append_seconds",
-                "write-ahead journal append latency (flush + fsync included)",
-            )
-            self._m_records = metrics.counter(
-                "journal_records_total", "journal records appended", ("kind",)
-            )
         self._fh: Optional[IO[bytes]] = open(self.path, "ab")
         if truncate_to is not None:
             self._fh.truncate(int(truncate_to))
@@ -246,7 +231,6 @@ class BatchJournal:
         """Durably append one record; returns it (without the trailer)."""
         if self._fh is None:
             raise ValueError("journal is closed")
-        t0 = time.perf_counter()
         record = {"kind": kind, "seq": self._seq, "ts": round(time.time(), 6)}
         record.update(payload)
         record["sha256"] = record_digest(record)
@@ -267,9 +251,6 @@ class BatchJournal:
         self._seq += 1
         self.records_written += 1
         record.pop("sha256")
-        if self._m_append is not None:
-            self._m_append.observe(time.perf_counter() - t0)
-            self._m_records.inc(kind=kind)
         return record
 
     def close(self) -> None:

@@ -11,11 +11,10 @@ pool's own attributes (``state``, ``fleet``, ``workers``, ``breaker``,
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from typing import Optional
 
 from ..runtime.integrity import atomic_write
-from ..telemetry.metrics import MetricsRegistry, PhaseAccountant
+from ..telemetry.metrics import CATALOGUE, MetricsRegistry, PhaseAccountant
 from .spec import LANES, AttemptRecord
 
 __all__ = ["METRICS_NAME", "PROM_NAME", "PoolObservability"]
@@ -27,47 +26,6 @@ METRICS_NAME = "metrics.json"
 #: final Prometheus text exposition, written once at batch end
 PROM_NAME = "metrics.prom"
 
-#: every instrument the supervisor records into: (kind, family, help, labels)
-_INSTRUMENTS = (
-    ("counter", "jobs_admitted_total", "jobs admitted into the batch",
-     ("lane", "tenant")),
-    ("counter", "jobs_completed_total", "jobs that reached completed", ()),
-    ("counter", "jobs_terminal_total", "jobs per terminal status", ("status",)),
-    ("counter", "jobs_retried_total", "attempt retries scheduled", ()),
-    ("counter", "retries_total", "retry attempts scheduled", ()),
-    ("histogram", "retry_backoff_seconds", "decided backoff delay per retry", ()),
-    ("gauge", "queue_depth", "ready-to-dispatch jobs per priority lane",
-     ("lane",)),
-    ("gauge", "tenant_active_jobs", "admitted-but-unfinished jobs per tenant",
-     ("tenant",)),
-    ("gauge", "tenant_quota", "per-tenant admission quota (0 = unlimited)", ()),
-    ("histogram", "admission_wait_seconds",
-     "queue-entry to first dispatch, per lane", ("lane",)),
-    ("histogram", "attempt_seconds", "attempt latency per outcome", ("outcome",)),
-    ("gauge", "workers_alive", "live warm daemons", ()),
-    ("gauge", "workers_busy", "daemons with a job in flight", ()),
-    ("counter", "workers_spawned_total",
-     "daemons preforked (initial + replacements)", ()),
-    ("gauge", "worker_heartbeat_age_seconds",
-     "seconds since a busy daemon's last liveness beat", ("worker",)),
-    ("counter", "shm_bytes_published_total",
-     "shared-memory bytes published per batch", ()),
-    ("gauge", "supervisor_seconds",
-     "exclusive supervisor wall-time per bucket", ("bucket",)),
-    ("counter", "sdc_detections_total", "silent-data-corruption detections",
-     ("detector",)),
-    ("counter", "sdc_recoveries_total",
-     "attempts that recovered in-run from silent corruption", ()),
-    ("counter", "sdc_tiles_reexecuted_total",
-     "containment units re-executed after an ABFT violation", ()),
-    ("counter", "storage_degraded_total",
-     "batches degraded by ENOSPC on the journal/checkpoint path", ()),
-    ("counter", "jobs_points_updated_total",
-     "grid points updated by completed attempts", ()),
-    ("counter", "jobs_stencil_seconds_total",
-     "stencil seconds of completed attempts", ()),
-)
-
 
 class PoolObservability:
     """Metrics, status and trace plumbing of a :class:`JobPool`."""
@@ -75,42 +33,27 @@ class PoolObservability:
     def _init_observability(
         self, metrics, status_interval: float, tenant_quota: Optional[int]
     ) -> None:
-        """``metrics=False`` turns the whole layer off — registry, phase
-        accounting and status file (the overhead benchmark's baseline
-        path); ``None`` creates a private registry."""
+        """*metrics* is the caller's :class:`MetricsRegistry` to record into
+        (registries are shareable); ``None`` creates a private one."""
         self.status_interval = float(status_interval)
         self._last_status = 0.0
         self._jobs_phase_added = 0.0
         self._attempt_phase_folded = 0.0  # in-process attempts' phase seconds
-        self.metrics: Optional[MetricsRegistry] = None
-        self._acct: Optional[PhaseAccountant] = None
-        #: family -> instrument (None with metrics off)
-        self._m: Optional[dict] = None
-        if metrics is False:
-            return
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics: MetricsRegistry = metrics if metrics is not None else MetricsRegistry()
         self._acct = PhaseAccountant()
-        # get-or-create (registries are shareable) every instrument once, so
-        # the hot paths pay a dict lookup instead of a registry one
-        self._m = {
-            family: getattr(self.metrics, kind)(family, doc, labels)
-            for kind, family, doc, labels in _INSTRUMENTS
-        }
+        #: family -> instrument, every :data:`CATALOGUE` entry created once,
+        #: so the hot paths pay a dict lookup instead of a registry one
+        self._m = {family: self.metrics.instrument(family) for family in CATALOGUE}
         for lane in LANES:
             self._m["queue_depth"].set(0, lane=lane)
         self._m["tenant_quota"].set(tenant_quota or 0)
         if self.breaker is not None:
             self.breaker.bind_metrics(self.metrics)
 
-    def _phase(self, name: str):
-        """Exclusive supervisor wall-time bucket (no-op with metrics off)."""
-        return self._acct.phase(name) if self._acct is not None else nullcontext()
-
     def _measure(self, op: str, family: str, value: float, labels: dict) -> None:
         """Perform one ``count`` / ``observe`` effect of a transition."""
-        if self._m is not None:
-            instrument = self._m[family]
-            (instrument.inc if op == "count" else instrument.observe)(value, **labels)
+        instrument = self._m[family]
+        (instrument.inc if op == "count" else instrument.observe)(value, **labels)
 
     def _refresh_gauges(self) -> None:
         """Recompute every level-style gauge from supervisor state (cheap:
@@ -122,14 +65,7 @@ class PoolObservability:
             self._m["queue_depth"].set(n, lane=lane)
         for tenant, n in self.state.tenant_active.items():
             self._m["tenant_active_jobs"].set(n, tenant=tenant)
-        busy = [w for w in self.fleet.workers if w.busy]
-        self._m["workers_alive"].set(sum(1 for w in self.fleet.workers if w.alive))
-        self._m["workers_busy"].set(len(busy))
-        now_mono = time.monotonic()
-        for w in busy:
-            self._m["worker_heartbeat_age_seconds"].set(
-                max(0.0, now_mono - w.last_beat), worker=w.worker_id
-            )
+        self._m["workers_busy"].set(sum(1 for w in self.fleet.workers if w.busy))
         for bucket, secs in self._acct.flush().items():
             self._m["supervisor_seconds"].set(secs, bucket=bucket)
 
@@ -167,8 +103,6 @@ class PoolObservability:
         """Atomically refresh ``metrics.json`` in the batch dir (and, at
         batch end, the Prometheus exposition next to it).  Best-effort: a
         full disk must not take the batch down."""
-        if self.metrics is None:
-            return
         self._refresh_gauges()
         try:
             self.metrics.write_json(
@@ -190,7 +124,7 @@ class PoolObservability:
 
     def _maybe_status(self) -> None:
         """Refresh the live ``metrics.json`` when the cadence is due."""
-        if self.metrics is None or self.status_interval <= 0:
+        if self.status_interval <= 0:
             return
         now = time.perf_counter()
         if now - self._last_status >= self.status_interval:
@@ -223,14 +157,11 @@ class PoolObservability:
     def _observe_completion(self, record: AttemptRecord, meta: dict) -> None:
         """Work counters, per-worker warm/cold attempt counters and
         aggregated cache tallies of one completed attempt."""
-        if self._m is not None:
-            work = meta.get("work") or {}
-            if work.get("points_updated"):
-                self._m["jobs_points_updated_total"].inc(float(work["points_updated"]))
-            if work.get("stencil_seconds"):
-                self._m["jobs_stencil_seconds_total"].inc(
-                    float(work["stencil_seconds"])
-                )
+        work = meta.get("work") or {}
+        if work.get("points_updated"):
+            self._m["jobs_points_updated_total"].inc(float(work["points_updated"]))
+        if work.get("stencil_seconds"):
+            self._m["jobs_stencil_seconds_total"].inc(float(work["stencil_seconds"]))
         if self.telemetry is None:
             return
         if self.fleet.in_process:
@@ -253,7 +184,7 @@ class PoolObservability:
         attempts' execute bucket, which the attempt phases already cover) to
         the telemetry buffer's ``jobs`` cost centre — as a delta, so repeated
         ``run()`` calls never double-charge."""
-        if self._acct is None or self.telemetry is None:
+        if self.telemetry is None:
             return
         total = sum(s for b, s in self._acct.seconds.items() if b != "execute")
         if self.fleet.in_process:

@@ -131,9 +131,7 @@ class JobPool(PoolObservability):
     metrics:
         Service-level instrumentation: ``None`` (default) creates a private
         :class:`~repro.telemetry.metrics.MetricsRegistry`; pass a registry
-        to share one across pools; pass ``False`` to disable the metrics
-        layer *and* supervisor phase accounting entirely (the overhead
-        benchmark's off-path).
+        to share one across pools.
     trace:
         Propagate a trace context to every attempt and collect serialized
         span trees back with results (``AttemptRecord.trace``), mergeable
@@ -212,10 +210,11 @@ class JobPool(PoolObservability):
         heartbeat_timeout = None if heartbeat_timeout is None else float(heartbeat_timeout)
         #: where attempts run: this process, or daemons + pipes + shared segments
         self.fleet = (
-            InlineFleet(self._phase)
+            InlineFleet(self._acct.phase)
             if self.workers == 0
             else WarmFleet(
-                self.workers, heartbeat_interval, heartbeat_timeout, self._emit, self._m
+                self.workers, heartbeat_interval, heartbeat_timeout, self._emit,
+                self._m["workers_spawned_total"],
             )
         )
         self._journal: Optional[BatchJournal] = None
@@ -223,9 +222,7 @@ class JobPool(PoolObservability):
             # a fresh pool owns its journal outright: truncate whatever an
             # earlier batch left in this workdir (resume() reattaches
             # instead, past the verified prefix)
-            self._journal = BatchJournal(
-                self.workdir / JOURNAL_NAME, truncate_to=0, metrics=self.metrics
-            )
+            self._journal = BatchJournal(self.workdir / JOURNAL_NAME, truncate_to=0)
         self._record(
             "batch",
             version=JOURNAL_VERSION,
@@ -254,7 +251,7 @@ class JobPool(PoolObservability):
         degraded = False
         if self._journal is not None:
             try:
-                with self._phase("journal"):
+                with self._acct.phase("journal"):
                     self._journal.append(kind, **payload)
                 if self.telemetry is not None:
                     self.telemetry.counters.add("journal_records")
@@ -347,7 +344,7 @@ class JobPool(PoolObservability):
         specs it never produced are lost.
         """
         admitted = False
-        with self._phase("admission"):
+        with self._acct.phase("admission"):
             while self._streams and self.state.active < self.state.capacity:
                 stream: _Stream = self._streams[0]
                 try:
@@ -579,7 +576,7 @@ class JobPool(PoolObservability):
                 len(state.ready) + len(state.delayed) + bool(self._streams)
             )
         while state.ready and not state.draining:
-            with self._phase("dispatch"):
+            with self._acct.phase("dispatch"):
                 dispatched = self._dispatch(state.ready[0][2], now)
             if not dispatched:
                 break
@@ -621,8 +618,7 @@ class JobPool(PoolObservability):
         t0 = time.perf_counter()
         state = self.state
         previous_handlers = self._install_signal_handlers()
-        if self._acct is not None:
-            self._acct.push("supervise")
+        self._acct.push("supervise")
         batch_span = (
             self.telemetry.begin("batch", phase="jobs", batch=self.batch_id)
             if self.telemetry is not None
@@ -648,12 +644,11 @@ class JobPool(PoolObservability):
             # the journal stays open: the pool outlives run() (submitting
             # into freed capacity and running again is supported), and every
             # append is already flushed/fsynced — closing is GC's job
-            with self._phase("drain"):
+            with self._acct.phase("drain"):
                 self.fleet.shutdown()
             if batch_span is not None:
                 self.telemetry.end(batch_span)
-            if self._acct is not None:
-                self._acct.pop()  # close the supervise root
+            self._acct.pop()  # close the supervise root
             self._charge_jobs_phase()
             self._write_status(final=True)
             if self._tmp is not None:
@@ -671,11 +666,9 @@ class JobPool(PoolObservability):
             resumed=self.resumed,
             hung_workers=self.fleet.hung,
             stream_errors=list(self._stream_errors),
-            supervisor_seconds=(
-                dict(self._acct.seconds) if self._acct is not None else {}
-            ),
+            supervisor_seconds=dict(self._acct.seconds),
             batch_id=self.batch_id,
-            metrics=self.metrics.snapshot() if self.metrics is not None else None,
+            metrics=self.metrics.snapshot(),
         )
 
     def _publish(self) -> None:
@@ -706,7 +699,7 @@ class JobPool(PoolObservability):
                 if state.delayed:
                     expiry = state.delayed[0][0] - time.perf_counter()
                     timeout = min(timeout, max(0.0, expiry))
-                with self._phase("idle"):
+                with self._acct.phase("idle"):
                     fleet.wait(timeout)
 
     # -- crash-safe resume -------------------------------------------------------------
@@ -776,7 +769,6 @@ class JobPool(PoolObservability):
             batch_dir / JOURNAL_NAME,
             seq_start=len(replay.records),
             truncate_to=replay.good_bytes,
-            metrics=pool.metrics,
         )
         pool.resumed = True
         reclaimed = [name for name in state.shm_names if unlink_stale(name)]

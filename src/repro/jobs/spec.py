@@ -43,11 +43,15 @@ __all__ = [
 #: job, which dispatches before any ``bulk`` job (FIFO within a lane)
 LANES = ("interactive", "batch", "bulk")
 
-#: per-attempt cost centres recorded by the warm workers: ``spawn``
+#: per-attempt cost centres, the fields of ``AttemptRecord.phases`` — a
+#: regrouping of the attempt's own telemetry phases
+#: (:data:`repro.telemetry.PHASES`), not metric families (those are listed
+#: once, in :data:`repro.telemetry.metrics.CATALOGUE`): ``spawn``
 #: (dispatch-to-receipt latency — fork + queueing on a cold worker, pipe
-#: latency on a warm one), ``compile`` (IR derivation, kernel binding, step
-#: plans, preflight), ``compute`` (stencil + sparse operators), ``io``
-#: (checkpoints + health guards)
+#: latency on a warm one), ``compile`` (``precompute`` + building the
+#: problem), ``compute`` (``stencil`` + ``injection`` + ``receivers`` +
+#: ``other``), ``io`` (``checkpoint+guard`` + what follows the run: result
+#: marshalling)
 PHASE_KEYS = ("spawn", "compile", "compute", "io")
 
 #: terminal job states: ``completed`` (receivers produced), ``timeout``
@@ -286,7 +290,7 @@ class BatchReport:
     #: stable batch identity (the workdir name; survives resume)
     batch_id: str = ""
     #: final :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot` of
-    #: the batch's metrics registry (None when instrumentation is off)
+    #: the batch's metrics registry (None on a hand-built report)
     metrics: Optional[dict] = None
 
     @property

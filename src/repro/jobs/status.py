@@ -6,8 +6,7 @@ cadence — lanes, workers, breaker state, tenant occupancy, attempt latency
 quantiles and achieved stencil throughput — and falls back to (or is forced
 onto, with ``--journal``) a replay of the write-ahead journal, whose
 timestamped records reconstruct admission/terminal timings and per-tenant
-throughput for a batch that is finished, crashed, or was run with metrics
-off.
+throughput for a batch that is finished or crashed.
 
 Because ``metrics.json`` is written with a temp-file + ``os.replace``, a
 reader never sees a torn snapshot: this command is safe to run in a loop
@@ -18,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..telemetry.counters import stencil_gpoints_per_s
+from ..telemetry.metrics import histogram_quantile
 from .journal import JOURNAL_NAME, load_journal
 from .pool import METRICS_NAME
 
@@ -54,27 +54,10 @@ def _value(snapshot: dict, name: str, **labels) -> Optional[float]:
 
 
 def _quantile(entry: dict, q: float) -> Optional[float]:
-    """Quantile of one snapshot histogram series (cumulative buckets keyed
-    by edge repr / ``+Inf``) — the JSON mirror of ``Histogram.quantile``."""
+    """Quantile of one snapshot histogram series, whose cumulative
+    ``buckets`` are keyed by edge repr / ``+Inf``."""
     buckets = entry.get("buckets") or {}
-    total = entry.get("count", 0)
-    if not buckets or not total:
-        return None
-    edges = sorted(
-        (math.inf if k == "+Inf" else float(k), v) for k, v in buckets.items()
-    )
-    rank = q * total
-    prev_edge, prev_cum = 0.0, 0.0
-    finite = [e for e, _ in edges if math.isfinite(e)]
-    for edge, cum in edges:
-        if cum >= rank:
-            if not math.isfinite(edge):  # overflow bucket: saturate
-                return finite[-1] if finite else None
-            span = cum - prev_cum
-            frac = (rank - prev_cum) / span if span > 0 else 1.0
-            return prev_edge + (edge - prev_edge) * min(1.0, max(0.0, frac))
-        prev_edge, prev_cum = (edge if math.isfinite(edge) else prev_edge), cum
-    return finite[-1] if finite else None
+    return histogram_quantile(sorted((float(k), v) for k, v in buckets.items()), q)
 
 
 def journal_stats(batch_dir) -> Optional[dict]:
@@ -226,9 +209,10 @@ def render_status(snapshot: Optional[dict], journal: Optional[dict]) -> str:
             )
         points = _value(snapshot, "repro_jobs_points_updated_total")
         stencil_s = _value(snapshot, "repro_jobs_stencil_seconds_total")
-        if points and stencil_s:
+        gpts = stencil_gpoints_per_s(points or 0.0, stencil_s or 0.0)
+        if gpts is not None:
             lines.append(
-                f"stencil throughput: {points / stencil_s / 1e9:.4f} GPts/s "
+                f"stencil throughput: {gpts:.4f} GPts/s "
                 f"({points:.3g} points over {stencil_s:.3f}s of stencil time)"
             )
         retries = _value(snapshot, "repro_jobs_retried_total")

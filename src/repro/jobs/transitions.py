@@ -30,6 +30,7 @@ from ..errors import (
     QueueSaturatedError,
     RetryExhaustedError,
 )
+from ..telemetry.metrics import CATALOGUE
 from .journal import JOURNAL_KINDS
 from .retry import RetryPolicy
 from .spec import AttemptRecord, JobSpec
@@ -63,12 +64,39 @@ def _event(kind: str, job: str = "", **info) -> Effect:
     return ("event", kind, job, info)
 
 
-def _count(family: str, amount: float = 1.0, **labels) -> Effect:
-    return ("count", family, amount, labels)
+_EFFECT_OPS = {"counter": "count", "histogram": "observe"}
 
 
-def _observe(family: str, value: float, **labels) -> Effect:
-    return ("observe", family, value, labels)
+def _metric(family: str, *labelnames: str) -> Callable[..., Effect]:
+    """The effect constructor of one :data:`~repro.telemetry.metrics.CATALOGUE`
+    family — ``count`` for a counter, ``observe`` for a histogram — bound at
+    import: ``KeyError`` here, not in the middle of a batch, when the
+    catalogue lacks *family* or labels it differently."""
+    if family not in CATALOGUE:
+        raise KeyError(f"transition effect names undeclared metric family {family!r}")
+    kind, declared = CATALOGUE[family][:2]
+    if kind not in _EFFECT_OPS or set(labelnames) != set(declared):
+        raise KeyError(
+            f"transition effect on {family!r} with labels {labelnames} disagrees "
+            f"with the catalogue's {kind} labelled {declared}"
+        )
+    op = _EFFECT_OPS[kind]
+
+    def effect(value: float = 1.0, **labels) -> Effect:
+        return (op, family, value, labels)
+
+    return effect
+
+
+_ADMITTED = _metric("jobs_admitted_total", "lane", "tenant")
+_ATTEMPT_SECONDS = _metric("attempt_seconds", "outcome")
+_COMPLETED = _metric("jobs_completed_total")
+_RETRIED = _metric("jobs_retried_total")
+_TERMINAL = _metric("jobs_terminal_total", "status")
+_SDC_DETECTIONS = _metric("sdc_detections_total", "detector")
+_SDC_RECOVERIES = _metric("sdc_recoveries_total")
+_SDC_TILES = _metric("sdc_tiles_reexecuted_total")
+_STORAGE_DEGRADED = _metric("storage_degraded_total")
 
 
 @dataclass(eq=False)
@@ -79,8 +107,6 @@ class JobState:
     spec: JobSpec
     #: the job's private backoff-jitter stream (drawn only inside ``apply``)
     jitter_rng: np.random.Generator
-    #: admission clock reading — the admission-wait histogram's anchor
-    queued_at: float
     attempt_no: int = 0
     #: every attempt that reached an outcome, plus the open one while in flight
     attempts: List[AttemptRecord] = field(default_factory=list)
@@ -283,13 +309,12 @@ def _on_admit(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
         index=index,
         spec=spec,
         jitter_rng=state.retry.rng_for(state.batch_seed, index),
-        queued_at=now,
     )
     state.jobs.append(job)
     state.by_id[spec.job_id] = job
     _open(state, job)
     return (
-        _count("jobs_admitted_total", lane=spec.lane, tenant=spec.tenant),
+        _ADMITTED(lane=spec.lane, tenant=spec.tenant),
         _event(
             "queued", spec.job_id, lane=spec.lane, tenant=spec.tenant,
             streamed=bool(rec.get("streamed", False)),
@@ -304,15 +329,8 @@ def _on_attempt(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
         # completed result that failed verification on disk
         reopen(state, job)
     _dequeue(state, job)
-    effects = ()
     if job.first_started is None:
         job.first_started = now
-        effects = (
-            _observe(
-                "admission_wait_seconds", max(0.0, now - job.queued_at),
-                lane=job.spec.lane,
-            ),
-        )
     job.attempts.append(
         AttemptRecord(
             attempt=int(rec["attempt"]),
@@ -325,7 +343,7 @@ def _on_attempt(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
     job.in_flight = True
     job.force_resume = False
     job.dispatched_engine = rec["engine"]
-    return effects
+    return ()
 
 
 def _on_outcome(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
@@ -339,16 +357,14 @@ def _on_outcome(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
         attempt.engine = rec.get("engine", "")
         job.in_flight = False
         effects.append(
-            _observe(
-                "attempt_seconds", max(0.0, now - attempt.started), outcome=outcome
-            )
+            _ATTEMPT_SECONDS(max(0.0, now - attempt.started), outcome=outcome)
         )
     job.consecutive_crashes = job.consecutive_crashes + 1 if outcome == "crash" else 0
     if outcome == "sdc":
         job.distrust_shm = True
     if outcome == "completed":
         job.digest = rec.get("digest")
-        effects.append(_count("jobs_completed_total"))
+        effects.append(_COMPLETED())
         _close(state, job, "completed")
     elif outcome == "timeout":
         _close(state, job, "timeout", JobTimeoutError(
@@ -388,9 +404,7 @@ def _on_outcome(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
         state.seq += 1
         heapq.heappush(state.delayed, (now + delay, state.seq, job))
         effects += [
-            _count("jobs_retried_total"),
-            _count("retries_total"),
-            _observe("retry_backoff_seconds", delay),
+            _RETRIED(),
             _event("retried", job_id, attempt=job.attempt_no, delay=delay, error=error),
         ]
     return effects
@@ -409,7 +423,7 @@ def _on_terminal(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
         info = {"attempts": len(job.attempts)}
     return (
         _event(status, job.spec.job_id, **info),
-        _count("jobs_terminal_total", status=status),
+        _TERMINAL(status=status),
     )
 
 
@@ -421,27 +435,27 @@ def _on_sdc(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
     detector = rec.get("detector", "growth")
     if not rec.get("recovered"):
         return (
-            _count("sdc_detections_total", detector=detector),
+            _SDC_DETECTIONS(detector=detector),
             _event("sdc", rec["job"], attempt=rec["attempt"], detector=detector),
         )
     detections = int(rec.get("detections", 0))
     tiles = int(rec.get("tiles_reexecuted", 0))
     effects = [
-        _count("sdc_detections_total", detections, detector=detector),
-        _count("sdc_recoveries_total"),
+        _SDC_DETECTIONS(detections, detector=detector),
+        _SDC_RECOVERIES(),
         _event(
             "sdc_recovered", rec["job"], attempt=rec["attempt"],
             detections=detections, tiles_reexecuted=tiles,
         ),
     ]
     if tiles:
-        effects.append(_count("sdc_tiles_reexecuted_total", tiles))
+        effects.append(_SDC_TILES(tiles))
     return effects
 
 
 def _on_storage_degraded(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
     return (
-        _count("storage_degraded_total"),
+        _STORAGE_DEGRADED(),
         _event("storage_degraded", error=rec.get("error"), op=rec.get("op")),
     )
 
@@ -474,7 +488,6 @@ def _on_resume(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
             job.in_flight = False
             job.force_resume = True
         job.first_started = None
-        job.queued_at = now
         effects.append(
             _event(
                 "readmitted", job.spec.job_id, attempt=job.attempt_no,

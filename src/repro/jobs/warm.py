@@ -360,8 +360,8 @@ class WarmFleet:
     error, a dead daemon, a heartbeat-silent one, a job past its deadline —
     becomes ``(job, verdict, payload)``, with the killing, reaping, retiring
     and replacing of daemons handled here.  *emit* receives the
-    ``worker_*`` lifecycle events; *instruments* (family → instrument, or
-    None) the spawn counter and the heartbeat-age gauge.
+    ``worker_*`` lifecycle events, *spawn_counter* (the
+    ``workers_spawned_total`` instrument) one tick per prefork.
     """
 
     #: attempts run in other processes: on their own clocks, and killable
@@ -373,13 +373,13 @@ class WarmFleet:
         heartbeat_interval: float,
         heartbeat_timeout: Optional[float],
         emit: Callable[..., None],
-        instruments: Optional[dict] = None,
+        spawn_counter,
     ):
         self.slots = int(slots)
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_timeout = heartbeat_timeout
         self._emit = emit
-        self._instruments = instruments
+        self._spawn_counter = spawn_counter
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
@@ -418,8 +418,7 @@ class WarmFleet:
             heartbeat_interval=self.heartbeat_interval,
         )
         self.workers.append(worker)
-        if self._instruments is not None:
-            self._instruments["workers_spawned_total"].inc()
+        self._spawn_counter.inc()
         self._emit("worker_spawned", worker=worker.worker_id, pid=worker.proc.pid)
         return worker
 
@@ -428,10 +427,6 @@ class WarmFleet:
         killed); shared segments stay valid — only the mapping died."""
         if worker in self.workers:
             self.workers.remove(worker)
-        if self._instruments is not None:
-            self._instruments["worker_heartbeat_age_seconds"].remove(
-                worker=worker.worker_id
-            )
         worker.kill()  # no-op if already dead; reaps the process either way
         self._emit(
             "worker_crashed" if crashed else "worker_retired",

@@ -4,7 +4,11 @@
 helper; the executor flushes locally-accumulated tallies into it once per run
 so the hot loop pays Python-int additions only.
 
-Counter taxonomy (all optional — absent means the producer never ran):
+Counter taxonomy (all optional — absent means the producer never ran).
+These are the tallies of one :class:`~repro.telemetry.spans.Telemetry`
+buffer; the batch-wide, labelled metric *families* a job service exports are
+a different thing and are listed in one place,
+:data:`repro.telemetry.metrics.CATALOGUE`:
 
 * ``instances`` / ``sweep{j}.instances`` — executed sweep instances.
 * ``points_updated`` — grid-point *updates* (box points × equations of the
@@ -46,7 +50,8 @@ Counter taxonomy (all optional — absent means the producer never ran):
   of completed attempts per daemon.
 * ``journal_records`` — write-ahead journal appends
   (:mod:`repro.jobs.journal`): each one is a durable, fsynced state
-  transition of the batch.
+  transition of the batch (what they cost is the supervisor's ``journal``
+  bucket, ``BatchReport.supervisor_seconds``).
 
 The derived metrics join the measured counters and phase seconds with the
 *static* per-point costs of :mod:`repro.analysis.metrics` (flop and access
@@ -63,6 +68,7 @@ from typing import Dict, Optional
 
 __all__ = [
     "Counters",
+    "stencil_gpoints_per_s",
     "derived_metrics",
 ]
 
@@ -80,20 +86,30 @@ class Counters(dict):
         return {k: int(v) for k, v in sorted(self.items())}
 
 
+def stencil_gpoints_per_s(points_updated: float, stencil_seconds: float) -> Optional[float]:
+    """Achieved sweep throughput in GPts/s (the paper's Fig. 9-11 metric):
+    the ``points_updated`` counter over the measured ``stencil`` phase
+    seconds — precomputation and sparse work excluded, unlike a division by
+    a wall time taken from outside.  ``None`` when either input is missing.
+    The one definition: a run's :func:`derived_metrics` and the batch-wide
+    figure of ``jobs status`` both come from here."""
+    if stencil_seconds <= 0 or not points_updated:
+        return None
+    return points_updated / stencil_seconds / 1e9
+
+
 def derived_metrics(telemetry) -> Dict[str, Optional[float]]:
     """Join measured counters/seconds with the static per-point costs.
 
-    Returns ``gpoints_per_s`` (measured stencil seconds, see also
-    :func:`repro.analysis.metrics.achieved_gpoints_per_s`),
+    Returns ``gpoints_per_s`` (:func:`stencil_gpoints_per_s`),
     ``gflops_per_s`` and ``intensity_flops_per_byte`` (``None`` whenever the
     inputs to a metric are missing — e.g. no static costs registered, or the
     stencil phase never ran).
     """
     counters = telemetry.counters
     stencil = telemetry.phase_seconds.get("stencil", 0.0)
-    points = counters.get("points_updated", 0)
     out: Dict[str, Optional[float]] = {
-        "gpoints_per_s": points / stencil / 1e9 if stencil > 0 and points else None,
+        "gpoints_per_s": stencil_gpoints_per_s(counters.get("points_updated", 0), stencil),
         "gflops_per_s": None,
         "intensity_flops_per_byte": None,
     }

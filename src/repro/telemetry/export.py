@@ -4,8 +4,7 @@ Three views of one :class:`~repro.telemetry.spans.Telemetry` buffer:
 
 * :func:`telemetry_to_json` — everything (phases, counters, derived metrics,
   spans, events) as one JSON-able dict; this is what ``repro.profile --json``
-  prints and what ``bench_engine.py --telemetry`` folds into
-  ``BENCH_engine.json``.
+  prints.
 * :func:`render_phase_table` — the per-phase breakdown as a fixed-width
   table (via :func:`repro.analysis.report.render_table`) with the achieved
   GPts/s row joined in from the measured sweep time.
@@ -14,20 +13,23 @@ Three views of one :class:`~repro.telemetry.spans.Telemetry` buffer:
   ``about:tracing`` load: matched ``B``/``E`` duration events per span,
   microsecond timestamps relative to the trace epoch, instantaneous ``i``
   events for checkpoint/fallback marks.  Load the file in Perfetto to see
-  the tile/sweep timeline of a wavefront run.
+  the tile/sweep timeline of a wavefront run.  :func:`track_events` is the
+  one place spans become events; :mod:`repro.telemetry.merge` builds the
+  batch-wide trace's tracks with it too.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import List
 
 from .counters import derived_metrics
-from .spans import PHASES, Span, Telemetry
+from .spans import PHASES, Telemetry
 
 __all__ = [
     "telemetry_to_json",
     "render_phase_table",
+    "track_events",
     "to_chrome_trace",
     "write_chrome_trace",
 ]
@@ -60,7 +62,6 @@ def render_phase_table(tel: Telemetry, title: str = "") -> str:
     wall-time; the residual row makes the coverage explicit (the boundary
     accounting of the executors keeps it small).
     """
-    from ..analysis.metrics import achieved_gpoints_per_s
     from ..analysis.report import render_table
 
     total = tel.total_seconds()
@@ -81,10 +82,12 @@ def render_phase_table(tel: Telemetry, title: str = "") -> str:
     lines = [table]
     if "engine" in tel.meta:
         lines.append(f"engine rung         : {tel.meta['engine']}")
-    gpts = achieved_gpoints_per_s(tel)
-    if gpts is not None:
-        lines.append(f"achieved throughput : {gpts:.4f} GPts/s (measured stencil time)")
     derived = derived_metrics(tel)
+    if derived["gpoints_per_s"] is not None:
+        lines.append(
+            f"achieved throughput : {derived['gpoints_per_s']:.4f} GPts/s "
+            "(measured stencil time)"
+        )
     if derived["gflops_per_s"] is not None:
         lines.append(f"achieved compute    : {derived['gflops_per_s']:.3f} GFLOP/s")
     if derived["intensity_flops_per_byte"] is not None:
@@ -106,52 +109,72 @@ def render_phase_table(tel: Telemetry, title: str = "") -> str:
     return "\n".join(lines)
 
 
-def _event(span: Span, ph: str, ts: float, pid: int = 1, tid: int = 1) -> dict:
-    ev = {
-        "name": span.name,
-        "cat": span.phase or "structural",
-        "ph": ph,
-        "ts": ts,
-        "pid": pid,
-        "tid": tid,
-    }
-    if ph in ("B", "i") and span.attrs:
-        ev["args"] = {k: _jsonable(v) for k, v in span.attrs.items()}
-    if ph == "i":
-        ev["s"] = "t"  # thread-scoped instant
-    return ev
-
-
 def _jsonable(v):
     if isinstance(v, tuple):
         return [_jsonable(x) for x in v]
     return v
 
 
-def to_chrome_trace(tel: Telemetry) -> dict:
-    """Spans and events as Chrome ``trace_event`` JSON (Perfetto-loadable).
+def track_events(spans, events, shift_s: float, pid: int, tid: int, base_args=None) -> List[tuple]:
+    """One buffer's rows as sort-keyed Chrome events on track ``(pid, tid)``.
 
-    Every span becomes a matched ``B``/``E`` pair; timestamps are
-    microseconds since the trace epoch.  The single-threaded executors
-    guarantee proper nesting, so sorting by ``(ts, kind, extent)`` — closes
-    before opens at a shared boundary, longer spans opening first, shorter
-    spans closing first — reconstructs a valid event stream from the
-    completion-ordered span list.
+    *spans* / *events* are :meth:`Span.to_dict` rows; *shift_s* moves their
+    clock into the trace's frame; *base_args* (trace identity) is merged
+    under each row's own attrs.  Every span becomes a matched ``B``/``E``
+    pair, every event a thread-scoped ``i``.  Sorting the returned ``(key,
+    event)`` pairs by key — ``(tid, ts, kind, extent, depth)`` — replays the
+    completion-ordered rows as a valid stream: at a shared timestamp closes
+    sort before opens, longer (then shallower) spans open first, shorter
+    (then deeper) spans close first.  A span of no width at the trace's
+    resolution would close before it opened under that rule; its pair shares
+    one key instead, placed after the opens, and the stable sort keeps it
+    adjacent.
     """
-    epoch = tel.epoch if tel.epoch is not None else 0.0
+    base_args = base_args or {}
 
     def us(t: float) -> float:
-        return round((t - epoch) * 1e6, 3)
+        return round((t + shift_s) * 1e6, 3)
+
+    def event(row: dict, ph: str, ts: float) -> dict:
+        ev = {"name": row["name"], "cat": row.get("phase") or "structural"}
+        if ph == "i":
+            ev.update(ph=ph, ts=ts, pid=pid, tid=tid, s="t")  # thread-scoped instant
+        else:
+            ev.update(pid=pid, tid=tid, ph=ph, ts=ts)
+        if ph != "E":
+            args = {**base_args, **{k: _jsonable(v) for k, v in row.get("attrs", {}).items()}}
+            if args:
+                ev["args"] = args
+        return ev
 
     keyed: List[tuple] = []
-    for span in tel.spans:
-        # sort kind: E=0 before B=1 at equal ts; among Bs longer first
-        # (parents open before children), among Es shorter first (children
-        # close before parents)
-        keyed.append(((us(span.end), 0, span.dur), _event(span, "E", us(span.end))))
-        keyed.append(((us(span.start), 1, -span.dur), _event(span, "B", us(span.start))))
-    for ev in tel.events:
-        keyed.append(((us(ev.start), 2, 0.0), _event(ev, "i", us(ev.start))))
+    for s in spans:
+        start, end = us(s["start"]), us(s["start"] + s["dur"])
+        dur, depth = s["dur"], s.get("depth", 0)
+        if end > start:
+            open_key, close_key = (tid, start, 1, -dur, depth), (tid, end, 0, dur, -depth)
+        else:
+            open_key = close_key = (tid, start, 1, 0.0, depth)
+        keyed.append((open_key, event(s, "B", start)))
+        keyed.append((close_key, event(s, "E", end)))
+    for ev in events:
+        ts = us(ev["start"])
+        keyed.append(((tid, ts, 2, 0.0, 0), event(ev, "i", ts)))
+    return keyed
+
+
+#: member order of the single-run file's events, which differs from the
+#: batch trace's; restored so the file stays byte-identical
+_SINGLE_RUN_KEYS = ("name", "cat", "ph", "ts", "pid", "tid", "args", "s")
+
+
+def to_chrome_trace(tel: Telemetry) -> dict:
+    """Spans and events as Chrome ``trace_event`` JSON (Perfetto-loadable):
+    one track, timestamps in microseconds since the trace epoch."""
+    keyed = track_events(
+        [s.to_dict() for s in tel.spans], [e.to_dict() for e in tel.events],
+        -(tel.epoch or 0.0), pid=1, tid=1,
+    )
     keyed.sort(key=lambda kv: kv[0])
     trace_events = [
         {"name": "process_name", "ph": "M", "pid": 1, "tid": 1,
@@ -160,7 +183,9 @@ def to_chrome_trace(tel: Telemetry) -> dict:
          "args": {"name": str(tel.meta.get("schedule", {}).get("kind", "executor"))
                   if isinstance(tel.meta.get("schedule"), dict) else "executor"}},
     ]
-    trace_events.extend(ev for _, ev in keyed)
+    trace_events.extend(
+        {k: ev[k] for k in _SINGLE_RUN_KEYS if k in ev} for _, ev in keyed
+    )
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 

@@ -48,6 +48,7 @@ import json
 import math
 from typing import Dict, List, Optional, Tuple
 
+from .export import track_events
 from .spans import Telemetry
 
 __all__ = [
@@ -132,19 +133,6 @@ def validate_payload(payload) -> Optional[str]:
     return None
 
 
-def _us(t: float) -> float:
-    return round(t * 1e6, 3)
-
-
-def _args(attrs: dict) -> dict:
-    def jsonable(v):
-        if isinstance(v, tuple):
-            return [jsonable(x) for x in v]
-        return v
-
-    return {k: jsonable(v) for k, v in attrs.items()}
-
-
 _SUPERVISOR_PID = 1
 _WORKER_PID = 2
 
@@ -157,51 +145,6 @@ _TERMINAL_EVENTS = {
     "job.quarantined",
     "job.interrupted",
 }
-
-
-def _payload_events(payload: dict, offset_s: float, tid: int) -> List[tuple]:
-    """One attempt payload -> sort-keyed Chrome events on worker track *tid*.
-
-    The sort key mirrors :func:`repro.telemetry.export.to_chrome_trace`:
-    at a shared boundary closes sort before opens (parents open before
-    children, children close before parents), so the completion-ordered
-    span list replays as a valid B/E stream.
-    """
-    keyed: List[tuple] = []
-    ctx = payload.get("context", {})
-    base_args = {k: ctx[k] for k in ("job", "attempt") if k in ctx}
-    for s in payload["spans"]:
-        start = _us(s["start"] + offset_s)
-        end = _us(s["start"] + s["dur"] + offset_s)
-        common = {
-            "name": s["name"],
-            "cat": s.get("phase") or "structural",
-            "pid": _WORKER_PID,
-            "tid": tid,
-        }
-        b = {**common, "ph": "B", "ts": start}
-        args = {**base_args, **_args(s.get("attrs", {}))}
-        if args:
-            b["args"] = args
-        e = {**common, "ph": "E", "ts": end}
-        keyed.append(((tid, end, 0, s["dur"]), e))
-        keyed.append(((tid, start, 1, -s["dur"]), b))
-    for ev in payload["events"]:
-        ts = _us(ev["start"] + offset_s)
-        item = {
-            "name": ev["name"],
-            "cat": ev.get("phase") or "structural",
-            "ph": "i",
-            "ts": ts,
-            "pid": _WORKER_PID,
-            "tid": tid,
-            "s": "t",
-        }
-        args = {**base_args, **_args(ev.get("attrs", {}))}
-        if args:
-            item["args"] = args
-        keyed.append(((tid, ts, 2, 0.0), item))
-    return keyed
 
 
 def merge_batch_trace(report, supervisor_telemetry: Optional[Telemetry] = None) -> dict:
@@ -228,39 +171,29 @@ def merge_batch_trace(report, supervisor_telemetry: Optional[Telemetry] = None) 
         # the supervisor's buffer records absolute perf_counter readings;
         # its epoch is the batch-relative zero the worker offsets map into
         epoch = supervisor_telemetry.epoch or 0.0
-        for span in supervisor_telemetry.spans:
-            start, end = _us(span.start - epoch), _us(span.end - epoch)
-            common = {"name": span.name, "cat": span.phase or "structural",
-                      "pid": _SUPERVISOR_PID, "tid": 0}
-            b = {**common, "ph": "B", "ts": start}
-            if span.attrs:
-                b["args"] = _args(span.attrs)
-            sup_keyed.append(((end, 0, span.dur), {**common, "ph": "E", "ts": end}))
-            sup_keyed.append(((start, 1, -span.dur), b))
-        for ev in supervisor_telemetry.events:
-            ts = _us(ev.start - epoch)
-            item = {"name": ev.name, "cat": ev.phase or "structural", "ph": "i",
-                    "ts": ts, "pid": _SUPERVISOR_PID, "tid": 0, "s": "t"}
-            if ev.attrs:
-                item["args"] = _args(ev.attrs)
-            sup_keyed.append(((ts, 2, 0.0), item))
-            jid = ev.attrs.get("job")
+        sup_keyed = track_events(
+            [s.to_dict() for s in supervisor_telemetry.spans],
+            [e.to_dict() for e in supervisor_telemetry.events],
+            -epoch, _SUPERVISOR_PID, 0,
+        )
+        for ev in [ev for _, ev in sup_keyed if ev["ph"] == "i"]:
+            ts, jid = ev["ts"], ev.get("args", {}).get("job")
             if jid is None:
                 continue
             # async job-lifetime bars interleave with the B/E/i stream; sort
             # keys slot e before B-opens and b after E-closes at equal ts
-            if ev.name == "job.queued" and jid not in job_open:
+            if ev["name"] == "job.queued" and jid not in job_open:
                 job_open[jid] = ts
-                sup_keyed.append(((ts, 1.5, 0.0), {
+                sup_keyed.append(((0, ts, 1.5), {
                     "name": f"job {jid}", "cat": "jobs", "ph": "b", "ts": ts,
                     "pid": _SUPERVISOR_PID, "tid": 0, "id": str(jid),
                 }))
-            elif ev.name in _TERMINAL_EVENTS and jid in job_open:
+            elif ev["name"] in _TERMINAL_EVENTS and jid in job_open:
                 end_ts = max(ts, job_open.pop(jid))
-                sup_keyed.append(((end_ts, 0.5, 0.0), {
+                sup_keyed.append(((0, end_ts, 0.5), {
                     "name": f"job {jid}", "cat": "jobs", "ph": "e", "ts": end_ts,
                     "pid": _SUPERVISOR_PID, "tid": 0, "id": str(jid),
-                    "args": {"outcome": ev.name.split(".", 1)[1]},
+                    "args": {"outcome": ev["name"].split(".", 1)[1]},
                 }))
     sup_keyed.sort(key=lambda kv: kv[0])
     events.extend(ev for _, ev in sup_keyed)
@@ -275,15 +208,19 @@ def merge_batch_trace(report, supervisor_telemetry: Optional[Telemetry] = None) 
             if payload is None:
                 continue
             reason = validate_payload(payload)
-            offset = payload.get("context", {}).get("clock_offset_s")
+            ctx = payload.get("context", {})
+            offset = ctx.get("clock_offset_s")
             if reason is not None or not _finite(offset):
                 dropped += 1
                 continue
-            tid = int(payload["context"].get("worker") or 0)
+            tid = int(ctx.get("worker") or 0)
             named_tracks.setdefault(
                 tid, "serial" if tid == 0 else f"worker {tid}"
             )
-            worker_keyed.extend(_payload_events(payload, float(offset), tid))
+            worker_keyed.extend(track_events(
+                payload["spans"], payload["events"], float(offset), _WORKER_PID, tid,
+                base_args={k: ctx[k] for k in ("job", "attempt") if k in ctx},
+            ))
     for tid, name in sorted(named_tracks.items()):
         events.append({"name": "thread_name", "ph": "M", "pid": _WORKER_PID,
                        "tid": tid, "args": {"name": name}})

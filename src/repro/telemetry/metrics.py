@@ -4,8 +4,8 @@ The per-run :class:`~repro.telemetry.spans.Telemetry` buffer answers "where
 did *this run's* wall-time go"; it dies with the run.  A
 :class:`MetricsRegistry` is the complementary *service-level* surface: a
 process-wide (well, supervisor-wide) set of named, labelled instruments the
-whole ``jobs/`` service records into — queue depths per lane, admission
-waits, attempt latencies, breaker transitions, journal fsync latency —
+whole ``jobs/`` service records into — the families of :data:`CATALOGUE`:
+queue depths per lane, attempt latencies, breaker transitions, … —
 snapshottable at any instant as versioned JSON
 (:meth:`MetricsRegistry.snapshot`) or Prometheus text exposition format
 (:meth:`MetricsRegistry.exposition`), and servable over a stdlib HTTP
@@ -14,11 +14,12 @@ endpoint (:class:`MetricsServer`, ``--metrics-port`` on the jobs CLI).
 Instrument semantics follow the Prometheus conventions:
 
 * :class:`Counter` — monotonically non-decreasing totals (``*_total``);
-* :class:`Gauge` — a value that goes both ways (queue depth, heartbeat age);
+* :class:`Gauge` — a value that goes both ways (queue depth, busy workers);
 * :class:`Histogram` — fixed-bucket observation counts with ``sum`` and
-  ``count``; :meth:`Histogram.quantile` estimates quantiles by linear
+  ``count``; :func:`histogram_quantile` estimates quantiles by linear
   interpolation inside the bucket the rank falls in (exactly what a
-  Prometheus ``histogram_quantile`` would do server-side).
+  Prometheus ``histogram_quantile`` would do server-side), from a live
+  instrument and from a snapshot alike.
 
 Labels are declared per instrument (``labelnames``) and passed by keyword
 at record time; each distinct label-value combination is one time series.
@@ -39,6 +40,7 @@ Prometheus exposition, not something that merely looks like it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -50,9 +52,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "SNAPSHOT_VERSION",
     "DEFAULT_BUCKETS",
+    "CATALOGUE",
     "Counter",
     "Gauge",
     "Histogram",
+    "histogram_quantile",
     "MetricsRegistry",
     "MetricsServer",
     "PhaseAccountant",
@@ -71,6 +75,62 @@ DEFAULT_BUCKETS = (
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+
+#: The one place metric families are declared: ``family -> (kind, labels,
+#: reader, help)``.  :meth:`MetricsRegistry.instrument` creates from it, the
+#: transition effects of :mod:`repro.jobs.transitions` are checked against it
+#: at import, and DESIGN.md §7's family table is checked against it by
+#: ``tests/telemetry/test_metrics.py``.  *reader* names who consumes the
+#: family — ``"status"`` (``python -m repro.jobs.status`` renders it) or
+#: ``"test"`` (a tier-1 test asserts its value against the batch report) —
+#: and the same test holds every entry to its claim: a family nobody reads
+#: is deleted, not catalogued.
+CATALOGUE: Dict[str, Tuple[str, Tuple[str, ...], str, str]] = {
+    "jobs_admitted_total": (
+        "counter", ("lane", "tenant"), "test", "jobs admitted into the batch"),
+    "jobs_completed_total": (
+        "counter", (), "test", "jobs that reached completed"),
+    "jobs_terminal_total": (
+        "counter", ("status",), "test", "jobs per terminal status"),
+    "jobs_retried_total": (
+        "counter", (), "status", "attempt retries scheduled"),
+    "queue_depth": (
+        "gauge", ("lane",), "status", "ready-to-dispatch jobs per priority lane"),
+    "tenant_active_jobs": (
+        "gauge", ("tenant",), "status", "admitted-but-unfinished jobs per tenant"),
+    "tenant_quota": (
+        "gauge", (), "status", "per-tenant admission quota (0 = unlimited)"),
+    "attempt_seconds": (
+        "histogram", ("outcome",), "status", "attempt latency per outcome"),
+    "workers_busy": (
+        "gauge", (), "test", "daemons with a job in flight"),
+    "workers_spawned_total": (
+        "counter", (), "test", "daemons preforked (initial + replacements)"),
+    "shm_bytes_published_total": (
+        "counter", (), "status", "shared-memory bytes published per batch"),
+    "supervisor_seconds": (
+        "gauge", ("bucket",), "status", "exclusive supervisor wall-time per bucket"),
+    "sdc_detections_total": (
+        "counter", ("detector",), "status", "silent-data-corruption detections"),
+    "sdc_recoveries_total": (
+        "counter", (), "status",
+        "attempts that recovered in-run from silent corruption"),
+    "sdc_tiles_reexecuted_total": (
+        "counter", (), "status",
+        "containment units re-executed after an ABFT violation"),
+    "storage_degraded_total": (
+        "counter", (), "test",
+        "batches degraded by ENOSPC on the journal/checkpoint path"),
+    "jobs_points_updated_total": (
+        "counter", (), "status", "grid points updated by completed attempts"),
+    "jobs_stencil_seconds_total": (
+        "counter", (), "status", "stencil seconds of completed attempts"),
+    "breaker_state": (
+        "gauge", ("engine",), "status",
+        "circuit-breaker state: 0=closed, 1=open, 2=half_open"),
+    "breaker_transitions_total": (
+        "counter", ("engine", "state"), "test", "circuit-breaker state transitions"),
+}
 
 
 def _format_value(v: float) -> str:
@@ -119,10 +179,6 @@ class _Metric:
 
     def series_labels(self, key: Tuple[str, ...]) -> Dict[str, str]:
         return dict(zip(self.labelnames, key))
-
-    def clear(self) -> None:
-        with self._lock:
-            self._series.clear()
 
 
 class Counter(_Metric):
@@ -214,32 +270,39 @@ class Histogram(_Metric):
             return float(state["sum"]) if state else 0.0
 
     def quantile(self, q: float, **labels) -> Optional[float]:
-        """Estimated *q*-quantile (0..1) by linear interpolation inside the
-        bucket the rank lands in — None with no observations.  Observations
-        in the overflow (+Inf) bucket report the last finite edge (the same
-        saturation a Prometheus ``histogram_quantile`` exhibits)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
+        """:func:`histogram_quantile` of one series — None with no
+        observations."""
         with self._lock:
             state = self._series.get(self._key(labels))
-            if not state or state["count"] == 0:
-                return None
-            counts = list(state["counts"])
-            total = state["count"]
-        rank = q * total
-        cumulative = 0.0
-        for i, c in enumerate(counts):
-            if c == 0:
-                continue
-            if cumulative + c >= rank:
-                if i >= len(self.buckets):  # overflow bucket: saturate
-                    return self.buckets[-1]
-                lo = 0.0 if i == 0 else self.buckets[i - 1]
-                hi = self.buckets[i]
-                frac = (rank - cumulative) / c
-                return lo + (hi - lo) * min(1.0, max(0.0, frac))
-            cumulative += c
-        return self.buckets[-1]
+            counts = list(state["counts"]) if state else []
+        return histogram_quantile(
+            list(zip([*self.buckets, math.inf], itertools.accumulate(counts))), q
+        )
+
+
+def histogram_quantile(cumulative: Sequence[Tuple[float, float]], q: float) -> Optional[float]:
+    """Estimated *q*-quantile (0..1) of a fixed-bucket histogram given as
+    ascending ``(upper edge, cumulative count)`` pairs ending at ``+Inf`` —
+    the shape of a live :class:`Histogram` and of a snapshot's ``buckets``
+    alike.  Linear interpolation inside the bucket the rank lands in (what a
+    Prometheus ``histogram_quantile`` does server-side); a rank in the
+    overflow bucket reports the last finite edge; None with no observations.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must be in [0, 1]")
+    total = cumulative[-1][1] if cumulative else 0
+    if not total:
+        return None
+    rank = q * total
+    lo, below = 0.0, 0
+    for edge, cum in cumulative:
+        if cum > below and cum >= rank:
+            if edge == math.inf:  # overflow bucket: saturate
+                break
+            frac = (rank - below) / (cum - below)
+            return lo + (edge - lo) * min(1.0, max(0.0, frac))
+        lo, below = edge, cum
+    return lo
 
 
 class MetricsRegistry:
@@ -290,9 +353,11 @@ class MetricsRegistry:
             Histogram, name, help, labelnames, buckets=buckets
         )
 
-    def get(self, name: str) -> Optional[_Metric]:
-        with self._lock:
-            return self._metrics.get(self._full(name))
+    def instrument(self, family: str) -> _Metric:
+        """Get-or-create the :data:`CATALOGUE` entry *family* (``KeyError``
+        for an undeclared one)."""
+        kind, labels, _reader, doc = CATALOGUE[family]
+        return getattr(self, kind)(family, doc, labels)
 
     # -- export --------------------------------------------------------------------
     def snapshot(self) -> dict:

@@ -19,7 +19,8 @@ Two kinds of record coexist:
   executors with *boundary-to-boundary* timing: each measurement picks up
   from the previous clock reading, so loop overhead is absorbed into the
   adjacent phase and the phase sum covers the run wall-time almost exactly
-  (the ≥95% coverage contract of ``bench_engine.py --telemetry``).
+  (the ≥95% coverage contract: :meth:`Telemetry.coverage` here,
+  ``bench.unattributed_frac`` in ``benchmarks/stack``, which CI gates).
 
 Phases are the paper-facing cost centres: ``precompute`` (masks, wavelet
 decomposition, kernel binding, preflight, step-plan geometry), ``stencil``

@@ -146,13 +146,3 @@ def test_serial_batch_wall_clock_reconciles(tmp_path):
         for e in trace["traceEvents"]
         if e.get("ph") != "M"
     )
-
-
-def test_metrics_false_disables_the_layer(tmp_path):
-    pool = JobPool(workers=0, workdir=tmp_path, metrics=False)
-    pool.submit(JobSpec("off0", nt=8, seed=1))
-    report = pool.run()
-    assert report.ok
-    assert report.metrics is None
-    assert report.supervisor_seconds == {}
-    assert report.result_for("off0").attempts[-1].trace is None

@@ -17,6 +17,7 @@ from repro.errors import (
 from repro.jobs import (
     JOURNAL_NAME, ChaosConfig, JobPool, JobSpec, RetryPolicy, load_journal,
 )
+from repro.telemetry.metrics import CATALOGUE
 from repro.jobs.transitions import (
     PRESSURE_FRACTION,
     BatchState,
@@ -41,6 +42,9 @@ class Script:
 
     def __call__(self, kind, now, **payload):
         out = list(apply(self.state, {"kind": kind, **payload}, now))
+        for op, family, _value, labels in out:
+            if op != "event":  # recordable exactly as the catalogue declares it
+                assert set(labels) == set(CATALOGUE[family][1]), (family, labels)
         self.effects += out
         return out
 
@@ -96,7 +100,7 @@ def test_failed_attempt_with_budget_left_backs_off_and_retries(outcome):
     assert s.state.delayed[0][0] == pytest.approx(2.0 + expected)
     (retried,) = s.events("retried")
     assert retried[2] == "a" and retried[3]["delay"] == pytest.approx(expected)
-    assert s.count("jobs_retried_total") == s.count("retries_total") == 1
+    assert s.count("jobs_retried_total") == 1
     record = job.attempts[0]
     assert (record.outcome, record.started, record.ended) == (outcome, 1.0, 2.0)
     assert record.error == f"Boom: {outcome}"

@@ -296,3 +296,38 @@ def test_amplitude_ceiling_scales_with_sources(grid2d):
     u0.data_with_halo[...] = 0.0
     plan0 = _apply(op0, NaiveSchedule())
     assert amplitude_ceiling(plan0, NT) is None
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("guard", ["health", "abft"])
+def test_guard_cost_is_under_budget_from_the_runs_own_telemetry(guard):
+    """The guard budget (DESIGN.md §2, "Health guards"): under the wavefront
+    schedule either guard's ``checkpoint+guard`` phase stays below 5% of the
+    run it guards — read from that run's own telemetry, no unguarded partner
+    run.  The ABFT share falls as 1/height (one snapshot and one amplitude
+    scan of the grid per time tile): ≈ 2% at the height-16 tiles used here,
+    ≈ 6% at height 4; EXPERIMENTS.md has the readings, the C rung's too."""
+    from repro.propagators import (
+        AcousticPropagator, SeismicModel, layered_velocity, point_source,
+        receiver_line,
+    )
+    from repro.telemetry import Telemetry
+
+    nt, shape = 16, (64, 64, 64)
+    model = SeismicModel(
+        shape, (10.0,) * 3, layered_velocity(shape, 1.5, 3.0, 3), nbl=4, space_order=8
+    )
+    dt = model.critical_dt("acoustic")
+    prop = AcousticPropagator(
+        model, space_order=8,
+        source=point_source("src", model.grid, nt + 2, [model.domain_center], f0=0.02, dt=dt),
+        receivers=receiver_line("rec", model.grid, nt + 2, npoint=8, depth=40.0),
+    )
+    schedule = WavefrontSchedule(tile=(32, 32), height=16)
+    shares = []
+    for _ in range(6):  # the first run binds the kernels; it is dropped
+        tel = Telemetry()
+        attach = {"health": HealthGuard()} if guard == "health" else {"abft": ABFTGuard()}
+        prop.forward(nt=nt, dt=dt, schedule=schedule, engine="fused", telemetry=tel, **attach)
+        shares.append(tel.phase_seconds["checkpoint+guard"] / tel.total_seconds())
+    assert 0.0 < float(np.median(shares[1:])) < 0.05, shares

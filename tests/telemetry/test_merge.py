@@ -22,6 +22,7 @@ from repro.telemetry.merge import (
     validate_payload,
     write_batch_trace,
 )
+from repro.telemetry.export import to_chrome_trace
 
 
 class FakeClock:
@@ -61,7 +62,9 @@ def drive_telemetry(ops, start=0.0, events_too=True) -> Telemetry:
 OPS = st.lists(
     st.tuples(
         st.sampled_from(["begin", "end", "event"]),
-        st.floats(min_value=1e-6, max_value=5.0, allow_nan=False),
+        # 0.0: the injectable clock may stand still between two operations,
+        # which is how zero-duration and identical-extent spans arise
+        st.just(0.0) | st.floats(min_value=1e-6, max_value=5.0, allow_nan=False),
     ),
     min_size=1,
     max_size=40,
@@ -146,20 +149,29 @@ def test_validate_payload_rejects_malformations():
     offsets=[0.0] * 4,
     epochs=[0.0] * 4,
 )
+@example(
+    # outer[0,2] ⊃ inner[1,1]: the zero-duration span whose E sorted before
+    # its own B
+    programs=[[("begin", 1.0), ("begin", 1.0), ("end", 0.0), ("end", 1.0)]],
+    offsets=[0.0] * 4,
+    epochs=[0.0] * 4,
+)
 def test_merged_trace_preserves_nesting_and_monotonicity(programs, offsets, epochs):
     """The acceptance property: arbitrary well-nested per-attempt buffers,
     each in its own clock frame with its own offset and sequential per
     worker track, merge into a trace whose per-track B/E streams stay
     strictly LIFO with non-decreasing timestamps (validate_chrome_trace
-    checks exactly that)."""
+    checks exactly that) — and so does each buffer's own single-run trace."""
     payloads = []
     track_end = {}  # per worker track: when its last attempt ended, batch clock
     for i, ops in enumerate(programs):
         worker, offset = (i % 3) + 1, offsets[i % 4]
         # a daemon runs its attempts one after another, so an attempt starts
-        # (in its own clock frame) after the previous one on its track ended
-        start = max(epochs[i % 4], track_end.get(worker, -math.inf) - offset)
+        # (in its own clock frame) a dispatch after the previous one on its
+        # track ended
+        start = max(epochs[i % 4], track_end.get(worker, -math.inf) - offset + 1e-3)
         tel = drive_telemetry(ops, start=start)
+        assert validate_chrome_trace(to_chrome_trace(tel)) == []
         track_end[worker] = tel.now() + offset
         payload = telemetry_payload(tel, job=f"j{i}", attempt=0, worker=worker)
         payload["context"]["clock_offset_s"] = offset

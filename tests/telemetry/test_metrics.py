@@ -1,16 +1,20 @@
-"""Metrics registry: instrument semantics, exposition format, snapshot
-schema, the HTTP endpoint, and the phase accountant's exclusivity."""
+"""Metrics registry: instrument semantics, the family catalogue's
+self-check, exposition format, snapshot schema, the HTTP endpoint, and the
+phase accountant's exclusivity."""
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.telemetry.metrics import (
+    CATALOGUE,
     DEFAULT_BUCKETS,
     SNAPSHOT_VERSION,
     MetricsRegistry,
@@ -200,6 +204,46 @@ def test_metrics_server_scrape_while_recording():
     finally:
         stop.set()
         t.join()
+
+
+# -- the family catalogue ----------------------------------------------------------------
+def test_instrument_creates_exactly_what_the_catalogue_declares():
+    reg = MetricsRegistry()
+    for family, (kind, labels, _reader, doc) in CATALOGUE.items():
+        metric = reg.instrument(family)
+        assert (metric.kind, metric.labelnames, metric.help) == (kind, labels, doc)
+        assert metric is reg.instrument(family)  # get-or-create
+    with pytest.raises(KeyError):
+        reg.instrument("retries_total")  # deleted: nobody read it
+
+
+def test_every_catalogue_family_has_its_reader_and_its_design_row():
+    """A family is catalogued with who reads it, and the claim is checked:
+    ``status`` means ``jobs status`` renders it, ``test`` that a tier-1 test
+    asserts its value against the batch report.  DESIGN.md §7's family table
+    is the catalogue, row for row."""
+    root = Path(__file__).resolve().parents[2]
+    readers = {
+        "status": (root / "src/repro/jobs/status.py").read_text(),
+        "test": "".join(
+            path.read_text()
+            for path in sorted((root / "tests" / "jobs").glob("test_*.py"))
+        ),
+    }
+    design = (root / "DESIGN.md").read_text()
+    section = design[design.index("### Batch-wide tracing & metrics"):]
+    rows = {
+        m.group(1): (m.group(2), m.group(3), m.group(4))
+        for m in re.finditer(
+            r"^\| `repro_(\w+)` \| (\w+) \| ([^|]*?) \| (\w+) \|", section, re.M
+        )
+    }
+    assert set(rows) == set(CATALOGUE)
+    for family, (kind, labels, reader, doc) in CATALOGUE.items():
+        assert doc, family
+        assert f'"repro_{family}"' in readers[reader], (family, reader)
+        listed = ", ".join(f"`{name}`" for name in labels) or "—"
+        assert rows[family] == (kind, listed, reader), family
 
 
 # -- phase accounting --------------------------------------------------------------------
