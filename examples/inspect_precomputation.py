@@ -16,7 +16,7 @@ Run:  python examples/inspect_precomputation.py
 import numpy as np
 
 from repro.core import build_masks, decompose_source
-from repro.core.precompute import affected_points_analytic, affected_points_by_injection
+from repro.core.precompute import affected_points
 from repro.dsl import Eq, Function, Grid, SparseTimeFunction, TimeFunction, solve
 from repro.ir import Operator
 
@@ -39,8 +39,8 @@ def main():
     print(coords)
 
     # Listing 2 vs analytic discovery
-    by_probe = affected_points_by_injection(src)
-    analytic = affected_points_analytic(src)
+    by_probe = affected_points(src, "by_injection")
+    analytic = affected_points(src, "analytic")
     assert np.array_equal(by_probe, analytic)
     print(f"\naffected grid points (npts = {len(analytic)}), both discovery methods agree:")
     print(analytic.T)

@@ -81,9 +81,10 @@ def main():
     print("wavefront temporal blocking reproduces the naive schedule exactly.")
 
     code = op.ccode(dt=dt).splitlines()
+    xy = next(i for i, line in enumerate(code) if "#pragma omp parallel for" in line)
     z = next(i for i, line in enumerate(code) if "#pragma GCC ivdep" in line)
-    print("\n--- the C that ran (engine='c'): the sweep's vectorised inner loop, first lines ---")
-    print("\n".join(code[z:z + 8] + ["        ..."]))
+    print("\n--- the C that ran (engine='c'): rows shared by the host's cores, z vectorised ---")
+    print("\n".join(code[xy:xy + 3] + ["      ..."] + code[z:z + 6] + ["        ..."]))
 
 
 if __name__ == "__main__":

@@ -11,8 +11,6 @@ from .masks import SourceMasks, build_masks
 from .pipeline import PipelineReport, TemporalBlockingPipeline
 from .precompute import (
     affected_points,
-    affected_points_analytic,
-    affected_points_by_injection,
 )
 from .scheduler import (
     NaiveSchedule,
@@ -26,8 +24,6 @@ from .scheduler import (
 
 __all__ = [
     "affected_points",
-    "affected_points_analytic",
-    "affected_points_by_injection",
     "SourceMasks",
     "build_masks",
     "TemporalBlockingPipeline",

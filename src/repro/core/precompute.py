@@ -36,8 +36,6 @@ __all__ = [
     "affected_keys",
     "key_points",
     "affected_points",
-    "affected_points_analytic",
-    "affected_points_by_injection",
 ]
 
 #: weights whose magnitude is below this never influence a single-precision
@@ -97,15 +95,7 @@ def key_points(grid: Grid, keys: np.ndarray) -> np.ndarray:
 
 
 def affected_points(sparse: SparseTimeFunction, method: str = "analytic") -> np.ndarray:
-    """Affected grid points in canonical order, ``(npts, ndim)``."""
+    """Affected grid points in canonical order, ``(npts, ndim)``: by support
+    with zero-weight corners dropped ("analytic") or by the probe injection
+    of Listing 2 ("by_injection")."""
     return key_points(sparse.grid, affected_keys(sparse, *support_keys(sparse), method=method))
-
-
-def affected_points_analytic(sparse: SparseTimeFunction) -> np.ndarray:
-    """Unique grid points in the support of *sparse*, zero-weight corners dropped."""
-    return affected_points(sparse, "analytic")
-
-
-def affected_points_by_injection(sparse: SparseTimeFunction) -> np.ndarray:
-    """Affected grid points by the probe injection of Listing 2."""
-    return affected_points(sparse, "by_injection")

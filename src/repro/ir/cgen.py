@@ -21,6 +21,15 @@ iterations.  Constants arrive in an argument table, so the source depends
 on program structure alone and one ``.so`` serves every ``dt``, spacing and
 model of a physics x space order x dtype x rank.
 
+**Threading contract.**  The same radius-0 argument makes the rows of one
+instance independent, so the leading loops sit under one ``omp parallel for``
+(Listing 6: threads share a ``(tile, t)`` instance) and every point is still
+computed by the same statement sequence: a team of N equals a team of one at
+0 ulp.  There is no thread option: the team is the OpenMP runtime's default
+(the CPUs this process may run on), boxes under :data:`PARALLEL_MIN_POINTS`
+stay on the caller, and a forked child runs teams of one
+(:func:`_after_fork_in_child`).
+
 **Cache.**  :func:`build` keeps one shared object per ``sha256(source, flags,
 compiler identity, host ISA flags)`` under ``${XDG_CACHE_HOME:-~/.cache}/
 repro/kernels`` (falling back to ``<tmp>/repro-kernels-<uid>``); a directory
@@ -53,10 +62,12 @@ from .nodes import TAProgram
 
 __all__ = [
     "FLAGS",
+    "PARALLEL_MIN_POINTS",
     "ELIGIBLE_OPS",
     "SPARSE_SOURCE",
     "emit_sweep",
     "sweep_function",
+    "team_size",
     "SparseKernels",
     "build",
     "cache_dirs",
@@ -65,7 +76,13 @@ __all__ = [
 
 #: never ``-ffast-math``; ``-O3`` because gcc 12's ``-O2`` vectoriser uses
 #: the very-cheap cost model and leaves the innermost loop scalar
-FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fopenmp", "-shared", "-fPIC")
+
+#: boxes below this many points run on the calling thread alone (the ``if``
+#: clause of :func:`emit_sweep`).  Measured on this 2-core host, so=4 acoustic
+#: sweep: at 1 152 points (2x4x144) two threads lose, 4.0 -> 4.6 us per
+#: instance; at 2 304 (4x4x144) they first win, 6.0 -> 5.5 us
+PARALLEL_MIN_POINTS = 2048
 
 #: instruction -> C operator (``None``: spelled out in :func:`emit_sweep`)
 ELIGIBLE_OPS = {
@@ -87,6 +104,44 @@ def reset() -> None:
 
 def _fail(reason: str, message: str) -> EngineCompilationError:
     return EngineCompilationError(f"C engine: {message}", engine="c", reason=reason)
+
+
+# -- threading ---------------------------------------------------------------------
+
+_OMP = None  # the first loaded kernel that links the OpenMP runtime: resolves ``omp_*``
+_FORKED = False  # this process was born by ``fork()``
+
+
+def _adopt_runtime(lib: ctypes.CDLL) -> None:
+    global _OMP
+    if _OMP is None and hasattr(lib, "omp_set_num_threads"):
+        lib.omp_set_num_threads.argtypes = (ctypes.c_int,)
+        lib.omp_set_num_threads.restype = None
+        lib.omp_get_max_threads.argtypes = ()
+        lib.omp_get_max_threads.restype = ctypes.c_int
+        _OMP = lib
+        if _FORKED:
+            lib.omp_set_num_threads(1)
+
+
+def _after_fork_in_child() -> None:
+    """A forked child runs teams of one.  libgomp's pool does not survive
+    ``fork()``: the child inherits the forking thread's pool bookkeeping but
+    none of its threads, and its next team of two waits on them forever."""
+    global _FORKED
+    _FORKED = True
+    if _OMP is not None:
+        _OMP.omp_set_num_threads(1)
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def team_size(dims: Sequence[str]) -> int:
+    """How many threads a sweep over *dims* called from this thread runs on:
+    the OpenMP runtime's own ``nthreads`` (by default the CPUs this process
+    may run on; 1 in a forked child), 1 where no loop is threaded."""
+    return _OMP.omp_get_max_threads() if _OMP is not None and len(dims) > 1 else 1
 
 
 # -- emission ----------------------------------------------------------------------
@@ -126,6 +181,11 @@ def emit_sweep(program: TAProgram, dims: Sequence[str], name: str = "sweep") -> 
     for i, (cname, dt) in enumerate(program.consts):
         lines.append(f"  const {_CTYPE[dt]} {cname} = ({_CTYPE[dt]})ctab[{i}];")
     pad = "  "
+    if outer:
+        lines.append(
+            f"#pragma omp parallel for collapse({nouter}) schedule(static) "
+            f"if({' * '.join('n' + d for d in dims)} >= {PARALLEL_MIN_POINTS})"
+        )
     for d in outer:
         lines.append(f"{pad}for (int64_t {d} = 0; {d} < n{d}; ++{d}) {{")
         pad += "  "
@@ -338,6 +398,7 @@ def build(source: str) -> ctypes.CDLL:
                 compiled = True
             try:
                 lib = _LIBS[key] = ctypes.CDLL(str(path))
+                _adopt_runtime(lib)
                 break
             except OSError as exc:
                 # sealed yet unloadable (a foreign or broken toolchain): rebuild once

@@ -569,9 +569,12 @@ class Operator:
         bound (factorised, and hoisted under a compiled engine), joined with
         measured counters by :func:`repro.telemetry.derived_metrics`
         (achieved GPts/s, GFLOP/s, arithmetic intensity)."""
+        from .cgen import team_size
+
         tel.meta["operator"] = self.name
         tel.meta["schedule"] = schedule.describe()
-        tel.meta["engine"] = plan.sweeps[0].engine
+        tel.meta["engine"] = engine = plan.sweeps[0].engine
+        tel.meta["threads"] = team_size(plan.sweeps[0].dim_names) if engine == "c" else 1
         tel.meta["grid_shape"] = list(self.grid.shape)
         tel.meta["sweep_flops"] = [sw.flops for sw in plan.sweeps]
         tel.meta["sweep_accesses"] = [sw.accesses for sw in plan.sweeps]

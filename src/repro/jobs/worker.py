@@ -197,6 +197,7 @@ def execute_attempt(
         tail = max(0.0, t_after - (root.start + root.dur))
     meta = {
         "engine": plan.sweeps[0].engine,
+        "threads": telemetry.meta["threads"],
         "fallbacks": fallbacks,
         "resumed_from": resumed_from,
         "attempt": attempt,

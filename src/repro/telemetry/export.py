@@ -81,7 +81,9 @@ def render_phase_table(tel: Telemetry, title: str = "") -> str:
                          title=title or "phase breakdown")
     lines = [table]
     if "engine" in tel.meta:
-        lines.append(f"engine rung         : {tel.meta['engine']}")
+        lines.append(
+            f"engine rung         : {tel.meta['engine']} ({tel.meta['threads']} thread(s))"
+        )
     derived = derived_metrics(tel)
     if derived["gpoints_per_s"] is not None:
         lines.append(

@@ -208,19 +208,6 @@ class Gauge(_Metric):
         with self._lock:
             self._series[key] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        self.inc(-amount, **labels)
-
-    def remove(self, **labels) -> None:
-        """Drop one series (e.g. a retired worker's heartbeat-age gauge)."""
-        with self._lock:
-            self._series.pop(self._key(labels), None)
-
     def value(self, **labels) -> float:
         with self._lock:
             return float(self._series.get(self._key(labels), 0.0))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import shutil
 
 import numpy as np
@@ -38,6 +39,27 @@ needs_cc = pytest.mark.skipif(
 ENGINE_PARAMS = [pytest.param(e, marks=needs_cc) if e == "c" else e for e in ENGINES]
 #: the rungs that can bind on this host, for loops inside a test
 AVAILABLE_ENGINES = tuple(e for e in ENGINES if e != "c" or HAVE_CC)
+
+
+@contextlib.contextmanager
+def omp_team(nthreads):
+    """Run the body with this thread's OpenMP team size set to *nthreads*
+    through the standard API (``omp_set_num_threads``; the program itself has
+    no thread option), reached through the handle of a threaded kernel."""
+    from repro.ir import cgen
+    from repro.ir.nodes import TAInstr, TAOperand, TAProgram
+
+    if cgen._OMP is None:  # nothing threaded loaded yet: a 2-D copy kernel will do
+        v, o = TAOperand("view", "v0", "float32"), TAOperand("out", "o0", "float32")
+        copy = TAProgram((TAInstr("store", (v,), o),), (), (("v0", "float32"),), (("o0", "float32"),))
+        cgen.build(cgen.emit_sweep(copy, ("x", "y")))
+    omp = cgen._OMP
+    before = omp.omp_get_max_threads()
+    omp.omp_set_num_threads(nthreads)
+    try:
+        yield
+    finally:
+        omp.omp_set_num_threads(before)
 
 
 @pytest.fixture

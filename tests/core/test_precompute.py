@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.precompute import (
     affected_points,
-    affected_points_analytic,
-    affected_points_by_injection,
 )
 from repro.dsl import Grid, SparseTimeFunction
 
@@ -26,32 +24,32 @@ def make_sparse(coords, grid=None, nt=4, data=None):
 
 def test_single_offgrid_source_touches_8_points():
     s = make_sparse([[35.5, 45.5, 55.5]])
-    pts = affected_points_analytic(s)
+    pts = affected_points(s, "analytic")
     assert pts.shape == (8, 3)
 
 
 def test_on_grid_source_touches_1_point():
     s = make_sparse([[30.0, 40.0, 50.0]])
-    pts = affected_points_analytic(s)
+    pts = affected_points(s, "analytic")
     assert pts.shape == (1, 3)
     np.testing.assert_array_equal(pts, [[3, 4, 5]])
 
 
 def test_face_aligned_source_touches_4_points():
     s = make_sparse([[30.0, 40.0, 55.5]])  # off-grid in z only... 2 points
-    assert affected_points_analytic(s).shape == (2, 3)
+    assert affected_points(s, "analytic").shape == (2, 3)
     s = make_sparse([[30.0, 42.5, 55.5]])  # off-grid in y and z
-    assert affected_points_analytic(s).shape == (4, 3)
+    assert affected_points(s, "analytic").shape == (4, 3)
 
 
 def test_overlapping_sources_deduplicated():
     s = make_sparse([[35.5, 45.5, 55.5], [35.5, 45.5, 55.5]])
-    assert affected_points_analytic(s).shape == (8, 3)
+    assert affected_points(s, "analytic").shape == (8, 3)
 
 
 def test_canonical_ordering():
     s = make_sparse([[85.5, 15.5, 55.5], [15.5, 85.5, 5.5]])
-    pts = affected_points_analytic(s)
+    pts = affected_points(s, "analytic")
     assert np.array_equal(pts, np.unique(pts, axis=0))
 
 
@@ -59,7 +57,7 @@ def test_injection_method_matches_analytic():
     coords = [[35.5, 45.5, 55.5], [10.0, 20.0, 30.0], [99.9, 99.9, 0.1]]
     s = make_sparse(coords)
     np.testing.assert_array_equal(
-        affected_points_by_injection(s), affected_points_analytic(s)
+        affected_points(s, "by_injection"), affected_points(s, "analytic")
     )
 
 
@@ -69,7 +67,7 @@ def test_injection_method_with_zero_opening_wavelet():
     s = make_sparse([[35.5, 45.5, 55.5]])
     s.data[:] = 0.0
     np.testing.assert_array_equal(
-        affected_points_by_injection(s), affected_points_analytic(s)
+        affected_points(s, "by_injection"), affected_points(s, "analytic")
     )
 
 
@@ -77,7 +75,7 @@ def test_opposite_sign_probes_cannot_cancel():
     """Two sources of opposite amplitude on the same cell must still register."""
     s = make_sparse([[35.5, 45.5, 55.5], [35.5, 45.5, 55.5]],
                     data=np.array([[1.0, -1.0]] * 4))
-    assert affected_points_by_injection(s).shape == (8, 3)
+    assert affected_points(s, "by_injection").shape == (8, 3)
 
 
 def test_dispatch():
@@ -90,7 +88,7 @@ def test_dispatch():
 
 def test_boundary_source_stays_in_grid():
     s = make_sparse([[100.0, 100.0, 100.0]])
-    pts = affected_points_analytic(s)
+    pts = affected_points(s, "analytic")
     assert pts.max() <= 10
     assert pts.shape == (1, 3)  # exact corner: single point
 
@@ -105,7 +103,7 @@ coords_strategy = st.lists(
 def test_property_methods_agree(coords):
     s = make_sparse(list(coords))
     np.testing.assert_array_equal(
-        affected_points_by_injection(s), affected_points_analytic(s)
+        affected_points(s, "by_injection"), affected_points(s, "analytic")
     )
 
 
@@ -113,5 +111,5 @@ def test_property_methods_agree(coords):
 @settings(max_examples=40, deadline=None)
 def test_property_counts_bounded(coords):
     s = make_sparse(list(coords))
-    pts = affected_points_analytic(s)
+    pts = affected_points(s, "analytic")
     assert 1 <= len(pts) <= 8 * len(coords)

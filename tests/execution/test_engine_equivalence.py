@@ -8,6 +8,8 @@ invariant everything else hangs from: every schedule is bit-identical to
 naive *within* a rung, and the rungs are bit-identical to each other.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,9 @@ from repro.propagators import (
     receiver_line,
 )
 
-from ..conftest import AVAILABLE_ENGINES, make_acoustic_operator, needs_cc
+from repro.ir import cgen
+
+from ..conftest import AVAILABLE_ENGINES, make_acoustic_operator, needs_cc, omp_team
 
 SHAPE = (16, 14, 12)
 NT = 10
@@ -163,39 +167,65 @@ def test_c_schedules_bit_identical_to_naive(kind, so):
             assert_same_bits(rec_got, rec_ref, f"{kind} so={so} {name}/{mode} receivers")
 
 
+#: blocks on both sides of the ``if`` clause: a full 12 x 11 x 20 block is
+#: 2 640 points (threaded), the ones the grid edge or the wavefront skew clips
+#: fall below ``PARALLEL_MIN_POINTS`` (run by the calling thread alone)
+THREADED_SCHEDULES = {
+    "naive": (NaiveSchedule(), 1),
+    "spatial": (SpatialBlockSchedule(block=(12, 11)), 1),
+    "wavefront": (WavefrontSchedule(tile=(12, 22), block=(12, 11), height=3), 3),
+}
+#: oversubscribed on a one-CPU host, and still the same bits
+TEAM = max(2, len(os.sched_getaffinity(0)))
+
+
 @needs_cc
 @pytest.mark.parametrize("so", ORDERS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_c_matches_fused_after_every_step(kind, so):
-    """0 ulp, per sweep output, after every step of a short run: two
-    propagators advanced in lock-step, every buffer of every field compared
-    (a tolerance here would hide a contracted multiply-add)."""
-    (a, dt), (b, _) = build(kind, so), build(kind, so)
-    for t in range(6):
-        for prop, engine in ((a, "c"), (b, "fused")):
-            plan = prop.op.apply(time_M=t + 1, time_m=t, dt=dt, engine=engine)
-            assert all(s.engine == engine for s in plan.sweeps)
-        for fa, fb in zip(a.fields, b.fields):
-            assert_same_bits(fa.data_with_halo, fb.data_with_halo, f"{kind} so={so} t={t} {fa.name}")
-        assert_same_bits(a.receivers.data, b.receivers.data, f"{kind} so={so} t={t} receivers")
-    assert max(np.abs(f.data_with_halo).max() for f in a.fields) > 0
+    """0 ulp, per sweep output, after every step (every time tile under the
+    wavefront) of a short run, under each schedule: three propagators advanced
+    in lock-step -- C on a team of threads, C on a team of one, fused -- every
+    buffer of every field compared, halos included, and the off-grid
+    receivers (a tolerance here would hide a contracted multiply-add)."""
+    assert 12 * 11 * 20 >= cgen.PARALLEL_MIN_POINTS > 12 * 11 * 20 // 2
+    for name, (sched, stride) in THREADED_SCHEDULES.items():
+        props = [build(kind, so) for _ in range(3)]
+        dt = props[0][1]
+        (a, _), (b, _), (c, _) = props
+        for t in range(0, 6, stride):
+            for prop, engine, team in ((a, "c", TEAM), (b, "c", 1), (c, "fused", 1)):
+                with omp_team(team):
+                    plan = prop.op.apply(
+                        time_M=t + stride, time_m=t, dt=dt, schedule=sched, engine=engine
+                    )
+                assert all(s.engine == engine for s in plan.sweeps)
+            for ref in (b, c):
+                what = f"{kind} so={so} {name} t={t}"
+                for fa, fb in zip(a.fields, ref.fields):
+                    assert_same_bits(fa.data_with_halo, fb.data_with_halo, f"{what} {fa.name}")
+                assert_same_bits(a.receivers.data, ref.receivers.data, f"{what} receivers")
+        assert max(np.abs(f.data_with_halo).max() for f in a.fields) > 0
 
 
 # -- degenerate shapes ----------------------------------------------------------------
 
 
 def _c_vs_fused(grid, schedule, mode="auto", nt=8, dt=0.5, **opargs):
+    """C on a team of threads, C on a team of one and fused: same bits."""
     out = {}
-    for engine in ("c", "fused"):
+    for engine, team in (("c", TEAM), ("c", 1), ("fused", 1)):
         op, u, m, src, rec = make_acoustic_operator(grid, nt=nt, **opargs)
         u.data_with_halo[...] = 0.0
-        plan = op.apply(time_M=nt, dt=dt, schedule=schedule, sparse_mode=mode, engine=engine)
+        with omp_team(team):
+            plan = op.apply(time_M=nt, dt=dt, schedule=schedule, sparse_mode=mode, engine=engine)
         assert plan.sweeps[0].engine == engine
-        out[engine] = (u.data_with_halo.copy(), rec.data.copy() if rec is not None else None)
-    assert_same_bits(out["c"][0], out["fused"][0])
-    if out["c"][1] is not None:
-        assert_same_bits(out["c"][1], out["fused"][1])
-    return out["c"][0]
+        out[engine, team] = (u.data_with_halo.copy(), rec.data.copy() if rec is not None else None)
+    for other in (("c", 1), ("fused", 1)):
+        assert_same_bits(out["c", TEAM][0], out[other][0])
+        if out[other][1] is not None:
+            assert_same_bits(out["c", TEAM][1], out[other][1])
+    return out["c", TEAM][0]
 
 
 @needs_cc
@@ -229,6 +259,16 @@ def test_c_tile_larger_than_grid(grid3d):
 
 
 @needs_cc
+def test_c_threaded_2d():
+    """One leading loop (``collapse(1)``), a grid large enough for the team."""
+    grid = Grid(shape=(64, 48), extent=(630.0, 470.0))
+    assert 64 * 48 >= cgen.PARALLEL_MIN_POINTS
+    for sched in (NaiveSchedule(), SpatialBlockSchedule(block=(64, 40)),
+                  WavefrontSchedule(tile=(64, 48), block=(64, 48), height=3)):
+        assert np.abs(_c_vs_fused(grid, sched)).max() > 0
+
+
+@needs_cc
 def test_c_zero_sources(grid3d):
     """No sparse operators at all: the field stays what the stencil makes it."""
     out = {}
@@ -244,19 +284,50 @@ def test_c_zero_sources(grid3d):
     assert_same_bits(out["c"], out["fused"])
 
 
-@needs_cc
-def test_c_box_clipped_to_one_point(grid3d):
-    out = {}
-    for engine in ("c", "fused"):
-        op, u, *_ = make_acoustic_operator(grid3d)
+def _boxes_on_each_rung(grid, boxes):
+    """The wavefield after evaluating *boxes* once each: C on a team of
+    threads, C on a team of one, fused."""
+    out = []
+    for engine, team in (("c", TEAM), ("c", 1), ("fused", 1)):
+        op, u, *_ = make_acoustic_operator(grid)
         rng = np.random.default_rng(11)
         u.data_with_halo[...] = rng.normal(size=u.data_with_halo.shape).astype(np.float32)
-        (sweep,) = (BoundSweep(eqs, grid3d, engine=engine) for eqs in op.bound_equations(0.5))
-        for box in (((3, 4), (5, 6), (7, 8)), ((0, 1), (0, 11), (9, 10)), ((11, 12), (10, 11), (0, 10))):
-            sweep.evaluate(1, box)
-        sweep.evaluate(1, ((4, 4), (0, 11), (0, 10)))  # empty: a no-op on every rung
-        out[engine] = u.data_with_halo.copy()
-    assert_same_bits(out["c"], out["fused"])
+        (sweep,) = (BoundSweep(eqs, grid, engine=engine) for eqs in op.bound_equations(0.5))
+        with omp_team(team):
+            for box in boxes:
+                sweep.evaluate(1, box)
+        out.append(u.data_with_halo.copy())
+    return out
+
+
+@needs_cc
+def test_c_box_clipped_to_one_point(grid3d):
+    threaded, serial, fused = _boxes_on_each_rung(grid3d, (
+        ((3, 4), (5, 6), (7, 8)), ((0, 1), (0, 11), (9, 10)), ((11, 12), (10, 11), (0, 10)),
+        ((4, 4), (0, 11), (0, 10)),  # empty: a no-op on every rung
+    ))
+    assert_same_bits(threaded, fused)
+    assert_same_bits(serial, fused)
+
+
+@needs_cc
+def test_c_threaded_boxes_around_the_threshold():
+    """What a wavefront window clipped by the grid edge looks like to the
+    team: one row wide (threads share the ``y`` range alone), one column
+    wide, one point per row, and just below / just above the ``if`` clause."""
+    grid = Grid(shape=(6, 40, 64), extent=(50.0, 390.0, 630.0))
+    row = 40 * 64
+    assert row >= cgen.PARALLEL_MIN_POINTS > 31 * 64
+    threaded, serial, fused = _boxes_on_each_rung(grid, (
+        ((2, 3), (0, 40), (0, 64)),  # one row wide, threaded
+        ((1, 2), (0, 31), (0, 64)),  # one row wide, just below the threshold
+        ((0, 6), (7, 8), (0, 64)),  # one column wide
+        ((0, 6), (0, 40), (63, 64)),  # one point per row
+        ((0, 6), (0, 40), (0, 64)),  # the whole grid
+        ((5, 6), (39, 40), (0, 64)),  # a single row
+    ))
+    assert_same_bits(threaded, fused)
+    assert_same_bits(serial, fused)
 
 
 @needs_cc

