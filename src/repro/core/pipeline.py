@@ -2,24 +2,25 @@
 
 :class:`Operator` runs the same machinery implicitly when handed a
 :class:`~repro.core.scheduler.WavefrontSchedule`; this class exposes the
-individual steps (discover → masks → decompose → schedule) with their
-intermediate artefacts and cost accounting, for users who want to inspect or
-reuse them (e.g. amortising one decomposition across many shots) and for the
-overhead reporting the paper's §IV-E relies on.
+individual steps (discover → masks → decompose) with their intermediate
+artefacts and cost accounting, for users who want to inspect or reuse them
+(e.g. amortising one decomposition across many shots) and for the overhead
+reporting the paper's §IV-E relies on.  It fills the operator's own caches,
+so the run itself is ``op.apply(..., sparse_mode="precomputed")``.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from ..dsl.functions import Injection, Interpolation, SparseTimeFunction
 from .decompose import DecomposedReceiver, DecomposedSource
 from .masks import SourceMasks
-from .scheduler import WavefrontSchedule, instance_lags
+from .scheduler import instance_lags
 
 __all__ = ["TemporalBlockingPipeline", "PipelineReport"]
 
@@ -61,7 +62,8 @@ class TemporalBlockingPipeline:
         pipe = TemporalBlockingPipeline(op, dt=2.0)
         pipe.precompute()                        # Listings 2-3, Figs. 5-6
         print(pipe.report().render())
-        pipe.run(time_M=nt, schedule=WavefrontSchedule(tile=(32, 32)))
+        op.apply(time_M=nt, dt=2.0, schedule=WavefrontSchedule(tile=(32, 32)),
+                 sparse_mode="precomputed")      # Listing 6, on the cached artefacts
     """
 
     def __init__(self, operator, dt: float, model=None, kind: str = "acoustic"):
@@ -170,29 +172,4 @@ class TemporalBlockingPipeline:
             wavefront_angle=self.operator.wavefront_angle,
             sweep_radii=radii,
             lags_example=instance_lags(tuple(radii), example_height) if radii else [],
-        )
-
-    # -- execution ---------------------------------------------------------------------
-    def run(
-        self,
-        time_M: int,
-        schedule: Optional[WavefrontSchedule] = None,
-        time_m: int = 0,
-        health=None,
-        checkpoint=None,
-        faults=None,
-        telemetry=None,
-    ):
-        """Step 4-6: run the time-tiled, fused schedule using the precomputed
-        structures (cached on the operator).  ``health``/``checkpoint``/
-        ``faults`` attach the runtime resilience layer (:mod:`repro.runtime`);
-        ``telemetry`` the tracing/counter layer (:mod:`repro.telemetry`)."""
-        if not self._done:
-            self.precompute(telemetry=telemetry)
-        schedule = schedule or WavefrontSchedule()
-        return self.operator.apply(
-            time_M=time_M, time_m=time_m, dt=self.dt,
-            schedule=schedule, sparse_mode="precomputed",
-            health=health, checkpoint=checkpoint, faults=faults,
-            telemetry=telemetry,
         )

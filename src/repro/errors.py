@@ -101,11 +101,14 @@ class ReproError(Exception):
 
 
 class NumericalBlowup(ReproError):
-    """A wavefield buffer holds NaN/Inf (or exceeded an amplitude bound).
+    """A wavefield buffer holds NaN/Inf at a containment-unit boundary.
 
-    Raised by the health guards with the first offending ``(t, tile)``;
-    ``point`` (absolute grid index) and ``count`` (non-finite values found in
-    the tile) arrive as extra context.
+    Raised by :class:`repro.runtime.abft.ABFTGuard` with the unit
+    ``[t, t1)`` whose exit state is non-finite (one timestep under naive and
+    spatial schedules, a time tile under wavefront blocking); ``t1``,
+    ``point`` (the first non-finite grid index, interior coordinates) and
+    ``count`` (non-finite values in the field's live slots) arrive as extra
+    context.  Never contained in-run: re-executing would reproduce it.
     """
 
 
@@ -193,7 +196,7 @@ class SilentCorruptionError(NumericalBlowup):
     Raised by :class:`repro.runtime.abft.ABFTGuard` when the amplitude at a
     containment-unit boundary (a time tile under wavefront blocking, a
     timestep otherwise) exceeds the certified growth bound — values that are
-    perfectly finite and therefore invisible to the NaN/Inf scan.  Carries
+    perfectly finite, so no NaN/Inf check sees them.  Carries
     ``bound`` (the certified admissible amplitude), ``observed`` (the
     amplitude actually measured) and ``detector`` (``"growth"`` for the
     amplitude invariant, ``"checksum"`` for a shared-memory block-checksum

@@ -109,7 +109,6 @@ def run_schedule(
     time_m: int,
     time_M: int,
     schedule: Schedule,
-    health=None,
     checkpoint=None,
     faults=None,
     abft=None,
@@ -117,9 +116,8 @@ def run_schedule(
 ) -> None:
     """Run iterations ``[time_m, time_M)`` of *plan* under *schedule*.
 
-    ``health`` (:class:`~repro.runtime.health.HealthGuard`), ``checkpoint``
-    (:class:`~repro.runtime.checkpoint.CheckpointConfig`), ``faults``
-    (:class:`~repro.runtime.faults.FaultInjector`) and ``abft``
+    ``checkpoint`` (:class:`~repro.runtime.checkpoint.CheckpointConfig`),
+    ``faults`` (:class:`~repro.runtime.faults.FaultInjector`) and ``abft``
     (:class:`~repro.runtime.abft.ABFTGuard`) attach the resilience layer;
     they are bundled into a :class:`~repro.runtime.monitor.RuntimeMonitor`.
     ``telemetry`` (:class:`~repro.telemetry.Telemetry`) attaches the
@@ -132,18 +130,15 @@ def run_schedule(
         _check_block_shape(plan, schedule.tile, "space tile")
     elif not isinstance(schedule, NaiveSchedule):
         raise TypeError(f"unknown schedule {schedule!r}")
-    monitor = guard_base = abft_base = None
-    if not (health is None and checkpoint is None and faults is None and abft is None):
+    monitor = abft_base = None
+    if not (checkpoint is None and faults is None and abft is None):
         from ..runtime.monitor import RuntimeMonitor
 
         # checkpoint saves / fired faults emit telemetry events through the
         # monitor; guard activity is folded in as a delta after the run
         monitor = RuntimeMonitor(
-            health=health, checkpoint=checkpoint, faults=faults, abft=abft,
-            telemetry=telemetry,
+            checkpoint=checkpoint, faults=faults, abft=abft, telemetry=telemetry,
         )
-        if telemetry is not None and health is not None:
-            guard_base = dict(health.stats)
         if telemetry is not None and abft is not None:
             abft_base = dict(abft.stats)
     try:
@@ -151,9 +146,6 @@ def run_schedule(
     finally:
         # flush even when the run aborts (e.g. NumericalBlowup) — partial
         # telemetry of a crashed run is the postmortem
-        if guard_base is not None:
-            for key in ("ticks", "checks"):
-                telemetry.counters.add(f"guard_{key}", health.stats[key] - guard_base[key])
         if abft_base is not None:
             for key in ("checks", "detections", "micro_snapshots", "micro_snapshot_bytes"):
                 telemetry.counters.add(f"abft_{key}", abft.stats[key] - abft_base[key])

@@ -182,9 +182,9 @@ class Operator:
     def growth_certificate_for(self, plan, dt: float = 1.0):
         """Prove the per-step amplitude-growth bound of *plan*'s bound sweeps,
         returning the :class:`~repro.verify.certificate.GrowthCertificate` the
-        ABFT guard and the derived :class:`~repro.runtime.health.HealthGuard`
-        ceiling share.  Never cached: the bound reads the *current* model
-        ranges, and models may be updated in place between applies."""
+        ABFT guard checks against.  Never cached: the bound reads the
+        *current* model ranges, and models may be updated in place between
+        applies."""
         from ..verify.absint.growth import prove_growth
 
         return self._analysed(prove_growth, plan.sweeps, operator=self.name, dt=dt)
@@ -398,7 +398,6 @@ class Operator:
         schedule: Optional[Schedule] = None,
         sparse_mode: str = "auto",
         engine: Optional[str] = None,
-        health=None,
         checkpoint=None,
         faults=None,
         abft=None,
@@ -427,20 +426,16 @@ class Operator:
         degrades down the c -> fused -> interp ladder (no C compiler, a failed
         build, an operation C cannot express bit-identically...) with an
         :class:`~repro.errors.EngineFallbackWarning` unless ``strict_engine``;
-        ``health``/``checkpoint``/``faults`` attach a
-        :class:`~repro.runtime.health.HealthGuard`, a
+        ``checkpoint``/``faults`` attach a
         :class:`~repro.runtime.checkpoint.CheckpointConfig` (periodic
         snapshots, bit-identical resume) and a
-        :class:`~repro.runtime.faults.FaultInjector`; ``abft`` attaches an
-        :class:`~repro.runtime.abft.ABFTGuard` (silent-corruption detection
-        at containment-unit boundaries with tile-granular micro-snapshot
-        recovery; configured here against the bound plan unless it already
-        carries a growth certificate).
-
-        A :class:`~repro.runtime.health.HealthGuard` passed without an
-        explicit ``max_abs`` gets one derived from the operator's certified
-        CFL amplification bound and the plan's total source amplitude — the
-        guard then catches runaway-but-finite states, not just NaN/Inf.
+        :class:`~repro.runtime.faults.FaultInjector`; ``abft`` attaches the
+        :class:`~repro.runtime.abft.ABFTGuard`, configured here against the
+        bound plan and this apply's growth certificate: at every
+        containment-unit boundary a NaN/Inf raises
+        :class:`~repro.errors.NumericalBlowup` and a finite amplitude over
+        the certified bound is silent corruption, recovered by tile-granular
+        micro-snapshot re-execution.
 
         ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry` buffer:
         binding/preflight/prover time lands in the ``precompute`` phase, the
@@ -527,21 +522,10 @@ class Operator:
             now = tel.now()
             tel.add_phase("precompute", now - last)
             last = now
-        if abft is not None or (
-            health is not None and getattr(health, "max_abs_derived", False)
-        ):
-            if abft is not None:
-                if abft.certificate is None:
-                    abft.certificate = self.growth_certificate_for(plan, dt)
-                abft.configure(plan, operator=self.name, dt=dt)
-            if health is not None and getattr(health, "max_abs_derived", False):
-                from ..runtime.abft import amplitude_ceiling
-
-                health.max_abs = amplitude_ceiling(
-                    plan,
-                    time_M - time_m,
-                    step_gain=self.growth_certificate_for(plan, dt).step_gain,
-                )
+        if abft is not None:
+            # proved per apply: the model may have changed in place since
+            # this guard last ran
+            abft.configure(plan, self.growth_certificate_for(plan, dt))
             if tel is not None:
                 now = tel.now()
                 tel.add_phase("precompute", now - last)
@@ -551,7 +535,6 @@ class Operator:
             time_m,
             time_M,
             schedule,
-            health=health,
             checkpoint=checkpoint,
             faults=faults,
             abft=abft,

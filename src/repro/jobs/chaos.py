@@ -13,18 +13,18 @@ Three kinds of injected trouble:
   :class:`~repro.runtime.faults.Fault` fires inside the worker at a random
   timestep: ``raise`` aborts the attempt with
   :class:`~repro.errors.InjectedFault`; ``nan``/``inf`` corrupt the written
-  buffer and a cadence-1 :class:`~repro.runtime.health.HealthGuard`
-  (attached automatically) catches it at the same instance — *before* the
-  next checkpoint, so a snapshot can never capture injected corruption and
-  retry-from-checkpoint stays bit-identical.
+  buffer and the :class:`~repro.runtime.abft.ABFTGuard` (attached
+  automatically) judges it a :class:`~repro.errors.NumericalBlowup` at the
+  end of the time tile — *before* that tile's checkpoint save, so a
+  snapshot can never capture injected corruption and retry-from-checkpoint
+  stays bit-identical.
 * **silent data corruption** (``sdc_rate``) — an armed ``bitflip`` fault
   rewrites the exponent field of one just-written value to a seeded
   high-but-finite pattern (:func:`~repro.runtime.faults.flip_finite`): no
-  NaN, no Inf, nothing the health guard can see.  An
-  :class:`~repro.runtime.abft.ABFTGuard` (attached automatically) catches
-  the violated amplitude invariant at the next containment-unit boundary
-  and re-executes just that tile from its entry micro-snapshot — the batch
-  completes bit-identical to a fault-free run.
+  NaN, no Inf.  The same guard judges the violated amplitude invariant
+  silent corruption at the next containment-unit boundary and re-executes
+  just that tile from its entry micro-snapshot — the batch completes
+  bit-identical to a fault-free run.
 * **engine breakage** (``break_rate``) — the attempt runs under
   :func:`~repro.runtime.faults.break_engine`, making the compiler of the rung
   the spec asks for raise; exercises the engine ladder and feeds the pool's
@@ -155,14 +155,9 @@ class ChaosEntry:
 
     @property
     def needs_guard(self) -> bool:
-        """Corruption faults need a cadence-1 health guard to be caught."""
-        return self.fault is not None and self.fault.get("kind") in ("nan", "inf")
-
-    @property
-    def needs_abft(self) -> bool:
-        """Finite bit-flips are invisible to the NaN/Inf guard; only the
-        ABFT amplitude invariant detects them."""
-        return self.fault is not None and self.fault.get("kind") == "bitflip"
+        """Corruption faults (NaN/Inf and finite bit-flips alike) need the
+        tile-boundary guard to be caught; its verdict tells them apart."""
+        return self.fault is not None and self.fault.get("kind") in ("nan", "inf", "bitflip")
 
 
 @dataclass

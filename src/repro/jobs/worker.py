@@ -38,7 +38,6 @@ from ..propagators.examples import SHAPE, build_example, example_velocity
 from ..runtime.abft import ABFTGuard
 from ..runtime.checkpoint import CheckpointConfig, FileCheckpointStore
 from ..runtime.faults import Fault, FaultInjector, break_engine
-from ..runtime.health import HealthGuard
 from ..runtime.integrity import atomic_write, file_digest, verify_digest, write_digest
 from .chaos import ChaosEntry
 from .spec import JobSpec
@@ -146,18 +145,16 @@ def execute_attempt(
     checkpoint = CheckpointConfig(
         every=spec.checkpoint_every, store=store, resume=resumed_from is not None
     )
-    faults = health = abft = None
+    faults = abft = None
     engine_ctx = nullcontext()
     if chaos is not None and attempt == 0:
         if chaos.fault is not None:
             faults = FaultInjector([Fault(**chaos.fault)], seed=chaos.fault_seed)
             if chaos.needs_guard:
-                health = HealthGuard(check_every=1)
-            elif chaos.needs_abft:
-                # a finite bit-flip is invisible to the NaN/Inf guard (and
-                # arming one here would misclassify the violation as a plain
-                # blow-up): only the ABFT amplitude invariant catches it, and
-                # its micro-snapshots recover the tile in-run
+                # the guard's verdict sorts the corruption: NaN/Inf is a
+                # blow-up, raised before the tile's checkpoint save and
+                # retried from the previous one; a finite bit-flip is silent
+                # corruption, recovered in-run from the tile's micro-snapshot
                 abft = ABFTGuard()
         if chaos.break_fused and spec.engine != ENGINES[-1]:
             # the compiler of the rung this attempt asks for (the
@@ -174,7 +171,6 @@ def execute_attempt(
             engine=spec.engine,
             checkpoint=checkpoint,
             faults=faults,
-            health=health,
             abft=abft,
             telemetry=telemetry,
         )

@@ -66,7 +66,6 @@ class Propagator:
         sparse_mode: str = "auto",
         reset: bool = True,
         engine: Optional[str] = None,
-        health=None,
         checkpoint=None,
         faults=None,
         abft=None,
@@ -87,9 +86,10 @@ class Propagator:
         when *dt* exceeds the critical timestep — unstable runs remain legal,
         the blow-up demonstration depends on them — ``"raise"`` turns it into
         a :class:`~repro.errors.StabilityViolation`, ``"ignore"`` skips the
-        check.  ``health``/``checkpoint``/``faults``/``abft`` attach the
-        runtime resilience layer (see :mod:`repro.runtime`; ``abft`` is the
-        silent-corruption guard with tile-granular micro-snapshot recovery); with
+        check.  ``checkpoint``/``faults``/``abft`` attach the runtime
+        resilience layer (see :mod:`repro.runtime`; ``abft`` is the one
+        guard: NaN/Inf blow-ups and silent corruption at tile boundaries,
+        the latter recovered by tile-granular re-execution); with
         ``checkpoint.resume`` set and a snapshot available the wavefields are
         *not* reset — the run continues from the restored state.
         ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry` buffer
@@ -125,7 +125,6 @@ class Propagator:
             schedule=schedule,
             sparse_mode=sparse_mode,
             engine=engine,
-            health=health,
             checkpoint=checkpoint,
             faults=faults,
             abft=abft,

@@ -1,23 +1,29 @@
-"""Runtime resilience layer: health guards, checkpoint/restart, fault injection.
+"""Runtime resilience layer: the tile-boundary guard, checkpoint/restart,
+fault injection.
 
 Everything here is opt-in and threaded through the execution stack via
 ``Operator.apply`` / ``Propagator.forward`` / ``run_schedule`` keyword
 arguments::
 
-    from repro.runtime import CheckpointConfig, FaultInjector, Fault, HealthGuard
+    from repro.runtime import ABFTGuard, CheckpointConfig, FaultInjector, Fault
 
     op.apply(time_M=nt, dt=dt, schedule=WavefrontSchedule(),
-             health=HealthGuard(check_every=16),
              checkpoint=CheckpointConfig(every=32),
              faults=FaultInjector([Fault(t=100, kind="nan")], seed=7),
              abft=ABFTGuard())
+
+The one guard, :class:`ABFTGuard`, judges the state at every time-tile
+boundary: a NaN/Inf there is a :class:`~repro.errors.NumericalBlowup` (left
+to checkpoint-restart), a finite amplitude over the certified growth bound a
+:class:`~repro.errors.SilentCorruptionError` (the tile is re-executed
+in-run).
 
 See also :mod:`repro.errors` for the structured error taxonomy and
 :mod:`repro.runtime.preflight` for the validation that runs before
 timestep 0.
 """
 
-from .abft import ABFTGuard, amplitude_ceiling
+from .abft import ABFTGuard
 from .checkpoint import (
     CheckpointConfig,
     CheckpointStore,
@@ -31,7 +37,6 @@ from .checkpoint import (
     restore_snapshot,
 )
 from .faults import Fault, FaultInjector, break_engine, flip_finite, split_seed
-from .health import DEFAULT_CHECK_EVERY, HealthGuard
 from .integrity import array_checksum
 from .monitor import RuntimeMonitor
 from .preflight import (
@@ -44,10 +49,7 @@ from .preflight import (
 )
 
 __all__ = [
-    "HealthGuard",
-    "DEFAULT_CHECK_EVERY",
     "ABFTGuard",
-    "amplitude_ceiling",
     "array_checksum",
     "CheckpointConfig",
     "CheckpointStore",

@@ -1,22 +1,29 @@
-"""Algorithm-based fault tolerance: amplitude invariants at tile boundaries.
+"""The run's one numerical guard: amplitude invariants at tile boundaries.
 
-The NaN/Inf health guard cannot see *silent* data corruption — a flipped
-exponent bit leaves a perfectly finite value.  What does see it is physics:
-an explicit finite-difference step can only amplify the state's max-norm by
-a bounded factor ``G`` (certified per operator by
-:func:`repro.verify.absint.growth.prove_growth`), so across a time tile of
-height ``h``
+Under the paper's temporal blocking the time tile is the only point where
+the state is consistent, so the guard checks there — a time tile under
+wavefront blocking, one timestep otherwise — and its verdict tells two
+failures apart:
 
-    ``|u|_exit  <=  slack * G**h * (|u|_entry + S_tile) + floor``
+* **blow-up** — a non-finite exit amplitude (NaN/Inf, injected or a real
+  overflow) raises :class:`~repro.errors.NumericalBlowup` with the entry
+  timestep, field and first offending grid point.  Re-executing would
+  reproduce it, so it is never contained: it escapes to the
+  checkpoint-restart / job-retry layer, before the tile's checkpoint save.
+* **silent corruption** — a flipped exponent bit leaves a perfectly finite
+  value.  What sees it is physics: an explicit finite-difference step can
+  only amplify the state's max-norm by a bounded factor ``G`` (certified per
+  apply by :func:`repro.verify.absint.growth.prove_growth`), so across a
+  time tile of height ``h``
 
-where ``S_tile`` bounds the amplitude injected by the sources during the
-tile.  A finite bit flip that rewrites an exponent field lands many orders
-of magnitude above that bound and is caught at the *next tile boundary* —
-which, under the paper's temporal blocking, makes the time tile the natural
-fault-containment unit: the guard captures a
-:class:`~repro.runtime.checkpoint.MicroSnapshot` of the live entry state at
-every boundary, and on a violation the executor restores it and re-executes
-only the affected tile instead of restarting the job.
+      ``|u|_exit  <=  SLACK * G**h * (|u|_entry + S_tile) + FLOOR``
+
+  where ``S_tile`` bounds the amplitude injected by the sources during the
+  tile.  A finite exit above that bound raises
+  :class:`~repro.errors.SilentCorruptionError`; the guard keeps a
+  :class:`~repro.runtime.checkpoint.MicroSnapshot` of the live entry state
+  at every boundary, and the executor restores it and re-executes only the
+  affected tile instead of restarting the job.
 
 :class:`ABFTGuard` is threaded through ``Operator.apply(abft=...)`` /
 ``Propagator.forward(abft=...)`` exactly like the other resilience
@@ -31,19 +38,26 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..errors import SilentCorruptionError
+from ..errors import NumericalBlowup, SilentCorruptionError
 
-__all__ = ["ABFTGuard", "amplitude_ceiling", "DEFAULT_SLACK"]
+__all__ = ["ABFTGuard"]
 
 #: multiplicative headroom on the certified bound: absorbs the gap between
 #: the interval bound (worst-case sign alignment) and FP rounding — real
 #: growth is far *below* G, so slack only guards against pathological
 #: near-bound dynamics raising false positives
-DEFAULT_SLACK = 8.0
+SLACK = 8.0
 
 #: absolute amplitude floor: exits below this are never flagged (an
 #: all-zero tile must not trip on rounding noise)
-DEFAULT_FLOOR = 1e-18
+FLOOR = 1e-18
+
+#: depth of the ring of tile-entry micro-snapshots
+MICRO_KEEP = 2
+
+#: re-executions of one containment unit before silent corruption escalates
+#: to the checkpoint-restart / job-retry layer
+MAX_REEXECUTIONS = 2
 
 
 def _per_step_source_amplitude(plan) -> float:
@@ -76,71 +90,57 @@ def _per_step_source_amplitude(plan) -> float:
     return total
 
 
-def amplitude_ceiling(plan, nt: int, step_gain: float = 1.0) -> Optional[float]:
-    """A whole-run amplitude ceiling for :class:`~repro.runtime.health.
-    HealthGuard.max_abs`, derived from the CFL amplification bound.
-
-    For a CFL-stable explicit scheme the discrete energy — and with it the
-    max-norm — is bounded by the total injected source amplitude; the
-    certified per-step gain enters only over the guard's *detection
-    latency* (one check cadence), not the whole run, since the state was
-    verified bounded at the previous check.  ``1e3`` of slack absorbs
-    geometric focusing and boundary effects.  Returns ``None`` when the
-    plan has no sources and zero initial state gives no scale to bound
-    against.
-    """
-    per_step = _per_step_source_amplitude(plan)
-    entry = 0.0
-    for func in _time_functions(plan).values():
-        entry = max(entry, float(np.abs(func.data_with_halo).max()))
-    scale = entry + per_step * max(int(nt), 1)
-    if scale <= 0.0:
-        return None
-    gain = step_gain if math.isfinite(step_gain) else 1.0
-    return 1e3 * max(gain, 1.0) * scale
-
-
 def _time_functions(plan) -> Dict:
     from .checkpoint import _plan_time_functions
 
     return _plan_time_functions(plan)
 
 
+def _live_slots(func, boundary: int) -> List[int]:
+    """Buffer indices of *func*'s live time slots at *boundary*, newest first."""
+    return list(dict.fromkeys((boundary - k) % func.buffers for k in range(func.time_order)))
+
+
+def _blowup(func, t0: int, t1: int) -> NumericalBlowup:
+    """The blow-up verdict for *func*'s non-finite exit state at *t1*: the
+    first offending grid point (interior coordinates — a halo point falls
+    outside ``[0, shape)``) and the non-finite count over the live slots."""
+    bad = [~np.isfinite(func._data[i]) for i in _live_slots(func, t1)]
+    first = next(b for b in bad if b.any())
+    point = tuple(int(i) - func.halo for i in np.argwhere(first)[0])
+    return NumericalBlowup(
+        f"non-finite wavefield values at tile exit, first at grid point {point}",
+        t=t0,
+        field=func.name,
+        point=point,
+        count=int(sum(int(b.sum()) for b in bad)),
+        t1=t1,
+    )
+
+
 class ABFTGuard:
-    """Detects silent corruption at containment-unit boundaries and owns the
+    """Checks the state at containment-unit boundaries and owns the
     micro-snapshot ring that makes tile-granular recovery possible.
 
-    Lifecycle: construct unconfigured (``ABFTGuard()``), hand to
-    ``apply(abft=...)``; the operator calls :meth:`configure` with the bound
-    plan (proving the :class:`~repro.verify.certificate.GrowthCertificate`
-    unless one was supplied), and the executors call :meth:`tile_entry` /
-    :meth:`tile_check` through the :class:`~repro.runtime.monitor.
-    RuntimeMonitor` at every boundary — time tiles under wavefront blocking,
-    single timesteps otherwise.  On a violation the executor calls
+    Lifecycle: ``ABFTGuard()``, handed to ``apply(abft=...)``; every apply
+    calls :meth:`configure` with the bound plan and that apply's fresh
+    :class:`~repro.verify.certificate.GrowthCertificate`, and the executors
+    call :meth:`tile_entry` / :meth:`tile_check` through the
+    :class:`~repro.runtime.monitor.RuntimeMonitor` at every boundary — time
+    tiles under wavefront blocking, single timesteps otherwise.  A
+    non-finite exit is a :class:`~repro.errors.NumericalBlowup`; a finite
+    exit over the certified bound is a
+    :class:`~repro.errors.SilentCorruptionError`, on which the executor calls
     :meth:`restore` and re-executes the unit; :attr:`stats` and
     :attr:`events` feed the job-service journal and metrics.
 
     An unbounded certificate (infinite gain, e.g. an abstract division by an
-    interval straddling zero) disables the amplitude invariant — the guard
-    still captures micro-snapshots so checksum-triggered recovery works —
-    and :attr:`amplitude_active` reports it.
+    interval straddling zero) disables the amplitude invariant — blow-ups are
+    still caught — and :attr:`amplitude_active` reports it.
     """
 
-    def __init__(
-        self,
-        slack: float = DEFAULT_SLACK,
-        floor: float = DEFAULT_FLOOR,
-        micro_keep: Optional[int] = None,
-        max_reexecutions: int = 2,
-        certificate=None,
-    ):
-        if slack < 1.0:
-            raise ValueError("slack must be >= 1")
-        self.slack = float(slack)
-        self.floor = float(floor)
-        self.micro_keep = int(micro_keep) if micro_keep is not None else None
-        self.max_reexecutions = int(max_reexecutions)
-        self.certificate = certificate
+    def __init__(self):
+        self.certificate = None
         self.stats: Dict[str, float] = {
             "checks": 0,
             "detections": 0,
@@ -156,29 +156,22 @@ class ABFTGuard:
         self._per_step_source = 0.0
         self._entry: Dict[str, float] = {}
         self._exit_cache: Optional[tuple] = None
-        self._configured = False
 
     # -- configuration (Operator.apply) --------------------------------------------
-    def configure(self, plan, operator: str = "operator", dt: float = 1.0) -> None:
-        """Prove (or adopt) the growth certificate and bind to *plan*."""
-        if self.certificate is None:
-            from ..verify.absint.growth import prove_growth
-
-            self.certificate = prove_growth(plan.sweeps, operator=operator, dt=dt)
-        self._step_gain = (
-            self.certificate.step_gain if self.certificate.check() else math.inf
-        )
+    def configure(self, plan, certificate) -> None:
+        """Bind to *plan* under *certificate*, the growth proof of this very
+        apply — a guard reused across applies never checks against a model
+        that has since been updated in place."""
+        self.certificate = certificate
+        self._step_gain = certificate.step_gain if certificate.check() else math.inf
         self._per_step_source = _per_step_source_amplitude(plan)
-        if self.micro_keep is None:
-            self.micro_keep = 2
         self._ring.clear()
         self._entry.clear()
         self._exit_cache = None
-        self._configured = True
 
     @property
     def amplitude_active(self) -> bool:
-        return self._configured and math.isfinite(self._step_gain)
+        return math.isfinite(self._step_gain)
 
     # -- boundary hooks (RuntimeMonitor) -------------------------------------------
     def tile_entry(self, plan, t0: int, t1: int) -> None:
@@ -194,13 +187,12 @@ class ABFTGuard:
         from .checkpoint import capture_micro_snapshot
 
         self._ring = [s for s in self._ring if s.step != t0]
-        keep = max(self.micro_keep or 2, 1)
         recycle = None
-        if len(self._ring) >= keep:
+        if len(self._ring) >= MICRO_KEEP:
             # the oldest snapshot is about to fall off the ring: donate its
             # buffers so the capture below is memcpy, not allocation
             recycle = self._ring[0]
-            del self._ring[: len(self._ring) - keep + 1]
+            del self._ring[: len(self._ring) - MICRO_KEEP + 1]
         snap = capture_micro_snapshot(plan, t0, recycle=recycle)
         self._ring.append(snap)
         self.stats["micro_snapshots"] += 1
@@ -208,16 +200,17 @@ class ABFTGuard:
         self.stats["seconds"] += time.perf_counter() - start
 
     def tile_check(self, plan, t0: int, t1: int) -> None:
-        """Verify the amplitude invariant at the exit boundary *t1*.
+        """Judge the state at the exit boundary *t1* of the unit ``[t0, t1)``.
 
-        Raises :class:`~repro.errors.SilentCorruptionError` on a violation —
-        including a non-finite exit amplitude, which a corrupted value can
-        reach by overflowing during propagation within the tile.
+        A non-finite exit amplitude raises
+        :class:`~repro.errors.NumericalBlowup` (``t=t0``, ``t1``, the field,
+        its first non-finite point and their count); a finite one above the
+        certified bound raises :class:`~repro.errors.SilentCorruptionError`.
         """
         start = time.perf_counter()
         funcs = _time_functions(plan)
         height = max(t1 - t0, 1)
-        gain = self._step_gain ** height if self.amplitude_active else math.inf
+        gain = self._step_gain ** height
         source = self._per_step_source * height
         exits: Dict[str, float] = {}
         try:
@@ -225,9 +218,11 @@ class ABFTGuard:
                 observed = self._amplitude(func, t1)
                 exits[name] = observed
                 self.stats["checks"] += 1
+                if not math.isfinite(observed):
+                    raise _blowup(func, t0, t1)
                 entry = self._entry.get(name, 0.0)
-                bound = self.slack * gain * (entry + source) + self.floor
-                if observed <= bound and math.isfinite(observed):
+                bound = SLACK * gain * (entry + source) + FLOOR
+                if observed <= bound or not self.amplitude_active:
                     continue
                 self.stats["detections"] += 1
                 self.events.append(
@@ -238,9 +233,7 @@ class ABFTGuard:
                         "t1": int(t1),
                         "field": name,
                         "bound": float(bound) if math.isfinite(bound) else None,
-                        "observed": float(observed)
-                        if math.isfinite(observed)
-                        else None,
+                        "observed": observed,
                     }
                 )
                 raise SilentCorruptionError(
@@ -251,20 +244,24 @@ class ABFTGuard:
                     t=t1 - 1,
                     field=name,
                     bound=float(bound) if math.isfinite(bound) else None,
-                    observed=float(observed) if math.isfinite(observed) else None,
+                    observed=observed,
                     detector="growth",
                 )
             self._exit_cache = (t1, exits)
         finally:
             self.stats["seconds"] += time.perf_counter() - start
 
-    def restore(self, plan, t0: int) -> bool:
-        """Restore the entry micro-snapshot of the unit starting at *t0*.
+    def restore(self, plan, t0: int, attempt: int = 1) -> bool:
+        """Restore the entry micro-snapshot of the unit starting at *t0* for
+        its *attempt*-th re-execution.
 
-        Returns False when the ring no longer holds it — the caller then
-        falls back to the ordinary checkpoint-restart path by letting the
-        error propagate.
+        Returns False when the unit's re-execution budget
+        (:data:`MAX_REEXECUTIONS`) is spent or the ring no longer holds the
+        snapshot — the caller then falls back to the ordinary
+        checkpoint-restart path by letting the error propagate.
         """
+        if attempt > MAX_REEXECUTIONS:
+            return False
         snap = next((s for s in self._ring if s.step == t0), None)
         if snap is None:
             self.events.append({"kind": "fallback", "t0": int(t0)})
@@ -293,12 +290,7 @@ class ABFTGuard:
         short-circuits to NaN and lets the boundary check flag it.
         """
         amp = 0.0
-        seen = set()
-        for k in range(func.time_order):
-            idx = (boundary - k) % func.buffers
-            if idx in seen:
-                continue
-            seen.add(idx)
+        for idx in _live_slots(func, boundary):
             data = func._data[idx]
             hi = float(data.max())
             lo = float(data.min())
@@ -321,8 +313,8 @@ class ABFTGuard:
         return out
 
     def __repr__(self) -> str:
-        gain = f"{self._step_gain:.3g}" if self._configured else "unconfigured"
+        gain = f"{self._step_gain:.3g}" if self.certificate is not None else "unconfigured"
         return (
-            f"ABFTGuard(gain={gain}, slack={self.slack}, "
+            f"ABFTGuard(gain={gain}, "
             f"checks={self.stats['checks']}, detections={self.stats['detections']})"
         )

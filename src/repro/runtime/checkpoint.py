@@ -255,24 +255,15 @@ class CheckpointConfig:
         When True and the store holds a snapshot whose ``step`` lies inside
         the requested range, the run restores it and continues from there
         instead of starting at ``time_m``.
-    micro_keep:
-        Depth of the in-memory ring of tile-entry *micro*-snapshots the
-        ABFT guard keeps (see :class:`repro.runtime.abft.ABFTGuard`): only
-        the live circular-buffer slots plus receiver state, never written
-        to disk.  Independent of ``every`` — micro-snapshots are captured
-        at every containment-unit boundary while the guard is active.
     """
 
     every: int = 8
     store: CheckpointStore = dc_field(default_factory=MemoryCheckpointStore)
     resume: bool = False
-    micro_keep: int = 2
 
     def __post_init__(self):
         if self.every < 1:
             raise ValueError("checkpoint cadence must be >= 1 timestep")
-        if self.micro_keep < 1:
-            raise ValueError("micro-snapshot ring depth must be >= 1")
 
 
 def _plan_time_functions(plan) -> Dict[str, TimeFunction]:

@@ -5,8 +5,8 @@ and consulted by the executors after every sweep instance.  Each
 :class:`Fault` is armed once and fires at its programmed ``(t, tile)``:
 either *raising* :class:`~repro.errors.InjectedFault` (exercising
 checkpoint/restart) or *corrupting* a written buffer with NaN/Inf
-(exercising the health guards, which must then attribute the blowup to the
-same ``(t, tile)``).
+(exercising the ABFT guard, which must then attribute the blowup to the
+containment unit — timestep or time tile — the fault fired in).
 
 ``point`` pins a fault to the tile containing that grid point — without it,
 the fault fires at the first instance of timestep ``t`` and corruption

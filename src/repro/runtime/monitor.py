@@ -1,19 +1,19 @@
 """The runtime monitor: one object the executors consult during a run.
 
-Bundles the three optional resilience facilities — health guards, checkpoint
-/restart and fault injection — behind the narrow hook surface the executor
-calls:
+Bundles the three optional resilience facilities — the ABFT guard,
+checkpoint/restart and fault injection — behind the narrow hook surface the
+executor calls:
 
 * :meth:`begin` — once per run, before the first instance; restores the
   latest snapshot when the checkpoint config asks to resume and returns the
   (possibly advanced) start timestep.
 * :meth:`after_instance` — after every executed sweep instance ``(j, t,
-  box)``: fires due faults first (so a cadence-1 guard attributes the
-  corruption to the exact instance), then ticks the health guard.
+  box)``: fires due faults.
 * :meth:`after_tile` — after a full time tile ``[t0, t1)`` (one timestep
   under naive/spatial schedules) completed (stencil + sparse + receiver
-  finalize), the only consistent snapshot points of a run: ABFT invariant
-  check, then checkpoint cadence (never snapshot unverified state).
+  finalize), the only consistent snapshot points of a run: the guard's
+  verdict (blow-up or silent corruption), then checkpoint cadence (never
+  snapshot unverified state).
 * :meth:`tile_entry` / :meth:`contain` — the ABFT containment pair: record
   entry state before a containment unit, and on a detected corruption
   restore its micro-snapshot so the executor re-executes just that unit.
@@ -34,7 +34,6 @@ from typing import Optional
 from ..errors import StorageExhaustedError
 from .checkpoint import CheckpointConfig, capture_snapshot, restore_snapshot
 from .faults import FaultInjector
-from .health import HealthGuard
 
 __all__ = ["RuntimeMonitor"]
 
@@ -42,13 +41,11 @@ __all__ = ["RuntimeMonitor"]
 class RuntimeMonitor:
     def __init__(
         self,
-        health: Optional[HealthGuard] = None,
         checkpoint: Optional[CheckpointConfig] = None,
         faults: Optional[FaultInjector] = None,
         telemetry=None,
         abft=None,
     ):
-        self.health = health
         self.checkpoint = checkpoint
         self.faults = faults
         #: optional :class:`~repro.runtime.abft.ABFTGuard`
@@ -82,25 +79,24 @@ class RuntimeMonitor:
 
     # -- executor hooks ----------------------------------------------------------------
     def after_instance(self, plan, j: int, t: int, box) -> None:
+        if self.faults is None:
+            return
         if box is None:
             box = tuple((0, s) for s in plan.grid.shape)
-        if self.faults is not None:
-            if self.telemetry is None:
-                self.faults.fire(plan, j, t, box)
-            else:
-                fired = len(self.faults.log)
-                try:
-                    self.faults.fire(plan, j, t, box)
-                finally:
-                    # a kind="raise" fault logs then raises: record it too
-                    for ft, fbox, kind, field in self.faults.log[fired:]:
-                        self.telemetry.counters.add("faults_fired")
-                        self.telemetry.event(
-                            "fault.fired", phase="checkpoint+guard",
-                            t=ft, kind=kind, field=field,
-                        )
-        if self.health is not None:
-            self.health.on_instance(plan.sweeps[j], t, box)
+        if self.telemetry is None:
+            self.faults.fire(plan, j, t, box)
+            return
+        fired = len(self.faults.log)
+        try:
+            self.faults.fire(plan, j, t, box)
+        finally:
+            # a kind="raise" fault logs then raises: record it too
+            for ft, fbox, kind, field in self.faults.log[fired:]:
+                self.telemetry.counters.add("faults_fired")
+                self.telemetry.event(
+                    "fault.fired", phase="checkpoint+guard",
+                    t=ft, kind=kind, field=field,
+                )
 
     def after_tile(self, plan, t0: int, t1: int) -> None:
         if self.abft is not None:
@@ -122,10 +118,7 @@ class RuntimeMonitor:
         of this unit, starting at 1); False hands the error back to the
         checkpoint-restart layer.
         """
-        guard = self.abft
-        if guard is None or attempt > guard.max_reexecutions:
-            return False
-        restored = guard.restore(plan, t0)
+        restored = self.abft is not None and self.abft.restore(plan, t0, attempt)
         if restored and self.telemetry is not None:
             self.telemetry.counters.add("abft_reexecutions")
             self.telemetry.event(

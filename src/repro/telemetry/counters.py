@@ -34,8 +34,10 @@ a different thing and are listed in one place,
   replayed from a list :func:`repro.core.scheduler.lower` built earlier in
   this process (an earlier tile, run or — in a warm worker — job) instead
   of recomputed.
-* ``checkpoint_saves``, ``guard_ticks``, ``guard_checks``, ``faults_fired``
-  — runtime-monitor activity (:mod:`repro.runtime`).
+* ``checkpoint_saves``, ``faults_fired``, ``abft_checks`` /
+  ``abft_detections`` / ``abft_micro_snapshots`` /
+  ``abft_micro_snapshot_bytes`` / ``abft_reexecutions`` — runtime-monitor
+  and guard activity (:mod:`repro.runtime`).
 * ``engine_fallbacks`` — c→fused→interp ladder transitions during
   binding (:meth:`repro.ir.operator.Operator._build_sweeps`).
 * ``jobs_{kind}`` — one per pool lifecycle event kind

@@ -26,7 +26,7 @@ Phases are the paper-facing cost centres: ``precompute`` (masks, wavelet
 decomposition, kernel binding, preflight, step-plan geometry), ``stencil``
 (sweep evaluation), ``injection`` (grid-aligned or raw source scatter),
 ``receivers`` (gather + trace reconstruction), ``checkpoint+guard`` (the
-runtime monitor: health scans, snapshots, fault hooks), ``jobs`` (batch
+runtime monitor: guard scans, snapshots, fault hooks), ``jobs`` (batch
 supervisor work — admission, journaling, dispatch, drain — recorded by
 :mod:`repro.jobs.pool`, not the executors) and ``other``.
 

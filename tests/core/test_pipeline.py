@@ -47,8 +47,8 @@ def test_run_matches_operator_path(setup):
 
     u.data_with_halo[...] = 0.0
     rec.data[...] = 0.0
-    pipe = TemporalBlockingPipeline(op, dt=1.0)
-    pipe.run(time_M=8, schedule=sched)
+    TemporalBlockingPipeline(op, dt=1.0).precompute()
+    op.apply(time_M=8, dt=1.0, schedule=sched, sparse_mode="precomputed")
     np.testing.assert_array_equal(u.interior(8), ref[0])
     np.testing.assert_array_equal(rec.data, ref[1])
 
@@ -62,10 +62,15 @@ def test_pipeline_primes_operator_cache(setup):
 
 
 def test_run_without_explicit_precompute(setup):
+    # the operator precomputes on its own; a pipeline built afterwards
+    # reports the very artefacts that run used
     op, u, m, src, rec = setup
-    pipe = TemporalBlockingPipeline(op, dt=1.0)
-    pipe.run(time_M=4)  # auto-precomputes
+    op.apply(time_M=4, dt=1.0, schedule=WavefrontSchedule(), sparse_mode="precomputed")
+    inj = op.injections()[0]
+    used = op._decomp_cache[(inj, 1.0)]
+    pipe = TemporalBlockingPipeline(op, dt=1.0).precompute()
     assert pipe._done
+    assert pipe.sources[inj] is used
 
 
 def test_same_named_sparse_functions_do_not_collide(grid3d):
@@ -85,7 +90,10 @@ def test_same_named_sparse_functions_do_not_collide(grid3d):
     assert len(pipe.masks) == 3 and len(op._mask_cache) == 3
     assert pipe.masks[twin] is not pipe.masks[rec]
     assert pipe.report().affected_points == sum(m.npts for m in pipe.masks.values())
-    pipe.run(time_M=8, schedule=WavefrontSchedule(tile=(5, 5), block=(5, 5), height=4))
+    op.apply(
+        time_M=8, dt=1.0, schedule=WavefrontSchedule(tile=(5, 5), block=(5, 5), height=4),
+        sparse_mode="precomputed",
+    )
     got = rec.data.copy(), twin.data.copy()
 
     u.data_with_halo[...] = 0.0

@@ -7,7 +7,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.jobs import ChaosConfig, ChaosPlan, JobSpec, run_batch, run_job_inline
+from repro.jobs import (
+    ChaosConfig,
+    ChaosPlan,
+    JobSpec,
+    load_journal,
+    run_batch,
+    run_job_inline,
+)
+
+from .fleets import FLEETS
 
 pytestmark = pytest.mark.faults
 
@@ -34,10 +43,35 @@ def test_chaos_plan_rates_are_respected_at_the_extremes():
 
 
 def test_corruption_faults_request_a_health_guard():
-    plan = ChaosPlan(ChaosConfig(fault_rate=1.0, kinds=("nan",)), 5)
-    entry = plan.entry(0, 32)
-    assert entry.fault["kind"] == "nan"
-    assert entry.needs_guard  # guard catches corruption before any snapshot
+    # one guard for every corruption kind: it catches NaN/Inf before any
+    # snapshot and a finite bit-flip at the next tile boundary
+    for kind in ("nan", "inf", "bitflip"):
+        plan = ChaosPlan(ChaosConfig(fault_rate=1.0, kinds=(kind,)), 5)
+        entry = plan.entry(0, 32)
+        assert entry.fault["kind"] == kind
+        assert entry.needs_guard
+    plan = ChaosPlan(ChaosConfig(fault_rate=1.0, kinds=("raise",)), 5)
+    assert not plan.entry(0, 32).needs_guard
+
+
+@pytest.mark.parametrize("workers", FLEETS)
+def test_nan_chaos_is_a_fault_retried_from_its_checkpoint_not_sdc(tmp_path, workers):
+    # the guard's verdict end to end: a NaN is a blow-up, so the attempt's
+    # outcome is "fault" (exponential backoff, poison-countable), never
+    # "sdc", and the retry resumes from a checkpoint the NaN never reached
+    config = ChaosConfig(fault_rate=1.0, kinds=("nan",))
+    spec = JobSpec("nan-shot", nt=32, seed=5, checkpoint_every=4, max_attempts=3)
+    fault_t = ChaosPlan(config, batch_seed=1).entry(0, spec.nt).fault["t"]
+    report = run_batch([spec], workers=workers, workdir=tmp_path, chaos=config, batch_seed=1)
+    assert report.ok
+    result = report.result_for("nan-shot")
+    assert [a.outcome for a in result.attempts] == ["fault", "completed"]
+    assert result.attempts[0].error.startswith("NumericalBlowup")
+    assert 0 < result.attempts[1].resumed_from <= fault_t
+    replay = load_journal(tmp_path / "journal.jsonl")
+    assert [r["outcome"] for r in replay.for_kind("outcome")] == ["fault", "completed"]
+    assert not replay.for_kind("sdc")
+    np.testing.assert_array_equal(result.receivers, run_job_inline(spec))
 
 
 def test_config_validates_rates_and_kinds():

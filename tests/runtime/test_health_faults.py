@@ -1,7 +1,10 @@
-"""Fault injection and health-guard attribution.
+"""Fault injection and blow-up attribution by the tile-boundary guard.
 
-Every schedule runs with a programmed corruption; a cadence-1 guard must
-attribute the blowup to the exact ``(t, tile)`` the fault landed in.
+Every schedule runs with a programmed corruption; the guard must judge a
+NaN/Inf a :class:`NumericalBlowup` (never silent corruption) and attribute it
+to the containment unit it fired in — the exact timestep under naive and
+spatial schedules, the time tile under wavefront blocking — before any
+checkpoint captures it.
 """
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 
 from repro.core import NaiveSchedule, SpatialBlockSchedule, WavefrontSchedule
 from repro.errors import InjectedFault, NumericalBlowup
-from repro.runtime import Fault, FaultInjector, HealthGuard
+from repro.runtime import ABFTGuard, CheckpointConfig, Fault, FaultInjector
 
 from ..conftest import make_acoustic_operator
 
@@ -34,25 +37,47 @@ def _run(op, schedule, **kw):
     return op.apply(time_M=NT, dt=DT, schedule=schedule, sparse_mode=mode, **kw)
 
 
+def _assert_blowup_attributed(grid, schedule, kind):
+    op, u, m, src, rec = make_acoustic_operator(grid, nt=NT)
+    point = (7, 6)
+    fault_t = 4
+    faults = FaultInjector([Fault(t=fault_t, kind=kind, point=point)])
+    guard = ABFTGuard()
+    checkpoint = CheckpointConfig(every=1)
+    with pytest.raises(NumericalBlowup) as excinfo:
+        _run(op, schedule, abft=guard, faults=faults, checkpoint=checkpoint)
+    err = excinfo.value
+    # the verdict, not the class hierarchy: a blow-up, never contained
+    assert type(err) is NumericalBlowup
+    assert guard.stats["detections"] == 0 and guard.stats["tiles_reexecuted"] == 0
+    assert err.field == "u"
+    assert err.t <= fault_t < err.t1
+    if isinstance(schedule, WavefrontSchedule):
+        # attribution is to the time tile: by its exit the corruption has
+        # spread, and the reported point is one of the non-finite values
+        padded = tuple(p + u.halo for p in err.point)
+        assert not np.isfinite(u.data_with_halo[(slice(None), *padded)]).all()
+    else:
+        # one timestep per unit: exact attribution
+        assert err.t == fault_t
+        assert err.point == point
+        assert err.count == 1
+    # raised before the unit's checkpoint save: no snapshot holds the fault
+    assert checkpoint.store.latest().step == err.t
+    assert len(faults.log) == 1
+    assert faults.log[0][0] == fault_t
+
+
 @pytest.mark.faults
 @_schedule_param()
 def test_nan_fault_is_caught_and_attributed(grid2d, schedule):
-    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
-    point = (7, 6)
-    fault_t = 4
-    faults = FaultInjector([Fault(t=fault_t, kind="nan", point=point)])
-    guard = HealthGuard(check_every=1)
-    with pytest.raises(NumericalBlowup) as excinfo:
-        _run(op, schedule, health=guard, faults=faults)
-    err = excinfo.value
-    # cadence-1 scan runs right after the fault fires: exact attribution
-    assert err.t == fault_t
-    assert err.field == "u"
-    assert err.point == point
-    assert all(lo <= p < hi for p, (lo, hi) in zip(point, err.tile))
-    assert err.count == 1
-    assert len(faults.log) == 1
-    assert faults.log[0][0] == fault_t
+    _assert_blowup_attributed(grid2d, schedule, "nan")
+
+
+@pytest.mark.faults
+@_schedule_param()
+def test_inf_fault_is_a_blowup_not_silent_corruption(grid2d, schedule):
+    _assert_blowup_attributed(grid2d, schedule, "inf")
 
 
 @pytest.mark.faults
@@ -71,9 +96,9 @@ def test_inf_fault_without_point_is_seed_deterministic(grid2d):
     for _ in range(2):
         op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
         faults = FaultInjector([Fault(t=3, kind="inf")], seed=42)
-        guard = HealthGuard(check_every=1)
         with pytest.raises(NumericalBlowup) as excinfo:
-            _run(op, NaiveSchedule(), health=guard, faults=faults)
+            _run(op, NaiveSchedule(), abft=ABFTGuard(), faults=faults)
+        assert type(excinfo.value) is NumericalBlowup
         results.append((excinfo.value.t, excinfo.value.point))
     assert results[0] == results[1]
 
@@ -82,36 +107,16 @@ def test_inf_fault_without_point_is_seed_deterministic(grid2d):
 def test_injector_reset_replays_exactly(grid2d):
     op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
     faults = FaultInjector([Fault(t=3, kind="nan")], seed=9)
-    guard = HealthGuard(check_every=1)
+    guard = ABFTGuard()
     with pytest.raises(NumericalBlowup) as first:
-        _run(op, NaiveSchedule(), health=guard, faults=faults)
+        _run(op, NaiveSchedule(), abft=guard, faults=faults)
     assert not faults.faults[0].armed
     faults.reset()
     assert faults.faults[0].armed and not faults.log
     u.data_with_halo[...] = 0.0
     with pytest.raises(NumericalBlowup) as second:
-        _run(op, NaiveSchedule(), health=HealthGuard(check_every=1), faults=faults)
+        _run(op, NaiveSchedule(), abft=guard, faults=faults)
     assert first.value.point == second.value.point
-
-
-def test_guard_cadence_counts_checks(grid2d):
-    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
-    guard = HealthGuard(check_every=4)
-    _run(op, NaiveSchedule(), health=guard)
-    assert guard.stats["ticks"] == NT  # one sweep instance per step (naive)
-    assert guard.stats["checks"] == NT // 4
-
-
-def test_guard_max_abs_catches_finite_divergence(grid2d):
-    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
-    guard = HealthGuard(check_every=1, max_abs=1e-12)
-    with pytest.raises(NumericalBlowup):
-        _run(op, NaiveSchedule(), health=guard)
-
-
-def test_guard_rejects_bad_cadence():
-    with pytest.raises(ValueError, match="check_every"):
-        HealthGuard(check_every=0)
 
 
 @pytest.mark.faults
@@ -124,7 +129,7 @@ def test_unarmed_and_mismatched_faults_never_fire(grid2d):
             Fault(t=2, kind="raise", sweep=7),  # no such sweep
         ]
     )
-    _run(op, NaiveSchedule(), health=HealthGuard(check_every=1), faults=faults)
+    _run(op, NaiveSchedule(), abft=ABFTGuard(), faults=faults)
     assert not faults.log
     assert np.isfinite(u.interior(NT)).all()
 

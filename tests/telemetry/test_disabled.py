@@ -52,18 +52,18 @@ def test_apply_without_telemetry_is_silent(grid3d):
 
 
 def test_monitor_composes_with_telemetry(grid3d):
+    from repro.runtime import ABFTGuard
     from repro.runtime.checkpoint import CheckpointConfig
-    from repro.runtime.health import HealthGuard
 
     op, u, m, src, rec = make_acoustic_operator(grid3d, nt=NT)
     tel = Telemetry()
     op.apply(
         time_M=NT, dt=0.4, schedule=NaiveSchedule(), telemetry=tel,
-        health=HealthGuard(check_every=2),
+        abft=ABFTGuard(),
         checkpoint=CheckpointConfig(every=4),
     )
-    assert tel.counters["guard_ticks"] > 0
-    assert tel.counters["guard_checks"] > 0
+    assert tel.counters["abft_checks"] >= NT  # one per field per timestep
+    assert tel.counters["abft_micro_snapshots"] == NT
     assert tel.counters["checkpoint_saves"] > 0
     saves = [e for e in tel.events if "checkpoint" in e.name]
     assert len(saves) == tel.counters["checkpoint_saves"]
@@ -74,19 +74,22 @@ def test_aborted_run_still_flushes_guard_counters(grid3d):
     """A run killed by NumericalBlowup must leave its guard tallies in the
     telemetry buffer — partial telemetry of a crashed run is the postmortem."""
     from repro.errors import NumericalBlowup
+    from repro.runtime import ABFTGuard
     from repro.runtime.faults import Fault, FaultInjector
-    from repro.runtime.health import HealthGuard
 
     op, u, m, src, rec = make_acoustic_operator(grid3d, nt=NT)
     tel = Telemetry()
     with pytest.raises(NumericalBlowup):
         op.apply(
             time_M=NT, dt=0.4, schedule=NaiveSchedule(), telemetry=tel,
-            health=HealthGuard(check_every=1),
+            abft=ABFTGuard(),
             faults=FaultInjector([Fault(t=3, kind="nan", point=(5, 5, 5))]),
         )
-    assert tel.counters["guard_checks"] > 0
-    assert tel.counters["guard_ticks"] > 0
+    # units [0, 1) .. [3, 4) entered and checked; the last check is the verdict
+    assert tel.counters["abft_checks"] == 4
+    assert tel.counters["abft_micro_snapshots"] == 4
+    assert tel.counters["abft_micro_snapshot_bytes"] > 0
+    assert tel.counters["abft_detections"] == 0  # a blow-up, not corruption
     # the fired fault is recorded even though firing it killed the run
     assert tel.counters["faults_fired"] == 1
     (ev,) = [e for e in tel.events if e.name == "fault.fired"]

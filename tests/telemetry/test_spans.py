@@ -173,7 +173,7 @@ def test_pipeline_precompute_span(grid3d):
 
     u.data_with_halo[...] = 0.0
     rec.data[...] = 0.0
-    pipe.run(time_M=8, schedule=WavefrontSchedule(tile=(6, 6), block=(3, 3), height=2),
-             telemetry=tel)
+    op.apply(time_M=8, dt=0.4, schedule=WavefrontSchedule(tile=(6, 6), block=(3, 3), height=2),
+             sparse_mode="precomputed", telemetry=tel)
     assert np.isfinite(rec.data).all()
     assert tel.find("apply")
