@@ -30,6 +30,7 @@ __all__ = [
     "box_view",
     "BoundEq",
     "BoundSweep",
+    "compile_front_half",
     "ENGINES",
 ]
 
@@ -123,6 +124,25 @@ class BoundEq:
         return f"BoundEq({self.eq})"
 
 
+def compile_front_half(eqs: Sequence, engine: str):
+    """Hoist model-only subtrees of *eqs* (bound ``lhs``/``rhs`` pairs), then
+    lower them into one three-address kernel: ``(hoist result, reads, kernel)``.
+    Inline, a model term costs ``fused`` a ufunc pass per box, so it hoists
+    every maximal invariant subtree; it costs ``c`` register work, cheaper
+    than streaming a precomputed grid, so it hoists only what C cannot
+    express (``sin(m)``, ``m**0.3``)."""
+    from ..ir.passes import hoist_invariants
+    from ..ir.pycodegen import compile_sweep, lowers_outside_c
+
+    writes = [e.lhs for e in eqs]
+    hoisted = hoist_invariants(
+        [e.rhs for e in eqs], select=lowers_outside_c if engine == "c" else None
+    )
+    reads = sorted({a for rhs in hoisted.rhss for a in rhs.atoms(Indexed)}, key=str)
+    dtypes = [[a.function.dtype for a in accesses] for accesses in (reads, writes)]
+    return hoisted, reads, compile_sweep(writes, hoisted.rhss, reads, *dtypes)
+
+
 class BoundSweep:
     """All equations of one sweep bound to the grid, driven by one engine.
 
@@ -130,18 +150,18 @@ class BoundSweep:
     :meth:`evaluate` once per ``(t, box)`` instance and the sweep runs all of
     its equations in order.
 
-    * ``engine="fused"``: all equations are compiled into a single
-      three-address kernel (:func:`repro.ir.pycodegen.compile_sweep`) fed from
-      a :class:`~repro.ir.pycodegen.ScratchPool`.  The array views for a
+    * ``engine="fused"``: model-only terms hoisted into grids, all equations
+      compiled into a single three-address kernel (:func:`compile_front_half`)
+      fed from a :class:`~repro.ir.pycodegen.ScratchPool`.  The array views for a
       ``(t, box)`` instance are built once per instance and memoised — the
       views only depend on ``t`` modulo the time-buffer period, so wavefront
       execution revisiting the same box at a congruent timestep pays zero
       view-construction cost.
-    * ``engine="c"`` (the ladder's head): the same front half and the same
-      three-address program, emitted as one C loop nest
-      (:func:`repro.ir.cgen.sweep_function`); the memo holds a pointer /
-      stride / extent table instead of views and an instance is one
-      ``ctypes`` call.
+    * ``engine="c"`` (the ladder's head): the same front half, which for
+      this rung hoists only what C cannot express, emitted as one C loop
+      nest (:func:`repro.ir.cgen.sweep_function`) that reads the model
+      directly; the memo holds a pointer / stride / extent table instead of
+      views and an instance is one ``ctypes`` call.
     * ``engine="interp"``: the tree-walking interpreter, equation by
       equation.
 
@@ -166,30 +186,16 @@ class BoundSweep:
         executed = [beq.rhs for beq in self.beqs]
         if engine != "interp":
             from ..ir.cgen import sweep_function
-            from ..ir.passes import hoist_invariants
-            from ..ir.pycodegen import ScratchPool, compile_sweep
+            from ..ir.pycodegen import ScratchPool
 
             self.writes: List[Indexed] = [beq.lhs for beq in self.beqs]
-            # model-only subexpressions (1/m, lambda + 2*mu, cos(theta), ...)
-            # become precomputed full-grid arrays instead of per-box work;
-            # buffers are filled lazily at the first evaluate and refreshed
-            # per bind so model mutations between applies are observed
+            # hoisted buffers are filled lazily at the first evaluate and
+            # refreshed per bind so model mutations between applies are observed
             try:
-                hoisted = hoist_invariants([beq.rhs for beq in self.beqs])
+                hoisted, self.reads, self._kernel = compile_front_half(self.beqs, engine)
                 executed = hoisted.rhss
                 self.hoisted_fields = hoisted.fields
                 self._stale_invariants = bool(hoisted.fields)
-                read_set = set()
-                for rhs in hoisted.rhss:
-                    read_set.update(rhs.atoms(Indexed))
-                self.reads: List[Indexed] = sorted(read_set, key=str)
-                self._kernel = compile_sweep(
-                    self.writes,
-                    hoisted.rhss,
-                    self.reads,
-                    [a.function.dtype for a in self.reads],
-                    [l.function.dtype for l in self.writes],
-                )
                 if engine == "c":
                     self._cfunc = sweep_function(self._kernel.__program__, self.dim_names)
                     self._ctab = np.array(self._kernel.__constvals__, dtype=np.float64)

@@ -1,12 +1,13 @@
 """The C back end: the ``"c"`` rung of the engine ladder.
 
-:func:`emit_sweep` turns the typed three-address program
-:func:`repro.ir.pycodegen.compile_sweep` already produced (post-factorise,
-post-CSE, invariants hoisted) into one C function per sweep — the paper's
-loop nest (Listings 1/4): outer loops over the leading dimensions, one row
-pointer per operand, the innermost loop vectorised, scratch slots as scalar
-locals.  There is no second front end: the lint, the dtype audit and the
-liveness check read the very program this emitter consumes.
+:func:`emit_sweep` turns the typed three-address program of the shared front
+half (post-factorise, post-CSE, only what C cannot express hoisted: model
+terms like ``1/(c*m + c*damp)`` are register work on live reads) into one C
+function per sweep — the paper's loop nest (Listings 1/4): outer loops over
+the leading dimensions, one row pointer per operand, the innermost loop
+vectorised, scratch slots as scalar locals.  There is no second front end:
+the lint, the dtype audit and the liveness check read the very program this
+emitter consumes.
 :data:`SPARSE_SOURCE` holds the static (not generated) Listing-5 kernels of
 the grid-aligned injection and receiver gather.
 

@@ -41,7 +41,7 @@ from ..errors import (
     InvalidTimeRange,
     KernelLintError,
 )
-from ..execution.evalbox import ENGINES, BoundSweep
+from ..execution.evalbox import ENGINES, BoundSweep, compile_front_half
 from ..execution.executors import ExecutionPlan, run_schedule
 from ..execution.sparse import RawInjection, RawInterpolation
 from .dependencies import Sweep, build_sweeps, wavefront_angle
@@ -549,7 +549,7 @@ class Operator:
 
     def _register_static_costs(self, tel, schedule: Schedule, plan: ExecutionPlan) -> None:
         """Static per-sweep flop/access counts of the expressions actually
-        bound (factorised, and hoisted under a compiled engine), joined with
+        bound (factorised, then hoisted as the bound rung hoists), joined with
         measured counters by :func:`repro.telemetry.derived_metrics`
         (achieved GPts/s, GFLOP/s, arithmetic intensity)."""
         from .cgen import team_size
@@ -571,17 +571,17 @@ class Operator:
         one function per sweep (the paper's stencil nest, Listings 1/4) and,
         for an operator with sparse operators, the static grid-aligned
         injection / gather kernels (Listing 5).  The time and tile loops of
-        Listing 6 are :func:`repro.core.scheduler.lower`'s step list.  Raises
+        Listing 6 are :func:`repro.core.scheduler.lower`'s step list.  Emitted
+        from the C rung's own front half, so no compiler is needed.  Raises
         :class:`~repro.errors.EngineCompilationError` for a sweep the C rung
         cannot express."""
         from .cgen import SPARSE_SOURCE, emit_sweep
 
+        dims = [d.name for d in self.grid.dimensions]
         units = [
             f"/* {self.name}: sweep {j} of {len(self.sweeps)} */\n"
-            + emit_sweep(sw.kernel_program(), sw.dim_names, name=f"sweep{j}")
-            for j, sw in enumerate(
-                BoundSweep(eqs, self.grid, engine="fused") for eqs in self.bound_equations(dt)
-            )
+            + emit_sweep(compile_front_half(eqs, "c")[2].__program__, dims, name=f"sweep{j}")
+            for j, eqs in enumerate(self.bound_equations(dt))
         ]
         if self.sparse_ops:
             units.append(f"/* {self.name}: grid-aligned sparse operators */\n" + SPARSE_SOURCE)

@@ -257,15 +257,18 @@ def _time_invariant(expr: Expr) -> bool:
     return True
 
 
-def _unit_info(expr: Expr):
+def _unit_info(expr: Expr, select=None):
     """``(offsets, halo)`` if *expr* is hoistable as one precomputed array.
 
-    Hoistable means: composite, time-invariant, at least one grid read, and
-    all reads share one offset map and one padded layout — then the defining
+    Hoistable means: composite, time-invariant, at least one grid read, all
+    reads share one offset map and one padded layout — then the defining
     expression can be evaluated pointwise over the raw padded buffers and the
-    whole subtree replaced by a single read at the shared offsets.
+    whole subtree replaced by a single read at the shared offsets — and
+    accepted by *select*, when given.
     """
     if not isinstance(expr, _COMPOSITE) or not _time_invariant(expr):
+        return None
+    if select is not None and not select(expr):
         return None
     leaves = expr.atoms(Indexed)
     if not leaves:
@@ -278,7 +281,7 @@ def _unit_info(expr: Expr):
     return next(iter(offsets)), next(iter(halos))
 
 
-def hoist_invariants(rhss: Sequence[Expr], prefix: str = "__inv") -> HoistResult:
+def hoist_invariants(rhss: Sequence[Expr], prefix: str = "__inv", select=None) -> HoistResult:
     """Hoist maximal time-invariant subexpressions out of a sweep's RHSs.
 
     Model-only terms (``1/m``, ``lambda + 2*mu``, ``cos(theta)``, ...) are
@@ -287,13 +290,14 @@ def hoist_invariants(rhss: Sequence[Expr], prefix: str = "__inv") -> HoistResult
     each maximal invariant subtree — and each leading invariant run of an
     ``Add``/``Mul`` argument list, which is exactly a prefix of the
     left-associative evaluation chain — with a read of a
-    :class:`HoistedField` computed once per bind.
+    :class:`HoistedField` computed once per bind.  With *select*, only the
+    subtrees it accepts are hoisted and the pass looks inside the others.
 
     Bit-identity is preserved by construction: the precomputed array holds
     the very values the per-box instructions would have produced (same
     elementwise operations on the same operands, evaluated once instead of
     per instance), and chain prefixes are real computational stages of the
-    interpreter's evaluation order.
+    interpreter's evaluation order — so leaving a subtree inline is exact too.
     """
     replacements: Dict[Expr, Indexed] = {}
     fields: List[HoistedField] = []
@@ -310,7 +314,7 @@ def hoist_invariants(rhss: Sequence[Expr], prefix: str = "__inv") -> HoistResult
     def walk(expr: Expr) -> Expr:
         if not isinstance(expr, _COMPOSITE):
             return expr
-        info = _unit_info(expr)
+        info = _unit_info(expr, select)
         if info is not None:
             return placeholder(expr, info)
         if isinstance(expr, (Add, Mul)):
@@ -323,7 +327,7 @@ def hoist_invariants(rhss: Sequence[Expr], prefix: str = "__inv") -> HoistResult
                 # the leading invariant run is a prefix of the left-assoc
                 # evaluation chain: fold it into one precomputed stage
                 head = Mul(*args[:k]) if isinstance(expr, Mul) else Add(*args[:k])
-                head_info = _unit_info(head)
+                head_info = _unit_info(head, select)
                 if head_info is not None:
                     new_args.append(placeholder(head, head_info))
                 else:
@@ -359,7 +363,8 @@ class _Product(tuple):
 
 def _invariant(x) -> bool:
     """True if *x* reads the grid but no time field: :func:`hoist_invariants`
-    precomputes it, so a coefficient in front of it costs no kernel pass."""
+    precomputes it for the fused rung, so a coefficient in front of it costs
+    no kernel pass (on the C rung, one register multiply)."""
     if isinstance(x, Expr):
         return _time_invariant(x) and bool(x.atoms(Indexed))
     parts = [core for _, core in x] if isinstance(x, _Sum) else x

@@ -34,6 +34,7 @@ from .nodes import TAInstr, TAOperand, TAProgram
 
 __all__ = [
     "compile_sweep",
+    "lowers_outside_c",
     "ScratchPool",
     "kernel_cache_stats",
     "clear_kernel_caches",
@@ -325,22 +326,34 @@ class _Emitter:
         raise TypeError(f"cannot lower node {type(e).__name__}")
 
     def _lower_pow(self, e: Pow) -> _Operand:
-        exp = e.exponent
-        if isinstance(exp, Number):
-            v = exp.value
-            if v == -1:
-                return self._emit("divide", [_Operand("scalar", "1.0", None), self.lower(e.base)])
-            if isinstance(v, int) and 0 < v <= 4:
-                # small integer powers lower to repeated multiplies
-                base = self.lower(e.base)
-                self._retain(base, v - 1)
-                acc = base
-                for _ in range(v - 1):
-                    acc = self._emit("multiply", [acc, base])
-                return acc
-            text = repr(float(v)) if isinstance(v, float) else repr(v)
-            return self._emit("power", [self.lower(e.base), _Operand("scalar", text, None)])
-        return self._emit("power", [self.lower(e.base), self.lower(exp)])
+        op = _pow_op(e.exponent)  # lowers_outside_c reads the same decision
+        if op == "divide":
+            return self._emit("divide", [_Operand("scalar", "1.0", None), self.lower(e.base)])
+        if op == "multiply":
+            # small integer powers lower to repeated multiplies
+            base = self.lower(e.base)
+            self._retain(base, e.exponent.value - 1)
+            acc = base
+            for _ in range(e.exponent.value - 1):
+                acc = self._emit("multiply", [acc, base])
+            return acc
+        return self._emit("power", [self.lower(e.base), self.lower(e.exponent)])
+
+
+def _pow_op(exponent: Expr) -> str:
+    """The instruction :meth:`_Emitter._lower_pow` lowers ``x**exponent`` to."""
+    v = exponent.value if isinstance(exponent, Number) else None
+    if v == -1:
+        return "divide"
+    return "multiply" if isinstance(v, int) and 0 < v <= 4 else "power"
+
+
+def lowers_outside_c(e: Expr) -> bool:
+    """True if the root of *e* lowers to an instruction C cannot express
+    (outside :data:`repro.ir.cgen.ELIGIBLE_OPS`): a call but ``sqrt``, a ``power``."""
+    if isinstance(e, Call):
+        return e.name not in cgen.ELIGIBLE_OPS
+    return isinstance(e, Pow) and _pow_op(e.exponent) == "power"
 
 
 def _count_symbol_uses(exprs: Sequence[Expr]) -> Dict[Symbol, int]:

@@ -77,13 +77,18 @@ def grid1d():
     return Grid(shape=(32,), extent=(310.0,))
 
 
-def make_acoustic_operator(grid, so=4, nt=10, src_coords=None, rec_coords=None, seed=7):
-    """A fully-populated acoustic operator on *grid* with off-grid sparse ops."""
+def make_acoustic_operator(grid, so=4, nt=10, src_coords=None, rec_coords=None, seed=7,
+                           model=None):
+    """A fully-populated acoustic operator on *grid* with off-grid sparse ops.
+
+    *model* maps the access ``m[x, ...]`` to the term that multiplies
+    ``u.dt2`` (default: ``m`` itself)."""
     rng = np.random.default_rng(seed)
     u = TimeFunction("u", grid, time_order=2, space_order=so)
     m = Function("m", grid, space_order=so)
     m.data = (1.0 / 1.5**2) * (1.0 + 0.05 * rng.random(grid.shape))
-    update = Eq(u.forward, solve(m * u.dt2 - u.laplace, u.forward))
+    term = m if model is None else model(m.indexify())
+    update = Eq(u.forward, solve(term * u.dt2 - u.laplace, u.forward))
 
     sparse = []
     src = rec = None

@@ -44,7 +44,7 @@ def test_in_place_model_update_between_applies(grid2d):
     plan, first_u, _ = _run(op, u, rec, "c")
     tables = _tables(plan.sweeps)
     storage = m.data_with_halo.ctypes.data
-    m.data = m.data * 1.21  # the hoisted 1/m buffer is refreshed in place
+    m.data = m.data * 1.21  # written in place: the C sweep reads m through its old table
     assert m.data_with_halo.ctypes.data == storage
     plan2, got_u, got_rec = _run(op, u, rec, "c")
     assert plan2.sweeps[0] is plan.sweeps[0] and _tables(plan2.sweeps) == tables
