@@ -187,7 +187,9 @@ class PlanValidationError(ReproError, ValueError):
 
 
 class InjectedFault(ReproError):
-    """Raised by the fault-injection harness at its programmed ``(t, tile)``."""
+    """Raised by the fault-injection harness at the exit of the containment
+    unit holding its programmed timestep ``t`` (before that unit's guard
+    verdict and checkpoint save)."""
 
 
 class SilentCorruptionError(NumericalBlowup):
@@ -203,7 +205,7 @@ class SilentCorruptionError(NumericalBlowup):
     mismatch).  Subclasses :class:`NumericalBlowup` so existing blow-up
     handling (retry classification, forensics) applies; the executors
     additionally catch it for tile-granular re-execution from the entry
-    micro-snapshot before letting it escape.
+    snapshot before letting it escape.
     """
 
 

@@ -156,12 +156,12 @@ def _execute(plan, time_m, time_M, schedule, monitor, tel) -> None:
 
     Walks containment units — the time tiles ``[t0, t1)`` of *schedule* — and
     replays the :func:`~repro.core.scheduler.lower` step list of the unit's
-    height: sweep instance, then its sparse operators, then the monitor hook.
-    A unit is what ABFT contains: corruption detected at its exit rolls the
-    live region back to the micro-snapshot taken at its entry and replays just
-    these steps.  Snapshots are taken at unit boundaries and resume points
-    are unit boundaries of the original run, so a resumed tiling stays
-    congruent.
+    height: sweep instance, then its sparse operators.  The monitor acts only
+    at unit boundaries: a unit is what ABFT contains — corruption detected at
+    its exit rolls the live slots back to the snapshot taken at its entry and
+    replays just these steps — and injected faults fire at its exit.
+    Snapshots are taken at unit boundaries and resume points are unit
+    boundaries of the original run, so a resumed tiling stays congruent.
 
     With telemetry attached, timing is boundary-to-boundary: each clock
     reading picks up from the previous one, so loop overhead is absorbed into
@@ -251,12 +251,6 @@ def _execute(plan, time_m, time_M, schedule, monitor, tel) -> None:
                                 now = clock()
                                 rec_s += now - last
                                 last = now
-                    if monitor is not None:
-                        monitor.after_instance(plan, j, t, box)
-                        if timed:
-                            now = clock()
-                            mon_s += now - last
-                            last = now
                     if trace:
                         tel.record(
                             names[j], "stencil", inst_start, last - inst_start,

@@ -434,8 +434,8 @@ class Operator:
         bound plan and this apply's growth certificate: at every
         containment-unit boundary a NaN/Inf raises
         :class:`~repro.errors.NumericalBlowup` and a finite amplitude over
-        the certified bound is silent corruption, recovered by tile-granular
-        micro-snapshot re-execution.
+        the certified bound is silent corruption, recovered by re-executing
+        the tile from its entry snapshot.
 
         ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry` buffer:
         binding/preflight/prover time lands in the ``precompute`` phase, the

@@ -10,20 +10,20 @@ positions replay identically regardless of worker scheduling order.
 Three kinds of injected trouble:
 
 * **in-run faults** (``fault_rate``) — an armed
-  :class:`~repro.runtime.faults.Fault` fires inside the worker at a random
-  timestep: ``raise`` aborts the attempt with
-  :class:`~repro.errors.InjectedFault`; ``nan``/``inf`` corrupt the written
-  buffer and the :class:`~repro.runtime.abft.ABFTGuard` (attached
+  :class:`~repro.runtime.faults.Fault` fires inside the worker at the exit
+  of the time tile holding a random timestep: ``raise`` aborts the attempt
+  with :class:`~repro.errors.InjectedFault`; ``nan``/``inf`` corrupt the
+  tile's exit state and the :class:`~repro.runtime.abft.ABFTGuard` (attached
   automatically) judges it a :class:`~repro.errors.NumericalBlowup` at the
   end of the time tile — *before* that tile's checkpoint save, so a
   snapshot can never capture injected corruption and retry-from-checkpoint
   stays bit-identical.
 * **silent data corruption** (``sdc_rate``) — an armed ``bitflip`` fault
-  rewrites the exponent field of one just-written value to a seeded
+  rewrites the exponent field of one exit value to a seeded
   high-but-finite pattern (:func:`~repro.runtime.faults.flip_finite`): no
   NaN, no Inf.  The same guard judges the violated amplitude invariant
-  silent corruption at the next containment-unit boundary and re-executes
-  just that tile from its entry micro-snapshot — the batch completes
+  silent corruption at that containment-unit boundary and re-executes
+  just that tile from its entry snapshot — the batch completes
   bit-identical to a fault-free run.
 * **engine breakage** (``break_rate``) — the attempt runs under
   :func:`~repro.runtime.faults.break_engine`, making the compiler of the rung

@@ -154,7 +154,7 @@ def execute_attempt(
                 # the guard's verdict sorts the corruption: NaN/Inf is a
                 # blow-up, raised before the tile's checkpoint save and
                 # retried from the previous one; a finite bit-flip is silent
-                # corruption, recovered in-run from the tile's micro-snapshot
+                # corruption, recovered in-run from the tile's entry snapshot
                 abft = ABFTGuard()
         if chaos.break_fused and spec.engine != ENGINES[-1]:
             # the compiler of the rung this attempt asks for (the

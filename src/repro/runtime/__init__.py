@@ -29,11 +29,8 @@ from .checkpoint import (
     CheckpointStore,
     FileCheckpointStore,
     MemoryCheckpointStore,
-    MicroSnapshot,
     Snapshot,
-    capture_micro_snapshot,
     capture_snapshot,
-    restore_micro_snapshot,
     restore_snapshot,
 )
 from .faults import Fault, FaultInjector, break_engine, flip_finite, split_seed
@@ -56,11 +53,8 @@ __all__ = [
     "MemoryCheckpointStore",
     "FileCheckpointStore",
     "Snapshot",
-    "MicroSnapshot",
     "capture_snapshot",
     "restore_snapshot",
-    "capture_micro_snapshot",
-    "restore_micro_snapshot",
     "Fault",
     "FaultInjector",
     "break_engine",

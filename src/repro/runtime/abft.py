@@ -20,10 +20,11 @@ failures apart:
 
   where ``S_tile`` bounds the amplitude injected by the sources during the
   tile.  A finite exit above that bound raises
-  :class:`~repro.errors.SilentCorruptionError`; the guard keeps a
-  :class:`~repro.runtime.checkpoint.MicroSnapshot` of the live entry state
-  at every boundary, and the executor restores it and re-executes only the
-  affected tile instead of restarting the job.
+  :class:`~repro.errors.SilentCorruptionError`; the guard keeps a ring of
+  entry states (:class:`~repro.runtime.checkpoint.Snapshot`, the same
+  live-slot capture a checkpoint stores), and the executor restores the
+  unit's entry and re-executes only the affected tile instead of restarting
+  the job.
 
 :class:`ABFTGuard` is threaded through ``Operator.apply(abft=...)`` /
 ``Propagator.forward(abft=...)`` exactly like the other resilience
@@ -39,6 +40,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..errors import NumericalBlowup, SilentCorruptionError
+from .checkpoint import _live_slots, _wavefields, capture_snapshot, restore_snapshot
 
 __all__ = ["ABFTGuard"]
 
@@ -52,7 +54,7 @@ SLACK = 8.0
 #: all-zero tile must not trip on rounding noise)
 FLOOR = 1e-18
 
-#: depth of the ring of tile-entry micro-snapshots
+#: depth of the ring of tile-entry snapshots
 MICRO_KEEP = 2
 
 #: re-executions of one containment unit before silent corruption escalates
@@ -90,17 +92,6 @@ def _per_step_source_amplitude(plan) -> float:
     return total
 
 
-def _time_functions(plan) -> Dict:
-    from .checkpoint import _plan_time_functions
-
-    return _plan_time_functions(plan)
-
-
-def _live_slots(func, boundary: int) -> List[int]:
-    """Buffer indices of *func*'s live time slots at *boundary*, newest first."""
-    return list(dict.fromkeys((boundary - k) % func.buffers for k in range(func.time_order)))
-
-
 def _blowup(func, t0: int, t1: int) -> NumericalBlowup:
     """The blow-up verdict for *func*'s non-finite exit state at *t1*: the
     first offending grid point (interior coordinates — a halo point falls
@@ -119,8 +110,8 @@ def _blowup(func, t0: int, t1: int) -> NumericalBlowup:
 
 
 class ABFTGuard:
-    """Checks the state at containment-unit boundaries and owns the
-    micro-snapshot ring that makes tile-granular recovery possible.
+    """Checks the state at containment-unit boundaries and owns the ring of
+    entry snapshots that makes tile-granular recovery possible.
 
     Lifecycle: ``ABFTGuard()``, handed to ``apply(abft=...)``; every apply
     calls :meth:`configure` with the bound plan and that apply's fresh
@@ -175,17 +166,15 @@ class ABFTGuard:
 
     # -- boundary hooks (RuntimeMonitor) -------------------------------------------
     def tile_entry(self, plan, t0: int, t1: int) -> None:
-        """Record entry amplitudes and capture the entry micro-snapshot."""
+        """Record entry amplitudes and capture the entry snapshot."""
         start = time.perf_counter()
-        funcs = _time_functions(plan)
+        funcs = _wavefields(plan)
         if self._exit_cache is not None and self._exit_cache[0] == t0:
             self._entry = dict(self._exit_cache[1])
         else:
             self._entry = {
                 name: self._amplitude(func, t0) for name, func in funcs.items()
             }
-        from .checkpoint import capture_micro_snapshot
-
         self._ring = [s for s in self._ring if s.step != t0]
         recycle = None
         if len(self._ring) >= MICRO_KEEP:
@@ -193,7 +182,7 @@ class ABFTGuard:
             # buffers so the capture below is memcpy, not allocation
             recycle = self._ring[0]
             del self._ring[: len(self._ring) - MICRO_KEEP + 1]
-        snap = capture_micro_snapshot(plan, t0, recycle=recycle)
+        snap = capture_snapshot(plan, t0, recycle=recycle)
         self._ring.append(snap)
         self.stats["micro_snapshots"] += 1
         self.stats["micro_snapshot_bytes"] += snap.nbytes()
@@ -208,7 +197,7 @@ class ABFTGuard:
         certified bound raises :class:`~repro.errors.SilentCorruptionError`.
         """
         start = time.perf_counter()
-        funcs = _time_functions(plan)
+        funcs = _wavefields(plan)
         height = max(t1 - t0, 1)
         gain = self._step_gain ** height
         source = self._per_step_source * height
@@ -252,7 +241,7 @@ class ABFTGuard:
             self.stats["seconds"] += time.perf_counter() - start
 
     def restore(self, plan, t0: int, attempt: int = 1) -> bool:
-        """Restore the entry micro-snapshot of the unit starting at *t0* for
+        """Restore the entry snapshot of the unit starting at *t0* for
         its *attempt*-th re-execution.
 
         Returns False when the unit's re-execution budget
@@ -267,9 +256,7 @@ class ABFTGuard:
             self.events.append({"kind": "fallback", "t0": int(t0)})
             return False
         start = time.perf_counter()
-        from .checkpoint import restore_micro_snapshot
-
-        restore_micro_snapshot(plan, snap)
+        restore_snapshot(plan, snap)
         self._exit_cache = None
         self.stats["tiles_reexecuted"] += 1
         self.events.append({"kind": "reexecute", "t0": int(t0)})

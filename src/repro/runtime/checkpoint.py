@@ -1,22 +1,29 @@
-"""Checkpoint/restart of executing plans.
+"""Snapshots of executing plans: the one capture of a run's state.
 
-A snapshot captures everything a schedule mutates: the full circular time
-buffers of every :class:`~repro.dsl.functions.TimeFunction` the plan touches
-(halo included — resuming mid-run must reproduce halo state bit-for-bit),
-the receiver trace arrays, and any in-flight receiver staging rows.  Model
-fields, decomposed source wavelets and masks are immutable during a run and
-deliberately not stored.
+A snapshot captures everything a schedule mutates that a later timestep
+reads: the ``time_order`` *live* padded slots of every
+:class:`~repro.dsl.functions.TimeFunction` the plan touches (halo included —
+resuming mid-run must reproduce halo state bit-for-bit), the receiver trace
+arrays, and any in-flight receiver staging rows.  The other slot of each
+circular buffer is rewritten before anything reads it, so it is not stored:
+field bytes are ``time_order / (time_order + 1)`` of the full buffers.
+Model fields, decomposed source wavelets and masks are immutable during a
+run and deliberately not stored.
 
-Snapshots are taken at *consistent* points only: timestep boundaries for the
-naive and spatially blocked schedules, time-tile boundaries for wavefront
-runs (inside a tile, different grid regions sit at different timesteps, so a
-mid-tile snapshot would not be a wavefield).  Because time tiles are
-arithmetic in ``height`` from ``time_m``, resuming from a tile boundary
-replays exactly the remaining tiles of the uninterrupted run — which is what
-makes restart *bit-identical*, not merely close.
+Snapshots are taken at *consistent* points only — the boundaries of the
+containment units ``[t0, t1)``: timesteps for the naive and spatially
+blocked schedules, time tiles for wavefront runs (inside a tile, different
+grid regions sit at different timesteps, so a mid-tile snapshot would not be
+a wavefield).  Because time tiles are arithmetic in ``height`` from
+``time_m``, resuming from a tile boundary replays exactly the remaining
+tiles of the uninterrupted run — which is what makes restart
+*bit-identical*, not merely close.
 
-Two stores are provided: :class:`MemoryCheckpointStore` (default, zero-IO)
-and :class:`FileCheckpointStore` (``.npz`` files, survives the process).
+One :func:`capture_snapshot` / :func:`restore_snapshot` pair serves both
+the checkpoint cadence and the ABFT guard's in-memory ring of tile-entry
+states (:mod:`repro.runtime.abft`).  Two stores hold checkpoints:
+:class:`MemoryCheckpointStore` (default, zero-IO) and
+:class:`FileCheckpointStore` (``.npz`` files, survives the process).
 """
 
 from __future__ import annotations
@@ -41,15 +48,12 @@ from .integrity import (
 
 __all__ = [
     "Snapshot",
-    "MicroSnapshot",
     "CheckpointConfig",
     "CheckpointStore",
     "MemoryCheckpointStore",
     "FileCheckpointStore",
     "capture_snapshot",
     "restore_snapshot",
-    "capture_micro_snapshot",
-    "restore_micro_snapshot",
 ]
 
 
@@ -58,13 +62,13 @@ class Snapshot:
     """State at a consistent point: ``step`` is the next timestep to execute."""
 
     step: int
-    #: TimeFunction name -> copy of the full padded circular buffer
-    fields: Dict[str, np.ndarray]
+    #: TimeFunction name -> {buffer slot index -> copy of that padded slot}
+    slots: Dict[str, Dict[int, np.ndarray]]
     #: one entry per receiver executor (plan order): trace array + staging rows
     receivers: List[dict]
 
     def nbytes(self) -> int:
-        total = sum(int(a.nbytes) for a in self.fields.values())
+        total = sum(int(a.nbytes) for keep in self.slots.values() for a in keep.values())
         for rec in self.receivers:
             total += int(rec["output"].nbytes)
             total += sum(int(a.nbytes) for a in rec["staging"].values())
@@ -110,8 +114,10 @@ class MemoryCheckpointStore(CheckpointStore):
 class FileCheckpointStore(CheckpointStore):
     """``.npz`` snapshots under a directory, newest-``step`` wins.
 
-    Array keys are flattened as ``field.<name>``, ``rec<i>.output`` and
-    ``rec<i>.staging.<row>``; ``step`` rides along as a 0-d array.
+    Array keys are flattened as ``slot.<name>.<idx>``, ``rec<i>.output`` and
+    ``rec<i>.staging.<row>``; ``step`` rides along as a 0-d array.  A file
+    holding a full circular buffer under ``field.<name>`` (the format before
+    live-slot snapshots) loads as a snapshot of every slot.
 
     Writes are crash-safe (:func:`~repro.runtime.integrity.atomic_write`:
     ``.tmp`` sibling, fsync, rename), so a snapshot file either
@@ -145,8 +151,9 @@ class FileCheckpointStore(CheckpointStore):
 
     def save(self, snapshot: Snapshot) -> None:
         arrays: Dict[str, np.ndarray] = {"step": np.int64(snapshot.step)}
-        for name, buf in snapshot.fields.items():
-            arrays[f"field.{name}"] = buf
+        for name, keep in snapshot.slots.items():
+            for idx, slot in keep.items():
+                arrays[f"slot.{name}.{idx}"] = slot
         for i, rec in enumerate(snapshot.receivers):
             arrays[f"rec{i}.output"] = rec["output"]
             for row, stage in rec["staging"].items():
@@ -201,15 +208,19 @@ class FileCheckpointStore(CheckpointStore):
             with np.load(path) as data:
                 if "step" not in data.files:
                     raise KeyError("snapshot lacks the 'step' entry")
-                fields: Dict[str, np.ndarray] = {}
+                slots: Dict[str, Dict[int, np.ndarray]] = {}
                 receivers: Dict[int, dict] = {}
                 for key in data.files:
                     if key == "step":
                         continue
-                    if key.startswith("field."):
-                        fields[key[len("field."):]] = data[key]
-                        continue
                     head, _, tail = key.partition(".")
+                    if head == "slot":
+                        name, _, idx = tail.rpartition(".")
+                        slots.setdefault(name, {})[int(idx)] = data[key]
+                        continue
+                    if head == "field":
+                        slots[tail] = dict(enumerate(data[key]))
+                        continue
                     idx = int(head[len("rec"):])
                     entry = receivers.setdefault(idx, {"output": None, "staging": {}})
                     if tail == "output":
@@ -220,7 +231,7 @@ class FileCheckpointStore(CheckpointStore):
             for idx, entry in receivers.items():
                 if entry["output"] is None:
                     raise KeyError(f"receiver {idx} snapshot lacks its output array")
-        except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError) as exc:
+        except (zipfile.BadZipFile, OSError, EOFError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointCorruptError(
                 f"checkpoint {path.name} is corrupt or truncated",
                 path=str(path),
@@ -228,7 +239,7 @@ class FileCheckpointStore(CheckpointStore):
             ) from exc
         return Snapshot(
             step=step,
-            fields=fields,
+            slots=slots,
             receivers=[receivers[i] for i in sorted(receivers)],
         )
 
@@ -266,7 +277,8 @@ class CheckpointConfig:
             raise ValueError("checkpoint cadence must be >= 1 timestep")
 
 
-def _plan_time_functions(plan) -> Dict[str, TimeFunction]:
+
+def _wavefields(plan) -> Dict[str, TimeFunction]:
     """Every TimeFunction a plan reads or writes, keyed by name."""
     funcs: Dict[str, TimeFunction] = {}
 
@@ -288,6 +300,13 @@ def _plan_time_functions(plan) -> Dict[str, TimeFunction]:
     return funcs
 
 
+def _live_slots(func, boundary: int) -> List[int]:
+    """Buffer indices of *func*'s live time slots at *boundary*, newest first:
+    the ``time_order`` slots the next timestep may read.  The remaining slot
+    is rewritten before anything reads it."""
+    return [(boundary - k) % func.buffers for k in range(func.time_order)]
+
+
 def _plan_receiver_executors(plan) -> list:
     """Receiver executors in deterministic (sweep index, position) order."""
     out = []
@@ -301,12 +320,30 @@ def _receiver_output(rec) -> np.ndarray:
     return rec.output if hasattr(rec, "output") else rec.data
 
 
-def capture_snapshot(plan, step: int) -> Snapshot:
-    """Copy the mutable state of *plan* at the consistent point *step*."""
-    fields = {
-        name: func.data_with_halo.copy()
-        for name, func in _plan_time_functions(plan).items()
-    }
+def _copy(src: np.ndarray, donors: List[np.ndarray]) -> np.ndarray:
+    while donors:
+        buf = donors.pop()
+        if buf.shape == src.shape and buf.dtype == src.dtype:
+            np.copyto(buf, src)
+            return buf
+    return src.copy()
+
+
+def capture_snapshot(plan, step: int, recycle: Optional[Snapshot] = None) -> Snapshot:
+    """Copy the live state of *plan* at the consistent point *step*.
+
+    *recycle* donates the buffers of a retired snapshot of the same plan
+    (the ABFT guard's ring evicts one per tile): its slots are overwritten
+    in place instead of freshly allocated, so the steady-state per-tile cost
+    is pure memcpy.  A snapshot handed to a checkpoint store must own its
+    arrays, so the checkpoint cadence never passes *recycle*.
+    """
+    slots: Dict[str, Dict[int, np.ndarray]] = {}
+    for name, func in _wavefields(plan).items():
+        donors = list(recycle.slots.get(name, {}).values()) if recycle else []
+        slots[name] = {
+            idx: _copy(func._data[idx], donors) for idx in _live_slots(func, step)
+        }
     receivers = []
     for rec in _plan_receiver_executors(plan):
         staging = getattr(rec, "_staging", {})
@@ -316,124 +353,26 @@ def capture_snapshot(plan, step: int) -> Snapshot:
                 "staging": {row: arr.copy() for row, arr in staging.items()},
             }
         )
-    return Snapshot(step=int(step), fields=fields, receivers=receivers)
+    return Snapshot(step=int(step), slots=slots, receivers=receivers)
 
 
 def restore_snapshot(plan, snapshot: Snapshot) -> int:
     """Write *snapshot* back into *plan*'s live buffers; return the resume step.
 
-    Buffers are filled in place (never reallocated) so cached views held by
-    the fused engine stay valid.
+    Slots are filled in place (never reallocated) so cached views held by
+    the compiled engines stay valid.
     """
-    funcs = _plan_time_functions(plan)
-    for name, saved in snapshot.fields.items():
-        func = funcs.get(name)
-        if func is None:
-            raise KeyError(f"snapshot field {name!r} not present in the plan")
-        func.data_with_halo[...] = saved
-    executors = _plan_receiver_executors(plan)
-    if len(executors) != len(snapshot.receivers):
-        raise ValueError(
-            f"snapshot holds {len(snapshot.receivers)} receiver state(s), "
-            f"plan has {len(executors)}"
-        )
-    for rec, saved in zip(executors, snapshot.receivers):
-        _receiver_output(rec)[...] = saved["output"]
-        if hasattr(rec, "_staging"):
-            rec._staging = {row: arr.copy() for row, arr in saved["staging"].items()}
-    return snapshot.step
-
-
-# -- tile-entry micro-snapshots (ABFT containment) ---------------------------------
-
-
-@dataclass
-class MicroSnapshot:
-    """Entry state of one containment unit: only the *live* buffer slots.
-
-    A full :class:`Snapshot` copies every circular-buffer slot of every
-    TimeFunction; re-executing the tile ``[step, step + h)`` only needs the
-    ``time_order`` slots its first timestep reads — every other slot is
-    rewritten by the tile before anything reads it (``time_order`` saved
-    slots plus at least one written slot cover the whole ring).  Together
-    with the receiver traces and in-flight staging rows, that is the exact
-    state tile re-execution must start from to be bit-identical, at
-    ``time_order / (time_order + 1)`` of a full snapshot's field bytes and
-    zero disk traffic — cheap enough to take at *every* tile boundary.
-    """
-
-    step: int
-    #: TimeFunction name -> {slot index -> copy of that padded slot}
-    slots: Dict[str, Dict[int, np.ndarray]]
-    receivers: List[dict]
-
-    def nbytes(self) -> int:
-        total = 0
-        for keep in self.slots.values():
-            total += sum(int(a.nbytes) for a in keep.values())
-        for rec in self.receivers:
-            total += int(rec["output"].nbytes)
-            total += sum(int(a.nbytes) for a in rec["staging"].values())
-        return total
-
-
-def capture_micro_snapshot(
-    plan, step: int, recycle: Optional[MicroSnapshot] = None
-) -> MicroSnapshot:
-    """Copy the live entry state of the containment unit starting at *step*.
-
-    *recycle* donates the buffers of a retired snapshot (same plan, evicted
-    from the ABFT guard's ring): matching slots are overwritten in place via
-    ``np.copyto`` instead of freshly allocated, so the steady-state per-tile
-    cost is pure memcpy — no page-faulting new large allocations on every
-    containment-unit boundary.
-    """
-    slots: Dict[str, Dict[int, np.ndarray]] = {}
-    for name, func in _plan_time_functions(plan).items():
-        keep: Dict[int, np.ndarray] = {}
-        donors = list((recycle.slots.get(name) or {}).values()) if recycle else []
-        for k in range(func.time_order):
-            idx = (step - k) % func.buffers
-            if idx in keep:
-                continue
-            src = func._data[idx]
-            buf = None
-            while donors:
-                cand = donors.pop()
-                if cand.shape == src.shape and cand.dtype == src.dtype:
-                    buf = cand
-                    break
-            if buf is None:
-                keep[idx] = src.copy()
-            else:
-                np.copyto(buf, src)
-                keep[idx] = buf
-        slots[name] = keep
-    receivers = []
-    for rec in _plan_receiver_executors(plan):
-        staging = getattr(rec, "_staging", {})
-        receivers.append(
-            {
-                "output": _receiver_output(rec).copy(),
-                "staging": {row: arr.copy() for row, arr in staging.items()},
-            }
-        )
-    return MicroSnapshot(step=int(step), slots=slots, receivers=receivers)
-
-
-def restore_micro_snapshot(plan, snapshot: MicroSnapshot) -> int:
-    """Write a micro-snapshot back in place; return the re-execution step."""
-    funcs = _plan_time_functions(plan)
+    funcs = _wavefields(plan)
     for name, keep in snapshot.slots.items():
         func = funcs.get(name)
         if func is None:
-            raise KeyError(f"micro-snapshot field {name!r} not present in the plan")
+            raise KeyError(f"snapshot field {name!r} not present in the plan")
         for idx, arr in keep.items():
             func._data[idx][...] = arr
     executors = _plan_receiver_executors(plan)
     if len(executors) != len(snapshot.receivers):
         raise ValueError(
-            f"micro-snapshot holds {len(snapshot.receivers)} receiver state(s), "
+            f"snapshot holds {len(snapshot.receivers)} receiver state(s), "
             f"plan has {len(executors)}"
         )
     for rec, saved in zip(executors, snapshot.receivers):

@@ -1,16 +1,19 @@
 """Deterministic, seedable fault injection for resilience testing.
 
 A :class:`FaultInjector` is handed to a run (``op.apply(..., faults=...)``)
-and consulted by the executors after every sweep instance.  Each
-:class:`Fault` is armed once and fires at its programmed ``(t, tile)``:
-either *raising* :class:`~repro.errors.InjectedFault` (exercising
-checkpoint/restart) or *corrupting* a written buffer with NaN/Inf
-(exercising the ABFT guard, which must then attribute the blowup to the
-containment unit — timestep or time tile — the fault fired in).
+and fired by the runtime monitor at the exit of every containment unit
+``[t0, t1)`` — a time tile under wavefront blocking, one timestep otherwise
+— the one point where the state is a wavefield.  Each :class:`Fault` is
+armed once and fires at the exit of the unit holding its timestep ``t``,
+before the guard judges that exit and before its checkpoint save: either
+*raising* :class:`~repro.errors.InjectedFault` (exercising
+checkpoint/restart) or *corrupting* one value of the newest live slot,
+``buffer(t1)``, of its field with NaN/Inf or a finite exponent rewrite
+(exercising the ABFT guard, which scans exactly that slot and must attribute
+the corruption to that unit, its field and its point).
 
-``point`` pins a fault to the tile containing that grid point — without it,
-the fault fires at the first instance of timestep ``t`` and corruption
-positions are drawn from the injector's seeded RNG, so a given
+``point`` pins the corrupted grid index; without it the position is drawn
+over the whole grid from the injector's seeded RNG, so a given
 ``(faults, seed)`` pair replays identically.
 
 :func:`break_engine` is the codegen counterpart: a context manager that makes
@@ -27,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import InjectedFault
-from ..execution.evalbox import Box, box_view
+from .checkpoint import _wavefields
 
 __all__ = ["Fault", "FaultInjector", "break_engine", "split_seed", "flip_finite"]
 
@@ -88,26 +91,23 @@ class Fault:
     t:
         Logical timestep at which to fire.
     kind:
-        ``"raise"`` aborts the instance with :class:`InjectedFault`;
-        ``"nan"``/``"inf"`` poke one non-finite value into the buffer the
-        instance just wrote; ``"bitflip"`` silently corrupts one value by
+        ``"raise"`` aborts the run with :class:`InjectedFault`;
+        ``"nan"``/``"inf"`` poke one non-finite value into the newest live
+        slot of the field; ``"bitflip"`` silently corrupts one value by
         rewriting its IEEE-754 exponent field — the result stays *finite*,
         so only the ABFT amplitude invariant can catch it.
     field:
-        Restrict corruption to the named field (default: the instance's
-        first written field).
+        Name of the time function to corrupt (default: the first field the
+        plan writes).
     point:
-        Absolute grid index; the fault only fires on an instance whose box
-        contains it, and corruption lands exactly there.
-    sweep:
-        Restrict to a sweep index.
+        Absolute grid index the corruption lands on (default: a seeded
+        position over the whole grid).
     """
 
     t: int
     kind: str = "raise"
     field: Optional[str] = None
     point: Optional[Tuple[int, ...]] = None
-    sweep: Optional[int] = None
     message: str = "injected fault"
     armed: bool = dc_field(default=True)
 
@@ -125,10 +125,10 @@ class FaultInjector:
         self.faults: List[Fault] = list(faults)
         self.seed = int(seed)
         self.rng = np.random.default_rng(self.seed)
-        #: (t, tile, kind, field) of every fault fired, in order
+        #: (t, kind, field) of every fault fired, in order
         self.log: List[Tuple] = []
         #: structured detail of every "bitflip" fired: dicts with the
-        #: journaled coordinates (t, tile, field, index) plus the xor mask
+        #: journaled coordinates (t, field, index) plus the xor mask
         #: applied to the IEEE-754 representation and before/after values
         self.flips: List[dict] = []
 
@@ -150,54 +150,60 @@ class FaultInjector:
         self.log.clear()
         self.flips.clear()
 
-    # -- executor hook ---------------------------------------------------------------
-    def fire(self, plan, j: int, t: int, box: Box) -> None:
+    # -- monitor hooks ---------------------------------------------------------------
+    def validate(self, plan) -> None:
+        """Reject, before timestep 0, a fault naming a field the plan does
+        not hold or a point outside its grid."""
+        fields = _wavefields(plan)
+        shape = plan.grid.shape
         for f in self.faults:
-            if not f.armed or f.t != t:
-                continue
-            if f.sweep is not None and f.sweep != j:
-                continue
-            if f.point is not None and not all(
-                lo <= p < hi for p, (lo, hi) in zip(f.point, box)
+            if f.field is not None and f.field not in fields:
+                raise ValueError(
+                    f"fault field {f.field!r} is not a time function of the plan "
+                    f"(expected one of {sorted(fields)})"
+                )
+            if f.point is not None and not (
+                len(f.point) == len(shape)
+                and all(0 <= p < s for p, s in zip(f.point, shape))
             ):
+                raise ValueError(f"fault point {f.point} lies outside the grid {shape}")
+
+    def fire(self, plan, t0: int, t1: int) -> None:
+        """Fire every armed fault whose timestep lies in the unit ``[t0, t1)``."""
+        for f in self.faults:
+            if not f.armed or not t0 <= f.t < t1:
                 continue
             f.armed = False
             if f.kind == "raise":
-                self.log.append((t, box, f.kind, None))
-                raise InjectedFault(f.message, t=t, tile=box)
-            self._corrupt(plan, j, t, box, f)
+                self.log.append((f.t, f.kind, None))
+                raise InjectedFault(f.message, t=f.t)
+            self._corrupt(plan, t1, f)
 
-    def _corrupt(self, plan, j: int, t: int, box: Box, f: Fault) -> None:
-        sweep = plan.sweeps[j]
-        beq = next(
-            (b for b in sweep.beqs if b.lhs.function.name == f.field),
-            sweep.beqs[0],
-        )
-        view = box_view(beq.lhs, t, box, sweep.dim_names)
-        if f.point is not None:
-            pos = tuple(p - lo for p, (lo, _hi) in zip(f.point, box))
+    def _corrupt(self, plan, t1: int, f: Fault) -> None:
+        if f.field is None:
+            func = plan.sweeps[0].beqs[0].lhs.function
         else:
-            pos = tuple(int(self.rng.integers(0, s)) for s in view.shape)
-        name = beq.lhs.function.name
+            func = _wavefields(plan)[f.field]
+        point = f.point or tuple(int(self.rng.integers(0, s)) for s in plan.grid.shape)
+        slot = func.buffer(t1)
+        pos = tuple(p + func.halo for p in point)
         if f.kind == "bitflip":
-            before = view[pos]
-            corrupted, mask = flip_finite(before, view.dtype, self.rng)
-            view[pos] = corrupted
-            index = tuple(int(p) + lo for p, (lo, _hi) in zip(pos, box))
+            before = slot[pos]
+            corrupted, mask = flip_finite(before, slot.dtype, self.rng)
+            slot[pos] = corrupted
             self.flips.append(
                 {
-                    "t": int(t),
-                    "tile": tuple(tuple(b) for b in box),
-                    "field": name,
-                    "index": index,
+                    "t": int(f.t),
+                    "field": func.name,
+                    "index": point,
                     "mask": int(mask),
                     "before": float(before),
                     "after": float(corrupted),
                 }
             )
         else:
-            view[pos] = np.nan if f.kind == "nan" else np.inf
-        self.log.append((t, box, f.kind, name))
+            slot[pos] = np.nan if f.kind == "nan" else np.inf
+        self.log.append((f.t, f.kind, func.name))
 
     def __repr__(self) -> str:
         armed = sum(f.armed for f in self.faults)

@@ -1,22 +1,23 @@
-"""The runtime monitor: one object the executors consult during a run.
+"""The runtime monitor: one object the executor consults during a run.
 
 Bundles the three optional resilience facilities — the ABFT guard,
-checkpoint/restart and fault injection — behind the narrow hook surface the
-executor calls:
+checkpoint/restart and fault injection — behind four hooks, all at the
+boundaries of the containment units ``[t0, t1)`` (a time tile under
+wavefront blocking, one timestep otherwise), the only points where the
+state is a wavefield; nothing runs inside a unit:
 
-* :meth:`begin` — once per run, before the first instance; restores the
-  latest snapshot when the checkpoint config asks to resume and returns the
-  (possibly advanced) start timestep.
-* :meth:`after_instance` — after every executed sweep instance ``(j, t,
-  box)``: fires due faults.
-* :meth:`after_tile` — after a full time tile ``[t0, t1)`` (one timestep
-  under naive/spatial schedules) completed (stencil + sparse + receiver
-  finalize), the only consistent snapshot points of a run: the guard's
-  verdict (blow-up or silent corruption), then checkpoint cadence (never
+* :meth:`begin` — once per run, before timestep 0; validates the
+  programmed faults against the plan, restores the latest snapshot when the
+  checkpoint config asks to resume and returns the (possibly advanced)
+  start timestep.
+* :meth:`tile_entry` — entering a unit: the guard's entry amplitudes and
+  entry snapshot.
+* :meth:`after_tile` — a unit completed (stencil + sparse + receiver
+  finalize): due faults fire into its exit state, then the guard's verdict
+  (blow-up or silent corruption), then the checkpoint cadence (never
   snapshot unverified state).
-* :meth:`tile_entry` / :meth:`contain` — the ABFT containment pair: record
-  entry state before a containment unit, and on a detected corruption
-  restore its micro-snapshot so the executor re-executes just that unit.
+* :meth:`contain` — on a detected corruption, restore the unit's entry
+  snapshot so the executor re-executes just that unit.
 
 The executor keeps a single ``monitor is not None`` branch per hook site;
 with no facility configured no monitor is built at all.
@@ -60,8 +61,11 @@ class RuntimeMonitor:
 
     # -- lifecycle ---------------------------------------------------------------------
     def begin(self, plan, time_m: int, time_M: int) -> int:
-        """Restore-if-resuming; returns the timestep the run starts from."""
+        """Validate faults, restore if resuming; returns the timestep the
+        run starts from."""
         self._last_saved = time_m
+        if self.faults is not None:
+            self.faults.validate(plan)
         cfg = self.checkpoint
         if cfg is None or not cfg.resume:
             return time_m
@@ -78,27 +82,21 @@ class RuntimeMonitor:
         return start
 
     # -- executor hooks ----------------------------------------------------------------
-    def after_instance(self, plan, j: int, t: int, box) -> None:
-        if self.faults is None:
-            return
-        if box is None:
-            box = tuple((0, s) for s in plan.grid.shape)
-        if self.telemetry is None:
-            self.faults.fire(plan, j, t, box)
-            return
-        fired = len(self.faults.log)
-        try:
-            self.faults.fire(plan, j, t, box)
-        finally:
-            # a kind="raise" fault logs then raises: record it too
-            for ft, fbox, kind, field in self.faults.log[fired:]:
-                self.telemetry.counters.add("faults_fired")
-                self.telemetry.event(
-                    "fault.fired", phase="checkpoint+guard",
-                    t=ft, kind=kind, field=field,
-                )
-
     def after_tile(self, plan, t0: int, t1: int) -> None:
+        faults = self.faults
+        if faults is not None:
+            fired = len(faults.log)
+            try:
+                faults.fire(plan, t0, t1)
+            finally:
+                # a kind="raise" fault logs then raises: record it too
+                if self.telemetry is not None:
+                    for ft, kind, field in faults.log[fired:]:
+                        self.telemetry.counters.add("faults_fired")
+                        self.telemetry.event(
+                            "fault.fired", phase="checkpoint+guard",
+                            t=ft, kind=kind, field=field,
+                        )
         if self.abft is not None:
             self.abft.tile_check(plan, t0, t1)
         self._maybe_save(plan, t1)
@@ -106,14 +104,14 @@ class RuntimeMonitor:
     # -- ABFT containment --------------------------------------------------------------
     def tile_entry(self, plan, t0: int, t1: int) -> None:
         """Entering the containment unit ``[t0, t1)``: record entry
-        amplitudes and capture the micro-snapshot re-execution restores."""
+        amplitudes and capture the snapshot re-execution restores."""
         if self.abft is not None:
             self.abft.tile_entry(plan, t0, t1)
 
     def contain(self, plan, t0: int, attempt: int) -> bool:
         """Try to contain a detected corruption to the unit entered at *t0*.
 
-        Returns True when the entry micro-snapshot was restored and the
+        Returns True when the entry snapshot was restored and the
         executor should re-execute the unit (*attempt* counts re-executions
         of this unit, starting at 1); False hands the error back to the
         checkpoint-restart layer.
@@ -132,6 +130,7 @@ class RuntimeMonitor:
         if cfg is None:
             return
         if step - self._last_saved >= cfg.every:
+            # never recycled: a stored checkpoint owns its arrays
             snapshot = capture_snapshot(plan, step)
             try:
                 cfg.store.save(snapshot)

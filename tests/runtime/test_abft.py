@@ -2,7 +2,7 @@
 
 A finite exponent-rewrite bit flip is invisible to any NaN/Inf check; the
 ABFT amplitude invariant catches it at the next containment-unit boundary,
-the monitor restores the entry micro-snapshot, and re-executing just that
+the monitor restores the unit's entry snapshot, and re-executing just that
 unit yields a run bit-identical to a fault-free one — under every schedule,
 since the containment unit is the schedule's own tile.  A non-finite exit is
 the guard's other verdict, a plain blow-up that is never re-executed.
@@ -20,10 +20,14 @@ from hypothesis import strategies as st
 from repro.core import NaiveSchedule, SpatialBlockSchedule, WavefrontSchedule
 from repro.dsl import Grid
 from repro.errors import NumericalBlowup, SilentCorruptionError
-from repro.runtime import ABFTGuard, Fault, FaultInjector, abft, flip_finite
-from repro.runtime.checkpoint import (
-    capture_micro_snapshot,
-    restore_micro_snapshot,
+from repro.runtime import (
+    ABFTGuard,
+    Fault,
+    FaultInjector,
+    abft,
+    capture_snapshot,
+    flip_finite,
+    restore_snapshot,
 )
 
 from ..conftest import make_acoustic_operator
@@ -117,7 +121,7 @@ def test_bitflip_is_detected_and_recovered_bit_identically(grid2d, schedule):
     det = next(e for e in guard.events if e["kind"] == "detection")
     assert det["detector"] == "growth"
     assert det["observed"] is None or det["observed"] > det["bound"]
-    # re-execution from the entry micro-snapshot: bit-identical recovery
+    # re-execution from the entry snapshot: bit-identical recovery
     np.testing.assert_array_equal(dirty_u, clean_u)
     np.testing.assert_array_equal(dirty_rec, clean_rec)
 
@@ -208,13 +212,13 @@ def test_amplitude_propagates_nan_instead_of_dropping_it():
     assert math.isnan(ABFTGuard._amplitude(Stub(poisoned), 2))
 
 
-# -- micro-snapshots -----------------------------------------------------------------
+# -- the entry snapshots of the guard's ring ------------------------------------------
 
 
-def test_micro_snapshot_roundtrip_and_recycled_capture(grid2d):
+def test_snapshot_roundtrip_and_recycled_capture(grid2d):
     op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
     plan = _apply(op, NaiveSchedule())
-    snap = capture_micro_snapshot(plan, NT)
+    snap = capture_snapshot(plan, NT)
     assert snap.step == NT
     assert snap.nbytes() > 0
     saved = {n: {i: a.copy() for i, a in keep.items()}
@@ -222,14 +226,14 @@ def test_micro_snapshot_roundtrip_and_recycled_capture(grid2d):
 
     u.data_with_halo[...] = -1.0
     rec.data[...] = -1.0
-    assert restore_micro_snapshot(plan, snap) == NT
+    assert restore_snapshot(plan, snap) == NT
     for idx, arr in saved["u"].items():
         np.testing.assert_array_equal(u._data[idx], arr)
 
     # a retired snapshot donates its buffers: the recycled capture reuses
     # the same arrays (pure memcpy, no fresh allocation) yet equals a
     # fresh capture value-for-value
-    recycled = capture_micro_snapshot(plan, NT, recycle=snap)
+    recycled = capture_snapshot(plan, NT, recycle=snap)
     donated = {id(a) for keep in snap.slots.values() for a in keep.values()}
     reused = {id(a) for keep in recycled.slots.values() for a in keep.values()}
     assert reused == donated
@@ -239,9 +243,9 @@ def test_micro_snapshot_roundtrip_and_recycled_capture(grid2d):
 
 
 def plan_slot(plan, name, idx):
-    from repro.runtime.checkpoint import _plan_time_functions
+    from repro.runtime.checkpoint import _wavefields
 
-    return _plan_time_functions(plan)[name]._data[idx]
+    return _wavefields(plan)[name]._data[idx]
 
 
 def test_ring_is_bounded_by_micro_keep(grid2d, monkeypatch):

@@ -1,6 +1,9 @@
 """Checkpoint/restart: an interrupted-then-resumed run must be bit-identical
 to the uninterrupted one — wavefields *and* receiver traces — on every
-schedule."""
+schedule and physics.  A snapshot holds only each field's live slots, so
+the contract of the one snapshot is tested here too: its size, the
+parent file format it still reads, and that the checkpoint cadence never
+shares memory with the guard's ring."""
 
 import numpy as np
 import pytest
@@ -8,13 +11,17 @@ import pytest
 from repro.core import NaiveSchedule, SpatialBlockSchedule, WavefrontSchedule
 from repro.errors import InjectedFault
 from repro.propagators import AcousticPropagator, SeismicModel, point_source, receiver_line
+from repro.propagators.examples import EXAMPLES, build_example
 from repro.runtime import (
+    ABFTGuard,
     CheckpointConfig,
     Fault,
     FaultInjector,
     FileCheckpointStore,
     MemoryCheckpointStore,
+    capture_snapshot,
 )
+from repro.telemetry import Telemetry
 
 from ..conftest import make_acoustic_operator, run_and_capture
 
@@ -39,33 +46,125 @@ def _mode(schedule):
     return "precomputed" if isinstance(schedule, WavefrontSchedule) else "auto"
 
 
+def _store(kind, tmp_path):
+    if kind == "memory":
+        return MemoryCheckpointStore(keep=2)
+    return FileCheckpointStore(tmp_path / "ckpt", keep=2)
+
+
 @pytest.mark.faults
+@pytest.mark.parametrize("physics", EXAMPLES)
+@pytest.mark.parametrize("store_kind", ["memory", "file"])
 @_schedule_param()
-def test_restart_is_bit_identical(grid2d, schedule, tmp_path):
-    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
-    ref_u, ref_rec = run_and_capture(op, u, rec, NT, DT, schedule, _mode(schedule))
+def test_restart_is_bit_identical(physics, store_kind, schedule, tmp_path):
+    """Crash at CRASH_T, resume from the newest snapshot: receivers and every
+    slot of every field equal the uninterrupted run's.  TTI mixes time
+    orders 2 and 1; elastic couples two time-order-1 sweeps."""
+    prop, dt = build_example(physics)
+    run = dict(nt=NT, dt=dt, schedule=schedule, sparse_mode=_mode(schedule))
+    ref_rec, _ = prop.forward(**run)
+    ref_fields = [f.data_with_halo.copy() for f in prop.fields]
 
     # interrupted run: checkpoint every 2 steps, injected abort at CRASH_T
-    u.data_with_halo[...] = 0.0
-    rec.data[...] = 0.0
-    store = MemoryCheckpointStore(keep=2)
-    cfg = CheckpointConfig(every=2, store=store)
+    store = _store(store_kind, tmp_path)
     faults = FaultInjector([Fault(t=CRASH_T, kind="raise")])
     with pytest.raises(InjectedFault):
-        op.apply(
-            time_M=NT, dt=DT, schedule=schedule, sparse_mode=_mode(schedule),
-            checkpoint=cfg, faults=faults,
-        )
+        prop.forward(**run, checkpoint=CheckpointConfig(every=2, store=store),
+                     faults=faults)
     snap = store.latest()
     assert snap is not None and 0 < snap.step <= CRASH_T
+    # only the live slots are state: every other slot is rewritten before
+    # anything reads it, so poisoning them all must not show
+    for f in prop.fields:
+        f.data[...] = np.nan
 
     # resume: the monitor restores the snapshot and replays the remainder
-    op.apply(
-        time_M=NT, dt=DT, schedule=schedule, sparse_mode=_mode(schedule),
-        checkpoint=CheckpointConfig(every=2, store=store, resume=True),
+    rec, _ = prop.forward(
+        **run, checkpoint=CheckpointConfig(every=2, store=store, resume=True)
     )
+    np.testing.assert_array_equal(rec, ref_rec)
+    for f, ref in zip(prop.fields, ref_fields):
+        np.testing.assert_array_equal(f.data_with_halo, ref, err_msg=f.name)
+
+
+@pytest.mark.parametrize("physics", EXAMPLES)
+def test_snapshot_holds_only_the_live_slots(physics):
+    prop, dt = build_example(physics)
+    tel = Telemetry()
+    _, plan = prop.forward(nt=NT, dt=dt, checkpoint=CheckpointConfig(every=4),
+                           telemetry=tel)
+    snap = capture_snapshot(plan, NT)
+    assert {name: len(keep) for name, keep in snap.slots.items()} == {
+        f.name: f.time_order for f in prop.fields
+    }
+    field_bytes = sum(a.nbytes for keep in snap.slots.values() for a in keep.values())
+    full = {f.name: f.data_with_halo.nbytes for f in prop.fields}
+    assert field_bytes == sum(
+        full[f.name] * f.time_order // (f.time_order + 1) for f in prop.fields
+    )
+    if physics == "acoustic":
+        assert 3 * field_bytes == 2 * sum(full.values())
+    # the checkpoint.save event reports exactly this snapshot size
+    saves = [e for e in tel.events if e.name == "checkpoint.save"]
+    assert [e.attrs["step"] for e in saves] == [4, 8]
+    assert saves[-1].attrs["bytes"] == snap.nbytes()
+    rec_bytes = sum(
+        r["output"].nbytes + sum(a.nbytes for a in r["staging"].values())
+        for r in snap.receivers
+    )
+    assert snap.nbytes() == field_bytes + rec_bytes
+
+
+@pytest.mark.faults
+def test_parent_format_file_loads_as_every_slot_and_resumes(grid2d, tmp_path):
+    """A checkpoint written with full circular buffers under ``field.<name>``
+    (the format before live-slot snapshots) restores every slot and resumes
+    bit-identically."""
+    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
+    ref_u, ref_rec = run_and_capture(op, u, rec, NT, DT, NaiveSchedule())
+
+    u.data_with_halo[...] = 0.0
+    rec.data[...] = 0.0
+    plan = op.apply(time_M=CRASH_T, dt=DT, schedule=NaiveSchedule())
+    arrays = {"step": np.int64(CRASH_T), "field.u": u.data_with_halo.copy()}
+    for i, saved in enumerate(capture_snapshot(plan, CRASH_T).receivers):
+        arrays[f"rec{i}.output"] = saved["output"]
+        for row, stage in saved["staging"].items():
+            arrays[f"rec{i}.staging.{row}"] = stage
+    with open(tmp_path / f"ckpt_{CRASH_T:010d}.npz", "wb") as fh:
+        np.savez(fh, **arrays)
+
+    store = FileCheckpointStore(tmp_path)
+    snap = store.latest()
+    assert snap.step == CRASH_T and sorted(snap.slots["u"]) == list(range(u.buffers))
+    u.data_with_halo[...] = np.nan
+    rec.data[...] = np.nan
+    op.apply(time_M=NT, dt=DT, schedule=NaiveSchedule(),
+             checkpoint=CheckpointConfig(every=2, store=store, resume=True))
     np.testing.assert_array_equal(u.interior(NT), ref_u)
     np.testing.assert_array_equal(rec.data, ref_rec)
+
+
+def test_checkpoints_never_share_memory_with_the_guard_ring(grid2d):
+    """The guard's ring recycles its evicted snapshots' arrays in place; a
+    stored checkpoint must own its arrays or the next tile would rewrite it."""
+    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
+    guard = ABFTGuard()
+    store = MemoryCheckpointStore(keep=NT)
+    op.apply(time_M=NT, dt=DT, schedule=NaiveSchedule(), abft=guard,
+             checkpoint=CheckpointConfig(every=1, store=store))
+    assert len(store) == NT and guard._ring
+
+    def arrays(snap):
+        out = [a for keep in snap.slots.values() for a in keep.values()]
+        for r in snap.receivers:
+            out += [r["output"], *r["staging"].values()]
+        return out
+
+    ring = [a for snap in guard._ring for a in arrays(snap)]
+    for snap in store._snaps:
+        for a in arrays(snap):
+            assert not any(np.shares_memory(a, b) for b in ring)
 
 
 @_schedule_param()
@@ -114,13 +213,13 @@ def test_file_store_keeps_newest(tmp_path):
     store = FileCheckpointStore(tmp_path, keep=2)
     for step in (2, 4, 6):
         store.save(
-            Snapshot(step=step, fields={"u": np.full((3, 3), step, np.float32)},
+            Snapshot(step=step, slots={"u": {1: np.full((3, 3), step, np.float32)}},
                      receivers=[])
         )
     assert len(list(tmp_path.glob("ckpt_*.npz"))) == 2
     latest = store.latest()
     assert latest.step == 6
-    np.testing.assert_array_equal(latest.fields["u"], np.full((3, 3), 6, np.float32))
+    np.testing.assert_array_equal(latest.slots["u"][1], np.full((3, 3), 6, np.float32))
     store.clear()
     assert store.latest() is None
 
@@ -129,8 +228,8 @@ def test_memory_store_ring():
     from repro.runtime.checkpoint import Snapshot
 
     store = MemoryCheckpointStore(keep=1)
-    store.save(Snapshot(step=1, fields={}, receivers=[]))
-    store.save(Snapshot(step=3, fields={}, receivers=[]))
+    store.save(Snapshot(step=1, slots={}, receivers=[]))
+    store.save(Snapshot(step=3, slots={}, receivers=[]))
     assert len(store) == 1 and store.latest().step == 3
 
 

@@ -18,7 +18,10 @@ def make_snapshot(step: int) -> Snapshot:
     rng = np.random.default_rng(step)
     return Snapshot(
         step=step,
-        fields={"u": rng.normal(size=(3, 6, 6)), "v": rng.normal(size=(2, 6, 6))},
+        slots={
+            "u": {2: rng.normal(size=(6, 6)), 0: rng.normal(size=(6, 6))},
+            "v.x": {1: rng.normal(size=(6, 6))},
+        },
         receivers=[
             {
                 "output": rng.normal(size=(8, 4)),
@@ -30,9 +33,11 @@ def make_snapshot(step: int) -> Snapshot:
 
 def assert_snapshots_equal(a: Snapshot, b: Snapshot) -> None:
     assert a.step == b.step
-    assert set(a.fields) == set(b.fields)
-    for name in a.fields:
-        np.testing.assert_array_equal(a.fields[name], b.fields[name])
+    assert set(a.slots) == set(b.slots)
+    for name in a.slots:
+        assert set(a.slots[name]) == set(b.slots[name])
+        for idx in a.slots[name]:
+            np.testing.assert_array_equal(a.slots[name][idx], b.slots[name][idx])
     assert len(a.receivers) == len(b.receivers)
     for ra, rb in zip(a.receivers, b.receivers):
         np.testing.assert_array_equal(ra["output"], rb["output"])

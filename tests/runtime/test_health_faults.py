@@ -3,8 +3,9 @@
 Every schedule runs with a programmed corruption; the guard must judge a
 NaN/Inf a :class:`NumericalBlowup` (never silent corruption) and attribute it
 to the containment unit it fired in — the exact timestep under naive and
-spatial schedules, the time tile under wavefront blocking — before any
-checkpoint captures it.
+spatial schedules, the time tile under wavefront blocking — and to its exact
+field and point, before any checkpoint captures it.  Faults fire into the
+exit slot the guard scans, so nothing inside the unit spreads them.
 """
 
 import numpy as np
@@ -52,16 +53,11 @@ def _assert_blowup_attributed(grid, schedule, kind):
     assert guard.stats["detections"] == 0 and guard.stats["tiles_reexecuted"] == 0
     assert err.field == "u"
     assert err.t <= fault_t < err.t1
-    if isinstance(schedule, WavefrontSchedule):
-        # attribution is to the time tile: by its exit the corruption has
-        # spread, and the reported point is one of the non-finite values
-        padded = tuple(p + u.halo for p in err.point)
-        assert not np.isfinite(u.data_with_halo[(slice(None), *padded)]).all()
-    else:
-        # one timestep per unit: exact attribution
-        assert err.t == fault_t
-        assert err.point == point
-        assert err.count == 1
+    if not isinstance(schedule, WavefrontSchedule):
+        assert err.t == fault_t  # one timestep per unit
+    # the corruption lands in the exit slot: exact on every schedule
+    assert err.point == point
+    assert err.count == 1
     # raised before the unit's checkpoint save: no snapshot holds the fault
     assert checkpoint.store.latest().step == err.t
     assert len(faults.log) == 1
@@ -126,12 +122,45 @@ def test_unarmed_and_mismatched_faults_never_fire(grid2d):
         [
             Fault(t=3, kind="nan", armed=False),
             Fault(t=NT + 5, kind="raise"),  # beyond the run
-            Fault(t=2, kind="raise", sweep=7),  # no such sweep
         ]
     )
     _run(op, NaiveSchedule(), abft=ABFTGuard(), faults=faults)
     assert not faults.log
     assert np.isfinite(u.interior(NT)).all()
+
+
+@pytest.mark.faults
+def test_named_field_is_the_field_corrupted():
+    """A fault on TTI's ``p`` corrupts ``p`` itself — not the first field
+    of whichever sweep happens to be running — at exactly its point."""
+    from repro.propagators.examples import build_example
+
+    prop, dt = build_example("tti", nt=8)
+    faults = FaultInjector([Fault(t=3, kind="nan", field="p", point=(6, 6, 6))])
+    with pytest.raises(NumericalBlowup) as excinfo:
+        prop.forward(nt=8, dt=dt, schedule=NaiveSchedule(), abft=ABFTGuard(),
+                     faults=faults)
+    err = excinfo.value
+    assert (err.field, err.point, err.count, err.t) == ("p", (6, 6, 6), 1, 3)
+    assert faults.log == [(3, "nan", "p")]
+
+
+@pytest.mark.parametrize(
+    "fault, match",
+    [
+        (Fault(t=2, kind="nan", field="v"), "not a time function"),
+        (Fault(t=2, kind="nan", point=(7, 99)), "outside the grid"),
+        (Fault(t=2, kind="nan", point=(7, -1)), "outside the grid"),
+        (Fault(t=2, kind="nan", point=(7, 6, 1)), "outside the grid"),
+    ],
+    ids=["unknown-field", "past-the-end", "negative", "wrong-rank"],
+)
+def test_bad_fault_is_rejected_before_timestep_0(grid2d, fault, match):
+    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
+    with pytest.raises(ValueError, match=match):
+        _run(op, NaiveSchedule(), faults=FaultInjector([fault]))
+    assert fault.armed
+    assert not u.data_with_halo.any()  # nothing ran
 
 
 def test_fault_rejects_unknown_kind():
