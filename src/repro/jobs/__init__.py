@@ -41,12 +41,11 @@ journaled ``interrupted`` and resumable); livelocked daemons are detected
 by heartbeat silence and replaced; poison jobs that crash every daemon are
 quarantined with forensics instead of retried forever.
 
-The whole service is observable end to end: the supervisor records into a
-:class:`~repro.telemetry.metrics.MetricsRegistry` (the families of its
+The whole service is observable end to end: the supervisor records into its
+:class:`~repro.telemetry.metrics.MetricsRegistry` (exactly the families of
 :data:`~repro.telemetry.metrics.CATALOGUE`: queue depths per lane, attempt
-latencies, breaker state, … — snapshottable as JSON or Prometheus text,
-servable with ``--metrics-port``),
-atomically refreshes a live ``metrics.json`` in the batch dir that
+latencies, breaker state, …), atomically refreshes their one encoding, a
+live ``metrics.json`` in the batch dir, which
 ``python -m repro.jobs.status BATCH_DIR`` renders, and with ``trace=True``
 propagates a trace context to every attempt so the per-attempt span trees
 come back clock-corrected and merge into one batch-wide Chrome trace
@@ -59,7 +58,7 @@ Command line: ``python -m repro.jobs --help`` (chaos knobs included).
 from .breaker import CircuitBreaker
 from .chaos import ChaosConfig, ChaosEntry, ChaosPlan
 from .journal import JOURNAL_NAME, BatchJournal, JournalReplay, load_journal
-from .pool import DEFAULT_CAPACITY, METRICS_NAME, PROM_NAME, JobPool, run_batch
+from .pool import DEFAULT_CAPACITY, METRICS_NAME, JobPool, run_batch
 from .retry import RetryPolicy
 from .shm import SharedArrayHandle, SharedArrayRegistry, attach_array
 from .spec import (
@@ -111,5 +110,4 @@ __all__ = [
     "PHASE_KEYS",
     "DEFAULT_CAPACITY",
     "METRICS_NAME",
-    "PROM_NAME",
 ]

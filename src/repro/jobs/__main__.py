@@ -7,7 +7,7 @@ Usage::
     python -m repro.jobs --jobs 8 --example mixed --schedule naive --json
     python -m repro.jobs --jobs 64 --stream --lane bulk --tenant-quota 8
     python -m repro.jobs --resume path/to/batchdir --verify    # crashed batch
-    python -m repro.jobs --jobs 8 --trace --metrics-port 0 --workdir b0
+    python -m repro.jobs --jobs 8 --trace --workdir b0
     python -m repro.jobs.status b0                             # live pool health
 
 Each job is one shot of a miniature survey: the paper's small verification
@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import List
 
@@ -187,17 +186,6 @@ def main(argv: List[str] = None) -> int:
         "with a temporary workdir)",
     )
     parser.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve /metrics (Prometheus), /metrics.json and /healthz on "
-        "this port while the batch runs (0 = ephemeral; the bound port is "
-        "written to <workdir>/metrics.port)",
-    )
-    parser.add_argument(
-        "--serve-grace", type=float, default=0.0, metavar="SECONDS",
-        help="keep the metrics endpoint up this long after the batch ends "
-        "(lets a scraper catch the final state; default: 0)",
-    )
-    parser.add_argument(
         "--status-interval", type=float, default=0.5, metavar="SECONDS",
         help="cadence of the live metrics.json snapshot in the workdir "
         "(0 disables the cadence; default: 0.5)",
@@ -251,29 +239,9 @@ def main(argv: List[str] = None) -> int:
             for spec in specs:
                 pool.submit(spec)
 
-    server = None
-    if args.metrics_port is not None:
-        from ..telemetry.metrics import MetricsServer
-
-        server = MetricsServer(pool.metrics, port=args.metrics_port)
-        try:
-            (pool.workdir / "metrics.port").write_text(f"{server.port}\n")
-        except OSError:
-            pass
-        print(f"metrics endpoint: {server.url}/metrics", file=sys.stderr)
-
     # the pool's temp workdir dies with run(); persistent paths keep theirs
     persistent_dir = args.resume or args.workdir
-    try:
-        report = pool.run()
-    finally:
-        if server is not None and args.serve_grace > 0:
-            try:
-                time.sleep(args.serve_grace)
-            except KeyboardInterrupt:
-                pass
-        if server is not None:
-            server.close()
+    report = pool.run()
 
     trace_path = None
     if args.trace:

@@ -111,7 +111,7 @@ class CircuitBreaker:
         :class:`~repro.telemetry.metrics.MetricsRegistry`): the
         ``breaker_state`` gauge (0=closed, 1=open, 2=half_open) tracks the
         live state, ``breaker_transitions_total{engine,state}`` counts
-        every transition — together they are the Prometheus view of the
+        every transition — together they are ``metrics.json``'s view of the
         :attr:`transitions` log."""
         self._m_state = registry.instrument("breaker_state")
         self._m_transitions = registry.instrument("breaker_transitions_total")

@@ -13,36 +13,27 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from ..runtime.integrity import atomic_write
 from ..telemetry.metrics import CATALOGUE, MetricsRegistry, PhaseAccountant
 from .spec import LANES, AttemptRecord
 
-__all__ = ["METRICS_NAME", "PROM_NAME", "PoolObservability"]
+__all__ = ["METRICS_NAME", "PoolObservability"]
 
 #: live metrics snapshot, atomically refreshed in the batch workdir on the
 #: ``status_interval`` cadence (what ``python -m repro.jobs.status`` reads)
 METRICS_NAME = "metrics.json"
 
-#: final Prometheus text exposition, written once at batch end
-PROM_NAME = "metrics.prom"
-
 
 class PoolObservability:
     """Metrics, status and trace plumbing of a :class:`JobPool`."""
 
-    def _init_observability(
-        self, metrics, status_interval: float, tenant_quota: Optional[int]
-    ) -> None:
-        """*metrics* is the caller's :class:`MetricsRegistry` to record into
-        (registries are shareable); ``None`` creates a private one."""
+    def _init_observability(self, status_interval: float, tenant_quota: Optional[int]) -> None:
         self.status_interval = float(status_interval)
         self._last_status = 0.0
         self._jobs_phase_added = 0.0
         self._attempt_phase_folded = 0.0  # in-process attempts' phase seconds
-        self.metrics: MetricsRegistry = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._acct = PhaseAccountant()
-        #: family -> instrument, every :data:`CATALOGUE` entry created once,
-        #: so the hot paths pay a dict lookup instead of a registry one
+        #: family -> instrument, for every :data:`CATALOGUE` entry
         self._m = {family: self.metrics.instrument(family) for family in CATALOGUE}
         for lane in LANES:
             self._m["queue_depth"].set(0, lane=lane)
@@ -68,10 +59,13 @@ class PoolObservability:
         self._m["workers_busy"].set(sum(1 for w in self.fleet.workers if w.busy))
         for bucket, secs in self._acct.flush().items():
             self._m["supervisor_seconds"].set(secs, bucket=bucket)
+        if self.breaker is not None:
+            # the read turns an elapsed cooldown half_open, and its gauge with it
+            self.breaker.state
 
     def _status_summary(self) -> dict:
         state, fleet = self.state, self.fleet
-        summary = {
+        return {
             "jobs": len(state.jobs),
             "terminal": state.terminals,
             "completed": sum(1 for j in state.jobs if j.status == "completed"),
@@ -91,18 +85,10 @@ class PoolObservability:
             "storage_degraded": self.storage_degraded is not None,
             "elapsed_seconds": time.perf_counter() - self._epoch,
         }
-        if self.breaker is not None:
-            summary["breaker"] = {
-                "engine": self.breaker.engine,
-                "state": self.breaker.state,
-                "transitions": len(self.breaker.transitions),
-            }
-        return summary
 
     def _write_status(self, final: bool = False) -> None:
-        """Atomically refresh ``metrics.json`` in the batch dir (and, at
-        batch end, the Prometheus exposition next to it).  Best-effort: a
-        full disk must not take the batch down."""
+        """Atomically refresh ``metrics.json`` in the batch dir.
+        Best-effort: a full disk must not take the batch down."""
         self._refresh_gauges()
         try:
             self.metrics.write_json(
@@ -113,12 +99,6 @@ class PoolObservability:
                     "status": self._status_summary(),
                 },
             )
-            if final:
-                text = self.metrics.exposition()
-                atomic_write(
-                    self.workdir / PROM_NAME, lambda fh: fh.write(text.encode()),
-                    fsync=False,
-                )
         except OSError:
             pass
 

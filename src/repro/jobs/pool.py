@@ -30,7 +30,7 @@ from ..errors import SilentCorruptionError, StorageExhaustedError, StreamAdmissi
 from .breaker import CircuitBreaker
 from .chaos import ChaosConfig, ChaosPlan
 from .journal import JOURNAL_NAME, JOURNAL_VERSION, BatchJournal, load_journal
-from .observe import METRICS_NAME, PROM_NAME, PoolObservability
+from .observe import METRICS_NAME, PoolObservability
 from .retry import RetryPolicy
 from .spec import BatchReport, JobResult, JobSpec
 from .transitions import (
@@ -47,7 +47,7 @@ from .transitions import (
 from .warm import InlineFleet, WarmFleet
 from . import worker as worker_mod
 
-__all__ = ["JobPool", "run_batch", "DEFAULT_CAPACITY", "METRICS_NAME", "PROM_NAME"]
+__all__ = ["JobPool", "run_batch", "DEFAULT_CAPACITY", "METRICS_NAME"]
 
 #: supervision sweep cadence (seconds) when no fleet report wakes the loop
 POLL_INTERVAL = 0.02
@@ -128,10 +128,6 @@ class JobPool(PoolObservability):
         check.
     poison_threshold:
         Consecutive daemon-crash outcomes before a job is quarantined.
-    metrics:
-        Service-level instrumentation: ``None`` (default) creates a private
-        :class:`~repro.telemetry.metrics.MetricsRegistry`; pass a registry
-        to share one across pools.
     trace:
         Propagate a trace context to every attempt and collect serialized
         span trees back with results (``AttemptRecord.trace``), mergeable
@@ -159,7 +155,6 @@ class JobPool(PoolObservability):
         heartbeat_interval: float = 0.25,
         heartbeat_timeout: Optional[float] = 60.0,
         poison_threshold: int = 3,
-        metrics=None,
         trace: bool = False,
         status_interval: float = 0.5,
     ):
@@ -206,7 +201,7 @@ class JobPool(PoolObservability):
         self.resumed = False
         #: the StorageExhaustedError that degraded this batch (None = healthy)
         self.storage_degraded: Optional[StorageExhaustedError] = None
-        self._init_observability(metrics, status_interval, tenant_quota)
+        self._init_observability(status_interval, tenant_quota)
         heartbeat_timeout = None if heartbeat_timeout is None else float(heartbeat_timeout)
         #: where attempts run: this process, or daemons + pipes + shared segments
         self.fleet = (
@@ -709,7 +704,6 @@ class JobPool(PoolObservability):
         batch_dir,
         workers: Optional[int] = None,
         telemetry=None,
-        metrics=None,
         trace: bool = False,
         status_interval: float = 0.5,
     ) -> "JobPool":
@@ -755,7 +749,6 @@ class JobPool(PoolObservability):
             journal=False,  # reattached below, past the verified prefix
             heartbeat_interval=header.get("heartbeat_interval", 0.25),
             heartbeat_timeout=header.get("heartbeat_timeout", 60.0),
-            metrics=metrics,
             trace=trace,
             status_interval=status_interval,
         )

@@ -18,18 +18,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..telemetry.counters import stencil_gpoints_per_s
 from ..telemetry.metrics import histogram_quantile
+from .breaker import STATE_CODES
 from .journal import JOURNAL_NAME, load_journal
 from .pool import METRICS_NAME
+from .transitions import fold
 
 __all__ = ["load_status", "journal_stats", "render_status", "main"]
-
-#: gauge value -> breaker state name (see repro.jobs.breaker.STATE_CODES)
-_BREAKER_STATES = {0: "closed", 1: "open", 2: "half_open"}
 
 
 def load_status(batch_dir) -> Optional[dict]:
@@ -74,25 +74,18 @@ def journal_stats(batch_dir) -> Optional[dict]:
         return None
     ts = [r["ts"] for r in replay.records if isinstance(r.get("ts"), (int, float))]
     elapsed = (max(ts) - min(ts)) if len(ts) > 1 else 0.0
+    # each job counts once, with the status the journal leaves it in — a
+    # drained job that a resume later completed is completed, not both
+    jobs = fold(replay.records, lambda rec: rec["ts"]).jobs
+    statuses = Counter(job.status for job in jobs if job.terminal)
     tenants: Dict[str, dict] = {}
-    lanes: Dict[str, int] = {}
-    job_tenant: Dict[str, str] = {}
-    for rec in replay.for_kind("admit"):
-        spec = rec.get("spec") or {}
-        tenant = spec.get("tenant", "default")
-        lane = spec.get("lane", "batch")
-        job_tenant[rec.get("job", "")] = tenant
-        tenants.setdefault(tenant, {"admitted": 0, "completed": 0, "failed": 0})
-        tenants[tenant]["admitted"] += 1
-        lanes[lane] = lanes.get(lane, 0) + 1
-    statuses: Dict[str, int] = {}
-    for rec in replay.for_kind("terminal"):
-        status = rec.get("status", "?")
-        statuses[status] = statuses.get(status, 0) + 1
-        tenant = job_tenant.get(rec.get("job", ""))
-        if tenant in tenants:
-            key = "completed" if status == "completed" else "failed"
-            tenants[tenant][key] += 1
+    for job in jobs:
+        stats = tenants.setdefault(
+            job.spec.tenant, {"admitted": 0, "completed": 0, "failed": 0}
+        )
+        stats["admitted"] += 1
+        if job.terminal:
+            stats["completed" if job.status == "completed" else "failed"] += 1
     for stats in tenants.values():
         stats["throughput_per_s"] = (
             stats["completed"] / elapsed if elapsed > 0 else None
@@ -113,9 +106,9 @@ def journal_stats(batch_dir) -> Optional[dict]:
         "records": len(replay.records),
         "kinds": kinds,
         "elapsed_seconds": elapsed,
-        "statuses": statuses,
+        "statuses": dict(statuses),
         "tenants": tenants,
-        "lanes_admitted": lanes,
+        "lanes_admitted": dict(Counter(job.spec.lane for job in jobs)),
         "ended": bool(replay.for_kind("batch_end")),
         "resumes": len(replay.for_kind("resume")),
         "corrupt_tail": str(replay.corruption) if replay.corruption else None,
@@ -180,25 +173,19 @@ def render_status(snapshot: Optional[dict], journal: Optional[dict]) -> str:
                     for e in sorted(occupancy, key=lambda e: str(e["labels"]))
                 )
             )
-        breaker = status.get("breaker")
-        if breaker is None:
-            series = _series(snapshot, "repro_breaker_state")
-            if series:
-                entry = series[0]
-                breaker = {
-                    "engine": entry["labels"].get("engine", "?"),
-                    "state": _BREAKER_STATES.get(
-                        int(entry.get("value", 0)), "?"
-                    ),
-                }
+        breaker = _series(snapshot, "repro_breaker_state")
         if breaker:
-            line = (
-                f"breaker[{breaker.get('engine', '?')}]: "
-                f"{breaker.get('state', '?')}"
+            state = {code: name for name, code in STATE_CODES.items()}.get(
+                int(breaker[0].get("value", 0)), "?"
             )
-            if "transitions" in breaker:
-                line += f" ({breaker['transitions']} transition(s))"
-            lines.append(line)
+            transitions = sum(
+                e.get("value", 0)
+                for e in _series(snapshot, "repro_breaker_transitions_total")
+            )
+            lines.append(
+                f"breaker[{breaker[0]['labels'].get('engine', '?')}]: {state} "
+                f"({int(transitions)} transition(s))"
+            )
         for entry in _series(snapshot, "repro_attempt_seconds"):
             outcome = entry["labels"].get("outcome", "?")
             lines.append(

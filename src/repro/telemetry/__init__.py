@@ -13,6 +13,12 @@ Everything is opt-in and threaded through the execution stack via a
 With no telemetry attached the executors pay a single ``is not None`` branch
 per loop and record nothing.  See ``python -m repro.profile --help`` for the
 command-line front-end.
+
+The batch service's side lives here too: :mod:`~repro.telemetry.merge`
+stitches per-attempt span trees into one batch trace, and
+:class:`~repro.telemetry.metrics.MetricsRegistry` holds the service metrics
+(the families of ``metrics.CATALOGUE``), whose one encoding is the
+``metrics.json`` snapshot ``python -m repro.jobs.status`` reads.
 """
 
 from .counters import Counters, derived_metrics
@@ -29,12 +35,7 @@ from .merge import (
     validate_payload,
     write_batch_trace,
 )
-from .metrics import (
-    MetricsRegistry,
-    MetricsServer,
-    PhaseAccountant,
-    validate_exposition,
-)
+from .metrics import MetricsRegistry, PhaseAccountant
 from .spans import DETAIL_LEVELS, PHASES, Span, Telemetry
 
 __all__ = [
@@ -54,7 +55,5 @@ __all__ = [
     "write_batch_trace",
     "validate_chrome_trace",
     "MetricsRegistry",
-    "MetricsServer",
     "PhaseAccountant",
-    "validate_exposition",
 ]

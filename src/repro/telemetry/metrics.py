@@ -2,14 +2,13 @@
 
 The per-run :class:`~repro.telemetry.spans.Telemetry` buffer answers "where
 did *this run's* wall-time go"; it dies with the run.  A
-:class:`MetricsRegistry` is the complementary *service-level* surface: a
-process-wide (well, supervisor-wide) set of named, labelled instruments the
-whole ``jobs/`` service records into — the families of :data:`CATALOGUE`:
-queue depths per lane, attempt latencies, breaker transitions, … —
-snapshottable at any instant as versioned JSON
-(:meth:`MetricsRegistry.snapshot`) or Prometheus text exposition format
-(:meth:`MetricsRegistry.exposition`), and servable over a stdlib HTTP
-endpoint (:class:`MetricsServer`, ``--metrics-port`` on the jobs CLI).
+:class:`MetricsRegistry` is the complementary *service-level* surface: the
+supervisor-wide set of named, labelled instruments the whole ``jobs/``
+service records into — exactly the families of :data:`CATALOGUE`: queue
+depths per lane, attempt latencies, breaker transitions, … — with one
+encoding, the versioned JSON snapshot (:meth:`MetricsRegistry.snapshot`,
+written as ``metrics.json`` by :meth:`MetricsRegistry.write_json`) that
+``python -m repro.jobs.status`` reads.
 
 Instrument semantics follow the Prometheus conventions:
 
@@ -21,10 +20,9 @@ Instrument semantics follow the Prometheus conventions:
   Prometheus ``histogram_quantile`` would do server-side), from a live
   instrument and from a snapshot alike.
 
-Labels are declared per instrument (``labelnames``) and passed by keyword
-at record time; each distinct label-value combination is one time series.
-Everything is guarded by one registry lock, so the HTTP server thread can
-scrape while the supervisor records.
+Labels are declared per family (``labelnames``) and passed by keyword at
+record time; each distinct label-value combination is one time series.
+Every series is guarded by one registry lock.
 
 :class:`PhaseAccountant` is the supervisor-side analogue of the executors'
 boundary-to-boundary phase accounting: a stack of *exclusive* wall-time
@@ -32,10 +30,6 @@ buckets (``admission``/``journal``/``dispatch``/``execute``/``idle``/
 ``drain`` under a ``supervise`` root) where entering an inner bucket pauses
 the outer one — the bucket sum covers the supervised interval exactly,
 which is what lets ``BatchReport.phase_totals`` reconcile batch wall time.
-
-:func:`validate_exposition` is a strict-enough parser of the text format
-used by the tests and the CI smoke to prove the endpoint speaks actual
-Prometheus exposition, not something that merely looks like it.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 import threading
 import time
 from contextlib import contextmanager
@@ -51,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "SNAPSHOT_VERSION",
+    "NAMESPACE",
     "DEFAULT_BUCKETS",
     "CATALOGUE",
     "Counter",
@@ -58,26 +52,25 @@ __all__ = [
     "Histogram",
     "histogram_quantile",
     "MetricsRegistry",
-    "MetricsServer",
     "PhaseAccountant",
-    "validate_exposition",
 ]
 
 #: version stamp of the JSON snapshot schema (bump on breaking change)
 SNAPSHOT_VERSION = 1
 
-#: default latency buckets (seconds) — spans pipe dispatches (~100us) to
-#: multi-second attempts, the service's whole dynamic range
+#: prefix of every family's name in the snapshot (``jobs_completed_total``
+#: → ``repro_jobs_completed_total``)
+NAMESPACE = "repro"
+
+#: latency buckets (seconds) of every histogram — spans pipe dispatches
+#: (~100us) to multi-second attempts, the service's whole dynamic range
 DEFAULT_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
 #: The one place metric families are declared: ``family -> (kind, labels,
-#: reader, help)``.  :meth:`MetricsRegistry.instrument` creates from it, the
+#: reader, help)``.  :class:`MetricsRegistry` creates every entry, the
 #: transition effects of :mod:`repro.jobs.transitions` are checked against it
 #: at import, and DESIGN.md §7's family table is checked against it by
 #: ``tests/telemetry/test_metrics.py``.  *reader* names who consumes the
@@ -129,26 +122,8 @@ CATALOGUE: Dict[str, Tuple[str, Tuple[str, ...], str, str]] = {
         "gauge", ("engine",), "status",
         "circuit-breaker state: 0=closed, 1=open, 2=half_open"),
     "breaker_transitions_total": (
-        "counter", ("engine", "state"), "test", "circuit-breaker state transitions"),
+        "counter", ("engine", "state"), "status", "circuit-breaker state transitions"),
 }
-
-
-def _format_value(v: float) -> str:
-    """Prometheus sample value: integers without a trailing ``.0``."""
-    if v == math.inf:
-        return "+Inf"
-    if v == -math.inf:
-        return "-Inf"
-    f = float(v)
-    return str(int(f)) if f.is_integer() and abs(f) < 1e15 else repr(f)
-
-
-def _escape_label(v: object) -> str:
-    return str(v).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _escape_help(v: str) -> str:
-    return v.replace("\\", "\\\\").replace("\n", "\\n")
 
 
 class _Metric:
@@ -157,11 +132,6 @@ class _Metric:
     kind = "untyped"
 
     def __init__(self, name: str, help: str, labelnames: Sequence[str], lock):
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        for label in labelnames:
-            if not _LABEL_RE.match(label):
-                raise ValueError(f"invalid label name {label!r} on {name!r}")
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
@@ -217,15 +187,7 @@ class Histogram(_Metric):
     """Fixed-bucket observation histogram with sum/count and quantiles."""
 
     kind = "histogram"
-
-    def __init__(self, name, help, labelnames, lock, buckets=DEFAULT_BUCKETS):
-        super().__init__(name, help, labelnames, lock)
-        edges = tuple(sorted(float(b) for b in buckets))
-        if not edges:
-            raise ValueError(f"{self.name}: need at least one bucket")
-        if any(e1 >= e2 for e1, e2 in zip(edges, edges[1:])):
-            raise ValueError(f"{self.name}: bucket edges must strictly increase")
-        self.buckets = edges  # +Inf is implicit
+    buckets = DEFAULT_BUCKETS  # +Inf is implicit
 
     def _blank(self) -> dict:
         return {"counts": [0] * (len(self.buckets) + 1), "sum": 0.0, "count": 0}
@@ -292,67 +254,29 @@ def histogram_quantile(cumulative: Sequence[Tuple[float, float]], q: float) -> O
     return lo
 
 
+_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+
 class MetricsRegistry:
-    """Named, labelled instruments with get-or-create semantics.
+    """Every :data:`CATALOGUE` family, created once and named
+    ``repro_<family>`` (:data:`NAMESPACE`)."""
 
-    ``namespace`` prefixes every metric name (``jobs_completed_total`` →
-    ``repro_jobs_completed_total``), keeping the exposition greppable and
-    collision-free next to other exporters.
-    """
-
-    def __init__(self, namespace: str = "repro"):
-        if namespace and not _NAME_RE.match(namespace):
-            raise ValueError(f"invalid namespace {namespace!r}")
-        self.namespace = namespace
+    def __init__(self):
         self._lock = threading.Lock()
-        self._metrics: Dict[str, _Metric] = {}
-
-    def _full(self, name: str) -> str:
-        return f"{self.namespace}_{name}" if self.namespace else name
-
-    def _get_or_create(self, cls, name, help, labelnames, **kwargs) -> _Metric:
-        full = self._full(name)
-        with self._lock:
-            existing = self._metrics.get(full)
-            if existing is not None:
-                if type(existing) is not cls or existing.labelnames != tuple(labelnames):
-                    raise ValueError(
-                        f"metric {full!r} re-registered as {cls.kind} with "
-                        f"labels {tuple(labelnames)!r}; it is {existing.kind} "
-                        f"with {existing.labelnames!r}"
-                    )
-                return existing
-        metric = cls(full, help, labelnames, self._lock, **kwargs)
-        with self._lock:
-            return self._metrics.setdefault(full, metric)
-
-    def counter(self, name, help: str = "", labelnames: Sequence[str] = ()) -> Counter:
-        return self._get_or_create(Counter, name, help, labelnames)
-
-    def gauge(self, name, help: str = "", labelnames: Sequence[str] = ()) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames)
-
-    def histogram(
-        self, name, help: str = "", labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, labelnames, buckets=buckets
-        )
+        self._metrics: Dict[str, _Metric] = {
+            family: _KINDS[kind](f"{NAMESPACE}_{family}", doc, labels, self._lock)
+            for family, (kind, labels, _reader, doc) in CATALOGUE.items()
+        }
 
     def instrument(self, family: str) -> _Metric:
-        """Get-or-create the :data:`CATALOGUE` entry *family* (``KeyError``
-        for an undeclared one)."""
-        kind, labels, _reader, doc = CATALOGUE[family]
-        return getattr(self, kind)(family, doc, labels)
+        """The instrument of *family* (``KeyError`` for an undeclared one)."""
+        return self._metrics[family]
 
     # -- export --------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Versioned JSON-able snapshot of every series."""
         metrics = {}
-        with self._lock:
-            items = list(self._metrics.items())
-        for full, metric in items:
+        for metric in self._metrics.values():
             with self._lock:
                 series_items = list(metric._series.items())
             series = []
@@ -373,7 +297,7 @@ class MetricsRegistry:
                 else:
                     entry["value"] = state
                 series.append(entry)
-            metrics[full] = {
+            metrics[metric.name] = {
                 "type": metric.kind,
                 "help": metric.help,
                 "labelnames": list(metric.labelnames),
@@ -381,38 +305,10 @@ class MetricsRegistry:
             }
         return {
             "version": SNAPSHOT_VERSION,
-            "namespace": self.namespace,
+            "namespace": NAMESPACE,
             "generated_unix": time.time(),
             "metrics": metrics,
         }
-
-    def exposition(self) -> str:
-        """Prometheus text exposition format (content type
-        ``text/plain; version=0.0.4``)."""
-        lines: List[str] = []
-        with self._lock:
-            items = sorted(self._metrics.items())
-        for full, metric in items:
-            with self._lock:
-                series_items = sorted(metric._series.items())
-            if metric.help:
-                lines.append(f"# HELP {full} {_escape_help(metric.help)}")
-            lines.append(f"# TYPE {full} {metric.kind}")
-            for key, state in series_items:
-                labels = metric.series_labels(key)
-                base = _render_labels(labels)
-                if metric.kind == "histogram":
-                    cumulative = 0
-                    for edge, c in zip([*metric.buckets, math.inf], state["counts"]):
-                        cumulative += c
-                        le = "+Inf" if edge == math.inf else _format_value(edge)
-                        bl = _render_labels({**labels, "le": le})
-                        lines.append(f"{full}_bucket{bl} {cumulative}")
-                    lines.append(f"{full}_sum{base} {_format_value(state['sum'])}")
-                    lines.append(f"{full}_count{base} {state['count']}")
-                else:
-                    lines.append(f"{full}{base} {_format_value(state)}")
-        return "\n".join(lines) + "\n"
 
     def write_json(self, path, extra: Optional[dict] = None) -> None:
         """Atomically write the snapshot (plus *extra* top-level keys) — a
@@ -424,146 +320,6 @@ class MetricsRegistry:
             payload.update(extra)
         text = json.dumps(payload, sort_keys=True) + "\n"
         atomic_write(path, lambda fh: fh.write(text.encode()), fsync=False)
-
-
-def _render_labels(labels: Dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{k}="{_escape_label(v)}"' for k, v in sorted(labels.items()))
-    return "{" + inner + "}"
-
-
-# -- exposition validation --------------------------------------------------------------
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?P<labels>\{[^{}]*\})?"
-    r" (?P<value>[-+]?(?:[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?|Inf|NaN))$"
-)
-_LABEL_PAIR_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
-
-def validate_exposition(text: str) -> Dict[str, dict]:
-    """Strictly parse Prometheus text exposition; raise ``ValueError`` on
-    any malformed line, TYPE-less sample, or histogram whose cumulative
-    ``le`` buckets decrease or lack ``+Inf``.  Returns ``family name ->
-    {"type", "samples": n}`` on success (used by tests and the CI smoke).
-    """
-    types: Dict[str, str] = {}
-    samples: Dict[str, int] = {}
-    histogram_buckets: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        if line.startswith("# HELP "):
-            continue
-        if line.startswith("# TYPE "):
-            parts = line.split(" ", 3)
-            if len(parts) != 4 or parts[3] not in (
-                "counter", "gauge", "histogram", "summary", "untyped"
-            ):
-                raise ValueError(f"line {lineno}: malformed TYPE line: {line!r}")
-            types[parts[2]] = parts[3]
-            continue
-        if line.startswith("#"):
-            continue
-        m = _SAMPLE_RE.match(line)
-        if m is None:
-            raise ValueError(f"line {lineno}: malformed sample: {line!r}")
-        name = m.group("name")
-        family = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[: -len(suffix)] in types:
-                family = name[: -len(suffix)]
-                break
-        if family not in types:
-            raise ValueError(f"line {lineno}: sample {name!r} has no TYPE declaration")
-        samples[family] = samples.get(family, 0) + 1
-        if types[family] == "histogram" and name.endswith("_bucket"):
-            labels = dict(_LABEL_PAIR_RE.findall(m.group("labels") or ""))
-            le = labels.pop("le", None)
-            if le is None:
-                raise ValueError(f"line {lineno}: histogram bucket without le label")
-            series_id = (family, json.dumps(labels, sort_keys=True))
-            edge = math.inf if le == "+Inf" else float(le)
-            histogram_buckets.setdefault(series_id, []).append(
-                (edge, float(m.group("value")))
-            )
-    for (family, labels_id), rows in histogram_buckets.items():
-        edges = [e for e, _ in rows]
-        counts = [c for _, c in rows]
-        if edges != sorted(edges):
-            raise ValueError(f"{family}{labels_id}: le edges out of order")
-        if math.inf not in edges:
-            raise ValueError(f"{family}{labels_id}: histogram lacks +Inf bucket")
-        if any(c1 > c2 for c1, c2 in zip(counts, counts[1:])):
-            raise ValueError(f"{family}{labels_id}: cumulative bucket counts decrease")
-    return {f: {"type": t, "samples": samples.get(f, 0)} for f, t in types.items()}
-
-
-# -- HTTP endpoint ----------------------------------------------------------------------
-
-
-class MetricsServer:
-    """stdlib HTTP endpoint over one registry (``--metrics-port``).
-
-    ``GET /metrics`` serves the text exposition, ``GET /metrics.json`` the
-    versioned snapshot, ``GET /healthz`` a liveness ``ok``.  Port 0 binds an
-    ephemeral port — read the real one from :attr:`port`.  Runs in a daemon
-    thread; request logging is suppressed (the supervisor's stdout is the
-    batch report, not an access log).
-    """
-
-    def __init__(self, registry: MetricsRegistry, port: int = 0,
-                 host: str = "127.0.0.1"):
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        reg = registry
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 — http.server API
-                if self.path.split("?")[0] == "/metrics":
-                    body = reg.exposition().encode()
-                    ctype = "text/plain; version=0.0.4; charset=utf-8"
-                elif self.path.split("?")[0] == "/metrics.json":
-                    body = (json.dumps(reg.snapshot(), sort_keys=True) + "\n").encode()
-                    ctype = "application/json"
-                elif self.path.split("?")[0] == "/healthz":
-                    body, ctype = b"ok\n", "text/plain"
-                else:
-                    self.send_error(404)
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):  # silence access logging
-                pass
-
-        self._server = ThreadingHTTPServer((host, int(port)), Handler)
-        self._server.daemon_threads = True
-        self.host = host
-        self.port = int(self._server.server_address[1])
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True, name="repro-metrics"
-        )
-        self._thread.start()
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-
-    def __enter__(self) -> "MetricsServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # -- supervisor phase accounting --------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.jobs import (
     run_job_inline,
 )
 from repro.jobs.__main__ import main as jobs_main
+from repro.jobs.breaker import STATE_CODES
 
 from ..conftest import needs_cc
 from .fleets import FLEETS
@@ -252,6 +253,6 @@ def test_cli_chaos_and_breaker_follow_the_requested_rung(tmp_path, capsys):
         assert engines == ["c"] * first_wave + ["fused"] * (5 - first_wave), workers
         first = payload["jobs"][0]
         assert first["fallbacks"] == [{"failed": "c", "degraded_to": "fused"}]
-        status = json.loads((workdir / METRICS_NAME).read_text())["status"]
-        assert status["breaker"]["engine"] == "c"
-        assert status["breaker"]["state"] == "open"
+        snap = json.loads((workdir / METRICS_NAME).read_text())
+        state = snap["metrics"]["repro_breaker_state"]["series"]
+        assert state == [{"labels": {"engine": "c"}, "value": STATE_CODES["open"]}]

@@ -4,10 +4,13 @@ journal-replay fallback, and the machine-readable --json dump."""
 from __future__ import annotations
 
 import json
+import os
+import signal
 
 import pytest
 
-from repro.jobs import METRICS_NAME, JobSpec, run_batch
+from repro.jobs import METRICS_NAME, CircuitBreaker, JobPool, JobSpec, run_batch
+from repro.jobs.breaker import STATE_CODES
 from repro.jobs.status import (
     _quantile,
     journal_stats,
@@ -107,3 +110,54 @@ def test_quantile_interpolates_snapshot_histograms():
     assert 0.1 <= _quantile(entry, 0.5) <= 1.0
     assert _quantile(entry, 0.99) == 1.0  # overflow saturates to last edge
     assert _quantile({"count": 0, "buckets": {}}, 0.5) is None
+
+
+def test_journal_counts_each_job_once_across_a_drain_and_resume(tmp_path):
+    """A drained job journals ``interrupted`` and, after the resume, also
+    ``completed``: the replay folds the records, so it is one completed job."""
+    specs = [JobSpec(f"d{i}", example="acoustic", nt=16, seed=i) for i in range(3)]
+
+    def stream():
+        yield specs[0]
+        yield specs[1]
+        os.kill(os.getpid(), signal.SIGTERM)
+        yield specs[2]
+
+    pool = JobPool(workers=0, capacity=1, workdir=tmp_path)
+    pool.submit(stream())
+    assert pool.run().drained
+    assert JobPool.resume(tmp_path, workers=0).run().completed == 3
+    stats = journal_stats(tmp_path)
+    assert stats["statuses"] == {"completed": 3}
+    assert stats["tenants"]["default"]["failed"] == 0
+    assert "tenant default: 3/3 completed, " in render_status(None, stats)
+
+
+def test_breaker_line_reads_the_gauge_and_the_transition_counter():
+    snapshot = {"metrics": {
+        "repro_breaker_state": {"series": [
+            {"labels": {"engine": "c"}, "value": float(STATE_CODES["half_open"])},
+        ]},
+        "repro_breaker_transitions_total": {"series": [
+            {"labels": {"engine": "c", "state": "open"}, "value": 1.0},
+            {"labels": {"engine": "c", "state": "half_open"}, "value": 1.0},
+        ]},
+    }}
+    text = render_status(snapshot, None)
+    assert "breaker[c]: half_open (2 transition(s))" in text.splitlines()
+
+
+def test_elapsed_cooldown_shows_half_open_in_the_snapshot(tmp_path):
+    now = [0.0]
+    breaker = CircuitBreaker(threshold=1, cooldown=10.0, clock=lambda: now[0])
+    pool = JobPool(workers=0, workdir=tmp_path, breaker=breaker)
+    breaker.record_failure("fused")
+    pool._write_status()
+    assert "breaker[fused]: open (1 transition(s))" in render_status(
+        load_status(tmp_path), None
+    )
+    now[0] = 10.0  # nothing touched the breaker since: the refresh reads it
+    pool._write_status()
+    assert "breaker[fused]: half_open (2 transition(s))" in render_status(
+        load_status(tmp_path), None
+    )

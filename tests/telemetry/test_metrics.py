@@ -1,14 +1,12 @@
-"""Metrics registry: instrument semantics, the family catalogue's
-self-check, exposition format, snapshot schema, the HTTP endpoint, and the
-phase accountant's exclusivity."""
+"""Metrics registry: instrument semantics on catalogue families, the family
+catalogue's self-check, the snapshot schema, and the phase accountant's
+exclusivity."""
 
 from __future__ import annotations
 
 import json
 import math
 import re
-import threading
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -18,38 +16,33 @@ from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     SNAPSHOT_VERSION,
     MetricsRegistry,
-    MetricsServer,
     PhaseAccountant,
-    validate_exposition,
 )
 
 
 # -- instruments -------------------------------------------------------------------------
 def test_counter_monotonic_and_labelled():
-    reg = MetricsRegistry()
-    c = reg.counter("things_total", "things", ("kind",))
-    c.inc(kind="a")
-    c.inc(2.5, kind="a")
-    c.inc(kind="b")
-    assert c.value(kind="a") == 3.5
-    assert c.value(kind="b") == 1.0
-    assert c.value(kind="never") == 0.0
+    c = MetricsRegistry().instrument("jobs_retried_total")
+    c.inc()
+    c.inc(2.5)
+    assert c.value() == 3.5
     with pytest.raises(ValueError):
-        c.inc(-1, kind="a")
+        c.inc(-1)
 
 
 def test_label_set_is_enforced():
-    reg = MetricsRegistry()
-    c = reg.counter("x_total", "", ("lane",))
+    c = MetricsRegistry().instrument("jobs_admitted_total")
+    c.inc(lane="batch", tenant="acme")
+    assert c.value(lane="batch", tenant="acme") == 1.0
+    assert c.value(lane="bulk", tenant="acme") == 0.0
     with pytest.raises(ValueError):
-        c.inc()  # missing the declared label
+        c.inc(lane="batch")  # missing a declared label
     with pytest.raises(ValueError):
-        c.inc(lane="a", tenant="t")  # undeclared label
+        c.inc(lane="batch", tenant="acme", job="j0")  # undeclared label
 
 
 def test_gauge_set_inc_dec_remove():
-    reg = MetricsRegistry()
-    g = reg.gauge("depth", "", ("lane",))
+    g = MetricsRegistry().instrument("queue_depth")
     g.set(3, lane="batch")
     g.set(2, lane="batch")
     assert g.value(lane="batch") == 2.0
@@ -57,151 +50,64 @@ def test_gauge_set_inc_dec_remove():
 
 
 def test_histogram_buckets_sum_count_quantile():
-    reg = MetricsRegistry()
-    h = reg.histogram("lat", "", buckets=(0.1, 1.0, 10.0))
+    h = MetricsRegistry().instrument("attempt_seconds")
+    assert h.buckets == DEFAULT_BUCKETS
     for v in (0.05, 0.5, 0.5, 5.0):
-        h.observe(v)
-    assert h.count() == 4
-    assert h.sum() == pytest.approx(6.05)
-    # p50 falls in the (0.1, 1.0] bucket
-    q = h.quantile(0.5)
-    assert 0.1 <= q <= 1.0
-    assert h.quantile(0.0) == pytest.approx(0.0, abs=0.1)
+        h.observe(v, outcome="completed")
+    assert h.count(outcome="completed") == 4
+    assert h.sum(outcome="completed") == pytest.approx(6.05)
+    # p50 falls in the (0.25, 0.5] bucket
+    q = h.quantile(0.5, outcome="completed")
+    assert 0.25 <= q <= 0.5
+    assert h.quantile(0.0, outcome="completed") == pytest.approx(0.0, abs=0.05)
+    assert h.count(outcome="crash") == 0
 
 
 def test_histogram_overflow_saturates_to_last_edge():
-    reg = MetricsRegistry()
-    h = reg.histogram("lat2", "", buckets=(0.1, 1.0))
-    h.observe(50.0)
-    assert h.quantile(0.99) == 1.0
+    h = MetricsRegistry().instrument("attempt_seconds")
+    h.observe(500.0, outcome="hang")
+    assert h.quantile(0.99, outcome="hang") == 60.0
 
 
 def test_histogram_empty_quantile_is_none():
-    reg = MetricsRegistry()
-    h = reg.histogram("lat3", "")
-    assert h.quantile(0.5) is None
-
-
-def test_get_or_create_returns_same_instrument():
-    reg = MetricsRegistry()
-    assert reg.counter("a_total") is reg.counter("a_total")
-    with pytest.raises(ValueError):
-        reg.gauge("a_total")  # same name, different kind
-    with pytest.raises(ValueError):
-        reg.counter("a_total", labelnames=("x",))  # different labels
-
-
-def test_invalid_names_rejected():
-    reg = MetricsRegistry()
-    with pytest.raises(ValueError):
-        reg.counter("bad name")
-    with pytest.raises(ValueError):
-        reg.counter("ok_total", labelnames=("bad-label",))
+    h = MetricsRegistry().instrument("attempt_seconds")
+    assert h.quantile(0.5, outcome="completed") is None
 
 
 # -- export ------------------------------------------------------------------------------
 def test_snapshot_is_versioned_and_json_roundtrips():
     reg = MetricsRegistry()
-    reg.counter("jobs_total", "jobs", ("lane",)).inc(lane="batch")
-    reg.histogram("lat", "latency").observe(0.2)
+    reg.instrument("jobs_admitted_total").inc(lane="batch", tenant="acme")
+    reg.instrument("attempt_seconds").observe(0.2, outcome="completed")
     snap = reg.snapshot()
     assert snap["version"] == SNAPSHOT_VERSION
     assert snap["namespace"] == "repro"
     snap2 = json.loads(json.dumps(snap))
-    fam = snap2["metrics"]["repro_jobs_total"]
+    assert set(snap2["metrics"]) == {f"repro_{family}" for family in CATALOGUE}
+    fam = snap2["metrics"]["repro_jobs_admitted_total"]
     assert fam["type"] == "counter"
-    assert fam["series"][0] == {"labels": {"lane": "batch"}, "value": 1.0}
-    hist = snap2["metrics"]["repro_lat"]["series"][0]
-    assert hist["count"] == 1
+    assert fam["labelnames"] == ["lane", "tenant"]
+    assert fam["series"] == [{"labels": {"lane": "batch", "tenant": "acme"}, "value": 1.0}]
+    hist = snap2["metrics"]["repro_attempt_seconds"]["series"][0]
+    assert hist["labels"] == {"outcome": "completed"}
+    assert hist["count"] == 1 and hist["sum"] == 0.2
+    assert hist["buckets"]["0.1"] == 0 and hist["buckets"]["0.25"] == 1
     assert hist["buckets"]["+Inf"] == 1  # cumulative
-
-
-def test_exposition_is_valid_prometheus_text():
-    reg = MetricsRegistry()
-    reg.counter("jobs_total", "total jobs", ("lane",)).inc(lane="batch")
-    reg.gauge("depth", "queue depth").set(3)
-    reg.histogram("lat", "latency", ("outcome",)).observe(0.01, outcome="ok")
-    text = reg.exposition()
-    families = validate_exposition(text)
-    assert families["repro_jobs_total"]["type"] == "counter"
-    assert families["repro_lat"]["type"] == "histogram"
-    # histogram renders one bucket line per edge plus +Inf, sum, count
-    assert families["repro_lat"]["samples"] == len(DEFAULT_BUCKETS) + 1 + 2
-    assert 'lane="batch"' in text
-
-
-def test_validate_exposition_rejects_malformations():
-    with pytest.raises(ValueError):
-        validate_exposition("repro_x 1\n")  # sample without TYPE
-    with pytest.raises(ValueError):
-        validate_exposition("# TYPE repro_x wat\nrepro_x 1\n")
-    good = "# TYPE x histogram\n"
-    with pytest.raises(ValueError):  # histogram without +Inf
-        validate_exposition(good + 'x_bucket{le="1"} 1\nx_sum 1\nx_count 1\n')
-    with pytest.raises(ValueError):  # cumulative counts decrease
-        validate_exposition(
-            good + 'x_bucket{le="1"} 2\nx_bucket{le="+Inf"} 1\nx_sum 1\nx_count 1\n'
-        )
-
-
-def test_exposition_escapes_label_values():
-    reg = MetricsRegistry()
-    reg.counter("esc_total", "", ("msg",)).inc(msg='he said "hi"\nbye')
-    validate_exposition(reg.exposition())  # must still parse
+    assert snap2["metrics"]["repro_queue_depth"]["series"] == []  # nothing set
 
 
 def test_write_json_atomic(tmp_path):
     reg = MetricsRegistry()
-    reg.counter("hits_total", "hits").inc()
+    reg.instrument("jobs_retried_total").inc()
     path = tmp_path / "m.json"
     path.write_text("an older snapshot")
     reg.write_json(path, extra={"a": 1})
     snap = json.loads(path.read_text())
     assert snap["a"] == 1 and snap["version"] == SNAPSHOT_VERSION
-    assert "repro_hits_total" in snap["metrics"]
+    assert snap["metrics"]["repro_jobs_retried_total"]["series"] == [
+        {"labels": {}, "value": 1.0}
+    ]
     assert not (tmp_path / "m.json.tmp").exists()
-
-
-# -- HTTP endpoint -----------------------------------------------------------------------
-def test_metrics_server_serves_exposition_snapshot_and_health():
-    reg = MetricsRegistry()
-    reg.counter("hits_total", "hits").inc()
-    with MetricsServer(reg, port=0) as server:
-        assert server.port > 0
-        text = urllib.request.urlopen(f"{server.url}/metrics").read().decode()
-        families = validate_exposition(text)
-        assert families["repro_hits_total"]["samples"] == 1
-        snap = json.loads(
-            urllib.request.urlopen(f"{server.url}/metrics.json").read()
-        )
-        assert snap["version"] == SNAPSHOT_VERSION
-        ok = urllib.request.urlopen(f"{server.url}/healthz").read()
-        assert ok == b"ok\n"
-        with pytest.raises(urllib.error.HTTPError):
-            urllib.request.urlopen(f"{server.url}/nope")
-
-
-def test_metrics_server_scrape_while_recording():
-    """The server thread scrapes concurrently with a writer without
-    torn/invalid exposition output."""
-    reg = MetricsRegistry()
-    c = reg.counter("spin_total", "")
-    stop = threading.Event()
-
-    def writer():
-        while not stop.is_set():
-            c.inc()
-
-    t = threading.Thread(target=writer)
-    t.start()
-    try:
-        with MetricsServer(reg, port=0) as server:
-            for _ in range(10):
-                text = urllib.request.urlopen(f"{server.url}/metrics").read()
-                validate_exposition(text.decode())
-    finally:
-        stop.set()
-        t.join()
 
 
 # -- the family catalogue ----------------------------------------------------------------
@@ -209,8 +115,10 @@ def test_instrument_creates_exactly_what_the_catalogue_declares():
     reg = MetricsRegistry()
     for family, (kind, labels, _reader, doc) in CATALOGUE.items():
         metric = reg.instrument(family)
-        assert (metric.kind, metric.labelnames, metric.help) == (kind, labels, doc)
-        assert metric is reg.instrument(family)  # get-or-create
+        assert (metric.name, metric.kind, metric.labelnames, metric.help) == (
+            f"repro_{family}", kind, labels, doc
+        )
+        assert metric is reg.instrument(family)  # a lookup, not a new instrument
     with pytest.raises(KeyError):
         reg.instrument("retries_total")  # deleted: nobody read it
 
