@@ -16,12 +16,13 @@ complete (at time-tile boundaries).
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..dsl.functions import TimeFunction
-from ..dsl.interpolation import linear_index
+from ..dsl.interpolation import check_flat_view, linear_index
 from .decompose import DecomposedReceiver, DecomposedSource
 
 __all__ = ["AlignedInjection", "AlignedReceiver"]
@@ -29,33 +30,43 @@ __all__ = ["AlignedInjection", "AlignedReceiver"]
 Box = Tuple[Tuple[int, int], ...]
 
 
-class AlignedInjection:
-    """Executable grid-aligned injection over boxes.
+class _Aligned:
+    """What both executors share: the target field (whose buffers must have
+    a flat view, checked here, once), the masks, and *c*, a
+    :class:`repro.ir.cgen.SparseKernels` passed when the plan bound the C
+    engine — it replaces the Python bodies with the compiled Listing-5 loops
+    over ``nnz`` / ``Sp_SID``: same arithmetic, same returned counts."""
 
-    Holds one linear index per affected point into the flat view of a padded
-    time buffer and gathers a box's slice of it per call: memoising that per
-    box costs more resident memory than the gather saves (DESIGN.md §2).
+    def __init__(self, decomposed, field: TimeFunction, c):
+        if field.name != decomposed.field_name:
+            raise ValueError(
+                f"decomposition targets field {decomposed.field_name!r}, got {field.name!r}"
+            )
+        check_flat_view(field.buffer(0))
+        self.field = field
+        self.masks = decomposed.masks
+        self.time_offset = decomposed.time_offset
+        self._c = c
 
-    *c* (a :class:`repro.ir.cgen.SparseKernels`, passed when the plan bound
-    the C engine) replaces that body with the compiled Listing-5 loop over
-    ``nnz`` / ``Sp_SID`` / ``SID``; same additions, same returned count.
-    """
+    @functools.cached_property
+    def _lin(self) -> np.ndarray:
+        """One linear index per affected point into the flat view of a padded
+        time buffer, built when a Python body first needs it (the C kernels
+        never do).  A box's slice is gathered per call: memoising that per
+        box costs more resident memory than the gather saves (DESIGN.md §2)."""
+        return linear_index(self.masks.points, self.field.halo, self.field.buffer(0))
+
+
+class AlignedInjection(_Aligned):
+    """Executable grid-aligned injection over boxes."""
 
     def __init__(self, dsrc: DecomposedSource, field: TimeFunction, c=None):
-        if field.name != dsrc.field_name:
-            raise ValueError(
-                f"decomposition targets field {dsrc.field_name!r}, got {field.name!r}"
-            )
+        super().__init__(dsrc, field, c)
         self.dsrc = dsrc
-        self.field = field
-        self.masks = dsrc.masks
-        self.time_offset = dsrc.time_offset
         self.nt = dsrc.data.shape[0]
-        self._lin = linear_index(self.masks.points, field.halo, field.buffer(0))
         # convert the decomposed amplitudes to the field dtype once -- the hot
         # apply() path previously paid an astype per (t, box) instance
         self._amplitudes = np.ascontiguousarray(dsrc.data, dtype=field.dtype)
-        self._c = c
         self._rows = self._amplitudes.ctypes.data, self._amplitudes.strides[0]
 
     def apply(self, t: int, box: Optional[Box] = None) -> int:
@@ -87,31 +98,25 @@ class AlignedInjection:
         return self.masks.npts
 
 
-class AlignedReceiver:
+class AlignedReceiver(_Aligned):
     """Executable grid-aligned measurement over boxes.
 
     ``gather(t, box)`` stages field values of affected points in the box for
     timestep ``t + offset``; ``finalize(rows)`` reconstructs the receiver
-    samples for completed timesteps and clears the staging storage.  *c* as
-    for :class:`AlignedInjection`: ``stage[SID[p]] = (double)u[p]`` in C.
+    samples for completed timesteps and clears the staging storage.  With *c*
+    both run in C: ``stage[id] = (double)u[p]``, then the weight matrix
+    applied to the staging row.
     """
 
     def __init__(
         self, drec: DecomposedReceiver, field: TimeFunction, output: np.ndarray, c=None
     ):
-        if field.name != drec.field_name:
-            raise ValueError(
-                f"decomposition targets field {drec.field_name!r}, got {field.name!r}"
-            )
+        super().__init__(drec, field, c)
         self.drec = drec
-        self.field = field
-        self.masks = drec.masks
-        self.time_offset = drec.time_offset
         self.output = output  # (nt, npoint) receiver traces
-        self._lin = linear_index(self.masks.points, field.halo, field.buffer(0))
         self._staging: Dict[int, np.ndarray] = {}
-        self._c = c
         self._stage_addr: Dict[int, int] = {}  # row -> staging address, for C
+        self._reconstruct = c.reconstruction(drec.weights, output) if c is not None else None
 
     def _row(self, t: int) -> Optional[np.ndarray]:
         row = t + self.time_offset
@@ -147,18 +152,25 @@ class AlignedReceiver:
         return ids.size
 
     def finalize(self, t: int) -> None:
-        """Reconstruct receiver samples for iteration *t* (wavefield complete)."""
+        """Reconstruct receiver samples for iteration *t* (wavefield complete).
+
+        Reconstruction stays in float64 — weights and staging precision
+        matter for bit-identity with the raw off-grid path — and casts once
+        to the trace dtype.  On the C rung ``aligned_reconstruct_*`` does it
+        with the operations of ``weights.dot(stage)``: per receiver, from
+        0.0, the row's entries added in stored order, so the two agree at 0
+        ulp."""
         row = t + self.time_offset
         stage = self._staging.pop(row, None)
-        self._stage_addr.pop(row, None)
+        address = self._stage_addr.pop(row, None)
         if stage is None:
             if 0 <= row < self.output.shape[0] and self.masks.npts == 0:
                 self.output[row] = 0.0
             return
-        # reconstruction stays in float64 (weights/staging precision matters
-        # for bit-identity with the raw off-grid path); the assignment below
-        # performs the single cast to the trace dtype
-        self.output[row] = self.drec.weights.dot(stage[: max(self.masks.npts, 1)])
+        if self._reconstruct is not None:
+            self._reconstruct(row, address)
+        else:
+            self.output[row] = self.drec.weights.dot(stage[: max(self.masks.npts, 1)])
 
     def pending_rows(self):
         return sorted(self._staging)

@@ -26,6 +26,7 @@ __all__ = [
     "corner_offsets",
     "multilinear_coefficients",
     "support_points",
+    "check_flat_view",
     "linear_index",
     "inject_values",
     "interpolate_values",
@@ -123,20 +124,25 @@ def support_points(coords: np.ndarray, grid: Grid) -> Tuple[np.ndarray, np.ndarr
     return indices, weights
 
 
-def linear_index(indices: np.ndarray, halo: int, buffer: np.ndarray) -> np.ndarray:
-    """Position of each interior grid index in ``buffer.reshape(-1)``.
-
-    ``indices`` has shape ``(..., ndim)``; the result drops the last axis.
-    Sparse operators compute this once and then scatter/gather through the
-    flat view of a *padded* buffer, which is only a view of a C-contiguous
-    buffer — on any other layout ``reshape`` copies and an injection into it
-    is silently lost, hence the check here, at construction, not per call.
-    """
+def check_flat_view(buffer: np.ndarray) -> None:
+    """Sparse operators scatter/gather through the flat view of a *padded*
+    buffer, which is only a view of a C-contiguous buffer — on any other
+    layout ``reshape`` copies and an injection into it is silently lost,
+    hence this check, at construction, not per call."""
     if not buffer.flags.c_contiguous:
         raise PlanValidationError(
             f"sparse operators need a C-contiguous field buffer, got strides "
             f"{buffer.strides} for shape {buffer.shape}"
         )
+
+
+def linear_index(indices: np.ndarray, halo: int, buffer: np.ndarray) -> np.ndarray:
+    """Position of each interior grid index in ``buffer.reshape(-1)``
+    (:func:`check_flat_view` first).
+
+    ``indices`` has shape ``(..., ndim)``; the result drops the last axis.
+    """
+    check_flat_view(buffer)
     return np.ravel_multi_index(tuple(np.moveaxis(indices, -1, 0) + halo), buffer.shape)
 
 

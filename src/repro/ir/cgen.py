@@ -9,7 +9,9 @@ vectorised, scratch slots as scalar locals.  There is no second front end:
 the lint, the dtype audit and the liveness check read the very program this
 emitter consumes.
 :data:`SPARSE_SOURCE` holds the static (not generated) Listing-5 kernels of
-the grid-aligned injection and receiver gather.
+the grid-aligned injection and receiver gather — the id of slot ``z2`` of
+pencil ``p`` is ``start[p] + z2``, never a read of the grid-sized ``SID`` —
+and the receivers' reconstruction, the operations of SciPy's ``csr_matvec``.
 
 **FP contract.**  C and the fused NumPy kernel agree at 0 ulp because only
 IEEE correctly-rounded operations are eligible (:data:`ELIGIBLE_OPS`, operand
@@ -26,10 +28,13 @@ model of a physics x space order x dtype x rank.
 instance independent, so the leading loops sit under one ``omp parallel for``
 (Listing 6: threads share a ``(tile, t)`` instance) and every point is still
 computed by the same statement sequence: a team of N equals a team of one at
-0 ulp.  There is no thread option: the team is the OpenMP runtime's default
-(the CPUs this process may run on), boxes under :data:`PARALLEL_MIN_POINTS`
-stay on the caller, and a forked child runs teams of one
-(:func:`_after_fork_in_child`).
+0 ulp.  The sparse kernels thread their pencil walk (their receiver rows)
+the same way: every affected point (trace sample) is written by exactly one
+iteration, and the point counts are an integer ``reduction``.  There is no
+thread option: the team is the OpenMP runtime's default (the CPUs this
+process may run on), boxes under :data:`PARALLEL_MIN_POINTS` points (under
+:data:`SPARSE_PARALLEL_MIN` ids) stay on the caller, and a forked child runs
+teams of one (:func:`_after_fork_in_child`).
 
 **Cache.**  :func:`build` keeps one shared object per ``sha256(source, flags,
 compiler identity, host ISA flags)`` under ``${XDG_CACHE_HOME:-~/.cache}/
@@ -64,6 +69,7 @@ from .nodes import TAProgram
 __all__ = [
     "FLAGS",
     "PARALLEL_MIN_POINTS",
+    "SPARSE_PARALLEL_MIN",
     "ELIGIBLE_OPS",
     "SPARSE_SOURCE",
     "emit_sweep",
@@ -84,6 +90,12 @@ FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fopenmp", "-shared", "-f
 #: sweep: at 1 152 points (2x4x144) two threads lose, 4.0 -> 4.6 us per
 #: instance; at 2 304 (4x4x144) they first win, 6.0 -> 5.5 us
 PARALLEL_MIN_POINTS = 2048
+
+#: the sparse kernels' ``if`` clause: a box whose pencils span fewer ids (a
+#: matrix with fewer entries) runs on the calling thread alone.  Measured
+#: like :data:`PARALLEL_MIN_POINTS`: two threads lose at 1 420 ids, first win
+#: at 1 896; the reconstruction first wins at 2 048 entries (DESIGN.md §2)
+SPARSE_PARALLEL_MIN = 2048
 
 #: instruction -> C operator (``None``: spelled out in :func:`emit_sweep`)
 ELIGIBLE_OPS = {
@@ -222,12 +234,36 @@ def emit_sweep(program: TAProgram, dims: Sequence[str], name: str = "sweep") -> 
     return "#include <stdint.h>\n#include <math.h>\n\n" + "\n".join(lines) + "\n"
 
 
+_SPARSE_HEADER = """#include <stdint.h>
+
+#define SPARSE_PARALLEL_MIN MIN_IDS
+
+typedef struct {
+  const int32_t *nnz, *Sp_SID; /* nnz[x][y], Sp_SID[x][y][z2] */
+  const int64_t *start;        /* nnz[0] + ... + nnz[p - 1]: id of slot 0 of pencil p */
+  int64_t ny, max_nnz;         /* mask extents */
+  int64_t sx, sy;              /* field byte strides; z is contiguous */
+} masks_t;
+
+/* how many ids the pencils of box = {x0, x1, y0, y1, z0, z1} span, one
+   row of pencils at a time: the work measure of the if clauses below */
+static int64_t id_span(const masks_t *m, const int64_t *box)
+{
+  int64_t ids = 0;
+  for (int64_t x = box[0]; x < box[1]; ++x)
+    ids += m->start[x * m->ny + box[3]] - m->start[x * m->ny + box[2]];
+  return ids;
+}
+"""
+
 _SPARSE_TEMPLATE = """
-/* Listing 5: u[t+k][x][y][zind] += src_dcmp[t][SID[x][y][zind]] over the
-   affected points of box = {x0, x1, y0, y1, z0, z1}; returns how many */
+/* Listing 5: u[t+k][x][y][zind] += src_dcmp[t][id] over the affected points
+   of box; ids follow the sorted key order, so slot z2 of pencil p is id
+   start[p] + z2.  Returns how many points it touched */
 int64_t aligned_inject_SFX(const masks_t *m, const int64_t *box, char *u, const REAL *src_dcmp_t)
 {
   int64_t count = 0;
+#pragma omp parallel for collapse(2) schedule(static) reduction(+:count) if(id_span(m, box) >= SPARSE_PARALLEL_MIN)
   for (int64_t x = box[0]; x < box[1]; ++x)
     for (int64_t y = box[2]; y < box[3]; ++y) {
       const int64_t p = x * m->ny + y;
@@ -235,17 +271,18 @@ int64_t aligned_inject_SFX(const masks_t *m, const int64_t *box, char *u, const 
       for (int32_t z2 = 0; z2 < m->nnz[p]; ++z2) {
         const int64_t zind = m->Sp_SID[p * m->max_nnz + z2];
         if (zind < box[4] || zind >= box[5]) continue;
-        row[zind] += src_dcmp_t[m->SID[p * m->nz + zind]];
+        row[zind] += src_dcmp_t[m->start[p] + z2];
         ++count;
       }
     }
   return count;
 }
 
-/* the receiver side: stage[SID[x][y][zind]] = u[t+k][x][y][zind] */
+/* the receiver side: stage[id] = u[t+k][x][y][zind] */
 int64_t aligned_gather_SFX(const masks_t *m, const int64_t *box, const char *u, double *stage)
 {
   int64_t count = 0;
+#pragma omp parallel for collapse(2) schedule(static) reduction(+:count) if(id_span(m, box) >= SPARSE_PARALLEL_MIN)
   for (int64_t x = box[0]; x < box[1]; ++x)
     for (int64_t y = box[2]; y < box[3]; ++y) {
       const int64_t p = x * m->ny + y;
@@ -253,27 +290,34 @@ int64_t aligned_gather_SFX(const masks_t *m, const int64_t *box, const char *u, 
       for (int32_t z2 = 0; z2 < m->nnz[p]; ++z2) {
         const int64_t zind = m->Sp_SID[p * m->max_nnz + z2];
         if (zind < box[4] || zind >= box[5]) continue;
-        stage[m->SID[p * m->nz + zind]] = (double)row[zind];
+        stage[m->start[p] + z2] = (double)row[zind];
         ++count;
       }
     }
   return count;
 }
+
+/* receiver traces: out[r] = (REAL) sum of w[k] * stage[col[k]] over the CSR
+   entries of row r in stored order, from 0.0 in double -- the operations of
+   SciPy's csr_matvec, then one cast */
+void aligned_reconstruct_SFX(int64_t nrows, const int32_t *indptr, const int32_t *col,
+                             const double *w, const double *stage, REAL *out)
+{
+#pragma omp parallel for schedule(static) if(indptr[nrows] >= SPARSE_PARALLEL_MIN)
+  for (int64_t r = 0; r < nrows; ++r) {
+    double sum = 0.0;
+    for (int32_t k = indptr[r]; k < indptr[r + 1]; ++k)
+      sum += w[k] * stage[col[k]];
+    out[r] = (REAL)sum;
+  }
+}
 """
 
 #: the static sparse unit: grid-aligned injection and gather over the pencils
-#: of a box, per field dtype.  Grids of rank < 3 pad leading extents to 1.
-SPARSE_SOURCE = (
-    "#include <stdint.h>\n\n"
-    "typedef struct {\n"
-    "  const int32_t *nnz, *Sp_SID, *SID; /* nnz[x][y], Sp_SID[x][y][z2], SID[x][y][z] */\n"
-    "  int64_t ny, nz, max_nnz;           /* mask extents */\n"
-    "  int64_t sx, sy;                    /* field byte strides; z is contiguous */\n"
-    "} masks_t;\n"
-    + "".join(
-        _SPARSE_TEMPLATE.replace("REAL", ctype).replace("SFX", dt)
-        for dt, ctype in _CTYPE.items()
-    )
+#: of a box, per field dtype, and receiver reconstruction, per trace dtype.
+#: Grids of rank < 3 pad leading extents to 1.
+SPARSE_SOURCE = _SPARSE_HEADER.replace("MIN_IDS", str(SPARSE_PARALLEL_MIN)) + "".join(
+    _SPARSE_TEMPLATE.replace("REAL", ctype).replace("SFX", dt) for dt, ctype in _CTYPE.items()
 )
 
 
@@ -422,8 +466,8 @@ def sweep_function(program: TAProgram, dims: Sequence[str]):
 
 
 class _Masks(ctypes.Structure):
-    _fields_ = [(n, ctypes.c_void_p) for n in ("nnz", "Sp_SID", "SID")] + [
-        (n, ctypes.c_int64) for n in ("ny", "nz", "max_nnz", "sx", "sy")
+    _fields_ = [(n, ctypes.c_void_p) for n in ("nnz", "Sp_SID", "start")] + [
+        (n, ctypes.c_int64) for n in ("ny", "max_nnz", "sx", "sy")
     ]
 
 
@@ -432,7 +476,12 @@ class SparseKernels:
     ``inject(t_buffer, box, src_dcmp_row_address)`` and
     ``gather(t_buffer, box, stage_address)`` run Listing 5 over *box* (a
     tuple of ``(lo, hi)`` per dimension, ``None`` = the whole grid) and
-    return the number of affected points visited."""
+    return the number of affected points visited; :meth:`reconstruction`
+    binds a receiver weight matrix.  The kernels read the id of slot ``z2``
+    of pencil ``p`` as ``start[p] + z2``, ``start`` being the prefix sum of
+    ``nnz`` built here once (ids follow the sorted key order, which
+    ``runtime.preflight.check_masks`` enforces), never the grid-sized
+    ``SID``."""
 
     def __init__(self, masks, field):
         buf = field.buffer(0)
@@ -445,15 +494,20 @@ class SparseKernels:
         for fn in (self._inject, self._gather):
             fn.argtypes = (ctypes.c_void_p,) * 4
             fn.restype = ctypes.c_int64
+        self._reconstruct = {dt: getattr(lib, f"aligned_reconstruct_{dt}") for dt in _CTYPE}
+        for fn in self._reconstruct.values():
+            fn.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 5
+            fn.restype = None
         # the tables are read through raw pointers: keep them alive here
-        self._tables = tuple(
-            np.ascontiguousarray(a, dtype=np.int32) for a in (masks.nnz, masks.sp_sid, masks.sid)
-        )
+        nnz = np.ascontiguousarray(masks.nnz, dtype=np.int32)
+        start = np.zeros(nnz.size + 1, dtype=np.int64)
+        np.cumsum(nnz.reshape(-1), out=start[1:])
+        self._tables = (nnz, np.ascontiguousarray(masks.sp_sid, dtype=np.int32), start)
         shape = (1,) * (3 - ndim) + tuple(masks.grid.shape)
         strides = (0,) * (3 - ndim) + buf.strides
         self._masks = _Masks(
             *(a.ctypes.data for a in self._tables),
-            shape[1], shape[2], masks.max_nnz, strides[0], strides[1],
+            shape[1], masks.max_nnz, strides[0], strides[1],
         )
         self._maddr = ctypes.addressof(self._masks)
         # interior origin of each time buffer: Function storage is written in
@@ -489,3 +543,26 @@ class SparseKernels:
 
     def gather(self, t: int, box, stage_address: int) -> int:
         return self._run(self._gather, t, box, stage_address)
+
+    def reconstruction(self, weights, output: np.ndarray):
+        """``fn(row, stage_address)`` setting ``output[row] = weights @ stage``
+        with the operations of ``weights.dot(stage)`` (0 ulp apart), or
+        ``None`` when *weights* is not an int32-indexed float64 CSR matrix or
+        *output* not a C-contiguous float32/float64 ``(nt, nrows)`` array.
+        Both are read in place: the caller keeps them alive."""
+        w = weights
+        parts = (w.indptr, w.indices, w.data) if w.format == "csr" else ()
+        if not (
+            parts and w.indptr.dtype == w.indices.dtype == np.int32 and w.data.dtype == np.float64
+            and all(a.flags.c_contiguous for a in parts + (output,))
+            and output.dtype.name in _CTYPE and output.shape[1:] == w.shape[:1]
+        ):
+            return None
+        fn = self._reconstruct[output.dtype.name]
+        args = (w.shape[0], *(a.ctypes.data for a in parts))
+        base, stride = output.ctypes.data, output.strides[0]
+
+        def reconstruct(row: int, stage_address: int) -> None:
+            fn(*args, stage_address, base + row * stride)
+
+        return reconstruct

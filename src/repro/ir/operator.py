@@ -77,6 +77,9 @@ class Operator:
         self.sparse_ops: List[SparseOp] = list(sparse)
         self.grid = self._infer_grid()
         self.sweeps: List[Sweep] = build_sweeps(eqs)
+        # per-sweep read radius: equations are immutable, so walked once here,
+        # not on every bind
+        self.sweep_radii: List[int] = [s.read_radius() for s in self.sweeps]
         # precomputation caches (shared with TemporalBlockingPipeline), keyed
         # by the sparse function / operator *object*: unlike a name, it is
         # unique, and unlike an id() it cannot be recycled while cached
@@ -119,10 +122,6 @@ class Operator:
     def wavefront_angle(self) -> int:
         """Skew per timestep needed by wavefront blocking (Figs. 7/8)."""
         return wavefront_angle(self.sweeps)
-
-    @property
-    def sweep_radii(self) -> List[int]:
-        return [s.read_radius() for s in self.sweeps]
 
     def injections(self) -> List[Injection]:
         return [s for s in self.sparse_ops if isinstance(s, Injection)]
@@ -371,7 +370,7 @@ class Operator:
         plan = ExecutionPlan(
             grid=self.grid,
             sweeps=bound_sweeps,
-            radii=self.sweep_radii,
+            radii=list(self.sweep_radii),
         )
         for inj in self.injections():
             j = self._sweep_index_for(inj.field.name, inj.time_offset)
@@ -570,7 +569,8 @@ class Operator:
         """The C translation unit the ``"c"`` engine runs at timestep *dt*:
         one function per sweep (the paper's stencil nest, Listings 1/4) and,
         for an operator with sparse operators, the static grid-aligned
-        injection / gather kernels (Listing 5).  The time and tile loops of
+        injection / gather kernels (Listing 5, threaded over pencils) and
+        the receiver reconstruction.  The time and tile loops of
         Listing 6 are :func:`repro.core.scheduler.lower`'s step list.  Emitted
         from the C rung's own front half, so no compiler is needed.  Raises
         :class:`~repro.errors.EngineCompilationError` for a sweep the C rung

@@ -12,8 +12,9 @@ of avoidable aborts:
   against the physical domain (:func:`check_coordinates`, delegating to the
   single implementation in :mod:`repro.dsl.interpolation`).
 * **Structure** — shape/consistency of the precomputed sparse structures:
-  the binary mask ``SM``, the id map ``SID``, the compressed ``nnz``/
-  ``Sp_SID`` pair and the decomposed wavelet matrix ``src_dcmp``
+  the binary mask ``SM``, the id map ``SID`` (and its sorted id order), the
+  compressed ``nnz``/``Sp_SID`` pair and the decomposed wavelet matrix
+  ``src_dcmp``
   (:func:`check_masks`, :func:`check_source`, :func:`check_receiver`).
 
 :func:`validate_plan` runs the structural checks over a bound
@@ -66,7 +67,9 @@ def check_coordinates(sparse_fn) -> None:
 
 
 def check_masks(masks) -> None:
-    """SM/SID/nnz/Sp_SID consistency; memoised per masks object."""
+    """SM/SID/nnz/Sp_SID consistency, and the sorted id order the C sparse
+    kernels rely on (``SID`` at ``points`` is ``0..npts-1``, so slot ``z2``
+    of pencil ``p`` holds id ``start[p] + z2``); memoised per masks object."""
     if getattr(masks, "_preflight_ok", False):
         return
     grid = masks.grid
@@ -90,6 +93,14 @@ def check_masks(masks) -> None:
     if n_sid != npts:
         raise PlanValidationError(
             f"source-id map assigns {n_sid} id(s) but the mask defines {npts} point(s)"
+        )
+    ids = masks.sid[tuple(masks.points.T)]
+    out_of_order = np.flatnonzero(ids != np.arange(npts))
+    if out_of_order.size:
+        i = int(out_of_order[0])
+        raise PlanValidationError(
+            f"source-id map breaks the sorted key order: affected point {i} "
+            f"{tuple(int(v) for v in masks.points[i])} holds id {int(ids[i])}"
         )
     if masks.nnz.shape != grid.shape[:-1]:
         raise PlanValidationError(

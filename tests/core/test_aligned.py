@@ -148,17 +148,21 @@ def _boxes(shape):
 
 @needs_cc
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(9, 8, 7), (12, 10), (23,)])
+@pytest.mark.parametrize("shape", [(9, 8, 7), (12, 10), (23,), (24, 25, 26)])
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_c_sparse_kernels_match_python_bodies(shape, dtype, data):
     """Random point sets and boxes (empty and one-point ones included), every
-    rank and dtype: same additions, same staged values, same returned count."""
-    from repro.ir.cgen import SparseKernels
+    rank and dtype: same additions, same staged values, same returned count,
+    byte-equal traces.  On the 24x25x26 grid the draw is dense — hundreds of
+    points — so whole-grid and large boxes run on the OpenMP team
+    (``SPARSE_PARALLEL_MIN``) and small ones on the caller."""
+    from repro.ir.cgen import SPARSE_PARALLEL_MIN, SparseKernels
 
     ndim = len(shape)
     grid = Grid(shape=shape, extent=tuple(10.0 * (n - 1) for n in shape), dtype=dtype)
-    npoint = data.draw(st.integers(1, 12))
+    dense = np.prod(shape) >= 24**3
+    npoint = data.draw(st.integers(400, 700) if dense else st.integers(1, 12))
     seed = data.draw(st.integers(0, 2**31))
     rng = np.random.default_rng(seed)
     coords = rng.uniform(0.0, 10.0 * (np.asarray(shape) - 1), size=(npoint, ndim))
@@ -183,6 +187,9 @@ def test_c_sparse_kernels_match_python_bodies(shape, dtype, data):
         )
 
     (u_py, inj_py, rcv_py, rec_py), (u_c, inj_c, rcv_c, rec_c) = fresh(False), fresh(True)
+    if dense:
+        assert inj_c.masks.npts >= SPARSE_PARALLEL_MIN
+        assert rcv_c._reconstruct is not None
     boxes = [None, tuple((0, n) for n in shape)] + data.draw(st.lists(_boxes(shape), max_size=6))
     for t, box in enumerate(boxes):
         t %= nt - 1
@@ -196,3 +203,49 @@ def test_c_sparse_kernels_match_python_bodies(shape, dtype, data):
     for t in range(nt):
         rcv_c.finalize(t), rcv_py.finalize(t)
     assert rec_c.data.tobytes() == rec_py.data.tobytes()
+
+
+@needs_cc
+@pytest.mark.parametrize("case", ["negative-zero-stage", "zero-weight-receiver", "float64-trace"])
+def test_c_reconstruction_is_weights_dot(case):
+    """``aligned_reconstruct_*`` against ``weights.dot(stage)`` cast by the
+    trace assignment, byte for byte, where an accumulation that does not start
+    from +0.0 in double, or skips a stored entry, would show: a stage of -0.0
+    (every product -0.0, the sum +0.0); a receiver whose corners all carry
+    weight 0 over staged infinities (``0 * inf`` is NaN, so its zero-weight
+    entries must be summed too); a float64 trace.  400 receivers: 3 200
+    entries, on the team."""
+    from repro.ir.cgen import SPARSE_PARALLEL_MIN, SparseKernels
+
+    shape, npoint, nt = (14, 13, 12), 400, 3
+    grid = Grid(shape=shape, extent=tuple(10.0 * (n - 1) for n in shape))
+    u = TimeFunction("u", grid, time_order=2, space_order=2)
+    rng = np.random.default_rng(11)
+    if case == "negative-zero-stage":
+        u.data_with_halo[...] = -0.0
+    else:
+        u.data_with_halo[...] = -np.abs(rng.normal(size=u.data_with_halo.shape))
+    coords = rng.uniform(0.0, 10.0 * (np.asarray(shape) - 1), size=(npoint, 3))
+    rec = SparseTimeFunction("rec", grid, npoint=npoint, nt=nt, coordinates=coords)
+    drec = decompose_receiver(rec.interpolate(u))
+    w = drec.weights
+    if case == "zero-weight-receiver":
+        w.data[w.indptr[1]:w.indptr[2]] = 0.0
+    assert w.nnz >= SPARSE_PARALLEL_MIN
+    trace = np.float64 if case == "float64-trace" else np.float32
+    out = np.full((nt, npoint), np.nan, dtype=trace)
+    receiver = AlignedReceiver(drec, u, out, SparseKernels(drec.masks, u))
+    assert receiver._reconstruct is not None
+    receiver.gather(0)
+    (row,) = receiver.pending_rows()
+    if case == "zero-weight-receiver":
+        receiver._staging[row][w.indices[w.indptr[1]:w.indptr[2]]] = np.inf
+    stage = receiver._staging[row].copy()
+    receiver.finalize(0)
+    expected = np.full_like(out, np.nan)
+    expected[row] = w.dot(stage)
+    assert out.tobytes() == expected.tobytes()
+    if case == "negative-zero-stage":
+        assert np.signbit(stage).all() and not np.signbit(out[row]).any()
+    if case == "zero-weight-receiver":
+        assert np.isnan(out[row, 1])

@@ -59,12 +59,14 @@ def test_naive_structure(op):
 
 def test_naive_statement_roles(op):
     """The unit holds one statement of each role: the stencil store, the
-    aligned injection, the receiver gather, and the ``Sp_SID`` indirection."""
+    aligned injection, the receiver gather, the ``Sp_SID`` indirection and
+    the receiver reconstruction."""
     code = op.ccode(DT)
     assert re.search(r"\bo0\[z\] = ", _sweep(code))
-    assert "row[zind] += src_dcmp_t[m->SID[p * m->nz + zind]];" in code
-    assert "stage[m->SID[p * m->nz + zind]] = (double)row[zind];" in code
+    assert "row[zind] += src_dcmp_t[m->start[p] + z2];" in code
+    assert "stage[m->start[p] + z2] = (double)row[zind];" in code
     assert "zind = m->Sp_SID[p * m->max_nnz + z2];" in code
+    assert "sum += w[k] * stage[col[k]];" in code
 
 
 def test_constants_come_from_the_table(op):
@@ -89,8 +91,9 @@ def test_source_depends_on_structure_only(grid3d):
 def test_fused_structure(op):
     code = op.ccode(DT)
     for dtype in ("float32", "float64"):
-        assert f"aligned_inject_{dtype}(" in code and f"aligned_gather_{dtype}(" in code
-    assert "src_dcmp_t[m->SID[" in code
+        for kernel in ("inject", "gather", "reconstruct"):
+            assert f"aligned_{kernel}_{dtype}(" in code
+    assert "src_dcmp_t[m->start[p] + z2]" in code
     assert "map(" not in code  # indirection through coordinates is gone
 
 
@@ -103,12 +106,31 @@ def test_fused_injection_at_z_level(op):
 
 
 def test_compressed_structure(op):
-    """Listing 5: the ``z2`` loop runs to ``nnz[x][y]`` and reads ``Sp_SID``."""
-    inject = _function(op.ccode(DT), "aligned_inject_float32")
+    """Listing 5: the ``z2`` loop runs to ``nnz[x][y]`` and reads ``Sp_SID``;
+    the id of slot ``z2`` is ``start[p] + z2`` — no kernel reads the
+    grid-sized ``SID`` — and every kernel runs on the OpenMP team once its
+    box (its matrix) reaches ``SPARSE_PARALLEL_MIN``."""
+    code = op.ccode(DT)
+    inject = _function(code, "aligned_inject_float32")
     assert "z2 < m->nnz[p]" in inject
     assert "const int64_t p = x * m->ny + y;" in inject
     assert "m->Sp_SID[p * m->max_nnz + z2]" in inject
     assert "zind" in inject
+    assert "->SID" not in code
+    assert f"#define SPARSE_PARALLEL_MIN {cgen.SPARSE_PARALLEL_MIN}\n" in code
+    pencil_walk = (
+        "#pragma omp parallel for collapse(2) schedule(static) reduction(+:count) "
+        "if(id_span(m, box) >= SPARSE_PARALLEL_MIN)\n  for (int64_t x = box[0];"
+    )
+    for dtype in ("float32", "float64"):
+        for kernel in ("inject", "gather"):
+            body = _function(code, f"aligned_{kernel}_{dtype}")
+            assert "m->start[p] + z2" in body
+            assert pencil_walk in body
+        assert (
+            "#pragma omp parallel for schedule(static) "
+            "if(indptr[nrows] >= SPARSE_PARALLEL_MIN)\n  for (int64_t r = 0;"
+        ) in _function(code, f"aligned_reconstruct_{dtype}")
 
 
 def test_fuse_requires_injections(grid3d):
@@ -131,7 +153,7 @@ def test_all_modes_render(grid3d, grid2d, grid1d):
         loops = re.findall(r"for \(int64_t (\w+) = 0; \1 < n", _sweep(code))
         assert loops == dims
         # one threaded loop level per leading dimension; a 1-D sweep has none
-        collapse = re.findall(r"#pragma omp parallel for collapse\((\d)\)", code)
+        collapse = re.findall(r"#pragma omp parallel for collapse\((\d)\)", _sweep(code))
         assert collapse == ([str(len(dims) - 1)] if len(dims) > 1 else [])
     v = TimeFunction("v", grid2d, time_order=1, space_order=2, dtype=np.float64)
     code = Operator([Eq(v.forward, 0.5 * v + v.dx)]).ccode(DT)

@@ -200,6 +200,22 @@ def test_preflight_detects_corrupt_sm(grid2d):
     plan.validate()
 
 
+@pytest.mark.parametrize("engine", ["c", "fused", "interp"])
+def test_preflight_detects_ids_out_of_sorted_order(grid3d, engine):
+    """The C sparse kernels take slot ``z2`` of pencil ``p`` to be id
+    ``start[p] + z2``, which holds only while ids follow the sorted key
+    order.  Two swapped ids are refused before timestep 0 on every rung."""
+    op, u, m, src, rec = make_acoustic_operator(grid3d, nt=8)
+    masks = op._masks_for(src)
+    a, b = (tuple(p) for p in masks.points[[0, -1]])
+    masks.sid[a], masks.sid[b] = masks.sid[b], masks.sid[a]
+    with pytest.raises(PlanValidationError, match="sorted key order"):
+        op.apply(time_M=4, dt=0.5, schedule=WavefrontSchedule(tile=(6, 6), height=2),
+                 engine=engine)
+    assert not u.data_with_halo.any()
+    assert not getattr(masks, "_preflight_ok", False)
+
+
 def test_preflight_detects_wavelet_shape_mismatch(grid2d):
     op, plan = _aligned_plan(grid2d)
     dsrc = plan.injections[0][0].dsrc
