@@ -5,7 +5,9 @@ data structures are printable:
 
 1. place off-the-grid sources,
 2. discover the affected grid points (probe injection, Listing 2),
-3. build the binary source mask SM and the source-ID map SID (Fig. 5),
+3. sort them into the affected-point table whose rows are the ids (the
+   paper's binary source mask SM and source-ID map SID, Fig. 5, drawn here
+   from that table for display only),
 4. decompose the wavelets to per-affected-point series (Listing 3),
 5. compress the iteration space (nnz mask + Sp_SID, Fig. 6 / Listing 5),
 6. print the generated C for the fused and compressed loop nests.
@@ -46,8 +48,23 @@ def main():
     print(analytic.T)
 
     masks = build_masks(src)
-    show_plane(masks.sm, "SM — binary source mask (Fig. 5b):")
-    show_plane(masks.sid, "SID — unique ids, -1 elsewhere (Fig. 5c):")
+    # the id rule: an affected point's id is its row, and rows ascend in
+    # C-order key order, so Listing 5's slot z2 of pencil p is id start[p] + z2
+    keys = np.ravel_multi_index(tuple(masks.points.T), grid.shape)
+    assert np.all(np.diff(keys) > 0)
+    start = np.cumsum(masks.nnz) - masks.nnz
+    for p in np.flatnonzero(masks.nnz):
+        ids = start[p] + np.arange(masks.nnz[p])
+        assert np.array_equal(masks.points[ids, 0], np.full(ids.size, p))
+        assert np.array_equal(masks.sp_sid[p, : masks.nnz[p]], masks.points[ids, 1])
+    print("\nid rule: an affected point's id is its row in the sorted point table;")
+    print("slot z2 of pencil p holds id start[p] + z2 (start = prefix sum of nnz)")
+
+    # Fig. 5b/5c drawn from the point table (no kernel reads a grid-sized map)
+    sid = np.full(grid.shape, -1)
+    sid[tuple(masks.points.T)] = np.arange(masks.npts)
+    show_plane(sid >= 0, "SM — binary source mask (Fig. 5b):")
+    show_plane(sid, "SID — unique ids, -1 elsewhere (Fig. 5c):")
     show_plane(masks.nnz.reshape(-1, 1).T, "nnz per x-pencil (Fig. 6):")
     print(f"\npencil occupancy: {masks.pencil_occupancy():.2%} "
           f"(the compressed z2 loop skips the rest)")

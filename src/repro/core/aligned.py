@@ -4,7 +4,7 @@ After decomposition, source injection is a per-grid-point addition and
 receiver measurement a per-grid-point gather; both operate on arbitrary
 sub-boxes, which is precisely what makes them legal inside space-time tiles.
 
-:class:`AlignedInjection` applies ``u[t+k, p] += src_dcmp[t, SID[p]]`` for the
+:class:`AlignedInjection` applies ``u[t+k, p] += src_dcmp[t, id(p)]`` for the
 affected points *p* of a box, visiting only the compressed non-zero structure
 (the executable analogue of the fused ``z2`` loop of Listing 5).
 

@@ -4,7 +4,9 @@ Each off-the-grid source's wavelet is scattered, through its interpolation
 weights and the per-point scale factor (e.g. ``dt**2/m``), onto its affected
 grid points, producing one *grid-aligned* time series per affected point::
 
-    src_dcmp[t, SID[xs, ys, zs]] += w * scale(xs, ys, zs) * src[t, s]
+    src_dcmp[t, id(xs, ys, zs)] += w * scale(xs, ys, zs) * src[t, s]
+
+where ``id`` is the affected point's row in ``masks.points``.
 
 After this, source injection is an affine, grid-aligned operation and no
 longer blocks time-tiling.  The same machinery decomposes *receivers*
@@ -72,14 +74,13 @@ def decompose_source(
     injection: Injection,
     dt: float,
     masks: Optional[SourceMasks] = None,
-    method: str = "analytic",
 ) -> DecomposedSource:
     """Listing 3: decompose an off-the-grid injection to grid-aligned series."""
     from ..execution.sparse import evaluate_point_scale
 
     sparse_fn = injection.sparse
     if masks is None:
-        masks = build_masks(sparse_fn, method=method)
+        masks = build_masks(sparse_fn)
     npoint, ncorner = masks.weights.shape
     npts = masks.npts
 
@@ -111,11 +112,10 @@ def decompose_source(
 def decompose_receiver(
     interpolation: Interpolation,
     masks: Optional[SourceMasks] = None,
-    method: str = "analytic",
 ) -> DecomposedReceiver:
     """Grid-align a measurement interpolation (the receiver dual of Listing 3)."""
     if masks is None:
-        masks = build_masks(interpolation.sparse, method=method)
+        masks = build_masks(interpolation.sparse)
     npoint, ncorner = masks.weights.shape
     valid = (masks.corner_ids < masks.npts).reshape(-1)
 

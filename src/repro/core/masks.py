@@ -2,14 +2,15 @@
 
 From the affected-point set we build:
 
-* ``sm``  — the binary **source mask**, 1 at affected grid points (Fig. 5b);
-* ``sid`` — the **source-ID** map assigning each affected point a unique
-  ascending id ``0..npts-1`` in canonical order (Fig. 5c); unaffected points
-  hold the sentinel ``-1``;
+* ``points`` — the affected grid points in sorted (C-order key) order.  An
+  affected point's id is its row here: this is the paper's source mask
+  ``SM`` and source-ID map ``SID`` (Fig. 5b/5c) without a grid-sized array;
 * ``nnz`` / ``sp_sid`` — the compressed iteration structures of Listing 5 /
   Fig. 6: for each ``(x, y)`` pencil, ``nnz[x, y]`` counts the affected ``z``
   positions and ``sp_sid[x, y, k]`` (k < nnz) stores them, so the fused
   injection loop visits only affected slots instead of scanning all of ``z``.
+  Both follow the id order, so slot ``k`` of pencil ``p`` is the point with
+  id ``start[p] + k``, ``start`` being the prefix sum of ``nnz``.
 
 3-D is the primary layout (compression along ``z``); 1-D/2-D grids compress
 along their innermost dimension for the same effect.
@@ -34,18 +35,15 @@ class SourceMasks:
     """The grid-aligned sparse-operator data structures of §II-A."""
 
     grid: Grid
-    #: unique affected grid points, canonical (lexicographic) order, (npts, ndim)
+    #: unique affected grid points, canonical (lexicographic) order, (npts, ndim);
+    #: a point's id is its row
     points: np.ndarray
-    #: binary mask over the full grid, uint8
-    sm: np.ndarray
-    #: unique id per affected point; -1 elsewhere; int32
-    sid: np.ndarray
     #: per-pencil count of affected innermost positions, int32, shape grid.shape[:-1]
     nnz: np.ndarray
     #: compacted innermost indices, int32, shape grid.shape[:-1] + (max_nnz,)
     sp_sid: np.ndarray
     #: the support every decomposition reads, both (npoint, 2^ndim): per
-    #: corner its multilinear weight and ``SID`` at its grid point — ``npts``
+    #: corner its multilinear weight and the id of its grid point — ``npts``
     #: (a dummy slot) for a zero-weight corner no source affects
     weights: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     corner_ids: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
@@ -68,15 +66,6 @@ class SourceMasks:
     def max_nnz(self) -> int:
         return int(self.sp_sid.shape[-1])
 
-    def id_of(self, points: np.ndarray) -> np.ndarray:
-        """Look up ids for integer grid points, shape (n, ndim) -> (n,)."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.int64))
-        idx = tuple(points[:, d] for d in range(points.shape[1]))
-        ids = self.sid[idx]
-        if np.any(ids < 0):
-            raise KeyError("some queried points are not affected points")
-        return ids
-
     def density(self) -> float:
         """Fraction of grid points affected — drives the Fig. 10 corner cases."""
         return self.npts / float(self.grid.npoints)
@@ -91,9 +80,7 @@ class SourceMasks:
 
     def memory_bytes(self) -> int:
         """Footprint of the auxiliary structures (scheme overhead accounting)."""
-        return int(
-            self.sm.nbytes + self.sid.nbytes + self.nnz.nbytes + self.sp_sid.nbytes
-        )
+        return int(self.nnz.nbytes + self.sp_sid.nbytes)
 
     # -- box queries used by the blocked executors --------------------------------
     def _leading_starts(self) -> np.ndarray:
@@ -153,19 +140,20 @@ class SourceMasks:
         return np.flatnonzero(sel)
 
 
-def build_masks(sparse: SparseTimeFunction, method: str = "analytic") -> SourceMasks:
+def build_masks(sparse: SparseTimeFunction) -> SourceMasks:
     """Build all mask structures for a sparse point set (Fig. 5b/5c + Fig. 6)."""
     grid = sparse.grid
     keys, weights = support_keys(sparse)
-    point_keys = affected_keys(sparse, keys, weights, method)
+    point_keys = affected_keys(sparse, keys, weights)
     npts = point_keys.size
 
-    sm = np.zeros(grid.shape, dtype=np.uint8)
-    sid = np.full(grid.shape, -1, dtype=np.int32)
-    sm.reshape(-1)[point_keys] = 1
-    sid.reshape(-1)[point_keys] = np.arange(npts, dtype=np.int32)
-
-    corner_ids = sid.reshape(-1).take(keys)
+    # the corner ids come from a transient map holding id + 1 (0: unaffected);
+    # np.zeros is calloc-backed, so only the pages that hold a corner are
+    # touched, and the map is dropped before this returns
+    id_map = np.zeros(grid.npoints, dtype=np.int32)
+    id_map[point_keys] = np.arange(1, npts + 1, dtype=np.int32)
+    corner_ids = id_map.take(keys) - 1
+    del id_map
     unaffected = corner_ids < 0
     if np.any(unaffected & (np.abs(weights) > 0)):
         raise RuntimeError("affected-point discovery missed a nonzero-weight support point")
@@ -184,8 +172,6 @@ def build_masks(sparse: SparseTimeFunction, method: str = "analytic") -> SourceM
     return SourceMasks(
         grid=grid,
         points=key_points(grid, point_keys),
-        sm=sm,
-        sid=sid,
         nnz=nnz,
         sp_sid=sp_sid,
         weights=weights,

@@ -1,17 +1,15 @@
-"""End-to-end precomputation pipeline — §II as an explicit, inspectable object.
+"""The precomputation report — §II's artefacts and their cost, inspectable.
 
-:class:`Operator` runs the same machinery implicitly when handed a
-:class:`~repro.core.scheduler.WavefrontSchedule`; this class exposes the
-individual steps (discover → masks → decompose) with their intermediate
-artefacts and cost accounting, for users who want to inspect or reuse them
-(e.g. amortising one decomposition across many shots) and for the overhead
-reporting the paper's §IV-E relies on.  It fills the operator's own caches,
-so the run itself is ``op.apply(..., sparse_mode="precomputed")``.
+:class:`Operator` runs the precomputation (discover → masks → decompose)
+itself when a plan needs it; this class fills the operator's own caches
+through the same calls and reports what they hold, for the overhead
+accounting the paper's §IV-E relies on.  The run itself is
+``op.apply(..., sparse_mode="precomputed")``, which validates the
+artefacts before timestep 0.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -45,7 +43,7 @@ class PipelineReport:
             f"  sparse operators : {self.nsources} injection(s), {self.nreceivers} interpolation(s)",
             f"  affected points  : {self.affected_points} "
             f"({self.density:.3%} of the grid, {self.pencil_occupancy:.3%} of pencils)",
-            f"  auxiliary memory : {self.aux_bytes} bytes (SM + SID + nnz + Sp_SID + src_dcmp)",
+            f"  auxiliary memory : {self.aux_bytes} bytes (nnz + Sp_SID + src_dcmp)",
             f"  wavefront angle  : {self.wavefront_angle} per timestep "
             f"(sweep radii {self.sweep_radii})",
         ]
@@ -55,22 +53,19 @@ class PipelineReport:
 
 
 class TemporalBlockingPipeline:
-    """Run the paper's §II steps explicitly over an operator's sparse ops.
+    """The paper's §II artefacts of an operator's sparse ops, and their report.
 
     Usage::
 
-        pipe = TemporalBlockingPipeline(op, dt=2.0)
-        pipe.precompute()                        # Listings 2-3, Figs. 5-6
+        pipe = TemporalBlockingPipeline(op, dt=2.0).precompute()  # Listings 2-3, Figs. 5-6
         print(pipe.report().render())
         op.apply(time_M=nt, dt=2.0, schedule=WavefrontSchedule(tile=(32, 32)),
                  sparse_mode="precomputed")      # Listing 6, on the cached artefacts
     """
 
-    def __init__(self, operator, dt: float, model=None, kind: str = "acoustic"):
+    def __init__(self, operator, dt: float):
         self.operator = operator
         self.dt = float(dt)
-        self.model = model
-        self.kind = kind
         # keyed like (and filled through) the operator's own caches: by the
         # sparse function / sparse operator object
         self.masks: Dict[SparseTimeFunction, SourceMasks] = {}
@@ -78,74 +73,19 @@ class TemporalBlockingPipeline:
         self.receivers: Dict[Interpolation, DecomposedReceiver] = {}
         self._done = False
 
-    # -- pre-flight ----------------------------------------------------------------
-    def preflight(self, cfl_policy: str = "raise") -> "TemporalBlockingPipeline":
-        """Validate inputs before any precomputation or timestepping.
-
-        Checks, in order: the CFL condition of :attr:`dt` against the model's
-        critical timestep (only when a *model* was given; policy ``"raise"``
-        or ``"warn"``), every sparse operator's coordinates against the
-        physical domain, and — after :meth:`precompute` — the structural
-        consistency of the masks and decomposed wavelets.  Raises the
-        structured errors of :mod:`repro.errors`.
-        """
-        from ..runtime.preflight import check_cfl, check_coordinates, check_masks
-
-        if self.model is not None:
-            check_cfl(self.dt, self.model, kind=self.kind, policy=cfl_policy)
-        for sparse_fn in dict.fromkeys(sp_op.sparse for sp_op in self.operator.sparse_ops):
-            check_coordinates(sparse_fn)
-        if self._done:
-            for masks in self.masks.values():
-                check_masks(masks)
-        return self
-
-    # -- the steps -----------------------------------------------------------------
-    def precompute(
-        self, method: str = "analytic", telemetry=None
-    ) -> "TemporalBlockingPipeline":
-        """Steps 1-3: affected points, masks, wavelet decomposition.
-
-        Runs :meth:`preflight` first (geometry + CFL when a model is
-        attached), then once more after building the sparse structures so a
-        corrupted mask never reaches the executors.  With *telemetry* given,
-        the whole precomputation is recorded as a ``pipeline.precompute``
-        span (sub-spans per decomposition step) accumulated into the
-        ``precompute`` phase.
-        """
-        pspan = None
-        if telemetry is not None:
-            pspan = telemetry.begin(
-                "pipeline.precompute", phase="precompute", method=method
-            )
-        self.preflight()
+    def precompute(self) -> "TemporalBlockingPipeline":
+        """Steps 1-3: affected points, masks, wavelet decomposition, through
+        the operator's caches so ``apply`` reuses this work."""
         op = self.operator
-
-        def step(name, sp_op):
-            if telemetry is None:
-                return nullcontext()
-            return telemetry.span(name, phase="precompute", sparse=sp_op.sparse.name)
-
-        # through the operator's caches, so apply() reuses this work
         for inj in op.injections():
-            with step("decompose.source", inj):
-                self.sources[inj] = op._decomposed(inj, self.dt, method)
+            self.sources[inj] = op._decomposed(inj, self.dt)
         for itp in op.interpolations():
-            with step("decompose.receiver", itp):
-                self.receivers[itp] = op._decomposed(itp, self.dt, method)
+            self.receivers[itp] = op._decomposed(itp, self.dt)
         for sp_op in op.sparse_ops:
             self.masks[sp_op.sparse] = op._masks_for(sp_op.sparse)
         self._done = True
-        from ..runtime.preflight import check_masks
-
-        for masks in self.masks.values():
-            check_masks(masks)
-        if pspan is not None:
-            telemetry.end(pspan)
-            telemetry.add_phase("precompute", pspan.dur)
         return self
 
-    # -- accounting ---------------------------------------------------------------------
     def report(self, example_height: int = 4) -> PipelineReport:
         if not self._done:
             raise RuntimeError("call precompute() first")

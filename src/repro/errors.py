@@ -183,7 +183,8 @@ class InvalidTimeRange(ReproError, ValueError):
 
 class PlanValidationError(ReproError, ValueError):
     """An execution plan or its precomputed sparse structures are inconsistent
-    (SM/SID/``src_dcmp`` shape mismatches, bad block/tile ranks, ...)."""
+    (``nnz``/``Sp_SID`` that no longer describe the affected points, ``src_dcmp``
+    shape mismatches, bad block/tile ranks, ...)."""
 
 
 class InjectedFault(ReproError):

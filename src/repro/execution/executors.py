@@ -84,8 +84,8 @@ class ExecutionPlan:
         return sum(self.radii)
 
     def validate(self) -> "ExecutionPlan":
-        """Pre-flight the plan's precomputed sparse structures (SM/SID/
-        ``src_dcmp``/weight-matrix shape consistency); raises
+        """Pre-flight the plan's precomputed sparse structures (``nnz``/``Sp_SID``
+        against the affected points, ``src_dcmp``/weight-matrix shapes); raises
         :class:`~repro.errors.PlanValidationError` before timestep 0 instead
         of failing inside a tile loop.  Checks are memoised per masks object,
         so repeated applies pay almost nothing."""

@@ -10,7 +10,7 @@ the lint, the dtype audit and the liveness check read the very program this
 emitter consumes.
 :data:`SPARSE_SOURCE` holds the static (not generated) Listing-5 kernels of
 the grid-aligned injection and receiver gather — the id of slot ``z2`` of
-pencil ``p`` is ``start[p] + z2``, never a read of the grid-sized ``SID`` —
+pencil ``p`` is ``start[p] + z2``: an affected point's id is its row —
 and the receivers' reconstruction, the operations of SciPy's ``csr_matvec``.
 
 **FP contract.**  C and the fused NumPy kernel agree at 0 ulp because only
@@ -480,8 +480,7 @@ class SparseKernels:
     binds a receiver weight matrix.  The kernels read the id of slot ``z2``
     of pencil ``p`` as ``start[p] + z2``, ``start`` being the prefix sum of
     ``nnz`` built here once (ids follow the sorted key order, which
-    ``runtime.preflight.check_masks`` enforces), never the grid-sized
-    ``SID``."""
+    ``runtime.preflight.check_masks`` enforces)."""
 
     def __init__(self, masks, field):
         buf = field.buffer(0)

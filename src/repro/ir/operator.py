@@ -199,19 +199,19 @@ class Operator:
         )
 
     # -- precomputation (the paper's pipeline, cached) -------------------------------
-    def _masks_for(self, sparse_fn, method: str = "analytic"):
+    def _masks_for(self, sparse_fn):
         if sparse_fn not in self._mask_cache:
-            self._mask_cache[sparse_fn] = build_masks(sparse_fn, method=method)
+            self._mask_cache[sparse_fn] = build_masks(sparse_fn)
         return self._mask_cache[sparse_fn]
 
-    def _decomposed(self, sparse_op: SparseOp, dt: float, method: str = "analytic"):
+    def _decomposed(self, sparse_op: SparseOp, dt: float):
         """The grid-aligned form of *sparse_op* (receivers do not depend on
         *dt* and are keyed at 0.0)."""
         is_source = isinstance(sparse_op, Injection)
         cache = self._decomp_cache
         key = (sparse_op, float(dt) if is_source else 0.0)
         if key not in cache:
-            masks = self._masks_for(sparse_op.sparse, method)
+            masks = self._masks_for(sparse_op.sparse)
             if is_source:
                 # one src_dcmp per (source, scale, dt), not per injection: TTI
                 # injects one source into p and q with the same dt**2/m, and

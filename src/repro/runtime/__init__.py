@@ -38,7 +38,6 @@ from .integrity import array_checksum
 from .monitor import RuntimeMonitor
 from .preflight import (
     check_cfl,
-    check_coordinates,
     check_masks,
     check_receiver,
     check_source,
@@ -62,7 +61,6 @@ __all__ = [
     "split_seed",
     "RuntimeMonitor",
     "check_cfl",
-    "check_coordinates",
     "check_masks",
     "check_source",
     "check_receiver",

@@ -9,12 +9,12 @@ of avoidable aborts:
   :class:`~repro.errors.StabilityViolation` /
   :class:`~repro.errors.StabilityWarning`).
 * **Geometry** — batch validation of every source/receiver coordinate
-  against the physical domain (:func:`check_coordinates`, delegating to the
-  single implementation in :mod:`repro.dsl.interpolation`).
-* **Structure** — shape/consistency of the precomputed sparse structures:
-  the binary mask ``SM``, the id map ``SID`` (and its sorted id order), the
-  compressed ``nnz``/``Sp_SID`` pair and the decomposed wavelet matrix
-  ``src_dcmp``
+  against the physical domain, when the ``SparseTimeFunction`` is
+  constructed (:func:`repro.dsl.interpolation.validate_coordinates`).
+* **Structure** — consistency of the precomputed sparse structures with
+  what the kernels read: the sorted affected points (a point's id is its
+  row), the compressed ``nnz``/``Sp_SID`` pair and the decomposed wavelet
+  matrix ``src_dcmp``
   (:func:`check_masks`, :func:`check_source`, :func:`check_receiver`).
 
 :func:`validate_plan` runs the structural checks over a bound
@@ -30,11 +30,9 @@ import warnings
 import numpy as np
 
 from ..errors import PlanValidationError, StabilityViolation, StabilityWarning
-from ..dsl.interpolation import validate_coordinates
 
 __all__ = [
     "check_cfl",
-    "check_coordinates",
     "check_masks",
     "check_source",
     "check_receiver",
@@ -61,15 +59,12 @@ def check_cfl(dt: float, model, kind: str = "acoustic", policy: str = "raise", c
         return err.context.get("critical")
 
 
-def check_coordinates(sparse_fn) -> None:
-    """Batch-validate a sparse function's points against its grid's domain."""
-    validate_coordinates(sparse_fn.coordinates, sparse_fn.grid, name=sparse_fn.name)
-
-
 def check_masks(masks) -> None:
-    """SM/SID/nnz/Sp_SID consistency, and the sorted id order the C sparse
-    kernels rely on (``SID`` at ``points`` is ``0..npts-1``, so slot ``z2``
-    of pencil ``p`` holds id ``start[p] + z2``); memoised per masks object."""
+    """What the sparse kernels read, checked against ``points``: the points
+    ascend strictly in key order (an affected point's id is its row),
+    ``nnz`` is their per-pencil count and ``Sp_SID[p, slot]`` is the ``z``
+    of point ``start[p] + slot``.  O(npts + pencils); memoised per masks
+    object."""
     if getattr(masks, "_preflight_ok", False):
         return
     grid = masks.grid
@@ -79,42 +74,50 @@ def check_masks(masks) -> None:
             f"affected-point table has shape {masks.points.shape}, "
             f"expected ({npts}, {grid.ndim})"
         )
-    if masks.sm.shape != grid.shape or masks.sid.shape != grid.shape:
-        raise PlanValidationError(
-            f"SM/SID shapes {masks.sm.shape}/{masks.sid.shape} do not match "
-            f"the grid shape {grid.shape}"
-        )
-    n_sm = int(np.count_nonzero(masks.sm))
-    if n_sm != npts:
-        raise PlanValidationError(
-            f"binary source mask marks {n_sm} point(s) but the id map defines {npts}"
-        )
-    n_sid = int(np.count_nonzero(masks.sid >= 0))
-    if n_sid != npts:
-        raise PlanValidationError(
-            f"source-id map assigns {n_sid} id(s) but the mask defines {npts} point(s)"
-        )
-    ids = masks.sid[tuple(masks.points.T)]
-    out_of_order = np.flatnonzero(ids != np.arange(npts))
-    if out_of_order.size:
-        i = int(out_of_order[0])
-        raise PlanValidationError(
-            f"source-id map breaks the sorted key order: affected point {i} "
-            f"{tuple(int(v) for v in masks.points[i])} holds id {int(ids[i])}"
-        )
     if masks.nnz.shape != grid.shape[:-1]:
         raise PlanValidationError(
             f"nnz mask shape {masks.nnz.shape} does not match pencil shape "
             f"{grid.shape[:-1]}"
         )
-    if int(masks.nnz.sum()) != npts:
-        raise PlanValidationError(
-            f"compressed nnz counts sum to {int(masks.nnz.sum())}, expected {npts}"
-        )
     if masks.sp_sid.shape != masks.nnz.shape + (masks.max_nnz,):
         raise PlanValidationError(
             f"Sp_SID shape {masks.sp_sid.shape} inconsistent with nnz shape "
             f"{masks.nnz.shape} and max_nnz {masks.max_nnz}"
+        )
+    # one key array serves the order, nnz and Sp_SID checks
+    try:
+        keys = np.ravel_multi_index(tuple(masks.points.T), grid.shape)
+    except ValueError:
+        raise PlanValidationError("an affected point lies outside the grid") from None
+    out_of_order = np.flatnonzero(keys[1:] <= keys[:-1])
+    if out_of_order.size:
+        i = int(out_of_order[0]) + 1
+        raise PlanValidationError(
+            f"affected points break the sorted key order: point {i} "
+            f"{tuple(int(v) for v in masks.points[i])} does not follow point {i - 1}"
+        )
+    pencils = keys // grid.shape[-1]
+    zs = masks.points[:, -1]
+    nnz = masks.nnz.reshape(-1)
+    moved = np.flatnonzero(np.bincount(pencils, minlength=nnz.size) != nnz)
+    if moved.size:
+        p = int(moved[0])
+        raise PlanValidationError(
+            f"nnz counts {int(nnz[p])} point(s) in pencil {p}, but "
+            f"{int(np.count_nonzero(pencils == p))} affected point(s) lie there"
+        )
+    if int(nnz.max()) > masks.max_nnz:
+        raise PlanValidationError(
+            f"nnz counts up to {int(nnz.max())} point(s) per pencil, but Sp_SID "
+            f"holds {masks.max_nnz} slot(s)"
+        )
+    slots = np.arange(npts) - (np.cumsum(nnz) - nnz)[pencils]
+    wrong = np.flatnonzero(masks.sp_sid.reshape(-1).take(pencils * masks.max_nnz + slots) != zs)
+    if wrong.size:
+        i = int(wrong[0])
+        raise PlanValidationError(
+            f"Sp_SID slot {int(slots[i])} of pencil {int(pencils[i])} does not "
+            f"hold the z of affected point {i} ({int(zs[i])})"
         )
     masks._preflight_ok = True
 

@@ -215,7 +215,7 @@ def statements_for(
                 counters[j],
                 "injection",
                 f"{inj.field.name}[t+{inj.time_offset}, p] += "
-                f"{'src_dcmp[t, SID[p]]' if aligned else 'w(p)*src[t]'}",
+                f"{'src_dcmp[t, id(p)]' if aligned else 'w(p)*src[t]'}",
                 (acc,),
                 (),
             )

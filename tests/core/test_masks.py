@@ -1,4 +1,7 @@
-"""Tests for the SM/SID/nnz/Sp_SID mask structures (Figs. 5-6)."""
+"""Tests for the mask structures (Figs. 5-6): the sorted affected points,
+whose rows are the ids (the paper's SM/SID), and the nnz/Sp_SID pair."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core import build_masks
 from repro.dsl import Grid, SparseTimeFunction
+from repro.dsl.interpolation import support_points
 
 
 def make_sparse(coords, shape=(11, 11, 11)):
@@ -17,30 +21,60 @@ def make_sparse(coords, shape=(11, 11, 11)):
     return s
 
 
+def point_keys(masks):
+    return np.ravel_multi_index(tuple(masks.points.T), masks.grid.shape)
+
+
 def test_sm_matches_points():
-    masks = build_masks(make_sparse([[35.5, 45.5, 55.5]]))
-    assert masks.sm.sum() == masks.npts == 8
-    idx = tuple(masks.points[:, d] for d in range(3))
-    assert (masks.sm[idx] == 1).all()
+    """The affected points are the nonzero-weight support corners (the ones
+    of the paper's binary source mask), each listed once."""
+    s = make_sparse([[35.5, 45.5, 55.5]])
+    masks = build_masks(s)
+    indices, weights = support_points(s.coordinates, s.grid)
+    support = {tuple(p) for p in indices[np.abs(weights) > 0].tolist()}
+    assert masks.npts == 8 == len(support)
+    assert {tuple(p) for p in masks.points.tolist()} == support
 
 
 def test_sid_unique_ascending():
-    masks = build_masks(make_sparse([[35.5, 45.5, 55.5], [80.3, 20.7, 10.1]]))
-    ids = masks.sid[masks.sid >= 0]
-    assert sorted(ids.tolist()) == list(range(masks.npts))
-    # canonical: ids ascend with lexicographic point order
-    assert np.array_equal(masks.id_of(masks.points), np.arange(masks.npts))
+    """An affected point's id is its row: ids ascend with the C-order key,
+    and every support corner carries the id of its own grid point."""
+    s = make_sparse([[35.5, 45.5, 55.5], [80.3, 20.7, 10.1]])
+    masks = build_masks(s)
+    assert np.all(np.diff(point_keys(masks)) > 0)
+    indices, _ = support_points(s.coordinates, s.grid)
+    live = masks.corner_ids < masks.npts
+    np.testing.assert_array_equal(masks.points[masks.corner_ids[live]], indices[live])
 
 
 def test_sid_sentinel_elsewhere():
-    masks = build_masks(make_sparse([[35.5, 45.5, 55.5]]))
-    assert (masks.sid < 0).sum() == masks.sid.size - masks.npts
+    """A zero-weight corner no source affects holds the dummy id ``npts``."""
+    masks = build_masks(make_sparse([[30.0, 45.5, 55.5]]))  # x on a grid plane
+    assert masks.npts == 4
+    assert np.count_nonzero(masks.corner_ids == masks.npts) == 4
+    assert not masks.weights[masks.corner_ids == masks.npts].any()
 
 
-def test_id_of_rejects_unaffected():
-    masks = build_masks(make_sparse([[35.5, 45.5, 55.5]]))
-    with pytest.raises(KeyError):
-        masks.id_of(np.array([[0, 0, 0]]))
+def test_build_masks_keeps_no_grid_sized_array():
+    """The id map build_masks fills for the corner ids is dropped before it
+    returns: what survives the call is well under a byte per grid point."""
+    s = make_sparse([[317.2, 316.8, 155.1]], shape=(64, 64, 64))
+    tracemalloc.start()
+    try:
+        masks = build_masks(s)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masks.npts == 8
+    assert kept < s.grid.npoints
+
+
+def test_memory_bytes_below_grid_size():
+    """One source on 64^3: nnz and Sp_SID are pencil-sized, so the auxiliary
+    footprint is below one byte per grid point."""
+    masks = build_masks(make_sparse([[317.2, 316.8, 155.1]], shape=(64, 64, 64)))
+    assert masks.memory_bytes() == masks.nnz.nbytes + masks.sp_sid.nbytes
+    assert masks.memory_bytes() < masks.grid.npoints
 
 
 def test_nnz_counts_z_slots():
@@ -56,7 +90,8 @@ def test_sp_sid_compaction():
         k = masks.nnz[x, y]
         zs = masks.sp_sid[x, y, :k]
         assert (zs >= 0).all()
-        assert (masks.sm[x, y, zs] == 1).all()
+        on_pencil = masks.points[(masks.points[:, 0] == x) & (masks.points[:, 1] == y)]
+        np.testing.assert_array_equal(zs, on_pencil[:, 2])
         assert (masks.sp_sid[x, y, k:] == -1).all()
         assert np.array_equal(np.sort(zs), zs)  # ascending z per pencil
 
@@ -90,9 +125,15 @@ def test_2d_grid_masks():
                            coordinates=np.array([[35.5, 45.5]]))
     s.data[:] = 1.0
     masks = build_masks(s)
-    assert masks.sm.shape == (9, 9)
     assert masks.nnz.shape == (9,)
     assert masks.npts == 4
+    assert np.all(np.diff(point_keys(masks)) > 0)
+    # slot k of pencil x is the y of the point with id start[x] + k
+    start = np.cumsum(masks.nnz) - masks.nnz
+    for x in np.flatnonzero(masks.nnz):
+        ids = start[x] + np.arange(masks.nnz[x])
+        np.testing.assert_array_equal(masks.points[ids, 0], x)
+        np.testing.assert_array_equal(masks.sp_sid[x, : masks.nnz[x]], masks.points[ids, 1])
 
 
 def test_empty_pencils_have_sentinel_slots():
@@ -110,12 +151,16 @@ coords_strategy = st.lists(
 @settings(max_examples=40, deadline=None)
 def test_property_invariants(coords):
     masks = build_masks(make_sparse(list(coords)))
-    # SM and SID agree everywhere
-    assert ((masks.sid >= 0) == (masks.sm == 1)).all()
-    # nnz is the per-pencil sum of SM
-    np.testing.assert_array_equal(masks.nnz, masks.sm.sum(axis=-1))
-    # every affected point appears exactly once in the compressed structure
-    total = sum(
-        masks.nnz[x, y] for x, y in zip(*np.nonzero(masks.nnz))
-    )
-    assert total == masks.npts
+    # ids ascend with the points' keys
+    assert np.all(np.diff(point_keys(masks)) > 0)
+    # nnz is the per-pencil count of the points
+    counts = np.zeros(masks.nnz.shape, dtype=np.int64)
+    np.add.at(counts, (masks.points[:, 0], masks.points[:, 1]), 1)
+    np.testing.assert_array_equal(masks.nnz, counts)
+    # nnz/Sp_SID list every affected point once, in id order
+    listed = [
+        (x, y, z)
+        for x, y in zip(*np.nonzero(masks.nnz))
+        for z in masks.sp_sid[x, y, : masks.nnz[x, y]]
+    ]
+    assert listed == [tuple(p) for p in masks.points.tolist()]

@@ -29,8 +29,7 @@ def synthetic_masks(npts, shape=(64, 64, 64), seed=0):
     points = np.stack(np.unravel_index(flat, shape), axis=1).astype(np.int64)
     grid = Grid(shape=shape, extent=tuple(float(s - 1) for s in shape))
     dummy = np.zeros((1, 1), dtype=np.int32)
-    return SourceMasks(grid=grid, points=points, sm=dummy.astype(np.uint8),
-                       sid=dummy, nnz=dummy, sp_sid=dummy)
+    return SourceMasks(grid=grid, points=points, nnz=dummy, sp_sid=dummy)
 
 
 box_strategy = st.tuples(

@@ -2,7 +2,8 @@
 
 The oracles here are the formulas the precomputation used before it became
 one linear-key sort per sparse function: ``np.unique(points, axis=0)`` for
-the affected points, a dense ``SID`` lookup plus one ``(npts + 1, nt)``
+the affected points, a dense id-map lookup (``SID``, built here from
+``masks.points``) plus one ``(npts + 1, nt)``
 sparse-dense product for ``src_dcmp``, and tuple-of-columns fancy indexing
 for the executors.  The rewrite reorders no floating-point operation, so
 every comparison below is exact.
@@ -82,7 +83,9 @@ def reference_points(sparse):
 def reference_corner_ids(sparse, masks):
     indices, weights = support_points(sparse.coordinates, sparse.grid)
     flat = indices.reshape(-1, indices.shape[-1])
-    ids = masks.sid[tuple(flat[:, d] for d in range(flat.shape[1]))].astype(np.int64)
+    sid = np.full(sparse.grid.shape, -1, dtype=np.int32)  # the paper's dense SID
+    sid[tuple(masks.points.T)] = np.arange(masks.npts)
+    ids = sid[tuple(flat[:, d] for d in range(flat.shape[1]))].astype(np.int64)
     return flat, weights, ids
 
 
@@ -128,9 +131,9 @@ def test_affected_points_match_unique_reference(case):
     # every support corner carries its point's id; a zero-weight corner no
     # source affects goes to the dummy slot
     _, weights, ids = reference_corner_ids(s, masks)
-    np.testing.assert_array_equal(
-        masks.corner_ids.reshape(-1), np.where(ids < 0, masks.npts, ids)
-    )
+    ref_ids = np.where(ids < 0, masks.npts, ids).astype(np.int32)
+    assert masks.corner_ids.dtype == ref_ids.dtype
+    assert masks.corner_ids.reshape(-1).tobytes() == ref_ids.tobytes()
     assert not np.any(masks.weights[masks.corner_ids == masks.npts])
     np.testing.assert_array_equal(masks.weights, weights)
 

@@ -1,5 +1,7 @@
 """Structured error taxonomy and pre-flight validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -186,34 +188,88 @@ def _aligned_plan(grid, nt=8):
 
 
 def test_preflight_detects_corrupt_sm(grid2d):
+    """An affected point dropped from the mask (the paper's SM loses a one)
+    no longer matches the nnz/Sp_SID the kernels read."""
     op, plan = _aligned_plan(grid2d)
-    inj = plan.injections[0][0]
-    masks = inj.dsrc.masks
+    masks = plan.injections[0][0].dsrc.masks
     masks._preflight_ok = False
-    flat = masks.sm.reshape(-1)
-    on = np.flatnonzero(flat)
-    flat[on[0]] = 0  # drop one affected point from the binary mask
-    with pytest.raises(PlanValidationError, match="mask"):
-        plan.validate()
-    flat[on[0]] = 1
-    masks._preflight_ok = False
+    good = masks.points
+    masks.points = good[1:]
+    try:
+        with pytest.raises(PlanValidationError, match="nnz"):
+            plan.validate()
+    finally:
+        masks.points = good
     plan.validate()
 
 
-@pytest.mark.parametrize("engine", ["c", "fused", "interp"])
-def test_preflight_detects_ids_out_of_sorted_order(grid3d, engine):
-    """The C sparse kernels take slot ``z2`` of pencil ``p`` to be id
-    ``start[p] + z2``, which holds only while ids follow the sorted key
-    order.  Two swapped ids are refused before timestep 0 on every rung."""
+def test_preflight_accepts_masks_without_points(grid3d):
+    """Every sparse function affects at least one point, so the empty case
+    is built by hand: npts == 0 with all-zero nnz passes."""
     op, u, m, src, rec = make_acoustic_operator(grid3d, nt=8)
+    masks = dataclasses.replace(
+        op._masks_for(src),
+        points=np.empty((0, 3), dtype=np.int64),
+        nnz=np.zeros(grid3d.shape[:-1], dtype=np.int32),
+        sp_sid=np.full(grid3d.shape[:-1] + (1,), -1, dtype=np.int32),
+    )
+    assert masks.npts == 0 and masks.memory_bytes() > 0
+    check_masks(masks)
+    assert masks._preflight_ok
+
+
+def _corrupted_apply(grid, engine, corrupt):
+    """Corrupt the source's masks, then apply under WTB on *engine*: the
+    plan must be refused before timestep 0 with the wavefield untouched."""
+    op, u, m, src, rec = make_acoustic_operator(grid, nt=8)
     masks = op._masks_for(src)
-    a, b = (tuple(p) for p in masks.points[[0, -1]])
-    masks.sid[a], masks.sid[b] = masks.sid[b], masks.sid[a]
-    with pytest.raises(PlanValidationError, match="sorted key order"):
+    corrupt(masks)
+    with pytest.raises(PlanValidationError) as excinfo:
         op.apply(time_M=4, dt=0.5, schedule=WavefrontSchedule(tile=(6, 6), height=2),
                  engine=engine)
     assert not u.data_with_halo.any()
     assert not getattr(masks, "_preflight_ok", False)
+    return str(excinfo.value)
+
+
+ENGINES = ["c", "fused", "interp"]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_preflight_detects_ids_out_of_sorted_order(grid3d, engine):
+    """An affected point's id is its row in ``points``; the C sparse kernels
+    read slot ``z2`` of pencil ``p`` as id ``start[p] + z2``.  Two swapped
+    rows are refused before timestep 0 on every rung."""
+
+    def swap(masks):
+        masks.points[[0, -1]] = masks.points[[-1, 0]]
+
+    assert "sorted key order" in _corrupted_apply(grid3d, engine, swap)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_preflight_detects_corrupt_sp_sid(grid3d, engine):
+    """Slot 0 of the source's first pencil lowered by one ``z``: the C rung
+    would inject there while ``fused`` and ``interp`` never read Sp_SID."""
+
+    def lower_slot(masks):
+        p = np.flatnonzero(masks.nnz.reshape(-1))[0]
+        sp = masks.sp_sid.reshape(masks.nnz.size, -1)
+        sp[p, 0] = sp[p, 0] - 1 if sp[p, 0] > 0 else sp[p, 0] + 1
+
+    assert "Sp_SID slot 0" in _corrupted_apply(grid3d, engine, lower_slot)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_preflight_detects_moved_nnz_count(grid3d, engine):
+    """One count moved to an empty pencil keeps ``nnz.sum() == npts``."""
+
+    def move(masks):
+        nnz = masks.nnz.reshape(-1)
+        nnz[np.flatnonzero(nnz)[0]] -= 1
+        nnz[np.flatnonzero(nnz == 0)[0]] += 1
+
+    assert "affected point(s) lie there" in _corrupted_apply(grid3d, engine, move)
 
 
 def test_preflight_detects_wavelet_shape_mismatch(grid2d):
@@ -249,26 +305,11 @@ def test_check_masks_is_memoised(grid2d):
     assert masks._preflight_ok
     # memoisation means a later (undetected) mutation is deliberately not
     # rescanned -- corruption *between* applies needs an explicit reset
-    masks.sm.reshape(-1)[0] = 1 - masks.sm.reshape(-1)[0]
+    nnz = masks.nnz.reshape(-1)
+    p = np.flatnonzero(nnz)[0]
+    nnz[p] += 1
     plan.validate()
     masks._preflight_ok = False
     with pytest.raises(PlanValidationError):
         check_masks(masks)
-    masks.sm.reshape(-1)[0] = 1 - masks.sm.reshape(-1)[0]
-
-
-# -- pipeline preflight ----------------------------------------------------------------
-
-
-def test_pipeline_preflight_checks_cfl_and_geometry(grid2d):
-    from repro.core.pipeline import TemporalBlockingPipeline
-
-    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=8)
-    model = SeismicModel((10, 8), (10.0, 10.0), 2.0, nbl=2, space_order=4)
-    crit = model.critical_dt("acoustic")
-    pipe = TemporalBlockingPipeline(op, dt=2.0 * crit, model=model)
-    with pytest.raises(StabilityViolation):
-        pipe.preflight()
-    ok = TemporalBlockingPipeline(op, dt=0.5 * crit, model=model)
-    ok.precompute()
-    ok.preflight()  # post-precompute pass re-checks the built masks
+    nnz[p] -= 1

@@ -157,23 +157,3 @@ def test_static_flops_count_the_bound_kernel():
     arithmetic = [i for i in program.instrs if i.op != "store"]
     assert tel.meta["sweep_flops"] == [float(len(arithmetic))]
     assert tel.meta["sweep_accesses"] == [len(program.views) + len(program.outs)]
-
-
-def test_pipeline_precompute_span(grid3d):
-    from repro.core.pipeline import TemporalBlockingPipeline
-
-    op, u, m, src, rec = make_acoustic_operator(grid3d, nt=8)
-    tel = Telemetry()
-    pipe = TemporalBlockingPipeline(op, dt=0.4)
-    pipe.precompute(telemetry=tel)
-    (pspan,) = tel.find("pipeline.precompute")
-    assert pspan.phase == "precompute"
-    assert tel.find("decompose.source") and tel.find("decompose.receiver")
-    assert tel.phase_seconds["precompute"] >= pspan.dur > 0
-
-    u.data_with_halo[...] = 0.0
-    rec.data[...] = 0.0
-    op.apply(time_M=8, dt=0.4, schedule=WavefrontSchedule(tile=(6, 6), block=(3, 3), height=2),
-             sparse_mode="precomputed", telemetry=tel)
-    assert np.isfinite(rec.data).all()
-    assert tel.find("apply")
