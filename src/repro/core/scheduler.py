@@ -39,7 +39,6 @@ __all__ = [
     "time_tiles",
     "tile_origins",
     "instance_lags",
-    "lag_span",
     "lower",
 ]
 
@@ -180,27 +179,6 @@ def instance_lags(radii: Tuple[int, ...], nsteps: int) -> List[int]:
                 current += int(r)
             lags.append(current)
     return lags
-
-
-def lag_span(radii: Tuple[int, ...], j_from: int, count: int) -> int:
-    """Lag accumulated over *count* instance advances after a sweep-*j_from*
-    instance.
-
-    Instances of a time tile are ordered ``(t0, s0), (t0, s1), ...,
-    (t0+1, s0), ...`` and every instance after the first adds its own sweep's
-    read radius to the cumulative lag (:func:`instance_lags`).  The lag gap
-    between an instance of sweep *j_from* and the instance *count* positions
-    later is therefore ``sum(radii[(j_from + m) % nsweeps] for m in
-    1..count)`` — independent of which congruent pair is picked, which is what
-    lets the legality prover check one inequality per dependence edge instead
-    of one per instance pair (:mod:`repro.verify.prover`).
-    """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    ns = len(radii)
-    if ns == 0:
-        raise ValueError("need at least one sweep")
-    return sum(int(radii[(j_from + m) % ns]) for m in range(1, count + 1))
 
 
 def tile_origins(extents: Tuple[int, ...], tile: Tuple[int, ...], max_lag: int) -> Iterator[Tuple[int, ...]]:

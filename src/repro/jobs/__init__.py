@@ -19,11 +19,10 @@ and telemetry::
     assert report.ok            # zero lost jobs
     report.results[0].receivers # bit-identical to a fault-free serial run
 
-Streaming admission takes a lazy iterator of specs (pulled only as capacity
-frees, per-tenant quotas, ``interactive``/``batch``/``bulk`` priority
-lanes)::
+Streaming admission takes a lazy iterator of specs, pulled only as the
+bounded admission queue frees; jobs dispatch first come, first served::
 
-    pool = JobPool(workers=4, tenant_quota=8)
+    pool = JobPool(workers=4, capacity=8)
     pool.submit(spec_generator())   # any non-JobSpec iterable is a stream
     report = pool.run()
 
@@ -43,7 +42,7 @@ quarantined with forensics instead of retried forever.
 
 The whole service is observable end to end: the supervisor records into its
 :class:`~repro.telemetry.metrics.MetricsRegistry` (exactly the families of
-:data:`~repro.telemetry.metrics.CATALOGUE`: queue depths per lane, attempt
+:data:`~repro.telemetry.metrics.CATALOGUE`: job counts, attempt
 latencies, breaker state, …), atomically refreshes their one encoding, a
 live ``metrics.json`` in the batch dir, which
 ``python -m repro.jobs.status BATCH_DIR`` renders, and with ``trace=True``
@@ -64,7 +63,6 @@ from .shm import SharedArrayHandle, SharedArrayRegistry, attach_array
 from .spec import (
     EXAMPLES,
     JOB_ENGINES,
-    LANES,
     PHASE_KEYS,
     SCHEDULES,
     STATUSES,
@@ -106,7 +104,6 @@ __all__ = [
     "SCHEDULES",
     "JOB_ENGINES",
     "STATUSES",
-    "LANES",
     "PHASE_KEYS",
     "DEFAULT_CAPACITY",
     "METRICS_NAME",

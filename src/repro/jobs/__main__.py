@@ -5,7 +5,7 @@ Usage::
     python -m repro.jobs --jobs 16 --workers 4                 # clean batch
     python -m repro.jobs --jobs 16 --fault-rate 0.2 --kill-workers 1 --verify
     python -m repro.jobs --jobs 8 --example mixed --schedule naive --json
-    python -m repro.jobs --jobs 64 --stream --lane bulk --tenant-quota 8
+    python -m repro.jobs --jobs 64 --stream --capacity 8
     python -m repro.jobs --resume path/to/batchdir --verify    # crashed batch
     python -m repro.jobs --jobs 8 --trace --workdir b0
     python -m repro.jobs.status b0                             # live pool health
@@ -42,7 +42,7 @@ from .breaker import CircuitBreaker
 from .chaos import ChaosConfig
 from .pool import JobPool
 from .retry import RetryPolicy
-from .spec import EXAMPLES, JOB_ENGINES, LANES, SCHEDULES, JobSpec
+from .spec import EXAMPLES, JOB_ENGINES, SCHEDULES, JobSpec
 from .worker import run_job_inline
 
 
@@ -59,7 +59,6 @@ def build_specs(args) -> List[JobSpec]:
             deadline=args.deadline,
             max_attempts=args.retries + 1,
             checkpoint_every=args.checkpoint_every,
-            lane=args.lane,
         )
         for i in range(args.jobs)
     ]
@@ -100,14 +99,6 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--capacity", type=int, default=256, help="admission-queue bound"
-    )
-    parser.add_argument(
-        "--lane", choices=LANES, default="batch",
-        help="priority lane of the submitted jobs (default: batch)",
-    )
-    parser.add_argument(
-        "--tenant-quota", type=int, default=None,
-        help="per-tenant bound on admitted-but-unfinished jobs (default: none)",
     )
     parser.add_argument(
         "--stream", action="store_true",
@@ -225,7 +216,6 @@ def main(argv: List[str] = None) -> int:
             chaos=chaos,
             batch_seed=args.seed,
             workdir=args.workdir,
-            tenant_quota=args.tenant_quota,
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_timeout=args.heartbeat_timeout,
             poison_threshold=args.poison_threshold,

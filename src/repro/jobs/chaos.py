@@ -38,7 +38,7 @@ Three kinds of injected trouble:
   ``hang_seconds``, simulating a livelock below the job deadline.  The
   supervisor's heartbeat liveness check must detect the silence, SIGKILL
   the daemon, prefork a replacement and retry the job — a hang must cost
-  one heartbeat timeout, never a stalled lane.
+  one heartbeat timeout, never a stalled fleet slot.
 * **poison jobs** (``poison_jobs``) — the first that many jobs hard-exit
   (``os._exit``) every daemon they are dispatched to, on *every* attempt.
   This is the pathology quarantine exists for: the supervisor must stop
@@ -191,7 +191,7 @@ class ChaosPlan:
             t = int(rng.integers(max(1, nt // 10), max(2, nt)))
             entry.fault = {"t": t, "kind": "bitflip", "message": "chaos sdc"}
         # hang/poison target the first N submission indices: budgets, not
-        # rates, so a test or smoke names exactly how many lanes suffer
+        # rates, so a test or smoke names exactly how many jobs suffer
         if job_index < self.config.hang_workers:
             entry.hang_seconds = float(self.config.hang_seconds)
         entry.poison = job_index < self.config.poison_jobs

@@ -21,10 +21,11 @@ throughput of a finished or crashed batch from the journal alone.
 Record kinds, in the order a batch emits them:
 
 * ``batch``  — batch config header: seed, workers, capacity, retry policy,
-  tenant quota, journal format version.  Always record 0.
+  journal format version.  Always record 0.
 * ``shm``    — names of the published shared-memory segments, so a resumed
   supervisor can unlink what its dead predecessor leaked.
-* ``admit``  — one job admitted: full spec dict, submission index, lane.
+* ``admit``  — one job admitted: full spec dict, submission index, and
+  whether a stream yielded it.
 * ``attempt``— an attempt is about to dispatch (job, attempt number,
   engine, resume step).  Written *before* the pipe send — write-ahead.
 * ``outcome``— an attempt ended: ``completed``/``fault``/``crash``/

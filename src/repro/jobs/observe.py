@@ -11,10 +11,9 @@ pool's own attributes (``state``, ``fleet``, ``workers``, ``breaker``,
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from ..telemetry.metrics import CATALOGUE, MetricsRegistry, PhaseAccountant
-from .spec import LANES, AttemptRecord
+from .spec import AttemptRecord
 
 __all__ = ["METRICS_NAME", "PoolObservability"]
 
@@ -26,7 +25,7 @@ METRICS_NAME = "metrics.json"
 class PoolObservability:
     """Metrics, status and trace plumbing of a :class:`JobPool`."""
 
-    def _init_observability(self, status_interval: float, tenant_quota: Optional[int]) -> None:
+    def _init_observability(self, status_interval: float) -> None:
         self.status_interval = float(status_interval)
         self._last_status = 0.0
         self._jobs_phase_added = 0.0
@@ -35,9 +34,6 @@ class PoolObservability:
         self._acct = PhaseAccountant()
         #: family -> instrument, for every :data:`CATALOGUE` entry
         self._m = {family: self.metrics.instrument(family) for family in CATALOGUE}
-        for lane in LANES:
-            self._m["queue_depth"].set(0, lane=lane)
-        self._m["tenant_quota"].set(tenant_quota or 0)
         if self.breaker is not None:
             self.breaker.bind_metrics(self.metrics)
 
@@ -47,15 +43,7 @@ class PoolObservability:
         (instrument.inc if op == "count" else instrument.observe)(value, **labels)
 
     def _refresh_gauges(self) -> None:
-        """Recompute every level-style gauge from supervisor state (cheap:
-        admitted jobs are bounded by ``capacity``)."""
-        depth = {lane: 0 for lane in LANES}
-        for priority, _, _job in self.state.ready:
-            depth[LANES[priority]] += 1
-        for lane, n in depth.items():
-            self._m["queue_depth"].set(n, lane=lane)
-        for tenant, n in self.state.tenant_active.items():
-            self._m["tenant_active_jobs"].set(n, tenant=tenant)
+        """Recompute every level-style gauge from supervisor state."""
         self._m["workers_busy"].set(sum(1 for w in self.fleet.workers if w.busy))
         for bucket, secs in self._acct.flush().items():
             self._m["supervisor_seconds"].set(secs, bucket=bucket)

@@ -54,19 +54,12 @@ POLL_INTERVAL = 0.02
 
 
 class _Stream:
-    """One lazily-pulled spec iterator with a single-slot hold buffer (a
-    pulled spec whose tenant is at quota parks here; the stream stalls —
-    bounded memory — until the quota frees).  The pool drops a stream the
-    moment a pull comes back empty."""
+    """One lazily-pulled spec iterator; the pool drops it the moment a pull
+    comes back empty."""
 
     def __init__(self, specs: Iterable[JobSpec]):
         self.it = iter(specs)
-        self.held: Optional[JobSpec] = None
         self.admitted = 0  # specs successfully admitted from this stream
-
-    def next_spec(self) -> Optional[JobSpec]:
-        spec, self.held = self.held, None
-        return spec if spec is not None else next(self.it, None)
 
 
 def _classify_failure(error: BaseException) -> str:
@@ -110,11 +103,6 @@ class JobPool(PoolObservability):
         Optional :class:`~repro.telemetry.Telemetry` buffer; job lifecycle
         events land in it as ``job.*`` marks, plus per-worker warm/cold
         attempt counters and aggregated kernel/step-cache tallies.
-    tenant_quota:
-        Optional per-tenant bound on admitted-but-unfinished jobs: a direct
-        :meth:`submit` over it raises
-        :class:`~repro.errors.QueueSaturatedError`, a stream holding a spec
-        of a saturated tenant stalls until the tenant drains.
     journal:
         Write-ahead journal every state transition to
         ``<workdir>/journal.jsonl``, fsynced per record (default on; a
@@ -150,7 +138,6 @@ class JobPool(PoolObservability):
         batch_seed: int = 0,
         workdir=None,
         telemetry=None,
-        tenant_quota: Optional[int] = None,
         journal: bool = True,
         heartbeat_interval: float = 0.25,
         heartbeat_timeout: Optional[float] = 60.0,
@@ -162,8 +149,6 @@ class JobPool(PoolObservability):
             raise ValueError("workers must be >= 0 (0 = attempts run in-process)")
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if tenant_quota is not None and tenant_quota < 1:
-            raise ValueError("tenant_quota must be >= 1 (or None)")
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if heartbeat_timeout is not None and heartbeat_timeout <= 0:
@@ -201,7 +186,7 @@ class JobPool(PoolObservability):
         self.resumed = False
         #: the StorageExhaustedError that degraded this batch (None = healthy)
         self.storage_degraded: Optional[StorageExhaustedError] = None
-        self._init_observability(status_interval, tenant_quota)
+        self._init_observability(status_interval)
         heartbeat_timeout = None if heartbeat_timeout is None else float(heartbeat_timeout)
         #: where attempts run: this process, or daemons + pipes + shared segments
         self.fleet = (
@@ -224,7 +209,6 @@ class JobPool(PoolObservability):
             batch_seed=int(batch_seed),
             workers=self.workers,
             capacity=int(capacity),
-            tenant_quota=tenant_quota,
             retry=asdict(retry or RetryPolicy()),
             heartbeat_interval=float(heartbeat_interval),
             heartbeat_timeout=heartbeat_timeout,
@@ -308,20 +292,22 @@ class JobPool(PoolObservability):
         """Admit one spec, or register a *stream* of them.
 
         A single :class:`JobSpec` is admitted immediately —
-        :class:`QueueSaturatedError` at capacity (or over the tenant quota)
-        is the backpressure signal.  Any other iterable is registered as a
-        stream and pulled lazily while :meth:`run` drives the batch: a spec
-        is only drawn once there is admission capacity (and tenant quota)
-        for it, so an effectively-infinite survey generator runs in bounded
-        memory.
+        :class:`QueueSaturatedError` at capacity is the backpressure signal,
+        ``ValueError`` a duplicate id.  Any other iterable is registered as
+        a stream and pulled lazily while :meth:`run` drives the batch: a
+        spec is only drawn once there is admission capacity for it, so an
+        effectively-infinite survey generator runs in bounded memory.
+        Admission is first come, first served: jobs dispatch in the order
+        they were admitted.
         """
         if isinstance(specs, JobSpec):
+            check_admission(self.state, specs)
             self._admit(specs, streamed=False)
         else:
             self._streams.append(_Stream(specs))
 
     def _admit(self, spec: JobSpec, streamed: bool) -> None:
-        check_admission(self.state, spec)
+        """Admit *spec*, which has passed :func:`check_admission`."""
         (self.workdir / spec.job_id).mkdir(parents=True, exist_ok=True)
         self._record(
             "admit", job=spec.job_id, index=len(self.state.jobs),
@@ -332,8 +318,9 @@ class JobPool(PoolObservability):
         """Pull specs from registered streams while admission allows;
         True if anything was admitted.
 
-        A stream whose iterator raises is the *caller's* bug, not the
-        batch's: the broken stream is dropped and recorded as a
+        A stream whose iterator raises, or that yields a spec admission
+        refuses (a duplicate id), is the *caller's* bug, not the batch's:
+        the broken stream is dropped and recorded as a
         :class:`~repro.errors.StreamAdmissionError` on the report, while
         every job it already yielded drains to a terminal state — only the
         specs it never produced are lost.
@@ -343,16 +330,15 @@ class JobPool(PoolObservability):
             while self._streams and self.state.active < self.state.capacity:
                 stream: _Stream = self._streams[0]
                 try:
-                    spec = stream.next_spec()
-                except Exception as exc:  # noqa: BLE001 — caller-owned iterator
+                    spec = next(stream.it, None)
+                    if spec is not None:
+                        check_admission(self.state, spec)
+                except Exception as exc:  # noqa: BLE001 — caller-owned iterator and specs
                     self._stream_failed(stream, exc)
                     spec = None
                 if spec is None:  # exhausted, or broken: either way, dropped
                     self._streams.popleft()
                     continue
-                if self.state.tenant_full(spec.tenant):
-                    stream.held = spec  # park it; the stream stalls until drain
-                    break
                 self._admit(spec, streamed=True)
                 stream.admitted += 1
                 admitted = True
@@ -572,7 +558,7 @@ class JobPool(PoolObservability):
             )
         while state.ready and not state.draining:
             with self._acct.phase("dispatch"):
-                dispatched = self._dispatch(state.ready[0][2], now)
+                dispatched = self._dispatch(state.ready[0], now)
             if not dispatched:
                 break
             changed = True
@@ -745,7 +731,6 @@ class JobPool(PoolObservability):
             workers=header.get("workers", 4) if workers is None else workers,
             workdir=batch_dir,
             telemetry=telemetry,
-            tenant_quota=header.get("tenant_quota"),
             journal=False,  # reattached below, past the verified prefix
             heartbeat_interval=header.get("heartbeat_interval", 0.25),
             heartbeat_timeout=header.get("heartbeat_timeout", 60.0),

@@ -30,18 +30,12 @@ __all__ = [
     "SCHEDULES",
     "JOB_ENGINES",
     "STATUSES",
-    "LANES",
     "PHASE_KEYS",
     "JobSpec",
     "AttemptRecord",
     "JobResult",
     "BatchReport",
 ]
-
-#: priority lanes of the streaming admission front-end, best first: within
-#: the ready queue every ``interactive`` job dispatches before any ``batch``
-#: job, which dispatches before any ``bulk`` job (FIFO within a lane)
-LANES = ("interactive", "batch", "bulk")
 
 #: per-attempt cost centres, the fields of ``AttemptRecord.phases`` — a
 #: regrouping of the attempt's own telemetry phases
@@ -91,13 +85,6 @@ class JobSpec:
     checkpoint_every:
         Snapshot cadence in timesteps (wavefront runs round up to the next
         time-tile boundary).
-    tenant:
-        Admission-quota bucket: a pool constructed with ``tenant_quota=N``
-        admits at most N unfinished jobs per tenant at a time, so one
-        streaming client cannot starve the others.
-    lane:
-        Priority lane (see :data:`LANES`): ``interactive`` jobs dispatch
-        before ``batch`` jobs, which dispatch before ``bulk`` jobs.
     """
 
     job_id: str
@@ -109,8 +96,6 @@ class JobSpec:
     deadline: Optional[float] = None
     max_attempts: int = 3
     checkpoint_every: int = 4
-    tenant: str = "default"
-    lane: str = "batch"
 
     def __post_init__(self):
         if self.example not in EXAMPLES:
@@ -133,14 +118,6 @@ class JobSpec:
             raise ValueError("checkpoint_every must be >= 1")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
-        if self.lane not in LANES:
-            raise ValueError(f"unknown lane {self.lane!r}; expected one of {LANES}")
-        if not self.tenant:
-            raise ValueError("tenant must be a non-empty string")
-
-    @property
-    def lane_priority(self) -> int:
-        return LANES.index(self.lane)
 
     def to_dict(self) -> dict:
         """JSON-serialisable form, sufficient to reconstruct the spec —
@@ -151,8 +128,8 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
-        """Inverse of :meth:`to_dict` (unknown keys from newer journal
-        versions are ignored rather than fatal)."""
+        """Inverse of :meth:`to_dict` (unknown keys — a newer journal's, or
+        fields an older one still carries — are ignored rather than fatal)."""
         from dataclasses import fields
 
         known = {f.name for f in fields(cls)}
@@ -249,8 +226,6 @@ class JobResult:
             "schedule": self.spec.schedule,
             "nt": self.spec.nt,
             "seed": self.spec.seed,
-            "tenant": self.spec.tenant,
-            "lane": self.spec.lane,
             "status": self.status,
             "engine": self.engine,
             "elapsed": self.elapsed,

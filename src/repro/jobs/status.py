@@ -2,10 +2,10 @@
 
 ``python -m repro.jobs.status BATCH_DIR`` renders pool health from the
 ``metrics.json`` snapshot the supervisor atomically refreshes on its status
-cadence — lanes, workers, breaker state, tenant occupancy, attempt latency
-quantiles and achieved stencil throughput — and falls back to (or is forced
-onto, with ``--journal``) a replay of the write-ahead journal, whose
-timestamped records reconstruct admission/terminal timings and per-tenant
+cadence — the ready and delayed queues, workers, breaker state, attempt
+latency quantiles and achieved stencil throughput — and falls back to (or is
+forced onto, with ``--journal``) a replay of the write-ahead journal, whose
+timestamped records reconstruct admission/terminal timings and job
 throughput for a batch that is finished or crashed.
 
 Because ``metrics.json`` is written with a temp-file + ``os.replace``, a
@@ -20,7 +20,7 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..telemetry.counters import stencil_gpoints_per_s
 from ..telemetry.metrics import histogram_quantile
@@ -61,8 +61,8 @@ def _quantile(entry: dict, q: float) -> Optional[float]:
 
 
 def journal_stats(batch_dir) -> Optional[dict]:
-    """Timings and per-tenant throughput replayed from the journal's
-    timestamped records; None when there is no readable journal."""
+    """Timings and job throughput replayed from the journal's timestamped
+    records; None when there is no readable journal."""
     path = Path(batch_dir) / JOURNAL_NAME
     if not path.exists():
         return None
@@ -78,21 +78,8 @@ def journal_stats(batch_dir) -> Optional[dict]:
     # drained job that a resume later completed is completed, not both
     jobs = fold(replay.records, lambda rec: rec["ts"]).jobs
     statuses = Counter(job.status for job in jobs if job.terminal)
-    tenants: Dict[str, dict] = {}
-    for job in jobs:
-        stats = tenants.setdefault(
-            job.spec.tenant, {"admitted": 0, "completed": 0, "failed": 0}
-        )
-        stats["admitted"] += 1
-        if job.terminal:
-            stats["completed" if job.status == "completed" else "failed"] += 1
-    for stats in tenants.values():
-        stats["throughput_per_s"] = (
-            stats["completed"] / elapsed if elapsed > 0 else None
-        )
-    kinds: Dict[str, int] = {}
-    for rec in replay.records:
-        kinds[rec.get("kind", "?")] = kinds.get(rec.get("kind", "?"), 0) + 1
+    completed = statuses.get("completed", 0)
+    kinds = Counter(rec.get("kind", "?") for rec in replay.records)
     sdc_recs = replay.for_kind("sdc")
     return {
         "sdc": {
@@ -104,11 +91,15 @@ def journal_stats(batch_dir) -> Optional[dict]:
         },
         "storage_degraded": len(replay.for_kind("storage_degraded")),
         "records": len(replay.records),
-        "kinds": kinds,
+        "kinds": dict(kinds),
         "elapsed_seconds": elapsed,
         "statuses": dict(statuses),
-        "tenants": tenants,
-        "lanes_admitted": dict(Counter(job.spec.lane for job in jobs)),
+        "jobs": {
+            "admitted": len(jobs),
+            "completed": completed,
+            "failed": sum(statuses.values()) - completed,
+            "throughput_per_s": completed / elapsed if elapsed > 0 else None,
+        },
         "ended": bool(replay.for_kind("batch_end")),
         "resumes": len(replay.for_kind("resume")),
         "corrupt_tail": str(replay.corruption) if replay.corruption else None,
@@ -151,27 +142,10 @@ def render_status(snapshot: Optional[dict], journal: Optional[dict]) -> str:
         ]
         if flags:
             lines.append("flags: " + ", ".join(flags))
-        depth = {
-            e["labels"].get("lane", "?"): e.get("value", 0)
-            for e in _series(snapshot, "repro_queue_depth")
-        }
-        if depth:
+        if status:
             lines.append(
-                "queue depth: "
-                + "  ".join(f"{lane}={int(n)}" for lane, n in sorted(depth.items()))
-                + f"  (ready {status.get('ready', 0)}, delayed "
-                f"{status.get('delayed', 0)})"
-            )
-        quota = _value(snapshot, "repro_tenant_quota")
-        occupancy = _series(snapshot, "repro_tenant_active_jobs")
-        if occupancy:
-            cap = f"/{int(quota)}" if quota else ""
-            lines.append(
-                "tenants: "
-                + "  ".join(
-                    f"{e['labels'].get('tenant', '?')}={int(e.get('value', 0))}{cap}"
-                    for e in sorted(occupancy, key=lambda e: str(e["labels"]))
-                )
+                f"queue: ready {status.get('ready', 0)}, "
+                f"delayed {status.get('delayed', 0)}"
             )
         breaker = _series(snapshot, "repro_breaker_state")
         if breaker:
@@ -263,14 +237,13 @@ def render_status(snapshot: Optional[dict], journal: Optional[dict]) -> str:
                     f"{k}={v}" for k, v in sorted(journal["statuses"].items())
                 )
             )
-        for tenant, stats in sorted(journal["tenants"].items()):
-            tput = stats.get("throughput_per_s")
-            lines.append(
-                f"tenant {tenant}: {stats['completed']}/{stats['admitted']} "
-                f"completed"
-                + (f", {stats['failed']} failed" if stats["failed"] else "")
-                + (f", {tput:.2f} jobs/s" if tput else "")
-            )
+        stats = journal["jobs"]
+        tput = stats["throughput_per_s"]
+        lines.append(
+            f"jobs: {stats['completed']}/{stats['admitted']} completed"
+            + (f", {stats['failed']} failed" if stats["failed"] else "")
+            + (f", {tput:.2f} jobs/s" if tput else "")
+        )
     if not lines:
         lines.append("no metrics.json and no journal — nothing to report")
     return "\n".join(lines)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import os
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -88,7 +89,7 @@ def _metric(family: str, *labelnames: str) -> Callable[..., Effect]:
     return effect
 
 
-_ADMITTED = _metric("jobs_admitted_total", "lane", "tenant")
+_ADMITTED = _metric("jobs_admitted_total")
 _ATTEMPT_SECONDS = _metric("attempt_seconds", "outcome")
 _COMPLETED = _metric("jobs_completed_total")
 _RETRIED = _metric("jobs_retried_total")
@@ -147,8 +148,8 @@ class JobState:
 class BatchState:
     """Everything the supervisor knows about its batch.
 
-    A non-terminal job is in exactly one of ``ready`` (a heap of
-    ``(lane_priority, seq, job)``), ``delayed`` (a heap of ``(ready_time,
+    A non-terminal job is in exactly one of ``ready`` (a FIFO deque of
+    jobs, dispatched from the left), ``delayed`` (a heap of ``(ready_time,
     seq, job)`` — backing off) or in flight (``job.in_flight``).  The
     configuration fields are set by the ``batch`` record.
     """
@@ -159,38 +160,26 @@ class BatchState:
         self.retry = RetryPolicy()
         self.batch_seed = 0
         self.capacity = DEFAULT_CAPACITY
-        self.tenant_quota: Optional[int] = None
         self.poison_threshold = 3
         self.jobs: List[JobState] = []
         self.by_id: Dict[str, JobState] = {}
-        self.ready: list = []
+        self.ready: deque = deque()
         self.delayed: list = []
         self.seq = 0
-        #: admitted-but-unfinished jobs per tenant (entries stay at 0)
-        self.tenant_active: Dict[str, int] = {}
+        #: admitted-but-unfinished jobs
+        self.active = 0
         #: ``terminal`` records seen since the last supervisor took over
         self.terminals = 0
         self.draining = False
         #: published shared-memory segment names not yet known reclaimed
         self.shm_names: List[str] = []
 
-    @property
-    def active(self) -> int:
-        """Admitted-but-unfinished jobs."""
-        return sum(self.tenant_active.values())
-
-    def tenant_full(self, tenant: str) -> bool:
-        return (
-            self.tenant_quota is not None
-            and self.tenant_active.get(tenant, 0) >= self.tenant_quota
-        )
-
 
 # -- decisions (pure functions of state and now) ---------------------------------------
 def check_admission(state: BatchState, spec: JobSpec) -> None:
     """Raise unless *spec* may be admitted now: ``ValueError`` for a duplicate
     id, :class:`QueueSaturatedError` — backpressure, not failure — at
-    capacity or over the tenant's quota."""
+    capacity."""
     if spec.job_id in state.by_id:
         raise ValueError(f"duplicate job_id {spec.job_id!r}")
     pending = state.active
@@ -200,15 +189,6 @@ def check_admission(state: BatchState, spec: JobSpec) -> None:
             "drain the pool or shed load",
             capacity=state.capacity,
             pending=pending,
-        )
-    if state.tenant_full(spec.tenant):
-        load = state.tenant_active[spec.tenant]
-        raise QueueSaturatedError(
-            f"tenant {spec.tenant!r} is at its admission quota "
-            f"({load}/{state.tenant_quota})",
-            capacity=state.tenant_quota,
-            pending=load,
-            tenant=spec.tenant,
         )
 
 
@@ -238,7 +218,7 @@ def promote(state: BatchState, now: float) -> List[JobState]:
     while state.delayed and state.delayed[0][0] <= now:
         job = heapq.heappop(state.delayed)[2]
         if not job.over_deadline(now):
-            _push_ready(state, job)
+            state.ready.append(job)
     return dead
 
 
@@ -251,23 +231,18 @@ def reopen(state: BatchState, job: JobState) -> None:
 
 
 def _open(state: BatchState, job: JobState) -> None:
-    """Count *job* against its tenant and queue it for dispatch."""
-    tenant = job.spec.tenant
-    state.tenant_active[tenant] = state.tenant_active.get(tenant, 0) + 1
-    _push_ready(state, job)
-
-
-def _push_ready(state: BatchState, job: JobState) -> None:
-    state.seq += 1
-    heapq.heappush(state.ready, (job.spec.lane_priority, state.seq, job))
+    """Count *job* as active and queue it for dispatch."""
+    state.active += 1
+    state.ready.append(job)
 
 
 def _dequeue(state: BatchState, job: JobState) -> None:
-    for heap in (state.ready, state.delayed):
-        kept = [entry for entry in heap if entry[2] is not job]
-        if len(kept) != len(heap):
-            heap[:] = kept
-            heapq.heapify(heap)
+    if job in state.ready:  # JobState compares by identity
+        state.ready.remove(job)
+    kept = [entry for entry in state.delayed if entry[2] is not job]
+    if len(kept) != len(state.delayed):
+        state.delayed[:] = kept
+        heapq.heapify(state.delayed)
 
 
 def _close(
@@ -280,8 +255,7 @@ def _close(
         return
     _dequeue(state, job)
     job.status, job.error = status, error
-    tenant = job.spec.tenant
-    state.tenant_active[tenant] = max(0, state.tenant_active.get(tenant, 0) - 1)
+    state.active -= 1
 
 
 # -- handlers: one per journal record kind ---------------------------------------------
@@ -290,7 +264,6 @@ def _on_batch(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
         state.retry = RetryPolicy(**rec["retry"])
     state.batch_seed = int(rec.get("batch_seed", 0))
     state.capacity = int(rec.get("capacity", DEFAULT_CAPACITY))
-    state.tenant_quota = rec.get("tenant_quota")
     state.poison_threshold = int(rec.get("poison_threshold", 3))
     return ()
 
@@ -314,11 +287,8 @@ def _on_admit(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
     state.by_id[spec.job_id] = job
     _open(state, job)
     return (
-        _ADMITTED(lane=spec.lane, tenant=spec.tenant),
-        _event(
-            "queued", spec.job_id, lane=spec.lane, tenant=spec.tenant,
-            streamed=bool(rec.get("streamed", False)),
-        ),
+        _ADMITTED(),
+        _event("queued", spec.job_id, streamed=bool(rec.get("streamed", False))),
     )
 
 
@@ -482,7 +452,7 @@ def _on_resume(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
         elif job.terminal:
             continue
         else:
-            _push_ready(state, job)
+            state.ready.append(job)
         if job.in_flight:
             job.attempts.pop()  # never concluded; the retry reuses its number
             job.in_flight = False

@@ -29,11 +29,11 @@ failures are pickled to the job's ``error-NN.pkl`` *before* crossing the pipe.
 while a job is executing (sends are lock-serialised with result messages,
 so a heartbeat can never tear a result frame).  Death is easy to detect;
 *wedging* is not: a daemon stuck in a native call or a runaway loop is
-alive by every OS measure while its lane starves below the job deadline.
+alive by every OS measure while its job starves below the deadline.
 Heartbeat silence is the tell: the supervisor SIGKILLs a busy daemon whose
 last beat is older than ``heartbeat_timeout``, retries its job from the
 newest checkpoint, and preforks a replacement — a hang costs one timeout,
-never a stalled lane.
+never a stalled fleet slot.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The per-run :class:`~repro.telemetry.spans.Telemetry` buffer answers "where
 did *this run's* wall-time go"; it dies with the run.  A
 :class:`MetricsRegistry` is the complementary *service-level* surface: the
 supervisor-wide set of named, labelled instruments the whole ``jobs/``
-service records into — exactly the families of :data:`CATALOGUE`: queue
-depths per lane, attempt latencies, breaker transitions, … — with one
+service records into — exactly the families of :data:`CATALOGUE`: job
+counts, attempt latencies, breaker transitions, … — with one
 encoding, the versioned JSON snapshot (:meth:`MetricsRegistry.snapshot`,
 written as ``metrics.json`` by :meth:`MetricsRegistry.write_json`) that
 ``python -m repro.jobs.status`` reads.
@@ -13,7 +13,7 @@ written as ``metrics.json`` by :meth:`MetricsRegistry.write_json`) that
 Instrument semantics follow the Prometheus conventions:
 
 * :class:`Counter` — monotonically non-decreasing totals (``*_total``);
-* :class:`Gauge` — a value that goes both ways (queue depth, busy workers);
+* :class:`Gauge` — a value that goes both ways (busy workers, breaker state);
 * :class:`Histogram` — fixed-bucket observation counts with ``sum`` and
   ``count``; :func:`histogram_quantile` estimates quantiles by linear
   interpolation inside the bucket the rank falls in (exactly what a
@@ -80,19 +80,13 @@ DEFAULT_BUCKETS = (
 #: is deleted, not catalogued.
 CATALOGUE: Dict[str, Tuple[str, Tuple[str, ...], str, str]] = {
     "jobs_admitted_total": (
-        "counter", ("lane", "tenant"), "test", "jobs admitted into the batch"),
+        "counter", (), "test", "jobs admitted into the batch"),
     "jobs_completed_total": (
         "counter", (), "test", "jobs that reached completed"),
     "jobs_terminal_total": (
         "counter", ("status",), "test", "jobs per terminal status"),
     "jobs_retried_total": (
         "counter", (), "status", "attempt retries scheduled"),
-    "queue_depth": (
-        "gauge", ("lane",), "status", "ready-to-dispatch jobs per priority lane"),
-    "tenant_active_jobs": (
-        "gauge", ("tenant",), "status", "admitted-but-unfinished jobs per tenant"),
-    "tenant_quota": (
-        "gauge", (), "status", "per-tenant admission quota (0 = unlimited)"),
     "attempt_seconds": (
         "histogram", ("outcome",), "status", "attempt latency per outcome"),
     "workers_busy": (

@@ -15,10 +15,11 @@ Order the sweep instances of a time tile ``(t0,s0), (t0,s1), ...,
 :func:`repro.core.scheduler.instance_lags`; each instance executes on the
 tile window shifted left by its lag, space tiles ascending.  For an edge with
 time distance ``k`` (< tile height; larger ``k`` crosses a time-tile barrier)
-between sweeps ``j_src -> j_snk``, the two instances sit ``k*nsweeps +
-(j_snk - j_src)`` positions apart, so their lag gap is the fixed quantity
-:func:`repro.core.scheduler.lag_span` — and the edge is legal iff that gap
-covers the edge's spatial reach along every skewed dimension:
+between sweeps ``j_src -> j_snk``, the two instances sit ``g = k*nsweeps +
+(j_snk - j_src)`` positions apart, so their lag gap is ``lags[j_src + g] -
+lags[j_src]`` — the shift :func:`repro.core.scheduler.lower` puts between
+their boxes, the same for every congruent pair — and the edge is legal iff
+that gap covers the edge's spatial reach along every skewed dimension:
 
 * **flow** (write then read at offsets ``d``): by the time the reader's
   window ``[X0-L_r, X1-L_r)`` runs, the writer has covered everything below
@@ -49,7 +50,6 @@ from ..core.scheduler import (
     Schedule,
     WavefrontSchedule,
     instance_lags,
-    lag_span,
     lower,
 )
 from ..dsl.functions import Injection
@@ -90,6 +90,7 @@ def _full_tile(grid) -> Tuple[Tuple[int, int], ...]:
 def _check_edge(
     dep: Dependence,
     radii: Tuple[int, ...],
+    lags: List[int],
     skewed: Tuple[str, ...],
     height: int,
     wavefront: bool,
@@ -128,7 +129,9 @@ def _check_edge(
         else:  # output: pointwise slot reuse
             reach = []
         required = max(reach + [0])
-        available = lag_span(radii, dep.source.sweep, gap_count)
+        # in range: time_distance < height puts the sink in this tile
+        src = dep.source.sweep
+        available = lags[src + gap_count] - lags[src]
     return CheckedDependence(
         kind=dep.kind,
         function=dep.function,
@@ -349,9 +352,10 @@ def prove_schedule(
         buffers.setdefault(sp.field.name, sp.field.buffers)
 
     deps = compute_dependences(stmts, buffers)
+    lags = instance_lags(radii, height) if wavefront else []
     checked: List[CheckedDependence] = []
     for dep in deps:
-        edge = _check_edge(dep, radii, skewed, height, wavefront)
+        edge = _check_edge(dep, radii, lags, skewed, height, wavefront)
         checked.append(edge)
         if not edge.satisfied:
             ce = _violation_counterexample(op, schedule, dep, edge)
@@ -380,6 +384,6 @@ def prove_schedule(
         skewed_dims=tuple(skewed),
         sweep_radii=radii,
         wavefront_angle=wavefront_angle(op.sweeps),
-        lags=tuple(instance_lags(radii, height)) if wavefront else (),
+        lags=tuple(lags),
         dependences=tuple(checked),
     )

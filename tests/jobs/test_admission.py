@@ -1,27 +1,16 @@
-"""Streaming admission: lazy iterator pull under the capacity bound,
-priority lanes, per-tenant quotas and the backpressure contract."""
+"""Streaming admission: lazy iterator pull under the capacity bound, FIFO
+dispatch, broken streams and the backpressure contract."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import QueueSaturatedError
-from repro.jobs import JobPool, JobSpec, LANES
+from repro.jobs import JobPool, JobSpec
 
 
 def _spec(i, **kwargs):
     return JobSpec(f"s-{i:02d}", nt=8, seed=i, checkpoint_every=4, **kwargs)
-
-
-def test_lane_and_tenant_are_validated():
-    with pytest.raises(ValueError, match="lane"):
-        JobSpec("bad", lane="express")
-    with pytest.raises(ValueError, match="tenant"):
-        JobSpec("bad", tenant="")
-    spec = _spec(0)
-    assert spec.lane == "batch" and spec.tenant == "default"
-    assert [JobSpec(f"l{i}", lane=lane).lane_priority for i, lane in enumerate(LANES)] \
-        == [0, 1, 2]
 
 
 def test_stream_is_pulled_lazily_within_capacity(tmp_path):
@@ -41,18 +30,6 @@ def test_stream_is_pulled_lazily_within_capacity(tmp_path):
     # at most `capacity` of its specs were admitted-but-unfinished, so the
     # pull count can never exceed completions + capacity
     assert max(pulled) == 6  # ...but the whole stream did eventually run
-
-
-def test_streamed_jobs_run_in_lane_priority_order(tmp_path):
-    lanes = ["bulk", "batch", "interactive", "bulk", "interactive"]
-    pool = JobPool(workers=0, capacity=16, workdir=tmp_path)
-    for i, lane in enumerate(lanes):
-        pool.submit(_spec(i, lane=lane))
-    report = pool.run()
-    assert report.ok
-    started = [e for e in report.events if e["kind"] == "started"]
-    started_lanes = [report.result_for(e["job"]).spec.lane for e in started]
-    assert started_lanes == ["interactive", "interactive", "batch", "bulk", "bulk"]
 
 
 def test_direct_submit_over_capacity_raises(tmp_path):
@@ -100,43 +77,35 @@ def test_broken_stream_does_not_poison_healthy_streams(tmp_path):
     assert len(report.stream_errors) == 1 and not report.ok
 
 
-def test_direct_submit_over_tenant_quota_raises(tmp_path):
-    pool = JobPool(workers=0, capacity=16, tenant_quota=1, workdir=tmp_path)
-    pool.submit(_spec(0, tenant="alice"))
-    with pytest.raises(QueueSaturatedError, match="alice"):
-        pool.submit(_spec(1, tenant="alice"))
-    pool.submit(_spec(2, tenant="bob"))  # another tenant still has room
-
-
-def test_stream_stalls_at_tenant_quota_but_completes(tmp_path):
-    # the stream holds the over-quota spec (bounded memory) and resumes
-    # pulling once the tenant drains — nothing is dropped
-    specs = [
-        _spec(0, tenant="alice"),
-        _spec(1, tenant="alice"),
-        _spec(2, tenant="bob"),
-    ]
-    pool = JobPool(workers=0, capacity=16, tenant_quota=1, workdir=tmp_path)
-    pool.submit(iter(specs))
+def test_stream_yielding_a_duplicate_id_is_dropped_not_fatal(tmp_path):
+    """A duplicate ``job_id`` from a stream is the stream's bug: it is
+    dropped like an iterator that raised, the jobs it already yielded drain,
+    and ``run()`` returns.  A direct submit of the same spec still raises."""
+    pool = JobPool(workers=0, capacity=16, workdir=tmp_path)
+    pool.submit(iter([JobSpec("a", nt=4), JobSpec("b", nt=4),
+                      JobSpec("a", nt=4), JobSpec("c", nt=4)]))
     report = pool.run()
-    assert report.ok and len(report.results) == 3
-    assert {r.spec.job_id for r in report.results} == {"s-00", "s-01", "s-02"}
+    assert [(r.spec.job_id, r.status) for r in report.results] == [
+        ("a", "completed"), ("b", "completed"),
+    ]
+    assert len(report.stream_errors) == 1 and not report.ok
+    assert "duplicate job_id 'a'" in report.stream_errors[0]
+    with pytest.raises(ValueError, match="duplicate"):
+        pool.submit(JobSpec("a", nt=4))
 
 
 def test_mixed_direct_and_streamed_submission(tmp_path):
     pool = JobPool(workers=0, capacity=16, workdir=tmp_path)
-    pool.submit(_spec(0, lane="bulk"))
-    pool.submit(iter([_spec(1, lane="interactive"), _spec(2)]))
+    pool.submit(_spec(3))
+    pool.submit(iter([_spec(1), _spec(4)]))
+    pool.submit(_spec(0))
+    pool.submit(iter([_spec(2)]))
     report = pool.run()
-    assert report.ok and len(report.results) == 3
+    assert report.ok and len(report.results) == 5
     queued = [e for e in report.events if e["kind"] == "queued"]
-    assert [e["streamed"] for e in queued] == [False, True, True]
-
-
-def test_report_carries_lane_and_tenant(tmp_path):
-    pool = JobPool(workers=0, workdir=tmp_path)
-    pool.submit(_spec(0, lane="interactive", tenant="alice"))
-    report = pool.run()
-    payload = report.to_dict()
-    assert payload["jobs"][0]["lane"] == "interactive"
-    assert payload["jobs"][0]["tenant"] == "alice"
+    assert [e["streamed"] for e in queued] == [False, False, True, True, True]
+    # direct specs are admitted at submit, streams in registration order,
+    # and dispatch is first come, first served
+    admitted = [e["job"] for e in queued]
+    assert admitted == ["s-03", "s-00", "s-01", "s-04", "s-02"]
+    assert [e["job"] for e in report.events if e["kind"] == "started"] == admitted

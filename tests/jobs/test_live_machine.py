@@ -179,12 +179,11 @@ class LiveSupervisor(RuleBasedStateMachine):
 
     # -- rules -------------------------------------------------------------------------
     @precondition(lambda self: len(self.model) < 6)
-    @rule(max_attempts=st.integers(1, 3), deadline=st.sampled_from([None, 5.0]),
-          lane=st.sampled_from(["interactive", "batch"]))
-    def admit(self, max_attempts, deadline, lane):
+    @rule(max_attempts=st.integers(1, 3), deadline=st.sampled_from([None, 5.0]))
+    def admit(self, max_attempts, deadline):
         job_id = f"j{len(self.model)}"
         self.pool.submit(
-            JobSpec(job_id, nt=8, max_attempts=max_attempts, deadline=deadline, lane=lane)
+            JobSpec(job_id, nt=8, max_attempts=max_attempts, deadline=deadline)
         )
         self.model[job_id] = SimpleNamespace(
             budget=max_attempts, deadline=deadline, failures=0, crashes=0, status=None,
@@ -306,7 +305,7 @@ class LiveSupervisor(RuleBasedStateMachine):
     @invariant()
     def every_job_is_in_exactly_one_place(self):
         state = self.pool.state
-        ready = [entry[2] for entry in state.ready]
+        ready = list(state.ready)
         delayed = [entry[2] for entry in state.delayed]
         flying = [slot.job for slot in self.fleet.flying]
         for job in state.jobs:

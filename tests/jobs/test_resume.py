@@ -10,13 +10,17 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
-from repro.jobs import JOURNAL_NAME, JobPool, JobSpec, load_journal, run_job_inline
+from repro.jobs import (
+    JOURNAL_NAME, BatchJournal, JobPool, JobSpec, RetryPolicy, load_journal,
+    run_job_inline,
+)
 from repro.jobs.shm import segment_exists
 
 from .fleets import FLEETS
@@ -255,3 +259,24 @@ def test_resume_without_a_journal_is_a_structured_error(tmp_path):
 
     with pytest.raises(JournalCorruptError, match="unreadable"):
         JobPool.resume(tmp_path)
+
+
+def test_a_journal_with_tenants_and_lanes_still_resumes(tmp_path):
+    """Journals written while the service still had tenants and priority
+    lanes carry ``tenant_quota`` in the header and ``tenant`` / ``lane`` in
+    every admitted spec: a resume ignores both and completes every job
+    bit-identically."""
+    specs = [_spec(i, nt=8) for i in range(3)]
+    journal = BatchJournal(tmp_path / JOURNAL_NAME, truncate_to=0)
+    journal.append(
+        "batch", version=1, batch_seed=0, workers=0, capacity=16, tenant_quota=1,
+        retry=asdict(RetryPolicy()), heartbeat_interval=0.25,
+        heartbeat_timeout=60.0, poison_threshold=3, chaos_active=False,
+    )
+    for i, (spec, lane) in enumerate(zip(specs, ("bulk", "batch", "interactive"))):
+        legacy = dict(spec.to_dict(), tenant=f"team-{i}", lane=lane)
+        journal.append("admit", job=spec.job_id, index=i, streamed=False, spec=legacy)
+    report = JobPool.resume(tmp_path, workers=0).run()
+    assert report.ok and report.resumed
+    assert [r.spec for r in report.results] == specs
+    _assert_oracle(report, specs)

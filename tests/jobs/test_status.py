@@ -24,9 +24,9 @@ from repro.jobs.status import (
 def batch_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("batch")
     specs = [
-        JobSpec("q0", nt=8, seed=1, tenant="acme", lane="interactive"),
-        JobSpec("q1", nt=8, seed=2, tenant="acme"),
-        JobSpec("q2", nt=8, seed=3, tenant="zeta", lane="bulk"),
+        JobSpec("q0", nt=8, seed=1),
+        JobSpec("q1", nt=8, seed=2),
+        JobSpec("q2", nt=8, seed=3),
     ]
     report = run_batch(specs, workers=0, workdir=path)
     assert report.ok
@@ -41,24 +41,23 @@ def test_load_status_reads_final_snapshot(batch_dir):
     assert snap["status"]["completed"] == 3
 
 
-def test_journal_stats_reconstructs_tenants_and_lanes(batch_dir):
+def test_journal_stats_reconstructs_the_jobs_summary(batch_dir):
     stats = journal_stats(batch_dir)
     assert stats is not None
     assert stats["ended"] is True
     assert stats["corrupt_tail"] is None
     assert stats["statuses"] == {"completed": 3}
-    assert stats["lanes_admitted"] == {"interactive": 1, "batch": 1, "bulk": 1}
-    assert stats["tenants"]["acme"]["admitted"] == 2
-    assert stats["tenants"]["acme"]["completed"] == 2
-    assert stats["tenants"]["zeta"]["completed"] == 1
+    jobs = stats["jobs"]
+    assert (jobs["admitted"], jobs["completed"], jobs["failed"]) == (3, 3, 0)
+    assert jobs["throughput_per_s"] > 0
 
 
 def test_render_mentions_every_section(batch_dir):
     text = render_status(load_status(batch_dir), journal_stats(batch_dir))
     for fragment in (
-        "[final]", "3/3 completed", "queue depth:", "tenants:",
+        "[final]", "3/3 completed", "queue: ready 0, delayed 0",
         "attempt latency [completed]:", "supervisor seconds:",
-        "journal:", "batch ended", "tenant acme: 2/2 completed",
+        "journal:", "batch ended", "jobs: 3/3 completed",
     ):
         assert fragment in text, f"missing {fragment!r} in:\n{text}"
 
@@ -129,8 +128,8 @@ def test_journal_counts_each_job_once_across_a_drain_and_resume(tmp_path):
     assert JobPool.resume(tmp_path, workers=0).run().completed == 3
     stats = journal_stats(tmp_path)
     assert stats["statuses"] == {"completed": 3}
-    assert stats["tenants"]["default"]["failed"] == 0
-    assert "tenant default: 3/3 completed, " in render_status(None, stats)
+    assert stats["jobs"]["failed"] == 0
+    assert "jobs: 3/3 completed, " in render_status(None, stats)
 
 
 def test_breaker_line_reads_the_gauge_and_the_transition_counter():

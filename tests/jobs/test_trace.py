@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.jobs import ChaosConfig, CircuitBreaker, JobPool, JobSpec, LANES
+from repro.jobs import ChaosConfig, CircuitBreaker, JobPool, JobSpec
+from repro.jobs.status import load_status
 from repro.telemetry.merge import merge_batch_trace, validate_chrome_trace
 
 
@@ -58,13 +59,9 @@ def test_chaos_batch_metrics_assert_against_report(tmp_path):
     )
     assert admitted == len(report.results)
 
-    # all queues drained: every per-lane depth gauge reads 0 at the end
-    depth = {
-        e["labels"]["lane"]: e["value"]
-        for e in _series(snap, "repro_queue_depth")
-    }
-    assert set(depth) == set(LANES)
-    assert all(v == 0.0 for v in depth.values())
+    # all queues drained: the final status summary reads no ready job
+    status = load_status(tmp_path)
+    assert status["final"] and status["status"]["ready"] == 0
     assert _value(snap, "repro_workers_busy") == 0.0
 
     # retry counter mirrors the 'retried' lifecycle events exactly

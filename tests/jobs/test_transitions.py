@@ -76,7 +76,7 @@ class Script:
 def location(state, job):
     """The queues/flags *job* is in — a consistent state has exactly one."""
     return (
-        ["ready"] * sum(1 for e in state.ready if e[2] is job)
+        ["ready"] * sum(1 for j in state.ready if j is job)
         + ["delayed"] * sum(1 for e in state.delayed if e[2] is job)
         + ["in-flight"] * job.in_flight
         + ["terminal"] * job.terminal
@@ -216,13 +216,14 @@ def test_deadline_pressure_degrades_the_schedule_on_retries_only():
     assert other.attempts[0].degraded and other.dispatched_engine == "interp"
 
 
-def test_drain_interrupts_everything_unfinished_and_tenants_return_to_zero():
-    s = Script(tenant_quota=2)
-    a = s.admit("a", tenant="alice")
-    b = s.admit("b", tenant="alice")
-    c = s.admit("c", tenant="bob")
-    with pytest.raises(QueueSaturatedError, match="alice"):
-        s.admit("d", tenant="alice")
+def test_drain_interrupts_everything_unfinished_and_active_returns_to_zero():
+    s = Script(capacity=3)
+    a = s.admit("a")
+    b = s.admit("b")
+    c = s.admit("c")
+    assert list(s.state.ready) == [a, b, c]  # FIFO: admission order
+    with pytest.raises(QueueSaturatedError, match="3/3"):
+        s.admit("d")
     with pytest.raises(ValueError, match="duplicate"):
         s.admit("a")
     s.attempt(a, 1.0)
@@ -236,7 +237,7 @@ def test_drain_interrupts_everything_unfinished_and_tenants_return_to_zero():
         s("terminal", 4.0, job=job.spec.job_id, status="interrupted",
           attempts=len(job.attempts), error="")
         assert location(s.state, job) == ["terminal"]
-    assert s.state.tenant_active == {"alice": 0, "bob": 0} and s.state.active == 0
+    assert s.state.active == 0
     assert s.state.terminals == 3 and not s.state.ready and not s.state.delayed
     assert s.count("jobs_terminal_total") == 3
     # a later supervisor reopens exactly the interrupted ones
@@ -247,7 +248,7 @@ def test_drain_interrupts_everything_unfinished_and_tenants_return_to_zero():
     ]
     assert (b.attempt_no, c.attempt_no) == (1, 0) and b.first_started is None
     assert [e[3]["resume"] for e in s.events("readmitted")] == [True, False]
-    assert s.state.tenant_active == {"alice": 1, "bob": 1}
+    assert list(s.state.ready) == [b, c] and s.state.active == 2
 
 
 def test_resume_orphans_the_in_flight_attempt_and_reuses_its_number():
@@ -283,9 +284,8 @@ def test_a_demoted_result_reopens_and_an_attempt_on_it_is_accepted():
 # -- (ii) + (iii): replay is the state machine ----------------------------------------
 def summary(state):
     """Everything about a state that must survive a fold, as plain data.
-    Clock readings are excluded (live runs on perf_counter, replay on ``ts``)
-    and so is the queue tiebreak counter, which the unjournaled backoff
-    promotions advance on the live side only."""
+    Clock readings are excluded (live runs on perf_counter, replay on
+    ``ts``)."""
     return {
         "jobs": [
             (
@@ -298,10 +298,10 @@ def summary(state):
             )
             for j in state.jobs
         ],
-        "ready": [j.spec.job_id for _, _, j in sorted(state.ready)],
+        "ready": [j.spec.job_id for j in state.ready],
         "delayed": [j.spec.job_id for _, _, j in sorted(state.delayed)],
         "terminals": state.terminals,
-        "tenants": dict(state.tenant_active),
+        "active": state.active,
         "draining": state.draining,
         "shm": list(state.shm_names),
     }
@@ -320,7 +320,7 @@ def chaos_journal(tmp_path_factory):
     )
     for i in range(6):
         pool.submit(JobSpec(f"p{i}", nt=64, seed=300 + i, checkpoint_every=8,
-                            max_attempts=4, tenant="even" if i % 2 == 0 else "odd"))
+                            max_attempts=4))
     report = pool.run()
     assert report.ok and report.kills == 1 and report.retries >= 2
     replay = load_journal(workdir / JOURNAL_NAME)

@@ -45,7 +45,7 @@ CASES = [
     (CheckpointCorruptError, dict(path="/tmp/ckpt_0000000008.npz", reason="BadZipFile")),
     (JobError, dict(job_id="j1")),
     (QueueSaturatedError, dict(capacity=8, pending=8)),
-    (QueueSaturatedError, dict(capacity=4, pending=4, tenant="team-a")),
+    (QueueSaturatedError, dict(capacity=4, pending=3)),
     (JobTimeoutError, dict(job_id="j2", deadline=1.5, elapsed=3.2)),
     (WorkerCrashError, dict(job_id="j3", exitcode=-9, attempt=1)),
     (RetryExhaustedError, dict(job_id="j4", attempts=[{"attempt": 0, "outcome": "fault"}])),

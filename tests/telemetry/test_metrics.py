@@ -31,22 +31,22 @@ def test_counter_monotonic_and_labelled():
 
 
 def test_label_set_is_enforced():
-    c = MetricsRegistry().instrument("jobs_admitted_total")
-    c.inc(lane="batch", tenant="acme")
-    assert c.value(lane="batch", tenant="acme") == 1.0
-    assert c.value(lane="bulk", tenant="acme") == 0.0
+    c = MetricsRegistry().instrument("breaker_transitions_total")
+    c.inc(engine="c", state="open")
+    assert c.value(engine="c", state="open") == 1.0
+    assert c.value(engine="c", state="closed") == 0.0
     with pytest.raises(ValueError):
-        c.inc(lane="batch")  # missing a declared label
+        c.inc(engine="c")  # missing a declared label
     with pytest.raises(ValueError):
-        c.inc(lane="batch", tenant="acme", job="j0")  # undeclared label
+        c.inc(engine="c", state="open", job="j0")  # undeclared label
 
 
 def test_gauge_set_inc_dec_remove():
-    g = MetricsRegistry().instrument("queue_depth")
-    g.set(3, lane="batch")
-    g.set(2, lane="batch")
-    assert g.value(lane="batch") == 2.0
-    assert g.value(lane="bulk") == 0.0
+    g = MetricsRegistry().instrument("breaker_state")
+    g.set(1, engine="c")
+    g.set(2, engine="c")
+    assert g.value(engine="c") == 2.0
+    assert g.value(engine="fused") == 0.0
 
 
 def test_histogram_buckets_sum_count_quantile():
@@ -77,23 +77,23 @@ def test_histogram_empty_quantile_is_none():
 # -- export ------------------------------------------------------------------------------
 def test_snapshot_is_versioned_and_json_roundtrips():
     reg = MetricsRegistry()
-    reg.instrument("jobs_admitted_total").inc(lane="batch", tenant="acme")
+    reg.instrument("jobs_terminal_total").inc(status="completed")
     reg.instrument("attempt_seconds").observe(0.2, outcome="completed")
     snap = reg.snapshot()
     assert snap["version"] == SNAPSHOT_VERSION
     assert snap["namespace"] == "repro"
     snap2 = json.loads(json.dumps(snap))
     assert set(snap2["metrics"]) == {f"repro_{family}" for family in CATALOGUE}
-    fam = snap2["metrics"]["repro_jobs_admitted_total"]
+    fam = snap2["metrics"]["repro_jobs_terminal_total"]
     assert fam["type"] == "counter"
-    assert fam["labelnames"] == ["lane", "tenant"]
-    assert fam["series"] == [{"labels": {"lane": "batch", "tenant": "acme"}, "value": 1.0}]
+    assert fam["labelnames"] == ["status"]
+    assert fam["series"] == [{"labels": {"status": "completed"}, "value": 1.0}]
     hist = snap2["metrics"]["repro_attempt_seconds"]["series"][0]
     assert hist["labels"] == {"outcome": "completed"}
     assert hist["count"] == 1 and hist["sum"] == 0.2
     assert hist["buckets"]["0.1"] == 0 and hist["buckets"]["0.25"] == 1
     assert hist["buckets"]["+Inf"] == 1  # cumulative
-    assert snap2["metrics"]["repro_queue_depth"]["series"] == []  # nothing set
+    assert snap2["metrics"]["repro_workers_busy"]["series"] == []  # nothing set
 
 
 def test_write_json_atomic(tmp_path):

@@ -317,3 +317,40 @@ def test_paper_propagators_reject_offgrid_wavefront(kind):
     with pytest.raises(ScheduleLegalityError, match="precompute") as ei:
         prove_schedule(prop.op, WF, sparse_mode="offgrid")
     assert ei.value.counterexample is not None
+
+
+@pytest.mark.parametrize("kind", ["acoustic", "tti", "elastic"])
+@pytest.mark.parametrize("height", [1, 2, 3, 4])
+def test_available_skew_is_the_box_shift_lower_applies(kind, height):
+    # every in-tile edge's available lag gap is exactly how far lower() shifts
+    # the sink instance's box left of the source instance's, read off one
+    # space tile that no instance box is clipped in
+    from repro.propagators.examples import build_example
+
+    prop, _ = build_example(kind, so=4)
+    op = prop.op
+    schedule = WavefrontSchedule(tile=(2, 2), block=(2, 2), height=height)
+    cert = prove_schedule(op, schedule)
+    radii, shape = tuple(op.sweep_radii), tuple(op.grid.shape)
+    tiles = {}
+    for dt, j, box, _sparse, tile, _n in lower(schedule, shape, radii, height):
+        tiles.setdefault(tile, {})[dt, j] = box
+    boxes = next(
+        inst for inst in tiles.values()
+        if len(inst) == height * len(radii)
+        and all(hi - lo == 2 for box in inst.values() for lo, hi in box[:2])
+    )
+    gaps = set()
+    for edge in cert.dependences:
+        (src, *_), (snk, *_) = edge.source, edge.sink
+        gap = edge.time_distance * len(radii) + snk - src
+        if edge.cross_tile or edge.time_distance < 0 or gap < 0:
+            continue
+        shifts = {
+            a[0] - b[0]
+            for a, b in zip(boxes[0, src][:2], boxes[edge.time_distance, snk][:2])
+        }
+        assert shifts == {edge.available}, (edge, shifts)
+        gaps.add(gap)
+    # beyond a one-instance tile, some checked edge spans two instances
+    assert gaps and (max(gaps) > 0 or height * len(radii) == 1)
