@@ -11,8 +11,10 @@ Three schedules, mirroring the paper's comparison:
   Listing 6): the time axis is cut into tiles of ``height`` steps; within a
   tile, skewed space-time windows of extent ``tile`` traverse the domain and
   every window executes all sweep instances of the tile at decreasing spatial
-  offsets (the wavefront).  ``block`` is the intra-tile space-block shape
-  (performance-model granularity; results are schedule-independent).
+  offsets (the wavefront).  Its ``block`` (the intra-tile space-block shape)
+  is read only by the performance model (:mod:`repro.machine.perfmodel`,
+  :mod:`repro.autotuning.tuner`): :func:`lower` never reads it, so two
+  wavefronts differing only in ``block`` execute the same steps.
 
 The same objects parameterise the NumPy executor (correctness), the memory
 trace generator (cache simulation), and the analytical performance model, so
@@ -116,6 +118,8 @@ class WavefrontSchedule(Schedule):
         Table I).
     block:
         Space-block extent within a tile (``block_x, block_y`` in Table I).
+        Only the performance model reads it; :func:`lower` does not, so it
+        changes no executed step and no wall-clock time.
     height:
         Number of timesteps evaluated per space-time tile (the wavefront
         depth).  Must be >= 1; height 1 degenerates to spatial blocking.

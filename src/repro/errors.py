@@ -201,10 +201,9 @@ class SilentCorruptionError(NumericalBlowup):
     timestep otherwise) exceeds the certified growth bound — values that are
     perfectly finite, so no NaN/Inf check sees them.  Carries
     ``bound`` (the certified admissible amplitude), ``observed`` (the
-    amplitude actually measured) and ``detector`` (``"growth"`` for the
-    amplitude invariant, ``"checksum"`` for a shared-memory block-checksum
-    mismatch).  Subclasses :class:`NumericalBlowup` so existing blow-up
-    handling (retry classification, forensics) applies; the executors
+    amplitude actually measured) and ``detector`` (``"growth"``, the
+    amplitude invariant).  Subclasses :class:`NumericalBlowup` so existing
+    blow-up handling (retry classification, forensics) applies; the executors
     additionally catch it for tile-granular re-execution from the entry
     snapshot before letting it escape.
     """

@@ -2,11 +2,12 @@
 or wave-front temporally blocked traversal.
 
 The three schedules are one loop over the step list
-:func:`repro.core.scheduler.lower` builds; they produce identical results (to
-FP associativity) when the sparse operators are grid-aligned.  A wavefront
-schedule *requires* grid-aligned sparse operators — running it with raw
-off-the-grid injection (``unsafe_offgrid=True``) demonstrates the dependence
-violation of Fig. 4b and is provided exactly for that negative test.
+:func:`repro.core.scheduler.lower` builds; they produce bit-identical results
+when the sparse operators are grid-aligned.  A wavefront schedule *requires*
+grid-aligned sparse operators — running one with raw off-the-grid injection
+(:func:`repro.verify.oracle.run_oracle` with ``unsafe_offgrid=True``)
+demonstrates the dependence violation of Fig. 4b and is provided exactly for
+that negative test.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ independent source experiments — to survive the faults a single in-process
 ``forward()`` cannot: a hung compile, a NaN seed, a killed process.  This
 package orchestrates such batches over a pool of long-lived **warm worker
 daemons** — preforked once per batch, dispatched over private pipes,
-keeping kernel and step-plan caches hot across jobs and attaching the
-read-only model arrays zero-copy from shared memory — and guarantees
+keeping kernel and step-plan caches hot across jobs — and guarantees
 forward progress under faults, building directly on the runtime resilience
 layer (checkpoint/restart, fault injection, the engine degradation ladder)
 and telemetry::
@@ -59,7 +58,6 @@ from .chaos import ChaosConfig, ChaosEntry, ChaosPlan
 from .journal import JOURNAL_NAME, BatchJournal, JournalReplay, load_journal
 from .pool import DEFAULT_CAPACITY, METRICS_NAME, JobPool, run_batch
 from .retry import RetryPolicy
-from .shm import SharedArrayHandle, SharedArrayRegistry, attach_array
 from .spec import (
     EXAMPLES,
     JOB_ENGINES,
@@ -72,7 +70,7 @@ from .spec import (
     JobSpec,
 )
 from .warm import WarmFleet, WarmState, WarmWorker
-from .worker import build_problem, execute_attempt, model_arrays, run_job_inline
+from .worker import build_problem, execute_attempt, run_job_inline
 
 __all__ = [
     "JobSpec",
@@ -86,9 +84,6 @@ __all__ = [
     "ChaosConfig",
     "ChaosEntry",
     "ChaosPlan",
-    "SharedArrayHandle",
-    "SharedArrayRegistry",
-    "attach_array",
     "BatchJournal",
     "JournalReplay",
     "load_journal",
@@ -98,7 +93,6 @@ __all__ = [
     "WarmWorker",
     "build_problem",
     "execute_attempt",
-    "model_arrays",
     "run_job_inline",
     "EXAMPLES",
     "SCHEDULES",

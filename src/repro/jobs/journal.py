@@ -22,8 +22,8 @@ Record kinds, in the order a batch emits them:
 
 * ``batch``  — batch config header: seed, workers, capacity, retry policy,
   journal format version.  Always record 0.
-* ``shm``    — names of the published shared-memory segments, so a resumed
-  supervisor can unlink what its dead predecessor leaked.
+* ``shm``    — no longer written: older supervisors journaled the names of
+  the shared-memory segments they published here; such journals still fold.
 * ``admit``  — one job admitted: full spec dict, submission index, and
   whether a stream yielded it.
 * ``attempt``— an attempt is about to dispatch (job, attempt number,
@@ -33,8 +33,8 @@ Record kinds, in the order a batch emits them:
   durable ``result.npz``.
 * ``terminal`` — a job reached a terminal status.
 * ``stream_failed`` — a user-supplied spec stream raised while pulled.
-* ``sdc``    — silent data corruption detected (ABFT guard or shm
-  checksum): job, attempt, detection/recovery events.  Forensics only.
+* ``sdc``    — silent data corruption detected (ABFT guard): job, attempt,
+  detection/recovery events.  Forensics only.
 * ``storage_degraded`` — checkpoint or journal storage hit ENOSPC; the
   batch continues degraded (no further checkpoints / journaling suspended).
 * ``drain``  — graceful shutdown began (SIGTERM/SIGINT).
@@ -85,7 +85,7 @@ JOURNAL_VERSION = 1
 #: when :mod:`repro.jobs.transitions` is imported.
 JOURNAL_KINDS = {
     "batch": "replayed",
-    "shm": "replayed",
+    "shm": "audit",
     "admit": "replayed",
     "attempt": "replayed",
     "outcome": "replayed",

@@ -9,10 +9,9 @@ the same handlers and reconciles the result with disk.  What is left to the
 shell is what a pure function cannot own: the fsynced journal file, signals,
 durable ``result.npz`` writes, chaos kills and the one drive loop here;
 where attempts run behind the fleet surface of :mod:`repro.jobs.warm` —
-daemons, pipes and shared-memory segments in
-:class:`~repro.jobs.warm.WarmFleet`, or this very process in
-:class:`~repro.jobs.warm.InlineFleet` (``workers=0``: no kills, post-hoc
-deadlines); metrics, status and trace plumbing in :mod:`repro.jobs.observe`.
+daemons and pipes in :class:`~repro.jobs.warm.WarmFleet`, or this very
+process in :class:`~repro.jobs.warm.InlineFleet` (``workers=0``: no kills,
+post-hoc deadlines); metrics, status and trace plumbing in :mod:`repro.jobs.observe`.
 DESIGN.md §8 has the transition table and the fault-domain table.
 """
 
@@ -66,11 +65,9 @@ def _classify_failure(error: BaseException) -> str:
     """Attempt-outcome label of a daemon-reported failure.
 
     ``"sdc"`` (a :class:`~repro.errors.SilentCorruptionError` the worker's
-    ABFT guard or shm checksum gate raised) is kept distinct from the
-    generic ``"fault"``: sdc retries back off flat (corruption is
-    environmental, not the job's fault), never count toward poison
-    quarantine, and make later attempts distrust the shared-memory model
-    segments."""
+    ABFT guard raised) is kept distinct from the generic ``"fault"``: sdc
+    retries back off flat (corruption is environmental, not the job's
+    fault) and never count toward poison quarantine."""
     return "sdc" if isinstance(error, SilentCorruptionError) else "fault"
 
 
@@ -188,7 +185,7 @@ class JobPool(PoolObservability):
         self.storage_degraded: Optional[StorageExhaustedError] = None
         self._init_observability(status_interval)
         heartbeat_timeout = None if heartbeat_timeout is None else float(heartbeat_timeout)
-        #: where attempts run: this process, or daemons + pipes + shared segments
+        #: where attempts run: this process, or daemons + pipes
         self.fleet = (
             InlineFleet(self._acct.phase)
             if self.workers == 0
@@ -508,7 +505,7 @@ class JobPool(PoolObservability):
 
         self.fleet.send(
             worker, job, started, spec, str(self._job_dir(job)), attempt, resume,
-            entry, trace, job.distrust_shm,
+            entry, trace,
         )
         return True
 
@@ -652,26 +649,12 @@ class JobPool(PoolObservability):
             metrics=self.metrics.snapshot(),
         )
 
-    def _publish(self) -> None:
-        """Hand the batch's shared model arrays to the fleet, once."""
-        arrays = worker_mod.model_arrays()
-        names = self.fleet.publish(arrays)
-        if names is not None:
-            self._measure(
-                "count", "shm_bytes_published_total",
-                sum(int(a.nbytes) for a in arrays.values()), {},
-            )
-            # journaled so a resumed supervisor can unlink what a SIGKILLed
-            # predecessor (whose ``finally`` never ran) leaked
-            self._record("shm", names=names)
-
     def _drive(self) -> None:
         """The drive loop: poll until nothing is left to do (or, draining,
         until the in-flight attempts have finished).  It sleeps only when a
         poll changed nothing — until the fleet has a report, and no longer
         than the earliest backoff expiry."""
         state, fleet = self.state, self.fleet
-        self._publish()
         while fleet.busy or not state.draining:
             if not (fleet.busy or state.ready or state.delayed or self._streams):
                 break
@@ -701,8 +684,6 @@ class JobPool(PoolObservability):
         through the same transition handlers the live supervisor runs, then
         reconciles the folded state with disk:
 
-        * unlinks the ``/dev/shm`` segments the dead supervisor journaled
-          but — SIGKILLed before its ``finally`` — never unlinked;
         * preloads every completed job whose ``result.npz`` is durable *and*
           verified (digest sidecar plus the journal's recorded digest),
           bit-identical to what the dead batch produced, and demotes the
@@ -720,8 +701,6 @@ class JobPool(PoolObservability):
         runs clean, which is also what keeps ``kill_supervisor_after`` from
         re-killing every successor.
         """
-        from .shm import unlink_stale
-
         batch_dir = Path(batch_dir)
         replay = load_journal(batch_dir / JOURNAL_NAME)
         header = replay.header  # raises JournalCorruptError when unusable
@@ -749,7 +728,6 @@ class JobPool(PoolObservability):
             truncate_to=replay.good_bytes,
         )
         pool.resumed = True
-        reclaimed = [name for name in state.shm_names if unlink_stale(name)]
         for job in state.jobs:
             job_dir = pool._job_dir(job)
             job_dir.mkdir(parents=True, exist_ok=True)
@@ -776,7 +754,6 @@ class JobPool(PoolObservability):
             "resume",
             jobs=len(state.jobs),
             pending=sum(1 for j in state.jobs if j.status in (None, "interrupted")),
-            reclaimed_shm=reclaimed,
             corruption=str(replay.corruption) if replay.corruption else None,
         )
         return pool

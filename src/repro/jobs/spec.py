@@ -144,9 +144,9 @@ class AttemptRecord:
     started: float
     ended: float = 0.0
     #: "completed" | "fault" (worker reported a structured failure) |
-    #: "sdc" (silent data corruption: the worker's ABFT guard or shm
-    #: checksum gate raised SilentCorruptionError — retried at flat backoff,
-    #: never counted toward poison quarantine) |
+    #: "sdc" (silent data corruption: the worker's ABFT guard raised
+    #: SilentCorruptionError — retried at flat backoff, never counted
+    #: toward poison quarantine) |
     #: "crash" (worker died without reporting) | "timeout" |
     #: "hang" (daemon went heartbeat-silent and was killed)
     outcome: str = ""

@@ -193,9 +193,6 @@ def render_status(snapshot: Optional[dict], journal: Optional[dict]) -> str:
                 f"{int(recovered)} recovered in-run, "
                 f"{int(tiles)} tile(s) re-executed"
             )
-        shm = _value(snapshot, "repro_shm_bytes_published_total")
-        if shm:
-            lines.append(f"shared memory published: {shm / 1e6:.2f} MB")
         sup = {
             e["labels"].get("bucket", "?"): e.get("value", 0.0)
             for e in _series(snapshot, "repro_supervisor_seconds")

@@ -120,9 +120,6 @@ class JobState:
     #: a later supervisor found an attempt in flight: the next dispatch must
     #: resume from checkpoint even though no failure outcome was journaled
     force_resume: bool = False
-    #: an attempt ended in silent data corruption: later attempts stop
-    #: trusting the shared-memory model segments and recompute locally
-    distrust_shm: bool = False
     #: terminal status (None while the job is ready, delayed or in flight)
     status: Optional[str] = None
     #: the terminal error of a timeout / exhausted / quarantined job
@@ -171,8 +168,6 @@ class BatchState:
         #: ``terminal`` records seen since the last supervisor took over
         self.terminals = 0
         self.draining = False
-        #: published shared-memory segment names not yet known reclaimed
-        self.shm_names: List[str] = []
 
 
 # -- decisions (pure functions of state and now) ---------------------------------------
@@ -269,7 +264,7 @@ def _on_batch(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
 
 
 def _on_shm(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
-    state.shm_names.extend(rec.get("names", ()))
+    """An older supervisor's shared-memory segment names: nothing to replay."""
     return ()
 
 
@@ -330,8 +325,6 @@ def _on_outcome(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
             _ATTEMPT_SECONDS(max(0.0, now - attempt.started), outcome=outcome)
         )
     job.consecutive_crashes = job.consecutive_crashes + 1 if outcome == "crash" else 0
-    if outcome == "sdc":
-        job.distrust_shm = True
     if outcome == "completed":
         job.digest = rec.get("digest")
         effects.append(_COMPLETED())
@@ -438,11 +431,9 @@ def _on_drain(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
 def _on_resume(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
     """A later supervisor took over: whatever was in flight is orphaned (its
     checkpoints are on disk, so the retry resumes), ``interrupted`` jobs
-    reopen, backoff timers are void, deadline clocks restart, and the dead
-    supervisor's shared-memory segments have been reclaimed."""
+    reopen, backoff timers are void and deadline clocks restart."""
     state.draining = False
     state.terminals = 0
-    state.shm_names = []
     state.ready.clear()
     state.delayed.clear()
     effects = []

@@ -1,8 +1,8 @@
 """Where attempts run: the fleet surface, over warm daemons or in-process.
 
 :class:`~repro.jobs.pool.JobPool`'s one drive loop talks to a *fleet* —
-``publish`` / ``idle`` / ``send`` / ``sweep`` / ``replenish`` / ``busy`` /
-``wait`` / ``shutdown`` and the ``in_process`` flag.  :class:`WarmFleet`
+``idle`` / ``send`` / ``sweep`` / ``replenish`` / ``busy`` / ``wait`` /
+``shutdown`` and the ``in_process`` flag.  :class:`WarmFleet`
 implements it over long-lived daemons, :class:`InlineFleet` (``workers=0``)
 by running the same :func:`~repro.jobs.worker.execute_attempt` in the
 supervisor's own process and reporting through ``sweep`` as a daemon would.
@@ -15,9 +15,11 @@ the process survives from job to job — the amortisation the paper asks for —
   (:func:`repro.ir.pycodegen.kernel_cache_stats`) stays warm — every job
   after the first binds its sweeps by cache hit instead of compilation;
 * the lowered step lists (:func:`repro.core.scheduler.lower`, memoised per
-  process) are replayed, not recomputed;
-* the model/geometry arrays arrive once, as
-  :class:`~repro.jobs.shm.SharedArrayHandle` attachments, zero-copy.
+  process) are replayed, not recomputed.
+
+The model is not among them: every attempt rebuilds it in whichever process
+runs it (a 12^3 velocity array, tens of microseconds), so daemons and the
+in-process fleet share one model path.
 
 Fault domains (DESIGN.md §8): the pipe is private per worker, so a SIGKILL
 mid-write corrupts nothing shared; a dead-silent worker is detected, its job
@@ -43,7 +45,7 @@ import pickle
 import threading
 import time
 from multiprocessing import connection as mp_connection
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..errors import WorkerCrashError
 from .spec import JobSpec
@@ -61,20 +63,13 @@ HEARTBEAT = "hb"
 
 
 class WarmState:
-    """Per-daemon caches that survive across jobs.
+    """Per-daemon state that survives across jobs.
 
-    ``shared`` maps registry keys to the read-only shared-memory arrays the
-    worker attached at startup (empty for the in-process fleet, which reads
-    nothing remote).  ``jobs_done`` drives the warm/cold attribution: an
-    attempt is *warm* iff its daemon had already completed at least one job.
+    ``jobs_done`` drives the warm/cold attribution: an attempt is *warm* iff
+    its daemon had already completed at least one job.
     """
 
-    def __init__(
-        self,
-        shared: Optional[Mapping[str, object]] = None,
-        worker_id: Optional[int] = None,
-    ):
-        self.shared: Dict[str, object] = dict(shared or {})
+    def __init__(self, worker_id: Optional[int] = None):
         self.worker_id = worker_id
         self.jobs_done = 0
 
@@ -130,17 +125,12 @@ class _Heartbeat:
         self._stop.set()
 
 
-def warm_main(
-    worker_id: int,
-    conn,
-    handles: Mapping[str, object],
-    heartbeat_interval: float = 0.25,
-) -> None:
-    """Daemon entry point: attach shared arrays once, then serve jobs until
-    a :data:`SHUTDOWN` sentinel (or pipe EOF) arrives.
+def warm_main(worker_id: int, conn, heartbeat_interval: float = 0.25) -> None:
+    """Daemon entry point: serve jobs until a :data:`SHUTDOWN` sentinel (or
+    pipe EOF) arrives.
 
     Messages in: ``("job", spec, job_dir, attempt, resume, chaos_entry,
-    dispatch_ts, trace, distrust_shm)`` — *trace* is ``None`` or a trace
+    dispatch_ts, trace)`` — *trace* is ``None`` or a trace
     context (batch id, worker id, and the parent's ``perf_counter`` reading at
     dispatch); the daemon stamps its own clock at receipt (``recv_perf``)
     and echoes both back inside the attempt's telemetry payload, which is
@@ -164,17 +154,14 @@ def warm_main(
     timeout and exits when the parent pid changes (re-parenting to init/a
     subreaper is the one unfakeable sign the supervisor is gone), so an
     orphaned fleet drains itself within about a second instead of pinning
-    pipes, shared-memory mappings and inherited stdio open indefinitely.
+    pipes and inherited stdio open indefinitely.
     """
     import os
 
-    from ..errors import SilentCorruptionError
-    from .shm import AttachedArrays, verify_handles
     from . import worker as worker_mod
 
     parent_pid = os.getppid()
-    attached = AttachedArrays(handles)
-    warm = WarmState(shared=attached.arrays, worker_id=worker_id)
+    warm = WarmState(worker_id=worker_id)
     send_lock = threading.Lock()
     beat = _Heartbeat(conn, send_lock, worker_id, heartbeat_interval)
     try:
@@ -189,7 +176,7 @@ def warm_main(
                 break
             if msg[0] == SHUTDOWN:
                 break
-            _, spec, job_dir, attempt, resume, chaos, dispatch_ts, trace, distrust = msg
+            _, spec, job_dir, attempt, resume, chaos, dispatch_ts, trace = msg
             recv_ts = time.monotonic()
             recv_perf = time.perf_counter()  # clock-offset handshake stamp
             if chaos is not None and chaos.poison:
@@ -199,27 +186,11 @@ def warm_main(
                 time.sleep(chaos.hang_seconds)
             beat.begin()
             try:
-                # the pool marks retries after an sdc outcome: stop trusting
-                # the (possibly corrupted) shared segments and recompute the
-                # model arrays locally — bit-identical by construction
-                if not distrust:
-                    # block-checksum gate: a flipped bit in /dev/shm poisons
-                    # one attempt (classified sdc by the pool), not the batch
-                    bad = verify_handles(handles, attached)
-                    if bad:
-                        raise SilentCorruptionError(
-                            "shared-memory model segment(s) failed their "
-                            f"published checksum: {', '.join(sorted(bad))}",
-                            field=sorted(bad)[0],
-                            detector="checksum",
-                            keys=sorted(bad),
-                        )
                 if trace is not None:
                     trace["recv_perf"] = recv_perf
                 rec, meta = worker_mod.execute_attempt(
                     spec, job_dir, attempt=attempt, resume=resume, chaos=chaos,
                     warm=warm, trace=trace is not None, ctx=trace,
-                    distrust_shm=distrust,
                 )
                 meta.setdefault("phases", {})["spawn"] = max(
                     0.0, recv_ts - dispatch_ts
@@ -237,7 +208,6 @@ def warm_main(
                 beat.end()
     finally:
         beat.stop()
-        attached.close()
         try:
             conn.close()
         except OSError:
@@ -255,19 +225,13 @@ class WarmWorker:
     worker whose ``last_beat`` goes stale is wedged, not working.
     """
 
-    def __init__(
-        self,
-        ctx,
-        worker_id: int,
-        handles: Mapping[str, object],
-        heartbeat_interval: float = 0.25,
-    ):
+    def __init__(self, ctx, worker_id: int, heartbeat_interval: float = 0.25):
         self.worker_id = worker_id
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
         self.proc = ctx.Process(
             target=warm_main,
-            args=(worker_id, child_conn, dict(handles), heartbeat_interval),
+            args=(worker_id, child_conn, heartbeat_interval),
             daemon=True,
             name=f"repro-warm-{worker_id}",
         )
@@ -288,7 +252,7 @@ class WarmWorker:
 
     # -- dispatch / results ----------------------------------------------------------
     def dispatch(self, spec: JobSpec, job_dir: str, attempt: int, resume: bool,
-                 chaos, trace: Optional[dict] = None, distrust: bool = False) -> None:
+                 chaos, trace: Optional[dict] = None) -> None:
         """Send one job at the daemon; raises ``BrokenPipeError``/``OSError``
         when the daemon is already dead (the pool treats that as a crash).
 
@@ -300,7 +264,7 @@ class WarmWorker:
                      "dispatch_perf": time.perf_counter()}
         self.conn.send(
             ("job", spec, str(job_dir), attempt, resume, chaos,
-             time.monotonic(), trace, distrust)
+             time.monotonic(), trace)
         )
         self.jobs_dispatched += 1
         self.last_beat = time.monotonic()
@@ -352,9 +316,9 @@ class WarmWorker:
 
 
 class WarmFleet:
-    """The live daemons of one batch and the shared segments they map.
+    """The live daemons of one batch.
 
-    Owns every process, pipe and ``/dev/shm`` segment.  The pool hands it job
+    Owns every process and pipe.  The pool hands it job
     messages (:meth:`send`) and reads attempt *reports* back (:meth:`sweep`):
     what the pipes and the process table say — a result, a daemon-reported
     error, a dead daemon, a heartbeat-silent one, a job past its deadline —
@@ -389,21 +353,6 @@ class WarmFleet:
         self.spawned = 0
         #: daemons killed for heartbeat silence
         self.hung = 0
-        self._registry = None  # SharedArrayRegistry, once published
-
-    # -- shared memory -----------------------------------------------------------------
-    def publish(self, arrays: Mapping[str, object]) -> Optional[List[str]]:
-        """Publish the batch's read-only model *arrays* into shared memory
-        once (every daemon attaches them zero-copy at prefork); returns the
-        segment names, or None when they are already published."""
-        from .shm import SharedArrayRegistry
-
-        if self._registry is not None:
-            return None
-        self._registry = SharedArrayRegistry()
-        for key, array in arrays.items():
-            self._registry.publish(key, array)
-        return list(self._registry.segment_names())
 
     # -- daemons -----------------------------------------------------------------------
     @property
@@ -412,10 +361,8 @@ class WarmFleet:
 
     def _spawn(self) -> WarmWorker:
         self.spawned += 1
-        handles = self._registry.handles() if self._registry is not None else {}
         worker = WarmWorker(
-            self._ctx, self.spawned, handles,
-            heartbeat_interval=self.heartbeat_interval,
+            self._ctx, self.spawned, heartbeat_interval=self.heartbeat_interval
         )
         self.workers.append(worker)
         self._spawn_counter.inc()
@@ -424,7 +371,7 @@ class WarmFleet:
 
     def retire(self, worker: WarmWorker, crashed: bool = False) -> None:
         """Drop *worker* from the fleet (its process already dead or being
-        killed); shared segments stay valid — only the mapping died."""
+        killed)."""
         if worker in self.workers:
             self.workers.remove(worker)
         worker.kill()  # no-op if already dead; reaps the process either way
@@ -537,14 +484,11 @@ class WarmFleet:
                 self.retire(worker, crashed=verdict == "crash")
 
     def shutdown(self) -> None:
-        """Stop every daemon and unlink every segment (idempotent) — never
-        leak a process or a ``/dev/shm`` entry, however the batch ended."""
+        """Stop every daemon (idempotent) — never leak a process, however
+        the batch ended."""
         for worker in self.workers:
             worker.shutdown()
         self.workers.clear()
-        if self._registry is not None:
-            self._registry.close()
-            self._registry = None
 
 
 class InlineFleet:
@@ -581,7 +525,7 @@ class InlineFleet:
         return self if self._report is None else None
 
     def send(self, worker, job, started, spec, job_dir, attempt, resume, chaos,
-             trace=None, distrust=False):
+             trace=None):
         from . import worker as worker_mod
 
         started(self)
@@ -603,9 +547,6 @@ class InlineFleet:
 
     def wait(self, timeout: float) -> None:
         time.sleep(timeout)
-
-    def publish(self, arrays) -> None:
-        return None  # nothing remote reads them
 
     def replenish(self, outstanding: int) -> None:
         pass

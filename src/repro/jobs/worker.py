@@ -34,7 +34,7 @@ import numpy as np
 from ..core.scheduler import make_schedule
 from ..errors import CheckpointCorruptError
 from ..execution.evalbox import ENGINES
-from ..propagators.examples import SHAPE, build_example, example_velocity
+from ..propagators.examples import SHAPE, build_example
 from ..runtime.abft import ABFTGuard
 from ..runtime.checkpoint import CheckpointConfig, FileCheckpointStore
 from ..runtime.faults import Fault, FaultInjector, break_engine
@@ -49,36 +49,16 @@ __all__ = [
     "durable_result",
     "newest_checkpoint_step",
     "write_error",
-    "model_arrays",
 ]
 
-#: registry key of the shared velocity model (see :func:`model_arrays`)
-VP_KEY = "model/vp"
 
-
-def model_arrays() -> dict:
-    """The read-only model arrays every job of a batch shares, by registry
-    key.  The pool publishes these into shared memory once per batch;
-    :func:`build_problem` falls back to computing them locally (bit-identical
-    by construction) when no shared registry is attached."""
-    return {VP_KEY: example_velocity()}
-
-
-def build_problem(spec: JobSpec, shared=None):
+def build_problem(spec: JobSpec):
     """(propagator, dt) for *spec* — deterministic in the spec alone: the
     shared example builder, with the seed shifting the shot within the
-    middle [0.3, 0.7] of the domain.
-
-    *shared* optionally maps registry keys to zero-copy read-only arrays
-    (a warm worker's shared-memory attachments); absent keys are computed
-    locally, producing bit-identical values by construction.
-    """
+    middle [0.3, 0.7] of the domain."""
     rng = np.random.default_rng(spec.seed)
     return build_example(
-        spec.example,
-        nt=spec.nt,
-        vp=shared.get(VP_KEY) if shared else None,
-        shift=rng.uniform(-0.2, 0.2, size=len(SHAPE)),
+        spec.example, nt=spec.nt, shift=rng.uniform(-0.2, 0.2, size=len(SHAPE))
     )
 
 
@@ -102,7 +82,6 @@ def execute_attempt(
     warm=None,
     trace: bool = False,
     ctx: Optional[dict] = None,
-    distrust_shm: bool = False,
 ) -> Tuple[Optional[np.ndarray], dict]:
     """Run one attempt of *spec* in the current process.
 
@@ -111,16 +90,10 @@ def execute_attempt(
     business.  A corrupt checkpoint is *not* fatal: the store is discarded
     and the attempt restarts from scratch, preserving forward progress.
 
-    *distrust_shm* makes :func:`build_problem` ignore the warm worker's
-    shared-memory attachments and recompute the model arrays locally
-    (bit-identical by construction) — the pool sets it on retries after a
-    silent-data-corruption outcome, so a corrupted ``/dev/shm`` segment
-    costs one attempt, not the job.
-
-    *warm* is an optional :class:`~repro.jobs.warm.WarmState`: its shared
-    arrays feed the example builder zero-copy and the meta gains the
-    warm/cold attribution (worker id, warmth flag, per-phase seconds, cache
-    hit/miss tallies) the pool's benchmark and telemetry report.
+    *warm* is an optional :class:`~repro.jobs.warm.WarmState`: the meta
+    gains the warm/cold attribution (worker id, warmth flag, per-phase
+    seconds, cache hit/miss tallies) the pool's benchmark and telemetry
+    report.
 
     With *trace* on, the attempt's whole telemetry buffer is serialized
     (:func:`repro.telemetry.merge.telemetry_payload`) into
@@ -132,8 +105,7 @@ def execute_attempt(
 
     t_entry = _time.perf_counter()
     job_dir = Path(job_dir)
-    shared = None if distrust_shm else (warm.shared if warm else None)
-    prop, dt = build_problem(spec, shared=shared)
+    prop, dt = build_problem(spec)
     store = FileCheckpointStore(_checkpoint_dir(job_dir), keep=2)
     resumed_from = None
     if resume:

@@ -32,24 +32,20 @@ _PROPAGATORS = {
 
 
 def example_velocity() -> np.ndarray:
-    """The layered P-velocity model of every example (the array a job batch
-    publishes once into shared memory)."""
+    """The layered P-velocity model of every example."""
     return layered_velocity(SHAPE, 1.5, 3.0, 3)
 
 
-def build_example(kind: str, nt: int = 16, so: int = 4, vp=None, shift=None):
+def build_example(kind: str, nt: int = 16, so: int = 4, shift=None):
     """``(propagator, dt)``: a small (12^3, nbl=2, space order *so*)
     propagator with source + receivers, at its critical timestep.
 
-    *vp* substitutes an already-built :func:`example_velocity` array (a warm
-    worker's zero-copy shared-memory attachment); *shift* moves the source
-    off the domain centre by that fraction of the extent per dimension (a
-    survey's seeded shot positions).
+    *shift* moves the source off the domain centre by that fraction of the
+    extent per dimension (a survey's seeded shot positions).
     """
     if kind not in EXAMPLES:
         raise ValueError(f"unknown example {kind!r}; expected one of {EXAMPLES}")
-    if vp is None:
-        vp = example_velocity()
+    vp = example_velocity()
     kwargs = {}
     if kind == "tti":
         kwargs = dict(epsilon=0.12, delta=0.05, theta=0.35, phi=0.4)

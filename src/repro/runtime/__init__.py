@@ -34,7 +34,6 @@ from .checkpoint import (
     restore_snapshot,
 )
 from .faults import Fault, FaultInjector, break_engine, flip_finite, split_seed
-from .integrity import array_checksum
 from .monitor import RuntimeMonitor
 from .preflight import (
     check_cfl,
@@ -46,7 +45,6 @@ from .preflight import (
 
 __all__ = [
     "ABFTGuard",
-    "array_checksum",
     "CheckpointConfig",
     "CheckpointStore",
     "MemoryCheckpointStore",

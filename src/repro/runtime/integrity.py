@@ -1,5 +1,4 @@
-"""Integrity checks: SHA-256 trailers for on-disk artifacts, CRC-32 block
-checksums for in-memory arrays.
+"""Integrity checks: SHA-256 trailers for on-disk artifacts.
 
 The durability layer trusts three kinds of files across a supervisor crash:
 checkpoint snapshots (``ckpt_*.npz``), durable job results (``result.npz``)
@@ -18,24 +17,16 @@ Legacy artifacts written before this layer have no sidecar;
 :func:`verify_digest` accepts them unless ``require=True`` — resume-time
 decisions (skip a completed job?) require the digest, load-time decisions
 (is this checkpoint usable?) merely refuse a *mismatching* one.
-
-:func:`array_checksum` is the in-memory counterpart: the block checksum the
-shared-memory registry (:mod:`repro.jobs.shm`) publishes with every model
-array so warm daemons can verify it at attempt start.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import zlib
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 __all__ = [
-    "array_checksum",
     "atomic_write",
     "DIGEST_SUFFIX",
     "file_digest",
@@ -48,12 +39,6 @@ __all__ = [
 DIGEST_SUFFIX = ".sha256"
 
 _CHUNK = 1 << 20
-
-
-def array_checksum(arr: np.ndarray) -> int:
-    """CRC-32 block checksum of an array's raw bytes (shm integrity)."""
-    data = np.ascontiguousarray(arr)
-    return zlib.crc32(data.view(np.uint8).reshape(-1)) & 0xFFFFFFFF
 
 
 def atomic_write(path, write, fsync: bool = True) -> None:

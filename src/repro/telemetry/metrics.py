@@ -93,8 +93,6 @@ CATALOGUE: Dict[str, Tuple[str, Tuple[str, ...], str, str]] = {
         "gauge", (), "test", "daemons with a job in flight"),
     "workers_spawned_total": (
         "counter", (), "test", "daemons preforked (initial + replacements)"),
-    "shm_bytes_published_total": (
-        "counter", (), "status", "shared-memory bytes published per batch"),
     "supervisor_seconds": (
         "gauge", ("bucket",), "status", "exclusive supervisor wall-time per bucket"),
     "sdc_detections_total": (

@@ -9,6 +9,7 @@ from repro.core.scheduler import (
     SpatialBlockSchedule,
     WavefrontSchedule,
     instance_lags,
+    lower,
     tile_origins,
     time_tiles,
 )
@@ -127,3 +128,16 @@ def test_lags_monotone_and_bounded(radii, h):
     lags = instance_lags(radii, h)
     assert lags == sorted(lags)
     assert lags[-1] == sum(radii) * h - radii[0]
+
+
+def test_wavefront_block_does_not_change_the_lowered_steps():
+    # ``block`` is performance-model granularity only: what executes — and so
+    # the wall clock — is the same step list whatever the inner block
+    from repro.propagators.examples import build_example
+
+    op = build_example("acoustic", so=4)[0].op
+    shape, radii = tuple(op.grid.shape), tuple(op.sweep_radii)
+    small = WavefrontSchedule(tile=(16, 16), block=(4, 4), height=4)
+    large = WavefrontSchedule(tile=(16, 16), block=(16, 16), height=4)
+    steps = lower(small, shape, radii, small.height)
+    assert steps and steps == lower(large, shape, radii, large.height)

@@ -66,6 +66,7 @@ def test_metric_effects_are_checked_against_the_catalogue_at_import():
 
 def test_audit_handlers_leave_state_untouched():
     samples = {
+        "shm": {"names": ["/psm_x"]},  # an older supervisor's segment names
         "stream_failed": {"admitted": 1, "reason": "ValueError: x"},
         "sdc": {"job": "a", "attempt": 0, "recovered": True, "detector": "growth",
                 "detections": 2, "tiles_reexecuted": 1, "micro_snapshot_bytes": 8},

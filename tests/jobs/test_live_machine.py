@@ -5,7 +5,7 @@
 as fault or sdc / ``crash`` / ``hang``; ``timeout`` from the scripted clock)
 are dealt by the test, and ``now`` is a counter the test advances.  A
 hypothesis rule-based machine drives a real :class:`JobPool` — real journal,
-real ``result.npz`` files, real shared-memory segments — through admissions,
+real ``result.npz`` files — through admissions,
 polls, reports, drains and supervisor deaths (the pool abandoned un-shut-down,
 then ``JobPool.resume``), and holds it to a small independent model."""
 
@@ -25,7 +25,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 import repro.jobs.pool as pool_mod
 from repro.errors import SilentCorruptionError, WorkerCrashError
 from repro.jobs import JOURNAL_NAME, JobPool, JobSpec, RetryPolicy, load_journal
-from repro.jobs.shm import SharedArrayRegistry, segment_exists
 
 POISON_THRESHOLD = 2
 #: what the ``report`` rule deals from: weighted so runs of crashes happen
@@ -66,15 +65,6 @@ class ScriptedFleet:
         self.sent = []
         #: verdict of attempts nobody dealt one (None = they stay in flight)
         self.default = None
-        self._registry = None
-
-    def publish(self, arrays):
-        if self._registry is not None:
-            return None
-        self._registry = SharedArrayRegistry()
-        for key, array in arrays.items():
-            self._registry.publish(key, array)
-        return list(self._registry.segment_names())
 
     @property
     def busy(self):
@@ -91,7 +81,7 @@ class ScriptedFleet:
         pass
 
     def send(self, worker, job, started, spec, job_dir, attempt, resume, chaos,
-             trace=None, distrust=False):
+             trace=None):
         worker.job, worker.attempt = job, attempt
         self.flying.append(worker)
         self.sent.append((job.spec.job_id, attempt, resume))
@@ -133,16 +123,14 @@ class ScriptedFleet:
         self.clock.advance(timeout)
 
     def shutdown(self):
-        if self._registry is not None:
-            self._registry.close()
-            self._registry = None
+        pass
 
 
 def _state_summary(state):
     return [
         (
             job.spec.job_id, job.status, job.attempt_no, job.consecutive_crashes,
-            job.force_resume, job.distrust_shm, job.digest,
+            job.force_resume, job.digest,
             [(a.attempt, a.outcome) for a in job.attempts],
             job.jitter_rng.bit_generator.state["state"],
         )
@@ -193,7 +181,6 @@ class LiveSupervisor(RuleBasedStateMachine):
     @rule(dt=st.sampled_from([0.0, 0.1, 1.0, 10.0]))
     def poll(self, dt):
         self.clock.advance(dt)
-        self.pool._publish()  # what the drive loop does before its first poll
         self.pool._poll(self.clock())
         self._absorb()
         self.polls += 1
@@ -214,7 +201,7 @@ class LiveSupervisor(RuleBasedStateMachine):
     @rule()
     def supervisor_dies(self):
         """SIGKILL, as far as the batch directory can tell: no shutdown, no
-        ``finally`` — segments leaked, in-flight attempts orphaned — then two
+        ``finally`` — in-flight attempts orphaned — then two
         successors in a row resume the journal."""
         self._resume()
 
@@ -250,14 +237,11 @@ class LiveSupervisor(RuleBasedStateMachine):
         self.fleet.delivered.clear()
 
     def _resume(self):
-        dead_fleet = self.fleet
-        for slot in dead_fleet.flying:
+        for slot in self.fleet.flying:
             self.model[slot.job.spec.job_id].orphaned = True
         self.polls = 0
         self.pool._journal.close()
         first = JobPool.resume(self.dir, workers=0, status_interval=0)
-        self._check_no_segment_survives()
-        dead_fleet.shutdown()  # drop the dead supervisor's mappings
         seen = _state_summary(first.state)
         first._journal.close()
         # a second resume over the resumed journal folds to the same state
@@ -274,13 +258,11 @@ class LiveSupervisor(RuleBasedStateMachine):
         self.fleet.default = "ok"
         report = self.pool.run()
         self._absorb()
-        assert self._check_no_segment_survives()
         if report.drained:
             self._resume()
             self.fleet.default = "ok"
             report = self.pool.run()
             self._absorb()
-            assert self._check_no_segment_survives()
         assert not report.drained
         for result in report.results:
             entry = self.model[result.spec.job_id]
@@ -289,17 +271,6 @@ class LiveSupervisor(RuleBasedStateMachine):
             assert result.status in FINAL
             assert result.status != "timeout" or entry.deadline is not None
         self._check_journal()
-
-    def _check_no_segment_survives(self) -> int:
-        """No name a supervisor of this batch ever journaled is still in
-        ``/dev/shm`` (called after every resume and every shutdown); returns
-        how many names were checked."""
-        names = [
-            n for r in load_journal(self.dir / JOURNAL_NAME).for_kind("shm")
-            for n in r["names"]
-        ]
-        assert not any(segment_exists(n) for n in names)
-        return len(names)
 
     # -- invariants --------------------------------------------------------------------
     @invariant()

@@ -1,8 +1,7 @@
 """Crash-safe resume: a supervisor SIGKILLed mid-batch (or drained by a
 signal) leaves a journal from which ``JobPool.resume`` reconstructs the
 batch and finishes it bit-identically to an uninterrupted run — durable
-results preloaded, not recomputed; leaked shared memory reclaimed; torn
-artifacts refused and redone."""
+results preloaded, not recomputed; torn artifacts refused and redone."""
 
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ from repro.jobs import (
     JOURNAL_NAME, BatchJournal, JobPool, JobSpec, RetryPolicy, load_journal,
     run_job_inline,
 )
-from repro.jobs.shm import segment_exists
 
 from .fleets import FLEETS
 
@@ -59,8 +57,6 @@ def test_every_transition_is_journaled(tmp_path):
         assert len(replay.for_kind("outcome")) == 3
         assert len(replay.for_kind("terminal")) == 3
         assert len(replay.for_kind("batch_end")) == 1
-        # only daemons map shared segments: the inline fleet publishes nothing
-        assert len(replay.for_kind("shm")) == (1 if workers else 0)
         # outcomes carry the durable-result digest resume will verify against
         for out in replay.for_kind("outcome"):
             assert out["outcome"] == "completed" and len(out["digest"]) == 64
@@ -127,8 +123,7 @@ def test_supervisor_sigkill_then_resume_is_bit_identical(tmp_path):
     """The tentpole invariant: SIGKILL the supervisor process mid-batch
     (chaos pulls the trigger after 2 terminal jobs), then resume from the
     journal — the batch completes with receivers bit-identical to the
-    fault-free oracle, durable results are preloaded, and the /dev/shm
-    segments the dead supervisor leaked are reclaimed."""
+    fault-free oracle and durable results are preloaded."""
     specs = [_spec(i, nt=48, max_attempts=3) for i in range(4)]
     child = (
         "import sys\n"
@@ -150,16 +145,12 @@ def test_supervisor_sigkill_then_resume_is_bit_identical(tmp_path):
     # the journal survived the kill with at worst a torn tail
     replay = load_journal(tmp_path / JOURNAL_NAME)
     assert len(replay.for_kind("terminal")) >= 2
-    shm_names = [n for r in replay.for_kind("shm") for n in r["names"]]
-    assert shm_names
     report = JobPool.resume(tmp_path, workers=2).run()
     assert report.ok and report.resumed
     kinds = [e["kind"] for e in report.events]
     assert kinds.count("preloaded") >= 2  # the pre-kill completions
     assert kinds.count("preloaded") + kinds.count("readmitted") == 4
     _assert_oracle(report, specs)
-    # nothing the dead supervisor published is still in /dev/shm
-    assert not any(segment_exists(n) for n in shm_names)
 
 
 def test_resumed_jobs_keep_their_pre_crash_attempt_history(tmp_path):
@@ -280,3 +271,33 @@ def test_a_journal_with_tenants_and_lanes_still_resumes(tmp_path):
     assert report.ok and report.resumed
     assert [r.spec for r in report.results] == specs
     _assert_oracle(report, specs)
+
+
+def test_a_journal_with_shared_memory_records_still_resumes(tmp_path):
+    """Journals written while the service still published its model to
+    shared memory carry an ``shm`` record (segment names) and a
+    ``reclaimed_shm`` list in every ``resume`` record: both fold as audit
+    data, nothing is unlinked, and the batch — one attempt in flight at the
+    crash — completes bit-identically."""
+    specs = [_spec(i, nt=8) for i in range(3)]
+    journal = BatchJournal(tmp_path / JOURNAL_NAME, truncate_to=0)
+    journal.append(
+        "batch", version=1, batch_seed=0, workers=2, capacity=16,
+        retry=asdict(RetryPolicy()), heartbeat_interval=0.25,
+        heartbeat_timeout=60.0, poison_threshold=3, chaos_active=False,
+    )
+    journal.append("shm", names=["/psm_dead"])
+    for i, spec in enumerate(specs):
+        journal.append("admit", job=spec.job_id, index=i, streamed=False,
+                       spec=spec.to_dict())
+    journal.append("resume", jobs=3, pending=3, reclaimed_shm=[], corruption=None)
+    journal.append("attempt", job=specs[0].job_id, attempt=0, engine=specs[0].engine,
+                   resume=True, step=None)
+    journal.close()
+    report = JobPool.resume(tmp_path).run()
+    assert report.ok and report.resumed
+    assert [r.status for r in report.results] == ["completed"] * 3
+    _assert_oracle(report, specs)
+    replay = load_journal(tmp_path / JOURNAL_NAME)
+    assert len(replay.for_kind("shm")) == 1  # the old record, nothing new
+    assert "reclaimed_shm" not in replay.for_kind("resume")[-1]

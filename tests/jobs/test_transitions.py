@@ -104,8 +104,7 @@ def test_failed_attempt_with_budget_left_backs_off_and_retries(outcome):
     record = job.attempts[0]
     assert (record.outcome, record.started, record.ended) == (outcome, 1.0, 2.0)
     assert record.error == f"Boom: {outcome}"
-    # sdc backs off flat, distrusts the shared segments, never feeds quarantine
-    assert job.distrust_shm == (outcome == "sdc")
+    # only a crash feeds quarantine (sdc backs off flat: see below)
     assert job.consecutive_crashes == (1 if outcome == "crash" else 0)
     # backoff expiry is the shell's timer: nothing moves before it is due
     assert promote(s.state, 2.0 + expected - 1e-6) == []
@@ -157,7 +156,7 @@ def test_sdc_never_counts_toward_quarantine():
     job = s.admit("a", max_attempts=4)
     s.attempt(job, 1.0)
     s.outcome(job, 2.0, "sdc")
-    assert not job.terminal and job.distrust_shm and job.consecutive_crashes == 0
+    assert not job.terminal and job.consecutive_crashes == 0
     # ...and its backoff is the flat base delay, whatever the attempt number
     assert s.state.delayed[0][0] - 2.0 <= RETRY["base"] * (1 + RETRY["jitter"])
 
@@ -254,11 +253,11 @@ def test_drain_interrupts_everything_unfinished_and_active_returns_to_zero():
 def test_resume_orphans_the_in_flight_attempt_and_reuses_its_number():
     s = Script()
     job = s.admit("a")
-    s("shm", 0.5, names=["/psm_x"])
+    s("shm", 0.5, names=["/psm_x"])  # an older supervisor's record: audit only
     s.attempt(job, 1.0)
     s("resume", 50.0, jobs=1, pending=1, reclaimed_shm=["/psm_x"], corruption=None)
     assert location(s.state, job) == ["ready"] and job.force_resume
-    assert job.attempts == [] and job.attempt_no == 0 and s.state.shm_names == []
+    assert job.attempts == [] and job.attempt_no == 0
     s.attempt(job, 51.0)
     assert [a.attempt for a in job.attempts] == [0] and not job.force_resume
 
@@ -290,7 +289,7 @@ def summary(state):
         "jobs": [
             (
                 j.spec.job_id, j.index, j.status, j.attempt_no, j.in_flight,
-                j.consecutive_crashes, j.force_resume, j.distrust_shm, j.digest,
+                j.consecutive_crashes, j.force_resume, j.digest,
                 j.dispatched_engine, type(j.error).__name__,
                 [(a.attempt, a.outcome, a.error, a.engine) for a in j.attempts],
                 # the jitter stream's position
@@ -303,7 +302,6 @@ def summary(state):
         "terminals": state.terminals,
         "active": state.active,
         "draining": state.draining,
-        "shm": list(state.shm_names),
     }
 
 

@@ -1,6 +1,6 @@
-"""Warm-daemon pool: cache warmth across jobs, crash replacement, shared
-memory reclaimed — the fault domains of the process-per-attempt design must
-survive the move to long-lived workers."""
+"""Warm-daemon pool: cache warmth across jobs, crash replacement — the fault
+domains of the process-per-attempt design must survive the move to
+long-lived workers."""
 
 from __future__ import annotations
 
@@ -12,24 +12,9 @@ from repro.jobs import (
     run_job_inline,
 )
 from repro.jobs.spec import PHASE_KEYS
-from repro.jobs.shm import segment_exists
 from repro.telemetry import Telemetry
 
 pytestmark = pytest.mark.faults
-
-
-def _observing_stream(pool, specs, names):
-    """Submit *specs* as a stream that, when first pulled — mid-``run()``,
-    after the model arrays were published — reads the published segment
-    names back from the journal's ``shm`` record and checks they exist."""
-
-    def stream():
-        for rec in load_journal(pool.workdir / JOURNAL_NAME).for_kind("shm"):
-            names.extend(rec["names"])
-        assert names and all(segment_exists(n) for n in names)
-        yield from specs
-
-    pool.submit(stream())
 
 
 def _specs(n, nt=48, **kwargs):
@@ -71,15 +56,15 @@ def test_warm_results_match_the_serial_oracle(tmp_path):
 def test_sigkilled_daemon_is_replaced_and_batch_is_bit_identical(tmp_path):
     """The satellite invariant: SIGKILL a warm daemon mid-batch — the batch
     still completes with receivers bit-identical to the fault-free oracle,
-    a replacement daemon is preforked, and no shared-memory segment leaks."""
+    and a replacement daemon is preforked."""
     specs = _specs(4, nt=96, max_attempts=3)
     pool = JobPool(
         workers=2, workdir=tmp_path, chaos=ChaosConfig(kill_workers=1), batch_seed=21
     )
-    names = []
-    _observing_stream(pool, specs, names)
+    for spec in specs:
+        pool.submit(spec)
     report = pool.run()
-    assert report.ok and names
+    assert report.ok
     assert report.kills == 1
     # the dead daemon was retired and a fresh one preforked in its place
     assert report.workers_spawned > 2
@@ -94,17 +79,6 @@ def test_sigkilled_daemon_is_replaced_and_batch_is_bit_identical(tmp_path):
         np.testing.assert_array_equal(
             report.result_for(spec.job_id).receivers, run_job_inline(spec)
         )
-    # no leaked /dev/shm entries after run()
-    assert not any(segment_exists(n) for n in names)
-
-
-def test_shared_segments_reclaimed_on_clean_runs(tmp_path):
-    pool = JobPool(workers=1, workdir=tmp_path)
-    names = []
-    _observing_stream(pool, _specs(1), names)
-    report = pool.run()
-    assert report.ok and names
-    assert not any(segment_exists(n) for n in names)
 
 
 def test_daemon_faults_cross_the_pipe_and_retry(tmp_path):

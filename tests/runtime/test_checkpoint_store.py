@@ -191,17 +191,3 @@ def test_legacy_snapshot_without_sidecar_still_loads(tmp_path):
     digest_path(tmp_path / "ckpt_0000000008.npz").unlink()
     assert store.latest().step == 8
 
-
-# -- the in-memory counterpart of the digest sidecars --------------------------------
-
-
-def test_array_checksum_is_content_addressed_and_flip_sensitive():
-    from repro.runtime.integrity import array_checksum
-
-    rng = np.random.default_rng(0)
-    a = rng.random((7, 9)).astype(np.float64)
-    assert array_checksum(a) == array_checksum(a.copy())
-    assert array_checksum(a) == array_checksum(np.asfortranarray(a))
-    flipped = a.copy()
-    flipped.view(np.uint8).reshape(-1)[13] ^= 0x10  # one-bit upset in the bytes
-    assert array_checksum(flipped) != array_checksum(a)
