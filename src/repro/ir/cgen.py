@@ -45,6 +45,12 @@ are sealed with a SHA-256 trailer and published with temp-sibling +
 whole or will not load is rebuilt once.  Every
 failure is an :class:`~repro.errors.EngineCompilationError` with ``engine="c"``
 and a ``reason`` class, which the ladder turns into one fall to ``fused``.
+A compile in which the compiler ran and exited non-zero is a function of the
+key, so :func:`build` remembers it for the life of the process and raises it
+again without running the compiler: a warm process on a broken toolchain
+pays one failed build per source, then a dict lookup per bind.  Nothing else
+is remembered (an unwritable cache, an ``OSError``), a new compiler binary
+is a new key, and :func:`reset` forgets.
 """
 
 from __future__ import annotations
@@ -104,14 +110,18 @@ ELIGIBLE_OPS = {
 _CTYPE = {"float32": "float", "float64": "double"}
 
 _LIBS: Dict[str, ctypes.CDLL] = {}
+#: key -> message of a compile the compiler ran and rejected
+_FAILED: Dict[str, str] = {}
 STATS = {"c_cache_hits": 0, "c_cache_misses": 0, "c_compile_s": 0.0}
 
 
 def reset() -> None:
-    """Forget the loaded libraries and zero the counters (the C half of
+    """Forget the loaded libraries and the remembered build failures, and
+    zero the counters (the C half of
     :func:`repro.ir.pycodegen.clear_kernel_caches`).  The disk cache stays:
     it is cross-process state, like every JIT cache."""
     _LIBS.clear()
+    _FAILED.clear()
     STATS.update(c_cache_hits=0, c_cache_misses=0, c_compile_s=0.0)
 
 
@@ -396,7 +406,8 @@ def _compile(cc: str, source: str, path: Path) -> None:
             input=source, text=True, capture_output=True,
         )
         if proc.returncode != 0:
-            raise _fail("build-failed", f"{cc} exited {proc.returncode}: {proc.stderr.strip()}")
+            _FAILED[path.stem] = f"{cc} exited {proc.returncode}: {proc.stderr.strip()}"
+            raise _fail("build-failed", _FAILED[path.stem])
         with open(tmp, "rb+") as fh:  # seal: loaders ignore bytes past the image
             fh.write(hashlib.sha256(fh.read()).digest())
         os.replace(tmp, path)  # readers see the old object, none, or a whole new one
@@ -422,7 +433,8 @@ def _intact(path: Path) -> bool:
 
 def build(source: str) -> ctypes.CDLL:
     """The loaded shared object of *source*: from this process's table, the
-    disk cache, or a fresh compile, in that order."""
+    disk cache, or a fresh compile, in that order — or the remembered
+    failure of an earlier compile of the same key."""
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         raise _fail("no-compiler", "no C compiler (gcc, cc) on PATH")
@@ -435,7 +447,9 @@ def build(source: str) -> ctypes.CDLL:
     ).hexdigest()
     lib = _LIBS.get(key)
     if lib is None:
-        path = _cache_dir() / f"{key}.so"
+        if key in _FAILED:
+            raise _fail("build-failed", _FAILED[key])
+        path = _cache_dir() / f"{key}.so"  # the object's stem is its key
         compiled = False
         for _attempt in range(2):
             if not _intact(path):

@@ -42,7 +42,7 @@ quarantined with forensics instead of retried forever.
 The whole service is observable end to end: the supervisor records into its
 :class:`~repro.telemetry.metrics.MetricsRegistry` (exactly the families of
 :data:`~repro.telemetry.metrics.CATALOGUE`: job counts, attempt
-latencies, breaker state, …), atomically refreshes their one encoding, a
+latencies, busy workers, …), atomically refreshes their one encoding, a
 live ``metrics.json`` in the batch dir, which
 ``python -m repro.jobs.status BATCH_DIR`` renders, and with ``trace=True``
 propagates a trace context to every attempt so the per-attempt span trees
@@ -53,7 +53,6 @@ in code).
 Command line: ``python -m repro.jobs --help`` (chaos knobs included).
 """
 
-from .breaker import CircuitBreaker
 from .chaos import ChaosConfig, ChaosEntry, ChaosPlan
 from .journal import JOURNAL_NAME, BatchJournal, JournalReplay, load_journal
 from .pool import DEFAULT_CAPACITY, METRICS_NAME, JobPool, run_batch
@@ -80,7 +79,6 @@ __all__ = [
     "JobPool",
     "run_batch",
     "RetryPolicy",
-    "CircuitBreaker",
     "ChaosConfig",
     "ChaosEntry",
     "ChaosPlan",

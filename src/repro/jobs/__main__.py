@@ -38,7 +38,6 @@ from typing import List
 
 import numpy as np
 
-from .breaker import CircuitBreaker
 from .chaos import ChaosConfig
 from .pool import JobPool
 from .retry import RetryPolicy
@@ -79,8 +78,8 @@ def main(argv: List[str] = None) -> int:
         help="execution schedule (default: wavefront)",
     )
     parser.add_argument(
-        "--engine", choices=JOB_ENGINES, default="fused",
-        help="sweep engine requested per job (default: fused)",
+        "--engine", choices=JOB_ENGINES, default=JOB_ENGINES[0],
+        help=f"sweep engine requested per job (default: {JOB_ENGINES[0]})",
     )
     parser.add_argument("--nt", type=int, default=64, help="timesteps per job (default: 64)")
     parser.add_argument(
@@ -158,11 +157,6 @@ def main(argv: List[str] = None) -> int:
         "instead of submitting a new one",
     )
     parser.add_argument(
-        "--breaker-threshold", type=int, default=0,
-        help="attach a circuit breaker on the --engine rung with this trip "
-        "threshold (0 = off)",
-    )
-    parser.add_argument(
         "--workdir", default=None,
         help="directory for checkpoints/results (default: a temp dir)",
     )
@@ -202,17 +196,10 @@ def main(argv: List[str] = None) -> int:
             poison_jobs=args.poison_jobs,
             kill_supervisor_after=args.kill_supervisor_after,
         )
-        breaker = (
-            CircuitBreaker(threshold=args.breaker_threshold, engine=args.engine)
-            # the interpreter compiles nothing: there is no rung to guard
-            if args.breaker_threshold > 0 and args.engine != JOB_ENGINES[-1]
-            else None
-        )
         pool = JobPool(
             workers=4 if args.workers is None else args.workers,
             capacity=args.capacity,
             retry=RetryPolicy(),
-            breaker=breaker,
             chaos=chaos,
             batch_seed=args.seed,
             workdir=args.workdir,

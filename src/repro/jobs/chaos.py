@@ -27,8 +27,8 @@ Three kinds of injected trouble:
   bit-identical to a fault-free run.
 * **engine breakage** (``break_rate``) — the attempt runs under
   :func:`~repro.runtime.faults.break_engine`, making the compiler of the rung
-  the spec asks for raise; exercises the engine ladder and feeds the pool's
-  circuit breaker.
+  the spec asks for raise; exercises the engine ladder, and the fall shows in
+  the attempt's ``fallbacks``.
 * **worker kills** (``kill_workers``) — the pool supervisor SIGKILLs up to
   that many attempt-0 workers, each as soon as its job has persisted its
   first checkpoint (guaranteeing the kill lands mid-run *and* that the
@@ -145,7 +145,7 @@ class ChaosEntry:
     fault: Optional[dict] = None
     #: seed of the injector's corruption stream
     fault_seed: int = 0
-    break_fused: bool = False  # of the rung the spec asks for, fused or c
+    break_rung: bool = False  # of the rung the spec asks for, c or fused
     #: > 0 ⇒ the attempt-0 daemon wedges (heartbeats stop) for this long
     hang_seconds: float = 0.0
     #: True ⇒ the job hard-exits its daemon on every attempt (quarantine
@@ -182,7 +182,7 @@ class ChaosPlan:
             # checkpoints usually exist, early enough that work remains
             t = int(rng.integers(max(1, nt // 10), max(2, nt)))
             entry.fault = {"t": t, "kind": kind, "message": "chaos fault"}
-        entry.break_fused = bool(rng.random() < self.config.break_rate)
+        entry.break_rung = bool(rng.random() < self.config.break_rate)
         # the sdc draw comes after the legacy draws so adding it does not
         # reshuffle fault decisions of pre-existing chaos configurations;
         # an in-run fault on the same job takes precedence (one armed fault

@@ -3,9 +3,9 @@ instruments, exclusive supervisor phase accounting, the live ``metrics.json``
 status snapshot, and the stamping of per-attempt trace payloads.
 
 :class:`PoolObservability` is a base class, not a component: it reads the
-pool's own attributes (``state``, ``fleet``, ``workers``, ``breaker``,
-``telemetry``, ``workdir``, ``batch_id``, ``resumed``, ``storage_degraded``,
-``_streams``, ``_epoch``) and nothing here changes batch state.
+pool's own attributes (``state``, ``fleet``, ``workers``, ``telemetry``,
+``workdir``, ``batch_id``, ``resumed``, ``storage_degraded``, ``_streams``,
+``_epoch``) and nothing here changes batch state.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ class PoolObservability:
         self._acct = PhaseAccountant()
         #: family -> instrument, for every :data:`CATALOGUE` entry
         self._m = {family: self.metrics.instrument(family) for family in CATALOGUE}
-        if self.breaker is not None:
-            self.breaker.bind_metrics(self.metrics)
 
     def _measure(self, op: str, family: str, value: float, labels: dict) -> None:
         """Perform one ``count`` / ``observe`` effect of a transition."""
@@ -47,9 +45,6 @@ class PoolObservability:
         self._m["workers_busy"].set(sum(1 for w in self.fleet.workers if w.busy))
         for bucket, secs in self._acct.flush().items():
             self._m["supervisor_seconds"].set(secs, bucket=bucket)
-        if self.breaker is not None:
-            # the read turns an elapsed cooldown half_open, and its gauge with it
-            self.breaker.state
 
     def _status_summary(self) -> dict:
         state, fleet = self.state, self.fleet

@@ -21,12 +21,11 @@ import os
 import signal
 import time
 from collections import deque
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..errors import SilentCorruptionError, StorageExhaustedError, StreamAdmissionError
-from .breaker import CircuitBreaker
 from .chaos import ChaosConfig, ChaosPlan
 from .journal import JOURNAL_NAME, JOURNAL_VERSION, BatchJournal, load_journal
 from .observe import METRICS_NAME, PoolObservability
@@ -85,9 +84,6 @@ class JobPool(PoolObservability):
         streams stop being pulled until jobs finish.
     retry:
         Backoff policy (default :class:`~repro.jobs.retry.RetryPolicy`).
-    breaker:
-        Optional :class:`~repro.jobs.breaker.CircuitBreaker` guarding its
-        engine rung across the batch.
     chaos:
         Optional :class:`~repro.jobs.chaos.ChaosConfig`; resolved per job
         from *batch_seed* (scheduling-order independent).
@@ -130,7 +126,6 @@ class JobPool(PoolObservability):
         workers: int = 4,
         capacity: int = DEFAULT_CAPACITY,
         retry: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
         chaos: Optional[ChaosConfig] = None,
         batch_seed: int = 0,
         workdir=None,
@@ -153,7 +148,6 @@ class JobPool(PoolObservability):
         if poison_threshold < 1:
             raise ValueError("poison_threshold must be >= 1")
         self.workers = int(workers)
-        self.breaker = breaker
         self.chaos_plan = (
             ChaosPlan(chaos, batch_seed) if chaos is not None and chaos.active else None
         )
@@ -453,20 +447,6 @@ class JobPool(PoolObservability):
             job.error.__cause__ = error
             self._finish(job, job.status, now)
 
-    def _breaker_feedback(self, job: JobState, verdict: str, payload) -> None:
-        """Tell the breaker what an attempt's report says about its rung: it
-        fell, it held, or — the attempt ended without a result — nobody
-        knows, which only releases a half-open probe slot."""
-        br = self.breaker
-        if br is None or job.dispatched_engine != br.engine:
-            return
-        if verdict != "ok":
-            br.record_inconclusive(br.engine)
-        elif any(f.get("failed") == br.engine for f in payload[1].get("fallbacks", ())):
-            br.record_failure(br.engine)
-        else:
-            br.record_success(br.engine)
-
     # -- supervision -------------------------------------------------------------------
     def _dispatch(self, job: JobState, now: float) -> bool:
         """Start *job*'s next attempt on an idle fleet slot; False when there
@@ -477,13 +457,10 @@ class JobPool(PoolObservability):
         worker = self.fleet.idle()
         if worker is None:
             return False
-        job_id, br = job.spec.job_id, self.breaker
+        job_id = job.spec.job_id
         spec = pressured_spec(job, now)
         if spec is not job.spec:
             self._emit("degraded", job_id, schedule=spec.schedule)
-        if br is not None and spec.engine == br.engine and not br.allow(br.engine):
-            spec = replace(spec, engine=br.fallback)
-            self._emit("rerouted", job_id, engine=spec.engine)
         attempt = job.attempt_no
         resume = attempt > 0 or job.force_resume
         step = worker_mod.newest_checkpoint_step(self._job_dir(job)) if resume else None
@@ -535,7 +512,6 @@ class JobPool(PoolObservability):
         if self.chaos_plan is not None and not self.fleet.in_process:
             self._chaos_kill()
         for job, verdict, payload in self.fleet.sweep(now):
-            self._breaker_feedback(job, verdict, payload)
             if verdict == "ok":
                 self._complete(job, *payload, now)
             elif verdict == "timeout":

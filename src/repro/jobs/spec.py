@@ -71,8 +71,9 @@ class JobSpec:
     schedule:
         Traversal: ``naive``, ``spatial`` or ``wavefront``.
     engine:
-        Sweep engine requested (the ladder may degrade it, and the pool's
-        circuit breaker may reroute it before dispatch).
+        Sweep engine requested, by default the head of the ladder
+        (``ENGINES[0]``, ``"c"``); the ladder may degrade it at bind time,
+        and each fall is in the result's ``fallbacks``.
     seed:
         Deterministically perturbs the source position inside the model, so
         distinct seeds are distinct shots of a survey.
@@ -91,7 +92,7 @@ class JobSpec:
     example: str = "acoustic"
     nt: int = 16
     schedule: str = "wavefront"
-    engine: str = "fused"
+    engine: str = JOB_ENGINES[0]
     seed: int = 0
     deadline: Optional[float] = None
     max_attempts: int = 3
@@ -156,8 +157,9 @@ class AttemptRecord:
     engine: str = ""
     #: timestep the attempt resumed from (None = started from scratch)
     resumed_from: Optional[int] = None
-    #: True when the dispatcher downgraded schedule/engine under deadline
-    #: pressure or a tripped circuit breaker
+    #: True when the dispatcher downgraded the schedule under deadline
+    #: pressure, or the journal's engine differs from the spec's (journals of
+    #: a supervisor that could reroute dispatch)
     degraded: bool = False
     #: warm-worker id the attempt ran on (None = the in-process fleet)
     worker: Optional[int] = None
@@ -212,7 +214,8 @@ class JobResult:
     engine: str = ""
     #: wall-clock seconds from first dispatch to terminal state
     elapsed: float = 0.0
-    #: fused→interp fallbacks the successful attempt reported
+    #: the ladder's falls in the successful attempt: ``{failed, degraded_to,
+    #: reason}`` per ``engine.fallback`` event (c→fused, fused→interp)
     fallbacks: List[dict] = dc_field(default_factory=list)
 
     @property

@@ -2,8 +2,8 @@
 
 ``python -m repro.jobs.status BATCH_DIR`` renders pool health from the
 ``metrics.json`` snapshot the supervisor atomically refreshes on its status
-cadence — the ready and delayed queues, workers, breaker state, attempt
-latency quantiles and achieved stencil throughput — and falls back to (or is
+cadence — the ready and delayed queues, workers, attempt latency
+quantiles and achieved stencil throughput — and falls back to (or is
 forced onto, with ``--journal``) a replay of the write-ahead journal, whose
 timestamped records reconstruct admission/terminal timings and job
 throughput for a batch that is finished or crashed.
@@ -24,7 +24,6 @@ from typing import List, Optional
 
 from ..telemetry.counters import stencil_gpoints_per_s
 from ..telemetry.metrics import histogram_quantile
-from .breaker import STATE_CODES
 from .journal import JOURNAL_NAME, load_journal
 from .pool import METRICS_NAME
 from .transitions import fold
@@ -146,19 +145,6 @@ def render_status(snapshot: Optional[dict], journal: Optional[dict]) -> str:
             lines.append(
                 f"queue: ready {status.get('ready', 0)}, "
                 f"delayed {status.get('delayed', 0)}"
-            )
-        breaker = _series(snapshot, "repro_breaker_state")
-        if breaker:
-            state = {code: name for name, code in STATE_CODES.items()}.get(
-                int(breaker[0].get("value", 0)), "?"
-            )
-            transitions = sum(
-                e.get("value", 0)
-                for e in _series(snapshot, "repro_breaker_transitions_total")
-            )
-            lines.append(
-                f"breaker[{breaker[0]['labels'].get('engine', '?')}]: {state} "
-                f"({int(transitions)} transition(s))"
             )
         for entry in _series(snapshot, "repro_attempt_seconds"):
             outcome = entry["labels"].get("outcome", "?")

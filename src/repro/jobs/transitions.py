@@ -114,7 +114,6 @@ class JobState:
     first_started: Optional[float] = None
     #: an ``attempt`` record has no ``outcome`` record yet
     in_flight: bool = False
-    dispatched_engine: str = ""
     #: consecutive daemon-crash outcomes (the quarantine trigger)
     consecutive_crashes: int = 0
     #: a later supervisor found an attempt in flight: the next dispatch must
@@ -300,14 +299,15 @@ def _on_attempt(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
         AttemptRecord(
             attempt=int(rec["attempt"]),
             started=now,
-            # the breaker rerouted the engine, or deadline pressure the schedule
+            # deadline pressure changed the schedule; an engine that differs
+            # from the spec's comes from journals of a supervisor that could
+            # reroute dispatch, which still fold as before
             degraded=rec["engine"] != job.spec.engine
             or pressured_spec(job, now) is not job.spec,
         )
     )
     job.in_flight = True
     job.force_resume = False
-    job.dispatched_engine = rec["engine"]
     return ()
 
 

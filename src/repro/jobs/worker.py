@@ -128,7 +128,7 @@ def execute_attempt(
                 # retried from the previous one; a finite bit-flip is silent
                 # corruption, recovered in-run from the tile's entry snapshot
                 abft = ABFTGuard()
-        if chaos.break_fused and spec.engine != ENGINES[-1]:
+        if chaos.break_rung and spec.engine != ENGINES[-1]:
             # the compiler of the rung this attempt asks for (the
             # interpreter compiles nothing and cannot be broken)
             engine_ctx = break_engine(spec.engine)
@@ -148,7 +148,7 @@ def execute_attempt(
         )
     t_after = _time.perf_counter()
     fallbacks = [
-        {"failed": ev.attrs.get("failed"), "degraded_to": ev.attrs.get("degraded_to")}
+        {k: ev.attrs.get(k) for k in ("failed", "degraded_to", "reason")}
         for ev in telemetry.events
         if ev.name == "engine.fallback"
     ]
@@ -223,7 +223,7 @@ def run_job_inline(spec: JobSpec):
     """Fault-free, checkpoint-free reference run of *spec* in this process.
 
     This is the oracle of the chaos gate: whatever the pool survives —
-    kills, faults, retries, engine reroutes — each job's receivers must be
+    kills, faults, retries, engine fallbacks — each job's receivers must be
     bit-identical to this run of the same spec.
     """
     prop, dt = build_problem(spec)

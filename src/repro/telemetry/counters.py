@@ -42,7 +42,7 @@ a different thing and are listed in one place,
   binding (:meth:`repro.ir.operator.Operator._build_sweeps`).
 * ``jobs_{kind}`` — one per pool lifecycle event kind
   (:class:`repro.jobs.pool.JobPool`): ``queued``/``started``/``retried``/
-  ``resumed``/``degraded``/``rerouted``/``completed``/``timeout``/
+  ``resumed``/``degraded``/``completed``/``timeout``/
   ``exhausted``/``quarantined``/``interrupted`` job transitions,
   ``killed`` chaos kills, ``worker_spawned``/``worker_crashed``/
   ``worker_retired``/``worker_hung`` daemon lifecycle, plus batch-scoped

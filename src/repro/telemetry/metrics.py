@@ -5,7 +5,7 @@ did *this run's* wall-time go"; it dies with the run.  A
 :class:`MetricsRegistry` is the complementary *service-level* surface: the
 supervisor-wide set of named, labelled instruments the whole ``jobs/``
 service records into — exactly the families of :data:`CATALOGUE`: job
-counts, attempt latencies, breaker transitions, … — with one
+counts, attempt latencies, busy workers, … — with one
 encoding, the versioned JSON snapshot (:meth:`MetricsRegistry.snapshot`,
 written as ``metrics.json`` by :meth:`MetricsRegistry.write_json`) that
 ``python -m repro.jobs.status`` reads.
@@ -13,7 +13,7 @@ written as ``metrics.json`` by :meth:`MetricsRegistry.write_json`) that
 Instrument semantics follow the Prometheus conventions:
 
 * :class:`Counter` — monotonically non-decreasing totals (``*_total``);
-* :class:`Gauge` — a value that goes both ways (busy workers, breaker state);
+* :class:`Gauge` — a value that goes both ways (busy workers, phase seconds);
 * :class:`Histogram` — fixed-bucket observation counts with ``sum`` and
   ``count``; :func:`histogram_quantile` estimates quantiles by linear
   interpolation inside the bucket the rank falls in (exactly what a
@@ -110,11 +110,6 @@ CATALOGUE: Dict[str, Tuple[str, Tuple[str, ...], str, str]] = {
         "counter", (), "status", "grid points updated by completed attempts"),
     "jobs_stencil_seconds_total": (
         "counter", (), "status", "stencil seconds of completed attempts"),
-    "breaker_state": (
-        "gauge", ("engine",), "status",
-        "circuit-breaker state: 0=closed, 1=open, 2=half_open"),
-    "breaker_transitions_total": (
-        "counter", ("engine", "state"), "status", "circuit-breaker state transitions"),
 }
 
 

@@ -33,13 +33,13 @@ def test_chaos_plan_is_order_and_cache_independent():
 def test_chaos_plan_rates_are_respected_at_the_extremes():
     none = ChaosPlan(ChaosConfig(fault_rate=0.0, break_rate=0.0, kill_workers=1), 3)
     assert all(none.entry(i, 32).fault is None for i in range(8))
-    assert not any(none.entry(i, 32).break_fused for i in range(8))
+    assert not any(none.entry(i, 32).break_rung for i in range(8))
     every = ChaosPlan(ChaosConfig(fault_rate=1.0, break_rate=1.0), 3)
     for i in range(8):
         entry = every.entry(i, 32)
         assert entry.fault is not None
         assert 1 <= entry.fault["t"] < 32
-        assert entry.break_fused
+        assert entry.break_rung
 
 
 def test_corruption_faults_request_a_health_guard():

@@ -11,7 +11,6 @@ import pytest
 from repro.jobs import (
     JOURNAL_NAME,
     ChaosConfig,
-    CircuitBreaker,
     JobPool,
     JobSpec,
     RetryPolicy,
@@ -25,16 +24,6 @@ pytestmark = pytest.mark.faults
 SCENARIOS = {
     "clean": lambda: {},
     "faults": lambda: {"chaos": ChaosConfig(fault_rate=0.2)},
-    # one job in flight at a time (``capacity=1`` over a stream), so the
-    # breaker has the first job's report before the second is dispatched
-    # under either fleet; at full concurrency two daemons legitimately put
-    # ``workers`` jobs on the tracked rung before any feedback exists
-    # (test_breaker.py::test_cli_chaos_and_breaker_follow_the_requested_rung)
-    "breaker": lambda: {
-        "chaos": ChaosConfig(break_rate=1.0),
-        "breaker": CircuitBreaker(threshold=1, cooldown=3600.0),
-        "capacity": 1,
-    },
 }
 
 
@@ -76,9 +65,6 @@ def test_same_batch_same_story(tmp_path, scenario, seed):
         reference = run_job_inline(spec)
         np.testing.assert_array_equal(rec_inline, reference)
         np.testing.assert_array_equal(rec_daemons, reference)
-    if scenario == "breaker":
-        engines = [inline[s.job_id][2] for s in specs]
-        assert engines == [["fused"]] + [["interp"]] * 3
 
 
 def test_workers_selects_the_fleet_once(tmp_path):

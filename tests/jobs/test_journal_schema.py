@@ -51,12 +51,12 @@ def test_metric_effects_are_checked_against_the_catalogue_at_import():
     # not a KeyError in JobPool._measure in the middle of a batch
     with pytest.raises(KeyError, match="phantom_total"):
         transitions._metric("phantom_total")  # a family nobody declared
-    with pytest.raises(KeyError, match="breaker_transitions_total"):
-        transitions._metric("breaker_transitions_total", "engine")  # a label short
+    with pytest.raises(KeyError, match="jobs_terminal_total"):
+        transitions._metric("jobs_terminal_total")  # a label short
     with pytest.raises(KeyError, match="jobs_retried_total"):
         transitions._metric("jobs_retried_total", "job")  # a label too many
-    with pytest.raises(KeyError, match="breaker_state"):
-        transitions._metric("breaker_state", "engine")  # a gauge is a level, not an effect
+    with pytest.raises(KeyError, match="supervisor_seconds"):
+        transitions._metric("supervisor_seconds", "bucket")  # a gauge is a level, not an effect
     effect = transitions._metric("jobs_terminal_total", "status")
     assert effect(status="completed") == (
         "count", "jobs_terminal_total", 1.0, {"status": "completed"}

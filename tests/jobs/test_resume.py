@@ -20,6 +20,7 @@ from repro.jobs import (
     JOURNAL_NAME, BatchJournal, JobPool, JobSpec, RetryPolicy, load_journal,
     run_job_inline,
 )
+from repro.jobs.transitions import fold
 
 from .fleets import FLEETS
 
@@ -301,3 +302,30 @@ def test_a_journal_with_shared_memory_records_still_resumes(tmp_path):
     replay = load_journal(tmp_path / JOURNAL_NAME)
     assert len(replay.for_kind("shm")) == 1  # the old record, nothing new
     assert "reclaimed_shm" not in replay.for_kind("resume")[-1]
+
+
+def test_a_journal_with_a_rerouted_attempt_still_folds_degraded(tmp_path):
+    """Supervisors that could reroute dispatch to a lower rung journaled the
+    attempt with an ``engine`` other than the spec's.  Such an in-flight
+    attempt still folds ``degraded``, and the resumed batch completes
+    bit-identically."""
+    specs = [_spec(i, nt=8, engine="c") for i in range(2)]
+    journal = BatchJournal(tmp_path / JOURNAL_NAME, truncate_to=0)
+    journal.append(
+        "batch", version=1, batch_seed=0, workers=0, capacity=16,
+        retry=asdict(RetryPolicy()), heartbeat_interval=0.25,
+        heartbeat_timeout=60.0, poison_threshold=3, chaos_active=False,
+    )
+    for i, spec in enumerate(specs):
+        journal.append("admit", job=spec.job_id, index=i, streamed=False,
+                       spec=spec.to_dict())
+    journal.append("attempt", job=specs[0].job_id, attempt=0, engine="fused",
+                   resume=False, step=None)
+    journal.close()
+    state = fold(load_journal(tmp_path / JOURNAL_NAME).records, lambda rec: rec["ts"])
+    (attempt,) = state.by_id[specs[0].job_id].attempts
+    assert attempt.degraded and state.by_id[specs[0].job_id].in_flight
+    report = JobPool.resume(tmp_path).run()
+    assert report.ok and report.resumed
+    assert [r.spec.engine for r in report.results] == ["c", "c"]
+    _assert_oracle(report, specs)

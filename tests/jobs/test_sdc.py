@@ -59,7 +59,7 @@ def test_sdc_draw_does_not_reshuffle_legacy_fault_decisions(batch_seed):
     )
     for i in range(10):
         old, new = legacy.entry(i, 32), mixed.entry(i, 32)
-        assert old.break_fused == new.break_fused
+        assert old.break_rung == new.break_rung
         if old.fault is not None:  # legacy fault fired: sdc never overrides
             assert new.fault == old.fault
 

@@ -14,7 +14,7 @@ def test_spec_defaults_are_valid():
     spec = JobSpec("j0")
     assert spec.example == "acoustic"
     assert spec.schedule == "wavefront"
-    assert spec.engine == "fused"
+    assert spec.engine == "c"  # ENGINES[0], the head of the ladder
     assert spec.max_attempts == 3
 
 

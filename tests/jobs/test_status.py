@@ -9,8 +9,7 @@ import signal
 
 import pytest
 
-from repro.jobs import METRICS_NAME, CircuitBreaker, JobPool, JobSpec, run_batch
-from repro.jobs.breaker import STATE_CODES
+from repro.jobs import METRICS_NAME, JobPool, JobSpec, run_batch
 from repro.jobs.status import (
     _quantile,
     journal_stats,
@@ -130,33 +129,3 @@ def test_journal_counts_each_job_once_across_a_drain_and_resume(tmp_path):
     assert stats["statuses"] == {"completed": 3}
     assert stats["jobs"]["failed"] == 0
     assert "jobs: 3/3 completed, " in render_status(None, stats)
-
-
-def test_breaker_line_reads_the_gauge_and_the_transition_counter():
-    snapshot = {"metrics": {
-        "repro_breaker_state": {"series": [
-            {"labels": {"engine": "c"}, "value": float(STATE_CODES["half_open"])},
-        ]},
-        "repro_breaker_transitions_total": {"series": [
-            {"labels": {"engine": "c", "state": "open"}, "value": 1.0},
-            {"labels": {"engine": "c", "state": "half_open"}, "value": 1.0},
-        ]},
-    }}
-    text = render_status(snapshot, None)
-    assert "breaker[c]: half_open (2 transition(s))" in text.splitlines()
-
-
-def test_elapsed_cooldown_shows_half_open_in_the_snapshot(tmp_path):
-    now = [0.0]
-    breaker = CircuitBreaker(threshold=1, cooldown=10.0, clock=lambda: now[0])
-    pool = JobPool(workers=0, workdir=tmp_path, breaker=breaker)
-    breaker.record_failure("fused")
-    pool._write_status()
-    assert "breaker[fused]: open (1 transition(s))" in render_status(
-        load_status(tmp_path), None
-    )
-    now[0] = 10.0  # nothing touched the breaker since: the refresh reads it
-    pool._write_status()
-    assert "breaker[fused]: half_open (2 transition(s))" in render_status(
-        load_status(tmp_path), None
-    )

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.jobs import ChaosConfig, CircuitBreaker, JobPool, JobSpec
+from repro.jobs import ChaosConfig, JobPool, JobSpec
 from repro.jobs.status import load_status
 from repro.telemetry.merge import merge_batch_trace, validate_chrome_trace
 
@@ -30,7 +30,6 @@ def _chaos_pool(tmp_path, workers=2):
         workdir=tmp_path,
         chaos=ChaosConfig(fault_rate=0.3, kill_workers=1),
         batch_seed=77,
-        breaker=CircuitBreaker(threshold=3, cooldown=3600.0),
         trace=True,
     )
     for i in range(6):
@@ -76,16 +75,6 @@ def test_chaos_batch_metrics_assert_against_report(tmp_path):
     attempts = sum(len(r.attempts) for r in report.results)
     observed = sum(e.get("count", 0) for e in _series(snap, "repro_attempt_seconds"))
     assert observed == attempts
-
-    # breaker series is consistent with the breaker's own transition log
-    state = _series(snap, "repro_breaker_state")
-    assert state and state[0]["labels"]["engine"] == "fused"
-    assert state[0]["value"] in (0.0, 1.0, 2.0)
-    transitions = sum(
-        e.get("value", 0.0)
-        for e in _series(snap, "repro_breaker_transitions_total")
-    )
-    assert transitions == len(pool.breaker.transitions)
 
     # supervisor accounting made it into the gauge vector
     buckets = {

@@ -31,22 +31,22 @@ def test_counter_monotonic_and_labelled():
 
 
 def test_label_set_is_enforced():
-    c = MetricsRegistry().instrument("breaker_transitions_total")
-    c.inc(engine="c", state="open")
-    assert c.value(engine="c", state="open") == 1.0
-    assert c.value(engine="c", state="closed") == 0.0
+    c = MetricsRegistry().instrument("jobs_terminal_total")
+    c.inc(status="completed")
+    assert c.value(status="completed") == 1.0
+    assert c.value(status="timeout") == 0.0
     with pytest.raises(ValueError):
-        c.inc(engine="c")  # missing a declared label
+        c.inc()  # missing a declared label
     with pytest.raises(ValueError):
-        c.inc(engine="c", state="open", job="j0")  # undeclared label
+        c.inc(status="completed", job="j0")  # undeclared label
 
 
 def test_gauge_set_inc_dec_remove():
-    g = MetricsRegistry().instrument("breaker_state")
-    g.set(1, engine="c")
-    g.set(2, engine="c")
-    assert g.value(engine="c") == 2.0
-    assert g.value(engine="fused") == 0.0
+    g = MetricsRegistry().instrument("supervisor_seconds")
+    g.set(1, bucket="journal")
+    g.set(2, bucket="journal")
+    assert g.value(bucket="journal") == 2.0
+    assert g.value(bucket="dispatch") == 0.0
 
 
 def test_histogram_buckets_sum_count_quantile():
