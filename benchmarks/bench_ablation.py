@@ -9,7 +9,7 @@
    the compressed one only the affected pencils (§II-A step 5: "Only the
    necessary iterations in z dimension need to be performed").
 3. **Wavefront height sweep** — temporal reuse vs skew overhead, the core
-   trade-off the autotuner navigates (modelled and cache-simulated).
+   trade-off the autotuner navigates (modelled).
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from paper_model import BROADWELL, PerformanceModel, SourceLoad
 from paper_setup import build_propagator, kernel_spec, paper_geometry, single_source_load
 from repro.analysis import render_table
 from repro.core import NaiveSchedule, WavefrontSchedule
-from repro.machine import BROADWELL, PerformanceModel, SourceLoad
 
 
 # -- 1. compiled vs interpreted executor ------------------------------------------------
@@ -35,9 +35,9 @@ def small_prop():
     return prop, dt
 
 
-#: a wavefront schedule with small blocks: per-box overhead is where kernel
+#: a wavefront schedule with small tiles: per-box overhead is where kernel
 #: generation pays off (whole-grid sweeps are dominated by array arithmetic)
-_SCHED = WavefrontSchedule(tile=(8, 8), block=(4, 4), height=3)
+_SCHED = WavefrontSchedule(tile=(8, 8), height=3)
 
 
 @pytest.mark.benchmark(group="ablation-exec")
@@ -123,7 +123,7 @@ def test_height_sweep_model(benchmark, report):
     def sweep():
         rows = []
         for h in (1, 2, 3, 4, 6, 8, 12, 16):
-            res = pm.evaluate(WavefrontSchedule(tile=(48, 48), block=(8, 8), height=h))
+            res = pm.evaluate(WavefrontSchedule(tile=(48, 48), height=h), block=(8, 8))
             rows.append([h, f"{res.gpoints_s:.2f}", res.bound,
                          f"{res.traffic_bytes_ppt['DRAM']:.1f}",
                          "yes" if res.feasible else "NO"])

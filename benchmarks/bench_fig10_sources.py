@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+from paper_model import BROADWELL, PerformanceModel, tune_spatial, tune_wavefront
 from paper_setup import kernel_spec, paper_geometry, source_load_for
 from repro.analysis import render_series
-from repro.autotuning import tune_spatial, tune_wavefront
-from repro.machine import BROADWELL, PerformanceModel
 
 SOURCE_COUNTS = (1, 16, 256, 4096, 65536, 1048576, 8388608)
 
@@ -29,7 +28,8 @@ def _sweep():
             load = source_load_for(n, placement)
             pm = PerformanceModel(spec, BROADWELL, geo, load)
             base = pm.evaluate(tune_spatial(pm))
-            wf = pm.evaluate(tune_wavefront(pm).schedule)
+            tuned = tune_wavefront(pm)
+            wf = pm.evaluate(tuned.schedule, tuned.block)
             series[placement].append(base.time_s / wf.time_s)
     return series
 

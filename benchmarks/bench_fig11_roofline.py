@@ -12,10 +12,15 @@ from __future__ import annotations
 
 import pytest
 
+from paper_model import (
+    BROADWELL,
+    PerformanceModel,
+    render_roofline,
+    roofline_points,
+    tune_spatial,
+    tune_wavefront,
+)
 from paper_setup import kernel_spec, paper_geometry, single_source_load
-from repro.autotuning import tune_spatial, tune_wavefront
-from repro.machine import BROADWELL, PerformanceModel
-from repro.machine.roofline import render_roofline, roofline_points
 
 
 def _roofline():
@@ -24,9 +29,11 @@ def _roofline():
         pm = PerformanceModel(
             kernel_spec("acoustic", so), BROADWELL, paper_geometry("acoustic"), single_source_load()
         )
+        spatial = tune_spatial(pm)
+        wtb = tune_wavefront(pm)
         schedules = {
-            f"acoustic so={so} spatial": tune_spatial(pm),
-            f"acoustic so={so} WTB": tune_wavefront(pm).schedule,
+            f"acoustic so={so} spatial": (spatial, spatial.block),
+            f"acoustic so={so} WTB": (wtb.schedule, wtb.block),
         }
         points.extend(roofline_points(pm, schedules))
     return points

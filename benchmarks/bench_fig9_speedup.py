@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from paper_model import BROADWELL, SKYLAKE, PerformanceModel, tune_spatial, tune_wavefront
 from paper_setup import (
     KINDS,
     PAPER_SPEEDUPS,
@@ -19,8 +20,6 @@ from paper_setup import (
     single_source_load,
 )
 from repro.analysis import render_speedup_bars, render_table
-from repro.autotuning import tune_spatial, tune_wavefront
-from repro.machine import BROADWELL, PerformanceModel, SKYLAKE
 
 
 def _speedups(machine):
@@ -31,9 +30,9 @@ def _speedups(machine):
                 kernel_spec(kind, so), machine, paper_geometry(kind), single_source_load()
             )
             base_sched = tune_spatial(pm)
-            wf_sched = tune_wavefront(pm).schedule
+            tuned = tune_wavefront(pm)
             base = pm.evaluate(base_sched)
-            wf = pm.evaluate(wf_sched)
+            wf = pm.evaluate(tuned.schedule, tuned.block)
             out.append(
                 dict(
                     kind=kind,

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from paper_model import PerformanceModel, tune_wavefront
 from paper_setup import KINDS, MACHINES, SPACE_ORDERS, kernel_spec, paper_geometry, single_source_load
 from repro.analysis import render_table
-from repro.autotuning import tune_spatial, tune_wavefront
-from repro.machine import PerformanceModel
 
 
 def _tune_all():
@@ -27,13 +26,13 @@ def _tune_all():
                     kernel_spec(kind, so), machine, paper_geometry(kind), single_source_load()
                 )
                 result = tune_wavefront(pm)
-                s = result.schedule
+                s, b = result.schedule, result.block
                 best[(machine.name, kind, so)] = result
                 rows.append(
                     [
                         f"{kind} O({2 if kind != 'elastic' else 1},{so})",
                         machine.name,
-                        f"{s.tile[0]}, {s.tile[1]}, {s.block[0]}, {s.block[1]}",
+                        f"{s.tile[0]}, {s.tile[1]}, {b[0]}, {b[1]}",
                         s.height,
                         f"{result.best.gpoints_s:.2f}",
                         result.best.bound,

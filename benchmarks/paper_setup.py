@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.machine import BROADWELL, GridGeometry, KernelSpec, SKYLAKE, SourceLoad
+from paper_model import BROADWELL, GridGeometry, KernelSpec, SKYLAKE, SourceLoad
 from repro.propagators import (
     AcousticPropagator,
     ElasticPropagator,

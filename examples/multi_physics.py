@@ -8,13 +8,17 @@ verifies the temporally blocked runs against the naive schedule.
 Run:  python examples/multi_physics.py
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.core import NaiveSchedule, WavefrontSchedule
-from repro.machine import KernelSpec
-from repro.propagators import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+from paper_model import KernelSpec  # noqa: E402
+from repro.core import NaiveSchedule, WavefrontSchedule  # noqa: E402
+from repro.propagators import (  # noqa: E402
     ElasticPropagator,
     SeismicModel,
     TTIPropagator,
@@ -55,7 +59,7 @@ def run_kind(kind: str, shape=(30, 26, 24), so=4, nt=20):
 
     t0 = time.perf_counter()
     rec_wtb, _ = prop.forward(
-        nt=nt, dt=dt, schedule=WavefrontSchedule(tile=(12, 12), block=(6, 6), height=4)
+        nt=nt, dt=dt, schedule=WavefrontSchedule(tile=(12, 12), height=4)
     )
     t_wtb = time.perf_counter() - t0
     state_wtb = np.concatenate([f.interior(nt).ravel() for f in prop.fields])

@@ -12,6 +12,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
+from paper_model import (  # noqa: E402
+    BROADWELL,
+    PerformanceModel,
+    render_roofline,
+    roofline_points,
+    tune_spatial,
+    tune_wavefront,
+)
 from paper_setup import (  # noqa: E402
     KINDS,
     MACHINES,
@@ -23,9 +31,6 @@ from paper_setup import (  # noqa: E402
     source_load_for,
 )
 from repro.analysis import render_series, render_table  # noqa: E402
-from repro.autotuning import tune_spatial, tune_wavefront  # noqa: E402
-from repro.machine import BROADWELL, PerformanceModel  # noqa: E402
-from repro.machine.roofline import render_roofline, roofline_points  # noqa: E402
 
 
 def table1():
@@ -35,10 +40,11 @@ def table1():
             for so in SPACE_ORDERS:
                 pm = PerformanceModel(kernel_spec(kind, so), machine,
                                       paper_geometry(kind), single_source_load())
-                s = tune_wavefront(pm).schedule
+                tuned = tune_wavefront(pm)
+                s, b = tuned.schedule, tuned.block
                 rows.append([f"{kind} O({1 if kind == 'elastic' else 2},{so})",
                              machine.name,
-                             f"{s.tile[0]}, {s.tile[1]}, {s.block[0]}, {s.block[1]}",
+                             f"{s.tile[0]}, {s.tile[1]}, {b[0]}, {b[1]}",
                              s.height])
     print(render_table(["Problem", "Machine", "tile/block", "height"], rows,
                        title="TABLE I analogue: tuned WTB shapes"))
@@ -51,8 +57,9 @@ def fig9():
             for so in SPACE_ORDERS:
                 pm = PerformanceModel(kernel_spec(kind, so), machine,
                                       paper_geometry(kind), single_source_load())
+                tuned = tune_wavefront(pm)
                 b = pm.evaluate(tune_spatial(pm))
-                w = pm.evaluate(tune_wavefront(pm).schedule)
+                w = pm.evaluate(tuned.schedule, tuned.block)
                 rows.append([kind, so, f"{b.time_s / w.time_s:.2f}x",
                              f"{PAPER_SPEEDUPS[(machine.name, kind)][so]:.2f}x"])
         print()
@@ -69,8 +76,9 @@ def fig10():
         vals = []
         for n in counts:
             pm = PerformanceModel(spec, BROADWELL, geo, source_load_for(n, placement))
+            tuned = tune_wavefront(pm)
             vals.append(round(pm.evaluate(tune_spatial(pm)).time_s
-                              / pm.evaluate(tune_wavefront(pm).schedule).time_s, 3))
+                              / pm.evaluate(tuned.schedule, tuned.block).time_s, 3))
         series[placement] = vals
     print()
     print(render_series(list(counts), series, x_label="#sources",
@@ -82,9 +90,11 @@ def fig11():
     for so in SPACE_ORDERS:
         pm = PerformanceModel(kernel_spec("acoustic", so), BROADWELL,
                               paper_geometry("acoustic"), single_source_load())
+        spatial = tune_spatial(pm)
+        tuned = tune_wavefront(pm)
         points.extend(roofline_points(pm, {
-            f"acoustic so={so} spatial": tune_spatial(pm),
-            f"acoustic so={so} WTB": tune_wavefront(pm).schedule,
+            f"acoustic so={so} spatial": (spatial, spatial.block),
+            f"acoustic so={so} WTB": (tuned.schedule, tuned.block),
         }))
     print()
     print(render_roofline(points, machine_name="broadwell"))

@@ -69,7 +69,7 @@ def main():
     # -- 3. temporally blocked run -------------------------------------------------
     u.data_with_halo[...] = 0
     rec.data[...] = 0
-    wtb = WavefrontSchedule(tile=(16, 16), block=(8, 8), height=4)
+    wtb = WavefrontSchedule(tile=(16, 16), height=4)
     op.apply(time_M=nt, dt=dt, schedule=wtb)
 
     # -- 4. identical results -------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.propagators import (
 SHAPE = (40, 20, 28)
 SPACING = (10.0, 10.0, 10.0)
 REFLECTOR_Z = 12  # grid index of the velocity jump (120 m)
-WTB = WavefrontSchedule(tile=(16, 16), block=(8, 8), height=4)
+WTB = WavefrontSchedule(tile=(16, 16), height=4)
 
 
 def make_model(two_layer: bool) -> SeismicModel:

@@ -58,7 +58,7 @@ def main():
 
     shot_naive, _ = prop.forward(nt=nt, dt=dt, schedule=NaiveSchedule(), sparse_mode="offgrid")
     shot_wtb, _ = prop.forward(
-        nt=nt, dt=dt, schedule=WavefrontSchedule(tile=(20, 20), block=(10, 10), height=5)
+        nt=nt, dt=dt, schedule=WavefrontSchedule(tile=(20, 20), height=5)
     )
 
     diff = np.abs(shot_wtb - shot_naive).max()

@@ -15,11 +15,10 @@ The package provides, from scratch:
   (:mod:`repro.execution`),
 * three industrial wave propagators — isotropic acoustic, anisotropic
   acoustic (TTI), isotropic elastic (:mod:`repro.propagators`),
-* machine models (Broadwell/Skylake), cache simulation and a cache-aware
-  roofline performance model (:mod:`repro.machine`),
-* the autotuner and the benchmark harness regenerating every table and
-  figure of the paper's evaluation (:mod:`repro.autotuning`,
-  ``benchmarks/``).
+* the benchmark harness (``benchmarks/``, outside the package): the
+  measured stack benchmark and the schedule sweep, and the Broadwell/Skylake
+  roofline model and tuner (``benchmarks/paper_model/``) that regenerate the
+  paper's 512^3 tables and figures.
 
 Quickstart::
 

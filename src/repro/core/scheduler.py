@@ -11,15 +11,10 @@ Three schedules, mirroring the paper's comparison:
   Listing 6): the time axis is cut into tiles of ``height`` steps; within a
   tile, skewed space-time windows of extent ``tile`` traverse the domain and
   every window executes all sweep instances of the tile at decreasing spatial
-  offsets (the wavefront).  Its ``block`` (the intra-tile space-block shape)
-  is read only by the performance model (:mod:`repro.machine.perfmodel`,
-  :mod:`repro.autotuning.tuner`): :func:`lower` never reads it, so two
-  wavefronts differing only in ``block`` execute the same steps.
+  offsets (the wavefront).
 
-The same objects parameterise the NumPy executor (correctness), the memory
-trace generator (cache simulation), and the analytical performance model, so
-one description drives every measurement plane: :func:`lower` turns a
-schedule into the one step list all of them walk.
+:func:`lower` turns a schedule into the one step list that the executor, the
+legality prover and the race oracle all walk.
 """
 
 from __future__ import annotations
@@ -116,27 +111,18 @@ class WavefrontSchedule(Schedule):
     tile:
         Space-tile extent along each skewed dimension (``tile_x, tile_y`` in
         Table I).
-    block:
-        Space-block extent within a tile (``block_x, block_y`` in Table I).
-        Only the performance model reads it; :func:`lower` does not, so it
-        changes no executed step and no wall-clock time.
     height:
         Number of timesteps evaluated per space-time tile (the wavefront
         depth).  Must be >= 1; height 1 degenerates to spatial blocking.
     """
 
     tile: Tuple[int, ...] = (32, 32)
-    block: Tuple[int, ...] = (8, 8)
     height: int = 4
     kind = "wavefront"
 
     def __post_init__(self):
         if not self.tile or any(t < 1 for t in self.tile):
             raise ValueError(f"invalid tile shape {self.tile}")
-        if len(self.block) != len(self.tile):
-            raise ValueError("tile and block ranks must match")
-        if any(b < 1 for b in self.block):
-            raise ValueError(f"invalid block shape {self.block}")
         if self.height < 1:
             raise ValueError("wavefront height must be >= 1")
 
@@ -148,7 +134,7 @@ def make_schedule(kind: str) -> Schedule:
     if kind == "spatial":
         return SpatialBlockSchedule(block=(6, 6))
     if kind == "wavefront":
-        return WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
+        return WavefrontSchedule(tile=(8, 8), height=2)
     raise ValueError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULES}")
 
 

@@ -10,7 +10,6 @@ from .evalbox import (
 )
 from .executors import ExecutionPlan, run_schedule
 from .sparse import RawInjection, RawInterpolation, evaluate_point_scale
-from .trace import ChunkAddresser, TraceGeometry, schedule_trace, simulate_schedule
 
 __all__ = [
     "BoundEq",
@@ -25,8 +24,4 @@ __all__ = [
     "RawInjection",
     "RawInterpolation",
     "evaluate_point_scale",
-    "TraceGeometry",
-    "ChunkAddresser",
-    "schedule_trace",
-    "simulate_schedule",
 ]

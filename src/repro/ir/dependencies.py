@@ -12,7 +12,7 @@ extracts, from a list of symbolic update equations:
   sweep contributes (Fig. 7/8 of the paper: the wavefront angle is the sum of
   the per-sweep radii, and steepens with the stencil radius),
   which :func:`repro.core.scheduler.instance_lags` accumulates into the lag
-  table the wavefront executor and the performance model share.
+  table :func:`repro.core.scheduler.lower` skews the wavefront by.
 
 The legality argument (checked per schedule by :mod:`repro.verify.prover`)
 is: order the sweep *instances* of a time tile lexicographically by

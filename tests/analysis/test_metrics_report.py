@@ -104,7 +104,7 @@ def test_render_certificate():
     from repro.dsl import Grid
 
     op, *_ = make_acoustic_operator(Grid(shape=(12, 11, 10)))
-    cert = prove_schedule(op, WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2))
+    cert = prove_schedule(op, WavefrontSchedule(tile=(8, 8), height=2))
     out = render_certificate(cert, title="demo certificate")
     assert "demo certificate" in out
     assert "wavefront angle" in out and "tile skew" in out

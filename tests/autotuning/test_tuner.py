@@ -1,13 +1,26 @@
 """Tests for the schedule autotuner (Table I machinery)."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.autotuning import tune_spatial, tune_wavefront
-from repro.autotuning.tuner import DEFAULT_BLOCKS, DEFAULT_TILES
-from repro.core import SpatialBlockSchedule, WavefrontSchedule
-from repro.machine import BROADWELL, GridGeometry, PerformanceModel, SourceLoad
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
-from ..machine.test_kernels import make_spec
+from paper_model import (  # noqa: E402
+    BROADWELL,
+    DEFAULT_BLOCKS,
+    DEFAULT_TILES,
+    GridGeometry,
+    PerformanceModel,
+    SourceLoad,
+    tune_spatial,
+    tune_wavefront,
+)
+
+from repro.core import SpatialBlockSchedule, WavefrontSchedule  # noqa: E402
+
+from ..machine.test_kernels import make_spec  # noqa: E402
 
 GEO = GridGeometry((512, 512, 512), 100)
 
@@ -19,7 +32,7 @@ def model():
 
 def test_best_beats_arbitrary_choice(model):
     result = tune_wavefront(model)
-    arbitrary = model.evaluate(WavefrontSchedule(tile=(16, 16), block=(4, 4), height=12))
+    arbitrary = model.evaluate(WavefrontSchedule(tile=(16, 16), height=12), block=(4, 4))
     assert result.best.gpoints_s >= arbitrary.gpoints_s
 
 
@@ -46,8 +59,8 @@ def test_top_sorted(model):
 def test_block_never_exceeds_tile(model):
     result = tune_wavefront(model, tiles=(8,), blocks=(4, 8, 16), heights=(2,))
     for c in result.candidates:
-        assert c.schedule.block[0] <= c.schedule.tile[0]
-        assert c.schedule.block[1] <= c.schedule.tile[1]
+        assert c.block[0] <= c.schedule.tile[0]
+        assert c.block[1] <= c.schedule.tile[1]
 
 
 def test_square_tiles_option(model):
@@ -59,7 +72,7 @@ def test_square_tiles_option(model):
 def test_tuned_wavefront_beats_tuned_spatial(model):
     base = tune_spatial(model)
     wf = tune_wavefront(model)
-    assert model.evaluate(wf.schedule).time_s < model.evaluate(base).time_s
+    assert model.evaluate(wf.schedule, wf.block).time_s < model.evaluate(base).time_s
 
 
 def test_spatial_tuner_returns_schedule(model):

@@ -42,7 +42,7 @@ def test_report_requires_precompute(setup):
 
 def test_run_matches_operator_path(setup):
     op, u, m, src, rec = setup
-    sched = WavefrontSchedule(tile=(5, 5), block=(5, 5), height=4)
+    sched = WavefrontSchedule(tile=(5, 5), height=4)
     ref = run_and_capture(op, u, rec, 8, 1.0, NaiveSchedule(), "precomputed")
 
     u.data_with_halo[...] = 0.0
@@ -91,7 +91,7 @@ def test_same_named_sparse_functions_do_not_collide(grid3d):
     assert pipe.masks[twin] is not pipe.masks[rec]
     assert pipe.report().affected_points == sum(m.npts for m in pipe.masks.values())
     op.apply(
-        time_M=8, dt=1.0, schedule=WavefrontSchedule(tile=(5, 5), block=(5, 5), height=4),
+        time_M=8, dt=1.0, schedule=WavefrontSchedule(tile=(5, 5), height=4),
         sparse_mode="precomputed",
     )
     got = rec.data.copy(), twin.data.copy()

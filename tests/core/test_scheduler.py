@@ -9,7 +9,6 @@ from repro.core.scheduler import (
     SpatialBlockSchedule,
     WavefrontSchedule,
     instance_lags,
-    lower,
     tile_origins,
     time_tiles,
 )
@@ -27,13 +26,17 @@ def test_spatial_block_validation():
 def test_wavefront_validation():
     with pytest.raises(ValueError):
         WavefrontSchedule(tile=(0, 8))
-    with pytest.raises(ValueError):
-        WavefrontSchedule(tile=(8, 8), block=(4,))
-    with pytest.raises(ValueError):
-        WavefrontSchedule(tile=(8, 8), block=(0, 4))
+    with pytest.raises(TypeError):
+        WavefrontSchedule(tile=(8, 8), block=(4, 4))  # the executor runs whole tiles
     with pytest.raises(ValueError):
         WavefrontSchedule(height=0)
-    assert WavefrontSchedule(tile=(8,), block=(4,), height=1).height == 1
+    assert WavefrontSchedule(tile=(8,), height=1).height == 1
+
+
+def test_a_wavefront_is_its_tile_and_height():
+    wf = WavefrontSchedule(tile=(8, 8), height=2)
+    assert wf.describe() == {"kind": "wavefront", "tile": [8, 8], "height": 2}
+    assert set(WavefrontSchedule().describe()) == {"kind", "tile", "height"}
 
 
 def test_schedules_are_frozen():
@@ -128,16 +131,3 @@ def test_lags_monotone_and_bounded(radii, h):
     lags = instance_lags(radii, h)
     assert lags == sorted(lags)
     assert lags[-1] == sum(radii) * h - radii[0]
-
-
-def test_wavefront_block_does_not_change_the_lowered_steps():
-    # ``block`` is performance-model granularity only: what executes — and so
-    # the wall clock — is the same step list whatever the inner block
-    from repro.propagators.examples import build_example
-
-    op = build_example("acoustic", so=4)[0].op
-    shape, radii = tuple(op.grid.shape), tuple(op.sweep_radii)
-    small = WavefrontSchedule(tile=(16, 16), block=(4, 4), height=4)
-    large = WavefrontSchedule(tile=(16, 16), block=(16, 16), height=4)
-    steps = lower(small, shape, radii, small.height)
-    assert steps and steps == lower(large, shape, radii, large.height)

@@ -81,7 +81,7 @@ def assert_same_bits(got, ref, what=""):
 SCHEDULES = {
     "naive": NaiveSchedule(),
     "spatial": SpatialBlockSchedule(block=(6, 5)),
-    "wavefront": WavefrontSchedule(tile=(7, 8), block=(7, 4), height=3),
+    "wavefront": WavefrontSchedule(tile=(7, 8), height=3),
 }
 
 
@@ -173,7 +173,7 @@ def test_c_schedules_bit_identical_to_naive(kind, so):
 THREADED_SCHEDULES = {
     "naive": (NaiveSchedule(), 1),
     "spatial": (SpatialBlockSchedule(block=(12, 11)), 1),
-    "wavefront": (WavefrontSchedule(tile=(12, 22), block=(12, 11), height=3), 3),
+    "wavefront": (WavefrontSchedule(tile=(12, 22), height=3), 3),
 }
 #: oversubscribed on a one-CPU host, and still the same bits
 TEAM = max(2, len(os.sched_getaffinity(0)))
@@ -238,7 +238,7 @@ def test_c_low_rank_grids(ndim, sched_name, grid1d, grid2d):
         sched = {
             "naive": sched,
             "spatial": SpatialBlockSchedule(block=(5,)),
-            "wavefront": WavefrontSchedule(tile=(7,), block=(7,), height=3),
+            "wavefront": WavefrontSchedule(tile=(7,), height=3),
         }[sched_name]
     field = _c_vs_fused(grid, sched)
     assert np.abs(field).max() > 0
@@ -264,7 +264,7 @@ def test_c_threaded_2d():
     grid = Grid(shape=(64, 48), extent=(630.0, 470.0))
     assert 64 * 48 >= cgen.PARALLEL_MIN_POINTS
     for sched in (NaiveSchedule(), SpatialBlockSchedule(block=(64, 40)),
-                  WavefrontSchedule(tile=(64, 48), block=(64, 48), height=3)):
+                  WavefrontSchedule(tile=(64, 48), height=3)):
         assert np.abs(_c_vs_fused(grid, sched)).max() > 0
 
 

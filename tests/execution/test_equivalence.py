@@ -26,10 +26,10 @@ SCHEDULES = [
     ("spatial-4x4", SpatialBlockSchedule(block=(4, 4)), "offgrid"),
     ("spatial-5x3", SpatialBlockSchedule(block=(5, 3)), "offgrid"),
     ("naive-precomputed", NaiveSchedule(), "precomputed"),
-    ("wtb-4x4-h2", WavefrontSchedule(tile=(4, 4), block=(2, 2), height=2), "auto"),
-    ("wtb-5x7-h3", WavefrontSchedule(tile=(5, 7), block=(5, 7), height=3), "auto"),
-    ("wtb-6x6-h9", WavefrontSchedule(tile=(6, 6), block=(3, 3), height=9), "auto"),
-    ("wtb-h1", WavefrontSchedule(tile=(8, 8), block=(4, 4), height=1), "auto"),
+    ("wtb-4x4-h2", WavefrontSchedule(tile=(4, 4), height=2), "auto"),
+    ("wtb-5x7-h3", WavefrontSchedule(tile=(5, 7), height=3), "auto"),
+    ("wtb-6x6-h9", WavefrontSchedule(tile=(6, 6), height=9), "auto"),
+    ("wtb-h1", WavefrontSchedule(tile=(8, 8), height=1), "auto"),
 ]
 
 
@@ -56,7 +56,7 @@ def test_source_on_tile_boundary(grid3d):
     raw = run_and_capture(op, u, rec, NT, DT, NaiveSchedule(), "offgrid")
     ref = run_and_capture(op, u, rec, NT, DT, NaiveSchedule(), "precomputed")
     got = run_and_capture(
-        op, u, rec, NT, DT, WavefrontSchedule(tile=(4, 4), block=(2, 2), height=4)
+        op, u, rec, NT, DT, WavefrontSchedule(tile=(4, 4), height=4)
     )
     # ...but WTB must equal the precomputed reference bit-for-bit
     np.testing.assert_array_equal(got[0], ref[0])
@@ -71,7 +71,7 @@ def test_receiver_on_tile_boundary(grid3d):
     )
     ref = run_and_capture(op, u, rec, NT, DT, NaiveSchedule(), "offgrid")
     got = run_and_capture(
-        op, u, rec, NT, DT, WavefrontSchedule(tile=(4, 4), block=(4, 4), height=3)
+        op, u, rec, NT, DT, WavefrontSchedule(tile=(4, 4), height=3)
     )
     np.testing.assert_array_equal(got[1], ref[1])
 
@@ -80,7 +80,7 @@ def test_2d_equivalence(grid2d):
     op, u, m, src, rec = make_acoustic_operator(grid2d, so=4, nt=NT)
     ref = run_and_capture(op, u, rec, NT, DT, NaiveSchedule(), "offgrid")
     got = run_and_capture(
-        op, u, rec, NT, DT, WavefrontSchedule(tile=(5, 4), block=(5, 4), height=4)
+        op, u, rec, NT, DT, WavefrontSchedule(tile=(5, 4), height=4)
     )
     np.testing.assert_array_equal(got[0], ref[0])
     np.testing.assert_array_equal(got[1], ref[1])
@@ -90,7 +90,7 @@ def test_1d_equivalence(grid1d):
     op, u, m, src, rec = make_acoustic_operator(grid1d, so=4, nt=NT)
     ref = run_and_capture(op, u, rec, NT, DT, NaiveSchedule(), "offgrid")
     got = run_and_capture(
-        op, u, rec, NT, DT, WavefrontSchedule(tile=(6,), block=(3,), height=5)
+        op, u, rec, NT, DT, WavefrontSchedule(tile=(6,), height=5)
     )
     np.testing.assert_array_equal(got[0], ref[0])
 
@@ -121,7 +121,7 @@ def test_multi_sweep_coupled_system(grid3d):
         return a.interior(6).copy(), b.interior(6).copy()
 
     ref = run(NaiveSchedule())
-    got = run(WavefrontSchedule(tile=(5, 5), block=(5, 5), height=3))
+    got = run(WavefrontSchedule(tile=(5, 5), height=3))
     np.testing.assert_array_equal(got[0], ref[0])
     np.testing.assert_array_equal(got[1], ref[1])
 
@@ -139,7 +139,7 @@ def test_property_any_tile_shape_is_exact(tile, height, so):
     ref = run_and_capture(op, u, rec, 6, DT, NaiveSchedule(), "offgrid")
     got = run_and_capture(
         op, u, rec, 6, DT,
-        WavefrontSchedule(tile=tile, block=tile, height=height),
+        WavefrontSchedule(tile=tile, height=height),
     )
     np.testing.assert_array_equal(got[0], ref[0])
     np.testing.assert_array_equal(got[1], ref[1])
@@ -162,6 +162,6 @@ def test_property_random_source_positions(data):
     # checked against the raw path elsewhere
     ref = run_and_capture(op, u, rec, 6, DT, NaiveSchedule(), "precomputed")
     got = run_and_capture(
-        op, u, rec, 6, DT, WavefrontSchedule(tile=tile, block=tile, height=4)
+        op, u, rec, 6, DT, WavefrontSchedule(tile=tile, height=4)
     )
     np.testing.assert_array_equal(got[0], ref[0])

@@ -1,6 +1,6 @@
 """One lowering, one loop: what ``run_schedule`` executes is ``lower()``'s step
-list, whatever is attached to the run, and ``schedule_trace`` walks the same
-list.  Driven with a recording duck-typed plan on degenerate geometry."""
+list, whatever is attached to the run.  Driven with a recording duck-typed plan
+on degenerate geometry."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from repro.core.scheduler import (
 )
 from repro.dsl import Grid
 from repro.execution.executors import ExecutionPlan, run_schedule
-from repro.execution.trace import TraceGeometry, schedule_trace
 from repro.runtime.abft import ABFTGuard
 from repro.telemetry import Telemetry
 
@@ -95,9 +94,9 @@ SCHEDULES = {
     "spatial-block>grid": SpatialBlockSchedule(block=(16, 16)),
     "spatial-1d-block": SpatialBlockSchedule(block=(4,)),
     # nt is 5 or 7: never a multiple of the height
-    "wavefront": WavefrontSchedule(tile=(4, 3), block=(2, 2), height=3),
-    "wavefront-tile>grid": WavefrontSchedule(tile=(16, 16), block=(8, 8), height=2),
-    "wavefront-height>nt": WavefrontSchedule(tile=(3, 3), block=(3, 3), height=9),
+    "wavefront": WavefrontSchedule(tile=(4, 3), height=3),
+    "wavefront-tile>grid": WavefrontSchedule(tile=(16, 16), height=2),
+    "wavefront-height>nt": WavefrontSchedule(tile=(3, 3), height=9),
 }
 
 
@@ -153,43 +152,18 @@ def test_one_step_list_whatever_is_attached(name, shape, radii, nt):
     assert tel.counters["rec_rows_finalized"] == nt * len(radii)
 
 
-class _RowRecorder:
-    """Duck-typed ChunkAddresser: logs the rows ``schedule_trace`` visits."""
-
-    def __init__(self):
-        self.rows = []
-
-    def pencil(self, j, t, x, y):
-        self.rows.append((t, j, x, y))
-        return 0
-
-
-class _SpecSweep:
-    reads = ()
-
-    def __init__(self, j, radius):
-        self.radius, self.writes_detail = radius, (j,)
-
-
 @pytest.mark.parametrize("name", list(SCHEDULES))
-def test_trace_visits_the_rows_the_executor_runs(name):
+def test_the_executor_runs_the_rows_lower_lists(name):
     shape, radii, nt = PLANS[0]
     schedule = SCHEDULES[name]
     plan, log = _plan(shape, radii, nt)
     run_schedule(plan, 0, nt, schedule)
-
-    class spec:
-        sweeps = [_SpecSweep(j, r) for j, r in enumerate(radii)]
-
-    recorder = _RowRecorder()
-    list(schedule_trace(spec, TraceGeometry(*shape, 8), schedule, 0, nt, recorder))
     lowered = [
         (t0 + dt, j, box)
         for t0, t1 in time_tiles(0, nt, schedule.height)
         for dt, j, box, *_ in lower(schedule, shape, radii, t1 - t0)
     ]
-    assert recorder.rows == _rows(lowered)
-    assert recorder.rows == _rows([(t, j, box) for k, t, j, box in log if k == "sweep"])
+    assert _rows([(t, j, box) for k, t, j, box in log if k == "sweep"]) == _rows(lowered)
 
 
 def test_step_lists_never_cross_grids():
@@ -201,7 +175,7 @@ def test_step_lists_never_cross_grids():
     from ..conftest import make_acoustic_operator, run_and_capture
 
     nt, dt = 6, 1.0
-    wf = WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
+    wf = WavefrontSchedule(tile=(8, 8), height=2)
     lower.cache_clear()
     misses = []
     for n in (12, 20, 12):

@@ -51,7 +51,7 @@ def standing_wave_error(n: int, so: int, schedule: Schedule, steps: int) -> floa
 
 @pytest.mark.parametrize("schedule", [
     NaiveSchedule(),
-    WavefrontSchedule(tile=(16,), block=(8,), height=4),
+    WavefrontSchedule(tile=(16,), height=4),
 ], ids=["naive", "wavefront"])
 def test_second_order_convergence_rate(schedule):
     """so=2: halving h (and dt) shrinks the error ~4x (O(h^2) + O(dt^2))."""
@@ -77,6 +77,6 @@ def test_wavefront_error_equals_naive_error():
     """Temporal blocking changes the execution order, not the numerics."""
     e_naive = standing_wave_error(120, 4, NaiveSchedule(), steps=10)
     e_wf = standing_wave_error(
-        120, 4, WavefrontSchedule(tile=(13,), block=(13,), height=5), steps=10
+        120, 4, WavefrontSchedule(tile=(13,), height=5), steps=10
     )
     assert e_wf == e_naive

@@ -49,8 +49,8 @@ def test_all_physics_all_schedules(kind, so):
 
     for sched in (
         SpatialBlockSchedule(block=(6, 5)),
-        WavefrontSchedule(tile=(7, 8), block=(7, 4), height=3),
-        WavefrontSchedule(tile=(10, 10), block=(5, 5), height=nt),
+        WavefrontSchedule(tile=(7, 8), height=3),
+        WavefrontSchedule(tile=(10, 10), height=nt),
     ):
         rec_got, _ = prop.forward(nt=nt, dt=dt, schedule=sched)
         got = state_of(prop, nt)
@@ -64,7 +64,7 @@ def test_space_order_12_multiphysics(kind):
     prop, dt, nt = build(kind, so=12, nt=8)
     prop.forward(nt=nt, dt=dt, schedule=NaiveSchedule(), sparse_mode="offgrid")
     ref = state_of(prop, nt)
-    prop.forward(nt=nt, dt=dt, schedule=WavefrontSchedule(tile=(8, 8), block=(4, 4), height=4))
+    prop.forward(nt=nt, dt=dt, schedule=WavefrontSchedule(tile=(8, 8), height=4))
     np.testing.assert_array_equal(state_of(prop, nt), ref)
 
 
@@ -83,7 +83,7 @@ def test_unsafe_offgrid_injection_is_wrong():
 
     # rebuild a plan but swap the aligned injection for the unsafe one
     op = prop.op
-    sched = WavefrontSchedule(tile=(6, 6), block=(3, 3), height=4)
+    sched = WavefrontSchedule(tile=(6, 6), height=4)
     plan = op._bind(dt, sched, "precomputed")
     inj = op.injections()[0]
     unsafe = UnsafeOffGridInjection(inj, dt)
@@ -104,14 +104,14 @@ def test_wavefront_faster_tile_counts():
     """Plan introspection: the wavefront executor really tiles time."""
     prop, dt, nt = build("acoustic")
     plan = prop.forward(nt=nt, dt=dt,
-                        schedule=WavefrontSchedule(tile=(6, 6), block=(3, 3), height=5))[1]
+                        schedule=WavefrontSchedule(tile=(6, 6), height=5))[1]
     assert plan.angle == 2
 
 
 def test_two_shots_reuse_operator():
     """Running twice (new wavelet) reuses the cached precomputation."""
     prop, dt, nt = build("acoustic")
-    sched = WavefrontSchedule(tile=(6, 6), block=(3, 3), height=3)
+    sched = WavefrontSchedule(tile=(6, 6), height=3)
     rec1, _ = prop.forward(nt=nt, dt=dt, schedule=sched)
     prop.source.data[:] *= 2.0
     # decomposition is cached per (injection, dt): rescale requires rebuild,

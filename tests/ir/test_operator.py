@@ -72,7 +72,7 @@ def test_auto_mode_selects_by_schedule(grid3d):
     from repro.execution.sparse import RawInjection
 
     assert any(isinstance(i, RawInjection) for lst in plan.injections.values() for i in lst)
-    plan2 = op.apply(time_M=4, dt=0.5, schedule=WavefrontSchedule(tile=(4, 4), block=(2, 2), height=2))
+    plan2 = op.apply(time_M=4, dt=0.5, schedule=WavefrontSchedule(tile=(4, 4), height=2))
     from repro.core.aligned import AlignedInjection
 
     assert any(isinstance(i, AlignedInjection) for lst in plan2.injections.values() for i in lst)
@@ -80,9 +80,9 @@ def test_auto_mode_selects_by_schedule(grid3d):
 
 def test_precompute_cache_reused(grid3d):
     op, u, m, src, rec = make_acoustic_operator(grid3d, nt=6)
-    op.apply(time_M=4, dt=0.5, schedule=WavefrontSchedule(tile=(4, 4), block=(2, 2), height=2))
+    op.apply(time_M=4, dt=0.5, schedule=WavefrontSchedule(tile=(4, 4), height=2))
     n_masks = len(op._mask_cache)
-    op.apply(time_M=4, dt=0.5, schedule=WavefrontSchedule(tile=(6, 6), block=(3, 3), height=3))
+    op.apply(time_M=4, dt=0.5, schedule=WavefrontSchedule(tile=(6, 6), height=3))
     assert len(op._mask_cache) == n_masks  # same sparse functions, no rebuild
 
 

@@ -89,7 +89,7 @@ def test_compiled_matches_interpreted_boundeq(grid3d):
 def test_operator_compiled_flag_end_to_end(grid3d):
     """The compiled (fused, default) engine against ``engine="interp"``."""
     op, u, m, src, rec = make_acoustic_operator(grid3d, nt=8)
-    sched = WavefrontSchedule(tile=(5, 5), block=(5, 5), height=4)
+    sched = WavefrontSchedule(tile=(5, 5), height=4)
     a = run_and_capture(op, u, rec, 8, 1.0, sched)
     op2, u2, m2, src2, rec2 = make_acoustic_operator(grid3d, nt=8)
 

@@ -1,9 +1,16 @@
 """Tests for KernelSpec extraction from symbolic operators."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.machine import KernelSpec
-from repro.propagators import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from paper_model import BROADWELL, GridGeometry, KernelSpec, PerformanceModel  # noqa: E402
+
+from repro.core import WavefrontSchedule  # noqa: E402
+from repro.propagators import (  # noqa: E402
     AcousticPropagator,
     ElasticPropagator,
     SeismicModel,
@@ -66,11 +73,22 @@ def test_tti_spec_two_sweeps():
 
 
 def test_lag_span():
-    spec = make_spec("acoustic", 4)
-    assert spec.lag_span(1) == 0
-    assert spec.lag_span(4) == 6
+    """The model skews a tile by the last lag of lower()'s own table:
+    ``angle*height - radius(first sweep)``, and not at all at height 1."""
+    tile = (32, 32)
+
+    def dram_growth(spec, height):
+        pm = PerformanceModel(spec, BROADWELL, GridGeometry((64, 64, 64), 10))
+        res = pm.evaluate(WavefrontSchedule(tile=tile, height=height))
+        untiled = pm.evaluate(WavefrontSchedule(tile=tile, height=1))
+        # DRAM traffic is the untiled traffic x (1 + span * sum(1/tile)) / height
+        return (res.traffic_bytes_ppt["DRAM"] * height / untiled.traffic_bytes_ppt["DRAM"] - 1.0)
+
+    per_span = sum(1.0 / t for t in tile)
+    acoustic = make_spec("acoustic", 4)
+    assert dram_growth(acoustic, 4) == pytest.approx(6 * per_span)
     elastic = make_spec("elastic", 4)
-    assert elastic.lag_span(2) == 2 * 4 - 2
+    assert dram_growth(elastic, 2) == pytest.approx((2 * 4 - 2) * per_span)
 
 
 def test_flops_monotone_in_order():

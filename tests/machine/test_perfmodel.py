@@ -1,9 +1,13 @@
 """Tests for the analytical performance model."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.core import NaiveSchedule, SpatialBlockSchedule, WavefrontSchedule
-from repro.machine import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from paper_model import (  # noqa: E402
     BROADWELL,
     GridGeometry,
     KernelSpec,
@@ -12,7 +16,9 @@ from repro.machine import (
     SourceLoad,
 )
 
-from .test_kernels import make_spec
+from repro.core import NaiveSchedule, SpatialBlockSchedule, WavefrontSchedule  # noqa: E402
+
+from .test_kernels import make_spec  # noqa: E402
 
 GEO = GridGeometry((512, 512, 512), 100)
 
@@ -43,21 +49,21 @@ def test_traffic_hierarchy_ordering(model):
 
 def test_wavefront_cuts_dram_traffic(model):
     base = model.evaluate(SpatialBlockSchedule(block=(8, 8)))
-    wf = model.evaluate(WavefrontSchedule(tile=(32, 32), block=(8, 8), height=4))
+    wf = model.evaluate(WavefrontSchedule(tile=(32, 32), height=4))
     assert wf.traffic_bytes_ppt["DRAM"] < 0.6 * base.traffic_bytes_ppt["DRAM"]
     assert wf.time_s < base.time_s
 
 
 def test_height_one_degenerates_to_spatial(model):
     base = model.evaluate(SpatialBlockSchedule(block=(8, 8)))
-    wf1 = model.evaluate(WavefrontSchedule(tile=(32, 32), block=(8, 8), height=1))
+    wf1 = model.evaluate(WavefrontSchedule(tile=(32, 32), height=1))
     # identical stencil traffic; only the sparse-operator path differs
     # (precomputed vs off-grid), which is sub-percent for one source
     assert wf1.time_s == pytest.approx(base.time_s, rel=0.01)
 
 
 def test_oversized_tile_infeasible(model):
-    wf = model.evaluate(WavefrontSchedule(tile=(2048, 2048), block=(8, 8), height=16))
+    wf = model.evaluate(WavefrontSchedule(tile=(2048, 2048), height=16))
     assert not wf.feasible
     # the infeasible penalty makes it no better than the baseline
     base = model.evaluate(SpatialBlockSchedule(block=(8, 8)))
@@ -65,8 +71,8 @@ def test_oversized_tile_infeasible(model):
 
 
 def test_skew_overhead_grows_with_height(model):
-    t16 = model.evaluate(WavefrontSchedule(tile=(16, 16), block=(8, 8), height=2))
-    t16_tall = model.evaluate(WavefrontSchedule(tile=(16, 16), block=(8, 8), height=12))
+    t16 = model.evaluate(WavefrontSchedule(tile=(16, 16), height=2))
+    t16_tall = model.evaluate(WavefrontSchedule(tile=(16, 16), height=12))
     # tiny tile + tall wavefront: skew eats the reuse
     assert t16_tall.traffic_bytes_ppt["L3"] > t16.traffic_bytes_ppt["L3"]
 
@@ -75,7 +81,7 @@ def test_speedup_shrinks_with_space_order():
     sp = {}
     for so in (4, 8, 12):
         pm = PerformanceModel(make_spec("acoustic", so), BROADWELL, GEO, SourceLoad())
-        sp[so] = pm.speedup(WavefrontSchedule(tile=(48, 48), block=(8, 8), height=2))
+        sp[so] = pm.speedup(WavefrontSchedule(tile=(48, 48), height=2))
     assert sp[4] > sp[8] > sp[12] - 1e-9
 
 
@@ -98,7 +104,7 @@ def test_sparse_overhead_dense_sources(acoustic4):
                        occupied_pencils=250000)
     pm_dense = PerformanceModel(acoustic4, BROADWELL, GEO, dense)
     pm_single = PerformanceModel(acoustic4, BROADWELL, GEO, SourceLoad())
-    sched = WavefrontSchedule(tile=(48, 48), block=(8, 8), height=2)
+    sched = WavefrontSchedule(tile=(48, 48), height=2)
     assert pm_dense.speedup(sched) < pm_single.speedup(sched)
 
 

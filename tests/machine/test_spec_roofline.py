@@ -1,20 +1,28 @@
 """Tests for machine specs and the cache-aware roofline."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.core import SpatialBlockSchedule, WavefrontSchedule
-from repro.machine import (
-    BROADWELL,
-    GridGeometry,
-    MACHINES,
-    PerformanceModel,
-    SKYLAKE,
-    SourceLoad,
-)
-from repro.machine.roofline import render_roofline, roofline_points
-from repro.machine.spec import CacheLevel, MachineSpec
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
-from .test_kernels import make_spec
+from paper_model import (  # noqa: E402
+    BROADWELL,
+    MACHINES,
+    SKYLAKE,
+    CacheLevel,
+    GridGeometry,
+    MachineSpec,
+    PerformanceModel,
+    SourceLoad,
+    render_roofline,
+    roofline_points,
+)
+
+from repro.core import SpatialBlockSchedule, WavefrontSchedule  # noqa: E402
+
+from .test_kernels import make_spec  # noqa: E402
 
 
 # -- specs ------------------------------------------------------------------------
@@ -65,8 +73,8 @@ def points():
         GridGeometry((512, 512, 512), 100), SourceLoad(),
     )
     return roofline_points(pm, {
-        "spatial": SpatialBlockSchedule(block=(8, 8)),
-        "wtb": WavefrontSchedule(tile=(48, 48), block=(8, 8), height=2),
+        "spatial": (SpatialBlockSchedule(block=(8, 8)), (8, 8)),
+        "wtb": (WavefrontSchedule(tile=(48, 48), height=2), (8, 8)),
     })
 
 

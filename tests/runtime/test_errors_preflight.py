@@ -149,7 +149,7 @@ def test_block_rank_exceeding_grid_rank(grid2d):
         op.apply(
             time_M=4,
             dt=0.5,
-            schedule=WavefrontSchedule(tile=(4, 4, 4), block=(4, 4, 4), height=2),
+            schedule=WavefrontSchedule(tile=(4, 4, 4), height=2),
             sparse_mode="precomputed",
         )
 

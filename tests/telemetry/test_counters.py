@@ -55,7 +55,7 @@ def test_naive_sparse_point_counts(grid3d):
 @pytest.mark.parametrize(
     "schedule",
     [SpatialBlockSchedule(block=(6, 6)),
-     WavefrontSchedule(tile=(6, 6), block=(3, 3), height=2)],
+     WavefrontSchedule(tile=(6, 6), height=2)],
     ids=["spatial", "wavefront"],
 )
 def test_points_updated_is_schedule_invariant(grid3d, schedule):
@@ -73,7 +73,7 @@ def test_wavefront_sparse_counts_match_mask_totals(grid3d):
     """Under the wavefront schedule sources/receivers run through aligned
     per-box masks; summed over all boxes and steps the injected count equals
     (mask points) x (active steps)."""
-    op, tel = _run(grid3d, WavefrontSchedule(tile=(6, 6), block=(3, 3), height=2))
+    op, tel = _run(grid3d, WavefrontSchedule(tile=(6, 6), height=2))
     plan_sparse = [op_inj for op_inj in op.injections()]
     assert tel.counters["src_points_injected"] > 0
     assert tel.counters["rec_points_gathered"] > 0
@@ -81,9 +81,9 @@ def test_wavefront_sparse_counts_match_mask_totals(grid3d):
 
 
 def test_counters_independent_of_detail(grid3d):
-    _, tel_phase = _run(grid3d, WavefrontSchedule(tile=(6, 6), block=(3, 3), height=2))
+    _, tel_phase = _run(grid3d, WavefrontSchedule(tile=(6, 6), height=2))
     _, tel_trace = _run(
-        grid3d, WavefrontSchedule(tile=(6, 6), block=(3, 3), height=2), detail="trace"
+        grid3d, WavefrontSchedule(tile=(6, 6), height=2), detail="trace"
     )
     assert dict(tel_phase.counters) == dict(tel_trace.counters)
 

@@ -15,7 +15,7 @@ NT = 8
 SCHEDULES = {
     "naive": NaiveSchedule(),
     "spatial": SpatialBlockSchedule(block=(6, 6)),
-    "wavefront": WavefrontSchedule(tile=(6, 6), block=(3, 3), height=2),
+    "wavefront": WavefrontSchedule(tile=(6, 6), height=2),
 }
 
 

@@ -23,7 +23,7 @@ def _traced_run(grid):
     tel = Telemetry(detail="trace")
     op.apply(
         time_M=NT, dt=0.4,
-        schedule=WavefrontSchedule(tile=(6, 6), block=(3, 3), height=2),
+        schedule=WavefrontSchedule(tile=(6, 6), height=2),
         telemetry=tel,
     )
     return tel

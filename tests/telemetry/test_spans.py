@@ -82,7 +82,7 @@ def test_detail_validation():
 SCHEDULES = {
     "naive": NaiveSchedule(),
     "spatial": SpatialBlockSchedule(block=(6, 6)),
-    "wavefront": WavefrontSchedule(tile=(6, 6), block=(3, 3), height=2),
+    "wavefront": WavefrontSchedule(tile=(6, 6), height=2),
 }
 
 

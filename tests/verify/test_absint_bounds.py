@@ -35,7 +35,7 @@ def test_certificate_holds_wherever_execution_succeeds(so, tile):
     run the certificate admits."""
     grid = Grid(shape=(14, 12), extent=(130.0, 110.0))
     op, u, *_ = make_acoustic_operator(grid, so=so, src_coords=False, rec_coords=False)
-    schedule = WavefrontSchedule(tile=tile, block=tile, height=2)
+    schedule = WavefrontSchedule(tile=tile, height=2)
     cert = prove_bounds(op)
     assert cert.check(), cert.summary()
     assert cert.counterexample is None and not cert.violations()
@@ -78,7 +78,7 @@ def test_certificates_cached_per_schedule_family(grid2d):
     whatever arguments the (frozen) stack benchmark passes."""
     op, *_ = make_acoustic_operator(grid2d)
     cert = op.bounds_certificate_for()
-    wf = WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
+    wf = WavefrontSchedule(tile=(8, 8), height=2)
     assert op.bounds_certificate_for(wf, "precomputed") is cert
     assert op.bounds_certificate_for(NaiveSchedule()) is cert
     assert op.analyzer_seconds > 0.0
@@ -128,7 +128,7 @@ def test_counterexample_matches_runtime_failure():
 SCHEDULES = {
     "naive": NaiveSchedule(),
     "spatial": SpatialBlockSchedule(block=(4, 4)),
-    "wavefront": WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2),
+    "wavefront": WavefrontSchedule(tile=(8, 8), height=2),
 }
 
 
@@ -179,7 +179,7 @@ def test_halo_gate_admits_reach_up_to_the_halo(reach, engine, schedule, strict):
 
 def test_wavefront_apply_rejects_hard_before_execution():
     op, u = _bad_operator(shape=(16, 16))
-    wf = WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
+    wf = WavefrontSchedule(tile=(8, 8), height=2)
     with pytest.raises(BoundsProofError) as err:
         op.apply(time_M=2, dt=0.1, schedule=wf)
     assert err.value.counterexample is not None

@@ -229,7 +229,7 @@ def test_slab_plan_shrinks_pool_bit_identically(grid24):
     operator — one slab per (dtype, slot) however many tile shapes the
     wavefront visits — and results are bit-identical to the interpreter."""
     nt, dt = 6, 1.0
-    wf = WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
+    wf = WavefrontSchedule(tile=(8, 8), height=2)
 
     op, u, m, src, rec = make_acoustic_operator(grid24, nt=nt)
     ref_u, ref_rec = run_and_capture(

@@ -11,7 +11,7 @@ from repro.errors import ScheduleLegalityError
 from repro.verify import prove_schedule, run_oracle
 from ..conftest import make_acoustic_operator
 
-WF = WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
+WF = WavefrontSchedule(tile=(8, 8), height=2)
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ def _forward_in_time(expr, grid):
     return expr.subs({ix: ix.shift(grid.stepping_dim, 1) for ix in expr.atoms(Indexed)})
 
 
-WF = WavefrontSchedule(tile=(8, 8), block=(4, 4), height=2)
+WF = WavefrontSchedule(tile=(8, 8), height=2)
 
 
 # -- positive verdicts -----------------------------------------------------------
@@ -90,7 +90,7 @@ def test_certificate_cached_on_operator(grid3d):
     c2 = op.certificate_for(WF)
     assert c1 is c2
     # a different schedule key proves afresh
-    c3 = op.certificate_for(WavefrontSchedule(tile=(8, 8), block=(4, 4), height=3))
+    c3 = op.certificate_for(WavefrontSchedule(tile=(8, 8), height=3))
     assert c3 is not c1 and c3.check()
 
 
@@ -203,7 +203,7 @@ def test_future_read_rejected_under_wavefront():
     da2 = _forward_in_time(_forward_in_time(a.dx, grid), grid)
     op = Operator([Eq(a.forward, a.dx), Eq(b.forward, da2)], name="future-test")
     with pytest.raises(ScheduleLegalityError, match="future"):
-        prove_schedule(op, WavefrontSchedule(tile=(8,), block=(4,), height=2))
+        prove_schedule(op, WavefrontSchedule(tile=(8,), height=2))
 
 
 def test_sequential_schedules_always_certify_future_free_systems():
@@ -238,7 +238,7 @@ def test_multi_sweep_lag_table(height):
     op, grid = _two_sweep_op()
     radii = tuple(op.sweep_radii)
     assert radii == (4, 2)
-    sched = WavefrontSchedule(tile=(12, 12), block=(6, 6), height=height)
+    sched = WavefrontSchedule(tile=(12, 12), height=height)
     cert = prove_schedule(op, sched)
     assert cert.check()
     lags = cert.lags
@@ -254,7 +254,7 @@ def test_multi_sweep_lag_table(height):
 def test_single_sweep_skew_tracks_radius(grid3d, so):
     # Fig. 7: for single-sweep kernels the per-step skew is the stencil radius
     op, *_ = make_acoustic_operator(grid3d, so=so, src_coords=False, rec_coords=False)
-    cert = prove_schedule(op, WavefrontSchedule(tile=(8, 8), block=(4, 4), height=3))
+    cert = prove_schedule(op, WavefrontSchedule(tile=(8, 8), height=3))
     assert cert.check()
     assert cert.wavefront_angle == so // 2
     assert cert.lags == (0, so // 2, so)
@@ -279,7 +279,7 @@ def test_zero_radius_sweep_contributes_no_lag():
     ]
     op = Operator(eqs, name="damped")
     assert tuple(op.sweep_radii) == (2, 0)
-    cert = prove_schedule(op, WavefrontSchedule(tile=(8,), block=(4,), height=2))
+    cert = prove_schedule(op, WavefrontSchedule(tile=(8,), height=2))
     assert cert.check()
     # the zero-radius sweep adds no skew when its instance enters
     assert cert.lags == (0, 0, 2, 2)
@@ -329,7 +329,7 @@ def test_available_skew_is_the_box_shift_lower_applies(kind, height):
 
     prop, _ = build_example(kind, so=4)
     op = prop.op
-    schedule = WavefrontSchedule(tile=(2, 2), block=(2, 2), height=height)
+    schedule = WavefrontSchedule(tile=(2, 2), height=height)
     cert = prove_schedule(op, schedule)
     radii, shape = tuple(op.sweep_radii), tuple(op.grid.shape)
     tiles = {}
