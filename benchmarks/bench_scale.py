@@ -28,7 +28,6 @@ host) and so outside tier-1::
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import statistics
 import subprocess
@@ -43,7 +42,6 @@ from paper_setup import single_source_load
 from repro.analysis import render_table
 from repro.core import NaiveSchedule, Schedule, SpatialBlockSchedule, WavefrontSchedule
 from repro.dsl import SparseTimeFunction
-from repro.ir.pycodegen import clear_kernel_caches
 from repro.propagators import AcousticPropagator, SeismicModel, layered_velocity, point_source
 from repro.telemetry import Telemetry
 
@@ -118,10 +116,6 @@ def rho(measured: Dict[str, float], modelled: Dict[str, float], names: List[str]
 
 
 def measure_cell(interior: int, so: int) -> dict:
-    # the process-wide kernel cache keys on the previous cell's expressions,
-    # which reach its fields: drop it, or every cell's grids stay resident
-    clear_kernel_caches()
-    gc.collect()
     prop, dt = build_shot(interior, so)
     names = list(SHAPES)
     digests = set()

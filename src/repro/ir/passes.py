@@ -155,6 +155,7 @@ def cse_sweep(
             return rewritten
 
         result.rhss.append(walk(rhs))
+    del walk  # a recursive closure is a cycle through its maps' fields: break it
     return result
 
 
@@ -340,7 +341,9 @@ def hoist_invariants(rhss: Sequence[Expr], prefix: str = "__inv", select=None) -
             return Pow(walk(expr.base), walk(expr.exponent))
         return Call(expr.name, walk(expr.argument))
 
-    return HoistResult(rhss=[walk(r) for r in rhss], fields=fields)
+    hoisted = HoistResult(rhss=[walk(r) for r in rhss], fields=fields)
+    del walk  # as in cse_sweep: the dropped operator's fields are freed at once
+    return hoisted
 
 
 # -- coefficient-collecting factorisation ------------------------------------------

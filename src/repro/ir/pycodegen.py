@@ -19,7 +19,8 @@ compile time by probing the ufuncs with zero-size specimen arrays).
 
 Compiled kernels are cached process-wide, keyed by the canonical (hashable)
 expression structure plus operand dtypes, so autotuner sweeps and repeated
-operator builds compile each distinct kernel once.
+operator builds compile each distinct kernel once.  The key holds names and
+offsets, never a ``Function``: a dropped operator's fields are freed.
 """
 
 from __future__ import annotations
@@ -46,6 +47,16 @@ _ALLOWED_CALLS = {"sin", "cos", "tan", "sqrt", "exp"}
 
 _SWEEP_CACHE: Dict[object, Callable] = {}
 _CACHE_STATS = {"sweep_hits": 0, "sweep_misses": 0}
+
+
+def _structure(expr: Expr) -> tuple:
+    """*expr* as nested tuples of node types and ``_args``: equal exactly when
+    the expressions are, and holding no ``Function`` (an ``Indexed`` node's
+    args are its function's name and offsets), so a cache key keeps no
+    operator's data alive."""
+    return (type(expr).__name__,) + tuple(
+        _structure(a) if isinstance(a, Expr) else a for a in expr._args
+    )
 
 
 def kernel_cache_stats() -> Dict[str, float]:
@@ -391,9 +402,9 @@ def compile_sweep(
     read_dtypes = [np.dtype(d) for d in read_dtypes]
     out_dtypes = [np.dtype(d) for d in out_dtypes]
     key = (
-        tuple(lhss),
-        tuple(rhss),
-        tuple(reads),
+        tuple(_structure(e) for e in lhss),
+        tuple(_structure(e) for e in rhss),
+        tuple(_structure(e) for e in reads),
         tuple(d.str for d in read_dtypes),
         tuple(d.str for d in out_dtypes),
     )

@@ -106,7 +106,7 @@ def execute_attempt(
     t_entry = _time.perf_counter()
     job_dir = Path(job_dir)
     prop, dt = build_problem(spec)
-    store = FileCheckpointStore(_checkpoint_dir(job_dir), keep=2)
+    store = FileCheckpointStore(_checkpoint_dir(job_dir))
     resumed_from = None
     if resume:
         try:

@@ -20,11 +20,10 @@ failures apart:
 
   where ``S_tile`` bounds the amplitude injected by the sources during the
   tile.  A finite exit above that bound raises
-  :class:`~repro.errors.SilentCorruptionError`; the guard keeps a ring of
-  entry states (:class:`~repro.runtime.checkpoint.Snapshot`, the same
-  live-slot capture a checkpoint stores), and the executor restores the
-  unit's entry and re-executes only the affected tile instead of restarting
-  the job.
+  :class:`~repro.errors.SilentCorruptionError`; the guard keeps the entry
+  state of the current unit (one :class:`~repro.runtime.checkpoint.Snapshot`,
+  the same live-slot capture a checkpoint stores), and the executor restores
+  it and re-executes only the affected tile instead of restarting the job.
 
 :class:`ABFTGuard` is threaded through ``Operator.apply(abft=...)`` /
 ``Propagator.forward(abft=...)`` exactly like the other resilience
@@ -34,13 +33,12 @@ facilities.
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..errors import NumericalBlowup, SilentCorruptionError
-from .checkpoint import _live_slots, _wavefields, capture_snapshot, restore_snapshot
+from .checkpoint import Snapshot, _live_slots, _wavefields, capture_snapshot, restore_snapshot
 
 __all__ = ["ABFTGuard"]
 
@@ -53,9 +51,6 @@ SLACK = 8.0
 #: absolute amplitude floor: exits below this are never flagged (an
 #: all-zero tile must not trip on rounding noise)
 FLOOR = 1e-18
-
-#: depth of the ring of tile-entry snapshots
-MICRO_KEEP = 2
 
 #: re-executions of one containment unit before silent corruption escalates
 #: to the checkpoint-restart / job-retry layer
@@ -110,8 +105,8 @@ def _blowup(func, t0: int, t1: int) -> NumericalBlowup:
 
 
 class ABFTGuard:
-    """Checks the state at containment-unit boundaries and owns the ring of
-    entry snapshots that makes tile-granular recovery possible.
+    """Checks the state at containment-unit boundaries and owns the entry
+    snapshot that makes tile-granular recovery possible.
 
     Lifecycle: ``ABFTGuard()``, handed to ``apply(abft=...)``; every apply
     calls :meth:`configure` with the bound plan and that apply's fresh
@@ -138,11 +133,11 @@ class ABFTGuard:
             "tiles_reexecuted": 0,
             "micro_snapshots": 0,
             "micro_snapshot_bytes": 0,
-            "seconds": 0.0,
         }
         #: detection/recovery events, journaled by the job service
         self.events: List[dict] = []
-        self._ring: List = []
+        #: the current unit's entry snapshot, overwritten in place each entry
+        self._snap: Optional[Snapshot] = None
         self._step_gain = math.inf
         self._per_step_source = 0.0
         self._entry: Dict[str, float] = {}
@@ -156,7 +151,7 @@ class ABFTGuard:
         self.certificate = certificate
         self._step_gain = certificate.step_gain if certificate.check() else math.inf
         self._per_step_source = _per_step_source_amplitude(plan)
-        self._ring.clear()
+        self._snap = None
         self._entry.clear()
         self._exit_cache = None
 
@@ -166,27 +161,18 @@ class ABFTGuard:
 
     # -- boundary hooks (RuntimeMonitor) -------------------------------------------
     def tile_entry(self, plan, t0: int, t1: int) -> None:
-        """Record entry amplitudes and capture the entry snapshot."""
-        start = time.perf_counter()
-        funcs = _wavefields(plan)
+        """Record entry amplitudes and capture the entry snapshot into the
+        previous unit's buffers (memcpy, not allocation)."""
         if self._exit_cache is not None and self._exit_cache[0] == t0:
             self._entry = dict(self._exit_cache[1])
         else:
             self._entry = {
-                name: self._amplitude(func, t0) for name, func in funcs.items()
+                name: self._amplitude(func, t0)
+                for name, func in _wavefields(plan).items()
             }
-        self._ring = [s for s in self._ring if s.step != t0]
-        recycle = None
-        if len(self._ring) >= MICRO_KEEP:
-            # the oldest snapshot is about to fall off the ring: donate its
-            # buffers so the capture below is memcpy, not allocation
-            recycle = self._ring[0]
-            del self._ring[: len(self._ring) - MICRO_KEEP + 1]
-        snap = capture_snapshot(plan, t0, recycle=recycle)
-        self._ring.append(snap)
+        self._snap = capture_snapshot(plan, t0, recycle=self._snap)
         self.stats["micro_snapshots"] += 1
-        self.stats["micro_snapshot_bytes"] += snap.nbytes()
-        self.stats["seconds"] += time.perf_counter() - start
+        self.stats["micro_snapshot_bytes"] += self._snap.nbytes()
 
     def tile_check(self, plan, t0: int, t1: int) -> None:
         """Judge the state at the exit boundary *t1* of the unit ``[t0, t1)``.
@@ -196,71 +182,63 @@ class ABFTGuard:
         its first non-finite point and their count); a finite one above the
         certified bound raises :class:`~repro.errors.SilentCorruptionError`.
         """
-        start = time.perf_counter()
-        funcs = _wavefields(plan)
         height = max(t1 - t0, 1)
         gain = self._step_gain ** height
         source = self._per_step_source * height
         exits: Dict[str, float] = {}
-        try:
-            for name, func in funcs.items():
-                observed = self._amplitude(func, t1)
-                exits[name] = observed
-                self.stats["checks"] += 1
-                if not math.isfinite(observed):
-                    raise _blowup(func, t0, t1)
-                entry = self._entry.get(name, 0.0)
-                bound = SLACK * gain * (entry + source) + FLOOR
-                if observed <= bound or not self.amplitude_active:
-                    continue
-                self.stats["detections"] += 1
-                self.events.append(
-                    {
-                        "kind": "detection",
-                        "detector": "growth",
-                        "t0": int(t0),
-                        "t1": int(t1),
-                        "field": name,
-                        "bound": float(bound) if math.isfinite(bound) else None,
-                        "observed": observed,
-                    }
-                )
-                raise SilentCorruptionError(
-                    f"amplitude invariant violated at tile exit: "
-                    f"|{name}| = {observed:.6g} exceeds the certified bound "
-                    f"{bound:.6g} (entry {entry:.6g}, gain {gain:.6g}, "
-                    f"source {source:.6g})",
-                    t=t1 - 1,
-                    field=name,
-                    bound=float(bound) if math.isfinite(bound) else None,
-                    observed=observed,
-                    detector="growth",
-                )
-            self._exit_cache = (t1, exits)
-        finally:
-            self.stats["seconds"] += time.perf_counter() - start
+        for name, func in _wavefields(plan).items():
+            observed = self._amplitude(func, t1)
+            exits[name] = observed
+            self.stats["checks"] += 1
+            if not math.isfinite(observed):
+                raise _blowup(func, t0, t1)
+            entry = self._entry.get(name, 0.0)
+            bound = SLACK * gain * (entry + source) + FLOOR
+            if observed <= bound or not self.amplitude_active:
+                continue
+            self.stats["detections"] += 1
+            self.events.append(
+                {
+                    "kind": "detection",
+                    "detector": "growth",
+                    "t0": int(t0),
+                    "t1": int(t1),
+                    "field": name,
+                    "bound": float(bound) if math.isfinite(bound) else None,
+                    "observed": observed,
+                }
+            )
+            raise SilentCorruptionError(
+                f"amplitude invariant violated at tile exit: "
+                f"|{name}| = {observed:.6g} exceeds the certified bound "
+                f"{bound:.6g} (entry {entry:.6g}, gain {gain:.6g}, "
+                f"source {source:.6g})",
+                t=t1 - 1,
+                field=name,
+                bound=float(bound) if math.isfinite(bound) else None,
+                observed=observed,
+                detector="growth",
+            )
+        self._exit_cache = (t1, exits)
 
     def restore(self, plan, t0: int, attempt: int = 1) -> bool:
         """Restore the entry snapshot of the unit starting at *t0* for
         its *attempt*-th re-execution.
 
         Returns False when the unit's re-execution budget
-        (:data:`MAX_REEXECUTIONS`) is spent or the ring no longer holds the
-        snapshot — the caller then falls back to the ordinary
+        (:data:`MAX_REEXECUTIONS`) is spent or the guard holds no snapshot
+        of *t0* — the caller then falls back to the ordinary
         checkpoint-restart path by letting the error propagate.
         """
         if attempt > MAX_REEXECUTIONS:
             return False
-        snap = next((s for s in self._ring if s.step == t0), None)
-        if snap is None:
+        if self._snap is None or self._snap.step != t0:
             self.events.append({"kind": "fallback", "t0": int(t0)})
             return False
-        start = time.perf_counter()
-        restore_snapshot(plan, snap)
+        restore_snapshot(plan, self._snap)
         self._exit_cache = None
         self.stats["tiles_reexecuted"] += 1
         self.events.append({"kind": "reexecute", "t0": int(t0)})
-        self.stats["seconds"] += time.perf_counter() - start
         return True
 
     # -- internals -------------------------------------------------------------------

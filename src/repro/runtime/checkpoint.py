@@ -20,10 +20,11 @@ tiles of the uninterrupted run — which is what makes restart
 *bit-identical*, not merely close.
 
 One :func:`capture_snapshot` / :func:`restore_snapshot` pair serves both
-the checkpoint cadence and the ABFT guard's in-memory ring of tile-entry
-states (:mod:`repro.runtime.abft`).  Two stores hold checkpoints:
-:class:`MemoryCheckpointStore` (default, zero-IO) and
-:class:`FileCheckpointStore` (``.npz`` files, survives the process).
+the checkpoint cadence and the ABFT guard's tile-entry snapshot
+(:mod:`repro.runtime.abft`).  Two stores hold checkpoints:
+:class:`MemoryCheckpointStore` (default, zero-IO; the newest snapshot) and
+:class:`FileCheckpointStore` (``.npz`` files, survives the process; the
+newest :data:`FILES_KEPT`).
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ __all__ = [
     "capture_snapshot",
     "restore_snapshot",
 ]
+
+#: snapshot files a :class:`FileCheckpointStore` keeps: the newest, and the
+#: previous good one :meth:`~FileCheckpointStore.latest` falls back to
+FILES_KEPT = 2
 
 
 @dataclass
@@ -89,26 +94,19 @@ class CheckpointStore:
 
 
 class MemoryCheckpointStore(CheckpointStore):
-    """In-process snapshot ring; keeps the newest *keep* snapshots."""
+    """In-process store of the newest snapshot, the one :meth:`latest` reads."""
 
-    def __init__(self, keep: int = 2):
-        if keep < 1:
-            raise ValueError("keep must be >= 1")
-        self.keep = int(keep)
-        self._snaps: List[Snapshot] = []
+    def __init__(self):
+        self._snap: Optional[Snapshot] = None
 
     def save(self, snapshot: Snapshot) -> None:
-        self._snaps.append(snapshot)
-        del self._snaps[: -self.keep]
+        self._snap = snapshot
 
     def latest(self) -> Optional[Snapshot]:
-        return self._snaps[-1] if self._snaps else None
+        return self._snap
 
     def clear(self) -> None:
-        self._snaps.clear()
-
-    def __len__(self) -> int:
-        return len(self._snaps)
+        self._snap = None
 
 
 class FileCheckpointStore(CheckpointStore):
@@ -139,12 +137,9 @@ class FileCheckpointStore(CheckpointStore):
     sidecar and load as before.
     """
 
-    def __init__(self, directory, keep: int = 2):
-        if keep < 1:
-            raise ValueError("keep must be >= 1")
+    def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep = int(keep)
 
     def _paths(self) -> List[Path]:
         return sorted(self.directory.glob("ckpt_*.npz"))
@@ -173,7 +168,7 @@ class FileCheckpointStore(CheckpointStore):
                 path=str(path),
                 op="checkpoint_save",
             ) from exc
-        for old in self._paths()[: -self.keep]:
+        for old in self._paths()[:-FILES_KEPT]:
             old.unlink()
             digest_path(old).unlink(missing_ok=True)
         for stale in self.directory.glob("ckpt_*.npz*.tmp"):
@@ -333,7 +328,7 @@ def capture_snapshot(plan, step: int, recycle: Optional[Snapshot] = None) -> Sna
     """Copy the live state of *plan* at the consistent point *step*.
 
     *recycle* donates the buffers of a retired snapshot of the same plan
-    (the ABFT guard's ring evicts one per tile): its slots are overwritten
+    (the ABFT guard's previous entry snapshot): its slots are overwritten
     in place instead of freshly allocated, so the steady-state per-tile cost
     is pure memcpy.  A snapshot handed to a checkpoint store must own its
     arrays, so the checkpoint cadence never passes *recycle*.

@@ -22,7 +22,7 @@ degrades to checksum-only mode.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -122,35 +122,41 @@ def read_interval(access: Indexed) -> Interval:
     return (lo, hi)
 
 
-def _expr_interval(expr) -> Interval:
-    """Interval image of a bound equation's rhs tree."""
+def _expr_interval(expr, ranges: Dict[object, Interval]) -> Interval:
+    """Interval image of a bound equation's rhs tree; *ranges* holds each
+    field's read interval, so a field is scanned once however often it is
+    read."""
     if isinstance(expr, Number):
         v = float(expr.value)
         return (v, v)
     if isinstance(expr, Indexed):
-        return read_interval(expr)
+        func = expr.function
+        if func not in ranges:
+            ranges[func] = read_interval(expr)
+        return ranges[func]
     if isinstance(expr, Add):
-        return interval_ufunc("add", [_expr_interval(a) for a in expr.children()])
+        return interval_ufunc("add", [_expr_interval(a, ranges) for a in expr.children()])
     if isinstance(expr, Mul):
         return interval_ufunc(
-            "multiply", [_expr_interval(a) for a in expr.children()]
+            "multiply", [_expr_interval(a, ranges) for a in expr.children()]
         )
     if isinstance(expr, Pow):
         return interval_ufunc(
             "power",
-            [_expr_interval(expr.base), _expr_interval(expr.exponent)],
+            [_expr_interval(expr.base, ranges), _expr_interval(expr.exponent, ranges)],
         )
     if isinstance(expr, Call):
-        return interval_ufunc(expr.name, [_expr_interval(expr.argument)])
+        return interval_ufunc(expr.name, [_expr_interval(expr.argument, ranges)])
     return FULL  # an unbound symbol: nothing is known about its value
 
 
 def prove_growth(sweeps: Sequence, operator: str = "operator", dt: float = 1.0) -> GrowthCertificate:
     """Build a :class:`GrowthCertificate` for the bound *sweeps* of a plan:
     one :class:`CheckedGrowth` per bound equation, from the interval image
-    of its right-hand side."""
+    of its right-hand side.  Each field's range is read once per proof."""
+    ranges: Dict[object, Interval] = {}
     checks = tuple(
-        CheckedGrowth(j, beq.lhs.function.name, *_expr_interval(beq.rhs))
+        CheckedGrowth(j, beq.lhs.function.name, *_expr_interval(beq.rhs, ranges))
         for j, sweep in enumerate(sweeps)
         for beq in sweep.beqs
     )

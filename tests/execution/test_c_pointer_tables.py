@@ -58,7 +58,7 @@ def test_in_place_model_update_between_applies(grid2d):
 def test_checkpoint_resume_reuses_the_tables(grid2d):
     op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
     _, ref_u, ref_rec = _run(op, u, rec, "fused")
-    store = MemoryCheckpointStore(keep=2)
+    store = MemoryCheckpointStore()
     with pytest.raises(InjectedFault):
         _run(
             op, u, rec, "c", checkpoint=CheckpointConfig(every=2, store=store),

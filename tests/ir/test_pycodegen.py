@@ -1,5 +1,7 @@
 """Tests for the generated-NumPy-kernel fast path."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,26 @@ def test_rhs_cache_hit_rebinds_fresh_reads(grid1d):
     u2.interior(0)[...] = 1.0
     second.evaluate(0, full_box(grid1d))
     assert u2.interior(1).any() and not u.interior(1).any()
+
+
+@pytest.mark.parametrize("engine", [e for e in AVAILABLE_ENGINES if e != "interp"])
+def test_kernel_cache_does_not_pin_a_dropped_propagators_fields(engine):
+    """The process-wide kernel cache outlives every operator; its keys hold
+    names and offsets, so a dropped propagator's arrays are freed as soon as
+    it is dropped: no ``clear_kernel_caches()``, and no cycle left for
+    ``gc.collect()``."""
+    from repro.ir.pycodegen import clear_kernel_caches, kernel_cache_stats
+    from repro.propagators.examples import build_example
+
+    def shot():
+        prop, dt = build_example("acoustic")
+        prop.forward(nt=4, dt=dt, engine=engine)
+        return weakref.ref(prop.u._data), weakref.ref(prop.model.m._data)
+
+    clear_kernel_caches()  # a cold bind: this propagator's sweeps make the keys
+    refs = shot()
+    assert kernel_cache_stats()["sweep_entries"] > 0
+    assert all(ref() is None for ref in refs)
 
 
 def test_scratch_pool_reuse_and_identity():

@@ -24,6 +24,7 @@ from repro.runtime import (
     ABFTGuard,
     Fault,
     FaultInjector,
+    Snapshot,
     abft,
     capture_snapshot,
     flip_finite,
@@ -170,10 +171,16 @@ def test_exhausted_reexecution_budget_escalates(grid2d, monkeypatch):
     assert guard.stats["tiles_reexecuted"] == 0
 
 
-def test_restore_without_ring_entry_reports_fallback():
+def test_restore_without_entry_snapshot_reports_fallback(grid2d):
     guard = ABFTGuard()
     assert guard.restore(None, 3) is False
     assert guard.events == [{"kind": "fallback", "t0": 3}]
+    # after a run the guard holds the last unit's entry only: an earlier
+    # unit's is gone, and a restore of it falls back too
+    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
+    plan = _apply(op, NaiveSchedule(), abft=guard)
+    assert guard.restore(plan, 0) is False
+    assert guard.events[-1] == {"kind": "fallback", "t0": 0}
     assert guard.stats["tiles_reexecuted"] == 0
 
 
@@ -187,7 +194,7 @@ def test_guard_validates_slack_and_reports_flat_describe(grid2d):
     meta = guard.describe()
     # the pool harvests these keys at the top level — keep them flat
     for key in ("checks", "detections", "tiles_reexecuted", "micro_snapshots",
-                "micro_snapshot_bytes", "seconds", "events",
+                "micro_snapshot_bytes", "events",
                 "amplitude_active", "step_gain"):
         assert key in meta
     assert meta["detections"] == 0
@@ -212,7 +219,7 @@ def test_amplitude_propagates_nan_instead_of_dropping_it():
     assert math.isnan(ABFTGuard._amplitude(Stub(poisoned), 2))
 
 
-# -- the entry snapshots of the guard's ring ------------------------------------------
+# -- the guard's entry snapshot ------------------------------------------------------
 
 
 def test_snapshot_roundtrip_and_recycled_capture(grid2d):
@@ -248,13 +255,27 @@ def plan_slot(plan, name, idx):
     return _wavefields(plan)[name]._data[idx]
 
 
-def test_ring_is_bounded_by_micro_keep(grid2d, monkeypatch):
-    monkeypatch.setattr(abft, "MICRO_KEEP", 1)
+def test_guard_keeps_one_entry_snapshot_across_tiles(grid2d, monkeypatch):
+    # restore only ever reads the re-executed unit's entry, so the guard
+    # holds that one snapshot and overwrites its arrays at every entry
     op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
+    schedule = SCHEDULES["wavefront"]
+    units = NT // schedule.height
+    assert units >= 3
     guard = ABFTGuard()
-    _run(op, u, rec, NaiveSchedule(), abft=guard)
-    assert guard.stats["micro_snapshots"] == NT  # one per containment unit
-    assert len(guard._ring) == 1
+    held = []
+    entry = guard.tile_entry
+
+    def recording_entry(plan, t0, t1):
+        entry(plan, t0, t1)
+        snaps = [v for v in vars(guard).values() if isinstance(v, Snapshot)]
+        assert len(snaps) == 1 and snaps[0].step == t0
+        held.append([id(a) for keep in snaps[0].slots.values() for a in keep.values()])
+
+    monkeypatch.setattr(guard, "tile_entry", recording_entry)
+    _run(op, u, rec, schedule, abft=guard)
+    assert guard.stats["micro_snapshots"] == len(held) == units
+    assert all(sorted(ids) == sorted(held[1]) for ids in held[1:])
 
 
 # -- the verdict: blow-up or silent corruption ----------------------------------------

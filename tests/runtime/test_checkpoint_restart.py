@@ -3,7 +3,9 @@ to the uninterrupted one — wavefields *and* receiver traces — on every
 schedule and physics.  A snapshot holds only each field's live slots, so
 the contract of the one snapshot is tested here too: its size, the
 parent file format it still reads, and that the checkpoint cadence never
-shares memory with the guard's ring."""
+shares memory with the guard's entry snapshot."""
+
+import weakref
 
 import numpy as np
 import pytest
@@ -15,10 +17,12 @@ from repro.propagators.examples import EXAMPLES, build_example
 from repro.runtime import (
     ABFTGuard,
     CheckpointConfig,
+    CheckpointStore,
     Fault,
     FaultInjector,
     FileCheckpointStore,
     MemoryCheckpointStore,
+    Snapshot,
     capture_snapshot,
 )
 from repro.telemetry import Telemetry
@@ -48,8 +52,8 @@ def _mode(schedule):
 
 def _store(kind, tmp_path):
     if kind == "memory":
-        return MemoryCheckpointStore(keep=2)
-    return FileCheckpointStore(tmp_path / "ckpt", keep=2)
+        return MemoryCheckpointStore()
+    return FileCheckpointStore(tmp_path / "ckpt")
 
 
 @pytest.mark.faults
@@ -145,26 +149,44 @@ def test_parent_format_file_loads_as_every_slot_and_resumes(grid2d, tmp_path):
     np.testing.assert_array_equal(rec.data, ref_rec)
 
 
-def test_checkpoints_never_share_memory_with_the_guard_ring(grid2d):
-    """The guard's ring recycles its evicted snapshots' arrays in place; a
-    stored checkpoint must own its arrays or the next tile would rewrite it."""
+def _arrays(snap):
+    out = [a for keep in snap.slots.values() for a in keep.values()]
+    for r in snap.receivers:
+        out += [r["output"], *r["staging"].values()]
+    return out
+
+
+class _GuardDisjointStore(CheckpointStore):
+    """Checks every saved snapshot against the guard's entry snapshot of
+    the moment, then drops it."""
+
+    def __init__(self, guard):
+        self.guard = guard
+        self.saves = 0
+
+    def save(self, snapshot):
+        held = _arrays(self.guard._snap)
+        for a in _arrays(snapshot):
+            assert not any(np.shares_memory(a, b) for b in held)
+        self.saves += 1
+
+    def latest(self):
+        return None
+
+    def clear(self):
+        pass
+
+
+def test_checkpoints_never_share_memory_with_the_guard_snapshot(grid2d):
+    """The guard overwrites its entry snapshot's arrays in place every unit;
+    a stored checkpoint must own its arrays or the next unit would rewrite
+    it."""
     op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
     guard = ABFTGuard()
-    store = MemoryCheckpointStore(keep=NT)
+    store = _GuardDisjointStore(guard)
     op.apply(time_M=NT, dt=DT, schedule=NaiveSchedule(), abft=guard,
              checkpoint=CheckpointConfig(every=1, store=store))
-    assert len(store) == NT and guard._ring
-
-    def arrays(snap):
-        out = [a for keep in snap.slots.values() for a in keep.values()]
-        for r in snap.receivers:
-            out += [r["output"], *r["staging"].values()]
-        return out
-
-    ring = [a for snap in guard._ring for a in arrays(snap)]
-    for snap in store._snaps:
-        for a in arrays(snap):
-            assert not any(np.shares_memory(a, b) for b in ring)
+    assert store.saves == NT
 
 
 @_schedule_param()
@@ -190,7 +212,7 @@ def test_restart_from_file_store(grid2d, tmp_path):
 
     u.data_with_halo[...] = 0.0
     rec.data[...] = 0.0
-    store = FileCheckpointStore(tmp_path / "ckpt", keep=2)
+    store = FileCheckpointStore(tmp_path / "ckpt")
     faults = FaultInjector([Fault(t=CRASH_T, kind="raise")])
     with pytest.raises(InjectedFault):
         op.apply(
@@ -208,9 +230,7 @@ def test_restart_from_file_store(grid2d, tmp_path):
 
 
 def test_file_store_keeps_newest(tmp_path):
-    from repro.runtime.checkpoint import Snapshot
-
-    store = FileCheckpointStore(tmp_path, keep=2)
+    store = FileCheckpointStore(tmp_path)
     for step in (2, 4, 6):
         store.save(
             Snapshot(step=step, slots={"u": {1: np.full((3, 3), step, np.float32)}},
@@ -225,12 +245,23 @@ def test_file_store_keeps_newest(tmp_path):
 
 
 def test_memory_store_ring():
-    from repro.runtime.checkpoint import Snapshot
-
-    store = MemoryCheckpointStore(keep=1)
-    store.save(Snapshot(step=1, slots={}, receivers=[]))
+    # latest() is the store's only reader: an older snapshot is not kept
+    store = MemoryCheckpointStore()
+    first = Snapshot(step=1, slots={}, receivers=[])
+    dropped = weakref.ref(first)
+    store.save(first)
+    del first
     store.save(Snapshot(step=3, slots={}, receivers=[]))
-    assert len(store) == 1 and store.latest().step == 3
+    assert dropped() is None and store.latest().step == 3
+    store.clear()
+    assert store.latest() is None
+
+
+def test_stores_take_no_keep(tmp_path):
+    with pytest.raises(TypeError):
+        MemoryCheckpointStore(keep=2)
+    with pytest.raises(TypeError):
+        FileCheckpointStore(tmp_path, keep=2)
 
 
 def test_resume_outside_range_restarts_clean(grid2d):

@@ -47,7 +47,7 @@ def assert_snapshots_equal(a: Snapshot, b: Snapshot) -> None:
 
 
 def test_round_trip_preserves_everything(tmp_path):
-    store = FileCheckpointStore(tmp_path, keep=2)
+    store = FileCheckpointStore(tmp_path)
     snap = make_snapshot(8)
     store.save(snap)
     assert_snapshots_equal(store.latest(), snap)
@@ -58,14 +58,14 @@ def test_empty_store_returns_none(tmp_path):
 
 
 def test_save_leaves_no_tmp_files(tmp_path):
-    store = FileCheckpointStore(tmp_path, keep=2)
+    store = FileCheckpointStore(tmp_path)
     for step in (4, 8, 12):
         store.save(make_snapshot(step))
     assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_prunes_to_keep_newest(tmp_path):
-    store = FileCheckpointStore(tmp_path, keep=2)
+    store = FileCheckpointStore(tmp_path)
     for step in (4, 8, 12, 16):
         store.save(make_snapshot(step))
     names = sorted(p.name for p in tmp_path.glob("ckpt_*.npz"))
@@ -74,7 +74,7 @@ def test_prunes_to_keep_newest(tmp_path):
 
 
 def test_stale_tmp_from_a_killed_writer_is_invisible_and_cleaned(tmp_path):
-    store = FileCheckpointStore(tmp_path, keep=2)
+    store = FileCheckpointStore(tmp_path)
     store.save(make_snapshot(4))
     # simulate a writer SIGKILLed mid-save: a half-written temp sibling
     (tmp_path / "ckpt_0000000008.npz.tmp").write_bytes(b"\x00" * 37)
@@ -84,7 +84,7 @@ def test_stale_tmp_from_a_killed_writer_is_invisible_and_cleaned(tmp_path):
 
 
 def test_truncated_snapshot_raises_structured_error(tmp_path):
-    store = FileCheckpointStore(tmp_path, keep=2)
+    store = FileCheckpointStore(tmp_path)
     store.save(make_snapshot(8))
     path = tmp_path / "ckpt_0000000008.npz"
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
@@ -139,7 +139,7 @@ def test_clear_removes_snapshots_and_stale_tmps(tmp_path):
 def test_every_snapshot_gets_a_digest_sidecar(tmp_path):
     from repro.runtime.integrity import file_digest, read_digest
 
-    store = FileCheckpointStore(tmp_path, keep=2)
+    store = FileCheckpointStore(tmp_path)
     store.save(make_snapshot(8))
     path = tmp_path / "ckpt_0000000008.npz"
     assert read_digest(path) == file_digest(path)
@@ -157,7 +157,7 @@ def test_digest_mismatch_falls_back_to_the_previous_good_snapshot(tmp_path):
     no longer match its sidecar.  ``latest`` must refuse it and fall back
     one checkpoint interval rather than restore damage into a live
     wavefield — or lose the whole run."""
-    store = FileCheckpointStore(tmp_path, keep=2)
+    store = FileCheckpointStore(tmp_path)
     store.save(make_snapshot(8))
     store.save(make_snapshot(12))
     newest = tmp_path / "ckpt_0000000012.npz"
@@ -170,7 +170,7 @@ def test_digest_mismatch_falls_back_to_the_previous_good_snapshot(tmp_path):
 
 
 def test_all_snapshots_damaged_raises_the_newest_failure(tmp_path):
-    store = FileCheckpointStore(tmp_path, keep=2)
+    store = FileCheckpointStore(tmp_path)
     for step in (8, 12):
         store.save(make_snapshot(step))
         path = tmp_path / f"ckpt_{step:010d}.npz"

@@ -31,7 +31,7 @@ def _enospc(*args, **kwargs):
 
 
 def test_checkpoint_store_wraps_enospc(tmp_path, monkeypatch):
-    store = FileCheckpointStore(tmp_path, keep=2)
+    store = FileCheckpointStore(tmp_path)
     snap = Snapshot(step=4, slots={"u": {0: np.ones((3, 3))}}, receivers=[])
     monkeypatch.setattr(np, "savez", _enospc)
     with pytest.raises(StorageExhaustedError) as excinfo:

@@ -1,11 +1,16 @@
 """Growth certificates: one verdict whichever engine bound, never stale."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import NaiveSchedule
+from repro.dsl.functions import TimeFunction
+from repro.dsl.symbols import Indexed
 from repro.propagators.examples import EXAMPLES, build_example
 from repro.runtime import ABFTGuard
 from repro.verify import prove_growth
+from repro.verify.absint import growth
 
 from ..conftest import AVAILABLE_ENGINES
 
@@ -44,3 +49,31 @@ def test_growth_certificate_follows_in_place_model_update():
         assert guard.certificate == fresh
         gains.append(guard.certificate.step_gain)
     assert gains[1] > 2 * gains[0]
+
+
+@pytest.mark.parametrize("kind", EXAMPLES)
+def test_each_model_field_is_scanned_once_per_proof(kind, monkeypatch):
+    """A model field read at several places of the update trees costs one
+    min/max pass per proof, not one per read."""
+    prop, dt = build_example(kind)
+    plan = prop.op._bind(dt, NaiveSchedule(), "auto")
+    reads = Counter(
+        node.function.name
+        for sweep in plan.sweeps
+        for beq in sweep.beqs
+        for node in beq.rhs.preorder()
+        if isinstance(node, Indexed) and not isinstance(node.function, TimeFunction)
+    )
+    assert max(reads.values()) > 1  # some field is read more than once
+    scanned = Counter()
+    read_interval = growth.read_interval
+
+    def counting(access):
+        if not isinstance(access.function, TimeFunction):
+            scanned[access.function.name] += 1
+        return read_interval(access)
+
+    monkeypatch.setattr(growth, "read_interval", counting)
+    cert = prove_growth(plan.sweeps, operator=prop.op.name, dt=dt)
+    assert scanned == Counter(set(reads))
+    assert cert.step_gain == pytest.approx(PARENT_GAINS[kind], rel=1e-7)
