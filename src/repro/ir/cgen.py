@@ -40,9 +40,9 @@ teams of one (:func:`_after_fork_in_child`).
 compiler identity, host ISA flags)`` under ``${XDG_CACHE_HOME:-~/.cache}/
 repro/kernels`` (falling back to ``<tmp>/repro-kernels-<uid>``); a directory
 is used only when this user owns it and nobody else can write to it, objects
-are sealed with a SHA-256 trailer and published with temp-sibling +
-``os.replace`` so concurrent builders race safely, and an object that is not
-whole or will not load is rebuilt once.  Every
+are published sealed (:func:`repro.runtime.integrity.write_sealed`, whose
+temp sibling is private to the writing process) so concurrent builders race
+safely, and an object that is not whole or will not load is rebuilt once.  Every
 failure is an :class:`~repro.errors.EngineCompilationError` with ``engine="c"``
 and a ``reason`` class, which the ladder turns into one fall to ``fused``.
 A compile in which the compiler ran and exited non-zero is a function of the
@@ -70,6 +70,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import EngineCompilationError
+from ..runtime.integrity import verify_sealed, write_sealed
 from .nodes import TAProgram
 
 __all__ = [
@@ -395,40 +396,30 @@ def _host_isa() -> str:
 
 def _compile(cc: str, source: str, path: Path) -> None:
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem[:16] + ".", suffix=".tmp")
+        fd, out = tempfile.mkstemp(dir=path.parent, prefix=path.stem[:16] + ".", suffix=".tmp")
     except OSError as exc:
         raise _fail("cache-unwritable", f"cannot write to {path.parent}: {exc}") from exc
     os.close(fd)
     start = time.perf_counter()
     try:
         proc = subprocess.run(
-            [cc, *FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+            [cc, *FLAGS, "-x", "c", "-", "-o", out, "-lm"],
             input=source, text=True, capture_output=True,
         )
         if proc.returncode != 0:
             _FAILED[path.stem] = f"{cc} exited {proc.returncode}: {proc.stderr.strip()}"
             raise _fail("build-failed", _FAILED[path.stem])
-        with open(tmp, "rb+") as fh:  # seal: loaders ignore bytes past the image
-            fh.write(hashlib.sha256(fh.read()).digest())
-        os.replace(tmp, path)  # readers see the old object, none, or a whole new one
+        # readers see the old object, none, or a whole new one; ``dlopen``
+        # ignores the seal past the image
+        with open(out, "rb") as obj:
+            write_sealed(path, lambda fh: shutil.copyfileobj(obj, fh))
     except OSError as exc:
         raise _fail("build-failed", f"building with {cc} failed: {exc}") from exc
     finally:
         STATS["c_cache_misses"] += 1
         STATS["c_compile_s"] += time.perf_counter() - start
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _intact(path: Path) -> bool:
-    """Present and whole, as :func:`_compile` sealed it.  Checked before every
-    load because ``dlopen`` answers a truncated image with SIGBUS, not an
-    error."""
-    try:
-        blob = path.read_bytes()
-    except OSError:
-        return False
-    return len(blob) > 32 and hashlib.sha256(blob[:-32]).digest() == blob[-32:]
+        if os.path.exists(out):
+            os.unlink(out)
 
 
 def build(source: str) -> ctypes.CDLL:
@@ -452,7 +443,9 @@ def build(source: str) -> ctypes.CDLL:
         path = _cache_dir() / f"{key}.so"  # the object's stem is its key
         compiled = False
         for _attempt in range(2):
-            if not _intact(path):
+            # checked before every load: ``dlopen`` answers a truncated image
+            # with SIGBUS, and a flipped byte may load and run wrong code
+            if verify_sealed(path) is None:
                 _compile(cc, source, path)
                 compiled = True
             try:

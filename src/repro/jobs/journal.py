@@ -201,7 +201,7 @@ class BatchJournal:
     """Append-only writer with per-record SHA-256 trailers and fsync.
 
     ``append`` is write-ahead: it returns only after the record is on disk
-    (flushed, and fsynced unless ``fsync=False``), so any state transition
+    (flushed and fsynced), so any state transition
     journaled before it is performed is recoverable after SIGKILL.  Opening
     with ``truncate_to`` (resume) cuts a torn tail back to the last
     verified record before the first append lands.
@@ -210,13 +210,11 @@ class BatchJournal:
     def __init__(
         self,
         path,
-        fsync: bool = True,
         seq_start: int = 0,
         truncate_to: Optional[int] = None,
     ):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.fsync = bool(fsync)
         self._seq = int(seq_start)
         self.records_written = 0
         self._fh: Optional[IO[bytes]] = open(self.path, "ab")
@@ -238,8 +236,7 @@ class BatchJournal:
         try:
             self._fh.write(_canonical(record) + b"\n")
             self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
+            os.fsync(self._fh.fileno())
         except OSError as exc:
             if exc.errno != errno.ENOSPC:
                 raise
@@ -258,8 +255,7 @@ class BatchJournal:
         if self._fh is not None:
             try:
                 self._fh.flush()
-                if self.fsync:
-                    os.fsync(self._fh.fileno())
+                os.fsync(self._fh.fileno())
             except (OSError, ValueError):
                 pass
             self._fh.close()

@@ -386,8 +386,8 @@ class JobPool(PoolObservability):
         self._attach_trace(record, meta)
         self._observe_completion(record, meta)
         # make the result durable *before* journaling the outcome: the
-        # outcome record carries the file digest, so a resume trusts
-        # result.npz only when both the sidecar and the journal agree
+        # outcome record carries the sealed digest, so a resume trusts
+        # result.npz only when its seal holds and matches the journal
         digest = worker_mod.write_result(self._job_dir(job), rec, meta)
         engine = meta.get("engine", "")
         self._record(
@@ -661,7 +661,7 @@ class JobPool(PoolObservability):
         reconciles the folded state with disk:
 
         * preloads every completed job whose ``result.npz`` is durable *and*
-          verified (digest sidecar plus the journal's recorded digest),
+          verified (its seal, equal to the journal's recorded digest),
           bit-identical to what the dead batch produced, and demotes the
           others to be recomputed;
         * keeps durable terminal failures (``timeout`` / ``exhausted`` /

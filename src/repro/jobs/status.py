@@ -8,8 +8,9 @@ forced onto, with ``--journal``) a replay of the write-ahead journal, whose
 timestamped records reconstruct admission/terminal timings and job
 throughput for a batch that is finished or crashed.
 
-Because ``metrics.json`` is written with a temp-file + ``os.replace``, a
-reader never sees a torn snapshot: this command is safe to run in a loop
+Because ``metrics.json`` is published whole by
+:func:`repro.runtime.integrity.atomic_write`, a reader never sees a torn
+snapshot: this command is safe to run in a loop
 (``watch -n1 python -m repro.jobs.status BATCH_DIR``) against a live batch.
 """
 

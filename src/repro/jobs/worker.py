@@ -15,10 +15,10 @@ attempt 0, and runs ``Propagator.forward`` under telemetry so the attempt can
 report which engine actually executed and what fell back.
 
 The job directory's file protocol lives here too: ``result.npz`` (written
-by the supervisor, trusted on resume only through :func:`durable_result`),
-pickled failure forensics, and the checkpoint snapshots — all through
-:func:`repro.runtime.integrity.atomic_write`, so a SIGKILL can never leave a
-partial file for anyone to misread.
+by the supervisor, sealed, trusted on resume only through
+:func:`durable_result`), pickled failure forensics, and the checkpoint
+snapshots — all through :func:`repro.runtime.integrity.atomic_write`, so a
+SIGKILL can never leave a partial file for anyone to misread.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..propagators.examples import SHAPE, build_example
 from ..runtime.abft import ABFTGuard
 from ..runtime.checkpoint import CheckpointConfig, FileCheckpointStore
 from ..runtime.faults import Fault, FaultInjector, break_engine
-from ..runtime.integrity import atomic_write, file_digest, verify_digest, write_digest
+from ..runtime.integrity import atomic_write, verify_sealed, write_sealed
 from .chaos import ChaosEntry
 from .spec import JobSpec
 
@@ -244,26 +244,25 @@ def _error_path(job_dir, attempt: int) -> Path:
 
 
 def write_result(job_dir, rec: Optional[np.ndarray], meta: dict) -> str:
-    """Make the job's result durable — ``result.npz``, then its digest
-    sidecar — and return the digest the ``outcome`` record journals."""
+    """Make the job's result durable — ``result.npz``, sealed — and return
+    the digest the ``outcome`` record journals."""
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     if rec is not None:
         arrays["rec"] = rec
-    atomic_write(_result_path(job_dir), lambda fh: np.savez(fh, **arrays))
-    return write_digest(_result_path(job_dir))
+    return write_sealed(_result_path(job_dir), lambda fh: np.savez(fh, **arrays))
 
 
 def durable_result(job_dir, digest: Optional[str]):
     """The journal-verified durable ``(receivers, meta)`` of *job_dir*, or None.
 
-    Trusted only when ``result.npz`` exists, matches its ``.sha256``
-    sidecar, *and* matches the digest the journal's completion outcome
-    recorded — a torn write, on-disk damage, or a file from some other run
-    all fail the cross-check and send the job back to execution."""
+    Trusted only when ``result.npz`` exists, its seal holds, *and* the
+    sealed digest is the one the journal's completion outcome recorded
+    (*digest* None: the seal alone) — a torn write, on-disk damage, an
+    unsealed file from older code, or a file from some other job all fail
+    and send the job back to execution."""
     path = _result_path(job_dir)
-    if not path.exists() or not verify_digest(path, require=True):
-        return None
-    if digest is not None and file_digest(path) != digest:
+    sealed = verify_sealed(path)
+    if sealed is None or (digest is not None and sealed != digest):
         return None
     try:
         with np.load(path) as data:

@@ -39,13 +39,7 @@ import numpy as np
 
 from ..dsl.functions import TimeFunction
 from ..errors import CheckpointCorruptError, StorageExhaustedError
-from .integrity import (
-    atomic_write,
-    digest_path,
-    file_digest,
-    read_digest,
-    write_digest,
-)
+from .integrity import verify_sealed, write_sealed
 
 __all__ = [
     "Snapshot",
@@ -113,28 +107,24 @@ class FileCheckpointStore(CheckpointStore):
     """``.npz`` snapshots under a directory, newest-``step`` wins.
 
     Array keys are flattened as ``slot.<name>.<idx>``, ``rec<i>.output`` and
-    ``rec<i>.staging.<row>``; ``step`` rides along as a 0-d array.  A file
-    holding a full circular buffer under ``field.<name>`` (the format before
-    live-slot snapshots) loads as a snapshot of every slot.
+    ``rec<i>.staging.<row>``; ``step`` rides along as a 0-d array.
 
-    Writes are crash-safe (:func:`~repro.runtime.integrity.atomic_write`:
-    ``.tmp`` sibling, fsync, rename), so a snapshot file either
-    exists complete or not at all — a worker SIGKILLed mid-save can never
-    leave a truncated ``ckpt_*.npz`` behind (external observers, like the
-    batch-pool supervisor polling for the first checkpoint, see only
-    complete files).  Each snapshot also gets a SHA-256 *sidecar*
-    (``<name>.sha256``, see :mod:`repro.runtime.integrity`) so damage that
-    atomic rename cannot prevent — bit rot, a torn copy, a crashed
-    filesystem replaying a partial extent — is detected on load rather than
-    restored into a live wavefield.
+    Every snapshot is sealed in the one write that publishes it
+    (:func:`~repro.runtime.integrity.write_sealed`: temp sibling, SHA-256
+    trailer, fsync, rename), so a snapshot file either exists complete or
+    not at all — a worker SIGKILLed mid-save can never leave a truncated
+    ``ckpt_*.npz`` behind (external observers, like the batch-pool
+    supervisor polling for the first checkpoint, see only complete files) —
+    and damage that atomic rename cannot prevent is detected on load rather
+    than restored into a live wavefield.
 
     :meth:`latest` validates candidates newest-first and **falls back to
     the previous good snapshot** when the newest is corrupt or fails its
-    digest (losing one checkpoint interval of work instead of the whole
+    seal (losing one checkpoint interval of work instead of the whole
     run); only when *every* on-disk snapshot is unusable does it raise a
     structured :class:`~repro.errors.CheckpointCorruptError` — never a raw
-    ``zipfile``/numpy exception.  Snapshots written by older code carry no
-    sidecar and load as before.
+    ``zipfile``/numpy exception.  A snapshot written without a seal (by
+    older code) is refused like a damaged one.
     """
 
     def __init__(self, directory):
@@ -155,8 +145,7 @@ class FileCheckpointStore(CheckpointStore):
                 arrays[f"rec{i}.staging.{row}"] = stage
         path = self.directory / f"ckpt_{snapshot.step:010d}.npz"
         try:
-            atomic_write(path, lambda fh: np.savez(fh, **arrays))
-            write_digest(path)
+            write_sealed(path, lambda fh: np.savez(fh, **arrays))
         except OSError as exc:
             if exc.errno != errno.ENOSPC:
                 raise
@@ -170,13 +159,12 @@ class FileCheckpointStore(CheckpointStore):
             ) from exc
         for old in self._paths()[:-FILES_KEPT]:
             old.unlink()
-            digest_path(old).unlink(missing_ok=True)
         for stale in self.directory.glob("ckpt_*.npz*.tmp"):
             stale.unlink(missing_ok=True)
 
     def latest(self) -> Optional[Snapshot]:
         """Newest *usable* snapshot: candidates are validated newest-first
-        (digest sidecar, then structure) and a corrupt one falls back to the
+        (seal, then structure) and a corrupt one falls back to the
         previous good one.  Raises :class:`CheckpointCorruptError` (for the
         newest failure) only when snapshots exist but none is usable."""
         paths = self._paths()
@@ -192,10 +180,9 @@ class FileCheckpointStore(CheckpointStore):
         raise first_error
 
     def _load(self, path: Path) -> Snapshot:
-        recorded = read_digest(path)
-        if recorded is not None and file_digest(path) != recorded:
+        if verify_sealed(path) is None:
             raise CheckpointCorruptError(
-                f"checkpoint {path.name} fails its SHA-256 integrity check",
+                f"checkpoint {path.name} is corrupt or truncated",
                 path=str(path),
                 reason="digest mismatch (torn write or on-disk damage)",
             )
@@ -212,9 +199,6 @@ class FileCheckpointStore(CheckpointStore):
                     if head == "slot":
                         name, _, idx = tail.rpartition(".")
                         slots.setdefault(name, {})[int(idx)] = data[key]
-                        continue
-                    if head == "field":
-                        slots[tail] = dict(enumerate(data[key]))
                         continue
                     idx = int(head[len("rec"):])
                     entry = receivers.setdefault(idx, {"output": None, "staging": {}})
@@ -241,7 +225,6 @@ class FileCheckpointStore(CheckpointStore):
     def clear(self) -> None:
         for path in self._paths():
             path.unlink()
-            digest_path(path).unlink(missing_ok=True)
         for stale in self.directory.glob("ckpt_*.npz*.tmp"):
             stale.unlink(missing_ok=True)
 

@@ -1,22 +1,22 @@
-"""Integrity checks: SHA-256 trailers for on-disk artifacts.
+"""Integrity: the one durable-write helper and the one sealed-file format.
 
-The durability layer trusts three kinds of files across a supervisor crash:
-checkpoint snapshots (``ckpt_*.npz``), durable job results (``result.npz``)
-and the write-ahead batch journal.  The journal embeds a digest in every
-record; the binary artifacts carry theirs as an atomic *sidecar* file
-(``<name>.sha256``) written after the artifact itself is in place.
+The durability layer trusts four kinds of files across a crash: checkpoint
+snapshots (``ckpt_*.npz``), durable job results (``result.npz``), cached
+kernel objects (``<key>.so``) and the write-ahead batch journal.  The journal
+embeds a digest in every record; the binary artifacts are *sealed*: the
+SHA-256 of the file's payload is stored as its last 32 raw bytes, appended
+inside the same temp file before the one fsync and the one
+:func:`os.replace` that publish it.  ``zipfile`` (hence ``np.load``) and
+``dlopen`` both ignore bytes past the end of their image, so a sealed file
+reads as its payload (a digest that happens to contain zip's
+end-of-directory signature, odds about 1e-8, makes ``np.load`` fail: the
+artifact is refused like a damaged one, never misread).
 
-The ordering makes torn writes fail safe in both directions: a crash after
-the artifact but before the sidecar leaves a file that merely *cannot be
-verified* (treated as not durable — recomputed, never trusted), and a crash
-mid-sidecar leaves a ``.tmp`` that is invisible to readers.  A digest
-mismatch means the artifact itself was torn or damaged and must not be
-trusted; callers fall back to the previous good artifact or recompute.
-
-Legacy artifacts written before this layer have no sidecar;
-:func:`verify_digest` accepts them unless ``require=True`` — resume-time
-decisions (skip a completed job?) require the digest, load-time decisions
-(is this checkpoint usable?) merely refuse a *mismatching* one.
+A published file is therefore whole or absent, and damage that an atomic
+rename cannot prevent — bit rot, a torn copy, a crashed filesystem replaying
+a partial extent — fails :func:`verify_sealed`: the artifact must not be
+trusted, and callers fall back to the previous good one or recompute.  A
+file without a seal (written before this format) fails the same way.
 """
 
 from __future__ import annotations
@@ -26,32 +26,25 @@ import os
 from pathlib import Path
 from typing import Optional
 
-__all__ = [
-    "atomic_write",
-    "DIGEST_SUFFIX",
-    "file_digest",
-    "digest_path",
-    "write_digest",
-    "read_digest",
-    "verify_digest",
-]
-
-DIGEST_SUFFIX = ".sha256"
+__all__ = ["atomic_write", "write_sealed", "verify_sealed"]
 
 _CHUNK = 1 << 20
+_SEAL = 32  # raw SHA-256 bytes at the end of a sealed file
 
 
-def atomic_write(path, write, fsync: bool = True) -> None:
+def atomic_write(path, write, fsync: bool = True):
     """Publish *path* whole or not at all: ``write(fh)`` fills a binary
-    ``.tmp`` sibling, which is flushed, fsynced and :func:`os.replace`-d over
-    *path*; a failed write leaves no sibling behind.  ``fsync=False`` is for
-    files that must never be *seen* torn but are not recovery state (the live
-    status snapshots, rewritten twice a second)."""
+    temp sibling (``<name>.<pid>.tmp``, so writers in different processes
+    never share one), which is flushed, fsynced and :func:`os.replace`-d over
+    *path*; a failed write leaves no sibling behind.  Returns what *write*
+    returned.  ``fsync=False`` is for files that must never be *seen* torn
+    but are not recovery state (the live status snapshots, rewritten twice a
+    second)."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            write(fh)
+        with open(tmp, "w+b") as fh:
+            result = write(fh)
             fh.flush()
             if fsync:
                 os.fsync(fh.fileno())
@@ -59,58 +52,45 @@ def atomic_write(path, write, fsync: bool = True) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return result
 
 
-def file_digest(path) -> str:
-    """Hex SHA-256 of the file's bytes (streamed, constant memory)."""
+def _hash(fh, size: int):
+    """SHA-256 of the next *size* bytes of *fh*, streamed in constant memory."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(_CHUNK)
-            if not chunk:
-                break
-            h.update(chunk)
-    return h.hexdigest()
+    while size > 0:
+        chunk = fh.read(min(_CHUNK, size))
+        if not chunk:
+            break
+        h.update(chunk)
+        size -= len(chunk)
+    return h
 
 
-def digest_path(path) -> Path:
-    """The sidecar path of *path* (``<name>.sha256``)."""
-    path = Path(path)
-    return path.with_name(path.name + DIGEST_SUFFIX)
+def write_sealed(path, write) -> str:
+    """Publish *path* sealed (:func:`atomic_write`, fsynced): ``write(fh)``
+    fills the temp sibling, which is re-read to hash it and gets the digest
+    appended before the flush.  Returns the payload's hex digest."""
+
+    def sealed(fh):
+        write(fh)
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        h = _hash(fh, size)
+        fh.write(h.digest())
+        return h.hexdigest()
+
+    return atomic_write(path, sealed)
 
 
-def write_digest(path) -> str:
-    """Compute and persist the sidecar digest of *path* (atomic, fsynced).
-
-    Returns the hex digest.  A crash mid-write can never leave a torn
-    sidecar (:func:`atomic_write`) — only a missing one, which verification
-    treats as "not durable", never as "valid".
-    """
-    digest = file_digest(path)
-    atomic_write(digest_path(path), lambda fh: fh.write(f"{digest}\n".encode()))
-    return digest
-
-
-def read_digest(path) -> Optional[str]:
-    """The recorded sidecar digest of *path*, or None if absent/unreadable."""
+def verify_sealed(path) -> Optional[str]:
+    """The payload's hex digest if *path* is present and its seal matches,
+    else None (missing, unsealed, truncated or damaged)."""
     try:
-        text = digest_path(path).read_text().strip()
+        with open(path, "rb") as fh:
+            h = _hash(fh, os.fstat(fh.fileno()).st_size - _SEAL)
+            if fh.read(_SEAL) != h.digest():  # short files fail here too
+                return None
     except OSError:
         return None
-    return text or None
-
-
-def verify_digest(path, require: bool = False) -> bool:
-    """True iff *path* exists and matches its sidecar digest.
-
-    A missing sidecar passes unless ``require=True`` (legacy artifacts have
-    none); a present-but-mismatching sidecar always fails — the artifact was
-    torn or damaged and must not be trusted.
-    """
-    path = Path(path)
-    if not path.exists():
-        return False
-    recorded = read_digest(path)
-    if recorded is None:
-        return not require
-    return file_digest(path) == recorded
+    return h.hexdigest()

@@ -112,15 +112,25 @@ def _digest(u, rec):
     return hashlib.sha256(u.tobytes() + rec.tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("damage", ["truncate", "garbage"])
+def _damaged(blob: bytes, damage: str) -> bytes:
+    if damage == "truncate":
+        return blob[: len(blob) // 3]
+    if damage == "garbage":
+        return b"\x7fELF" + b"\0" * 64
+    flipped = bytearray(blob)  # same length: it may still load, and run wrong code
+    flipped[len(blob) // 2] ^= 0xFF
+    return bytes(flipped)
+
+
+@pytest.mark.parametrize("damage", ["truncate", "garbage", "flip"])
 def test_unloadable_object_is_deleted_and_rebuilt_once(cache, grid2d, damage):
-    """Another process left objects this one cannot load (a truncated file,
-    a foreign ISA): no warning, one rebuild each, the same bits."""
+    """Another process left objects this one must not load (a truncated file,
+    a foreign ISA, a flipped byte only the seal sees): no warning, one rebuild
+    each, the same bits."""
     engine, misses, digest = _finish(_spawn())
     assert (engine, misses) == ("c", 2)
     for so in cache.glob("*.so"):
-        blob = so.read_bytes()
-        so.write_bytes(blob[: len(blob) // 3] if damage == "truncate" else b"\x7fELF" + b"\0" * 64)
+        so.write_bytes(_damaged(so.read_bytes(), damage))
     with warnings.catch_warnings():
         warnings.simplefilter("error", EngineFallbackWarning)
         engine, got_u, got_rec = _apply(grid2d)
@@ -182,7 +192,7 @@ def test_untrusted_directory_is_refused(cache, grid2d, tmp_path, monkeypatch):
 def test_two_processes_race_on_an_empty_cache(cache, grid2d):
     """Same operator, same hash, no coordination: both run on C with the same
     bits, each kernel is compiled once or twice, and only whole objects are
-    ever published (temp sibling + ``os.replace``)."""
+    ever published (sealed through a temp sibling private to each process)."""
     procs = [_spawn(), _spawn()]
     (e1, m1, d1), (e2, m2, d2) = map(_finish, procs)
     assert (e1, e2) == ("c", "c") and d1 == d2

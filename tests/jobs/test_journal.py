@@ -13,8 +13,8 @@ from repro.jobs import BatchJournal, load_journal
 from repro.jobs.journal import record_digest
 
 
-def write_sample(path, n=3, fsync=False):
-    with BatchJournal(path, fsync=fsync) as journal:
+def write_sample(path, n=3):
+    with BatchJournal(path) as journal:
         journal.append("batch", version=1, batch_seed=7)
         for i in range(n):
             journal.append("admit", job=f"j{i}", index=i)
@@ -38,7 +38,7 @@ def test_append_load_round_trip(tmp_path):
 
 def test_by_job_and_for_kind_views(tmp_path):
     path = tmp_path / "journal.jsonl"
-    with BatchJournal(path, fsync=False) as journal:
+    with BatchJournal(path) as journal:
         journal.append("batch", version=1)
         journal.append("attempt", job="a", attempt=0)
         journal.append("attempt", job="b", attempt=0)
@@ -75,7 +75,7 @@ def test_torn_tail_is_dropped_and_truncation_point_reported(tmp_path):
     assert replay.good_bytes == len(good)
     # resume reopens at the truncation point and appends cleanly
     with BatchJournal(
-        path, fsync=False, seq_start=len(replay.records), truncate_to=replay.good_bytes
+        path, seq_start=len(replay.records), truncate_to=replay.good_bytes
     ) as journal:
         journal.append("resume", jobs=3)
     healed = load_journal(path)
@@ -86,7 +86,7 @@ def test_torn_tail_is_dropped_and_truncation_point_reported(tmp_path):
 
 def test_sequence_break_is_corruption(tmp_path):
     path = tmp_path / "journal.jsonl"
-    with BatchJournal(path, fsync=False) as journal:
+    with BatchJournal(path) as journal:
         journal.append("batch", version=1)
     # a record with a valid trailer but the wrong seq (spliced journal)
     record = {"kind": "admit", "seq": 5, "job": "j0"}
@@ -105,14 +105,14 @@ def test_missing_file_and_missing_header_raise(tmp_path):
     with pytest.raises(JournalCorruptError, match="unreadable"):
         load_journal(tmp_path / "nope.jsonl")
     path = tmp_path / "journal.jsonl"
-    with BatchJournal(path, fsync=False) as journal:
+    with BatchJournal(path) as journal:
         journal.append("admit", job="j0")  # no batch header first
     with pytest.raises(JournalCorruptError, match="batch header"):
         load_journal(path).header
 
 
 def test_closed_journal_refuses_appends(tmp_path):
-    journal = BatchJournal(tmp_path / "journal.jsonl", fsync=False)
+    journal = BatchJournal(tmp_path / "journal.jsonl")
     journal.append("batch", version=1)
     journal.close()
     journal.close()  # idempotent

@@ -120,6 +120,28 @@ def test_resume_redoes_a_job_whose_result_was_torn(tmp_path):
         _assert_oracle(report, specs)
 
 
+def test_resume_redoes_jobs_whose_whole_sealed_results_were_swapped(tmp_path):
+    """Each file passes its own seal; only the digest each job's outcome
+    journaled tells them apart, so resume must trust neither."""
+    for workers in FLEETS:
+        workdir = tmp_path / f"w{workers}"
+        specs = [_spec(i) for i in range(2)]
+        pool = JobPool(workers=workers, workdir=workdir, batch_seed=3)
+        for spec in specs:
+            pool.submit(spec)
+        assert pool.run().ok
+        a, b = (workdir / spec.job_id / "result.npz" for spec in specs)
+        blob = a.read_bytes()
+        a.write_bytes(b.read_bytes())
+        b.write_bytes(blob)
+        report = JobPool.resume(workdir, workers=workers).run()
+        assert report.ok and report.resumed
+        kinds = [e["kind"] for e in report.events]
+        assert kinds.count("preloaded") == 0
+        assert kinds.count("readmitted") == 2
+        _assert_oracle(report, specs)
+
+
 def test_supervisor_sigkill_then_resume_is_bit_identical(tmp_path):
     """The tentpole invariant: SIGKILL the supervisor process mid-batch
     (chaos pulls the trigger after 2 terminal jobs), then resume from the

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import NaiveSchedule, SpatialBlockSchedule, WavefrontSchedule
-from repro.errors import InjectedFault
+from repro.errors import CheckpointCorruptError, InjectedFault
 from repro.propagators import AcousticPropagator, SeismicModel, point_source, receiver_line
 from repro.propagators.examples import EXAMPLES, build_example
 from repro.runtime import (
@@ -120,10 +120,11 @@ def test_snapshot_holds_only_the_live_slots(physics):
 
 
 @pytest.mark.faults
-def test_parent_format_file_loads_as_every_slot_and_resumes(grid2d, tmp_path):
-    """A checkpoint written with full circular buffers under ``field.<name>``
-    (the format before live-slot snapshots) restores every slot and resumes
-    bit-identically."""
+def test_parent_format_file_is_refused_and_the_rerun_is_bit_identical(grid2d, tmp_path):
+    """A checkpoint written before snapshots were sealed (full circular
+    buffers under ``field.<name>``, no trailer) is refused, never restored:
+    the store is cleared, as a job attempt does, and the run restarts from
+    ``time_m`` to the uninterrupted run's bits."""
     op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
     ref_u, ref_rec = run_and_capture(op, u, rec, NT, DT, NaiveSchedule())
 
@@ -139,10 +140,11 @@ def test_parent_format_file_loads_as_every_slot_and_resumes(grid2d, tmp_path):
         np.savez(fh, **arrays)
 
     store = FileCheckpointStore(tmp_path)
-    snap = store.latest()
-    assert snap.step == CRASH_T and sorted(snap.slots["u"]) == list(range(u.buffers))
-    u.data_with_halo[...] = np.nan
-    rec.data[...] = np.nan
+    with pytest.raises(CheckpointCorruptError, match="corrupt or truncated"):
+        store.latest()
+    store.clear()
+    u.data_with_halo[...] = 0.0
+    rec.data[...] = 0.0
     op.apply(time_M=NT, dt=DT, schedule=NaiveSchedule(),
              checkpoint=CheckpointConfig(every=2, store=store, resume=True))
     np.testing.assert_array_equal(u.interior(NT), ref_u)

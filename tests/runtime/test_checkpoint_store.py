@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.errors import CheckpointCorruptError
-from repro.runtime.checkpoint import FileCheckpointStore, Snapshot
+from repro.runtime.checkpoint import FILES_KEPT, FileCheckpointStore, Snapshot
+from repro.runtime.integrity import write_sealed
 
 
 def make_snapshot(step: int) -> Snapshot:
@@ -107,8 +108,10 @@ def test_garbage_snapshot_raises_structured_error(tmp_path):
 
 def test_snapshot_missing_step_key_is_corrupt(tmp_path):
     store = FileCheckpointStore(tmp_path)
-    with open(tmp_path / "ckpt_0000000004.npz", "wb") as fh:
-        np.savez(fh, **{"field.u": np.zeros(3)})
+    write_sealed(
+        tmp_path / "ckpt_0000000004.npz",
+        lambda fh: np.savez(fh, **{"slot.u.0": np.zeros(3)}),
+    )
     with pytest.raises(CheckpointCorruptError) as excinfo:
         store.latest()
     assert "step" in excinfo.value.reason
@@ -116,12 +119,14 @@ def test_snapshot_missing_step_key_is_corrupt(tmp_path):
 
 def test_snapshot_missing_receiver_output_is_corrupt(tmp_path):
     store = FileCheckpointStore(tmp_path)
-    with open(tmp_path / "ckpt_0000000004.npz", "wb") as fh:
-        np.savez(
+    write_sealed(
+        tmp_path / "ckpt_0000000004.npz",
+        lambda fh: np.savez(
             fh,
             step=np.int64(4),
-            **{"field.u": np.zeros(3), "rec0.staging.2": np.zeros(4)},
-        )
+            **{"slot.u.0": np.zeros(3), "rec0.staging.2": np.zeros(4)},
+        ),
+    )
     with pytest.raises(CheckpointCorruptError) as excinfo:
         store.latest()
     assert "receiver 0" in excinfo.value.reason
@@ -136,25 +141,23 @@ def test_clear_removes_snapshots_and_stale_tmps(tmp_path):
     assert store.latest() is None
 
 
-def test_every_snapshot_gets_a_digest_sidecar(tmp_path):
-    from repro.runtime.integrity import file_digest, read_digest
+def test_every_snapshot_is_sealed(tmp_path):
+    """The trailer is the SHA-256 of the payload before it, and pruning
+    leaves exactly the kept snapshots: no second file per snapshot."""
+    import hashlib
 
     store = FileCheckpointStore(tmp_path)
-    store.save(make_snapshot(8))
-    path = tmp_path / "ckpt_0000000008.npz"
-    assert read_digest(path) == file_digest(path)
-    # pruning removes the sidecar along with its snapshot
-    for step in (12, 16):
+    for step in (8, 12, 16):
         store.save(make_snapshot(step))
-    assert sorted(p.name for p in tmp_path.glob("*.sha256")) == [
-        "ckpt_0000000012.npz.sha256",
-        "ckpt_0000000016.npz.sha256",
-    ]
+        blob = (tmp_path / f"ckpt_{step:010d}.npz").read_bytes()
+        assert hashlib.sha256(blob[:-32]).digest() == blob[-32:]
+    assert len(list(tmp_path.iterdir())) == FILES_KEPT
+    assert not list(tmp_path.glob("*.sha256"))
 
 
 def test_digest_mismatch_falls_back_to_the_previous_good_snapshot(tmp_path):
     """Bit rot atomic rename cannot prevent: the newest snapshot's bytes
-    no longer match its sidecar.  ``latest`` must refuse it and fall back
+    no longer match its seal.  ``latest`` must refuse it and fall back
     one checkpoint interval rather than restore damage into a live
     wavefield — or lose the whole run."""
     store = FileCheckpointStore(tmp_path)
@@ -183,11 +186,12 @@ def test_all_snapshots_damaged_raises_the_newest_failure(tmp_path):
     assert "digest mismatch" in excinfo.value.reason
 
 
-def test_legacy_snapshot_without_sidecar_still_loads(tmp_path):
-    from repro.runtime.integrity import digest_path
-
+def test_an_unsealed_snapshot_is_refused(tmp_path):
+    """A snapshot written without a seal (by older code) is never trusted."""
     store = FileCheckpointStore(tmp_path)
     store.save(make_snapshot(8))
-    digest_path(tmp_path / "ckpt_0000000008.npz").unlink()
-    assert store.latest().step == 8
-
+    path = tmp_path / "ckpt_0000000008.npz"
+    path.write_bytes(path.read_bytes()[:-32])  # the bytes older code wrote
+    with pytest.raises(CheckpointCorruptError) as excinfo:
+        store.latest()
+    assert "digest mismatch" in excinfo.value.reason

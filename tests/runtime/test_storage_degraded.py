@@ -53,7 +53,7 @@ def test_storage_exhausted_error_survives_the_worker_pipe():
 
 
 def test_journal_append_wraps_enospc(tmp_path):
-    journal = BatchJournal(tmp_path / "journal.jsonl", fsync=False)
+    journal = BatchJournal(tmp_path / "journal.jsonl")
 
     class FullDisk:
         def write(self, data):
