@@ -59,7 +59,7 @@ class TemporalBlockingPipeline:
 
         pipe = TemporalBlockingPipeline(op, dt=2.0).precompute()  # Listings 2-3, Figs. 5-6
         print(pipe.report().render())
-        op.apply(time_M=nt, dt=2.0, schedule=WavefrontSchedule(tile=(32, 32)),
+        op.apply(time_M=nt, dt=2.0, schedule="wavefront",
                  sparse_mode="precomputed")      # Listing 6, on the cached artefacts
     """
 

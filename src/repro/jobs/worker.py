@@ -31,7 +31,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.scheduler import make_schedule
 from ..errors import CheckpointCorruptError
 from ..execution.evalbox import ENGINES
 from ..propagators.examples import SHAPE, build_example
@@ -139,7 +138,7 @@ def execute_attempt(
         rec, plan = prop.forward(
             nt=spec.nt,
             dt=dt,
-            schedule=make_schedule(spec.schedule),
+            schedule=spec.schedule,
             engine=spec.engine,
             checkpoint=checkpoint,
             faults=faults,
@@ -170,6 +169,7 @@ def execute_attempt(
         "resumed_from": resumed_from,
         "attempt": attempt,
         "checkpoint_saves": int(counters["checkpoint_saves"]),
+        "plan": telemetry.meta["plan"],  # the shape that ran, and its origin
         # warm/cold attribution: which daemon ran it, whether its caches
         # were already hot, where the attempt's time went, and what the
         # kernel/step caches did (spawn latency is stamped by the daemon)
@@ -228,7 +228,7 @@ def run_job_inline(spec: JobSpec):
     """
     prop, dt = build_problem(spec)
     rec, _plan = prop.forward(
-        nt=spec.nt, dt=dt, schedule=make_schedule(spec.schedule), engine=spec.engine
+        nt=spec.nt, dt=dt, schedule=spec.schedule, engine=spec.engine
     )
     return rec
 

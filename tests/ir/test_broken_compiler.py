@@ -12,7 +12,6 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.core.scheduler import make_schedule
 from repro.errors import EngineCompilationError, EngineFallbackWarning
 from repro.ir import cgen
 from repro.ir.pycodegen import clear_kernel_caches
@@ -41,7 +40,7 @@ def broken_gcc(tmp_path, monkeypatch):
 
 def _forward(prop, dt, engine):
     rec, plan = prop.forward(
-        nt=16, dt=dt, schedule=make_schedule("wavefront"), engine=engine
+        nt=16, dt=dt, schedule="wavefront", engine=engine
     )
     return rec, plan.sweeps[0].engine
 

@@ -215,7 +215,7 @@ def test_cli_single_example(capsys):
 def test_cli_json_output(capsys):
     assert main(["tti", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["version"] == JSON_SCHEMA_VERSION == 3
+    assert data["version"] == JSON_SCHEMA_VERSION == 4
     assert data["tool"] == "repro.verify"
     entry = data["results"]["tti"]
     assert entry["ok"] is True and entry["lint"]["ok"] is True
