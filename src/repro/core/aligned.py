@@ -174,3 +174,9 @@ class AlignedReceiver(_Aligned):
 
     def pending_rows(self):
         return sorted(self._staging)
+
+    def restore_staging(self, staging: Dict[int, np.ndarray]) -> None:
+        """Reopen a snapshot's staging rows: copies of *staging*, each with
+        its own address for the C kernels."""
+        self._staging = {row: np.array(stage) for row, stage in staging.items()}
+        self._stage_addr = {row: stage.ctypes.data for row, stage in self._staging.items()}

@@ -70,7 +70,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import EngineCompilationError
-from ..runtime.integrity import verify_sealed, write_sealed
+from ..runtime.integrity import read_sealed, write_sealed
 from .nodes import TAProgram
 
 __all__ = [
@@ -411,8 +411,7 @@ def _compile(cc: str, source: str, path: Path) -> None:
             raise _fail("build-failed", _FAILED[path.stem])
         # readers see the old object, none, or a whole new one; ``dlopen``
         # ignores the seal past the image
-        with open(out, "rb") as obj:
-            write_sealed(path, lambda fh: shutil.copyfileobj(obj, fh))
+        write_sealed(path, [Path(out).read_bytes()])
     except OSError as exc:
         raise _fail("build-failed", f"building with {cc} failed: {exc}") from exc
     finally:
@@ -445,7 +444,7 @@ def build(source: str) -> ctypes.CDLL:
         for _attempt in range(2):
             # checked before every load: ``dlopen`` answers a truncated image
             # with SIGBUS, and a flipped byte may load and run wrong code
-            if verify_sealed(path) is None:
+            if read_sealed(path) is None:
                 _compile(cc, source, path)
                 compiled = True
             try:

@@ -118,7 +118,7 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--kill-workers", type=int, default=0,
-        help="SIGKILL this many attempt-0 workers after their first checkpoint",
+        help="SIGKILL the attempt-0 daemons of the first N jobs at their first checkpoint",
     )
     parser.add_argument(
         "--hang-workers", type=int, default=0,

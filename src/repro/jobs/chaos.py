@@ -29,10 +29,11 @@ Three kinds of injected trouble:
   :func:`~repro.runtime.faults.break_engine`, making the compiler of the rung
   the spec asks for raise; exercises the engine ladder, and the fall shows in
   the attempt's ``fallbacks``.
-* **worker kills** (``kill_workers``) — the pool supervisor SIGKILLs up to
-  that many attempt-0 workers, each as soon as its job has persisted its
-  first checkpoint (guaranteeing the kill lands mid-run *and* that the
-  retry is a genuine resume, not a restart).
+* **worker kills** (``kill_workers``) — the first that many jobs are named
+  kill victims: the daemon of a victim's attempt 0 stops itself (SIGSTOP)
+  right after its first durable checkpoint save and the pool supervisor
+  SIGKILLs it there (so the kill always lands mid-run *and* the retry is a
+  genuine resume, not a restart).
 * **daemon hangs** (``hang_workers``) — the daemons of the first that many
   jobs wedge on attempt 0: heartbeats stop and the daemon sleeps
   ``hang_seconds``, simulating a livelock below the job deadline.  The
@@ -86,8 +87,8 @@ class ChaosConfig:
     sdc_rate: float = 0.0
     #: fraction of jobs whose attempt 0 runs with their rung's compiler broken
     break_rate: float = 0.0
-    #: number of attempt-0 workers the supervisor SIGKILLs (after their
-    #: first checkpoint lands on disk)
+    #: the daemons of the first this many jobs are SIGKILLed on attempt 0,
+    #: right after their first checkpoint save
     kill_workers: int = 0
     #: the daemons of the first this many jobs (by submission index) wedge
     #: on attempt 0: heartbeats stop and the daemon sleeps ``hang_seconds``
@@ -152,6 +153,9 @@ class ChaosEntry:
     #: fodder; daemon-only — an in-process attempt cannot be killed, so the
     #: inline fleet ignores it, as it does ``hang_seconds``)
     poison: bool = False
+    #: True ⇒ a kill victim: its attempt-0 daemon stops itself after its
+    #: first checkpoint save, and the supervisor SIGKILLs it (daemon-only)
+    kill: bool = False
 
     @property
     def needs_guard(self) -> bool:
@@ -190,10 +194,11 @@ class ChaosPlan:
         if rng.random() < self.config.sdc_rate and entry.fault is None:
             t = int(rng.integers(max(1, nt // 10), max(2, nt)))
             entry.fault = {"t": t, "kind": "bitflip", "message": "chaos sdc"}
-        # hang/poison target the first N submission indices: budgets, not
+        # hang/poison/kill target the first N submission indices: budgets, not
         # rates, so a test or smoke names exactly how many jobs suffer
         if job_index < self.config.hang_workers:
             entry.hang_seconds = float(self.config.hang_seconds)
         entry.poison = job_index < self.config.poison_jobs
+        entry.kill = job_index < self.config.kill_workers
         self._entries[key] = entry
         return entry

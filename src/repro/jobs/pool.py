@@ -487,15 +487,15 @@ class JobPool(PoolObservability):
         return True
 
     def _chaos_kill(self) -> None:
-        """Deal out pending chaos kills: SIGKILL the daemon of an attempt-0
-        job as soon as its first checkpoint is on disk (guaranteeing a
-        mid-run kill and a genuine resume on retry)."""
-        for worker in sorted(self.fleet.busy, key=lambda w: w.job.index):
-            if len(self._chaos_killed) >= self.chaos_plan.config.kill_workers:
-                break
+        """SIGKILL the daemon of a kill victim's attempt 0 once its first
+        checkpoint is durable: the victim stops itself right after that
+        save, so the kill lands mid-run and the retry is a genuine resume."""
+        for worker in self.fleet.busy:
             job = worker.job
             job_id = job.spec.job_id
             if job_id in self._chaos_killed or job.attempts[-1].attempt != 0:
+                continue
+            if not self.chaos_plan.entry(job.index, job.spec.nt).kill:
                 continue
             if worker_mod.newest_checkpoint_step(self._job_dir(job)) is None:
                 continue

@@ -145,7 +145,9 @@ def warm_main(worker_id: int, conn, heartbeat_interval: float = 0.25) -> None:
     daemon first — heartbeats *suspended*, simulating a livelock the
     supervisor must detect by silence; an entry with ``poison=True``
     hard-exits the process on every attempt (the quarantine pathology — no
-    report, no forensics, just a dead daemon, exactly like a segfault).
+    report, no forensics, just a dead daemon, exactly like a segfault); an
+    entry with ``kill=True`` stops the daemon after attempt 0's first
+    checkpoint save, for the supervisor's SIGKILL.
 
     **Orphan self-termination**: pipe EOF alone cannot signal supervisor
     death — under fork, each daemon inherits copies of its *siblings'*
@@ -191,6 +193,7 @@ def warm_main(worker_id: int, conn, heartbeat_interval: float = 0.25) -> None:
                 rec, meta = worker_mod.execute_attempt(
                     spec, job_dir, attempt=attempt, resume=resume, chaos=chaos,
                     warm=warm, trace=trace is not None, ctx=trace,
+                    stop_after_save=chaos is not None and chaos.kill,
                 )
                 meta.setdefault("phases", {})["spawn"] = max(
                     0.0, recv_ts - dispatch_ts

@@ -16,15 +16,20 @@ report which engine actually executed and what fell back.
 
 The job directory's file protocol lives here too: ``result.npz`` (written
 by the supervisor, sealed, trusted on resume only through
-:func:`durable_result`), pickled failure forensics, and the checkpoint
-snapshots — all through :func:`repro.runtime.integrity.atomic_write`, so a
-SIGKILL can never leave a partial file for anyone to misread.
+:func:`durable_result`) and pickled failure forensics, both published whole
+through :func:`repro.runtime.integrity.atomic_write`, and the checkpoint
+store's two sealed slots under ``ckpt/`` — so a SIGKILL can never leave a
+partial file for anyone to misread.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import os
 import pickle
+import signal
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Tuple
@@ -37,7 +42,7 @@ from ..propagators.examples import SHAPE, build_example
 from ..runtime.abft import ABFTGuard
 from ..runtime.checkpoint import CheckpointConfig, FileCheckpointStore
 from ..runtime.faults import Fault, FaultInjector, break_engine
-from ..runtime.integrity import atomic_write, verify_sealed, write_sealed
+from ..runtime.integrity import atomic_write, read_sealed, write_sealed
 from .chaos import ChaosEntry
 from .spec import JobSpec
 
@@ -66,10 +71,23 @@ def _checkpoint_dir(job_dir: Path) -> Path:
 
 
 def newest_checkpoint_step(job_dir) -> Optional[int]:
-    """Newest persisted snapshot step, parsed from the filename (the store's
-    atomic writes mean a visible file is a complete file)."""
-    paths = sorted(_checkpoint_dir(job_dir).glob("ckpt_*.npz"))
-    return int(paths[-1].stem[len("ckpt_"):]) if paths else None
+    """Step of the snapshot a resumed attempt of the job restores, as the
+    job's checkpoint store reads it (None: no usable snapshot)."""
+    try:
+        snapshot = FileCheckpointStore(_checkpoint_dir(job_dir)).latest()
+    except CheckpointCorruptError:
+        return None
+    return snapshot.step if snapshot is not None else None
+
+
+class _StopAfterSave(FileCheckpointStore):
+    """A chaos kill victim's store: the attempt stops (SIGSTOP) once a
+    snapshot is durable, so the supervisor's SIGKILL always lands mid-run."""
+
+    def save(self, snapshot, clock=None):
+        mark = super().save(snapshot, clock)
+        os.kill(os.getpid(), signal.SIGSTOP)
+        return mark
 
 
 def execute_attempt(
@@ -81,6 +99,7 @@ def execute_attempt(
     warm=None,
     trace: bool = False,
     ctx: Optional[dict] = None,
+    stop_after_save: bool = False,
 ) -> Tuple[Optional[np.ndarray], dict]:
     """Run one attempt of *spec* in the current process.
 
@@ -98,14 +117,16 @@ def execute_attempt(
     (:func:`repro.telemetry.merge.telemetry_payload`) into
     ``meta["telemetry"]`` under the identity in *ctx* (job, attempt,
     worker, plus the pipe-handshake clock stamps) so the supervisor can
-    stitch it into the batch-wide trace.
+    stitch it into the batch-wide trace.  *stop_after_save* (a daemon's
+    chaos kill victim) stops attempt 0 at its first checkpoint save.
     """
     import time as _time
 
     t_entry = _time.perf_counter()
     job_dir = Path(job_dir)
     prop, dt = build_problem(spec)
-    store = FileCheckpointStore(_checkpoint_dir(job_dir))
+    victim = stop_after_save and attempt == 0
+    store = (_StopAfterSave if victim else FileCheckpointStore)(_checkpoint_dir(job_dir))
     resumed_from = None
     if resume:
         try:
@@ -249,7 +270,9 @@ def write_result(job_dir, rec: Optional[np.ndarray], meta: dict) -> str:
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     if rec is not None:
         arrays["rec"] = rec
-    return write_sealed(_result_path(job_dir), lambda fh: np.savez(fh, **arrays))
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return write_sealed(_result_path(job_dir), [buf.getbuffer()])
 
 
 def durable_result(job_dir, digest: Optional[str]):
@@ -260,12 +283,11 @@ def durable_result(job_dir, digest: Optional[str]):
     (*digest* None: the seal alone) — a torn write, on-disk damage, an
     unsealed file from older code, or a file from some other job all fail
     and send the job back to execution."""
-    path = _result_path(job_dir)
-    sealed = verify_sealed(path)
-    if sealed is None or (digest is not None and sealed != digest):
+    payload = read_sealed(_result_path(job_dir))
+    if payload is None or (digest is not None and hashlib.sha256(payload).hexdigest() != digest):
         return None
     try:
-        with np.load(path) as data:
+        with np.load(io.BytesIO(payload)) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             rec = data["rec"].copy() if "rec" in data.files else None
     except Exception:

@@ -23,14 +23,15 @@ One :func:`capture_snapshot` / :func:`restore_snapshot` pair serves both
 the checkpoint cadence and the ABFT guard's tile-entry snapshot
 (:mod:`repro.runtime.abft`).  Two stores hold checkpoints:
 :class:`MemoryCheckpointStore` (default, zero-IO; the newest snapshot) and
-:class:`FileCheckpointStore` (``.npz`` files, survives the process; the
-newest :data:`FILES_KEPT`).
+:class:`FileCheckpointStore` (two sealed slot files, survives the process;
+the newest snapshot and the previous one it falls back to).
 """
 
 from __future__ import annotations
 
 import errno
-import zipfile
+import json
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -39,7 +40,7 @@ import numpy as np
 
 from ..dsl.functions import TimeFunction
 from ..errors import CheckpointCorruptError, StorageExhaustedError
-from .integrity import verify_sealed, write_sealed
+from .integrity import overwrite_sealed, read_sealed
 
 __all__ = [
     "Snapshot",
@@ -50,11 +51,6 @@ __all__ = [
     "capture_snapshot",
     "restore_snapshot",
 ]
-
-#: snapshot files a :class:`FileCheckpointStore` keeps: the newest, and the
-#: previous good one :meth:`~FileCheckpointStore.latest` falls back to
-FILES_KEPT = 2
-
 
 @dataclass
 class Snapshot:
@@ -77,7 +73,9 @@ class Snapshot:
 class CheckpointStore:
     """Interface: hold snapshots, hand back the most recent one."""
 
-    def save(self, snapshot: Snapshot) -> None:
+    def save(self, snapshot: Snapshot, clock=None) -> Optional[float]:
+        """Store *snapshot*.  A store that syncs reads *clock* (when given)
+        once between its write and its sync and returns the reading."""
         raise NotImplementedError
 
     def latest(self) -> Optional[Snapshot]:
@@ -93,7 +91,7 @@ class MemoryCheckpointStore(CheckpointStore):
     def __init__(self):
         self._snap: Optional[Snapshot] = None
 
-    def save(self, snapshot: Snapshot) -> None:
+    def save(self, snapshot: Snapshot, clock=None) -> None:
         self._snap = snapshot
 
     def latest(self) -> Optional[Snapshot]:
@@ -103,49 +101,60 @@ class MemoryCheckpointStore(CheckpointStore):
         self._snap = None
 
 
+#: the two slot files of a :class:`FileCheckpointStore`
+SLOT_NAMES = ("slot0.ckpt", "slot1.ckpt")
+
+
 class FileCheckpointStore(CheckpointStore):
-    """``.npz`` snapshots under a directory, newest-``step`` wins.
+    """Two sealed slot files under a directory, newest-``step`` wins.
 
-    Array keys are flattened as ``slot.<name>.<idx>``, ``rec<i>.output`` and
-    ``rec<i>.staging.<row>``; ``step`` rides along as a 0-d array.
-
-    Every snapshot is sealed in the one write that publishes it
-    (:func:`~repro.runtime.integrity.write_sealed`: temp sibling, SHA-256
-    trailer, fsync, rename), so a snapshot file either exists complete or
-    not at all — a worker SIGKILLed mid-save can never leave a truncated
-    ``ckpt_*.npz`` behind (external observers, like the batch-pool
-    supervisor polling for the first checkpoint, see only complete files) —
-    and damage that atomic rename cannot prevent is detected on load rather
-    than restored into a live wavefield.
-
-    :meth:`latest` validates candidates newest-first and **falls back to
-    the previous good snapshot** when the newest is corrupt or fails its
-    seal (losing one checkpoint interval of work instead of the whole
-    run); only when *every* on-disk snapshot is unusable does it raise a
-    structured :class:`~repro.errors.CheckpointCorruptError` — never a raw
-    ``zipfile``/numpy exception.  A snapshot written without a seal (by
-    older code) is refused like a damaged one.
+    A slot is a header — its length, then a JSON layout: the step and each
+    array's place in the snapshot, dtype and shape — then the arrays' raw
+    bytes in layout order, then the seal
+    (:func:`~repro.runtime.integrity.overwrite_sealed`: written in place from
+    the snapshot's arrays, one ``fdatasync``).  A save overwrites the slot
+    that does not hold the newest good snapshot, so the other slot's sync
+    has returned before a byte of this one changes: a save cut short (a
+    SIGKILLed worker, a crashed disk) leaves a slot that fails its seal, and
+    :meth:`latest` — which reads a slot once and slices its arrays out of
+    the read bytes — **falls back to the other** (one checkpoint interval
+    lost instead of the whole run).  Only when *every* slot is unusable does
+    it raise a structured :class:`~repro.errors.CheckpointCorruptError`,
+    never a raw decoding exception.  Other files in the directory are never
+    read.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._paths = [self.directory / name for name in SLOT_NAMES]
+        #: the slot the next save overwrites (None: not yet looked)
+        self._target: Optional[int] = None
 
-    def _paths(self) -> List[Path]:
-        return sorted(self.directory.glob("ckpt_*.npz"))
-
-    def save(self, snapshot: Snapshot) -> None:
-        arrays: Dict[str, np.ndarray] = {"step": np.int64(snapshot.step)}
+    def save(self, snapshot: Snapshot, clock=None) -> Optional[float]:
+        if self._target is None:
+            try:
+                self.latest()  # aims the target away from the newest good slot
+            except CheckpointCorruptError:
+                pass
+        layout = {"step": int(snapshot.step), "slots": [], "receivers": []}
+        arrays: List[np.ndarray] = []
         for name, keep in snapshot.slots.items():
-            for idx, slot in keep.items():
-                arrays[f"slot.{name}.{idx}"] = slot
-        for i, rec in enumerate(snapshot.receivers):
-            arrays[f"rec{i}.output"] = rec["output"]
-            for row, stage in rec["staging"].items():
-                arrays[f"rec{i}.staging.{row}"] = stage
-        path = self.directory / f"ckpt_{snapshot.step:010d}.npz"
+            for idx, arr in keep.items():
+                layout["slots"].append([name, int(idx), arr.dtype.str, arr.shape])
+                arrays.append(arr)
+        for rec in snapshot.receivers:
+            out, staging = rec["output"], rec["staging"]
+            layout["receivers"].append({
+                "output": [out.dtype.str, out.shape],
+                "staging": [[int(row), a.dtype.str, a.shape] for row, a in staging.items()],
+            })
+            arrays += [out, *staging.values()]
+        header = json.dumps(layout).encode()
+        header += b" " * (-(4 + len(header)) % 8)  # arrays start 8-aligned
+        path = self._paths[self._target]
         try:
-            write_sealed(path, lambda fh: np.savez(fh, **arrays))
+            mark = overwrite_sealed(path, [len(header).to_bytes(4, "little"), header, *arrays], clock)
         except OSError as exc:
             if exc.errno != errno.ENOSPC:
                 raise
@@ -153,80 +162,74 @@ class FileCheckpointStore(CheckpointStore):
             # structured error the monitor can react to (suspend the
             # cadence) instead of crashing the run mid-timestep
             raise StorageExhaustedError(
-                f"no space left on device while saving checkpoint {path.name}",
+                f"no space left on device while saving checkpoint {snapshot.step} to {path.name}",
                 path=str(path),
                 op="checkpoint_save",
             ) from exc
-        for old in self._paths()[:-FILES_KEPT]:
-            old.unlink()
-        for stale in self.directory.glob("ckpt_*.npz*.tmp"):
-            stale.unlink(missing_ok=True)
+        self._target = 1 - self._target
+        return mark
 
     def latest(self) -> Optional[Snapshot]:
-        """Newest *usable* snapshot: candidates are validated newest-first
-        (seal, then structure) and a corrupt one falls back to the
-        previous good one.  Raises :class:`CheckpointCorruptError` (for the
-        newest failure) only when snapshots exist but none is usable."""
-        paths = self._paths()
-        if not paths:
-            return None
-        first_error: Optional[CheckpointCorruptError] = None
-        for path in reversed(paths):
+        """Newest *usable* snapshot: a corrupt slot falls back to the other.
+        Raises :class:`CheckpointCorruptError` (the failure of the slot
+        written last) only when slots exist but none is usable."""
+        found, failed = [], []
+        for i, path in enumerate(self._paths):
+            if not path.exists():
+                continue
             try:
-                return self._load(path)
+                found.append((self._load(path), i))
             except CheckpointCorruptError as exc:
-                if first_error is None:
-                    first_error = exc
-        raise first_error
+                failed.append((path.stat().st_mtime_ns, i, exc))
+        if found:
+            snapshot, i = max(found, key=lambda f: f[0].step)
+            self._target = 1 - i
+            return snapshot
+        self._target = 0
+        if failed:
+            raise max(failed, key=lambda f: f[:2])[2]
+        return None
 
     def _load(self, path: Path) -> Snapshot:
-        if verify_sealed(path) is None:
+        payload = read_sealed(path)
+        if payload is None:
             raise CheckpointCorruptError(
                 f"checkpoint {path.name} is corrupt or truncated",
                 path=str(path),
                 reason="digest mismatch (torn write or on-disk damage)",
             )
+        offset = 4 + int.from_bytes(payload[:4], "little")
+
+        def take(dtype, shape) -> np.ndarray:
+            nonlocal offset
+            arr = np.frombuffer(payload, dtype, math.prod(shape), offset)
+            offset += arr.nbytes
+            return arr.reshape(shape)
+
         try:
-            with np.load(path) as data:
-                if "step" not in data.files:
-                    raise KeyError("snapshot lacks the 'step' entry")
-                slots: Dict[str, Dict[int, np.ndarray]] = {}
-                receivers: Dict[int, dict] = {}
-                for key in data.files:
-                    if key == "step":
-                        continue
-                    head, _, tail = key.partition(".")
-                    if head == "slot":
-                        name, _, idx = tail.rpartition(".")
-                        slots.setdefault(name, {})[int(idx)] = data[key]
-                        continue
-                    idx = int(head[len("rec"):])
-                    entry = receivers.setdefault(idx, {"output": None, "staging": {}})
-                    if tail == "output":
-                        entry["output"] = data[key]
-                    else:
-                        entry["staging"][int(tail.split(".")[-1])] = data[key]
-                step = int(data["step"])
-            for idx, entry in receivers.items():
-                if entry["output"] is None:
-                    raise KeyError(f"receiver {idx} snapshot lacks its output array")
-        except (zipfile.BadZipFile, OSError, EOFError, KeyError, TypeError, ValueError) as exc:
+            layout = json.loads(bytes(payload[4:offset]))
+            slots: Dict[str, Dict[int, np.ndarray]] = {}
+            for name, idx, dtype, shape in layout["slots"]:
+                slots.setdefault(name, {})[idx] = take(dtype, shape)
+            receivers = [
+                {"output": take(*rec["output"]),
+                 "staging": {row: take(dtype, shape) for row, dtype, shape in rec["staging"]}}
+                for rec in layout["receivers"]
+            ]
+            if offset != len(payload):
+                raise ValueError(f"{len(payload) - offset} bytes past the layout's arrays")
+            return Snapshot(step=int(layout["step"]), slots=slots, receivers=receivers)
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointCorruptError(
                 f"checkpoint {path.name} is corrupt or truncated",
                 path=str(path),
                 reason=f"{type(exc).__name__}: {exc}",
             ) from exc
-        return Snapshot(
-            step=step,
-            slots=slots,
-            receivers=[receivers[i] for i in sorted(receivers)],
-        )
 
     def clear(self) -> None:
-        for path in self._paths():
-            path.unlink()
-        for stale in self.directory.glob("ckpt_*.npz*.tmp"):
-            stale.unlink(missing_ok=True)
+        for path in self._paths:
+            path.unlink(missing_ok=True)
+        self._target = 0
 
 
 @dataclass
@@ -355,6 +358,6 @@ def restore_snapshot(plan, snapshot: Snapshot) -> int:
         )
     for rec, saved in zip(executors, snapshot.receivers):
         _receiver_output(rec)[...] = saved["output"]
-        if hasattr(rec, "_staging"):
-            rec._staging = {row: arr.copy() for row, arr in saved["staging"].items()}
+        if hasattr(rec, "restore_staging"):
+            rec.restore_staging(saved["staging"])
     return snapshot.step

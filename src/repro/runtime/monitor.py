@@ -130,17 +130,20 @@ class RuntimeMonitor:
         if cfg is None:
             return
         if step - self._last_saved >= cfg.every:
+            tel = self.telemetry
+            start = tel.now() if tel is not None else 0.0
             # never recycled: a stored checkpoint owns its arrays
             snapshot = capture_snapshot(plan, step)
-            try:
-                cfg.store.save(snapshot)
+            try:  # the clock only under telemetry: a store may take none
+                written = (cfg.store.save(snapshot) if tel is None
+                           else cfg.store.save(snapshot, clock=tel.now))
             except StorageExhaustedError as exc:
                 # degraded, not dead: drop the cadence and let the run finish
                 self.checkpoint = None
                 self.storage_degraded = exc
-                if self.telemetry is not None:
-                    self.telemetry.counters.add("checkpoint_storage_degraded")
-                    self.telemetry.event(
+                if tel is not None:
+                    tel.counters.add("checkpoint_storage_degraded")
+                    tel.event(
                         "checkpoint.storage_degraded",
                         phase="checkpoint+guard",
                         step=step,
@@ -148,11 +151,16 @@ class RuntimeMonitor:
                     )
                 return
             self._last_saved = step
-            if self.telemetry is not None:
-                self.telemetry.counters.add("checkpoint_saves")
-                self.telemetry.event(
+            if tel is not None:
+                # write_s: capture + write; sync_s: the store's sync, if any
+                end = tel.now()
+                written = end if written is None else written
+                tel.counters.add("checkpoint_saves")
+                tel.event(
                     "checkpoint.save",
                     phase="checkpoint+guard",
                     step=step,
                     bytes=snapshot.nbytes(),
+                    write_s=written - start,
+                    sync_s=end - written,
                 )

@@ -42,6 +42,13 @@ def test_chaos_plan_rates_are_respected_at_the_extremes():
         assert entry.break_rung
 
 
+def test_kill_victims_are_named_in_advance_by_index():
+    # like hangs and poison, kills are a budget over the first jobs: which
+    # daemon dies never depends on which one reached a checkpoint first
+    plan = ChaosPlan(ChaosConfig(fault_rate=0.5, kill_workers=2), batch_seed=4)
+    assert [plan.entry(i, 64).kill for i in range(5)] == [True, True, False, False, False]
+
+
 def test_corruption_faults_request_a_health_guard():
     # one guard for every corruption kind: it catches NaN/Inf before any
     # snapshot and a finite bit-flip at the next tile boundary

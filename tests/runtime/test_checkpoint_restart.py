@@ -24,10 +24,13 @@ from repro.runtime import (
     MemoryCheckpointStore,
     Snapshot,
     capture_snapshot,
+    restore_snapshot,
 )
+from repro.execution.executors import run_schedule
+from repro.runtime.checkpoint import SLOT_NAMES
 from repro.telemetry import Telemetry
 
-from ..conftest import make_acoustic_operator, run_and_capture
+from ..conftest import make_acoustic_operator, needs_cc, run_and_capture
 
 NT = 10
 DT = 0.5
@@ -121,10 +124,11 @@ def test_snapshot_holds_only_the_live_slots(physics):
 
 @pytest.mark.faults
 def test_parent_format_file_is_refused_and_the_rerun_is_bit_identical(grid2d, tmp_path):
-    """A checkpoint written before snapshots were sealed (full circular
-    buffers under ``field.<name>``, no trailer) is refused, never restored:
-    the store is cleared, as a job attempt does, and the run restarts from
-    ``time_m`` to the uninterrupted run's bits."""
+    """A checkpoint of an earlier format (``ckpt_<step>.npz``: full circular
+    buffers under ``field.<name>``, no trailer) is never restored: the store
+    reads only its slots, so the file is passed over and the run restarts
+    from ``time_m`` to the uninterrupted run's bits.  A slot holding such
+    bytes is refused, and cleared as a job attempt does."""
     op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
     ref_u, ref_rec = run_and_capture(op, u, rec, NT, DT, NaiveSchedule())
 
@@ -138,8 +142,9 @@ def test_parent_format_file_is_refused_and_the_rerun_is_bit_identical(grid2d, tm
             arrays[f"rec{i}.staging.{row}"] = stage
     with open(tmp_path / f"ckpt_{CRASH_T:010d}.npz", "wb") as fh:
         np.savez(fh, **arrays)
-
     store = FileCheckpointStore(tmp_path)
+    assert store.latest() is None
+    (tmp_path / SLOT_NAMES[0]).write_bytes((tmp_path / f"ckpt_{CRASH_T:010d}.npz").read_bytes())
     with pytest.raises(CheckpointCorruptError, match="corrupt or truncated"):
         store.latest()
     store.clear()
@@ -221,7 +226,7 @@ def test_restart_from_file_store(grid2d, tmp_path):
             time_M=NT, dt=DT, schedule=schedule, sparse_mode="precomputed",
             checkpoint=CheckpointConfig(every=2, store=store), faults=faults,
         )
-    assert list((tmp_path / "ckpt").glob("ckpt_*.npz"))
+    assert 0 < FileCheckpointStore(tmp_path / "ckpt").latest().step <= CRASH_T
 
     op.apply(
         time_M=NT, dt=DT, schedule=schedule, sparse_mode="precomputed",
@@ -238,12 +243,34 @@ def test_file_store_keeps_newest(tmp_path):
             Snapshot(step=step, slots={"u": {1: np.full((3, 3), step, np.float32)}},
                      receivers=[])
         )
-    assert len(list(tmp_path.glob("ckpt_*.npz"))) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == list(SLOT_NAMES)
     latest = store.latest()
     assert latest.step == 6
     np.testing.assert_array_equal(latest.slots["u"][1], np.full((3, 3), 6, np.float32))
     store.clear()
     assert store.latest() is None
+
+
+@needs_cc
+def test_a_restored_open_row_is_gathered_through_its_own_address(grid2d):
+    """On the C rung a staging row is written and read through its address:
+    a restored open row must be the restored array's, not the freed one's,
+    and the run it resumes ends with the uninterrupted traces."""
+    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
+    ref_u, ref_rec = run_and_capture(op, u, rec, NT, DT, NaiveSchedule(), "precomputed", "c")
+
+    u.data_with_halo[...] = 0.0
+    rec.data[...] = 0.0
+    plan = op.apply(time_M=CRASH_T, dt=DT, schedule=NaiveSchedule(),
+                    sparse_mode="precomputed", engine="c")
+    (receiver,) = [r for lst in plan.receivers.values() for r in lst]
+    receiver.gather(CRASH_T)  # an open row, as a mid-unit capture sees it
+    (row,) = receiver.pending_rows()
+    restore_snapshot(plan, capture_snapshot(plan, CRASH_T))
+    assert receiver._stage_addr[row] == receiver._staging[row].ctypes.data
+    run_schedule(plan, CRASH_T, NT, NaiveSchedule())
+    np.testing.assert_array_equal(u.interior(NT), ref_u)
+    np.testing.assert_array_equal(rec.data, ref_rec)
 
 
 def test_memory_store_ring():

@@ -9,6 +9,7 @@ suspending the checkpoint cadence and letting the run finish.
 from __future__ import annotations
 
 import errno
+import os
 import pickle
 
 import numpy as np
@@ -32,16 +33,15 @@ def _enospc(*args, **kwargs):
 
 def test_checkpoint_store_wraps_enospc(tmp_path, monkeypatch):
     store = FileCheckpointStore(tmp_path)
-    snap = Snapshot(step=4, slots={"u": {0: np.ones((3, 3))}}, receivers=[])
-    monkeypatch.setattr(np, "savez", _enospc)
+    store.save(Snapshot(step=4, slots={"u": {0: np.ones((3, 3))}}, receivers=[]))
+    monkeypatch.setattr(os, "pwritev", _enospc)
     with pytest.raises(StorageExhaustedError) as excinfo:
-        store.save(snap)
+        store.save(Snapshot(step=8, slots={"u": {0: np.zeros((3, 3))}}, receivers=[]))
     err = excinfo.value
     assert err.context["op"] == "checkpoint_save"
-    assert "ckpt_0000000004" in err.context["path"]
-    # the half-written temp file must not survive to shadow a good snapshot
-    assert not list(tmp_path.glob("*.tmp"))
-    assert store.latest() is None
+    assert "checkpoint 8" in str(err) and err.context["path"].endswith("slot1.ckpt")
+    # the slot the failed save was writing never shadows the good snapshot
+    assert store.latest().step == 4
 
 
 def test_storage_exhausted_error_survives_the_worker_pipe():
