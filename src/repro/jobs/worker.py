@@ -127,16 +127,16 @@ def execute_attempt(
     prop, dt = build_problem(spec)
     victim = stop_after_save and attempt == 0
     store = (_StopAfterSave if victim else FileCheckpointStore)(_checkpoint_dir(job_dir))
+    checkpoint = CheckpointConfig(every=spec.checkpoint_every, store=store, resume=resume)
     resumed_from = None
     if resume:
         try:
-            snapshot = store.latest()
+            # the one read of the slots: the run restores this snapshot
+            snapshot = checkpoint.resume_snapshot()
             resumed_from = snapshot.step if snapshot is not None else None
         except CheckpointCorruptError:
             store.clear()
-    checkpoint = CheckpointConfig(
-        every=spec.checkpoint_every, store=store, resume=resumed_from is not None
-    )
+            checkpoint.resume = False
     faults = abft = None
     engine_ctx = nullcontext()
     if chaos is not None and attempt == 0:

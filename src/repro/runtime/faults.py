@@ -220,7 +220,10 @@ def break_engine(engine: str = "fused", exc: Optional[Exception] = None):
     :func:`repro.ir.cgen.build`, the C rung's find-or-compile-and-load step
     (the interpreter compiles nothing, so it cannot be broken).  Both are
     looked up at call time by the execution layer, so the patch takes effect
-    for every sweep bound while the context is active.
+    for every sweep bound while the context is active; the block binds
+    against an empty bind table (:func:`repro.ir.pycodegen.structural`), so
+    no rung is served without reaching its compiler, and what it fills is
+    dropped on exit.
     """
     from ..ir import cgen, pycodegen
 
@@ -228,7 +231,7 @@ def break_engine(engine: str = "fused", exc: Optional[Exception] = None):
     if engine not in targets:
         raise ValueError(f"break_engine supports {sorted(targets)}, got {engine!r}")
     module, name = targets[engine]
-    original = getattr(module, name)
+    original, table = getattr(module, name), pycodegen._BIND_CACHE
 
     def broken(*args, **kwargs):
         raise exc if exc is not None else RuntimeError(
@@ -236,7 +239,9 @@ def break_engine(engine: str = "fused", exc: Optional[Exception] = None):
         )
 
     setattr(module, name, broken)
+    pycodegen._BIND_CACHE = {}
     try:
         yield
     finally:
         setattr(module, name, original)
+        pycodegen._BIND_CACHE = table

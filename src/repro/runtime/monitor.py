@@ -67,9 +67,7 @@ class RuntimeMonitor:
         if self.faults is not None:
             self.faults.validate(plan)
         cfg = self.checkpoint
-        if cfg is None or not cfg.resume:
-            return time_m
-        snapshot = cfg.store.latest()
+        snapshot = cfg.resume_snapshot(consume=True) if cfg is not None else None
         if snapshot is None or not time_m <= snapshot.step <= time_M:
             return time_m
         start = restore_snapshot(plan, snapshot)

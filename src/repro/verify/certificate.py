@@ -5,9 +5,9 @@ dependence edge of the operator it records the per-edge legality inequality —
 required lag gap (from the distance vector) vs available lag gap (from the
 schedule's cumulative-lag table) — together with the schedule geometry the
 inequalities were evaluated under.  :meth:`LegalityCertificate.check`
-re-evaluates every inequality from the recorded data alone, so a certificate
-can be serialised (:meth:`to_dict` / :meth:`from_dict`), shipped, and
-re-verified without the operator that produced it.
+re-evaluates every inequality from the recorded data alone, without the
+operator that produced it; :meth:`to_dict` is the record the verify CLI
+prints.
 
 A :class:`Counterexample` is the negative verdict: two conflicting statement
 instances, each named ``(t, tile, point)``, plus the dependence they violate.
@@ -99,16 +99,6 @@ class InstanceRef:
             "role": self.role,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "InstanceRef":
-        return cls(
-            t=int(d["t"]),
-            sweep=int(d["sweep"]),
-            tile=tuple(tuple(b) for b in d["tile"]),
-            point=tuple(d["point"]),
-            role=d.get("role", "stencil"),
-        )
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -146,17 +136,6 @@ class Counterexample:
             "reason": self.reason,
             "manifest": self.manifest,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Counterexample":
-        return cls(
-            kind=d["kind"],
-            field=d["field"],
-            first=InstanceRef.from_dict(d["first"]),
-            second=InstanceRef.from_dict(d["second"]),
-            reason=d["reason"],
-            manifest=bool(d.get("manifest", True)),
-        )
 
 
 @dataclass(frozen=True)
@@ -201,21 +180,6 @@ class CheckedDependence:
             "affine": self.affine,
             "satisfied": self.satisfied,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckedDependence":
-        return cls(
-            kind=d["kind"],
-            function=d["function"],
-            source=tuple(d["source"]),
-            sink=tuple(d["sink"]),
-            time_distance=int(d["time_distance"]),
-            distance=tuple(sorted((k, int(v)) for k, v in d["distance"].items())),
-            required=int(d["required"]),
-            available=int(d["available"]),
-            cross_tile=bool(d.get("cross_tile", False)),
-            affine=bool(d.get("affine", True)),
-        )
 
 
 @dataclass
@@ -272,22 +236,6 @@ class LegalityCertificate:
             "dependences": [d.to_dict() for d in self.dependences],
             "legal": self.check(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LegalityCertificate":
-        return cls(
-            operator=d["operator"],
-            schedule=dict(d["schedule"]),
-            sparse_mode=d["sparse_mode"],
-            dims=tuple(d["dims"]),
-            skewed_dims=tuple(d["skewed_dims"]),
-            sweep_radii=tuple(int(r) for r in d["sweep_radii"]),
-            wavefront_angle=int(d["wavefront_angle"]),
-            lags=tuple(int(x) for x in d["lags"]),
-            dependences=tuple(
-                CheckedDependence.from_dict(x) for x in d["dependences"]
-            ),
-        )
 
     def summary(self) -> str:
         md = self.max_distance
@@ -349,20 +297,6 @@ class CheckedBound:
             "satisfied": self.satisfied,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckedBound":
-        return cls(
-            sweep=int(d["sweep"]),
-            statement=d["statement"],
-            function=d["function"],
-            role=d["role"],
-            dim=d["dim"],
-            offset=int(d["offset"]),
-            halo=int(d["halo"]),
-            margin_lo=int(d["margin_lo"]),
-            margin_hi=int(d["margin_hi"]),
-        )
-
 
 @dataclass(frozen=True)
 class BoundsCounterexample:
@@ -407,19 +341,6 @@ class BoundsCounterexample:
             "reason": self.reason,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundsCounterexample":
-        return cls(
-            instance=InstanceRef.from_dict(d["instance"]),
-            function=d["function"],
-            dim=d["dim"],
-            offset=int(d["offset"]),
-            halo=int(d["halo"]),
-            index=tuple(d["index"]),
-            extent=tuple(d["extent"]),
-            reason=d["reason"],
-        )
-
 
 @dataclass(frozen=True)
 class CheckedGrowth:
@@ -458,15 +379,6 @@ class CheckedGrowth:
             "gain": self.gain,
             "satisfied": self.satisfied,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckedGrowth":
-        return cls(
-            sweep=int(d["sweep"]),
-            field=d["field"],
-            lo=float(d["lo"]),
-            hi=float(d["hi"]),
-        )
 
 
 @dataclass
@@ -525,14 +437,6 @@ class GrowthCertificate:
             "bounded": self.check(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GrowthCertificate":
-        return cls(
-            operator=d["operator"],
-            dt=float(d["dt"]),
-            checks=tuple(CheckedGrowth.from_dict(x) for x in d["checks"]),
-        )
-
     def summary(self) -> str:
         return (
             f"GrowthCertificate({self.operator}, dt={self.dt:g}, "
@@ -585,17 +489,6 @@ class BoundsCertificate:
             "min_margin": self.min_margin,
             "safe": self.check(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundsCertificate":
-        ce = d.get("counterexample")
-        return cls(
-            operator=d["operator"],
-            dims=tuple(d["dims"]),
-            halos={k: int(v) for k, v in d["halos"].items()},
-            checks=tuple(CheckedBound.from_dict(x) for x in d["checks"]),
-            counterexample=BoundsCounterexample.from_dict(ce) if ce else None,
-        )
 
     def summary(self) -> str:
         return (

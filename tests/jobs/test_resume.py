@@ -351,3 +351,25 @@ def test_a_journal_with_a_rerouted_attempt_still_folds_degraded(tmp_path):
     assert report.ok and report.resumed
     assert [r.spec.engine for r in report.results] == ["c", "c"]
     _assert_oracle(report, specs)
+
+
+def test_a_resumed_attempt_reads_its_snapshot_once(tmp_path, monkeypatch):
+    """``resumed_from``, the fields' reset and the run's restore share one
+    read (and hash) of the job's checkpoint slots."""
+    from repro.jobs.worker import execute_attempt
+    from repro.runtime.checkpoint import FileCheckpointStore
+
+    spec = _spec(0, nt=32)
+    execute_attempt(spec, tmp_path)  # leaves the job's last two snapshots
+    reads = []
+    real = FileCheckpointStore.latest
+
+    def counted(store):
+        reads.append(store.directory)
+        return real(store)
+
+    monkeypatch.setattr(FileCheckpointStore, "latest", counted)
+    rec, meta = execute_attempt(spec, tmp_path, attempt=1, resume=True)
+    assert meta["resumed_from"] == 32
+    assert len(reads) == 1
+    np.testing.assert_array_equal(rec, run_job_inline(spec))

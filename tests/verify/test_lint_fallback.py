@@ -8,6 +8,7 @@ import pytest
 import repro.verify.linter as linter_mod
 from repro.core import NaiveSchedule
 from repro.errors import EngineFallbackWarning, KernelLintError
+from repro.ir.pycodegen import clear_kernel_caches
 from repro.verify import Diagnostic, LintReport
 
 from ..conftest import AVAILABLE_ENGINES, make_acoustic_operator, run_and_capture
@@ -18,7 +19,9 @@ DT = 0.5
 
 @contextlib.contextmanager
 def reject_all_kernels(monkeypatch):
-    """Make the linter flag every compiled bind with a synthetic error finding."""
+    """Make the linter flag every compiled bind with a synthetic error finding.
+    Lint verdicts are kept per problem structure in the process-wide bind
+    table, so the block starts and ends with an empty one."""
 
     def failing(bound_sweeps, name="Kernel"):
         return LintReport(
@@ -33,9 +36,13 @@ def reject_all_kernels(monkeypatch):
             ],
         )
 
+    clear_kernel_caches()
     with monkeypatch.context() as m:
         m.setattr(linter_mod, "lint_bound_sweeps", failing)
-        yield
+        try:
+            yield
+        finally:
+            clear_kernel_caches()
 
 
 def test_lint_rejected_bind_degrades_with_identical_numerics(grid2d, monkeypatch):
