@@ -63,14 +63,18 @@ def _eq_structure(eq: Eq) -> tuple:
 def _pack_front(front) -> tuple:
     """A bound sweep's front half as the bind table keeps it."""
     hoisted, reads, kernel = front
-    defs = [(hf.name, _structure(hf.expr), hf.halo) for hf in hoisted.fields]
+    defs = [(hf.name, _structure(hf.expr), hf.halo, hf.dtype.str) for hf in hoisted.fields]
     return [_structure(rhs) for rhs in hoisted.rhss], defs, [_structure(a) for a in reads], kernel
 
 
 def _unpack_front(packed, functions: Dict[str, object]) -> tuple:
-    """The front half *packed* describes, on *functions* (hoisted fields anew)."""
+    """The front half *packed* describes, on *functions* (hoisted fields anew,
+    with the dtypes the first bind derived)."""
     rhss, defs, reads, kernel = packed
-    fields = [HoistedField(name, rebuild(expr, functions), halo) for name, expr, halo in defs]
+    fields = [
+        HoistedField(name, rebuild(expr, functions), halo, dtype)
+        for name, expr, halo, dtype in defs
+    ]
     names = {**functions, **{hf.name: hf for hf in fields}}
     rhss = [rebuild(rhs, names) for rhs in rhss]
     return HoistResult(rhss, fields), [rebuild(a, names) for a in reads], kernel

@@ -162,6 +162,15 @@ def cse_sweep(
 # -- time-invariant hoisting -------------------------------------------------------
 
 
+def _specimen_dtype(expr: Expr) -> np.dtype:
+    """The dtype *expr* evaluates to, from zero-size specimens of its reads."""
+    specimens = {
+        leaf: np.empty(0, dtype=leaf.function.dtype) for leaf in expr.atoms(Indexed)
+    }
+    with np.errstate(all="ignore"):
+        return np.asarray(expr.evaluate(specimens)).dtype
+
+
 class HoistedField:
     """A time-invariant subexpression materialised as a precomputed grid array.
 
@@ -177,18 +186,14 @@ class HoistedField:
 
     __slots__ = ("name", "expr", "halo", "dtype", "_data", "_reads", "_snap")
 
-    def __init__(self, name: str, expr: Expr, halo: int):
+    def __init__(self, name: str, expr: Expr, halo: int, dtype=None):
         self.name = name
         self.expr = expr
         self.halo = halo
-        # dtype is established at construction from zero-size specimens so
-        # kernels can be compiled before the buffer is first materialised
-        specimens = {
-            leaf: np.empty(0, dtype=leaf.function.dtype)
-            for leaf in expr.atoms(Indexed)
-        }
-        with np.errstate(all="ignore"):
-            self.dtype = np.asarray(expr.evaluate(specimens)).dtype
+        # dtype is established at construction so kernels can be compiled
+        # before the buffer is first materialised: given by a served bind,
+        # else derived from zero-size specimens
+        self.dtype = _specimen_dtype(expr) if dtype is None else np.dtype(dtype)
         self._data = None
         self._snap = None
         self._reads = sorted(expr.atoms(Indexed), key=str)

@@ -39,12 +39,10 @@ journaled ``interrupted`` and resumable); livelocked daemons are detected
 by heartbeat silence and replaced; poison jobs that crash every daemon are
 quarantined with forensics instead of retried forever.
 
-The whole service is observable end to end: the supervisor records into its
-:class:`~repro.telemetry.metrics.MetricsRegistry` (exactly the families of
-:data:`~repro.telemetry.metrics.CATALOGUE`: job counts, attempt
-latencies, busy workers, …), atomically refreshes their one encoding, a
-live ``metrics.json`` in the batch dir, which
-``python -m repro.jobs.status BATCH_DIR`` renders, and with ``trace=True``
+The whole service is observable end to end: the journal is the batch's one
+record, and ``python -m repro.jobs.status BATCH_DIR`` folds it into the
+status of a live, finished or crashed batch (job counts, queues, attempt
+latencies, retries, corruption, throughput); with ``trace=True`` the pool
 propagates a trace context to every attempt so the per-attempt span trees
 come back clock-corrected and merge into one batch-wide Chrome trace
 (``--trace`` on the CLI, :func:`repro.telemetry.merge.merge_batch_trace`
@@ -55,7 +53,7 @@ Command line: ``python -m repro.jobs --help`` (chaos knobs included).
 
 from .chaos import ChaosConfig, ChaosEntry, ChaosPlan
 from .journal import JOURNAL_NAME, BatchJournal, JournalReplay, load_journal
-from .pool import DEFAULT_CAPACITY, METRICS_NAME, JobPool, run_batch
+from .pool import DEFAULT_CAPACITY, JobPool, run_batch
 from .retry import RetryPolicy
 from .spec import (
     EXAMPLES,
@@ -98,5 +96,4 @@ __all__ = [
     "STATUSES",
     "PHASE_KEYS",
     "DEFAULT_CAPACITY",
-    "METRICS_NAME",
 ]

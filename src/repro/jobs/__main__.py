@@ -170,21 +170,11 @@ def main(argv: List[str] = None) -> int:
         "batch-wide Chrome trace (trace.json in the workdir, or ./trace.json "
         "with a temporary workdir)",
     )
-    parser.add_argument(
-        "--status-interval", type=float, default=0.5, metavar="SECONDS",
-        help="cadence of the live metrics.json snapshot in the workdir "
-        "(0 disables the cadence; default: 0.5)",
-    )
     parser.add_argument("--json", action="store_true", help="JSON report on stdout")
     args = parser.parse_args(argv)
 
     if args.resume is not None:
-        pool = JobPool.resume(
-            args.resume,
-            workers=args.workers,
-            trace=args.trace,
-            status_interval=args.status_interval,
-        )
+        pool = JobPool.resume(args.resume, workers=args.workers, trace=args.trace)
     else:
         chaos = ChaosConfig(  # inert unless a rate or a budget is set
             fault_rate=args.fault_rate,
@@ -207,7 +197,6 @@ def main(argv: List[str] = None) -> int:
             heartbeat_timeout=args.heartbeat_timeout,
             poison_threshold=args.poison_threshold,
             trace=args.trace,
-            status_interval=args.status_interval,
         )
         specs = build_specs(args)
         if args.stream:

@@ -14,9 +14,13 @@ SHA-256 trailer over the rest of the record::
 
     {"kind": "admit", "seq": 3, "ts": 1723111845.031337, ..., "sha256": "<hex>"}
 
-``ts`` is the wall-clock append time (unix seconds, covered by the digest)
-— it is what lets ``python -m repro.jobs.status`` reconstruct timings and
-throughput of a finished or crashed batch from the journal alone.
+``ts`` is the wall-clock time (unix seconds, covered by the digest) of the
+transition the record describes — the clock reading the supervisor applied
+it at, shared by the records of one supervision sweep, so it need not grow
+with ``seq`` — and folding the journal replays every attempt's latency as
+the live supervisor measured it; that is what lets ``python -m
+repro.jobs.status`` show a live, finished or crashed batch from the journal
+alone.
 
 Record kinds, in the order a batch emits them:
 
@@ -30,7 +34,8 @@ Record kinds, in the order a batch emits them:
   engine, resume step).  Written *before* the pipe send — write-ahead.
 * ``outcome``— an attempt ended: ``completed``/``fault``/``crash``/
   ``timeout``, error summary, and for completions the SHA-256 digest of the
-  durable ``result.npz``.
+  durable ``result.npz`` plus the attempt's work (``points_updated``,
+  ``stencil_s``).
 * ``terminal`` — a job reached a terminal status.
 * ``stream_failed`` — a user-supplied spec stream raised while pulled.
 * ``sdc``    — silent data corruption detected (ABFT guard): job, attempt,
@@ -80,7 +85,7 @@ JOURNAL_VERSION = 1
 #: :func:`repro.jobs.transitions.apply` — the one table the live supervisor
 #: and :meth:`JobPool.resume`'s replay both drive — and the role says what the
 #: handler does: a ``"replayed"`` kind changes batch state; an ``"audit"`` kind
-#: is a forensic marker whose handler only returns events and counters.
+#: is a forensic marker whose handler only returns events.
 #: A kind without a handler (or a handler without a kind) is a ``KeyError``
 #: when :mod:`repro.jobs.transitions` is imported.
 JOURNAL_KINDS = {
@@ -226,11 +231,13 @@ class BatchJournal:
     def seq(self) -> int:
         return self._seq
 
-    def append(self, kind: str, **payload) -> dict:
-        """Durably append one record; returns it (without the trailer)."""
+    def append(self, kind: str, ts: Optional[float] = None, **payload) -> dict:
+        """Durably append one record stamped *ts* (default: now); returns it
+        (without the trailer)."""
         if self._fh is None:
             raise ValueError("journal is closed")
-        record = {"kind": kind, "seq": self._seq, "ts": round(time.time(), 6)}
+        ts = time.time() if ts is None else ts
+        record = {"kind": kind, "seq": self._seq, "ts": round(ts, 6)}
         record.update(payload)
         record["sha256"] = record_digest(record)
         try:

@@ -1,98 +1,69 @@
-"""The observability half of :class:`~repro.jobs.pool.JobPool`: metric
-instruments, exclusive supervisor phase accounting, the live ``metrics.json``
-status snapshot, and the stamping of per-attempt trace payloads.
+"""The observability half of :class:`~repro.jobs.pool.JobPool`: exclusive
+supervisor phase accounting, the stamping of per-attempt trace payloads and
+the folding of completed attempts into the telemetry buffer.
 
 :class:`PoolObservability` is a base class, not a component: it reads the
-pool's own attributes (``state``, ``fleet``, ``workers``, ``telemetry``,
-``workdir``, ``batch_id``, ``resumed``, ``storage_degraded``, ``_streams``,
-``_epoch``) and nothing here changes batch state.
+pool's own attributes (``fleet``, ``telemetry``, ``_epoch``) and nothing here
+changes batch state.  What a batch *did* is not kept here: the write-ahead
+journal is its one record, which ``python -m repro.jobs.status`` folds.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from typing import Callable, Dict, List
 
-from ..telemetry.metrics import CATALOGUE, MetricsRegistry, PhaseAccountant
 from .spec import AttemptRecord
 
-__all__ = ["METRICS_NAME", "PoolObservability"]
+__all__ = ["PhaseAccountant", "PoolObservability"]
 
-#: live metrics snapshot, atomically refreshed in the batch workdir on the
-#: ``status_interval`` cadence (what ``python -m repro.jobs.status`` reads)
-METRICS_NAME = "metrics.json"
+
+class PhaseAccountant:
+    """Exclusive wall-time buckets with pause-on-nest semantics.
+
+    ``push("journal")`` inside an ``admission`` section charges the elapsed
+    admission time so far and starts charging ``journal``; ``pop`` resumes
+    the outer bucket at the current clock.  The bucket sum therefore covers
+    the root interval exactly (no double counting), which is the property
+    ``BatchReport.phase_totals`` needs to reconcile batch wall time.
+    """
+
+    def __init__(self, clock: Callable[[], float] = time.perf_counter):
+        self._clock = clock
+        self.seconds: Dict[str, float] = {}
+        self._stack: List[List] = []  # [name, resumed_at]
+
+    def push(self, name: str) -> None:
+        now = self._clock()
+        if self._stack:
+            top = self._stack[-1]
+            self.seconds[top[0]] = self.seconds.get(top[0], 0.0) + (now - top[1])
+        self._stack.append([name, now])
+
+    def pop(self) -> None:
+        now = self._clock()
+        name, since = self._stack.pop()
+        self.seconds[name] = self.seconds.get(name, 0.0) + (now - since)
+        if self._stack:
+            self._stack[-1][1] = now
+
+    @contextmanager
+    def phase(self, name: str):
+        self.push(name)
+        try:
+            yield
+        finally:
+            self.pop()
 
 
 class PoolObservability:
-    """Metrics, status and trace plumbing of a :class:`JobPool`."""
+    """Supervisor accounting and trace plumbing of a :class:`JobPool`."""
 
-    def _init_observability(self, status_interval: float) -> None:
-        self.status_interval = float(status_interval)
-        self._last_status = 0.0
+    def _init_observability(self) -> None:
         self._jobs_phase_added = 0.0
         self._attempt_phase_folded = 0.0  # in-process attempts' phase seconds
-        self.metrics = MetricsRegistry()
         self._acct = PhaseAccountant()
-        #: family -> instrument, for every :data:`CATALOGUE` entry
-        self._m = {family: self.metrics.instrument(family) for family in CATALOGUE}
-
-    def _measure(self, op: str, family: str, value: float, labels: dict) -> None:
-        """Perform one ``count`` / ``observe`` effect of a transition."""
-        instrument = self._m[family]
-        (instrument.inc if op == "count" else instrument.observe)(value, **labels)
-
-    def _refresh_gauges(self) -> None:
-        """Recompute every level-style gauge from supervisor state."""
-        self._m["workers_busy"].set(sum(1 for w in self.fleet.workers if w.busy))
-        for bucket, secs in self._acct.flush().items():
-            self._m["supervisor_seconds"].set(secs, bucket=bucket)
-
-    def _status_summary(self) -> dict:
-        state, fleet = self.state, self.fleet
-        return {
-            "jobs": len(state.jobs),
-            "terminal": state.terminals,
-            "completed": sum(1 for j in state.jobs if j.status == "completed"),
-            "active": state.active,
-            "ready": len(state.ready),
-            "delayed": len(state.delayed),
-            "streams_open": len(self._streams),
-            "workers": {
-                "configured": self.workers,
-                "alive": sum(1 for w in fleet.workers if w.alive),
-                "busy": sum(1 for w in fleet.workers if w.busy),
-                "spawned": fleet.spawned,
-                "hung": fleet.hung,
-            },
-            "draining": state.draining,
-            "resumed": self.resumed,
-            "storage_degraded": self.storage_degraded is not None,
-            "elapsed_seconds": time.perf_counter() - self._epoch,
-        }
-
-    def _write_status(self, final: bool = False) -> None:
-        """Atomically refresh ``metrics.json`` in the batch dir.
-        Best-effort: a full disk must not take the batch down."""
-        self._refresh_gauges()
-        try:
-            self.metrics.write_json(
-                self.workdir / METRICS_NAME,
-                extra={
-                    "batch_id": self.batch_id,
-                    "final": final,
-                    "status": self._status_summary(),
-                },
-            )
-        except OSError:
-            pass
-
-    def _maybe_status(self) -> None:
-        """Refresh the live ``metrics.json`` when the cadence is due."""
-        if self.status_interval <= 0:
-            return
-        now = time.perf_counter()
-        if now - self._last_status >= self.status_interval:
-            self._last_status = now
-            self._write_status()
 
     def _attach_trace(self, record: AttemptRecord, meta: dict) -> None:
         """Pop the attempt's serialized span payload out of *meta* (it must
@@ -118,13 +89,8 @@ class PoolObservability:
         record.trace = payload
 
     def _observe_completion(self, record: AttemptRecord, meta: dict) -> None:
-        """Work counters, per-worker warm/cold attempt counters and
-        aggregated cache tallies of one completed attempt."""
-        work = meta.get("work") or {}
-        if work.get("points_updated"):
-            self._m["jobs_points_updated_total"].inc(float(work["points_updated"]))
-        if work.get("stencil_seconds"):
-            self._m["jobs_stencil_seconds_total"].inc(float(work["stencil_seconds"]))
+        """Per-worker warm/cold attempt counters and aggregated cache tallies
+        of one completed attempt."""
         if self.telemetry is None:
             return
         if self.fleet.in_process:

@@ -11,7 +11,8 @@ durable ``result.npz`` writes, chaos kills and the one drive loop here;
 where attempts run behind the fleet surface of :mod:`repro.jobs.warm` —
 daemons and pipes in :class:`~repro.jobs.warm.WarmFleet`, or this very
 process in :class:`~repro.jobs.warm.InlineFleet` (``workers=0``: no kills,
-post-hoc deadlines); metrics, status and trace plumbing in :mod:`repro.jobs.observe`.
+post-hoc deadlines); supervisor accounting and trace plumbing in
+:mod:`repro.jobs.observe`.
 DESIGN.md §8 has the transition table and the fault-domain table.
 """
 
@@ -28,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from ..errors import SilentCorruptionError, StorageExhaustedError, StreamAdmissionError
 from .chaos import ChaosConfig, ChaosPlan
 from .journal import JOURNAL_NAME, JOURNAL_VERSION, BatchJournal, load_journal
-from .observe import METRICS_NAME, PoolObservability
+from .observe import PoolObservability
 from .retry import RetryPolicy
 from .spec import BatchReport, JobResult, JobSpec
 from .transitions import (
@@ -45,7 +46,7 @@ from .transitions import (
 from .warm import InlineFleet, WarmFleet
 from . import worker as worker_mod
 
-__all__ = ["JobPool", "run_batch", "DEFAULT_CAPACITY", "METRICS_NAME"]
+__all__ = ["JobPool", "run_batch", "DEFAULT_CAPACITY"]
 
 #: supervision sweep cadence (seconds) when no fleet report wakes the loop
 POLL_INTERVAL = 0.02
@@ -115,10 +116,6 @@ class JobPool(PoolObservability):
         into one batch-wide Chrome trace by
         :func:`repro.telemetry.merge.merge_batch_trace`.  Implies a
         telemetry buffer (one is created when none was passed).
-    status_interval:
-        Cadence (seconds) of the atomically-refreshed ``metrics.json``
-        live-status snapshot in the batch workdir; ``0`` disables the
-        cadence (the final snapshot is still written).
     """
 
     def __init__(
@@ -135,7 +132,6 @@ class JobPool(PoolObservability):
         heartbeat_timeout: Optional[float] = 60.0,
         poison_threshold: int = 3,
         trace: bool = False,
-        status_interval: float = 0.5,
     ):
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = attempts run in-process)")
@@ -174,19 +170,18 @@ class JobPool(PoolObservability):
         #: chronological lifecycle events: {"ts", "kind", "job", ...}
         self.events: List[dict] = []
         self._epoch = time.perf_counter()
+        #: maps this process's perf_counter onto the journal's wall clock
+        self._wall_offset = time.time() - self._epoch
         self.resumed = False
         #: the StorageExhaustedError that degraded this batch (None = healthy)
         self.storage_degraded: Optional[StorageExhaustedError] = None
-        self._init_observability(status_interval)
+        self._init_observability()
         heartbeat_timeout = None if heartbeat_timeout is None else float(heartbeat_timeout)
         #: where attempts run: this process, or daemons + pipes
         self.fleet = (
             InlineFleet(self._acct.phase)
             if self.workers == 0
-            else WarmFleet(
-                self.workers, heartbeat_interval, heartbeat_timeout, self._emit,
-                self._m["workers_spawned_total"],
-            )
+            else WarmFleet(self.workers, heartbeat_interval, heartbeat_timeout, self._emit)
         )
         self._journal: Optional[BatchJournal] = None
         if journal:
@@ -210,8 +205,9 @@ class JobPool(PoolObservability):
     # -- the one transition path -------------------------------------------------------
     def _record(self, kind: str, now: Optional[float] = None, **payload) -> None:
         """Journal the record (write-ahead: it is durable before anything it
-        describes happens), fold it through the shared handler table, and
-        perform the effects the transition returned.
+        describes happens, stamped with the clock reading it is applied at),
+        fold it through the shared handler table, and emit the events the
+        transition returned.
 
         ``ENOSPC`` on the append surfaces as
         :class:`~repro.errors.StorageExhaustedError` and must not take the
@@ -219,24 +215,17 @@ class JobPool(PoolObservability):
         ``storage_degraded`` record, journaling off, a clean drain — instead
         of dying mid-flight with daemons running."""
         degraded = False
+        now = time.perf_counter() if now is None else now
         if self._journal is not None:
             try:
                 with self._acct.phase("journal"):
-                    self._journal.append(kind, **payload)
+                    self._journal.append(kind, ts=now + self._wall_offset, **payload)
                 if self.telemetry is not None:
                     self.telemetry.counters.add("journal_records")
             except StorageExhaustedError as exc:
                 degraded = self._on_storage_exhausted(exc)
-        effects = apply(
-            self.state,
-            {"kind": kind, **payload},
-            time.perf_counter() if now is None else now,
-        )
-        for op, name, value, labels in effects:
-            if op == "event":
-                self._emit(name, value, **labels)
-            else:
-                self._measure(op, name, value, labels)
+        for event, job, info in apply(self.state, {"kind": kind, **payload}, now):
+            self._emit(event, job, **info)
         if degraded:
             self.request_drain()
 
@@ -390,13 +379,16 @@ class JobPool(PoolObservability):
         # result.npz only when its seal holds and matches the journal
         digest = worker_mod.write_result(self._job_dir(job), rec, meta)
         engine = meta.get("engine", "")
+        work = meta.get("work") or {}
         self._record(
             "outcome", now, job=job.spec.job_id, attempt=record.attempt,
             outcome="completed", engine=engine, digest=digest,
+            points_updated=int(work.get("points_updated", 0)),
+            stencil_s=float(work.get("stencil_seconds", 0.0)),
         )
         # an ABFT guard that detected corruption *and recovered in-run*
         # leaves the outcome "completed" — the detection must still reach
-        # the journal and the metrics, or recovered corruption is invisible
+        # the journal, or recovered corruption is invisible
         abft = meta.get("abft")
         if isinstance(abft, dict) and abft.get("detections"):
             self._record(
@@ -535,7 +527,6 @@ class JobPool(PoolObservability):
             if not dispatched:
                 break
             changed = True
-        self._maybe_status()
         return changed
 
     # -- graceful drain ----------------------------------------------------------------
@@ -604,7 +595,6 @@ class JobPool(PoolObservability):
                 self.telemetry.end(batch_span)
             self._acct.pop()  # close the supervise root
             self._charge_jobs_phase()
-            self._write_status(final=True)
             if self._tmp is not None:
                 self._tmp.cleanup()
                 self._tmp = None
@@ -622,7 +612,6 @@ class JobPool(PoolObservability):
             stream_errors=list(self._stream_errors),
             supervisor_seconds=dict(self._acct.seconds),
             batch_id=self.batch_id,
-            metrics=self.metrics.snapshot(),
         )
 
     def _drive(self) -> None:
@@ -650,7 +639,6 @@ class JobPool(PoolObservability):
         workers: Optional[int] = None,
         telemetry=None,
         trace: bool = False,
-        status_interval: float = 0.5,
     ) -> "JobPool":
         """Reconstruct an interrupted batch from its journal; :meth:`run`
         the returned pool to drive it to completion.
@@ -690,7 +678,6 @@ class JobPool(PoolObservability):
             heartbeat_interval=header.get("heartbeat_interval", 0.25),
             heartbeat_timeout=header.get("heartbeat_timeout", 60.0),
             trace=trace,
-            status_interval=status_interval,
         )
         # journal timestamps are wall-clock; replay them on this process's
         # perf_counter so restored and new attempts share one time axis

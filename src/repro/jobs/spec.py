@@ -39,8 +39,7 @@ __all__ = [
 
 #: per-attempt cost centres, the fields of ``AttemptRecord.phases`` — a
 #: regrouping of the attempt's own telemetry phases
-#: (:data:`repro.telemetry.PHASES`), not metric families (those are listed
-#: once, in :data:`repro.telemetry.metrics.CATALOGUE`): ``spawn``
+#: (:data:`repro.telemetry.PHASES`): ``spawn``
 #: (dispatch-to-receipt latency — fork + queueing on a cold worker, pipe
 #: latency on a warm one), ``compile`` (``precompute`` + building the
 #: problem), ``compute`` (``stencil`` + ``injection`` + ``receivers`` +
@@ -263,13 +262,10 @@ class BatchReport:
     stream_errors: List[str] = dc_field(default_factory=list)
     #: exclusive supervisor wall-time buckets (admission/journal/dispatch/
     #: execute/idle/drain under a ``supervise`` root) from the pool's
-    #: :class:`~repro.telemetry.metrics.PhaseAccountant`
+    #: :class:`~repro.jobs.observe.PhaseAccountant`
     supervisor_seconds: Dict[str, float] = dc_field(default_factory=dict)
     #: stable batch identity (the workdir name; survives resume)
     batch_id: str = ""
-    #: final :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot` of
-    #: the batch's metrics registry (None on a hand-built report)
-    metrics: Optional[dict] = None
 
     @property
     def completed(self) -> int:

@@ -4,8 +4,7 @@
 handle, clock or registry — and :func:`apply` is the *only* thing that
 changes them: one handler per :data:`~repro.jobs.journal.JOURNAL_KINDS`
 entry, taking exactly the record that is journaled plus a ``now`` reading
-and returning the effects (events, metric updates) the caller may perform
-or drop.  :class:`~repro.jobs.pool.JobPool` drives it twice: live (*decide →
+and returning the lifecycle events the caller may emit or drop.  :class:`~repro.jobs.pool.JobPool` drives it twice: live (*decide →
 journal the record → apply → perform the effects*) and on resume
 (:func:`fold` over the verified journal prefix, effects dropped), so replay
 is the state machine by construction.  Retry, quarantine, exhaustion and
@@ -31,7 +30,6 @@ from ..errors import (
     QueueSaturatedError,
     RetryExhaustedError,
 )
-from ..telemetry.metrics import CATALOGUE
 from .journal import JOURNAL_KINDS
 from .retry import RetryPolicy
 from .spec import AttemptRecord, JobSpec
@@ -56,48 +54,13 @@ DEFAULT_CAPACITY = 256
 #: fraction of its deadline a job may burn before retries dispatch degraded
 PRESSURE_FRACTION = 0.5
 
-#: ``(op, name, value, labels)`` — op is ``"event"`` (name = event kind, value
-#: = job id, labels = info), ``"count"`` or ``"observe"`` (name = metric family)
-Effect = Tuple[str, str, object, dict]
+#: ``(kind, job, info)`` — one lifecycle event: its kind, the job id (``""``
+#: for batch-scoped ones) and its details
+Effect = Tuple[str, str, dict]
 
 
 def _event(kind: str, job: str = "", **info) -> Effect:
-    return ("event", kind, job, info)
-
-
-_EFFECT_OPS = {"counter": "count", "histogram": "observe"}
-
-
-def _metric(family: str, *labelnames: str) -> Callable[..., Effect]:
-    """The effect constructor of one :data:`~repro.telemetry.metrics.CATALOGUE`
-    family — ``count`` for a counter, ``observe`` for a histogram — bound at
-    import: ``KeyError`` here, not in the middle of a batch, when the
-    catalogue lacks *family* or labels it differently."""
-    if family not in CATALOGUE:
-        raise KeyError(f"transition effect names undeclared metric family {family!r}")
-    kind, declared = CATALOGUE[family][:2]
-    if kind not in _EFFECT_OPS or set(labelnames) != set(declared):
-        raise KeyError(
-            f"transition effect on {family!r} with labels {labelnames} disagrees "
-            f"with the catalogue's {kind} labelled {declared}"
-        )
-    op = _EFFECT_OPS[kind]
-
-    def effect(value: float = 1.0, **labels) -> Effect:
-        return (op, family, value, labels)
-
-    return effect
-
-
-_ADMITTED = _metric("jobs_admitted_total")
-_ATTEMPT_SECONDS = _metric("attempt_seconds", "outcome")
-_COMPLETED = _metric("jobs_completed_total")
-_RETRIED = _metric("jobs_retried_total")
-_TERMINAL = _metric("jobs_terminal_total", "status")
-_SDC_DETECTIONS = _metric("sdc_detections_total", "detector")
-_SDC_RECOVERIES = _metric("sdc_recoveries_total")
-_SDC_TILES = _metric("sdc_tiles_reexecuted_total")
-_STORAGE_DEGRADED = _metric("storage_degraded_total")
+    return (kind, job, info)
 
 
 @dataclass(eq=False)
@@ -280,10 +243,7 @@ def _on_admit(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
     state.jobs.append(job)
     state.by_id[spec.job_id] = job
     _open(state, job)
-    return (
-        _ADMITTED(),
-        _event("queued", spec.job_id, streamed=bool(rec.get("streamed", False))),
-    )
+    return (_event("queued", spec.job_id, streamed=bool(rec.get("streamed", False))),)
 
 
 def _on_attempt(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
@@ -315,19 +275,14 @@ def _on_outcome(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
     job = state.by_id[rec["job"]]
     job_id, outcome = job.spec.job_id, rec["outcome"]
     error = rec.get("error", "")
-    effects: List[Effect] = []
     if job.in_flight:  # (a deadline can also expire in backoff: nothing open)
         attempt = job.attempts[-1]
         attempt.ended, attempt.outcome, attempt.error = now, outcome, error
         attempt.engine = rec.get("engine", "")
         job.in_flight = False
-        effects.append(
-            _ATTEMPT_SECONDS(max(0.0, now - attempt.started), outcome=outcome)
-        )
     job.consecutive_crashes = job.consecutive_crashes + 1 if outcome == "crash" else 0
     if outcome == "completed":
         job.digest = rec.get("digest")
-        effects.append(_COMPLETED())
         _close(state, job, "completed")
     elif outcome == "timeout":
         _close(state, job, "timeout", JobTimeoutError(
@@ -366,11 +321,10 @@ def _on_outcome(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
         )
         state.seq += 1
         heapq.heappush(state.delayed, (now + delay, state.seq, job))
-        effects += [
-            _RETRIED(),
+        return (
             _event("retried", job_id, attempt=job.attempt_no, delay=delay, error=error),
-        ]
-    return effects
+        )
+    return ()
 
 
 def _on_terminal(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
@@ -384,10 +338,7 @@ def _on_terminal(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
         info = {"crashes": job.consecutive_crashes}
     else:
         info = {"attempts": len(job.attempts)}
-    return (
-        _event(status, job.spec.job_id, **info),
-        _TERMINAL(status=status),
-    )
+    return (_event(status, job.spec.job_id, **info),)
 
 
 def _on_stream_failed(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
@@ -395,32 +346,20 @@ def _on_stream_failed(state: BatchState, rec: dict, now: float) -> Iterable[Effe
 
 
 def _on_sdc(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
-    detector = rec.get("detector", "growth")
     if not rec.get("recovered"):
-        return (
-            _SDC_DETECTIONS(detector=detector),
-            _event("sdc", rec["job"], attempt=rec["attempt"], detector=detector),
-        )
-    detections = int(rec.get("detections", 0))
-    tiles = int(rec.get("tiles_reexecuted", 0))
-    effects = [
-        _SDC_DETECTIONS(detections, detector=detector),
-        _SDC_RECOVERIES(),
+        detector = rec.get("detector", "growth")
+        return (_event("sdc", rec["job"], attempt=rec["attempt"], detector=detector),)
+    return (
         _event(
             "sdc_recovered", rec["job"], attempt=rec["attempt"],
-            detections=detections, tiles_reexecuted=tiles,
+            detections=int(rec.get("detections", 0)),
+            tiles_reexecuted=int(rec.get("tiles_reexecuted", 0)),
         ),
-    ]
-    if tiles:
-        effects.append(_SDC_TILES(tiles))
-    return effects
+    )
 
 
 def _on_storage_degraded(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
-    return (
-        _STORAGE_DEGRADED(),
-        _event("storage_degraded", error=rec.get("error"), op=rec.get("op")),
-    )
+    return (_event("storage_degraded", error=rec.get("error"), op=rec.get("op")),)
 
 
 def _on_drain(state: BatchState, rec: dict, now: float) -> Iterable[Effect]:
@@ -493,7 +432,7 @@ check_handlers(HANDLERS, JOURNAL_KINDS)
 
 def apply(state: BatchState, record: dict, now: float) -> Iterable[Effect]:
     """Advance *state* by one journal *record* at clock reading *now*;
-    returns the effects of the transition.  ``KeyError`` for an undeclared
+    returns the events of the transition.  ``KeyError`` for an undeclared
     record kind."""
     return HANDLERS[record["kind"]](state, record, now)
 
@@ -501,7 +440,7 @@ def apply(state: BatchState, record: dict, now: float) -> Iterable[Effect]:
 def fold(
     records: Iterable[dict], now_of: Callable[[dict], float], workdir: str = ""
 ) -> BatchState:
-    """The state a supervisor that journaled *records* was in — effects
+    """The state a supervisor that journaled *records* was in — events
     dropped.  *now_of* maps a record to the clock reading it was applied at."""
     state = BatchState(workdir)
     for record in records:

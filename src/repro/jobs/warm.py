@@ -327,8 +327,7 @@ class WarmFleet:
     error, a dead daemon, a heartbeat-silent one, a job past its deadline —
     becomes ``(job, verdict, payload)``, with the killing, reaping, retiring
     and replacing of daemons handled here.  *emit* receives the
-    ``worker_*`` lifecycle events, *spawn_counter* (the
-    ``workers_spawned_total`` instrument) one tick per prefork.
+    ``worker_*`` lifecycle events.
     """
 
     #: attempts run in other processes: on their own clocks, and killable
@@ -340,13 +339,11 @@ class WarmFleet:
         heartbeat_interval: float,
         heartbeat_timeout: Optional[float],
         emit: Callable[..., None],
-        spawn_counter,
     ):
         self.slots = int(slots)
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_timeout = heartbeat_timeout
         self._emit = emit
-        self._spawn_counter = spawn_counter
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
@@ -368,7 +365,6 @@ class WarmFleet:
             self._ctx, self.spawned, heartbeat_interval=self.heartbeat_interval
         )
         self.workers.append(worker)
-        self._spawn_counter.inc()
         self._emit("worker_spawned", worker=worker.worker_id, pid=worker.proc.pid)
         return worker
 

@@ -212,8 +212,8 @@ def execute_attempt(
             "step_hits": int(counters["step_cache_hits"]),
             "step_misses": int(counters["step_cache_misses"]),
         },
-        # raw per-phase seconds + work counters: the metrics registry's
-        # GPts/s feed (always cheap — a handful of floats)
+        # raw per-phase seconds + work counters: the work rides the journal's
+        # ``outcome`` record, the GPts/s feed (always cheap — a few floats)
         "phase_seconds": {k: v for k, v in ph.items() if v},
         "work": {
             "points_updated": int(counters["points_updated"]),

@@ -15,10 +15,7 @@ per loop and record nothing.  See ``python -m repro.profile --help`` for the
 command-line front-end.
 
 The batch service's side lives here too: :mod:`~repro.telemetry.merge`
-stitches per-attempt span trees into one batch trace, and
-:class:`~repro.telemetry.metrics.MetricsRegistry` holds the service metrics
-(the families of ``metrics.CATALOGUE``), whose one encoding is the
-``metrics.json`` snapshot ``python -m repro.jobs.status`` reads.
+stitches per-attempt span trees into one batch trace.
 """
 
 from .counters import Counters, derived_metrics
@@ -35,7 +32,6 @@ from .merge import (
     validate_payload,
     write_batch_trace,
 )
-from .metrics import MetricsRegistry, PhaseAccountant
 from .spans import DETAIL_LEVELS, PHASES, Span, Telemetry
 
 __all__ = [
@@ -54,6 +50,4 @@ __all__ = [
     "merge_batch_trace",
     "write_batch_trace",
     "validate_chrome_trace",
-    "MetricsRegistry",
-    "PhaseAccountant",
 ]

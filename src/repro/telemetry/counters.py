@@ -6,9 +6,8 @@ so the hot loop pays Python-int additions only.
 
 Counter taxonomy (all optional — absent means the producer never ran).
 These are the tallies of one :class:`~repro.telemetry.spans.Telemetry`
-buffer; the batch-wide, labelled metric *families* a job service exports are
-a different thing and are listed in one place,
-:data:`repro.telemetry.metrics.CATALOGUE`:
+buffer; what a job service's batch did is a different thing, read from its
+journal by ``python -m repro.jobs.status``:
 
 * ``instances`` / ``sweep{j}.instances`` — executed sweep instances.
 * ``points_updated`` — grid-point *updates* (box points × equations of the

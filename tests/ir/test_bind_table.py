@@ -220,3 +220,23 @@ def test_each_signature_component_keys_its_own_entries(
     added = {key[1] for key in set(pycodegen._BIND_CACHE) - before}
     assert added >= kinds
     assert (second.signature != first.signature) == (kinds == ALL)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_served_bind_takes_its_hoisted_dtypes_from_the_table(dtype, monkeypatch):
+    """A served bind evaluates no specimen of a hoisted field's defining
+    expression: its dtypes are the cold bind's, kept in the rung entry."""
+    import repro.ir.passes as passes_mod
+
+    clear_kernel_caches()
+    cold = _bind()(_problem(dtype=dtype))  # fused hoists the model terms
+    dtypes = [[hf.dtype for hf in sw.hoisted_fields] for sw in cold.sweeps]
+    assert any(dtypes)
+
+    def specimen_dtype(expr):
+        raise AssertionError("a served bind evaluated a specimen")
+
+    monkeypatch.setattr(passes_mod, "_specimen_dtype", specimen_dtype)
+    served = _bind()(_problem(dtype=dtype))
+    assert [[hf.dtype for hf in sw.hoisted_fields] for sw in served.sweeps] == dtypes
+    clear_kernel_caches()

@@ -1,8 +1,7 @@
 """Journal schema: every declared record kind has exactly one transition
 handler, shared by the live supervisor and the resume replay — checked
 against the handler table itself, not against anyone's source text — and
-every metric effect a handler returns is bound to its catalogue family when
-the module is imported."""
+an audit kind's handler returns events and leaves batch state alone."""
 
 import pytest
 
@@ -45,25 +44,6 @@ def test_declared_but_unhandled_kind_raises():
         check_handlers(transitions.HANDLERS, kinds)
 
 
-def test_metric_effects_are_checked_against_the_catalogue_at_import():
-    # transitions binds its effect constructors with module-level _metric()
-    # calls, so each of these is an ImportError-time failure of repro.jobs,
-    # not a KeyError in JobPool._measure in the middle of a batch
-    with pytest.raises(KeyError, match="phantom_total"):
-        transitions._metric("phantom_total")  # a family nobody declared
-    with pytest.raises(KeyError, match="jobs_terminal_total"):
-        transitions._metric("jobs_terminal_total")  # a label short
-    with pytest.raises(KeyError, match="jobs_retried_total"):
-        transitions._metric("jobs_retried_total", "job")  # a label too many
-    with pytest.raises(KeyError, match="supervisor_seconds"):
-        transitions._metric("supervisor_seconds", "bucket")  # a gauge is a level, not an effect
-    effect = transitions._metric("jobs_terminal_total", "status")
-    assert effect(status="completed") == (
-        "count", "jobs_terminal_total", 1.0, {"status": "completed"}
-    )
-    assert transitions._metric("attempt_seconds", "outcome")(0.5, outcome="fault")[0] == "observe"
-
-
 def test_audit_handlers_leave_state_untouched():
     samples = {
         "shm": {"names": ["/psm_x"]},  # an older supervisor's segment names
@@ -81,5 +61,5 @@ def test_audit_handlers_leave_state_untouched():
     before = summary(state)
     for kind, payload in samples.items():
         effects = apply(state, {"kind": kind, **payload}, 1.0)
-        assert all(op in ("event", "count", "observe") for op, *_ in effects)
+        assert all(isinstance(info, dict) for _kind, _job, info in effects)
         assert summary(state) == before, kind

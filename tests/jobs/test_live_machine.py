@@ -147,7 +147,7 @@ class LiveSupervisor(RuleBasedStateMachine):
         self._real_time = pool_mod.time
         pool_mod.time = SimpleNamespace(perf_counter=self.clock, time=time.time)
         self.pool = JobPool(
-            workers=0, workdir=self.dir, batch_seed=7, status_interval=0,
+            workers=0, workdir=self.dir, batch_seed=7,
             retry=RetryPolicy(base=0.5), poison_threshold=POISON_THRESHOLD,
         )
         self.fleet = self.pool.fleet = ScriptedFleet(self.clock)
@@ -241,11 +241,11 @@ class LiveSupervisor(RuleBasedStateMachine):
             self.model[slot.job.spec.job_id].orphaned = True
         self.polls = 0
         self.pool._journal.close()
-        first = JobPool.resume(self.dir, workers=0, status_interval=0)
+        first = JobPool.resume(self.dir, workers=0)
         seen = _state_summary(first.state)
         first._journal.close()
         # a second resume over the resumed journal folds to the same state
-        self.pool = JobPool.resume(self.dir, workers=0, status_interval=0)
+        self.pool = JobPool.resume(self.dir, workers=0)
         assert _state_summary(self.pool.state) == seen
         self.fleet = self.pool.fleet = ScriptedFleet(self.clock)
         for entry in self.model.values():  # a job is interrupted only until resumed

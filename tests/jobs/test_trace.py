@@ -1,27 +1,19 @@
 """The observability acceptance gate: a chaos batch (fault injection plus a
 SIGKILLed daemon) produces a merged Chrome trace with per-worker tracks and
-a metrics snapshot whose totals assert against the BatchReport's ground
+a journal whose folded status asserts against the BatchReport's ground
 truth — and serial batches reconcile ≥95% of their wall clock into phases."""
 
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.jobs import ChaosConfig, JobPool, JobSpec
-from repro.jobs.status import load_status
+from repro.jobs.observe import PhaseAccountant
+from repro.jobs.status import journal_stats
 from repro.telemetry.merge import merge_batch_trace, validate_chrome_trace
-
-
-def _series(snapshot, name):
-    family = (snapshot.get("metrics") or {}).get(name)
-    return list(family.get("series", [])) if family else []
-
-
-def _value(snapshot, name, **labels):
-    for entry in _series(snapshot, name):
-        if all(entry["labels"].get(k) == str(v) for k, v in labels.items()):
-            return entry.get("value")
-    return 0.0
 
 
 def _chaos_pool(tmp_path, workers=2):
@@ -40,47 +32,43 @@ def _chaos_pool(tmp_path, workers=2):
 
 @pytest.mark.faults
 def test_chaos_batch_metrics_assert_against_report(tmp_path):
+    """Every number of the status view, folded from the journal alone,
+    equals what the live supervisor's report says."""
     pool = _chaos_pool(tmp_path)
     report = pool.run()
     assert report.ok
     assert report.kills == 1
-    snap = report.metrics
-    assert snap is not None and snap["version"] >= 1
+    stats = journal_stats(tmp_path)
 
-    completed = sum(1 for r in report.results if r.status == "completed")
-    assert _value(snap, "repro_jobs_completed_total") == completed
-    terminal = sum(
-        e.get("value", 0.0) for e in _series(snap, "repro_jobs_terminal_total")
-    )
-    assert terminal == len(report.results)
-    admitted = sum(
-        e.get("value", 0.0) for e in _series(snap, "repro_jobs_admitted_total")
-    )
-    assert admitted == len(report.results)
+    jobs = stats["jobs"]
+    assert jobs["admitted"] == jobs["terminal"] == len(report.results)
+    assert jobs["completed"] == report.completed and jobs["active"] == 0
+    assert stats["statuses"] == dict(Counter(r.status for r in report.results))
+    assert stats["queue"] == {"ready": 0, "delayed": 0}
+    assert stats["busy_workers"] == 0 and stats["ended"]
 
-    # all queues drained: the final status summary reads no ready job
-    status = load_status(tmp_path)
-    assert status["final"] and status["status"]["ready"] == 0
-    assert _value(snap, "repro_workers_busy") == 0.0
-
-    # retry counter mirrors the 'retried' lifecycle events exactly
+    # retries mirror the 'retried' lifecycle events and the attempt histories
     retried_events = sum(1 for e in report.events if e["kind"] == "retried")
-    assert _value(snap, "repro_jobs_retried_total") == retried_events
+    assert stats["retries"] == retried_events == report.retries
+    assert stats["hung_daemons"] == report.hung_workers
 
-    # worker-churn accounting: initial prefork + the post-SIGKILL replacement
-    assert _value(snap, "repro_workers_spawned_total") == report.workers_spawned
-    assert report.workers_spawned >= pool.workers + report.kills
+    # exact per-outcome latency quantiles of every attempt of every job: the
+    # journal stamps each record with the clock reading the supervisor
+    # applied it at (to the microsecond)
+    attempts = [a for r in report.results for a in r.attempts]
+    assert sum(q["n"] for q in stats["latency"].values()) == len(attempts)
+    for outcome, q in stats["latency"].items():
+        seconds = [a.seconds for a in attempts if a.outcome == outcome]
+        assert q["n"] == len(seconds)
+        expected = np.quantile(seconds, (0.5, 0.9, 0.99))
+        assert [q["p50"], q["p90"], q["p99"]] == pytest.approx(expected, abs=2e-6)
 
-    # attempt-latency histogram saw every attempt of every job
-    attempts = sum(len(r.attempts) for r in report.results)
-    observed = sum(e.get("count", 0) for e in _series(snap, "repro_attempt_seconds"))
-    assert observed == attempts
-
-    # supervisor accounting made it into the gauge vector
-    buckets = {
-        e["labels"]["bucket"] for e in _series(snap, "repro_supervisor_seconds")
+    # no corruption was injected: no sdc record, and no detection counted
+    assert stats["sdc"] == {
+        "records": 0, "recovered": 0, "detections": 0, "tiles_reexecuted": 0,
     }
-    assert "supervise" in buckets and "journal" in buckets
+    assert not any(e["kind"].startswith("sdc") for e in report.events)
+    assert stats["work"]["gpts_per_s"] > 0
     assert report.supervisor_seconds
 
 
@@ -132,3 +120,19 @@ def test_serial_batch_wall_clock_reconciles(tmp_path):
         for e in trace["traceEvents"]
         if e.get("ph") != "M"
     )
+
+
+def test_phase_accountant_exclusive_nesting():
+    clock = iter(range(100))
+    acct = PhaseAccountant(clock=lambda: float(next(clock)))
+    acct.push("supervise")  # t=0
+    acct.push("admission")  # t=1 (supervise charged 1)
+    acct.pop()              # t=2 (admission charged 1)
+    with acct.phase("journal"):  # t=3..4
+        pass
+    acct.pop()              # t=5 (supervise charged 2+1 more)
+    total = sum(acct.seconds.values())
+    assert total == pytest.approx(5.0)  # covers [0, 5] exactly, no overlap
+    assert acct.seconds["admission"] == pytest.approx(1.0)
+    assert acct.seconds["journal"] == pytest.approx(1.0)
+    assert acct.seconds["supervise"] == pytest.approx(3.0)

@@ -17,7 +17,7 @@ from repro.errors import (
 from repro.jobs import (
     JOURNAL_NAME, ChaosConfig, JobPool, JobSpec, RetryPolicy, load_journal,
 )
-from repro.telemetry.metrics import CATALOGUE
+from repro.jobs.spec import STATUSES
 from repro.jobs.transitions import (
     PRESSURE_FRACTION,
     BatchState,
@@ -33,7 +33,7 @@ RETRY = {"base": 1.0, "factor": 2.0, "max_delay": 8.0, "jitter": 0.5}
 
 
 class Script:
-    """A batch driven by hand: records in, effects out, ``now`` from the test."""
+    """A batch driven by hand: records in, events out, ``now`` from the test."""
 
     def __init__(self, **header):
         self.state = BatchState("/batch")
@@ -42,9 +42,8 @@ class Script:
 
     def __call__(self, kind, now, **payload):
         out = list(apply(self.state, {"kind": kind, **payload}, now))
-        for op, family, _value, labels in out:
-            if op != "event":  # recordable exactly as the catalogue declares it
-                assert set(labels) == set(CATALOGUE[family][1]), (family, labels)
+        for event in out:  # every effect is a lifecycle event: (kind, job, info)
+            assert [type(part) for part in event] == [str, str, dict], event
         self.effects += out
         return out
 
@@ -67,10 +66,7 @@ class Script:
                     outcome=outcome, **extra)
 
     def events(self, kind):
-        return [e for e in self.effects if e[0] == "event" and e[1] == kind]
-
-    def count(self, family):
-        return sum(e[2] for e in self.effects if e[0] == "count" and e[1] == family)
+        return [e for e in self.effects if e[0] == kind]
 
 
 def location(state, job):
@@ -99,8 +95,7 @@ def test_failed_attempt_with_budget_left_backs_off_and_retries(outcome):
     # the jitter draw happened inside the transition, from the job's stream
     assert s.state.delayed[0][0] == pytest.approx(2.0 + expected)
     (retried,) = s.events("retried")
-    assert retried[2] == "a" and retried[3]["delay"] == pytest.approx(expected)
-    assert s.count("jobs_retried_total") == 1
+    assert retried[1] == "a" and retried[2]["delay"] == pytest.approx(expected)
     record = job.attempts[0]
     assert (record.outcome, record.started, record.ended) == (outcome, 1.0, 2.0)
     assert record.error == f"Boom: {outcome}"
@@ -126,7 +121,7 @@ def test_retry_budget_exhausts_with_full_history():
     assert [a["attempt"] for a in job.error.attempts] == [0, 1]
     assert "Boom: fault" in str(job.error)
     s("terminal", 101.0, job="a", status="exhausted", attempts=2, error="x")
-    assert s.events("exhausted")[0][3] == {"attempts": 2}
+    assert s.events("exhausted")[0][2] == {"attempts": 2}
     assert s.state.terminals == 1 and s.state.active == 0
 
 
@@ -148,7 +143,7 @@ def test_consecutive_crashes_quarantine_at_the_threshold_only():
     assert err.job_dir == "/batch/a" and len(err.attempts) == 4
     assert location(s.state, job) == ["terminal"]
     s("terminal", 61.0, job="a", status="quarantined", attempts=4, error="x")
-    assert s.events("quarantined")[0][3] == {"crashes": 2}
+    assert s.events("quarantined")[0][2] == {"crashes": 2}
 
 
 def test_sdc_never_counts_toward_quarantine():
@@ -169,7 +164,6 @@ def test_completed_result_past_deadline_still_completes():
     s.outcome(job, 12.0, "completed", engine="fused", digest="d" * 64)
     assert job.status == "completed" and job.digest == "d" * 64
     assert job.attempts[0].engine == "fused" and job.error is None
-    assert s.count("jobs_completed_total") == 1
 
 
 def test_deadline_kill_in_flight_times_out():
@@ -181,7 +175,7 @@ def test_deadline_kill_in_flight_times_out():
     assert isinstance(job.error, JobTimeoutError)
     assert job.error.elapsed == pytest.approx(1.5)
     s("terminal", 11.5, job="a", status="timeout", attempts=1, error="x")
-    assert s.events("timeout")[0][3] == {"elapsed": pytest.approx(1.5)}
+    assert s.events("timeout")[0][2] == {"elapsed": pytest.approx(1.5)}
 
 
 def test_deadline_expiring_in_backoff_times_out_without_an_open_attempt():
@@ -232,14 +226,15 @@ def test_drain_interrupts_everything_unfinished_and_active_returns_to_zero():
     s.attempt(b, 2.0)
     s.outcome(b, 3.0, "fault")  # b is backing off, c still ready
     s("drain", 3.0, signal=15)
-    assert s.state.draining and s.events("drain")[0][3] == {"signal": 15}
+    assert s.state.draining and s.events("drain")[0][2] == {"signal": 15}
     for job in (b, c):
         s("terminal", 4.0, job=job.spec.job_id, status="interrupted",
           attempts=len(job.attempts), error="")
         assert location(s.state, job) == ["terminal"]
     assert s.state.active == 0
     assert s.state.terminals == 3 and not s.state.ready and not s.state.delayed
-    assert s.count("jobs_terminal_total") == 3
+    terminal_events = [e[0] for e in s.effects if e[0] in STATUSES]
+    assert terminal_events == ["completed", "interrupted", "interrupted"]
     # a later supervisor reopens exactly the interrupted ones
     s("resume", 100.0, jobs=3, pending=2, reclaimed_shm=[], corruption=None)
     assert not s.state.draining and s.state.terminals == 0
@@ -247,7 +242,7 @@ def test_drain_interrupts_everything_unfinished_and_active_returns_to_zero():
         ["terminal"], ["ready"], ["ready"],
     ]
     assert (b.attempt_no, c.attempt_no) == (1, 0) and b.first_started is None
-    assert [e[3]["resume"] for e in s.events("readmitted")] == [True, False]
+    assert [e[2]["resume"] for e in s.events("readmitted")] == [True, False]
     assert list(s.state.ready) == [b, c] and s.state.active == 2
 
 
