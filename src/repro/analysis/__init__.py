@@ -1,11 +1,5 @@
 """Metrics and reporting utilities for the evaluation harness."""
-from .metrics import (
-    access_count,
-    arithmetic_intensity,
-    eq_flops,
-    flop_count,
-    gpoints_per_s,
-)
+from .metrics import eq_flops, flop_count
 from .report import (
     render_certificate,
     render_series,
@@ -16,9 +10,6 @@ from .report import (
 __all__ = [
     "flop_count",
     "eq_flops",
-    "access_count",
-    "gpoints_per_s",
-    "arithmetic_intensity",
     "render_table",
     "render_series",
     "render_speedup_bars",

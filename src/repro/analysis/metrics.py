@@ -1,18 +1,14 @@
-"""Kernel metrics: operation counting, throughput and intensity measures."""
+"""Kernel metrics: flop counting (achieved throughput and intensity are
+:mod:`repro.telemetry.counters`'s ``derived_metrics``)."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
-
 from ..dsl.equation import Eq
-from ..dsl.symbols import S_NEG_ONE, Add, Call, Expr, Indexed, Mul, Number, Pow
+from ..dsl.symbols import S_NEG_ONE, Add, Call, Expr, Mul, Number, Pow
 
 __all__ = [
     "flop_count",
     "eq_flops",
-    "access_count",
-    "gpoints_per_s",
-    "arithmetic_intensity",
 ]
 
 #: cost charged per elementary call (divisions via Pow(-1) count as one)
@@ -49,21 +45,3 @@ def eq_flops(eq: Eq) -> float:
     """Flops per grid point for one update equation (store is free)."""
     return flop_count(eq.rhs)
 
-
-def access_count(eq: Eq) -> int:
-    """Number of array accesses per point (reads + the write)."""
-    return len(eq.rhs.atoms(Indexed)) + 1
-
-
-def gpoints_per_s(points: float, steps: float, seconds: float) -> float:
-    """Throughput in giga grid-point updates per second (the paper's metric)."""
-    if seconds <= 0:
-        raise ValueError("elapsed time must be positive")
-    return points * steps / seconds / 1e9
-
-
-def arithmetic_intensity(flops: float, bytes_moved: float) -> float:
-    """Flops per byte of traffic (per memory level for the cache-aware roofline)."""
-    if bytes_moved <= 0:
-        raise ValueError("traffic must be positive")
-    return flops / bytes_moved

@@ -130,17 +130,24 @@ def compile_front_half(eqs: Sequence, engine: str):
     Inline, a model term costs ``fused`` a ufunc pass per box, so it hoists
     every maximal invariant subtree; it costs ``c`` register work, cheaper
     than streaming a precomputed grid, so it hoists only what C cannot
-    express (``sin(m)``, ``m**0.3``)."""
+    express (``sin(m)``, ``m**0.3``).  Every call compiles (the bind
+    table, :func:`repro.ir.pycodegen.structural`, keeps what an operator
+    compiled); a failure is an :class:`EngineCompilationError`."""
     from ..ir.passes import hoist_invariants
     from ..ir.pycodegen import compile_sweep, lowers_outside_c
 
-    writes = [e.lhs for e in eqs]
-    hoisted = hoist_invariants(
-        [e.rhs for e in eqs], select=lowers_outside_c if engine == "c" else None
-    )
-    reads = sorted({a for rhs in hoisted.rhss for a in rhs.atoms(Indexed)}, key=str)
-    dtypes = [[a.function.dtype for a in accesses] for accesses in (reads, writes)]
-    return hoisted, reads, compile_sweep(writes, hoisted.rhss, reads, *dtypes)
+    try:
+        writes = [e.lhs for e in eqs]
+        hoisted = hoist_invariants(
+            [e.rhs for e in eqs], select=lowers_outside_c if engine == "c" else None
+        )
+        reads = sorted({a for rhs in hoisted.rhss for a in rhs.atoms(Indexed)}, key=str)
+        dtypes = [[a.function.dtype for a in accesses] for accesses in (reads, writes)]
+        return hoisted, reads, compile_sweep(writes, hoisted.rhss, reads, *dtypes)
+    except Exception as exc:
+        raise EngineCompilationError(
+            f"{engine} sweep compilation failed: {exc}", engine=engine
+        ) from exc
 
 
 class BoundSweep:

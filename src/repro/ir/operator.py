@@ -43,7 +43,7 @@ from ..errors import (
     InvalidTimeRange,
     KernelLintError,
 )
-from ..execution.evalbox import ENGINES, BoundSweep, compile_front_half
+from ..execution.evalbox import ENGINES, BoundEq, BoundSweep, compile_front_half
 from ..execution.executors import ExecutionPlan, run_schedule
 from ..execution.sparse import RawInjection, RawInterpolation
 from . import pycodegen
@@ -336,7 +336,9 @@ class Operator:
         that actually compiled plus its bound sweeps.  A compiled rung's
         front halves and lint report are kept in the bind table: a rung that
         failed to compile leaves no entry, one the linter rejected leaves its
-        report, so the ladder degrades alike on a hit."""
+        report, so the ladder degrades alike on a hit.  *telemetry* counts
+        each front half compiled as a ``kernel_cache_misses`` and each one
+        the table served as a ``kernel_cache_hits``."""
         sweep_eqs = self.bound_equations(dt)
         rungs = ENGINES[ENGINES.index(engine):]
         for i, eng in enumerate(rungs):
@@ -348,7 +350,12 @@ class Operator:
                 def compile_and_lint():
                     from ..verify.linter import lint_bound_sweeps
 
-                    bound.extend(BoundSweep(eqs, self.grid, eng, self._pool) for eqs in sweep_eqs)
+                    for eqs in sweep_eqs:
+                        # validated first: an unbound symbol raises raw
+                        front = compile_front_half([BoundEq(e, self.grid) for e in eqs], eng)
+                        if telemetry is not None:  # a miss, even if C then fails to build
+                            telemetry.counters.add("kernel_cache_misses")
+                        bound.append(BoundSweep(eqs, self.grid, eng, self._pool, front))
                     report = self._analysed(lint_bound_sweeps, bound, name=self.name)
                     return [_pack_front(sw.front) for sw in bound], report
 
@@ -371,7 +378,8 @@ class Operator:
                         diagnostics=report.diagnostics,
                     )
                 if not bound:  # served from the table: each sweep's kernel is a hit
-                    pycodegen._CACHE_STATS["sweep_hits"] += len(fronts)
+                    if telemetry is not None:
+                        telemetry.counters.add("kernel_cache_hits", len(fronts))
                     fns = self._functions
                     bound = [
                         BoundSweep(eqs, self.grid, eng, self._pool, _unpack_front(f, fns))
@@ -561,9 +569,7 @@ class Operator:
             # conflicting statement instances
             self.certificate_for(schedule, sparse_mode)
         if tel is not None:
-            from .pycodegen import kernel_cache_stats
-
-            kc_base = kernel_cache_stats()
+            kc_base = pycodegen.kernel_cache_stats()
         plan = self._bind(
             dt,
             schedule,
@@ -580,16 +586,7 @@ class Operator:
             self._register_static_costs(tel, schedule, plan)
             tel.meta["plan"] = {"schedule": schedule.describe(), "origin": origin}
             view_base = _view_cache_totals(plan)
-            # process-wide kernel-cache activity of this bind: a warm
-            # process binds by hit, a cold one by miss — the observable
-            # the warm-worker pool's per-worker counters aggregate
-            kc = kernel_cache_stats()
-            tel.counters.add(
-                "kernel_cache_hits", kc["sweep_hits"] - kc_base["sweep_hits"]
-            )
-            tel.counters.add(
-                "kernel_cache_misses", kc["sweep_misses"] - kc_base["sweep_misses"]
-            )
+            kc = pycodegen.kernel_cache_stats()
             # the C rung's shared objects: served from memory or disk (hit)
             # or compiled (miss); compile seconds are part of the precompute
             # phase just closed

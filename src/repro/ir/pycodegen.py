@@ -3,12 +3,13 @@
 Devito's key trick is generating low-level code from the symbolic problem
 definition; our executor applies the same idea at the NumPy level.
 :func:`compile_sweep` is the fused three-address engine (``engine="fused"``,
-the default): all equations of a sweep are lowered, after the
-common-subexpression-elimination pass of :func:`repro.ir.passes.cse_sweep`,
-into a single linear program of ``np.add(a, b, s)``-style instructions
-writing into slots checked out of a :class:`ScratchPool` — no temporaries are
-allocated on the hot path, repeated subexpressions are evaluated once, and
-scratch slots are recycled by liveness so the pool stays small.
+and the C rung's front half): all equations of a sweep are lowered, after
+the common-subexpression-elimination pass of
+:func:`repro.ir.passes.cse_sweep`, into a single linear program of
+``np.add(a, b, s)``-style instructions writing into slots checked out of a
+:class:`ScratchPool` — no temporaries are allocated on the hot path,
+repeated subexpressions are evaluated once, and scratch slots are recycled
+by liveness so the pool stays small.
 
 The kernels are bit-identical to the tree-walking interpreter (the tests
 assert this; the interpreter remains available as ``engine="interp"``, the
@@ -17,11 +18,11 @@ interpreter's left-associative evaluation exactly, and every intermediate is
 computed in the dtype NumPy promotion would naturally give (determined at
 compile time by probing the ufuncs with zero-size specimen arrays).
 
-Compiled kernels are cached process-wide, keyed by the canonical (hashable)
-expression structure plus operand dtypes, so autotuner sweeps and repeated
-operator builds compile each distinct kernel once.  The key holds names and
-offsets, never a ``Function``: a dropped operator's fields are freed.  So
-do the bind table's entries (:func:`structural`).
+:func:`compile_sweep` caches nothing: the one in-process cache of compiled
+sweeps is the bind table (:func:`structural`), keyed on an operator's
+``signature``, which serves each structure's front halves to every later
+operator of that structure.  Its entries hold names and offsets, never a
+``Function``: a dropped operator's fields are freed.
 """
 
 from __future__ import annotations
@@ -46,10 +47,8 @@ __all__ = [
 
 _ALLOWED_CALLS = {"sin", "cos", "tan", "sqrt", "exp"}
 
-# -- kernel cache ----------------------------------------------------------------
+# -- the bind table ----------------------------------------------------------------
 
-_SWEEP_CACHE: Dict[object, Callable] = {}
-_CACHE_STATS = {"sweep_hits": 0, "sweep_misses": 0}
 #: the bind table, keyed on ``Operator.signature`` + what an entry adds to it:
 #: factorised sweeps, each rung's front half and lint report, certificates
 _BIND_CACHE: Dict[tuple, object] = {}
@@ -86,22 +85,18 @@ def structural(key: tuple, make: Callable[[], object]):
 
 
 def kernel_cache_stats() -> Dict[str, float]:
-    """Hit/miss counters of the process-wide kernel cache and of the C rung's
-    shared objects (``c_cache_hits``: served without compiling,
-    ``c_cache_misses``: compiler runs, ``c_compile_s``: their seconds)."""
-    stats = {**_CACHE_STATS, **cgen.STATS}
-    stats["sweep_entries"] = len(_SWEEP_CACHE)
-    return stats
+    """Counters of the C rung's shared objects (``c_cache_hits``: served
+    without compiling, ``c_cache_misses``: compiler runs, ``c_compile_s``:
+    their seconds).  The bind table's own hits and misses are counted per
+    bind, into its telemetry (``kernel_cache_hits`` / ``_misses``)."""
+    return dict(cgen.STATS)
 
 
 def clear_kernel_caches() -> None:
-    """Reset every in-process table: compiled sweeps, the bind table, loaded
-    C libraries, counters.  The on-disk ``.so`` cache is cross-process state
-    and stays (:func:`repro.ir.cgen.clear_disk_cache` empties it)."""
-    _SWEEP_CACHE.clear()
+    """Reset every in-process table: the bind table, loaded C libraries,
+    counters.  The on-disk ``.so`` cache is cross-process state and stays
+    (:func:`repro.ir.cgen.clear_disk_cache` empties it)."""
     _BIND_CACHE.clear()
-    for k in _CACHE_STATS:
-        _CACHE_STATS[k] = 0
     cgen.reset()
 
 
@@ -418,28 +413,14 @@ def compile_sweep(
     :class:`ScratchPool` per ``__slotspec__``.  Equations execute in order,
     each ending in a store to its output view, so intra-sweep radius-0 reads
     of earlier writes observe updated data exactly as the interpreter's
-    sequential per-equation evaluation does.
-
-    Kernels are cached by the canonical expression structure of the whole
-    sweep plus every operand dtype; the generated source is shape-agnostic.
+    sequential per-equation evaluation does.  Every call compiles; the
+    generated source is shape-agnostic.
     """
     lhss = list(lhss)
     rhss = list(rhss)
     reads = list(reads)
     read_dtypes = [np.dtype(d) for d in read_dtypes]
     out_dtypes = [np.dtype(d) for d in out_dtypes]
-    key = (
-        tuple(_structure(e) for e in lhss),
-        tuple(_structure(e) for e in rhss),
-        tuple(_structure(e) for e in reads),
-        tuple(d.str for d in read_dtypes),
-        tuple(d.str for d in out_dtypes),
-    )
-    hit = _SWEEP_CACHE.get(key)
-    if hit is not None:
-        _CACHE_STATS["sweep_hits"] += 1
-        return hit
-    _CACHE_STATS["sweep_misses"] += 1
 
     from .passes import cse_sweep
 
@@ -502,5 +483,4 @@ def compile_sweep(
         per_dtype_index[dt] = idx + 1
         slotspec.append((dt, idx))
     kernel.__slotspec__ = tuple(slotspec)
-    _SWEEP_CACHE[key] = kernel
     return kernel

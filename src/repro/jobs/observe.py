@@ -1,6 +1,6 @@
 """The observability half of :class:`~repro.jobs.pool.JobPool`: exclusive
 supervisor phase accounting, the stamping of per-attempt trace payloads and
-the folding of completed attempts into the telemetry buffer.
+the folding of in-process attempts' phases into the telemetry buffer.
 
 :class:`PoolObservability` is a base class, not a component: it reads the
 pool's own attributes (``fleet``, ``telemetry``, ``_epoch``) and nothing here
@@ -88,25 +88,15 @@ class PoolObservability:
             ctx["clock_offset_s"] = -epoch
         record.trace = payload
 
-    def _observe_completion(self, record: AttemptRecord, meta: dict) -> None:
-        """Per-worker warm/cold attempt counters and aggregated cache tallies
-        of one completed attempt."""
-        if self.telemetry is None:
+    def _observe_completion(self, meta: dict) -> None:
+        """Fold an in-process attempt's phase seconds into the pool buffer:
+        it ran on this process's clock, so batch coverage holds.  A daemon's
+        attempt keeps its phases on its ``AttemptRecord``."""
+        if self.telemetry is None or not self.fleet.in_process:
             return
-        if self.fleet.in_process:
-            # the attempt ran on this process's clock — fold its phase
-            # seconds into the pool buffer so batch coverage holds
-            for ph_name, secs in (meta.get("phase_seconds") or {}).items():
-                self.telemetry.add_phase(ph_name, float(secs))
-                self._attempt_phase_folded += float(secs)
-        counters = self.telemetry.counters
-        kind = "warm" if record.warm else "cold"
-        counters.add(f"jobs_{kind}_attempts")
-        if record.worker is not None:
-            counters.add(f"worker{record.worker}.jobs")
-            counters.add(f"worker{record.worker}.{kind}_attempts")
-        for key, n in record.caches.items():
-            counters.add(f"jobs_{key}", n)
+        for ph_name, secs in (meta.get("phase_seconds") or {}).items():
+            self.telemetry.add_phase(ph_name, float(secs))
+            self._attempt_phase_folded += float(secs)
 
     def _charge_jobs_phase(self) -> None:
         """Charge the supervisor's own exclusive time (everything but the

@@ -95,8 +95,8 @@ class JobPool(PoolObservability):
         directory (cleaned up after :meth:`run`) when omitted.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` buffer; job lifecycle
-        events land in it as ``job.*`` marks, plus per-worker warm/cold
-        attempt counters and aggregated kernel/step-cache tallies.
+        events land in it as ``job.*`` marks (the supervisor track of
+        :func:`~repro.telemetry.merge.merge_batch_trace`).
     journal:
         Write-ahead journal every state transition to
         ``<workdir>/journal.jsonl``, fsynced per record (default on; a
@@ -259,7 +259,6 @@ class JobPool(PoolObservability):
         if self.telemetry is not None:
             if job:
                 info = {"job": job, **info}
-            self.telemetry.counters.add(f"jobs_{kind}")
             self.telemetry.event(f"job.{kind}", phase="jobs", **info)
 
     @property
@@ -373,7 +372,7 @@ class JobPool(PoolObservability):
         # peel the span payload off *before* the result goes durable: traces
         # are trace-file material, not result.npz material
         self._attach_trace(record, meta)
-        self._observe_completion(record, meta)
+        self._observe_completion(meta)
         # make the result durable *before* journaling the outcome: the
         # outcome record carries the sealed digest, so a resume trusts
         # result.npz only when its seal holds and matches the journal

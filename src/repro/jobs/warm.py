@@ -11,9 +11,9 @@ A :class:`WarmWorker` is one daemon process preforked per pool slot, sent jobs
 over a private duplex pipe and returning results over the same pipe.  Because
 the process survives from job to job — the amortisation the paper asks for —
 
-* the process-wide fused kernel cache
-  (:func:`repro.ir.pycodegen.kernel_cache_stats`) stays warm — every job
-  after the first binds its sweeps by cache hit instead of compilation;
+* the process-wide bind table (:func:`repro.ir.pycodegen.structural`)
+  stays warm — every job after the first of a structure is served its
+  compiled sweeps instead of compiling them (``kernel_cache_hits``);
 * the lowered step lists (:func:`repro.core.scheduler.lower`, memoised per
   process) are replayed, not recomputed.
 

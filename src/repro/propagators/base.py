@@ -62,7 +62,6 @@ class Propagator:
         dt: Optional[float] = None,
         schedule: Union[Schedule, str, None] = None,
         sparse_mode: str = "auto",
-        reset: bool = True,
         engine: Optional[str] = None,
         checkpoint=None,
         faults=None,
@@ -78,7 +77,8 @@ class Propagator:
         default the head of the ladder; see
         :meth:`repro.ir.operator.Operator.apply`).
         Returns ``(receiver_data, plan)``; wavefields stay on the propagator's
-        :class:`TimeFunction` objects for inspection.
+        :class:`TimeFunction` objects for inspection.  Wavefields and
+        receivers start from zero unless the run resumes (below).
 
         ``cfl`` sets the pre-flight stability policy for an explicit *dt*:
         ``"warn"`` (default) emits a :class:`~repro.errors.StabilityWarning`
@@ -109,7 +109,7 @@ class Propagator:
                 f"source holds {self.source.nt} samples but {nt} steps requested"
             )
         resuming = checkpoint is not None and checkpoint.resume_snapshot() is not None
-        if reset and not resuming:
+        if not resuming:
             self.zero_fields()
             if self.receivers is not None:
                 self.receivers.data[...] = 0.0

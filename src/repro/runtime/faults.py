@@ -221,9 +221,9 @@ def break_engine(engine: str = "fused", exc: Optional[Exception] = None):
     (the interpreter compiles nothing, so it cannot be broken).  Both are
     looked up at call time by the execution layer, so the patch takes effect
     for every sweep bound while the context is active; the block binds
-    against an empty bind table (:func:`repro.ir.pycodegen.structural`), so
-    no rung is served without reaching its compiler, and what it fills is
-    dropped on exit.
+    against an empty bind table (:func:`repro.ir.pycodegen.structural`), the
+    one in-process cache of compiled sweeps, so every bind in it compiles
+    and reaches the broken compiler, and what it fills is dropped on exit.
     """
     from ..ir import cgen, pycodegen
 

@@ -21,10 +21,12 @@ journal by ``python -m repro.jobs.status``:
 * ``view_cache_hits`` / ``view_cache_misses`` — the compiled engines'
   memoised ``(t, box)`` bindings (:class:`~repro.execution.evalbox.BoundSweep`:
   array views under ``fused``, pointer tables under ``c``).
-* ``kernel_cache_hits`` / ``kernel_cache_misses`` — process-wide compiled
-  sweep kernel lookups during operator binding
-  (:func:`repro.ir.pycodegen.kernel_cache_stats`); a warm worker's second
-  job of a family is all hits, which is the whole point of keeping it alive.
+* ``kernel_cache_hits`` / ``kernel_cache_misses`` — compiled sweeps of one
+  bind served by the process-wide bind table
+  (:func:`repro.ir.pycodegen.structural`), or compiled (one per front half,
+  counted even if the C rung then fails to build); a warm worker's second
+  job of a structure is all hits, which is the whole point of keeping it
+  alive.
 * ``c_cache_hits`` / ``c_cache_misses`` — the C rung's shared objects per
   bind: served from this process or the on-disk cache (hit), or compiled
   (miss; the seconds are ``meta["c_compile_s"]``, inside ``precompute``).
@@ -39,18 +41,9 @@ journal by ``python -m repro.jobs.status``:
   and guard activity (:mod:`repro.runtime`).
 * ``engine_fallbacks`` — c→fused→interp ladder transitions during
   binding (:meth:`repro.ir.operator.Operator._build_sweeps`).
-* ``jobs_{kind}`` — one per pool lifecycle event kind
-  (:class:`repro.jobs.pool.JobPool`): ``queued``/``started``/``retried``/
-  ``resumed``/``degraded``/``completed``/``timeout``/
-  ``exhausted``/``quarantined``/``interrupted`` job transitions,
-  ``killed`` chaos kills, ``worker_spawned``/``worker_crashed``/
-  ``worker_retired``/``worker_hung`` daemon lifecycle, plus batch-scoped
-  ``drain`` and ``stream_failed``.
-* ``jobs_warm_attempts`` / ``jobs_cold_attempts`` and
-  ``worker{W}.jobs`` / ``worker{W}.warm_attempts`` — warm/cold attribution
-  of completed attempts per daemon.
 * ``journal_records`` — write-ahead journal appends
-  (:mod:`repro.jobs.journal`): each one is a durable, fsynced state
+  (:mod:`repro.jobs.journal`), the one counter of a job pool's buffer (its
+  lifecycle is the ``job.*`` events): each one is a durable, fsynced state
   transition of the batch (what they cost is the supervisor's ``journal``
   bucket, ``BatchReport.supervisor_seconds``).
 

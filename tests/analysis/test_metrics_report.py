@@ -1,14 +1,10 @@
 """Tests for metrics (flop counting) and report rendering."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import (
-    access_count,
-    arithmetic_intensity,
     eq_flops,
     flop_count,
-    gpoints_per_s,
     render_series,
     render_speedup_bars,
     render_table,
@@ -52,26 +48,6 @@ def test_eq_flops_acoustic_scales_with_order():
         return Eq(u.forward, solve(m * u.dt2 - u.laplace, u.forward))
 
     assert eq_flops(build(8)) > eq_flops(build(4)) > 10
-
-
-def test_access_count():
-    g = Grid(shape=(8, 8, 8))
-    u = TimeFunction("u", g, time_order=2, space_order=4)
-    eq = Eq(u.forward, u.laplace)
-    assert access_count(eq) == 13 + 1  # 13-pt star + the write
-
-
-# -- throughput helpers ------------------------------------------------------------------
-def test_gpoints():
-    assert gpoints_per_s(1e9, 10, 10.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        gpoints_per_s(1, 1, 0)
-
-
-def test_ai():
-    assert arithmetic_intensity(100, 50) == 2.0
-    with pytest.raises(ValueError):
-        arithmetic_intensity(1, 0)
 
 
 # -- report rendering ------------------------------------------------------------------------

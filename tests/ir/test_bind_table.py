@@ -25,7 +25,9 @@ from repro.dsl import Eq, Function, Grid, SparseTimeFunction, TimeFunction, solv
 from repro.errors import EngineFallbackWarning
 from repro.ir import Operator, pycodegen
 from repro.ir.pycodegen import clear_kernel_caches
+from repro.propagators.examples import build_example
 from repro.runtime import break_engine
+from repro.telemetry import Telemetry
 
 from ..conftest import AVAILABLE_ENGINES, make_acoustic_operator
 
@@ -129,6 +131,49 @@ def test_a_rejected_lint_report_degrades_the_next_problem_alike(grid2d, monkeypa
         assert plan.sweeps[0].engine == "interp"
         assert spies["lint"] == expected_lints
     clear_kernel_caches()
+
+
+def _counted(kind, engine=None, shift=None):
+    """``kernel_cache_hits``, ``kernel_cache_misses`` of one wavefront shot."""
+    prop, dt = build_example(kind, nt=NT, shift=shift)
+    tel = Telemetry()
+    prop.forward(nt=NT, dt=dt, schedule="wavefront", engine=engine, telemetry=tel)
+    return tel.counters["kernel_cache_hits"], tel.counters["kernel_cache_misses"]
+
+
+def _broken(rung, kind, engine=None):
+    with break_engine(rung):
+        return _counted(kind, engine)
+
+
+#: case -> (the shots it runs, returning the last one's counters; the
+#: expected counters, given the example's number of sweeps)
+COUNTER_CASES = {
+    "cold bind": (lambda kind: _counted(kind, COMPILED), lambda n: (0, n)),
+    "served by the table": (
+        lambda kind: [_counted(kind, COMPILED, shift) for shift in (None, (0.1, -0.1, 0.05))][-1],
+        lambda n: (n, 0),
+    ),
+    # the C rung compiles each front half, then its build fails
+    "broken c, cold": (lambda kind: _broken("c", kind), lambda n: (0, n + 1)),
+    "broken fused": (lambda kind: _broken("fused", kind, "fused"), lambda n: (0, 0)),
+    "broken c, again": (
+        lambda kind: [_broken("c", kind) for _ in range(2)][-1], lambda n: (0, n + 1),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::repro.errors.EngineFallbackWarning")
+@pytest.mark.parametrize("kind, sweeps", [("acoustic", 1), ("tti", 2), ("elastic", 2)])
+@pytest.mark.parametrize("case", list(COUNTER_CASES))
+def test_kernel_counters_count_what_the_table_did(case, kind, sweeps):
+    """A served bind counts one hit per sweep; a compiled one, one miss per
+    front half — a C sweep whose build then fails included.  A block of
+    ``break_engine`` binds against an empty table, so a second one compiles
+    again."""
+    run, expected = COUNTER_CASES[case]
+    clear_kernel_caches()
+    assert run(kind) == expected(sweeps)
 
 
 def test_a_broken_compiler_is_reached_on_a_warm_table(grid2d):

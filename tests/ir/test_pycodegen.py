@@ -157,20 +157,27 @@ def test_compile_sweep_golden_source(grid1d):
 
 
 def test_rhs_cache_hit_rebinds_fresh_reads(grid1d):
-    """A kernel-cache hit must bind the caller's accesses, not the cached ones.
+    """A bind-table hit must bind the caller's accesses, not the cached ones.
 
-    Indexed equality is structural, so a hit can come from an equation over
-    different (same-named) Function objects; binding the cached accesses
-    would silently point the views at the stale arrays.
+    The table keeps names and offsets, so a hit serves an operator over
+    different (same-named) Function objects; binding the first operator's
+    accesses would silently point the views at its stale arrays.
     """
-    eq, u, _ = _bound_acoustic_eq(grid1d)
-    first = BoundSweep([eq], grid1d, engine="fused")
-    eq2, u2, m2 = _bound_acoustic_eq(grid1d)
-    second = BoundSweep([eq2], grid1d, engine="fused")
-    assert second._kernel is first._kernel  # same structure: one compiled kernel
+    from repro.ir import Operator
+    from repro.ir.pycodegen import clear_kernel_caches
+
+    def bind():
+        eq, u, m = _bound_acoustic_eq(grid1d)
+        m.data = 0.5
+        (sweep,) = Operator([eq]).apply(time_M=1, dt=0.5, engine="fused").sweeps
+        return sweep, u
+
+    clear_kernel_caches()
+    first, u = bind()
+    second, u2 = bind()
+    assert second._kernel is first._kernel  # same structure: served by the table
     funcs = {a.function.name: a.function for a in (*second.reads, *second.writes)}
     assert funcs["u"] is u2 and funcs["u"] is not u
-    m2.data = 0.5
     u2.interior(0)[...] = 1.0
     second.evaluate(0, full_box(grid1d))
     assert u2.interior(1).any() and not u.interior(1).any()
@@ -178,11 +185,12 @@ def test_rhs_cache_hit_rebinds_fresh_reads(grid1d):
 
 @pytest.mark.parametrize("engine", [e for e in AVAILABLE_ENGINES if e != "interp"])
 def test_kernel_cache_does_not_pin_a_dropped_propagators_fields(engine):
-    """The process-wide kernel cache outlives every operator; its keys hold
-    names and offsets, so a dropped propagator's arrays are freed as soon as
-    it is dropped: no ``clear_kernel_caches()``, and no cycle left for
+    """The bind table outlives every operator; its entries hold names and
+    offsets, so a dropped propagator's arrays are freed as soon as it is
+    dropped: no ``clear_kernel_caches()``, and no cycle left for
     ``gc.collect()``."""
-    from repro.ir.pycodegen import clear_kernel_caches, kernel_cache_stats
+    from repro.ir import pycodegen
+    from repro.ir.pycodegen import clear_kernel_caches
     from repro.propagators.examples import build_example
 
     def shot():
@@ -190,9 +198,9 @@ def test_kernel_cache_does_not_pin_a_dropped_propagators_fields(engine):
         prop.forward(nt=4, dt=dt, engine=engine)
         return weakref.ref(prop.u._data), weakref.ref(prop.model.m._data)
 
-    clear_kernel_caches()  # a cold bind: this propagator's sweeps make the keys
+    clear_kernel_caches()  # a cold bind: this propagator's sweeps make the entries
     refs = shot()
-    assert kernel_cache_stats()["sweep_entries"] > 0
+    assert pycodegen._BIND_CACHE
     assert all(ref() is None for ref in refs)
 
 
@@ -241,14 +249,10 @@ def test_fused_sweep_kernel_structure(grid3d):
 
 
 def test_fused_sweep_cache_and_view_cache(grid3d):
-    from repro.ir.pycodegen import kernel_cache_stats
-
+    """A fused sweep memoises the views of each ``(t, box)`` instance per
+    time-buffer period (its compiled kernel is the bind table's to keep)."""
     eq, u, m = _bound_acoustic_eq(grid3d)
     s1 = BoundSweep([eq], grid3d, engine="fused")
-    before = kernel_cache_stats()
-    s2 = BoundSweep([eq], grid3d, engine="fused")
-    assert s2._kernel is s1._kernel
-    assert kernel_cache_stats()["sweep_hits"] == before["sweep_hits"] + 1
 
     rng = np.random.default_rng(5)
     u.interior(0)[...] = rng.normal(size=grid3d.shape).astype(np.float32)
