@@ -95,8 +95,9 @@ def main():
     print()
     print(pipe.report().render())
     code = op.ccode(dt=1.0)
-    start = code.index("/* Listing 5")
-    print("\n--- the compiled grid-aligned injection (Listings 4/5) ---")
+    start = code.index("void sweep0(")
+    print("\n--- the compiled sweep: each pencil ends with the grid-aligned injection"
+          " (Listings 4/5) ---")
     print(code[start:code.index("\n}\n", start) + 2])
 
 

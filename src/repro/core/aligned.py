@@ -9,9 +9,10 @@ affected points *p* of a box, visiting only the compressed non-zero structure
 (the executable analogue of the fused ``z2`` loop of Listing 5).
 
 :class:`AlignedReceiver` gathers the wavefield at the affected points of a
-box into a per-timestep staging vector and reconstructs the off-the-grid
+box into a per-timestep staging row and reconstructs the off-the-grid
 receiver traces with a sparse weight matrix once a timestep's wavefield is
-complete (at time-tile boundaries).
+complete (at time-tile boundaries).  On the C rung both run inside the
+sweep that writes their field (:func:`repro.ir.cgen.emit_sweep`).
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ Box = Tuple[Tuple[int, int], ...]
 
 class _Aligned:
     """What both executors share: the target field (whose buffers must have
-    a flat view, checked here, once), the masks, and *c*, a
-    :class:`repro.ir.cgen.SparseKernels` passed when the plan bound the C
-    engine — it replaces the Python bodies with the compiled Listing-5 loops
-    over ``nnz`` / ``Sp_SID``: same arithmetic, same returned counts."""
+    a flat view, checked here, once), the masks, and *c*, set when the plan
+    bound the C engine: the Listing-5 epilogue of the sweep then replaces
+    the Python body (:meth:`_record`) — same arithmetic, same counts."""
 
-    def __init__(self, decomposed, field: TimeFunction, c):
+    def __init__(self, decomposed, field: TimeFunction, c: bool):
         if field.name != decomposed.field_name:
             raise ValueError(
                 f"decomposition targets field {decomposed.field_name!r}, got {field.name!r}"
@@ -51,23 +51,34 @@ class _Aligned:
     @functools.cached_property
     def _lin(self) -> np.ndarray:
         """One linear index per affected point into the flat view of a padded
-        time buffer, built when a Python body first needs it (the C kernels
-        never do).  A box's slice is gathered per call: memoising that per
+        time buffer, built when a Python body first needs it (the C epilogue
+        never does).  A box's slice is gathered per call: memoising that per
         box costs more resident memory than the gather saves (DESIGN.md §2)."""
         return linear_index(self.masks.points, self.field.halo, self.field.buffer(0))
+
+    def _record(self, rows: np.ndarray, toff: int, nrows: int) -> Optional[list]:
+        """This operator's :data:`repro.ir.cgen.SPARSE_RECORD` (``None``
+        without C tables): at timestep ``t`` its row is ``t + toff`` of
+        *rows*, skipped unless in ``[0, nrows)``."""
+        if not self._c:
+            return None
+        tables = [a.ctypes.data for a in self.masks.c_tables] + [self.masks.max_nnz]
+        return tables + [rows.ctypes.data, rows.strides[0], toff, nrows, rows.shape[0]]
 
 
 class AlignedInjection(_Aligned):
     """Executable grid-aligned injection over boxes."""
 
-    def __init__(self, dsrc: DecomposedSource, field: TimeFunction, c=None):
+    def __init__(self, dsrc: DecomposedSource, field: TimeFunction, c: bool = False):
         super().__init__(dsrc, field, c)
         self.dsrc = dsrc
         self.nt = dsrc.data.shape[0]
         # convert the decomposed amplitudes to the field dtype once -- the hot
         # apply() path previously paid an astype per (t, box) instance
         self._amplitudes = np.ascontiguousarray(dsrc.data, dtype=field.dtype)
-        self._rows = self._amplitudes.ctypes.data, self._amplitudes.strides[0]
+
+    def c_record(self) -> Optional[list]:
+        return self._record(self._amplitudes, 0, self.nt)
 
     def apply(self, t: int, box: Optional[Box] = None) -> int:
         """Add timestep *t*'s decomposed amplitudes into ``field[t + offset]``;
@@ -78,9 +89,6 @@ class AlignedInjection(_Aligned):
         """
         if not 0 <= t < self.nt or self.masks.npts == 0:
             return 0
-        if self._c is not None:
-            base, stride = self._rows
-            return self._c.inject(t + self.time_offset, box, base + t * stride)
         # each affected point appears exactly once: plain fancy add suffices
         if box is None:
             flat = self.field.buffer(t + self.time_offset).reshape(-1)
@@ -102,41 +110,51 @@ class AlignedReceiver(_Aligned):
     """Executable grid-aligned measurement over boxes.
 
     ``gather(t, box)`` stages field values of affected points in the box for
-    timestep ``t + offset``; ``finalize(rows)`` reconstructs the receiver
-    samples for completed timesteps and clears the staging storage.  With *c*
-    both run in C: ``stage[id] = (double)u[p]``, then the weight matrix
-    applied to the staging row.
+    timestep ``t + offset`` into a ring of rows (one per timestep of a time
+    tile, :meth:`reserve`; the boxes gathering one timestep partition the
+    grid, so a slot is rewritten whole before it is read again);
+    ``finalize(t)`` reconstructs that row's receiver samples.  With *c* the
+    C epilogue stages and ``aligned_reconstruct_*`` reconstructs.
     """
 
     def __init__(
-        self, drec: DecomposedReceiver, field: TimeFunction, output: np.ndarray, c=None
+        self, drec: DecomposedReceiver, field: TimeFunction, output: np.ndarray, c: bool = False
     ):
         super().__init__(drec, field, c)
         self.drec = drec
         self.output = output  # (nt, npoint) receiver traces
-        self._staging: Dict[int, np.ndarray] = {}
-        self._stage_addr: Dict[int, int] = {}  # row -> staging address, for C
-        self._reconstruct = c.reconstruction(drec.weights, output) if c is not None else None
+        self._ring = np.zeros((1, max(self.masks.npts, 1)), dtype=np.float64)
+        self._staging: Dict[int, np.ndarray] = {}  # open row -> its ring slot
+        from ..ir.cgen import reconstruction
+
+        self._reconstruct = reconstruction(drec.weights, output) if c else None
+
+    def reserve(self, height: int) -> None:
+        """Stage *height* rows (a time tile's) at once, and one after a
+        finished run: a plan kept alive then holds no staged memory.  A new
+        ring starts with no open row."""
+        if height != self._ring.shape[0]:
+            self._ring = np.zeros((height, self._ring.shape[1]), dtype=np.float64)
+            self._staging = {}
+
+    def _slot(self, row: int) -> np.ndarray:
+        stage = self._staging[row] = self._ring[row % self._ring.shape[0]]
+        return stage
+
+    def c_record(self) -> Optional[list]:
+        return self._record(self._ring, self.time_offset, self.output.shape[0])
 
     def _row(self, t: int) -> Optional[np.ndarray]:
         row = t + self.time_offset
         if not 0 <= row < self.output.shape[0]:
             return None
-        if row not in self._staging:
-            self._staging[row] = np.zeros(max(self.masks.npts, 1), dtype=np.float64)
-            self._stage_addr[row] = self._staging[row].ctypes.data
-        return self._staging[row]
+        return self._slot(row)
 
     def gather(self, t: int, box: Optional[Box] = None) -> int:
         """Stage wavefield values at affected points (optionally box-local);
         returns the number of grid points staged."""
         if self.masks.npts == 0:
             return 0
-        if self._c is not None:
-            if self._row(t) is None:
-                return 0
-            row = t + self.time_offset
-            return self._c.gather(row, box, self._stage_addr[row])
         if box is not None:
             ids = self.masks.points_in_box(box)
             if ids.size == 0:  # nothing of this receiver in the tile
@@ -161,22 +179,25 @@ class AlignedReceiver(_Aligned):
         0.0, the row's entries added in stored order, so the two agree at 0
         ulp."""
         row = t + self.time_offset
-        stage = self._staging.pop(row, None)
-        address = self._stage_addr.pop(row, None)
-        if stage is None:
-            if 0 <= row < self.output.shape[0] and self.masks.npts == 0:
-                self.output[row] = 0.0
+        self._staging.pop(row, None)
+        if not 0 <= row < self.output.shape[0]:
             return
+        if self.masks.npts == 0:
+            self.output[row] = 0.0
+            return
+        stage = self._ring[row % self._ring.shape[0]]
         if self._reconstruct is not None:
-            self._reconstruct(row, address)
+            self._reconstruct(row, stage.ctypes.data)
         else:
-            self.output[row] = self.drec.weights.dot(stage[: max(self.masks.npts, 1)])
+            self.output[row] = self.drec.weights.dot(stage)
 
     def pending_rows(self):
         return sorted(self._staging)
 
     def restore_staging(self, staging: Dict[int, np.ndarray]) -> None:
-        """Reopen a snapshot's staging rows: copies of *staging*, each with
-        its own address for the C kernels."""
-        self._staging = {row: np.array(stage) for row, stage in staging.items()}
-        self._stage_addr = {row: stage.ctypes.data for row, stage in self._staging.items()}
+        """Reopen a snapshot's staging rows in their ring slots."""
+        self._staging = {}
+        if staging:  # a ring in use by a run never shrinks
+            self.reserve(max(self._ring.shape[0], max(staging) - min(staging) + 1))
+        for row, stage in staging.items():
+            self._slot(row)[...] = stage

@@ -18,6 +18,7 @@ along their innermost dimension for the same effect.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -77,6 +78,14 @@ class SourceMasks:
         body is skipped entirely for the ``1 - occupancy`` empty pencils.
         """
         return float(np.count_nonzero(self.nnz)) / float(self.nnz.size)
+
+    @functools.cached_property
+    def c_tables(self) -> tuple:
+        """What the C sweep epilogue reads, C-contiguous: ``nnz``, ``sp_sid``
+        (int32) and ``start`` (int64: the prefix sum of ``nnz``, each pencil's
+        id of slot 0)."""
+        start = np.concatenate(([0], np.cumsum(self.nnz, dtype=np.int64)))
+        return (*(np.ascontiguousarray(a, np.int32) for a in (self.nnz, self.sp_sid)), start)
 
     def memory_bytes(self) -> int:
         """Footprint of the auxiliary structures (scheme overhead accounting)."""

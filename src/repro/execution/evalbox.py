@@ -11,7 +11,7 @@ vectorised arithmetic.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,7 +168,8 @@ class BoundSweep:
       this rung hoists only what C cannot express, emitted as one C loop
       nest (:func:`repro.ir.cgen.sweep_function`) that reads the model
       directly; the memo holds a pointer / stride / extent table instead of
-      views and an instance is one ``ctypes`` call.
+      views and an instance is one ``ctypes`` call, which ends each pencil
+      with the grid-aligned operators *sparse* (:meth:`sparse_table`).
     * ``engine="interp"``: the tree-walking interpreter, equation by
       equation.
 
@@ -177,7 +178,8 @@ class BoundSweep:
     hands in a compiled sweep's front half (kept as :attr:`front`).
     """
 
-    def __init__(self, eqs: Sequence[Eq], grid: Grid, engine: str = "fused", pool=None, front=None):
+    def __init__(self, eqs: Sequence[Eq], grid: Grid, engine: str = "fused", pool=None,
+                 front=None, sparse: Sequence[Tuple[str, int]] = ()):
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.grid = grid
@@ -189,6 +191,7 @@ class BoundSweep:
         # recover from) and is the interpreter's execution vehicle
         self.beqs = [BoundEq(e, grid) for e in self.eqs]
         self._kernel = self._cfunc = None
+        self.sparse = tuple(sparse)
         #: the right-hand sides this sweep evaluates per point (the compiled
         #: engines swap in the hoisted ones below); static costs count these
         executed = [beq.rhs for beq in self.beqs]
@@ -206,7 +209,7 @@ class BoundSweep:
                 self.hoisted_fields = hoisted.fields
                 self._stale_invariants = bool(hoisted.fields)
                 if engine == "c":
-                    self._cfunc = sweep_function(self._kernel.__program__, self.dim_names)
+                    self._cfunc = sweep_function(self._kernel.__program__, self.dim_names, sparse)
                     self._ctab = np.array(self._kernel.__constvals__, dtype=np.float64)
                     self._ctab_addr = self._ctab.ctypes.data
             except EngineCompilationError:
@@ -236,8 +239,24 @@ class BoundSweep:
         self.flops = float(sum(flop_count(r) for r in executed))
         self.accesses = sum(len(r.atoms(Indexed)) + 1 for r in executed)
 
-    def evaluate(self, t: int, box: Box) -> None:
-        """Execute every equation of the sweep on *box* at timestep *t*."""
+    def sparse_table(self, injections: Sequence, receivers: Sequence) -> Optional[np.ndarray]:
+        """The ``sp`` table of one run (:func:`repro.ir.cgen.emit_sweep`; its
+        first two entries count the points injected and gathered), or
+        ``None`` when the operators run per instance instead: not the C rung,
+        or raw off-grid operators."""
+        kinds = [k for k, _ in self.sparse]
+        records = [getattr(op, "c_record", lambda: None)() for op in (*injections, *receivers)]
+        if not (self._cfunc and kinds) or None in records or kinds != (
+            ["inject"] * len(injections) + ["gather"] * len(receivers)
+        ):
+            return None
+        shape = self.grid.shape
+        pencils = [np.prod(shape[i + 1:-1], dtype=np.int64) for i in range(len(shape) - 1)]
+        return np.array([0, 0, shape[-1], *pencils, *sum(records, [])], dtype=np.int64)
+
+    def evaluate(self, t: int, box: Box, sparse: int = 0) -> None:
+        """Execute every equation of the sweep on *box* at timestep *t* (and
+        the C epilogue when *sparse* is a :meth:`sparse_table`'s address)."""
         if self._kernel is None:
             for beq in self.beqs:
                 beq.evaluate(t, box)
@@ -264,7 +283,7 @@ class BoundSweep:
         if self._cfunc is None:
             self._kernel(*bound)
         else:
-            self._cfunc(bound[0], self._ctab_addr)
+            self._cfunc(bound[0], self._ctab_addr, sparse, t)
 
     def _bind_box(self, t: int, box: Box) -> tuple:
         """What one ``(t % period, box)`` instance hands its kernel: scratch
@@ -286,6 +305,7 @@ class BoundSweep:
                 *outs[0].shape,
                 *(a.ctypes.data for a in arrays),
                 *(s for a in arrays for s in a.strides[:-1]),
+                *(lo for lo, _ in box),
             ],
             dtype=np.int64,
         )

@@ -13,7 +13,7 @@ that negative test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..core.scheduler import (
     NO_SPARSE,
@@ -101,8 +101,6 @@ class ExecutionPlan:
             out.extend(lst)
         return out
 
-    def _sparse_for(self, j: int) -> Tuple[list, list]:
-        return self.injections.get(j, []), self.receivers.get(j, [])
 
 
 def run_schedule(
@@ -157,10 +155,12 @@ def _execute(plan, time_m, time_M, schedule, monitor, tel) -> None:
 
     Walks containment units — the time tiles ``[t0, t1)`` of *schedule* — and
     replays the :func:`~repro.core.scheduler.lower` step list of the unit's
-    height: sweep instance, then its sparse operators.  The monitor acts only
-    at unit boundaries: a unit is what ABFT contains — corruption detected at
-    its exit rolls the live slots back to the snapshot taken at its entry and
-    replays just these steps — and injected faults fire at its exit.
+    height: sweep instance, then its sparse operators (on the C rung the
+    grid-aligned ones ride each box, :meth:`BoundSweep.sparse_table`).  The
+    monitor acts only at unit boundaries: a unit is what ABFT contains —
+    corruption detected at its exit rolls the live slots back to the snapshot
+    taken at its entry and replays just these steps — and injected faults
+    fire at its exit.
     Snapshots are taken at unit boundaries and resume points are unit
     boundaries of the original run, so a resumed tiling stays congruent.
 
@@ -188,6 +188,10 @@ def _execute(plan, time_m, time_M, schedule, monitor, tel) -> None:
             f"sweep{j}:{sw.beqs[0].lhs.function.name}" for j, sw in enumerate(plan.sweeps)
         ]
     pre_s = st_s = inj_s = rec_s = mon_s = 0.0
+    all_receivers = plan.all_receivers()
+    rings = [rec for rec in all_receivers if hasattr(rec, "reserve")]  # aligned receivers
+    for rec in rings:  # stage a time tile's rows at once
+        rec.reserve(schedule.height)
     if monitor is not None:
         time_m = monitor.begin(plan, time_m, time_M)
         if timed:
@@ -199,8 +203,10 @@ def _execute(plan, time_m, time_M, schedule, monitor, tel) -> None:
     points = [0] * nsweeps
     inj_points = rec_points = rec_rows = hits = misses = 0
     sweeps = plan.sweeps
-    sparse = [plan._sparse_for(j) for j in range(nsweeps)]
-    all_receivers = plan.all_receivers()
+    sparse = [(plan.injections.get(j, []), plan.receivers.get(j, [])) for j in range(nsweeps)]
+    tables = [sw.sparse_table(*ops) for sw, ops in zip(sweeps, sparse)]  # rings are final now
+    epilogue = [0 if tb is None else tb.ctypes.data for tb in tables]
+    sparse = [([], []) if tb is not None else ops for tb, ops in zip(tables, sparse)]
     shape = tuple(plan.grid.shape)
     radii = tuple(plan.radii)
     for t0, t1 in time_tiles(time_m, time_M, schedule.height):
@@ -229,7 +235,7 @@ def _execute(plan, time_m, time_M, schedule, monitor, tel) -> None:
                 for dt, j, box, sparse_box, tile, npoints in steps:
                     t = t0 + dt
                     inst_start = last
-                    sweeps[j].evaluate(t, box)
+                    sweeps[j].evaluate(t, box, epilogue[j])
                     if timed:
                         instances[j] += 1
                         points[j] += npoints
@@ -283,6 +289,8 @@ def _execute(plan, time_m, time_M, schedule, monitor, tel) -> None:
         if timed:
             tel.end(uspan)
             last = uspan.end
+    for rec in rings:  # every row is reconstructed: the staged memory goes
+        rec.reserve(1)
     if timed:
         for phase, seconds in (
             ("precompute", pre_s), ("stencil", st_s), ("injection", inj_s),
@@ -300,7 +308,8 @@ def _execute(plan, time_m, time_M, schedule, monitor, tel) -> None:
         for j in range(nsweeps):
             c.add(f"sweep{j}.instances", instances[j])
             c.add(f"sweep{j}.points", points[j])
-        c.add("src_points_injected", inj_points)
-        c.add("rec_points_gathered", rec_points)
+        fused = [tb for tb in tables if tb is not None]
+        c.add("src_points_injected", inj_points + sum(int(tb[0]) for tb in fused))
+        c.add("rec_points_gathered", rec_points + sum(int(tb[1]) for tb in fused))
         c.add("rec_rows_finalized", rec_rows)
         tel.end(rspan)

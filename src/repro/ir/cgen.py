@@ -8,10 +8,11 @@ the leading dimensions, one row pointer per operand, the innermost loop
 vectorised, scratch slots as scalar locals.  There is no second front end:
 the lint, the dtype audit and the liveness check read the very program this
 emitter consumes.
-:data:`SPARSE_SOURCE` holds the static (not generated) Listing-5 kernels of
-the grid-aligned injection and receiver gather — the id of slot ``z2`` of
-pencil ``p`` is ``start[p] + z2``: an affected point's id is its row —
-and the receivers' reconstruction, the operations of SciPy's ``csr_matvec``.
+Each pencil ends with the Listing-5 body of the grid-aligned injections and
+receivers attached to the sweep — fused at the ``z`` level as Listing 4
+does; the id of slot ``z2`` of pencil ``p`` is ``start[p] + z2``: an
+affected point's id is its row.  :data:`SPARSE_SOURCE` holds the static
+receiver reconstruction, the operations of SciPy's ``csr_matvec``.
 
 **FP contract.**  C and the fused NumPy kernel agree at 0 ulp because only
 IEEE correctly-rounded operations are eligible (:data:`ELIGIBLE_OPS`, operand
@@ -28,13 +29,13 @@ model of a physics x space order x dtype x rank.
 instance independent, so the leading loops sit under one ``omp parallel for``
 (Listing 6: threads share a ``(tile, t)`` instance) and every point is still
 computed by the same statement sequence: a team of N equals a team of one at
-0 ulp.  The sparse kernels thread their pencil walk (their receiver rows)
-the same way: every affected point (trace sample) is written by exactly one
-iteration, and the point counts are an integer ``reduction``.  There is no
+0 ulp.  The sparse epilogue rides the same loop: it touches only its
+pencil's points and ids, which no other pencil of the sweep reads (radius 0
+again), and its point counts are an integer ``reduction``.  There is no
 thread option: the team is the OpenMP runtime's default (the CPUs this
-process may run on), boxes under :data:`PARALLEL_MIN_POINTS` points (under
-:data:`SPARSE_PARALLEL_MIN` ids) stay on the caller, and a forked child runs
-teams of one (:func:`_after_fork_in_child`).
+process may run on), boxes under :data:`PARALLEL_MIN_POINTS` points
+(matrices under :data:`SPARSE_PARALLEL_MIN` entries) stay on the caller,
+and a forked child runs teams of one (:func:`_after_fork_in_child`).
 
 **Cache.**  :func:`build` keeps one shared object per ``sha256(source, flags,
 compiler identity, host ISA flags)`` under ``${XDG_CACHE_HOME:-~/.cache}/
@@ -82,7 +83,7 @@ __all__ = [
     "emit_sweep",
     "sweep_function",
     "team_size",
-    "SparseKernels",
+    "reconstruction",
     "build",
     "cache_dirs",
     "clear_disk_cache",
@@ -98,10 +99,8 @@ FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fopenmp", "-shared", "-f
 #: instance; at 2 304 (4x4x144) they first win, 6.0 -> 5.5 us
 PARALLEL_MIN_POINTS = 2048
 
-#: the sparse kernels' ``if`` clause: a box whose pencils span fewer ids (a
-#: matrix with fewer entries) runs on the calling thread alone.  Measured
-#: like :data:`PARALLEL_MIN_POINTS`: two threads lose at 1 420 ids, first win
-#: at 1 896; the reconstruction first wins at 2 048 entries (DESIGN.md §2)
+#: the reconstruction's ``if`` clause: a weight matrix with fewer entries runs
+#: on the calling thread alone; two threads first win at 2 048 (DESIGN.md §2)
 SPARSE_PARALLEL_MIN = 2048
 
 #: instruction -> C operator (``None``: spelled out in :func:`emit_sweep`)
@@ -171,14 +170,55 @@ def team_size(dims: Sequence[str]) -> int:
 # -- emission ----------------------------------------------------------------------
 
 
-def emit_sweep(program: TAProgram, dims: Sequence[str], name: str = "sweep") -> str:
-    """The C function of one sweep over a ``len(dims)``-dimensional box.
+#: one attached operator's record in a sweep's ``sp`` table (:func:`emit_sweep`)
+SPARSE_RECORD = ("nnz", "sid", "start", "max_nnz", "base", "stride", "toff", "nrows", "ring")
+
+#: Listing 5 for pencil ``p``, per operator: slot ``z2`` is the point of id
+#: ``start[p] + z2`` at ``z = Sp_SID[p][z2]``; ``ivdep`` is sound because
+#: ``Sp_SID`` ascends strictly in a pencil (``runtime.preflight.check_masks``)
+_EPILOGUE = """\
+if (row{o}) {{  /* {what} {out} */
+  const int32_t n = ((const int32_t *)(intptr_t)r{o}[0])[p];
+  const int32_t *const zs = (const int32_t *)(intptr_t)r{o}[1] + p * r{o}[3];
+  {data} = row{o} + ((const int64_t *)(intptr_t)r{o}[2])[p];
+  if (zfull) {{
+    {count} += n;
+#pragma GCC ivdep
+    for (int32_t z2 = 0; z2 < n; ++z2)
+      {body}
+  }} else
+    for (int32_t z2 = 0; z2 < n; ++z2) {{
+      const int64_t {z} = zs[z2] - lo_{z};
+      if ({z} < 0 || {z} >= n{z}) continue;
+      {checked}
+      ++{count};
+    }}
+}}"""
+
+
+def emit_sweep(
+    program: TAProgram, dims: Sequence[str], name: str = "sweep",
+    sparse: Sequence[Tuple[str, int]] = (),
+) -> str:
+    """The C function ``name(tab, ctab, sp, t)`` of one sweep over a
+    ``len(dims)``-dimensional box.
 
     ``tab`` holds the box extents, then one base pointer per operand (outs,
     then views) at the box origin, then each operand's byte strides over the
     leading dimensions (the innermost is contiguous, checked where the table
-    is built); ``ctab`` holds the program's constants as doubles (exact for a
-    float32 constant)."""
+    is built), then the box origin; ``ctab`` holds the program's constants as
+    doubles (exact for a float32 constant).
+
+    *sparse* lists the grid-aligned operators attached to the sweep, as
+    ``("inject" | "gather", index of the out operand they touch)``,
+    injections first.  Their Listing-5 bodies run in each pencil's
+    epilogue, after its ``z`` loop, unless ``sp`` is ``NULL``.  ``sp`` holds
+    the injected and gathered counts (the kernel adds to them), the grid's
+    innermost extent, the masks' pencil strides, then a
+    :data:`SPARSE_RECORD` per operator: its ``nnz`` / ``Sp_SID`` / ``start``
+    tables, then where its row for timestep ``t`` lives — row ``t + toff``,
+    skipped unless in ``[0, nrows)``, at ``base + (row % ring) * stride``
+    (``src_dcmp`` rows, or the receiver's staging ring)."""
     for ins in program.instrs:
         nargs = 2 if ELIGIBLE_OPS.get(ins.op) else 1
         if (
@@ -198,16 +238,46 @@ def emit_sweep(program: TAProgram, dims: Sequence[str], name: str = "sweep") -> 
         (n, dt, "const ") for n, dt in program.views
     ]
     lines = [
-        f"void {name}(const int64_t *tab, const double *ctab)",
+        f"void {name}(const int64_t *tab, const double *ctab, int64_t *sp, int64_t t)",
         "{",
         "  const int64_t " + ", ".join(f"n{d} = tab[{i}]" for i, d in enumerate(dims)) + ";",
     ]
     for i, (cname, dt) in enumerate(program.consts):
         lines.append(f"  const {_CTYPE[dt]} {cname} = ({_CTYPE[dt]})ctab[{i}];")
+    epilogue = []
+    if sparse:
+        lo = nd + len(operands) * (1 + nouter)
+        lines += [
+            "  const int64_t " + ", ".join(f"lo_{d} = tab[{lo + i}]" for i, d in enumerate(dims))
+            + ";",
+            f"  const int zfull = sp && lo_{inner} == 0 && n{inner} == sp[2];",
+            "  int64_t injected = 0, gathered = 0;",
+        ]
+        strides = [f"(lo_{d} + {d}) * sp[{3 + i}]" for i, d in enumerate(outer)]
+        epilogue = ["if (sp) {", f"  const int64_t p = {' + '.join(strides) or '0'};"]
+        for o, (kind, k) in enumerate(sparse):
+            out, real, inj = program.outs[k][0], _CTYPE[program.outs[k][1]], kind == "inject"
+            ctype = real if inj else "double"
+            data = f"const {real} *const vals" if inj else "double *const stage"
+            stmt = out + "[{z}] += vals[z2];" if inj else "stage[z2] = (double)" + out + "[{z}];"
+            row, rec = f"(t + r{o}[6])", 3 + nouter + o * len(SPARSE_RECORD)
+            lines += [
+                f"  const int64_t *const r{o} = sp ? sp + {rec} : 0;",
+                f"  {ctype} *const row{o} = r{o} && {row} >= 0 && {row} < r{o}[7] ? "
+                f"({ctype} *)(intptr_t)(r{o}[4] + {row} % r{o}[8] * r{o}[5]) : 0;",
+            ]
+            text = _EPILOGUE.format(
+                o=o, out=out, z=inner, data=data, body=stmt.format(z="zs[z2]"),
+                checked=stmt.format(z=inner), what="injection into" if inj else "gather of",
+                count="injected" if inj else "gathered",
+            )
+            epilogue += ["  " + line if line[0] != "#" else line for line in text.split("\n")]
+        epilogue.append("}")
     pad = "  "
     if outer:
+        reduction = " reduction(+:injected, gathered)" if sparse else ""
         lines.append(
-            f"#pragma omp parallel for collapse({nouter}) schedule(static) "
+            f"#pragma omp parallel for collapse({nouter}) schedule(static){reduction} "
             f"if({' * '.join('n' + d for d in dims)} >= {PARALLEL_MIN_POINTS})"
         )
     for d in outer:
@@ -239,75 +309,17 @@ def emit_sweep(program: TAProgram, dims: Sequence[str], name: str = "sweep") -> 
         else:
             rhs = f"{args[0]} {ELIGIBLE_OPS[ins.op]} {args[1]}"
         lines.append(f"{body}{ref(ins.out)} = {rhs};")
-    for depth in range(nouter + 1, 0, -1):
+    lines.append(f"{pad}}}")
+    lines += [line if line[0] == "#" else pad + line for line in epilogue]
+    for depth in range(nouter, 0, -1):
         lines.append("  " * depth + "}")
+    if sparse:
+        lines.append("  if (sp) sp[0] += injected, sp[1] += gathered;")
     lines.append("}")
     return "#include <stdint.h>\n#include <math.h>\n\n" + "\n".join(lines) + "\n"
 
 
-_SPARSE_HEADER = """#include <stdint.h>
-
-#define SPARSE_PARALLEL_MIN MIN_IDS
-
-typedef struct {
-  const int32_t *nnz, *Sp_SID; /* nnz[x][y], Sp_SID[x][y][z2] */
-  const int64_t *start;        /* nnz[0] + ... + nnz[p - 1]: id of slot 0 of pencil p */
-  int64_t ny, max_nnz;         /* mask extents */
-  int64_t sx, sy;              /* field byte strides; z is contiguous */
-} masks_t;
-
-/* how many ids the pencils of box = {x0, x1, y0, y1, z0, z1} span, one
-   row of pencils at a time: the work measure of the if clauses below */
-static int64_t id_span(const masks_t *m, const int64_t *box)
-{
-  int64_t ids = 0;
-  for (int64_t x = box[0]; x < box[1]; ++x)
-    ids += m->start[x * m->ny + box[3]] - m->start[x * m->ny + box[2]];
-  return ids;
-}
-"""
-
 _SPARSE_TEMPLATE = """
-/* Listing 5: u[t+k][x][y][zind] += src_dcmp[t][id] over the affected points
-   of box; ids follow the sorted key order, so slot z2 of pencil p is id
-   start[p] + z2.  Returns how many points it touched */
-int64_t aligned_inject_SFX(const masks_t *m, const int64_t *box, char *u, const REAL *src_dcmp_t)
-{
-  int64_t count = 0;
-#pragma omp parallel for collapse(2) schedule(static) reduction(+:count) if(id_span(m, box) >= SPARSE_PARALLEL_MIN)
-  for (int64_t x = box[0]; x < box[1]; ++x)
-    for (int64_t y = box[2]; y < box[3]; ++y) {
-      const int64_t p = x * m->ny + y;
-      REAL *const row = (REAL *)(u + x * m->sx + y * m->sy);
-      for (int32_t z2 = 0; z2 < m->nnz[p]; ++z2) {
-        const int64_t zind = m->Sp_SID[p * m->max_nnz + z2];
-        if (zind < box[4] || zind >= box[5]) continue;
-        row[zind] += src_dcmp_t[m->start[p] + z2];
-        ++count;
-      }
-    }
-  return count;
-}
-
-/* the receiver side: stage[id] = u[t+k][x][y][zind] */
-int64_t aligned_gather_SFX(const masks_t *m, const int64_t *box, const char *u, double *stage)
-{
-  int64_t count = 0;
-#pragma omp parallel for collapse(2) schedule(static) reduction(+:count) if(id_span(m, box) >= SPARSE_PARALLEL_MIN)
-  for (int64_t x = box[0]; x < box[1]; ++x)
-    for (int64_t y = box[2]; y < box[3]; ++y) {
-      const int64_t p = x * m->ny + y;
-      const REAL *const row = (const REAL *)(u + x * m->sx + y * m->sy);
-      for (int32_t z2 = 0; z2 < m->nnz[p]; ++z2) {
-        const int64_t zind = m->Sp_SID[p * m->max_nnz + z2];
-        if (zind < box[4] || zind >= box[5]) continue;
-        stage[m->start[p] + z2] = (double)row[zind];
-        ++count;
-      }
-    }
-  return count;
-}
-
 /* receiver traces: out[r] = (REAL) sum of w[k] * stage[col[k]] over the CSR
    entries of row r in stored order, from 0.0 in double -- the operations of
    SciPy's csr_matvec, then one cast */
@@ -324,11 +336,13 @@ void aligned_reconstruct_SFX(int64_t nrows, const int32_t *indptr, const int32_t
 }
 """
 
-#: the static sparse unit: grid-aligned injection and gather over the pencils
-#: of a box, per field dtype, and receiver reconstruction, per trace dtype.
-#: Grids of rank < 3 pad leading extents to 1.
-SPARSE_SOURCE = _SPARSE_HEADER.replace("MIN_IDS", str(SPARSE_PARALLEL_MIN)) + "".join(
-    _SPARSE_TEMPLATE.replace("REAL", ctype).replace("SFX", dt) for dt, ctype in _CTYPE.items()
+#: the static sparse unit: the receivers' reconstruction, per trace dtype
+#: (injection and gather run in the sweeps' epilogues, :func:`emit_sweep`)
+SPARSE_SOURCE = (
+    f"#include <stdint.h>\n\n#define SPARSE_PARALLEL_MIN {SPARSE_PARALLEL_MIN}\n"
+    + "".join(
+        _SPARSE_TEMPLATE.replace("REAL", ctype).replace("SFX", dt) for dt, ctype in _CTYPE.items()
+    )
 )
 
 
@@ -463,111 +477,35 @@ def build(source: str) -> ctypes.CDLL:
     return lib
 
 
-def sweep_function(program: TAProgram, dims: Sequence[str]):
-    """``fn(tab_address, ctab_address)`` for *program* (see :func:`emit_sweep`)."""
-    fn = build(emit_sweep(program, dims)).sweep
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p)
+def sweep_function(program: TAProgram, dims: Sequence[str], sparse=()):
+    """``fn(tab_address, ctab_address, sp_address, t)`` for *program* (see
+    :func:`emit_sweep`)."""
+    fn = build(emit_sweep(program, dims, sparse=sparse)).sweep
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
     fn.restype = None
     return fn
 
 
-class _Masks(ctypes.Structure):
-    _fields_ = [(n, ctypes.c_void_p) for n in ("nnz", "Sp_SID", "start")] + [
-        (n, ctypes.c_int64) for n in ("ny", "max_nnz", "sx", "sy")
-    ]
+def reconstruction(weights, output: np.ndarray):
+    """``fn(row, stage_address)`` setting ``output[row] = weights @ stage``
+    with the operations of ``weights.dot(stage)`` (0 ulp apart), or ``None``
+    when *weights* is not an int32-indexed float64 CSR matrix or *output* not
+    a C-contiguous float32/float64 ``(nt, nrows)`` array.  Both are read in
+    place: the caller keeps them alive."""
+    w = weights
+    parts = (w.indptr, w.indices, w.data) if w.format == "csr" else ()
+    if not (
+        parts and w.indptr.dtype == w.indices.dtype == np.int32 and w.data.dtype == np.float64
+        and all(a.flags.c_contiguous for a in parts + (output,))
+        and output.dtype.name in _CTYPE and output.shape[1:] == w.shape[:1]
+    ):
+        return None
+    fn = getattr(build(SPARSE_SOURCE), f"aligned_reconstruct_{output.dtype.name}")
+    fn.argtypes, fn.restype = (ctypes.c_int64,) + (ctypes.c_void_p,) * 5, None
+    args = (w.shape[0], *(a.ctypes.data for a in parts))
+    base, stride = output.ctypes.data, output.strides[0]
 
+    def reconstruct(row: int, stage_address: int) -> None:
+        fn(*args, stage_address, base + row * stride)
 
-class SparseKernels:
-    """The static sparse unit bound to one ``(masks, field)`` pair:
-    ``inject(t_buffer, box, src_dcmp_row_address)`` and
-    ``gather(t_buffer, box, stage_address)`` run Listing 5 over *box* (a
-    tuple of ``(lo, hi)`` per dimension, ``None`` = the whole grid) and
-    return the number of affected points visited; :meth:`reconstruction`
-    binds a receiver weight matrix.  The kernels read the id of slot ``z2``
-    of pencil ``p`` as ``start[p] + z2``, ``start`` being the prefix sum of
-    ``nnz`` built here once (ids follow the sorted key order, which
-    ``runtime.preflight.check_masks`` enforces)."""
-
-    def __init__(self, masks, field):
-        buf = field.buffer(0)
-        ndim = buf.ndim
-        if ndim > 3 or field.dtype.name not in _CTYPE or buf.strides[-1] != buf.itemsize:
-            raise _fail("ineligible:sparse", f"field {field.name!r}: rank {ndim} {field.dtype}")
-        lib = build(SPARSE_SOURCE)
-        self._inject = getattr(lib, f"aligned_inject_{field.dtype.name}")
-        self._gather = getattr(lib, f"aligned_gather_{field.dtype.name}")
-        for fn in (self._inject, self._gather):
-            fn.argtypes = (ctypes.c_void_p,) * 4
-            fn.restype = ctypes.c_int64
-        self._reconstruct = {dt: getattr(lib, f"aligned_reconstruct_{dt}") for dt in _CTYPE}
-        for fn in self._reconstruct.values():
-            fn.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 5
-            fn.restype = None
-        # the tables are read through raw pointers: keep them alive here
-        nnz = np.ascontiguousarray(masks.nnz, dtype=np.int32)
-        start = np.zeros(nnz.size + 1, dtype=np.int64)
-        np.cumsum(nnz.reshape(-1), out=start[1:])
-        self._tables = (nnz, np.ascontiguousarray(masks.sp_sid, dtype=np.int32), start)
-        shape = (1,) * (3 - ndim) + tuple(masks.grid.shape)
-        strides = (0,) * (3 - ndim) + buf.strides
-        self._masks = _Masks(
-            *(a.ctypes.data for a in self._tables),
-            shape[1], masks.max_nnz, strides[0], strides[1],
-        )
-        self._maddr = ctypes.addressof(self._masks)
-        # interior origin of each time buffer: Function storage is written in
-        # place, never reallocated, so the addresses hold across applies
-        self._field = field
-        origin = field.halo * sum(buf.strides)
-        self._origins = [
-            field.buffer(k).ctypes.data + origin for k in range(field.buffers)
-        ]
-        self._full = tuple((0, n) for n in masks.grid.shape)
-        #: box -> [address of its int64[6], affected points inside (``None``
-        #: until a kernel has counted them), the array itself]
-        self._boxes: Dict[Tuple, list] = {}
-
-    def _run(self, kernel, t: int, box, data_address: int) -> int:
-        entry = self._boxes.get(box)
-        if entry is None:
-            flat = [v for pair in ((0, 1),) * (3 - len(self._full)) + (box or self._full)
-                    for v in pair]
-            arr = (ctypes.c_int64 * 6)(*flat)
-            if len(self._boxes) >= 4096:
-                self._boxes.clear()
-            entry = self._boxes[box] = [ctypes.addressof(arr), None, arr]
-        if entry[1] == 0:  # most tiles hold no point: skip the pencil walk
-            return 0
-        entry[1] = kernel(
-            self._maddr, entry[0], self._origins[t % len(self._origins)], data_address
-        )
-        return entry[1]
-
-    def inject(self, t: int, box, row_address: int) -> int:
-        return self._run(self._inject, t, box, row_address)
-
-    def gather(self, t: int, box, stage_address: int) -> int:
-        return self._run(self._gather, t, box, stage_address)
-
-    def reconstruction(self, weights, output: np.ndarray):
-        """``fn(row, stage_address)`` setting ``output[row] = weights @ stage``
-        with the operations of ``weights.dot(stage)`` (0 ulp apart), or
-        ``None`` when *weights* is not an int32-indexed float64 CSR matrix or
-        *output* not a C-contiguous float32/float64 ``(nt, nrows)`` array.
-        Both are read in place: the caller keeps them alive."""
-        w = weights
-        parts = (w.indptr, w.indices, w.data) if w.format == "csr" else ()
-        if not (
-            parts and w.indptr.dtype == w.indices.dtype == np.int32 and w.data.dtype == np.float64
-            and all(a.flags.c_contiguous for a in parts + (output,))
-            and output.dtype.name in _CTYPE and output.shape[1:] == w.shape[:1]
-        ):
-            return None
-        fn = self._reconstruct[output.dtype.name]
-        args = (w.shape[0], *(a.ctypes.data for a in parts))
-        base, stride = output.ctypes.data, output.strides[0]
-
-        def reconstruct(row: int, stage_address: int) -> None:
-            fn(*args, stage_address, base + row * stride)
-
-        return reconstruct
+    return reconstruct

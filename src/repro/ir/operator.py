@@ -115,7 +115,6 @@ class Operator:
         # unlike an id() it cannot be recycled while cached
         self._mask_cache: Dict[object, object] = {}
         self._decomp_cache: Dict[tuple, object] = {}
-        self._c_sparse_cache: Dict[SparseOp, object] = {}
         # and the bound sweeps, which hold its views and pointer tables
         # (buffers are rewritten in place, so they stay valid across
         # applies), keyed by the *requested* engine too: engine="fused" after
@@ -274,33 +273,24 @@ class Operator:
                 cache[key] = decompose_receiver(sparse_op, masks=masks)
         return cache[key]
 
-    def _c_sparse(self, sparse_op: SparseOp):
-        """The C sparse kernels bound to *sparse_op*'s masks and field, or
-        ``None`` (the bit-identical Python bodies) when they cannot be had —
-        after a C sweep bind that only happens if the cache or the compiler
-        went away in between."""
-        from .cgen import SparseKernels
-
-        cache = self._c_sparse_cache
-        if sparse_op not in cache:
-            try:
-                cache[sparse_op] = SparseKernels(
-                    self._masks_for(sparse_op.sparse), sparse_op.field
-                )
-            except EngineCompilationError:
-                return None
-        return cache[sparse_op]
-
     def _aligned_injection(self, inj: Injection, dt: float, c: bool = False) -> AlignedInjection:
-        return AlignedInjection(
-            self._decomposed(inj, dt), inj.field, self._c_sparse(inj) if c else None
-        )
+        return AlignedInjection(self._decomposed(inj, dt), inj.field, c)
 
     def _aligned_receiver(self, itp: Interpolation, c: bool = False) -> AlignedReceiver:
-        return AlignedReceiver(
-            self._decomposed(itp, 0.0), itp.field, itp.sparse.data,
-            self._c_sparse(itp) if c else None,
-        )
+        return AlignedReceiver(self._decomposed(itp, 0.0), itp.field, itp.sparse.data, c)
+
+    def _epilogues(self, sweep_eqs) -> List[tuple]:
+        """Per sweep of *sweep_eqs*, the grid-aligned operators its C function
+        fuses: ``(kind, index of the write they touch)``, injections then
+        receivers, in the order :meth:`_bind` attaches them."""
+        spec: List[list] = [[] for _ in sweep_eqs]
+        for kind, ops in (("inject", self.injections()), ("gather", self.interpolations())):
+            for s in ops:
+                j = self._sweep_index_for(s.field.name, s.time_offset)
+                writes = [(e.lhs.function.name, e.lhs.offset_map().get("t", 0))
+                          for e in sweep_eqs[j]]
+                spec[j].append((kind, writes.index((s.field.name, s.time_offset))))
+        return [tuple(ops) for ops in spec]
 
     # -- binding ------------------------------------------------------------------
     def bound_equations(self, dt: float) -> List[List[Eq]]:
@@ -340,6 +330,7 @@ class Operator:
         each front half compiled as a ``kernel_cache_misses`` and each one
         the table served as a ``kernel_cache_hits``."""
         sweep_eqs = self.bound_equations(dt)
+        epilogues = self._epilogues(sweep_eqs)
         rungs = ENGINES[ENGINES.index(engine):]
         for i, eng in enumerate(rungs):
             try:
@@ -350,12 +341,12 @@ class Operator:
                 def compile_and_lint():
                     from ..verify.linter import lint_bound_sweeps
 
-                    for eqs in sweep_eqs:
+                    for eqs, sparse in zip(sweep_eqs, epilogues):
                         # validated first: an unbound symbol raises raw
                         front = compile_front_half([BoundEq(e, self.grid) for e in eqs], eng)
                         if telemetry is not None:  # a miss, even if C then fails to build
                             telemetry.counters.add("kernel_cache_misses")
-                        bound.append(BoundSweep(eqs, self.grid, eng, self._pool, front))
+                        bound.append(BoundSweep(eqs, self.grid, eng, self._pool, front, sparse))
                     report = self._analysed(lint_bound_sweeps, bound, name=self.name)
                     return [_pack_front(sw.front) for sw in bound], report
 
@@ -382,8 +373,8 @@ class Operator:
                         telemetry.counters.add("kernel_cache_hits", len(fronts))
                     fns = self._functions
                     bound = [
-                        BoundSweep(eqs, self.grid, eng, self._pool, _unpack_front(f, fns))
-                        for eqs, f in zip(sweep_eqs, fronts)
+                        BoundSweep(eqs, self.grid, eng, self._pool, _unpack_front(f, fns), sparse)
+                        for eqs, f, sparse in zip(sweep_eqs, fronts, epilogues)
                     ]
                 return eng, bound
             except EngineCompilationError as exc:
@@ -646,10 +637,11 @@ class Operator:
     # -- code generation ------------------------------------------------------------
     def ccode(self, dt: float = 1.0) -> str:
         """The C translation unit the ``"c"`` engine runs at timestep *dt*:
-        one function per sweep (the paper's stencil nest, Listings 1/4) and,
-        for an operator with sparse operators, the static grid-aligned
-        injection / gather kernels (Listing 5, threaded over pencils) and
-        the receiver reconstruction.  The time and tile loops of
+        one function per sweep (the paper's stencil nest, Listings 1/4, each
+        pencil ending with the Listing-5 injection and gather of the
+        grid-aligned operators attached to the sweep) and, for an operator
+        with sparse operators, the static receiver reconstruction.  The time
+        and tile loops of
         Listing 6 are :func:`repro.core.scheduler.lower`'s step list.  Emitted
         from the C rung's own front half, so no compiler is needed.  Raises
         :class:`~repro.errors.EngineCompilationError` for a sweep the C rung
@@ -657,13 +649,14 @@ class Operator:
         from .cgen import SPARSE_SOURCE, emit_sweep
 
         dims = [d.name for d in self.grid.dimensions]
+        sweep_eqs = self.bound_equations(dt)
         units = [
             f"/* {self.name}: sweep {j} of {len(self.sweeps)} */\n"
-            + emit_sweep(compile_front_half(eqs, "c")[2].__program__, dims, name=f"sweep{j}")
-            for j, eqs in enumerate(self.bound_equations(dt))
+            + emit_sweep(compile_front_half(eqs, "c")[2].__program__, dims, f"sweep{j}", sparse)
+            for j, (eqs, sparse) in enumerate(zip(sweep_eqs, self._epilogues(sweep_eqs)))
         ]
         if self.sparse_ops:
-            units.append(f"/* {self.name}: grid-aligned sparse operators */\n" + SPARSE_SOURCE)
+            units.append(f"/* {self.name}: receiver reconstruction */\n" + SPARSE_SOURCE)
         return "\n".join(units)
 
     def __repr__(self) -> str:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 from typing import List, Optional
@@ -36,23 +37,27 @@ from .transitions import fold
 __all__ = ["journal_stats", "render_status", "main"]
 
 
-def _supervised_seconds(records: List[dict]) -> float:
+def _supervised_seconds(records: List[dict], now: float) -> float:
     """Seconds the batch was under supervision: the sum of each supervisor's
     span, from its ``batch`` or ``resume`` record to the latest record
     before the next ``resume`` — the downtime before a resume counts for
-    nothing."""
+    nothing — and, while the batch is open (no ``batch_end``), the last
+    supervisor's span runs to *now*."""
     spans: List[List[float]] = []  # [start, latest] per supervisor
     for rec in records:
         if not spans or rec["kind"] == "resume":
             spans.append([rec["ts"], rec["ts"]])
         else:
             spans[-1][1] = max(spans[-1][1], rec["ts"])
+    if records[-1]["kind"] != "batch_end":
+        spans[-1][1] = max(spans[-1][1], now)
     return sum(latest - start for start, latest in spans)
 
 
-def journal_stats(batch_dir) -> Optional[dict]:
+def journal_stats(batch_dir, clock=time.time) -> Optional[dict]:
     """Every number of the status view, from the journal of *batch_dir*;
-    None when there is no journal with a verified record."""
+    None when there is no journal with a verified record.  An open batch is
+    supervised until *clock* (wall time, the journal's ``ts`` clock)."""
     try:
         replay = load_journal(Path(batch_dir) / JOURNAL_NAME)
     except JournalCorruptError:  # missing or unreadable
@@ -75,7 +80,7 @@ def journal_stats(batch_dir) -> Optional[dict]:
     points = sum(r.get("points_updated", 0) for r in done)
     stencil_s = sum(r.get("stencil_s", 0.0) for r in done)
     sdc = replay.for_kind("sdc")
-    supervised = _supervised_seconds(records)
+    supervised = _supervised_seconds(records, clock())
     return {
         "batch_id": Path(batch_dir).resolve().name,
         "records": len(records),

@@ -274,7 +274,7 @@ class _ShadowSweep:
             ]
             self.steps.append((reads, w))
 
-    def evaluate(self, t: int, box: Box) -> None:
+    def evaluate(self, t: int, box: Box, sparse: int = 0) -> None:
         state = self.state
         for reads, w in self.steps:
             for a in reads:
@@ -294,6 +294,9 @@ class _ShadowSweep:
 
     def invalidate_invariants(self) -> None:  # BoundSweep interface parity
         pass
+
+    def sparse_table(self, injections, receivers) -> None:  # shadows run per instance
+        return None
 
 
 class _ShadowAlignedInjection:

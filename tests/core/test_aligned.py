@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import decompose_receiver, decompose_source
 from repro.core.aligned import AlignedInjection, AlignedReceiver
+from repro.core import WavefrontSchedule
 from repro.dsl import Grid, SparseTimeFunction, TimeFunction
 
 
@@ -132,10 +133,13 @@ def test_receiver_staging_stays_float64(setup):
     assert rec.data.dtype == np.float32
 
 
-# -- the C bodies (Listing 5 in C) against the Python ones ------------------------------
+# -- the sweep epilogue (Listing 5 in C) against the Python bodies ----------------------
 
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from repro.dsl import Eq  # noqa: E402
+from repro.ir import Operator  # noqa: E402
 
 from ..conftest import needs_cc  # noqa: E402
 
@@ -152,12 +156,14 @@ def _boxes(shape):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_c_sparse_kernels_match_python_bodies(shape, dtype, data):
-    """Random point sets and boxes (empty and one-point ones included), every
-    rank and dtype: same additions, same staged values, same returned count,
-    byte-equal traces.  On the 24x25x26 grid the draw is dense — hundreds of
-    points — so whole-grid and large boxes run on the OpenMP team
-    (``SPARSE_PARALLEL_MIN``) and small ones on the caller."""
-    from repro.ir.cgen import SPARSE_PARALLEL_MIN, SparseKernels
+    """A C sweep with its epilogue against the interpreter's sweep followed by
+    the Python bodies, one arbitrary box at a time (overlapping, empty,
+    one-point, pencil-cutting ones included), every rank and dtype: same
+    additions, same staged values, same counts, byte-equal traces.  On the
+    24x25x26 grid the draw is dense — hundreds of points — and whole-grid and
+    large boxes run on the OpenMP team (``PARALLEL_MIN_POINTS``), small ones
+    on the caller; boxes that span ``z`` take the unchecked ``z2`` loop."""
+    from repro.ir.cgen import PARALLEL_MIN_POINTS, SPARSE_PARALLEL_MIN
 
     ndim = len(shape)
     grid = Grid(shape=shape, extent=tuple(10.0 * (n - 1) for n in shape), dtype=dtype)
@@ -169,37 +175,40 @@ def test_c_sparse_kernels_match_python_bodies(shape, dtype, data):
     coords[0] = np.floor(coords[0] / 10.0) * 10.0  # one point exactly on the grid
     nt = 4
 
-    def fresh(c):
+    def fresh(engine):
         u = TimeFunction("u", grid, time_order=2, space_order=2, dtype=dtype)
         u.data_with_halo[...] = np.random.default_rng(seed + 1).normal(
             size=u.data_with_halo.shape).astype(dtype)
         src = SparseTimeFunction("src", grid, npoint=npoint, nt=nt, coordinates=coords)
         src.data[:] = np.random.default_rng(seed + 2).normal(size=(nt, npoint))
         rec = SparseTimeFunction("rec", grid, npoint=npoint, nt=nt, coordinates=coords)
-        dsrc = decompose_source(src.inject(u, expr=1.0), dt=1.0)
-        drec = decompose_receiver(rec.interpolate(u))
-        kern = (lambda masks: SparseKernels(masks, u)) if c else (lambda masks: None)
-        return (
-            u,
-            AlignedInjection(dsrc, u, kern(dsrc.masks)),
-            AlignedReceiver(drec, u, rec.data, kern(drec.masks)),
-            rec,
-        )
+        op = Operator([Eq(u.forward, 0.5 * u + 0.25 * u.backward)],
+                      sparse=[src.inject(u, expr=1.0), rec.interpolate(u)])
+        plan = op._bind(1.0, WavefrontSchedule(), "precomputed", engine=engine)
+        (inj,), (rcv,) = plan.injections[0], plan.receivers[0]
+        rcv.reserve(nt + 1)  # every row keeps its own slot
+        return u, plan.sweeps[0], inj, rcv, rec
 
-    (u_py, inj_py, rcv_py, rec_py), (u_c, inj_c, rcv_c, rec_c) = fresh(False), fresh(True)
-    if dense:
-        assert inj_c.masks.npts >= SPARSE_PARALLEL_MIN
+    (u_py, sw_py, inj_py, rcv_py, rec_py) = fresh("interp")
+    (u_c, sw_c, inj_c, rcv_c, rec_c) = fresh("c")
+    assert sw_c.engine == "c"
+    table = sw_c.sparse_table([inj_c], [rcv_c])
+    if dense:  # the sweep's if clause and the reconstruction's are both crossed
+        assert np.prod(shape) >= PARALLEL_MIN_POINTS
+        assert rcv_c.drec.weights.nnz >= SPARSE_PARALLEL_MIN
         assert rcv_c._reconstruct is not None
-    boxes = [None, tuple((0, n) for n in shape)] + data.draw(st.lists(_boxes(shape), max_size=6))
+    full = tuple((0, n) for n in shape)
+    boxes = [full, full] + data.draw(st.lists(_boxes(shape), max_size=6))
+    injected = gathered = 0
     for t, box in enumerate(boxes):
-        t %= nt - 1
-        assert inj_c.apply(t, box) == inj_py.apply(t, box)
-        assert rcv_c.gather(t, box) == rcv_py.gather(t, box)
+        t %= nt + 1  # t = nt: the source row and the trace row are out of range
+        sw_c.evaluate(t, box, table.ctypes.data)
+        sw_py.evaluate(t, box)
+        injected += inj_py.apply(t, box)
+        gathered += rcv_py.gather(t, box)
+        assert (table[0], table[1]) == (injected, gathered)
     assert u_c.data_with_halo.tobytes() == u_py.data_with_halo.tobytes()
-    # (C stages a zero row even for a box that holds no point; harmless)
-    assert set(rcv_py.pending_rows()) <= set(rcv_c.pending_rows())
-    for row in rcv_py.pending_rows():
-        assert rcv_c._staging[row].tobytes() == rcv_py._staging[row].tobytes()
+    assert rcv_c._ring.tobytes() == rcv_py._ring.tobytes()
     for t in range(nt):
         rcv_c.finalize(t), rcv_py.finalize(t)
     assert rec_c.data.tobytes() == rec_py.data.tobytes()
@@ -215,7 +224,7 @@ def test_c_reconstruction_is_weights_dot(case):
     weight 0 over staged infinities (``0 * inf`` is NaN, so its zero-weight
     entries must be summed too); a float64 trace.  400 receivers: 3 200
     entries, on the team."""
-    from repro.ir.cgen import SPARSE_PARALLEL_MIN, SparseKernels
+    from repro.ir.cgen import SPARSE_PARALLEL_MIN
 
     shape, npoint, nt = (14, 13, 12), 400, 3
     grid = Grid(shape=shape, extent=tuple(10.0 * (n - 1) for n in shape))
@@ -234,7 +243,7 @@ def test_c_reconstruction_is_weights_dot(case):
     assert w.nnz >= SPARSE_PARALLEL_MIN
     trace = np.float64 if case == "float64-trace" else np.float32
     out = np.full((nt, npoint), np.nan, dtype=trace)
-    receiver = AlignedReceiver(drec, u, out, SparseKernels(drec.masks, u))
+    receiver = AlignedReceiver(drec, u, out, c=True)
     assert receiver._reconstruct is not None
     receiver.gather(0)
     (row,) = receiver.pending_rows()

@@ -36,8 +36,11 @@ class _Sweep:
     def __len__(self):  # equations in the sweep
         return self.j + 1
 
-    def evaluate(self, t, box):
+    def evaluate(self, t, box, sparse=0):
         self.log.append(("sweep", t, self.j, box))
+
+    def sparse_table(self, injections, receivers):  # the operators run per instance
+        return None
 
 
 class _Sparse:

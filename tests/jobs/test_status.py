@@ -89,13 +89,16 @@ def test_cli_errors_on_empty_and_missing_dirs(tmp_path, capsys):
 
 def test_live_batch_status_reads_the_journal_so_far(tmp_path):
     """Mid-batch, the status folds the records fsynced so far: completed
-    jobs, the job in flight, and no batch end."""
+    jobs, the job in flight, and no batch end — and the open supervisor's
+    span runs to the reader's clock, so the header shows supervised time and
+    a throughput."""
     seen = []
+    later = 10.0
 
     def stream():
         for i in range(3):
             if i == 2:
-                seen.append(journal_stats(tmp_path))
+                seen.append(journal_stats(tmp_path, clock=lambda: time.time() + later))
             yield JobSpec(f"l{i}", nt=8, seed=i)
 
     pool = JobPool(workers=0, capacity=1, workdir=tmp_path)
@@ -104,7 +107,10 @@ def test_live_batch_status_reads_the_journal_so_far(tmp_path):
     (live,) = seen
     assert not live["ended"] and live["jobs"]["admitted"] == 2
     assert live["jobs"]["completed"] + live["busy_workers"] + live["queue"]["ready"] == 2
-    assert "[open]" in render_status(live)
+    assert live["supervised_seconds"] >= later
+    assert live["jobs"]["completed"] >= 1 and live["jobs"]["throughput_per_s"] > 0
+    text = render_status(live)
+    assert "[open]" in text and "jobs/s)" in text
     assert journal_stats(tmp_path)["jobs"]["completed"] == 3
 
 

@@ -253,9 +253,10 @@ def test_file_store_keeps_newest(tmp_path):
 
 @needs_cc
 def test_a_restored_open_row_is_gathered_through_its_own_address(grid2d):
-    """On the C rung a staging row is written and read through its address:
-    a restored open row must be the restored array's, not the freed one's,
-    and the run it resumes ends with the uninterrupted traces."""
+    """On the C rung a staging row is written by the sweep epilogue into the
+    receiver's ring and reconstructed from there: a restored open row must
+    land in the ring slot the epilogue writes and reconstruction reads, and
+    the run it resumes ends with the uninterrupted traces."""
     op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
     ref_u, ref_rec = run_and_capture(op, u, rec, NT, DT, NaiveSchedule(), "precomputed", "c")
 
@@ -266,8 +267,12 @@ def test_a_restored_open_row_is_gathered_through_its_own_address(grid2d):
     (receiver,) = [r for lst in plan.receivers.values() for r in lst]
     receiver.gather(CRASH_T)  # an open row, as a mid-unit capture sees it
     (row,) = receiver.pending_rows()
-    restore_snapshot(plan, capture_snapshot(plan, CRASH_T))
-    assert receiver._stage_addr[row] == receiver._staging[row].ctypes.data
+    snap = capture_snapshot(plan, CRASH_T)
+    receiver._ring[...] = np.nan  # whatever the ring held is gone
+    restore_snapshot(plan, snap)
+    slot = receiver._ring[row % receiver._ring.shape[0]]
+    assert receiver._staging[row].ctypes.data == slot.ctypes.data
+    np.testing.assert_array_equal(slot, snap.receivers[0]["staging"][row])
     run_schedule(plan, CRASH_T, NT, NaiveSchedule())
     np.testing.assert_array_equal(u.interior(NT), ref_u)
     np.testing.assert_array_equal(rec.data, ref_rec)
