@@ -11,7 +11,10 @@ daemon's team).  Each operation is timed by a telemetry span in its worker.
 
 Two processes of one tree differ by up to several per cent for their whole
 lives (memory layout, thread placement), so the rounds are split over
-``--sessions`` pairs of fresh workers, the first-started side alternating.
+:data:`SESSIONS` pairs of fresh workers, the first-started side alternating.
+The design (:data:`SESSIONS` x :data:`ROUNDS`, :data:`GAP_S`, :data:`WARMUP`,
+:data:`SEED`) is fixed: it is the one its calibration (EXPERIMENTS.md entry
+25) covers.
 It prints the ratio of medians B / A with a bootstrap 95 % interval that
 resamples sessions and then rounds within them, and fails unless every
 operation's receivers are sha256-equal across the two trees.
@@ -39,6 +42,11 @@ from pathlib import Path
 import numpy as np
 
 STACK = Path(__file__).resolve().parent / "stack"
+SESSIONS = 12  # pairs of fresh worker processes
+ROUNDS = 20  # alternating rounds per session
+GAP_S = 0.020  # idle gap before each operation
+WARMUP = 3  # untimed operations per worker
+SEED = 0  # the workload's seed
 
 _WORKER = textwrap.dedent(
     """
@@ -47,10 +55,8 @@ _WORKER = textwrap.dedent(
     from repro.telemetry import Telemetry
     import workloads
 
-    name, seed, quick, warmup, plant = sys.argv[1:6]
+    name, seed, warmup, plant = sys.argv[1:5]
     w = workloads.WORKLOADS[name]
-    if quick == "1":
-        w = workloads.quick_variant(w)
     seed, warmup, plant = int(seed), int(warmup), float(plant)
     tel = Telemetry()
 
@@ -100,12 +106,12 @@ _WORKER = textwrap.dedent(
 class Worker:
     """One warm process running operations on request."""
 
-    def __init__(self, tree: Path, plant: float, args):
+    def __init__(self, tree: Path, plant: float, workload: str):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([str(tree / "src"), str(STACK)])
-        if args.workload == "survey":
+        if workload == "survey":
             env["OMP_NUM_THREADS"] = "1"
-        argv = [args.workload, args.seed, int(args.quick), args.warmup, plant]
+        argv = [workload, SEED, WARMUP, plant]
         self.proc = subprocess.Popen(
             [sys.executable, "-c", _WORKER, *map(str, argv)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
@@ -148,35 +154,24 @@ def main(argv=None) -> int:
     parser.add_argument("--b", type=Path, required=True, help="tree under test")
     parser.add_argument("--workload", required=True,
                         choices=["acoustic_wtb", "acoustic_spatial", "tti_dense", "survey"])
-    parser.add_argument("--rounds", type=int, default=20, help="rounds per session")
-    parser.add_argument("--sessions", type=int, default=12,
-                        help="pairs of fresh worker processes the rounds are split over")
-    parser.add_argument("--gap-ms", type=float, default=20.0,
-                        help="idle gap before each operation (at least 20)")
-    parser.add_argument("--warmup", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--plant", type=float, default=0.0,
                         help="B busy-waits this fraction of its warm-up median per operation")
-    parser.add_argument("--quick", action="store_true", help="the stack's smoke-size problem")
-    parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
-    if args.gap_ms < 20:
-        parser.error("--gap-ms must be at least 20")
 
     seconds = {"A": [], "B": []}
     mismatches = 0
     planted = 0.0
-    for session in range(args.sessions):
+    for session in range(SESSIONS):
         trees = {"A": (args.a.resolve(), 0.0), "B": (args.b.resolve(), args.plant)}
         order = ("A", "B") if session % 2 == 0 else ("B", "A")
-        workers = {side: Worker(*trees[side], args) for side in order}
+        workers = {side: Worker(*trees[side], args.workload) for side in order}
         planted = workers["B"].hello["delay"]
         times = {"A": [], "B": []}
         try:
-            for r in range(args.rounds):
+            for r in range(ROUNDS):
                 digests = {}
                 for side in ("A", "B") if r % 2 == 0 else ("B", "A"):
-                    time.sleep(args.gap_ms / 1e3)
+                    time.sleep(GAP_S)
                     out = workers[side].run()
                     times[side].append(out["s"])
                     digests[side] = out["sha"]
@@ -188,24 +183,15 @@ def main(argv=None) -> int:
             seconds[side].append(times[side])
     a, b = np.asarray(seconds["A"]), np.asarray(seconds["B"])
     ratio, (lo, hi) = bootstrap_ratio(a, b)
-    row = {
-        "workload": args.workload, "sessions": args.sessions, "rounds": args.rounds,
-        "gap_ms": args.gap_ms, "plant": args.plant, "planted_s": planted,
-        "median_a_s": float(np.median(a)), "median_b_s": float(np.median(b)),
-        "ratio_b_over_a": ratio, "ci95": [lo, hi], "sha256_equal": mismatches == 0,
-        "session_ratios": (np.median(b, axis=1) / np.median(a, axis=1)).round(4).tolist(),
-    }
-    if args.json:
-        print(json.dumps(row, indent=2))
-    else:
-        print(
-            f"{args.workload}: B/A = {ratio:.4f} [95% {lo:.4f}, {hi:.4f}]  "
-            f"median A {row['median_a_s'] * 1e3:.2f} ms, B {row['median_b_s'] * 1e3:.2f} ms, "
-            f"{args.sessions}x{args.rounds} rounds, gap {args.gap_ms:g} ms"
-            + (f", planted {args.plant:.1%} ({planted * 1e3:.2f} ms)" if args.plant else "")
-            + f", receivers sha256-equal: {mismatches == 0}; per session "
-            + " ".join(f"{r:.3f}" for r in row["session_ratios"])
-        )
+    session_ratios = np.median(b, axis=1) / np.median(a, axis=1)
+    print(
+        f"{args.workload}: B/A = {ratio:.4f} [95% {lo:.4f}, {hi:.4f}]  "
+        f"median A {np.median(a) * 1e3:.2f} ms, B {np.median(b) * 1e3:.2f} ms, "
+        f"{SESSIONS}x{ROUNDS} rounds, gap {GAP_S * 1e3:g} ms"
+        + (f", planted {args.plant:.1%} ({planted * 1e3:.2f} ms)" if args.plant else "")
+        + f", receivers sha256-equal: {mismatches == 0}; per session "
+        + " ".join(f"{r:.3f}" for r in session_ratios)
+    )
     if mismatches:
         print(f"{mismatches} round(s) with different receivers", file=sys.stderr)
         return 1

@@ -33,11 +33,11 @@ Box = Tuple[Tuple[int, int], ...]
 
 class _Aligned:
     """What both executors share: the target field (whose buffers must have
-    a flat view, checked here, once), the masks, and *c*, set when the plan
-    bound the C engine: the Listing-5 epilogue of the sweep then replaces
-    the Python body (:meth:`_record`) — same arithmetic, same counts."""
+    a flat view, checked here, once), the masks, and the descriptor record
+    with which a C sweep's Listing-5 epilogue replaces the Python body
+    (:meth:`_record`) — same arithmetic, same counts."""
 
-    def __init__(self, decomposed, field: TimeFunction, c: bool):
+    def __init__(self, decomposed, field: TimeFunction):
         if field.name != decomposed.field_name:
             raise ValueError(
                 f"decomposition targets field {decomposed.field_name!r}, got {field.name!r}"
@@ -46,7 +46,6 @@ class _Aligned:
         self.field = field
         self.masks = decomposed.masks
         self.time_offset = decomposed.time_offset
-        self._c = c
 
     @functools.cached_property
     def _lin(self) -> np.ndarray:
@@ -56,12 +55,10 @@ class _Aligned:
         box costs more resident memory than the gather saves (DESIGN.md §2)."""
         return linear_index(self.masks.points, self.field.halo, self.field.buffer(0))
 
-    def _record(self, rows: np.ndarray, toff: int, nrows: int) -> Optional[list]:
-        """This operator's :data:`repro.ir.cgen.SPARSE_RECORD` (``None``
-        without C tables): at timestep ``t`` its row is ``t + toff`` of
-        *rows*, skipped unless in ``[0, nrows)``."""
-        if not self._c:
-            return None
+    def _record(self, rows: np.ndarray, toff: int, nrows: int) -> list:
+        """This operator's :data:`repro.ir.cgen.SPARSE_RECORD`: at timestep
+        ``t`` its row is ``t + toff`` of *rows*, skipped unless in
+        ``[0, nrows)``."""
         tables = [a.ctypes.data for a in self.masks.c_tables] + [self.masks.max_nnz]
         return tables + [rows.ctypes.data, rows.strides[0], toff, nrows, rows.shape[0]]
 
@@ -69,15 +66,15 @@ class _Aligned:
 class AlignedInjection(_Aligned):
     """Executable grid-aligned injection over boxes."""
 
-    def __init__(self, dsrc: DecomposedSource, field: TimeFunction, c: bool = False):
-        super().__init__(dsrc, field, c)
+    def __init__(self, dsrc: DecomposedSource, field: TimeFunction):
+        super().__init__(dsrc, field)
         self.dsrc = dsrc
         self.nt = dsrc.data.shape[0]
         # convert the decomposed amplitudes to the field dtype once -- the hot
         # apply() path previously paid an astype per (t, box) instance
         self._amplitudes = np.ascontiguousarray(dsrc.data, dtype=field.dtype)
 
-    def c_record(self) -> Optional[list]:
+    def c_record(self) -> list:
         return self._record(self._amplitudes, 0, self.nt)
 
     def apply(self, t: int, box: Optional[Box] = None) -> int:
@@ -113,14 +110,14 @@ class AlignedReceiver(_Aligned):
     timestep ``t + offset`` into a ring of rows (one per timestep of a time
     tile, :meth:`reserve`; the boxes gathering one timestep partition the
     grid, so a slot is rewritten whole before it is read again);
-    ``finalize(t)`` reconstructs that row's receiver samples.  With *c* the
-    C epilogue stages and ``aligned_reconstruct_*`` reconstructs.
+    ``finalize(t)`` reconstructs that row's receiver samples, with
+    ``aligned_reconstruct_*`` when *c* (the plan bound the C rung).
     """
 
     def __init__(
         self, drec: DecomposedReceiver, field: TimeFunction, output: np.ndarray, c: bool = False
     ):
-        super().__init__(drec, field, c)
+        super().__init__(drec, field)
         self.drec = drec
         self.output = output  # (nt, npoint) receiver traces
         self._ring = np.zeros((1, max(self.masks.npts, 1)), dtype=np.float64)
@@ -141,7 +138,7 @@ class AlignedReceiver(_Aligned):
         stage = self._staging[row] = self._ring[row % self._ring.shape[0]]
         return stage
 
-    def c_record(self) -> Optional[list]:
+    def c_record(self) -> list:
         return self._record(self._ring, self.time_offset, self.output.shape[0])
 
     def _row(self, t: int) -> Optional[np.ndarray]:

@@ -242,17 +242,18 @@ class BoundSweep:
     def sparse_table(self, injections: Sequence, receivers: Sequence) -> Optional[np.ndarray]:
         """The ``sp`` table of one run (:func:`repro.ir.cgen.emit_sweep`; its
         first two entries count the points injected and gathered), or
-        ``None`` when the operators run per instance instead: not the C rung,
-        or raw off-grid operators."""
-        kinds = [k for k, _ in self.sparse]
-        records = [getattr(op, "c_record", lambda: None)() for op in (*injections, *receivers)]
-        if not (self._cfunc and kinds) or None in records or kinds != (
-            ["inject"] * len(injections) + ["gather"] * len(receivers)
-        ):
+        ``None`` when they run per instance instead: not the C rung, none
+        attached, or raw off-grid.  They come in the epilogue's order."""
+        ops = (*injections, *receivers)
+        if not (self._cfunc and ops) or not all(hasattr(op, "c_record") for op in ops):
             return None
+        kinds = ["inject"] * len(injections) + ["gather"] * len(receivers)
+        if [k for k, _ in self.sparse] != kinds:
+            raise ValueError(f"sweep epilogue {self.sparse} does not run the operators {kinds}")
         shape = self.grid.shape
         pencils = [np.prod(shape[i + 1:-1], dtype=np.int64) for i in range(len(shape) - 1)]
-        return np.array([0, 0, shape[-1], *pencils, *sum(records, [])], dtype=np.int64)
+        records = sum((op.c_record() for op in ops), [])
+        return np.array([0, 0, shape[-1], *pencils, *records], dtype=np.int64)
 
     def evaluate(self, t: int, box: Box, sparse: int = 0) -> None:
         """Execute every equation of the sweep on *box* at timestep *t* (and

@@ -102,7 +102,6 @@ class ExecutionPlan:
         return out
 
 
-
 def run_schedule(
     plan: ExecutionPlan,
     time_m: int,

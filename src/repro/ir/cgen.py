@@ -122,6 +122,7 @@ def reset() -> None:
     it is cross-process state, like every JIT cache."""
     _LIBS.clear()
     _FAILED.clear()
+    _reconstructor.cache_clear()
     STATS.update(c_cache_hits=0, c_cache_misses=0, c_compile_s=0.0)
 
 
@@ -486,6 +487,14 @@ def sweep_function(program: TAProgram, dims: Sequence[str], sparse=()):
     return fn
 
 
+@functools.lru_cache(maxsize=None)
+def _reconstructor(dtype: str):
+    """``aligned_reconstruct_<dtype>``, loaded once a process (until :func:`reset`)."""
+    fn = getattr(build(SPARSE_SOURCE), f"aligned_reconstruct_{dtype}")
+    fn.argtypes, fn.restype = (ctypes.c_int64,) + (ctypes.c_void_p,) * 5, None
+    return fn
+
+
 def reconstruction(weights, output: np.ndarray):
     """``fn(row, stage_address)`` setting ``output[row] = weights @ stage``
     with the operations of ``weights.dot(stage)`` (0 ulp apart), or ``None``
@@ -500,8 +509,7 @@ def reconstruction(weights, output: np.ndarray):
         and output.dtype.name in _CTYPE and output.shape[1:] == w.shape[:1]
     ):
         return None
-    fn = getattr(build(SPARSE_SOURCE), f"aligned_reconstruct_{output.dtype.name}")
-    fn.argtypes, fn.restype = (ctypes.c_int64,) + (ctypes.c_void_p,) * 5, None
+    fn = _reconstructor(output.dtype.name)
     args = (w.shape[0], *(a.ctypes.data for a in parts))
     base, stride = output.ctypes.data, output.strides[0]
 

@@ -273,24 +273,23 @@ class Operator:
                 cache[key] = decompose_receiver(sparse_op, masks=masks)
         return cache[key]
 
-    def _aligned_injection(self, inj: Injection, dt: float, c: bool = False) -> AlignedInjection:
-        return AlignedInjection(self._decomposed(inj, dt), inj.field, c)
+    def _aligned_injection(self, inj: Injection, dt: float) -> AlignedInjection:
+        return AlignedInjection(self._decomposed(inj, dt), inj.field)
 
     def _aligned_receiver(self, itp: Interpolation, c: bool = False) -> AlignedReceiver:
         return AlignedReceiver(self._decomposed(itp, 0.0), itp.field, itp.sparse.data, c)
 
-    def _epilogues(self, sweep_eqs) -> List[tuple]:
-        """Per sweep of *sweep_eqs*, the grid-aligned operators its C function
-        fuses: ``(kind, index of the write they touch)``, injections then
-        receivers, in the order :meth:`_bind` attaches them."""
-        spec: List[list] = [[] for _ in sweep_eqs]
+    def _attachments(self) -> List[List[tuple]]:
+        """Per sweep, ``(kind, index of the write it touches, operator)`` of
+        its sparse operators, injections then receivers: the order of both
+        its C epilogue and the plan's lists, which ``sparse_table`` pairs."""
+        out: List[list] = [[] for _ in self.sweeps]
         for kind, ops in (("inject", self.injections()), ("gather", self.interpolations())):
             for s in ops:
                 j = self._sweep_index_for(s.field.name, s.time_offset)
-                writes = [(e.lhs.function.name, e.lhs.offset_map().get("t", 0))
-                          for e in sweep_eqs[j]]
-                spec[j].append((kind, writes.index((s.field.name, s.time_offset))))
-        return [tuple(ops) for ops in spec]
+                writes = [(w.function.name, w.time_offset) for w in self.sweeps[j].writes]
+                out[j].append((kind, writes.index((s.field.name, s.time_offset)), s))
+        return out
 
     # -- binding ------------------------------------------------------------------
     def bound_equations(self, dt: float) -> List[List[Eq]]:
@@ -330,7 +329,7 @@ class Operator:
         each front half compiled as a ``kernel_cache_misses`` and each one
         the table served as a ``kernel_cache_hits``."""
         sweep_eqs = self.bound_equations(dt)
-        epilogues = self._epilogues(sweep_eqs)
+        epilogues = [tuple(a[:2] for a in ops) for ops in self._attachments()]
         rungs = ENGINES[ENGINES.index(engine):]
         for i, eng in enumerate(rungs):
             try:
@@ -425,7 +424,7 @@ class Operator:
                 if len(self._sweep_cache) >= 8:  # many distinct dt values: bound
                     self._sweep_cache.clear()
                 self._sweep_cache[float(dt), engine] = bound_sweeps
-        # the paper's sparse layer follows the sweeps onto the C rung
+        # the receivers' reconstruction follows the sweeps onto the C rung
         c_sparse = bound_sweeps[0].engine == "c"
 
         from ..verify.prover import resolve_sparse_mode
@@ -442,20 +441,15 @@ class Operator:
             sweeps=bound_sweeps,
             radii=list(self.sweep_radii),
         )
-        for inj in self.injections():
-            j = self._sweep_index_for(inj.field.name, inj.time_offset)
-            if sparse_mode == "precomputed":
-                executor = self._aligned_injection(inj, dt, c_sparse)
-            else:
-                executor = RawInjection(inj, dt)
-            plan.injections.setdefault(j, []).append(executor)
-        for itp in self.interpolations():
-            j = self._sweep_index_for(itp.field.name, itp.time_offset)
-            if sparse_mode == "precomputed":
-                executor = self._aligned_receiver(itp, c_sparse)
-            else:
-                executor = RawInterpolation(itp)
-            plan.receivers.setdefault(j, []).append(executor)
+        precomputed = sparse_mode == "precomputed"
+        for j, ops in enumerate(self._attachments()):
+            for kind, _, s in ops:
+                if kind == "gather":
+                    ex = self._aligned_receiver(s, c_sparse) if precomputed else RawInterpolation(s)
+                    plan.receivers.setdefault(j, []).append(ex)
+                else:
+                    ex = self._aligned_injection(s, dt) if precomputed else RawInjection(s, dt)
+                    plan.injections.setdefault(j, []).append(ex)
         return plan
 
     # -- execution -----------------------------------------------------------------
@@ -652,8 +646,9 @@ class Operator:
         sweep_eqs = self.bound_equations(dt)
         units = [
             f"/* {self.name}: sweep {j} of {len(self.sweeps)} */\n"
-            + emit_sweep(compile_front_half(eqs, "c")[2].__program__, dims, f"sweep{j}", sparse)
-            for j, (eqs, sparse) in enumerate(zip(sweep_eqs, self._epilogues(sweep_eqs)))
+            + emit_sweep(compile_front_half(eqs, "c")[2].__program__, dims, f"sweep{j}",
+                         tuple(a[:2] for a in ops))
+            for j, (eqs, ops) in enumerate(zip(sweep_eqs, self._attachments()))
         ]
         if self.sparse_ops:
             units.append(f"/* {self.name}: receiver reconstruction */\n" + SPARSE_SOURCE)

@@ -146,3 +146,28 @@ def test_checkpoint_resume_on_the_c_rung_reopens_the_ring():
     rec, plan = prop.forward(**run, checkpoint=CheckpointConfig(every=4, store=store, resume=True))
     assert plan.all_receivers()[0]._ring.shape[0] == 1
     assert rec.tobytes() + b"".join(f.data_with_halo.tobytes() for f in prop.fields) == clean
+
+
+@needs_cc
+def test_an_epilogue_that_disagrees_with_its_operators_raises():
+    """The plan's per-sweep lists and the sweep's epilogue come from one
+    attachment list; operators that do not match the epilogue are an error,
+    not a silent fall back to per-instance bodies."""
+    _, _, _, plan = _run("acoustic", SCHEDULES["naive"], "c")
+    sweep, injections = plan.sweeps[0], plan.injections[0]
+    assert [k for k, _ in sweep.sparse] == ["inject", "gather"]
+    assert sweep.sparse_table(injections, plan.receivers[0]) is not None
+    with pytest.raises(ValueError, match="does not run the operators"):
+        sweep.sparse_table(injections, [])
+
+
+@needs_cc
+def test_a_warm_forward_loads_no_shared_object():
+    """The receivers' reconstruction is bound once a process: a warm
+    ``forward`` (bind served from the operator) touches no shared object."""
+    prop, dt = _example("tti")
+    run = dict(nt=NT, dt=dt, schedule=SCHEDULES["naive"], sparse_mode="precomputed", engine="c")
+    prop.forward(**run)
+    tel = Telemetry()
+    prop.forward(**run, telemetry=tel)
+    assert tel.counters["c_cache_hits"] == tel.counters["c_cache_misses"] == 0
