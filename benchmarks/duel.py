@@ -17,7 +17,9 @@ The design (:data:`SESSIONS` x :data:`ROUNDS`, :data:`GAP_S`, :data:`WARMUP`,
 25) covers.
 It prints the ratio of medians B / A with a bootstrap 95 % interval that
 resamples sessions and then rounds within them, and fails unless every
-operation's receivers are sha256-equal across the two trees.
+operation's output is sha256-equal across the two trees: the receivers,
+and for a shot workload every final wavefield buffer too (a short shot's
+receivers can be all zeros).
 
     git worktree add ../parent HEAD~1      # the tree to compare against
     python3 benchmarks/duel.py --a ../parent --b . --workload tti_dense
@@ -74,22 +76,25 @@ _WORKER = textwrap.dedent(
                 rec, _ = execute_attempt(spec, job_dir)
             finally:
                 shutil.rmtree(job_dir, ignore_errors=True)
-            return rec
+            return [rec]
     else:
         prop, dt, _ = workloads.build_shot(w, seed)
 
         def operation():
             rec, _ = prop.forward(nt=w.nt, dt=dt, schedule=w.schedule, sparse_mode=w.sparse_mode)
-            return rec
+            return [rec] + [f.data_with_halo for f in prop.fields]
 
     def timed(delay):
         with tel.span("op") as sp:
-            rec = operation()
+            outputs = operation()
             if delay:
                 end = tel.now() + delay
                 while tel.now() < end:
                     pass
-        return sp.dur, hashlib.sha256(np.ascontiguousarray(rec).tobytes()).hexdigest()
+        digest = hashlib.sha256()
+        for array in outputs:
+            digest.update(np.ascontiguousarray(array).tobytes())
+        return sp.dur, digest.hexdigest()
 
     warm = [timed(0.0)[0] for _ in range(warmup)]
     delay = plant * statistics.median(warm) if plant else 0.0
@@ -189,11 +194,11 @@ def main(argv=None) -> int:
         f"median A {np.median(a) * 1e3:.2f} ms, B {np.median(b) * 1e3:.2f} ms, "
         f"{SESSIONS}x{ROUNDS} rounds, gap {GAP_S * 1e3:g} ms"
         + (f", planted {args.plant:.1%} ({planted * 1e3:.2f} ms)" if args.plant else "")
-        + f", receivers sha256-equal: {mismatches == 0}; per session "
+        + f", outputs sha256-equal: {mismatches == 0}; per session "
         + " ".join(f"{r:.3f}" for r in session_ratios)
     )
     if mismatches:
-        print(f"{mismatches} round(s) with different receivers", file=sys.stderr)
+        print(f"{mismatches} round(s) with different outputs", file=sys.stderr)
         return 1
     return 0
 

@@ -31,6 +31,7 @@ __all__ = [
     "BoundEq",
     "BoundSweep",
     "compile_front_half",
+    "load_kernel",
     "ENGINES",
 ]
 
@@ -124,30 +125,51 @@ class BoundEq:
         return f"BoundEq({self.eq})"
 
 
-def compile_front_half(eqs: Sequence, engine: str):
-    """Hoist model-only subtrees of *eqs* (bound ``lhs``/``rhs`` pairs), then
-    lower them into one three-address kernel: ``(hoist result, reads, kernel)``.
-    Inline, a model term costs ``fused`` a ufunc pass per box, so it hoists
-    every maximal invariant subtree; it costs ``c`` register work, cheaper
-    than streaming a precomputed grid, so it hoists only what C cannot
-    express (``sin(m)``, ``m**0.3``).  Every call compiles (the bind
-    table, :func:`repro.ir.pycodegen.structural`, keeps what an operator
-    compiled); a failure is an :class:`EngineCompilationError`."""
-    from ..ir.passes import hoist_invariants
-    from ..ir.pycodegen import compile_sweep, lowers_outside_c
-
+def _compiling(engine: str, make):
+    """``make()``, any failure an :class:`EngineCompilationError` of *engine*."""
     try:
-        writes = [e.lhs for e in eqs]
-        hoisted = hoist_invariants(
-            [e.rhs for e in eqs], select=lowers_outside_c if engine == "c" else None
-        )
-        reads = sorted({a for rhs in hoisted.rhss for a in rhs.atoms(Indexed)}, key=str)
-        dtypes = [[a.function.dtype for a in accesses] for accesses in (reads, writes)]
-        return hoisted, reads, compile_sweep(writes, hoisted.rhss, reads, *dtypes)
+        return make()
+    except EngineCompilationError:
+        raise
     except Exception as exc:
         raise EngineCompilationError(
             f"{engine} sweep compilation failed: {exc}", engine=engine
         ) from exc
+
+
+def compile_front_half(eqs: Sequence, engine: str):
+    """Hoist model-only subtrees of *eqs* (bound ``lhs``/``rhs`` pairs), then
+    lower them: ``(hoisted fields, reads, compiled sweep)``.  Inline, a
+    model term costs ``fused`` a ufunc pass per box, so it hoists every
+    maximal invariant subtree; it costs ``c`` register work, cheaper than
+    streaming a precomputed grid, so it hoists only what C cannot express
+    (``sin(m)``, ``m**0.3``).  Every call compiles (the bind table,
+    :func:`repro.ir.pycodegen.structural`, keeps what an operator compiled);
+    a failure is an :class:`EngineCompilationError`."""
+    from ..ir.passes import hoist_invariants
+    from ..ir import pycodegen
+
+    def make():
+        writes = [e.lhs for e in eqs]
+        select = pycodegen.lowers_outside_c if engine == "c" else None
+        hoisted = hoist_invariants([e.rhs for e in eqs], select=select)
+        reads = sorted({a for rhs in hoisted.rhss for a in rhs.atoms(Indexed)}, key=str)
+        dtypes = [[a.function.dtype for a in accesses] for accesses in (reads, writes)]
+        return hoisted.fields, reads, pycodegen.compile_sweep(writes, hoisted.rhss, reads, *dtypes)
+
+    return _compiling(engine, make)
+
+
+def load_kernel(engine: str, compiled, dims: Sequence[str], sparse=()):
+    """What runs *compiled* on *engine*, loaded once per bind-table entry:
+    the C sweep function (:func:`repro.ir.cgen.sweep_function`, its epilogue
+    running *sparse*) or the NumPy closure
+    (:func:`repro.ir.pycodegen.numpy_kernel`).  A failure is an
+    :class:`EngineCompilationError`."""
+    from ..ir import cgen, pycodegen
+
+    return _compiling(engine, lambda: cgen.sweep_function(compiled.program, dims, sparse)
+                      if engine == "c" else pycodegen.numpy_kernel(compiled))
 
 
 class BoundSweep:
@@ -158,12 +180,12 @@ class BoundSweep:
     its equations in order.
 
     * ``engine="fused"``: model-only terms hoisted into grids, all equations
-      compiled into a single three-address kernel (:func:`compile_front_half`)
-      fed from a :class:`~repro.ir.pycodegen.ScratchPool`.  The array views for a
-      ``(t, box)`` instance are built once per instance and memoised — the
-      views only depend on ``t`` modulo the time-buffer period, so wavefront
-      execution revisiting the same box at a congruent timestep pays zero
-      view-construction cost.
+      compiled into a single three-address program (:func:`compile_front_half`)
+      run as ufunc passes fed from a :class:`~repro.ir.pycodegen.ScratchPool`.
+      The array views for a ``(t, box)`` instance are built once per
+      instance and memoised — the views only depend on ``t`` modulo the
+      time-buffer period, so wavefront execution revisiting the same box at
+      a congruent timestep pays zero view-construction cost.
     * ``engine="c"`` (the ladder's head): the same front half, which for
       this rung hoists only what C cannot express, emitted as one C loop
       nest (:func:`repro.ir.cgen.sweep_function`) that reads the model
@@ -174,8 +196,9 @@ class BoundSweep:
       equation.
 
     All engines produce bit-identical results; the equivalence suite
-    asserts this across every physics × schedule combination.  *front*
-    hands in a compiled sweep's front half (kept as :attr:`front`).
+    asserts this across every physics × schedule combination.  *front*,
+    kept as :attr:`front`, hands in ``(hoisted fields, reads, compiled
+    sweep, loaded kernel)``; without it the sweep compiles and loads its own.
     """
 
     def __init__(self, eqs: Sequence[Eq], grid: Grid, engine: str = "fused", pool=None,
@@ -190,35 +213,32 @@ class BoundSweep:
         # an invalid equation is not an engine failure the ladder could
         # recover from) and is the interpreter's execution vehicle
         self.beqs = [BoundEq(e, grid) for e in self.eqs]
-        self._kernel = self._cfunc = None
+        self._kernel = self.compiled = None
         self.sparse = tuple(sparse)
-        #: the right-hand sides this sweep evaluates per point (the compiled
-        #: engines swap in the hoisted ones below); static costs count these
-        executed = [beq.rhs for beq in self.beqs]
-        if engine != "interp":
-            from ..ir.cgen import sweep_function
+        if engine == "interp":
+            #: flops and array accesses (reads + the write, per equation) per
+            #: grid point, as bound -- on the compiled rungs, after hoisting
+            self.flops = float(sum(flop_count(beq.rhs) for beq in self.beqs))
+            self.accesses = sum(len(beq.reads) + 1 for beq in self.beqs)
+        else:
             from ..ir.pycodegen import ScratchPool
 
             self.writes: List[Indexed] = [beq.lhs for beq in self.beqs]
+            if front is None:
+                front = compile_front_half(self.beqs, engine)
+                front += (load_kernel(engine, front[2], self.dim_names, sparse),)
+            self.front = front
+            self.hoisted_fields, self.reads, self.compiled, self._kernel = front
+            self.flops, self.accesses = self.compiled.flops, self.compiled.accesses
             # hoisted buffers are filled lazily at the first evaluate and
             # refreshed per bind so model mutations between applies are observed
-            try:
-                self.front = front or compile_front_half(self.beqs, engine)
-                hoisted, self.reads, self._kernel = self.front
-                executed = hoisted.rhss
-                self.hoisted_fields = hoisted.fields
-                self._stale_invariants = bool(hoisted.fields)
-                if engine == "c":
-                    self._cfunc = sweep_function(self._kernel.__program__, self.dim_names, sparse)
-                    self._ctab = np.array(self._kernel.__constvals__, dtype=np.float64)
-                    self._ctab_addr = self._ctab.ctypes.data
-            except EngineCompilationError:
-                raise
-            except Exception as exc:
-                raise EngineCompilationError(
-                    f"{engine} sweep compilation failed: {exc}", engine=engine
-                ) from exc
-            self.pool = pool if pool is not None else ScratchPool()
+            self._stale_invariants = bool(self.hoisted_fields)
+            if engine == "c":
+                self._ctab = np.array(self.compiled.constvals, dtype=np.float64)
+                self._ctab_addr = self._ctab.ctypes.data
+            else:
+                self._slotspec = tuple(self.compiled.program.pool_ids().values())
+                self.pool = pool if pool is not None else ScratchPool()
             self._period = math.lcm(
                 *[
                     a.function.buffers
@@ -234,10 +254,6 @@ class BoundSweep:
             # kernel call, and gating them would cost the branch they save.
             self.view_hits = 0
             self.view_misses = 0
-        #: flops and array accesses (reads + the write, per equation) per
-        #: grid point, as bound -- after factorisation and hoisting
-        self.flops = float(sum(flop_count(r) for r in executed))
-        self.accesses = sum(len(r.atoms(Indexed)) + 1 for r in executed)
 
     def sparse_table(self, injections: Sequence, receivers: Sequence) -> Optional[np.ndarray]:
         """The ``sp`` table of one run (:func:`repro.ir.cgen.emit_sweep`; its
@@ -245,7 +261,7 @@ class BoundSweep:
         ``None`` when they run per instance instead: not the C rung, none
         attached, or raw off-grid.  They come in the epilogue's order."""
         ops = (*injections, *receivers)
-        if not (self._cfunc and ops) or not all(hasattr(op, "c_record") for op in ops):
+        if not (self.engine == "c" and ops) or not all(hasattr(op, "c_record") for op in ops):
             return None
         kinds = ["inject"] * len(injections) + ["gather"] * len(receivers)
         if [k for k, _ in self.sparse] != kinds:
@@ -281,10 +297,10 @@ class BoundSweep:
             bound = self._view_cache[key] = self._bind_box(t, box)
         else:
             self.view_hits += 1
-        if self._cfunc is None:
-            self._kernel(*bound)
+        if self.engine == "c":
+            self._kernel(bound[0], self._ctab_addr, sparse, t)
         else:
-            self._cfunc(bound[0], self._ctab_addr, sparse, t)
+            self._kernel(*bound)
 
     def _bind_box(self, t: int, box: Box) -> tuple:
         """What one ``(t % period, box)`` instance hands its kernel: scratch
@@ -292,11 +308,8 @@ class BoundSweep:
         stride table (C; the layout :func:`repro.ir.cgen.emit_sweep` reads)."""
         outs = tuple(box_view(l, t, box, self.dim_names) for l in self.writes)
         views = tuple(box_view(a, t, box, self.dim_names) for a in self.reads)
-        if self._cfunc is None:
-            slots = tuple(
-                self.pool.slab_view(outs[0].shape, dt, i)
-                for dt, i in self._kernel.__slotspec__
-            )
+        if self.engine == "fused":
+            slots = tuple(self.pool.slab_view(outs[0].shape, dt, i) for dt, i in self._slotspec)
             return (slots, outs, views)
         arrays = outs + views
         if any(a.strides[-1] != a.itemsize for a in arrays):
@@ -318,13 +331,10 @@ class BoundSweep:
         return (tab.ctypes.data, tab, arrays)
 
     def kernel_program(self):
-        """The structured three-address program
-        (:class:`~repro.ir.nodes.TAProgram`) of the fused kernel, or ``None``
-        under the interpreter — the input of the kernel-level static
-        analyses (:mod:`repro.verify.absint`)."""
-        if self._kernel is None:
-            return None
-        return getattr(self._kernel, "__program__", None)
+        """The three-address program (:class:`~repro.ir.nodes.TAProgram`)
+        this sweep runs, or ``None`` under the interpreter — the input of the
+        kernel-level static analyses (:mod:`repro.verify.absint`)."""
+        return None if self.compiled is None else self.compiled.program
 
     def invalidate_invariants(self) -> None:
         """Force hoisted model-term buffers to re-materialise on next use.

@@ -1,20 +1,21 @@
 """The three-address kernel IR.
 
 :func:`repro.ir.pycodegen.compile_sweep` lowers every sweep into a linear
-program of ``np.ufunc(a, b, out)`` instructions.  Besides the executable
-source text (``kernel.__source__``), the compiler attaches the same program
-in structured form (``kernel.__program__``): the static analyses
-(:mod:`repro.verify.absint`) operate on typed operands instead of re-parsing
-generated text, and the C back end (:mod:`repro.ir.cgen`) emits its loop nest
-from it.
+program of ``np.ufunc(a, b, out)`` instructions, a :class:`TAProgram` of
+typed operands, and returns it as a :class:`CompiledSweep` — the one form of
+a compiled sweep.  The static analyses (:mod:`repro.verify.absint`) read the
+program, the C back end (:mod:`repro.ir.cgen`) emits its loop nest from it,
+and only the ``fused`` rung executes its rendering as Python
+(:func:`repro.ir.pycodegen.numpy_kernel`).  Both are field-free and frozen,
+so the bind table keeps one per structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-__all__ = ["TAOperand", "TAInstr", "TAProgram"]
+__all__ = ["TAOperand", "TAInstr", "TAProgram", "CompiledSweep"]
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,6 @@ class TAOperand:
     name: str
     dtype: Optional[str] = None
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class TAInstr:
@@ -56,16 +54,13 @@ class TAInstr:
         args = ", ".join(a.name for a in self.args)
         return f"np.{self.op}({args}, {self.out.name})"
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 @dataclass(frozen=True)
 class TAProgram:
     """The complete three-address program of one fused sweep kernel.
 
     ``slots``/``views``/``outs``/``consts`` map operand names to NumPy dtype
-    names, in declaration order (slot order matches ``kernel.__slotspec__``).
+    names, in declaration order.
     """
 
     instrs: Tuple[TAInstr, ...]
@@ -74,15 +69,27 @@ class TAProgram:
     outs: Tuple[Tuple[str, str], ...]
     consts: Tuple[Tuple[str, str], ...] = ()
 
-    def dtype_of(self, name: str) -> Optional[str]:
-        for table in (self.slots, self.views, self.outs, self.consts):
-            for n, dt in table:
-                if n == name:
-                    return dt
-        return None
+    def pool_ids(self) -> Dict[str, Tuple[str, int]]:
+        """Each slot's scratch-pool identity ``(dtype, per-dtype index)``, in
+        slot order: the slab a :class:`~repro.ir.pycodegen.ScratchPool`
+        checks out for it, under which sweeps share slabs."""
+        dtypes = [dtype for _, dtype in self.slots]
+        return {name: (dt, dtypes[:i].count(dt)) for i, (name, dt) in enumerate(self.slots)}
 
     def render(self) -> str:
         return "\n".join(i.render() for i in self.instrs)
 
-    def __len__(self) -> int:
-        return len(self.instrs)
+
+@dataclass(frozen=True)
+class CompiledSweep:
+    """One sweep as :func:`~repro.ir.pycodegen.compile_sweep` compiled it:
+    ``constvals`` in ``program.consts`` order (the C rung passes them in a
+    table, so its source depends on structure alone), the CSE temporaries,
+    and the per-point flops and accesses (reads + the write, per equation)
+    of the right-hand sides it lowered."""
+
+    program: TAProgram
+    constvals: Tuple[float, ...]
+    ntemps: int
+    flops: float
+    accesses: int

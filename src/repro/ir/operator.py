@@ -43,12 +43,12 @@ from ..errors import (
     InvalidTimeRange,
     KernelLintError,
 )
-from ..execution.evalbox import ENGINES, BoundEq, BoundSweep, compile_front_half
+from ..execution.evalbox import ENGINES, BoundEq, BoundSweep, compile_front_half, load_kernel
 from ..execution.executors import ExecutionPlan, run_schedule
 from ..execution.sparse import RawInjection, RawInterpolation
-from . import pycodegen
+from . import cgen, pycodegen
 from .dependencies import Sweep, build_sweeps, wavefront_angle
-from .passes import HoistedField, HoistResult
+from .passes import HoistedField
 from .pycodegen import _structure, rebuild, structural
 
 __all__ = ["Operator"]
@@ -61,23 +61,23 @@ def _eq_structure(eq: Eq) -> tuple:
 
 
 def _pack_front(front) -> tuple:
-    """A bound sweep's front half as the bind table keeps it."""
-    hoisted, reads, kernel = front
-    defs = [(hf.name, _structure(hf.expr), hf.halo, hf.dtype.str) for hf in hoisted.fields]
-    return [_structure(rhs) for rhs in hoisted.rhss], defs, [_structure(a) for a in reads], kernel
+    """A bound sweep's front half and loaded kernel as the bind table keeps
+    them: field-free."""
+    fields, reads, compiled, kernel = front
+    defs = [(hf.name, _structure(hf.expr), hf.halo, hf.dtype.str) for hf in fields]
+    return defs, [_structure(a) for a in reads], compiled, kernel
 
 
 def _unpack_front(packed, functions: Dict[str, object]) -> tuple:
     """The front half *packed* describes, on *functions* (hoisted fields anew,
     with the dtypes the first bind derived)."""
-    rhss, defs, reads, kernel = packed
+    defs, reads, compiled, kernel = packed
     fields = [
         HoistedField(name, rebuild(expr, functions), halo, dtype)
         for name, expr, halo, dtype in defs
     ]
     names = {**functions, **{hf.name: hf for hf in fields}}
-    rhss = [rebuild(rhs, names) for rhs in rhss]
-    return HoistResult(rhss, fields), [rebuild(a, names) for a in reads], kernel
+    return fields, [rebuild(a, names) for a in reads], compiled, kernel
 
 
 def _view_cache_totals(plan: ExecutionPlan) -> Tuple[int, int]:
@@ -323,13 +323,15 @@ class Operator:
         next one with a structured warning instead of aborting — on
         :class:`EngineCompilationError` unless *strict*.  Returns the engine
         that actually compiled plus its bound sweeps.  A compiled rung's
-        front halves and lint report are kept in the bind table: a rung that
-        failed to compile leaves no entry, one the linter rejected leaves its
-        report, so the ladder degrades alike on a hit.  *telemetry* counts
+        front halves, loaded kernels and lint report are kept in the bind
+        table: a rung that failed to build leaves no entry, one the linter
+        rejected leaves its report, so the ladder degrades alike on a hit,
+        and a served bind generates and loads nothing.  *telemetry* counts
         each front half compiled as a ``kernel_cache_misses`` and each one
         the table served as a ``kernel_cache_hits``."""
         sweep_eqs = self.bound_equations(dt)
         epilogues = [tuple(a[:2] for a in ops) for ops in self._attachments()]
+        dims = [d.name for d in self.grid.dimensions]
         rungs = ENGINES[ENGINES.index(engine):]
         for i, eng in enumerate(rungs):
             try:
@@ -345,17 +347,16 @@ class Operator:
                         front = compile_front_half([BoundEq(e, self.grid) for e in eqs], eng)
                         if telemetry is not None:  # a miss, even if C then fails to build
                             telemetry.counters.add("kernel_cache_misses")
+                        front += (load_kernel(eng, front[2], dims, sparse),)
                         bound.append(BoundSweep(eqs, self.grid, eng, self._pool, front, sparse))
+                    if eng == "c" and self.sparse_ops:
+                        # a rung binds its whole translation unit or degrades
+                        cgen.build(cgen.SPARSE_SOURCE)
                     report = self._analysed(lint_bound_sweeps, bound, name=self.name)
                     return [_pack_front(sw.front) for sw in bound], report
 
                 key = (self.signature, "rung", float(dt), eng)
                 fronts, report = structural(key, compile_and_lint)
-                if eng == "c" and self.sparse_ops:
-                    # a rung binds its whole translation unit or degrades
-                    from .cgen import SPARSE_SOURCE, build
-
-                    build(SPARSE_SOURCE)
                 if not report.ok:
                     # kernel-IR lint gate: error findings reject a compiled
                     # bind; the KernelLintError rides the same ladder as any
@@ -615,12 +616,10 @@ class Operator:
         bound (factorised, then hoisted as the bound rung hoists), joined with
         measured counters by :func:`repro.telemetry.derived_metrics`
         (achieved GPts/s, GFLOP/s, arithmetic intensity)."""
-        from .cgen import team_size
-
         tel.meta["operator"] = self.name
         tel.meta["schedule"] = schedule.describe()
         tel.meta["engine"] = engine = plan.sweeps[0].engine
-        tel.meta["threads"] = team_size(plan.sweeps[0].dim_names) if engine == "c" else 1
+        tel.meta["threads"] = cgen.team_size(plan.sweeps[0].dim_names) if engine == "c" else 1
         tel.meta["grid_shape"] = list(self.grid.shape)
         tel.meta["sweep_flops"] = [sw.flops for sw in plan.sweeps]
         tel.meta["sweep_accesses"] = [sw.accesses for sw in plan.sweeps]
@@ -640,18 +639,16 @@ class Operator:
         from the C rung's own front half, so no compiler is needed.  Raises
         :class:`~repro.errors.EngineCompilationError` for a sweep the C rung
         cannot express."""
-        from .cgen import SPARSE_SOURCE, emit_sweep
-
         dims = [d.name for d in self.grid.dimensions]
         sweep_eqs = self.bound_equations(dt)
         units = [
             f"/* {self.name}: sweep {j} of {len(self.sweeps)} */\n"
-            + emit_sweep(compile_front_half(eqs, "c")[2].__program__, dims, f"sweep{j}",
-                         tuple(a[:2] for a in ops))
+            + cgen.emit_sweep(compile_front_half(eqs, "c")[2].program, dims, f"sweep{j}",
+                              tuple(a[:2] for a in ops))
             for j, (eqs, ops) in enumerate(zip(sweep_eqs, self._attachments()))
         ]
         if self.sparse_ops:
-            units.append(f"/* {self.name}: receiver reconstruction */\n" + SPARSE_SOURCE)
+            units.append(f"/* {self.name}: receiver reconstruction */\n" + cgen.SPARSE_SOURCE)
         return "\n".join(units)
 
     def __repr__(self) -> str:

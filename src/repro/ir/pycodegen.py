@@ -1,15 +1,16 @@
-"""NumPy kernel generation: compile the symbolic sweeps to Python closures.
+"""Kernel generation: compile the symbolic sweeps to three-address programs.
 
 Devito's key trick is generating low-level code from the symbolic problem
-definition; our executor applies the same idea at the NumPy level.
-:func:`compile_sweep` is the fused three-address engine (``engine="fused"``,
-and the C rung's front half): all equations of a sweep are lowered, after
-the common-subexpression-elimination pass of
-:func:`repro.ir.passes.cse_sweep`, into a single linear program of
-``np.add(a, b, s)``-style instructions writing into slots checked out of a
-:class:`ScratchPool` — no temporaries are allocated on the hot path,
-repeated subexpressions are evaluated once, and scratch slots are recycled
-by liveness so the pool stays small.
+definition.  :func:`compile_sweep`, the front half of both compiled rungs,
+lowers all equations of a sweep, after the common-subexpression-elimination
+pass of :func:`repro.ir.passes.cse_sweep`, into one frozen
+:class:`~repro.ir.nodes.CompiledSweep`: a linear program of
+``np.add(a, b, s)``-style instructions, its constants and static costs.  The
+C rung emits its loop nest from it (:mod:`repro.ir.cgen`); only ``fused``
+runs it as a NumPy closure (:func:`numpy_kernel`) on a :class:`ScratchPool`
+— no temporaries are allocated on the hot path, repeated subexpressions are
+evaluated once, and scratch slots are recycled by liveness so the pool stays
+small.
 
 The kernels are bit-identical to the tree-walking interpreter (the tests
 assert this; the interpreter remains available as ``engine="interp"``, the
@@ -20,9 +21,9 @@ compile time by probing the ufuncs with zero-size specimen arrays).
 
 :func:`compile_sweep` caches nothing: the one in-process cache of compiled
 sweeps is the bind table (:func:`structural`), keyed on an operator's
-``signature``, which serves each structure's front halves to every later
-operator of that structure.  Its entries hold names and offsets, never a
-``Function``: a dropped operator's fields are freed.
+``signature``, which serves each structure's front halves and loaded
+kernels to every later operator of that structure.  Its entries hold names
+and offsets, never a ``Function``: a dropped operator's fields are freed.
 """
 
 from __future__ import annotations
@@ -31,12 +32,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.metrics import flop_count
 from ..dsl.symbols import Add, Call, Expr, Indexed, Mul, Number, Pow, Symbol
 from . import cgen
-from .nodes import TAInstr, TAOperand, TAProgram
+from .nodes import CompiledSweep, TAInstr, TAOperand, TAProgram
 
 __all__ = [
     "compile_sweep",
+    "numpy_kernel",
+    "python_source",
     "lowers_outside_c",
     "ScratchPool",
     "kernel_cache_stats",
@@ -108,10 +112,10 @@ class ScratchPool:
 
     A fused kernel's scratch slots are checked out with
     ``pool.slab_view(shape, dtype, slot)`` when a ``(t, box)`` instance is
-    first bound (the kernel's ``__slotspec__`` lists each slot's dtype and
-    per-dtype index, as assigned by the emitter's refcounting allocator); the
-    slabs persist on the pool, so steady-state execution performs **zero**
-    allocations.  One 1-D slab backs every box shape via reshaped prefix
+    first bound (:meth:`~repro.ir.nodes.TAProgram.pool_ids`, per the
+    emitter's refcounting allocator); the slabs persist on the pool, so
+    steady-state execution performs **zero** allocations.  One 1-D slab
+    backs every box shape via reshaped prefix
     views — wavefront execution touches many distinct clipped box shapes, and
     a per-shape pool would multiply buffers by that count — and the pool is
     shared freely across sweeps and operator rebuilds: a slab is keyed only
@@ -183,8 +187,6 @@ class _Emitter:
     def __init__(self, view_names: Dict[Indexed, str], view_specs: Dict[str, np.ndarray]):
         self.view_names = view_names
         self.view_specs = view_specs
-        self.lines: List[str] = []
-        #: structured mirror of ``lines`` (same order)
         self.instrs: List[TAInstr] = []
         self.slots: Dict[str, np.dtype] = {}  # slot name -> dtype
         self.consts: Dict[str, np.ndarray] = {}  # const name -> 0-d array
@@ -249,10 +251,8 @@ class _Emitter:
         for o in operands:
             self._consume(o)
         out = self._alloc(spec)
-        args = ", ".join(o.text for o in operands)
-        # positional out: skips the ufunc kwarg-parsing path, which is
-        # measurable at wavefront tile sizes
-        self.lines.append(f"np.{ufunc}({args}, {out.text})")
+        # rendered with a positional out: skips the ufunc kwarg-parsing path,
+        # which is measurable at wavefront tile sizes
         self.instrs.append(
             TAInstr(ufunc, tuple(self._ta(o) for o in operands), self._ta(out))
         )
@@ -316,21 +316,19 @@ class _Emitter:
         out_ta = TAOperand(
             "out", out_name, np.dtype(out_dtype).name if out_dtype is not None else None
         )
-        producer_tail = f", {op.text})"
+        prev = self.instrs[-1] if self.instrs else None
         if (
             op.kind == "slot"
             and out_dtype is not None
             and op.spec.dtype == out_dtype
             and self._remaining.get(op.text, 0) == 1
-            and self.lines
-            and self.lines[-1].endswith(producer_tail)
+            and prev is not None
+            and prev.op != "store"
+            and prev.out.name == op.text
         ):
-            self.lines[-1] = self.lines[-1][: -len(producer_tail)] + f", {out_name})"
-            prev = self.instrs[-1]
             self.instrs[-1] = TAInstr(prev.op, prev.args, out_ta)
             self._consume(op)
             return
-        self.lines.append(f"{out_name}[...] = {op.text}")
         self.instrs.append(TAInstr("store", (self._ta(op),), out_ta))
         self._consume(op)
 
@@ -404,17 +402,16 @@ def compile_sweep(
     reads: Sequence[Indexed],
     read_dtypes: Sequence[np.dtype],
     out_dtypes: Sequence[np.dtype],
-) -> Callable:
-    """Compile all equations of a sweep into one fused three-address kernel.
+) -> CompiledSweep:
+    """Compile all equations of a sweep into one three-address program.
 
-    The kernel has signature ``kernel(slots, outs, views)`` where *outs* and
-    *views* are tuples of box-shaped array views in the order of *lhss* and
-    *reads*, and *slots* the scratch views checked out of a
-    :class:`ScratchPool` per ``__slotspec__``.  Equations execute in order,
-    each ending in a store to its output view, so intra-sweep radius-0 reads
-    of earlier writes observe updated data exactly as the interpreter's
-    sequential per-equation evaluation does.  Every call compiles; the
-    generated source is shape-agnostic.
+    The program reads views ``vN`` in the order of *reads*, writes outputs
+    ``oN`` in the order of *lhss* and keeps intermediates in scratch slots
+    ``sN``.  Equations execute in order, each ending in a store to its
+    output, so intra-sweep radius-0 reads of earlier writes observe updated
+    data exactly as the interpreter's sequential per-equation evaluation
+    does.  Every call compiles; the program is shape-agnostic and holds no
+    field.
     """
     lhss = list(lhss)
     rhss = list(rhss)
@@ -440,47 +437,42 @@ def compile_sweep(
             em.bind_temp(sym, expr, uses.get(sym, 1))
         em.store(f"o{i}", rhs, out_dtypes[i])
 
-    # assemble: unpack the prebound scratch slots and view tuples, then the
-    # instruction body.  Slot checkout (pool lookups) happens once per cached
-    # (t, box) binding in BoundSweep.evaluate, not per kernel call.
-    onames = [f"o{i}" for i in range(len(lhss))]
-    lines = ["def _kernel(slots, outs, views):"]
-    if em.slots:
-        lines.append(f"    ({', '.join(em.slots)},) = slots")
-    lines.append(f"    ({', '.join(onames)},) = outs")
-    if reads:
-        vnames = [f"v{i}" for i in range(len(reads))]
-        lines.append(f"    ({', '.join(vnames)},) = views")
-    namespace: Dict[str, object] = {"np": np}
-    namespace.update(em.consts)
-    lines.extend(f"    {line}" for line in em.lines)
-    source = "\n".join(lines) + "\n"
-
-    code = compile(source, filename="<repro-fused-kernel>", mode="exec")
-    exec(code, namespace)
-    kernel = namespace["_kernel"]
-    kernel.__source__ = source  # for inspection/tests
-    kernel.__nslots__ = len(em.slots)
-    kernel.__ntemps__ = cse.ntemps
-    # structured three-address program: the typed mirror of __source__ the
-    # kernel-level static analyses (repro.verify.absint) operate on
-    kernel.__program__ = TAProgram(
+    program = TAProgram(
         instrs=tuple(em.instrs),
         slots=tuple((n, d.name) for n, d in em.slots.items()),
         views=tuple((f"v{i}", d.name) for i, d in enumerate(read_dtypes)),
         outs=tuple((f"o{i}", d.name) for i, d in enumerate(out_dtypes)),
         consts=tuple((n, a.dtype.name) for n, a in em.consts.items()),
     )
-    # the constants' values, in ``__program__.consts`` order: the C rung
-    # passes them in a table so its source depends on structure alone
-    kernel.__constvals__ = tuple(float(a) for a in em.consts.values())
-    # (dtype, per-dtype index) per slot, in s0..sN order: the caller checks
-    # the actual buffers out of its ScratchPool with this spec
-    per_dtype_index: Dict[np.dtype, int] = {}
-    slotspec = []
-    for dt in em.slots.values():
-        idx = per_dtype_index.get(dt, 0)
-        per_dtype_index[dt] = idx + 1
-        slotspec.append((dt, idx))
-    kernel.__slotspec__ = tuple(slotspec)
-    return kernel
+    return CompiledSweep(
+        program=program,
+        constvals=tuple(float(a) for a in em.consts.values()),
+        ntemps=cse.ntemps,
+        flops=float(sum(flop_count(r) for r in rhss)),
+        accesses=sum(len(r.atoms(Indexed)) + 1 for r in rhss),
+    )
+
+
+def python_source(program: TAProgram) -> str:
+    """The ``fused`` rung's source of *program*: ``_kernel(slots, outs,
+    views)`` unpacks its slot and view tuples, then runs the instructions."""
+    lines = ["def _kernel(slots, outs, views):"]
+    for arg, names in (("slots", program.slots), ("outs", program.outs), ("views", program.views)):
+        if names:
+            lines.append(f"    ({', '.join(n for n, _ in names)},) = {arg}")
+    lines.extend(f"    {line}" for line in program.render().split("\n"))
+    return "\n".join(lines) + "\n"
+
+
+def numpy_kernel(compiled: CompiledSweep) -> Callable:
+    """The ``fused`` rung's NumPy closure of *compiled*:
+    ``kernel(slots, outs, views)``, box-shaped views in program order, the
+    slots checked out of a :class:`ScratchPool` per
+    :meth:`~repro.ir.nodes.TAProgram.pool_ids`.  Made once per bind-table
+    entry; it holds the program's constants, no field."""
+    program = compiled.program
+    namespace: Dict[str, object] = {"np": np}
+    for (name, dtype), value in zip(program.consts, compiled.constvals):
+        namespace[name] = np.asarray(value, dtype=dtype)
+    exec(compile(python_source(program), filename="<repro-fused-kernel>", mode="exec"), namespace)
+    return namespace["_kernel"]

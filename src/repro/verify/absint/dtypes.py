@@ -19,7 +19,7 @@ Two consumers:
   changed), which the linter's W201 message now names verbatim.
 * :func:`audit_slot_dtypes` — one loop over a three-address program,
   re-deriving every scratch slot's dtype; disagreement with the dtype the
-  emitter actually assigned (``kernel.__slotspec__``) is an internal
+  emitter actually assigned (the program's ``slots`` table) is an internal
   inconsistency reported as ``E203`` (and tested never to fire).
 """
 

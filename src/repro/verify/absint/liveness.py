@@ -7,8 +7,8 @@ no kernel observes a slab's prior contents, which a forward def/use scan of
 each kernel's typed three-address program decides: kernels are straight-line
 code, so a pooled buffer is live into a kernel exactly when the scan meets a
 read of a slot the kernel has not written yet.  Pool buffers are identified
-by ``(dtype, per-dtype index)``, exactly the ``__slotspec__`` identity under
-which sweeps share them.
+by :meth:`~repro.ir.nodes.TAProgram.pool_ids`, the identity under which
+sweeps share them.
 
 * **E301** — an instruction reads a slot this kernel never wrote: it would
   observe stale pooled memory (the finding names the *producing sweep* whose
@@ -31,18 +31,6 @@ from ..certificate import Diagnostic
 __all__ = ["LivenessReport", "analyse_programs"]
 
 PoolId = Tuple[str, int]  # (dtype name, per-dtype slot index)
-
-
-def slot_pool_ids(program: TAProgram) -> Dict[str, PoolId]:
-    """Map each slot name to its shared-pool identity, mirroring exactly how
-    :func:`repro.ir.pycodegen.compile_sweep` builds ``__slotspec__``."""
-    per_dtype: Dict[str, int] = {}
-    out: Dict[str, PoolId] = {}
-    for name, dtype in program.slots:
-        idx = per_dtype.get(dtype, 0)
-        per_dtype[dtype] = idx + 1
-        out[name] = (dtype, idx)
-    return out
 
 
 @dataclass
@@ -73,7 +61,7 @@ def _kernel_scan(
 ) -> List[Diagnostic]:
     """Forward def/use scan of one kernel: its E301/W302 findings."""
     findings: List[Diagnostic] = []
-    ids = slot_pool_ids(program)
+    ids = program.pool_ids()
     written: set = set()  # slots written (or already reported stale) so far
     pending: Dict[str, str] = {}  # slot -> rendered instr of unread write
 
@@ -144,7 +132,7 @@ def analyse_programs(programs: Sequence[Optional[TAProgram]]) -> LivenessReport:
     # the "producer" a stale read would observe
     producers: Dict[PoolId, int] = {}
     for j, program in kernels:
-        ids = slot_pool_ids(program)
+        ids = program.pool_ids()
         for instr in program.instrs:
             if instr.op != "store" and instr.out.kind == "slot":
                 producers[ids[instr.out.name]] = j

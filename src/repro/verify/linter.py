@@ -9,8 +9,9 @@ Static checks at two levels:
   (``W201``, via the abstract NEP 50 promotion lattice of
   :mod:`repro.verify.absint.dtypes` — the message names the statement and the
   exact promotion chain that produced the wider dtype).
-* **kernel level** (fused engine): the structured three-address program
-  (``kernel.__program__``) is analysed by the whole-program scratch scan of
+* **kernel level** (compiled engines): the three-address program of each
+  sweep (:attr:`~repro.ir.nodes.CompiledSweep.program`) is analysed by the
+  whole-program scratch scan of
   :mod:`repro.verify.absint.liveness` — a read of a slot never written in
   this kernel observes stale pooled memory from some earlier sweep
   (``E301``, naming the producing sweep); a value stored to a slot and never
@@ -230,7 +231,7 @@ def lint_operator(op, dt: float = 1.0) -> LintReport:
     sees the very expressions the engines execute.
     """
     from ..errors import EngineCompilationError
-    from ..execution.evalbox import BoundSweep
+    from ..execution.evalbox import BoundEq, compile_front_half
 
     report = LintReport(name=op.name)
     programs = []
@@ -238,7 +239,7 @@ def lint_operator(op, dt: float = 1.0) -> LintReport:
         report.diagnostics.extend(lint_equations(eqs, sweep=j))
         program = None
         try:
-            program = BoundSweep(eqs, op.grid, engine="fused").kernel_program()
+            program = compile_front_half([BoundEq(e, op.grid) for e in eqs], "fused")[2].program
         except EngineCompilationError as exc:
             report.diagnostics.append(
                 Diagnostic(

@@ -136,7 +136,7 @@ def test_elastic_sweep_shares_divergence_terms():
     assert all(s.engine == "fused" for s in plan.sweeps)
     stress = max(plan.sweeps, key=len)
     assert len(stress) > 1
-    assert stress._kernel.__ntemps__ > 0
+    assert stress.compiled.ntemps > 0
 
 
 # -- the nine shipped operators on the C rung -----------------------------------------

@@ -29,7 +29,7 @@ from repro.propagators.examples import build_example
 from repro.runtime import break_engine
 from repro.telemetry import Telemetry
 
-from ..conftest import AVAILABLE_ENGINES, make_acoustic_operator
+from ..conftest import AVAILABLE_ENGINES, make_acoustic_operator, needs_cc
 
 NT = 16
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -174,6 +174,49 @@ def test_kernel_counters_count_what_the_table_did(case, kind, sweeps):
     run, expected = COUNTER_CASES[case]
     clear_kernel_caches()
     assert run(kind) == expected(sweeps)
+
+
+def _served(kind, engine, monkeypatch):
+    """Bind a wavefront shot of *kind* (source and receivers, precomputed),
+    then a second problem of the same structure: ``(first plan, second
+    plan, second bind's telemetry, C sweeps emitted during the second)``."""
+    from repro.ir import cgen
+
+    def bind(shift, telemetry=None):
+        prop, dt = build_example(kind, nt=NT, shift=shift)
+        return prop.op.apply(time_M=NT, dt=dt, schedule="wavefront",
+                             sparse_mode="precomputed", engine=engine, telemetry=telemetry)
+
+    clear_kernel_caches()
+    first = bind(None)
+    emitted = []
+    real = cgen.emit_sweep
+    monkeypatch.setattr(cgen, "emit_sweep", lambda *a, **k: emitted.append(a) or real(*a, **k))
+    tel = Telemetry()
+    second = bind((0.1, -0.1, 0.05), tel)
+    return first, second, tel, emitted
+
+
+@needs_cc
+@pytest.mark.parametrize("kind", ["acoustic", "tti"])
+def test_a_served_c_bind_generates_and_loads_nothing(kind, monkeypatch):
+    """A second operator of a bound structure is served its loaded sweep
+    functions: no C source is emitted or hashed, no shared object is
+    looked up (``c_cache_*`` both 0), and it runs the first operator's."""
+    first, second, tel, emitted = _served(kind, "c", monkeypatch)
+    assert tel.counters["kernel_cache_hits"] == len(second.sweeps) and not emitted
+    assert tel.counters["c_cache_hits"] == tel.counters["c_cache_misses"] == 0
+    assert [sw.engine for sw in second.sweeps] == ["c"] * len(second.sweeps)
+    assert all(a._kernel is b._kernel for a, b in zip(first.sweeps, second.sweeps))
+
+
+@pytest.mark.parametrize("kind", ["acoustic", "tti"])
+def test_a_served_fused_bind_reuses_the_numpy_closure(kind, monkeypatch):
+    first, second, tel, _ = _served(kind, "fused", monkeypatch)
+    assert tel.counters["kernel_cache_hits"] == len(second.sweeps)
+    assert [sw.engine for sw in second.sweeps] == ["fused"] * len(second.sweeps)
+    assert all(a._kernel is b._kernel for a, b in zip(first.sweeps, second.sweeps))
+    assert all(a.compiled is b.compiled for a, b in zip(first.sweeps, second.sweeps))
 
 
 def test_a_broken_compiler_is_reached_on_a_warm_table(grid2d):

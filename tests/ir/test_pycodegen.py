@@ -9,7 +9,7 @@ from repro.core import NaiveSchedule, WavefrontSchedule
 from repro.dsl import Eq, Function, Grid, TimeFunction, solve
 from repro.dsl.symbols import Call, Indexed, Number, Pow, Symbol
 from repro.execution.evalbox import BoundEq, BoundSweep, full_box
-from repro.ir.pycodegen import ScratchPool, compile_sweep
+from repro.ir.pycodegen import ScratchPool, compile_sweep, numpy_kernel, python_source
 
 from ..conftest import AVAILABLE_ENGINES, make_acoustic_operator, run_and_capture
 
@@ -29,33 +29,40 @@ def _compile(expr, reads):
     return compile_sweep([_access("o")], [expr], reads, dtypes, [np.float64])
 
 
-def _run(kernel, *views):
+def _source(expr, reads):
+    return python_source(_compile(expr, reads).program)
+
+
+def _run(compiled, *views):
     out = np.zeros_like(views[0])
-    slots = tuple(np.empty_like(out, dtype=dt) for dt, _ in kernel.__slotspec__)
-    kernel(slots, (out,), views)
+    slots = tuple(
+        np.empty_like(out, dtype=dt) for dt, _ in compiled.program.pool_ids().values()
+    )
+    numpy_kernel(compiled)(slots, (out,), views)
     return out
 
 
 def test_render_basic():
     a, b = _access("a"), _access("b", 1)
-    kernel = _compile(a * 2 + b, [a, b])
-    assert "def _kernel" in kernel.__source__
+    compiled = _compile(a * 2 + b, [a, b])
+    assert "def _kernel" in python_source(compiled.program)
     np.testing.assert_array_equal(
-        _run(kernel, np.full(4, 3.0), np.full(4, 4.0)), np.full(4, 10.0)
+        _run(compiled, np.full(4, 3.0), np.full(4, 4.0)), np.full(4, 10.0)
     )
 
 
 def test_render_pow_and_div():
     a = _access("a")
-    assert "np.divide(_c0, v0" in _compile(Pow(a, Number(-1)), [a]).__source__
+    assert "np.divide(_c0, v0" in _source(Pow(a, Number(-1)), [a])
     cube = _compile(Pow(a, Number(3)), [a])
-    assert cube.__source__.count("np.multiply(") == 2 and "power" not in cube.__source__
+    source = python_source(cube.program)
+    assert source.count("np.multiply(") == 2 and "power" not in source
     np.testing.assert_array_equal(_run(cube, np.arange(4.0)), [0, 1, 8, 27])
 
 
 def test_render_calls():
     a = _access("a")
-    assert "np.cos(v0, " in _compile(Call("cos", a), [a]).__source__
+    assert "np.cos(v0, " in _source(Call("cos", a), [a])
     with pytest.raises(ValueError, match="unsupported call"):
         _compile(Call("erf", a), [a])
 
@@ -133,7 +140,7 @@ def test_compile_sweep_golden_source(grid1d):
     straight into the output view."""
     eq, _, _ = _bound_acoustic_eq(grid1d)
     sweep = BoundSweep([eq], grid1d, engine="fused")
-    assert sweep._kernel.__source__ == (
+    assert python_source(sweep.compiled.program) == (
         "def _kernel(slots, outs, views):\n"
         "    (s0, s1,) = slots\n"
         "    (o0,) = outs\n"
@@ -228,7 +235,8 @@ def test_fused_sweep_kernel_structure(grid3d):
     final instruction stores directly into the output view."""
     eq, u, m = _bound_acoustic_eq(grid3d, so=4)
     sweep = BoundSweep([eq], grid3d, engine="fused")
-    src = sweep._kernel.__source__
+    program = sweep.compiled.program
+    src = python_source(program)
     assert src.startswith("def _kernel(slots, outs, views):")
     body = [l.strip() for l in src.splitlines()[1:] if l.strip()]
     computes = [l for l in body if l.startswith("np.")]
@@ -241,11 +249,11 @@ def test_fused_sweep_kernel_structure(grid3d):
     assert computes[-1].endswith(", o0)")
     assert not any(l.startswith("o0[...] = ") for l in body)
     # scratch checkout happens once per (t, box) binding, driven by the spec
-    spec = sweep._kernel.__slotspec__
-    assert len(spec) == sweep._kernel.__nslots__
-    assert all(isinstance(dt, np.dtype) for dt, _ in spec)
+    spec = program.pool_ids()
+    assert list(spec) == [name for name, _ in program.slots]
+    assert all(np.dtype(dt) == np.float32 for dt, _ in spec.values())
     # no full-size temporaries: slot count stays far below instruction count
-    assert 0 < sweep._kernel.__nslots__ <= 8 < len(computes)
+    assert 0 < len(program.slots) <= 8 < len(computes)
 
 
 def test_fused_sweep_cache_and_view_cache(grid3d):
@@ -292,7 +300,7 @@ def test_fused_kernel_hoists_model_division(grid3d):
     """dt^2/m is precomputed once per bind: the hot kernel has no divide."""
     eq, u, m = _bound_acoustic_eq(grid3d, so=4)
     sweep = BoundSweep([eq], grid3d, engine="fused")
-    src = sweep._kernel.__source__
+    src = python_source(sweep.compiled.program)
     assert "divide" not in src and "power" not in src
     assert len(sweep.hoisted_fields) >= 1
     assert all(hf.name.startswith("__inv") for hf in sweep.hoisted_fields)
@@ -305,7 +313,7 @@ def test_negation_folds_into_subtract(grid1d):
     w = TimeFunction("w", grid1d, time_order=1, space_order=2)
     eq = Eq(u.forward, w.indexify() + Number(-1) * u.indexify())
     sweep = BoundSweep([eq], grid1d, engine="fused")
-    src = sweep._kernel.__source__
+    src = python_source(sweep.compiled.program)
     assert "np.subtract(" in src
     assert "np.multiply(-1" not in src
     rng = np.random.default_rng(3)

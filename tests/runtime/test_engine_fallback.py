@@ -15,12 +15,21 @@ import pytest
 
 from repro.core import NaiveSchedule, WavefrontSchedule
 from repro.errors import EngineCompilationError, EngineFallbackWarning
+from repro.ir.pycodegen import clear_kernel_caches
 from repro.runtime import break_engine
 
 from ..conftest import make_acoustic_operator, needs_cc, run_and_capture
 
 NT = 8
 DT = 0.5
+
+
+@pytest.fixture(autouse=True)
+def cold_bind_table():
+    """Each test binds against an empty bind table, as a fresh process does:
+    a bind the table serves runs the kernels this process already loaded
+    and reaches no compiler (``test_a_served_c_bind_needs_no_compiler``)."""
+    clear_kernel_caches()
 
 
 def test_broken_fused_degrades_to_interp_with_identical_numerics(grid2d):
@@ -161,6 +170,25 @@ def test_no_compiler_on_path_degrades_to_fused(grid2d, tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path))  # an empty directory
     _degrades_to_fused(grid2d, reason="no-compiler")
     _degrades_to_fused(grid2d, schedule=WavefrontSchedule(tile=(6, 6), height=2))
+
+
+@needs_cc
+def test_a_served_c_bind_needs_no_compiler(grid2d, tmp_path, monkeypatch):
+    """A structure this process has bound on the C rung is served its loaded
+    sweep function: a compiler gone from ``PATH`` since then is not reached,
+    and the second problem runs on ``c`` with the bits of ``fused``."""
+    op, *_ = make_acoustic_operator(grid2d, nt=NT)
+    op.apply(time_M=NT, dt=DT, engine="c")
+    monkeypatch.setenv("PATH", str(tmp_path))  # an empty directory
+    op2, u2, _, _, rec2 = make_acoustic_operator(grid2d, nt=NT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EngineFallbackWarning)
+        plan = op2.apply(time_M=NT, dt=DT, engine="c", strict_engine=True)
+    assert plan.sweeps[0].engine == "c"
+    op3, u3, _, _, rec3 = make_acoustic_operator(grid2d, nt=NT)
+    ref_u, ref_rec = run_and_capture(op3, u3, rec3, NT, DT, NaiveSchedule(), engine="fused")
+    np.testing.assert_array_equal(u2.interior(NT), ref_u)
+    np.testing.assert_array_equal(rec2.data, ref_rec)
 
 
 def test_no_compiler_strict_engine_raises(grid2d, tmp_path, monkeypatch):

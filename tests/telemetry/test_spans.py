@@ -8,7 +8,7 @@ import pytest
 from repro.core import NaiveSchedule, SpatialBlockSchedule, WavefrontSchedule
 from repro.telemetry import PHASES, Telemetry
 
-from ..conftest import make_acoustic_operator
+from ..conftest import ENGINE_PARAMS, make_acoustic_operator
 
 
 class FakeClock:
@@ -144,16 +144,39 @@ def test_meta_static_costs_registered(grid3d):
     assert tel.meta["grid_shape"] == list(grid3d.shape)
 
 
-def test_static_flops_count_the_bound_kernel():
-    """sweep_flops is counted on the factorised, hoisted expressions the
-    engine runs: for acoustic so=4 it is exactly the number of arithmetic
-    instructions of the fused kernel, one ufunc pass each."""
+#: (sweep_flops, sweep_accesses) of each example's bound sweeps, per
+#: compiled rung: C hoists only what it cannot express, fused every model term
+STATIC_COSTS = {
+    ("acoustic", "c"): ([28.0], [17]),
+    ("acoustic", "fused"): ([22.0], [18]),
+    ("tti", "c"): ([22.0, 107.0], [20, 68]),
+    ("tti", "fused"): ([16.0, 83.0], [20, 70]),
+    ("elastic", "c"): ([54.0, 117.0], [48, 87]),
+    ("elastic", "fused"): ([48.0, 105.0], [48, 87]),
+}
+
+
+@pytest.mark.parametrize("bind", ["cold", "served"])
+@pytest.mark.parametrize("engine", [e for e in ENGINE_PARAMS if e != "interp"])
+@pytest.mark.parametrize("kind", ["acoustic", "tti", "elastic"])
+def test_static_flops_count_the_bound_kernel(kind, engine, bind):
+    """sweep_flops and sweep_accesses are counted once, when the sweep
+    compiles, on the factorised, hoisted expressions the rung runs; a bind
+    the table serves registers the same numbers.  For acoustic so=4 the
+    flops are exactly the arithmetic instructions of the program, one ufunc
+    pass each."""
+    from repro.ir.pycodegen import clear_kernel_caches
     from repro.propagators.examples import build_example
 
-    prop, dt = build_example("acoustic")
-    tel = Telemetry()
-    plan = prop.op.apply(time_M=2, dt=dt, telemetry=tel)
-    (program,) = [sw.kernel_program() for sw in plan.sweeps]
-    arithmetic = [i for i in program.instrs if i.op != "store"]
-    assert tel.meta["sweep_flops"] == [float(len(arithmetic))]
-    assert tel.meta["sweep_accesses"] == [len(program.views) + len(program.outs)]
+    clear_kernel_caches()
+    for shift in [None] + [(0.1, -0.1, 0.05)] * (bind == "served"):
+        prop, dt = build_example(kind, shift=shift)
+        tel = Telemetry()
+        plan = prop.op.apply(time_M=2, dt=dt, engine=engine, telemetry=tel)
+    assert tel.counters["kernel_cache_hits"] == (len(plan.sweeps) if bind == "served" else 0)
+    assert (tel.meta["sweep_flops"], tel.meta["sweep_accesses"]) == STATIC_COSTS[kind, engine]
+    if kind == "acoustic":
+        (program,) = [sw.kernel_program() for sw in plan.sweeps]
+        arithmetic = [i for i in program.instrs if i.op != "store"]
+        assert tel.meta["sweep_flops"] == [float(len(arithmetic))]
+        assert tel.meta["sweep_accesses"] == [len(program.views) + len(program.outs)]

@@ -136,7 +136,8 @@ def test_w201_no_arrays_materialised(grid, monkeypatch):
 def test_dtype_pass_consistent_on_real_kernel():
     """E203 (lattice vs emitter slotspec disagreement) never fires on a
     shipped fused kernel (acoustic / TTI / elastic x so 4 / 8 / 12), and the
-    structured slot table the audit reads mirrors the kernel's slotspec."""
+    slot table the audit reads is the one the bound sweep checks its scratch
+    slabs out by."""
     from repro.propagators.examples import EXAMPLES, build_example
 
     for kind in EXAMPLES:
@@ -150,7 +151,7 @@ def test_dtype_pass_consistent_on_real_kernel():
                 findings = audit_slot_dtypes(program, sweep=j)
                 assert not findings, (kind, so, [f.message for f in findings])
                 assert [d for _, d in program.slots] == [
-                    np.dtype(d).name for d, _ in sw._kernel.__slotspec__
+                    np.dtype(d).name for d, _ in sw._slotspec
                 ]
 
 

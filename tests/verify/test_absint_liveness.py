@@ -44,8 +44,7 @@ def _emit(rhss):
     a = Indexed(Field("a"), {x: 0})
     lhss = [Indexed(Field(f"o{i}"), {x: 0}) for i in range(len(rhss))]
     f32 = [np.float32]
-    kernel = compile_sweep(lhss, [rhs(a) for rhs in rhss], [a], f32, f32 * len(rhss))
-    return kernel.__program__
+    return compile_sweep(lhss, [rhs(a) for rhs in rhss], [a], f32, f32 * len(rhss)).program
 
 
 def test_sequential_slots_share_one_color():
@@ -121,10 +120,8 @@ def _may_live_in(programs):
     """Reference: backward may-liveness of pool buffers around the cyclic
     kernel sequence, iterated to a fixpoint — the analysis the deleted
     dataflow framework ran.  Returns the live-in set per kernel."""
-    from repro.verify.absint.liveness import slot_pool_ids
-
     def backward(program, live):
-        ids = slot_pool_ids(program)
+        ids = program.pool_ids()
         live = set(live)
         for instr in reversed(program.instrs):
             if instr.op != "store" and instr.out.kind == "slot":
@@ -242,7 +239,7 @@ def test_slab_plan_shrinks_pool_bit_identically(grid24):
     (sweep,) = next(iter(op._sweep_cache.values()))
     shapes = {outs[0].shape for _slots, outs, _views in sweep._view_cache.values()}
     assert len(shapes) > 1  # the clipped wavefront windows differ in shape
-    assert len(op._pool) == sweep._kernel.__nslots__
+    assert len(op._pool) == len(sweep.compiled.program.slots)
 
 
 def test_pool_holds_one_slab_per_slot_after_tti_wavefront():
@@ -259,7 +256,7 @@ def test_pool_holds_one_slab_per_slot_after_tti_wavefront():
     wavefront = WavefrontSchedule(tile=(8, 8), height=2)
     prop.forward(nt=16, dt=dt, schedule=wavefront, engine="fused")
     sweeps = next(iter(prop.op._sweep_cache.values()))
-    per_sweep = [[d.name for d, _ in sw._kernel.__slotspec__] for sw in sweeps]
+    per_sweep = [[d for d, _ in sw.compiled.program.pool_ids().values()] for sw in sweeps]
     assert [len(s) for s in per_sweep] == [2, 6] and set(sum(per_sweep, [])) == {"float32"}
     shapes = {
         outs[0].shape for sw in sweeps for _slots, outs, _views in sw._view_cache.values()
