@@ -85,7 +85,9 @@ def written_access(eq: Eq) -> Access:
 
 
 def read_accesses(eq: Eq) -> List[Access]:
-    return [access_of(ix) for ix in eq.rhs.atoms(Indexed)]
+    """The reads of *eq*, in one order whatever the hash seed (``key=str``,
+    as :class:`~repro.execution.evalbox.BoundEq` sorts them)."""
+    return [access_of(ix) for ix in sorted(eq.rhs.atoms(Indexed), key=str)]
 
 
 @dataclass

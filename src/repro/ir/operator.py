@@ -349,14 +349,14 @@ class Operator:
                             telemetry.counters.add("kernel_cache_misses")
                         front += (load_kernel(eng, front[2], dims, sparse),)
                         bound.append(BoundSweep(eqs, self.grid, eng, self._pool, front, sparse))
-                    if eng == "c" and self.sparse_ops:
-                        # a rung binds its whole translation unit or degrades
-                        cgen.build(cgen.SPARSE_SOURCE)
                     report = self._analysed(lint_bound_sweeps, bound, name=self.name)
                     return [_pack_front(sw.front) for sw in bound], report
 
                 key = (self.signature, "rung", float(dt), eng)
                 fronts, report = structural(key, compile_and_lint)
+                if eng == "c":
+                    # a rung binds its whole translation unit or degrades
+                    cgen.static_unit()
                 if not report.ok:
                     # kernel-IR lint gate: error findings reject a compiled
                     # bind; the KernelLintError rides the same ladder as any
@@ -632,10 +632,10 @@ class Operator:
         """The C translation unit the ``"c"`` engine runs at timestep *dt*:
         one function per sweep (the paper's stencil nest, Listings 1/4, each
         pencil ending with the Listing-5 injection and gather of the
-        grid-aligned operators attached to the sweep) and, for an operator
-        with sparse operators, the static receiver reconstruction.  The time
-        and tile loops of
-        Listing 6 are :func:`repro.core.scheduler.lower`'s step list.  Emitted
+        grid-aligned operators attached to the sweep) and the static unit:
+        the walker that runs a run of :func:`repro.core.scheduler.lower`'s
+        steps — the time and tile loops of Listing 6 — in one OpenMP region,
+        the wavefield reset and the receiver reconstruction.  Emitted
         from the C rung's own front half, so no compiler is needed.  Raises
         :class:`~repro.errors.EngineCompilationError` for a sweep the C rung
         cannot express."""
@@ -647,8 +647,7 @@ class Operator:
                               tuple(a[:2] for a in ops))
             for j, (eqs, ops) in enumerate(zip(sweep_eqs, self._attachments()))
         ]
-        if self.sparse_ops:
-            units.append(f"/* {self.name}: receiver reconstruction */\n" + cgen.SPARSE_SOURCE)
+        units.append(f"/* {self.name}: the static unit */\n" + cgen.STATIC_SOURCE)
         return "\n".join(units)
 
     def __repr__(self) -> str:

@@ -6,6 +6,7 @@ from typing import List, Optional, Union
 
 from ..core.scheduler import Schedule
 from ..dsl.functions import SparseTimeFunction, TimeFunction
+from ..ir import cgen
 from ..ir.operator import Operator
 from .model import SeismicModel
 
@@ -48,9 +49,13 @@ class Propagator:
         return self._op
 
     def zero_fields(self) -> None:
-        """Reset all wavefields (zero initial conditions, as the paper)."""
-        for f in self.fields:
-            f.data_with_halo[...] = 0.0
+        """Reset all wavefields (zero initial conditions, as the paper): on
+        the OpenMP team once a C rung has loaded its static unit, else with
+        NumPy."""
+        buffers = [f.data_with_halo for f in self.fields]
+        if not cgen.zero(buffers):
+            for buf in buffers:
+                buf[...] = 0.0
 
     def critical_dt(self, cfl: Optional[float] = None) -> float:
         return self.model.critical_dt(self.kind, cfl=cfl)

@@ -141,7 +141,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.dsl import Eq  # noqa: E402
 from repro.ir import Operator  # noqa: E402
 
-from ..conftest import needs_cc  # noqa: E402
+from ..conftest import needs_cc, run_sweep  # noqa: E402
 
 
 def _boxes(shape):
@@ -158,11 +158,11 @@ def _boxes(shape):
 def test_c_sparse_kernels_match_python_bodies(shape, dtype, data):
     """A C sweep with its epilogue against the interpreter's sweep followed by
     the Python bodies, one arbitrary box at a time (overlapping, empty,
-    one-point, pencil-cutting ones included), every rank and dtype: same
-    additions, same staged values, same counts, byte-equal traces.  On the
-    24x25x26 grid the draw is dense — hundreds of points — and whole-grid and
-    large boxes run on the OpenMP team (``PARALLEL_MIN_POINTS``), small ones
-    on the caller; boxes that span ``z`` take the unchecked ``z2`` loop."""
+    one-point, pencil-cutting ones included), every rank and dtype, each box
+    a run of one step on the OpenMP team: same additions, same staged
+    values, same counts, byte-equal traces.  On the 24x25x26 grid the draw
+    is dense — hundreds of points; boxes that span ``z`` take the unchecked
+    ``z2`` loop."""
     from repro.ir.cgen import PARALLEL_MIN_POINTS, SPARSE_PARALLEL_MIN
 
     ndim = len(shape)
@@ -202,7 +202,7 @@ def test_c_sparse_kernels_match_python_bodies(shape, dtype, data):
     injected = gathered = 0
     for t, box in enumerate(boxes):
         t %= nt + 1  # t = nt: the source row and the trace row are out of range
-        sw_c.evaluate(t, box, table.ctypes.data)
+        run_sweep(sw_c, t, box, table)
         sw_py.evaluate(t, box)
         injected += inj_py.apply(t, box)
         gathered += rcv_py.gather(t, box)

@@ -37,23 +37,23 @@ def _function(code: str, name: str) -> str:
 
 # -- the sweep function ------------------------------------------------------------
 def test_naive_structure(op):
-    """One x / y / z nest per sweep: the leading loops under one ``omp
-    parallel for`` (rows of an instance are independent; the epilogue's
-    point counts are a reduction), ``z`` innermost and vectorisable:
-    directly under ``ivdep``, unit stride, no scratch arrays.  The other two
-    pragmas are the epilogue's unchecked ``z2`` loops."""
+    """One x / y / z nest per sweep: the leading loops under one orphaned
+    ``omp for`` with no ``if`` clause (rows of an instance are independent;
+    the walker's region supplies the team), ``z`` innermost and
+    vectorisable: directly under ``ivdep``, unit stride, no scratch arrays.
+    Two more pragmas are the epilogue's unchecked ``z2`` loops, the last two
+    the atomic additions of each thread's point counts."""
     sweep = _sweep(op.ccode(DT))
     loops = re.findall(r"for \(int64_t (\w+) = 0; \1 < n\1; \+\+\1\)", sweep)
     assert loops == ["x", "y", "z"]
     assert re.search(
-        r"#pragma omp parallel for collapse\(2\) schedule\(static\) "
-        r"reduction\(\+:injected, gathered\) "
-        rf"if\(nx \* ny \* nz >= {cgen.PARALLEL_MIN_POINTS}\)\n\s*for \(int64_t x = 0;[^\n]*\n"
+        r"#pragma omp for collapse\(2\) schedule\(static\)\n\s*for \(int64_t x = 0;[^\n]*\n"
         r"\s*for \(int64_t y = 0;",
         sweep,
     )
     assert re.search(r"#pragma GCC ivdep\n\s*for \(int64_t z = 0;", sweep)
-    assert sweep.count("#pragma") == 4
+    assert sweep.count("#pragma") == 6 and sweep.count("#pragma omp atomic\n") == 2
+    assert "parallel" not in sweep and "reduction" not in sweep
     assert sweep.count("#pragma GCC ivdep\n            for (int32_t z2 = 0;") == 2
     assert "-ffast-math" not in cgen.FLAGS and "-Ofast" not in cgen.FLAGS
     assert "-ffp-contract=off" in cgen.FLAGS and "-fopenmp" in cgen.FLAGS
@@ -121,7 +121,7 @@ def test_fused_injection_at_z_level(op):
     z_loop_end = pencil.index("\n      }\n      if (sp) {")
     assert pencil.index("for (int32_t z2") > z_loop_end
     # the epilogue closes before the y loop does
-    assert pencil.rindex("++gathered;") < pencil.index("\n    }\n  }\n  if (sp) sp[0]")
+    assert pencil.rindex("++gathered;") < pencil.index("\n    }\n  }\n  if (sp) {\n#pragma omp atomic")
 
 
 def test_compressed_structure(op):
@@ -152,7 +152,10 @@ def test_compressed_structure(op):
         "float *const row0 = r0 && (t + r0[6]) >= 0 && (t + r0[6]) < r0[7] ? "
         "(float *)(intptr_t)(r0[4] + (t + r0[6]) % r0[8] * r0[5]) : 0;"
     ) in sweep
-    assert "if (sp) sp[0] += injected, sp[1] += gathered;" in sweep
+    assert sweep.endswith(
+        "  if (sp) {\n#pragma omp atomic\n    sp[0] += injected;\n"
+        "#pragma omp atomic\n    sp[1] += gathered;\n  }\n}"
+    )
     assert "->SID" not in code
     assert f"#define SPARSE_PARALLEL_MIN {cgen.SPARSE_PARALLEL_MIN}\n" in code
     for dtype in ("float32", "float64"):
@@ -163,12 +166,30 @@ def test_compressed_structure(op):
 
 
 def test_fuse_requires_injections(grid3d):
-    """The epilogue and the reconstruction unit are emitted only for an
-    operator with sparse operators."""
+    """The epilogue and its counts are emitted only for a sweep with
+    sparse operators; the static unit (walker, reset, reconstruction) ends
+    every unit."""
     op, *_ = make_acoustic_operator(grid3d, src_coords=False, rec_coords=False)
     code = op.ccode(DT)
-    assert "void sweep0(" in code
-    assert "if (sp)" not in code and "reduction" not in code and "aligned_" not in code
+    sweep = _sweep(code)
+    assert "if (sp)" not in sweep and "atomic" not in sweep and "aligned_" not in sweep
+    assert code.endswith(cgen.STATIC_SOURCE)
+
+
+# -- the static unit: one OpenMP region per run of steps ---------------------------
+def test_walker_structure():
+    """The walker is the unit's one region over sweep instances: every
+    thread calls each row's sweep with ``t0 + dt`` and its sweep's ``sp``
+    table, the sweep's ``omp for`` barrier ends the instance, and the master
+    stamps its end only when a stamp buffer is passed."""
+    walk = _function(cgen.STATIC_SOURCE, "walk")
+    assert walk.count("#pragma omp parallel") == 1
+    assert "#pragma omp parallel if(threaded)\n  for (int64_t i = 0; i < n; ++i) {" in walk
+    assert "(int64_t *)(intptr_t)sps[s[3]], t0 + s[4]);" in walk
+    assert "#pragma omp master\n    if (stamps) {" in walk
+    assert "clock_gettime(CLOCK_MONOTONIC, &now);" in walk
+    reset = _function(cgen.STATIC_SOURCE, "zero_fill")
+    assert "#pragma omp parallel\n" in reset and "#pragma omp for schedule(static) nowait" in reset
 
 
 # -- generic -------------------------------------------------------------------------
@@ -182,12 +203,14 @@ def test_all_modes_render(grid3d, grid2d, grid1d):
         dims = [d.name for d in grid.dimensions]
         loops = re.findall(r"for \(int64_t (\w+) = 0; \1 < n", _sweep(code))
         assert loops == dims
-        # one threaded loop level per leading dimension; a 1-D sweep has none
-        collapse = re.findall(r"#pragma omp parallel for collapse\((\d)\)", _sweep(code))
+        # one shared loop level per leading dimension; a 1-D sweep has none,
+        # and one thread of the team runs it
+        collapse = re.findall(r"#pragma omp for collapse\((\d)\)", _sweep(code))
         assert collapse == ([str(len(dims) - 1)] if len(dims) > 1 else [])
+        assert ("#pragma omp single\n" in _sweep(code)) == (len(dims) == 1)
     v = TimeFunction("v", grid2d, time_order=1, space_order=2, dtype=np.float64)
     code = Operator([Eq(v.forward, 0.5 * v + v.dx)]).ccode(DT)
-    assert "double *const o0" in code and "float" not in code
+    assert "double *const o0" in code and "float" not in _sweep(code)
 
 
 def test_render_rejects_unknown_node():

@@ -164,3 +164,27 @@ def test_illegal_schedule_fails_and_is_reported(capsys, monkeypatch):
     assert entry["certificates"]["naive"]["legal"] is True
     assert cli.main(["acoustic"]) == 1
     assert "certificate[wavefront]: ILLEGAL — synthetic" in capsys.readouterr().out
+
+
+def test_bounds_certificates_do_not_depend_on_the_hash_seed():
+    """The halo certificate walks each statement's reads in one order: two
+    processes with different ``PYTHONHASHSEED`` print the same ``checks`` and
+    ``counterexample`` for every example."""
+    import os
+    import subprocess
+    import sys
+
+    out = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.verify", "--all", "--json"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)["results"]
+        out.append({
+            name: (r["bounds"]["checks"], r["bounds"]["counterexample"])
+            for name, r in results.items()
+        })
+    assert out[0] == out[1] and len(out[0]) == 3
