@@ -1,7 +1,6 @@
 """Metrics and reporting utilities for the evaluation harness."""
 from .metrics import eq_flops, flop_count
 from .report import (
-    render_certificate,
     render_series,
     render_speedup_bars,
     render_table,
@@ -13,5 +12,4 @@ __all__ = [
     "render_table",
     "render_series",
     "render_speedup_bars",
-    "render_certificate",
 ]

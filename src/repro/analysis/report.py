@@ -12,7 +12,6 @@ __all__ = [
     "render_table",
     "render_series",
     "render_speedup_bars",
-    "render_certificate",
     "render_bounds_certificate",
 ]
 
@@ -47,34 +46,6 @@ def render_series(
     headers = [x_label] + list(series)
     rows = [[xv] + [series[name][i] for name in series] for i, xv in enumerate(x)]
     return render_table(headers, rows, title=title)
-
-
-def render_certificate(cert, title: str = "") -> str:
-    """Human-readable summary of a schedule-legality certificate
-    (:class:`repro.verify.certificate.LegalityCertificate`).
-
-    Shows the schedule geometry (wavefront angle, per-sweep lags, tile skew),
-    the componentwise maximum dependence-distance vector, and the edge tally
-    — the quantities §II-B's legality argument turns on.
-    """
-    md = cert.max_distance
-    checked = [d for d in cert.dependences if not d.cross_tile]
-    lags = list(cert.lags)
-    rows = [
-        ["operator", cert.operator],
-        ["schedule", cert.schedule.get("kind", "?")],
-        ["sparse mode", cert.sparse_mode],
-        ["legal", cert.check()],
-        ["wavefront angle", cert.wavefront_angle],
-        ["sweep radii", " ".join(str(r) for r in cert.sweep_radii)],
-        ["per-sweep lags", " ".join(str(v) for v in lags) if lags else "-"],
-        ["tile skew", cert.tile_skew],
-        ["max distance", " ".join(f"{k}={v}" for k, v in md.items())],
-        ["edges checked", f"{len(cert.dependences)} ({len(checked)} in-tile)"],
-    ]
-    return render_table(
-        ["quantity", "value"], rows, title=title or "Legality certificate"
-    )
 
 
 def render_bounds_certificate(cert, title: str = "") -> str:

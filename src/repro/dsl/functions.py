@@ -62,10 +62,6 @@ class DiscreteFunction:
         self.data[...] = value
 
     # -- symbolic access -------------------------------------------------------
-    @property
-    def is_time_function(self) -> bool:
-        return False
-
     def _base_offsets(self) -> Dict[Dimension, int]:
         return {d: 0 for d in self.grid.dimensions}
 
@@ -187,10 +183,6 @@ class TimeFunction(DiscreteFunction):
             raise ValueError("time order must be >= 1")
         self.time_order = int(time_order)
         super().__init__(name, grid, space_order=space_order, dtype=dtype)
-
-    @property
-    def is_time_function(self) -> bool:
-        return True
 
     @property
     def buffers(self) -> int:

@@ -199,9 +199,6 @@ class Expr:
         raise NotImplementedError
 
     # -- misc ---------------------------------------------------------------------
-    def is_number(self) -> bool:
-        return isinstance(self, Number)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return str(self)
 

@@ -49,8 +49,7 @@ def evaluate_point_scale(expr: Expr, points: np.ndarray, grid: Grid, dt: float) 
             raise ValueError(f"injection scale access must be centred: {access}")
         idx = tuple(points[:, d] for d in range(points.shape[1]))
         env[access] = func.data[idx].astype(np.float64)
-    leftover = expr.free_symbols() - set()
-    unbound = {s.name for s in leftover}
+    unbound = {s.name for s in expr.free_symbols()}
     if unbound:
         raise ValueError(f"unbound symbols in injection scale: {sorted(unbound)}")
     value = expr.evaluate(env)

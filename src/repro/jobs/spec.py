@@ -182,20 +182,9 @@ class AttemptRecord:
         return max(0.0, self.ended - self.started)
 
     def to_dict(self) -> dict:
-        return {
-            "attempt": self.attempt,
-            "started": self.started,
-            "ended": self.ended,
-            "outcome": self.outcome,
-            "error": self.error,
-            "engine": self.engine,
-            "resumed_from": self.resumed_from,
-            "degraded": self.degraded,
-            "worker": self.worker,
-            "warm": self.warm,
-            "phases": dict(self.phases),
-            "caches": dict(self.caches),
-        }
+        """Every field but :attr:`trace`, the dicts copied."""
+        return {k: dict(v) if isinstance(v, dict) else v
+                for k, v in vars(self).items() if k != "trace"}
 
 
 @dataclass

@@ -78,14 +78,7 @@ class Span:
         return self.start + self.dur
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "phase": self.phase,
-            "start": self.start,
-            "dur": self.dur,
-            "depth": self.depth,
-            "attrs": dict(self.attrs),
-        }
+        return {**vars(self), "attrs": dict(self.attrs)}
 
 
 class Telemetry:

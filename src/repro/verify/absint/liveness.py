@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...ir.nodes import TAProgram
-from ..certificate import Diagnostic
+from ..certificate import Diagnostic, Record
 
 __all__ = ["LivenessReport", "analyse_programs"]
 
@@ -34,26 +34,20 @@ PoolId = Tuple[str, int]  # (dtype name, per-dtype slot index)
 
 
 @dataclass
-class LivenessReport:
+class LivenessReport(Record):
     """Everything the whole-program scratch analysis proved."""
 
     #: E301/W302 findings over the typed IR
     findings: List[Diagnostic] = field(default_factory=list)
     #: scratch slots declared over all kernels
     total_slots: int = 0
+    _derived = {"safe_for_slab": "safe_for_slab"}
 
     @property
     def safe_for_slab(self) -> bool:
         """True iff every kernel writes every slot before reading it — the
         proof obligation that makes slab sharing bit-identical."""
         return not any(f.code == "E301" for f in self.findings)
-
-    def to_dict(self) -> dict:
-        return {
-            "safe_for_slab": self.safe_for_slab,
-            "total_slots": self.total_slots,
-            "findings": [f.to_dict() for f in self.findings],
-        }
 
 
 def _kernel_scan(

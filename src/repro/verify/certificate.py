@@ -28,7 +28,7 @@ whose access escapes the padded buffer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -47,8 +47,33 @@ __all__ = [
 Box = Tuple[Tuple[int, int], ...]
 
 
+def _plain(value):
+    """*value* as JSON data: a record as its dict, tuples as lists, a
+    mapping's keys sorted."""
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return dict(sorted(value.items())) if isinstance(value, dict) else value
+
+
+class Record:
+    """:meth:`to_dict` of the dataclass records below, the record the verify
+    CLI prints: every field as JSON data, then each ``_derived`` key with the
+    attribute it names (called when it is a method)."""
+
+    _derived: Dict[str, str] = {}
+
+    def to_dict(self) -> dict:
+        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        for key, name in self._derived.items():
+            value = getattr(self, name)
+            out[key] = value() if callable(value) else value
+        return out
+
+
 @dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One finding of a static analysis."""
 
     code: str  # "E101", "W302", ...
@@ -58,15 +83,6 @@ class Diagnostic:
     statement: Optional[str] = None
     field: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "message": self.message,
-            "sweep": self.sweep,
-            "statement": self.statement,
-            "field": self.field,
-        }
 
     def render(self) -> str:
         where = f"sweep {self.sweep}: " if self.sweep is not None else ""
@@ -74,7 +90,7 @@ class Diagnostic:
 
 
 @dataclass(frozen=True)
-class InstanceRef:
+class InstanceRef(Record):
     """One statement instance: timestep, space(-time) tile, grid point."""
 
     t: int
@@ -90,18 +106,10 @@ class InstanceRef:
             f"tile={tile}, point={self.point})"
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "sweep": self.sweep,
-            "tile": [list(b) for b in self.tile],
-            "point": list(self.point),
-            "role": self.role,
-        }
 
 
 @dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """Two conflicting instances violating a dependence under a schedule.
 
     ``first`` executes before ``second`` under the *schedule*, but sequential
@@ -127,19 +135,10 @@ class Counterexample:
             f"— {self.reason}"
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "field": self.field,
-            "first": self.first.to_dict(),
-            "second": self.second.to_dict(),
-            "reason": self.reason,
-            "manifest": self.manifest,
-        }
 
 
 @dataclass(frozen=True)
-class CheckedDependence:
+class CheckedDependence(Record):
     """One dependence edge with its legality inequality evaluated.
 
     ``required <= available`` is the edge's legality condition; ``cross_tile``
@@ -157,6 +156,7 @@ class CheckedDependence:
     available: int
     cross_tile: bool = False
     affine: bool = True
+    _derived = {"satisfied": "satisfied"}
 
     @property
     def satisfied(self) -> bool:
@@ -167,23 +167,12 @@ class CheckedDependence:
         return self.cross_tile or self.available >= self.required
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "function": self.function,
-            "source": list(self.source),
-            "sink": list(self.sink),
-            "time_distance": self.time_distance,
-            "distance": {d: s for d, s in self.distance},
-            "required": self.required,
-            "available": self.available,
-            "cross_tile": self.cross_tile,
-            "affine": self.affine,
-            "satisfied": self.satisfied,
-        }
+        return {**super().to_dict(), "distance": dict(self.distance)}
+
 
 
 @dataclass
-class LegalityCertificate:
+class LegalityCertificate(Record):
     """The prover's positive verdict for (operator, schedule, sparse mode)."""
 
     operator: str
@@ -195,6 +184,7 @@ class LegalityCertificate:
     wavefront_angle: int
     lags: Tuple[int, ...]  # per-instance cumulative lags of one time tile
     dependences: Tuple[CheckedDependence, ...] = ()
+    _derived = {"max_distance": "max_distance", "tile_skew": "tile_skew", "legal": "check"}
 
     @property
     def max_distance(self) -> Dict[str, int]:
@@ -221,21 +211,6 @@ class LegalityCertificate:
     def violations(self) -> List[CheckedDependence]:
         return [dep for dep in self.dependences if not dep.satisfied]
 
-    def to_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "schedule": dict(self.schedule),
-            "sparse_mode": self.sparse_mode,
-            "dims": list(self.dims),
-            "skewed_dims": list(self.skewed_dims),
-            "sweep_radii": list(self.sweep_radii),
-            "wavefront_angle": self.wavefront_angle,
-            "lags": list(self.lags),
-            "max_distance": self.max_distance,
-            "tile_skew": self.tile_skew,
-            "dependences": [d.to_dict() for d in self.dependences],
-            "legal": self.check(),
-        }
 
     def summary(self) -> str:
         md = self.max_distance
@@ -248,15 +223,14 @@ class LegalityCertificate:
             f"legal={self.check()})"
         )
 
-    def __repr__(self) -> str:
-        return self.summary()
+    __repr__ = summary
 
 
 # -- halo (bounds) certificates ----------------------------------------------------
 
 
 @dataclass(frozen=True)
-class CheckedBound:
+class CheckedBound(Record):
     """One access along one dimension with its two halo margins.
 
     Every executor clips each box to the interior ``[0, N)`` and skips empty
@@ -278,28 +252,16 @@ class CheckedBound:
     halo: int
     margin_lo: int
     margin_hi: int
+    _derived = {"satisfied": "satisfied"}
 
     @property
     def satisfied(self) -> bool:
         return self.margin_lo >= 0 and self.margin_hi >= 0
 
-    def to_dict(self) -> dict:
-        return {
-            "sweep": self.sweep,
-            "statement": self.statement,
-            "function": self.function,
-            "role": self.role,
-            "dim": self.dim,
-            "offset": self.offset,
-            "halo": self.halo,
-            "margin_lo": self.margin_lo,
-            "margin_hi": self.margin_hi,
-            "satisfied": self.satisfied,
-        }
 
 
 @dataclass(frozen=True)
-class BoundsCounterexample:
+class BoundsCounterexample(Record):
     """A concrete out-of-bounds instance: (t, tile, index).
 
     ``index`` is the padded-buffer index the access resolves to at
@@ -329,21 +291,10 @@ class BoundsCounterexample:
             f"{self.reason}"
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "instance": self.instance.to_dict(),
-            "function": self.function,
-            "dim": self.dim,
-            "offset": self.offset,
-            "halo": self.halo,
-            "index": list(self.index),
-            "extent": list(self.extent),
-            "reason": self.reason,
-        }
 
 
 @dataclass(frozen=True)
-class CheckedGrowth:
+class CheckedGrowth(Record):
     """One written field's per-step amplitude amplification bound.
 
     The interval ``[lo, hi]`` is the image of the field's update expression
@@ -361,6 +312,7 @@ class CheckedGrowth:
     field: str
     lo: float
     hi: float
+    _derived = {"gain": "gain", "satisfied": "satisfied"}
 
     @property
     def gain(self) -> float:
@@ -370,19 +322,10 @@ class CheckedGrowth:
     def satisfied(self) -> bool:
         return math.isfinite(self.gain)
 
-    def to_dict(self) -> dict:
-        return {
-            "sweep": self.sweep,
-            "field": self.field,
-            "lo": self.lo,
-            "hi": self.hi,
-            "gain": self.gain,
-            "satisfied": self.satisfied,
-        }
 
 
 @dataclass
-class GrowthCertificate:
+class GrowthCertificate(Record):
     """The growth analysis' verdict: per-step amplitude amplification bounds.
 
     The peer of :class:`BoundsCertificate` for the ABFT amplitude invariant
@@ -400,6 +343,7 @@ class GrowthCertificate:
     operator: str
     dt: float
     checks: Tuple[CheckedGrowth, ...] = ()
+    _derived = {"step_gain": "step_gain", "bounded": "check"}
 
     @property
     def sweep_gains(self) -> Dict[int, float]:
@@ -428,14 +372,6 @@ class GrowthCertificate:
     def violations(self) -> List[CheckedGrowth]:
         return [c for c in self.checks if not c.satisfied]
 
-    def to_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "dt": self.dt,
-            "checks": [c.to_dict() for c in self.checks],
-            "step_gain": self.step_gain,
-            "bounded": self.check(),
-        }
 
     def summary(self) -> str:
         return (
@@ -444,12 +380,11 @@ class GrowthCertificate:
             f"bounded={self.check()})"
         )
 
-    def __repr__(self) -> str:
-        return self.summary()
+    __repr__ = summary
 
 
 @dataclass
-class BoundsCertificate:
+class BoundsCertificate(Record):
     """The halo analysis' verdict for one operator, valid under every
     schedule and engine (the margins do not depend on either).
 
@@ -463,6 +398,7 @@ class BoundsCertificate:
     halos: Dict[str, int]
     checks: Tuple[CheckedBound, ...] = ()
     counterexample: Optional[BoundsCounterexample] = None
+    _derived = {"min_margin": "min_margin", "safe": "check"}
 
     def check(self) -> bool:
         return self.counterexample is None and all(c.satisfied for c in self.checks)
@@ -477,18 +413,6 @@ class BoundsCertificate:
         margins = [min(c.margin_lo, c.margin_hi) for c in self.checks]
         return min(margins) if margins else None
 
-    def to_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "dims": list(self.dims),
-            "halos": dict(sorted(self.halos.items())),
-            "checks": [c.to_dict() for c in self.checks],
-            "counterexample": (
-                self.counterexample.to_dict() if self.counterexample else None
-            ),
-            "min_margin": self.min_margin,
-            "safe": self.check(),
-        }
 
     def summary(self) -> str:
         return (
@@ -497,5 +421,4 @@ class BoundsCertificate:
             f"safe={self.check()})"
         )
 
-    def __repr__(self) -> str:
-        return self.summary()
+    __repr__ = summary

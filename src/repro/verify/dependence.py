@@ -71,15 +71,6 @@ class AccessInfo:
                 return s
         return 0
 
-    def to_dict(self) -> dict:
-        return {
-            "function": self.function,
-            "kind": self.kind,
-            "time_offset": self.time_offset,
-            "offsets": {d: s for d, s in self.offsets},
-            "affine": self.affine,
-        }
-
 
 @dataclass(frozen=True)
 class Statement:

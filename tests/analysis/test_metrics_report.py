@@ -68,21 +68,3 @@ def test_render_speedup_bars():
     t = render_speedup_bars(["a", "b"], [1.5, 0.9], title="Fig")
     assert "1.50x" in t and "0.90x" in t
     assert "#" in t
-
-
-# -- legality-certificate rendering -------------------------------------------------
-def test_render_certificate():
-    from repro.analysis import render_certificate
-    from repro.core.scheduler import WavefrontSchedule
-    from repro.verify import prove_schedule
-
-    from ..conftest import make_acoustic_operator
-    from repro.dsl import Grid
-
-    op, *_ = make_acoustic_operator(Grid(shape=(12, 11, 10)))
-    cert = prove_schedule(op, WavefrontSchedule(tile=(8, 8), height=2))
-    out = render_certificate(cert, title="demo certificate")
-    assert "demo certificate" in out
-    assert "wavefront angle" in out and "tile skew" in out
-    assert "True" in out  # legal verdict
-    assert "in-tile" in out
