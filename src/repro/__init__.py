@@ -58,7 +58,6 @@ from .errors import (
     EngineFallbackWarning,
     InjectedFault,
     InvalidTimeRange,
-    KernelLintError,
     NumericalBlowup,
     PlanValidationError,
     ReproError,
@@ -94,7 +93,6 @@ __all__ = [
     "CoordinateOutOfDomain",
     "StabilityViolation",
     "EngineCompilationError",
-    "KernelLintError",
     "ScheduleLegalityError",
     "InvalidTimeRange",
     "PlanValidationError",

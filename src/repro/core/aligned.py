@@ -18,7 +18,7 @@ sweep that writes their field (:func:`repro.ir.cgen.emit_sweep`).
 from __future__ import annotations
 
 import functools
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -121,31 +121,18 @@ class AlignedReceiver(_Aligned):
         self.drec = drec
         self.output = output  # (nt, npoint) receiver traces
         self._ring = np.zeros((1, max(self.masks.npts, 1)), dtype=np.float64)
-        self._staging: Dict[int, np.ndarray] = {}  # open row -> its ring slot
         from ..ir.cgen import reconstruction
 
         self._reconstruct = reconstruction(drec.weights, output) if c else None
 
     def reserve(self, height: int) -> None:
         """Stage *height* rows (a time tile's) at once, and one after a
-        finished run: a plan kept alive then holds no staged memory.  A new
-        ring starts with no open row."""
+        finished run: a plan kept alive then holds no staged memory."""
         if height != self._ring.shape[0]:
             self._ring = np.zeros((height, self._ring.shape[1]), dtype=np.float64)
-            self._staging = {}
-
-    def _slot(self, row: int) -> np.ndarray:
-        stage = self._staging[row] = self._ring[row % self._ring.shape[0]]
-        return stage
 
     def c_record(self) -> list:
         return self._record(self._ring, self.time_offset, self.output.shape[0])
-
-    def _row(self, t: int) -> Optional[np.ndarray]:
-        row = t + self.time_offset
-        if not 0 <= row < self.output.shape[0]:
-            return None
-        return self._slot(row)
 
     def gather(self, t: int, box: Optional[Box] = None) -> int:
         """Stage wavefield values at affected points (optionally box-local);
@@ -156,9 +143,10 @@ class AlignedReceiver(_Aligned):
             ids = self.masks.points_in_box(box)
             if ids.size == 0:  # nothing of this receiver in the tile
                 return 0
-        stage = self._row(t)
-        if stage is None:
+        row = t + self.time_offset
+        if not 0 <= row < self.output.shape[0]:
             return 0
+        stage = self._ring[row % self._ring.shape[0]]
         flat = self.field.buffer(t + self.time_offset).reshape(-1)
         if box is None:
             stage[: self.masks.npts] = flat.take(self._lin)
@@ -176,7 +164,6 @@ class AlignedReceiver(_Aligned):
         0.0, the row's entries added in stored order, so the two agree at 0
         ulp."""
         row = t + self.time_offset
-        self._staging.pop(row, None)
         if not 0 <= row < self.output.shape[0]:
             return
         if self.masks.npts == 0:
@@ -187,14 +174,3 @@ class AlignedReceiver(_Aligned):
             self._reconstruct(row, stage.ctypes.data)
         else:
             self.output[row] = self.drec.weights.dot(stage)
-
-    def pending_rows(self):
-        return sorted(self._staging)
-
-    def restore_staging(self, staging: Dict[int, np.ndarray]) -> None:
-        """Reopen a snapshot's staging rows in their ring slots."""
-        self._staging = {}
-        if staging:  # a ring in use by a run never shrinks
-            self.reserve(max(self._ring.shape[0], max(staging) - min(staging) + 1))
-        for row, stage in staging.items():
-            self._slot(row)[...] = stage

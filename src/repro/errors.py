@@ -22,7 +22,6 @@ __all__ = [
     "CoordinateOutOfDomain",
     "StabilityViolation",
     "EngineCompilationError",
-    "KernelLintError",
     "BoundsProofError",
     "ScheduleLegalityError",
     "InvalidTimeRange",
@@ -139,30 +138,17 @@ class EngineCompilationError(ReproError, RuntimeError):
     """
 
 
-class KernelLintError(EngineCompilationError):
-    """The kernel-IR linter rejected a compiled sweep.
-
-    Raised on a compiled rung of the engine ladder when static analysis of the
-    bound sweeps finds an error-severity defect (stale scratch read, aliasing
-    write, ...).  Carries ``diagnostics`` (the list of
-    :class:`repro.verify.certificate.Diagnostic` that failed the bind) so strict
-    mode surfaces the exact lint findings; non-strict mode degrades down the
-    ladder like any other compilation failure.
-    """
-
-
-class BoundsProofError(KernelLintError):
-    """A stencil access reaches past its field's halo (lint code ``E101``).
+class BoundsProofError(EngineCompilationError):
+    """A stencil access reaches past its field's halo.
 
     Raised at the top of ``Operator.apply`` — before any engine binds, on
     every engine and schedule, never degrading down the ladder — when
     :func:`repro.verify.absint.prove_bounds` finds an access that escapes its
     field's padded storage.  Carries ``counterexample`` (a concrete
     :class:`repro.verify.certificate.BoundsCounterexample` naming the exact
-    ``(t, tile, index)`` instance) and ``certificate`` (the full
+    ``(t, tile, index)`` instance), ``certificate`` (the full
     :class:`repro.verify.certificate.BoundsCertificate` with every violated
-    margin).  Still a :class:`KernelLintError`: it is the linter's ``E101``
-    finding, made a precondition of execution.
+    margin) and ``diagnostics``.
     """
 
 

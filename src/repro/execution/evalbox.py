@@ -346,12 +346,6 @@ class BoundSweep:
         # keep that storage alive for as long as the table is
         return (tab.ctypes.data, tab, arrays)
 
-    def kernel_program(self):
-        """The three-address program (:class:`~repro.ir.nodes.TAProgram`)
-        this sweep runs, or ``None`` under the interpreter — the input of the
-        kernel-level static analyses (:mod:`repro.verify.absint`)."""
-        return None if self.compiled is None else self.compiled.program
-
     def materialise_invariants(self) -> None:
         """Refresh the hoisted model-term buffers if stale: before any
         binding reads them (they are allocated lazily) and before a replayed

@@ -6,8 +6,8 @@ terms like ``1/(c*m + c*damp)`` are register work on live reads) into one C
 function per sweep — the paper's loop nest (Listings 1/4): outer loops over
 the leading dimensions, one row pointer per operand, the innermost loop
 vectorised, scratch slots as scalar locals.  There is no second front end:
-the lint, the dtype audit and the liveness check read the very program this
-emitter consumes.
+the dtype audit and the liveness check read the very program this emitter
+consumes.
 Each pencil ends with the Listing-5 body of the grid-aligned injections and
 receivers attached to the sweep — fused at the ``z`` level as Listing 4
 does; the id of slot ``z2`` of pencil ``p`` is ``start[p] + z2``: an
@@ -22,8 +22,9 @@ dtype = result dtype, float32 or float64), the statement order per point is
 the program's, contraction is off and ``-ffast-math`` is never passed
 (:data:`FLAGS` is a constant, not an option).  ``#pragma GCC ivdep`` on the
 innermost loop is sound because a sweep reads what it writes only at radius
-0 (lint E401 rejects anything else): no dependence is carried between
-iterations.  Constants arrive in an argument table, so the source depends
+0 (:func:`~repro.ir.dependencies.build_sweeps` starts a new sweep before any
+other such read, and refuses a write off the iteration point): no
+dependence is carried between iterations.  Constants arrive in an argument table, so the source depends
 on program structure alone and one ``.so`` serves every ``dt``, spacing and
 model of a physics x space order x dtype x rank.
 
@@ -105,7 +106,7 @@ FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fopenmp", "-shared", "-f
 #: acoustic spatial blocks of a 40x40x144 grid on a 2-core host, two threads
 #: lose 23 % at 1 152 points and 3-6 % at 2 304, and win 4-6 % at 4 608
 #: (EXPERIMENTS.md entry 27)
-PARALLEL_MIN_POINTS = 2048
+PARALLEL_MIN_POINTS = 4096
 
 #: the reconstruction's ``if`` clause: a weight matrix with fewer entries runs
 #: on the calling thread alone; two threads first win at 2 048 (DESIGN.md §2)

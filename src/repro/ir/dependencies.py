@@ -32,6 +32,7 @@ from typing import List, Sequence, Tuple
 from ..dsl.equation import Eq
 from ..dsl.functions import TimeFunction
 from ..dsl.symbols import Indexed
+from ..errors import PlanValidationError
 
 __all__ = [
     "Access",
@@ -152,9 +153,22 @@ def _blocks_merge(candidate: Eq, sweep: Sweep) -> bool:
 
 
 def build_sweeps(eqs: Sequence[Eq]) -> List[Sweep]:
-    """Greedily group consecutive equations into sweeps (program order kept)."""
+    """Greedily group consecutive equations into sweeps (program order kept).
+
+    So a sweep never reads an earlier write of its own at nonzero radius nor
+    writes one slot twice.  An equation that writes off its iteration point
+    is a :class:`~repro.errors.PlanValidationError` naming it: no rung can
+    run it soundly, so it is refused here, before any engine binds."""
     sweeps: List[Sweep] = []
     for eq in eqs:
+        w = written_access(eq)
+        if w.radius > 0:
+            raise PlanValidationError(
+                f"non-pointwise write {eq.lhs} (radius {w.radius}) in {eq}: "
+                "an explicit update writes at its iteration point",
+                field=w.function.name,
+                equation=str(eq),
+            )
         if sweeps and not _blocks_merge(eq, sweeps[-1]):
             sweeps[-1].eqs.append(eq)
         else:

@@ -41,7 +41,6 @@ from ..errors import (
     EngineCompilationError,
     EngineFallbackWarning,
     InvalidTimeRange,
-    KernelLintError,
 )
 from ..execution.evalbox import ENGINES, BoundEq, BoundSweep, compile_front_half, load_kernel
 from ..execution.executors import ExecutionPlan, run_schedule
@@ -122,8 +121,8 @@ class Operator:
         # apply.  The rest of a bind is in the bind table, per signature.
         self._sweep_cache: Dict[Tuple[float, str], List[BoundSweep]] = {}
         # cumulative wall-time of the static analyses run on this operator's
-        # behalf (legality, halo and growth proofs, compiled-bind lint); an
-        # analysis the bind table serves costs none
+        # behalf (legality, halo and growth proofs); an analysis the bind
+        # table serves costs none
         self.analyzer_seconds = 0.0
         # one scratch pool per operator, shared by all fused sweeps across
         # apply() calls -- slabs are keyed by (dtype, slot) so reuse is
@@ -293,7 +292,7 @@ class Operator:
 
     # -- binding ------------------------------------------------------------------
     def bound_equations(self, dt: float) -> List[List[Eq]]:
-        """Per sweep, the equations every engine rung (and the linter) binds:
+        """Per sweep, the equations every engine rung (and the linter) reads:
         ``dt`` and the grid spacings substituted, then the
         coefficient-collecting factorisation of
         :func:`~repro.ir.passes.factorize_sweep` — once per signature and
@@ -319,16 +318,15 @@ class Operator:
         self, dt: float, engine: str, strict: bool, telemetry=None
     ) -> Tuple[str, List[BoundSweep]]:
         """Bind sweeps under *engine*, degrading down the ladder — ``ENGINES``
-        from *engine* on: when a rung's codegen fails, execution falls to the
-        next one with a structured warning instead of aborting — on
-        :class:`EngineCompilationError` unless *strict*.  Returns the engine
-        that actually compiled plus its bound sweeps.  A compiled rung's
-        front halves, loaded kernels and lint report are kept in the bind
-        table: a rung that failed to build leaves no entry, one the linter
-        rejected leaves its report, so the ladder degrades alike on a hit,
-        and a served bind generates and loads nothing.  *telemetry* counts
-        each front half compiled as a ``kernel_cache_misses`` and each one
-        the table served as a ``kernel_cache_hits``."""
+        from *engine* on — when a rung fails to build (an
+        :class:`EngineCompilationError`: an ineligible op, no compiler, a
+        failed build or load), with a structured warning unless *strict*.
+        Returns the engine that actually compiled plus its bound sweeps.  A
+        compiled rung's front halves and loaded kernels are kept in the bind
+        table: a rung that failed to build leaves no entry, and a served bind
+        generates and loads nothing.  *telemetry* counts each front half
+        compiled as a ``kernel_cache_misses`` and each one the table served
+        as a ``kernel_cache_hits``."""
         sweep_eqs = self.bound_equations(dt)
         epilogues = [tuple(a[:2] for a in ops) for ops in self._attachments()]
         dims = [d.name for d in self.grid.dimensions]
@@ -339,9 +337,7 @@ class Operator:
                     return eng, [BoundSweep(eqs, self.grid, engine=eng) for eqs in sweep_eqs]
                 bound: List[BoundSweep] = []
 
-                def compile_and_lint():
-                    from ..verify.linter import lint_bound_sweeps
-
+                def compile_rung():
                     for eqs, sparse in zip(sweep_eqs, epilogues):
                         # validated first: an unbound symbol raises raw
                         front = compile_front_half([BoundEq(e, self.grid) for e in eqs], eng)
@@ -349,25 +345,12 @@ class Operator:
                             telemetry.counters.add("kernel_cache_misses")
                         front += (load_kernel(eng, front[2], dims, sparse),)
                         bound.append(BoundSweep(eqs, self.grid, eng, self._pool, front, sparse))
-                    report = self._analysed(lint_bound_sweeps, bound, name=self.name)
-                    return [_pack_front(sw.front) for sw in bound], report
+                    return [_pack_front(sw.front) for sw in bound]
 
-                key = (self.signature, "rung", float(dt), eng)
-                fronts, report = structural(key, compile_and_lint)
+                fronts = structural((self.signature, "rung", float(dt), eng), compile_rung)
                 if eng == "c":
                     # a rung binds its whole translation unit or degrades
                     cgen.static_unit()
-                if not report.ok:
-                    # kernel-IR lint gate: error findings reject a compiled
-                    # bind; the KernelLintError rides the same ladder as any
-                    # compilation failure (degrade unless strict)
-                    raise KernelLintError(
-                        f"{self.name}: kernel-IR linter rejected the {eng} bind: "
-                        + "; ".join(d.render() for d in report.errors),
-                        engine=eng,
-                        reason="lint",
-                        diagnostics=report.diagnostics,
-                    )
                 if not bound:  # served from the table: each sweep's kernel is a hit
                     if telemetry is not None:
                         telemetry.counters.add("kernel_cache_hits", len(fronts))
@@ -489,9 +472,10 @@ class Operator:
         certificate (:meth:`bounds_certificate_for`; a stencil reaching past
         its halo is a :class:`~repro.errors.BoundsProofError` on every engine
         and schedule — it never degrades), the legality certificate of a
-        wavefront schedule (:meth:`certificate_for`), a compiled rung's kernel
-        lint (degrades down the ladder unless ``strict_engine``), and
-        ``plan.validate()`` over the precomputed sparse structures.
+        wavefront schedule (:meth:`certificate_for`), and ``plan.validate()``
+        over the precomputed sparse structures.  A non-pointwise write never
+        gets this far: :func:`~repro.ir.dependencies.build_sweeps` refuses it
+        when the operator is built.
 
         Resilience (all optional, all off by default): a failing engine
         degrades down the c -> fused -> interp ladder (no C compiler, a failed

@@ -54,7 +54,7 @@ _ALLOWED_CALLS = {"sin", "cos", "tan", "sqrt", "exp"}
 # -- the bind table ----------------------------------------------------------------
 
 #: the bind table, keyed on ``Operator.signature`` + what an entry adds to it:
-#: factorised sweeps, each rung's front half and lint report, certificates
+#: factorised sweeps, each compiled rung's front halves, certificates
 _BIND_CACHE: Dict[tuple, object] = {}
 
 
@@ -122,8 +122,9 @@ class ScratchPool:
     by what it is, not by who uses it.
 
     Sharing is sound because every kernel writes each slot before reading it
-    (the fused bind is rejected otherwise — E301 of
-    :mod:`repro.verify.absint.liveness`), so a slab's prior contents never
+    — the emitter's allocator hands out a slot only to a write, and the
+    E301 scan of :mod:`repro.verify.absint.liveness` checks that in tier-1
+    and in ``python -m repro.verify`` — so a slab's prior contents never
     matter.
     """
 

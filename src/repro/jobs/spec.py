@@ -203,7 +203,8 @@ class JobResult:
     #: wall-clock seconds from first dispatch to terminal state
     elapsed: float = 0.0
     #: the ladder's falls in the successful attempt: ``{failed, degraded_to,
-    #: reason}`` per ``engine.fallback`` event (c→fused, fused→interp)
+    #: reason}`` per ``engine.fallback`` event (c→fused, fused→interp); the
+    #: reason is why the rung failed to build (``no-compiler``, ...)
     fallbacks: List[dict] = dc_field(default_factory=list)
 
     @property

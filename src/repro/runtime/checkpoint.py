@@ -3,8 +3,10 @@
 A snapshot captures everything a schedule mutates that a later timestep
 reads: the ``time_order`` *live* padded slots of every
 :class:`~repro.dsl.functions.TimeFunction` the plan touches (halo included —
-resuming mid-run must reproduce halo state bit-for-bit), the receiver trace
-arrays, and any in-flight receiver staging rows.  The other slot of each
+resuming mid-run must reproduce halo state bit-for-bit) and the receiver
+trace arrays.  A receiver's staging ring is not stored: every row a unit
+gathers is reconstructed inside that unit, so none is open at a
+consistent point.  The other slot of each
 circular buffer is rewritten before anything reads it, so it is not stored:
 field bytes are ``time_order / (time_order + 1)`` of the full buffers.
 Model fields, decomposed source wavelets and masks are immutable during a
@@ -59,15 +61,12 @@ class Snapshot:
     step: int
     #: TimeFunction name -> {buffer slot index -> copy of that padded slot}
     slots: Dict[str, Dict[int, np.ndarray]]
-    #: one entry per receiver executor (plan order): trace array + staging rows
-    receivers: List[dict]
+    #: one trace array per receiver executor (plan order)
+    receivers: List[np.ndarray]
 
     def nbytes(self) -> int:
         total = sum(int(a.nbytes) for keep in self.slots.values() for a in keep.values())
-        for rec in self.receivers:
-            total += int(rec["output"].nbytes)
-            total += sum(int(a.nbytes) for a in rec["staging"].values())
-        return total
+        return total + sum(int(out.nbytes) for out in self.receivers)
 
 
 class CheckpointStore:
@@ -137,19 +136,14 @@ class FileCheckpointStore(CheckpointStore):
                 self.latest()  # aims the target away from the newest good slot
             except CheckpointCorruptError:
                 pass
-        layout = {"step": int(snapshot.step), "slots": [], "receivers": []}
+        layout = {"step": int(snapshot.step), "slots": [],
+                  "receivers": [[out.dtype.str, out.shape] for out in snapshot.receivers]}
         arrays: List[np.ndarray] = []
         for name, keep in snapshot.slots.items():
             for idx, arr in keep.items():
                 layout["slots"].append([name, int(idx), arr.dtype.str, arr.shape])
                 arrays.append(arr)
-        for rec in snapshot.receivers:
-            out, staging = rec["output"], rec["staging"]
-            layout["receivers"].append({
-                "output": [out.dtype.str, out.shape],
-                "staging": [[int(row), a.dtype.str, a.shape] for row, a in staging.items()],
-            })
-            arrays += [out, *staging.values()]
+        arrays += snapshot.receivers
         header = json.dumps(layout).encode()
         header += b" " * (-(4 + len(header)) % 8)  # arrays start 8-aligned
         path = self._paths[self._target]
@@ -211,11 +205,7 @@ class FileCheckpointStore(CheckpointStore):
             slots: Dict[str, Dict[int, np.ndarray]] = {}
             for name, idx, dtype, shape in layout["slots"]:
                 slots.setdefault(name, {})[idx] = take(dtype, shape)
-            receivers = [
-                {"output": take(*rec["output"]),
-                 "staging": {row: take(dtype, shape) for row, dtype, shape in rec["staging"]}}
-                for rec in layout["receivers"]
-            ]
+            receivers = [take(dtype, shape) for dtype, shape in layout["receivers"]]
             if offset != len(payload):
                 raise ValueError(f"{len(payload) - offset} bytes past the layout's arrays")
             return Snapshot(step=int(layout["step"]), slots=slots, receivers=receivers)
@@ -337,15 +327,7 @@ def capture_snapshot(plan, step: int, recycle: Optional[Snapshot] = None) -> Sna
         slots[name] = {
             idx: _copy(func._data[idx], donors) for idx in _live_slots(func, step)
         }
-    receivers = []
-    for rec in _plan_receiver_executors(plan):
-        staging = getattr(rec, "_staging", {})
-        receivers.append(
-            {
-                "output": _receiver_output(rec).copy(),
-                "staging": {row: arr.copy() for row, arr in staging.items()},
-            }
-        )
+    receivers = [_receiver_output(rec).copy() for rec in _plan_receiver_executors(plan)]
     return Snapshot(step=int(step), slots=slots, receivers=receivers)
 
 
@@ -369,7 +351,5 @@ def restore_snapshot(plan, snapshot: Snapshot) -> int:
             f"plan has {len(executors)}"
         )
     for rec, saved in zip(executors, snapshot.receivers):
-        _receiver_output(rec)[...] = saved["output"]
-        if hasattr(rec, "restore_staging"):
-            rec.restore_staging(saved["staging"])
+        _receiver_output(rec)[...] = saved
     return snapshot.step

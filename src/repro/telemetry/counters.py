@@ -40,7 +40,8 @@ journal by ``python -m repro.jobs.status``:
   ``abft_micro_snapshot_bytes`` / ``abft_reexecutions`` — runtime-monitor
   and guard activity (:mod:`repro.runtime`).
 * ``engine_fallbacks`` — c→fused→interp ladder transitions during
-  binding (:meth:`repro.ir.operator.Operator._build_sweeps`).
+  binding, one per rung that failed to build
+  (:meth:`repro.ir.operator.Operator._build_sweeps`).
 * ``journal_records`` — write-ahead journal appends
   (:mod:`repro.jobs.journal`), the one counter of a job pool's buffer (its
   lifecycle is the ``job.*`` events): each one is a durable, fsynced state

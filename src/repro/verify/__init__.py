@@ -13,9 +13,8 @@ Layers (each usable standalone):
   :class:`~repro.errors.ScheduleLegalityError` carrying a concrete
   :class:`~repro.verify.certificate.Counterexample` naming two conflicting
   statement instances ``(t, tile, point)``.
-* :mod:`repro.verify.linter` — static checks over compiled sweeps; error
-  findings reject the fused bind via
-  :class:`~repro.errors.KernelLintError`.
+* :mod:`repro.verify.linter` — the dtype check and the scratch-liveness
+  scan over the fused kernels, reported by the CLI; it gates no bind.
 * :mod:`repro.verify.oracle` — shadow-memory replay of real executions on
   small grids, confirming certified schedules race-free and counterexamples
   real.
@@ -56,7 +55,6 @@ from .dependence import (
 )
 from .linter import (
     LintReport,
-    lint_bound_sweeps,
     lint_equations,
     lint_operator,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "Diagnostic",
     "LintReport",
     "lint_equations",
-    "lint_bound_sweeps",
     "lint_operator",
     "OracleReport",
     "RaceRecord",

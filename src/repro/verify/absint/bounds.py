@@ -8,8 +8,7 @@ padded by ``halo`` therefore touches padded-buffer indices
 ``[halo + lo + s, halo + hi + s)`` with ``[lo, hi) ⊆ [0, N_d)``, and staying
 inside the padded extent ``N_d + 2*halo`` reduces — for every grid, schedule
 and engine at once — to two integer margins per (access, dimension):
-``halo + s >= 0`` and ``halo - s >= 0`` (:func:`halo_margins`, which the
-linter's E101 renders from as well).
+``halo + s >= 0`` and ``halo - s >= 0`` (:func:`halo_margins`).
 
 The margins are exact, so the analysis has no false positives: a rejected
 access really escapes on the operator's own grid, and :func:`prove_bounds`

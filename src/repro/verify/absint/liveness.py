@@ -12,7 +12,9 @@ sweeps share them.
 
 * **E301** — an instruction reads a slot this kernel never wrote: it would
   observe stale pooled memory (the finding names the *producing sweep* whose
-  leftover value that is).  An error: it rejects the fused bind.
+  leftover value that is).  An error of ``python -m repro.verify``, which CI
+  gates on; the emitter writes every slot before reading it by
+  construction, so no shipped kernel has one.
 * **W302** — a value stored to a slot and never consumed: a dead statement.
 
 The analysis is a check, not a planner: slot assignment is the emitter's

@@ -1,30 +1,25 @@
-"""Kernel-IR linter over compiled sweeps.
+"""Kernel-IR linter: the report of ``python -m repro.verify``.
 
-Static checks at two levels:
+It checks what no other layer owns, at two levels:
 
-* **equation level** (any engine): out-of-bounds stencil footprint vs the
-  declared halo (``E101``), non-pointwise writes (``E102``), intra-sweep
-  aliasing reads at nonzero radius (``E401``), duplicate ``(field, time)``
-  writes within a sweep (``E402``), and dtype narrowing through the store
-  (``W201``, via the abstract NEP 50 promotion lattice of
-  :mod:`repro.verify.absint.dtypes` — the message names the statement and the
-  exact promotion chain that produced the wider dtype).
-* **kernel level** (compiled engines): the three-address program of each
-  sweep (:attr:`~repro.ir.nodes.CompiledSweep.program`) is analysed by the
-  whole-program scratch scan of
-  :mod:`repro.verify.absint.liveness` — a read of a slot never written in
-  this kernel observes stale pooled memory from some earlier sweep
-  (``E301``, naming the producing sweep); a value stored to a slot and never
-  consumed is a dead statement (``W302``).
+* **equation level**: dtype narrowing through the store (``W201``, via the
+  abstract NEP 50 promotion lattice of :mod:`repro.verify.absint.dtypes` —
+  the message names the statement and the exact promotion chain that
+  produced the wider dtype).
+* **kernel level**: the three-address program of each sweep
+  (:attr:`~repro.ir.nodes.CompiledSweep.program`) is analysed by the
+  whole-program scratch scan of :mod:`repro.verify.absint.liveness` — a read
+  of a slot never written in this kernel observes stale pooled memory from
+  some earlier sweep (``E301``, naming the producing sweep); a value stored
+  to a slot and never consumed is a dead statement (``W302``) — and each
+  kernel's instruction count is reported (``ninstr``).
 
-Error-severity findings reject the fused bind: :meth:`Operator._build_sweeps`
-raises :class:`~repro.errors.KernelLintError` (an
-:class:`~repro.errors.EngineCompilationError`), so the engine ladder degrades
-fused -> interp exactly as for any compilation failure, and strict mode
-surfaces the diagnostics.  (``E101`` never gets that far at run time: it
-renders the same :func:`~repro.verify.absint.bounds.halo_margins` the halo
-certificate checks, and ``Operator.apply`` rejects on that certificate before
-any engine binds.)
+Nothing here gates a bind.  Halo safety is the bounds certificate's
+(``Operator.apply`` raises :class:`~repro.errors.BoundsProofError` before
+any engine binds); a sweep never reads its own writes at nonzero radius nor
+writes one slot twice, because :func:`~repro.ir.dependencies.build_sweeps`
+starts a new sweep there; and a non-pointwise write is refused when the
+operator is built.
 
 Run from the command line as ``python -m repro.verify <example|--all>
 [--json]`` (see :mod:`repro.verify.__main__`).
@@ -37,8 +32,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..ir.dependencies import read_accesses, written_access
-from .absint.bounds import halo_margins
 from .absint.dtypes import expr_dtype, is_weak
 from .absint.liveness import LivenessReport, analyse_programs
 from .certificate import Diagnostic
@@ -47,7 +40,6 @@ __all__ = [
     "Diagnostic",
     "LintReport",
     "lint_equations",
-    "lint_bound_sweeps",
     "lint_operator",
 ]
 
@@ -110,73 +102,10 @@ def _abstract_dtype(rhs) -> "tuple[Optional[str], List[str]]":
 
 
 def lint_equations(eqs, sweep: Optional[int] = None) -> List[Diagnostic]:
-    """Halo-footprint, pointwise-write, aliasing and dtype checks on the
-    (possibly dt-bound) equations of one sweep."""
+    """The dtype check (``W201``) on the (possibly dt-bound) equations of
+    one sweep."""
     diags: List[Diagnostic] = []
-    produced: set = set()
     for eq in eqs:
-        w = written_access(eq)
-        reads = read_accesses(eq)
-        for a in reads:
-            halo = getattr(a.function, "halo", 0)
-            bad = [(d, s) for d, s, lo, hi in halo_margins(a) if lo < 0 or hi < 0]
-            if bad:
-                dims = ", ".join(f"{d}{s:+d}" for d, s in bad)
-                diags.append(
-                    Diagnostic(
-                        "E101",
-                        "error",
-                        f"stencil footprint exceeds the declared halo of "
-                        f"{a.function.name!r} (halo={halo}): offsets {dims} "
-                        f"in {eq}",
-                        sweep=sweep,
-                        statement=str(eq),
-                        field=a.function.name,
-                    )
-                )
-        if w.radius > 0:
-            diags.append(
-                Diagnostic(
-                    "E102",
-                    "error",
-                    f"non-pointwise write {eq.lhs} (radius {w.radius}): "
-                    "explicit FD sweeps must write at the iteration point",
-                    sweep=sweep,
-                    statement=str(eq),
-                    field=w.function.name,
-                )
-            )
-        for a in reads:
-            key = (a.function.name, a.time_offset)
-            if key in produced and a.radius > 0:
-                diags.append(
-                    Diagnostic(
-                        "E401",
-                        "error",
-                        f"intra-sweep aliasing read: {eq} reads "
-                        f"{a.function.name}[t+{a.time_offset}] at radius "
-                        f"{a.radius} although an earlier equation of the same "
-                        "sweep writes that slot — the read crosses the box "
-                        "boundary into not-yet-computed data",
-                        sweep=sweep,
-                        statement=str(eq),
-                        field=a.function.name,
-                    )
-                )
-        wkey = (w.function.name, w.time_offset)
-        if wkey in produced:
-            diags.append(
-                Diagnostic(
-                    "E402",
-                    "error",
-                    f"duplicate write to {w.function.name}[t+{w.time_offset}] "
-                    "within one sweep: the earlier statement is dead",
-                    sweep=sweep,
-                    statement=str(eq),
-                    field=w.function.name,
-                )
-            )
-        produced.add(wkey)
         elem, chain = _abstract_dtype(eq.rhs)
         out_dtype = np.dtype(eq.lhs.function.dtype).name
         # weak scalars adapt to the stored dtype under NEP 50: no narrowing
@@ -200,31 +129,10 @@ def lint_equations(eqs, sweep: Optional[int] = None) -> List[Diagnostic]:
 # -- entry points ----------------------------------------------------------------
 
 
-def _scratch_analysis(report: LintReport, programs) -> None:
-    """Whole-program scratch analysis over the per-sweep kernel programs
-    (``None`` for a sweep without one); also records each compiled sweep's
-    instruction count."""
-    report.ninstr = {j: len(p.instrs) for j, p in enumerate(programs) if p is not None}
-    if not report.ninstr:
-        return
-    report.scratch = analyse_programs(programs)
-    report.diagnostics.extend(report.scratch.findings)
-
-
-def lint_bound_sweeps(bound_sweeps, name: str = "Kernel") -> LintReport:
-    """Lint already-bound sweeps (the fused rung of the engine ladder)."""
-    report = LintReport(name=name)
-    programs = []
-    for j, sw in enumerate(bound_sweeps):
-        report.diagnostics.extend(lint_equations(sw.eqs, sweep=j))
-        programs.append(sw.kernel_program())
-    _scratch_analysis(report, programs)
-    return report
-
-
 def lint_operator(op, dt: float = 1.0) -> LintReport:
-    """Lint *op*: equation-level checks on every sweep, plus scratch-slot
-    analysis of the fused kernels when the fused engine compiles.
+    """Lint *op*: the dtype check on every sweep, plus scratch-slot analysis
+    and instruction counts of the fused kernels when the fused engine
+    compiles.
 
     Lints :meth:`~repro.ir.operator.Operator.bound_equations` — ``dt`` and
     the grid spacings substituted, coefficients factorised — so the analysis
@@ -261,5 +169,8 @@ def lint_operator(op, dt: float = 1.0) -> LintReport:
                 )
             )
         programs.append(program)
-    _scratch_analysis(report, programs)
+    report.ninstr = {j: len(p.instrs) for j, p in enumerate(programs) if p is not None}
+    if report.ninstr:
+        report.scratch = analyse_programs(programs)
+        report.diagnostics.extend(report.scratch.findings)
     return report

@@ -167,13 +167,13 @@ def test_c_schedules_bit_identical_to_naive(kind, so):
             assert_same_bits(rec_got, rec_ref, f"{kind} so={so} {name}/{mode} receivers")
 
 
-#: blocks on both sides of ``PARALLEL_MIN_POINTS``: a full 12 x 11 x 20 block
-#: is 2 640 points, the ones the grid edge or the wavefront skew clips fall
+#: blocks on both sides of ``PARALLEL_MIN_POINTS``: a full 16 x 22 x 20 block
+#: is 7 040 points, the ones the grid edge or the wavefront skew clips fall
 #: below it (they share their run's team, or its calling thread)
 THREADED_SCHEDULES = {
     "naive": (NaiveSchedule(), 1),
-    "spatial": (SpatialBlockSchedule(block=(12, 11)), 1),
-    "wavefront": (WavefrontSchedule(tile=(12, 22), height=3), 3),
+    "spatial": (SpatialBlockSchedule(block=(16, 22)), 1),
+    "wavefront": (WavefrontSchedule(tile=(16, 22), height=3), 3),
 }
 #: oversubscribed on a one-CPU host, and still the same bits
 TEAM = max(2, len(os.sched_getaffinity(0)))
@@ -188,7 +188,7 @@ def test_c_matches_fused_after_every_step(kind, so):
     in lock-step -- C on a team of threads, C on a team of one, fused -- every
     buffer of every field compared, halos included, and the off-grid
     receivers (a tolerance here would hide a contracted multiply-add)."""
-    assert 12 * 11 * 20 >= cgen.PARALLEL_MIN_POINTS > 12 * 11 * 20 // 2
+    assert 16 * 22 * 20 >= cgen.PARALLEL_MIN_POINTS > 16 * 22 * 20 // 2
     for name, (sched, stride) in THREADED_SCHEDULES.items():
         props = [build(kind, so) for _ in range(3)]
         dt = props[0][1]
@@ -261,10 +261,10 @@ def test_c_tile_larger_than_grid(grid3d):
 @needs_cc
 def test_c_threaded_2d():
     """One leading loop (``collapse(1)``), a grid large enough for the team."""
-    grid = Grid(shape=(64, 48), extent=(630.0, 470.0))
-    assert 64 * 48 >= cgen.PARALLEL_MIN_POINTS
-    for sched in (NaiveSchedule(), SpatialBlockSchedule(block=(64, 40)),
-                  WavefrontSchedule(tile=(64, 48), height=3)):
+    grid = Grid(shape=(96, 48), extent=(950.0, 470.0))
+    assert 96 * 44 >= cgen.PARALLEL_MIN_POINTS
+    for sched in (NaiveSchedule(), SpatialBlockSchedule(block=(96, 44)),
+                  WavefrontSchedule(tile=(96, 48), height=3)):
         assert np.abs(_c_vs_fused(grid, sched)).max() > 0
 
 
@@ -317,16 +317,16 @@ def test_c_threaded_boxes_around_the_threshold():
     wide, one point per row, and boxes just below / just above
     ``PARALLEL_MIN_POINTS`` — each a run of one step, on the team from the
     threshold up and on the calling thread below it."""
-    grid = Grid(shape=(6, 40, 64), extent=(50.0, 390.0, 630.0))
-    row = 40 * 64
-    assert row >= cgen.PARALLEL_MIN_POINTS > 31 * 64
+    grid = Grid(shape=(6, 40, 128), extent=(50.0, 390.0, 1270.0))
+    row = 40 * 128
+    assert row >= cgen.PARALLEL_MIN_POINTS > 31 * 128
     threaded, serial, fused = _boxes_on_each_rung(grid, (
-        ((2, 3), (0, 40), (0, 64)),  # one row wide, threaded
-        ((1, 2), (0, 31), (0, 64)),  # one row wide, just below the threshold
-        ((0, 6), (7, 8), (0, 64)),  # one column wide
-        ((0, 6), (0, 40), (63, 64)),  # one point per row
-        ((0, 6), (0, 40), (0, 64)),  # the whole grid
-        ((5, 6), (39, 40), (0, 64)),  # a single row
+        ((2, 3), (0, 40), (0, 128)),  # one row wide, threaded
+        ((1, 2), (0, 31), (0, 128)),  # one row wide, just below the threshold
+        ((0, 6), (7, 8), (0, 128)),  # one column wide
+        ((0, 6), (0, 40), (127, 128)),  # one point per row
+        ((0, 6), (0, 40), (0, 128)),  # the whole grid
+        ((5, 6), (39, 40), (0, 128)),  # a single row
     ))
     assert_same_bits(threaded, fused)
     assert_same_bits(serial, fused)

@@ -243,7 +243,7 @@ def test_a_replayed_run_reads_refreshed_invariants():
 
 
 def _c_sweep():
-    grid = Grid(shape=(6, 40, 64), extent=(50.0, 390.0, 630.0))
+    grid = Grid(shape=(6, 40, 128), extent=(50.0, 390.0, 1270.0))
     op, *_ = make_acoustic_operator(grid)
     (eqs,) = op.bound_equations(0.5)
     return BoundSweep(eqs, grid, engine="c")
@@ -254,12 +254,12 @@ def test_each_run_decides_its_own_team():
     iff its own largest box reaches ``PARALLEL_MIN_POINTS``, whatever the
     tile's other runs hold."""
     sweep = _c_sweep()
-    small, big = ((1, 2), (0, 31), (0, 64)), ((2, 3), (0, 40), (0, 64))
-    assert 31 * 64 < cgen.PARALLEL_MIN_POINTS <= 40 * 64
-    steps = [(0, 0, small, small, None, 31 * 64), (1, 0, big, NO_SPARSE, None, 40 * 64)]
+    small, big = ((1, 2), (0, 31), (0, 128)), ((2, 3), (0, 40), (0, 128))
+    assert 31 * 128 < cgen.PARALLEL_MIN_POINTS <= 40 * 128
+    steps = [(0, 0, small, small, None, 31 * 128), (1, 0, big, NO_SPARSE, None, 40 * 128)]
     runs, counts, _ = _runs(steps, (True,), 1, [sweep], 0)
     assert [(len(run), threaded) for run, _, threaded in runs] == [(1, 0), (1, 1)]
-    assert counts.tolist() == [[2], [71 * 64]]
+    assert counts.tolist() == [[2], [71 * 128]]
 
 
 def test_a_c_sweep_has_no_evaluate():

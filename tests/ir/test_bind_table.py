@@ -1,8 +1,8 @@
 """The bind table: one bind per problem structure, per process.
 
 What an operator's bind derives from its structure alone — factorised
-sweeps, each compiled rung's front half and lint report, the legality and
-bounds certificates — is kept in ``pycodegen._BIND_CACHE`` under the
+sweeps, each compiled rung's front halves, the legality and bounds
+certificates — is kept in ``pycodegen._BIND_CACHE`` under the
 operator's ``signature``.  A second problem of the same structure analyses
 nothing, pins nothing of the first, and computes the same bits.
 """
@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 import repro.verify.absint.bounds as bounds_mod
-import repro.verify.linter as linter_mod
 import repro.verify.prover as prover_mod
 from repro.core import NaiveSchedule, WavefrontSchedule
 from repro.dsl import Eq, Function, Grid, SparseTimeFunction, TimeFunction, solve
@@ -53,7 +52,7 @@ shot = _ns["shot"]
 @pytest.fixture
 def spies(monkeypatch):
     """Calls of each structural analysis, by name."""
-    calls = {"legality": 0, "bounds": 0, "lint": 0}
+    calls = {"legality": 0, "bounds": 0}
 
     def spy(module, name, key):
         real = getattr(module, name)
@@ -66,16 +65,15 @@ def spies(monkeypatch):
 
     spy(prover_mod, "prove_schedule", "legality")
     spy(bounds_mod, "prove_bounds", "bounds")
-    spy(linter_mod, "lint_bound_sweeps", "lint")
     return calls
 
 
 def test_second_problem_of_a_structure_analyses_nothing(spies):
     clear_kernel_caches()
     first, _ = shot((0.1, -0.1, 0.05), 1.0)
-    assert spies == {"legality": 1, "bounds": 1, "lint": 1}
+    assert spies == {"legality": 1, "bounds": 1}
     second, _ = shot((-0.15, 0.2, 0.0), 1.02)  # new coordinates, new model
-    assert spies == {"legality": 1, "bounds": 1, "lint": 1}
+    assert spies == {"legality": 1, "bounds": 1}
     assert second.op.signature == first.op.signature
     assert second.op.analyzer_seconds == 0.0
 
@@ -111,26 +109,6 @@ def test_clear_kernel_caches_empties_the_table():
     assert pycodegen._BIND_CACHE
     clear_kernel_caches()
     assert not pycodegen._BIND_CACHE
-
-
-def test_a_rejected_lint_report_degrades_the_next_problem_alike(grid2d, monkeypatch, spies):
-    """A stored report with errors sends a second problem of the structure
-    down the same ladder, without linting again."""
-    from repro.verify import Diagnostic, LintReport
-
-    def failing(bound_sweeps, name="Kernel"):
-        spies["lint"] += 1
-        return LintReport(name, [Diagnostic("E301", "error", "synthetic", sweep=0)])
-
-    clear_kernel_caches()
-    monkeypatch.setattr(linter_mod, "lint_bound_sweeps", failing)
-    for expected_lints in (1, 1):
-        op, *_ = make_acoustic_operator(grid2d)
-        with pytest.warns(EngineFallbackWarning, match="degrading to 'interp'"):
-            plan = op.apply(time_M=2, dt=0.5, engine="fused")
-        assert plan.sweeps[0].engine == "interp"
-        assert spies["lint"] == expected_lints
-    clear_kernel_caches()
 
 
 def _counted(kind, engine=None, shift=None):

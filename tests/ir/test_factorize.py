@@ -89,7 +89,7 @@ def _magnitude(expr, env):
 
 def _ninstr(expr):
     sweep = BoundSweep([Eq(OUT.forward, expr)], GRID, engine="fused")
-    return len(sweep.kernel_program().instrs)
+    return len(sweep.compiled.program.instrs)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -216,14 +216,14 @@ def test_pass_budget(kind, so):
     budget, before = PASS_BUDGET[(kind, so)]
     prop, dt = build_example(kind, so=so)
     _, bound = prop.op._build_sweeps(dt, "fused", True)
-    passes = [len(sw.kernel_program().instrs) for sw in bound]
+    passes = [len(sw.compiled.program.instrs) for sw in bound]
     assert all(p <= b for p, b in zip(passes, budget)), (passes, budget)
     assert all(b <= old for b, old in zip(budget, before))
     # the emitter's refcounting allocator is already minimal: as many slots
     # per dtype as scratch values are ever alive at once, so no liveness
     # re-colouring of its assignment could shrink the pool
     for sw in bound:
-        program = sw.kernel_program()
+        program = sw.compiled.program
         declared = [dtype for _name, dtype in program.slots]
         assert _peak_live_scratch(program) == {d: declared.count(d) for d in set(declared)}
     # the rewrite touches arithmetic only: same reads, same sweep radii

@@ -77,7 +77,7 @@ def test_c_streams_no_hoisted_grid_and_ccode_prints_its_program(kind, so):
     assert all(sw.hoisted_fields == [] for sw in plan.sweeps)
     code = prop.op.ccode(dt)
     for j, sw in enumerate(plan.sweeps):
-        assert cgen.emit_sweep(sw.kernel_program(), sw.dim_names, f"sweep{j}", sw.sparse) in code
+        assert cgen.emit_sweep(sw.compiled.program, sw.dim_names, f"sweep{j}", sw.sparse) in code
     fused = [BoundSweep(eqs, prop.op.grid, engine="fused") for eqs in prop.op.bound_equations(dt)]
     assert any(sw.hoisted_fields for sw in fused)
     assert "__inv" not in code

@@ -115,11 +115,7 @@ def test_snapshot_holds_only_the_live_slots(physics):
     saves = [e for e in tel.events if e.name == "checkpoint.save"]
     assert [e.attrs["step"] for e in saves] == [4, 8]
     assert saves[-1].attrs["bytes"] == snap.nbytes()
-    rec_bytes = sum(
-        r["output"].nbytes + sum(a.nbytes for a in r["staging"].values())
-        for r in snap.receivers
-    )
-    assert snap.nbytes() == field_bytes + rec_bytes
+    assert snap.nbytes() == field_bytes + sum(out.nbytes for out in snap.receivers)
 
 
 @pytest.mark.faults
@@ -137,9 +133,7 @@ def test_parent_format_file_is_refused_and_the_rerun_is_bit_identical(grid2d, tm
     plan = op.apply(time_M=CRASH_T, dt=DT, schedule=NaiveSchedule())
     arrays = {"step": np.int64(CRASH_T), "field.u": u.data_with_halo.copy()}
     for i, saved in enumerate(capture_snapshot(plan, CRASH_T).receivers):
-        arrays[f"rec{i}.output"] = saved["output"]
-        for row, stage in saved["staging"].items():
-            arrays[f"rec{i}.staging.{row}"] = stage
+        arrays[f"rec{i}.output"] = saved
     with open(tmp_path / f"ckpt_{CRASH_T:010d}.npz", "wb") as fh:
         np.savez(fh, **arrays)
     store = FileCheckpointStore(tmp_path)
@@ -157,10 +151,7 @@ def test_parent_format_file_is_refused_and_the_rerun_is_bit_identical(grid2d, tm
 
 
 def _arrays(snap):
-    out = [a for keep in snap.slots.values() for a in keep.values()]
-    for r in snap.receivers:
-        out += [r["output"], *r["staging"].values()]
-    return out
+    return [a for keep in snap.slots.values() for a in keep.values()] + snap.receivers
 
 
 class _GuardDisjointStore(CheckpointStore):
@@ -249,33 +240,6 @@ def test_file_store_keeps_newest(tmp_path):
     np.testing.assert_array_equal(latest.slots["u"][1], np.full((3, 3), 6, np.float32))
     store.clear()
     assert store.latest() is None
-
-
-@needs_cc
-def test_a_restored_open_row_is_gathered_through_its_own_address(grid2d):
-    """On the C rung a staging row is written by the sweep epilogue into the
-    receiver's ring and reconstructed from there: a restored open row must
-    land in the ring slot the epilogue writes and reconstruction reads, and
-    the run it resumes ends with the uninterrupted traces."""
-    op, u, m, src, rec = make_acoustic_operator(grid2d, nt=NT)
-    ref_u, ref_rec = run_and_capture(op, u, rec, NT, DT, NaiveSchedule(), "precomputed", "c")
-
-    u.data_with_halo[...] = 0.0
-    rec.data[...] = 0.0
-    plan = op.apply(time_M=CRASH_T, dt=DT, schedule=NaiveSchedule(),
-                    sparse_mode="precomputed", engine="c")
-    (receiver,) = [r for lst in plan.receivers.values() for r in lst]
-    receiver.gather(CRASH_T)  # an open row, as a mid-unit capture sees it
-    (row,) = receiver.pending_rows()
-    snap = capture_snapshot(plan, CRASH_T)
-    receiver._ring[...] = np.nan  # whatever the ring held is gone
-    restore_snapshot(plan, snap)
-    slot = receiver._ring[row % receiver._ring.shape[0]]
-    assert receiver._staging[row].ctypes.data == slot.ctypes.data
-    np.testing.assert_array_equal(slot, snap.receivers[0]["staging"][row])
-    run_schedule(plan, CRASH_T, NT, NaiveSchedule())
-    np.testing.assert_array_equal(u.interior(NT), ref_u)
-    np.testing.assert_array_equal(rec.data, ref_rec)
 
 
 def test_memory_store_ring():

@@ -10,6 +10,7 @@ import pickle
 import pytest
 
 from repro.errors import (
+    BoundsProofError,
     CheckpointCorruptError,
     CoordinateOutOfDomain,
     EngineCompilationError,
@@ -18,7 +19,6 @@ from repro.errors import (
     JobError,
     JobTimeoutError,
     JournalCorruptError,
-    KernelLintError,
     NumericalBlowup,
     PlanValidationError,
     PoisonJobError,
@@ -37,7 +37,7 @@ CASES = [
     (CoordinateOutOfDomain, dict(indices=[0, 3], coordinates=[(1.0, 2.0), (3.0, 4.0)])),
     (StabilityViolation, dict(dt=0.9, critical=0.5, kind="acoustic")),
     (EngineCompilationError, dict(engine="fused")),
-    (KernelLintError, dict(engine="fused", diagnostics=[])),
+    (BoundsProofError, dict(engine="c", diagnostics=[], counterexample=None, certificate=None)),
     (ScheduleLegalityError, dict(counterexample=None, schedule="wavefront")),
     (InvalidTimeRange, dict(t=None)),
     (PlanValidationError, dict(field="src")),

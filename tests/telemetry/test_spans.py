@@ -176,7 +176,7 @@ def test_static_flops_count_the_bound_kernel(kind, engine, bind):
     assert tel.counters["kernel_cache_hits"] == (len(plan.sweeps) if bind == "served" else 0)
     assert (tel.meta["sweep_flops"], tel.meta["sweep_accesses"]) == STATIC_COSTS[kind, engine]
     if kind == "acoustic":
-        (program,) = [sw.kernel_program() for sw in plan.sweeps]
+        (program,) = [sw.compiled.program for sw in plan.sweeps]
         arithmetic = [i for i in program.instrs if i.op != "store"]
         assert tel.meta["sweep_flops"] == [float(len(arithmetic))]
         assert tel.meta["sweep_accesses"] == [len(program.views) + len(program.outs)]

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import NaiveSchedule, SpatialBlockSchedule, WavefrontSchedule
 from repro.dsl import Eq, Grid, TimeFunction
-from repro.errors import BoundsProofError, EngineFallbackWarning, KernelLintError
+from repro.errors import BoundsProofError, EngineCompilationError, EngineFallbackWarning
 from repro.execution.evalbox import ENGINES
 from repro.execution.executors import run_schedule
 from repro.ir import Operator, pycodegen
@@ -158,7 +158,7 @@ def test_halo_gate_rejects_on_every_engine_and_schedule(reach, engine, schedule,
                 time_M=2, dt=0.1, engine=engine,
                 schedule=SCHEDULES[schedule], strict_engine=strict,
             )
-    assert isinstance(err.value, KernelLintError)
+    assert isinstance(err.value, EngineCompilationError)
     ce = err.value.counterexample
     assert (ce.function, ce.dim, ce.offset) == ("u", "x", reach)
     assert not err.value.certificate.check()

@@ -146,7 +146,7 @@ def test_dtype_pass_consistent_on_real_kernel():
             eng, bound = prop.op._build_sweeps(dt, "fused", True)
             assert eng == "fused"
             for j, sw in enumerate(bound):
-                program = sw.kernel_program()
+                program = sw.compiled.program
                 assert program.slots, "a real fused kernel uses scratch slots"
                 findings = audit_slot_dtypes(program, sweep=j)
                 assert not findings, (kind, so, [f.message for f in findings])
