@@ -24,13 +24,11 @@ from repro.runtime import (
     MemoryCheckpointStore,
     Snapshot,
     capture_snapshot,
-    restore_snapshot,
 )
-from repro.execution.executors import run_schedule
 from repro.runtime.checkpoint import SLOT_NAMES
 from repro.telemetry import Telemetry
 
-from ..conftest import make_acoustic_operator, needs_cc, run_and_capture
+from ..conftest import make_acoustic_operator, run_and_capture
 
 NT = 10
 DT = 0.5
